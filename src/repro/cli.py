@@ -66,17 +66,12 @@ from repro.exceptions import ReproError, ServiceConfigError
 from repro.graph.csr import freeze_graph
 from repro.graph.io import dump_tsv, load_tsv
 from repro.graph.stats import graph_stats, label_histogram
-from repro.index.landmarks import (
-    bfs_traverse,
-    select_landmarks,
-    structural_correlations,
-)
 from repro.index.local_index import build_local_index
 from repro.index.storage import load_local_index, save_local_index
 from repro.service.app import QueryService
 from repro.service.http import create_server
 from repro.service.registry import DEFAULT_TENANT, TenantRegistry
-from repro.shard import ShardedQueryService, ShardWorker, build_shard_plan, cut_slices
+from repro.shard import ShardedQueryService, ShardWorker, cut_slices, derive_shard_plan
 from repro.shard.slicefile import SLICE_WIRE_VERSION, dump_slice, load_slice
 from repro.wal import (
     DEFAULT_COMPACT_EVERY,
@@ -217,12 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--k", type=int, default=None, help="landmark count when building")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--no-freeze",
-        action="store_true",
-        help="serve the dict-backed graph instead of the frozen CSR snapshot "
-        "(A/B escape hatch; see benchmarks/bench_hotpath.py)",
-    )
     serve.add_argument(
         "--shards",
         type=int,
@@ -500,25 +489,16 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_cut(args: argparse.Namespace) -> int:
-    """Serialize one slice file per shard, coordinator-compatible.
-
-    The partition, correlation table and plan are built exactly the way
-    ``serve --graph G --shards N --seed S`` builds them, so a
-    coordinator started with the same graph/index/seed handshakes with
-    the workers booted from these files without a resync.
-    """
+    """Serialize one slice file per shard, coordinator-compatible
+    (:func:`~repro.shard.partitioner.derive_shard_plan` is the plan
+    ``serve --graph G --shards N --seed S`` derives too)."""
     if args.shards < 1:
         raise ServiceConfigError(f"--shards must be >= 1, got {args.shards}")
     graph = freeze_graph(load_tsv(args.graph, name=Path(args.graph).stem))
-    if args.index is not None:
-        index = load_local_index(args.index, graph)
-        partition = index.partition
-        correlations = index.region_correlations()
-    else:
-        landmarks = select_landmarks(graph, k=args.k, rng=args.seed)
-        partition = bfs_traverse(graph, landmarks)
-        correlations = structural_correlations(graph, partition)
-    plan = build_shard_plan(graph, partition, args.shards, correlations)
+    index = load_local_index(args.index, graph) if args.index is not None else None
+    *_, plan = derive_shard_plan(
+        graph, index, args.shards, landmark_count=args.k, seed=args.seed
+    )
     fingerprint = graph.content_fingerprint()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -689,7 +669,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_size=args.cache_size,
         cache_ttl=args.cache_ttl,
         max_workers=args.workers,
-        freeze=not args.no_freeze,
         trace_sample=args.trace_sample,
         approx=not args.no_approx,
         approx_default=args.approx_default,

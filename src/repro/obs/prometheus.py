@@ -224,7 +224,6 @@ _WORKER_POOL_COUNTERS = (
 
 #: Coordinator-side health-ledger fields merged into each worker entry.
 _WORKER_HEALTH_GAUGES = {
-    "epoch": ("slice_epoch", "Slice epoch the worker last reported"),
     "consecutive_failures": (
         "consecutive_failures",
         "Consecutive failed health probes for the worker",
@@ -345,12 +344,16 @@ def _shards_section(
                 families.add(f"repro_shard_worker_{key}", "gauge",
                              "Shard worker slice sizes", worker_labels,
                              worker[key])
-        if isinstance(worker.get("epoch"), (int, float)):
-            # In-process workers report their slice epoch directly; for
-            # remote stubs it arrives through the health ledger below.
+        health = worker.get("health")
+        if not isinstance(health, dict):
+            health = {}
+        # In-process workers report their slice epoch directly; for
+        # remote stubs only the coordinator's health ledger knows it.
+        slice_epoch = worker.get("epoch", health.get("epoch"))
+        if isinstance(slice_epoch, (int, float)):
             families.add("repro_shard_worker_slice_epoch", "gauge",
                          "Slice epoch the worker last reported",
-                         worker_labels, worker["epoch"])
+                         worker_labels, slice_epoch)
         for key in _WORKER_POOL_COUNTERS:
             if key in worker:
                 families.add(f"repro_shard_worker_{key}_total", "counter",
@@ -360,14 +363,12 @@ def _shards_section(
             families.add("repro_shard_worker_idle_connections", "gauge",
                          "Pooled idle keep-alive connections to the worker",
                          worker_labels, worker["idle_connections"])
-        health = worker.get("health")
-        if isinstance(health, dict):
-            for key, (suffix, help_text) in _WORKER_HEALTH_GAUGES.items():
-                value = health.get(key)
-                if isinstance(value, (int, float)):
-                    kind = "counter" if suffix.endswith("_total") else "gauge"
-                    families.add(f"repro_shard_worker_{suffix}", kind,
-                                 help_text, worker_labels, value)
+        for key, (suffix, help_text) in _WORKER_HEALTH_GAUGES.items():
+            value = health.get(key)
+            if isinstance(value, (int, float)):
+                kind = "counter" if suffix.endswith("_total") else "gauge"
+                families.add(f"repro_shard_worker_{suffix}", kind,
+                             help_text, worker_labels, value)
 
 
 def render_service_metrics(

@@ -11,7 +11,7 @@ Checkpoints pull the active deadline **once** with
 :func:`current_deadline` and then test ``deadline.expired()`` inside
 their loops; when no deadline is set the per-iteration cost is a single
 ``is not None`` test, which keeps the disabled-resilience overhead on
-``bench_hotpath`` in the noise.  Thread pools do *not* inherit
+the serving ladder (``benchmarks/ladder``) in the noise.  Thread pools do *not* inherit
 ContextVars, so fan-out sites (the batch executor, the scatter pool)
 re-activate the deadline explicitly with :class:`use_deadline`, the same
 pattern :class:`repro.obs.trace.use_trace` uses for spans.

@@ -159,9 +159,10 @@ class FaultyWorker(_FaultInjector):
     """A shard worker that misbehaves on schedule.
 
     Wraps any object with the worker call surface (``expand``,
-    ``local_query``, ``describe``); drop it into
+    ``local_query``, ``prepare``, ``describe``); drop it into
     ``coordinator.workers[i]`` to put rule-driven faults on the query
-    path.  Unintercepted attributes delegate to the wrapped worker.
+    path, or into ``service.workers[i]`` to refuse an update's prepare.
+    Unintercepted attributes delegate to the wrapped worker.
     """
 
     def __init__(self, worker, rules: list[FaultRule], *, name: str = "worker"):
@@ -176,6 +177,10 @@ class FaultyWorker(_FaultInjector):
     def local_query(self, query):
         self._inject("local_query")
         return self._inner.local_query(query)
+
+    def prepare(self, txn, **staged):
+        self._inject("prepare")
+        return self._inner.prepare(txn, **staged)
 
     def describe(self) -> dict:
         document = dict(self._inner.describe())

@@ -10,12 +10,14 @@ requests:
   makes lock-free concurrent answering sound; live updates
   (:meth:`QueryService.apply_updates`, ``POST /edges``) instead copy
   the graph, repair the index per touched region, re-freeze and publish
-  a whole new epoch, while in-flight queries finish on the old one.  At
-  construction the graph is **frozen** into a read-optimized CSR
-  snapshot (:class:`~repro.graph.csr.FrozenGraph`, ``freeze=False``
-  opts out): every search and SPARQL evaluation then iterates
-  contiguous label-slices behind per-vertex label-mask pre-tests
-  instead of walking per-vertex dicts;
+  a whole new epoch, while in-flight queries finish on the old one.
+  Every epoch — warm start, update, renumbering, whole-graph
+  replacement — is assembled by :meth:`QueryService._build_epoch` and
+  stored by :meth:`QueryService._publish_epoch`, so serving only ever
+  sees a **frozen** read-optimized CSR snapshot
+  (:class:`~repro.graph.csr.FrozenGraph`): every search and SPARQL
+  evaluation iterates contiguous label-slices behind per-vertex
+  label-mask pre-tests instead of walking per-vertex dicts;
 * a :class:`QueryPlanner` with a process-wide
   :class:`ConstraintCache`;
 * a :class:`ResultCache` keyed on canonical queries, and a
@@ -41,7 +43,7 @@ wrong, which the HTTP layer maps to structured 4xx responses.
 from __future__ import annotations
 
 import json
-from collections.abc import Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable
 from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
@@ -140,7 +142,6 @@ class QueryService:
         max_workers: int | None = None,
         max_batch: int = DEFAULT_MAX_BATCH,
         seed: int = 0,
-        freeze: bool = True,
         trace_sample: float = 0.0,
         slow_ms: float = DEFAULT_SLOW_MS,
         slow_log_size: int = DEFAULT_SLOW_LOG_SIZE,
@@ -203,38 +204,19 @@ class QueryService:
         self.trace_sample = trace_sample
         self.constraints = ConstraintCache()
         self._forced_algorithm = algorithm
-        self._freeze = freeze
+        #: Follows the result cache's knob: cache_size=0 disables V(S,G)
+        #: memoisation too, so one flag yields a genuinely uncached
+        #: service.
         self._cache_size = cache_size
         self.results = ResultCache(max_size=cache_size, ttl_seconds=cache_ttl)
         self.executor = BatchExecutor(max_workers=max_workers, persistent=True)
         self.stats = ServiceStats()
-        # Freeze once at warm start: the epoch's immutability contract
-        # makes the CSR snapshot safe, and every session/planner below
-        # sees the frozen graph.  Ids are shared, so an index built (or
-        # loaded) against the source graph stays valid.  Everything
-        # graph-bound lives in one GraphEpoch behind a single atomic
-        # attribute reference — readers dereference it once per request
-        # and never lock; apply_updates publishes replacements.
-        frozen = freeze_graph(graph) if freeze else graph
-        planner = QueryPlanner(
-            frozen,
-            self.constraints,
-            has_index=index is not None,
-            fallback_algorithm=algorithm or "uis*",
-        )
-        self._epoch = GraphEpoch(
-            0,
-            frozen,
-            index,
-            planner,
-            # Follows the result cache's knob: cache_size=0 disables
-            # V(S,G) memoisation too, so one flag yields a genuinely
-            # uncached service.
-            CandidateCache(max_size=cache_size),
-            self.constraints,
-            seed,
-            bounds=self._build_bounds(frozen),
-        )
+        # Everything graph-bound lives in one GraphEpoch behind a single
+        # atomic attribute reference — readers dereference it once per
+        # request and never lock.  Ids are shared between a graph and
+        # its snapshot, so an index built (or loaded) against the source
+        # graph stays valid for the frozen one.
+        self._publish_epoch(self._build_epoch(0, graph, lambda _frozen: index))
         #: Serialises writers only (apply_updates); readers never take it.
         self._update_lock = Lock()
         #: Per-tenant write-ahead log (:class:`repro.wal.TenantWal`) when
@@ -261,7 +243,6 @@ class QueryService:
         *,
         landmark_count: int | None = None,
         seed: int = 0,
-        freeze: bool = True,
         **kwargs: Any,
     ) -> "QueryService":
         """Warm-start a service from a TSV graph and a persisted index.
@@ -278,15 +259,13 @@ class QueryService:
         graph_path = Path(graph_path)
         if not graph_path.is_file():
             raise ServiceConfigError(f"graph file not found: {graph_path}")
-        graph = load_tsv(graph_path, name=graph_path.stem)
-        if freeze:
-            graph = freeze_graph(graph)
+        graph = freeze_graph(load_tsv(graph_path, name=graph_path.stem))
         index = None
         if index_path is not None:
             index = load_or_build_index(
                 graph, index_path, k=landmark_count, rng=seed, save_if_built=True
             )
-        return cls(graph, index, seed=seed, freeze=freeze, **kwargs)
+        return cls(graph, index, seed=seed, **kwargs)
 
     def __repr__(self) -> str:
         return (
@@ -334,9 +313,9 @@ class QueryService:
     def _build_bounds(self, graph: KnowledgeGraph) -> BoundsIndex | None:
         """The label-blind upper bound for one snapshot (None when off).
 
-        Called at every epoch construction site — warm start, update
-        publish, whole-graph replacement — so the bounds the router
-        consults always describe exactly the graph the epoch serves.
+        Called by :meth:`_build_epoch` for every new snapshot, so the
+        bounds the router consults always describe exactly the graph
+        the epoch serves.
         """
         if self.approx is None:
             return None
@@ -474,6 +453,96 @@ class QueryService:
         return answered
 
     # ------------------------------------------------------------------
+    # the epoch pipeline: build → prepare → publish
+    # ------------------------------------------------------------------
+
+    def _build_epoch(
+        self,
+        epoch_id: int,
+        graph: KnowledgeGraph,
+        index_for: Callable[[FrozenGraph], LocalIndex | None],
+        *,
+        carry: GraphEpoch | None = None,
+    ) -> GraphEpoch:
+        """Assemble — without storing — the serving epoch for ``graph``.
+
+        The only place a :class:`GraphEpoch` is constructed: warm start,
+        :meth:`apply_updates`, :meth:`reset_epoch` and
+        :meth:`replace_graph` all come through here, so every epoch is
+        a frozen snapshot whose index, bounds, planner and candidate
+        cache were derived from exactly that snapshot.  ``index_for``
+        receives the frozen graph and returns the index bound to it.
+        ``carry`` names an epoch over the *same* snapshot
+        (:meth:`reset_epoch`'s renumbering) whose bounds, planner and
+        candidate cache are reused instead of re-derived.
+        """
+        with span("freeze"):
+            frozen = freeze_graph(graph)
+        index = index_for(frozen)
+        if carry is not None:
+            bounds, planner, candidates = (
+                carry.bounds, carry.planner, carry.candidates
+            )
+        else:
+            with span("bounds") as bounds_span:
+                bounds = self._build_bounds(frozen)
+                bounds_span.set(
+                    enabled=bounds is not None,
+                    components=bounds.component_count if bounds else 0,
+                )
+            planner = QueryPlanner(
+                frozen,
+                self.constraints,
+                has_index=index is not None,
+                fallback_algorithm=self._forced_algorithm or "uis*",
+            )
+            candidates = CandidateCache(max_size=self._cache_size)
+        return GraphEpoch(
+            epoch_id,
+            frozen,
+            index,
+            planner,
+            candidates,
+            self.constraints,
+            self.seed,
+            bounds=bounds,
+        )
+
+    def _prepare_epoch(self, epoch: GraphEpoch, updates: list | None) -> Any:
+        """Seam between build and publish; a no-op on a plain service.
+
+        Called by :meth:`apply_updates` (with the batch) and
+        :meth:`reset_epoch` (``updates=None``) once ``epoch`` is built
+        and before anything changed.  A topology with state outside this
+        process stages it here and returns a token for
+        :meth:`_publish_prepared`; raising means nothing was published,
+        counted, purged or logged.
+        """
+        return None
+
+    def _publish_prepared(self, staged: Any) -> dict:
+        """Seam right after the epoch store, for what :meth:`_prepare_epoch`
+        staged; returns extra fields for the update summary."""
+        return {}
+
+    def _publish_epoch(self, epoch: GraphEpoch, staged: Any = None) -> dict:
+        """Store ``epoch`` as the serving epoch and reclaim the old one's
+        result-cache entries (unreachable by new queries — the epoch id
+        is part of the key — so there is no point waiting for LRU
+        pressure)."""
+        with span("publish") as publish_span:
+            # The publish: a single attribute store is atomic under the
+            # GIL — this is the only line readers ever observe changing.
+            self._epoch = epoch
+            fields = {} if staged is None else self._publish_prepared(staged)
+            current = epoch.epoch_id
+            purged = self.results.purge(
+                lambda key: isinstance(key, tuple) and key[0] != current
+            )
+            publish_span.set(epoch=current, cache_purged=purged)
+        return fields
+
+    # ------------------------------------------------------------------
     # live updates (copy-on-write epoch swap)
     # ------------------------------------------------------------------
 
@@ -495,17 +564,19 @@ class QueryService:
         labels intern as needed for additions; duplicate adds and
         missing removes are counted, not errors — removal of an unknown
         name never interns anything, so a miss leaves the graph's
-        content fingerprint untouched), the index — when one is loaded —
-        is cloned and repaired per touched region
-        (:meth:`LocalIndex.refresh_regions`, which rebuilds each touched
-        region's ``II/EIT/D`` from the *current* graph and therefore
-        repairs removals and insertions alike; falling back to a full
-        rebuild with the same landmarks when the batch touches more than
-        ``rebuild_region_fraction`` of the regions), the copy is
-        re-frozen, and a fresh :class:`GraphEpoch` replaces
-        ``self._epoch`` in one atomic store.  Readers never block:
-        queries in flight finish on the old epoch, later ones see the
-        new one.  Writers serialise on one update lock.
+        content fingerprint untouched), and the copy goes through the
+        epoch pipeline: :meth:`_build_epoch` re-freezes it and — when an
+        index is loaded — clones and repairs the index per touched
+        region (:meth:`LocalIndex.refresh_regions`, which rebuilds each
+        touched region's ``II/EIT/D`` from the *current* graph and
+        therefore repairs removals and insertions alike; falling back to
+        a full rebuild with the same landmarks when the batch touches
+        more than ``rebuild_region_fraction`` of the regions),
+        :meth:`_prepare_epoch` lets a sharded topology stage the swap on
+        its workers, and :meth:`_publish_epoch` replaces ``self._epoch``
+        in one atomic store.  Readers never block: queries in flight
+        finish on the old epoch, later ones see the new one.  Writers
+        serialise on one update lock.
 
         When a write-ahead log is attached (:meth:`attach_wal`) the
         batch is appended — with the new epoch id and content
@@ -515,9 +586,10 @@ class QueryService:
 
         Returns a JSON-ready summary (new epoch id, add/duplicate/
         remove/missing counts, index action).  The whole batch is
-        applied or — on a validation error raised before any copying —
-        none of it; failures after copying cannot corrupt serving state
-        because only the copy was touched.
+        applied or — on a validation error raised before any copying, or
+        a prepare refused by the topology — none of it; failures after
+        copying cannot corrupt serving state because only the copy was
+        touched.
         """
         updates = normalize_edge_updates(edges)
         if not updates:
@@ -537,27 +609,12 @@ class QueryService:
                 for source, label, target, op in updates
             ):
                 duplicates = sum(1 for *_, op in updates if op == "add")
-                missing = len(updates) - duplicates
-                self.stats.record_update(
-                    edges_added=0,
+                return self._update_summary(
+                    old,
+                    started,
                     edges_duplicate=duplicates,
-                    vertices_added=0,
-                    edges_removed=0,
-                    edges_missing=missing,
+                    edges_missing=len(updates) - duplicates,
                 )
-                elapsed = perf_counter() - started
-                self.stats.record_latency("updates", elapsed)
-                return {
-                    "epoch": old.epoch_id,
-                    "edges_added": 0,
-                    "edges_duplicate": duplicates,
-                    "edges_removed": 0,
-                    "edges_missing": missing,
-                    "vertices_added": 0,
-                    "index": "unchanged",
-                    "regions_refreshed": 0,
-                    "seconds": elapsed,
-                }
             with span("copy"):
                 base = base_graph(old.graph).copy()
             vertices_before = base.num_vertices
@@ -589,12 +646,11 @@ class QueryService:
                     missing=missing,
                     vertices_added=vertices_added,
                 )
-            with span("freeze"):
-                new_graph = freeze_graph(base) if self._freeze else base
-            new_index: LocalIndex | None = None
-            index_action = "none"
-            regions_refreshed = 0
-            if old.index is not None:
+            repair = {"index": "none", "regions_refreshed": 0}
+
+            def repaired_index(new_graph: FrozenGraph) -> LocalIndex | None:
+                if old.index is None:
+                    return None
                 with span("index-repair") as repair_span:
                     new_index = old.index.clone_for(new_graph)
                     # region_of would IndexError on a just-interned vertex
@@ -618,50 +674,24 @@ class QueryService:
                         new_index = build_local_index(
                             new_graph, landmarks=list(landmarks)
                         )
-                        index_action = "rebuilt"
-                        regions_refreshed = len(landmarks)
+                        repair.update(
+                            index="rebuilt", regions_refreshed=len(landmarks)
+                        )
                     else:
-                        regions_refreshed = new_index.refresh_regions(touched)
-                        index_action = (
-                            "refreshed" if regions_refreshed else "unchanged"
+                        refreshed = new_index.refresh_regions(touched)
+                        repair.update(
+                            index="refreshed" if refreshed else "unchanged",
+                            regions_refreshed=refreshed,
                         )
                     repair_span.set(
-                        action=index_action, regions=regions_refreshed
+                        action=repair["index"],
+                        regions=repair["regions_refreshed"],
                     )
-            with span("bounds") as bounds_span:
-                # The bounds index describes one snapshot; rebuild it for
-                # the new graph so router short-circuits stay sound the
-                # instant the epoch publishes.
-                new_bounds = self._build_bounds(new_graph)
-                bounds_span.set(
-                    enabled=new_bounds is not None,
-                    components=(
-                        new_bounds.component_count if new_bounds else 0
-                    ),
-                )
-            with span("publish") as publish_span:
-                new_epoch = GraphEpoch(
-                    old.epoch_id + 1,
-                    new_graph,
-                    new_index,
-                    old.planner.rebind(new_graph, has_index=new_index is not None),
-                    CandidateCache(max_size=self._cache_size),
-                    self.constraints,
-                    self.seed,
-                    bounds=new_bounds,
-                )
-                # The publish: a single attribute store is atomic under
-                # the GIL — this is the only line readers ever observe
-                # changing.
-                self._epoch = new_epoch
-                # Old-epoch result-cache entries are unreachable by new
-                # queries (the epoch id is part of the key); reclaim them
-                # now instead of waiting for LRU pressure.
-                current = new_epoch.epoch_id
-                purged = self.results.purge(
-                    lambda key: isinstance(key, tuple) and key[0] != current
-                )
-                publish_span.set(epoch=current, cache_purged=purged)
+                return new_index
+
+            new_epoch = self._build_epoch(old.epoch_id + 1, base, repaired_index)
+            staged = self._prepare_epoch(new_epoch, updates)
+            fields = self._publish_epoch(new_epoch, staged)
             if self._wal is not None:
                 # Append-after-publish: the record carries the epoch the
                 # batch *produced*, and fsyncs before the ack leaves.
@@ -673,25 +703,50 @@ class QueryService:
                         graph=new_epoch.graph,
                     )
                     wal_span.set(epoch=new_epoch.epoch_id)
-            elapsed = perf_counter() - started
-            self.stats.record_update(
+            return self._update_summary(
+                new_epoch,
+                started,
                 edges_added=len(added),
                 edges_duplicate=duplicates,
-                vertices_added=vertices_added,
                 edges_removed=len(removed_sources),
                 edges_missing=missing,
+                vertices_added=vertices_added,
+                **repair,
+                **fields,
             )
-            self.stats.record_latency("updates", elapsed)
-        return {
-            "epoch": new_epoch.epoch_id,
-            "edges_added": len(added),
-            "edges_duplicate": duplicates,
-            "edges_removed": len(removed_sources),
-            "edges_missing": missing,
+
+    def _update_summary(
+        self,
+        epoch: GraphEpoch,
+        started: float,
+        *,
+        edges_added: int = 0,
+        edges_duplicate: int = 0,
+        edges_removed: int = 0,
+        edges_missing: int = 0,
+        vertices_added: int = 0,
+        index: str = "unchanged",
+        regions_refreshed: int = 0,
+        **fields: Any,
+    ) -> dict:
+        """Count one acknowledged batch and build its JSON summary."""
+        counts = {
+            "edges_added": edges_added,
+            "edges_duplicate": edges_duplicate,
+            "edges_removed": edges_removed,
+            "edges_missing": edges_missing,
             "vertices_added": vertices_added,
-            "index": index_action,
+        }
+        self.stats.record_update(**counts)
+        elapsed = perf_counter() - started
+        self.stats.record_latency("updates", elapsed)
+        return {
+            "epoch": epoch.epoch_id,
+            **counts,
+            "index": index,
             "regions_refreshed": regions_refreshed,
             "seconds": elapsed,
+            **fields,
         }
 
     # ------------------------------------------------------------------
@@ -717,40 +772,24 @@ class QueryService:
         the content: a service rebuilt from a compaction snapshot starts
         at epoch 0 even though its graph is the log's epoch-N state.
         The graph, index, planner and caches are reused as-is; only the
-        id (and with it the result-cache namespace) changes.  With
-        ``expected_fingerprint`` the current graph's content digest must
-        match, or :class:`~repro.exceptions.WalReplayError` is raised —
-        catching a base graph that is not the one the log was written
-        against *before* replay applies anything on top of it.
+        id (and with it the result-cache namespace) changes — on a
+        sharded service the new id also propagates to every worker.
+        With ``expected_fingerprint`` the current graph's content digest
+        must match, or :class:`~repro.exceptions.WalReplayError` is
+        raised — catching a base graph that is not the one the log was
+        written against *before* replay applies anything on top of it.
         """
         with self._update_lock:
             old = self._epoch
-            if (
-                expected_fingerprint is not None
-                and old.fingerprint != expected_fingerprint
-            ):
-                raise WalReplayError(
-                    f"cannot adopt epoch {epoch_id}: current graph "
-                    f"fingerprint {old.fingerprint} != expected "
-                    f"{expected_fingerprint}"
-                )
+            self._check_fingerprint(
+                epoch_id, "current", old.fingerprint, expected_fingerprint
+            )
             if epoch_id == old.epoch_id:
                 return
-            new_epoch = GraphEpoch(
-                epoch_id,
-                old.graph,
-                old.index,
-                old.planner,
-                old.candidates,
-                self.constraints,
-                self.seed,
-                # Same graph, same bounds: renumbering never re-derives.
-                bounds=old.bounds,
+            new_epoch = self._build_epoch(
+                epoch_id, old.graph, lambda _frozen: old.index, carry=old
             )
-            self._epoch = new_epoch
-            self.results.purge(
-                lambda key: isinstance(key, tuple) and key[0] != epoch_id
-            )
+            self._publish_epoch(new_epoch, self._prepare_epoch(new_epoch, None))
 
     def replace_graph(
         self,
@@ -773,35 +812,30 @@ class QueryService:
         """
         with self._update_lock:
             old = self._epoch
-            fingerprint = graph.content_fingerprint()
-            if (
-                expected_fingerprint is not None
-                and fingerprint != expected_fingerprint
-            ):
-                raise WalReplayError(
-                    f"cannot adopt epoch {epoch_id}: replacement graph "
-                    f"fingerprint {fingerprint} != expected "
-                    f"{expected_fingerprint}"
-                )
-            frozen = freeze_graph(graph) if self._freeze else graph
-            new_index: LocalIndex | None = None
-            if old.index is not None:
-                new_index = build_local_index(
+            self._check_fingerprint(
+                epoch_id,
+                "replacement",
+                graph.content_fingerprint(),
+                expected_fingerprint,
+            )
+
+            def rebuilt_index(frozen: FrozenGraph) -> LocalIndex | None:
+                if old.index is None:
+                    return None
+                return build_local_index(
                     frozen, landmarks=list(old.index.partition.landmarks)
                 )
-            new_epoch = GraphEpoch(
-                epoch_id,
-                frozen,
-                new_index,
-                old.planner.rebind(frozen, has_index=new_index is not None),
-                CandidateCache(max_size=self._cache_size),
-                self.constraints,
-                self.seed,
-                bounds=self._build_bounds(frozen),
-            )
-            self._epoch = new_epoch
-            self.results.purge(
-                lambda key: isinstance(key, tuple) and key[0] != epoch_id
+
+            self._publish_epoch(self._build_epoch(epoch_id, graph, rebuilt_index))
+
+    @staticmethod
+    def _check_fingerprint(
+        epoch_id: int, which: str, fingerprint: str, expected: str | None
+    ) -> None:
+        if expected is not None and fingerprint != expected:
+            raise WalReplayError(
+                f"cannot adopt epoch {epoch_id}: {which} graph "
+                f"fingerprint {fingerprint} != expected {expected}"
             )
 
     # ------------------------------------------------------------------
@@ -831,21 +865,35 @@ class QueryService:
             "epoch": epoch.epoch_id,
             "source": "evaluated",
         }
+        result = self._resolve(plan, epoch, meta, use_cache, mode)
+        annotate(source=meta["source"])
+        self.stats.record_query(
+            result, cached=meta["cached"], trivial=meta["trivial"], batch=batch
+        )
+        elapsed = perf_counter() - started
+        self.stats.record_latency("query", elapsed)
+        self._record_slow(plan, meta, result, elapsed)
+        return result, meta
+
+    def _resolve(
+        self,
+        plan: QueryPlan,
+        epoch: GraphEpoch,
+        meta: dict,
+        use_cache: bool,
+        mode: str,
+    ) -> QueryResult:
+        """The answer for one plan — planner, result cache or execution —
+        stamping ``meta`` with where it came from."""
         if plan.is_trivial:
-            result = QueryResult(
+            meta["trivial"] = True
+            meta["source"] = "planner"
+            return QueryResult(
                 answer=bool(plan.trivial_answer),
                 algorithm="planner",
                 seconds=0.0,
                 passed_vertices=0,
             )
-            meta["trivial"] = True
-            meta["source"] = "planner"
-            annotate(source="planner")
-            self.stats.record_query(result, trivial=True, batch=batch)
-            elapsed = perf_counter() - started
-            self.stats.record_latency("query", elapsed)
-            self._record_slow(plan, meta, result, elapsed)
-            return result, meta
         cache_key = (epoch.epoch_id, *plan.key)
         if use_cache:
             with span("result-cache") as cache_span:
@@ -854,12 +902,7 @@ class QueryService:
             if cached is not None:
                 meta["cached"] = True
                 meta["source"] = "result-cache"
-                annotate(source="result-cache")
-                self.stats.record_query(cached, cached=True, batch=batch)
-                elapsed = perf_counter() - started
-                self.stats.record_latency("query", elapsed)
-                self._record_slow(plan, meta, cached, elapsed)
-                return cached, meta
+                return cached
         with span("execute", algorithm=plan.algorithm) as execute_span:
             result = self._execute(plan, epoch, mode)
             execute_span.set(
@@ -870,7 +913,6 @@ class QueryService:
                 lcs_calls=result.lcs_calls,
                 index_resolutions=result.index_resolutions,
             )
-        annotate(source="evaluated")
         if self.approx is not None and not plan.forced:
             # The routing decision, stamped for clients and the flight
             # recorder: short-circuit answers are exact (sound bounds),
@@ -892,11 +934,7 @@ class QueryService:
             # Approximate answers are best-effort guesses; caching one
             # would let it leak into later exact-mode requests.
             self.results.put(cache_key, result)
-        self.stats.record_query(result, batch=batch)
-        elapsed = perf_counter() - started
-        self.stats.record_latency("query", elapsed)
-        self._record_slow(plan, meta, result, elapsed)
-        return result, meta
+        return result
 
     def _record_slow(
         self, plan: QueryPlan, meta: dict, result: QueryResult, elapsed: float
@@ -1026,6 +1064,18 @@ class QueryService:
             return Trace(name, sampled=True)
         return None
 
+    @staticmethod
+    def _run_traced(active: Trace | None, call: Callable, *args: Any) -> Any:
+        """``call(*args)`` under ``active`` (finished on the way out), or
+        bare when the request runs untraced."""
+        if active is None:
+            return call(*args)
+        with use_trace(active):
+            try:
+                return call(*args)
+            finally:
+                active.finish()
+
     def _admit(self):
         """An admission slot for one request (no-op when unconfigured).
 
@@ -1062,14 +1112,9 @@ class QueryService:
         spec = self._validate_spec(payload, where="query")
         with self._admit():
             active = self._start_trace("query", trace)
-            if active is None:
-                result, meta = self._query_spec(spec, mode=mode)
-                return self._result_payload(result, meta)
-            with use_trace(active):
-                try:
-                    result, meta = self._query_spec(spec, mode=mode)
-                finally:
-                    active.finish()
+            result, meta = self._run_traced(
+                active, self._query_spec, spec, mode
+            )
         response = self._result_payload(result, meta)
         if trace:
             response["trace"] = active.to_dict()
@@ -1116,18 +1161,9 @@ class QueryService:
         with self._admit():
             active = self._start_trace("batch", trace)
             try:
-                if active is None:
-                    answered = self.query_batch(
-                        specs, use_cache=use_cache, mode=mode
-                    )
-                else:
-                    with use_trace(active):
-                        try:
-                            answered = self.query_batch(
-                                specs, use_cache=use_cache, mode=mode
-                            )
-                        finally:
-                            active.finish()
+                answered = self._run_traced(
+                    active, self.query_batch, specs, use_cache, mode
+                )
             except (ConstraintError, SparqlError) as error:
                 raise BadRequestError(
                     f"invalid query in batch: {error}"
@@ -1136,7 +1172,7 @@ class QueryService:
             "count": len(answered),
             "results": [self._result_payload(r, m) for r, m in answered],
         }
-        if trace and active is not None:
+        if trace:
             response["trace"] = active.to_dict()
         return response
 
@@ -1151,15 +1187,10 @@ class QueryService:
         if self.read_only:
             raise ReadOnlyServiceError()
         updates = validate_edge_updates(payload, max_edges=self.max_batch)
-        if not trace:
-            return self.apply_updates(updates)
-        active = Trace("updates")
-        with use_trace(active):
-            try:
-                summary = self.apply_updates(updates)
-            finally:
-                active.finish()
-        summary["trace"] = active.to_dict()
+        active = Trace("updates") if trace else None
+        summary = self._run_traced(active, self.apply_updates, updates)
+        if trace:
+            summary["trace"] = active.to_dict()
         return summary
 
     def health(self) -> dict:
@@ -1178,7 +1209,6 @@ class QueryService:
             "vertices": epoch.graph.num_vertices,
             "edges": epoch.graph.num_edges,
             "labels": epoch.graph.num_labels,
-            "graph_frozen": isinstance(epoch.graph, FrozenGraph),
             "index_loaded": epoch.index is not None,
             "default_algorithm": self.default_algorithm,
             "epoch": epoch.epoch_id,

@@ -107,25 +107,6 @@ class QueryPlanner:
         """What runs when the request does not name an algorithm."""
         return "ins" if self.has_index else self.fallback_algorithm
 
-    def rebind(
-        self, graph: KnowledgeGraph, *, has_index: bool | None = None
-    ) -> "QueryPlanner":
-        """A planner for a new graph snapshot — the epoch-swap constructor.
-
-        Shares this planner's :class:`ConstraintCache` (parsed
-        constraints are graph-independent, so they survive epochs) and
-        fallback choice; only the graph the trivial-answer checks and
-        label masks consult changes.  ``has_index`` defaults to this
-        planner's (an update that drops or gains an index passes it
-        explicitly).
-        """
-        return QueryPlanner(
-            graph,
-            self.constraints,
-            has_index=self.has_index if has_index is None else has_index,
-            fallback_algorithm=self.fallback_algorithm,
-        )
-
     # ------------------------------------------------------------------
 
     def plan(

@@ -60,6 +60,7 @@ from repro.shard.partitioner import (
     assign_regions,
     build_shard_plan,
     cut_slices,
+    derive_shard_plan,
 )
 from repro.shard.rebalance import propose_rebalance
 from repro.shard.service import ShardedQueryService
@@ -85,6 +86,7 @@ __all__ = [
     "assign_regions",
     "build_shard_plan",
     "cut_slices",
+    "derive_shard_plan",
     "dump_slice",
     "load_slice",
     "plan_fingerprint",

@@ -37,9 +37,23 @@ from collections.abc import Iterator
 
 from repro.graph.csr import CsrDirection
 from repro.graph.labeled_graph import Edge, KnowledgeGraph
-from repro.index.landmarks import NO_REGION, Partition
+from repro.index.landmarks import (
+    NO_REGION,
+    Partition,
+    bfs_traverse,
+    select_landmarks,
+    structural_correlations,
+)
+from repro.index.local_index import LocalIndex
 
-__all__ = ["ShardPlan", "GraphSlice", "assign_regions", "build_shard_plan", "cut_slices"]
+__all__ = [
+    "ShardPlan",
+    "GraphSlice",
+    "assign_regions",
+    "build_shard_plan",
+    "cut_slices",
+    "derive_shard_plan",
+]
 
 #: A shard may exceed the ideal |V|/N load by this factor before the
 #: placement loop stops preferring it for correlation reasons.
@@ -158,6 +172,36 @@ def build_shard_plan(
         regions_by_shard=tuple(tuple(sorted(group)) for group in regions_by_shard),
         region_shard=assignment,
     )
+
+
+def derive_shard_plan(
+    graph: KnowledgeGraph,
+    index: LocalIndex | None,
+    num_shards: int,
+    *,
+    landmark_count: int | None = None,
+    seed: int = 0,
+) -> tuple[Partition, dict[int, dict[int, int]], ShardPlan]:
+    """Partition → correlations → plan, the way every deployment cuts.
+
+    The one derivation ``repro cut`` and the coordinator share, so a
+    coordinator started with the same graph/index/seed handshakes with
+    workers booted from cut slice files without a resync.  With an
+    index the partition and ``D`` table are its own; index-free, a
+    fresh landmark partition (``landmark_count``/``seed``) and the
+    structural correlation table stand in.  The partition and
+    correlations are returned too: rebalancing re-places regions from
+    them.
+    """
+    if index is not None:
+        partition = index.partition
+        correlations = index.region_correlations()
+    else:
+        landmarks = select_landmarks(graph, k=landmark_count, rng=seed)
+        partition = bfs_traverse(graph, landmarks)
+        correlations = structural_correlations(graph, partition)
+    plan = build_shard_plan(graph, partition, num_shards, correlations)
+    return partition, correlations, plan
 
 
 class GraphSlice:

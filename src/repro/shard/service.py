@@ -32,36 +32,34 @@ topologies serve the slices:
   breakers and re-push slices to workers that restarted from stale
   files.
 
-Live updates propagate **per slice**: :meth:`apply_updates` runs the
-inherited copy-on-write epoch swap on the coordinator, re-cuts the
-slices of every shard the batch touched, and pushes them over the
-two-phase ``prepare``/``publish`` wire before acknowledging — bumping a
-coordinated *slice epoch* that every expand response echoes, so a
-scatter that straddles the swap detects the skew and re-runs against
-the new topology.  The per-tenant WAL composes: the coordinator appends
-the batch only after every slice acknowledged its prepare, making the
-log the slice-epoch carrier replay re-cuts from.
+Live updates propagate **per slice** through the inherited epoch
+pipeline's two seams (build → prepare → publish): once the base class
+has built the next :class:`GraphEpoch`, :meth:`_prepare_epoch` re-cuts
+the slices of every shard the batch touched and *prepares* every worker
+— a refusal raises before anything was published, counted or logged —
+and right after the epoch store :meth:`_publish_prepared` publishes the
+topology and the workers, bumping a coordinated *slice epoch* that every
+expand response echoes, so a scatter that straddles the swap detects
+the skew and re-runs against the new topology.  The per-tenant WAL
+composes unchanged: the base class appends the batch after the publish,
+i.e. only after every slice acknowledged its prepare, making the log
+the slice-epoch carrier replay re-cuts from.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.exceptions import (
     ServiceConfigError,
     ShardHandshakeError,
     ShardUnavailableError,
 )
-from repro.index.landmarks import (
-    bfs_traverse,
-    select_landmarks,
-    structural_correlations,
-)
 from repro.index.local_index import LocalIndex
 from repro.service.app import QueryService
-from repro.service.epoch import GraphEpoch, normalize_edge_updates
+from repro.service.epoch import GraphEpoch
 from repro.service.planner import QueryPlan
 from repro.service.stats import merge_snapshots
 from repro.core.result import QueryResult
@@ -70,21 +68,29 @@ from repro.shard.coordinator import SHARDED_ALGORITHM, ShardCoordinator
 from repro.shard.partitioner import (
     GraphSlice,
     ShardPlan,
-    build_shard_plan,
     cut_slices,
+    derive_shard_plan,
 )
 from repro.shard.rebalance import propose_rebalance
-from repro.shard.slicefile import (
-    SLICE_WIRE_VERSION,
-    plan_fingerprint,
-    slice_document,
-)
+from repro.shard.slicefile import SLICE_WIRE_VERSION, plan_fingerprint
 from repro.shard.worker import HttpShardWorker, ShardWorker
 
 __all__ = ["ShardedQueryService", "DEFAULT_PROBE_INTERVAL"]
 
 #: Seconds between health probes of remote workers.
 DEFAULT_PROBE_INTERVAL = 5.0
+
+
+class _StagedSwap(NamedTuple):
+    """What every worker holds staged between prepare and publish."""
+
+    txn: str
+    epoch: GraphEpoch
+    slice_epoch: int
+    plan: ShardPlan
+    plan_hash: str
+    #: Shards that received a re-cut slice rather than a bare bump.
+    touched: set[int]
 
 
 class ShardedQueryService(QueryService):
@@ -111,19 +117,15 @@ class ShardedQueryService(QueryService):
             raise ServiceConfigError(f"shards must be >= 1, got {shards}")
         super().__init__(graph, index, **kwargs)
         frozen = self.graph
-        if index is not None:
-            partition = index.partition
-            correlations = index.region_correlations()
-        else:
-            landmarks = select_landmarks(frozen, k=shard_landmarks, rng=self.seed)
-            partition = bfs_traverse(frozen, landmarks)
-            correlations = structural_correlations(frozen, partition)
-        #: Retained for D-guided rebalancing: live crossing counters are
-        #: folded into this correlation table to re-place regions.
-        self._partition = partition
-        self._correlations = correlations
-        self.shard_plan = build_shard_plan(frozen, partition, shards, correlations)
+        #: Partition and correlations are retained for D-guided
+        #: rebalancing: live crossing counters are folded into the
+        #: correlation table to re-place regions.
+        self._partition, self._correlations, self.shard_plan = derive_shard_plan(
+            frozen, index, shards, landmark_count=shard_landmarks, seed=self.seed
+        )
         #: Serialises every slice push (updates, rebalances, resyncs).
+        #: Always taken *after* the inherited ``_update_lock`` when both
+        #: are held.
         self._shard_lock = threading.RLock()
         self._slice_epoch = self.epoch.epoch_id
         self._health_lock = threading.Lock()
@@ -291,31 +293,15 @@ class ShardedQueryService(QueryService):
         with self._shard_lock:
             epoch = self.epoch
             plan = self.shard_plan
-            graph_slice = GraphSlice(epoch.graph, plan, shard_id)
-            plan_hash = plan_fingerprint(plan)
             txn = f"resync-{self._slice_epoch}-{shard_id}"
-            if isinstance(worker, ShardWorker):
-                worker.prepare_slice(
-                    txn,
-                    graph_slice,
-                    epoch=self._slice_epoch,
-                    fingerprint=epoch.fingerprint,
-                    plan_hash=plan_hash,
-                    plan=plan,
-                )
-            else:
-                worker.prepare_update(
-                    txn,
-                    epoch=self._slice_epoch,
-                    fingerprint=epoch.fingerprint,
-                    plan_hash=plan_hash,
-                    slice_document=slice_document(
-                        graph_slice,
-                        plan,
-                        epoch=self._slice_epoch,
-                        fingerprint=epoch.fingerprint,
-                    ),
-                )
+            worker.prepare(
+                txn,
+                epoch=self._slice_epoch,
+                fingerprint=epoch.fingerprint,
+                plan_hash=plan_fingerprint(plan),
+                plan=plan,
+                graph_slice=GraphSlice(epoch.graph, plan, shard_id),
+            )
             worker.publish_update(txn)
             with self._health_lock:
                 entry = self._worker_health.setdefault(shard_id, {})
@@ -359,11 +345,8 @@ class ShardedQueryService(QueryService):
         the current slice re-pushed.
         """
         for shard_id, worker in enumerate(self.workers):
-            probe = getattr(worker, "probe", None)
-            if probe is None:
-                continue
             try:
-                descriptor = probe(timeout=timeout)
+                descriptor = worker.probe(timeout=timeout)
             except Exception as error:
                 self.coordinator.breakers[shard_id].record_failure()
                 self._note_unhealthy(shard_id, error)
@@ -410,69 +393,38 @@ class ShardedQueryService(QueryService):
             region_shard=plan.region_shard,
         )
 
-    def _push_slices(
+    def _prepare_workers(
         self,
+        epoch: GraphEpoch,
         slice_epoch: int,
-        *,
-        plan: ShardPlan | None = None,
-        touched: set[int] | None = None,
+        plan: ShardPlan,
+        touched: set[int],
         reason: str,
-    ) -> tuple[ShardPlan, list[tuple[int, str]]]:
-        """Re-cut and push slices, two-phase, then publish the topology.
+    ) -> _StagedSwap:
+        """Phase one: stage ``epoch``'s topology on every worker.
 
-        Phase one *prepares* every worker — touched shards receive their
-        re-cut slice (all the rebuild cost lands here, off the serving
-        path), untouched shards a bare epoch bump — and any failure
-        aborts all staged state and re-raises before anything served
-        changes.  Past that point the new topology publishes on the
-        coordinator and every worker; publish stragglers are returned
-        (not raised) because the swap is already committed — their
-        expands echo a stale epoch, the skew check refuses structurally,
-        and the health sweep re-pushes until they converge.
+        Touched shards receive their re-cut slice — all the rebuild cost
+        lands here, off the serving path — untouched shards a bare epoch
+        bump.  Any failure aborts all staged state and re-raises before
+        anything served changes.  Caller holds ``_shard_lock``.
         """
-        epoch = self.epoch
-        graph = epoch.graph
-        if plan is None:
-            plan = self._extended_plan(graph)
         plan_hash = plan_fingerprint(plan)
         txn = f"{reason}-{slice_epoch}"
         prepared: list = []
         try:
             for shard_id, worker in enumerate(self.workers):
-                ship = touched is None or shard_id in touched
-                if isinstance(worker, ShardWorker):
-                    if ship:
-                        worker.prepare_slice(
-                            txn,
-                            GraphSlice(graph, plan, shard_id),
-                            epoch=slice_epoch,
-                            fingerprint=epoch.fingerprint,
-                            plan_hash=plan_hash,
-                            plan=plan,
-                        )
-                    else:
-                        worker.prepare_update(
-                            txn,
-                            epoch=slice_epoch,
-                            fingerprint=epoch.fingerprint,
-                            plan_hash=plan_hash,
-                        )
-                else:
-                    document = None
-                    if ship:
-                        document = slice_document(
-                            GraphSlice(graph, plan, shard_id),
-                            plan,
-                            epoch=slice_epoch,
-                            fingerprint=epoch.fingerprint,
-                        )
-                    worker.prepare_update(
-                        txn,
-                        epoch=slice_epoch,
-                        fingerprint=epoch.fingerprint,
-                        plan_hash=plan_hash,
-                        slice_document=document,
-                    )
+                worker.prepare(
+                    txn,
+                    epoch=slice_epoch,
+                    fingerprint=epoch.fingerprint,
+                    plan_hash=plan_hash,
+                    plan=plan,
+                    graph_slice=(
+                        GraphSlice(epoch.graph, plan, shard_id)
+                        if shard_id in touched
+                        else None
+                    ),
+                )
                 prepared.append(worker)
         except Exception:
             for worker in prepared:
@@ -481,40 +433,44 @@ class ShardedQueryService(QueryService):
                 except Exception:
                     pass
             raise
-        # Point of no return: every worker holds the staged state.
-        self.shard_plan = plan
-        self._slice_epoch = slice_epoch
-        self.coordinator.publish(graph, plan, slice_epoch)
-        failures: list[tuple[int, str]] = []
+        return _StagedSwap(txn, epoch, slice_epoch, plan, plan_hash, touched)
+
+    def _publish_workers(self, staged: _StagedSwap) -> list[dict]:
+        """Phase two: publish the staged topology, coordinator first.
+
+        Every worker holds the staged state, so this is past the point
+        of no return: publish stragglers are returned (not raised)
+        because the swap is already committed — their expands echo a
+        stale epoch, the skew check refuses structurally, and the health
+        sweep re-pushes until they converge.  Caller holds
+        ``_shard_lock``.
+        """
+        self.shard_plan = staged.plan
+        self._slice_epoch = staged.slice_epoch
+        self.coordinator.publish(
+            staged.epoch.graph, staged.plan, staged.slice_epoch
+        )
+        failures = []
         for shard_id, worker in enumerate(self.workers):
             try:
-                worker.publish_update(txn)
+                worker.publish_update(staged.txn)
             except Exception as error:
                 self._note_unhealthy(shard_id, error)
                 failures.append(
-                    (shard_id, f"{type(error).__name__}: {error}")
+                    {"shard": shard_id, "error": f"{type(error).__name__}: {error}"}
                 )
             else:
-                if not isinstance(worker, ShardWorker):
-                    self._note_health(
-                        shard_id, epoch=slice_epoch, plan_hash=plan_hash
-                    )
+                self._note_health(
+                    shard_id, epoch=staged.slice_epoch, plan_hash=staged.plan_hash
+                )
         # Queries that raced the swap may have cached answers computed
         # on the previous topology under the new epoch's namespace;
         # drop them so the cache only ever re-serves post-swap answers.
+        epoch_id = staged.epoch.epoch_id
         self.results.purge(
-            lambda key: isinstance(key, tuple) and key[0] == epoch.epoch_id
+            lambda key: isinstance(key, tuple) and key[0] == epoch_id
         )
-        return plan, failures
-
-    def _rollback_epoch(self, old: GraphEpoch, failed: GraphEpoch) -> None:
-        """Un-publish a base epoch whose slice push could not prepare."""
-        with self._update_lock:
-            if self._epoch is failed:
-                self._epoch = old
-        self.results.purge(
-            lambda key: isinstance(key, tuple) and key[0] == failed.epoch_id
-        )
+        return failures
 
     def _touched_shards(
         self, updates: list, graph: KnowledgeGraph, plan: ShardPlan
@@ -534,86 +490,55 @@ class ShardedQueryService(QueryService):
                 touched.add(plan.shard_of[graph.vid(source)])
         return touched
 
-    def apply_updates(self, edges: Any, **kwargs: Any) -> dict:
-        """Epoch-swap the coordinator, then propagate the swap per slice.
+    def _prepare_epoch(self, epoch: GraphEpoch, updates: list | None) -> _StagedSwap:
+        """Re-cut the touched slices and prepare every worker for ``epoch``.
 
-        The inherited copy-on-write pipeline does the graph/index work
-        and publishes the coordinator's new :class:`GraphEpoch`; this
-        override then re-cuts the slices of every shard owning an
-        updated edge's source and drives the two-phase push.  The WAL —
-        when attached — is bypassed during the base call and appended
-        here instead, *after* every slice acknowledged its prepare: an
-        acknowledged batch is durable and fleet-visible, and replay
-        through this same method re-cuts and re-pushes slices on
-        recovery.  If any worker refuses its prepare, the base epoch is
-        rolled back (nothing was served from it) and the batch fails
-        with a structured 503 — the deployment stays consistent at the
-        previous epoch.
+        The inherited pipeline's first seam: ``epoch`` is built but not
+        stored.  ``updates=None`` (:meth:`reset_epoch`'s renumbering)
+        ships every slice — workers must echo the logged epoch or every
+        post-recovery scatter would look like a mid-swap skew.  A worker
+        refusing its prepare fails the whole swap with a structured 503
+        while the deployment stays consistent at the previous epoch.
+        On success ``_shard_lock`` stays held — no rebalance or resync
+        may interleave with a half-published swap — until
+        :meth:`_publish_prepared` releases it.
         """
-        updates = normalize_edge_updates(edges)
-        with self._shard_lock:
-            old_epoch = self.epoch
-            wal = self._wal
-            self._wal = None
+        self._shard_lock.acquire()
+        try:
+            plan = self._extended_plan(epoch.graph)
+            touched, reason = set(range(plan.num_shards)), "reset"
+            if updates is not None:
+                touched = self._touched_shards(updates, epoch.graph, plan)
+                reason = "update"
+            slice_epoch = max(epoch.epoch_id, self._slice_epoch + 1)
             try:
-                summary = super().apply_updates(updates, **kwargs)
-            finally:
-                self._wal = wal
-            new_epoch = self.epoch
-            if new_epoch.epoch_id == old_epoch.epoch_id:
-                # No-op batch: nothing published, nothing to push.
-                return summary
-            slice_epoch = max(new_epoch.epoch_id, self._slice_epoch + 1)
-            plan = self._extended_plan(new_epoch.graph)
-            touched = self._touched_shards(updates, new_epoch.graph, plan)
-            try:
-                plan, failures = self._push_slices(
-                    slice_epoch,
-                    plan=plan,
-                    touched=touched,
-                    reason="update",
+                return self._prepare_workers(
+                    epoch, slice_epoch, plan, touched, reason
                 )
             except Exception as error:
-                self._rollback_epoch(old_epoch, new_epoch)
                 raise ShardUnavailableError(
                     getattr(error, "shard", -1),
                     f"slice push could not prepare: {error}",
-                    detail={"epoch": old_epoch.epoch_id},
+                    detail={"epoch": self.epoch.epoch_id},
                 ) from error
-            if wal is not None:
-                wal.append(
-                    updates,
-                    epoch=new_epoch.epoch_id,
-                    fingerprint=new_epoch.fingerprint,
-                    graph=new_epoch.graph,
-                )
-            summary["slice_epoch"] = slice_epoch
-            summary["shards_updated"] = sorted(touched)
-            if failures:
-                summary["shards_unpublished"] = [
-                    {"shard": shard_id, "error": message}
-                    for shard_id, message in failures
-                ]
-            return summary
+        except BaseException:
+            self._shard_lock.release()
+            raise
 
-    def reset_epoch(
-        self, epoch_id: int, *, expected_fingerprint: str | None = None
-    ) -> None:
-        """Renumber the epoch and propagate the new id to every slice.
-
-        WAL recovery's counter-restore: the graph content is already
-        correct, but workers must echo the logged epoch or every
-        post-recovery scatter would look like a mid-swap skew.
-        """
-        with self._shard_lock:
-            before = self.epoch.epoch_id
-            super().reset_epoch(
-                epoch_id, expected_fingerprint=expected_fingerprint
-            )
-            if self.epoch.epoch_id == before:
-                return
-            slice_epoch = max(epoch_id, self._slice_epoch + 1)
-            self._push_slices(slice_epoch, reason="reset")
+    def _publish_prepared(self, staged: _StagedSwap) -> dict:
+        """The second seam: the epoch is stored; publish topology and
+        workers, release ``_shard_lock``, report the summary fields."""
+        try:
+            failures = self._publish_workers(staged)
+        finally:
+            self._shard_lock.release()
+        fields: dict = {
+            "slice_epoch": staged.slice_epoch,
+            "shards_updated": sorted(staged.touched),
+        }
+        if failures:
+            fields["shards_unpublished"] = failures
+        return fields
 
     # ------------------------------------------------------------------
     # D-guided rebalancing
@@ -631,22 +556,12 @@ class ShardedQueryService(QueryService):
         with self._shard_lock:
             crossings: dict[int, dict[int, int]] = {}
             for shard_id, worker in enumerate(self.workers):
-                if isinstance(worker, ShardWorker):
+                try:
                     crossings[shard_id] = worker.crossings_by_peer()
-                else:
-                    try:
-                        descriptor = worker.probe()
-                    except Exception as error:
-                        raise ShardUnavailableError(
-                            shard_id,
-                            f"cannot read crossing counters: {error}",
-                        ) from error
-                    crossings[shard_id] = {
-                        int(peer): int(count)
-                        for peer, count in (
-                            descriptor.get("crossings_by_peer") or {}
-                        ).items()
-                    }
+                except Exception as error:
+                    raise ShardUnavailableError(
+                        shard_id, f"cannot read crossing counters: {error}"
+                    ) from error
             proposal = propose_rebalance(
                 self._partition,
                 self.shard_plan,
@@ -670,21 +585,22 @@ class ShardedQueryService(QueryService):
                 for landmark, shard in proposal.region_shard.items()
                 if self.shard_plan.region_shard.get(landmark) != shard
             )
-            slice_epoch = self._slice_epoch + 1
-            plan, failures = self._push_slices(
-                slice_epoch, plan=proposal, reason="rebalance"
+            staged = self._prepare_workers(
+                self.epoch,
+                self._slice_epoch + 1,
+                proposal,
+                set(range(proposal.num_shards)),
+                "rebalance",
             )
+            failures = self._publish_workers(staged)
             document = {
                 "rebalanced": True,
-                "slice_epoch": slice_epoch,
+                "slice_epoch": staged.slice_epoch,
                 "regions_moved": moved,
-                "plan": plan.describe(),
+                "plan": proposal.describe(),
             }
             if failures:
-                document["shards_unpublished"] = [
-                    {"shard": shard_id, "error": message}
-                    for shard_id, message in failures
-                ]
+                document["shards_unpublished"] = failures
             return document
 
     # ------------------------------------------------------------------

@@ -19,19 +19,21 @@ exposes the operations the coordinator needs:
   graph's, a *true* answer from the slice is a true answer globally
   (false means "unknown", and the coordinator falls back to
   scatter-gather);
-* :meth:`ShardWorker.prepare_update` / :meth:`publish_update` /
+* :meth:`ShardWorker.prepare` / :meth:`publish_update` /
   :meth:`abort_update` — the worker half of slice-epoch propagation:
   a coordinator pushing an update stages the re-cut slice (all the
   expensive rebuild work happens here, off the serving path), then
   publishes it as one atomic reference swap.  Workers untouched by a
-  batch stage an epoch bump without a slice payload, so the whole
-  fleet moves epochs in lockstep.
+  batch stage an epoch bump without a slice, so the whole fleet moves
+  epochs in lockstep.
 
 All of it also speaks JSON (:meth:`handle_expand`, :meth:`handle_query`,
 :meth:`handle_update`), which is how the existing HTTP layer hosts a
 worker in a separate process (``POST /shard/<id>/{expand,query,update}``
 plus the ``GET /shard/<id>`` descriptor); :class:`HttpShardWorker` is
-the matching client stub with the same Python interface — over pooled
+the matching client stub with the same Python interface (``expand``,
+``local_query``, ``prepare``, ``publish_update``, ``abort_update``,
+``crossings_by_peer``, ``describe``, ``close``) — over pooled
 keep-alive connections — so the coordinator cannot tell local from
 remote.
 """
@@ -43,7 +45,7 @@ import json
 import threading
 import urllib.parse
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 from repro.core.query import LSCRQuery
@@ -57,7 +59,11 @@ from repro.exceptions import (
 from repro.resilience.deadline import Deadline
 from repro.service.app import QueryService
 from repro.shard.partitioner import GraphSlice, ShardPlan
-from repro.shard.slicefile import SLICE_WIRE_VERSION, slice_from_document
+from repro.shard.slicefile import (
+    SLICE_WIRE_VERSION,
+    slice_document,
+    slice_from_document,
+)
 
 __all__ = [
     "DEFAULT_HTTP_TIMEOUT",
@@ -399,90 +405,48 @@ class ShardWorker:
     # slice-epoch propagation (two-phase slice swap)
     # ------------------------------------------------------------------
 
-    def prepare_update(
+    def prepare(
         self,
         txn: str,
         *,
         epoch: int,
         fingerprint: str,
-        plan_hash: str | None = None,
-        slice_document: dict | None = None,
+        plan_hash: str | None,
+        plan: ShardPlan | None,
+        graph_slice: GraphSlice | None = None,
     ) -> dict:
         """Stage the next slice state without serving it.
 
-        With ``slice_document`` the re-cut slice is rebuilt and its
-        query service constructed *here* — all the expensive work of a
-        swap, off the serving path.  Without it this is a pure epoch
-        bump: the batch touched no edge this shard owns, but the fleet's
-        epochs must still advance together or the coordinator's skew
-        check would flag healthy workers forever.
+        With ``graph_slice`` the re-cut slice's query service is
+        constructed *here* — all the expensive work of a swap, off the
+        serving path.  Without it this is a pure epoch bump over the
+        current slice and plan: the batch touched no edge this shard
+        owns, but the fleet's epochs must still advance together or the
+        coordinator's skew check would flag healthy workers forever.
         """
-        if slice_document is not None:
-            loaded = slice_from_document(
-                slice_document,
-                source=f"shard {self.shard_id} update {txn}",
-            )
-            if loaded.shard_id != self.shard_id:
-                raise BadRequestError(
-                    f"update {txn} ships slice for shard {loaded.shard_id} "
-                    f"to shard {self.shard_id}"
-                )
-            if loaded.epoch != epoch or loaded.fingerprint != fingerprint:
-                raise BadRequestError(
-                    f"update {txn} epoch/fingerprint disagree with its "
-                    f"slice document (epoch {epoch} vs {loaded.epoch})"
-                )
-            staged = _SliceState(
-                slice=loaded.slice,
-                service=self._build_service(loaded.slice),
-                epoch=loaded.epoch,
-                fingerprint=loaded.fingerprint,
-                plan_hash=loaded.plan_hash,
-                plan=loaded.plan,
-            )
-        else:
-            current = self._state
-            staged = _SliceState(
-                slice=current.slice,
-                service=current.service,
+        current = self._state
+        if graph_slice is None:
+            staged = replace(
+                current,
                 epoch=int(epoch),
                 fingerprint=fingerprint,
                 plan_hash=current.plan_hash if plan_hash is None else plan_hash,
-                plan=current.plan,
             )
-        return self._stage(txn, staged, staged_slice=slice_document is not None)
-
-    def prepare_slice(
-        self,
-        txn: str,
-        graph_slice: GraphSlice,
-        *,
-        epoch: int,
-        fingerprint: str,
-        plan_hash: str,
-        plan: ShardPlan | None = None,
-    ) -> dict:
-        """In-process fast lane of :meth:`prepare_update`.
-
-        A co-hosted coordinator already holds the re-cut
-        :class:`GraphSlice` object; staging it directly skips the
-        serialize→reparse roundtrip the wire needs.  Semantically
-        identical to a prepare with a slice document.
-        """
-        if graph_slice.shard_id != self.shard_id:
-            raise BadRequestError(
-                f"update {txn} stages slice for shard {graph_slice.shard_id} "
-                f"on shard {self.shard_id}"
+        else:
+            if graph_slice.shard_id != self.shard_id:
+                raise BadRequestError(
+                    f"update {txn} stages slice for shard "
+                    f"{graph_slice.shard_id} on shard {self.shard_id}"
+                )
+            staged = _SliceState(
+                slice=graph_slice,
+                service=self._build_service(graph_slice),
+                epoch=int(epoch),
+                fingerprint=fingerprint,
+                plan_hash=plan_hash,
+                plan=plan,
             )
-        staged = _SliceState(
-            slice=graph_slice,
-            service=self._build_service(graph_slice),
-            epoch=int(epoch),
-            fingerprint=fingerprint,
-            plan_hash=plan_hash,
-            plan=plan,
-        )
-        return self._stage(txn, staged, staged_slice=True)
+        return self._stage(txn, staged, staged_slice=graph_slice is not None)
 
     def _stage(self, txn: str, staged: _SliceState, *, staged_slice: bool) -> dict:
         with self._update_lock:
@@ -633,19 +597,33 @@ class ShardWorker:
         slice_doc = payload.get("slice")
         if slice_doc is not None and not isinstance(slice_doc, dict):
             raise BadRequestError("'slice' must be a slice document object")
-        try:
-            return self.prepare_update(
-                txn,
-                epoch=epoch,
-                fingerprint=fingerprint,
-                plan_hash=plan_hash,
-                slice_document=slice_doc,
+        graph_slice = plan = None
+        if slice_doc is not None:
+            try:
+                loaded = slice_from_document(
+                    slice_doc, source=f"shard {self.shard_id} update {txn}"
+                )
+            except SliceFileError as error:
+                raise BadRequestError(
+                    f"slice document rejected: {error}",
+                    detail={"phase": "prepare", "txn": txn},
+                ) from None
+            if loaded.epoch != epoch or loaded.fingerprint != fingerprint:
+                raise BadRequestError(
+                    f"update {txn} epoch/fingerprint disagree with its "
+                    f"slice document (epoch {epoch} vs {loaded.epoch})"
+                )
+            graph_slice, plan, plan_hash = (
+                loaded.slice, loaded.plan, loaded.plan_hash
             )
-        except SliceFileError as error:
-            raise BadRequestError(
-                f"slice document rejected: {error}",
-                detail={"phase": "prepare", "txn": txn},
-            ) from None
+        return self.prepare(
+            txn,
+            epoch=epoch,
+            fingerprint=fingerprint,
+            plan_hash=plan_hash,
+            plan=plan,
+            graph_slice=graph_slice,
+        )
 
     # ------------------------------------------------------------------
 
@@ -775,9 +753,10 @@ class _KeepAlivePool:
 class HttpShardWorker:
     """Client stub driving a remote worker over the existing HTTP layer.
 
-    Implements the same ``expand`` / ``local_query`` /
-    ``prepare_update`` / ``publish_update`` / ``abort_update`` surface
-    as :class:`ShardWorker`, so a
+    Implements the same ``expand`` / ``local_query`` / ``prepare`` /
+    ``publish_update`` / ``abort_update`` / ``crossings_by_peer``
+    surface as :class:`ShardWorker` (plus ``probe``, the handshake and
+    health-sweep descriptor fetch only a remote worker needs), so a
     :class:`~repro.shard.coordinator.ShardCoordinator` can mix local and
     remote shards freely.  The remote end is any
     :class:`~repro.service.http.ServiceHTTPServer` with shard workers
@@ -982,14 +961,19 @@ class HttpShardWorker:
         )
         return self._decode(status, data)
 
-    def prepare_update(
+    def crossings_by_peer(self) -> dict[int, int]:
+        counts = self.probe().get("crossings_by_peer") or {}
+        return {int(peer): int(count) for peer, count in counts.items()}
+
+    def prepare(
         self,
         txn: str,
         *,
         epoch: int,
         fingerprint: str,
-        plan_hash: str | None = None,
-        slice_document: dict | None = None,
+        plan_hash: str | None,
+        plan: ShardPlan | None,
+        graph_slice: GraphSlice | None = None,
     ) -> dict:
         payload: dict = {
             "phase": "prepare",
@@ -1000,8 +984,10 @@ class HttpShardWorker:
         }
         if plan_hash is not None:
             payload["plan_hash"] = plan_hash
-        if slice_document is not None:
-            payload["slice"] = slice_document
+        if graph_slice is not None:
+            payload["slice"] = slice_document(
+                graph_slice, plan, epoch=epoch, fingerprint=fingerprint
+            )
         return self._post("update", payload)
 
     def publish_update(self, txn: str) -> dict:

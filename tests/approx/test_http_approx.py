@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -11,8 +10,7 @@ import pytest
 
 from repro.obs.prometheus import parse_prometheus_text
 from repro.service.app import QueryService
-from repro.service.http import create_server
-from tests.helpers import graph_from_edges
+from tests.helpers import graph_from_edges, running_server
 
 MARK = "SELECT ?x WHERE { ?x <mark> ?y . }"
 TRUE_SPEC = {
@@ -40,14 +38,8 @@ def make_service(**kwargs):
 
 @pytest.fixture()
 def base_url():
-    server = create_server(make_service(approx_recheck=1.0), "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        server.server_close()
+    with running_server(make_service(approx_recheck=1.0)) as url:
+        yield url
 
 
 def post(url, payload):

@@ -8,16 +8,50 @@ meaningful evidence:
   label set contains a simple path's label set, so minimal sets are
   preserved) and reduces to the minimal antichain — the oracle for
   Definition 2.3 / Definition 5.1 used against the index builders;
-* :func:`graph_from_edges` builds graphs from edge triples concisely.
+* :func:`graph_from_edges` builds graphs from edge triples concisely;
+* :func:`running_server` serves a service or registry over loopback
+  HTTP for the duration of a ``with`` block.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import threading
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 
 from repro.graph.labeled_graph import KnowledgeGraph
+from repro.service.http import create_server
 
-__all__ = ["graph_from_edges", "ground_truth_cms", "minimal_masks"]
+__all__ = [
+    "graph_from_edges",
+    "ground_truth_cms",
+    "minimal_masks",
+    "running_server",
+]
+
+
+@contextmanager
+def running_server(service_or_registry, **create_server_kwargs) -> Iterator[str]:
+    """Serve over an ephemeral loopback port; yields the base URL.
+
+    ``serve_forever``'s default 0.5 s poll is what ``shutdown()`` waits
+    out, once per fixture; a 20 ms poll makes teardown disappear from
+    the suite's wall time.  The service itself is the caller's to close.
+    """
+    server = create_server(
+        service_or_registry, "127.0.0.1", 0, **create_server_kwargs
+    )
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+    )
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 def graph_from_edges(

@@ -6,6 +6,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from contextlib import ExitStack
 from time import perf_counter
 
 import pytest
@@ -18,8 +19,7 @@ from repro.exceptions import (
 from repro.resilience.admission import AdmissionController
 from repro.resilience.deadline import Deadline
 from repro.service.app import QueryService
-from repro.service.http import create_server
-from tests.helpers import graph_from_edges
+from tests.helpers import graph_from_edges, running_server
 
 
 def make_graph():
@@ -128,12 +128,12 @@ class TestServiceIntegration:
 
     def test_shed_request_is_structured_429_over_http(self):
         service = QueryService(make_graph(), max_concurrent=1)
-        server = create_server(service, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-        slot = service.admission.admit()  # occupy the only slot
-        try:
+        with ExitStack() as stack:
+            stack.callback(service.close)
+            base = stack.enter_context(running_server(service))
+            # Occupy the only slot (released early below, or on exit).
+            slot = stack.enter_context(ExitStack())
+            slot.enter_context(service.admission.admit())
             request = urllib.request.Request(
                 f"{base}/query",
                 data=json.dumps(QUERY).encode("utf-8"),
@@ -149,19 +149,11 @@ class TestServiceIntegration:
             assert document["error"]["type"] == "overloaded"
             assert document["error"]["detail"]["retry_after_seconds"] == 1.0
             # The shed shows up in /stats for operators.
-            slot.__exit__(None, None, None)
-            slot = None
+            slot.close()
             with urllib.request.urlopen(f"{base}/stats", timeout=10) as resp:
                 stats = json.loads(resp.read())
             assert stats["admission"]["shed"] == 1
             assert stats["service"]["resilience"]["requests_shed"] == 1
-        finally:
-            if slot is not None:
-                slot.__exit__(None, None, None)
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-            service.close()
 
     def test_admitted_requests_answer_normally(self):
         service = QueryService(make_graph(), max_concurrent=4)

@@ -6,6 +6,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from contextlib import ExitStack
 from time import perf_counter
 
 import pytest
@@ -18,8 +19,7 @@ from repro.resilience.deadline import (
     use_deadline,
 )
 from repro.service.app import QueryService
-from repro.service.http import create_server
-from tests.helpers import graph_from_edges
+from tests.helpers import graph_from_edges, running_server
 
 
 def make_graph():
@@ -167,19 +167,14 @@ class TestServiceEnforcement:
 
 class HttpFixture:
     def __init__(self, service, **server_kwargs):
-        self.service = service
-        self.server = create_server(service, "127.0.0.1", 0, **server_kwargs)
-        self.thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True
+        self._stack = ExitStack()
+        self._stack.callback(service.close)
+        self.base = self._stack.enter_context(
+            running_server(service, **server_kwargs)
         )
-        self.thread.start()
-        self.base = f"http://127.0.0.1:{self.server.server_address[1]}"
 
     def close(self):
-        self.server.shutdown()
-        self.server.server_close()
-        self.thread.join(timeout=5)
-        self.service.close()
+        self._stack.close()
 
     def post(self, path, payload):
         request = urllib.request.Request(

@@ -3,18 +3,17 @@
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
+from contextlib import ExitStack
 
 import pytest
 
 from repro.exceptions import ShardUnavailableError
 from repro.resilience.faults import FaultRule, FaultyWorker
 from repro.resilience.retry import RetryPolicy
-from repro.service.http import create_server
 from repro.shard import ShardedQueryService
-from tests.helpers import graph_from_edges
+from tests.helpers import graph_from_edges, running_server
 
 
 def make_graph():
@@ -79,11 +78,9 @@ class TestFailFast:
     def test_http_503_names_the_shard(self):
         service = make_service(degraded_answers=False)
         break_workers(service, lambda i: [FaultRule("error")])
-        server = create_server(service, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-        try:
+        with ExitStack() as stack:
+            stack.callback(service.close)
+            base = stack.enter_context(running_server(service))
             request = urllib.request.Request(
                 f"{base}/query",
                 data=json.dumps(QUERY).encode("utf-8"),
@@ -96,11 +93,6 @@ class TestFailFast:
             document = json.loads(excinfo.value.read())
             assert document["error"]["type"] == "shard-unavailable"
             assert "shard" in document["error"]["detail"]
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-            service.close()
 
 
 class TestDegradedAnswers:

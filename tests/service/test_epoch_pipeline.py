@@ -1,0 +1,194 @@
+"""One epoch pipeline: every construction route yields the same shape.
+
+``QueryService._build_epoch`` / ``_publish_epoch`` are the only place a
+serving epoch is assembled and stored.  Whatever route produced the
+current epoch — warm start, ``from_files``, an update (add, remove,
+no-op), ``reset_epoch``, ``replace_graph``, WAL recovery from a
+snapshot or from the base TSV, or the sharded counterparts — the
+invariants below must hold, because the pipeline owns them.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.approx import build_bounds
+from repro.graph.csr import FrozenGraph, base_graph
+from repro.graph.io import dump_tsv
+from repro.index.local_index import build_local_index
+from repro.service.app import QueryService
+from repro.shard import ShardedQueryService
+from repro.wal import TenantWal, recover_service
+from tests.helpers import graph_from_edges
+
+EDGES = [
+    ("s", "go", "m"),
+    ("m", "go", "t"),
+    ("m", "mark", "m"),
+    ("t", "go", "u"),
+    ("u", "mark", "s"),
+    ("u", "go", "v"),
+]
+QUERY = dict(
+    source="s",
+    target="t",
+    labels=["go"],
+    constraint="SELECT ?x WHERE { ?x <mark> ?y . }",
+)
+
+
+def make_graph():
+    return graph_from_edges(EDGES, name="pipeline")
+
+
+def indexed(graph):
+    return build_local_index(graph, k=2, rng=0)
+
+
+def warm_start(tmp_path):
+    graph = make_graph()
+    return QueryService(graph, indexed(graph), seed=0)
+
+
+def from_files(tmp_path):
+    path = tmp_path / "pipeline.tsv"
+    dump_tsv(make_graph(), path)
+    return QueryService.from_files(path, tmp_path / "pipeline.index.json", seed=0)
+
+
+def update_add(tmp_path):
+    service = warm_start(tmp_path)
+    service.query(**QUERY)  # an old-epoch cache entry the publish must purge
+    assert service.apply_updates([("v", "go", "w")])["epoch"] == 1
+    return service
+
+
+def update_remove(tmp_path):
+    service = warm_start(tmp_path)
+    service.query(**QUERY)
+    assert service.apply_updates([("u", "go", "v", "remove")])["epoch"] == 1
+    return service
+
+
+def update_noop(tmp_path):
+    service = warm_start(tmp_path)
+    service.query(**QUERY)
+    assert service.apply_updates([("s", "go", "m")])["epoch"] == 0
+    return service
+
+
+def reset_epoch(tmp_path):
+    service = warm_start(tmp_path)
+    service.query(**QUERY)
+    service.reset_epoch(7, expected_fingerprint=service.epoch.fingerprint)
+    return service
+
+
+def replace_graph(tmp_path):
+    service = warm_start(tmp_path)
+    service.query(**QUERY)
+    replacement = graph_from_edges(EDGES + [("v", "go", "w")], name="pipeline")
+    service.replace_graph(replacement, 5)
+    return service
+
+
+def _logged_leader(tmp_path, compact_every):
+    path = tmp_path / "pipeline.tsv"
+    dump_tsv(make_graph(), path)
+    wal = TenantWal(tmp_path / "wal", "default", compact_every=compact_every)
+    leader = QueryService.from_files(path, seed=0)
+    leader.attach_wal(wal)
+    leader.apply_updates([("v", "go", "w")])
+    leader.apply_updates([("u", "go", "v", "remove")])
+    leader.close()
+    wal.close()
+    return path, TenantWal(tmp_path / "wal", "default", compact_every=compact_every)
+
+
+def recover_from_snapshot(tmp_path):
+    path, wal = _logged_leader(tmp_path, compact_every=2)
+    assert wal.snapshot_epoch == 2
+    service, replay = recover_service(
+        wal, graph_path=path, index_path=tmp_path / "i.json", seed=0
+    )
+    assert replay["epoch"] == 2
+    return service
+
+
+def recover_from_base_tsv(tmp_path):
+    path, wal = _logged_leader(tmp_path, compact_every=100)
+    assert wal.snapshot_epoch is None
+    service, replay = recover_service(wal, graph_path=path, seed=0)
+    assert replay["applied"] == 2
+    return service
+
+
+def sharded_update(tmp_path):
+    service = ShardedQueryService(make_graph(), seed=0, shards=2)
+    service.query(**QUERY)
+    summary = service.apply_updates([("v", "go", "w")])
+    assert summary["slice_epoch"] == service.slice_epoch == 1
+    return service
+
+
+def sharded_reset(tmp_path):
+    service = ShardedQueryService(make_graph(), seed=0, shards=2)
+    service.query(**QUERY)
+    service.reset_epoch(4)
+    assert service.slice_epoch == 4
+    assert [worker.epoch for worker in service.workers] == [4, 4]
+    return service
+
+
+ROUTES = [
+    warm_start,
+    from_files,
+    update_add,
+    update_remove,
+    update_noop,
+    reset_epoch,
+    replace_graph,
+    recover_from_snapshot,
+    recover_from_base_tsv,
+    sharded_update,
+    sharded_reset,
+]
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=lambda route: route.__name__)
+def test_every_route_publishes_the_same_epoch_shape(route, tmp_path):
+    service = route(tmp_path)
+    try:
+        epoch = service.epoch
+        graph = epoch.graph
+        assert isinstance(graph, FrozenGraph)
+        # Everything derived binds to exactly the snapshot being served.
+        assert epoch.planner.graph is graph
+        assert service.planner is epoch.planner
+        assert service.candidates is epoch.candidates
+        assert epoch.planner.has_index == (epoch.index is not None)
+        if epoch.index is not None:
+            # A graph and its snapshot share ids and count as one graph
+            # (the same identity INS checks its index against).
+            assert base_graph(epoch.index.graph) is base_graph(graph)
+        # Bounds describe this snapshot (reset_epoch carries the same
+        # snapshot's bounds over, which is the same claim).
+        fresh = build_bounds(graph, seed=0)
+        vertices = range(graph.num_vertices)
+        assert epoch.bounds.vertex_count == graph.num_vertices
+        assert all(
+            epoch.bounds.maybe_reachable(s, t) == fresh.maybe_reachable(s, t)
+            for s in vertices
+            for t in vertices
+        )
+        # Sessions — what evaluators actually traverse — bind to it too.
+        assert service._session("uis*").graph is graph
+        # The content fingerprint matches the content.
+        assert epoch.fingerprint == graph.content_fingerprint()
+        assert service.health()["fingerprint"] == epoch.fingerprint
+        # Only current-epoch keys survive a publish.
+        service.query(**QUERY)
+        keys = [key for key, _ in service.results.export_entries()]
+        assert keys and all(key[0] == epoch.epoch_id for key in keys)
+    finally:
+        service.close()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -14,8 +13,8 @@ from repro.datasets.toy import figure3_graph
 from repro.index.local_index import build_local_index
 from repro.obs.prometheus import parse_prometheus_text
 from repro.service.app import QueryService
-from repro.service.http import create_server
 from repro.service.registry import TenantRegistry
+from tests.helpers import running_server
 
 S0 = "SELECT ?x WHERE { ?x <friendOf> v3 . v3 <likes> ?y . }"
 LABELS = ["likes", "follows"]
@@ -32,14 +31,8 @@ def service():
 
 @pytest.fixture()
 def base_url(service):
-    server = create_server(service, "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        server.server_close()
+    with running_server(service) as url:
+        yield url
 
 
 def get_json(url):

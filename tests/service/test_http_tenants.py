@@ -27,9 +27,8 @@ from repro.datasets.toy import figure3_graph
 from repro.graph.io import dump_tsv
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
-from repro.service.http import create_server
 from repro.service.registry import TenantRegistry
-from tests.helpers import graph_from_edges
+from tests.helpers import graph_from_edges, running_server
 
 S0 = "SELECT ?x WHERE { ?x <friendOf> v3 . v3 <likes> ?y . }"
 LABELS = ["likes", "follows"]
@@ -88,14 +87,8 @@ def registry():
 
 @pytest.fixture()
 def base_url(registry):
-    server = create_server(registry, "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        server.server_close()
+    with running_server(registry) as url:
+        yield url
 
 
 class TestTenantRoutes:

@@ -18,7 +18,6 @@ Covers the epoch-swap mechanics the randomized agreement suite
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -31,10 +30,9 @@ from repro.exceptions import (
 from repro.graph import FrozenGraph
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
-from repro.service.http import create_server
 from repro.service.registry import TenantRegistry
 from repro.shard import ShardedQueryService
-from tests.helpers import graph_from_edges
+from tests.helpers import graph_from_edges, running_server
 
 CONSTRAINT = "SELECT ?x WHERE { ?x <mark> ?y . }"
 
@@ -412,14 +410,8 @@ def update_server():
     registry = TenantRegistry(default_tenant="default")
     registry.add("default", make_service())
     registry.add("beta", make_service())
-    server = create_server(registry, "127.0.0.1", 0, allow_updates=True)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}", registry
-    finally:
-        server.shutdown()
-        server.server_close()
+    with running_server(registry, allow_updates=True) as url:
+        yield url, registry
 
 
 class TestHttpEdges:
@@ -464,44 +456,32 @@ class TestHttpEdges:
         assert body["error"]["type"] == "unknown-tenant"
 
     def test_disabled_by_default_gives_403(self):
-        server = create_server(make_service(), "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            base_url = f"http://127.0.0.1:{server.server_address[1]}"
+        with running_server(make_service()) as base_url:
             status, body = http_post(
                 f"{base_url}/edges", {"edges": [["a", "go", "b"]]}
             )
             assert status == 403
             assert body["error"]["type"] == "updates-disabled"
             assert "--allow-updates" in body["error"]["message"]
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_sharded_tenant_accepts_post_edges(self):
         graph = graph_from_edges(
             [(f"n{i}", "l", f"n{i + 1}") for i in range(12)], name="sharded"
         )
         service = ShardedQueryService(graph, seed=0, shards=2)
-        server = create_server(service, "127.0.0.1", 0, allow_updates=True)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
         try:
-            base_url = f"http://127.0.0.1:{server.server_address[1]}"
-            status, summary = http_post(
-                f"{base_url}/edges", {"edges": [["n0", "l", "n7"]]}
-            )
-            assert status == 200
-            assert summary["epoch"] == 1
-            assert summary["slice_epoch"] == 1
-            query = {"source": "n0", "target": "n7", "labels": ["l"],
-                     "constraint": "SELECT ?x WHERE { ?x <l> ?y . }"}
-            status, body = http_post(f"{base_url}/query", query)
-            assert status == 200 and body["answer"] is True
+            with running_server(service, allow_updates=True) as base_url:
+                status, summary = http_post(
+                    f"{base_url}/edges", {"edges": [["n0", "l", "n7"]]}
+                )
+                assert status == 200
+                assert summary["epoch"] == 1
+                assert summary["slice_epoch"] == 1
+                query = {"source": "n0", "target": "n7", "labels": ["l"],
+                         "constraint": "SELECT ?x WHERE { ?x <l> ?y . }"}
+                status, body = http_post(f"{base_url}/query", query)
+                assert status == 200 and body["answer"] is True
         finally:
-            server.shutdown()
-            server.server_close()
             service.close()
 
     def test_admin_rebalance_routes(self):
@@ -510,49 +490,34 @@ class TestHttpEdges:
             name="sharded",
         )
         service = ShardedQueryService(graph, seed=0, shards=2)
-        server = create_server(service, "127.0.0.1", 0, allow_updates=True)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
         try:
-            base_url = f"http://127.0.0.1:{server.server_address[1]}"
-            status, body = http_post(f"{base_url}/admin/rebalance", {})
-            assert status == 200
-            assert "rebalanced" in body
-            if body["rebalanced"]:
-                assert body["slice_epoch"] == service.slice_epoch
+            with running_server(service, allow_updates=True) as base_url:
+                status, body = http_post(f"{base_url}/admin/rebalance", {})
+                assert status == 200
+                assert "rebalanced" in body
+                if body["rebalanced"]:
+                    assert body["slice_epoch"] == service.slice_epoch
         finally:
-            server.shutdown()
-            server.server_close()
             service.close()
 
     def test_admin_rebalance_on_plain_tenant_is_501(self):
         service = make_service()
-        server = create_server(service, "127.0.0.1", 0, allow_updates=True)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
         try:
-            base_url = f"http://127.0.0.1:{server.server_address[1]}"
-            status, body = http_post(f"{base_url}/admin/rebalance", {})
-            assert status == 501
-            assert body["error"]["type"] == "updates-unsupported"
+            with running_server(service, allow_updates=True) as base_url:
+                status, body = http_post(f"{base_url}/admin/rebalance", {})
+                assert status == 501
+                assert body["error"]["type"] == "updates-unsupported"
         finally:
-            server.shutdown()
-            server.server_close()
             service.close()
 
     def test_admin_rebalance_gated_by_allow_updates(self):
         service = make_service()
-        server = create_server(service, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
         try:
-            base_url = f"http://127.0.0.1:{server.server_address[1]}"
-            status, body = http_post(f"{base_url}/admin/rebalance", {})
-            assert status == 403
-            assert body["error"]["type"] == "updates-disabled"
+            with running_server(service) as base_url:
+                status, body = http_post(f"{base_url}/admin/rebalance", {})
+                assert status == 403
+                assert body["error"]["type"] == "updates-disabled"
         finally:
-            server.shutdown()
-            server.server_close()
             service.close()
 
 

@@ -17,7 +17,7 @@ in-process semantics.
 from __future__ import annotations
 
 import random
-import threading
+from contextlib import ExitStack
 
 import pytest
 
@@ -28,8 +28,8 @@ from repro.core.query import LSCRQuery
 from repro.datasets.synthetic import random_labeled_graph
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
-from repro.service.http import create_server
 from repro.shard import HttpShardWorker, ShardCoordinator, ShardedQueryService
+from tests.helpers import running_server
 
 #: ≥ 50 generated graphs, every seed fixed for reproducibility.
 SEEDS = list(range(50))
@@ -238,19 +238,20 @@ class TestRemoteWorkerAgreement:
             str(position): worker
             for position, worker in enumerate(sharded.workers)
         }
-        server = create_server(sharded, "127.0.0.1", 0, workers)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-        remote = ShardCoordinator(
-            sharded.graph,
-            sharded.shard_plan,
-            [HttpShardWorker(base, position) for position in range(3)],
-            parallel=False,
-        )
-        oracle = NaiveTwoProcedure(sharded.graph)
-        rng = random.Random(seed * 37 + 11)
-        try:
+        with ExitStack() as stack:
+            stack.callback(sharded.close)
+            base = stack.enter_context(
+                running_server(sharded, shard_workers=workers)
+            )
+            remote = ShardCoordinator(
+                sharded.graph,
+                sharded.shard_plan,
+                [HttpShardWorker(base, position) for position in range(3)],
+                parallel=False,
+            )
+            stack.callback(remote.close)
+            oracle = NaiveTwoProcedure(sharded.graph)
+            rng = random.Random(seed * 37 + 11)
             for _ in range(8):
                 source = f"n{rng.randrange(24)}"
                 target = f"n{rng.randrange(24)}"
@@ -264,9 +265,3 @@ class TestRemoteWorkerAgreement:
                     target,
                     labels,
                 )
-        finally:
-            remote.close()
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-            sharded.close()

@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import json
-import threading
 import urllib.request
+from contextlib import ExitStack
 
 import pytest
 
 from repro.exceptions import ServiceConfigError
-from repro.service.http import create_server
 from repro.service.registry import TenantRegistry
 from repro.shard import ShardedQueryService
-from tests.helpers import graph_from_edges
+from tests.helpers import graph_from_edges, running_server
 
 
 def make_graph():
@@ -80,11 +79,10 @@ class TestTenantIntegration:
         registry = TenantRegistry(default_tenant="flat")
         registry.add("flat", ShardedQueryService(make_graph(), shards=1))
         registry.add("wide", ShardedQueryService(make_graph(), shards=3))
-        server = create_server(registry, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-        try:
+        with ExitStack() as stack:
+            stack.callback(registry.remove, "wide")
+            stack.callback(registry.remove, "flat")
+            base = stack.enter_context(running_server(registry))
             for tenant in ("flat", "wide"):
                 document = post(base, f"/t/{tenant}/query", QUERY)
                 assert document["answer"] is True
@@ -95,12 +93,6 @@ class TestTenantIntegration:
             assert "sharded" in stats["totals"]["algorithms"]
             health = get(base, "/healthz")
             assert health["tenants_loaded"] == 2
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-            registry.remove("flat")
-            registry.remove("wide")
 
     def test_stats_snapshot_has_shard_section(self):
         service = ShardedQueryService(make_graph(), shards=2)

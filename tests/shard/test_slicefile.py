@@ -14,14 +14,22 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.datasets.synthetic import random_labeled_graph
 from repro.exceptions import SliceFileError
+from repro.graph.io import dump_tsv
 from repro.index.landmarks import (
     bfs_traverse,
     select_landmarks,
     structural_correlations,
 )
-from repro.shard import build_shard_plan, cut_slices
+from repro.service.registry import TenantRegistry
+from repro.shard import (
+    ShardedQueryService,
+    ShardWorker,
+    build_shard_plan,
+    cut_slices,
+)
 from repro.shard.slicefile import (
     SLICE_FORMAT_VERSION,
     dump_slice,
@@ -30,6 +38,7 @@ from repro.shard.slicefile import (
     slice_document,
     slice_from_document,
 )
+from tests.helpers import running_server
 
 SHARDS = 3
 
@@ -178,3 +187,55 @@ class TestDefensiveLoading:
         )
         with pytest.raises(SliceFileError, match="edges"):
             load_slice(path)
+
+
+class TestCutMatchesCoordinator:
+    """``repro cut`` and the coordinator share one plan derivation
+    (:func:`repro.shard.partitioner.derive_shard_plan`): same
+    graph/index/seed, same plan hash — so workers booted from cut files
+    handshake without a resync."""
+
+    @pytest.mark.parametrize("with_index", [False, True])
+    def test_same_plan_hash_and_zero_resyncs(self, with_index, tmp_path):
+        graph_path = tmp_path / "cut.tsv"
+        dump_tsv(random_labeled_graph(80, 3.0, 5, rng=11, name="cut"), graph_path)
+        index_path = None
+        cut_args = []
+        if with_index:
+            index_path = str(tmp_path / "cut.index.json")
+            assert main(["index", str(graph_path), "--output", index_path]) == 0
+            cut_args = ["--index", index_path]
+        out = tmp_path / "slices"
+        assert main(
+            ["cut", str(graph_path), "--shards", str(SHARDS), "--out", str(out),
+             "--seed", "11", *cut_args]
+        ) == 0
+        files = [load_slice(out / f"shard-{i}.slice.json") for i in range(SHARDS)]
+        workers = {
+            str(loaded.slice.shard_id): ShardWorker(
+                loaded.slice,
+                epoch=loaded.epoch,
+                fingerprint=loaded.fingerprint,
+                plan_hash=loaded.plan_hash,
+                plan=loaded.plan,
+            )
+            for loaded in files
+        }
+        with running_server(TenantRegistry(), shard_workers=workers) as base:
+            coordinator = ShardedQueryService.from_files(
+                graph_path, index_path, seed=11, shards=SHARDS,
+                worker_urls=[base] * SHARDS, probe_interval=0,
+            )
+            try:
+                plan_hash = plan_fingerprint(coordinator.shard_plan)
+                assert {loaded.plan_hash for loaded in files} == {plan_hash}
+                stats = coordinator.stats_snapshot()["shards"]
+                for entry in stats["workers"]:
+                    assert entry["health"].get("resyncs", 0) == 0
+                    assert entry["health"]["plan_hash"] == plan_hash
+                for worker in workers.values():
+                    assert worker.describe()["updates_prepared"] == 0
+            finally:
+                coordinator.close()
+                for worker in workers.values():
+                    worker.close()

@@ -9,17 +9,17 @@ the span counts agree with the coordinator's own telemetry.
 
 from __future__ import annotations
 
-import threading
+from contextlib import ExitStack
 
 import pytest
 
 from repro.core.query import LSCRQuery
 from repro.datasets.synthetic import random_labeled_graph
 from repro.obs.trace import Trace, use_trace
-from repro.service.http import create_server
 from repro.shard import ShardedQueryService
 from repro.shard.coordinator import ShardCoordinator
 from repro.shard.worker import HttpShardWorker
+from tests.helpers import running_server
 
 CONSTRAINT = "SELECT ?x WHERE { ?x <l0> ?y . }"
 
@@ -60,18 +60,19 @@ class TestRemoteTracePropagation:
             str(position): worker
             for position, worker in enumerate(sharded.workers)
         }
-        server = create_server(sharded, "127.0.0.1", 0, workers)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-        remote = ShardCoordinator(
-            sharded.graph,
-            sharded.shard_plan,
-            [HttpShardWorker(base, position) for position in range(2)],
-            local_fast_path=False,
-            parallel=False,
-        )
-        try:
+        with ExitStack() as stack:
+            stack.callback(sharded.close)
+            base = stack.enter_context(
+                running_server(sharded, shard_workers=workers)
+            )
+            remote = ShardCoordinator(
+                sharded.graph,
+                sharded.shard_plan,
+                [HttpShardWorker(base, position) for position in range(2)],
+                local_fast_path=False,
+                parallel=False,
+            )
+            stack.callback(remote.close)
             scattered = None
             for query in _queries(graph):
                 document = _traced_answer(remote, query)
@@ -105,12 +106,6 @@ class TestRemoteTracePropagation:
             # At least one of the probe queries genuinely fanned out to
             # both remote shards — the scenario the ISSUE names.
             assert scattered is not None
-        finally:
-            remote.close()
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-            sharded.close()
 
     def test_untraced_remote_query_ships_no_span(self):
         graph = random_labeled_graph(16, 2.0, 3, rng=1, name="untraced")
@@ -121,12 +116,13 @@ class TestRemoteTracePropagation:
             str(position): worker
             for position, worker in enumerate(sharded.workers)
         }
-        server = create_server(sharded, "127.0.0.1", 0, workers)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-        worker = HttpShardWorker(base, 0)
-        try:
+        with ExitStack() as stack:
+            stack.callback(sharded.close)
+            base = stack.enter_context(
+                running_server(sharded, shard_workers=workers)
+            )
+            worker = HttpShardWorker(base, 0)
+            stack.callback(worker.close)
             seeds = [
                 vid for vid in range(sharded.graph.num_vertices)
                 if sharded.shard_plan.shard_of[vid] == 0
@@ -138,12 +134,6 @@ class TestRemoteTracePropagation:
             assert traced.span is not None
             assert traced.span["attrs"]["trace_id"] == "abc123"
             assert traced.reached == result.reached
-        finally:
-            worker.close()
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-            sharded.close()
 
 
 class TestInProcessServiceTrace:

@@ -11,7 +11,6 @@ one test exercises the thread itself end-to-end over HTTP.
 from __future__ import annotations
 
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -22,9 +21,8 @@ from repro.exceptions import ReadOnlyServiceError
 from repro.index.local_index import build_local_index
 from repro.obs.prometheus import parse_prometheus_text, render_metrics
 from repro.service.app import QueryService
-from repro.service.http import create_server
 from repro.wal import TenantWal, WalFollower
-from tests.helpers import graph_from_edges
+from tests.helpers import graph_from_edges, running_server
 
 CONSTRAINT = "SELECT ?x WHERE { ?x <mark> ?y . }"
 
@@ -174,26 +172,21 @@ class TestReadOnlyGate:
 
     def test_post_edges_to_follower_is_403_over_http(self, tmp_path):
         leader, replica, follower = make_pair(tmp_path)
-        server = create_server(replica, "127.0.0.1", 0, allow_updates=True)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
         try:
-            url = f"http://127.0.0.1:{server.server_address[1]}/edges"
-            request = urllib.request.Request(
-                url,
-                data=json.dumps({"edges": [["a", "go", "b"]]}).encode(),
-                headers={"Content-Type": "application/json"},
-                method="POST",
-            )
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(request, timeout=10)
-            assert excinfo.value.code == 403
-            body = json.loads(excinfo.value.read())
-            assert body["error"]["type"] == "read-only"
-            assert body["error"]["detail"] == {"role": "follower"}
+            with running_server(replica, allow_updates=True) as base:
+                request = urllib.request.Request(
+                    f"{base}/edges",
+                    data=json.dumps({"edges": [["a", "go", "b"]]}).encode(),
+                    headers={"Content-Type": "application/json"},
+                    method="POST",
+                )
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(request, timeout=10)
+                assert excinfo.value.code == 403
+                body = json.loads(excinfo.value.read())
+                assert body["error"]["type"] == "read-only"
+                assert body["error"]["detail"] == {"role": "follower"}
         finally:
-            server.shutdown()
-            server.server_close()
             leader.close()
             replica.close()
 

@@ -103,6 +103,9 @@ class ApproxRouter:
         self._approximate_answers = 0
         self._rechecks = 0
         self._recheck_mismatches = 0
+        #: Witness stores by origin: a non-zero ``extract`` count is a
+        #: topology still paying a second search per True answer.
+        self._stored = {"search": 0, "extract": 0}
 
     # ------------------------------------------------------------------
     # mode resolution
@@ -230,28 +233,37 @@ class ApproxRouter:
     # witness population
     # ------------------------------------------------------------------
 
-    def remember_witness(self, plan: Any, epoch: Any) -> bool:
-        """After an exact True answer, extract and cache the witness.
+    def remember_witness(
+        self, plan: Any, epoch: Any, result: QueryResult
+    ) -> str | None:
+        """After an exact True answer, cache the witness that proves it.
 
-        Reuses the epoch's cached ``V(S, G)`` so the SPARQL evaluation
-        the exact run just performed is not repeated.  Returns whether
-        a witness was stored (it can legitimately fail only if the
-        graph changed between the answer and the extraction — callers
-        ignore the outcome).
+        ``result.witness`` — the path the search itself walked — is
+        stored as is (``"search"``).  Only a producer that returned
+        none pays an extraction BFS (``"extract"``), over the epoch's
+        cached ``V(S, G)`` so the SPARQL evaluation is not repeated.
+        Returns where the stored witness came from, or None when
+        nothing was stored (it can legitimately fail only if the graph
+        changed between the answer and the extraction — callers ignore
+        the outcome).
         """
         if self.witnesses.max_size == 0:
             # Uncached service: skip the extraction BFS, not just the put.
-            return False
-        query = plan.query
-        try:
-            satisfying = set(epoch.candidates.get(query.constraint, epoch.graph))
-            witness = find_witness(epoch.graph, query, satisfying=satisfying)
-        except (KeyError, ValueError):
-            return False
+            return None
+        witness, source = result.witness, "search"
         if witness is None:
-            return False
+            query, source = plan.query, "extract"
+            try:
+                satisfying = set(epoch.candidates.get(query.constraint, epoch.graph))
+                witness = find_witness(epoch.graph, query, satisfying=satisfying)
+            except (KeyError, ValueError):
+                return None
+            if witness is None:
+                return None
         self.witnesses.put(plan.key, witness)
-        return True
+        with self._lock:
+            self._stored[source] += 1
+        return source
 
     # ------------------------------------------------------------------
     # accounting
@@ -268,6 +280,7 @@ class ApproxRouter:
             approximate = self._approximate_answers
             rechecks = self._rechecks
             mismatches = self._recheck_mismatches
+            stored = dict(self._stored)
         short_circuit = no_mask + no_bounds + yes_witness
         return {
             "enabled": True,
@@ -284,5 +297,9 @@ class ApproxRouter:
             "rechecks": rechecks,
             "recheck_mismatches": mismatches,
             "false_rate": mismatches / rechecks if rechecks else 0.0,
-            "witness_cache": self.witnesses.stats(),
+            "witness_cache": {
+                **self.witnesses.stats(),
+                "stored_from_search": stored["search"],
+                "stored_by_extraction": stored["extract"],
+            },
         }

@@ -1,8 +1,10 @@
 """Definite-Yes lower bound: an LRU cache of verified witness paths.
 
-When the exact evaluators answer True, the router extracts the concrete
-witness path (:func:`repro.core.witness.find_witness`) and remembers it
-here, keyed by the planner's canonical query key.  A later repeat of the
+When the exact evaluators answer True, the router remembers the witness
+path here, keyed by the planner's canonical query key — the path UIS*
+walked (``QueryResult.witness``), or one extracted with
+:func:`repro.core.witness.find_witness` for a producer that returned
+none.  A later repeat of the
 same query re-validates the remembered path against the *current* graph
 — edge existence, labels within ``L``, the satisfying vertex still
 satisfying ``S`` — which costs a handful of dictionary probes plus one

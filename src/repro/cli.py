@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm",
         choices=sorted(_ALGORITHMS),
         default=None,
-        help="force one algorithm (default: ins with an index, uis* without)",
+        help="run every request on one algorithm (default: uis*, with or without "
+        "an index; 'ins' needs --index and is also selectable per request)",
     )
     serve.add_argument("--workers", type=int, default=None, help="batch thread count")
     serve.add_argument("--cache-size", type=int, default=1024, help="result-cache LRU size")

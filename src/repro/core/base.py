@@ -51,6 +51,7 @@ class LSCRAlgorithm(ABC):
             vsg_seconds=float(telemetry.get("vsg_seconds", 0.0)),
             lcs_calls=int(telemetry.get("lcs_calls", 0)),
             index_resolutions=int(telemetry.get("index_resolutions", 0)),
+            witness=telemetry.get("witness"),
         )
 
     def decide(self, query: LSCRQuery) -> bool:
@@ -69,5 +70,5 @@ class LSCRAlgorithm(ABC):
 
         Telemetry keys (all optional): ``passed_vertices``,
         ``scck_calls``, ``vsg_size``, ``vsg_seconds``, ``lcs_calls``,
-        ``index_resolutions``.
+        ``index_resolutions``, ``witness``.
         """

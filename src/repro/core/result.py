@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.witness import WitnessPath
+
 __all__ = ["QueryResult", "ResultAggregate"]
 
 
@@ -43,6 +45,10 @@ class QueryResult:
     #: monotonicity: a closure over surviving slices can prove reachable
     #: but never unreachable, so ``answer=False`` degrades to "unknown".
     degraded: dict | None = None
+    #: The path a True answer was proved by, when the evaluator walked
+    #: one (UIS*); None otherwise.  Evidence, not part of the answer:
+    #: excluded from equality and never serialised by the service.
+    witness: WitnessPath | None = field(default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.answer

@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Hashable, Iterable
 from contextlib import nullcontext
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from threading import Lock
 from time import perf_counter
@@ -494,7 +494,7 @@ class QueryService:
                 frozen,
                 self.constraints,
                 has_index=index is not None,
-                fallback_algorithm=self._forced_algorithm or "uis*",
+                default_algorithm=self._forced_algorithm or "uis*",
             )
             candidates = CandidateCache(max_size=self._cache_size)
         return GraphEpoch(
@@ -1017,18 +1017,20 @@ class QueryService:
                         mismatch=exact.answer != result.answer
                     )
                     if exact.answer and exact.degraded is None:
-                        router.remember_witness(plan, epoch)
+                        router.remember_witness(plan, epoch, exact)
                 return result
             route_span.set(tier="exact")
         router.record_fallthrough()
         result = self._evaluate(plan, epoch)
         if result.answer and result.degraded is None:
-            # A True exact answer certifies a witness path exists; pull
-            # it out now so the next repeat is a definite-Yes without
-            # touching INS/UIS* (the epoch's candidate cache makes the
-            # extraction one BFS, not a second SPARQL evaluation).
+            # A True exact answer certifies a witness path exists; keep
+            # it so the next repeat is a definite-Yes without touching
+            # an evaluator.  UIS* hands over the path it walked; only a
+            # producer without one (the scatter-gather coordinator, a
+            # configured non-UIS* default) costs an extraction search.
             with span("witness-extract") as witness_span:
-                witness_span.set(stored=router.remember_witness(plan, epoch))
+                source = router.remember_witness(plan, epoch, result)
+                witness_span.set(stored=source is not None, source=source)
         return result
 
     def _evaluate(self, plan: QueryPlan, epoch: GraphEpoch) -> QueryResult:
@@ -1305,7 +1307,7 @@ class QueryService:
             "results": [
                 {
                     "key": [key[1], key[2], list(key[3]), key[4]],
-                    "result": asdict(result),
+                    "result": asdict(replace(result, witness=None)),
                 }
                 for key, result in self.results.export_entries()
                 if key[0] == epoch.epoch_id

@@ -486,25 +486,41 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         payload: dict,
         headers: dict[str, str] | None = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(
+            status,
+            "application/json; charset=utf-8",
+            json.dumps(payload).encode("utf-8"),
+            headers,
+        )
 
     def _send_text(self, status: int, text: str) -> None:
         """Prometheus exposition body (text format 0.0.4)."""
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header(
-            "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+        self._send(
+            status, "text/plain; version=0.0.4; charset=utf-8", text.encode("utf-8")
         )
+
+    def _send(
+        self,
+        status: int,
+        content_type: str,
+        body: bytes,
+        headers: dict[str, str] | None = None,
+    ) -> None:
+        """One reply, one ``wfile.write``.
+
+        Headers and body written separately leave as two TCP segments,
+        and with Nagle on the second waits for the peer's delayed ACK of
+        the first: ~40 ms per kept-alive request for every default
+        client and every coordinator→worker call.  So the body rides the
+        header buffer and :meth:`flush_headers` writes both at once.
+        """
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self._headers_buffer += (b"\r\n", body)
+        self.flush_headers()
 
     def _send_error(
         self,

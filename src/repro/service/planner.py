@@ -18,9 +18,14 @@ before any algorithm runs.  Planning does three jobs:
   false), and ``s = t`` with ``s`` satisfying ``S`` (the trivial path
   answers true, DESIGN.md §5.1).  Note ``s = t`` alone is *not* trivial
   — a cycle through a satisfying vertex may still exist;
-* **pick an algorithm** — INS when a local index is loaded, the
-  configured fallback (UIS* by default) otherwise; an explicit
-  per-request override wins after validation.
+* **pick an algorithm** — the configured default, UIS* unless
+  ``serve --algorithm`` says otherwise; an explicit per-request
+  override wins after validation.  A loaded index does not change the
+  default: linear UIS* behind the candidate cache measures cheaper than
+  INS on every workload the ladder runs (README, "Choosing an
+  algorithm"; the ladder's ``core.ins.ms_per_query`` /
+  ``core.uis_star.ms_per_query`` pair keeps watching), so INS runs when
+  a request or the operator asks for it.
 
 Planners are stateless apart from the shared
 :class:`~repro.service.cache.ConstraintCache`, hence safe to call from
@@ -88,24 +93,20 @@ class QueryPlanner:
         constraints: ConstraintCache | None = None,
         *,
         has_index: bool = False,
-        fallback_algorithm: str = "uis*",
+        default_algorithm: str = "uis*",
     ) -> None:
-        if fallback_algorithm not in PLANNABLE_ALGORITHMS:
+        if default_algorithm not in PLANNABLE_ALGORITHMS:
             raise ServiceConfigError(
-                f"unknown fallback algorithm {fallback_algorithm!r}; "
+                f"unknown default algorithm {default_algorithm!r}; "
                 f"choose from {PLANNABLE_ALGORITHMS}"
             )
-        if fallback_algorithm == "ins" and not has_index:
-            raise ServiceConfigError("fallback algorithm 'ins' requires a loaded index")
+        if default_algorithm == "ins" and not has_index:
+            raise ServiceConfigError("default algorithm 'ins' requires a loaded index")
         self.graph = graph
         self.constraints = constraints if constraints is not None else ConstraintCache()
         self.has_index = has_index
-        self.fallback_algorithm = fallback_algorithm
-
-    @property
-    def default_algorithm(self) -> str:
-        """What runs when the request does not name an algorithm."""
-        return "ins" if self.has_index else self.fallback_algorithm
+        #: What runs when the request does not name an algorithm.
+        self.default_algorithm = default_algorithm
 
     # ------------------------------------------------------------------
 
@@ -195,10 +196,13 @@ class QueryPlanner:
         )
         if algorithm is not None:
             reason = f"requested algorithm {chosen!r}"
-        elif chosen == "ins":
-            reason = "local index loaded"
+        elif chosen == "uis*" and self.has_index:
+            reason = (
+                "uis* is the measured-cheaper evaluator; "
+                "request 'ins' to use the index"
+            )
         else:
-            reason = f"no index loaded; falling back to {chosen!r}"
+            reason = f"configured default {chosen!r}"
         return QueryPlan(
             key=key,
             algorithm=chosen,

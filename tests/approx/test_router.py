@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import BadRequestError, ServiceConfigError
+from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.shard import ShardedQueryService
 from tests.helpers import graph_from_edges
@@ -91,6 +92,81 @@ class TestShortCircuits:
         service.query("t", "s", ["go"], MARK)
         _, meta = service.query("t", "s", ["go"], MARK)
         assert meta["cached"] is True
+
+
+def _span(node: dict, name: str) -> dict:
+    """The first span called ``name`` in a trace tree (depth first)."""
+    if node["name"] == name:
+        return node
+    for child in node["children"]:
+        try:
+            return _span(child, name)
+        except LookupError:
+            pass
+    raise LookupError(name)
+
+
+@pytest.fixture()
+def no_second_search(monkeypatch):
+    """Make the witness-extraction search an error wherever it is bound."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_witness ran: a second search for one answer")
+
+    monkeypatch.setattr("repro.core.witness.find_witness", refuse)
+    monkeypatch.setattr("repro.approx.router.find_witness", refuse)
+
+
+SPEC = {"source": "s", "target": "t", "labels": ["go"], "constraint": MARK}
+
+
+class TestWitnessComesFromTheSearch:
+    def test_exact_fallthrough_stores_the_walked_path(self, service, no_second_search):
+        document = service.handle_query(SPEC, trace=True)
+        assert document["answer"] is True and document["algorithm"] == "UIS*"
+        extract = _span(document["trace"], "witness-extract")
+        assert extract["attrs"] == {"stored": True, "source": "search"}
+        cache = service.approx.stats()["witness_cache"]
+        assert cache["size"] == 1
+        assert (cache["stored_from_search"], cache["stored_by_extraction"]) == (1, 0)
+        # The stored path outlives the epoch: after a swap the repeat is
+        # a definite-Yes that never reaches an evaluator.
+        service.apply_updates([("u", "go", "s")])
+        document = service.handle_query(SPEC, trace=True)
+        assert document["algorithm"] == "witness" and document["epoch"] == 1
+        assert _span(document["trace"], "route")["attrs"]["verdict"] == "yes-witness"
+
+    def test_approximate_recheck_stores_the_walked_path(self, no_second_search):
+        svc = QueryService(make_graph(), seed=0, approx_recheck=1.0)
+        try:
+            svc.query("s", "t", ["go"], MARK, mode="approximate")
+            cache = svc.approx.stats()["witness_cache"]
+            assert (cache["size"], cache["stored_from_search"]) == (1, 1)
+        finally:
+            svc.close()
+
+    def test_witness_less_producer_falls_back_to_extraction(self):
+        # INS answers without a path, so the router still extracts one.
+        graph = make_graph()
+        svc = QueryService(graph, build_local_index(graph, k=2, rng=0), seed=0)
+        try:
+            plan = svc.planner.plan("s", "t", ["go"], MARK)
+            result = svc.epoch.session("ins").answer(plan.query)
+            assert result.answer is True and result.witness is None
+            assert svc.approx.remember_witness(plan, svc.epoch, result) == "extract"
+            assert svc.approx.stats()["witness_cache"]["stored_by_extraction"] == 1
+        finally:
+            svc.close()
+
+    def test_uncached_service_stores_nothing(self, no_second_search):
+        svc = QueryService(make_graph(), seed=0, cache_size=0)
+        try:
+            first, _ = svc.query("s", "t", ["go"], MARK)
+            second, _ = svc.query("s", "t", ["go"], MARK)
+            assert first.algorithm == second.algorithm == "UIS*"
+            assert svc.approx.stats()["witness_cache"]["stored_from_search"] == 0
+        finally:
+            svc.close()
 
 
 class TestEpochs:
@@ -217,6 +293,21 @@ class TestSharded:
             assert exact.algorithm == "sharded"
             assert exact_meta["tier"] == "exact"
             assert svc.coordinator.stats()["queries"] == 1
+        finally:
+            svc.close()
+
+    def test_scatter_gather_answers_reach_the_witness_cache(self):
+        # The coordinator proves reachability across slices and walks no
+        # single path, so this topology still pays the extraction — and
+        # says so.
+        svc = ShardedQueryService(make_graph(), seed=0, shards=2)
+        try:
+            first, _ = svc.query("s", "t", ["go"], MARK, use_cache=False)
+            assert first.algorithm == "sharded" and first.witness is None
+            cache = svc.approx.stats()["witness_cache"]
+            assert (cache["stored_from_search"], cache["stored_by_extraction"]) == (0, 1)
+            second, _ = svc.query("s", "t", ["go"], MARK, use_cache=False)
+            assert second.algorithm == "witness"
         finally:
             svc.close()
 

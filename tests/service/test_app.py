@@ -34,11 +34,12 @@ class TestQuery:
     def test_basic_true_false(self, service):
         result, meta = service.query("v0", "v4", LABELS, S0)
         assert result.answer is True
-        assert result.algorithm == "INS"
+        assert result.algorithm == "UIS*"      # a loaded index does not change the default
         assert meta == {
             "cached": False,
             "trivial": False,
-            "reason": "local index loaded",
+            "reason": "uis* is the measured-cheaper evaluator; "
+                      "request 'ins' to use the index",
             "epoch": 0,
             "source": "evaluated",
             "tier": "exact",
@@ -84,6 +85,16 @@ class TestQuery:
         assert forced.default_algorithm == "uis"
         result, _ = forced.query("v0", "v4", LABELS, S0)
         assert result.algorithm == "UIS"
+
+    def test_forced_ins_config(self, graph):
+        # What `serve --algorithm ins` builds: INS for every request.
+        forced = QueryService(graph, build_local_index(graph, k=2, rng=0),
+                              algorithm="ins", seed=0)
+        assert forced.default_algorithm == "ins"
+        result, _ = forced.query("v0", "v4", LABELS, S0)
+        assert result.algorithm == "INS" and result.answer is True
+        with pytest.raises(ServiceConfigError, match="requires a loaded index"):
+            QueryService(graph, algorithm="ins", seed=0)
 
     def test_sessions_share_index_and_constraints(self, service):
         service.query("v0", "v4", LABELS, S0)
@@ -138,7 +149,7 @@ class TestJsonApi:
         payload = {"source": "v0", "target": "v4", "labels": LABELS, "constraint": S0}
         document = service.handle_query(payload)
         assert document["answer"] is True
-        assert document["algorithm"] == "INS"
+        assert document["algorithm"] == "UIS*"
         assert document["cached"] is False
 
     def test_handle_query_accepts_comma_labels(self, service):
@@ -217,7 +228,7 @@ class TestJsonApi:
         assert document["result_cache"]["hits"] == 1
         assert document["constraint_cache"]["misses"] == 1
         assert document["index"]["loaded"] is True
-        assert document["config"]["default_algorithm"] == "ins"
+        assert document["config"]["default_algorithm"] == "uis*"
 
 
 class TestFromFiles:
@@ -242,7 +253,10 @@ class TestFromFiles:
         save_local_index(build_local_index(graph, k=2, rng=0), index_path)
         service = QueryService.from_files(graph_path, index_path, seed=0)
         assert service.index is not None
-        assert service.default_algorithm == "ins"
+        assert service.default_algorithm == "uis*"
+        # ... and the loaded index is what a per-request 'ins' runs on.
+        result, _ = service.query("v0", "v4", LABELS, S0, algorithm="ins")
+        assert result.algorithm == "INS" and result.answer is True
 
     def test_no_index_path_serves_index_free(self, tmp_path, graph):
         graph_path = tmp_path / "g0.tsv"

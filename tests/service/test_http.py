@@ -25,6 +25,7 @@ from repro.datasets.toy import figure3_graph
 from repro.graph.io import dump_tsv
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
+from repro.service.http import ServiceRequestHandler
 from repro.session import LSCRSession
 from tests.helpers import running_server
 
@@ -81,7 +82,7 @@ class TestEndpoints:
         status, document = http_post(f"{base_url}/query", spec("v0", "v4"))
         assert status == 200
         assert document["answer"] is True
-        assert document["algorithm"] == "INS"
+        assert document["algorithm"] == "UIS*"
         status, document = http_post(f"{base_url}/query", spec("v0", "v3"))
         assert status == 200
         assert document["answer"] is False
@@ -124,6 +125,106 @@ class TestEndpoints:
         assert {"service", "result_cache", "constraint_cache", "graph",
                 "index", "config"} <= set(stats)
         assert stats["service"]["uptime_seconds"] >= 0
+
+
+def all_keys(document) -> set[str]:
+    """Every object key anywhere inside a JSON document."""
+    if isinstance(document, dict):
+        return set(document).union(*map(all_keys, document.values()))
+    if isinstance(document, list):
+        return set().union(*map(all_keys, document))
+    return set()
+
+
+class TestDefaultRoute:
+    """UIS* is the default with or without an index; INS is opt-in."""
+
+    QUERY_KEYS = {"answer", "algorithm", "seconds", "passed_vertices", "cached",
+                  "trivial", "reason", "epoch", "source", "tier"}
+
+    def test_bodies_keep_their_shape_and_carry_no_witness(self):
+        graph = figure3_graph()
+        service = QueryService(
+            graph, build_local_index(graph, k=2, rng=0), seed=0, slow_ms=0
+        )
+        with running_server(service) as base_url:
+            _, query = http_post(f"{base_url}/query", spec("v0", "v4"))
+            _, batch = http_post(
+                f"{base_url}/batch",
+                {"queries": [spec("v0", "v4", use_cache=False), spec("v3", "v4")]},
+            )
+            _, stats = http_get(f"{base_url}/stats")
+            _, slow = http_get(f"{base_url}/debug/slow")
+            _, health = http_get(f"{base_url}/healthz")
+        # The answer was proved by a walked path and that path is cached ...
+        assert query["answer"] is True and query["algorithm"] == "UIS*"
+        assert stats["approx"]["witness_cache"]["stored_from_search"] >= 1
+        # ... but no body grew a field for it.
+        assert set(query) == self.QUERY_KEYS
+        assert all(set(entry) == self.QUERY_KEYS for entry in batch["results"])
+        assert slow["tenants"]["default"]["entries"]
+        for body in (query, batch, slow, health):
+            assert "witness" not in all_keys(body)
+        # (/stats has a "witness" cell: the tier's row in the algorithm table.)
+        assert "satisfying_vertex" not in all_keys(stats)
+        assert health["default_algorithm"] == "uis*"
+        assert stats["config"]["default_algorithm"] == "uis*"
+        assert stats["index"]["loaded"] is True        # still built and served
+
+    def test_ins_runs_when_the_request_names_it(self, base_url):
+        status, document = http_post(
+            f"{base_url}/query", spec("v0", "v4", algorithm="ins")
+        )
+        assert status == 200
+        assert document["answer"] is True and document["algorithm"] == "INS"
+        assert "requested" in document["reason"]
+
+    def test_ins_without_an_index_is_still_a_400(self):
+        with running_server(QueryService(figure3_graph(), seed=0)) as base_url:
+            status, document = http_post(
+                f"{base_url}/query", spec("v0", "v4", algorithm="ins")
+            )
+        assert status == 400
+        assert "requires a loaded index" in document["error"]["message"]
+
+
+class TestOneSegmentReplies:
+    def test_each_reply_is_a_single_write(self, service, monkeypatch):
+        # Headers and body in two writes are two TCP segments, and the
+        # second waits out the client's delayed ACK (~40 ms) on every
+        # kept-alive request.
+        writes: list[bytes] = []
+
+        class Recording:
+            def __init__(self, wfile):
+                self._wfile = wfile
+
+            def write(self, data):
+                writes.append(bytes(data))
+                return self._wfile.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._wfile, name)
+
+        setup = ServiceRequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            handler.wfile = Recording(handler.wfile)
+
+        monkeypatch.setattr(ServiceRequestHandler, "setup", recording_setup)
+        with running_server(service) as base_url:
+            assert http_post(f"{base_url}/query", spec("v0", "v4"))[0] == 200
+            assert http_post(f"{base_url}/query", {"source": "v0"})[0] == 400
+            assert http_get(f"{base_url}/stats")[0] == 200
+            with urllib.request.urlopen(f"{base_url}/metrics", timeout=10) as reply:
+                metrics = reply.read()
+        assert len(writes) == 4
+        for reply in writes:
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.")
+            assert f"Content-Length: {len(body)}".encode() in head and body
+        assert writes[3].endswith(metrics)
 
 
 class TestErrors:

@@ -96,7 +96,7 @@ class TestTenantRoutes:
         status, document = http_request(f"{base_url}/t/alpha/query", spec("v0", "v4"))
         assert status == 200
         assert document["answer"] is True
-        assert document["algorithm"] == "INS"
+        assert document["algorithm"] == "UIS*"       # alpha's index is opt-in
         status, document = http_request(f"{base_url}/t/beta/query", BETA_SPEC)
         assert status == 200
         assert document["answer"] is True
@@ -193,8 +193,8 @@ class TestAggregateEndpoints:
         assert document["totals"]["queries"]["total"] == 3
         assert document["totals"]["queries"]["cached"] == 1
         algorithms = document["totals"]["algorithms"]
-        assert algorithms["INS"]["count"] == 1
-        assert algorithms["UIS*"]["count"] == 1
+        assert "INS" not in algorithms
+        assert algorithms["UIS*"]["count"] == 2      # one evaluation per tenant
 
     def test_tenants_listing(self, base_url):
         status, document = http_get(f"{base_url}/tenants")

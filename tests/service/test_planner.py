@@ -89,14 +89,32 @@ class TestTrivialAnswers:
 
 
 class TestAlgorithmChoice:
-    def test_fallback_without_index(self, planner):
+    def test_default_without_index(self, planner):
         plan = planner.plan("v0", "v4", LABELS, S0)
         assert plan.algorithm == "uis*"
-        assert "falling back" in plan.reason
+        assert plan.reason == "configured default 'uis*'"
+        assert not plan.forced
 
     def test_ins_with_index(self, indexed_planner):
+        # A loaded index no longer changes the default route ...
         plan = indexed_planner.plan("v0", "v4", LABELS, S0)
+        assert plan.algorithm == "uis*"
+        assert "measured-cheaper" in plan.reason and "'ins'" in plan.reason
+        assert not plan.forced
+        # ... it is what makes a per-request 'ins' runnable.
+        plan = indexed_planner.plan("v0", "v4", LABELS, S0, algorithm="ins")
         assert plan.algorithm == "ins"
+        assert plan.forced and "requested" in plan.reason
+
+    def test_configured_default_honoured(self):
+        # What `serve --algorithm ins` hands every epoch's planner.
+        planner = QueryPlanner(
+            figure3_graph(), ConstraintCache(), has_index=True, default_algorithm="ins"
+        )
+        assert planner.default_algorithm == "ins"
+        plan = planner.plan("v0", "v4", LABELS, S0)
+        assert plan.algorithm == "ins"
+        assert plan.reason == "configured default 'ins'"
 
     def test_explicit_override_wins(self, indexed_planner):
         plan = indexed_planner.plan("v0", "v4", LABELS, S0, algorithm="naive")
@@ -116,10 +134,10 @@ class TestAlgorithmChoice:
             planner.plan("nope", "v4", LABELS, S0, algorithm="dijkstra")
 
     def test_config_errors(self):
-        with pytest.raises(ServiceConfigError, match="unknown fallback"):
-            QueryPlanner(figure3_graph(), fallback_algorithm="bogus")
+        with pytest.raises(ServiceConfigError, match="unknown default"):
+            QueryPlanner(figure3_graph(), default_algorithm="bogus")
         with pytest.raises(ServiceConfigError, match="requires a loaded index"):
-            QueryPlanner(figure3_graph(), fallback_algorithm="ins", has_index=False)
+            QueryPlanner(figure3_graph(), default_algorithm="ins", has_index=False)
 
     def test_empty_labels_rejected(self, planner):
         with pytest.raises(ConstraintError):

@@ -355,5 +355,7 @@ class WalReplayError(WalError):
     Raised on an epoch gap between consecutive records (a segment was
     deleted out from under the log) or on a content-fingerprint mismatch
     after applying a record (the base graph the replay started from is
-    not the graph the log was written against).
+    not the graph the log was written against) — and when a graph's
+    running fingerprint disagrees with a rescan of its own edges, which
+    is audited wherever a snapshot of it is written or adopted.
     """

@@ -7,19 +7,20 @@ insertion) and the wrong *query-time* one: every expansion step walks a
 and a tuple allocation per yielded edge.  :class:`FrozenGraph` is the
 read-optimized twin the query service traverses instead:
 
-* **per-direction CSR** — one flat ``array('q')`` of edge labels and one
-  of edge targets, with an offsets array delimiting each vertex's
-  contiguous slice; within a slice edges are sorted by label id (stable,
-  so per-label target order matches the dict graph exactly), which makes
-  every ``(vertex, label)`` group one contiguous sub-slice, also cut as
-  a cached tuple at freeze time;
+* **per-direction rows** — one immutable row per vertex, cut at freeze
+  time: the vertex's neighbours grouped by label id, ascending (stable,
+  so per-label target order matches the dict graph exactly), as
+  ``(label_id, targets_tuple)`` pairs, plus all of them concatenated as
+  one tuple.  The rows *are* the layout — there are no flat
+  offset/label/target arrays beside them: no hot path read those, and
+  rebuilding them made every freeze cost O(|E|);
 * **per-vertex label-presence bitmasks** — ``out_label_mask(v)`` is the
   set of labels on ``v``'s out-edges as one int, so the expansion step's
   question "does ``v`` have any edge inside the constraint ``L``?" is a
   single ``mask & query_mask`` AND: vertices whose labels all fall
   outside the constraint are skipped without touching an edge, and
   vertices whose labels all fall *inside* it hand back their whole
-  target slice as a zero-copy :class:`memoryview`;
+  target tuple without allocating;
 * **shared interning** — vertex ids, label ids, names, the schema, the
   edge set and the per-label edge lists are the *same objects* as the
   source graph's, so a frozen graph is drop-in compatible with every id
@@ -31,17 +32,27 @@ run unchanged on the shared structures, while the mutation APIs raise
 :class:`~repro.exceptions.FrozenGraphError` — a snapshot answers for the
 graph as it was at :func:`freeze_graph` time.  The source graph must not
 be mutated while its snapshot serves (the service's existing
-immutability contract); re-freezing after mutations builds a fresh
-snapshot.
+immutability contract: the set-backed reads — ``has_edge``,
+``labels_between``, degrees, the fingerprint — are the source's own);
+re-freezing after mutations builds a fresh snapshot.
+
+**Patched snapshots.**  Rows are tuples and never written after they
+are cut, so a snapshot can be built *from* an older one: the three
+per-vertex lists are shallow-copied (C speed), rows the source wrote
+since are re-cut, appended vertices are cut, and every other row is the
+very same object in both snapshots.  That is what keeps an epoch swap
+proportional to its batch (:meth:`KnowledgeGraph.freeze
+<repro.graph.labeled_graph.KnowledgeGraph.freeze>` decides when a
+previous snapshot is usable and which rows are dirty); a from-scratch
+freeze is the same routine with every row dirty.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections.abc import Hashable, Iterator
+from collections.abc import Collection, Hashable, Iterator
 
 from repro.exceptions import FrozenGraphError
-from repro.graph.labeled_graph import Edge, KnowledgeGraph
+from repro.graph.labeled_graph import Edge, KnowledgeGraph, Rows
 from repro.graph.labels import iter_mask_bits
 
 __all__ = ["FrozenGraph", "CsrDirection", "freeze_graph", "base_graph"]
@@ -56,70 +67,92 @@ _MASK_VIEW_LIMIT = 64
 
 
 class CsrDirection:
-    """One direction's flat adjacency: offsets + label-sorted edge arrays.
+    """One direction's adjacency as immutable per-vertex rows.
 
-    ``offsets[v] : offsets[v + 1]`` delimits vertex ``v``'s slice of
-    ``labels`` / ``targets``; ``masks[v]`` is the bitmask of the distinct
-    labels inside that slice.  The three arrays are the canonical compact
-    layout (and the seam a future native kernel would consume); the hot
-    lookups are additionally served from slice caches cut at freeze
-    time, because in pure Python iterating a cached tuple is ~2x faster
-    than iterating a memoryview slice of the arrays and ~3x faster than
-    walking the source dicts:
+    Three parallel lists indexed by vertex id; the cells are ints and
+    tuples, cut once and never written again:
 
-    * ``all_targets[v]`` — the whole target slice as one tuple, returned
-      allocation-free when the query mask covers every label on ``v``
-      (the overwhelmingly common case for 2-4-label constraints);
+    * ``masks[v]`` — bitmask of the distinct labels on ``v``'s edges;
+    * ``all_targets[v]`` — every neighbour as one tuple (label-major,
+      ascending), returned allocation-free when the query mask covers
+      every label on ``v`` (the overwhelmingly common case for
+      2-4-label constraints);
     * ``groups[v]`` — ``(label_id, targets_tuple)`` pairs in ascending
       label order, iterated (one step per *distinct label*, never per
-      edge) when the mask hits only part of the slice.
+      edge) when the mask hits only part of the row, and by the edge
+      iterators.
+
+    In pure Python iterating a cached tuple is ~3x faster than walking
+    the source dicts.  There is no flat array form: a native kernel
+    should be built as a view per row, so that it inherits the sharing
+    below.
+
+    ``CsrDirection(adjacency)`` cuts every row.  ``CsrDirection(
+    adjacency, base, dirty)`` starts from ``base``'s lists and re-cuts
+    only ``dirty`` and the vertices ``base`` does not have: all other
+    cells are shared with ``base`` — same objects, safe because neither
+    side can write them.  ``rows_recut`` / ``rows_shared`` say how the
+    rows of this direction came about.
     """
 
     __slots__ = (
-        "offsets",
-        "labels",
-        "targets",
         "masks",
         "all_targets",
         "groups",
+        "rows_recut",
         "_mask_views",
     )
 
-    def __init__(self, adjacency: list[dict[int, list[int]]]) -> None:
-        offsets = array("q", [0])
-        labels = array("q")
-        targets = array("q")
-        masks: list[int] = []
-        all_targets: list[tuple[int, ...]] = []
-        groups: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
-        total = 0
-        for per_vertex in adjacency:
+    def __init__(
+        self,
+        adjacency: Rows,
+        base: "CsrDirection | None" = None,
+        dirty: Collection[int] = (),
+    ) -> None:
+        size = len(adjacency)
+        if base is None:
+            self.masks: list[int] = [0] * size
+            self.all_targets: list[tuple[int, ...]] = [_EMPTY] * size
+            self.groups: list[tuple[tuple[int, tuple[int, ...]], ...]] = (
+                [_EMPTY] * size
+            )
+            recut: Collection[int] = range(size)
+        else:
+            appended = range(len(base.masks), size)
+            self.masks = base.masks + [0] * len(appended)
+            self.all_targets = base.all_targets + [_EMPTY] * len(appended)
+            self.groups = base.groups + [_EMPTY] * len(appended)
+            recut = {*dirty, *appended}
+        self._cut_rows(adjacency, recut)
+        self.rows_recut = len(recut)
+        # Lazily materialised per-query-mask adjacency views; see
+        # targets_masked.  {mask: {vertex: cached tuple}} — keyed by the
+        # vertices a query actually touches, so memory is bounded by
+        # traffic, not |V| x distinct masks.
+        self._mask_views: dict[int, dict[int, tuple[int, ...]]] = {}
+
+    @property
+    def rows_shared(self) -> int:
+        """Rows that are ``base``'s own objects (0 when cut from scratch)."""
+        return len(self.masks) - self.rows_recut
+
+    def _cut_rows(self, adjacency: Rows, rows: Collection[int]) -> None:
+        """Cut ``rows`` of ``adjacency`` into the three lists — the one
+        place a row is made, at boot (every row) and on a patch alike."""
+        masks, all_targets, groups = self.masks, self.all_targets, self.groups
+        for vid in rows:
+            per_vertex = adjacency[vid]
             vertex_mask = 0
             vertex_groups: list[tuple[int, tuple[int, ...]]] = []
             flat: list[int] = []
             for label_id in sorted(per_vertex):
                 vertex_mask |= 1 << label_id
                 vertex_targets = per_vertex[label_id]
-                labels.extend([label_id] * len(vertex_targets))
-                targets.extend(vertex_targets)
                 vertex_groups.append((label_id, tuple(vertex_targets)))
                 flat.extend(vertex_targets)
-                total += len(vertex_targets)
-            masks.append(vertex_mask)
-            offsets.append(total)
-            all_targets.append(tuple(flat))
-            groups.append(tuple(vertex_groups))
-        self.offsets = offsets
-        self.labels = labels
-        self.targets = targets
-        self.masks = masks
-        self.all_targets = all_targets
-        self.groups = groups
-        # Lazily materialised per-query-mask adjacency views; see
-        # targets_masked.  {mask: {vertex: cached tuple}} — keyed by the
-        # vertices a query actually touches, so memory is bounded by
-        # traffic, not |V| x distinct masks.
-        self._mask_views: dict[int, dict[int, tuple[int, ...]]] = {}
+            masks[vid] = vertex_mask
+            all_targets[vid] = tuple(flat)
+            groups[vid] = tuple(vertex_groups)
 
     def by_label(self, vid: int, label_id: int) -> tuple[int, ...]:
         """The ``(vid, label_id)`` target group (cached tuple; maybe empty)."""
@@ -181,11 +214,11 @@ class CsrDirection:
 
         Row ``i`` holds ``vertices[i]``'s *out*-adjacency; targets keep
         their **global** vertex ids (a slice's edges may point at
-        vertices owned elsewhere).  Every flat-array/label-mask fast
-        path of :meth:`targets_masked` then works unchanged on the
-        slice, indexed by local position.
+        vertices owned elsewhere).  Every label-mask fast path of
+        :meth:`targets_masked` then works unchanged on the slice,
+        indexed by local position.
         """
-        adjacency: list[dict[int, list[int]]] = []
+        adjacency: Rows = []
         for vid in vertices:
             per_vertex: dict[int, list[int]] = {}
             for label_id, target in graph.out_edges(vid):
@@ -211,7 +244,17 @@ class FrozenGraph(KnowledgeGraph):
 
     __slots__ = ("source", "_csr_out", "_csr_in")
 
-    def __init__(self, source: KnowledgeGraph) -> None:
+    def __init__(
+        self,
+        source: KnowledgeGraph,
+        base: "FrozenGraph | None" = None,
+        dirty_out: Collection[int] = (),
+        dirty_in: Collection[int] = (),
+    ) -> None:
+        """Cut ``source``'s rows — all of them, or with ``base`` (an
+        earlier snapshot that differs from ``source`` in no row outside
+        ``dirty_out`` / ``dirty_in`` and the vertices appended since)
+        only those."""
         if isinstance(source, FrozenGraph):
             source = source.source
         # Deliberately no super().__init__(): every base slot is bound to
@@ -232,8 +275,12 @@ class FrozenGraph(KnowledgeGraph):
         self._label_edge_count = source._label_edge_count
         self._frozen = None  # never consulted: freeze() returns self
         self._mutations = source._mutations
-        self._csr_out = CsrDirection(source._out)
-        self._csr_in = CsrDirection(source._in)
+        if base is None:
+            self._csr_out = CsrDirection(source._out)
+            self._csr_in = CsrDirection(source._in)
+        else:
+            self._csr_out = CsrDirection(source._out, base._csr_out, dirty_out)
+            self._csr_in = CsrDirection(source._in, base._csr_in, dirty_in)
 
     def __repr__(self) -> str:
         return (
@@ -277,12 +324,30 @@ class FrozenGraph(KnowledgeGraph):
         )
 
     def copy(self, name: str | None = None) -> KnowledgeGraph:
-        """A mutable deep copy of the *source* graph (snapshots don't copy)."""
+        """A mutable copy of the *source* graph (snapshots don't copy)."""
         return self.source.copy(name=name)
 
     def freeze(self) -> "FrozenGraph":
         """A frozen graph is its own snapshot."""
         return self
+
+    def content_fingerprint(self) -> str:
+        """The source's digest (it keeps the running accumulator)."""
+        return self.source.content_fingerprint()
+
+    def scan_fingerprint(self) -> str:
+        """The source's digest, recomputed from its edges."""
+        return self.source.scan_fingerprint()
+
+    @property
+    def rows_recut(self) -> int:
+        """Rows (out + in) cut for this snapshot rather than shared."""
+        return self._csr_out.rows_recut + self._csr_in.rows_recut
+
+    @property
+    def rows_shared(self) -> int:
+        """Rows (out + in) that are the previous snapshot's own objects."""
+        return self._csr_out.rows_shared + self._csr_in.rows_shared
 
     # ------------------------------------------------------------------
     # label-presence masks (the pre-test of every rewritten hot loop)
@@ -309,23 +374,20 @@ class FrozenGraph(KnowledgeGraph):
     # ------------------------------------------------------------------
 
     def edges(self) -> Iterator[Edge]:
-        csr = self._csr_out
-        offsets, labels, targets = csr.offsets, csr.labels, csr.targets
-        for s in range(self.num_vertices):
-            for position in range(offsets[s], offsets[s + 1]):
-                yield (s, labels[position], targets[position])
+        for s, vertex_groups in enumerate(self._csr_out.groups):
+            for label_id, group_targets in vertex_groups:
+                for target in group_targets:
+                    yield (s, label_id, target)
 
     def out_edges(self, vid: int) -> Iterator[tuple[int, int]]:
-        csr = self._csr_out
-        labels, targets = csr.labels, csr.targets
-        for position in range(csr.offsets[vid], csr.offsets[vid + 1]):
-            yield (labels[position], targets[position])
+        for label_id, group_targets in self._csr_out.groups[vid]:
+            for target in group_targets:
+                yield (label_id, target)
 
     def in_edges(self, vid: int) -> Iterator[tuple[int, int]]:
-        csr = self._csr_in
-        labels, targets = csr.labels, csr.targets
-        for position in range(csr.offsets[vid], csr.offsets[vid + 1]):
-            yield (labels[position], targets[position])
+        for label_id, group_targets in self._csr_in.groups[vid]:
+            for source in group_targets:
+                yield (label_id, source)
 
     def out_by_label(self, vid: int, label_id: int):
         """The cached ``(vid, label_id)`` target group; ``()`` on O(1) miss."""

@@ -25,6 +25,7 @@ the SPARQL evaluator):
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Hashable, Iterable, Iterator
 
 from repro.exceptions import VertexNotFoundError
@@ -34,6 +35,52 @@ __all__ = ["KnowledgeGraph", "Edge"]
 
 #: An edge as exposed by iteration APIs: ``(source_id, label_id, target_id)``.
 Edge = tuple[int, int, int]
+
+#: One direction's adjacency rows: ``rows[v][label_id]`` lists neighbours.
+Rows = list[dict[int, list[int]]]
+
+_MASK64 = (1 << 64) - 1
+
+#: ``_frozen`` key of a snapshot taken over from the origin of a copy:
+#: no mutation count equals it, so it is patched from, never returned.
+_INHERITED = -1
+
+
+def _edge_accumulator(edges: Iterable[Edge]) -> int:
+    """The content fingerprint's order-insensitive 64-bit sum over ``edges``.
+
+    Each triple goes through a splitmix64-style finalizer — cheap, and
+    stable across processes (no built-in ``hash()``) — and the terms are
+    summed mod 2⁶⁴, so an edge is taken back out by subtracting its
+    term.  One routine for the full scan and for a single edge, so the
+    running value and the from-scratch one cannot drift apart in the
+    arithmetic.
+    """
+    accumulator = 0
+    for s, label_id, t in edges:
+        mixed = (
+            s * 0x9E3779B97F4A7C15
+            ^ label_id * 0xBF58476D1CE4E5B9
+            ^ t * 0x94D049BB133111EB
+        ) & _MASK64
+        mixed ^= mixed >> 30
+        mixed = (mixed * 0xBF58476D1CE4E5B9) & _MASK64
+        accumulator += mixed ^ mixed >> 27
+    return accumulator & _MASK64
+
+
+def _writable_row(rows: Rows, owned: set[int] | None, v: int) -> dict[int, list[int]]:
+    """Row ``v`` of ``rows``, privatised first if it is still shared.
+
+    ``owned`` is None for a graph that never took part in a
+    :meth:`KnowledgeGraph.copy` (every row is its own); otherwise it
+    names the rows already privatised since the last copy.
+    """
+    if owned is None or v in owned:
+        return rows[v]
+    row = rows[v] = {label_id: list(ids) for label_id, ids in rows[v].items()}
+    owned.add(v)
+    return row
 
 
 class KnowledgeGraph:
@@ -67,6 +114,11 @@ class KnowledgeGraph:
         "_label_edge_count",
         "_frozen",
         "_mutations",
+        "_owned_out",
+        "_owned_in",
+        "_dirty_out",
+        "_dirty_in",
+        "_edge_acc",
     )
 
     def __init__(self, name: str = "kg", schema: object | None = None) -> None:
@@ -76,22 +128,36 @@ class KnowledgeGraph:
         self._labels = LabelUniverse()
         self._vertex_ids: dict[Hashable, int] = {}
         self._vertex_names: list[Hashable] = []
-        self._out: list[dict[int, list[int]]] = []
-        self._in: list[dict[int, list[int]]] = []
+        self._out: Rows = []
+        self._in: Rows = []
         self._out_degree: list[int] = []
         self._in_degree: list[int] = []
         self._edge_set: set[Edge] = set()
         self._by_label: dict[int, list[tuple[int, int]]] = {}
         self._label_edge_count: dict[int, int] = {}
-        #: Cached CSR snapshot, keyed by the mutation count it was taken
-        #: at.  Size tuples are NOT a safe key: a removal followed by an
-        #: insertion leaves every size unchanged while the adjacency
-        #: differs, and a stale snapshot would silently answer for the
-        #: old graph.
+        #: Last CSR snapshot, keyed by the mutation count it was taken
+        #: at (:data:`_INHERITED` for the origin's snapshot a copy starts
+        #: from, which it may patch but never hand out).  Size tuples are
+        #: NOT a safe key: a removal followed by an insertion leaves
+        #: every size unchanged while the adjacency differs, and a stale
+        #: snapshot would silently answer for the old graph.
         self._frozen: tuple[int, "KnowledgeGraph"] | None = None
         #: Monotonic structural-mutation counter; bumped by every
         #: effective vertex intern, edge insertion and edge removal.
         self._mutations = 0
+        #: Rows privatised since the last :meth:`copy` on either side of
+        #: it; None while this graph shares no row with another.
+        self._owned_out: set[int] | None = None
+        self._owned_in: set[int] | None = None
+        #: Rows written since the ``_frozen`` snapshot was cut — what the
+        #: next :meth:`freeze` re-cuts; None exactly when ``_frozen`` is.
+        #: Not the same set as ``_owned_*``: a copy of a mutated,
+        #: unfrozen copy owns nothing yet inherits every dirty row.
+        self._dirty_out: set[int] | None = None
+        self._dirty_in: set[int] | None = None
+        #: Running edge accumulator of :meth:`content_fingerprint`; None
+        #: until the first call pays the full scan.
+        self._edge_acc: int | None = None
 
     # ------------------------------------------------------------------
     # sizes and dunder conveniences
@@ -161,14 +227,32 @@ class KnowledgeGraph:
         if edge in self._edge_set:
             return False
         self._edge_set.add(edge)
-        self._out[s].setdefault(label_id, []).append(t)
-        self._in[t].setdefault(label_id, []).append(s)
+        out_row, in_row = self._rows_to_write(s, t)
+        out_row.setdefault(label_id, []).append(t)
+        in_row.setdefault(label_id, []).append(s)
         self._out_degree[s] += 1
         self._in_degree[t] += 1
         self._by_label.setdefault(label_id, []).append((s, t))
         self._label_edge_count[label_id] = self._label_edge_count.get(label_id, 0) + 1
+        if self._edge_acc is not None:
+            self._edge_acc = (self._edge_acc + _edge_accumulator((edge,))) & _MASK64
         self._mutations += 1
         return True
+
+    def _rows_to_write(self, s: int, t: int) -> tuple[dict, dict]:
+        """``(_out[s], _in[t])`` made safe to write — the one write barrier.
+
+        Marks both rows dirty relative to the snapshot the next
+        :meth:`freeze` patches, and privatises each if it is still
+        shared with the other side of a :meth:`copy`.
+        """
+        if self._dirty_out is not None:
+            self._dirty_out.add(s)
+            self._dirty_in.add(t)
+        return (
+            _writable_row(self._out, self._owned_out, s),
+            _writable_row(self._in, self._owned_in, t),
+        )
 
     def remove_edge(self, source: Hashable, label: str, target: Hashable) -> bool:
         """Remove edge ``(source, label, target)`` by *name*; False if absent.
@@ -196,14 +280,15 @@ class KnowledgeGraph:
         if edge not in self._edge_set:
             return False
         self._edge_set.discard(edge)
-        targets = self._out[s][label_id]
+        out_row, in_row = self._rows_to_write(s, t)
+        targets = out_row[label_id]
         targets.remove(t)
         if not targets:
-            del self._out[s][label_id]
-        sources = self._in[t][label_id]
+            del out_row[label_id]
+        sources = in_row[label_id]
         sources.remove(s)
         if not sources:
-            del self._in[t][label_id]
+            del in_row[label_id]
         self._out_degree[s] -= 1
         self._in_degree[t] -= 1
         pairs = self._by_label[label_id]
@@ -215,6 +300,8 @@ class KnowledgeGraph:
             self._label_edge_count[label_id] = remaining
         else:
             del self._label_edge_count[label_id]
+        if self._edge_acc is not None:
+            self._edge_acc = (self._edge_acc - _edge_accumulator((edge,))) & _MASK64
         self._mutations += 1
         return True
 
@@ -449,14 +536,25 @@ class KnowledgeGraph:
         return self._mutations
 
     def copy(self, name: str | None = None) -> "KnowledgeGraph":
-        """An independent, mutable deep copy sharing ids with this graph.
+        """An independent, mutable copy sharing ids — and rows — with this graph.
 
         Vertex and label ids are preserved (the copy is built from the
         same interning order), so indexes and cached id-keyed structures
         built against this graph describe the copy too — until the copy
         is mutated, which is the point: this is the copy-on-write step
         of an epoch swap.  The schema object is shared (read-only by
-        convention); everything structural is copied.
+        convention).
+
+        Cost is a handful of C-speed shallow copies, not a walk of the
+        adjacency: the top-level lists, the edge set, the per-label edge
+        lists and the interning tables are real copies, but the
+        per-vertex ``_out[v]`` / ``_in[v]`` rows are *shared* with this
+        graph, and whichever side first writes a row privatises it
+        (:meth:`_rows_to_write`).  Neither side ever observes the
+        other's writes.  The copy also inherits what makes its first
+        :meth:`freeze` and :meth:`content_fingerprint` proportional to
+        what it changes: this graph's snapshot with the rows written
+        since it was cut, and the running edge accumulator.
         """
         clone = KnowledgeGraph.__new__(KnowledgeGraph)
         clone.name = self.name if name is None else name
@@ -464,14 +562,12 @@ class KnowledgeGraph:
         clone._labels = self._labels.copy()
         clone._vertex_ids = dict(self._vertex_ids)
         clone._vertex_names = list(self._vertex_names)
-        clone._out = [
-            {label_id: list(targets) for label_id, targets in adjacency.items()}
-            for adjacency in self._out
-        ]
-        clone._in = [
-            {label_id: list(sources) for label_id, sources in adjacency.items()}
-            for adjacency in self._in
-        ]
+        clone._out = list(self._out)
+        clone._in = list(self._in)
+        # Every row now has two holders, so both sides start over with
+        # nothing privatised.
+        self._owned_out, self._owned_in = set(), set()
+        clone._owned_out, clone._owned_in = set(), set()
         clone._out_degree = list(self._out_degree)
         clone._in_degree = list(self._in_degree)
         clone._edge_set = set(self._edge_set)
@@ -479,8 +575,17 @@ class KnowledgeGraph:
             label_id: list(pairs) for label_id, pairs in self._by_label.items()
         }
         clone._label_edge_count = dict(self._label_edge_count)
-        clone._frozen = None
+        if self._frozen is None:
+            clone._frozen = clone._dirty_out = clone._dirty_in = None
+        else:
+            # The dirty sets travel with the snapshot they are relative
+            # to: empty when this graph's snapshot is current, and this
+            # graph's own unfrozen writes when it is not.
+            clone._frozen = (_INHERITED, self._frozen[1])
+            clone._dirty_out = set(self._dirty_out)
+            clone._dirty_in = set(self._dirty_in)
         clone._mutations = self._mutations
+        clone._edge_acc = self._edge_acc
         return clone
 
     def content_fingerprint(self) -> str:
@@ -492,28 +597,30 @@ class KnowledgeGraph:
         mixes are summed, so the digest is independent of iteration and
         insertion order but changes for any single edge moved — two
         same-size graphs collide only with ~2⁻⁶⁴ accidental hash
-        probability, never systematically.  O(|V| + |E| + |L|) with a
-        small constant; callers (the epoch swap, snapshot identity)
-        already pay that order to copy or freeze the graph.
-        """
-        import hashlib  # deferred: only identity checks pay for it
+        probability, never systematically.
 
-        mask64 = (1 << 64) - 1
-        accumulator = 0
-        for s, adjacency in enumerate(self._out):
-            for label_id, targets in adjacency.items():
-                for t in targets:
-                    # splitmix64-style finalizer over a packed triple:
-                    # cheap, stable across processes (no built-in hash()).
-                    mixed = (
-                        s * 0x9E3779B97F4A7C15
-                        ^ label_id * 0xBF58476D1CE4E5B9
-                        ^ t * 0x94D049BB133111EB
-                    ) & mask64
-                    mixed ^= mixed >> 30
-                    mixed = (mixed * 0xBF58476D1CE4E5B9) & mask64
-                    mixed ^= mixed >> 27
-                    accumulator = (accumulator + mixed) & mask64
+        The first call scans every edge; from then on
+        :meth:`add_edge_ids` / :meth:`remove_edge_ids` keep the
+        accumulator (and :meth:`copy` hands it on), so each later call —
+        one per epoch swap — costs O(|L|) for the label names.
+        :meth:`scan_fingerprint` is the from-scratch value the running
+        one is audited against.
+        """
+        if self._edge_acc is None:
+            self._edge_acc = _edge_accumulator(self._edge_set)
+        return self._digest(self._edge_acc)
+
+    def scan_fingerprint(self) -> str:
+        """:meth:`content_fingerprint` recomputed from the edges, O(|E|).
+
+        Neither reads nor repairs the running accumulator: callers that
+        already pay O(|E|) (WAL replay, compaction, snapshot writes)
+        compare the two, so the fingerprint stays a check on the graph's
+        content rather than on its own bookkeeping.
+        """
+        return self._digest(_edge_accumulator(self._edge_set))
+
+    def _digest(self, accumulator: int) -> str:
         digest = hashlib.sha256()
         digest.update(
             f"{self.num_vertices}|{self.num_edges}|{self.num_labels}|"
@@ -535,15 +642,25 @@ class KnowledgeGraph:
         same object until the graph mutates (tracked by
         :attr:`mutation_count`, so a removal+insertion that leaves every
         size unchanged still re-freezes), after which a fresh snapshot
-        is built.  See :mod:`repro.graph.csr` for layout and the
-        immutability contract.
+        is built.
+
+        A fresh snapshot is cut from scratch only when there is nothing
+        to start from.  Otherwise it is *patched* from the previous one
+        — this graph's own, or the one its origin held at :meth:`copy`
+        time: rows not written since are the same tuple objects, and
+        only written rows and appended vertices are re-cut.  See
+        :mod:`repro.graph.csr` for layout and the immutability contract.
         """
         from repro.graph.csr import FrozenGraph  # deferred: csr imports us
 
         version = self._mutations
-        cached = self._frozen
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        snapshot = FrozenGraph(self)
+        previous = self._frozen
+        if previous is None:
+            snapshot = FrozenGraph(self)
+        elif previous[0] == version:
+            return previous[1]
+        else:
+            snapshot = FrozenGraph(self, previous[1], self._dirty_out, self._dirty_in)
         self._frozen = (version, snapshot)
+        self._dirty_out, self._dirty_in = set(), set()
         return snapshot

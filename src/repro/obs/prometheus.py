@@ -167,6 +167,8 @@ _UPDATE_COUNTERS = {
                       "Removals that named an absent edge"),
     "vertices_added": ("update_vertices_added_total",
                        "Vertices interned by updates"),
+    "rows_recut": ("update_rows_recut_total",
+                   "Adjacency rows re-cut (not shared) by update swaps"),
 }
 
 _CACHE_SECTIONS = (

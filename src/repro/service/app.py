@@ -9,14 +9,15 @@ requests:
   reference.  The graph is *never mutated in place*, which is what
   makes lock-free concurrent answering sound; live updates
   (:meth:`QueryService.apply_updates`, ``POST /edges``) instead copy
-  the graph, repair the index per touched region, re-freeze and publish
+  the graph (sharing every adjacency row the batch does not write),
+  patch the snapshot, repair the index per touched region and publish
   a whole new epoch, while in-flight queries finish on the old one.
   Every epoch — warm start, update, renumbering, whole-graph
   replacement — is assembled by :meth:`QueryService._build_epoch` and
   stored by :meth:`QueryService._publish_epoch`, so serving only ever
   sees a **frozen** read-optimized CSR snapshot
   (:class:`~repro.graph.csr.FrozenGraph`): every search and SPARQL
-  evaluation iterates contiguous label-slices behind per-vertex
+  evaluation iterates cached per-label target tuples behind per-vertex
   label-mask pre-tests instead of walking per-vertex dicts;
 * a :class:`QueryPlanner` with a process-wide
   :class:`ConstraintCache`;
@@ -476,8 +477,11 @@ class QueryService:
         (:meth:`reset_epoch`'s renumbering) whose bounds, planner and
         candidate cache are reused instead of re-derived.
         """
-        with span("freeze"):
+        with span("freeze") as freeze_span:
             frozen = freeze_graph(graph)
+            freeze_span.set(
+                rows_recut=frozen.rows_recut, rows_shared=frozen.rows_shared
+            )
         index = index_for(frozen)
         if carry is not None:
             bounds, planner, candidates = (
@@ -559,14 +563,18 @@ class QueryService:
         "remove"}``.  Items apply *in order*, so an add-then-remove of
         the same edge nets to absent and the reverse to present.
 
-        Copy-on-write end to end: the current epoch's base graph is
-        deep-copied, the batch is applied to the copy (new vertices and
-        labels intern as needed for additions; duplicate adds and
-        missing removes are counted, not errors — removal of an unknown
-        name never interns anything, so a miss leaves the graph's
-        content fingerprint untouched), and the copy goes through the
-        epoch pipeline: :meth:`_build_epoch` re-freezes it and — when an
-        index is loaded — clones and repairs the index per touched
+        Copy-on-write end to end, at the cost of the batch rather than
+        of the graph: the current epoch's base graph is copied with its
+        adjacency rows shared (:meth:`KnowledgeGraph.copy`), the batch
+        is applied to the copy, which privatises just the rows it
+        writes (new vertices and labels intern as needed for additions;
+        duplicate adds and missing removes are counted, not errors —
+        removal of an unknown name never interns anything, so a miss
+        leaves the graph's content fingerprint untouched), and the copy
+        goes through the epoch pipeline: :meth:`_build_epoch` freezes it
+        by patching the old epoch's snapshot — only the written rows are
+        re-cut, ``rows_recut`` in the summary says how many — and, when
+        an index is loaded, clones and repairs the index per touched
         region (:meth:`LocalIndex.refresh_regions`, which rebuilds each
         touched region's ``II/EIT/D`` from the *current* graph and
         therefore repairs removals and insertions alike; falling back to
@@ -585,11 +593,11 @@ class QueryService:
         and append can only lose a batch whose ack the client never saw.
 
         Returns a JSON-ready summary (new epoch id, add/duplicate/
-        remove/missing counts, index action).  The whole batch is
-        applied or — on a validation error raised before any copying, or
-        a prepare refused by the topology — none of it; failures after
-        copying cannot corrupt serving state because only the copy was
-        touched.
+        remove/missing counts, rows re-cut, index action).  The whole
+        batch is applied or — on a validation error raised before any
+        copying, or a prepare refused by the topology — none of it;
+        failures after copying cannot corrupt serving state because only
+        the copy was touched.
         """
         updates = normalize_edge_updates(edges)
         if not updates:
@@ -711,6 +719,7 @@ class QueryService:
                 edges_removed=len(removed_sources),
                 edges_missing=missing,
                 vertices_added=vertices_added,
+                rows_recut=new_epoch.graph.rows_recut,
                 **repair,
                 **fields,
             )
@@ -725,6 +734,7 @@ class QueryService:
         edges_removed: int = 0,
         edges_missing: int = 0,
         vertices_added: int = 0,
+        rows_recut: int = 0,
         index: str = "unchanged",
         regions_refreshed: int = 0,
         **fields: Any,
@@ -736,6 +746,7 @@ class QueryService:
             "edges_removed": edges_removed,
             "edges_missing": edges_missing,
             "vertices_added": vertices_added,
+            "rows_recut": rows_recut,
         }
         self.stats.record_update(**counts)
         elapsed = perf_counter() - started
@@ -837,6 +848,29 @@ class QueryService:
                 f"cannot adopt epoch {epoch_id}: {which} graph "
                 f"fingerprint {fingerprint} != expected {expected}"
             )
+
+    def audit_fingerprint(self) -> str:
+        """Rescan the serving graph's edges and require the digest to
+        equal the running one and the one the epoch was stamped with.
+
+        Epoch fingerprints come from an accumulator the graph keeps up
+        to date edge by edge; this is the O(|E|) check that the
+        bookkeeping still describes the content.  Called where that
+        order is already being paid — the end of WAL replay, a follower
+        catch-up, :meth:`save_snapshot` — and raises
+        :class:`~repro.exceptions.WalReplayError` on disagreement.
+        """
+        epoch = self._epoch
+        rescanned = epoch.graph.scan_fingerprint()
+        running = epoch.graph.content_fingerprint()
+        if not rescanned == running == epoch.fingerprint:
+            raise WalReplayError(
+                f"epoch {epoch.epoch_id}: content fingerprint {rescanned} "
+                f"rescanned from the edges != running {running} / stamped "
+                f"{epoch.fingerprint} — the graph's accumulator no longer "
+                "describes its content"
+            )
+        return rescanned
 
     # ------------------------------------------------------------------
 
@@ -1291,10 +1325,14 @@ class QueryService:
         :meth:`ServiceStats.snapshot` document, tagged with the graph's
         full identity: name, sizes, epoch id and content fingerprint, so
         :meth:`load_snapshot` can refuse a mismatched file even when
-        every size coincides.  Written atomically (write-then-rename,
-        like the index store).  Returns the file size in bytes.
+        every size coincides — and the fingerprint is audited against a
+        rescan of the edges first (:meth:`audit_fingerprint`), so a file
+        never carries an identity its graph does not have.  Written
+        atomically (write-then-rename, like the index store).  Returns
+        the file size in bytes.
         """
         epoch = self._epoch
+        self.audit_fingerprint()
         document = {
             "format_version": _SNAPSHOT_VERSION,
             "graph": {

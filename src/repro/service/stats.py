@@ -164,6 +164,7 @@ class ServiceStats:
         self._update_edges_removed = 0
         self._update_edges_missing = 0
         self._update_vertices_added = 0
+        self._update_rows_recut = 0
         self._errors: dict[str, int] = {}
         self._requests_shed = 0
         self._degraded_answers = 0
@@ -231,12 +232,15 @@ class ServiceStats:
         vertices_added: int,
         edges_removed: int = 0,
         edges_missing: int = 0,
+        rows_recut: int = 0,
     ) -> None:
         """Count one applied ``POST /edges`` batch (one epoch swap).
 
         ``edges_removed`` / ``edges_missing`` are the retraction twins
         of added/duplicate: retractions that hit an edge vs. ones that
-        named an edge the graph doesn't have.  Latency is recorded
+        named an edge the graph doesn't have; ``rows_recut`` is how many
+        adjacency rows the swap's snapshot cut anew instead of sharing
+        with the previous epoch's.  Latency is recorded
         separately via ``record_latency("updates", ...)`` like every
         other endpoint.
         """
@@ -247,6 +251,7 @@ class ServiceStats:
             self._update_edges_removed += edges_removed
             self._update_edges_missing += edges_missing
             self._update_vertices_added += vertices_added
+            self._update_rows_recut += rows_recut
 
     def record_latency(self, endpoint: str, seconds: float) -> None:
         """Fold one request latency into ``endpoint``'s histogram.
@@ -301,6 +306,7 @@ class ServiceStats:
                     "edges_removed": self._update_edges_removed,
                     "edges_missing": self._update_edges_missing,
                     "vertices_added": self._update_vertices_added,
+                    "rows_recut": self._update_rows_recut,
                 },
                 "errors": dict(self._errors),
                 "resilience": {
@@ -344,6 +350,7 @@ class ServiceStats:
             self._update_edges_removed += updates.get("edges_removed", 0)
             self._update_edges_missing += updates.get("edges_missing", 0)
             self._update_vertices_added += updates.get("vertices_added", 0)
+            self._update_rows_recut += updates.get("rows_recut", 0)
             for kind, count in document.get("errors", {}).items():
                 self._errors[kind] = self._errors.get(kind, 0) + count
             # .get: snapshots predating fault tolerance carry no section.
@@ -386,7 +393,8 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
                "true_answers": 0}
     batches = {"requests": 0, "queries": 0}
     updates = {"batches": 0, "edges_added": 0, "edges_duplicate": 0,
-               "edges_removed": 0, "edges_missing": 0, "vertices_added": 0}
+               "edges_removed": 0, "edges_missing": 0, "vertices_added": 0,
+               "rows_recut": 0}
     errors: dict[str, int] = {}
     resilience = {"requests_shed": 0, "degraded_answers": 0}
     cells: dict[str, dict] = {}

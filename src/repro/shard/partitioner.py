@@ -15,9 +15,9 @@ those regions into ``N`` shards and cuts the
 * :class:`ShardPlan` — the resulting vertex → shard ownership map.
   Every vertex is owned by exactly one shard: region members follow
   their region, vertices no landmark reached are dealt round-robin;
-* :class:`GraphSlice` — one shard's slice of the graph: the flat
-  offset/label/target CSR arrays (:meth:`CsrDirection.restricted
-  <repro.graph.csr.CsrDirection.restricted>`) over the shard's owned
+* :class:`GraphSlice` — one shard's slice of the graph: the
+  label-grouped adjacency rows (:meth:`CsrDirection.restricted
+  <repro.graph.csr.CsrDirection.restricted>`) of the shard's owned
   vertices with per-vertex label masks, plus the **border table**
   (owned vertex → its out-neighbours owned elsewhere): the worker's
   expand loop probes it once per vertex to skip per-edge ownership
@@ -208,8 +208,8 @@ class GraphSlice:
     """One shard's region-restricted CSR slice of a graph.
 
     Holds every edge whose *source* vertex the shard owns, in the same
-    flat offsets/labels/targets layout (local row index, global target
-    ids) plus per-vertex label masks the frozen graph serves from, and
+    label-grouped row layout (local row index, global target ids) plus
+    per-vertex label masks the frozen graph serves from, and
     the border table: for each owned vertex, its out-neighbours owned by
     other shards.  Vertices with no border entry can never leak a
     frontier, so the worker's expand loop checks the table once per
@@ -240,7 +240,7 @@ class GraphSlice:
         self.vertex_ids = tuple(owned)
         self.local_of = {vid: position for position, vid in enumerate(owned)}
         self.csr = CsrDirection.restricted(graph, owned)
-        self.num_edges = len(self.csr.labels)
+        self.num_edges = sum(map(len, self.csr.all_targets))
         border: dict[int, tuple[int, ...]] = {}
         peers: set[int] = set()
         shard_of = plan.shard_of

@@ -14,8 +14,8 @@ host the slice *without* the full graph:
   global ids, and the co-located fast path answers by name;
 * the slice's **adjacency** in deterministic (local row, ascending
   label) order — the exact ``CsrDirection.groups`` layout, from which
-  offsets, flat label/target arrays and per-vertex label masks rebuild
-  bit-identically — plus the border table and peer shards for
+  the whole-row target tuples and per-vertex label masks rebuild
+  identically — plus the border table and peer shards for
   cross-checking;
 * the **epoch id and content fingerprint** of the graph the slice was
   cut from, which is what slice-epoch propagation compares.

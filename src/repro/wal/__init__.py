@@ -73,7 +73,10 @@ def recover_service(
     the log's first record was written against.  Remaining records then
     replay through the ordinary :meth:`~QueryService.apply_updates`
     path, each one verified against its logged epoch and fingerprint
-    (:meth:`TenantWal.replay_into`).
+    (:meth:`TenantWal.replay_into`).  Those per-record fingerprints are
+    the graph's running ones; the tip is audited once against a rescan
+    of every edge (:meth:`QueryService.audit_fingerprint`) before the
+    service is handed back.
 
     When serving indexed (``index_path`` given) *and* recovering from a
     snapshot, the index is rebuilt in memory over the snapshot graph
@@ -116,6 +119,7 @@ def recover_service(
         service = service_cls(frozen, index, seed=seed, **service_kwargs)
         service.reset_epoch(epoch, expected_fingerprint=fingerprint)
     replay = wal.replay_into(service)
+    service.audit_fingerprint()
     if attach:
         service.attach_wal(wal)
     return service, replay

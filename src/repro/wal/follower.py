@@ -14,7 +14,8 @@ into a hard error instead of silently stale answers.
 ``poll_once`` re-scans the directory, resyncs from the compaction
 snapshot when the leader compacted past the records this replica still
 needed (:meth:`QueryService.replace_graph`), then replays the remaining
-records exactly like crash recovery does.  ``start`` runs that on a
+records exactly like crash recovery does and, when that moved the
+replica, audits the tip's fingerprint against a rescan of its edges.  ``start`` runs that on a
 daemon thread at a fixed interval; ``describe`` exposes the cached lag —
 epochs behind the log tip, and seconds since the oldest unapplied
 record was written — which :meth:`QueryService.health` folds into
@@ -102,6 +103,10 @@ class WalFollower:
             )
             resynced = True
         replayed = self.wal.replay_into(service)
+        if resynced or replayed["applied"]:
+            # Once per catch-up, not per record: the replayed epochs
+            # were checked by their running fingerprints.
+            service.audit_fingerprint()
         self.records_applied += replayed["applied"]
         self._lag_epochs = max(0, self.wal.last_epoch - service.epoch.epoch_id)
         self._lag_seconds = self._pending_age() if self._lag_epochs else 0.0

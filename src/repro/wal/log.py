@@ -106,8 +106,19 @@ def snapshot_document(
     identical ids — the property the fingerprint chain depends on.  The
     RDFS schema is not persisted (it is derivable from the TSV the
     deployment started from, and no serving path mutates it).
+
+    ``fingerprint`` is the graph's running digest; writing every edge
+    out is the moment to check it against a rescan of them, and a
+    disagreement raises :class:`~repro.exceptions.WalReplayError`
+    instead of producing a snapshot no replica could ever verify.
     """
     base = base_graph(graph)
+    rescanned = base.scan_fingerprint()
+    if rescanned != fingerprint:
+        raise WalReplayError(
+            f"refusing to snapshot epoch {epoch}: fingerprint {fingerprint} "
+            f"!= {rescanned} rescanned from the graph's edges"
+        )
     return {
         "format_version": _WAL_VERSION,
         "tenant": tenant,

@@ -139,6 +139,7 @@ class TestRenderMetrics:
             "repro_update_edges_added_total",
             "repro_update_edges_duplicate_total",
             "repro_update_vertices_added_total",
+            "repro_update_rows_recut_total",
         ):
             assert expected in names, expected
 

@@ -10,6 +10,9 @@ invariants below must hold, because the pipeline owns them.
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 
 from repro.approx import build_bounds
@@ -18,8 +21,9 @@ from repro.graph.io import dump_tsv
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.shard import ShardedQueryService
-from repro.wal import TenantWal, recover_service
+from repro.wal import TenantWal, graph_from_snapshot, recover_service, snapshot_document
 from tests.helpers import graph_from_edges
+from tests.service import test_update_agreement as agreement
 
 EDGES = [
     ("s", "go", "m"),
@@ -190,5 +194,57 @@ def test_every_route_publishes_the_same_epoch_shape(route, tmp_path):
         service.query(**QUERY)
         keys = [key for key, _ in service.results.export_entries()]
         assert keys and all(key[0] == epoch.epoch_id for key in keys)
+    finally:
+        service.close()
+
+
+def test_fifty_chained_swaps_keep_content_identity_and_answers():
+    """Row-shared copies, patched snapshots and the running fingerprint,
+    chained 50 deep through ``apply_updates`` (adds, removes, misses,
+    new vertices): every answer matches the naive evaluator on an
+    independently mutated mirror, and the tip's fingerprint is the one a
+    cold rebuild of the dumped graph computes from scratch.  The dump is
+    the WAL snapshot document — the id-preserving form; a TSV edge list
+    re-interns by first appearance, and the fingerprint is over ids."""
+    seed = 11
+    graph = agreement.make_graph(seed)
+    mirror = graph_from_edges(graph.edges_named(), vertices=graph.vertex_names())
+    service = QueryService(graph, build_local_index(graph, k=3, rng=seed), seed=seed)
+    rng = random.Random(seed)
+    parsed: dict = {}
+    rows_recut = 0
+    try:
+        for round_number in range(1, 51):
+            batch = agreement.random_mixed_batch(rng, round_number, mirror)
+            before = service.epoch.epoch_id
+            summary = service.apply_updates(batch)
+            agreement.apply_mixed_to_oracle(mirror, batch)
+            if summary["epoch"] != before:
+                assert 0 < summary["rows_recut"] <= 2 * (
+                    len(batch) + summary["vertices_added"]
+                )
+            rows_recut += summary["rows_recut"]
+            for source, target, labels, text in agreement.random_specs(rng, mirror):
+                expected = agreement.naive_answer(
+                    mirror, source, target, labels, text, parsed
+                )
+                result, _meta = service.query(source, target, labels, text)
+                assert result.answer == expected, (round_number, source, target)
+        epoch = service.epoch
+        assert epoch.epoch_id >= 40
+        assert service.stats.snapshot()["updates"]["rows_recut"] == rows_recut
+        dumped = json.dumps(
+            snapshot_document(
+                epoch.graph,
+                tenant="default",
+                epoch=epoch.epoch_id,
+                fingerprint=epoch.fingerprint,
+            )
+        )
+        cold = graph_from_snapshot(json.loads(dumped))
+        assert epoch.fingerprint == cold.content_fingerprint()
+        assert epoch.fingerprint == service.audit_fingerprint()
+        assert sorted(epoch.graph.edges()) == sorted(cold.freeze().edges())
+        assert sorted(epoch.graph.edges_named()) == sorted(mirror.edges_named())
     finally:
         service.close()

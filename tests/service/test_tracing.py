@@ -119,6 +119,14 @@ class TestUpdateTrace:
         apply_span = _child(trace, "apply")
         assert apply_span["attrs"]["added"] == 1
         assert apply_span["attrs"]["vertices_added"] == 1
+        # "Did this swap share?": v0's out-row and the new vertex's row
+        # in each direction were cut, everything else is the old epoch's.
+        freeze_span = _child(trace, "freeze")
+        assert freeze_span["attrs"]["rows_recut"] == summary["rows_recut"] == 3
+        assert freeze_span["attrs"]["rows_shared"] == (
+            2 * service.graph.num_vertices - 3
+        )
+        assert service.stats.snapshot()["updates"]["rows_recut"] == 3
         publish = _child(trace, "publish")
         assert publish["attrs"]["epoch"] == summary["epoch"]
 

@@ -122,6 +122,9 @@ class BadRequestError(ServiceError):
     error payload without per-site status tables.
     """
 
+    #: The ``error.type`` of the JSON error body; subclasses name theirs.
+    kind = "bad-request"
+
     def __init__(
         self, message: str, status: int = 400, detail: dict | None = None
     ):
@@ -134,6 +137,8 @@ class BadRequestError(ServiceError):
 
 class UnknownTenantError(BadRequestError):
     """A request named a tenant the registry does not host (HTTP 404)."""
+
+    kind = "unknown-tenant"
 
     def __init__(self, tenant: object):
         super().__init__(f"unknown tenant: {tenant!r}", status=404)
@@ -155,6 +160,8 @@ class UpdatesDisabledError(BadRequestError):
     ``serve --allow-updates`` (or ``create_server(allow_updates=True)``).
     """
 
+    kind = "updates-disabled"
+
     def __init__(self) -> None:
         super().__init__(
             "live updates are disabled on this server; restart with "
@@ -173,6 +180,8 @@ class ReadOnlyServiceError(BadRequestError):
     replica republishes a leader's log and never accepts writes".
     """
 
+    kind = "read-only"
+
     def __init__(self) -> None:
         super().__init__(
             "this server is a read-only follower; apply updates on the "
@@ -187,13 +196,15 @@ class DeadlineExceededError(BadRequestError):
 
     Raised wherever the budget is checked — the service execute seam,
     the evaluator outer loops, the batch executor, each scatter-gather
-    round, and remote shard workers (the remaining budget rides the
-    ``/shard/<id>/expand`` wire).  ``detail`` carries partial accounting:
-    where the budget ran out, the elapsed vs. allotted milliseconds, and
-    whatever progress telemetry the raising layer had (rounds completed,
-    vertices passed), so a timed-out client still learns what its budget
-    bought.
+    round, and shard workers (the remaining budget rides the
+    ``/shard/<id>/expand`` and ``/shard/<id>/query`` wire).  ``detail``
+    carries partial accounting: where the budget ran out, the elapsed
+    vs. allotted milliseconds, and whatever progress telemetry the
+    raising layer had (rounds completed, vertices passed), so a
+    timed-out client still learns what its budget bought.
     """
+
+    kind = "deadline-exceeded"
 
     def __init__(
         self,
@@ -230,6 +241,8 @@ class ShardUnavailableError(BadRequestError):
     and names the shard so operators know *which* worker to look at.
     """
 
+    kind = "shard-unavailable"
+
     def __init__(self, shard: int, reason: str, detail: dict | None = None):
         merged = {"shard": shard, "reason": reason}
         if detail:
@@ -250,6 +263,8 @@ class OverloadedError(BadRequestError):
     is the client back-off hint the HTTP layer also sends as a
     ``Retry-After`` header.
     """
+
+    kind = "overloaded"
 
     def __init__(
         self, message: str, *, retry_after: float = 1.0,
@@ -288,6 +303,8 @@ class UpdatesUnsupportedError(BadRequestError):
     third-party topologies that opt out explicitly.  Kept because the
     HTTP error table maps it to a structured 501.
     """
+
+    kind = "updates-unsupported"
 
     def __init__(self, message: str, detail: dict | None = None):
         super().__init__(message, status=501, detail=detail)

@@ -26,7 +26,6 @@ from repro.obs.trace import (
     current_trace,
     new_trace_id,
     span,
-    use_trace,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "parse_prometheus_text",
     "render_metrics",
     "span",
-    "use_trace",
 ]

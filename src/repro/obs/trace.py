@@ -10,22 +10,14 @@ signature changes for the evaluators in between.  Only requests that
 asked for a trace (``?trace=1``), or were sampled server-side
 (:class:`TraceSampler`), pay for real span objects.
 
-Context propagation rules:
-
-* the HTTP/service entry point creates the :class:`Trace` and activates
-  it with :func:`use_trace` (a context manager that sets and restores
-  the context variable — safe to nest and safe with ``trace=None``,
-  which deactivates tracing for the covered region);
-* :func:`span` opens a child of the *current* span (the trace root when
-  none is open) and makes it current for the ``with`` body, so nesting
-  falls out of lexical structure;
-* thread pools do **not** inherit context variables, so fan-out layers
-  (the batch executor, the shard scatter pool) re-activate the trace
-  explicitly in the worker callable with :func:`use_trace` — or, like
-  the shard workers, build a plain span *dict* off-context and let the
-  coordinator stitch it into the live tree with :meth:`SpanHandle.attach`.
-  Child-list appends are plain ``list.append`` calls, atomic under the
-  GIL, so concurrent children from a fan-out are safe without a lock.
+The trace rides the request context (:mod:`repro.context` — how it is
+armed, re-armed across thread hops and shipped to shard workers is
+written down there, once, for the trace and the deadline together).
+Here: :func:`span` opens a child of the *current* span (the trace root
+when none is open) and makes it current for the ``with`` body, so
+nesting falls out of lexical structure.  Child-list appends are plain
+``list.append`` calls, atomic under the GIL, so concurrent children from
+a fan-out are safe without a lock.
 
 Spans serialise to JSON-ready dicts (``to_dict``): name, start offset
 relative to the trace start, duration, attributes, children.  Remote
@@ -53,16 +45,16 @@ __all__ = [
     "current_trace",
     "new_trace_id",
     "span",
-    "use_trace",
 ]
 
-#: The active trace for this context (None = tracing off, the default).
-_ACTIVE_TRACE: ContextVar["Trace | None"] = ContextVar(
-    "repro_trace", default=None
-)
+#: The active :class:`repro.context.RequestContext` (None = no trace and
+#: no deadline, the default).  Declared here, at the bottom of the import
+#: graph, so this module's accessors and
+#: :mod:`repro.resilience.deadline`'s read the same variable.
+_REQUEST: ContextVar[Any] = ContextVar("repro_request", default=None)
 #: The innermost open span of the active trace (the root right after
-#: activation).  Kept separate from the trace so :func:`span` nesting is
-#: one ContextVar get + set, no tree walk.
+#: activation).  Kept separate from the context so :func:`span` nesting
+#: is one ContextVar get + set, no tree walk.
 _CURRENT_SPAN: ContextVar["Span | None"] = ContextVar(
     "repro_span", default=None
 )
@@ -232,7 +224,8 @@ class SpanHandle:
 
 def current_trace() -> Trace | None:
     """The active trace, or None when tracing is off."""
-    return _ACTIVE_TRACE.get()
+    context = _REQUEST.get()
+    return context.trace if context is not None else None
 
 
 def current_span() -> Span | None:
@@ -248,7 +241,10 @@ def span(name: str, **attrs: Any) -> SpanHandle | _NoopHandle:
     appended under the current span (the root when none is open) and
     becomes current for the ``with`` body.
     """
-    trace = _ACTIVE_TRACE.get()
+    context = _REQUEST.get()
+    if context is None:
+        return _NOOP
+    trace = context.trace
     if trace is None:
         return _NOOP
     parent = _CURRENT_SPAN.get()
@@ -265,45 +261,11 @@ def annotate(**attrs: Any) -> None:
     """Set attributes on the current span, if any (no-op when off)."""
     current = _CURRENT_SPAN.get()
     if current is None:
-        trace = _ACTIVE_TRACE.get()
+        trace = current_trace()
         if trace is None:
             return
         current = trace.root
     current.attrs.update(attrs)
-
-
-class use_trace:
-    """Context manager activating ``trace`` for the covered region.
-
-    ``use_trace(None)`` deactivates tracing for the region (used by
-    layers that must not leak an outer request's trace into unrelated
-    work).  This is also the fan-out propagation primitive: a worker
-    callable re-activates the request's trace in its own thread, since
-    thread pools don't inherit context variables.
-    """
-
-    __slots__ = ("_trace", "_trace_token", "_span_token")
-
-    def __init__(self, trace: Trace | None) -> None:
-        self._trace = trace
-        self._trace_token = None
-        self._span_token = None
-
-    def __enter__(self) -> Trace | None:
-        self._trace_token = _ACTIVE_TRACE.set(self._trace)
-        # Reset the span cursor: the activating context starts at the
-        # trace root, never at whatever span an outer context left open.
-        self._span_token = _CURRENT_SPAN.set(None)
-        return self._trace
-
-    def __exit__(self, *exc: object) -> bool:
-        if self._span_token is not None:
-            _CURRENT_SPAN.reset(self._span_token)
-            self._span_token = None
-        if self._trace_token is not None:
-            _ACTIVE_TRACE.reset(self._trace_token)
-            self._trace_token = None
-        return False
 
 
 class TraceSampler:

@@ -3,10 +3,11 @@
 Five cooperating pieces, each usable on its own:
 
 * :mod:`~repro.resilience.deadline` — an end-to-end per-request time
-  budget carried on a ContextVar alongside the request trace, checked in
-  the service execute seam, the evaluator hot loops, each scatter-gather
-  round, and remote shard workers (the remaining budget rides the
-  ``/shard/<id>/expand`` wire).
+  budget carried by the request context (:mod:`repro.context`) beside
+  the request trace, checked in the service execute seam, the evaluator
+  hot loops, each scatter-gather round, and shard workers (the remaining
+  budget rides the ``/shard/<id>/expand`` and ``/shard/<id>/query``
+  wire).
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy`, capped
   exponential backoff with decorrelated jitter for idempotent shard
   calls, budget-aware so retries never outlive the request deadline.
@@ -33,7 +34,6 @@ from repro.resilience.deadline import (
     Deadline,
     check_deadline,
     current_deadline,
-    use_deadline,
 )
 from repro.resilience.faults import (
     FaultPlan,
@@ -54,5 +54,4 @@ __all__ = [
     "RetryPolicy",
     "check_deadline",
     "current_deadline",
-    "use_deadline",
 ]

@@ -1,39 +1,32 @@
-"""End-to-end request deadlines on a ContextVar.
+"""End-to-end request deadlines.
 
 A :class:`Deadline` is an absolute expiry on the monotonic clock,
 created once per request (``?deadline_ms=`` or ``--default-deadline-ms``)
-and carried on a ContextVar exactly like the PR 6 trace — the ROADMAP's
-"wire deadlines to span clocks rather than inventing a second timing
-layer" item: both ride :func:`time.perf_counter` and the same
-request-scoped propagation discipline.
+and carried by the request context (:mod:`repro.context`) beside the
+trace — the ROADMAP's "wire deadlines to span clocks rather than
+inventing a second timing layer" item: both ride
+:func:`time.perf_counter` and one propagation discipline, written down
+in that module.
 
 Checkpoints pull the active deadline **once** with
 :func:`current_deadline` and then test ``deadline.expired()`` inside
 their loops; when no deadline is set the per-iteration cost is a single
 ``is not None`` test, which keeps the disabled-resilience overhead on
-the serving ladder (``benchmarks/ladder``) in the noise.  Thread pools do *not* inherit
-ContextVars, so fan-out sites (the batch executor, the scatter pool)
-re-activate the deadline explicitly with :class:`use_deadline`, the same
-pattern :class:`repro.obs.trace.use_trace` uses for spans.
+the serving ladder (``benchmarks/ladder``) in the noise.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from time import perf_counter
 
 from repro.exceptions import DeadlineExceededError
+from repro.obs.trace import _REQUEST
 
 __all__ = [
     "Deadline",
     "check_deadline",
     "current_deadline",
-    "use_deadline",
 ]
-
-_ACTIVE_DEADLINE: ContextVar[Deadline | None] = ContextVar(
-    "repro_active_deadline", default=None
-)
 
 
 class Deadline:
@@ -99,7 +92,8 @@ def current_deadline() -> Deadline | None:
     One ContextVar read; callers capture the result once and test
     ``is not None`` in their loops.
     """
-    return _ACTIVE_DEADLINE.get()
+    context = _REQUEST.get()
+    return context.deadline if context is not None else None
 
 
 def check_deadline(where: str, **partial) -> None:
@@ -108,29 +102,6 @@ def check_deadline(where: str, **partial) -> None:
     Convenience for one-shot checkpoints (the service execute seam);
     loops should capture :func:`current_deadline` once instead.
     """
-    deadline = _ACTIVE_DEADLINE.get()
+    deadline = current_deadline()
     if deadline is not None:
         deadline.check(where, **partial)
-
-
-class use_deadline:
-    """Context manager that (de)activates a deadline for a block.
-
-    ``use_deadline(None)`` deactivates — used by pool workers to scope
-    the parent request's deadline (or lack of one) onto their thread,
-    mirroring :class:`repro.obs.trace.use_trace`.
-    """
-
-    __slots__ = ("deadline", "_token")
-
-    def __init__(self, deadline: Deadline | None):
-        self.deadline = deadline
-        self._token = None
-
-    def __enter__(self) -> Deadline | None:
-        self._token = _ACTIVE_DEADLINE.set(self.deadline)
-        return self.deadline
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        _ACTIVE_DEADLINE.reset(self._token)
-        self._token = None

@@ -168,11 +168,9 @@ class FaultyWorker(_FaultInjector):
     def __init__(self, worker, rules: list[FaultRule], *, name: str = "worker"):
         super().__init__(worker, rules, name)
 
-    def expand(self, seeds, mask, exclude=(), trace=None, deadline_ms=None):
+    def expand(self, seeds, mask, exclude=()):
         self._inject("expand")
-        return self._inner.expand(
-            seeds, mask, exclude, trace, deadline_ms=deadline_ms
-        )
+        return self._inner.expand(seeds, mask, exclude)
 
     def local_query(self, query):
         self._inject("local_query")

@@ -63,6 +63,7 @@ from repro.approx import (
 from repro.approx.bounds import BoundsIndex
 from repro.constraints.label_constraint import LabelConstraint
 from repro.constraints.substructure import SubstructureConstraint
+from repro.context import RequestContext, activate, rearm
 from repro.core.result import QueryResult
 from repro.exceptions import (
     BadRequestError,
@@ -91,14 +92,9 @@ from repro.obs.trace import (
     current_span,
     current_trace,
     span,
-    use_trace,
 )
 from repro.resilience.admission import AdmissionController
-from repro.resilience.deadline import (
-    check_deadline,
-    current_deadline,
-    use_deadline,
-)
+from repro.resilience.deadline import check_deadline, current_deadline
 from repro.service.cache import CandidateCache, ConstraintCache, ResultCache
 from repro.service.epoch import (
     GraphEpoch,
@@ -429,27 +425,17 @@ class QueryService:
                 for spec in specs
             ]
         self.stats.record_batch()
-        trace = current_trace()
-        deadline = current_deadline()
-        if trace is None and deadline is None:
-            runner = lambda item: self._finish(  # noqa: E731
-                item[1][0], epoch, use_cache=item[1][1], batch=True, mode=mode
-            )
-        else:
-            # Pool threads don't inherit context variables: re-activate
-            # the batch's trace *and* the request deadline in the worker
-            # so every member stops at the same wall-clock budget, and
-            # give each member its own "query" span under the batch root.
-            def runner(item):
-                position, (plan, item_cache) = item
-                with use_trace(trace), use_deadline(deadline), span(
-                    "query", index=position
-                ):
-                    return self._finish(
-                        plan, epoch, use_cache=item_cache, batch=True, mode=mode
-                    )
 
-        answered = self.executor.map(runner, list(enumerate(plans)))
+        def runner(item):
+            position, (plan, item_cache) = item
+            with span("query", index=position):
+                return self._finish(
+                    plan, epoch, use_cache=item_cache, batch=True, mode=mode
+                )
+
+        # Re-armed per member: every one stops at the request's budget
+        # and hangs its own "query" span under the batch root.
+        answered = self.executor.map(rearm(runner), list(enumerate(plans)))
         self.stats.record_latency("batch", perf_counter() - started)
         return answered
 
@@ -1106,7 +1092,7 @@ class QueryService:
         bare when the request runs untraced."""
         if active is None:
             return call(*args)
-        with use_trace(active):
+        with activate(RequestContext(active, current_deadline())):
             try:
                 return call(*args)
             finally:

@@ -78,9 +78,9 @@ class BatchExecutor:
 
         Traced requests see the fan-out as an ``executor`` span (item
         count + serial/pool mode).  Worker threads do not inherit the
-        request context, so per-item spans are the *caller's* job: wrap
-        ``fn`` with :func:`repro.obs.trace.use_trace` to stitch item
-        spans into the request's trace (the service's batch path does).
+        request context, so per-item spans are the *caller's* job: pass
+        ``rearm(fn)`` (:func:`repro.context.rearm`) to stitch item spans
+        into the request's trace (the service's batch path does).
         """
         work = list(items)
         if len(work) <= 1 or self.max_workers == 1:

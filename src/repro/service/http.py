@@ -60,22 +60,19 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
+from repro.context import RequestContext, activate
 from repro.exceptions import (
     BadRequestError,
-    DeadlineExceededError,
-    OverloadedError,
-    ReadOnlyServiceError,
     ReproError,
-    ShardUnavailableError,
-    UnknownTenantError,
     UpdatesDisabledError,
     UpdatesUnsupportedError,
 )
-from repro.resilience.deadline import Deadline, use_deadline
+from repro.resilience.deadline import Deadline
 from repro.service.app import QueryService
 from repro.service.planner import PLANNABLE_ALGORITHMS
 from repro.service.registry import TenantRegistry, valid_tenant_name
@@ -257,7 +254,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 # ``?mode=`` (exact | approximate) rides the same query
                 # string; the service validates it into a 400.
                 mode = query.get("mode")
-                with self._deadline_scope(query):
+                with self._request_scope(query):
                     if endpoint == "query":
                         response = service.handle_query(
                             payload, trace=trace, mode=mode
@@ -419,12 +416,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.server.registry.register_files(name, graph, index, **options)
         return {"registered": name, "loaded": False}
 
-    def _deadline_scope(self, query: dict[str, str]) -> use_deadline:
-        """The deadline context for one ``/query`` or ``/batch`` request.
+    def _request_scope(self, query: dict[str, str]) -> activate | nullcontext:
+        """The context armed for one ``/query`` or ``/batch`` request.
 
-        ``?deadline_ms=`` wins over the server-wide default; neither
-        means ``use_deadline(None)``, which costs one ContextVar set and
-        keeps every downstream check a no-op.
+        ``?deadline_ms=`` wins over the server-wide default; with
+        neither nothing is armed at all, and every downstream check
+        stays a no-op (the service arms a trace itself when one starts).
         """
         raw = query.get("deadline_ms")
         if raw is None:
@@ -440,26 +437,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                     f"milliseconds, got {raw!r}"
                 )
         if budget_ms is None:
-            return use_deadline(None)
-        return use_deadline(Deadline(budget_ms))
+            return nullcontext()
+        return activate(RequestContext(deadline=Deadline(budget_ms)))
 
     @staticmethod
     def _error_kind(error: BadRequestError) -> str:
-        if isinstance(error, DeadlineExceededError):
-            return "deadline-exceeded"
-        if isinstance(error, ShardUnavailableError):
-            return "shard-unavailable"
-        if isinstance(error, OverloadedError):
-            return "overloaded"
-        if isinstance(error, UnknownTenantError):
-            return "unknown-tenant"
-        if isinstance(error, ReadOnlyServiceError):
-            return "read-only"
-        if isinstance(error, UpdatesDisabledError):
-            return "updates-disabled"
-        if isinstance(error, UpdatesUnsupportedError):
-            return "updates-unsupported"
-        return "not-found" if error.status == 404 else "bad-request"
+        plain = error.kind == BadRequestError.kind
+        return "not-found" if plain and error.status == 404 else error.kind
 
     def _read_json_body(self) -> object:
         try:

@@ -41,6 +41,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
 from time import perf_counter
 
+from repro.context import rearm
 from repro.core.query import LSCRQuery
 from repro.core.result import QueryResult
 from repro.exceptions import (
@@ -49,9 +50,9 @@ from repro.exceptions import (
     ShardUnavailableError,
 )
 from repro.graph.labeled_graph import KnowledgeGraph
-from repro.obs.trace import current_trace, span
+from repro.obs.trace import span
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.deadline import current_deadline
+from repro.resilience.deadline import check_deadline, current_deadline
 from repro.resilience.retry import RetryPolicy
 from repro.service.cache import CandidateCache
 from repro.shard.partitioner import ShardPlan
@@ -238,17 +239,19 @@ class ShardCoordinator:
         """
         with span("coordinator", shards=self.plan.num_shards) as handle:
             try:
-                return self._answer(query, handle)
-            except _EpochSkew as skew:
-                # A slice swap landed mid-scatter: every visited vertex
-                # so far was proven against the *old* epoch, so the only
-                # sound move is to re-run the whole query against the
-                # new topology.  Once — a second skew during the retry
-                # means swaps are outpacing queries; refuse structurally
-                # (503, retryable) rather than loop.
-                with self._lock:
-                    self._epoch_skew_retries += 1
-                handle.set(epoch_skew_retry=True)
+                try:
+                    return self._answer(query, handle)
+                except _EpochSkew:
+                    # A slice swap landed mid-scatter: every visited
+                    # vertex so far was proven against the *old* epoch,
+                    # so the only sound move is to re-run the whole
+                    # query against the new topology.  Once — a second
+                    # skew during the retry means swaps are outpacing
+                    # queries; refuse structurally (503, retryable)
+                    # rather than loop.
+                    with self._lock:
+                        self._epoch_skew_retries += 1
+                    handle.set(epoch_skew_retry=True)
                 try:
                     return self._answer(query, handle)
                 except _EpochSkew as again:
@@ -260,6 +263,13 @@ class ShardCoordinator:
                             "expected_epoch": again.expected,
                         },
                     ) from None
+            except DeadlineExceededError:
+                # Every 504 this coordinator lets out — its own round
+                # and wait checks, a worker's, the probe's — is counted
+                # here, once.
+                with self._lock:
+                    self._deadline_exceeded += 1
+                raise
 
     def _answer(self, query: LSCRQuery, handle) -> QueryResult:
         started = perf_counter()
@@ -270,7 +280,6 @@ class ShardCoordinator:
         mask = query.labels.mask_for(graph)
 
         shard_of = topology.plan.shard_of
-        deadline = current_deadline()
         #: Shards that stayed down past the retry budget this query
         #: (shared across both phases; only populated under
         #: ``degraded_answers`` — fail-fast raises instead).
@@ -283,31 +292,7 @@ class ShardCoordinator:
         telemetry = {"rounds": 0, "expand_calls": 0, "crossings": 0}
 
         if self.local_fast_path and shard_of[source] == shard_of[target]:
-            shard = shard_of[source]
-            breaker = self.breakers[shard]
-            if breaker.allow():
-                with span("co-located", shard=shard) as probe:
-                    try:
-                        fast_hit = self._bounded_call(
-                            lambda: self.workers[shard].local_query(query),
-                            deadline,
-                            shard=shard,
-                        )
-                    except DeadlineExceededError:
-                        breaker.record_failure()
-                        with self._lock:
-                            self._deadline_exceeded += 1
-                        raise
-                    except Exception:
-                        # A failed probe is just a miss: scatter-gather
-                        # (with its own retry/breaker guards) decides.
-                        breaker.record_failure()
-                        with self._lock:
-                            self._fast_path_errors += 1
-                        fast_hit = False
-                    else:
-                        breaker.record_success()
-                    probe.set(hit=fast_hit)
+            fast_hit = self._probe(shard_of[source], query)
             if fast_hit:
                 verdict = True
                 handle.set(source="co-located")
@@ -332,7 +317,7 @@ class ShardCoordinator:
         if verdict is None:
             reachable, phase_one = self.closure(
                 {source}, mask, phase="phase1",
-                deadline=deadline, missing=missing, topology=topology,
+                missing=missing, topology=topology,
             )
             for key in telemetry:
                 telemetry[key] += phase_one[key]
@@ -351,7 +336,7 @@ class ShardCoordinator:
             else:
                 second, phase_two = self.closure(
                     satisfying, mask, stop=target, phase="phase2",
-                    deadline=deadline, missing=missing, topology=topology,
+                    missing=missing, topology=topology,
                 )
                 for key in telemetry:
                     telemetry[key] += phase_two[key]
@@ -409,7 +394,6 @@ class ShardCoordinator:
         mask: int,
         stop: int | None = None,
         phase: str = "closure",
-        deadline=None,
         missing: set[int] | None = None,
         topology: _Topology | None = None,
     ) -> tuple[set[int], dict[str, int]]:
@@ -419,11 +403,11 @@ class ShardCoordinator:
         as soon as that vertex is reached (the returned set is then a
         prefix of the closure that provably contains ``stop``).
 
-        ``deadline`` bounds every round (checked at the top of the loop,
-        and each worker wait derives from the remaining budget);
-        ``missing`` collects shards that stayed down past the retry
-        budget — their frontier seeds are dropped, which is what makes
-        the result a closure over the *surviving* slices.  Without
+        The request deadline bounds every round (checked at the top of
+        the loop, and each worker wait derives from the remaining
+        budget); ``missing`` collects shards that stayed down past the
+        retry budget — their frontier seeds are dropped, which is what
+        makes the result a closure over the *surviving* slices.  Without
         ``degraded_answers`` a down shard raises
         :class:`~repro.exceptions.ShardUnavailableError` instead.
 
@@ -434,9 +418,8 @@ class ShardCoordinator:
 
         When a trace is active, each round becomes a ``round`` span
         labelled with ``phase`` and its frontier size, parenting the
-        workers' ``expand`` spans — which the workers built by value
-        (the scatter pool's threads, and remote processes, don't share
-        the request context).
+        workers' ``expand`` spans — which the workers build by value,
+        because a remote process has no span tree to hang them on.
 
         ``topology`` is the bundle the enclosing query grabbed at entry
         (defaulting to the current one for direct callers); any worker
@@ -459,21 +442,14 @@ class ShardCoordinator:
             frontier.setdefault(shard_of[vid], []).append(vid)
         expanded_by_shard: dict[int, set[int]] = {}
         telemetry = {"rounds": 0, "expand_calls": 0, "crossings": 0}
-        trace = current_trace()
-        trace_id = trace.trace_id if trace is not None else None
+        deadline = current_deadline()
         while frontier:
-            if deadline is not None and deadline.expired():
-                with self._lock:
-                    self._deadline_exceeded += 1
-                raise DeadlineExceededError(
+            if deadline is not None:
+                deadline.check(
                     "coordinator-round",
-                    elapsed_ms=deadline.elapsed_ms(),
-                    budget_ms=deadline.budget_ms,
-                    partial={
-                        "phase": phase,
-                        "rounds": telemetry["rounds"],
-                        "visited": len(visited),
-                    },
+                    phase=phase,
+                    rounds=telemetry["rounds"],
+                    visited=len(visited),
                 )
             if missing:
                 # Seeds owned by shards already declared dead cannot be
@@ -494,7 +470,7 @@ class ShardCoordinator:
                 shards=len(frontier),
             ) as round_span:
                 results, failures = self._scatter(
-                    frontier, mask, expanded_by_shard, trace_id, deadline
+                    frontier, mask, expanded_by_shard
                 )
                 for shard_id, reason in failures:
                     if not self.degraded_answers:
@@ -544,8 +520,6 @@ class ShardCoordinator:
         frontier: dict[int, list[int]],
         mask: int,
         expanded_by_shard: dict[int, set[int]],
-        trace_id: str | None = None,
-        deadline=None,
     ):
         """One round's expand calls, concurrent when shards allow.
 
@@ -557,111 +531,68 @@ class ShardCoordinator:
         Deadline expiry is *not* a shard failure — it raises
         :class:`~repro.exceptions.DeadlineExceededError` directly.
 
-        ``trace_id`` (when the request is traced) rides along to each
-        worker — as a plain value, because pool threads and remote
-        processes can't see the request's context variables — and comes
-        back as :attr:`~repro.shard.worker.ExpandResult.span`.  Untraced
-        requests without a deadline call the bare three-argument
-        ``expand``, so worker stand-ins that predate tracing keep
-        working.
+        Pooled calls are submitted re-armed (:func:`repro.context.rearm`),
+        so each worker finds the request's trace id and deadline where
+        an inline call would, and its span comes back as
+        :attr:`~repro.shard.worker.ExpandResult.span`.
 
         Single-shard rounds also go through the pool whenever a wait
         bound exists: a hung call cannot be interrupted in-process, so
         bounding it means waiting on a future and abandoning the thread
         (the breaker keeps abandoned threads from piling up).
         """
-        items = sorted(frontier.items())
         # Snapshot the pool once: close() may null it under a straggler
         # query, and the registry contract says in-flight requests
         # holding a removed service still finish.
         pool = self._pool
-        results: list[tuple[int, object]] = []
-        failures: list[tuple[int, str]] = []
+        deadline = current_deadline()
         bounded = deadline is not None or self.scatter_timeout is not None
-        submitted: list = []
-        pending = items
-        if pool is not None and (len(items) > 1 or bounded):
-            for shard_id, seeds in items:
-                flag = {"abandoned": False}
+        pooled = pool is not None and (len(frontier) > 1 or bounded)
+        serial_fallback = pool is None and self._parallel
+        guarded = rearm(self._guarded_expand)
+        calls: list = []
+        for shard_id, seeds in sorted(frontier.items()):
+            exclude = tuple(expanded_by_shard.get(shard_id, ()))
+            args = (shard_id, seeds, mask, exclude, {"abandoned": False})
+            future = None
+            if pooled:
                 try:
-                    future = pool.submit(
-                        self._guarded_expand,
-                        shard_id,
-                        seeds,
-                        mask,
-                        tuple(expanded_by_shard.get(shard_id, ())),
-                        trace_id,
-                        deadline,
-                        flag,
-                    )
+                    future = pool.submit(guarded, *args)
                 except RuntimeError:
-                    # Pool shut down mid-query (close() racing a
-                    # straggler): the rest of the round runs serially.
-                    with self._lock:
-                        self._scatter_serial_fallbacks += 1
-                    break
-                submitted.append((shard_id, future, flag))
-            pending = items[len(submitted):]
-        elif pool is None and self._parallel:
+                    pooled, serial_fallback = False, True
+            calls.append((args, future))
+        if serial_fallback:
             # Configured parallel but the pool is gone (close() raced a
-            # straggler query): the whole round runs serially.
+            # straggler query): the round, or the rest of it, runs
+            # serially — after the calls already submitted are gathered.
             with self._lock:
                 self._scatter_serial_fallbacks += 1
 
-        for shard_id, future, flag in submitted:
-            wait = self._scatter_wait(deadline)
+        results: list[tuple[int, object]] = []
+        failures: list[tuple[int, str]] = []
+        for args, future in calls:
+            shard_id, *_, flag = args
             try:
-                result = future.result(timeout=wait)
-            except FuturesTimeout:
-                # The call is still running and cannot be interrupted;
-                # abandon it (the flag stops its late breaker updates).
-                flag["abandoned"] = True
-                self.breakers[shard_id].record_failure()
-                if deadline is not None and deadline.expired():
-                    with self._lock:
-                        self._deadline_exceeded += 1
-                    raise DeadlineExceededError(
-                        "scatter-wait",
-                        elapsed_ms=deadline.elapsed_ms(),
-                        budget_ms=deadline.budget_ms,
-                        partial={"shard": shard_id},
-                    ) from None
-                with self._lock:
-                    self._worker_failures += 1
-                failures.append(
-                    (shard_id, f"no response within {wait:.3f}s")
-                )
+                if future is None:
+                    result = self._guarded_expand(*args)
+                else:
+                    wait = self._scatter_wait(deadline)
+                    try:
+                        result = future.result(timeout=wait)
+                    except FuturesTimeout:
+                        # The call is still running and cannot be
+                        # interrupted; abandon it (the flag stops its
+                        # late breaker updates).
+                        flag["abandoned"] = True
+                        self.breakers[shard_id].record_failure()
+                        if deadline is not None:
+                            deadline.check("scatter-wait", shard=shard_id)
+                        raise TimeoutError(
+                            f"no response within {wait:.3f}s"
+                        ) from None
             except CircuitOpenError as error:
                 failures.append((shard_id, str(error)))
             except DeadlineExceededError:
-                with self._lock:
-                    self._deadline_exceeded += 1
-                raise
-            except Exception as error:
-                with self._lock:
-                    self._worker_failures += 1
-                failures.append(
-                    (shard_id, f"{type(error).__name__}: {error}")
-                )
-            else:
-                results.append((shard_id, result))
-
-        for shard_id, seeds in pending:
-            try:
-                result = self._guarded_expand(
-                    shard_id,
-                    seeds,
-                    mask,
-                    tuple(expanded_by_shard.get(shard_id, ())),
-                    trace_id,
-                    deadline,
-                    {"abandoned": False},
-                )
-            except CircuitOpenError as error:
-                failures.append((shard_id, str(error)))
-            except DeadlineExceededError:
-                with self._lock:
-                    self._deadline_exceeded += 1
                 raise
             except Exception as error:
                 with self._lock:
@@ -688,16 +619,13 @@ class ShardCoordinator:
             waits.append(self.scatter_timeout)
         return min(waits) if waits else None
 
-    def _guarded_expand(
-        self, shard_id, seeds, mask, exclude, trace_id, deadline, flag
-    ):
+    def _guarded_expand(self, shard_id, seeds, mask, exclude, flag):
         """One shard call behind its breaker and the retry policy.
 
-        Runs on a scatter-pool thread (or inline on the serial path);
-        ``deadline`` travels as a plain value because pool threads don't
-        inherit the request's ContextVars.  ``flag["abandoned"]`` is set
-        by the gather loop when it stops waiting, muting this call's
-        late breaker updates.
+        Runs on a scatter-pool thread (re-armed) or inline on the serial
+        path; either way the request context is the ambient one.
+        ``flag["abandoned"]`` is set by the gather loop when it stops
+        waiting, muting this call's late breaker updates.
         """
         breaker = self.breakers[shard_id]
         if not breaker.allow():
@@ -711,10 +639,8 @@ class ShardCoordinator:
 
         try:
             result = self.retry.call(
-                lambda: self._expand_once(
-                    shard_id, seeds, mask, exclude, trace_id, deadline
-                ),
-                deadline=deadline,
+                lambda: self._expand_once(shard_id, seeds, mask, exclude),
+                deadline=current_deadline(),
                 on_retry=self._note_retry,
                 on_failure=record_attempt_failure,
             )
@@ -729,53 +655,65 @@ class ShardCoordinator:
                 breaker.record_success()
             return result
 
-    def _expand_once(self, shard_id, seeds, mask, exclude, trace_id, deadline):
-        """One bare expand call, shipping the remaining budget when set."""
-        worker = self.workers[shard_id]
-        if deadline is not None:
-            remaining = deadline.remaining_ms()
-            if remaining <= 0:
-                raise DeadlineExceededError(
-                    "scatter",
-                    elapsed_ms=deadline.elapsed_ms(),
-                    budget_ms=deadline.budget_ms,
-                    partial={"shard": shard_id},
-                )
-            return worker.expand(
-                seeds, mask, exclude, trace_id, deadline_ms=remaining
-            )
-        if trace_id is not None:
-            return worker.expand(seeds, mask, exclude, trace_id)
-        return worker.expand(seeds, mask, exclude)
+    def _expand_once(self, shard_id, seeds, mask, exclude):
+        """One bare expand call, unless the budget is already gone."""
+        check_deadline("scatter", shard=shard_id)
+        return self.workers[shard_id].expand(seeds, mask, exclude)
 
     def _note_retry(self, attempt: int, error: BaseException) -> None:
         with self._lock:
             self._retries += 1
 
-    def _bounded_call(self, fn, deadline, *, shard: int):
-        """Run ``fn`` bounded by the deadline via the scatter pool.
+    def _probe(self, shard: int, query: LSCRQuery) -> bool:
+        """The co-located fast path on ``shard``; True is conclusive.
 
-        Without a deadline (or without a pool) the call runs inline —
-        unbounded, exactly as before.  A hang is abandoned at expiry
-        with a structured 504; the thread itself cannot be interrupted.
+        Under a deadline the call runs re-armed on the scatter pool, so
+        the worker's own search sees the budget and stops itself — and a
+        hang is abandoned at expiry with a structured 504 (the thread
+        cannot be interrupted).  Without a deadline (or a pool) it runs
+        inline, unbounded.  Any other failure is just a miss:
+        scatter-gather, with its own retry/breaker guards, decides.
         """
-        pool = self._pool
-        if deadline is None or pool is None:
-            return fn()
-        try:
-            future = pool.submit(fn)
-        except RuntimeError:
-            return fn()  # pool shut down mid-query
-        wait = max(0.0, deadline.remaining_seconds()) + ROUND_GRACE_SECONDS
-        try:
-            return future.result(timeout=wait)
-        except FuturesTimeout:
-            raise DeadlineExceededError(
-                "co-located-probe",
-                elapsed_ms=deadline.elapsed_ms(),
-                budget_ms=deadline.budget_ms,
-                partial={"shard": shard},
-            ) from None
+        breaker = self.breakers[shard]
+        if not breaker.allow():
+            return False
+
+        def call() -> bool:
+            return self.workers[shard].local_query(query)
+
+        with span("co-located", shard=shard) as probe:
+            deadline = current_deadline()
+            pool = self._pool
+            future = None
+            if deadline is not None and pool is not None:
+                try:
+                    future = pool.submit(rearm(call))
+                except RuntimeError:
+                    pass  # pool shut down mid-query: run inline
+            try:
+                if future is None:
+                    hit = call()
+                else:
+                    hit = future.result(
+                        timeout=max(0.0, deadline.remaining_seconds())
+                        + ROUND_GRACE_SECONDS
+                    )
+            except DeadlineExceededError:
+                # The worker stopped itself on the request's budget: it
+                # is responsive, as for expand.
+                breaker.record_success()
+                raise
+            except Exception:
+                breaker.record_failure()
+                if deadline is not None:
+                    deadline.check("co-located-probe", shard=shard)
+                with self._lock:
+                    self._fast_path_errors += 1
+                hit = False
+            else:
+                breaker.record_success()
+            probe.set(hit=hit)
+        return hit
 
     # ------------------------------------------------------------------
 

@@ -35,7 +35,10 @@ the matching client stub with the same Python interface (``expand``,
 ``local_query``, ``prepare``, ``publish_update``, ``abort_update``,
 ``crossings_by_peer``, ``describe``, ``close``) — over pooled
 keep-alive connections — so the coordinator cannot tell local from
-remote.
+remote.  Neither ``expand`` nor ``local_query`` takes the request's
+trace or deadline as a parameter: both run under the ambient request
+context (:mod:`repro.context`), which the stub adds to each body and
+:meth:`handle_expand` / :meth:`handle_query` arm from it.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
+from repro.context import RequestContext, activate, current_context
 from repro.core.query import LSCRQuery
 from repro.exceptions import (
     BadRequestError,
@@ -56,7 +60,6 @@ from repro.exceptions import (
     ServiceConfigError,
     SliceFileError,
 )
-from repro.resilience.deadline import Deadline
 from repro.service.app import QueryService
 from repro.shard.partitioner import GraphSlice, ShardPlan
 from repro.shard.slicefile import (
@@ -87,11 +90,11 @@ class ExpandResult:
     crossings: dict[int, tuple[int, ...]]
     #: Vertices whose adjacency was scanned (telemetry).
     expanded: int
-    #: When the caller propagated a trace id: this expand as a
-    #: serialised span dict, ready for the coordinator to stitch into
-    #: the request's trace (None when the call was untraced).  Workers
-    #: build the dict themselves — in another process there is no shared
-    #: context variable, so the trace travels by value over the wire.
+    #: When the request is traced: this expand as a serialised span
+    #: dict, ready for the coordinator to stitch into the request's
+    #: trace (None when the call was untraced).  Workers build the dict
+    #: themselves — in another process there is no span tree to hang it
+    #: on, so the span travels back by value over the wire.
     span: dict | None = field(default=None, compare=False)
     #: The slice epoch this expand answered for (None from worker
     #: stand-ins that predate slice-epoch propagation).  The coordinator
@@ -231,8 +234,6 @@ class ShardWorker:
         seeds: Iterable[int],
         mask: int,
         exclude: Iterable[int] = (),
-        trace: str | None = None,
-        deadline_ms: float | None = None,
     ) -> ExpandResult:
         """Local closure of ``seeds`` under ``mask`` within the slice.
 
@@ -244,29 +245,19 @@ class ShardWorker:
         against the *global* visited set is the coordinator's job, since
         only it has that set.
 
-        ``trace`` is the requesting trace's id: when set, the result
-        carries this call as a span dict (:attr:`ExpandResult.span`),
-        which the coordinator attaches under its round span — the wire
-        half of cross-process trace stitching.  Untraced calls
-        (``trace=None``, the default and the hot path) skip the timing
-        entirely.
-
-        ``deadline_ms`` is the *remaining* request budget shipped by the
-        coordinator (over the wire for remote workers): the DFS checks
-        it so a worker stops early instead of computing a closure whose
+        The request context is the ambient one (re-armed by the
+        coordinator's scatter pool, or armed from the wire by
+        :meth:`handle_expand`).  Under a trace the result carries this
+        call as a span dict (:attr:`ExpandResult.span`), which the
+        coordinator attaches under its round span — the wire half of
+        cross-process trace stitching; untraced calls (the hot path)
+        skip the timing entirely.  Under a deadline the DFS checks it,
+        so a worker stops early instead of computing a closure whose
         requester already timed out.
         """
+        context = current_context()
+        trace, deadline = context.trace, context.deadline
         started = perf_counter() if trace is not None else 0.0
-        deadline = None
-        if deadline_ms is not None:
-            if deadline_ms <= 0:
-                raise DeadlineExceededError(
-                    "shard-expand",
-                    elapsed_ms=0.0,
-                    budget_ms=max(0.0, deadline_ms),
-                    partial={"shard": self.shard_id},
-                )
-            deadline = Deadline(deadline_ms)
         state = self._state
         graph_slice = state.slice
         local_of = graph_slice.local_of
@@ -335,7 +326,7 @@ class ShardWorker:
                 "started": 0.0,
                 "seconds": perf_counter() - started,
                 "attrs": {
-                    "trace_id": trace,
+                    "trace_id": trace.trace_id,
                     "shard": my_shard,
                     "seeds": seed_count,
                     "reached": len(reached),
@@ -505,8 +496,7 @@ class ShardWorker:
 
     def handle_expand(self, payload: object) -> dict:
         """``POST /shard/<id>/expand``: validate and run one expand."""
-        if not isinstance(payload, dict):
-            raise BadRequestError("expand body must be a JSON object")
+        context = RequestContext.from_wire(payload, "shard-expand")
         seeds = payload.get("seeds")
         if not isinstance(seeds, list) or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in seeds
@@ -520,18 +510,8 @@ class ShardWorker:
             isinstance(v, int) and not isinstance(v, bool) for v in exclude
         ):
             raise BadRequestError("'exclude' must be an array of vertex ids")
-        trace = payload.get("trace")
-        if trace is not None and not isinstance(trace, str):
-            raise BadRequestError("'trace' must be a string trace id")
-        deadline_ms = payload.get("deadline_ms")
-        if deadline_ms is not None and (
-            isinstance(deadline_ms, bool)
-            or not isinstance(deadline_ms, (int, float))
-        ):
-            raise BadRequestError("'deadline_ms' must be a number")
-        result = self.expand(
-            seeds, mask, exclude, trace=trace, deadline_ms=deadline_ms
-        )
+        with activate(context):
+            result = self.expand(seeds, mask, exclude)
         document = {
             "reached": list(result.reached),
             "crossings": {
@@ -553,7 +533,8 @@ class ShardWorker:
                 f"shard {self.shard_id} runs without a local query service",
                 status=404,
             )
-        return service.handle_query(payload)
+        with activate(RequestContext.from_wire(payload, "shard-query")):
+            return service.handle_query(payload)
 
     def handle_update(self, payload: object) -> dict:
         """``POST /shard/<id>/update``: the two-phase slice-swap wire.
@@ -851,7 +832,13 @@ class HttpShardWorker:
         base = f"{self._pool.prefix}/shard/{self.shard_id}"
         return f"{base}/{endpoint}" if endpoint else base
 
-    def _decode(self, status: int, data: bytes, *, deadline_ms: float | None = None) -> dict:
+    def _decode(
+        self,
+        status: int,
+        data: bytes,
+        endpoint: str = "",
+        budget_ms: float | None = None,
+    ) -> dict:
         """Decode a response, mapping remote errors onto local exceptions."""
         if 200 <= status < 300:
             try:
@@ -868,32 +855,50 @@ class HttpShardWorker:
             message = error_doc.get("message", message)
         except Exception:
             pass
-        if kind == "deadline-exceeded":
+        if kind == DeadlineExceededError.kind:
             # Surface the remote worker's structured 504 as the same
             # exception a local worker raises, so the coordinator treats
             # "remote stopped early on our deadline" as deadline expiry,
             # not as a worker failure that trips the breaker.
-            budget = deadline_ms or 0.0
+            budget = budget_ms or 0.0
             raise DeadlineExceededError(
-                "shard-expand-remote",
+                f"shard-{endpoint}-remote",
                 elapsed_ms=budget,
                 budget_ms=budget,
                 partial={"shard": self.shard_id, "remote": self.base_url},
             )
         raise RemoteShardError(self.shard_id, status, message)
 
-    def _post(
-        self,
-        endpoint: str,
-        payload: dict,
-        *,
-        timeout: float | None = None,
-        deadline_ms: float | None = None,
-    ) -> dict:
+    def _post(self, endpoint: str, payload: dict) -> dict:
+        """One POST outside any request (the update wire: a slice swap
+        must run to the end, whoever asked for it)."""
         status, data = self._request(
-            "POST", self._shard_path(endpoint), payload, timeout=timeout
+            "POST", self._shard_path(endpoint), payload
         )
-        return self._decode(status, data, deadline_ms=deadline_ms)
+        return self._decode(status, data, endpoint)
+
+    def _post_in_context(self, endpoint: str, payload: dict) -> dict:
+        """One POST on behalf of the current request (expand, query).
+
+        The body gains the request context's wire keys, and under a
+        deadline the socket budget derives from what it ships: never
+        wait longer than the request can still use.
+        """
+        wire = current_context().to_wire()
+        budget_ms = wire.get("deadline_ms")
+        timeout = None
+        if budget_ms is not None:
+            timeout = min(
+                self.timeout,
+                max(0.0, budget_ms) / 1000.0 + self.DEADLINE_GRACE_SECONDS,
+            )
+        status, data = self._request(
+            "POST",
+            self._shard_path(endpoint),
+            {**payload, **wire},
+            timeout=timeout,
+        )
+        return self._decode(status, data, endpoint, budget_ms)
 
     # ------------------------------------------------------------------
     # the ShardWorker surface
@@ -904,23 +909,10 @@ class HttpShardWorker:
         seeds: Iterable[int],
         mask: int,
         exclude: Iterable[int] = (),
-        trace: str | None = None,
-        deadline_ms: float | None = None,
     ) -> ExpandResult:
-        payload = {"seeds": list(seeds), "mask": mask, "exclude": list(exclude)}
-        if trace is not None:
-            payload["trace"] = trace
-        timeout = None
-        if deadline_ms is not None:
-            # Ship the remaining budget and derive the socket budget from
-            # it: never wait longer than the request can still use.
-            payload["deadline_ms"] = deadline_ms
-            timeout = min(
-                self.timeout,
-                deadline_ms / 1000.0 + self.DEADLINE_GRACE_SECONDS,
-            )
-        document = self._post(
-            "expand", payload, timeout=timeout, deadline_ms=deadline_ms
+        document = self._post_in_context(
+            "expand",
+            {"seeds": list(seeds), "mask": mask, "exclude": list(exclude)},
         )
         span_doc = document.get("trace")
         if span_doc is not None:
@@ -940,7 +932,7 @@ class HttpShardWorker:
         )
 
     def local_query(self, query: LSCRQuery) -> bool:
-        document = self._post(
+        document = self._post_in_context(
             "query",
             {
                 "source": str(query.source),

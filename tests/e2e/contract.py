@@ -1,0 +1,59 @@
+"""What the e2e scenarios share: JSON over HTTP, and the PR 8 contract —
+every response is exact, soundly degraded, or a structured refusal."""
+
+from __future__ import annotations
+
+import json
+import urllib.error
+import urllib.request
+
+
+def post(base: str, path: str, payload: object) -> dict:
+    request = urllib.request.Request(
+        f"{base}{path}", data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST")
+    with urllib.request.urlopen(request, timeout=30) as response:
+        return json.loads(response.read())
+
+
+def get(base: str, path: str) -> str:
+    with urllib.request.urlopen(f"{base}{path}", timeout=30) as response:
+        return response.read().decode()
+
+
+def replay_against_oracle(base, path, specs, oracle) -> tuple[int, int, int]:
+    """POST every spec to ``path``; returns (exact, degraded, refused).
+
+    Asserts the contract on the way: a refusal is a structured
+    429/503/504, a degraded answer is ``reachable`` only where the
+    oracle agrees (else ``unknown`` and False), anything else is the
+    oracle's answer.
+    """
+    exact = degraded = refused = 0
+    for spec in specs:
+        expected, _ = oracle.query(
+            spec["source"], spec["target"], spec["labels"],
+            spec["constraint"], use_cache=False)
+        try:
+            document = post(base, path, spec)
+        except urllib.error.HTTPError as error:
+            kind = json.loads(error.read())["error"]["type"]
+            assert error.code in (429, 503, 504), kind
+            assert kind in ("overloaded", "shard-unavailable",
+                            "deadline-exceeded"), kind
+            refused += 1
+            continue
+        if "degraded" in document:
+            verdict = document["degraded"]["verdict"]
+            if verdict == "reachable":
+                assert document["answer"] is True
+                assert expected.answer is True, spec
+            else:
+                assert verdict == "unknown"
+                assert document["answer"] is False
+            degraded += 1
+        else:
+            assert document["answer"] == expected.answer, spec
+            exact += 1
+    return exact, degraded, refused

@@ -1,11 +1,11 @@
-"""Request-scoped tracing: spans, context propagation, sampling."""
+"""Request-scoped tracing: spans, the tree they build, sampling (how a
+trace travels is ``tests/service/test_request_context.py``)."""
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
+from repro.context import RequestContext, activate
 from repro.obs.trace import (
     Trace,
     TraceSampler,
@@ -14,7 +14,6 @@ from repro.obs.trace import (
     current_trace,
     new_trace_id,
     span,
-    use_trace,
 )
 from repro.obs.trace import _NOOP  # the shared disabled-path handle
 
@@ -39,7 +38,7 @@ class TestDisabledPath:
 class TestTraceTree:
     def test_nesting_follows_lexical_structure(self):
         trace = Trace("request")
-        with use_trace(trace):
+        with activate(RequestContext(trace)):
             with span("plan", algorithm="ins"):
                 pass
             with span("execute") as execute:
@@ -62,7 +61,7 @@ class TestTraceTree:
 
     def test_annotate_hits_innermost_open_span(self):
         trace = Trace("request")
-        with use_trace(trace):
+        with activate(RequestContext(trace)):
             annotate(root_attr=1)               # no span open: the root
             with span("child"):
                 annotate(child_attr=2)
@@ -73,7 +72,7 @@ class TestTraceTree:
         trace = Trace("request")
         remote = {"name": "expand", "seconds": 0.01, "attrs": {"shard": 1},
                   "children": []}
-        with use_trace(trace):
+        with activate(RequestContext(trace)):
             with span("round") as handle:
                 handle.attach(remote)
                 handle.attach(None)             # a missing subtree is fine
@@ -85,46 +84,6 @@ class TestTraceTree:
         trace = Trace("request")
         document = trace.to_dict()
         assert document["seconds"] >= 0.0       # not the open sentinel -1.0
-
-    def test_use_trace_none_masks_outer_trace(self):
-        trace = Trace("request")
-        with use_trace(trace):
-            with use_trace(None):
-                assert current_trace() is None
-                assert span("invisible") is _NOOP
-            assert current_trace() is trace
-        assert trace.root.children == []
-
-    def test_use_trace_resets_span_cursor(self):
-        # A worker thread re-activating the trace starts at the root,
-        # never inside whatever span its scheduling context had open.
-        trace = Trace("request")
-        with use_trace(trace):
-            with span("outer"):
-                with use_trace(trace):
-                    assert current_span() is None
-                    with span("re-entered"):
-                        pass
-        names = [child.name for child in trace.root.children]
-        assert names == ["outer", "re-entered"]
-
-    def test_thread_does_not_inherit_but_can_adopt(self):
-        trace = Trace("request")
-        observed: list[object] = []
-
-        def worker() -> None:
-            observed.append(current_trace())    # fresh thread: no trace
-            with use_trace(trace):
-                with span("adopted"):
-                    pass
-                observed.append(current_trace())
-
-        with use_trace(trace):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        assert observed == [None, trace]
-        assert [child.name for child in trace.root.children] == ["adopted"]
 
 
 class TestIdsAndSampler:

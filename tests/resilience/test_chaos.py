@@ -12,12 +12,13 @@ from __future__ import annotations
 import random
 from time import perf_counter
 
+from repro.context import RequestContext, activate
 from repro.exceptions import (
     DeadlineExceededError,
     OverloadedError,
     ShardUnavailableError,
 )
-from repro.resilience.deadline import Deadline, use_deadline
+from repro.resilience.deadline import Deadline
 from repro.resilience.faults import FaultRule, FaultyWorker
 from repro.resilience.retry import RetryPolicy
 from repro.service.app import QueryService
@@ -111,10 +112,10 @@ def run_seed(seed: int) -> dict:
             )
             expected, _ = oracle.query(**spec)
             budget_ms = rng.choice((None, 400.0))
-            scope = (
-                use_deadline(Deadline.after_ms(budget_ms))
+            scope = activate(
+                RequestContext(deadline=Deadline.after_ms(budget_ms))
                 if budget_ms is not None
-                else use_deadline(None)
+                else None
             )
             started = perf_counter()
             try:

@@ -1,9 +1,9 @@
-"""Deadline arithmetic, ContextVar propagation, and end-to-end 504s."""
+"""Deadline arithmetic and end-to-end 504s (how a deadline travels is
+``tests/service/test_request_context.py``)."""
 
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 from contextlib import ExitStack
@@ -11,13 +11,9 @@ from time import perf_counter
 
 import pytest
 
+from repro.context import RequestContext, activate
 from repro.exceptions import DeadlineExceededError
-from repro.resilience.deadline import (
-    Deadline,
-    check_deadline,
-    current_deadline,
-    use_deadline,
-)
+from repro.resilience.deadline import Deadline
 from repro.service.app import QueryService
 from tests.helpers import graph_from_edges, running_server
 
@@ -46,6 +42,11 @@ QUERY = {
 def expired_deadline(budget_ms: float = 5.0) -> Deadline:
     """A deadline whose budget ran out one second ago."""
     return Deadline(budget_ms, started=perf_counter() - 1.0)
+
+
+def under(deadline: Deadline) -> activate:
+    """Arm ``deadline`` the way the HTTP handler does."""
+    return activate(RequestContext(deadline=deadline))
 
 
 class TestDeadlineMath:
@@ -82,54 +83,11 @@ class TestDeadlineMath:
         Deadline.after_ms(60_000).check("unit-test")
 
 
-class TestContextPropagation:
-    def test_no_ambient_deadline_by_default(self):
-        assert current_deadline() is None
-        check_deadline("anywhere")  # must not raise
-
-    def test_use_deadline_activates_and_restores(self):
-        deadline = Deadline.after_ms(60_000)
-        with use_deadline(deadline) as active:
-            assert active is deadline
-            assert current_deadline() is deadline
-        assert current_deadline() is None
-
-    def test_use_deadline_none_deactivates_nested(self):
-        with use_deadline(Deadline.after_ms(60_000)):
-            with use_deadline(None):
-                assert current_deadline() is None
-                check_deadline("inner")
-            assert current_deadline() is not None
-
-    def test_check_deadline_raises_for_expired_ambient(self):
-        with use_deadline(expired_deadline()):
-            with pytest.raises(DeadlineExceededError):
-                check_deadline("ambient")
-
-    def test_pool_threads_reactivate_explicitly(self):
-        # ContextVars do not cross threads: the worker sees None until it
-        # scopes the parent's deadline onto itself with use_deadline.
-        deadline = Deadline.after_ms(60_000)
-        seen = {}
-
-        def worker():
-            seen["inherited"] = current_deadline()
-            with use_deadline(deadline):
-                seen["activated"] = current_deadline()
-
-        with use_deadline(deadline):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        assert seen["inherited"] is None
-        assert seen["activated"] is deadline
-
-
 class TestServiceEnforcement:
     def test_expired_deadline_aborts_query(self):
         service = QueryService(make_graph())
         try:
-            with use_deadline(expired_deadline()):
+            with under(expired_deadline()):
                 with pytest.raises(DeadlineExceededError):
                     service.query(**QUERY)
         finally:
@@ -138,7 +96,7 @@ class TestServiceEnforcement:
     def test_expired_deadline_surfaces_in_handle_query(self):
         service = QueryService(make_graph())
         try:
-            with use_deadline(expired_deadline()):
+            with under(expired_deadline()):
                 with pytest.raises(DeadlineExceededError) as excinfo:
                     service.handle_query(dict(QUERY))
             assert excinfo.value.status == 504
@@ -148,7 +106,7 @@ class TestServiceEnforcement:
     def test_generous_deadline_answers_normally(self):
         service = QueryService(make_graph())
         try:
-            with use_deadline(Deadline.after_ms(60_000)):
+            with under(Deadline.after_ms(60_000)):
                 result, _ = service.query(**QUERY)
             assert result.answer is True
         finally:
@@ -158,7 +116,7 @@ class TestServiceEnforcement:
         service = QueryService(make_graph())
         try:
             payload = {"queries": [dict(QUERY), dict(QUERY)]}
-            with use_deadline(expired_deadline()):
+            with under(expired_deadline()):
                 with pytest.raises(DeadlineExceededError):
                     service.handle_batch(payload)
         finally:

@@ -17,8 +17,8 @@ class Recorder:
     def __init__(self):
         self.calls = []
 
-    def expand(self, seeds, mask, exclude=(), trace=None, deadline_ms=None):
-        self.calls.append((tuple(seeds), deadline_ms))
+    def expand(self, seeds, mask, exclude=()):
+        self.calls.append((tuple(seeds), mask, tuple(exclude)))
         return "expanded"
 
     def local_query(self, query):
@@ -95,8 +95,8 @@ class TestFaultyWorker:
     def test_arguments_pass_through_unharmed(self):
         inner = Recorder()
         worker = FaultyWorker(inner, [])
-        worker.expand([3, 4], 0b1, deadline_ms=250.0)
-        assert inner.calls == [((3, 4), 250.0)]
+        worker.expand([3, 4], 0b1, [9])
+        assert inner.calls == [((3, 4), 0b1, (9,))]
 
     def test_local_query_interception(self):
         worker = FaultyWorker(

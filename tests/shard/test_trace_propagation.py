@@ -13,9 +13,10 @@ from contextlib import ExitStack
 
 import pytest
 
+from repro.context import RequestContext, activate
 from repro.core.query import LSCRQuery
 from repro.datasets.synthetic import random_labeled_graph
-from repro.obs.trace import Trace, use_trace
+from repro.obs.trace import Trace
 from repro.shard import ShardedQueryService
 from repro.shard.coordinator import ShardCoordinator
 from repro.shard.worker import HttpShardWorker
@@ -36,7 +37,7 @@ def _spans(node: dict, name: str) -> list[dict]:
 
 def _traced_answer(coordinator, query) -> dict:
     trace = Trace("query")
-    with use_trace(trace):
+    with activate(RequestContext(trace)):
         coordinator.answer(query)
     return trace.finish().to_dict()
 
@@ -130,7 +131,8 @@ class TestRemoteTracePropagation:
             mask = (1 << sharded.graph.num_labels) - 1
             result = worker.expand(seeds, mask)
             assert result.span is None          # no trace, no payload tax
-            traced = worker.expand(seeds, mask, trace="abc123")
+            with activate(RequestContext(Trace("query", trace_id="abc123"))):
+                traced = worker.expand(seeds, mask)
             assert traced.span is not None
             assert traced.span["attrs"]["trace_id"] == "abc123"
             assert traced.reached == result.reached

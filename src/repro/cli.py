@@ -53,11 +53,8 @@ import sys
 from pathlib import Path
 
 from repro.constraints.substructure import SubstructureConstraint
-from repro.core.ins import INS
-from repro.core.naive import NaiveTwoProcedure
+from repro.core.algorithms import ALGORITHMS, make_algorithm
 from repro.core.query import LSCRQuery
-from repro.core.uis import UIS
-from repro.core.uis_star import UISStar
 from repro.core.witness import find_witness
 from repro.datasets.lubm import SCALED_DATASETS, generate_dataset
 from repro.datasets.synthetic import random_labeled_graph
@@ -70,6 +67,7 @@ from repro.index.local_index import build_local_index
 from repro.index.storage import load_local_index, save_local_index
 from repro.service.app import QueryService
 from repro.service.http import create_server
+from repro.service.options import ServiceOptions, add_arguments, options_from_args
 from repro.service.registry import DEFAULT_TENANT, TenantRegistry
 from repro.shard import ShardedQueryService, ShardWorker, cut_slices, derive_shard_plan
 from repro.shard.slicefile import SLICE_WIRE_VERSION, dump_slice, load_slice
@@ -82,13 +80,6 @@ from repro.wal import (
 )
 
 __all__ = ["main", "build_parser"]
-
-_ALGORITHMS = {
-    "uis": UIS,
-    "uis*": UISStar,
-    "ins": INS,
-    "naive": NaiveTwoProcedure,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="substructure constraint S as a SELECT ?x query",
     )
     query.add_argument(
-        "--algorithm", choices=sorted(_ALGORITHMS), default="uis"
+        "--algorithm", choices=sorted(ALGORITHMS), default="uis"
     )
     query.add_argument(
         "--index", default=None, help="local index JSON (ins only; built if absent)"
@@ -200,29 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080, help="0 binds an ephemeral port"
     )
     serve.add_argument(
-        "--algorithm",
-        choices=sorted(_ALGORITHMS),
-        default=None,
-        help="run every request on one algorithm (default: uis*, with or without "
-        "an index; 'ins' needs --index and is also selectable per request)",
-    )
-    serve.add_argument("--workers", type=int, default=None, help="batch thread count")
-    serve.add_argument("--cache-size", type=int, default=1024, help="result-cache LRU size")
-    serve.add_argument(
-        "--cache-ttl", type=float, default=None, help="result-cache TTL in seconds"
-    )
-    serve.add_argument("--k", type=int, default=None, help="landmark count when building")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="serve --graph through a region-sharded scatter-gather "
-        "coordinator with N in-process shard workers (0 = unsharded); the "
-        "workers are also exposed at /shard/<id>/... for remote coordinators",
-    )
-    serve.add_argument(
         "--worker",
         default=None,
         metavar="SLICE_FILE",
@@ -232,24 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(mutually exclusive with --graph/--tenant/--shards)",
     )
     serve.add_argument(
-        "--worker-url",
-        action="append",
-        default=[],
-        metavar="URL",
-        help="attach a remote shard worker (a 'serve --worker' process) "
-        "instead of an in-process one; repeat once per shard, in shard-id "
-        "order (requires --shards N with N matching the count given)",
-    )
-    serve.add_argument(
-        "--worker-probe-interval",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="seconds between coordinator health probes of --worker-url "
-        "workers (feeds the per-worker circuit breakers and re-pushes "
-        "slices to workers that restarted stale; default 5)",
-    )
-    serve.add_argument(
         "--default-deadline-ms",
         type=float,
         default=None,
@@ -257,41 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="budget for every /query and /batch request that doesn't pass "
         "its own ?deadline_ms= (expiry answers a structured 504 with "
         "partial accounting; default: no deadline)",
-    )
-    serve.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="upper bound on each scatter round's wait for a shard worker "
-        "even when the request has no deadline; a worker past it counts "
-        "as failed (retried, then breaker-tripped) instead of hanging the "
-        "round (requires --shards)",
-    )
-    serve.add_argument(
-        "--degraded-answers",
-        action="store_true",
-        help="when a shard stays down past its retry budget, answer over "
-        "the surviving shards instead of failing with 503: responses "
-        "carry a 'degraded' field whose verdict is \"reachable\" (still "
-        "proven) or \"unknown\" (not a no); requires --shards",
-    )
-    serve.add_argument(
-        "--max-concurrent",
-        type=int,
-        default=None,
-        metavar="N",
-        help="admission control: at most N query/batch requests execute "
-        "concurrently per tenant; excess requests queue up to --max-queue "
-        "deep and beyond that are shed with a structured 429 + Retry-After",
-    )
-    serve.add_argument(
-        "--max-queue",
-        type=int,
-        default=0,
-        metavar="N",
-        help="admission queue depth in front of --max-concurrent "
-        "(default 0: shed immediately when all slots are busy)",
     )
     serve.add_argument(
         "--warm-cache",
@@ -306,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="accept POST /edges live edge update batches — additions and "
         "{\"op\": \"remove\"} retractions (copy-on-write epoch swap; refused "
-        "with 403 when off, and unsupported on sharded default tenants)",
+        "with 403 when off; a sharded default tenant pushes each batch to "
+        "its worker slices before acknowledging it)",
     )
     serve.add_argument(
         "--wal",
@@ -342,53 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECS",
         help="seconds between follower polls of the --follow directory",
     )
-    serve.add_argument(
-        "--trace-sample",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="fraction of requests traced server-side for the slow-query "
-        "flight recorder (0.0-1.0; clients can always force a trace with "
-        "?trace=1)",
-    )
-    serve.add_argument(
-        "--slow-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="queries at or above this latency enter the flight recorder "
-        "at GET /debug/slow (default 250)",
-    )
-    serve.add_argument(
-        "--slow-log-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worst-N slow queries kept per tenant (default 16)",
-    )
-    serve.add_argument(
-        "--no-approx",
-        action="store_true",
-        help="disable the bounded-answer tier (label-blind definite-No "
-        "bounds + witness-path definite-Yes short-circuits ahead of the "
-        "exact evaluators, and the ?mode=approximate endpoint mode)",
-    )
-    serve.add_argument(
-        "--approx-default",
-        action="store_true",
-        help="answer requests that don't pass ?mode= in approximate mode "
-        "(uncertain-band queries answered from the bounds alone with "
-        "sampled exact re-checks; default: exact)",
-    )
-    serve.add_argument(
-        "--approx-recheck",
-        type=float,
-        default=0.05,
-        metavar="RATE",
-        help="fraction of mode=approximate answers re-checked against the "
-        "exact evaluators to account the observed false rate in /stats "
-        "and /metrics (0.0-1.0, default 0.05)",
-    )
+    # One flag per row of the serving options table.
+    add_arguments(serve)
     return parser
 
 
@@ -463,16 +334,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
         [label for label in args.labels.split(",") if label],
         constraint,
     )
+    index = None
     if args.algorithm == "ins":
         index = (
             load_local_index(args.index, graph)
             if args.index
             else build_local_index(graph)
         )
-        algorithm = INS(graph, index)
-    else:
-        algorithm = _ALGORITHMS[args.algorithm](graph)
-    result = algorithm.answer(query)
+    result = make_algorithm(args.algorithm, graph, index=index).answer(query)
     print(
         f"{result.algorithm}: answer={result.answer} "
         f"time={result.seconds * 1000:.3f}ms "
@@ -522,14 +391,12 @@ def _cmd_cut(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_worker(args: argparse.Namespace) -> int:
+def _serve_worker(args: argparse.Namespace, options: ServiceOptions) -> int:
     """``serve --worker SLICE_FILE``: one shard worker process."""
     loaded = load_slice(args.worker)
     worker = ShardWorker(
         loaded.slice,
-        seed=args.seed,
-        cache_size=args.cache_size,
-        cache_ttl=args.cache_ttl,
+        options=options,
         epoch=loaded.epoch,
         fingerprint=loaded.fingerprint,
         plan_hash=loaded.plan_hash,
@@ -572,12 +439,14 @@ def _parse_tenant_spec(spec: str) -> tuple[str, str, str | None]:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    # Every per-service flag, range- and cross-checked against the one
+    # table; what follows only checks how the deployment fits together.
+    options = options_from_args(args)
     if args.worker is not None:
         conflicts = {
             "--graph": args.graph is not None,
             "--tenant": bool(args.tenant),
-            "--shards": bool(args.shards),
-            "--worker-url": bool(args.worker_url),
+            "--shards": bool(options.shards),
             "--wal": args.wal is not None,
             "--follow": args.follow is not None,
             "--allow-updates": args.allow_updates,
@@ -589,25 +458,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"--worker serves one slice and nothing else; drop "
                 f"{', '.join(named)}"
             )
-        return _serve_worker(args)
+        return _serve_worker(args, options)
     tenants = [_parse_tenant_spec(spec) for spec in args.tenant]
     if args.graph is None and not tenants:
         raise ServiceConfigError(
             "serve needs at least one graph: pass --graph and/or --tenant"
         )
-    if args.shards and args.graph is None:
+    if options.shards and args.graph is None:
         raise ServiceConfigError("--shards requires --graph (the default tenant)")
-    if args.shards < 0:
-        raise ServiceConfigError(f"--shards must be >= 0, got {args.shards}")
-    if args.worker_url and not args.shards:
-        raise ServiceConfigError("--worker-url requires --shards")
-    if args.worker_url and len(args.worker_url) != args.shards:
-        raise ServiceConfigError(
-            f"--shards {args.shards} needs exactly {args.shards} "
-            f"--worker-url values, got {len(args.worker_url)}"
-        )
-    if args.worker_probe_interval is not None and not args.worker_url:
-        raise ServiceConfigError("--worker-probe-interval requires --worker-url")
     if args.wal is not None and args.follow is not None:
         raise ServiceConfigError(
             "--wal and --follow are mutually exclusive: a process either "
@@ -618,7 +476,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "--wal/--follow require --graph (the base TSV the log's first "
             "record was written against)"
         )
-    if args.follow is not None and args.shards:
+    if args.follow is not None and options.shards:
         raise ServiceConfigError(
             "--follow does not support --shards: a follower republishes "
             "the leader's epochs read-only, it does not drive a fleet"
@@ -636,52 +494,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ServiceConfigError(
             f"--default-deadline-ms must be > 0, got {args.default_deadline_ms}"
         )
-    if args.shard_timeout is not None:
-        if args.shard_timeout <= 0:
-            raise ServiceConfigError(
-                f"--shard-timeout must be > 0, got {args.shard_timeout}"
-            )
-        if not args.shards:
-            raise ServiceConfigError("--shard-timeout requires --shards")
-    if args.degraded_answers and not args.shards:
-        raise ServiceConfigError("--degraded-answers requires --shards")
-    if args.max_concurrent is not None and args.max_concurrent < 1:
-        raise ServiceConfigError(
-            f"--max-concurrent must be >= 1, got {args.max_concurrent}"
-        )
-    if args.max_queue < 0:
-        raise ServiceConfigError(
-            f"--max-queue must be >= 0, got {args.max_queue}"
-        )
-    if args.max_queue and args.max_concurrent is None:
-        raise ServiceConfigError("--max-queue requires --max-concurrent")
-    if args.approx_default and args.no_approx:
-        raise ServiceConfigError(
-            "--approx-default requires the approx tier (drop --no-approx)"
-        )
-    if not 0.0 <= args.approx_recheck <= 1.0:
-        raise ServiceConfigError(
-            f"--approx-recheck must be within [0, 1], got {args.approx_recheck}"
-        )
-    options = dict(
-        landmark_count=args.k,
-        seed=args.seed,
-        algorithm=args.algorithm,
-        cache_size=args.cache_size,
-        cache_ttl=args.cache_ttl,
-        max_workers=args.workers,
-        trace_sample=args.trace_sample,
-        approx=not args.no_approx,
-        approx_default=args.approx_default,
-        approx_recheck=args.approx_recheck,
-    )
-    if args.slow_ms is not None:
-        options["slow_ms"] = args.slow_ms
-    if args.slow_log_size is not None:
-        options["slow_log_size"] = args.slow_log_size
-    if args.max_concurrent is not None:
-        options["max_concurrent"] = args.max_concurrent
-        options["max_queue"] = args.max_queue
     # The default tenant (the one the un-prefixed PR 1 routes alias to)
     # is --graph when given, else the first --tenant; it loads eagerly so
     # the ready line below reports real sizes, the rest warm-start lazily.
@@ -692,17 +504,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     tenant_wal = None
     replay = None
     if args.graph is not None:
-        shard_options = {}
-        if args.shards:
-            shard_options = dict(
-                shards=args.shards,
-                degraded_answers=args.degraded_answers,
-                scatter_timeout=args.shard_timeout,
-            )
-            if args.worker_url:
-                shard_options["worker_urls"] = list(args.worker_url)
-                if args.worker_probe_interval is not None:
-                    shard_options["probe_interval"] = args.worker_probe_interval
+        service_cls = ShardedQueryService if options.shards else QueryService
         if args.wal is not None or args.follow is not None:
             # Leader and follower recover identically — snapshot (if
             # any) + record replay, fingerprint-verified — and differ
@@ -721,26 +523,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 graph_path=args.graph,
                 index_path=args.index,
                 attach=args.wal is not None,
-                service_cls=ShardedQueryService if args.shards else QueryService,
-                **shard_options,
-                **options,
-            )
-        elif args.shards:
-            default_service = ShardedQueryService.from_files(
-                args.graph, args.index, **shard_options, **options
+                service_cls=service_cls,
+                options=options,
             )
         else:
-            default_service = QueryService.from_files(
-                args.graph, args.index, **options
+            default_service = service_cls.from_files(
+                args.graph, args.index, options=options
             )
-        if args.shards and not args.worker_url:
+        if options.shards and options.worker_urls is None:
             shard_workers = {
                 str(position): worker
                 for position, worker in enumerate(default_service.workers)
             }
         registry.add(DEFAULT_TENANT, default_service)
     for name, graph_path, index_path in tenants:
-        registry.register_files(name, graph_path, index_path, **options)
+        registry.register_files(
+            name, graph_path, index_path, options=options.unsharded()
+        )
 
     follower = None
     if args.follow is not None:
@@ -810,19 +609,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"default algorithm: {service.default_algorithm}",
         flush=True,
     )
-    if args.shards:
+    if options.shards:
         plan = service.shard_plan.describe()
-        if args.worker_url:
+        if options.worker_urls is not None:
             print(
-                f"shards: {args.shards} remote (vertices per shard: "
+                f"shards: {options.shards} remote (vertices per shard: "
                 f"{plan['vertices_per_shard']}; workers: "
-                f"{', '.join(args.worker_url)}; slice epoch "
+                f"{', '.join(options.worker_urls)}; slice epoch "
                 f"{service.slice_epoch}, handshake ok)",
                 flush=True,
             )
         else:
             print(
-                f"shards: {args.shards} (vertices per shard: "
+                f"shards: {options.shards} (vertices per shard: "
                 f"{plan['vertices_per_shard']}; workers at /shard/<id>/expand)",
                 flush=True,
             )
@@ -859,8 +658,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     print(
         f"observability: GET /metrics, GET /debug/slow "
-        f"(slow-ms={service.flight.threshold_ms:g}, "
-        f"trace-sample={args.trace_sample:g})",
+        f"(slow-ms={options.slow_ms:g}, "
+        f"trace-sample={options.trace_sample:g})",
         flush=True,
     )
     resilience_notes = []
@@ -868,14 +667,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         resilience_notes.append(
             f"default deadline {args.default_deadline_ms:g}ms"
         )
-    if args.shard_timeout is not None:
-        resilience_notes.append(f"shard timeout {args.shard_timeout:g}s")
-    if args.degraded_answers:
+    if options.scatter_timeout is not None:
+        resilience_notes.append(f"shard timeout {options.scatter_timeout:g}s")
+    if options.degraded_answers:
         resilience_notes.append("degraded answers on shard loss")
-    if args.max_concurrent is not None:
+    if options.max_concurrent is not None:
         resilience_notes.append(
-            f"max {args.max_concurrent} concurrent "
-            f"(queue {args.max_queue}, then 429)"
+            f"max {options.max_concurrent} concurrent "
+            f"(queue {options.max_queue}, then 429)"
         )
     if resilience_notes:
         print(f"fault tolerance: {'; '.join(resilience_notes)}", flush=True)
@@ -889,7 +688,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"approx tier: {bounds_note}; default mode "
             f"{service.approx.default_mode}; "
-            f"recheck rate {args.approx_recheck:g} (?mode=approximate)",
+            f"recheck rate {options.approx_recheck:g} (?mode=approximate)",
             flush=True,
         )
     # Machine-readable ready line: tooling (and the tests) parse the port

@@ -80,11 +80,7 @@ from repro.graph.labeled_graph import KnowledgeGraph
 from repro.index.landmarks import NO_REGION
 from repro.index.local_index import LocalIndex, build_local_index
 from repro.index.storage import load_or_build_index
-from repro.obs.flight import (
-    DEFAULT_SLOW_LOG_SIZE,
-    DEFAULT_SLOW_MS,
-    FlightRecorder,
-)
+from repro.obs.flight import FlightRecorder
 from repro.obs.trace import (
     Trace,
     TraceSampler,
@@ -102,14 +98,12 @@ from repro.service.epoch import (
     validate_edge_updates,
 )
 from repro.service.executor import BatchExecutor
+from repro.service.options import ServiceOptions, resolve_options
 from repro.service.planner import QueryPlan, QueryPlanner
 from repro.service.stats import ServiceStats
 from repro.utils.persist import atomic_write_json
 
-__all__ = ["QueryService", "DEFAULT_MAX_BATCH", "DEFAULT_REBUILD_REGION_FRACTION"]
-
-#: Refuse larger ``POST /batch`` bodies (memory guard, not a tuning knob).
-DEFAULT_MAX_BATCH = 4096
+__all__ = ["QueryService", "DEFAULT_REBUILD_REGION_FRACTION"]
 
 #: When an update batch touches more than this fraction of the index's
 #: regions, per-region repair stops paying for itself and the whole
@@ -126,87 +120,70 @@ _SNAPSHOT_VERSION = 2
 
 
 class QueryService:
-    """A shared, thread-safe LSCR answering engine for one graph."""
+    """A shared, thread-safe LSCR answering engine for one graph.
+
+    Configured by the rows of :data:`repro.service.options.OPTIONS`,
+    given as keywords (``QueryService(graph, index, seed=3,
+    cache_size=0)``) or as one already-validated ``options=`` value.
+    """
+
+    #: Whether the options table's sharding rows apply to this topology.
+    sharded = False
 
     def __init__(
         self,
         graph: KnowledgeGraph,
         index: LocalIndex | None = None,
         *,
-        algorithm: str | None = None,
-        cache_size: int = 1024,
-        cache_ttl: float | None = None,
-        max_workers: int | None = None,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        seed: int = 0,
-        trace_sample: float = 0.0,
-        slow_ms: float = DEFAULT_SLOW_MS,
-        slow_log_size: int = DEFAULT_SLOW_LOG_SIZE,
-        max_concurrent: int | None = None,
-        max_queue: int = 0,
-        approx: bool = True,
-        approx_default: bool = False,
-        approx_recheck: float = 0.05,
+        options: ServiceOptions | None = None,
+        **keywords: Any,
     ) -> None:
-        if max_batch < 1:
-            raise ServiceConfigError(f"max_batch must be >= 1, got {max_batch}")
-        self.seed = seed
-        self.max_batch = max_batch
-        if approx_default and not approx:
-            raise ServiceConfigError(
-                "approx_default requires the approx tier to be enabled"
-            )
+        #: Every serving option, validated once
+        #: (:mod:`repro.service.options`); the sub-objects below receive
+        #: already-valid values.
+        self.options = options = resolve_options(
+            options, keywords, sharding=self.sharded
+        )
         #: The bounded-answer tier (``repro.approx``): sound
         #: short-circuits ahead of the exact evaluators plus the opt-in
         #: ``mode=approximate``.  None disables routing entirely and the
         #: service behaves exactly as before the tier existed.
         self.approx: ApproxRouter | None = None
-        if approx:
-            try:
-                self.approx = ApproxRouter(
-                    approx_default=approx_default,
-                    recheck_rate=approx_recheck,
-                    # Follows the result cache's knob: cache_size=0
-                    # keeps the sound bounds but stores no witnesses,
-                    # so the uncached service stays genuinely uncached.
-                    witness_cache_size=cache_size,
-                    seed=seed,
-                )
-            except ValueError as error:
-                raise ServiceConfigError(str(error)) from error
+        if options.approx:
+            self.approx = ApproxRouter(
+                approx_default=options.approx_default,
+                recheck_rate=options.approx_recheck,
+                # Follows the result cache's knob: cache_size=0 keeps
+                # the sound bounds but stores no witnesses, so the
+                # uncached service stays genuinely uncached.
+                witness_cache_size=options.cache_size,
+                seed=options.seed,
+            )
         #: Admission control for the query endpoints (``--max-concurrent``
         #: / ``--max-queue``); None — the default — admits everything and
         #: costs nothing on the request path.
         self.admission: AdmissionController | None = None
-        if max_concurrent is not None:
-            try:
-                self.admission = AdmissionController(
-                    max_concurrent, max_queue=max_queue
-                )
-            except ValueError as error:
-                raise ServiceConfigError(str(error)) from error
-        try:
-            #: Server-side trace sampling: the fraction of un-asked-for
-            #: requests that get a (flight-recorder-only) trace.
-            self._sampler = TraceSampler(trace_sample, seed=seed)
-            #: The slow-query flight recorder.  Owned by the *service*,
-            #: not the epoch, so recorded entries survive update swaps —
-            #: that durability is what makes a post-update regression
-            #: diagnosable from its recorded pre/post traces.
-            self.flight = FlightRecorder(
-                threshold_ms=slow_ms, max_entries=slow_log_size
+        if options.max_concurrent is not None:
+            self.admission = AdmissionController(
+                options.max_concurrent, max_queue=options.max_queue
             )
-        except ValueError as error:
-            raise ServiceConfigError(str(error)) from error
-        self.trace_sample = trace_sample
+        #: Server-side trace sampling: the fraction of un-asked-for
+        #: requests that get a (flight-recorder-only) trace.
+        self._sampler = TraceSampler(options.trace_sample, seed=options.seed)
+        #: The slow-query flight recorder.  Owned by the *service*, not
+        #: the epoch, so recorded entries survive update swaps — that
+        #: durability is what makes a post-update regression diagnosable
+        #: from its recorded pre/post traces.
+        self.flight = FlightRecorder(
+            threshold_ms=options.slow_ms, max_entries=options.slow_log_size
+        )
         self.constraints = ConstraintCache()
-        self._forced_algorithm = algorithm
-        #: Follows the result cache's knob: cache_size=0 disables V(S,G)
-        #: memoisation too, so one flag yields a genuinely uncached
-        #: service.
-        self._cache_size = cache_size
-        self.results = ResultCache(max_size=cache_size, ttl_seconds=cache_ttl)
-        self.executor = BatchExecutor(max_workers=max_workers, persistent=True)
+        self.results = ResultCache(
+            max_size=options.cache_size, ttl_seconds=options.cache_ttl
+        )
+        self.executor = BatchExecutor(
+            max_workers=options.max_workers, persistent=True
+        )
         self.stats = ServiceStats()
         # Everything graph-bound lives in one GraphEpoch behind a single
         # atomic attribute reference — readers dereference it once per
@@ -238,21 +215,22 @@ class QueryService:
         graph_path: str | Path,
         index_path: str | Path | None = None,
         *,
-        landmark_count: int | None = None,
-        seed: int = 0,
-        **kwargs: Any,
+        options: ServiceOptions | None = None,
+        **keywords: Any,
     ) -> "QueryService":
         """Warm-start a service from a TSV graph and a persisted index.
 
         ``index_path=None`` serves index-free (UIS*/UIS fallback).  A
-        given-but-missing ``index_path`` builds the index at startup and
-        persists it there, so the *next* start is warm — the service
-        counterpart of ``python -m repro index``.
+        given-but-missing ``index_path`` builds the index at startup
+        (``landmark_count`` landmarks, chosen by ``seed``) and persists
+        it there, so the *next* start is warm — the service counterpart
+        of ``python -m repro index``.
 
         The graph is frozen *before* the index is touched, so a missing
         index is built over the CSR snapshot (itself measurably faster)
         and a loaded one binds to the graph the sessions will traverse.
         """
+        options = resolve_options(options, keywords, sharding=cls.sharded)
         graph_path = Path(graph_path)
         if not graph_path.is_file():
             raise ServiceConfigError(f"graph file not found: {graph_path}")
@@ -260,9 +238,13 @@ class QueryService:
         index = None
         if index_path is not None:
             index = load_or_build_index(
-                graph, index_path, k=landmark_count, rng=seed, save_if_built=True
+                graph,
+                index_path,
+                k=options.landmark_count,
+                rng=options.seed,
+                save_if_built=True,
             )
-        return cls(graph, index, seed=seed, **kwargs)
+        return cls(graph, index, options=options)
 
     def __repr__(self) -> str:
         return (
@@ -305,7 +287,7 @@ class QueryService:
     @property
     def default_algorithm(self) -> str:
         """The algorithm requests run on when they don't name one."""
-        return self._forced_algorithm or self.planner.default_algorithm
+        return self.options.algorithm or self.planner.default_algorithm
 
     def _build_bounds(self, graph: KnowledgeGraph) -> BoundsIndex | None:
         """The label-blind upper bound for one snapshot (None when off).
@@ -316,7 +298,7 @@ class QueryService:
         """
         if self.approx is None:
             return None
-        return build_bounds(graph, seed=self.seed)
+        return build_bounds(graph, seed=self.options.seed)
 
     def _resolve_mode(self, mode: str | None) -> str:
         """Validate a per-request answer mode against the tier config."""
@@ -377,7 +359,7 @@ class QueryService:
         """
         mode = self._resolve_mode(mode)
         if algorithm is None:
-            algorithm = self._forced_algorithm
+            algorithm = self.options.algorithm
         epoch = self._epoch
         plan = epoch.planner.plan(source, target, labels, constraint, algorithm)
         return self._finish(
@@ -401,10 +383,10 @@ class QueryService:
         started = perf_counter()
         mode = self._resolve_mode(mode)
         specs = list(specs)
-        if len(specs) > self.max_batch:
+        if len(specs) > self.options.max_batch:
             raise BadRequestError(
                 f"batch of {len(specs)} queries exceeds the limit of "
-                f"{self.max_batch}"
+                f"{self.options.max_batch}"
             )
         # One epoch for the whole batch: every member is answered
         # against the same graph version even if an update lands while
@@ -418,7 +400,7 @@ class QueryService:
                         spec["target"],
                         spec["labels"],
                         spec["constraint"],
-                        spec.get("algorithm") or self._forced_algorithm,
+                        spec.get("algorithm") or self.options.algorithm,
                     ),
                     use_cache and spec.get("use_cache", True),
                 )
@@ -484,9 +466,12 @@ class QueryService:
                 frozen,
                 self.constraints,
                 has_index=index is not None,
-                default_algorithm=self._forced_algorithm or "uis*",
+                default_algorithm=self.options.algorithm or "uis*",
             )
-            candidates = CandidateCache(max_size=self._cache_size)
+            # Follows the result cache's knob: cache_size=0 disables
+            # V(S,G) memoisation too, so one flag yields a genuinely
+            # uncached service.
+            candidates = CandidateCache(max_size=self.options.cache_size)
         return GraphEpoch(
             epoch_id,
             frozen,
@@ -494,7 +479,7 @@ class QueryService:
             planner,
             candidates,
             self.constraints,
-            self.seed,
+            self.options.seed,
             bounds=bounds,
         )
 
@@ -1208,7 +1193,7 @@ class QueryService:
         """
         if self.read_only:
             raise ReadOnlyServiceError()
-        updates = validate_edge_updates(payload, max_edges=self.max_batch)
+        updates = validate_edge_updates(payload, max_edges=self.options.max_batch)
         active = Trace("updates") if trace else None
         summary = self._run_traced(active, self.apply_updates, updates)
         if trace:
@@ -1267,19 +1252,7 @@ class QueryService:
             "slow_queries": self.flight.summary(),
             "config": {
                 "default_algorithm": self.default_algorithm,
-                "cache_size": self.results.max_size,
-                "cache_ttl": self.results.ttl_seconds,
-                "max_workers": self.executor.max_workers,
-                "max_batch": self.max_batch,
-                "seed": self.seed,
-                "trace_sample": self.trace_sample,
-                "slow_ms": self.flight.threshold_ms,
-                "slow_log_size": self.flight.max_entries,
-                "approx": self.approx is not None,
-                "approx_default": (
-                    self.approx is not None
-                    and self.approx.default_mode == "approximate"
-                ),
+                **self.options.as_dict(),
             },
         }
         if self.approx is not None:

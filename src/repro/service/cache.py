@@ -35,7 +35,17 @@ from typing import Any
 from repro.constraints.substructure import SubstructureConstraint
 from repro.obs.trace import span
 
-__all__ = ["CacheStats", "ResultCache", "ConstraintCache", "CandidateCache"]
+__all__ = [
+    "CacheStats",
+    "ResultCache",
+    "ConstraintCache",
+    "CandidateCache",
+    "DEFAULT_CACHE_SIZE",
+]
+
+#: Entries a result or candidate cache keeps unless told otherwise — also
+#: the serving ``cache_size`` option's default (``serve --cache-size``).
+DEFAULT_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -79,7 +89,7 @@ class ResultCache:
 
     def __init__(
         self,
-        max_size: int = 1024,
+        max_size: int = DEFAULT_CACHE_SIZE,
         ttl_seconds: float | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -310,7 +320,7 @@ class CandidateCache:
     it next to its frozen graph and never mutates either.
     """
 
-    def __init__(self, max_size: int = 1024) -> None:
+    def __init__(self, max_size: int = DEFAULT_CACHE_SIZE) -> None:
         if max_size < 0:
             raise ValueError(f"max_size must be >= 0, got {max_size}")
         self.max_size = max_size

@@ -31,8 +31,9 @@ The server routes onto a :class:`~repro.service.registry.TenantRegistry`
   merged counters);
 * ``GET /tenants``    — list every tenant and its load state;
 * ``POST /tenants``   — register a tenant at runtime from file paths
-  (``{"name", "graph", "index"?, "seed"?, "algorithm"?, ...}``), warm
-  started lazily on its first query;
+  (``{"name", "graph", "index"?, "seed"?, "algorithm"?, ...}`` — any
+  non-sharding row of :data:`repro.service.options.OPTIONS`; an unknown
+  key or a bad value is a 400), warm started lazily on its first query;
 * ``DELETE /t/<tenant>`` — deregister a tenant;
 * ``POST /shard/<id>/expand``, ``POST /shard/<id>/query``,
   ``POST /shard/<id>/update``, ``GET /shard/<id>`` — present when shard
@@ -74,43 +75,13 @@ from repro.exceptions import (
 )
 from repro.resilience.deadline import Deadline
 from repro.service.app import QueryService
-from repro.service.planner import PLANNABLE_ALGORITHMS
+from repro.service.options import build_options
 from repro.service.registry import TenantRegistry, valid_tenant_name
 
 __all__ = ["ServiceHTTPServer", "ServiceRequestHandler", "create_server"]
 
 #: Refuse request bodies larger than this many bytes (memory guard).
 MAX_BODY_BYTES = 16 * 1024 * 1024
-
-#: Options ``POST /tenants`` forwards to :meth:`QueryService.from_files`,
-#: with the predicate each value must satisfy.  Validated here so a bad
-#: registration fails the POST with a 400, not every later query with a
-#: 500 once the lazy warm start trips over it (bool is excluded from the
-#: int checks — JSON ``true`` must not pass as a seed).
-_TENANT_OPTION_FIELDS = {
-    "seed": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "algorithm": lambda v: v in PLANNABLE_ALGORITHMS,
-    "cache_size": lambda v: isinstance(v, int) and not isinstance(v, bool)
-    and v >= 0,
-    "cache_ttl": lambda v: isinstance(v, (int, float))
-    and not isinstance(v, bool) and v > 0,
-    "max_workers": lambda v: isinstance(v, int) and not isinstance(v, bool)
-    and v >= 1,
-    "max_batch": lambda v: isinstance(v, int) and not isinstance(v, bool)
-    and v >= 1,
-    "landmark_count": lambda v: isinstance(v, int) and not isinstance(v, bool)
-    and v >= 1,
-    "trace_sample": lambda v: isinstance(v, (int, float))
-    and not isinstance(v, bool) and 0.0 <= v <= 1.0,
-    "slow_ms": lambda v: isinstance(v, (int, float))
-    and not isinstance(v, bool) and v >= 0,
-    "slow_log_size": lambda v: isinstance(v, int) and not isinstance(v, bool)
-    and v >= 1,
-    "approx": lambda v: isinstance(v, bool),
-    "approx_default": lambda v: isinstance(v, bool),
-    "approx_recheck": lambda v: isinstance(v, (int, float))
-    and not isinstance(v, bool) and 0.0 <= v <= 1.0,
-}
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -403,17 +374,18 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         index = payload.get("index")
         if index is not None and not isinstance(index, str):
             raise BadRequestError("'index' must be a file path string")
-        options: dict[str, Any] = {}
-        for field, acceptable in _TENANT_OPTION_FIELDS.items():
-            if field not in payload or payload[field] is None:
-                continue
-            value = payload[field]
-            if not acceptable(value):
-                raise BadRequestError(
-                    f"invalid value for {field!r}: {value!r}"
-                )
-            options[field] = value
-        self.server.registry.register_files(name, graph, index, **options)
+        # Every other key is a serving option: validated here, so a bad
+        # registration fails the POST with a 400, not every later query
+        # once the lazy warm start trips over it.
+        options = build_options(
+            {
+                key: value
+                for key, value in payload.items()
+                if key not in ("name", "graph", "index")
+            },
+            error=BadRequestError,
+        )
+        self.server.registry.register_files(name, graph, index, options=options)
         return {"registered": name, "loaded": False}
 
     def _request_scope(self, query: dict[str, str]) -> activate | nullcontext:

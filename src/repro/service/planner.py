@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 from repro.constraints.label_constraint import LabelConstraint
 from repro.constraints.substructure import SubstructureConstraint
+from repro.core.algorithms import ALGORITHMS
 from repro.core.query import LSCRQuery
 from repro.exceptions import BadRequestError, ServiceConfigError
 from repro.graph.labeled_graph import KnowledgeGraph
@@ -46,13 +47,10 @@ from repro.obs.trace import span
 from repro.service.cache import ConstraintCache
 from repro.sparql.evaluator import compile_patterns
 
-__all__ = ["CanonicalKey", "QueryPlan", "QueryPlanner", "TRIVIAL", "PLANNABLE_ALGORITHMS"]
+__all__ = ["CanonicalKey", "QueryPlan", "QueryPlanner", "TRIVIAL"]
 
 #: ``(source, target, sorted labels, canonical constraint SPARQL)``.
 CanonicalKey = tuple[str, str, tuple[str, ...], str]
-
-#: Algorithm names a plan may carry for execution.
-PLANNABLE_ALGORITHMS = ("uis", "uis*", "ins", "naive")
 
 #: Pseudo-algorithm name carried by plans the planner answered itself.
 TRIVIAL = "trivial"
@@ -95,10 +93,10 @@ class QueryPlanner:
         has_index: bool = False,
         default_algorithm: str = "uis*",
     ) -> None:
-        if default_algorithm not in PLANNABLE_ALGORITHMS:
+        if default_algorithm not in ALGORITHMS:
             raise ServiceConfigError(
                 f"unknown default algorithm {default_algorithm!r}; "
-                f"choose from {PLANNABLE_ALGORITHMS}"
+                f"choose from {tuple(ALGORITHMS)}"
             )
         if default_algorithm == "ins" and not has_index:
             raise ServiceConfigError("default algorithm 'ins' requires a loaded index")
@@ -216,9 +214,9 @@ class QueryPlanner:
     def _choose_algorithm(self, requested: str | None) -> str:
         if requested is None:
             return self.default_algorithm
-        if requested not in PLANNABLE_ALGORITHMS:
+        if requested not in ALGORITHMS:
             raise BadRequestError(
-                f"unknown algorithm {requested!r}; choose from {PLANNABLE_ALGORITHMS}"
+                f"unknown algorithm {requested!r}; choose from {tuple(ALGORITHMS)}"
             )
         if requested == "ins" and not self.has_index:
             raise BadRequestError(

@@ -43,6 +43,7 @@ from repro.exceptions import (
 )
 from repro.obs.prometheus import render_metrics
 from repro.service.app import QueryService
+from repro.service.options import ServiceOptions, resolve_options
 from repro.service.stats import merge_snapshots
 
 __all__ = ["TenantRegistry", "DEFAULT_TENANT", "valid_tenant_name"]
@@ -159,16 +160,18 @@ class TenantRegistry:
         name: str,
         graph_path: str | Path,
         index_path: str | Path | None = None,
-        **options: Any,
+        *,
+        options: ServiceOptions | None = None,
+        **keywords: Any,
     ) -> None:
         """Register a tenant to be warm-started lazily from files.
 
-        The graph path is checked eagerly — a bad registration should
-        fail the ``POST /tenants`` call, not every later query — but the
-        graph load and ``load_or_build_index`` run on first lookup, off
-        the registry lock.  ``options`` are passed through to
-        :meth:`QueryService.from_files` (``seed``, ``algorithm``,
-        ``cache_size``, ...).
+        The graph path and the options (``seed``, ``algorithm``,
+        ``cache_size``, ... — keywords or one ``options=`` value, as for
+        :meth:`QueryService.from_files`) are checked eagerly — a bad
+        registration should fail the ``POST /tenants`` call, not every
+        later query — but the graph load and ``load_or_build_index`` run
+        on first lookup, off the registry lock.
         """
         graph_path = Path(graph_path)
         if not graph_path.is_file():
@@ -176,7 +179,7 @@ class TenantRegistry:
         spec: dict[str, Any] = {
             "graph_path": graph_path,
             "index_path": Path(index_path) if index_path is not None else None,
-            **options,
+            "options": resolve_options(options, keywords, sharding=False),
         }
         self._insert(_TenantEntry(name, spec=spec))
 

@@ -20,13 +20,9 @@ from collections.abc import Hashable, Iterable
 
 from repro.constraints.label_constraint import LabelConstraint
 from repro.constraints.substructure import SubstructureConstraint
-from repro.core.base import LSCRAlgorithm
-from repro.core.ins import INS
-from repro.core.naive import NaiveTwoProcedure
+from repro.core.algorithms import ALGORITHMS, make_algorithm
 from repro.core.query import LSCRQuery
 from repro.core.result import QueryResult
-from repro.core.uis import UIS
-from repro.core.uis_star import UISStar
 from repro.core.witness import WitnessPath, find_witness
 from repro.exceptions import ReproError
 from repro.graph.labeled_graph import KnowledgeGraph
@@ -35,8 +31,6 @@ from repro.service.cache import CandidateCache, ConstraintCache
 from repro.service.executor import BatchExecutor
 
 __all__ = ["LSCRSession"]
-
-_ALGORITHMS = ("uis", "uis*", "ins", "naive")
 
 
 class LSCRSession:
@@ -52,9 +46,9 @@ class LSCRSession:
         constraint_cache: ConstraintCache | None = None,
         candidate_cache: CandidateCache | None = None,
     ) -> None:
-        if algorithm not in _ALGORITHMS:
+        if algorithm not in ALGORITHMS:
             raise ReproError(
-                f"unknown algorithm {algorithm!r}; choose from {_ALGORITHMS}"
+                f"unknown algorithm {algorithm!r}; choose from {tuple(ALGORITHMS)}"
             )
         self.graph = graph
         self.algorithm_name = algorithm
@@ -76,24 +70,16 @@ class LSCRSession:
         #: Shared V(S,G) memo for UIS*/INS (the service passes its own so
         #: every pooled session reuses one computation per constraint).
         self._candidate_cache = candidate_cache
-        self._algorithm: LSCRAlgorithm
-        if algorithm == "ins":
-            if index is None:
-                index = build_local_index(graph, k=landmark_count, rng=self.seed)
-            self.index: LocalIndex | None = index
-            self._algorithm = INS(
-                graph, index, rng=rng, candidate_cache=candidate_cache
-            )
-        else:
-            self.index = None
-            if algorithm == "uis":
-                self._algorithm = UIS(graph)
-            elif algorithm == "uis*":
-                self._algorithm = UISStar(
-                    graph, rng=rng, candidate_cache=candidate_cache
-                )
-            else:
-                self._algorithm = NaiveTwoProcedure(graph)
+        if algorithm == "ins" and index is None:
+            index = build_local_index(graph, k=landmark_count, rng=self.seed)
+        self.index: LocalIndex | None = index if algorithm == "ins" else None
+        self._algorithm = make_algorithm(
+            algorithm,
+            graph,
+            index=self.index,
+            rng=rng,
+            candidate_cache=candidate_cache,
+        )
 
     def __repr__(self) -> str:
         return f"LSCRSession({self.graph.name!r}, algorithm={self.algorithm_name!r})"

@@ -60,6 +60,7 @@ from repro.exceptions import (
 from repro.index.local_index import LocalIndex
 from repro.service.app import QueryService
 from repro.service.epoch import GraphEpoch
+from repro.service.options import ServiceOptions, resolve_options
 from repro.service.planner import QueryPlan
 from repro.service.stats import merge_snapshots
 from repro.core.result import QueryResult
@@ -75,10 +76,7 @@ from repro.shard.rebalance import propose_rebalance
 from repro.shard.slicefile import SLICE_WIRE_VERSION, plan_fingerprint
 from repro.shard.worker import HttpShardWorker, ShardWorker
 
-__all__ = ["ShardedQueryService", "DEFAULT_PROBE_INTERVAL"]
-
-#: Seconds between health probes of remote workers.
-DEFAULT_PROBE_INTERVAL = 5.0
+__all__ = ["ShardedQueryService"]
 
 
 class _StagedSwap(NamedTuple):
@@ -94,34 +92,50 @@ class _StagedSwap(NamedTuple):
 
 
 class ShardedQueryService(QueryService):
-    """One tenant, ``shards`` region-sharded slices, exact answers."""
+    """One tenant, ``shards`` region-sharded slices, exact answers.
+
+    Reads the sharding rows of the options table (``shards``,
+    ``worker_urls``, ``probe_interval``, ``scatter_timeout``,
+    ``degraded_answers``) next to the per-service ones; the other
+    keywords are embedding/test seams, not serving options.
+    """
+
+    sharded = True
 
     def __init__(
         self,
         graph: KnowledgeGraph,
         index: LocalIndex | None = None,
         *,
-        shards: int = 2,
-        shard_landmarks: int | None = None,
         local_fast_path: bool = True,
         parallel_scatter: bool = True,
-        degraded_answers: bool = False,
-        scatter_timeout: float | None = None,
         retry_policy=None,
-        worker_urls: list[str] | None = None,
-        worker_timeout: float | None = None,
-        probe_interval: float | None = None,
-        **kwargs: Any,
+        options: ServiceOptions | None = None,
+        **keywords: Any,
     ) -> None:
-        if shards < 1:
-            raise ServiceConfigError(f"shards must be >= 1, got {shards}")
-        super().__init__(graph, index, **kwargs)
+        options = resolve_options(options, keywords, sharding=True)
+        if options.shards < 1:
+            raise ServiceConfigError(f"shards must be >= 1, got {options.shards}")
+        if options.worker_urls is not None and (
+            len(options.worker_urls) != options.shards
+        ):
+            raise ServiceConfigError(
+                f"--shards {options.shards} needs exactly {options.shards} "
+                f"--worker-url values, got {len(options.worker_urls)}"
+            )
+        super().__init__(graph, index, options=options)
         frozen = self.graph
         #: Partition and correlations are retained for D-guided
         #: rebalancing: live crossing counters are folded into the
-        #: correlation table to re-place regions.
+        #: correlation table to re-place regions.  An index-free plan
+        #: uses the same ``landmark_count`` and ``seed`` as ``cut``, so
+        #: slice files cut offline match it hash for hash.
         self._partition, self._correlations, self.shard_plan = derive_shard_plan(
-            frozen, index, shards, landmark_count=shard_landmarks, seed=self.seed
+            frozen,
+            index,
+            options.shards,
+            landmark_count=options.landmark_count,
+            seed=options.seed,
         )
         #: Serialises every slice push (updates, rebalances, resyncs).
         #: Always taken *after* the inherited ``_update_lock`` when both
@@ -133,23 +147,16 @@ class ShardedQueryService(QueryService):
         self._probe_stop = threading.Event()
         self._probe_thread: threading.Thread | None = None
         plan_hash = plan_fingerprint(self.shard_plan)
-        if worker_urls is not None:
-            if len(worker_urls) != shards:
-                raise ServiceConfigError(
-                    f"--shards {shards} needs exactly {shards} --worker-url "
-                    f"values, got {len(worker_urls)}"
-                )
+        if options.worker_urls is not None:
             self.workers: list = [
-                HttpShardWorker(url, shard_id, timeout=worker_timeout)
-                for shard_id, url in enumerate(worker_urls)
+                HttpShardWorker(url, shard_id)
+                for shard_id, url in enumerate(options.worker_urls)
             ]
         else:
             self.workers = [
                 ShardWorker(
                     graph_slice,
-                    seed=self.seed,
-                    cache_size=self.results.max_size,
-                    cache_ttl=self.results.ttl_seconds,
+                    options=options,
                     epoch=self._slice_epoch,
                     fingerprint=self.epoch.fingerprint,
                     plan_hash=plan_hash,
@@ -164,25 +171,22 @@ class ShardedQueryService(QueryService):
             candidate_cache=self.candidates,
             local_fast_path=local_fast_path,
             parallel=parallel_scatter,
-            degraded_answers=degraded_answers,
-            scatter_timeout=scatter_timeout,
+            degraded_answers=options.degraded_answers,
+            scatter_timeout=options.scatter_timeout,
             retry_policy=retry_policy,
             slice_epoch=self._slice_epoch,
         )
-        if worker_urls is not None:
+        if options.worker_urls is not None:
             try:
                 for shard_id, worker in enumerate(self.workers):
                     self._handshake(shard_id, worker)
             except Exception:
                 self.close()
                 raise
-            interval = (
-                DEFAULT_PROBE_INTERVAL if probe_interval is None else probe_interval
-            )
-            if interval and interval > 0:
+            if options.probe_interval:
                 self._probe_thread = threading.Thread(
                     target=self._probe_loop,
-                    args=(interval,),
+                    args=(options.probe_interval,),
                     name="repro-shard-probe",
                     daemon=True,
                 )
@@ -198,7 +202,7 @@ class ShardedQueryService(QueryService):
     @property
     def default_algorithm(self) -> str:
         """``"sharded"`` unless the whole service forces one algorithm."""
-        return self._forced_algorithm or SHARDED_ALGORITHM
+        return self.options.algorithm or SHARDED_ALGORITHM
 
     @property
     def slice_epoch(self) -> int:
@@ -651,7 +655,6 @@ class ShardedQueryService(QueryService):
                 if getattr(worker, "service", None) is not None
             ),
         }
-        document["config"]["shards"] = self.shard_plan.num_shards
         return document
 
     def close(self) -> None:

@@ -61,6 +61,7 @@ from repro.exceptions import (
     SliceFileError,
 )
 from repro.service.app import QueryService
+from repro.service.options import ServiceOptions
 from repro.shard.partitioner import GraphSlice, ShardPlan
 from repro.shard.slicefile import (
     SLICE_WIRE_VERSION,
@@ -134,20 +135,30 @@ class ShardWorker:
         self,
         graph_slice: GraphSlice,
         *,
-        seed: int = 0,
+        options: ServiceOptions | None = None,
         local_service: bool = True,
-        cache_size: int = 1024,
-        cache_ttl: float | None = None,
         epoch: int = 0,
         fingerprint: str = "",
         plan_hash: str = "",
         plan: ShardPlan | None = None,
     ) -> None:
         self.shard_id = graph_slice.shard_id
-        self._seed = seed
         self._local_service = local_service
-        self._cache_size = cache_size
-        self._cache_ttl = cache_ttl
+        owner = options if options is not None else ServiceOptions()
+        #: What the per-slice service inherits from the owning service
+        #: (or the ``serve --worker`` command line): the seed, and the
+        #: cache knobs so ``cache_size=0`` really does disable every
+        #: cache in a sharded deployment.  Admission, tracing and the
+        #: forced algorithm stay the owner's business, and so does the
+        #: approx tier — its router already consulted *its* bounds
+        #: before the fast path reached this slice; a per-slice bounds
+        #: index would only duplicate the build.
+        self._slice_options = ServiceOptions(
+            seed=owner.seed,
+            cache_size=owner.cache_size,
+            cache_ttl=owner.cache_ttl,
+            approx=False,
+        )
         self._state = _SliceState(
             slice=graph_slice,
             service=self._build_service(graph_slice),
@@ -172,22 +183,10 @@ class ShardWorker:
 
     def _build_service(self, graph_slice: GraphSlice) -> QueryService | None:
         """The per-slice query service behind the co-located fast path
-        (and the worker's own /stats when served remotely).  Cache knobs
-        follow the owning service's so ``cache_size=0`` really does
-        disable every cache in a sharded deployment.
-        """
+        (and the worker's own /stats when served remotely)."""
         if not self._local_service:
             return None
-        return QueryService(
-            graph_slice.to_graph(),
-            seed=self._seed,
-            cache_size=self._cache_size,
-            cache_ttl=self._cache_ttl,
-            # The owning service's router already consulted *its*
-            # bounds before the fast path reached this slice; a
-            # per-slice bounds index would only duplicate the build.
-            approx=False,
-        )
+        return QueryService(graph_slice.to_graph(), options=self._slice_options)
 
     # ------------------------------------------------------------------
     # current-state views (one atomic reference behind them all)
@@ -759,15 +758,10 @@ class HttpShardWorker:
     #: callers probing for one (stats aggregation) see None.
     service = None
 
-    def __init__(
-        self,
-        base_url: str,
-        shard_id: int,
-        timeout: float | None = None,
-    ) -> None:
+    def __init__(self, base_url: str, shard_id: int) -> None:
         self.base_url = base_url.rstrip("/")
         self.shard_id = shard_id
-        self.timeout = DEFAULT_HTTP_TIMEOUT if timeout is None else timeout
+        self.timeout = DEFAULT_HTTP_TIMEOUT
         self._pool = _KeepAlivePool(self.base_url, self.timeout)
 
     def __repr__(self) -> str:

@@ -30,6 +30,7 @@ from typing import Any
 from repro.graph.csr import freeze_graph
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
+from repro.service.options import ServiceOptions, resolve_options
 from repro.wal.follower import DEFAULT_POLL_INTERVAL, WalFollower
 from repro.wal.log import (
     DEFAULT_COMPACT_EVERY,
@@ -58,11 +59,10 @@ def recover_service(
     *,
     graph_path: str | Path,
     index_path: str | Path | None = None,
-    landmark_count: int | None = None,
-    seed: int = 0,
     attach: bool = True,
     service_cls: type[QueryService] = QueryService,
-    **service_kwargs: Any,
+    options: ServiceOptions | None = None,
+    **keywords: Any,
 ) -> tuple[QueryService, dict]:
     """Rebuild a service to the WAL's tip; returns ``(service, replay)``.
 
@@ -98,25 +98,22 @@ def recover_service(
     *sharded*: the snapshot adoption (:meth:`~QueryService.reset_epoch`)
     and every replayed batch re-cut and re-push worker slices, so the
     fleet converges to the logged epoch right along with the
-    coordinator.  Extra keywords (``shards=...``) pass through to the
-    constructor.
+    coordinator.  The serving options (``seed=...``, ``shards=...``) are
+    keywords or one ``options=`` value, as for the constructor.
     """
+    options = resolve_options(options, keywords, sharding=service_cls.sharded)
     loaded = wal.load_snapshot()
     if loaded is None:
-        service = service_cls.from_files(
-            graph_path,
-            index_path,
-            landmark_count=landmark_count,
-            seed=seed,
-            **service_kwargs,
-        )
+        service = service_cls.from_files(graph_path, index_path, options=options)
     else:
         graph, epoch, fingerprint = loaded
         frozen = freeze_graph(graph)
         index = None
         if index_path is not None:
-            index = build_local_index(frozen, k=landmark_count, rng=seed)
-        service = service_cls(frozen, index, seed=seed, **service_kwargs)
+            index = build_local_index(
+                frozen, k=options.landmark_count, rng=options.seed
+            )
+        service = service_cls(frozen, index, options=options)
         service.reset_epoch(epoch, expected_fingerprint=fingerprint)
     replay = wal.replay_into(service)
     service.audit_fingerprint()

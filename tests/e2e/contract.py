@@ -1,11 +1,43 @@
-"""What the e2e scenarios share: JSON over HTTP, and the PR 8 contract —
-every response is exact, soundly degraded, or a structured refusal."""
+"""What the e2e scenarios share: booting the real CLI, JSON over HTTP,
+and the PR 8 contract — every response is exact, soundly degraded, or a
+structured refusal."""
 
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+
+def repro_cli(*argv: str) -> list[str]:
+    return [sys.executable, "-m", "repro", *argv]
+
+
+def boot(*argv: str, port: int = 0) -> tuple[subprocess.Popen, str]:
+    """Start ``repro serve`` and wait for its ready line; (process, url)."""
+    proc = subprocess.Popen(
+        repro_cli("serve", "--port", str(port), *argv),
+        stdout=subprocess.PIPE, text=True, env=ENV)
+    deadline = time.time() + 60
+    while time.time() < deadline:
+        line = proc.stdout.readline()
+        if not line:
+            break
+        print(line, end="")
+        match = re.search(r"listening on (http://\S+)", line)
+        if match:
+            return proc, match.group(1)
+    proc.kill()
+    raise AssertionError("server never printed its ready line")
 
 
 def post(base: str, path: str, payload: object) -> dict:

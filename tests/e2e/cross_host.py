@@ -15,8 +15,6 @@ The exit code is the verdict.
 from __future__ import annotations
 
 import json
-import os
-import re
 import signal
 import subprocess
 import sys
@@ -24,35 +22,10 @@ import tempfile
 import time
 from pathlib import Path
 
-from contract import get, post, replay_against_oracle
+from contract import ENV, ROOT, boot, get, post, replay_against_oracle, repro_cli
 
 from repro.obs.prometheus import parse_prometheus_text
 from repro.service.app import QueryService
-
-ROOT = Path(__file__).resolve().parents[2]
-ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-
-
-def repro_cli(*argv: str) -> list[str]:
-    return [sys.executable, "-m", "repro", *argv]
-
-
-def boot(*argv: str, port: int = 0) -> tuple[subprocess.Popen, str]:
-    """Start ``repro serve`` and wait for its ready line; (process, url)."""
-    proc = subprocess.Popen(
-        repro_cli("serve", "--port", str(port), *argv),
-        stdout=subprocess.PIPE, text=True, env=ENV)
-    deadline = time.time() + 60
-    while time.time() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            break
-        print(line, end="")
-        match = re.search(r"listening on (http://\S+)", line)
-        if match:
-            return proc, match.group(1)
-    proc.kill()
-    raise AssertionError("server never printed its ready line")
 
 
 def worker_epochs(base: str) -> dict:

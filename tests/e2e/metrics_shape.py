@@ -1,0 +1,92 @@
+"""The observability surface as a black box (the CI ``metrics-shape``
+job's scenario).
+
+Boot a real server — a sharded default tenant plus an unsharded one
+that takes an update batch — drive every endpoint, then validate the
+scrape with the strict parser: Prometheus line format, monotone
+cumulative buckets, ``+Inf == _count``, and a well-formed
+``/debug/slow`` document.  Guards the surface against format drift that
+Prometheus itself would reject at scrape time.
+
+Run from anywhere: ``PYTHONPATH=src python tests/e2e/metrics_shape.py``.
+The exit code is the verdict.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import tempfile
+from pathlib import Path
+
+from contract import ENV, boot, get, post, repro_cli
+
+from repro.obs.prometheus import parse_prometheus_text
+
+FAMILIES = (
+    "repro_build_info", "repro_tenants", "repro_tenants_loaded",
+    "repro_queries_total", "repro_queries_cached_total",
+    "repro_batches_total", "repro_update_batches_total",
+    "repro_cache_hits_total", "repro_epoch_id", "repro_slow_queries_kept",
+    "repro_request_latency_seconds_bucket", "repro_shard_count",
+    "repro_shard_coordinator_queries", "repro_shard_worker_vertices",
+)
+SLOW_ENTRY_KEYS = {"seconds", "recorded_at", "query", "algorithm", "answer",
+                   "meta", "trace_id", "trace"}
+
+
+def main(scratch: Path) -> None:
+    main_graph, dyn_graph = str(scratch / "main.tsv"), str(scratch / "dyn.tsv")
+    for path, vertices, labels, seed in ((main_graph, "60", "4", "0"),
+                                         (dyn_graph, "40", "3", "1")):
+        subprocess.run(
+            repro_cli("generate", "--random", vertices, "3", labels,
+                      "--seed", seed, "--output", path),
+            check=True, env=ENV)
+    server, base = boot(
+        "--graph", main_graph, "--shards", "2", "--tenant", f"dyn={dyn_graph}",
+        "--allow-updates", "--slow-ms", "0", "--trace-sample", "1")
+    try:
+        spec = {"source": "n0", "target": "n30", "labels": ["l0", "l1", "l2"],
+                "constraint": "SELECT ?x WHERE { ?x <l0> ?y . }"}
+        post(base, "/query", spec)
+        traced = post(base, "/query?trace=1", {**spec, "target": "n31"})
+        assert traced["trace"]["trace_id"], "no trace for ?trace=1"
+        post(base, "/batch", {"queries": [spec, {**spec, "source": "n5"}]})
+        post(base, "/t/dyn/query",
+             {**spec, "target": "n20", "labels": ["l0", "l1"],
+              "constraint": "SELECT ?x WHERE { ?x <l1> ?y . }"})
+        updated = post(base, "/t/dyn/edges", {"edges": [
+            {"source": "n0", "label": "l0", "target": "ci-added-vertex"}]})
+        assert updated["epoch"] == 1, updated
+
+        samples = parse_prometheus_text(get(base, "/metrics"))
+        names = {name for name, _ in samples}
+        for family in FAMILIES:
+            assert family in names, f"missing family {family}"
+        default, dyn = (("tenant", "default"),), (("tenant", "dyn"),)
+        assert samples[("repro_queries_total", default)] >= 4
+        assert samples[("repro_queries_total", dyn)] >= 1
+        assert samples[("repro_update_batches_total", dyn)] == 1
+        assert samples[("repro_epoch_id", dyn)] == 1
+        assert samples[("repro_shard_count", default)] == 2
+
+        parse_prometheus_text(get(base, "/t/default/metrics"))
+        parse_prometheus_text(get(base, "/t/dyn/metrics"))
+
+        slow = json.loads(get(base, "/debug/slow"))
+        assert set(slow["tenants"]) == {"default", "dyn"}
+        for tenant, document in slow["tenants"].items():
+            assert document["loaded"] is True
+            assert document["summary"]["kept"] >= 1, tenant
+            for entry in document["entries"]:
+                assert SLOW_ENTRY_KEYS <= set(entry)
+        print("metrics-shape OK:", len(samples), "samples")
+    finally:
+        server.terminate()
+        server.wait(timeout=10)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch_dir:
+        main(Path(scratch_dir))

@@ -152,18 +152,6 @@ class TestSampling:
             entry["trace"] is None for entry in service.flight.snapshot()
         )
 
-    def test_bad_sample_rate_is_config_error(self, graph):
-        from repro.exceptions import ServiceConfigError
-
-        with pytest.raises(ServiceConfigError, match="sample rate"):
-            QueryService(graph, seed=0, trace_sample=1.5)
-
-    def test_bad_slow_config_is_config_error(self, graph):
-        from repro.exceptions import ServiceConfigError
-
-        with pytest.raises(ServiceConfigError, match="max_entries"):
-            QueryService(graph, seed=0, slow_log_size=0)
-
 
 class TestFlightRecorderIntegration:
     def test_untraced_slow_query_recorded_without_tree(self, service):

@@ -192,11 +192,13 @@ class TestDefensiveLoading:
 class TestCutMatchesCoordinator:
     """``repro cut`` and the coordinator share one plan derivation
     (:func:`repro.shard.partitioner.derive_shard_plan`): same
-    graph/index/seed, same plan hash — so workers booted from cut files
-    handshake without a resync."""
+    graph/index/seed/landmark count, same plan hash — so workers booted
+    from cut files handshake without a resync."""
 
-    @pytest.mark.parametrize("with_index", [False, True])
-    def test_same_plan_hash_and_zero_resyncs(self, with_index, tmp_path):
+    @pytest.mark.parametrize(
+        "with_index, k", [(False, None), (True, None), (False, 5)]
+    )
+    def test_same_plan_hash_and_zero_resyncs(self, with_index, k, tmp_path):
         graph_path = tmp_path / "cut.tsv"
         dump_tsv(random_labeled_graph(80, 3.0, 5, rng=11, name="cut"), graph_path)
         index_path = None
@@ -205,6 +207,8 @@ class TestCutMatchesCoordinator:
             index_path = str(tmp_path / "cut.index.json")
             assert main(["index", str(graph_path), "--output", index_path]) == 0
             cut_args = ["--index", index_path]
+        if k is not None:
+            cut_args += ["--k", str(k)]
         out = tmp_path / "slices"
         assert main(
             ["cut", str(graph_path), "--shards", str(SHARDS), "--out", str(out),
@@ -224,7 +228,7 @@ class TestCutMatchesCoordinator:
         with running_server(TenantRegistry(), shard_workers=workers) as base:
             coordinator = ShardedQueryService.from_files(
                 graph_path, index_path, seed=11, shards=SHARDS,
-                worker_urls=[base] * SHARDS, probe_interval=0,
+                landmark_count=k, worker_urls=[base] * SHARDS, probe_interval=0,
             )
             try:
                 plan_hash = plan_fingerprint(coordinator.shard_plan)

@@ -1,0 +1,50 @@
+"""README's serving-options reference is checked, not trusted: it lists
+exactly the flags ``python -m repro serve`` parses, and each row agrees
+with the options table on flag, key and default."""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+from pathlib import Path
+
+from repro.cli import build_parser
+from repro.service.options import OPTIONS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def reference_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split("<!-- serve-options:begin")[1].split("<!-- serve-options:end")[0]
+
+
+def serve_flags() -> set[str]:
+    subcommands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        flag
+        for action in subcommands.choices["serve"]._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+
+
+def test_readme_lists_exactly_the_serve_flags():
+    assert set(re.findall(r"`(--[a-z-]+)`", reference_block())) == serve_flags()
+
+
+def test_readme_rows_agree_with_the_options_table():
+    rows = {}
+    for line in reference_block().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split(" | ")]
+        if len(cells) == 5 and cells[1].startswith("`"):
+            rows[cells[1].strip("`")] = cells
+    assert list(rows) == [row.name for row in OPTIONS]
+    for row in OPTIONS:
+        flag, _, default, _, _ = rows[row.name]
+        assert flag == (f"`{row.flag}`" if row.flag else "—")
+        assert default == f"`{json.dumps(row.default)}`"

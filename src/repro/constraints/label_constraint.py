@@ -66,9 +66,11 @@ class LabelConstraint:
         :class:`ConstraintError` instead.
         """
         mask = 0
+        find = graph.labels.get
         for label in self._labels:
-            if label in graph.labels:
-                mask |= 1 << graph.labels.id_of(label)
+            label_id = find(label)
+            if label_id is not None:
+                mask |= 1 << label_id
             elif strict:
                 raise ConstraintError(f"label {label!r} does not occur in the graph")
         return mask

@@ -26,19 +26,39 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
 
-from repro.exceptions import ConstraintError
+from repro.exceptions import ConstraintError, SparqlEvaluationError
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.sparql.ast import SelectQuery, TriplePattern, Var
-from repro.sparql.evaluator import bgp_is_satisfiable, compile_patterns, evaluate_bgp
+from repro.sparql.evaluator import (
+    bgp_is_satisfiable,
+    check_variable_roles,
+    compile_patterns,
+    evaluate_bgp,
+)
 from repro.sparql.parser import parse_select
 
 __all__ = ["SubstructureConstraint", "SubstructureChecker"]
 
 
 class SubstructureConstraint:
-    """A substructure constraint as a BGP with designated variable ``?x``."""
+    """A substructure constraint as a BGP with designated variable ``?x``.
 
-    __slots__ = ("patterns", "variable")
+    Immutable, and shared: the service's constraint cache hands every
+    request that sends one text the same object.  So whatever depends on
+    the patterns alone — the canonical SPARQL text, the hash, the
+    constants :meth:`empty_on` probes, a mixed-role variable — is worked
+    out here, once, and a request that reuses the constraint reads it.
+    """
+
+    __slots__ = (
+        "patterns",
+        "variable",
+        "_sparql",
+        "_hash",
+        "_vertex_constants",
+        "_label_constants",
+        "_role_error",
+    )
 
     def __init__(
         self,
@@ -48,6 +68,26 @@ class SubstructureConstraint:
         self.patterns: tuple[TriplePattern, ...] = tuple(patterns)
         self.variable = variable
         self._validate()
+        self._sparql = str(self.to_select())
+        self._hash = hash((self.patterns, variable))
+        self._vertex_constants = tuple(dict.fromkeys(
+            term
+            for pattern in self.patterns
+            for term in (pattern.subject, pattern.object)
+            if not isinstance(term, Var)
+        ))
+        self._label_constants = tuple(dict.fromkeys(
+            pattern.predicate
+            for pattern in self.patterns
+            if not isinstance(pattern.predicate, Var)
+        ))
+        #: The message, not the exception: raising one instance from
+        #: many requests would grow its traceback without bound.
+        self._role_error: str | None = None
+        try:
+            check_variable_roles(self.patterns)
+        except SparqlEvaluationError as error:
+            self._role_error = str(error)
 
     def _validate(self) -> None:
         if not self.patterns:
@@ -112,7 +152,7 @@ class SubstructureConstraint:
 
     def to_sparql(self) -> str:
         """The SPARQL text of :meth:`to_select` (round-trips via parser)."""
-        return str(self.to_select())
+        return self._sparql
 
     @property
     def size(self) -> int:
@@ -138,7 +178,7 @@ class SubstructureConstraint:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.patterns, self.variable))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"SubstructureConstraint({self.to_sparql()!r})"
@@ -146,6 +186,22 @@ class SubstructureConstraint:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
+
+    def empty_on(self, graph: KnowledgeGraph) -> bool:
+        """True when a constant of the pattern is absent from ``graph``,
+        so ``V(S, G) = ∅`` before anything is evaluated.
+
+        Says what ``compile_patterns(graph, self.patterns) is None``
+        says, by one table probe per distinct constant, and raises the
+        same :class:`~repro.exceptions.SparqlEvaluationError` for a
+        variable used as vertex and label.
+        """
+        if self._role_error is not None:
+            raise SparqlEvaluationError(self._role_error)
+        return not (
+            all(map(graph.has_vertex, self._vertex_constants))
+            and all(map(graph.labels.__contains__, self._label_constants))
+        )
 
     def satisfied_by(self, graph: KnowledgeGraph, vertex_id: int) -> bool:
         """``SCck(v, S)``: does ``vertex_id`` satisfy the constraint?"""

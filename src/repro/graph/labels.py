@@ -89,6 +89,10 @@ class LabelUniverse:
         self._names.append(label)
         return new_id
 
+    def get(self, label: str) -> int | None:
+        """Id of ``label``, or None when it is not in the universe."""
+        return self._name_to_id.get(label)
+
     def id_of(self, label: str) -> int:
         """Id of an existing label; raises :class:`LabelNotFoundError`."""
         try:

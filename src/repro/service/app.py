@@ -372,13 +372,22 @@ class QueryService:
         use_cache: bool = True,
         mode: str | None = None,
     ) -> list[tuple[QueryResult, dict]]:
-        """Answer a homogeneous batch concurrently, preserving order.
+        """Answer a homogeneous batch, preserving order.
 
         Planning runs serially first — that is where constraint parsing
-        happens, so the batch is effectively grouped by constraint text
-        and each distinct text is parsed once — then execution fans out
-        over the :class:`BatchExecutor`.  A per-spec ``use_cache`` key
-        overrides the batch-level flag for that query only.
+        happens, so each distinct text is parsed once.  Then every
+        member the planner or the result cache can answer is settled
+        right here, in the request thread: a lookup handed to the pool
+        costs a submit and two lock hand-offs to do one dict probe under
+        the same GIL.  Only the members left over — the ones that need
+        an evaluator — go to the :class:`BatchExecutor`, which is there
+        to overlap members that *wait* (scatter rounds, a ``V(S, G)``
+        leader), and their result-cache lookup is not repeated.  A
+        member that repeats one of those is looked up after the pool
+        has stored its answer, so a batch evaluates what it may cache
+        once.  A
+        per-spec ``use_cache`` key overrides the batch-level flag for
+        that query only.
         """
         started = perf_counter()
         mode = self._resolve_mode(mode)
@@ -392,32 +401,65 @@ class QueryService:
         # against the same graph version even if an update lands while
         # the batch is in flight.
         epoch = self._epoch
+        plans = []
         with span("plan-batch", queries=len(specs)):
-            plans = [
-                (
-                    epoch.planner.plan(
-                        spec["source"],
-                        spec["target"],
-                        spec["labels"],
-                        spec["constraint"],
-                        spec.get("algorithm") or self.options.algorithm,
-                    ),
-                    use_cache and spec.get("use_cache", True),
+            for spec in specs:
+                algorithm = spec.get("algorithm")
+                if algorithm is None:
+                    algorithm = self.options.algorithm
+                plan = epoch.planner.plan(
+                    spec["source"],
+                    spec["target"],
+                    spec["labels"],
+                    spec["constraint"],
+                    algorithm,
                 )
-                for spec in specs
-            ]
+                plans.append((plan, use_cache and spec.get("use_cache", True)))
         self.stats.record_batch()
+        answered: list = [None] * len(plans)
+        waiting = []
+        #: Keys the pool is about to store an answer for, and the later
+        #: members of this batch that ask the same thing: their one
+        #: lookup waits until that answer is in, as it would have found
+        #: it when every member looked up on the pool.
+        storing: set = set()
+        repeats = []
+        for position, (plan, item_cache) in enumerate(plans):
+            if storing and item_cache and plan.key in storing:
+                repeats.append((position, plan))
+                continue
+            member = span("query", index=position)
+            with member:
+                answered[position] = self._finish(
+                    plan, epoch, use_cache=item_cache, batch=True, mode=mode,
+                    half="settle",
+                )
+            if answered[position] is None:
+                waiting.append((position, member, plan, item_cache))
+                if item_cache:
+                    storing.add(plan.key)
 
         def runner(item):
-            position, (plan, item_cache) = item
-            with span("query", index=position):
+            _, member, plan, item_cache = item
+            # The member's own "query" span, entered a second time: it
+            # takes the evaluation as a child and closes when it ends.
+            with member:
                 return self._finish(
-                    plan, epoch, use_cache=item_cache, batch=True, mode=mode
+                    plan, epoch, use_cache=item_cache, batch=True, mode=mode,
+                    half="evaluate",
                 )
 
-        # Re-armed per member: every one stops at the request's budget
-        # and hangs its own "query" span under the batch root.
-        answered = self.executor.map(rearm(runner), list(enumerate(plans)))
+        if waiting:
+            # Re-armed per member: every one stops at the request's
+            # budget and keeps its span under the batch root.
+            evaluated = self.executor.map(rearm(runner), waiting)
+            for (position, *_), pair in zip(waiting, evaluated):
+                answered[position] = pair
+        for position, plan in repeats:
+            with span("query", index=position):
+                answered[position] = self._finish(
+                    plan, epoch, use_cache=True, batch=True, mode=mode
+                )
         self.stats.record_latency("batch", perf_counter() - started)
         return answered
 
@@ -853,7 +895,8 @@ class QueryService:
         use_cache: bool,
         batch: bool,
         mode: str = "exact",
-    ) -> tuple[QueryResult, dict]:
+        half: str | None = None,
+    ) -> tuple[QueryResult, dict] | None:
         """Execute (or short-circuit) one plan and record telemetry.
 
         The result cache is namespaced by the epoch the plan was made
@@ -861,6 +904,12 @@ class QueryService:
         old-epoch query completing after a swap can only write (and a
         new-epoch query can only read) entries for its own graph
         version — the stale-answer race the old shared keys had.
+
+        ``half`` is how a batch splits one member between two threads.
+        ``"settle"`` answers from the planner or the result cache only,
+        and returns None — nothing recorded but the counted cache miss —
+        for a plan that needs an evaluator; ``"evaluate"`` is that
+        plan's second call, and goes straight to the evaluator.
         """
         started = perf_counter()
         meta = {
@@ -870,7 +919,13 @@ class QueryService:
             "epoch": epoch.epoch_id,
             "source": "evaluated",
         }
-        result = self._resolve(plan, epoch, meta, use_cache, mode)
+        result = None
+        if half != "evaluate":
+            result = self._settle(plan, epoch, meta, use_cache)
+        if result is None:
+            if half == "settle":
+                return None
+            result = self._resolve(plan, epoch, meta, use_cache, mode)
         annotate(source=meta["source"])
         self.stats.record_query(
             result, cached=meta["cached"], trivial=meta["trivial"], batch=batch
@@ -880,16 +935,11 @@ class QueryService:
         self._record_slow(plan, meta, result, elapsed)
         return result, meta
 
-    def _resolve(
-        self,
-        plan: QueryPlan,
-        epoch: GraphEpoch,
-        meta: dict,
-        use_cache: bool,
-        mode: str,
-    ) -> QueryResult:
-        """The answer for one plan — planner, result cache or execution —
-        stamping ``meta`` with where it came from."""
+    def _settle(
+        self, plan: QueryPlan, epoch: GraphEpoch, meta: dict, use_cache: bool
+    ) -> QueryResult | None:
+        """The answer the planner or the result cache already holds for
+        one plan (stamping ``meta`` with which), else None."""
         if plan.is_trivial:
             meta["trivial"] = True
             meta["source"] = "planner"
@@ -899,15 +949,26 @@ class QueryService:
                 seconds=0.0,
                 passed_vertices=0,
             )
-        cache_key = (epoch.epoch_id, *plan.key)
-        if use_cache:
-            with span("result-cache") as cache_span:
-                cached = self.results.get(cache_key)
-                cache_span.set(hit=cached is not None)
-            if cached is not None:
-                meta["cached"] = True
-                meta["source"] = "result-cache"
-                return cached
+        if not use_cache:
+            return None
+        with span("result-cache") as cache_span:
+            cached = self.results.get((epoch.epoch_id, *plan.key))
+            cache_span.set(hit=cached is not None)
+        if cached is not None:
+            meta["cached"] = True
+            meta["source"] = "result-cache"
+        return cached
+
+    def _resolve(
+        self,
+        plan: QueryPlan,
+        epoch: GraphEpoch,
+        meta: dict,
+        use_cache: bool,
+        mode: str,
+    ) -> QueryResult:
+        """Run one plan nothing could :meth:`_settle`, stamp ``meta``
+        with how it went and store what may be stored."""
         with span("execute", algorithm=plan.algorithm) as execute_span:
             result = self._execute(plan, epoch, mode)
             execute_span.set(
@@ -938,7 +999,7 @@ class QueryService:
         elif use_cache and result.algorithm != APPROX_ALGORITHM:
             # Approximate answers are best-effort guesses; caching one
             # would let it leak into later exact-mode requests.
-            self.results.put(cache_key, result)
+            self.results.put((epoch.epoch_id, *plan.key), result)
         return result
 
     def _record_slow(

@@ -1,18 +1,27 @@
-"""Concurrent, order-preserving batch execution.
+"""Order-preserving batch execution over a thread pool.
 
-The paper's algorithms are CPU-bound pure functions of (graph, index,
-query): per-query state (``close`` maps, checkers, heaps) is created
-inside each ``answer`` call and the graph/index are immutable after
-load, so a batch of queries can fan out across a ``ThreadPoolExecutor``
-with no locking at all.  :class:`BatchExecutor` packages that pattern:
+The paper's algorithms are pure functions of (graph, index, query):
+per-query state (``close`` maps, checkers, heaps) is created inside each
+``answer`` call and the graph/index are immutable after load, so the
+members of a batch can run on a ``ThreadPoolExecutor`` with no locking
+at all.  What the pool buys is *overlap of waiting*, not parallel
+search: the evaluators are Python, and under the interpreter lock eight
+searches on eight threads take as long as eight in a row.  A member
+waits when its answer is produced elsewhere — a scatter round on shard
+workers, a ``V(S, G)`` another thread is already computing (the
+candidate cache's leader) — and while it waits another member runs.
+Work that never waits does not come here: the service settles members
+the planner or the result cache can answer in the request thread
+(:meth:`QueryService.query_batch`), because a lookup handed to the pool
+costs a submit and two lock hand-offs to perform one dict probe.
+:class:`BatchExecutor` packages the pattern:
 
 * **order preservation** — results come back positionally aligned with
   the input batch, whatever order the workers finished in;
 * **constraint amortisation** — :meth:`run` prepares raw
   ``(source, target, labels, constraint_text)`` specs through the
-  session's shared constraint cache *before* fanning out, so each
-  distinct constraint text in the batch is parsed exactly once (the
-  batch is grouped by constraint at the parsing stage);
+  session's shared constraint cache *before* handing them out, so each
+  distinct constraint text in the batch is parsed exactly once;
 * **degenerate batches stay serial** — empty and single-element
   batches, and ``max_workers=1``, skip thread-pool setup entirely, so
   :meth:`LSCRSession.answer_many` costs nothing extra for small inputs.
@@ -44,7 +53,7 @@ DEFAULT_MAX_WORKERS = min(32, (os.cpu_count() or 1) + 4)
 
 
 class BatchExecutor:
-    """Fan work over a thread pool, returning results in input order.
+    """Run work on a thread pool, returning results in input order.
 
     ``persistent=True`` keeps one lazily created pool alive across
     calls — right for a long-lived service, where a pool per request

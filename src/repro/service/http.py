@@ -61,7 +61,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from contextlib import nullcontext
+from http.client import HTTPException, LineTooLong, _read_headers
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
@@ -78,10 +80,34 @@ from repro.service.app import QueryService
 from repro.service.options import build_options
 from repro.service.registry import TenantRegistry, valid_tenant_name
 
-__all__ = ["ServiceHTTPServer", "ServiceRequestHandler", "create_server"]
+__all__ = [
+    "RequestHeaders",
+    "ServiceHTTPServer",
+    "ServiceRequestHandler",
+    "create_server",
+]
 
 #: Refuse request bodies larger than this many bytes (memory guard).
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: ``HTTP/<major>.<minor>``, each number at most ten digits.
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+#: One header line: a name of printable ASCII with no space or colon,
+#: the colon, the value with its leading blanks dropped.
+_FIELD = re.compile(r"([!-9;-~]*):[ \t]*(.*)", re.DOTALL)
+
+
+class RequestHeaders:
+    """The header fields of one request: ``get`` by any spelling of the
+    name, the first value where a name repeats."""
+
+    __slots__ = ("_fields",)
+
+    def __init__(self, fields: dict[str, str]) -> None:
+        self._fields = fields
+
+    def get(self, name: str, default: Any = None) -> Any:
+        return self._fields.get(name.lower(), default)
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -137,6 +163,102 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         if self.verbose:
             super().log_message(format, *args)
+
+    def parse_request(self) -> bool:
+        """Read the request line and the header block.
+
+        In place of the base class's, which hands the header block to
+        ``email.feedparser`` — a mail parser, and most of what a cached
+        answer cost.  What it decides is kept, case by case: the 400s
+        for a malformed request line, 505 from ``HTTP/2.0`` up, 431 for
+        an overlong header line or too many of them (the block is still
+        read by ``http.client``'s own reader, so the limits are the
+        interpreter's), keep-alive by version and ``Connection``, the
+        interim reply to ``Expect: 100-continue``.  Header lines mean
+        what they meant to the mail parser: a line that starts with a
+        blank continues the value before it, and the first line that is
+        not ``name: value`` ends the fields — what follows it in the
+        block is dropped.  Two things it did are not kept: a bare CR
+        does not end a line, and a line starting ``From `` is not
+        skipped as an mbox envelope (it ends the fields like any other
+        non-field).
+        """
+        self.command = None  # set in case of error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            matched = _VERSION.fullmatch(words[-1])
+            if matched is None:
+                return self._refuse(400, f"Bad request version ({words[-1]!r})")
+            version = int(matched[1]), int(matched[2])
+            if version >= (1, 1) and self.protocol_version >= "HTTP/1.1":
+                self.close_connection = False
+            if version >= (2, 0):
+                return self._refuse(
+                    505, f"Invalid HTTP version ({matched[1]}.{matched[2]})"
+                )
+            self.request_version = words[-1]
+        if not 2 <= len(words) <= 3:
+            return self._refuse(400, f"Bad request syntax ({self.requestline!r})")
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                return self._refuse(400, f"Bad HTTP/0.9 request type ({command!r})")
+        if path.startswith("//"):
+            # Not an absolute URI without a scheme (open redirects).
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+
+        try:
+            lines = _read_headers(self.rfile)
+        except LineTooLong as error:
+            return self._refuse(431, "Line too long", str(error))
+        except HTTPException as error:
+            return self._refuse(431, "Too many headers", str(error))
+        fields: dict[str, str] = {}
+        #: The field a continuation line extends ("" = one not kept).
+        last = ""
+        for line in lines[:-1]:
+            text = line.decode("iso-8859-1")
+            if text[0] in " \t":
+                if last:
+                    fields[last] += text
+                continue
+            matched = _FIELD.match(text)
+            if matched is None:
+                break
+            last = matched[1].lower()
+            if last in fields:
+                last = ""
+            elif last:
+                fields[last] = matched[2]
+        self.headers = RequestHeaders(
+            {name: value.rstrip("\r\n") for name, value in fields.items()}
+        )
+
+        connection = self.headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive" and self.protocol_version >= "HTTP/1.1":
+            self.close_connection = False
+        if (
+            self.headers.get("Expect", "").lower() == "100-continue"
+            and self.protocol_version >= "HTTP/1.1"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def _refuse(self, status: int, message: str, explain: str | None = None) -> bool:
+        """Answer a request head with the base class's error page;
+        False, for :meth:`parse_request` to return."""
+        self.send_error(status, message, explain)
+        return False
 
     # ------------------------------------------------------------------
 

@@ -29,7 +29,13 @@ before any algorithm runs.  Planning does three jobs:
 
 Planners are stateless apart from the shared
 :class:`~repro.service.cache.ConstraintCache`, hence safe to call from
-any number of threads.
+any number of threads.  What a plan needs that depends on the constraint
+alone — its canonical SPARQL, the constants the unsatisfiability rule
+probes, a mixed-role variable — lives on the immutable
+:class:`~repro.constraints.substructure.SubstructureConstraint` the
+cache hands every request that sends the text, computed when it was
+parsed; a plan for a repeated constraint is string and tuple work plus
+a few table probes against this epoch's graph, and compiles nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from repro.exceptions import BadRequestError, ServiceConfigError
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.obs.trace import span
 from repro.service.cache import ConstraintCache
-from repro.sparql.evaluator import compile_patterns
 
 __all__ = ["CanonicalKey", "QueryPlan", "QueryPlanner", "TRIVIAL"]
 
@@ -167,7 +172,7 @@ class QueryPlanner:
                 reason="source or target vertex not in the graph",
                 trivial_answer=False,
             )
-        if compile_patterns(graph, constraint.patterns) is None:
+        if constraint.empty_on(graph):
             return QueryPlan(
                 key=key,
                 algorithm=TRIVIAL,

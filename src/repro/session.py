@@ -134,13 +134,16 @@ class LSCRSession:
         """Answer a batch of prepared queries, results in input order.
 
         Delegates to :class:`~repro.service.executor.BatchExecutor`,
-        which fans the batch over a thread pool (the old serial loop is
-        deprecated; pass ``max_workers=1`` to force serial execution).
-        Boolean answers are independent of execution order — per-query
-        state is created inside each ``answer`` call and the graph and
-        index are read-only — so this is a drop-in speedup; only
-        shuffle-order telemetry can vary run to run (see the seed rule
-        in :meth:`__init__`).
+        which runs the batch on a thread pool (pass ``max_workers=1``
+        for a plain loop).  Boolean answers are independent of execution
+        order — per-query state is created inside each ``answer`` call
+        and the graph and index are read-only — so it is a drop-in
+        replacement for the loop, not a speedup of it: the evaluators
+        are Python, and under the interpreter lock the searches take
+        turns.  Threads pay when members *wait* (one ``V(S, G)`` being
+        computed while the others queue behind it); only shuffle-order
+        telemetry can vary run to run (see the seed rule in
+        :meth:`__init__`).
         """
         return BatchExecutor(max_workers=max_workers).run(self, queries)
 

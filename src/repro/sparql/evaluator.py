@@ -25,10 +25,13 @@ from repro.graph.labeled_graph import KnowledgeGraph
 from repro.graph.labels import iter_mask_bits
 from repro.sparql.ast import TriplePattern, Var
 
-__all__ = ["CompiledPattern", "compile_patterns", "evaluate_bgp", "bgp_is_satisfiable"]
-
-_VERTEX = "vertex"
-_LABEL = "label"
+__all__ = [
+    "CompiledPattern",
+    "check_variable_roles",
+    "compile_patterns",
+    "evaluate_bgp",
+    "bgp_is_satisfiable",
+]
 
 
 class CompiledPattern:
@@ -63,18 +66,26 @@ class CompiledPattern:
         self.unsatisfiable = True
         return ("id", -1)
 
-    def variables_with_roles(self) -> list[tuple[str, str]]:
-        """``(variable name, role)`` pairs; role is ``vertex`` or ``label``."""
-        roles: list[tuple[str, str]] = []
-        for slot, role in (
-            (self.subject, _VERTEX),
-            (self.predicate, _LABEL),
-            (self.object, _VERTEX),
+
+def check_variable_roles(
+    patterns: tuple[TriplePattern, ...] | list[TriplePattern],
+) -> None:
+    """Raise :class:`SparqlEvaluationError` if a variable is used in both
+    vertex and predicate position (a property of the patterns alone)."""
+    is_label: dict[str, bool] = {}
+    for pattern in patterns:
+        for term, label_slot in (
+            (pattern.subject, False),
+            (pattern.predicate, True),
+            (pattern.object, False),
         ):
-            kind, value = slot
-            if kind == "var":
-                roles.append((value, role))
-        return roles
+            if (
+                isinstance(term, Var)
+                and is_label.setdefault(term.name, label_slot) != label_slot
+            ):
+                raise SparqlEvaluationError(
+                    f"variable ?{term.name} is used both as a vertex and as a label"
+                )
 
 
 def compile_patterns(
@@ -85,15 +96,8 @@ def compile_patterns(
     Raises :class:`SparqlEvaluationError` if a variable is used in both
     vertex and predicate position.
     """
+    check_variable_roles(patterns)
     compiled = [CompiledPattern(graph, p) for p in patterns]
-    roles: dict[str, str] = {}
-    for pattern in compiled:
-        for name, role in pattern.variables_with_roles():
-            previous = roles.setdefault(name, role)
-            if previous != role:
-                raise SparqlEvaluationError(
-                    f"variable ?{name} is used both as a vertex and as a label"
-                )
     if any(p.unsatisfiable for p in compiled):
         return None
     return compiled

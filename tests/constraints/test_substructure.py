@@ -1,11 +1,14 @@
 """Tests for substructure constraints and SCck."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.constraints.substructure import SubstructureChecker, SubstructureConstraint
 from repro.datasets.toy import figure3_constraint, figure3_graph
-from repro.exceptions import ConstraintError
+from repro.exceptions import ConstraintError, SparqlEvaluationError
 from repro.sparql.ast import TriplePattern, Var
+from repro.sparql.evaluator import compile_patterns
 from tests.helpers import graph_from_edges
 
 
@@ -83,6 +86,50 @@ class TestEvaluation:
     def test_constraint_on_unrelated_graph_is_empty(self):
         g = graph_from_edges([("a", "other", "b")])
         assert figure3_constraint().satisfying_vertices(g) == []
+
+
+class TestEmptyOn:
+    """``empty_on`` answers from constants kept at construction what
+    ``compile_patterns(...) is None`` answers by compiling."""
+
+    #: Names and labels of Figure 3, one of each that it does not have,
+    #: and variables free to turn up in either role.
+    TERMS = ["v0", "v3", "ghost", Var("x"), Var("y")]
+    PREDICATES = ["likes", "friendOf", "no-such-label", Var("y"), Var("p")]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(TERMS),
+                st.sampled_from(PREDICATES),
+                st.sampled_from(TERMS),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_agrees_with_compile_patterns(self, triples):
+        patterns = [TriplePattern(*triple) for triple in triples]
+        assume(any(Var("x") in pattern.variables() for pattern in patterns))
+        g = figure3_graph()
+        constraint = SubstructureConstraint(patterns)
+        try:
+            expected = compile_patterns(g, constraint.patterns) is None
+        except SparqlEvaluationError as error:
+            # Raised afresh on every call, not once.
+            for _ in range(2):
+                with pytest.raises(SparqlEvaluationError) as caught:
+                    constraint.empty_on(g)
+                assert str(caught.value) == str(error)
+        else:
+            assert constraint.empty_on(g) is expected
+
+    def test_canonical_text_and_hash_are_fixed_at_construction(self):
+        constraint = figure3_constraint()
+        assert constraint.to_sparql() is constraint.to_sparql()
+        assert constraint.to_sparql() == str(constraint.to_select())
+        assert hash(constraint) == hash((constraint.patterns, constraint.variable))
 
 
 class TestChecker:

@@ -188,6 +188,19 @@ class TestJsonApi:
         with pytest.raises(BadRequestError, match="invalid query"):
             service.handle_query(payload)
 
+    def test_empty_algorithm_is_refused_at_both_doors(self, service):
+        # One spelling of "no algorithm named" — ``is None`` — so the
+        # empty string is an unknown algorithm to /query and /batch alike.
+        payload = {
+            "source": "v0", "target": "v4",
+            "labels": LABELS, "constraint": S0, "algorithm": "",
+        }
+        with pytest.raises(BadRequestError, match="unknown algorithm ''"):
+            service.handle_query(payload)
+        with pytest.raises(BadRequestError, match="unknown algorithm ''"):
+            service.handle_batch({"queries": [payload]})
+        assert service.stats.snapshot()["queries"]["total"] == 0
+
     def test_handle_batch_round_trip(self, service):
         payload = {
             "queries": [

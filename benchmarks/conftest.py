@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.bench.experiments import BenchScale
 
-#: Scale for the pytest-benchmark run (EXPERIMENTS.md uses BENCH).
+#: Scale for the pytest-benchmark run (between SMOKE and BENCH).
 PYTEST_SCALE = BenchScale(
     name="pytest",
     datasets=("D1", "D2"),

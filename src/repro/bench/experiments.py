@@ -5,12 +5,11 @@ four panels yields four results) and is parameterised by a
 :class:`BenchScale` preset:
 
 * ``SMOKE`` — seconds-scale sizes for CI and the test suite;
-* ``BENCH`` — the default reproduction scale (minutes overall), whose
-  output is recorded in EXPERIMENTS.md.
+* ``BENCH`` — the default reproduction scale (minutes overall).
 
-Scales are downscaled relative to the paper (DESIGN.md §4): all claims
-checked are *shapes* — orderings, ratios, growth trends — not absolute
-milliseconds.
+Scales are downscaled relative to the paper (README.md, *Semantics and
+resolved under-specifications*: down-scaling): all claims checked are
+*shapes* — orderings, ratios, growth trends — not absolute milliseconds.
 """
 
 from __future__ import annotations
@@ -120,8 +119,8 @@ def bench_landmark_count(num_vertices: int) -> int:
     The paper's ``k = log|V|·√|V|`` yields ~90-vertex regions at its
     multi-million-vertex scale; applied to thousand-vertex graphs it
     would give 3-vertex regions and a useless index.  Holding the
-    *region size* near the paper's regime (DESIGN.md §4) preserves the
-    behaviour the experiments measure.
+    *region size* near the paper's regime (README.md, down-scaling)
+    preserves the behaviour the experiments measure.
     """
     return max(4, num_vertices // 48)
 
@@ -375,7 +374,7 @@ def fig15_yago(scale: BenchScale = BENCH, seed: int = 0) -> list[ExperimentResul
 
     notes = (
         f"YAGO-like graph: {graph.num_vertices} vertices, {graph.num_edges} edges "
-        "(substitute for the 4M-vertex YAGO; DESIGN.md §4)",
+        "(substitute for the 4M-vertex YAGO; README.md, down-scaling)",
         "magnitudes scaled from the paper's 10^1..10^5",
     )
     return [

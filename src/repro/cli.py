@@ -610,13 +610,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         flush=True,
     )
     if options.shards:
-        plan = service.shard_plan.describe()
+        shard_plan, slice_epoch = service.epoch.topology
+        plan = shard_plan.describe()
         if options.worker_urls is not None:
             print(
                 f"shards: {options.shards} remote (vertices per shard: "
                 f"{plan['vertices_per_shard']}; workers: "
                 f"{', '.join(options.worker_urls)}; slice epoch "
-                f"{service.slice_epoch}, handshake ok)",
+                f"{slice_epoch}, handshake ok)",
                 flush=True,
             )
         else:

@@ -17,7 +17,8 @@ variable and implements both uses the paper makes of it:
 * :meth:`SubstructureConstraint.satisfying_vertices` — ``V(S, G)`` used
   by UIS* and INS.
 
-Semantics of ``E_?`` (see DESIGN.md §5.2): SPARQL semantics are adopted —
+Semantics of ``E_?`` (README.md, *Semantics and resolved
+under-specifications*): SPARQL semantics are adopted —
 every pattern must match at least one edge; ``u`` satisfies ``S`` iff the
 BGP with ``?x := u`` has a solution.
 """

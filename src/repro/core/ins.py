@@ -23,8 +23,9 @@ INS is UIS* with three additions powered by the local index
 
 Priority keys are computed at push time with lazy deletion for
 re-pushes, and ``Push`` short-circuits when it enqueues ``t*`` (both
-resolutions of under-specification in the extended abstract; DESIGN.md
-§5.5–5.6 give the completeness argument).
+resolutions of under-specification in the extended abstract; README.md,
+*Semantics and resolved under-specifications*, says why INS stays
+complete).
 """
 
 from __future__ import annotations

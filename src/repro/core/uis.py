@@ -57,8 +57,8 @@ class UIS(LSCRAlgorithm):
         passed = 1
 
         # Trivial path <s>: Q=(s,s,L,S) is true iff s satisfies S
-        # (DESIGN.md §5.1); cycles through satisfying vertices are found
-        # by the main loop below.
+        # (README.md, "the trivial path s = t"); cycles through
+        # satisfying vertices are found by the main loop below.
         if source == target and states[source] == T:
             return True, self._telemetry(passed, checker)
 

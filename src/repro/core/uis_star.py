@@ -132,7 +132,8 @@ class UISStar(LSCRAlgorithm):
                 telemetry["witness"] = WitnessPath(tuple(edges), name_of(v))
             return v is not None, telemetry
 
-        # Trivial path <s>: s == t and s satisfies S (DESIGN.md §5.1).
+        # Trivial path <s>: s == t and s satisfies S (README.md, "the
+        # trivial path s = t").
         if source == target and source in candidates:
             return finish(source)
 
@@ -154,7 +155,7 @@ class UISStar(LSCRAlgorithm):
             if mode == T:                                          # line 15
                 if s_star == t_star:
                     # s ⇝_L s* and s* satisfies S, so s* = t* answers Q
-                    # (guard for close[t]=F candidates; DESIGN.md §5.1).
+                    # (guard for close[t]=F candidates; same README rule).
                     return True
                 states[s_star] = T                  # was F: s ⇝_L s* is proved
                 frontier = [s_star]                                # line 16

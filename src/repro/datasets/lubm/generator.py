@@ -3,7 +3,8 @@
 The paper generates D0–D5 with the Lehigh University Benchmark's UBA
 tool (millions of vertices).  This pure-Python substitute emits the same
 university-domain structure at a configurable scale with three fidelity
-goals (DESIGN.md §4):
+goals (README.md, *Semantics and resolved under-specifications*:
+down-scaling):
 
 1. **Vocabulary** — exactly the ub: classes/properties the Table 3
    constraints S1–S5 mention, so the constraint SPARQL runs verbatim;

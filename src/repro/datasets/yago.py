@@ -3,7 +3,8 @@
 The paper's real-KG experiments run on YAGO (≈4M vertices / 13M edges,
 downloaded from the MPI archive).  Without network access we substitute
 a synthetic KG that preserves the properties Figure 15 actually
-exercises (DESIGN.md §4):
+exercises (README.md, *Semantics and resolved under-specifications*:
+down-scaling):
 
 * **scale-free topology** — YAGO, like all RDFS-structured KGs, is a
   scale-free network (Section 2); edges here attach preferentially to

@@ -60,11 +60,6 @@ __all__ = ["FrozenGraph", "CsrDirection", "freeze_graph", "base_graph"]
 #: Shared empty sequence for mask-rejected expansions (no per-call allocation).
 _EMPTY: tuple[int, ...] = ()
 
-#: Distinct query masks a direction will materialise adjacency views
-#: for; beyond this, lookups fall back to building per call (bounds
-#: memory under adversarial mask churn — real services see a handful).
-_MASK_VIEW_LIMIT = 64
-
 
 class CsrDirection:
     """One direction's adjacency as immutable per-vertex rows.
@@ -100,7 +95,6 @@ class CsrDirection:
         "all_targets",
         "groups",
         "rows_recut",
-        "_mask_views",
     )
 
     def __init__(
@@ -125,11 +119,6 @@ class CsrDirection:
             recut = {*dirty, *appended}
         self._cut_rows(adjacency, recut)
         self.rows_recut = len(recut)
-        # Lazily materialised per-query-mask adjacency views; see
-        # targets_masked.  {mask: {vertex: cached tuple}} — keyed by the
-        # vertices a query actually touches, so memory is bounded by
-        # traffic, not |V| x distinct masks.
-        self._mask_views: dict[int, dict[int, tuple[int, ...]]] = {}
 
     @property
     def rows_shared(self) -> int:
@@ -166,38 +155,21 @@ class CsrDirection:
     def targets_masked(self, vid: int, mask: int) -> tuple[int, ...]:
         """Neighbor ids of ``vid`` whose edge label is inside ``mask``.
 
-        The fast paths of every search hot loop, all allocation-free in
-        steady state:
+        The step of every search hot loop, in three arms:
 
         * no vertex label in ``mask`` — the shared empty tuple after a
           single ``vertex_mask & query_mask`` AND;
         * every vertex label in ``mask`` — the cached full slice;
-        * otherwise — a per-``(mask, vertex)`` view concatenating one
-          cached group per allowed label, materialised on first touch
-          and reused for the rest of the query (and every later query
-          with the same constraint mask — services see few distinct
-          masks).  Distinct masks are capped; overflow traffic simply
-          rebuilds per call.
-
-        Concurrent readers are safe: view cells are only ever written
-        with the value any other thread would compute, and CPython
-        dict/list updates are atomic under the GIL.
+        * otherwise — one cached group per allowed label, concatenated
+          per call — not memoised per mask: measured, every query
+          carries its own mask, so such a memo never hits.
         """
         vertex_mask = self.masks[vid]
-        hit = vertex_mask & mask
-        if not hit:
+        if not vertex_mask & mask:
             return _EMPTY
         if not vertex_mask & ~mask:
             return self.all_targets[vid]
-        views = self._mask_views.get(mask)
-        if views is None:
-            if len(self._mask_views) >= _MASK_VIEW_LIMIT:
-                return self._build_masked(vid, mask)
-            views = self._mask_views[mask] = {}
-        cached = views.get(vid)
-        if cached is None:
-            cached = views[vid] = self._build_masked(vid, mask)
-        return cached
+        return self._build_masked(vid, mask)
 
     def _build_masked(self, vid: int, mask: int) -> tuple[int, ...]:
         result: list[int] = []

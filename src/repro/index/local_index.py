@@ -23,8 +23,8 @@ bijection ``F``, Figure 9(b)) instead of the whole graph (Figure 9(a)),
 indexing cost is bounded by Theorems 5.3/5.4 regardless of the number of
 landmarks — the property Table 2 demonstrates against [19].
 
-Deviation noted in DESIGN.md §5.4: ``II[u]`` is seeded with the
-landmark's trivial entry ``(u, {∅})`` so cyclic re-derivations
+Deviation (README.md, *Semantics and resolved under-specifications*):
+``II[u]`` is seeded with the landmark's trivial entry ``(u, {∅})`` so cyclic re-derivations
 ``(u, L ≠ ∅)`` are subsumed instead of stored, and ``Cut`` can mark the
 landmark itself.
 """
@@ -132,7 +132,8 @@ class LocalIndex:
         return {u: dict(row) for u, row in self.d.items()}
 
     def rho(self, x: int, y: int) -> float:
-        """Estimated distance ``ρ(x, y)`` (DESIGN.md §5.3).
+        """Estimated distance ``ρ(x, y)`` (README.md, *Semantics and
+        resolved under-specifications*).
 
         0 for same-region pairs, ``1/(1 + D(x.AF, y.AF))`` across
         regions (higher correlation → closer), :data:`RHO_UNKNOWN` when
@@ -385,7 +386,7 @@ def _local_full_index(
 ) -> tuple[CmsTable, CmsTable]:
     """``LocalFullIndex(u)`` (Algorithm 3, lines 5–15)."""
     ii = CmsTable()
-    ii.insert(u, 0)  # seeded trivial entry (u, {∅}); DESIGN.md §5.4
+    ii.insert(u, 0)  # seeded trivial entry (u, {∅}); see module docstring
     ei = CmsTable()
     queue: deque[tuple[int, int]] = deque(((u, 0),))              # line 7
     enqueued: set[tuple[int, int]] = {(u, 0)}

@@ -41,7 +41,8 @@ def paper_landmark_count(num_vertices: int) -> int:
     """[19]'s experimental setting ``k = 1250 + √|V|`` (capped at |V|/4).
 
     The cap keeps the comparator meaningful on downscaled graphs where
-    the paper's constant would exceed the vertex count (DESIGN.md §4).
+    the paper's constant would exceed the vertex count (README.md,
+    *Semantics and resolved under-specifications*: down-scaling).
     """
     if num_vertices == 0:
         return 0

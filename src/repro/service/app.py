@@ -103,13 +103,13 @@ from repro.service.planner import QueryPlan, QueryPlanner
 from repro.service.stats import ServiceStats
 from repro.utils.persist import atomic_write_json
 
-__all__ = ["QueryService", "DEFAULT_REBUILD_REGION_FRACTION"]
+__all__ = ["QueryService"]
 
 #: When an update batch touches more than this fraction of the index's
 #: regions, per-region repair stops paying for itself and the whole
 #: index is rebuilt instead (with the same landmarks, so the partition
 #: stays stable across the swap).
-DEFAULT_REBUILD_REGION_FRACTION = 0.5
+_REBUILD_REGION_FRACTION = 0.5
 
 _SPEC_FIELDS = ("source", "target", "labels", "constraint")
 
@@ -528,10 +528,11 @@ class QueryService:
     def _prepare_epoch(self, epoch: GraphEpoch, updates: list | None) -> Any:
         """Seam between build and publish; a no-op on a plain service.
 
-        Called by :meth:`apply_updates` (with the batch) and
-        :meth:`reset_epoch` (``updates=None``) once ``epoch`` is built
-        and before anything changed.  A topology with state outside this
-        process stages it here and returns a token for
+        Called by :meth:`apply_updates` (with the batch) and by
+        :meth:`reset_epoch` / :meth:`replace_graph` (``updates=None``)
+        once ``epoch`` is built and before anything changed, under the
+        writer lock.  A sharded topology attaches ``epoch.topology`` and
+        stages the swap on its workers here, returning a token for
         :meth:`_publish_prepared`; raising means nothing was published,
         counted, purged or logged.
         """
@@ -563,12 +564,7 @@ class QueryService:
     # live updates (copy-on-write epoch swap)
     # ------------------------------------------------------------------
 
-    def apply_updates(
-        self,
-        edges: Iterable[tuple[Hashable, ...]],
-        *,
-        rebuild_region_fraction: float = DEFAULT_REBUILD_REGION_FRACTION,
-    ) -> dict:
+    def apply_updates(self, edges: Iterable[tuple[Hashable, ...]]) -> dict:
         """Apply an edge update batch and publish a new serving epoch.
 
         Each item is ``(source, label, target)`` — an implicit addition —
@@ -592,7 +588,7 @@ class QueryService:
         touched region's ``II/EIT/D`` from the *current* graph and
         therefore repairs removals and insertions alike; falling back to
         a full rebuild with the same landmarks when the batch touches
-        more than ``rebuild_region_fraction`` of the regions),
+        more than half of the regions),
         :meth:`_prepare_epoch` lets a sharded topology stage the swap on
         its workers, and :meth:`_publish_epoch` replaces ``self._epoch``
         in one atomic store.  Readers never block: queries in flight
@@ -689,9 +685,7 @@ class QueryService:
                     )
                     touched.discard(NO_REGION)
                     landmarks = new_index.partition.landmarks
-                    if touched and len(touched) > rebuild_region_fraction * len(
-                        landmarks
-                    ):
+                    if len(touched) > _REBUILD_REGION_FRACTION * len(landmarks):
                         new_index = build_local_index(
                             new_graph, landmarks=list(landmarks)
                         )
@@ -850,7 +844,8 @@ class QueryService:
                     frozen, landmarks=list(old.index.partition.landmarks)
                 )
 
-            self._publish_epoch(self._build_epoch(epoch_id, graph, rebuilt_index))
+            new_epoch = self._build_epoch(epoch_id, graph, rebuilt_index)
+            self._publish_epoch(new_epoch, self._prepare_epoch(new_epoch, None))
 
     @staticmethod
     def _check_fingerprint(

@@ -12,11 +12,17 @@ epoch on a copy and publishes it by replacing one attribute reference.
 Readers never lock: a request reads ``service._epoch`` exactly once (an
 atomic attribute load) and runs plan → cache → session entirely against
 that object, so a swap mid-query is invisible — the query finishes on
-the epoch it started on, and the next request sees the new one.  The
-result cache is shared across epochs but *namespaced*: cached answers
-are keyed ``(epoch_id, canonical key)``, so an in-flight old-epoch query
-completing after a swap can only ever populate old-epoch entries, never
-poison the new epoch's view.
+the epoch it started on, and the next request sees the new one.  That
+is the serving rule, sharded or not: **an answer is computed from one
+epoch**.  On a sharded service the epoch also carries its
+:attr:`~GraphEpoch.topology` — the shard plan and the slice epoch the
+fleet serves it at — so the scatter-gather coordinator reads graph,
+``V(S, G)`` cache, plan and expected slice epoch from the one object the
+request was handed, and there is no second "current version" to drift
+from it.  The result cache is shared across epochs but *namespaced*:
+cached answers are keyed ``(epoch_id, canonical key)``, so an in-flight
+old-epoch query completing after a swap can only ever populate old-epoch
+entries, never poison the new epoch's view.
 
 ``epoch_id`` is a per-service monotonic integer starting at 0; it is
 surfaced in query metadata, ``/stats``, ``/healthz`` and the snapshot
@@ -39,6 +45,7 @@ from repro.session import LSCRSession
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.approx.bounds import BoundsIndex
+    from repro.shard.partitioner import ShardTopology
 
 __all__ = ["GraphEpoch", "normalize_edge_updates", "validate_edge_updates"]
 
@@ -70,6 +77,7 @@ class GraphEpoch:
         "constraints",
         "seed",
         "bounds",
+        "topology",
         "fingerprint",
         "created_at",
         "_sessions",
@@ -98,6 +106,11 @@ class GraphEpoch:
         #: (``repro.approx``); rebuilt whenever the graph changes so the
         #: router's definite-No stays sound across updates and replay.
         self.bounds = bounds
+        #: How a sharded service's fleet serves this snapshot — ``(plan,
+        #: slice_epoch)``; None on an unsharded one.  Attached by the
+        #: sharded prepare seam before the epoch is stored (requests
+        #: never see it change), never written after.
+        self.topology: "ShardTopology | None" = None
         #: Content digest of the graph this epoch serves; part of the
         #: save/load snapshot identity.
         self.fingerprint = graph.content_fingerprint()

@@ -16,8 +16,9 @@ before any algorithm runs.  Planning does three jobs:
   trivial path ``<s>`` with ``s = t`` remains), a structurally
   unsatisfiable constraint (``V(S, G) = ∅`` implies every answer is
   false), and ``s = t`` with ``s`` satisfying ``S`` (the trivial path
-  answers true, DESIGN.md §5.1).  Note ``s = t`` alone is *not* trivial
-  — a cycle through a satisfying vertex may still exist;
+  answers true — README.md, *Semantics and resolved
+  under-specifications*).  Note ``s = t`` alone is *not* trivial — a
+  cycle through a satisfying vertex may still exist;
 * **pick an algorithm** — the configured default, UIS* unless
   ``serve --algorithm`` says otherwise; an explicit per-request
   override wins after validation.  A loaded index does not change the

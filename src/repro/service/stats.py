@@ -382,77 +382,29 @@ class ServiceStats:
 def merge_snapshots(snapshots: Iterable[dict]) -> dict:
     """Fold :meth:`ServiceStats.snapshot` documents into one total.
 
-    Counters sum; per-algorithm cells merge the way
-    :meth:`ResultAggregate.merge` does (totals add, means recomputed),
-    reconstructing ``total_passed`` from ``mean_passed_vertices × count``
-    since the JSON cell carries only the mean.  ``uptime_seconds`` is
-    the maximum — tenants share the process, so the oldest tenant's
-    uptime is the service's.
+    Every document is restored into one fresh ledger —
+    :meth:`ServiceStats.restore` is the one place that knows how each
+    counter, per-algorithm cell and histogram folds — and that ledger's
+    snapshot is the total.  Two fields are not sums: ``uptime_seconds``
+    is the maximum and ``started_at`` the minimum over the documents —
+    tenants share the process, so the oldest tenant's are the service's.
     """
-    queries = {"total": 0, "executed": 0, "cached": 0, "trivial": 0,
-               "true_answers": 0}
-    batches = {"requests": 0, "queries": 0}
-    updates = {"batches": 0, "edges_added": 0, "edges_duplicate": 0,
-               "edges_removed": 0, "edges_missing": 0, "vertices_added": 0,
-               "rows_recut": 0}
-    errors: dict[str, int] = {}
-    resilience = {"requests_shed": 0, "degraded_answers": 0}
-    cells: dict[str, dict] = {}
-    latency: dict[str, LatencyHistogram] = {}
-    uptime = 0.0
-    started_at: float | None = None
-    for snapshot in snapshots:
-        uptime = max(uptime, snapshot.get("uptime_seconds", 0.0))
-        # The oldest tenant's start is the process's, matching max-uptime.
-        stamp = snapshot.get("started_at")
-        if stamp is not None and (started_at is None or stamp < started_at):
-            started_at = stamp
-        for key in queries:
-            queries[key] += snapshot["queries"][key]
-        for key in batches:
-            batches[key] += snapshot["batches"][key]
-        # .get: snapshots predating live updates carry no updates section.
-        for key in updates:
-            updates[key] += snapshot.get("updates", {}).get(key, 0)
-        for kind, count in snapshot["errors"].items():
-            errors[kind] = errors.get(kind, 0) + count
-        # .get: snapshots predating fault tolerance carry no section.
-        for key in resilience:
-            resilience[key] += snapshot.get("resilience", {}).get(key, 0)
-        for endpoint, histogram_doc in snapshot.get("latency", {}).items():
-            histogram = latency.get(endpoint)
-            if histogram is None:
-                histogram = latency[endpoint] = LatencyHistogram()
-            histogram.merge_snapshot(histogram_doc)
-        for name, cell in snapshot["algorithms"].items():
-            into = cells.setdefault(
-                name,
-                {"algorithm": cell["algorithm"], "count": 0, "true_answers": 0,
-                 "total_seconds": 0.0, "_total_passed": 0.0},
-            )
-            into["count"] += cell["count"]
-            into["true_answers"] += cell["true_answers"]
-            into["total_seconds"] += cell["total_seconds"]
-            into["_total_passed"] += cell["mean_passed_vertices"] * cell["count"]
-    for cell in cells.values():
-        count = cell["count"]
-        total_passed = cell.pop("_total_passed")
-        cell["mean_milliseconds"] = (
-            cell["total_seconds"] / count * 1000.0 if count else 0.0
-        )
-        cell["mean_passed_vertices"] = total_passed / count if count else 0.0
-    merged: dict = {
-        "uptime_seconds": uptime,
-        "queries": queries,
-        "batches": batches,
-        "updates": updates,
-        "errors": errors,
-        "resilience": resilience,
-        "algorithms": {name: cells[name] for name in sorted(cells)},
-        "latency": {
-            endpoint: latency[endpoint].snapshot() for endpoint in sorted(latency)
-        },
-    }
-    if started_at is not None:
-        merged["started_at"] = started_at
+    documents = list(snapshots)
+    total = ServiceStats()
+    for document in documents:
+        total.restore(document)
+    merged = total.snapshot()
+    merged["uptime_seconds"] = max(
+        (document.get("uptime_seconds", 0.0) for document in documents),
+        default=0.0,
+    )
+    starts = [
+        document["started_at"]
+        for document in documents
+        if document.get("started_at") is not None
+    ]
+    if starts:
+        merged["started_at"] = min(starts)
+    else:
+        del merged["started_at"]  # the fresh ledger's own is nobody's
     return merged

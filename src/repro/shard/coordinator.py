@@ -15,7 +15,7 @@ obviously-correct frame for a distributed search:
    border crossings are possible" routing rule falling out of the
    algorithm rather than being bolted on;
 2. **Intersect** with ``V(S, G)`` (computed once, coordinator-side,
-   through the shared :class:`~repro.service.cache.CandidateCache`);
+   through the epoch's :class:`~repro.service.cache.CandidateCache`);
 3. **Phase two** — a second scatter-gather closure seeded by every
    satisfying vertex reached, stopping the moment the target appears.
 
@@ -25,12 +25,24 @@ live on the same shard, that shard's per-slice
 answer from a slice is globally true (edge-subset monotonicity), and on
 region-partitioned graphs most traffic is intra-region.
 
-The coordinator quacks like an :class:`~repro.session.LSCRSession`
-(``answer(query) -> QueryResult``), which is how
-:class:`~repro.shard.service.ShardedQueryService` plugs it into the
-planner → cache → execute pipeline unchanged.  Rounds scatter to
-workers concurrently on a small pool when more than one shard holds
-frontier vertices.
+**An answer is computed from one epoch.**  The coordinator keeps only
+what is about the *fleet* — workers, breakers, retry policy, scatter
+pool, counters — and nothing graph-bound: :meth:`ShardCoordinator.answer`
+is handed the :class:`~repro.service.epoch.GraphEpoch` the request read
+at entry and takes the graph, the ``V(S, G)`` cache, the shard plan and
+the slice epoch it expects workers to echo from that one object
+(:attr:`~repro.service.epoch.GraphEpoch.topology`), so ``V(S, G)``, both
+closures and every slice they scatter over describe the same ``G``.
+**A slice epoch names content**: a worker echoes the slice epoch of the
+slice it searched on *both* calls — ``expand`` and the co-located probe
+— and only ever advances it over content the coordinator vouched for
+(see :meth:`ShardWorker.prepare <repro.shard.worker.ShardWorker.prepare>`),
+so an echo that differs from the expected one is either a miss (probe)
+or a skew that re-runs the query once on the service's current epoch
+(expand), never a silently mixed answer.
+
+Rounds scatter to workers concurrently on a small pool when more than
+one shard holds frontier vertices.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
-from dataclasses import dataclass
+from collections.abc import Callable
 from time import perf_counter
 
 from repro.context import rearm
@@ -49,13 +61,12 @@ from repro.exceptions import (
     DeadlineExceededError,
     ShardUnavailableError,
 )
-from repro.graph.labeled_graph import KnowledgeGraph
 from repro.obs.trace import span
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import check_deadline, current_deadline
 from repro.resilience.retry import RetryPolicy
-from repro.service.cache import CandidateCache
-from repro.shard.partitioner import ShardPlan
+from repro.service.epoch import GraphEpoch
+from repro.shard.partitioner import ShardTopology
 
 __all__ = ["ShardCoordinator"]
 
@@ -69,30 +80,15 @@ SHARDED_ALGORITHM = "sharded"
 ROUND_GRACE_SECONDS = 0.05
 
 
-@dataclass(frozen=True)
-class _Topology:
-    """The coordinator facts that must swap together on a slice publish.
-
-    Reading graph, plan and slice epoch through one immutable bundle is
-    what makes a mid-query :meth:`ShardCoordinator.publish` safe: a
-    query evaluates wholly against the topology it grabbed at entry —
-    never the old plan with the new epoch or vice versa.
-    """
-
-    graph: KnowledgeGraph
-    plan: ShardPlan
-    slice_epoch: int
-
-
 class _EpochSkew(Exception):
     """A worker answered an expand at a different slice epoch (internal).
 
     Raised from :meth:`ShardCoordinator.closure` when an echoed epoch
-    disagrees with the topology the query grabbed — a slice swap landed
-    mid-scatter.  Mixing rounds from two epochs could answer wrongly
-    under *both*, so the whole query re-runs once against the new
-    topology; the coordinator converts a second skew into a structured
-    503 rather than loop.
+    disagrees with the topology of the epoch the query runs on — a
+    slice swap landed mid-scatter.  Mixing rounds from two epochs could
+    answer wrongly under *both*, so the whole query re-runs once on the
+    service's current epoch; the coordinator converts a second skew into
+    a structured 503 rather than loop.
     """
 
     def __init__(self, shard: int, saw: int, expected: int):
@@ -107,35 +103,26 @@ class _EpochSkew(Exception):
 class ShardCoordinator:
     """Scatter-gather execution over a fixed set of shard workers.
 
-    ``workers[i]`` must serve shard ``i`` of ``plan`` and expose the
-    :class:`~repro.shard.worker.ShardWorker` surface (``expand``,
-    ``local_query``) — in-process workers and
+    ``workers[i]`` must serve shard ``i`` of every epoch's plan and
+    expose the :class:`~repro.shard.worker.ShardWorker` surface
+    (``expand``, ``local_query``) — in-process workers and
     :class:`~repro.shard.worker.HttpShardWorker` stubs mix freely.
-    Thread-safe: per-query state is local to each :meth:`answer` call.
+    Thread-safe: per-query state is local to each :meth:`answer` call,
+    and everything graph-bound arrives with the epoch it is handed.
     """
 
     def __init__(
         self,
-        graph: KnowledgeGraph,
-        plan: ShardPlan,
         workers: list,
         *,
-        candidate_cache: CandidateCache | None = None,
         local_fast_path: bool = True,
         parallel: bool = True,
         retry_policy: RetryPolicy | None = None,
         breakers: list[CircuitBreaker] | None = None,
         degraded_answers: bool = False,
         scatter_timeout: float | None = None,
-        slice_epoch: int = 0,
     ) -> None:
-        if len(workers) != plan.num_shards:
-            raise ValueError(
-                f"plan wants {plan.num_shards} workers, got {len(workers)}"
-            )
-        self._topology = _Topology(graph, plan, slice_epoch)
         self.workers = workers
-        self.candidates = candidate_cache
         self.local_fast_path = local_fast_path
         #: Retries for idempotent expand calls (injectable for tests).
         self.retry = retry_policy if retry_policy is not None else RetryPolicy()
@@ -145,9 +132,10 @@ class ShardCoordinator:
             if breakers is not None
             else [CircuitBreaker() for _ in workers]
         )
-        if len(self.breakers) != plan.num_shards:
+        if len(self.breakers) != len(workers):
             raise ValueError(
-                f"plan wants {plan.num_shards} breakers, got {len(self.breakers)}"
+                f"{len(workers)} workers need as many breakers, "
+                f"got {len(self.breakers)}"
             )
         #: Degrade (answer over surviving shards, verdict "unknown" when
         #: False) instead of failing fast with a structured 503.
@@ -155,10 +143,10 @@ class ShardCoordinator:
         #: Per-call wall-clock bound on worker expands even without a
         #: request deadline (``serve --shard-timeout``).
         self.scatter_timeout = scatter_timeout
-        self._parallel = bool(parallel and plan.num_shards > 1)
+        self._parallel = bool(parallel and len(workers) > 1)
         self._pool = (
             ThreadPoolExecutor(
-                max_workers=min(plan.num_shards, 8),
+                max_workers=min(len(workers), 8),
                 thread_name_prefix="repro-shard",
             )
             if self._parallel
@@ -181,54 +169,26 @@ class ShardCoordinator:
         self._fast_path_errors = 0
         self._epoch_skew_retries = 0
 
-    # ------------------------------------------------------------------
-    # topology views + the publish seam of slice-epoch propagation
-    # ------------------------------------------------------------------
-
-    @property
-    def graph(self) -> KnowledgeGraph:
-        return self._topology.graph
-
-    @property
-    def plan(self) -> ShardPlan:
-        return self._topology.plan
-
-    @property
-    def slice_epoch(self) -> int:
-        """The slice epoch this coordinator expects workers to echo."""
-        return self._topology.slice_epoch
-
-    def publish(
-        self, graph: KnowledgeGraph, plan: ShardPlan, slice_epoch: int
-    ) -> None:
-        """Swap in a new topology (after an update push or a rebalance).
-
-        One atomic reference store; in-flight queries keep the bundle
-        they grabbed and the epoch-skew check handles any that straddle
-        the swap.  The worker list itself is fixed — workers receive
-        their new slices through the two-phase update wire, not here.
-        """
-        if plan.num_shards != len(self.workers):
-            raise ValueError(
-                f"cannot publish a {plan.num_shards}-shard plan over "
-                f"{len(self.workers)} workers"
-            )
-        self._topology = _Topology(graph, plan, slice_epoch)
-
     def __repr__(self) -> str:
-        topology = self._topology
-        return (
-            f"ShardCoordinator({topology.graph.name!r}, "
-            f"shards={topology.plan.num_shards}, "
-            f"epoch={topology.slice_epoch})"
-        )
+        return f"ShardCoordinator(shards={len(self.workers)})"
 
     # ------------------------------------------------------------------
-    # session-compatible execution
+    # execution
     # ------------------------------------------------------------------
 
-    def answer(self, query: LSCRQuery) -> QueryResult:
-        """Answer one prepared query; exact, with full telemetry.
+    def answer(
+        self,
+        query: LSCRQuery,
+        epoch: GraphEpoch,
+        current: Callable[[], GraphEpoch] | None = None,
+    ) -> QueryResult:
+        """Answer one prepared query on ``epoch``; exact, with telemetry.
+
+        Graph, ``V(S, G)`` cache, plan and expected slice epoch all come
+        from ``epoch``.  ``current`` re-reads the owning service's
+        serving epoch for the one re-run after a slice-epoch skew (a
+        swap landed mid-scatter, so ``epoch`` may no longer be what the
+        fleet serves); without it the re-run stays on ``epoch``.
 
         Traced requests see the whole scatter-gather as a
         ``coordinator`` span: the fast-path probe, the ``V(S, G)``
@@ -237,23 +197,26 @@ class ShardCoordinator:
         ``expand`` span — local or shipped back over the wire — stitched
         underneath.
         """
-        with span("coordinator", shards=self.plan.num_shards) as handle:
+        with span("coordinator", shards=len(self.workers)) as handle:
             try:
                 try:
-                    return self._answer(query, handle)
+                    return self._answer(query, epoch, handle)
                 except _EpochSkew:
                     # A slice swap landed mid-scatter: every visited
-                    # vertex so far was proven against the *old* epoch,
-                    # so the only sound move is to re-run the whole
-                    # query against the new topology.  Once — a second
-                    # skew during the retry means swaps are outpacing
-                    # queries; refuse structurally (503, retryable)
-                    # rather than loop.
+                    # vertex so far was proven against another epoch's
+                    # slices, so the only sound move is to re-run the
+                    # whole query — graph, V(S, G) and topology — on the
+                    # epoch now being served.  Once — a second skew
+                    # means swaps are outpacing queries or a worker
+                    # missed its publish; refuse structurally (503,
+                    # retryable) rather than loop.
                     with self._lock:
                         self._epoch_skew_retries += 1
                     handle.set(epoch_skew_retry=True)
+                if current is not None:
+                    epoch = current()
                 try:
-                    return self._answer(query, handle)
+                    return self._answer(query, epoch, handle)
                 except _EpochSkew as again:
                     raise ShardUnavailableError(
                         again.shard,
@@ -271,10 +234,19 @@ class ShardCoordinator:
                     self._deadline_exceeded += 1
                 raise
 
-    def _answer(self, query: LSCRQuery, handle) -> QueryResult:
+    def _answer(self, query: LSCRQuery, epoch: GraphEpoch, handle) -> QueryResult:
         started = perf_counter()
-        topology = self._topology
-        graph = topology.graph
+        topology = epoch.topology
+        if topology is None or topology.plan.num_shards != len(self.workers):
+            # Unreachable through ShardedQueryService (every epoch it
+            # stores went through its prepare seam); a refusal, not an
+            # AttributeError, for anything else.
+            raise ShardUnavailableError(
+                -1,
+                f"epoch {epoch.epoch_id} carries no shard topology for "
+                f"this {len(self.workers)}-worker fleet",
+            )
+        graph = epoch.graph
         source = graph.vid(query.source)
         target = graph.vid(query.target)
         mask = query.labels.mask_for(graph)
@@ -292,7 +264,9 @@ class ShardCoordinator:
         telemetry = {"rounds": 0, "expand_calls": 0, "crossings": 0}
 
         if self.local_fast_path and shard_of[source] == shard_of[target]:
-            fast_hit = self._probe(shard_of[source], query)
+            fast_hit = self._probe(
+                shard_of[source], query, topology.slice_epoch
+            )
             if fast_hit:
                 verdict = True
                 handle.set(source="co-located")
@@ -301,14 +275,7 @@ class ShardCoordinator:
             # not decide — computing it first would charge every
             # co-located hit for a whole-graph SPARQL evaluation.
             vsg_started = perf_counter()
-            if self.candidates is not None:
-                candidates = self.candidates.get(query.constraint, graph)
-            else:
-                with span("candidate-cache") as vsg_span:
-                    candidates = tuple(
-                        query.constraint.satisfying_vertices(graph)
-                    )
-                    vsg_span.set(hit=False, candidates=len(candidates))
+            candidates = epoch.candidates.get(query.constraint, graph)
             vsg_seconds = perf_counter() - vsg_started
             vsg_size = len(candidates)
             candidate_set = set(candidates)
@@ -316,8 +283,7 @@ class ShardCoordinator:
             verdict = False  # no satisfying vertex anywhere: skip both phases
         if verdict is None:
             reachable, phase_one = self.closure(
-                {source}, mask, phase="phase1",
-                missing=missing, topology=topology,
+                {source}, mask, topology, phase="phase1", missing=missing
             )
             for key in telemetry:
                 telemetry[key] += phase_one[key]
@@ -335,8 +301,8 @@ class ShardCoordinator:
                 verdict = True
             else:
                 second, phase_two = self.closure(
-                    satisfying, mask, stop=target, phase="phase2",
-                    missing=missing, topology=topology,
+                    satisfying, mask, topology, stop=target,
+                    phase="phase2", missing=missing,
                 )
                 for key in telemetry:
                     telemetry[key] += phase_two[key]
@@ -392,10 +358,10 @@ class ShardCoordinator:
         self,
         seeds: set[int],
         mask: int,
+        topology: ShardTopology,
         stop: int | None = None,
         phase: str = "closure",
         missing: set[int] | None = None,
-        topology: _Topology | None = None,
     ) -> tuple[set[int], dict[str, int]]:
         """All vertices reachable from ``seeds`` under ``mask``.
 
@@ -421,14 +387,11 @@ class ShardCoordinator:
         workers' ``expand`` spans — which the workers build by value,
         because a remote process has no span tree to hang them on.
 
-        ``topology`` is the bundle the enclosing query grabbed at entry
-        (defaulting to the current one for direct callers); any worker
-        echoing a *different* slice epoch aborts the closure with
-        :class:`_EpochSkew`, because a closure mixing two epochs can be
-        wrong under both.
+        ``topology`` is the one riding the epoch the enclosing query
+        runs on; any worker echoing a *different* slice epoch aborts the
+        closure with :class:`_EpochSkew`, because a closure mixing two
+        epochs can be wrong under both.
         """
-        if topology is None:
-            topology = self._topology
         shard_of = topology.plan.shard_of
         expected_epoch = topology.slice_epoch
         if missing is None:
@@ -664,8 +627,13 @@ class ShardCoordinator:
         with self._lock:
             self._retries += 1
 
-    def _probe(self, shard: int, query: LSCRQuery) -> bool:
+    def _probe(self, shard: int, query: LSCRQuery, expected_epoch: int) -> bool:
         """The co-located fast path on ``shard``; True is conclusive.
+
+        A hit counts only when the worker echoes ``expected_epoch`` —
+        the slice it searched is then this epoch's content; a missing or
+        different echo is a miss, and the scatter that follows meets the
+        ordinary skew rule.
 
         Under a deadline the call runs re-armed on the scatter pool, so
         the worker's own search sees the budget and stops itself — and a
@@ -679,7 +647,8 @@ class ShardCoordinator:
             return False
 
         def call() -> bool:
-            return self.workers[shard].local_query(query)
+            hit, echoed = self.workers[shard].local_query(query)
+            return hit and echoed == expected_epoch
 
         with span("co-located", shard=shard) as probe:
             deadline = current_deadline()
@@ -729,7 +698,6 @@ class ShardCoordinator:
                 "crossings_total": self._crossings,
                 "mean_rounds": self._rounds / queries if queries else 0.0,
                 "scatter_serial_fallbacks": self._scatter_serial_fallbacks,
-                "slice_epoch": self._topology.slice_epoch,
                 "epoch_skew_retries": self._epoch_skew_retries,
             }
             resilience = {

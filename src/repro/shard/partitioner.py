@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterator
+from typing import NamedTuple
 
 from repro.graph.csr import CsrDirection
 from repro.graph.labeled_graph import Edge, KnowledgeGraph
@@ -48,6 +49,7 @@ from repro.index.local_index import LocalIndex
 
 __all__ = [
     "ShardPlan",
+    "ShardTopology",
     "GraphSlice",
     "assign_regions",
     "build_shard_plan",
@@ -143,6 +145,15 @@ class ShardPlan:
             "vertices_per_shard": counts,
             "regions_per_shard": [len(group) for group in self.regions_by_shard],
         }
+
+
+class ShardTopology(NamedTuple):
+    """How a fleet serves one epoch: :attr:`GraphEpoch.topology
+    <repro.service.epoch.GraphEpoch.topology>` on a sharded service."""
+
+    plan: ShardPlan
+    #: The slice epoch every worker holding this epoch's content echoes.
+    slice_epoch: int
 
 
 def build_shard_plan(

@@ -32,18 +32,28 @@ topologies serve the slices:
   breakers and re-push slices to workers that restarted from stale
   files.
 
-Live updates propagate **per slice** through the inherited epoch
-pipeline's two seams (build → prepare → publish): once the base class
-has built the next :class:`GraphEpoch`, :meth:`_prepare_epoch` re-cuts
-the slices of every shard the batch touched and *prepares* every worker
-— a refusal raises before anything was published, counted or logged —
-and right after the epoch store :meth:`_publish_prepared` publishes the
-topology and the workers, bumping a coordinated *slice epoch* that every
-expand response echoes, so a scatter that straddles the swap detects
-the skew and re-runs against the new topology.  The per-tenant WAL
-composes unchanged: the base class appends the batch after the publish,
-i.e. only after every slice acknowledged its prepare, making the log
-the slice-epoch carrier replay re-cuts from.
+**One serving reference.**  The shard plan and the slice epoch the
+fleet serves an epoch at ride the epoch itself
+(:attr:`GraphEpoch.topology <repro.service.epoch.GraphEpoch.topology>`),
+so the inherited ``self._epoch`` is the only "current version" a sharded
+answer is computed from: :meth:`_evaluate` hands the coordinator the
+epoch the request read at entry, and ``shard_plan`` / ``slice_epoch``
+are read-only views of it.  Every topology change — an update batch,
+:meth:`reset_epoch`, :meth:`replace_graph`, :meth:`rebalance` — goes
+through the inherited epoch pipeline's two seams (build → prepare →
+publish) under the one writer lock: once the next :class:`GraphEpoch` is
+built, :meth:`_prepare_epoch` attaches its topology, re-cuts the slices
+of every shard the change touched and *prepares* every worker — a
+refusal raises before anything was published, counted or logged — and
+right after the epoch store :meth:`_publish_prepared` publishes the
+workers.  **A slice epoch names content**: every expand *and* every
+co-located probe echoes the slice epoch of the slice it searched, an
+untouched worker only bumps its epoch from the one the bump names (a
+straggler is shipped its slice instead), so a scatter that straddles the
+swap detects the skew and re-runs on the service's current epoch.  The
+per-tenant WAL composes unchanged: the base class appends the batch
+after the publish, i.e. only after every slice acknowledged its prepare,
+making the log the slice-epoch carrier replay re-cuts from.
 """
 
 from __future__ import annotations
@@ -53,6 +63,8 @@ import time
 from typing import Any, NamedTuple
 
 from repro.exceptions import (
+    BadRequestError,
+    RemoteShardError,
     ServiceConfigError,
     ShardHandshakeError,
     ShardUnavailableError,
@@ -69,6 +81,7 @@ from repro.shard.coordinator import SHARDED_ALGORITHM, ShardCoordinator
 from repro.shard.partitioner import (
     GraphSlice,
     ShardPlan,
+    ShardTopology,
     cut_slices,
     derive_shard_plan,
 )
@@ -83,9 +96,7 @@ class _StagedSwap(NamedTuple):
     """What every worker holds staged between prepare and publish."""
 
     txn: str
-    epoch: GraphEpoch
     slice_epoch: int
-    plan: ShardPlan
     plan_hash: str
     #: Shards that received a re-cut slice rather than a bare bump.
     touched: set[int]
@@ -124,29 +135,28 @@ class ShardedQueryService(QueryService):
                 f"--worker-url values, got {len(options.worker_urls)}"
             )
         super().__init__(graph, index, options=options)
-        frozen = self.graph
+        first = self._epoch
         #: Partition and correlations are retained for D-guided
         #: rebalancing: live crossing counters are folded into the
         #: correlation table to re-place regions.  An index-free plan
         #: uses the same ``landmark_count`` and ``seed`` as ``cut``, so
         #: slice files cut offline match it hash for hash.
-        self._partition, self._correlations, self.shard_plan = derive_shard_plan(
-            frozen,
+        self._partition, self._correlations, plan = derive_shard_plan(
+            first.graph,
             index,
             options.shards,
             landmark_count=options.landmark_count,
             seed=options.seed,
         )
-        #: Serialises every slice push (updates, rebalances, resyncs).
-        #: Always taken *after* the inherited ``_update_lock`` when both
-        #: are held.
-        self._shard_lock = threading.RLock()
-        self._slice_epoch = self.epoch.epoch_id
+        # The base constructor stored epoch 0 before a plan could exist;
+        # no request can read it until this constructor returns, and
+        # every later epoch gets its topology in _prepare_epoch.
+        first.topology = ShardTopology(plan, first.epoch_id)
         self._health_lock = threading.Lock()
         self._worker_health: dict[int, dict] = {}
         self._probe_stop = threading.Event()
         self._probe_thread: threading.Thread | None = None
-        plan_hash = plan_fingerprint(self.shard_plan)
+        plan_hash = plan_fingerprint(plan)
         if options.worker_urls is not None:
             self.workers: list = [
                 HttpShardWorker(url, shard_id)
@@ -157,24 +167,20 @@ class ShardedQueryService(QueryService):
                 ShardWorker(
                     graph_slice,
                     options=options,
-                    epoch=self._slice_epoch,
-                    fingerprint=self.epoch.fingerprint,
+                    epoch=first.epoch_id,
+                    fingerprint=first.fingerprint,
                     plan_hash=plan_hash,
-                    plan=self.shard_plan,
+                    plan=plan,
                 )
-                for graph_slice in cut_slices(frozen, self.shard_plan)
+                for graph_slice in cut_slices(first.graph, plan)
             ]
         self.coordinator = ShardCoordinator(
-            frozen,
-            self.shard_plan,
             self.workers,
-            candidate_cache=self.candidates,
             local_fast_path=local_fast_path,
             parallel=parallel_scatter,
             degraded_answers=options.degraded_answers,
             scatter_timeout=options.scatter_timeout,
             retry_policy=retry_policy,
-            slice_epoch=self._slice_epoch,
         )
         if options.worker_urls is not None:
             try:
@@ -205,9 +211,14 @@ class ShardedQueryService(QueryService):
         return self.options.algorithm or SHARDED_ALGORITHM
 
     @property
+    def shard_plan(self) -> ShardPlan:
+        """The plan the current epoch is served under."""
+        return self._epoch.topology.plan
+
+    @property
     def slice_epoch(self) -> int:
-        """The coordinated slice epoch every worker currently serves."""
-        return self._slice_epoch
+        """The slice epoch the fleet serves the current epoch at."""
+        return self._epoch.topology.slice_epoch
 
     # ------------------------------------------------------------------
 
@@ -218,11 +229,13 @@ class ShardedQueryService(QueryService):
         base class's ``_execute`` router consults the coordinator-local
         bounds first, so definite-No/definite-Yes queries are settled
         here on the coordinator and never scatter to the workers.
+        The coordinator computes on ``epoch`` — the one the request read
+        at entry — and re-reads ``self._epoch`` only for its skew re-run.
         """
         if plan.forced:
             return super()._evaluate(plan, epoch)
         assert plan.query is not None
-        return self.coordinator.answer(plan.query)
+        return self.coordinator.answer(plan.query, epoch, lambda: self._epoch)
 
     # ------------------------------------------------------------------
     # cross-host attachment: handshake + health probes + resync
@@ -261,11 +274,13 @@ class ShardedQueryService(QueryService):
                     "coordinator_wire_version": SLICE_WIRE_VERSION,
                 },
             )
-        plan_hash = plan_fingerprint(self.shard_plan)
+        epoch = self._epoch
+        plan, slice_epoch = epoch.topology
+        plan_hash = plan_fingerprint(plan)
         if (
             descriptor.get("plan_hash") != plan_hash
-            or descriptor.get("epoch") != self._slice_epoch
-            or descriptor.get("fingerprint") != self.epoch.fingerprint
+            or descriptor.get("epoch") != slice_epoch
+            or descriptor.get("fingerprint") != epoch.fingerprint
         ):
             try:
                 self._resync_worker(shard_id, worker)
@@ -280,27 +295,27 @@ class ShardedQueryService(QueryService):
                             for key in ("epoch", "fingerprint", "plan_hash")
                         },
                         "expected": {
-                            "epoch": self._slice_epoch,
-                            "fingerprint": self.epoch.fingerprint,
+                            "epoch": slice_epoch,
+                            "fingerprint": epoch.fingerprint,
                             "plan_hash": plan_hash,
                         },
                     },
                 ) from error
-        self._note_health(
-            shard_id,
-            epoch=self._slice_epoch,
-            plan_hash=plan_hash,
-        )
+        self._note_health(shard_id, epoch=slice_epoch, plan_hash=plan_hash)
 
     def _resync_worker(self, shard_id: int, worker) -> None:
-        """Push the coordinator's current slice to one drifted worker."""
-        with self._shard_lock:
-            epoch = self.epoch
-            plan = self.shard_plan
-            txn = f"resync-{self._slice_epoch}-{shard_id}"
+        """Push the current epoch's slice to one drifted worker.
+
+        Under the writer lock, like every slice push: a resync must not
+        interleave with a half-published swap.
+        """
+        with self._update_lock:
+            epoch = self._epoch
+            plan, slice_epoch = epoch.topology
+            txn = f"resync-{slice_epoch}-{shard_id}"
             worker.prepare(
                 txn,
-                epoch=self._slice_epoch,
+                epoch=slice_epoch,
                 fingerprint=epoch.fingerprint,
                 plan_hash=plan_fingerprint(plan),
                 plan=plan,
@@ -361,11 +376,10 @@ class ShardedQueryService(QueryService):
                 epoch=descriptor.get("epoch"),
                 plan_hash=descriptor.get("plan_hash"),
             )
-            if (
-                descriptor.get("epoch") != self._slice_epoch
-                or descriptor.get("plan_hash")
-                != plan_fingerprint(self.shard_plan)
-            ):
+            plan, slice_epoch = self._epoch.topology
+            if descriptor.get("epoch") != slice_epoch or descriptor.get(
+                "plan_hash"
+            ) != plan_fingerprint(plan):
                 try:
                     self._resync_worker(shard_id, worker)
                 except Exception as error:
@@ -375,60 +389,67 @@ class ShardedQueryService(QueryService):
     # slice-epoch propagation: the two-phase push
     # ------------------------------------------------------------------
 
-    def _extended_plan(self, graph: KnowledgeGraph) -> ShardPlan:
-        """The current plan, extended over vertices interned since.
+    @staticmethod
+    def _extended_plan(plan: ShardPlan, graph: KnowledgeGraph) -> ShardPlan:
+        """``plan`` sized to ``graph``'s vertices.
 
-        New vertices have no landmark region, so they take the same
-        round-robin owners :func:`build_shard_plan` gives unreached
-        vertices — deterministic and balanced, no re-placement of
-        existing vertices.
+        Vertices interned since have no landmark region, so they take
+        the same round-robin owners :func:`build_shard_plan` gives
+        unreached vertices — deterministic and balanced, no re-placement
+        of existing vertices.  (A replacement graph may also be smaller;
+        ownership of the ids it keeps is unchanged.)
         """
-        plan = self.shard_plan
         count = graph.num_vertices
         if count == plan.num_vertices:
             return plan
-        shard_of = list(plan.shard_of) + [
+        shard_of = plan.shard_of[:count] + tuple(
             vid % plan.num_shards for vid in range(plan.num_vertices, count)
-        ]
+        )
         return ShardPlan(
             num_shards=plan.num_shards,
-            shard_of=tuple(shard_of),
+            shard_of=shard_of,
             regions_by_shard=plan.regions_by_shard,
             region_shard=plan.region_shard,
         )
 
     def _prepare_workers(
-        self,
-        epoch: GraphEpoch,
-        slice_epoch: int,
-        plan: ShardPlan,
-        touched: set[int],
-        reason: str,
+        self, epoch: GraphEpoch, touched: set[int], extends: int
     ) -> _StagedSwap:
         """Phase one: stage ``epoch``'s topology on every worker.
 
         Touched shards receive their re-cut slice — all the rebuild cost
-        lands here, off the serving path — untouched shards a bare epoch
-        bump.  Any failure aborts all staged state and re-raises before
-        anything served changes.  Caller holds ``_shard_lock``.
+        lands here, off the serving path — untouched shards a bare bump
+        from slice epoch ``extends``; one that refuses it (409: it is
+        not serving ``extends``, so its content is not the fleet's) is
+        shipped its slice like a touched one.  Any other failure aborts
+        all staged state and re-raises before anything served changes.
+        Caller holds the writer lock.
         """
+        plan, slice_epoch = epoch.topology
         plan_hash = plan_fingerprint(plan)
-        txn = f"{reason}-{slice_epoch}"
+        txn = f"swap-{slice_epoch}"
+        stamp = {
+            "epoch": slice_epoch,
+            "fingerprint": epoch.fingerprint,
+            "plan_hash": plan_hash,
+            "plan": plan,
+        }
         prepared: list = []
         try:
             for shard_id, worker in enumerate(self.workers):
-                worker.prepare(
-                    txn,
-                    epoch=slice_epoch,
-                    fingerprint=epoch.fingerprint,
-                    plan_hash=plan_hash,
-                    plan=plan,
-                    graph_slice=(
-                        GraphSlice(epoch.graph, plan, shard_id)
-                        if shard_id in touched
-                        else None
-                    ),
-                )
+                if shard_id not in touched:
+                    try:
+                        worker.prepare(txn, **stamp, extends=extends)
+                    except (BadRequestError, RemoteShardError) as refusal:
+                        if refusal.status != 409:
+                            raise
+                        touched.add(shard_id)
+                if shard_id in touched:
+                    worker.prepare(
+                        txn,
+                        **stamp,
+                        graph_slice=GraphSlice(epoch.graph, plan, shard_id),
+                    )
                 prepared.append(worker)
         except Exception:
             for worker in prepared:
@@ -437,44 +458,7 @@ class ShardedQueryService(QueryService):
                 except Exception:
                     pass
             raise
-        return _StagedSwap(txn, epoch, slice_epoch, plan, plan_hash, touched)
-
-    def _publish_workers(self, staged: _StagedSwap) -> list[dict]:
-        """Phase two: publish the staged topology, coordinator first.
-
-        Every worker holds the staged state, so this is past the point
-        of no return: publish stragglers are returned (not raised)
-        because the swap is already committed — their expands echo a
-        stale epoch, the skew check refuses structurally, and the health
-        sweep re-pushes until they converge.  Caller holds
-        ``_shard_lock``.
-        """
-        self.shard_plan = staged.plan
-        self._slice_epoch = staged.slice_epoch
-        self.coordinator.publish(
-            staged.epoch.graph, staged.plan, staged.slice_epoch
-        )
-        failures = []
-        for shard_id, worker in enumerate(self.workers):
-            try:
-                worker.publish_update(staged.txn)
-            except Exception as error:
-                self._note_unhealthy(shard_id, error)
-                failures.append(
-                    {"shard": shard_id, "error": f"{type(error).__name__}: {error}"}
-                )
-            else:
-                self._note_health(
-                    shard_id, epoch=staged.slice_epoch, plan_hash=staged.plan_hash
-                )
-        # Queries that raced the swap may have cached answers computed
-        # on the previous topology under the new epoch's namespace;
-        # drop them so the cache only ever re-serves post-swap answers.
-        epoch_id = staged.epoch.epoch_id
-        self.results.purge(
-            lambda key: isinstance(key, tuple) and key[0] == epoch_id
-        )
-        return failures
+        return _StagedSwap(txn, slice_epoch, plan_hash, touched)
 
     def _touched_shards(
         self, updates: list, graph: KnowledgeGraph, plan: ShardPlan
@@ -494,48 +478,70 @@ class ShardedQueryService(QueryService):
                 touched.add(plan.shard_of[graph.vid(source)])
         return touched
 
-    def _prepare_epoch(self, epoch: GraphEpoch, updates: list | None) -> _StagedSwap:
-        """Re-cut the touched slices and prepare every worker for ``epoch``.
+    def _prepare_epoch(
+        self,
+        epoch: GraphEpoch,
+        updates: list | None,
+        plan: ShardPlan | None = None,
+    ) -> _StagedSwap:
+        """Attach ``epoch``'s topology and prepare every worker for it.
 
         The inherited pipeline's first seam: ``epoch`` is built but not
-        stored.  ``updates=None`` (:meth:`reset_epoch`'s renumbering)
-        ships every slice — workers must echo the logged epoch or every
-        post-recovery scatter would look like a mid-swap skew.  A worker
-        refusing its prepare fails the whole swap with a structured 503
-        while the deployment stays consistent at the previous epoch.
-        On success ``_shard_lock`` stays held — no rebalance or resync
-        may interleave with a half-published swap — until
-        :meth:`_publish_prepared` releases it.
+        stored, and the caller holds the writer lock (so no other swap,
+        rebalance or resync interleaves before :meth:`_publish_prepared`
+        ran).  The plan is ``plan`` (:meth:`rebalance`'s proposal) or
+        the current one sized to the new graph; the slice epoch moves
+        past both the epoch id and the one being served.  With
+        ``updates`` only the slices the batch touched are re-cut;
+        ``updates=None`` (:meth:`reset_epoch`, :meth:`replace_graph`,
+        :meth:`rebalance`) ships every slice.  A worker refusing its
+        prepare fails the whole swap with a structured 503 while the
+        deployment stays consistent at the previous epoch.
         """
-        self._shard_lock.acquire()
+        serving = self._epoch.topology
+        if plan is None:
+            plan = self._extended_plan(serving.plan, epoch.graph)
+        touched = (
+            set(range(plan.num_shards))
+            if updates is None
+            else self._touched_shards(updates, epoch.graph, plan)
+        )
+        epoch.topology = ShardTopology(
+            plan, max(epoch.epoch_id, serving.slice_epoch + 1)
+        )
         try:
-            plan = self._extended_plan(epoch.graph)
-            touched, reason = set(range(plan.num_shards)), "reset"
-            if updates is not None:
-                touched = self._touched_shards(updates, epoch.graph, plan)
-                reason = "update"
-            slice_epoch = max(epoch.epoch_id, self._slice_epoch + 1)
-            try:
-                return self._prepare_workers(
-                    epoch, slice_epoch, plan, touched, reason
-                )
-            except Exception as error:
-                raise ShardUnavailableError(
-                    getattr(error, "shard", -1),
-                    f"slice push could not prepare: {error}",
-                    detail={"epoch": self.epoch.epoch_id},
-                ) from error
-        except BaseException:
-            self._shard_lock.release()
-            raise
+            return self._prepare_workers(epoch, touched, serving.slice_epoch)
+        except Exception as error:
+            raise ShardUnavailableError(
+                getattr(error, "shard", -1),
+                f"slice push could not prepare: {error}",
+                detail={"epoch": self._epoch.epoch_id},
+            ) from error
 
     def _publish_prepared(self, staged: _StagedSwap) -> dict:
-        """The second seam: the epoch is stored; publish topology and
-        workers, release ``_shard_lock``, report the summary fields."""
-        try:
-            failures = self._publish_workers(staged)
-        finally:
-            self._shard_lock.release()
+        """The second seam: the epoch — topology included — is stored;
+        publish the workers and report the summary fields.
+
+        Every worker holds the staged state, so this is past the point
+        of no return: publish stragglers are reported (not raised)
+        because the swap is already committed — they keep echoing a
+        stale slice epoch, so their probes are misses and their expands
+        a structured refusal, until the next prepare or health sweep
+        ships them their slice.
+        """
+        failures = []
+        for shard_id, worker in enumerate(self.workers):
+            try:
+                worker.publish_update(staged.txn)
+            except Exception as error:
+                self._note_unhealthy(shard_id, error)
+                failures.append(
+                    {"shard": shard_id, "error": f"{type(error).__name__}: {error}"}
+                )
+            else:
+                self._note_health(
+                    shard_id, epoch=staged.slice_epoch, plan_hash=staged.plan_hash
+                )
         fields: dict = {
             "slice_epoch": staged.slice_epoch,
             "shards_updated": sorted(staged.touched),
@@ -554,10 +560,14 @@ class ShardedQueryService(QueryService):
         Folds each worker's per-peer crossing counts into the structural
         correlation table (:func:`~repro.shard.rebalance
         .propose_rebalance` is the pure half) and — when the proposal
-        actually moves a region — pushes the re-cut slices through the
-        same two-phase wire an update uses, at a bumped slice epoch.
+        actually moves a region — publishes it the way every topology
+        change is: as an epoch (same id, graph, index, bounds, planner
+        and ``V(S, G)`` cache; new topology) through prepare → publish,
+        every slice re-cut, at a bumped slice epoch.
         """
-        with self._shard_lock:
+        with self._update_lock:
+            old = self._epoch
+            plan, slice_epoch = old.topology
             crossings: dict[int, dict[int, int]] = {}
             for shard_id, worker in enumerate(self.workers):
                 try:
@@ -568,17 +578,17 @@ class ShardedQueryService(QueryService):
                     ) from error
             proposal = propose_rebalance(
                 self._partition,
-                self.shard_plan,
+                plan,
                 self._correlations,
                 crossings,
-                num_vertices=self.epoch.graph.num_vertices,
+                num_vertices=old.graph.num_vertices,
             )
             if proposal is None:
                 return {
                     "rebalanced": False,
                     "reason": "current placement already minimises observed "
                     "crossings (or there is nothing to move)",
-                    "slice_epoch": self._slice_epoch,
+                    "slice_epoch": slice_epoch,
                     "crossings": {
                         str(shard): {str(p): c for p, c in peers.items()}
                         for shard, peers in sorted(crossings.items())
@@ -587,32 +597,31 @@ class ShardedQueryService(QueryService):
             moved = sum(
                 1
                 for landmark, shard in proposal.region_shard.items()
-                if self.shard_plan.region_shard.get(landmark) != shard
+                if plan.region_shard.get(landmark) != shard
             )
-            staged = self._prepare_workers(
-                self.epoch,
-                self._slice_epoch + 1,
-                proposal,
-                set(range(proposal.num_shards)),
-                "rebalance",
+            new_epoch = self._build_epoch(
+                old.epoch_id, old.graph, lambda _frozen: old.index, carry=old
             )
-            failures = self._publish_workers(staged)
+            fields = self._publish_epoch(
+                new_epoch, self._prepare_epoch(new_epoch, None, proposal)
+            )
             document = {
                 "rebalanced": True,
-                "slice_epoch": staged.slice_epoch,
+                "slice_epoch": fields["slice_epoch"],
                 "regions_moved": moved,
                 "plan": proposal.describe(),
             }
-            if failures:
-                document["shards_unpublished"] = failures
+            if "shards_unpublished" in fields:
+                document["shards_unpublished"] = fields["shards_unpublished"]
             return document
 
     # ------------------------------------------------------------------
 
     def health(self) -> dict:
         document = super().health()
-        document["shards"] = self.shard_plan.num_shards
-        document["slice_epoch"] = self._slice_epoch
+        plan, slice_epoch = self._epoch.topology
+        document["shards"] = plan.num_shards
+        document["slice_epoch"] = slice_epoch
         return document
 
     def stats_snapshot(self) -> dict:
@@ -627,6 +636,7 @@ class ShardedQueryService(QueryService):
         :func:`merge_snapshots` the registry uses across tenants.
         """
         document = super().stats_snapshot()
+        plan, slice_epoch = self._epoch.topology
         now = time.time()
         with self._health_lock:
             health = {
@@ -644,10 +654,12 @@ class ShardedQueryService(QueryService):
                 entry["health"] = ledger
             workers.append(entry)
         document["shards"] = {
-            "plan": self.shard_plan.describe(),
-            "plan_hash": plan_fingerprint(self.shard_plan),
-            "slice_epoch": self._slice_epoch,
-            "coordinator": self.coordinator.stats(),
+            "plan": plan.describe(),
+            "plan_hash": plan_fingerprint(plan),
+            "slice_epoch": slice_epoch,
+            "coordinator": {
+                **self.coordinator.stats(), "slice_epoch": slice_epoch
+            },
             "workers": workers,
             "workers_totals": merge_snapshots(
                 worker.service.stats.snapshot()

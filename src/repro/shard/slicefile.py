@@ -66,7 +66,11 @@ SLICE_FORMAT_VERSION = 1
 
 #: Version of the ``/shard/<id>`` descriptor + ``/shard/<id>/update``
 #: wire protocol; the coordinator's startup handshake compares it.
-SLICE_WIRE_VERSION = 1
+#: 2: a slice-less prepare names the slice epoch it ``extends`` and the
+#: query reply echoes ``slice_epoch``.  Both keys are additive, but an
+#: answer is exact only if *both* ends enforce them — a version-1 worker
+#: would accept any bare bump — so mixed fleets are refused at handshake.
+SLICE_WIRE_VERSION = 2
 
 _KIND = "repro-graph-slice"
 

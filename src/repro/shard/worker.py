@@ -10,22 +10,28 @@ exposes the operations the coordinator needs:
   owning the crossed-to vertex.  Stateless across queries — the
   coordinator ships the shard's previously expanded set back as
   ``exclude`` — so any number of queries can fan out concurrently and a
-  worker can live in another process.  Every result echoes the worker's
-  current **slice epoch**, which is how a coordinator detects that a
-  scatter round straddled a slice swap;
+  worker can live in another process.  Every result echoes the **slice
+  epoch** of the slice it was computed on, which is how a coordinator
+  detects that a scatter round straddled a slice swap;
 * :meth:`ShardWorker.local_query` — the co-located fast path: the
   worker wraps a full per-slice :class:`~repro.service.app.QueryService`
   over its slice graph, and because a slice's edges are a subset of the
   graph's, a *true* answer from the slice is a true answer globally
   (false means "unknown", and the coordinator falls back to
-  scatter-gather);
+  scatter-gather).  The reply echoes the slice epoch exactly as
+  ``expand`` does, and the coordinator believes a hit only at the epoch
+  it expects;
 * :meth:`ShardWorker.prepare` / :meth:`publish_update` /
   :meth:`abort_update` — the worker half of slice-epoch propagation:
   a coordinator pushing an update stages the re-cut slice (all the
   expensive rebuild work happens here, off the serving path), then
   publishes it as one atomic reference swap.  Workers untouched by a
   batch stage an epoch bump without a slice, so the whole fleet moves
-  epochs in lockstep.
+  epochs in lockstep — but only *from the slice epoch the bump names*:
+  a worker serving any other epoch (it missed a publish, or restarted
+  from an old file) refuses, and the coordinator ships it the slice
+  instead.  **A slice epoch names content**: "echoes E" implies "holds
+  the fleet's content at E", by induction over prepares.
 
 All of it also speaks JSON (:meth:`handle_expand`, :meth:`handle_query`,
 :meth:`handle_update`), which is how the existing HTTP layer hosts a
@@ -126,8 +132,7 @@ class ShardWorker:
     """In-process worker serving one :class:`GraphSlice`.
 
     Thread-safe: :meth:`expand` touches only per-call state plus the
-    slice's read-only CSR (whose lazy mask-view cells are safe under
-    concurrent writers), counters mutate under one lock, and slice
+    slice's read-only CSR, counters mutate under one lock, and slice
     swaps replace one immutable :class:`_SliceState` reference.
     """
 
@@ -356,14 +361,15 @@ class ShardWorker:
     # the co-located fast path
     # ------------------------------------------------------------------
 
-    def local_query(self, query: LSCRQuery) -> bool:
-        """Answer ``query`` against the slice alone; True is conclusive.
+    def local_query(self, query: LSCRQuery) -> tuple[bool, int]:
+        """Answer ``query`` against the slice alone: ``(hit, slice epoch
+        of the slice searched)``; a hit is conclusive at that epoch.
 
         Sound because the slice's edge set is a subset of the graph's:
         an ``L``-path and a substructure match found here exist in the
         full graph too.  ``False`` only means the *slice* lacks a
         witness and the coordinator must scatter.  Workers built with
-        ``local_service=False`` always return False.
+        ``local_service=False`` always miss.
 
         The slice's *result* cache is bypassed: repeat-query caching is
         the owning service's job (its result cache sits in front of the
@@ -371,13 +377,14 @@ class ShardWorker:
         and a worker-level cache would leak answers to requests that
         asked for uncached execution.
         """
-        service = self._state.service
-        if service is None:
-            return False
-        if not service.graph.has_vertex(query.source) or not service.graph.has_vertex(
-            query.target
+        state = self._state
+        service = state.service
+        if (
+            service is None
+            or not service.graph.has_vertex(query.source)
+            or not service.graph.has_vertex(query.target)
         ):
-            return False
+            return False, state.epoch
         result, _meta = service.query(
             query.source,
             query.target,
@@ -389,7 +396,7 @@ class ShardWorker:
             self._local_queries += 1
             if result.answer:
                 self._local_hits += 1
-        return result.answer
+        return result.answer, state.epoch
 
     # ------------------------------------------------------------------
     # slice-epoch propagation (two-phase slice swap)
@@ -404,6 +411,7 @@ class ShardWorker:
         plan_hash: str | None,
         plan: ShardPlan | None,
         graph_slice: GraphSlice | None = None,
+        extends: int | None = None,
     ) -> dict:
         """Stage the next slice state without serving it.
 
@@ -413,9 +421,20 @@ class ShardWorker:
         current slice and plan: the batch touched no edge this shard
         owns, but the fleet's epochs must still advance together or the
         coordinator's skew check would flag healthy workers forever.
+        A bump is only sound over the content it was decided for, so it
+        names the slice epoch it ``extends`` and a worker serving any
+        other refuses (409) — stamping a stale slice with the fleet's
+        epoch would make it pass every skew check from then on.
         """
         current = self._state
         if graph_slice is None:
+            if current.epoch != extends:
+                raise BadRequestError(
+                    f"update {txn} extends slice epoch {extends}, shard "
+                    f"{self.shard_id} serves {current.epoch}",
+                    status=409,
+                    detail={"epoch": current.epoch, "extends": extends},
+                )
             staged = replace(
                 current,
                 epoch=int(epoch),
@@ -526,23 +545,26 @@ class ShardWorker:
 
     def handle_query(self, payload: object) -> dict:
         """``POST /shard/<id>/query``: the fast path over the slice service."""
-        service = self._state.service
-        if service is None:
+        state = self._state
+        if state.service is None:
             raise BadRequestError(
                 f"shard {self.shard_id} runs without a local query service",
                 status=404,
             )
         with activate(RequestContext.from_wire(payload, "shard-query")):
-            return service.handle_query(payload)
+            document = state.service.handle_query(payload)
+        document["slice_epoch"] = state.epoch
+        return document
 
     def handle_update(self, payload: object) -> dict:
         """``POST /shard/<id>/update``: the two-phase slice-swap wire.
 
         ``{"phase": "prepare"|"publish"|"abort", "txn": ..., ...}``.
         Prepare additionally carries the coordinated ``epoch`` and
-        ``fingerprint`` plus, for touched shards, the re-cut slice as
-        its canonical document.  A ``wire_version`` other than this
-        build's is refused before anything is staged.
+        ``fingerprint`` plus either the re-cut slice as its canonical
+        document (touched shards) or ``extends``, the slice epoch a bare
+        bump is sound over.  A ``wire_version`` other than this build's
+        is refused before anything is staged.
         """
         if not isinstance(payload, dict):
             raise BadRequestError("update body must be a JSON object")
@@ -577,6 +599,11 @@ class ShardWorker:
         slice_doc = payload.get("slice")
         if slice_doc is not None and not isinstance(slice_doc, dict):
             raise BadRequestError("'slice' must be a slice document object")
+        extends = payload.get("extends")
+        if extends is not None and (
+            not isinstance(extends, int) or isinstance(extends, bool)
+        ):
+            raise BadRequestError("'extends' must be an integer")
         graph_slice = plan = None
         if slice_doc is not None:
             try:
@@ -603,6 +630,7 @@ class ShardWorker:
             plan_hash=plan_hash,
             plan=plan,
             graph_slice=graph_slice,
+            extends=extends,
         )
 
     # ------------------------------------------------------------------
@@ -925,7 +953,7 @@ class HttpShardWorker:
             epoch=int(epoch) if epoch is not None else None,
         )
 
-    def local_query(self, query: LSCRQuery) -> bool:
+    def local_query(self, query: LSCRQuery) -> tuple[bool, int | None]:
         document = self._post_in_context(
             "query",
             {
@@ -938,7 +966,7 @@ class HttpShardWorker:
                 "use_cache": False,
             },
         )
-        return bool(document["answer"])
+        return bool(document["answer"]), document.get("slice_epoch")
 
     def probe(self, timeout: float | None = None) -> dict:
         """``GET /shard/<id>``: the worker's descriptor (handshake/health)."""
@@ -960,6 +988,7 @@ class HttpShardWorker:
         plan_hash: str | None,
         plan: ShardPlan | None,
         graph_slice: GraphSlice | None = None,
+        extends: int | None = None,
     ) -> dict:
         payload: dict = {
             "phase": "prepare",
@@ -974,6 +1003,8 @@ class HttpShardWorker:
             payload["slice"] = slice_document(
                 graph_slice, plan, epoch=epoch, fingerprint=fingerprint
             )
+        else:
+            payload["extends"] = extends
         return self._post("update", payload)
 
     def publish_update(self, txn: str) -> dict:

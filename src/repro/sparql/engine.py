@@ -12,7 +12,8 @@ The engine wraps one graph, caches parsed queries, and exposes:
 
 The paper's engine ([20]) has recall knobs ``UNIMax``/``Max``/``Eδ``; the
 experiments set them so the full exact answer set is returned, which is
-exactly what this exact evaluator produces (see DESIGN.md §4).
+exactly what this exact evaluator produces (README.md, *Semantics and
+resolved under-specifications*: down-scaling).
 """
 
 from __future__ import annotations

@@ -78,7 +78,8 @@ class TestEvaluation:
         assert not constraint.satisfied_by(g, g.vid("v3"))
 
     def test_every_pattern_must_match(self):
-        # E_? semantics (DESIGN.md §5.2): v3 with no likes-edge fails S0.
+        # E_? semantics (README.md, "SPARQL semantics for E_?"): v3
+        # with no likes-edge fails S0.
         g = graph_from_edges([("v1", "friendOf", "v3")])
         constraint = figure3_constraint()
         assert constraint.satisfying_vertices(g) == []

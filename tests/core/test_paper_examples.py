@@ -61,8 +61,9 @@ class TestFigure3Claims:
 
 
 class TestTrivialPathConvention:
-    """DESIGN.md §5.1: Q=(s,s,L,S) is true iff s satisfies S or a
-    label-feasible cycle through a satisfying vertex returns to s."""
+    """README.md, "the trivial path s = t": Q=(s,s,L,S) is true iff s
+    satisfies S or a label-feasible cycle through a satisfying vertex
+    returns to s."""
 
     def test_satisfying_source_equals_target(self, algorithm_name):
         graph = figure3_graph()

@@ -10,23 +10,29 @@ meaningful evidence:
   Definition 2.3 / Definition 5.1 used against the index builders;
 * :func:`graph_from_edges` builds graphs from edge triples concisely;
 * :func:`running_server` serves a service or registry over loopback
-  HTTP for the duration of a ``with`` block.
+  HTTP for the duration of a ``with`` block;
+* :func:`sharded_fleet` builds a sharded service over either worker
+  transport, and :class:`LossyWorker` loses a worker's next publish.
 """
 
 from __future__ import annotations
 
 import threading
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.service.http import create_server
+from repro.service.registry import TenantRegistry
+from repro.shard import ShardedQueryService
 
 __all__ = [
+    "LossyWorker",
     "graph_from_edges",
     "ground_truth_cms",
     "minimal_masks",
     "running_server",
+    "sharded_fleet",
 ]
 
 
@@ -52,6 +58,66 @@ def running_server(service_or_registry, **create_server_kwargs) -> Iterator[str]
         server.server_close()
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+class LossyWorker:
+    """A shard worker whose next ``lose_publishes`` publishes are lost.
+
+    The call fails before it leaves (``ConnectionError``), so the
+    wrapped worker — in-process or an HTTP stub — keeps serving its
+    previous slice at its previous slice epoch: the tolerated straggler
+    state an update reports under ``shards_unpublished``.  Everything
+    else delegates.
+    """
+
+    def __init__(self, worker) -> None:
+        self._worker = worker
+        self.lose_publishes = 0
+
+    def __getattr__(self, name: str):
+        return getattr(self._worker, name)
+
+    def publish_update(self, txn: str) -> dict:
+        if self.lose_publishes:
+            self.lose_publishes -= 1
+            raise ConnectionError(f"injected: publish of {txn} lost")
+        return self._worker.publish_update(txn)
+
+
+@contextmanager
+def sharded_fleet(graph: KnowledgeGraph, transport: str, **options) -> Iterator:
+    """A :class:`ShardedQueryService` over ``graph`` whose workers are
+    wrapped in :class:`LossyWorker`; closed on exit.
+
+    ``transport`` is ``"in-process"`` or ``"http"`` — the latter hosts
+    the slices in an in-thread server (cut by a throwaway twin service,
+    so the handshake finds the plan it expects) and attaches them by
+    URL with the health sweep off, so nothing heals behind a test's
+    back.
+    """
+    with ExitStack() as stack:
+        if transport == "http":
+            host = ShardedQueryService(graph.copy(), **options)
+            stack.callback(host.close)
+            base = stack.enter_context(
+                running_server(
+                    TenantRegistry(),
+                    shard_workers={
+                        str(shard): worker
+                        for shard, worker in enumerate(host.workers)
+                    },
+                )
+            )
+            options = {
+                **options,
+                "worker_urls": [base] * len(host.workers),
+                "probe_interval": 0,
+            }
+        service = ShardedQueryService(graph, **options)
+        stack.callback(service.close)
+        # One list backs both ``service.workers`` and the coordinator's.
+        service.workers[:] = [LossyWorker(worker) for worker in service.workers]
+        yield service
 
 
 def graph_from_edges(

@@ -136,7 +136,7 @@ def hop_scatter_expand(sharded, remote, monkeypatch) -> list:
         spy(monkeypatch, worker, "expand", seen)
     seeds = {owned_by(sharded, 0)[0], owned_by(sharded, 1)[0]}
     mask = (1 << sharded.graph.num_labels) - 1
-    sharded.coordinator.closure(seeds, mask)
+    sharded.coordinator.closure(seeds, mask, sharded.epoch.topology)
     assert threading.get_ident() not in {ident for *_, ident in seen}
     return seen
 
@@ -144,7 +144,7 @@ def hop_scatter_expand(sharded, remote, monkeypatch) -> list:
 def hop_co_located_probe(sharded, remote, monkeypatch) -> list:
     seen: list = []
     spy(monkeypatch, sharded.workers[0], "local_query", seen)
-    sharded.coordinator.answer(co_located_query(sharded))
+    sharded.coordinator.answer(co_located_query(sharded), sharded.epoch)
     return seen
 
 
@@ -437,7 +437,7 @@ class TestProbeUnderDeadline:
         before = coordinator.stats()["resilience"]
         with activate(RequestContext(deadline=Deadline.after_ms(150))):
             with pytest.raises(DeadlineExceededError) as excinfo:
-                coordinator.answer(co_located_query(sharded))
+                coordinator.answer(co_located_query(sharded), sharded.epoch)
         assert excinfo.value.detail["where"] == "slice-search"
         assert finished.wait(timeout=1.0)
         after = coordinator.stats()["resilience"]

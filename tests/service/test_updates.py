@@ -154,12 +154,16 @@ class TestApplyUpdates:
             summary = service.apply_updates([("s", "go", "s2")])
             assert summary["index"] in ("refreshed", "unchanged")
             assert service.index is not None
-            # Forcing the threshold to zero makes any touched region
-            # trigger the full-rebuild fallback.
+            # A batch whose sources span more than half of the regions —
+            # here both of two — is past where per-region repair pays.
+            index, graph = service.index, service.graph
+            regions = {index.region_of(graph.vid(name)) for name in ("s", "m")}
+            assert regions == set(index.partition.landmarks)
             summary = service.apply_updates(
-                [("s", "go", "s3")], rebuild_region_fraction=0.0
+                [("s", "go", "s3"), ("m", "go", "m3")]
             )
             assert summary["index"] == "rebuilt"
+            assert summary["regions_refreshed"] == len(regions)
         finally:
             service.close()
 

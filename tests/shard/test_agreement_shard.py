@@ -244,8 +244,6 @@ class TestRemoteWorkerAgreement:
                 running_server(sharded, shard_workers=workers)
             )
             remote = ShardCoordinator(
-                sharded.graph,
-                sharded.shard_plan,
                 [HttpShardWorker(base, position) for position in range(3)],
                 parallel=False,
             )
@@ -259,7 +257,8 @@ class TestRemoteWorkerAgreement:
                 query = LSCRQuery.create(
                     source, target, labels, constraint_pool(rng)
                 )
-                assert remote.answer(query).answer == oracle.decide(query), (
+                answer = remote.answer(query, sharded.epoch).answer
+                assert answer == oracle.decide(query), (
                     seed,
                     source,
                     target,

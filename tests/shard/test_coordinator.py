@@ -13,10 +13,13 @@ import random
 import pytest
 
 from repro.core.lcr import lcr_closure
+from repro.core.query import LSCRQuery
 from repro.datasets.synthetic import random_labeled_graph
+from repro.exceptions import ShardUnavailableError
 from repro.index.landmarks import bfs_traverse, select_landmarks
+from repro.shard import ShardedQueryService
 from repro.shard.coordinator import ShardCoordinator
-from repro.shard.partitioner import build_shard_plan, cut_slices
+from repro.shard.partitioner import ShardTopology, build_shard_plan, cut_slices
 from repro.shard.worker import ShardWorker
 
 SEEDS = list(range(12))
@@ -32,20 +35,26 @@ def make_coordinator(seed, shards, *, parallel=False, num_vertices=20):
     workers = [
         ShardWorker(s, local_service=False) for s in cut_slices(graph, plan)
     ]
-    return graph, ShardCoordinator(graph, plan, workers, parallel=parallel)
+    # The coordinator keeps nothing graph-bound: closures take the
+    # topology they run under.
+    return (
+        graph,
+        ShardCoordinator(workers, parallel=parallel),
+        ShardTopology(plan, 0),
+    )
 
 
 class TestClosure:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_bfs_closure(self, seed):
         shards = 1 + seed % 4
-        graph, coordinator = make_coordinator(seed, shards)
+        graph, coordinator, topology = make_coordinator(seed, shards)
         rng = random.Random(seed * 31 + 7)
         try:
             for _ in range(6):
                 source = rng.randrange(graph.num_vertices)
                 mask = rng.randrange(1, 1 << graph.num_labels)
-                reached, telemetry = coordinator.closure({source}, mask)
+                reached, telemetry = coordinator.closure({source}, mask, topology)
                 assert reached == lcr_closure(graph, source, mask), (
                     seed,
                     shards,
@@ -58,12 +67,12 @@ class TestClosure:
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_multi_seed_closure_is_union(self, seed):
-        graph, coordinator = make_coordinator(seed, 3)
+        graph, coordinator, topology = make_coordinator(seed, 3)
         rng = random.Random(seed * 17 + 3)
         try:
             seeds = {rng.randrange(graph.num_vertices) for _ in range(3)}
             mask = (1 << graph.num_labels) - 1
-            reached, _ = coordinator.closure(seeds, mask)
+            reached, _ = coordinator.closure(seeds, mask, topology)
             expected = set()
             for s in seeds:
                 expected |= lcr_closure(graph, s, mask)
@@ -73,22 +82,22 @@ class TestClosure:
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_early_stop_contains_target(self, seed):
-        graph, coordinator = make_coordinator(seed, 3)
+        graph, coordinator, topology = make_coordinator(seed, 3)
         mask = (1 << graph.num_labels) - 1
         try:
             full = lcr_closure(graph, 0, mask)
             for target in sorted(full):
-                reached, _ = coordinator.closure({0}, mask, stop=target)
+                reached, _ = coordinator.closure({0}, mask, topology, stop=target)
                 assert target in reached
                 assert reached <= full  # never over-approximates
         finally:
             coordinator.close()
 
     def test_single_shard_is_one_expand_round(self):
-        graph, coordinator = make_coordinator(0, 1)
+        graph, coordinator, topology = make_coordinator(0, 1)
         try:
             mask = (1 << graph.num_labels) - 1
-            reached, telemetry = coordinator.closure({0}, mask)
+            reached, telemetry = coordinator.closure({0}, mask, topology)
             assert reached == lcr_closure(graph, 0, mask)
             # One shard owns everything: no crossings, a single round.
             assert telemetry["rounds"] == 1
@@ -98,13 +107,13 @@ class TestClosure:
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_parallel_scatter_agrees_with_serial(self, seed):
-        graph, serial = make_coordinator(seed, 4, parallel=False)
-        _graph, parallel = make_coordinator(seed, 4, parallel=True)
+        graph, serial, topology = make_coordinator(seed, 4, parallel=False)
+        _graph, parallel, _topology = make_coordinator(seed, 4, parallel=True)
         mask = (1 << graph.num_labels) - 1
         try:
             for source in range(0, graph.num_vertices, 3):
-                left, _ = serial.closure({source}, mask)
-                right, _ = parallel.closure({source}, mask)
+                left, _ = serial.closure({source}, mask, topology)
+                right, _ = parallel.closure({source}, mask, topology)
                 assert left == right
         finally:
             serial.close()
@@ -113,17 +122,31 @@ class TestClosure:
     def test_scatter_falls_back_to_serial_after_close(self):
         # The registry contract: a straggler query on a removed service
         # still finishes — closing the pool mid-flight must not crash.
-        graph, coordinator = make_coordinator(0, 4, parallel=True)
+        graph, coordinator, topology = make_coordinator(0, 4, parallel=True)
         mask = (1 << graph.num_labels) - 1
-        expected, _ = coordinator.closure({0}, mask)
+        expected, _ = coordinator.closure({0}, mask, topology)
         coordinator.close()
-        after_close, _ = coordinator.closure({0}, mask)
+        after_close, _ = coordinator.closure({0}, mask, topology)
         assert after_close == expected
 
-    def test_worker_count_must_match_plan(self):
-        graph, coordinator = make_coordinator(0, 2)
+    def test_epoch_without_a_topology_for_the_fleet_is_refused(self):
+        # Unreachable through ShardedQueryService; a direct caller gets
+        # a structured 503, not an AttributeError — for a missing
+        # topology and for a plan the fleet is the wrong size for.
+        service = ShardedQueryService(
+            random_labeled_graph(20, 2.0, 4, rng=0, name="refused"), shards=2
+        )
+        short = ShardCoordinator(service.workers[:1])
         try:
-            with pytest.raises(ValueError):
-                ShardCoordinator(graph, coordinator.plan, coordinator.workers[:1])
+            query = LSCRQuery.create(
+                "n0", "n1", ["l0"], "SELECT ?x WHERE { ?x <l0> ?y . }"
+            )
+            with pytest.raises(ShardUnavailableError) as refusal:
+                short.answer(query, service.epoch)
+            assert refusal.value.status == 503
+            service.epoch.topology = None
+            with pytest.raises(ShardUnavailableError):
+                service.coordinator.answer(query, service.epoch)
         finally:
-            coordinator.close()
+            short.close()
+            service.close()

@@ -58,7 +58,7 @@ def observable_state(service, wal):
             for key in ("epoch", "fingerprint", "slice_epoch")
         },
         "slice_epoch": service.slice_epoch,
-        "topology_epoch": service.coordinator.slice_epoch,
+        "topology_epoch": service.epoch.topology.slice_epoch,
         "plan": service.shard_plan,
         "workers": [
             (worker.epoch, worker.fingerprint, worker.plan_hash)

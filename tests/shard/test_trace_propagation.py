@@ -35,10 +35,10 @@ def _spans(node: dict, name: str) -> list[dict]:
     return found
 
 
-def _traced_answer(coordinator, query) -> dict:
+def _traced_answer(coordinator, query, epoch) -> dict:
     trace = Trace("query")
     with activate(RequestContext(trace)):
-        coordinator.answer(query)
+        coordinator.answer(query, epoch)
     return trace.finish().to_dict()
 
 
@@ -67,8 +67,6 @@ class TestRemoteTracePropagation:
                 running_server(sharded, shard_workers=workers)
             )
             remote = ShardCoordinator(
-                sharded.graph,
-                sharded.shard_plan,
                 [HttpShardWorker(base, position) for position in range(2)],
                 local_fast_path=False,
                 parallel=False,
@@ -76,7 +74,7 @@ class TestRemoteTracePropagation:
             stack.callback(remote.close)
             scattered = None
             for query in _queries(graph):
-                document = _traced_answer(remote, query)
+                document = _traced_answer(remote, query, sharded.epoch)
                 coordinators = _spans(document, "coordinator")
                 assert len(coordinators) == 1
                 coordinator = coordinators[0]

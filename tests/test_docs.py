@@ -1,6 +1,7 @@
-"""README's serving-options reference is checked, not trusted: it lists
-exactly the flags ``python -m repro serve`` parses, and each row agrees
-with the options table on flag, key and default."""
+"""Docs are checked, not trusted: README's serving-options reference
+lists exactly the flags ``python -m repro serve`` parses, each row agrees
+with the options table on flag, key and default, and no docstring or
+comment under ``src/`` cites a Markdown file the checkout lacks."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ from pathlib import Path
 from repro.cli import build_parser
 from repro.service.options import OPTIONS
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def reference_block() -> str:
@@ -48,3 +50,13 @@ def test_readme_rows_agree_with_the_options_table():
         flag, _, default, _, _ = rows[row.name]
         assert flag == (f"`{row.flag}`" if row.flag else "—")
         assert default == f"`{json.dumps(row.default)}`"
+
+
+def test_src_cites_only_markdown_files_that_exist():
+    dangling = {
+        (str(path.relative_to(ROOT)), name)
+        for path in (ROOT / "src").rglob("*.py")
+        for name in re.findall(r"[\w./-]+\.md\b", path.read_text(encoding="utf-8"))
+        if not (ROOT / name).is_file()
+    }
+    assert not dangling

@@ -14,8 +14,8 @@ Because every hit re-verifies against the live snapshot, the cache is
 deliberately **not** epoch-scoped: it survives epoch swaps, and entries
 invalidated by an update simply fail verification and are dropped.  That
 is what makes the witness tier worth having under live updates — the
-result cache is namespaced by epoch id and empties on every publish,
-while a witness whose edges survived the update keeps answering.
+result cache belongs to the epoch and a changed graph starts an empty
+one, while a witness whose edges survived the update keeps answering.
 """
 
 from __future__ import annotations

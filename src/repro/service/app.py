@@ -4,32 +4,28 @@
 embedding application) talks to.  It owns everything shared between
 requests:
 
-* one :class:`~repro.service.epoch.GraphEpoch` — an immutable
-  ``(frozen graph, index, epoch_id)`` bundle behind a single atomic
-  reference.  The graph is *never mutated in place*, which is what
-  makes lock-free concurrent answering sound; live updates
+* one :class:`~repro.service.epoch.GraphEpoch` — an immutable bundle
+  of a frozen graph and everything derived from it, behind a single
+  atomic reference.  The graph is *never mutated in place*, which is
+  what makes lock-free concurrent answering sound; live updates
   (:meth:`QueryService.apply_updates`, ``POST /edges``) instead copy
-  the graph (sharing every adjacency row the batch does not write),
-  patch the snapshot, repair the index per touched region and publish
-  a whole new epoch, while in-flight queries finish on the old one.
-  Every epoch — warm start, update, renumbering, whole-graph
-  replacement — is assembled by :meth:`QueryService._build_epoch` and
-  stored by :meth:`QueryService._publish_epoch`, so serving only ever
-  sees a **frozen** read-optimized CSR snapshot
-  (:class:`~repro.graph.csr.FrozenGraph`): every search and SPARQL
-  evaluation iterates cached per-label target tuples behind per-vertex
-  label-mask pre-tests instead of walking per-vertex dicts;
-* a :class:`QueryPlanner` with a process-wide
-  :class:`ConstraintCache`;
-* a :class:`ResultCache` keyed on canonical queries, and a
-  :class:`CandidateCache` memoising ``V(S, G)`` per canonical
-  constraint so repeated constraints skip the SPARQL engine;
-* a lazily populated pool of per-algorithm :class:`LSCRSession`\\ s, all
-  sharing the graph, index and constraint cache (per-query search state
-  lives inside each ``answer`` call, so one session per algorithm
-  serves every thread; the only shared mutable piece is the shuffle
-  rng, whose interleaving affects traversal-order telemetry, never
-  answers);
+  the graph (sharing every adjacency row the batch does not write) and
+  publish a whole new epoch, while in-flight queries finish on the old
+  one.  This module decides *when* an epoch is replaced and stores it
+  (:meth:`QueryService._publish_epoch`); *how* the next one follows
+  from the serving one — what is shared, repaired, rebuilt or dropped —
+  is :meth:`GraphEpoch.derive <repro.service.epoch.GraphEpoch.derive>`'s
+  alone, so serving only ever sees a **frozen** CSR snapshot
+  (:class:`~repro.graph.csr.FrozenGraph`) and structures derived from
+  exactly it.  The epoch owns what is true of one graph version only:
+  the :class:`QueryPlanner`, a :class:`ResultCache` keyed on canonical
+  queries, a :class:`CandidateCache` memoising ``V(S, G)`` per canonical
+  constraint, and a lazily populated pool of per-algorithm
+  :class:`LSCRSession`\\ s (per-query search state lives inside each
+  ``answer`` call, so one session per algorithm serves every thread;
+  the only shared mutable piece is the shuffle rng, whose interleaving
+  affects traversal-order telemetry, never answers);
+* a process-wide :class:`ConstraintCache` (parsing is graph-independent);
 * a :class:`BatchExecutor` for ``POST /batch`` fan-out and a
   :class:`ServiceStats` ledger for ``GET /stats``.
 
@@ -58,9 +54,7 @@ from repro.approx import (
     MODES,
     SHORT_CIRCUIT_ALGORITHMS,
     ApproxRouter,
-    build_bounds,
 )
-from repro.approx.bounds import BoundsIndex
 from repro.constraints.label_constraint import LabelConstraint
 from repro.constraints.substructure import SubstructureConstraint
 from repro.context import RequestContext, activate, rearm
@@ -74,11 +68,10 @@ from repro.exceptions import (
     SparqlError,
     WalReplayError,
 )
-from repro.graph.csr import FrozenGraph, base_graph, freeze_graph
+from repro.graph.csr import base_graph, freeze_graph
 from repro.graph.io import load_tsv
 from repro.graph.labeled_graph import KnowledgeGraph
-from repro.index.landmarks import NO_REGION
-from repro.index.local_index import LocalIndex, build_local_index
+from repro.index.local_index import LocalIndex
 from repro.index.storage import load_or_build_index
 from repro.obs.flight import FlightRecorder
 from repro.obs.trace import (
@@ -104,12 +97,6 @@ from repro.service.stats import ServiceStats
 from repro.utils.persist import atomic_write_json
 
 __all__ = ["QueryService"]
-
-#: When an update batch touches more than this fraction of the index's
-#: regions, per-region repair stops paying for itself and the whole
-#: index is rebuilt instead (with the same landmarks, so the partition
-#: stays stable across the swap).
-_REBUILD_REGION_FRACTION = 0.5
 
 _SPEC_FIELDS = ("source", "target", "labels", "constraint")
 
@@ -178,19 +165,16 @@ class QueryService:
             threshold_ms=options.slow_ms, max_entries=options.slow_log_size
         )
         self.constraints = ConstraintCache()
-        self.results = ResultCache(
-            max_size=options.cache_size, ttl_seconds=options.cache_ttl
-        )
         self.executor = BatchExecutor(
             max_workers=options.max_workers, persistent=True
         )
         self.stats = ServiceStats()
         # Everything graph-bound lives in one GraphEpoch behind a single
         # atomic attribute reference — readers dereference it once per
-        # request and never lock.  Ids are shared between a graph and
-        # its snapshot, so an index built (or loaded) against the source
-        # graph stays valid for the frozen one.
-        self._publish_epoch(self._build_epoch(0, graph, lambda _frozen: index))
+        # request and never lock.
+        self._publish_epoch(
+            GraphEpoch.first(graph, index, self.constraints, options)
+        )
         #: Serialises writers only (apply_updates); readers never take it.
         self._update_lock = Lock()
         #: Per-tenant write-ahead log (:class:`repro.wal.TenantWal`) when
@@ -285,20 +269,15 @@ class QueryService:
         return self._epoch.candidates
 
     @property
+    def results(self) -> ResultCache:
+        """The current epoch's cached answers — a view for stats and
+        tests; a request uses the cache of the epoch it read at entry."""
+        return self._epoch.results
+
+    @property
     def default_algorithm(self) -> str:
         """The algorithm requests run on when they don't name one."""
         return self.options.algorithm or self.planner.default_algorithm
-
-    def _build_bounds(self, graph: KnowledgeGraph) -> BoundsIndex | None:
-        """The label-blind upper bound for one snapshot (None when off).
-
-        Called by :meth:`_build_epoch` for every new snapshot, so the
-        bounds the router consults always describe exactly the graph
-        the epoch serves.
-        """
-        if self.approx is None:
-            return None
-        return build_bounds(graph, seed=self.options.seed)
 
     def _resolve_mode(self, mode: str | None) -> str:
         """Validate a per-request answer mode against the tier config."""
@@ -464,77 +443,19 @@ class QueryService:
         return answered
 
     # ------------------------------------------------------------------
-    # the epoch pipeline: build → prepare → publish
+    # epoch swaps: derive (GraphEpoch.derive) → prepare → publish
     # ------------------------------------------------------------------
 
-    def _build_epoch(
-        self,
-        epoch_id: int,
-        graph: KnowledgeGraph,
-        index_for: Callable[[FrozenGraph], LocalIndex | None],
-        *,
-        carry: GraphEpoch | None = None,
-    ) -> GraphEpoch:
-        """Assemble — without storing — the serving epoch for ``graph``.
-
-        The only place a :class:`GraphEpoch` is constructed: warm start,
-        :meth:`apply_updates`, :meth:`reset_epoch` and
-        :meth:`replace_graph` all come through here, so every epoch is
-        a frozen snapshot whose index, bounds, planner and candidate
-        cache were derived from exactly that snapshot.  ``index_for``
-        receives the frozen graph and returns the index bound to it.
-        ``carry`` names an epoch over the *same* snapshot
-        (:meth:`reset_epoch`'s renumbering) whose bounds, planner and
-        candidate cache are reused instead of re-derived.
-        """
-        with span("freeze") as freeze_span:
-            frozen = freeze_graph(graph)
-            freeze_span.set(
-                rows_recut=frozen.rows_recut, rows_shared=frozen.rows_shared
-            )
-        index = index_for(frozen)
-        if carry is not None:
-            bounds, planner, candidates = (
-                carry.bounds, carry.planner, carry.candidates
-            )
-        else:
-            with span("bounds") as bounds_span:
-                bounds = self._build_bounds(frozen)
-                bounds_span.set(
-                    enabled=bounds is not None,
-                    components=bounds.component_count if bounds else 0,
-                )
-            planner = QueryPlanner(
-                frozen,
-                self.constraints,
-                has_index=index is not None,
-                default_algorithm=self.options.algorithm or "uis*",
-            )
-            # Follows the result cache's knob: cache_size=0 disables
-            # V(S,G) memoisation too, so one flag yields a genuinely
-            # uncached service.
-            candidates = CandidateCache(max_size=self.options.cache_size)
-        return GraphEpoch(
-            epoch_id,
-            frozen,
-            index,
-            planner,
-            candidates,
-            self.constraints,
-            self.options.seed,
-            bounds=bounds,
-        )
-
     def _prepare_epoch(self, epoch: GraphEpoch, updates: list | None) -> Any:
-        """Seam between build and publish; a no-op on a plain service.
+        """Seam between derive and publish; a no-op on a plain service.
 
         Called by :meth:`apply_updates` (with the batch) and by
         :meth:`reset_epoch` / :meth:`replace_graph` (``updates=None``)
-        once ``epoch`` is built and before anything changed, under the
+        once ``epoch`` is derived and before anything changed, under the
         writer lock.  A sharded topology attaches ``epoch.topology`` and
         stages the swap on its workers here, returning a token for
         :meth:`_publish_prepared`; raising means nothing was published,
-        counted, purged or logged.
+        counted or logged.
         """
         return None
 
@@ -544,25 +465,13 @@ class QueryService:
         return {}
 
     def _publish_epoch(self, epoch: GraphEpoch, staged: Any = None) -> dict:
-        """Store ``epoch`` as the serving epoch and reclaim the old one's
-        result-cache entries (unreachable by new queries — the epoch id
-        is part of the key — so there is no point waiting for LRU
-        pressure)."""
-        with span("publish") as publish_span:
+        """Store ``epoch`` as the serving epoch; what the old one does not
+        share with it — cached answers included — goes when it does."""
+        with span("publish", epoch=epoch.epoch_id):
             # The publish: a single attribute store is atomic under the
             # GIL — this is the only line readers ever observe changing.
             self._epoch = epoch
-            fields = {} if staged is None else self._publish_prepared(staged)
-            current = epoch.epoch_id
-            purged = self.results.purge(
-                lambda key: isinstance(key, tuple) and key[0] != current
-            )
-            publish_span.set(epoch=current, cache_purged=purged)
-        return fields
-
-    # ------------------------------------------------------------------
-    # live updates (copy-on-write epoch swap)
-    # ------------------------------------------------------------------
+            return {} if staged is None else self._publish_prepared(staged)
 
     def apply_updates(self, edges: Iterable[tuple[Hashable, ...]]) -> dict:
         """Apply an edge update batch and publish a new serving epoch.
@@ -579,16 +488,12 @@ class QueryService:
         writes (new vertices and labels intern as needed for additions;
         duplicate adds and missing removes are counted, not errors —
         removal of an unknown name never interns anything, so a miss
-        leaves the graph's content fingerprint untouched), and the copy
-        goes through the epoch pipeline: :meth:`_build_epoch` freezes it
-        by patching the old epoch's snapshot — only the written rows are
-        re-cut, ``rows_recut`` in the summary says how many — and, when
-        an index is loaded, clones and repairs the index per touched
-        region (:meth:`LocalIndex.refresh_regions`, which rebuilds each
-        touched region's ``II/EIT/D`` from the *current* graph and
-        therefore repairs removals and insertions alike; falling back to
-        a full rebuild with the same landmarks when the batch touches
-        more than half of the regions),
+        leaves the graph's content fingerprint untouched), and the next
+        epoch is derived from the serving one, the copy and the source
+        vertex of every edge the batch really changed
+        (:meth:`GraphEpoch.derive <repro.service.epoch.GraphEpoch.derive>`
+        — ``rows_recut`` and ``index`` in the summary say what that
+        cost; cached entries stay behind with the old epoch).
         :meth:`_prepare_epoch` lets a sharded topology stage the swap on
         its workers, and :meth:`_publish_epoch` replaces ``self._epoch``
         in one atomic store.  Readers never block: queries in flight
@@ -635,10 +540,9 @@ class QueryService:
             with span("copy"):
                 base = base_graph(old.graph).copy()
             vertices_before = base.num_vertices
-            added: list[tuple[int, int, int]] = []
-            removed_sources: list[int] = []
-            duplicates = 0
-            missing = 0
+            #: Source vertex of every edge the batch really changed.
+            touched: set[int] = set()
+            added = removed = duplicates = missing = 0
             with span("apply", edges=len(updates)) as apply_span:
                 for source, label, target, op in updates:
                     if op == "add":
@@ -646,65 +550,26 @@ class QueryService:
                         t_id = base.add_vertex(target)
                         label_id = base.labels.intern(label)
                         if base.add_edge_ids(s_id, label_id, t_id):
-                            added.append((s_id, label_id, t_id))
+                            added += 1
+                            touched.add(s_id)
                         else:
                             duplicates += 1
                     elif base.remove_edge(source, label, target):
                         # Name-level removal: a hit implies all three
                         # names were interned, so vid() cannot miss.
-                        removed_sources.append(base.vid(source))
+                        removed += 1
+                        touched.add(base.vid(source))
                     else:
                         missing += 1
                 vertices_added = base.num_vertices - vertices_before
                 apply_span.set(
-                    added=len(added),
+                    added=added,
                     duplicates=duplicates,
-                    removed=len(removed_sources),
+                    removed=removed,
                     missing=missing,
                     vertices_added=vertices_added,
                 )
-            repair = {"index": "none", "regions_refreshed": 0}
-
-            def repaired_index(new_graph: FrozenGraph) -> LocalIndex | None:
-                if old.index is None:
-                    return None
-                with span("index-repair") as repair_span:
-                    new_index = old.index.clone_for(new_graph)
-                    # region_of would IndexError on a just-interned vertex
-                    # id until the region list is extended to the new |V|.
-                    new_index.sync_vertices()
-                    # Both mutation kinds dirty exactly the region of the
-                    # edge's source: II covers in-region paths and EIT
-                    # edges leaving the region, and both are indexed under
-                    # F(source) — so a removed edge's stale entries live
-                    # in region_of(source), same as an inserted edge's
-                    # missing ones.
-                    touched = {new_index.region_of(s_id) for s_id, _, _ in added}
-                    touched.update(
-                        new_index.region_of(s_id) for s_id in removed_sources
-                    )
-                    touched.discard(NO_REGION)
-                    landmarks = new_index.partition.landmarks
-                    if len(touched) > _REBUILD_REGION_FRACTION * len(landmarks):
-                        new_index = build_local_index(
-                            new_graph, landmarks=list(landmarks)
-                        )
-                        repair.update(
-                            index="rebuilt", regions_refreshed=len(landmarks)
-                        )
-                    else:
-                        refreshed = new_index.refresh_regions(touched)
-                        repair.update(
-                            index="refreshed" if refreshed else "unchanged",
-                            regions_refreshed=refreshed,
-                        )
-                    repair_span.set(
-                        action=repair["index"],
-                        regions=repair["regions_refreshed"],
-                    )
-                return new_index
-
-            new_epoch = self._build_epoch(old.epoch_id + 1, base, repaired_index)
+            new_epoch = old.derive(base, old.epoch_id + 1, touched)
             staged = self._prepare_epoch(new_epoch, updates)
             fields = self._publish_epoch(new_epoch, staged)
             if self._wal is not None:
@@ -721,13 +586,13 @@ class QueryService:
             return self._update_summary(
                 new_epoch,
                 started,
-                edges_added=len(added),
+                edges_added=added,
                 edges_duplicate=duplicates,
-                edges_removed=len(removed_sources),
+                edges_removed=removed,
                 edges_missing=missing,
                 vertices_added=vertices_added,
                 rows_recut=new_epoch.graph.rows_recut,
-                **repair,
+                **new_epoch.repair,
                 **fields,
             )
 
@@ -789,9 +654,9 @@ class QueryService:
         WAL recovery uses this to restore the epoch *counter* alongside
         the content: a service rebuilt from a compaction snapshot starts
         at epoch 0 even though its graph is the log's epoch-N state.
-        The graph, index, planner and caches are reused as-is; only the
-        id (and with it the result-cache namespace) changes — on a
-        sharded service the new id also propagates to every worker.
+        Same snapshot, same answers: everything derived from the graph,
+        warmed caches included, is shared with the old epoch; only the
+        id changes — on a sharded service, on every worker too.
         With ``expected_fingerprint`` the current graph's content digest
         must match, or :class:`~repro.exceptions.WalReplayError` is
         raised — catching a base graph that is not the one the log was
@@ -804,9 +669,7 @@ class QueryService:
             )
             if epoch_id == old.epoch_id:
                 return
-            new_epoch = self._build_epoch(
-                epoch_id, old.graph, lambda _frozen: old.index, carry=old
-            )
+            new_epoch = old.derive(old.graph, epoch_id)
             self._publish_epoch(new_epoch, self._prepare_epoch(new_epoch, None))
 
     def replace_graph(
@@ -821,30 +684,23 @@ class QueryService:
         The follower's resync path: when the leader compacted past the
         records a lagging replica still needed, the replica reloads the
         compaction snapshot wholesale instead of replaying a gap it no
-        longer can.  The graph is frozen, the index — when this service
-        serves indexed — is rebuilt over it with the *same landmarks*
-        (snapshot graphs preserve vertex ids, so the partition stays
-        comparable), and a fresh epoch is published exactly like an
-        update swap.  ``expected_fingerprint`` mismatches raise
-        :class:`~repro.exceptions.WalReplayError` before publication.
+        longer can.  Nothing is known about how ``graph`` differs from
+        the serving one, so nothing derived from that one is kept: the
+        index — when this service serves indexed — is rebuilt with the
+        *same landmarks* (snapshot graphs preserve vertex ids, so the
+        partition stays comparable) and both caches start empty,
+        whatever ``epoch_id`` is — the serving one included.  Published
+        exactly like an update swap; ``expected_fingerprint`` mismatches
+        raise :class:`~repro.exceptions.WalReplayError` before that.
         """
         with self._update_lock:
-            old = self._epoch
             self._check_fingerprint(
                 epoch_id,
                 "replacement",
                 graph.content_fingerprint(),
                 expected_fingerprint,
             )
-
-            def rebuilt_index(frozen: FrozenGraph) -> LocalIndex | None:
-                if old.index is None:
-                    return None
-                return build_local_index(
-                    frozen, landmarks=list(old.index.partition.landmarks)
-                )
-
-            new_epoch = self._build_epoch(epoch_id, graph, rebuilt_index)
+            new_epoch = self._epoch.derive(graph, epoch_id)
             self._publish_epoch(new_epoch, self._prepare_epoch(new_epoch, None))
 
     @staticmethod
@@ -894,11 +750,9 @@ class QueryService:
     ) -> tuple[QueryResult, dict] | None:
         """Execute (or short-circuit) one plan and record telemetry.
 
-        The result cache is namespaced by the epoch the plan was made
-        against: entries live under ``(epoch_id, canonical key)``, so an
-        old-epoch query completing after a swap can only write (and a
-        new-epoch query can only read) entries for its own graph
-        version — the stale-answer race the old shared keys had.
+        Cached answers are read from and written to ``epoch.results``,
+        the cache of the epoch the plan was made against — whichever
+        epoch is serving by the time this query completes.
 
         ``half`` is how a batch splits one member between two threads.
         ``"settle"`` answers from the planner or the result cache only,
@@ -947,7 +801,7 @@ class QueryService:
         if not use_cache:
             return None
         with span("result-cache") as cache_span:
-            cached = self.results.get((epoch.epoch_id, *plan.key))
+            cached = epoch.results.get(plan.key)
             cache_span.set(hit=cached is not None)
         if cached is not None:
             meta["cached"] = True
@@ -994,7 +848,7 @@ class QueryService:
         elif use_cache and result.algorithm != APPROX_ALGORITHM:
             # Approximate answers are best-effort guesses; caching one
             # would let it leak into later exact-mode requests.
-            self.results.put((epoch.epoch_id, *plan.key), result)
+            epoch.results.put(plan.key, result)
         return result
 
     def _record_slow(
@@ -1105,10 +959,6 @@ class QueryService:
         """
         assert plan.query is not None
         return epoch.session(plan.algorithm).answer(plan.query)
-
-    def _session(self, algorithm: str) -> LSCRSession:
-        """The current epoch's session for ``algorithm`` (back-compat)."""
-        return self._epoch.session(algorithm)
 
     # ------------------------------------------------------------------
     # JSON-level API (used by the HTTP front end)
@@ -1294,7 +1144,7 @@ class QueryService:
             index_info["landmarks"] = len(epoch.index.partition.landmarks)
         document = {
             "service": self.stats.snapshot(),
-            "result_cache": self.results.stats().as_dict(),
+            "result_cache": epoch.results.stats().as_dict(),
             "constraint_cache": self.constraints.stats().as_dict(),
             "candidate_cache": epoch.candidates.stats().as_dict(),
             "graph": {
@@ -1335,16 +1185,15 @@ class QueryService:
         """Persist the result cache and stats ledger as JSON.
 
         The snapshot carries every unexpired result-cache entry of the
-        *current* epoch (keys stored without the epoch prefix — the
-        document-level identity pins them to one graph version) plus the
-        :meth:`ServiceStats.snapshot` document, tagged with the graph's
-        full identity: name, sizes, epoch id and content fingerprint, so
-        :meth:`load_snapshot` can refuse a mismatched file even when
-        every size coincides — and the fingerprint is audited against a
-        rescan of the edges first (:meth:`audit_fingerprint`), so a file
-        never carries an identity its graph does not have.  Written
-        atomically (write-then-rename, like the index store).  Returns
-        the file size in bytes.
+        *current* epoch (the document-level identity pins them to one
+        graph version) plus the :meth:`ServiceStats.snapshot` document,
+        tagged with the graph's full identity: name, sizes, epoch id and
+        content fingerprint, so :meth:`load_snapshot` can refuse a
+        mismatched file even when every size coincides — and the
+        fingerprint is audited against a rescan of the edges first
+        (:meth:`audit_fingerprint`), so a file never carries an identity
+        its graph does not have.  Written atomically (write-then-rename,
+        like the index store).  Returns the file size in bytes.
         """
         epoch = self._epoch
         self.audit_fingerprint()
@@ -1358,12 +1207,8 @@ class QueryService:
                 "fingerprint": epoch.fingerprint,
             },
             "results": [
-                {
-                    "key": [key[1], key[2], list(key[3]), key[4]],
-                    "result": asdict(replace(result, witness=None)),
-                }
-                for key, result in self.results.export_entries()
-                if key[0] == epoch.epoch_id
+                {"key": key, "result": asdict(replace(result, witness=None))}
+                for key, result in epoch.results.export_entries()
             ],
             "stats": self.stats.snapshot(),
         }
@@ -1451,9 +1296,9 @@ class QueryService:
         entries = []
         for item in document.get("results", []):
             source, target, labels, constraint = item["key"]
-            key = (epoch.epoch_id, source, target, tuple(labels), constraint)
+            key = (source, target, tuple(labels), constraint)
             entries.append((key, QueryResult(**item["result"])))
-        warmed = self.results.import_entries(entries)
+        warmed = epoch.results.import_entries(entries)
         self.stats.restore(document.get("stats", {}))
         return {"results": warmed, "stale_results": 0}
 

@@ -17,10 +17,15 @@ one-shot ``LSCRSession.ask`` pays on every call:
   with different endpoints or labels — on workload-shaped traffic that
   is almost all of them.
 
-All are thread-safe (one lock per cache; critical sections are O(1)
-dict/OrderedDict operations plus, for the constraint and candidate
-caches, the one-time parse/evaluation) and expose hit/miss counters for
-``GET /stats``.
+All are thread-safe (critical sections are O(1) dict/OrderedDict
+operations plus, for the constraint cache, the one-time parse) and
+expose hit/miss counters for ``GET /stats``.
+
+The result and candidate caches hold answers about *one graph version*,
+so each :class:`~repro.service.epoch.GraphEpoch` owns its own: entries
+die with their epoch — nothing to namespace, nothing to purge — and only
+the accounting lives on: a new graph version starts with the old
+cache's :meth:`~ResultCache.heir`, empty but counting on from there.
 """
 
 from __future__ import annotations
@@ -78,7 +83,67 @@ class CacheStats:
         }
 
 
-class ResultCache:
+class _Counters:
+    """Hit/miss/eviction/expiration counts plus the lock that guards
+    them (and the entries of every cache counting here)."""
+
+    __slots__ = ("lock", "hits", "misses", "evictions", "expirations")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.hits = self.misses = self.evictions = self.expirations = 0
+
+
+class _EpochCache:
+    """What the two per-epoch caches share: LRU entries bounded by
+    ``max_size``, and counters that outlive them (:meth:`_inherit`)."""
+
+    def __init__(self, max_size: int) -> None:
+        if max_size < 0:
+            raise ValueError(f"max_size must be >= 0, got {max_size}")
+        self.max_size = max_size
+        self._counts = _Counters()
+        self._lock = self._counts.lock
+        #: Insertion order is recency order (move_to_end on hit).
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+
+    def _inherit(self, parent: "_EpochCache") -> "_EpochCache":
+        """Count on where ``parent`` stands; returns ``self``.  One
+        counter set and one lock serve a cache and all its heirs, so
+        ``/stats`` and ``/metrics`` counters never step back at an epoch
+        swap; the entries ``parent`` keeps are out of the next epoch's
+        reach and count as evictions."""
+        self._counts = counts = parent._counts
+        self._lock = counts.lock
+        with counts.lock:
+            counts.evictions += len(parent._entries)
+        return self
+
+    def clear(self) -> None:
+        """Drop every entry (counters are kept)."""
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def stats(self) -> CacheStats:
+        """Snapshot of the counters — this cache's and its ancestors'
+        (``heir``) — and of this cache's own size."""
+        counts = self._counts
+        with self._lock:
+            return CacheStats(
+                hits=counts.hits,
+                misses=counts.misses,
+                evictions=counts.evictions,
+                expirations=counts.expirations,
+                size=len(self._entries),
+                max_size=self.max_size,
+            )
+
+
+class ResultCache(_EpochCache):
     """Thread-safe LRU + TTL cache for answered queries.
 
     ``max_size=0`` disables storage (every lookup misses), which lets
@@ -93,37 +158,33 @@ class ResultCache:
         ttl_seconds: float | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if max_size < 0:
-            raise ValueError(f"max_size must be >= 0, got {max_size}")
+        super().__init__(max_size)  # key -> (value, expiry deadline or None)
         if ttl_seconds is not None and ttl_seconds <= 0:
             raise ValueError(f"ttl_seconds must be positive, got {ttl_seconds}")
-        self.max_size = max_size
         self.ttl_seconds = ttl_seconds
         self._clock = clock
-        self._lock = threading.Lock()
-        #: key -> (value, expiry deadline or None); insertion order is
-        #: recency order (move_to_end on hit).
-        self._entries: OrderedDict[Hashable, tuple[Any, float | None]] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._expirations = 0
+
+    def heir(self) -> "ResultCache":
+        """An empty cache with this one's bounds and clock for the next
+        graph version, counting on where this one stands."""
+        return ResultCache(self.max_size, self.ttl_seconds, self._clock)._inherit(self)
 
     def get(self, key: Hashable) -> Any | None:
         """The cached value, or None on miss/expiry (counted)."""
+        counts = self._counts
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self._misses += 1
+                counts.misses += 1
                 return None
             value, deadline = entry
             if deadline is not None and self._clock() >= deadline:
                 del self._entries[key]
-                self._expirations += 1
-                self._misses += 1
+                counts.expirations += 1
+                counts.misses += 1
                 return None
             self._entries.move_to_end(key)
-            self._hits += 1
+            counts.hits += 1
             return value
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -138,29 +199,7 @@ class ResultCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_size:
                 self._entries.popitem(last=False)
-                self._evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-
-    def purge(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Drop every entry whose key satisfies ``predicate``.
-
-        The epoch-swap eviction hook: after a new epoch is published,
-        entries namespaced under older epoch ids are dead weight that
-        would otherwise linger until LRU pressure pushes them out —
-        ``purge(lambda key: key[0] != current_epoch)`` reclaims them
-        immediately.  O(size) under the lock (size ≤ ``max_size``).
-        Returns how many entries were dropped; they count as evictions.
-        """
-        with self._lock:
-            doomed = [key for key in self._entries if predicate(key)]
-            for key in doomed:
-                del self._entries[key]
-            self._evictions += len(doomed)
-            return len(doomed)
+                self._counts.evictions += 1
 
     def export_entries(self) -> list[tuple[Hashable, Any]]:
         """Unexpired ``(key, value)`` pairs, least-recently-used first.
@@ -193,10 +232,6 @@ class ResultCache:
             self.put(key, value)
         return len(self) - before
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
     def __contains__(self, key: Hashable) -> bool:
         """Non-promoting, non-counting membership test (for tests/UIs)."""
         with self._lock:
@@ -205,18 +240,6 @@ class ResultCache:
                 return False
             _, deadline = entry
             return deadline is None or self._clock() < deadline
-
-    def stats(self) -> CacheStats:
-        """Snapshot of the counters."""
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                expirations=self._expirations,
-                size=len(self._entries),
-                max_size=self.max_size,
-            )
 
 
 class ConstraintCache:
@@ -296,7 +319,7 @@ class ConstraintCache:
             )
 
 
-class CandidateCache:
+class CandidateCache(_EpochCache):
     """Compute-once LRU cache of ``V(S, G)`` satisfying-vertex tuples.
 
     Keyed on the constraint's canonical SPARQL rendering (the same
@@ -316,21 +339,20 @@ class CandidateCache:
     nothing is retained), mirroring :class:`ResultCache` so one
     ``cache_size`` knob can switch the whole service to uncached mode.
 
-    A cache instance is tied to one graph snapshot; the service builds
-    it next to its frozen graph and never mutates either.
+    A cache instance is tied to one graph snapshot, its epoch's; a
+    changed graph starts from its :meth:`heir`.
     """
 
     def __init__(self, max_size: int = DEFAULT_CACHE_SIZE) -> None:
-        if max_size < 0:
-            raise ValueError(f"max_size must be >= 0, got {max_size}")
-        self.max_size = max_size
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, tuple[int, ...]] = OrderedDict()
+        super().__init__(max_size)  # canonical SPARQL -> vertex id tuple
         #: key -> (event, [value or None]) for computations in flight.
         self._pending: dict[str, tuple[threading.Event, list]] = {}
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+
+    def heir(self) -> "CandidateCache":
+        """An empty cache of this one's size for the next graph version,
+        counting on where this one stands.  In-flight computations stay
+        behind: they read the old graph."""
+        return CandidateCache(self.max_size)._inherit(self)
 
     def get(
         self, constraint: SubstructureConstraint, graph: Any
@@ -349,18 +371,19 @@ class CandidateCache:
     def _lookup(
         self, constraint: SubstructureConstraint, graph: Any
     ) -> tuple[tuple[int, ...], bool]:
+        counts = self._counts
         if self.max_size == 0:
             with self._lock:
-                self._misses += 1
+                counts.misses += 1
             return tuple(constraint.satisfying_vertices(graph)), False
         key = constraint.to_sparql()
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
                 self._entries.move_to_end(key)
-                self._hits += 1
+                counts.hits += 1
                 return cached, True
-            self._misses += 1
+            counts.misses += 1
             pending = self._pending.get(key)
             if pending is None:
                 pending = self._pending[key] = (threading.Event(), [None])
@@ -387,7 +410,7 @@ class CandidateCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_size:
                 self._entries.popitem(last=False)
-                self._evictions += 1
+                counts.evictions += 1
             self._pending.pop(key, None)
         event.set()
         return candidates, False
@@ -400,24 +423,3 @@ class CandidateCache:
         )
         with self._lock:
             return key in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-
-    def stats(self) -> CacheStats:
-        """Snapshot of the counters (no TTL, so expirations is 0)."""
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                expirations=0,
-                size=len(self._entries),
-                max_size=self.max_size,
-            )

@@ -1,33 +1,43 @@
 """Epoch-swapped serving state: everything a query binds to one graph.
 
-The service's original immutability contract — "graph and index are
-never mutated after startup" — is what makes its lock-free concurrent
-answering sound.  Live updates keep that contract by never mutating the
-serving state at all: :class:`GraphEpoch` bundles one frozen graph, its
-(optional) index and every object derived from them (planner, candidate
-cache, session pool) into a single immutable-once-published unit, and
-:meth:`~repro.service.app.QueryService.apply_updates` builds a *new*
-epoch on a copy and publishes it by replacing one attribute reference.
+Lock-free concurrent answering is sound because nothing a query reads is
+ever mutated.  :class:`GraphEpoch` bundles one frozen graph and every
+object derived from it (index, bounds, planner, ``V(S, G)`` cache,
+cached answers, session pool) into a single immutable-once-published
+unit, and every change publishes a *new* epoch by replacing one
+attribute reference.  A request reads ``service._epoch`` exactly once
+and runs plan → cache → session against that object — **an answer is
+computed from one epoch**, sharded or not — so a swap mid-query is
+invisible, and an old-epoch query completing after a swap can only
+populate the old epoch's caches.  A sharded service's epoch also carries
+its :attr:`~GraphEpoch.topology` (shard plan and slice epoch), so there
+is no second "current version" to drift from it.
 
-Readers never lock: a request reads ``service._epoch`` exactly once (an
-atomic attribute load) and runs plan → cache → session entirely against
-that object, so a swap mid-query is invisible — the query finishes on
-the epoch it started on, and the next request sees the new one.  That
-is the serving rule, sharded or not: **an answer is computed from one
-epoch**.  On a sharded service the epoch also carries its
-:attr:`~GraphEpoch.topology` — the shard plan and the slice epoch the
-fleet serves it at — so the scatter-gather coordinator reads graph,
-``V(S, G)`` cache, plan and expected slice epoch from the one object the
-request was handed, and there is no second "current version" to drift
-from it.  The result cache is shared across epochs but *namespaced*:
-cached answers are keyed ``(epoch_id, canonical key)``, so an in-flight
-old-epoch query completing after a swap can only ever populate old-epoch
-entries, never poison the new epoch's view.
+**One derivation.**  The paper builds its index once over a static KG
+and takes ``V(S, G)`` from a SPARQL engine; what keeps those structures
+valid across live updates is ours, and it is all here.  An epoch is
+assembled in two places only — :meth:`GraphEpoch.first` for epoch 0,
+:meth:`GraphEpoch.derive` for every later one (update, renumbering,
+whole-graph replacement, rebalance) — by one rule per structure, each
+seeing *(parent, change)*:
 
-``epoch_id`` is a per-service monotonic integer starting at 0; it is
-surfaced in query metadata, ``/stats``, ``/healthz`` and the snapshot
-identity, which is how tests (and operators) can tell exactly which
-graph version answered a request.
+==================  =====================  =============================
+structure           the parent's snapshot  any other graph
+==================  =====================  =============================
+index               shared                 ``LocalIndex.derive``
+bounds, planner     shared                 rebuilt
+``V(S, G)`` cache   shared                 ``heir()``: empty, same counters
+cached answers      shared                 ``heir()``: empty, same counters
+==================  =====================  =============================
+
+Same snapshot, same answers; a different graph inherits no entry.
+Incremental bounds, monotone cache carry-over and lazy index repair
+(ROADMAP item 3) are each a change to one row.
+
+``epoch_id`` is a per-service monotonic integer starting at 0, surfaced
+in query metadata, ``/stats``, ``/healthz`` and the snapshot identity so
+tests and operators can tell which graph version answered; it names the
+epoch and keys nothing.
 """
 
 from __future__ import annotations
@@ -36,15 +46,18 @@ import time
 from threading import Lock
 from typing import TYPE_CHECKING
 
+from repro.approx.bounds import BoundsIndex, build_bounds
 from repro.exceptions import BadRequestError
+from repro.graph.csr import FrozenGraph, freeze_graph
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.index.local_index import LocalIndex
-from repro.service.cache import CandidateCache, ConstraintCache
+from repro.obs.trace import span
+from repro.service.cache import CandidateCache, ConstraintCache, ResultCache
+from repro.service.options import ServiceOptions
 from repro.service.planner import QueryPlanner
 from repro.session import LSCRSession
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.approx.bounds import BoundsIndex
     from repro.shard.partitioner import ShardTopology
 
 __all__ = ["GraphEpoch", "normalize_edge_updates", "validate_edge_updates"]
@@ -58,25 +71,25 @@ EDGE_OPS = ("add", "remove")
 
 
 class GraphEpoch:
-    """One immutable serving generation: ``(graph, index, epoch_id)``
-    plus the per-generation derived state (planner, candidate cache,
-    lazily pooled sessions).
+    """One immutable serving generation: a frozen graph, its id, and
+    everything derived from that graph, built by :meth:`first` and
+    :meth:`derive` only.
 
     Nothing here is mutated after publication except the session pool,
-    which only *grows* (create-once under its own lock — the same
-    pattern the service used before epochs) and the candidate cache,
-    which is append-only memoisation of pure functions of the graph.
+    which only *grows* (create-once under its own lock) and the caches,
+    which are memoisation of pure functions of the graph.
     """
 
     __slots__ = (
         "epoch_id",
         "graph",
         "index",
+        "repair",
+        "bounds",
         "planner",
         "candidates",
-        "constraints",
-        "seed",
-        "bounds",
+        "results",
+        "options",
         "topology",
         "fingerprint",
         "created_at",
@@ -87,25 +100,34 @@ class GraphEpoch:
     def __init__(
         self,
         epoch_id: int,
-        graph: KnowledgeGraph,
+        graph: FrozenGraph,
         index: LocalIndex | None,
+        repair: dict | None,
+        bounds: BoundsIndex | None,
         planner: QueryPlanner,
         candidates: CandidateCache,
-        constraints: ConstraintCache,
-        seed: int,
-        bounds: "BoundsIndex | None" = None,
+        results: ResultCache,
+        options: ServiceOptions,
     ) -> None:
         self.epoch_id = epoch_id
         self.graph = graph
         self.index = index
-        self.planner = planner
-        self.candidates = candidates
-        self.constraints = constraints
-        self.seed = seed
+        #: How the index followed the parent epoch's — the ``index`` /
+        #: ``regions_refreshed`` fields of an update summary.
+        self.repair = repair or {
+            "index": "none" if index is None else "unchanged",
+            "regions_refreshed": 0,
+        }
         #: Label-blind reachability upper bound for *this* snapshot
-        #: (``repro.approx``); rebuilt whenever the graph changes so the
-        #: router's definite-No stays sound across updates and replay.
+        #: (``repro.approx``; None with the tier off), so the router's
+        #: definite-No stays sound across updates and replay.
         self.bounds = bounds
+        self.planner = planner
+        #: ``V(S, G)`` per canonical constraint, on this snapshot.
+        self.candidates = candidates
+        #: Answers computed on this snapshot, keyed by ``plan.key``.
+        self.results = results
+        self.options = options
         #: How a sharded service's fleet serves this snapshot — ``(plan,
         #: slice_epoch)``; None on an unsharded one.  Attached by the
         #: sharded prepare seam before the epoch is stored (requests
@@ -119,6 +141,69 @@ class GraphEpoch:
         self.created_at = time.time()
         self._sessions: dict[str, LSCRSession] = {}
         self._session_lock = Lock()
+
+    @classmethod
+    def first(
+        cls,
+        graph: KnowledgeGraph,
+        index: LocalIndex | None,
+        constraints: ConstraintCache,
+        options: ServiceOptions,
+    ) -> "GraphEpoch":
+        """Epoch 0: ``graph`` frozen, ``index`` as given (ids are shared
+        between a graph and its snapshot, so an index built or loaded
+        against the source stays valid), everything else built new."""
+        frozen = _freeze(graph)
+        size = options.cache_size  # 0: V(S, G) is not memoised either
+        return cls(
+            0,
+            frozen,
+            index,
+            None,
+            _bounds(frozen, options),
+            _planner(frozen, index, constraints, options),
+            CandidateCache(max_size=size),
+            ResultCache(max_size=size, ttl_seconds=options.cache_ttl),
+            options,
+        )
+
+    def derive(
+        self,
+        graph: KnowledgeGraph,
+        epoch_id: int,
+        touched: set[int] | None = None,
+    ) -> "GraphEpoch":
+        """Assemble — without storing — the epoch that serves ``graph``
+        after this one, by the module docstring's rules.
+
+        ``graph`` is this epoch's own snapshot (a renumbering, a new
+        shard topology) or any other graph: a patched copy whose edits
+        all start at the ``touched`` vertex ids, or — ``touched`` None —
+        a replacement about which nothing is known.
+        """
+        frozen = _freeze(graph)
+        same = frozen is self.graph
+        constraints, options = self.planner.constraints, self.options
+        index, repair = self.index, None
+        if index is not None and not same:
+            with span("index-repair") as repair_span:
+                index, repair = index.derive(frozen, touched)
+                repair_span.set(
+                    action=repair["index"], regions=repair["regions_refreshed"]
+                )
+        return GraphEpoch(
+            epoch_id,
+            frozen,
+            index,
+            repair,
+            self.bounds if same else _bounds(frozen, options),
+            self.planner
+            if same
+            else _planner(frozen, index, constraints, options),
+            self.candidates if same else self.candidates.heir(),
+            self.results if same else self.results.heir(),
+            options,
+        )
 
     def __repr__(self) -> str:
         return (
@@ -139,8 +224,8 @@ class GraphEpoch:
                     self.graph,
                     algorithm=algorithm,
                     index=self.index if algorithm == "ins" else None,
-                    seed=self.seed,
-                    constraint_cache=self.constraints,
+                    seed=self.options.seed,
+                    constraint_cache=self.planner.constraints,
                     candidate_cache=self.candidates,
                 )
                 self._sessions[algorithm] = session
@@ -157,6 +242,41 @@ class GraphEpoch:
             "created_at": self.created_at,
             "age_seconds": time.time() - self.created_at,
         }
+
+
+def _freeze(graph: KnowledgeGraph) -> FrozenGraph:
+    """``graph``'s snapshot: itself if frozen, else patched from its origin's."""
+    with span("freeze") as freeze_span:
+        frozen = freeze_graph(graph)
+        freeze_span.set(
+            rows_recut=frozen.rows_recut, rows_shared=frozen.rows_shared
+        )
+    return frozen
+
+
+def _bounds(graph: FrozenGraph, options: ServiceOptions) -> BoundsIndex | None:
+    """One snapshot's label-blind upper bound (None: approx tier off)."""
+    with span("bounds") as bounds_span:
+        bounds = build_bounds(graph, seed=options.seed) if options.approx else None
+        bounds_span.set(
+            enabled=bounds is not None,
+            components=bounds.component_count if bounds else 0,
+        )
+    return bounds
+
+
+def _planner(
+    graph: FrozenGraph,
+    index: LocalIndex | None,
+    constraints: ConstraintCache,
+    options: ServiceOptions,
+) -> QueryPlanner:
+    return QueryPlanner(
+        graph,
+        constraints,
+        has_index=index is not None,
+        default_algorithm=options.algorithm or "uis*",
+    )
 
 
 def validate_edge_updates(payload: object, *, max_edges: int) -> list[EdgeUpdate]:

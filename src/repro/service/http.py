@@ -9,10 +9,10 @@ The server routes onto a :class:`~repro.service.registry.TenantRegistry`
   "use_cache"?}``);
 * ``POST /t/<tenant>/batch``  — answer a batch (``{"queries":
   [spec, ...], "use_cache"?}``), order-preserving and concurrent;
-* ``POST /t/<tenant>/edges``  — apply a live edge-addition batch
-  (``{"edges": [{"source", "label", "target"}, ...]}``) and publish a
-  new serving epoch; gated behind ``serve --allow-updates`` (403 when
-  off, 501 on sharded tenants whose slices cannot follow yet);
+* ``POST /t/<tenant>/edges``  — apply a live edge update batch
+  (``{"edges": [{"source", "label", "target", "op"?}, ...]}``) and
+  publish a new serving epoch; gated behind ``serve --allow-updates``
+  (403 when off; a sharded tenant re-cuts and pushes its slices);
 * ``GET /t/<tenant>/stats``   — that tenant's telemetry;
 * ``GET /t/<tenant>/healthz`` — that tenant's liveness and load state;
 * ``GET /metrics``, ``GET /t/<tenant>/metrics`` — the same telemetry

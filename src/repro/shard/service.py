@@ -40,9 +40,9 @@ answer is computed from: :meth:`_evaluate` hands the coordinator the
 epoch the request read at entry, and ``shard_plan`` / ``slice_epoch``
 are read-only views of it.  Every topology change — an update batch,
 :meth:`reset_epoch`, :meth:`replace_graph`, :meth:`rebalance` — goes
-through the inherited epoch pipeline's two seams (build → prepare →
-publish) under the one writer lock: once the next :class:`GraphEpoch` is
-built, :meth:`_prepare_epoch` attaches its topology, re-cuts the slices
+through the inherited two seams (derive → prepare → publish) under the
+one writer lock: once the next :class:`GraphEpoch` is derived,
+:meth:`_prepare_epoch` attaches its topology, re-cuts the slices
 of every shard the change touched and *prepares* every worker — a
 refusal raises before anything was published, counted or logged — and
 right after the epoch store :meth:`_publish_prepared` publishes the
@@ -486,8 +486,8 @@ class ShardedQueryService(QueryService):
     ) -> _StagedSwap:
         """Attach ``epoch``'s topology and prepare every worker for it.
 
-        The inherited pipeline's first seam: ``epoch`` is built but not
-        stored, and the caller holds the writer lock (so no other swap,
+        The inherited first seam: ``epoch`` is derived but not stored,
+        and the caller holds the writer lock (so no other swap,
         rebalance or resync interleaves before :meth:`_publish_prepared`
         ran).  The plan is ``plan`` (:meth:`rebalance`'s proposal) or
         the current one sized to the new graph; the slice epoch moves
@@ -561,9 +561,9 @@ class ShardedQueryService(QueryService):
         correlation table (:func:`~repro.shard.rebalance
         .propose_rebalance` is the pure half) and — when the proposal
         actually moves a region — publishes it the way every topology
-        change is: as an epoch (same id, graph, index, bounds, planner
-        and ``V(S, G)`` cache; new topology) through prepare → publish,
-        every slice re-cut, at a bumped slice epoch.
+        change is: as an epoch over the serving snapshot (same id,
+        everything graph-derived shared, new topology) through prepare →
+        publish, every slice re-cut, at a bumped slice epoch.
         """
         with self._update_lock:
             old = self._epoch
@@ -599,9 +599,7 @@ class ShardedQueryService(QueryService):
                 for landmark, shard in proposal.region_shard.items()
                 if plan.region_shard.get(landmark) != shard
             )
-            new_epoch = self._build_epoch(
-                old.epoch_id, old.graph, lambda _frozen: old.index, carry=old
-            )
+            new_epoch = old.derive(old.graph, old.epoch_id)
             fields = self._publish_epoch(
                 new_epoch, self._prepare_epoch(new_epoch, None, proposal)
             )

@@ -195,7 +195,7 @@ class TestEpochs:
         service.query("s", "t", ["go"], MARK, use_cache=False)
         service.apply_updates([("u", "go", "s")])
         hit, meta = service.query("s", "t", ["go"], MARK, use_cache=False)
-        # New epoch (result cache namespace rotated), same witness: the
+        # New epoch (its result cache starts empty), same witness: the
         # path re-verified against the updated graph and kept serving.
         assert hit.algorithm == "witness"
         assert meta["epoch"] == 1

@@ -14,6 +14,8 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
+from repro.obs.prometheus import parse_prometheus_text
+
 ROOT = Path(__file__).resolve().parents[2]
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
@@ -89,3 +91,17 @@ def replay_against_oracle(base, path, specs, oracle) -> tuple[int, int, int]:
             assert document["answer"] == expected.answer, spec
             exact += 1
     return exact, degraded, refused
+
+
+def decreased_counters(before: str, after: str) -> list[tuple]:
+    """``(sample, was, now)`` for every sample of a ``counter``-typed
+    family that reads lower — or is gone — in the ``after`` scrape of
+    ``/metrics`` than in the ``before`` one.  A counter only ever counts
+    up, whatever the server did in between (an epoch swap included)."""
+    counters = set(re.findall(r"^# TYPE (\S+) counter$", before, re.MULTILINE))
+    was, now = parse_prometheus_text(before), parse_prometheus_text(after)
+    return sorted(
+        (key, value, now.get(key))
+        for key, value in was.items()
+        if key[0] in counters and not now.get(key, -1) >= value
+    )

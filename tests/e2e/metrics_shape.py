@@ -4,9 +4,10 @@ job's scenario).
 Boot a real server — a sharded default tenant plus an unsharded one
 that takes an update batch — drive every endpoint, then validate the
 scrape with the strict parser: Prometheus line format, monotone
-cumulative buckets, ``+Inf == _count``, and a well-formed
-``/debug/slow`` document.  Guards the surface against format drift that
-Prometheus itself would reject at scrape time.
+cumulative buckets, ``+Inf == _count``, no ``counter`` sample lower
+after the epoch swap than before it, and a well-formed ``/debug/slow``
+document.  Guards the surface against format drift that Prometheus
+itself would reject at scrape time.
 
 Run from anywhere: ``PYTHONPATH=src python tests/e2e/metrics_shape.py``.
 The exit code is the verdict.
@@ -19,7 +20,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-from contract import ENV, boot, get, post, repro_cli
+from contract import ENV, boot, decreased_counters, get, post, repro_cli
 
 from repro.obs.prometheus import parse_prometheus_text
 
@@ -53,20 +54,27 @@ def main(scratch: Path) -> None:
         traced = post(base, "/query?trace=1", {**spec, "target": "n31"})
         assert traced["trace"]["trace_id"], "no trace for ?trace=1"
         post(base, "/batch", {"queries": [spec, {**spec, "source": "n5"}]})
-        post(base, "/t/dyn/query",
-             {**spec, "target": "n20", "labels": ["l0", "l1"],
-              "constraint": "SELECT ?x WHERE { ?x <l1> ?y . }"})
+        # Twice per cache on dyn, so its hit and miss counters are both
+        # above zero when the update swaps the epoch under them.
+        for target in ("n20", "n21", "n21"):
+            post(base, "/t/dyn/query",
+                 {**spec, "target": target, "labels": ["l0", "l1"],
+                  "constraint": "SELECT ?x WHERE { ?x <l1> ?y . }"})
+        before_swap = get(base, "/metrics")
         updated = post(base, "/t/dyn/edges", {"edges": [
             {"source": "n0", "label": "l0", "target": "ci-added-vertex"}]})
         assert updated["epoch"] == 1, updated
 
-        samples = parse_prometheus_text(get(base, "/metrics"))
+        scrape = get(base, "/metrics")
+        lower = decreased_counters(before_swap, scrape)
+        assert not lower, f"counters stepped back across the swap: {lower}"
+        samples = parse_prometheus_text(scrape)
         names = {name for name, _ in samples}
         for family in FAMILIES:
             assert family in names, f"missing family {family}"
         default, dyn = (("tenant", "default"),), (("tenant", "dyn"),)
         assert samples[("repro_queries_total", default)] >= 4
-        assert samples[("repro_queries_total", dyn)] >= 1
+        assert samples[("repro_queries_total", dyn)] >= 3
         assert samples[("repro_update_batches_total", dyn)] == 1
         assert samples[("repro_epoch_id", dyn)] == 1
         assert samples[("repro_shard_count", default)] == 2

@@ -12,7 +12,9 @@ meaningful evidence:
 * :func:`running_server` serves a service or registry over loopback
   HTTP for the duration of a ``with`` block;
 * :func:`sharded_fleet` builds a sharded service over either worker
-  transport, and :class:`LossyWorker` loses a worker's next publish.
+  transport, and :class:`LossyWorker` loses a worker's next publish;
+* :func:`cache_counters` reads the counters of the two per-epoch caches
+  off ``/stats`` — the ones that must never step back.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.shard import ShardedQueryService
 
 __all__ = [
     "LossyWorker",
+    "cache_counters",
     "graph_from_edges",
     "ground_truth_cms",
     "minimal_masks",
@@ -118,6 +121,17 @@ def sharded_fleet(graph: KnowledgeGraph, transport: str, **options) -> Iterator:
         # One list backs both ``service.workers`` and the coordinator's.
         service.workers[:] = [LossyWorker(worker) for worker in service.workers]
         yield service
+
+
+def cache_counters(service) -> dict[tuple[str, str], int]:
+    """``{(cache, counter): value}`` for ``/stats`` ``result_cache`` and
+    ``candidate_cache`` — service-lifetime counts, whatever epoch serves."""
+    document = service.stats_snapshot()
+    return {
+        (cache, counter): document[cache][counter]
+        for cache in ("result_cache", "candidate_cache")
+        for counter in ("hits", "misses", "evictions", "expirations")
+    }
 
 
 def graph_from_edges(

@@ -98,7 +98,7 @@ class TestQuery:
 
     def test_sessions_share_index_and_constraints(self, service):
         service.query("v0", "v4", LABELS, S0)
-        session = service._session("ins")
+        session = service.epoch.session("ins")
         assert session.index is service.index
         assert session._constraint_cache is service.constraints
 

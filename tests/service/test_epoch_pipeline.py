@@ -1,11 +1,12 @@
-"""One epoch pipeline: every construction route yields the same shape.
+"""One derivation: every construction route yields the same shape.
 
-``QueryService._build_epoch`` / ``_publish_epoch`` are the only place a
-serving epoch is assembled and stored.  Whatever route produced the
-current epoch — warm start, ``from_files``, an update (add, remove,
-no-op), ``reset_epoch``, ``replace_graph``, WAL recovery from a
-snapshot or from the base TSV, or the sharded counterparts — the
-invariants below must hold, because the pipeline owns them.
+``GraphEpoch.first`` / ``GraphEpoch.derive`` are the only places a
+serving epoch is assembled, ``QueryService._publish_epoch`` the only one
+it is stored.  Whatever route produced the current epoch — warm start,
+``from_files``, an update (add, remove, no-op), ``reset_epoch``,
+``replace_graph``, WAL recovery from a snapshot or from the base TSV, or
+the sharded counterparts — the invariants below must hold, because the
+derivation owns them.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def from_files(tmp_path):
 
 def update_add(tmp_path):
     service = warm_start(tmp_path)
-    service.query(**QUERY)  # an old-epoch cache entry the publish must purge
+    service.query(**QUERY)  # an old-epoch cached answer that must stay behind
     assert service.apply_updates([("v", "go", "w")])["epoch"] == 1
     return service
 
@@ -186,14 +187,19 @@ def test_every_route_publishes_the_same_epoch_shape(route, tmp_path):
             for t in vertices
         )
         # Sessions — what evaluators actually traverse — bind to it too.
-        assert service._session("uis*").graph is graph
+        assert epoch.session("uis*").graph is graph
         # The content fingerprint matches the content.
         assert epoch.fingerprint == graph.content_fingerprint()
         assert service.health()["fingerprint"] == epoch.fingerprint
-        # Only current-epoch keys survive a publish.
+        # Cached answers live in the epoch that computed them, under
+        # the plan's own key; another graph's epoch starts without them
+        # (every route warmed QUERY before its swap, if it had one).
+        assert service.results is epoch.results
+        same_snapshot = route in (update_noop, reset_epoch, sharded_reset)
+        assert len(epoch.results) == (1 if same_snapshot else 0)
         service.query(**QUERY)
-        keys = [key for key, _ in service.results.export_entries()]
-        assert keys and all(key[0] == epoch.epoch_id for key in keys)
+        keys = [key for key, _ in epoch.results.export_entries()]
+        assert keys == [epoch.planner.plan(**QUERY).key]
     finally:
         service.close()
 

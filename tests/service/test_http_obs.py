@@ -14,6 +14,7 @@ from repro.index.local_index import build_local_index
 from repro.obs.prometheus import parse_prometheus_text
 from repro.service.app import QueryService
 from repro.service.registry import TenantRegistry
+from tests.e2e.contract import decreased_counters
 from tests.helpers import running_server
 
 S0 = "SELECT ?x WHERE { ?x <friendOf> v3 . v3 <likes> ?y . }"
@@ -100,6 +101,29 @@ class TestMetricsRoute:
             stats["service"]["queries"]["total"]
         )
         assert samples[("repro_epoch_id", tenant)] == stats["epoch"]["epoch_id"]
+
+    def test_no_counter_steps_back_across_an_epoch_swap(self, service):
+        """A ``counter`` family counts for the life of the service; the
+        per-epoch caches used to take theirs along at every swap."""
+        with running_server(service, allow_updates=True) as base_url:
+            for target in ("v4", "v2", "v2"):  # every cache hits and misses
+                post(f"{base_url}/query", {**SPEC, "target": target})
+            _, _, before = get_text(f"{base_url}/metrics")
+            candidate = (("cache", "candidate"), ("tenant", "default"))
+            assert parse_prometheus_text(before)[
+                ("repro_cache_hits_total", candidate)
+            ] >= 1
+            _, summary = post(
+                f"{base_url}/edges", {"edges": [["v4", "likes", "v9"]]}
+            )
+            assert summary["epoch"] == 1
+            _, _, after = get_text(f"{base_url}/metrics")
+        assert decreased_counters(before, after) == []
+        # The swap dropped the old epoch's cached answers, and says so.
+        result = (("cache", "result"), ("tenant", "default"))
+        samples = parse_prometheus_text(after)
+        assert samples[("repro_cache_size", result)] == 0
+        assert samples[("repro_cache_evictions_total", result)] >= 1
 
     def test_tenant_metrics_route(self, base_url):
         post(f"{base_url}/query", SPEC)

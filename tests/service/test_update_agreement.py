@@ -1,7 +1,7 @@
 """Randomized agreement for live updates: epoch swaps vs a naive oracle.
 
 The epoch-swap subsystem layers graph copying, per-region index repair,
-re-freezing, cache namespacing and atomic publication on top of the
+re-freezing, per-epoch caches and atomic publication on top of the
 paper's algorithms — none of which may change a single Boolean answer.
 This suite interleaves random edge batches and query workloads on ~30
 seeded graphs: after every ``apply_updates`` the service's answers must

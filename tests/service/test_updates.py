@@ -6,7 +6,7 @@ Covers the epoch-swap mechanics the randomized agreement suite
 * :meth:`QueryService.apply_updates` — epoch bump, duplicate counting,
   vertex/label interning, index refresh vs full-rebuild fallback, the
   old epoch staying intact for in-flight readers;
-* result-cache namespacing — a pre-update cached answer must never be
+* per-epoch result caches — a pre-update cached answer must never be
   served for the post-update graph (the headline staleness bug);
 * ``POST /edges`` over real HTTP — default tenant and ``/t/<tenant>``
   routes, structured validation errors, the ``--allow-updates`` gate
@@ -70,8 +70,8 @@ class TestApplyUpdates:
     def test_cached_pre_update_answer_is_not_served_after_swap(self):
         # The headline staleness regression: an *executed* False answer
         # cached at epoch 0 must not satisfy the same query once an
-        # update makes the true answer True.  Before the epoch-namespaced
-        # cache keys this returned the stale cached False.
+        # update makes the true answer True.  Before cached answers were
+        # tied to the epoch this returned the stale cached False.
         service = make_service()
         try:
             first, meta = service.query("s", "y", ["go"], CONSTRAINT)

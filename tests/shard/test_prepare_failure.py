@@ -1,7 +1,7 @@
 """A refused prepare publishes nothing; wrapped workers take one protocol.
 
-The sharded update is build → prepare → publish: the coordinator's next
-epoch is built but not stored while every worker prepares, so one
+The sharded update is derive → prepare → publish: the coordinator's next
+epoch is derived but not stored while every worker prepares, so one
 worker refusing must leave the whole deployment — epoch, fingerprint,
 slice epoch, every worker, the result cache, the ``/stats`` update
 ledger and the WAL — exactly where it was, answer a structured 503, and

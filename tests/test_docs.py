@@ -1,15 +1,20 @@
 """Docs are checked, not trusted: README's serving-options reference
 lists exactly the flags ``python -m repro serve`` parses, each row agrees
 with the options table on flag, key and default, and no docstring or
-comment under ``src/`` cites a Markdown file the checkout lacks."""
+comment under ``src/`` cites a Markdown file the checkout lacks, and
+``setup.py`` — what README's ``pip install -e .`` runs — installs the
+``repro`` package at the version it reports about itself."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+from repro._version import __version__
 from repro.cli import build_parser
 from repro.service.options import OPTIONS
 
@@ -60,3 +65,16 @@ def test_src_cites_only_markdown_files_that_exist():
         if not (ROOT / name).is_file()
     }
     assert not dangling
+
+
+def test_setup_py_installs_repro_from_src_at_its_own_version():
+    """It was a bare ``setup()`` pointing at a ``pyproject.toml`` nobody
+    committed: ``pip install -e .`` installed an empty ``UNKNOWN 0.0.0``."""
+    answers = subprocess.run(
+        [sys.executable, "setup.py", "--name", "--version", "--requires"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert answers == ["repro", __version__]  # and requires nothing
+    source = (ROOT / "setup.py").read_text(encoding="utf-8")
+    assert 'package_dir={"": "src"}' in source
+    assert 'find_packages("src")' in source

@@ -5,7 +5,7 @@ path from ``s`` to ``t``, ignoring labels and constraints entirely — and
 answers it in microseconds.  Because every LSCR witness path is in
 particular an ``s -> t`` path, ``maybe_reachable(s, t) == False`` is a
 **sound definite-No** for the full label-and-substructure query: the
-router can refuse without ever touching INS/UIS*.
+router can refuse without ever starting an evaluator.
 
 Construction condenses the graph's strongly connected components with
 one iterative Tarjan pass, then picks a representation by condensation

@@ -2,11 +2,13 @@
 
 The router sits in the :meth:`QueryService._execute` seam — after the
 planner (so trivial and forced plans never reach it) and after the
-result cache — and tries to settle the query without INS/UIS*:
+result cache — and tries to settle the query without an evaluator:
 
 * **definite-No** — if the source has no out-edge under the query's
   label mask, the target no in-edge (O(1) bitmask tests, ``s != t``
-  only), or the label-blind :class:`~repro.approx.bounds.BoundsIndex`
+  only — the empty-frontier case of the default kernel,
+  :mod:`repro.core.meet`, answered before it starts), or the
+  label-blind :class:`~repro.approx.bounds.BoundsIndex`
   says ``t`` is unreachable from ``s``, the answer is False.  Sound
   because every LSCR witness path is in particular an ``s -> t`` path
   under ``L``.

@@ -1,14 +1,14 @@
 """Definite-Yes lower bound: an LRU cache of verified witness paths.
 
 When the exact evaluators answer True, the router remembers the witness
-path here, keyed by the planner's canonical query key — the path UIS*
-walked (``QueryResult.witness``), or one extracted with
+path here, keyed by the planner's canonical query key — the path the
+search walked (``QueryResult.witness``), or one extracted with
 :func:`repro.core.witness.find_witness` for a producer that returned
 none.  A later repeat of the
 same query re-validates the remembered path against the *current* graph
 — edge existence, labels within ``L``, the satisfying vertex still
 satisfying ``S`` — which costs a handful of dictionary probes plus one
-single-vertex substructure match, orders of magnitude below INS/UIS*.
+single-vertex substructure match, orders of magnitude below a search.
 
 Because every hit re-verifies against the live snapshot, the cache is
 deliberately **not** epoch-scoped: it survives epoch swaps, and entries

@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--index",
         default=None,
         help="local index JSON for --graph (built and saved there if missing; "
-        "omit to serve index-free with the fallback algorithm)",
+        "omit to serve index-free: every algorithm but 'ins')",
     )
     serve.add_argument(
         "--tenant",

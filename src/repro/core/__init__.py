@@ -1,10 +1,12 @@
 """LSCR query algorithms: UIS (Alg. 1), UIS* (Alg. 2), INS (Alg. 4),
-the naive two-procedure baseline of Section 3, and shared plumbing."""
+the naive two-procedure baseline of Section 3, the bidirectional Meet
+kernel the service runs by default (ours), and shared plumbing."""
 
 from repro.core.base import LSCRAlgorithm
 from repro.core.close import CloseMap, F, N, T
 from repro.core.ins import INS
 from repro.core.lcr import bfs_distance_ring, lcr_closure, lcr_closure_limited, lcr_reachable
+from repro.core.meet import MeetSearch
 from repro.core.naive import NaiveTwoProcedure
 from repro.core.query import LSCRQuery
 from repro.core.result import QueryResult, ResultAggregate
@@ -18,6 +20,7 @@ __all__ = [
     "INS",
     "LSCRAlgorithm",
     "LSCRQuery",
+    "MeetSearch",
     "N",
     "NaiveTwoProcedure",
     "QueryResult",

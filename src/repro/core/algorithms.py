@@ -9,10 +9,12 @@ drift between them.
 from __future__ import annotations
 
 import inspect
+import random
 from typing import Any
 
 from repro.core.base import LSCRAlgorithm
 from repro.core.ins import INS
+from repro.core.meet import MeetSearch
 from repro.core.naive import NaiveTwoProcedure
 from repro.core.uis import UIS
 from repro.core.uis_star import UISStar
@@ -24,20 +26,27 @@ ALGORITHMS: dict[str, type[LSCRAlgorithm]] = {
     "uis": UIS,
     "uis*": UISStar,
     "ins": INS,
+    "meet": MeetSearch,
     "naive": NaiveTwoProcedure,
 }
 
 
-def make_algorithm(name: str, graph: KnowledgeGraph, **search: Any) -> LSCRAlgorithm:
+def make_algorithm(
+    name: str, graph: KnowledgeGraph, *, seed: int | None = None, **search: Any
+) -> LSCRAlgorithm:
     """Construct the evaluator registered under ``name`` on ``graph``.
 
-    ``search`` offers the optional collaborators (``index``, ``rng``,
+    ``search`` offers the optional collaborators (``index``,
     ``candidate_cache``); each evaluator receives the ones its
     constructor declares, so a caller need not know which of them UIS*
-    or INS takes and UIS does not.
+    or INS takes and UIS does not.  ``seed`` becomes the shuffle
+    ``rng`` of an evaluator that declares one (UIS*/INS — the paper's
+    disordered ``V(S, G)``); no other evaluator is handed a generator.
     """
     evaluator = ALGORITHMS[name]
     accepted = inspect.signature(evaluator).parameters
+    if seed is not None and "rng" in accepted:
+        search["rng"] = random.Random(seed)
     return evaluator(
         graph, **{key: value for key, value in search.items() if key in accepted}
     )

@@ -1,9 +1,9 @@
-"""Common driver for the four LSCR algorithms.
+"""Common driver for the LSCR algorithms.
 
 :class:`LSCRAlgorithm` resolves the query's vertex names and label mask,
 times the run, and packages the telemetry every concrete algorithm
 produces into a :class:`~repro.core.result.QueryResult`, so UIS / UIS* /
-INS / the naive baseline differ only in their ``_run`` method.  All
+INS / the naive baseline / Meet differ only in their ``_run`` method.  All
 algorithms answer the same Boolean question of Definition 2.4 and are
 interchangeable; the benchmark harness iterates over them by this
 interface.
@@ -13,18 +13,36 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
+from collections.abc import Sequence, Set
 
 from repro.core.query import LSCRQuery
 from repro.core.result import QueryResult
 from repro.graph.labeled_graph import KnowledgeGraph
 
-__all__ = ["LSCRAlgorithm"]
+__all__ = ["LSCRAlgorithm", "satisfying_vertices"]
+
+
+def satisfying_vertices(
+    query: LSCRQuery, graph: KnowledgeGraph, candidate_cache: object | None
+) -> tuple[Sequence[int], Set[int]]:
+    """``V(S, G)`` in the SPARQL engine's order, and as a set to probe.
+
+    With a :class:`~repro.service.cache.CandidateCache` both are the
+    cached entry's (immutable, shared by every query that reuses the
+    constraint); without one the engine runs and the set is built for
+    this call.
+    """
+    if candidate_cache is not None:
+        cached = candidate_cache.get(query.constraint, graph)
+        return cached, cached.members
+    candidates = query.constraint.satisfying_vertices(graph)
+    return candidates, frozenset(candidates)
 
 
 class LSCRAlgorithm(ABC):
     """Template for answering :class:`LSCRQuery` on one graph."""
 
-    #: Short display name used in result tables ("UIS", "UIS*", "INS", ...).
+    #: Short display name used in result tables ("UIS", "UIS*", "INS", "Meet", ...).
     name: str = "?"
 
     def __init__(self, graph: KnowledgeGraph) -> None:

@@ -34,7 +34,7 @@ import heapq
 import random
 import time
 
-from repro.core.base import LSCRAlgorithm
+from repro.core.base import LSCRAlgorithm, satisfying_vertices
 from repro.core.close import CloseMap, F, N, T
 from repro.core.query import LSCRQuery
 from repro.exceptions import IndexingError
@@ -163,10 +163,11 @@ class INS(LSCRAlgorithm):
         index = self.index
 
         vsg_started = time.perf_counter()
-        if self.candidate_cache is not None:               # cache / SPARQL engine
-            candidates = list(self.candidate_cache.get(query.constraint, graph))
-        else:
-            candidates = query.constraint.satisfying_vertices(graph)
+        # The SPARQL engine, or the shared cache in front of it.
+        candidates, candidate_set = satisfying_vertices(
+            query, graph, self.candidate_cache
+        )
+        candidates = list(candidates)       # ours to order; the cache's is shared
         vsg_seconds = time.perf_counter() - vsg_started
         if self.rng is not None:
             self.rng.shuffle(candidates)
@@ -190,7 +191,6 @@ class INS(LSCRAlgorithm):
             telemetry["index_resolutions"] = index_resolutions
             return verdict, telemetry
 
-        candidate_set = set(candidates)
         if source == target and source in candidate_set:
             return finish(True)
 

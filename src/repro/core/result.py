@@ -30,11 +30,12 @@ class QueryResult:
     passed_vertices: int
     #: ``SCck`` invocations (UIS; zero for the V(S,G)-based algorithms).
     scck_calls: int = 0
-    #: Size of ``V(S, G)`` (UIS*/INS; -1 when not computed).
+    #: Size of ``V(S, G)`` (UIS*/INS/Meet; -1 when not computed).
     vsg_size: int = -1
     #: Seconds spent obtaining ``V(S, G)`` via the SPARQL engine.
     vsg_seconds: float = 0.0
-    #: Invocations of the ``LCS`` subroutine (UIS*/INS).
+    #: Invocations of the ``LCS`` subroutine (UIS*/INS); for Meet, the
+    #: plain-LCR legs its legs plan ran (0: the meet plan).
     lcs_calls: int = 0
     #: Vertices resolved from the local index instead of traversal (INS:
     #: sum of ``Cut`` marks, ``Push`` enqueues and ``Check`` hits).
@@ -46,7 +47,7 @@ class QueryResult:
     #: but never unreachable, so ``answer=False`` degrades to "unknown".
     degraded: dict | None = None
     #: The path a True answer was proved by, when the evaluator walked
-    #: one (UIS*); None otherwise.  Evidence, not part of the answer:
+    #: one (UIS*, Meet); None otherwise.  Evidence, not part of the answer:
     #: excluded from equality and never serialised by the service.
     witness: WitnessPath | None = field(default=None, compare=False, repr=False)
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 import time
 
-from repro.core.base import LSCRAlgorithm
+from repro.core.base import LSCRAlgorithm, satisfying_vertices
 from repro.core.close import F, N, T
 from repro.core.query import LSCRQuery
 from repro.core.witness import WitnessPath
@@ -65,12 +65,6 @@ class UISStar(LSCRAlgorithm):
         #: set, repeated constraints skip the SPARQL engine entirely.
         self.candidate_cache = candidate_cache
 
-    def _candidates(self, query: LSCRQuery) -> list[int]:
-        """``V(S, G)`` — through the shared candidate cache when present."""
-        if self.candidate_cache is not None:
-            return list(self.candidate_cache.get(query.constraint, self.graph))
-        return query.constraint.satisfying_vertices(self.graph)
-
     def _run(
         self,
         source: int,
@@ -81,7 +75,11 @@ class UISStar(LSCRAlgorithm):
         graph = self.graph
 
         vsg_started = time.perf_counter()
-        candidates = self._candidates(query)              # SPARQL engine / cache
+        # The SPARQL engine, or the shared cache in front of it.
+        candidates, members = satisfying_vertices(
+            query, graph, self.candidate_cache
+        )
+        candidates = list(candidates)       # ours to order; the cache's is shared
         vsg_seconds = time.perf_counter() - vsg_started
         if self.rng is not None:
             self.rng.shuffle(candidates)
@@ -134,7 +132,7 @@ class UISStar(LSCRAlgorithm):
 
         # Trivial path <s>: s == t and s satisfies S (README.md, "the
         # trivial path s = t").
-        if source == target and source in candidates:
+        if source == target and source in members:
             return finish(source)
 
         def lcs(s_star: int, t_star: int, mode: int) -> bool:     # lines 14-24

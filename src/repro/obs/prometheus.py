@@ -496,7 +496,7 @@ def render_service_metrics(
                      "Uncertain-band queries that ran the exact evaluators",
                      labels, approx.get("exact_fallthrough", 0))
         families.add("repro_approx_short_circuit_rate", "gauge",
-                     "Fraction of routed queries settled without INS/UIS*",
+                     "Fraction of routed queries settled without an evaluator",
                      labels, approx.get("short_circuit_rate", 0.0))
         families.add("repro_approx_answers_total", "counter",
                      "Best-effort answers served in mode=approximate",

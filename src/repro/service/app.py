@@ -22,9 +22,10 @@ requests:
   queries, a :class:`CandidateCache` memoising ``V(S, G)`` per canonical
   constraint, and a lazily populated pool of per-algorithm
   :class:`LSCRSession`\\ s (per-query search state lives inside each
-  ``answer`` call, so one session per algorithm serves every thread;
-  the only shared mutable piece is the shuffle rng, whose interleaving
-  affects traversal-order telemetry, never answers);
+  ``answer`` call, so one session per algorithm serves every thread.
+  The default ``meet`` session shares nothing mutable between queries;
+  a forced ``uis*`` / ``ins`` session shares its shuffle rng, whose
+  interleaving affects traversal-order telemetry, never answers);
 * a process-wide :class:`ConstraintCache` (parsing is graph-independent);
 * a :class:`BatchExecutor` for ``POST /batch`` fan-out and a
   :class:`ServiceStats` ledger for ``GET /stats``.
@@ -204,7 +205,7 @@ class QueryService:
     ) -> "QueryService":
         """Warm-start a service from a TSV graph and a persisted index.
 
-        ``index_path=None`` serves index-free (UIS*/UIS fallback).  A
+        ``index_path=None`` serves index-free (no ``"algorithm": "ins"``).  A
         given-but-missing ``index_path`` builds the index at startup
         (``landmark_count`` landmarks, chosen by ``seed``) and persists
         it there, so the *next* start is warm — the service counterpart
@@ -940,9 +941,10 @@ class QueryService:
         if result.answer and result.degraded is None:
             # A True exact answer certifies a witness path exists; keep
             # it so the next repeat is a definite-Yes without touching
-            # an evaluator.  UIS* hands over the path it walked; only a
-            # producer without one (the scatter-gather coordinator, a
-            # configured non-UIS* default) costs an extraction search.
+            # an evaluator.  The default kernel (and UIS*) hands over the
+            # path it walked; only a producer without one (the
+            # scatter-gather coordinator, a configured UIS / INS / naive
+            # default) costs an extraction search.
             with span("witness-extract") as witness_span:
                 source = router.remember_witness(plan, epoch, result)
                 witness_span.set(stored=source is not None, source=source)

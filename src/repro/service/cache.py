@@ -12,10 +12,10 @@ one-shot ``LSCRSession.ask`` pays on every call:
   process (the paper's Table 3 workloads reuse five constraint texts
   across thousands of queries);
 * :class:`CandidateCache` — computed ``V(S, G)`` satisfying-vertex
-  tuples keyed on the constraint's canonical SPARQL, so UIS*/INS stop
-  re-running the SPARQL engine for every query that reuses a constraint
-  with different endpoints or labels — on workload-shaped traffic that
-  is almost all of them.
+  tuples keyed on the constraint's canonical SPARQL, so the evaluators
+  stop re-running the SPARQL engine — and rebuilding a membership set —
+  for every query that reuses a constraint with different endpoints or
+  labels — on workload-shaped traffic that is almost all of them.
 
 All are thread-safe (critical sections are O(1) dict/OrderedDict
 operations plus, for the constraint cache, the one-time parse) and
@@ -45,6 +45,7 @@ __all__ = [
     "ResultCache",
     "ConstraintCache",
     "CandidateCache",
+    "Candidates",
     "DEFAULT_CACHE_SIZE",
 ]
 
@@ -319,14 +320,27 @@ class ConstraintCache:
             )
 
 
+class Candidates(tuple):
+    """One ``V(S, G)``: the vertex ids in the SPARQL engine's order, and
+    the same ids as :attr:`members` for O(1) membership tests — built
+    here, once per cached entry, so that no query builds a set."""
+
+    members: frozenset[int]
+
+    def __new__(cls, vertices: Iterable[int]) -> "Candidates":
+        self = super().__new__(cls, vertices)
+        self.members = frozenset(self)
+        return self
+
+
 class CandidateCache(_EpochCache):
-    """Compute-once LRU cache of ``V(S, G)`` satisfying-vertex tuples.
+    """Compute-once LRU cache of ``V(S, G)`` as :class:`Candidates`.
 
     Keyed on the constraint's canonical SPARQL rendering (the same
     canonicalisation the planner's result-cache key uses), so formatting
-    variants of one constraint share an entry.  Values are immutable
-    tuples — UIS*/INS copy to a list before shuffling, and the tuple is
-    safe to hand to any number of threads.
+    variants of one constraint share an entry.  Values are immutable —
+    UIS*/INS copy to a list before shuffling, and both the tuple and its
+    ``members`` are safe to hand to any number of threads.
 
     Unlike the constraint cache's one-time parse, a ``V(S, G)``
     evaluation can take real time, so a miss computes *outside* the
@@ -354,10 +368,8 @@ class CandidateCache(_EpochCache):
         behind: they read the old graph."""
         return CandidateCache(self.max_size)._inherit(self)
 
-    def get(
-        self, constraint: SubstructureConstraint, graph: Any
-    ) -> tuple[int, ...]:
-        """The satisfying-vertex tuple for ``constraint`` on ``graph``.
+    def get(self, constraint: SubstructureConstraint, graph: Any) -> Candidates:
+        """The satisfying vertices of ``constraint`` on ``graph``.
 
         When a trace is active the lookup appears as a
         ``candidate-cache`` span reporting hit/miss and ``|V(S, G)|`` —
@@ -370,12 +382,12 @@ class CandidateCache(_EpochCache):
 
     def _lookup(
         self, constraint: SubstructureConstraint, graph: Any
-    ) -> tuple[tuple[int, ...], bool]:
+    ) -> tuple[Candidates, bool]:
         counts = self._counts
         if self.max_size == 0:
             with self._lock:
                 counts.misses += 1
-            return tuple(constraint.satisfying_vertices(graph)), False
+            return Candidates(constraint.satisfying_vertices(graph)), False
         key = constraint.to_sparql()
         with self._lock:
             cached = self._entries.get(key)
@@ -396,9 +408,9 @@ class CandidateCache(_EpochCache):
             if slot[0] is not None:
                 return slot[0], False
             # Leader failed; evaluate independently (rare error path).
-            return tuple(constraint.satisfying_vertices(graph)), False
+            return Candidates(constraint.satisfying_vertices(graph)), False
         try:
-            candidates = tuple(constraint.satisfying_vertices(graph))
+            candidates = Candidates(constraint.satisfying_vertices(graph))
         except BaseException:
             with self._lock:
                 self._pending.pop(key, None)

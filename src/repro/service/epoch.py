@@ -54,7 +54,7 @@ from repro.index.local_index import LocalIndex
 from repro.obs.trace import span
 from repro.service.cache import CandidateCache, ConstraintCache, ResultCache
 from repro.service.options import ServiceOptions
-from repro.service.planner import QueryPlanner
+from repro.service.planner import DEFAULT_ALGORITHM, QueryPlanner
 from repro.session import LSCRSession
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -275,7 +275,7 @@ def _planner(
         graph,
         constraints,
         has_index=index is not None,
-        default_algorithm=options.algorithm or "uis*",
+        default_algorithm=options.algorithm or DEFAULT_ALGORITHM,
     )
 
 

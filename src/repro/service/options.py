@@ -115,7 +115,7 @@ OPTIONS: tuple[Option, ...] = (
            help="landmark count when building"),
     Option("seed", int, 0, flag="--seed"),
     Option("algorithm", str, choices=tuple(sorted(ALGORITHMS)), flag="--algorithm",
-           help="run every request on one algorithm (default: uis*, with or "
+           help="run every request on one algorithm (default: meet, with or "
            "without an index; 'ins' needs --index and is also selectable per "
            "request)"),
     Option("cache_size", int, DEFAULT_CACHE_SIZE, ge=0, flag="--cache-size",

@@ -19,14 +19,16 @@ before any algorithm runs.  Planning does three jobs:
   answers true — README.md, *Semantics and resolved
   under-specifications*).  Note ``s = t`` alone is *not* trivial — a
   cycle through a satisfying vertex may still exist;
-* **pick an algorithm** — the configured default, UIS* unless
-  ``serve --algorithm`` says otherwise; an explicit per-request
-  override wins after validation.  A loaded index does not change the
-  default: linear UIS* behind the candidate cache measures cheaper than
-  INS on every workload the ladder runs (README, "Choosing an
-  algorithm"; the ladder's ``core.ins.ms_per_query`` /
-  ``core.uis_star.ms_per_query`` pair keeps watching), so INS runs when
-  a request or the operator asks for it.
+* **pick an algorithm** — the configured default, the bidirectional
+  ``meet`` kernel (:mod:`repro.core.meet`) unless ``serve --algorithm``
+  says otherwise; an explicit per-request override wins after
+  validation.  A loaded index does not change the default: ``meet``
+  measures cheaper than UIS*, and UIS* cheaper than INS, on every
+  workload the ladder runs (README, "Choosing an algorithm"), so the
+  paper's UIS, UIS* and INS run when a request or the operator asks for
+  them.  Which of its two plans ``meet`` runs depends on ``|V(S, G)|``
+  and is the evaluator's call, not made here: planning happens ahead of
+  the result cache on every request and takes no ``V(S, G)`` lookup.
 
 Planners are stateless apart from the shared
 :class:`~repro.service.cache.ConstraintCache`, hence safe to call from
@@ -53,7 +55,17 @@ from repro.graph.labeled_graph import KnowledgeGraph
 from repro.obs.trace import span
 from repro.service.cache import ConstraintCache
 
-__all__ = ["CanonicalKey", "QueryPlan", "QueryPlanner", "TRIVIAL"]
+__all__ = [
+    "CanonicalKey",
+    "DEFAULT_ALGORITHM",
+    "QueryPlan",
+    "QueryPlanner",
+    "TRIVIAL",
+]
+
+#: What runs when neither the request nor ``serve --algorithm`` names an
+#: evaluator (a key of :data:`repro.core.algorithms.ALGORITHMS`).
+DEFAULT_ALGORITHM = "meet"
 
 #: ``(source, target, sorted labels, canonical constraint SPARQL)``.
 CanonicalKey = tuple[str, str, tuple[str, ...], str]
@@ -97,7 +109,7 @@ class QueryPlanner:
         constraints: ConstraintCache | None = None,
         *,
         has_index: bool = False,
-        default_algorithm: str = "uis*",
+        default_algorithm: str = DEFAULT_ALGORITHM,
     ) -> None:
         if default_algorithm not in ALGORITHMS:
             raise ServiceConfigError(
@@ -111,6 +123,13 @@ class QueryPlanner:
         self.has_index = has_index
         #: What runs when the request does not name an algorithm.
         self.default_algorithm = default_algorithm
+        #: ... and the ``reason`` such a plan carries.
+        self._default_reason = (
+            f"{default_algorithm} is the measured-cheapest evaluator; "
+            "request 'ins' to use the index"
+            if has_index and default_algorithm == DEFAULT_ALGORITHM
+            else f"configured default {default_algorithm!r}"
+        )
 
     # ------------------------------------------------------------------
 
@@ -198,19 +217,14 @@ class QueryPlanner:
         query = LSCRQuery(
             source=source, target=target, labels=labels, constraint=constraint
         )
-        if algorithm is not None:
-            reason = f"requested algorithm {chosen!r}"
-        elif chosen == "uis*" and self.has_index:
-            reason = (
-                "uis* is the measured-cheaper evaluator; "
-                "request 'ins' to use the index"
-            )
-        else:
-            reason = f"configured default {chosen!r}"
         return QueryPlan(
             key=key,
             algorithm=chosen,
-            reason=reason,
+            reason=(
+                self._default_reason
+                if algorithm is None
+                else f"requested algorithm {chosen!r}"
+            ),
             query=query,
             forced=algorithm is not None,
         )

@@ -15,7 +15,6 @@ True
 
 from __future__ import annotations
 
-import random
 from collections.abc import Hashable, Iterable
 
 from repro.constraints.label_constraint import LabelConstraint
@@ -53,22 +52,24 @@ class LSCRSession:
         self.graph = graph
         self.algorithm_name = algorithm
         # Seed rule: every source of randomness in the session — landmark
-        # selection for the INS index build and candidate shuffling in
-        # UIS*/INS — derives from the single ``seed`` argument, with
-        # ``None`` meaning the deterministic default 0.  Two sessions
-        # constructed with equal arguments therefore build identical
-        # indexes and return identical Boolean answers.  The shuffle rng
-        # is shared across queries, so traversal-order telemetry
+        # selection for the INS index build and the candidate shuffle of
+        # the evaluators that take one (UIS*/INS, the paper's "disordered
+        # set") — derives from the single ``seed`` argument, with ``None``
+        # meaning the deterministic default 0.  Two sessions constructed
+        # with equal arguments therefore build identical indexes and
+        # return identical Boolean answers.  A shuffle rng is shared
+        # across queries, so the traversal-order telemetry of UIS*/INS
         # (passed_vertices and friends) is reproducible only for serial
         # execution: under answer_many's concurrency, thread scheduling
-        # decides which query consumes which rng draws.
+        # decides which query consumes which rng draws.  An evaluator
+        # that declares no ``rng`` (UIS, naive, the serving default
+        # "meet") gets none and shares nothing mutable between queries.
         self.seed: int = 0 if seed is None else seed
-        rng = random.Random(self.seed)
         self._constraint_cache = (
             constraint_cache if constraint_cache is not None else ConstraintCache()
         )
-        #: Shared V(S,G) memo for UIS*/INS (the service passes its own so
-        #: every pooled session reuses one computation per constraint).
+        #: Shared V(S,G) memo (the service passes its own so every pooled
+        #: session reuses one computation per constraint).
         self._candidate_cache = candidate_cache
         if algorithm == "ins" and index is None:
             index = build_local_index(graph, k=landmark_count, rng=self.seed)
@@ -76,8 +77,8 @@ class LSCRSession:
         self._algorithm = make_algorithm(
             algorithm,
             graph,
+            seed=self.seed,
             index=self.index,
-            rng=rng,
             candidate_cache=candidate_cache,
         )
 
@@ -141,9 +142,9 @@ class LSCRSession:
         replacement for the loop, not a speedup of it: the evaluators
         are Python, and under the interpreter lock the searches take
         turns.  Threads pay when members *wait* (one ``V(S, G)`` being
-        computed while the others queue behind it); only shuffle-order
-        telemetry can vary run to run (see the seed rule in
-        :meth:`__init__`).
+        computed while the others queue behind it); only the
+        shuffle-order telemetry of UIS*/INS can vary run to run (see the
+        seed rule in :meth:`__init__`).
         """
         return BatchExecutor(max_workers=max_workers).run(self, queries)
 

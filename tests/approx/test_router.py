@@ -51,10 +51,31 @@ class TestShortCircuits:
         assert result.algorithm == "bounds"
         assert service.approx.stats()["short_circuit_no_mask"] == 1
 
+    def test_label_mask_no_is_the_kernels_empty_frontier(self, service):
+        # Every pair the O(1) tests settle, the default kernel (forced,
+        # so the router stands aside) settles the same way.
+        vertices, settled = ["s", "m", "t", "u"], 0
+        for labels in (["go"], ["mark"], ["go", "mark"]):
+            for source in vertices:
+                for target in vertices:
+                    routed, _ = service.query(
+                        source, target, labels, MARK, use_cache=False
+                    )
+                    if routed.algorithm != "bounds":
+                        continue
+                    forced, _ = service.query(
+                        source, target, labels, MARK,
+                        algorithm="meet", use_cache=False,
+                    )
+                    assert forced.algorithm == "Meet"
+                    assert forced.answer is routed.answer is False
+                    settled += 1
+        assert settled >= service.approx.stats()["short_circuit_no_mask"] > 0
+
     def test_witness_answers_repeat_true_queries(self, service):
         first, _ = service.query("s", "t", ["go"], MARK, use_cache=False)
         assert first.answer is True
-        assert first.algorithm in ("UIS*", "UIS", "INS", "naive")
+        assert first.algorithm == "Meet"
         second, meta = service.query("s", "t", ["go"], MARK, use_cache=False)
         assert second.answer is True
         assert second.algorithm == "witness"
@@ -123,7 +144,7 @@ SPEC = {"source": "s", "target": "t", "labels": ["go"], "constraint": MARK}
 class TestWitnessComesFromTheSearch:
     def test_exact_fallthrough_stores_the_walked_path(self, service, no_second_search):
         document = service.handle_query(SPEC, trace=True)
-        assert document["answer"] is True and document["algorithm"] == "UIS*"
+        assert document["answer"] is True and document["algorithm"] == "Meet"
         extract = _span(document["trace"], "witness-extract")
         assert extract["attrs"] == {"stored": True, "source": "search"}
         cache = service.approx.stats()["witness_cache"]
@@ -163,7 +184,7 @@ class TestWitnessComesFromTheSearch:
         try:
             first, _ = svc.query("s", "t", ["go"], MARK)
             second, _ = svc.query("s", "t", ["go"], MARK)
-            assert first.algorithm == second.algorithm == "UIS*"
+            assert first.algorithm == second.algorithm == "Meet"
             assert svc.approx.stats()["witness_cache"]["stored_from_search"] == 0
         finally:
             svc.close()

@@ -20,6 +20,7 @@ import pytest
 from repro.constraints.label_constraint import LabelConstraint
 from repro.constraints.substructure import SubstructureConstraint
 from repro.core.ins import _COMPACT_MIN_HEAP, _LazyPriorityQueue, INS
+from repro.core.meet import MeetSearch
 from repro.core.naive import NaiveTwoProcedure
 from repro.core.query import LSCRQuery
 from repro.core.uis import UIS
@@ -72,6 +73,8 @@ class TestFrozenAlgorithmAgreement:
             # must accept it against the snapshot.
             INS(frozen, index),
             INS(frozen, index, candidate_cache=CandidateCache()),
+            MeetSearch(frozen),
+            MeetSearch(frozen, candidate_cache=CandidateCache()),
             NaiveTwoProcedure(frozen),
         ]
         for query in queries:
@@ -108,6 +111,31 @@ class TestCandidateCache:
         stats = cache.stats()
         assert stats.hits == 1 and stats.misses == 1
         assert constraint in cache
+
+    def test_an_entry_carries_its_membership_view(self):
+        graph, queries = make_workload(3)
+        cache = CandidateCache()
+        constraint = queries[0].constraint
+        first = cache.get(constraint, graph)
+        assert first.members == frozenset(first)
+        # Built with the entry, not per lookup.
+        assert cache.get(constraint, graph).members is first.members
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_trivial_path_is_a_set_probe_for_uis_star_and_ins(self, cached):
+        # s == t and s satisfies S: both evaluators answer from the
+        # membership view (the cache's, or one built for the call).
+        graph, _ = make_workload(3)
+        constraint = SubstructureConstraint.from_sparql(
+            "SELECT ?x WHERE { ?x <l0> ?y . }"
+        )
+        inside = graph.name_of(constraint.satisfying_vertices(graph)[-1])
+        query = LSCRQuery.create(inside, inside, ["l1"], constraint)
+        index = build_local_index(graph, k=3, rng=0)
+        for make in (UISStar, lambda g, **kw: INS(g, index, **kw)):
+            cache = CandidateCache() if cached else None
+            result = make(graph, candidate_cache=cache).answer(query)
+            assert result.answer is True and result.passed_vertices <= 1
 
     def test_equivalent_spellings_share_an_entry(self):
         graph, _ = make_workload(4)

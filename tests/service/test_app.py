@@ -34,11 +34,11 @@ class TestQuery:
     def test_basic_true_false(self, service):
         result, meta = service.query("v0", "v4", LABELS, S0)
         assert result.answer is True
-        assert result.algorithm == "UIS*"      # a loaded index does not change the default
+        assert result.algorithm == "Meet"      # a loaded index does not change the default
         assert meta == {
             "cached": False,
             "trivial": False,
-            "reason": "uis* is the measured-cheaper evaluator; "
+            "reason": "meet is the measured-cheapest evaluator; "
                       "request 'ins' to use the index",
             "epoch": 0,
             "source": "evaluated",
@@ -72,7 +72,7 @@ class TestQuery:
 
     def test_fallback_without_index(self, plain_service):
         result, _ = plain_service.query("v0", "v4", LABELS, S0)
-        assert result.algorithm == "UIS*"
+        assert result.algorithm == "Meet"
 
     def test_algorithm_override(self, service):
         result, meta = service.query("v0", "v4", LABELS, S0, algorithm="uis")
@@ -149,7 +149,7 @@ class TestJsonApi:
         payload = {"source": "v0", "target": "v4", "labels": LABELS, "constraint": S0}
         document = service.handle_query(payload)
         assert document["answer"] is True
-        assert document["algorithm"] == "UIS*"
+        assert document["algorithm"] == "Meet"
         assert document["cached"] is False
 
     def test_handle_query_accepts_comma_labels(self, service):
@@ -241,7 +241,7 @@ class TestJsonApi:
         assert document["result_cache"]["hits"] == 1
         assert document["constraint_cache"]["misses"] == 1
         assert document["index"]["loaded"] is True
-        assert document["config"]["default_algorithm"] == "uis*"
+        assert document["config"]["default_algorithm"] == "meet"
 
 
 class TestFromFiles:
@@ -266,7 +266,7 @@ class TestFromFiles:
         save_local_index(build_local_index(graph, k=2, rng=0), index_path)
         service = QueryService.from_files(graph_path, index_path, seed=0)
         assert service.index is not None
-        assert service.default_algorithm == "uis*"
+        assert service.default_algorithm == "meet"
         # ... and the loaded index is what a per-request 'ins' runs on.
         result, _ = service.query("v0", "v4", LABELS, S0, algorithm="ins")
         assert result.algorithm == "INS" and result.answer is True
@@ -276,7 +276,7 @@ class TestFromFiles:
         dump_tsv(graph, graph_path)
         service = QueryService.from_files(graph_path, seed=0)
         assert service.index is None
-        assert service.default_algorithm == "uis*"
+        assert service.default_algorithm == "meet"
 
     def test_missing_graph_rejected(self, tmp_path):
         with pytest.raises(ServiceConfigError, match="graph file not found"):

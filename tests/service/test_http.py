@@ -82,7 +82,7 @@ class TestEndpoints:
         status, document = http_post(f"{base_url}/query", spec("v0", "v4"))
         assert status == 200
         assert document["answer"] is True
-        assert document["algorithm"] == "UIS*"
+        assert document["algorithm"] == "Meet"
         status, document = http_post(f"{base_url}/query", spec("v0", "v3"))
         assert status == 200
         assert document["answer"] is False
@@ -137,7 +137,8 @@ def all_keys(document) -> set[str]:
 
 
 class TestDefaultRoute:
-    """UIS* is the default with or without an index; INS is opt-in."""
+    """The meet kernel is the default with or without an index; the
+    paper's evaluators run when a request names them."""
 
     QUERY_KEYS = {"answer", "algorithm", "seconds", "passed_vertices", "cached",
                   "trivial", "reason", "epoch", "source", "tier"}
@@ -156,9 +157,15 @@ class TestDefaultRoute:
             _, stats = http_get(f"{base_url}/stats")
             _, slow = http_get(f"{base_url}/debug/slow")
             _, health = http_get(f"{base_url}/healthz")
-        # The answer was proved by a walked path and that path is cached ...
-        assert query["answer"] is True and query["algorithm"] == "UIS*"
-        assert stats["approx"]["witness_cache"]["stored_from_search"] >= 1
+        # The answer was proved by a walked path and that path is cached
+        # without a second search ...
+        assert query["answer"] is True and query["algorithm"] == "Meet"
+        # (the batch's repeat is the cached path re-verified, its other
+        # member a search of its own)
+        assert [entry["algorithm"] for entry in batch["results"]] == ["witness", "Meet"]
+        witness_cache = stats["approx"]["witness_cache"]
+        assert witness_cache["stored_from_search"] >= 1
+        assert witness_cache["stored_by_extraction"] == 0
         # ... but no body grew a field for it.
         assert set(query) == self.QUERY_KEYS
         assert all(set(entry) == self.QUERY_KEYS for entry in batch["results"])
@@ -167,8 +174,8 @@ class TestDefaultRoute:
             assert "witness" not in all_keys(body)
         # (/stats has a "witness" cell: the tier's row in the algorithm table.)
         assert "satisfying_vertex" not in all_keys(stats)
-        assert health["default_algorithm"] == "uis*"
-        assert stats["config"]["default_algorithm"] == "uis*"
+        assert health["default_algorithm"] == "meet"
+        assert stats["config"]["default_algorithm"] == "meet"
         assert stats["index"]["loaded"] is True        # still built and served
 
     def test_ins_runs_when_the_request_names_it(self, base_url):
@@ -178,6 +185,16 @@ class TestDefaultRoute:
         assert status == 200
         assert document["answer"] is True and document["algorithm"] == "INS"
         assert "requested" in document["reason"]
+
+    def test_uis_star_still_runs_when_the_request_names_it(self, base_url):
+        for path, body in (
+            ("/query", spec("v0", "v4", algorithm="uis*")),
+            ("/batch", {"queries": [spec("v0", "v4", algorithm="uis*", use_cache=False)]}),
+        ):
+            status, document = http_post(f"{base_url}{path}", body)
+            assert status == 200
+            reply = document["results"][0] if path == "/batch" else document
+            assert reply["answer"] is True and reply["algorithm"] == "UIS*"
 
     def test_ins_without_an_index_is_still_a_400(self):
         with running_server(QueryService(figure3_graph(), seed=0)) as base_url:

@@ -96,11 +96,11 @@ class TestTenantRoutes:
         status, document = http_request(f"{base_url}/t/alpha/query", spec("v0", "v4"))
         assert status == 200
         assert document["answer"] is True
-        assert document["algorithm"] == "UIS*"       # alpha's index is opt-in
+        assert document["algorithm"] == "Meet"       # alpha's index is opt-in
         status, document = http_request(f"{base_url}/t/beta/query", BETA_SPEC)
         assert status == 200
         assert document["answer"] is True
-        assert document["algorithm"] == "UIS*"       # beta has no index
+        assert document["algorithm"] == "Meet"       # beta has no index
         # alpha's vertices mean nothing to beta: trivially false there.
         status, document = http_request(
             f"{base_url}/t/beta/query", spec("v0", "v4")
@@ -194,7 +194,7 @@ class TestAggregateEndpoints:
         assert document["totals"]["queries"]["cached"] == 1
         algorithms = document["totals"]["algorithms"]
         assert "INS" not in algorithms
-        assert algorithms["UIS*"]["count"] == 2      # one evaluation per tenant
+        assert algorithms["Meet"]["count"] == 2      # one evaluation per tenant
 
     def test_tenants_listing(self, base_url):
         status, document = http_get(f"{base_url}/tenants")

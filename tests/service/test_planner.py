@@ -91,15 +91,15 @@ class TestTrivialAnswers:
 class TestAlgorithmChoice:
     def test_default_without_index(self, planner):
         plan = planner.plan("v0", "v4", LABELS, S0)
-        assert plan.algorithm == "uis*"
-        assert plan.reason == "configured default 'uis*'"
+        assert plan.algorithm == "meet"
+        assert plan.reason == "configured default 'meet'"
         assert not plan.forced
 
     def test_ins_with_index(self, indexed_planner):
         # A loaded index no longer changes the default route ...
         plan = indexed_planner.plan("v0", "v4", LABELS, S0)
-        assert plan.algorithm == "uis*"
-        assert "measured-cheaper" in plan.reason and "'ins'" in plan.reason
+        assert plan.algorithm == "meet"
+        assert "measured-cheapest" in plan.reason and "'ins'" in plan.reason
         assert not plan.forced
         # ... it is what makes a per-request 'ins' runnable.
         plan = indexed_planner.plan("v0", "v4", LABELS, S0, algorithm="ins")

@@ -46,7 +46,7 @@ class TestQueryTrace:
         assert trace["seconds"] >= 0.0
         assert _names(trace) == ["plan", "result-cache", "execute"]
         plan = _child(trace, "plan")
-        assert plan["attrs"]["algorithm"] == "uis*"
+        assert plan["attrs"]["algorithm"] == "meet"
         assert plan["attrs"]["trivial"] is False
         assert _child(trace, "result-cache")["attrs"] == {"hit": False}
         execute = _child(trace, "execute")
@@ -161,7 +161,7 @@ class TestFlightRecorderIntegration:
         entry = entries[0]
         assert entry["query"]["source"] == "v0"
         assert entry["query"]["target"] == "v4"
-        assert entry["algorithm"] == "UIS*"
+        assert entry["algorithm"] == "Meet"
         assert entry["answer"] is True
         assert entry["trace"] is None and entry["trace_id"] is None
         assert entry["meta"]["source"] == "evaluated"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.core.algorithms import ALGORITHMS
 from repro.graph.io import dump_tsv
 from repro.datasets.toy import figure3_graph
 
@@ -85,7 +86,7 @@ class TestQuery:
         assert code == 1
         assert "answer=False" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("algorithm", ["uis", "uis*", "ins", "naive"])
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_all_algorithms(self, g0_path, algorithm, capsys):
         code = main(
             [

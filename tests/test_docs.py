@@ -1,6 +1,8 @@
 """Docs are checked, not trusted: README's serving-options reference
 lists exactly the flags ``python -m repro serve`` parses, each row agrees
-with the options table on flag, key and default, and no docstring or
+with the options table on flag, key and default, every registered
+evaluator is named under *Choosing an algorithm* and offered by
+``--algorithm``, and no docstring or
 comment under ``src/`` cites a Markdown file the checkout lacks, and
 ``setup.py`` — what README's ``pip install -e .`` runs — installs the
 ``repro`` package at the version it reports about itself."""
@@ -16,6 +18,7 @@ from pathlib import Path
 
 from repro._version import __version__
 from repro.cli import build_parser
+from repro.core.algorithms import ALGORITHMS
 from repro.service.options import OPTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,14 +30,18 @@ def reference_block() -> str:
     return text.split("<!-- serve-options:begin")[1].split("<!-- serve-options:end")[0]
 
 
-def serve_flags() -> set[str]:
+def subcommand_actions(name: str) -> list[argparse.Action]:
     subcommands = next(
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
+    return subcommands.choices[name]._actions
+
+
+def serve_flags() -> set[str]:
     return {
         flag
-        for action in subcommands.choices["serve"]._actions
+        for action in subcommand_actions("serve")
         for flag in action.option_strings
         if flag.startswith("--") and flag != "--help"
     }
@@ -55,6 +62,18 @@ def test_readme_rows_agree_with_the_options_table():
         flag, _, default, _, _ = rows[row.name]
         assert flag == (f"`{row.flag}`" if row.flag else "—")
         assert default == f"`{json.dumps(row.default)}`"
+
+
+def test_every_registered_algorithm_is_documented_and_selectable():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Choosing an algorithm")[1].split("\n## ")[0]
+    for command in ("serve", "query"):
+        (option,) = [
+            action for action in subcommand_actions(command)
+            if "--algorithm" in action.option_strings
+        ]
+        assert set(option.choices) == set(ALGORITHMS)
+    assert [name for name in ALGORITHMS if f"`{name}`" not in section] == []
 
 
 def test_src_cites_only_markdown_files_that_exist():

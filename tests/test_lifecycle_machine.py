@@ -48,6 +48,7 @@ from hypothesis.stateful import (
 )
 
 from repro.constraints.substructure import SubstructureConstraint
+from repro.core.algorithms import ALGORITHMS as REGISTERED
 from repro.core.naive import NaiveTwoProcedure
 from repro.core.query import LSCRQuery
 from repro.exceptions import ShardUnavailableError
@@ -76,8 +77,9 @@ CONSTRAINTS = {
         "SELECT ?x WHERE { v1 <other> ?x . }",
     )
 }
-#: The default route or, as often, one of the forced algorithms.
-ALGORITHMS = st.one_of(st.none(), st.sampled_from(("uis*", "uis", "ins", "naive")))
+#: The default route or, as often, one of the forced algorithms — every
+#: registered evaluator, so none can be skipped by this machine.
+ALGORITHMS = st.one_of(st.none(), st.sampled_from(sorted(REGISTERED)))
 
 #: Tier-1's budget; the ``differential`` profile runs >= 10x the examples.
 TIER1 = settings(

@@ -1,7 +1,10 @@
 """Tests for the LSCRSession facade."""
 
+import random
+
 import pytest
 
+from repro.core.algorithms import ALGORITHMS
 from repro.datasets.toy import figure3_constraint, figure3_graph
 from repro.exceptions import ReproError
 from repro.session import LSCRSession
@@ -10,7 +13,7 @@ S0 = "SELECT ?x WHERE { ?x <friendOf> v3 . v3 <likes> ?y . }"
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("algorithm", ["uis", "uis*", "ins", "naive"])
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_every_algorithm_constructs(self, algorithm):
         session = LSCRSession(figure3_graph(), algorithm=algorithm, seed=0)
         assert session.ask("v0", "v4", ["likes", "follows"], S0) is True
@@ -65,6 +68,15 @@ class TestSeedRule:
                 assert a.ask(source, target, labels, S0) == b.ask(
                     source, target, labels, S0
                 )
+
+    def test_a_shuffle_rng_only_where_the_evaluator_declares_one(self):
+        graph = figure3_graph()
+        for algorithm in ("uis*", "ins"):       # the paper's disordered V(S, G)
+            session = LSCRSession(graph, algorithm=algorithm, seed=5)
+            assert session._algorithm.rng.random() == random.Random(5).random()
+        for algorithm in ("meet", "uis", "naive"):
+            session = LSCRSession(graph, algorithm=algorithm, seed=5)
+            assert not hasattr(session._algorithm, "rng")
 
     def test_shared_constraint_cache(self):
         from repro.service.cache import ConstraintCache

@@ -256,8 +256,10 @@ class ApproxRouter:
         if witness is None:
             query, source = plan.query, "extract"
             try:
-                satisfying = set(epoch.candidates.get(query.constraint, epoch.graph))
-                witness = find_witness(epoch.graph, query, satisfying=satisfying)
+                candidates = epoch.candidates.get(query.constraint, epoch.graph)
+                witness = find_witness(
+                    epoch.graph, query, satisfying=candidates.members
+                )
             except (KeyError, ValueError):
                 return None
             if witness is None:

@@ -24,19 +24,19 @@ __all__ = ["LSCRAlgorithm", "satisfying_vertices"]
 
 def satisfying_vertices(
     query: LSCRQuery, graph: KnowledgeGraph, candidate_cache: object | None
-) -> tuple[Sequence[int], Set[int]]:
+) -> tuple[Sequence[int], Set[int] | None]:
     """``V(S, G)`` in the SPARQL engine's order, and as a set to probe.
 
     With a :class:`~repro.service.cache.CandidateCache` both are the
     cached entry's (immutable, shared by every query that reuses the
-    constraint); without one the engine runs and the set is built for
-    this call.
+    constraint).  Without one the engine runs and the set is None: a
+    caller with one probe to make scans the list, one that probes per
+    vertex builds its own.
     """
     if candidate_cache is not None:
         cached = candidate_cache.get(query.constraint, graph)
         return cached, cached.members
-    candidates = query.constraint.satisfying_vertices(graph)
-    return candidates, frozenset(candidates)
+    return query.constraint.satisfying_vertices(graph), None
 
 
 class LSCRAlgorithm(ABC):

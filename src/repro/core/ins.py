@@ -164,12 +164,12 @@ class INS(LSCRAlgorithm):
 
         vsg_started = time.perf_counter()
         # The SPARQL engine, or the shared cache in front of it.
-        candidates, candidate_set = satisfying_vertices(
+        candidates, members = satisfying_vertices(
             query, graph, self.candidate_cache
         )
-        candidates = list(candidates)       # ours to order; the cache's is shared
         vsg_seconds = time.perf_counter() - vsg_started
         if self.rng is not None:
+            candidates = list(candidates)   # ours to order; the cache's is shared
             self.rng.shuffle(candidates)
 
         close = CloseMap(graph.num_vertices)
@@ -191,7 +191,9 @@ class INS(LSCRAlgorithm):
             telemetry["index_resolutions"] = index_resolutions
             return verdict, telemetry
 
-        if source == target and source in candidate_set:
+        if source == target and source in (
+            candidates if members is None else members
+        ):
             return finish(True)
 
         # ------------------------------------------------------------------

@@ -55,7 +55,8 @@ __all__ = ["LEGS_MAX_CANDIDATES", "MeetSearch"]
 
 #: The legs plan runs when ``|V(S, G)|`` is at most this: a measured
 #: constant, not an option (the legs plan is 5-14x cheaper up to here and
-#: its worst case, one pair of legs per candidate, stays small).
+#: its worst case, one pair of legs per candidate, stays small).  Served
+#: end to end only at 1 — README, *Choosing an algorithm*.
 LEGS_MAX_CANDIDATES = 4
 
 #: Mark bits of one search: reached from its start, reaches its end.
@@ -236,6 +237,8 @@ class MeetSearch(LSCRAlgorithm):
             return v is not None, telemetry
 
         if len(candidates) > LEGS_MAX_CANDIDATES:
+            if members is None:
+                members = frozenset(candidates)     # no cache: built for this call
             meeting = search(source, target, members)
             if meeting is None:
                 return finish(None)

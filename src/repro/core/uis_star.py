@@ -79,9 +79,9 @@ class UISStar(LSCRAlgorithm):
         candidates, members = satisfying_vertices(
             query, graph, self.candidate_cache
         )
-        candidates = list(candidates)       # ours to order; the cache's is shared
         vsg_seconds = time.perf_counter() - vsg_started
         if self.rng is not None:
+            candidates = list(candidates)   # ours to order; the cache's is shared
             self.rng.shuffle(candidates)
 
         # Allocation-free hot-loop state: the close surjection lives in a
@@ -132,7 +132,9 @@ class UISStar(LSCRAlgorithm):
 
         # Trivial path <s>: s == t and s satisfies S (README.md, "the
         # trivial path s = t").
-        if source == target and source in members:
+        if source == target and source in (
+            candidates if members is None else members
+        ):
             return finish(source)
 
         def lcs(s_star: int, t_star: int, mode: int) -> bool:     # lines 14-24

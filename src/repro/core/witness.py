@@ -24,7 +24,7 @@ of one ``V(S, G)`` evaluation.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Hashable
+from collections.abc import Hashable, Set
 from dataclasses import dataclass
 
 from repro.core.query import LSCRQuery
@@ -58,7 +58,7 @@ class WitnessPath:
 def find_witness(
     graph: KnowledgeGraph,
     query: LSCRQuery,
-    satisfying: set[int] | None = None,
+    satisfying: Set[int] | None = None,
 ) -> WitnessPath | None:
     """Return a shortest witness path for ``query``, or None if false.
 

@@ -278,7 +278,7 @@ class ShardCoordinator:
             candidates = epoch.candidates.get(query.constraint, graph)
             vsg_seconds = perf_counter() - vsg_started
             vsg_size = len(candidates)
-            candidate_set = set(candidates)
+            candidate_set = candidates.members
         if verdict is None and not candidate_set:
             verdict = False  # no satisfying vertex anywhere: skip both phases
         if verdict is None:

@@ -122,9 +122,9 @@ class TestCandidateCache:
         assert cache.get(constraint, graph).members is first.members
 
     @pytest.mark.parametrize("cached", [False, True])
-    def test_trivial_path_is_a_set_probe_for_uis_star_and_ins(self, cached):
-        # s == t and s satisfies S: both evaluators answer from the
-        # membership view (the cache's, or one built for the call).
+    def test_trivial_path_is_one_probe_for_uis_star_and_ins(self, cached):
+        # s == t and s satisfies S: both evaluators answer from one probe
+        # (of the cache's membership view, or of the engine's list).
         graph, _ = make_workload(3)
         constraint = SubstructureConstraint.from_sparql(
             "SELECT ?x WHERE { ?x <l0> ?y . }"

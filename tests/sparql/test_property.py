@@ -7,7 +7,7 @@ over random graphs and random BGPs and demands identical solution sets.
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.labeled_graph import KnowledgeGraph
@@ -67,13 +67,7 @@ class TestEvaluatorAgreesWithBruteForce:
         slow = canonical(bruteforce_bgp(graph, bgp))
         assert fast == slow
 
-    # Most single-pattern draws lack ?x; on an unlucky seed the filter
-    # health check fired before 60 examples were found.
-    @settings(
-        max_examples=60,
-        deadline=None,
-        suppress_health_check=[HealthCheck.filter_too_much],
-    )
+    @settings(max_examples=60, deadline=None)
     @given(graphs(), patterns(), st.sampled_from(VERTICES))
     def test_same_solutions_with_binding(self, graph, bgp, bound_vertex):
         assume(any(Var("x") in p.variables() for p in bgp))

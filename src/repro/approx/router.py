@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.result import QueryResult
-from repro.core.witness import WitnessPath, find_witness, verify_witness
+from repro.core.witness import WitnessPath, verify_witness
 from repro.approx.witness import WitnessCache
 
 __all__ = [
@@ -105,9 +105,7 @@ class ApproxRouter:
         self._approximate_answers = 0
         self._rechecks = 0
         self._recheck_mismatches = 0
-        #: Witness stores by origin: a non-zero ``extract`` count is a
-        #: topology still paying a second search per True answer.
-        self._stored = {"search": 0, "extract": 0}
+        self._stored = 0
 
     # ------------------------------------------------------------------
     # mode resolution
@@ -235,39 +233,20 @@ class ApproxRouter:
     # witness population
     # ------------------------------------------------------------------
 
-    def remember_witness(
-        self, plan: Any, epoch: Any, result: QueryResult
-    ) -> str | None:
-        """After an exact True answer, cache the witness that proves it.
+    def remember_witness(self, plan: Any, result: QueryResult) -> bool:
+        """After an exact True answer, cache the path its search walked.
 
-        ``result.witness`` — the path the search itself walked — is
-        stored as is (``"search"``).  Only a producer that returned
-        none pays an extraction BFS (``"extract"``), over the epoch's
-        cached ``V(S, G)`` so the SPARQL evaluation is not repeated.
-        Returns where the stored witness came from, or None when
-        nothing was stored (it can legitimately fail only if the graph
-        changed between the answer and the extraction — callers ignore
-        the outcome).
+        ``result.witness`` is stored as is; a producer that returned
+        none (the scatter-gather coordinator) stores nothing — there is
+        no second search to fill the gap.  Returns whether a witness
+        was stored.
         """
-        if self.witnesses.max_size == 0:
-            # Uncached service: skip the extraction BFS, not just the put.
-            return None
-        witness, source = result.witness, "search"
-        if witness is None:
-            query, source = plan.query, "extract"
-            try:
-                candidates = epoch.candidates.get(query.constraint, epoch.graph)
-                witness = find_witness(
-                    epoch.graph, query, satisfying=candidates.members
-                )
-            except (KeyError, ValueError):
-                return None
-            if witness is None:
-                return None
-        self.witnesses.put(plan.key, witness)
+        if result.witness is None or self.witnesses.max_size == 0:
+            return False
+        self.witnesses.put(plan.key, result.witness)
         with self._lock:
-            self._stored[source] += 1
-        return source
+            self._stored += 1
+        return True
 
     # ------------------------------------------------------------------
     # accounting
@@ -284,7 +263,7 @@ class ApproxRouter:
             approximate = self._approximate_answers
             rechecks = self._rechecks
             mismatches = self._recheck_mismatches
-            stored = dict(self._stored)
+            stored = self._stored
         short_circuit = no_mask + no_bounds + yes_witness
         return {
             "enabled": True,
@@ -303,7 +282,6 @@ class ApproxRouter:
             "false_rate": mismatches / rechecks if rechecks else 0.0,
             "witness_cache": {
                 **self.witnesses.stats(),
-                "stored_from_search": stored["search"],
-                "stored_by_extraction": stored["extract"],
+                "stored_from_search": stored,
             },
         }

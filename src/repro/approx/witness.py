@@ -2,10 +2,8 @@
 
 When the exact evaluators answer True, the router remembers the witness
 path here, keyed by the planner's canonical query key — the path the
-search walked (``QueryResult.witness``), or one extracted with
-:func:`repro.core.witness.find_witness` for a producer that returned
-none.  A later repeat of the
-same query re-validates the remembered path against the *current* graph
+search walked (``QueryResult.witness``; a producer that returned none
+stores nothing).  A later repeat of the same query re-validates the remembered path against the *current* graph
 — edge existence, labels within ``L``, the satisfying vertex still
 satisfying ``S`` — which costs a handful of dictionary probes plus one
 single-vertex substructure match, orders of magnitude below a search.

@@ -39,8 +39,10 @@ The third serves ``d1`` through a region-sharded scatter-gather
 coordinator (four in-process shard workers, also reachable at
 ``/shard/<id>/...`` for remote coordinators), warming the result cache
 from — and snapshotting it back to — ``d1.cache.json``.  The last
-block is the **cross-host** deployment: ``cut`` serializes the slices,
-each ``serve --worker`` process serves one of them, and the
+block is the **cross-host** deployment: ``cut`` serializes the slices
+(of the one plan ``serve --shards`` derives for the same ``--seed`` and
+``--k``; an index never shapes it), each ``serve --worker`` process
+serves one of them, and the
 coordinator attaches them by URL — handshaking on plan hash and wire
 version at startup, probing health periodically, and propagating every
 update epoch over the two-phase slice-swap wire.
@@ -143,7 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     cut = commands.add_parser(
         "cut",
         help="cut a TSV graph into serialized shard slices for "
-        "cross-host workers (serve --worker)",
+        "cross-host workers (serve --worker): a fresh landmark partition "
+        "with structural correlations, the plan serve --shards derives "
+        "for the same --seed and --k",
     )
     cut.add_argument("graph", help="TSV graph file")
     cut.add_argument(
@@ -152,12 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     cut.add_argument(
         "--out", required=True, metavar="DIR",
         help="directory for the shard-<id>.slice.json files (created)",
-    )
-    cut.add_argument(
-        "--index", default=None,
-        help="local index JSON whose partition and D table guide the cut "
-        "(default: fresh landmark partition with structural correlations "
-        "— identical to what serve --shards builds for the same seed)",
     )
     cut.add_argument("--k", type=int, default=None, help="landmark count")
     cut.add_argument("--seed", type=int, default=0)
@@ -197,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve as a standalone shard worker process from a slice file "
         "written by 'cut': exposes /shard/<id>/{expand,query,update} and "
         "the GET /shard/<id> descriptor for a coordinator's handshake "
-        "(mutually exclusive with --graph/--tenant/--shards)",
+        "(mutually exclusive with --graph/--index/--tenant/--shards)",
     )
     serve.add_argument(
         "--default-deadline-ms",
@@ -365,9 +363,8 @@ def _cmd_cut(args: argparse.Namespace) -> int:
     if args.shards < 1:
         raise ServiceConfigError(f"--shards must be >= 1, got {args.shards}")
     graph = freeze_graph(load_tsv(args.graph, name=Path(args.graph).stem))
-    index = load_local_index(args.index, graph) if args.index is not None else None
     *_, plan = derive_shard_plan(
-        graph, index, args.shards, landmark_count=args.k, seed=args.seed
+        graph, args.shards, landmark_count=args.k, seed=args.seed
     )
     fingerprint = graph.content_fingerprint()
     out = Path(args.out)
@@ -445,6 +442,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.worker is not None:
         conflicts = {
             "--graph": args.graph is not None,
+            "--index": args.index is not None,
             "--tenant": bool(args.tenant),
             "--shards": bool(options.shards),
             "--wal": args.wal is not None,

@@ -196,12 +196,11 @@ def structural_correlations(
 
     ``D[u][v]`` in the index counts distinct ``EI[u]`` border targets
     landing in ``F(v)`` — which needs the full per-landmark indexing
-    pass.  When a deployment shards *without* building the index (the
-    UIS* serving path), this O(|E|) scan supplies the same shape from
-    raw cross-region edges: the number of distinct border-edge targets
-    of ``F(u)`` that lie in ``F(v)``.  Same orientation, same "higher
-    means more correlated" reading, so shard placement can consume
-    either table interchangeably.
+    pass.  Shard placement never builds or reads the index: this O(|E|)
+    scan supplies the same shape from raw cross-region edges — the
+    number of distinct border-edge targets of ``F(u)`` that lie in
+    ``F(v)``, same orientation, same "higher means more correlated"
+    reading.
     """
     region = partition.region
     border_targets: dict[int, set[int]] = {}

@@ -125,16 +125,6 @@ class LocalIndex:
         """``D(u, v)``: border targets of ``F(u)`` landing in ``F(v)``."""
         return self.d.get(from_landmark, {}).get(to_landmark, 0)
 
-    def region_correlations(self) -> dict[int, dict[int, int]]:
-        """A defensive copy of the full ``D`` table.
-
-        The export :mod:`repro.shard` consumes for placement: shards
-        grouping highly correlated regions together see fewer border
-        crossings per scatter-gather round.  Copied so shard planning
-        can never alias the live index tables.
-        """
-        return {u: dict(row) for u, row in self.d.items()}
-
     def rho(self, x: int, y: int) -> float:
         """Estimated distance ``ρ(x, y)`` (README.md, *Semantics and
         resolved under-specifications*).
@@ -282,7 +272,7 @@ class LocalIndex:
             if self.ei is not None:
                 self.ei[region] = ei
             self.eit[region] = _transpose_ei(ei)
-            self.d[region] = _region_correlations(self.partition.region, ei)
+            self.d[region] = _d_row(self.partition.region, ei)
             refreshed += 1
         if refreshed:
             self._cut_memo.clear()
@@ -405,7 +395,7 @@ def build_local_index(
             if index.ei is not None:
                 index.ei[u] = ei_table
             index.eit[u] = _transpose_ei(ei_table)                # line 15
-            index.d[u] = _region_correlations(partition.region, ei_table)
+            index.d[u] = _d_row(partition.region, ei_table)
     index.build_seconds = timer.elapsed
     return index
 
@@ -466,7 +456,7 @@ def _transpose_ei(ei: CmsTable) -> dict[int, list[int]]:
     return transposed
 
 
-def _region_correlations(region: list[int], ei: CmsTable) -> dict[int, int]:
+def _d_row(region: list[int], ei: CmsTable) -> dict[int, int]:
     """``D[u]``: distinct border targets per destination region."""
     correlations: dict[int, int] = {}
     for vertex in ei:

@@ -97,7 +97,7 @@ from repro.service.planner import QueryPlan, QueryPlanner
 from repro.service.stats import ServiceStats
 from repro.utils.persist import atomic_write_json
 
-__all__ = ["QueryService"]
+__all__ = ["QueryService", "validate_spec"]
 
 _SPEC_FIELDS = ("source", "target", "labels", "constraint")
 
@@ -105,6 +105,51 @@ _SPEC_FIELDS = ("source", "target", "labels", "constraint")
 #: 2 added the epoch id and content fingerprint to the graph identity;
 #: version-1 files carry neither and are refused rather than trusted.
 _SNAPSHOT_VERSION = 2
+
+
+def validate_spec(payload: object, *, where: str) -> dict:
+    """Shape-check one JSON query spec into :meth:`QueryService.query`
+    kwargs (every ``/query`` body, ``/batch`` member and shard probe)."""
+    if not isinstance(payload, dict):
+        raise BadRequestError(f"{where}: expected a JSON object")
+    missing = [field for field in _SPEC_FIELDS if field not in payload]
+    if missing:
+        raise BadRequestError(f"{where}: missing field(s) {', '.join(missing)}")
+    source = payload["source"]
+    target = payload["target"]
+    if not isinstance(source, str) or not isinstance(target, str):
+        raise BadRequestError(f"{where}: 'source' and 'target' must be strings")
+    labels = payload["labels"]
+    if isinstance(labels, str):
+        labels = [piece for piece in labels.split(",") if piece]
+    if (
+        not isinstance(labels, list)
+        or not labels
+        or not all(isinstance(label, str) for label in labels)
+    ):
+        raise BadRequestError(
+            f"{where}: 'labels' must be a non-empty array of strings "
+            "(or a comma-separated string)"
+        )
+    constraint = payload["constraint"]
+    if not isinstance(constraint, str) or not constraint.strip():
+        raise BadRequestError(
+            f"{where}: 'constraint' must be a non-empty SPARQL string"
+        )
+    algorithm = payload.get("algorithm")
+    if algorithm is not None and not isinstance(algorithm, str):
+        raise BadRequestError(f"{where}: 'algorithm' must be a string")
+    use_cache = payload.get("use_cache", True)
+    if not isinstance(use_cache, bool):
+        raise BadRequestError(f"{where}: 'use_cache' must be a boolean")
+    return {
+        "source": source,
+        "target": target,
+        "labels": labels,
+        "constraint": constraint,
+        "algorithm": algorithm,
+        "use_cache": use_cache,
+    }
 
 
 class QueryService:
@@ -903,9 +948,10 @@ class QueryService:
         uncertain falls through to :meth:`_evaluate` (in
         ``mode=approximate``, the uncertain band is instead answered
         True from the bounds alone, with sampled exact re-checks
-        feeding the false-rate accounting).  Forced-algorithm plans
-        bypass routing entirely: naming an algorithm is a request to
-        *run* it.
+        feeding the false-rate accounting).  Forced plans bypass routing
+        entirely — no short-circuit, no ``tier``, no witness stored:
+        naming an algorithm is a request to *run* it, and a service
+        configured with one (``serve --algorithm``) forces every plan.
 
         The ambient request deadline (if any) is checked once here —
         before the router or evaluator starts — so a budget that lapsed
@@ -933,21 +979,19 @@ class QueryService:
                         mismatch=exact.answer != result.answer
                     )
                     if exact.answer and exact.degraded is None:
-                        router.remember_witness(plan, epoch, exact)
+                        router.remember_witness(plan, exact)
                 return result
             route_span.set(tier="exact")
         router.record_fallthrough()
         result = self._evaluate(plan, epoch)
         if result.answer and result.degraded is None:
-            # A True exact answer certifies a witness path exists; keep
-            # it so the next repeat is a definite-Yes without touching
-            # an evaluator.  The default kernel (and UIS*) hands over the
-            # path it walked; only a producer without one (the
-            # scatter-gather coordinator, a configured UIS / INS / naive
-            # default) costs an extraction search.
-            with span("witness-extract") as witness_span:
-                source = router.remember_witness(plan, epoch, result)
-                witness_span.set(stored=source is not None, source=source)
+            # The default kernel hands over the path its True answer
+            # walked; keeping it makes the next repeat a definite-Yes
+            # without an evaluator.  The scatter-gather coordinator walks
+            # no single path and stores none — its repeats within the
+            # epoch are result-cache hits.
+            with span("witness-store") as witness_span:
+                witness_span.set(stored=router.remember_witness(plan, result))
         return result
 
     def _evaluate(self, plan: QueryPlan, epoch: GraphEpoch) -> QueryResult:
@@ -1024,7 +1068,7 @@ class QueryService:
         approximate answering; invalid values 400 via
         :meth:`_resolve_mode`.
         """
-        spec = self._validate_spec(payload, where="query")
+        spec = validate_spec(payload, where="query")
         with self._admit():
             active = self._start_trace("query", trace)
             result, meta = self._run_traced(
@@ -1070,7 +1114,7 @@ class QueryService:
         if not isinstance(use_cache, bool):
             raise BadRequestError("'use_cache' must be a boolean")
         specs = [
-            self._validate_spec(item, where=f"queries[{position}]")
+            validate_spec(item, where=f"queries[{position}]")
             for position, item in enumerate(raw)
         ]
         with self._admit():
@@ -1305,50 +1349,6 @@ class QueryService:
         return {"results": warmed, "stale_results": 0}
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _validate_spec(payload: object, *, where: str) -> dict:
-        """Shape-check one JSON query spec into :meth:`query` kwargs."""
-        if not isinstance(payload, dict):
-            raise BadRequestError(f"{where}: expected a JSON object")
-        missing = [field for field in _SPEC_FIELDS if field not in payload]
-        if missing:
-            raise BadRequestError(f"{where}: missing field(s) {', '.join(missing)}")
-        source = payload["source"]
-        target = payload["target"]
-        if not isinstance(source, str) or not isinstance(target, str):
-            raise BadRequestError(f"{where}: 'source' and 'target' must be strings")
-        labels = payload["labels"]
-        if isinstance(labels, str):
-            labels = [piece for piece in labels.split(",") if piece]
-        if (
-            not isinstance(labels, list)
-            or not labels
-            or not all(isinstance(label, str) for label in labels)
-        ):
-            raise BadRequestError(
-                f"{where}: 'labels' must be a non-empty array of strings "
-                "(or a comma-separated string)"
-            )
-        constraint = payload["constraint"]
-        if not isinstance(constraint, str) or not constraint.strip():
-            raise BadRequestError(
-                f"{where}: 'constraint' must be a non-empty SPARQL string"
-            )
-        algorithm = payload.get("algorithm")
-        if algorithm is not None and not isinstance(algorithm, str):
-            raise BadRequestError(f"{where}: 'algorithm' must be a string")
-        use_cache = payload.get("use_cache", True)
-        if not isinstance(use_cache, bool):
-            raise BadRequestError(f"{where}: 'use_cache' must be a boolean")
-        return {
-            "source": source,
-            "target": target,
-            "labels": labels,
-            "constraint": constraint,
-            "algorithm": algorithm,
-            "use_cache": use_cache,
-        }
 
     @staticmethod
     def _result_payload(result: QueryResult, meta: dict) -> dict:

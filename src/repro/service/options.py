@@ -117,7 +117,9 @@ OPTIONS: tuple[Option, ...] = (
     Option("algorithm", str, choices=tuple(sorted(ALGORITHMS)), flag="--algorithm",
            help="run every request on one algorithm (default: meet, with or "
            "without an index; 'ins' needs --index and is also selectable per "
-           "request)"),
+           "request). Setting it forces every plan: no approx-tier "
+           "short-circuit, tier or stored witness, and no scatter with "
+           "--shards"),
     Option("cache_size", int, DEFAULT_CACHE_SIZE, ge=0, flag="--cache-size",
            help="result-cache LRU size"),
     Option("cache_ttl", float, gt=0, flag="--cache-ttl",

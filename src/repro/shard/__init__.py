@@ -16,9 +16,9 @@ single-process one.  The pieces compose in one direction:
                           slice epoch, content fingerprint and plan
                           hash (:func:`dump_slice` / :func:`load_slice`)
 :mod:`~.worker`           :class:`ShardWorker` — slice-local closure
-                          expansion, the co-located fast path over a
-                          per-slice ``QueryService``, and the two-phase
-                          prepare/publish slice swap;
+                          expansion, the co-located fast path (the
+                          serving kernel over the slice), and the
+                          two-phase prepare/publish slice swap;
                           :class:`HttpShardWorker` drives a remote one
                           over pooled keep-alive connections
 :mod:`~.coordinator`      :class:`ShardCoordinator` — multi-round

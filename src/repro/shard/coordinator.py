@@ -20,10 +20,10 @@ obviously-correct frame for a distributed search:
    satisfying vertex reached, stopping the moment the target appears.
 
 Before any of that, a **co-located fast path**: when source and target
-live on the same shard, that shard's per-slice
-:class:`~repro.service.app.QueryService` gets first crack — a true
-answer from a slice is globally true (edge-subset monotonicity), and on
-region-partitioned graphs most traffic is intra-region.
+live on the same shard, the serving kernel over that shard's slice gets
+first crack — a true answer from a slice is globally true (edge-subset
+monotonicity), and on region-partitioned graphs most traffic is
+intra-region.
 
 **An answer is computed from one epoch.**  The coordinator keeps only
 what is about the *fleet* — workers, breakers, retry policy, scatter

@@ -6,9 +6,9 @@ those regions into ``N`` shards and cuts the
 :class:`~repro.graph.csr.FrozenGraph` along the grouping:
 
 * :func:`assign_regions` — greedy, deterministic placement of regions
-  onto shards.  With a region-correlation table ``D`` (the index's own,
-  or :func:`~repro.index.landmarks.structural_correlations` when no
-  index is built) each region goes to the not-yet-full shard it is most
+  onto shards.  With a region-correlation table ``D``
+  (:func:`~repro.index.landmarks.structural_correlations`) each region
+  goes to the not-yet-full shard it is most
   correlated with, so border crossings — the only thing a scatter-gather
   round pays for — concentrate *inside* shards; without ``D`` the same
   loop degrades to balanced first-fit;
@@ -45,7 +45,6 @@ from repro.index.landmarks import (
     select_landmarks,
     structural_correlations,
 )
-from repro.index.local_index import LocalIndex
 
 __all__ = [
     "ShardPlan",
@@ -187,30 +186,23 @@ def build_shard_plan(
 
 def derive_shard_plan(
     graph: KnowledgeGraph,
-    index: LocalIndex | None,
     num_shards: int,
     *,
     landmark_count: int | None = None,
     seed: int = 0,
 ) -> tuple[Partition, dict[int, dict[int, int]], ShardPlan]:
-    """Partition → correlations → plan, the way every deployment cuts.
+    """Partition → correlations → plan, the one way every deployment cuts.
 
-    The one derivation ``repro cut`` and the coordinator share, so a
-    coordinator started with the same graph/index/seed handshakes with
-    workers booted from cut slice files without a resync.  With an
-    index the partition and ``D`` table are its own; index-free, a
-    fresh landmark partition (``landmark_count``/``seed``) and the
-    structural correlation table stand in.  The partition and
-    correlations are returned too: rebalancing re-places regions from
-    them.
+    ``repro cut`` and the coordinator share it, so a coordinator started
+    with the same graph/seed/landmark count handshakes with workers
+    booted from cut slice files without a resync: a fresh landmark
+    partition (``landmark_count``/``seed``) and its structural
+    correlation table.  The partition and correlations are returned
+    too: rebalancing re-places regions from them.
     """
-    if index is not None:
-        partition = index.partition
-        correlations = index.region_correlations()
-    else:
-        landmarks = select_landmarks(graph, k=landmark_count, rng=seed)
-        partition = bfs_traverse(graph, landmarks)
-        correlations = structural_correlations(graph, partition)
+    landmarks = select_landmarks(graph, k=landmark_count, rng=seed)
+    partition = bfs_traverse(graph, landmarks)
+    correlations = structural_correlations(graph, partition)
     plan = build_shard_plan(graph, partition, num_shards, correlations)
     return partition, correlations, plan
 
@@ -288,8 +280,7 @@ class GraphSlice:
         """This slice as a standalone :class:`KnowledgeGraph`.
 
         Re-interned from names, so the result is self-contained — the
-        graph a shard worker's per-slice
-        :class:`~repro.service.app.QueryService` serves, in-process or
+        graph a shard worker's co-located probe searches, in-process or
         in a worker process of its own.  Owned vertices are all present
         (isolated ones included); external edge targets appear as plain
         vertices.  Because its edge set is a subset of the source

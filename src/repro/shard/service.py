@@ -12,12 +12,11 @@ pooled session, unless the request *explicitly* named an algorithm
 the escape hatch that keeps every paper algorithm reachable on a
 sharded deployment.
 
-Construction: the region partition comes from the loaded local index
-when there is one (its ``D`` table then guides shard placement); an
-index-free service builds a fresh landmark partition and derives the
-correlation table structurally
-(:func:`~repro.index.landmarks.structural_correlations`).  Two worker
-topologies serve the slices:
+Construction: the plan is :func:`~repro.shard.partitioner
+.derive_shard_plan`'s — a fresh landmark partition and its structural
+correlation table, as ``repro cut`` derives it; a loaded local index
+serves forced INS requests on the coordinator and never shapes the cut.
+Two worker topologies serve the slices:
 
 * **in-process** (default): slices are cut from the frozen CSR snapshot
   and served by :class:`~repro.shard.worker.ShardWorker`\\ s in this
@@ -74,7 +73,6 @@ from repro.service.app import QueryService
 from repro.service.epoch import GraphEpoch
 from repro.service.options import ServiceOptions, resolve_options
 from repro.service.planner import QueryPlan
-from repro.service.stats import merge_snapshots
 from repro.core.result import QueryResult
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.shard.coordinator import SHARDED_ALGORITHM, ShardCoordinator
@@ -119,7 +117,6 @@ class ShardedQueryService(QueryService):
         index: LocalIndex | None = None,
         *,
         local_fast_path: bool = True,
-        parallel_scatter: bool = True,
         retry_policy=None,
         options: ServiceOptions | None = None,
         **keywords: Any,
@@ -138,12 +135,11 @@ class ShardedQueryService(QueryService):
         first = self._epoch
         #: Partition and correlations are retained for D-guided
         #: rebalancing: live crossing counters are folded into the
-        #: correlation table to re-place regions.  An index-free plan
-        #: uses the same ``landmark_count`` and ``seed`` as ``cut``, so
-        #: slice files cut offline match it hash for hash.
+        #: correlation table to re-place regions.  The plan uses the same
+        #: ``landmark_count`` and ``seed`` as ``cut``, so slice files cut
+        #: offline match it hash for hash.
         self._partition, self._correlations, plan = derive_shard_plan(
             first.graph,
-            index,
             options.shards,
             landmark_count=options.landmark_count,
             seed=options.seed,
@@ -177,7 +173,6 @@ class ShardedQueryService(QueryService):
         self.coordinator = ShardCoordinator(
             self.workers,
             local_fast_path=local_fast_path,
-            parallel=parallel_scatter,
             degraded_answers=options.degraded_answers,
             scatter_timeout=options.scatter_timeout,
             retry_policy=retry_policy,
@@ -629,9 +624,6 @@ class ShardedQueryService(QueryService):
         and update counters — plus connection reuse for remote stubs)
         merged with the coordinator-side health ledger (``last_seen``
         age, consecutive probe failures, last observed epoch/plan).
-        ``workers_totals`` folds every in-process worker's per-slice
-        service counters into one document via the same
-        :func:`merge_snapshots` the registry uses across tenants.
         """
         document = super().stats_snapshot()
         plan, slice_epoch = self._epoch.topology
@@ -659,11 +651,6 @@ class ShardedQueryService(QueryService):
                 **self.coordinator.stats(), "slice_epoch": slice_epoch
             },
             "workers": workers,
-            "workers_totals": merge_snapshots(
-                worker.service.stats.snapshot()
-                for worker in self.workers
-                if getattr(worker, "service", None) is not None
-            ),
         }
         return document
 

@@ -14,13 +14,13 @@ exposes the operations the coordinator needs:
   epoch** of the slice it was computed on, which is how a coordinator
   detects that a scatter round straddled a slice swap;
 * :meth:`ShardWorker.local_query` — the co-located fast path: the
-  worker wraps a full per-slice :class:`~repro.service.app.QueryService`
-  over its slice graph, and because a slice's edges are a subset of the
-  graph's, a *true* answer from the slice is a true answer globally
-  (false means "unknown", and the coordinator falls back to
-  scatter-gather).  The reply echoes the slice epoch exactly as
-  ``expand`` does, and the coordinator believes a hit only at the epoch
-  it expects;
+  serving kernel (:data:`~repro.service.planner.DEFAULT_ALGORITHM`) run
+  by one :class:`~repro.session.LSCRSession` over the slice graph, and
+  because a slice's edges are a subset of the graph's, a *true* answer
+  from the slice is a true answer globally (false means "unknown", and
+  the coordinator falls back to scatter-gather).  The reply echoes the
+  slice epoch exactly as ``expand`` does, and the coordinator believes
+  a hit only at the epoch it expects;
 * :meth:`ShardWorker.prepare` / :meth:`publish_update` /
   :meth:`abort_update` — the worker half of slice-epoch propagation:
   a coordinator pushing an update stages the re-cut slice (all the
@@ -61,13 +61,18 @@ from repro.context import RequestContext, activate, current_context
 from repro.core.query import LSCRQuery
 from repro.exceptions import (
     BadRequestError,
+    ConstraintError,
     DeadlineExceededError,
     RemoteShardError,
     ServiceConfigError,
     SliceFileError,
+    SparqlError,
 )
-from repro.service.app import QueryService
+from repro.service.app import validate_spec
+from repro.service.cache import CandidateCache
 from repro.service.options import ServiceOptions
+from repro.service.planner import DEFAULT_ALGORITHM
+from repro.session import LSCRSession
 from repro.shard.partitioner import GraphSlice, ShardPlan
 from repro.shard.slicefile import (
     SLICE_WIRE_VERSION,
@@ -121,7 +126,8 @@ class _SliceState:
     """
 
     slice: GraphSlice
-    service: QueryService | None
+    #: The serving kernel over the slice graph: the co-located probe.
+    session: LSCRSession
     epoch: int
     fingerprint: str
     plan_hash: str
@@ -141,32 +147,19 @@ class ShardWorker:
         graph_slice: GraphSlice,
         *,
         options: ServiceOptions | None = None,
-        local_service: bool = True,
         epoch: int = 0,
         fingerprint: str = "",
         plan_hash: str = "",
         plan: ShardPlan | None = None,
     ) -> None:
         self.shard_id = graph_slice.shard_id
-        self._local_service = local_service
-        owner = options if options is not None else ServiceOptions()
-        #: What the per-slice service inherits from the owning service
-        #: (or the ``serve --worker`` command line): the seed, and the
-        #: cache knobs so ``cache_size=0`` really does disable every
-        #: cache in a sharded deployment.  Admission, tracing and the
-        #: forced algorithm stay the owner's business, and so does the
-        #: approx tier — its router already consulted *its* bounds
-        #: before the fast path reached this slice; a per-slice bounds
-        #: index would only duplicate the build.
-        self._slice_options = ServiceOptions(
-            seed=owner.seed,
-            cache_size=owner.cache_size,
-            cache_ttl=owner.cache_ttl,
-            approx=False,
-        )
+        #: The one knob the slice kernel takes from the owning service
+        #: (or the ``serve --worker`` command line): ``cache_size=0``
+        #: disables its ``V(S, G)`` cache like every other cache.
+        self._cache_size = (options or ServiceOptions()).cache_size
         self._state = _SliceState(
             slice=graph_slice,
-            service=self._build_service(graph_slice),
+            session=self._session(graph_slice),
             epoch=epoch,
             fingerprint=fingerprint,
             plan_hash=plan_hash,
@@ -186,12 +179,13 @@ class ShardWorker:
         self._updates_published = 0
         self._updates_aborted = 0
 
-    def _build_service(self, graph_slice: GraphSlice) -> QueryService | None:
-        """The per-slice query service behind the co-located fast path
-        (and the worker's own /stats when served remotely)."""
-        if not self._local_service:
-            return None
-        return QueryService(graph_slice.to_graph(), options=self._slice_options)
+    def _session(self, graph_slice: GraphSlice) -> LSCRSession:
+        """The serving kernel over ``graph_slice``'s frozen graph."""
+        return LSCRSession(
+            graph_slice.to_graph().freeze(),
+            algorithm=DEFAULT_ALGORITHM,
+            candidate_cache=CandidateCache(max_size=self._cache_size),
+        )
 
     # ------------------------------------------------------------------
     # current-state views (one atomic reference behind them all)
@@ -200,10 +194,6 @@ class ShardWorker:
     @property
     def slice(self) -> GraphSlice:
         return self._state.slice
-
-    @property
-    def service(self) -> QueryService | None:
-        return self._state.service
 
     @property
     def epoch(self) -> int:
@@ -368,35 +358,21 @@ class ShardWorker:
         Sound because the slice's edge set is a subset of the graph's:
         an ``L``-path and a substructure match found here exist in the
         full graph too.  ``False`` only means the *slice* lacks a
-        witness and the coordinator must scatter.  Workers built with
-        ``local_service=False`` always miss.
-
-        The slice's *result* cache is bypassed: repeat-query caching is
-        the owning service's job (its result cache sits in front of the
-        whole execution path, honouring each request's ``use_cache``),
-        and a worker-level cache would leak answers to requests that
-        asked for uncached execution.
+        witness and the coordinator must scatter.  Nothing is cached
+        here but ``V(S, G)``: repeat-query caching is the owning
+        service's job, in front of the whole execution path and
+        honouring each request's ``use_cache``.
         """
         state = self._state
-        service = state.service
-        if (
-            service is None
-            or not service.graph.has_vertex(query.source)
-            or not service.graph.has_vertex(query.target)
-        ):
+        graph = state.session.graph
+        if not (graph.has_vertex(query.source) and graph.has_vertex(query.target)):
             return False, state.epoch
-        result, _meta = service.query(
-            query.source,
-            query.target,
-            sorted(query.labels.labels),
-            query.constraint,
-            use_cache=False,
-        )
+        hit = state.session.answer(query).answer
         with self._lock:
             self._local_queries += 1
-            if result.answer:
+            if hit:
                 self._local_hits += 1
-        return result.answer, state.epoch
+        return hit, state.epoch
 
     # ------------------------------------------------------------------
     # slice-epoch propagation (two-phase slice swap)
@@ -415,9 +391,9 @@ class ShardWorker:
     ) -> dict:
         """Stage the next slice state without serving it.
 
-        With ``graph_slice`` the re-cut slice's query service is
-        constructed *here* — all the expensive work of a swap, off the
-        serving path.  Without it this is a pure epoch bump over the
+        With ``graph_slice`` the re-cut slice's kernel is constructed
+        *here* — all the expensive work of a swap, off the serving
+        path.  Without it this is a pure epoch bump over the
         current slice and plan: the batch touched no edge this shard
         owns, but the fleet's epochs must still advance together or the
         coordinator's skew check would flag healthy workers forever.
@@ -449,20 +425,14 @@ class ShardWorker:
                 )
             staged = _SliceState(
                 slice=graph_slice,
-                service=self._build_service(graph_slice),
+                session=self._session(graph_slice),
                 epoch=int(epoch),
                 fingerprint=fingerprint,
                 plan_hash=plan_hash,
                 plan=plan,
             )
-        return self._stage(txn, staged, staged_slice=graph_slice is not None)
-
-    def _stage(self, txn: str, staged: _SliceState, *, staged_slice: bool) -> dict:
         with self._update_lock:
-            previous = self._staged.pop(txn, None)
             self._staged[txn] = staged
-        if previous is not None:
-            self._discard_staged(previous)
         with self._lock:
             self._updates_prepared += 1
         return {
@@ -470,7 +440,7 @@ class ShardWorker:
             "txn": txn,
             "epoch": staged.epoch,
             "plan_hash": staged.plan_hash,
-            "staged_slice": staged_slice,
+            "staged_slice": graph_slice is not None,
         }
 
     def publish_update(self, txn: str) -> dict:
@@ -482,10 +452,7 @@ class ShardWorker:
                     f"shard {self.shard_id} has no prepared update {txn}",
                     status=409,
                 )
-            old = self._state
             self._state = staged
-        if staged.service is not old.service and old.service is not None:
-            old.service.close()
         with self._lock:
             self._updates_published += 1
         return {"shard": self.shard_id, "txn": txn, "epoch": staged.epoch}
@@ -495,7 +462,6 @@ class ShardWorker:
         with self._update_lock:
             staged = self._staged.pop(txn, None)
         if staged is not None:
-            self._discard_staged(staged)
             with self._lock:
                 self._updates_aborted += 1
         return {
@@ -503,10 +469,6 @@ class ShardWorker:
             "txn": txn,
             "epoch": self._state.epoch,
         }
-
-    def _discard_staged(self, staged: _SliceState) -> None:
-        if staged.service is not None and staged.service is not self._state.service:
-            staged.service.close()
 
     # ------------------------------------------------------------------
     # JSON API (how the HTTP layer hosts a worker in another process)
@@ -544,17 +506,19 @@ class ShardWorker:
         return document
 
     def handle_query(self, payload: object) -> dict:
-        """``POST /shard/<id>/query``: the fast path over the slice service."""
-        state = self._state
-        if state.service is None:
-            raise BadRequestError(
-                f"shard {self.shard_id} runs without a local query service",
-                status=404,
+        """``POST /shard/<id>/query``: :meth:`local_query` over the wire,
+        its body checked like a ``/query`` body."""
+        context = RequestContext.from_wire(payload, "shard-query")
+        spec = validate_spec(payload, where="query")
+        try:
+            query = self._state.session.make_query(
+                spec["source"], spec["target"], spec["labels"], spec["constraint"]
             )
-        with activate(RequestContext.from_wire(payload, "shard-query")):
-            document = state.service.handle_query(payload)
-        document["slice_epoch"] = state.epoch
-        return document
+            with activate(context):
+                answer, epoch = self.local_query(query)
+        except (ConstraintError, SparqlError) as error:
+            raise BadRequestError(f"invalid query: {error}") from error
+        return {"answer": answer, "slice_epoch": epoch}
 
     def handle_update(self, payload: object) -> dict:
         """``POST /shard/<id>/update``: the two-phase slice-swap wire.
@@ -674,15 +638,9 @@ class ShardWorker:
             return dict(self._crossings_by_peer)
 
     def close(self) -> None:
-        """Release the slice service's pooled resources (idempotent)."""
+        """Drop staged slices (idempotent; the kernel holds no resources)."""
         with self._update_lock:
-            staged = list(self._staged.values())
             self._staged.clear()
-        for state in staged:
-            self._discard_staged(state)
-        service = self._state.service
-        if service is not None:
-            service.close()
 
 
 class _KeepAlivePool:
@@ -781,10 +739,6 @@ class HttpShardWorker:
     #: remote worker's own deadline check gets to answer with a
     #: structured 504 before the socket gives up.
     DEADLINE_GRACE_SECONDS = 0.25
-
-    #: Remote workers have no in-process query service to snapshot;
-    #: callers probing for one (stats aggregation) see None.
-    service = None
 
     def __init__(self, base_url: str, shard_id: int) -> None:
         self.base_url = base_url.rstrip("/")
@@ -961,9 +915,6 @@ class HttpShardWorker:
                 "target": str(query.target),
                 "labels": sorted(query.labels.labels),
                 "constraint": query.constraint.to_sparql(),
-                # Mirror ShardWorker.local_query: caching belongs to the
-                # owning service, not the worker.
-                "use_cache": False,
             },
         )
         return bool(document["answer"]), document.get("slice_epoch")

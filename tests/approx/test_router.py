@@ -8,7 +8,7 @@ from repro.exceptions import BadRequestError, ServiceConfigError
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.shard import ShardedQueryService
-from tests.helpers import graph_from_edges
+from tests.helpers import graph_from_edges, sharded_fleet
 
 MARK = "SELECT ?x WHERE { ?x <mark> ?y . }"
 
@@ -129,13 +129,12 @@ def _span(node: dict, name: str) -> dict:
 
 @pytest.fixture()
 def no_second_search(monkeypatch):
-    """Make the witness-extraction search an error wherever it is bound."""
+    """Make the witness-extraction search an error."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("find_witness ran: a second search for one answer")
 
     monkeypatch.setattr("repro.core.witness.find_witness", refuse)
-    monkeypatch.setattr("repro.approx.router.find_witness", refuse)
 
 
 SPEC = {"source": "s", "target": "t", "labels": ["go"], "constraint": MARK}
@@ -145,11 +144,11 @@ class TestWitnessComesFromTheSearch:
     def test_exact_fallthrough_stores_the_walked_path(self, service, no_second_search):
         document = service.handle_query(SPEC, trace=True)
         assert document["answer"] is True and document["algorithm"] == "Meet"
-        extract = _span(document["trace"], "witness-extract")
-        assert extract["attrs"] == {"stored": True, "source": "search"}
+        store = _span(document["trace"], "witness-store")
+        assert store["attrs"] == {"stored": True}
         cache = service.approx.stats()["witness_cache"]
-        assert cache["size"] == 1
-        assert (cache["stored_from_search"], cache["stored_by_extraction"]) == (1, 0)
+        assert (cache["size"], cache["stored_from_search"]) == (1, 1)
+        assert "stored_by_extraction" not in cache
         # The stored path outlives the epoch: after a swap the repeat is
         # a definite-Yes that never reaches an evaluator.
         service.apply_updates([("u", "go", "s")])
@@ -166,18 +165,39 @@ class TestWitnessComesFromTheSearch:
         finally:
             svc.close()
 
-    def test_witness_less_producer_falls_back_to_extraction(self):
-        # INS answers without a path, so the router still extracts one.
+    def test_witness_less_producer_stores_none(self, no_second_search):
+        # INS answers without a path, and nothing searches for one.
         graph = make_graph()
         svc = QueryService(graph, build_local_index(graph, k=2, rng=0), seed=0)
         try:
             plan = svc.planner.plan("s", "t", ["go"], MARK)
             result = svc.epoch.session("ins").answer(plan.query)
             assert result.answer is True and result.witness is None
-            assert svc.approx.remember_witness(plan, svc.epoch, result) == "extract"
-            assert svc.approx.stats()["witness_cache"]["stored_by_extraction"] == 1
+            assert svc.approx.remember_witness(plan, result) is False
+            cache = svc.approx.stats()["witness_cache"]
+            assert (cache["size"], cache["stored_from_search"]) == (0, 0)
         finally:
             svc.close()
+
+    @pytest.mark.parametrize("algorithm", ["uis", "naive", "meet"])
+    def test_configured_default_skips_the_router(self, algorithm, no_second_search):
+        # `serve --algorithm X` forces every plan, and a forced plan never
+        # meets the router: no tier, no short-circuit, no witness stored.
+        # (The default service routes the same two queries and settles
+        # the False by bounds — TestShortCircuits.)
+        svc = QueryService(make_graph(), seed=0, algorithm=algorithm)
+        try:
+            for source, target, expected in (("s", "t", True), ("t", "s", False)):
+                result, meta = svc.query(source, target, ["go"], MARK)
+                assert result.answer is expected
+                assert result.algorithm != "bounds"
+                assert "tier" not in meta
+            stats = svc.approx.stats()
+        finally:
+            svc.close()
+        assert stats["routed"] == 0
+        cache = stats["witness_cache"]
+        assert (cache["size"], cache["stored_from_search"]) == (0, 0)
 
     def test_uncached_service_stores_nothing(self, no_second_search):
         svc = QueryService(make_graph(), seed=0, cache_size=0)
@@ -317,20 +337,29 @@ class TestSharded:
         finally:
             svc.close()
 
-    def test_scatter_gather_answers_reach_the_witness_cache(self):
+    @pytest.mark.parametrize("transport", ["in-process", "http"])
+    def test_witness_provenance(self, transport, no_second_search):
         # The coordinator proves reachability across slices and walks no
-        # single path, so this topology still pays the extraction — and
-        # says so.
-        svc = ShardedQueryService(make_graph(), seed=0, shards=2)
-        try:
-            first, _ = svc.query("s", "t", ["go"], MARK, use_cache=False)
-            assert first.algorithm == "sharded" and first.witness is None
+        # single path: its True answers store no witness and pay no
+        # second search; a repeat in the epoch is a result-cache hit.
+        with sharded_fleet(make_graph(), transport, seed=0, shards=2) as svc:
+            for _ in range(2):
+                first, meta = svc.query("s", "t", ["go"], MARK, use_cache=False)
+                assert first.answer is True and first.algorithm == "sharded"
+                assert meta["tier"] == "exact"
+            svc.query("s", "t", ["go"], MARK)
+            repeat, meta = svc.query("s", "t", ["go"], MARK)
+            assert repeat.answer is True and meta["source"] == "result-cache"
             cache = svc.approx.stats()["witness_cache"]
-            assert (cache["stored_from_search"], cache["stored_by_extraction"]) == (0, 1)
-            second, _ = svc.query("s", "t", ["go"], MARK, use_cache=False)
-            assert second.algorithm == "witness"
+            assert (cache["size"], cache["stored_from_search"]) == (0, 0)
+        # Unsharded, the default kernel's True stores the path it walked.
+        plain = QueryService(make_graph(), seed=0)
+        try:
+            plain.query("s", "t", ["go"], MARK)
+            cache = plain.approx.stats()["witness_cache"]
+            assert (cache["size"], cache["stored_from_search"]) == (1, 1)
         finally:
-            svc.close()
+            plain.close()
 
     def test_stats_section_present(self):
         svc = ShardedQueryService(make_graph(), seed=0, shards=2)

@@ -165,7 +165,7 @@ class TestDefaultRoute:
         assert [entry["algorithm"] for entry in batch["results"]] == ["witness", "Meet"]
         witness_cache = stats["approx"]["witness_cache"]
         assert witness_cache["stored_from_search"] >= 1
-        assert witness_cache["stored_by_extraction"] == 0
+        assert "stored_by_extraction" not in witness_cache  # no other source
         # ... but no body grew a field for it.
         assert set(query) == self.QUERY_KEYS
         assert all(set(entry) == self.QUERY_KEYS for entry in batch["results"])

@@ -31,6 +31,7 @@ from repro.obs.trace import (
 )
 from repro.resilience.deadline import Deadline, check_deadline, current_deadline
 from repro.service.app import QueryService
+from repro.session import LSCRSession
 from repro.shard import ShardedQueryService
 from repro.shard.worker import HttpShardWorker
 from tests.helpers import running_server
@@ -162,7 +163,7 @@ def hop_http_expand(sharded, remote, monkeypatch) -> list:
 
 def hop_http_query(sharded, remote, monkeypatch) -> list:
     seen: list = []
-    spy(monkeypatch, sharded.workers[0].service, "query", seen)
+    spy(monkeypatch, sharded.workers[0], "local_query", seen)
     stub = HttpShardWorker(remote, 0)
     try:
         stub.local_query(co_located_query(sharded))
@@ -365,7 +366,7 @@ class TestWireCodec:
         worker = sharded.workers[0]
         seen: list = []
         spy(monkeypatch, worker, "expand", seen)
-        spy(monkeypatch, worker.service, "query", seen)
+        spy(monkeypatch, worker, "local_query", seen)
         handler = getattr(worker, endpoint)
         query = co_located_query(sharded)
         body = {
@@ -384,6 +385,31 @@ class TestWireCodec:
         assert seen == []
         handler({**body, "trace": "abc123", "deadline_ms": 60_000})
         assert [trace.trace_id for trace, _, _ in seen] == ["abc123"]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"constraint": None}, "missing field"),
+            ({"labels": []}, "'labels' must be"),
+            ({"constraint": "SELECT garbage"}, "invalid query"),
+        ],
+    )
+    def test_worker_query_body_is_checked_like_a_query_body(
+        self, change, message, sharded, monkeypatch
+    ):
+        worker = sharded.workers[0]
+        seen: list = []
+        spy(monkeypatch, worker, "local_query", seen)
+        query = co_located_query(sharded)
+        body = {
+            "source": str(query.source), "target": str(query.target),
+            "labels": LABELS, "constraint": CONSTRAINT, **change,
+        }
+        body = {key: value for key, value in body.items() if value is not None}
+        with pytest.raises(BadRequestError, match=message) as excinfo:
+            worker.handle_query(body)
+        assert excinfo.value.status == 400
+        assert seen == []
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +432,8 @@ def _shape(node: dict) -> list:
 
 
 def slow_search(finished: threading.Event):
-    """A slice search that only ever stops on its deadline (or, where
+    """A slice search (patched over the worker kernel's
+    ``LSCRSession.answer``) that only ever stops on its deadline (or, where
     none reaches it, after two seconds — so a regression fails instead
     of hanging)."""
 
@@ -430,9 +457,7 @@ class TestProbeUnderDeadline:
         # request's deadline and stop itself with the structured 504 —
         # not run on after the coordinator stopped waiting for it.
         finished = threading.Event()
-        monkeypatch.setattr(
-            sharded.workers[0].service, "_execute", slow_search(finished)
-        )
+        monkeypatch.setattr(LSCRSession, "answer", slow_search(finished))
         coordinator = sharded.coordinator
         before = coordinator.stats()["resilience"]
         with activate(RequestContext(deadline=Deadline.after_ms(150))):
@@ -490,9 +515,7 @@ class TestProbeUnderDeadline:
         self, sharded, remote, monkeypatch
     ):
         finished = threading.Event()
-        monkeypatch.setattr(
-            sharded.workers[0].service, "_execute", slow_search(finished)
-        )
+        monkeypatch.setattr(LSCRSession, "answer", slow_search(finished))
         stub = HttpShardWorker(remote, 0)
         try:
             started = perf_counter()

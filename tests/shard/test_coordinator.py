@@ -32,9 +32,7 @@ def make_coordinator(seed, shards, *, parallel=False, num_vertices=20):
     landmarks = select_landmarks(graph, k=4, rng=seed)
     partition = bfs_traverse(graph, landmarks)
     plan = build_shard_plan(graph, partition, shards)
-    workers = [
-        ShardWorker(s, local_service=False) for s in cut_slices(graph, plan)
-    ]
+    workers = [ShardWorker(s) for s in cut_slices(graph, plan)]
     # The coordinator keeps nothing graph-bound: closures take the
     # topology they run under.
     return (

@@ -51,19 +51,16 @@ def make_graph(seed):
 
 
 def make_index(graph, seed):
-    """Even seeds shard along a loaded index, odd seeds index-free."""
+    """Even seeds load an index on the coordinator, odd seeds run
+    index-free; the shard plan is the same either way."""
     return build_local_index(graph, k=3, rng=seed) if seed % 2 == 0 else None
 
 
-def build_plan(frozen, index, seed):
+def build_plan(frozen, seed):
     """The exact plan ShardedQueryService will build — hash must match."""
-    if index is not None:
-        partition = index.partition
-        correlations = index.region_correlations()
-    else:
-        landmarks = select_landmarks(frozen, rng=seed)
-        partition = bfs_traverse(frozen, landmarks)
-        correlations = structural_correlations(frozen, partition)
+    landmarks = select_landmarks(frozen, rng=seed)
+    partition = bfs_traverse(frozen, landmarks)
+    correlations = structural_correlations(frozen, partition)
     return build_shard_plan(frozen, partition, SHARDS, correlations)
 
 
@@ -148,7 +145,7 @@ class TestCrossProcessAgreement:
         graph = make_graph(seed)
         index = make_index(graph, seed)
         frozen = graph.freeze()
-        plan = build_plan(frozen, index, seed)
+        plan = build_plan(frozen, seed)
         fingerprint = frozen.content_fingerprint()
         procs, urls = [], []
         sharded = oracle = None

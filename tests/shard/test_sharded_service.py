@@ -8,6 +8,7 @@ from contextlib import ExitStack
 
 import pytest
 
+from repro.constraints.substructure import SubstructureConstraint
 from repro.exceptions import ServiceConfigError
 from repro.service.registry import TenantRegistry
 from repro.shard import ShardedQueryService
@@ -110,10 +111,12 @@ class TestTenantIntegration:
                 assert {"shard", "vertices", "edges", "expand_calls"} <= set(
                     worker_doc
                 )
-            # Per-slice service counters merged like cross-tenant totals.
-            totals = shards["workers_totals"]
-            assert totals["queries"]["total"] == sum(
-                w["local_queries"] for w in shards["workers"]
+            # Workers are slices and a kernel, with no service counters
+            # to merge: every co-located hit the coordinator counted is
+            # one a worker counted.
+            assert "workers_totals" not in shards
+            assert shards["coordinator"]["fast_path_hits"] == sum(
+                w["local_hits"] for w in shards["workers"]
             )
             assert document["config"]["shards"] == 2
             # Latency histograms surfaced alongside (satellite check).
@@ -128,27 +131,43 @@ class TestTenantIntegration:
 
     def test_use_cache_false_never_served_from_worker_caches(self):
         # The co-located fast path must not answer an uncached request
-        # from a worker-level result cache (regression: workers used to
-        # cache local_query answers regardless of the request's flag).
+        # from a worker-level answer cache (regression: workers used to
+        # cache local_query answers regardless of the request's flag):
+        # every uncached request runs the slice search again.
         service = ShardedQueryService(make_graph(), shards=1)
         try:
             for _ in range(3):
                 result, meta = service.query(**QUERY, use_cache=False)
                 assert result.answer is True and not meta["cached"]
-            for worker in service.workers:
-                stats = worker.service.results.stats()
-                assert stats.hits == 0
-                assert stats.size == 0
+            (worker,) = service.workers
+            counters = worker.describe()
+            assert (counters["local_queries"], counters["local_hits"]) == (3, 3)
         finally:
             service.close()
 
-    def test_cache_size_zero_disables_worker_caches_too(self):
-        service = ShardedQueryService(make_graph(), shards=2, cache_size=0)
+    @pytest.mark.parametrize("cache_size, evaluations", [(0, 3), (8, 1)])
+    def test_cache_size_reaches_the_worker_vsg_cache(
+        self, cache_size, evaluations, monkeypatch
+    ):
+        # One shard: every query is a co-located probe that settles it,
+        # so each V(S, G) evaluation is the slice kernel's own.
+        calls = []
+        original = SubstructureConstraint.satisfying_vertices
+
+        def counted(constraint, graph):
+            calls.append(graph)
+            return original(constraint, graph)
+
+        monkeypatch.setattr(SubstructureConstraint, "satisfying_vertices", counted)
+        service = ShardedQueryService(
+            make_graph(), shards=1, cache_size=cache_size
+        )
         try:
-            service.query(**QUERY)
-            for worker in service.workers:
-                assert worker.service.results.max_size == 0
-                assert worker.service.candidates.max_size == 0
+            for _ in range(3):
+                result, _ = service.query(**QUERY, use_cache=False)
+                assert result.answer is True
+            assert service.coordinator.stats()["fast_path_hits"] == 3
+            assert len(calls) == evaluations
         finally:
             service.close()
 

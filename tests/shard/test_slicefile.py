@@ -192,8 +192,9 @@ class TestDefensiveLoading:
 class TestCutMatchesCoordinator:
     """``repro cut`` and the coordinator share one plan derivation
     (:func:`repro.shard.partitioner.derive_shard_plan`): same
-    graph/index/seed/landmark count, same plan hash — so workers booted
-    from cut files handshake without a resync."""
+    graph/seed/landmark count, same plan hash — with or without an index
+    loaded on the coordinator — so workers booted from cut files
+    handshake without a resync."""
 
     @pytest.mark.parametrize(
         "with_index, k", [(False, None), (True, None), (False, 5)]
@@ -204,11 +205,11 @@ class TestCutMatchesCoordinator:
         index_path = None
         cut_args = []
         if with_index:
+            # For the coordinator only: `cut` takes no index.
             index_path = str(tmp_path / "cut.index.json")
             assert main(["index", str(graph_path), "--output", index_path]) == 0
-            cut_args = ["--index", index_path]
         if k is not None:
-            cut_args += ["--k", str(k)]
+            cut_args = ["--k", str(k)]
         out = tmp_path / "slices"
         assert main(
             ["cut", str(graph_path), "--shards", str(SHARDS), "--out", str(out),
@@ -231,6 +232,7 @@ class TestCutMatchesCoordinator:
                 landmark_count=k, worker_urls=[base] * SHARDS, probe_interval=0,
             )
             try:
+                assert (coordinator.index is not None) is with_index
                 plan_hash = plan_fingerprint(coordinator.shard_plan)
                 assert {loaded.plan_hash for loaded in files} == {plan_hash}
                 stats = coordinator.stats_snapshot()["shards"]

@@ -205,6 +205,15 @@ class TestServe:
         assert code == 2
         assert "NAME=GRAPH" in capsys.readouterr().err
 
+    def test_worker_refuses_index(self, capsys):
+        # A worker serves its slice and nothing else; an --index it
+        # would never read is refused, not silently dropped.
+        code = main(["serve", "--worker", "shard-0.slice.json",
+                     "--index", "g.index.json"])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and line.endswith("drop --index")
+
 
 class TestServeWalFlags:
     """Parser + validation for --wal / --follow; real WAL serving is

@@ -44,7 +44,7 @@ CALLERS = {
     "graph.freeze": ["repro.service.app", "repro.service.epoch"],
     "index.build": ["repro.index.local_index", "repro.index.storage"],
     "approx.bounds_build": ["repro.service.epoch"],
-    "core.find_witness": ["repro.approx.router", "repro.session"],
+    "core.find_witness": ["repro.session"],
 }
 
 

@@ -38,6 +38,7 @@ from repro.core import (
     INS,
     LSCRAlgorithm,
     LSCRQuery,
+    MeetSearch,
     NaiveTwoProcedure,
     QueryResult,
     ResultAggregate,
@@ -73,6 +74,7 @@ __all__ = [
     "LSCRSession",
     "LabelConstraint",
     "LocalIndex",
+    "MeetSearch",
     "NaiveTwoProcedure",
     "QueryPlan",
     "QueryPlanner",

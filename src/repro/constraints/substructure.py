@@ -15,7 +15,10 @@ variable and implements both uses the paper makes of it:
 * :meth:`SubstructureConstraint.satisfied_by` / :class:`SubstructureChecker`
   — the per-vertex test ``SCck(v, S)`` used by UIS (Algorithm 1);
 * :meth:`SubstructureConstraint.satisfying_vertices` — ``V(S, G)`` used
-  by UIS* and INS.
+  by UIS* and INS;
+* :meth:`SubstructureConstraint.carried_vertices` — ``V(S, G')`` from
+  ``V(S, G)`` and the edges ``G → G'`` changed, which is how a serving
+  epoch keeps the set across a live update (the paper's KG is static).
 
 Semantics of ``E_?`` (README.md, *Semantics and resolved
 under-specifications*): SPARQL semantics are adopted —
@@ -31,6 +34,7 @@ from repro.exceptions import ConstraintError, SparqlEvaluationError
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.sparql.ast import SelectQuery, TriplePattern, Var
 from repro.sparql.evaluator import (
+    CompiledPattern,
     bgp_is_satisfiable,
     check_variable_roles,
     compile_patterns,
@@ -39,6 +43,9 @@ from repro.sparql.evaluator import (
 from repro.sparql.parser import parse_select
 
 __all__ = ["SubstructureConstraint", "SubstructureChecker"]
+
+#: An edge as ``(source id, label id, target id)``.
+EdgeIds = tuple[int, int, int]
 
 
 class SubstructureConstraint:
@@ -218,6 +225,82 @@ class SubstructureConstraint:
                 seen.add(value)
                 ordered.append(value)
         return ordered
+
+    def carried_vertices(
+        self,
+        vertices: Iterable[int],
+        old: KnowledgeGraph,
+        new: KnowledgeGraph,
+        added: Iterable[EdgeIds],
+        removed: Iterable[EdgeIds],
+    ) -> tuple[list[int], int]:
+        """``V(S, new)`` from ``vertices`` = ``V(S, old)`` and the net
+        change between the two graphs, plus how many ``SCck`` re-checks
+        that took.
+
+        ``added`` are the id triples present in ``new`` only, ``removed``
+        those present in ``old`` only; both graphs share their ids.  Let
+        ``C`` be the ``?x`` of every match that uses a changed edge —
+        removed edges matched on ``old``, added ones on ``new``.  Then
+        ``V(S, new) = (V(S, old) − C) ∪ {x ∈ C : SCck(x) on new}``: a
+        vertex outside ``C`` keeps every match it had and gains none.
+
+        Exact only because a constraint is a plain BGP, whose matches are
+        monotone in the edge set; the parser rejects every non-monotone
+        SPARQL construct (``FILTER``, ``OPTIONAL``, ``MINUS``, ``UNION``,
+        ``BIND``, ``VALUES``, ``NOT EXISTS`` —
+        ``tests/sparql/test_parser.py::test_non_monotone_constructs_are_rejected``).
+        A language that admits one of them needs a different rule here.
+        """
+        changed = self._matched_through(old, removed) | self._matched_through(
+            new, added
+        )
+        kept = [vertex for vertex in vertices if vertex not in changed]
+        kept.extend(
+            vertex for vertex in sorted(changed) if self.satisfied_by(new, vertex)
+        )
+        return kept, len(changed)
+
+    def _matched_through(
+        self, graph: KnowledgeGraph, edges: Iterable[EdgeIds]
+    ) -> set[int]:
+        """``?x`` of every solution on ``graph`` that maps some pattern
+        onto one of ``edges`` (each an edge of ``graph``)."""
+        found: set[int] = set()
+        edges = tuple(edges)
+        compiled = compile_patterns(graph, self.patterns) if edges else None
+        if compiled is None:
+            return found
+        for edge in edges:
+            for pattern in compiled:
+                binding = _pin(pattern, edge)
+                if binding is None:
+                    continue
+                pinned = binding.get(self.variable)
+                if pinned is not None:  # one solution decides it
+                    if pinned not in found and bgp_is_satisfiable(
+                        graph, self.patterns, binding
+                    ):
+                        found.add(pinned)
+                    continue
+                for solution in evaluate_bgp(graph, self.patterns, binding):
+                    found.add(solution[self.variable])
+        return found
+
+
+def _pin(pattern: CompiledPattern, edge: EdgeIds) -> dict[str, int] | None:
+    """The bindings that map ``pattern`` onto ``edge``, or None when a
+    constant disagrees or a repeated variable would bind two values."""
+    binding: dict[str, int] = {}
+    for (kind, term), value in zip(
+        (pattern.subject, pattern.predicate, pattern.object), edge
+    ):
+        if kind == "id":
+            if term != value:
+                return None
+        elif binding.setdefault(term, value) != value:  # type: ignore[arg-type]
+            return None
+    return binding
 
 
 class SubstructureChecker:

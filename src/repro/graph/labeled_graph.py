@@ -664,3 +664,14 @@ class KnowledgeGraph:
         self._frozen = (version, snapshot)
         self._dirty_out, self._dirty_in = set(), set()
         return snapshot
+
+    def release_snapshot(self) -> None:
+        """Forget the cached snapshot: the next :meth:`freeze` (or a
+        copy's) cuts every row afresh.
+
+        A graph and its snapshot refer to each other, so a retired
+        builder that keeps its snapshot keeps both alive until a full
+        garbage collection; releasing it leaves the snapshot to
+        reference counting once its last reader is done.
+        """
+        self._frozen = self._dirty_out = self._dirty_in = None

@@ -88,6 +88,7 @@ from repro.resilience.deadline import check_deadline, current_deadline
 from repro.service.cache import CandidateCache, ConstraintCache, ResultCache
 from repro.service.epoch import (
     GraphEpoch,
+    net_change,
     normalize_edge_updates,
     validate_edge_updates,
 )
@@ -280,7 +281,7 @@ class QueryService:
         return (
             f"QueryService({self.graph.name!r}, "
             f"default={self.planner.default_algorithm!r}, "
-            f"index={'loaded' if self.index is not None else 'none'}, "
+            f"index={'loaded' if self._epoch.has_index else 'none'}, "
             f"epoch={self._epoch.epoch_id})"
         )
 
@@ -301,7 +302,8 @@ class QueryService:
 
     @property
     def index(self) -> LocalIndex | None:
-        """The current epoch's local index (None when serving index-free)."""
+        """The current epoch's local index (None when serving index-free),
+        repaired on this first read after an update."""
         return self._epoch.index
 
     @property
@@ -586,8 +588,6 @@ class QueryService:
             with span("copy"):
                 base = base_graph(old.graph).copy()
             vertices_before = base.num_vertices
-            #: Source vertex of every edge the batch really changed.
-            touched: set[int] = set()
             added = removed = duplicates = missing = 0
             with span("apply", edges=len(updates)) as apply_span:
                 for source, label, target, op in updates:
@@ -597,14 +597,10 @@ class QueryService:
                         label_id = base.labels.intern(label)
                         if base.add_edge_ids(s_id, label_id, t_id):
                             added += 1
-                            touched.add(s_id)
                         else:
                             duplicates += 1
                     elif base.remove_edge(source, label, target):
-                        # Name-level removal: a hit implies all three
-                        # names were interned, so vid() cannot miss.
                         removed += 1
-                        touched.add(base.vid(source))
                     else:
                         missing += 1
                 vertices_added = base.num_vertices - vertices_before
@@ -615,9 +611,15 @@ class QueryService:
                     missing=missing,
                     vertices_added=vertices_added,
                 )
-            new_epoch = old.derive(base, old.epoch_id + 1, touched)
+            new_epoch = old.derive(
+                base, old.epoch_id + 1, net_change(old.graph, base, updates)
+            )
             staged = self._prepare_epoch(new_epoch, updates)
             fields = self._publish_epoch(new_epoch, staged)
+            # Updates copy the current builder only, so the retired one is
+            # never copied again: without its snapshot, the old pair dies
+            # with the last reader of the old epoch.
+            base_graph(old.graph).release_snapshot()
             if self._wal is not None:
                 # Append-after-publish: the record carries the epoch the
                 # batch *produced*, and fsyncs before the ack leaves.
@@ -638,7 +640,7 @@ class QueryService:
                 edges_missing=missing,
                 vertices_added=vertices_added,
                 rows_recut=new_epoch.graph.rows_recut,
-                **new_epoch.repair,
+                **new_epoch.derivation,
                 **fields,
             )
 
@@ -654,7 +656,9 @@ class QueryService:
         vertices_added: int = 0,
         rows_recut: int = 0,
         index: str = "unchanged",
-        regions_refreshed: int = 0,
+        regions_pending: int = 0,
+        candidates_carried: int = 0,
+        scck_rechecks: int = 0,
         **fields: Any,
     ) -> dict:
         """Count one acknowledged batch and build its JSON summary."""
@@ -673,7 +677,9 @@ class QueryService:
             "epoch": epoch.epoch_id,
             **counts,
             "index": index,
-            "regions_refreshed": regions_refreshed,
+            "regions_pending": regions_pending,
+            "candidates_carried": candidates_carried,
+            "scck_rechecks": scck_rechecks,
             "seconds": elapsed,
             **fields,
         }
@@ -1168,7 +1174,7 @@ class QueryService:
             "vertices": epoch.graph.num_vertices,
             "edges": epoch.graph.num_edges,
             "labels": epoch.graph.num_labels,
-            "index_loaded": epoch.index is not None,
+            "index_loaded": epoch.has_index,
             "default_algorithm": self.default_algorithm,
             "epoch": epoch.epoch_id,
             "fingerprint": epoch.fingerprint,
@@ -1185,21 +1191,21 @@ class QueryService:
     def stats_snapshot(self) -> dict:
         """``GET /stats``: the full telemetry document."""
         epoch = self._epoch
-        index_info: dict[str, Any] = {"loaded": epoch.index is not None}
-        if epoch.index is not None:
-            index_info["landmarks"] = len(epoch.index.partition.landmarks)
         document = {
             "service": self.stats.snapshot(),
             "result_cache": epoch.results.stats().as_dict(),
             "constraint_cache": self.constraints.stats().as_dict(),
-            "candidate_cache": epoch.candidates.stats().as_dict(),
+            "candidate_cache": {
+                **epoch.candidates.stats().as_dict(),
+                **epoch.candidates.carry_stats(),
+            },
             "graph": {
                 "name": epoch.graph.name,
                 "vertices": epoch.graph.num_vertices,
                 "edges": epoch.graph.num_edges,
                 "labels": epoch.graph.num_labels,
             },
-            "index": index_info,
+            "index": epoch.describe_index(),
             "epoch": epoch.describe(),
             "slow_queries": self.flight.summary(),
             "config": {

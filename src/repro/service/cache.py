@@ -25,7 +25,9 @@ The result and candidate caches hold answers about *one graph version*,
 so each :class:`~repro.service.epoch.GraphEpoch` owns its own: entries
 die with their epoch — nothing to namespace, nothing to purge — and only
 the accounting lives on: a new graph version starts with the old
-cache's :meth:`~ResultCache.heir`, empty but counting on from there.
+cache's :meth:`~ResultCache.heir`, empty but counting on from there —
+except that ``V(S, G)`` after a known edge change is carried by
+:meth:`CandidateCache.derive` instead of re-evaluated.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
 from typing import Any
 
-from repro.constraints.substructure import SubstructureConstraint
+from repro.constraints.substructure import EdgeIds, SubstructureConstraint
 from repro.obs.trace import span
 
 __all__ = [
@@ -86,13 +88,17 @@ class CacheStats:
 
 class _Counters:
     """Hit/miss/eviction/expiration counts plus the lock that guards
-    them (and the entries of every cache counting here)."""
+    them (and the entries of every cache counting here); a candidate
+    cache also counts what its :meth:`~CandidateCache.derive` carried."""
 
-    __slots__ = ("lock", "hits", "misses", "evictions", "expirations")
+    __slots__ = (
+        "lock", "hits", "misses", "evictions", "expirations", "carried", "rechecks"
+    )
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.hits = self.misses = self.evictions = self.expirations = 0
+        self.carried = self.rechecks = 0
 
 
 class _EpochCache:
@@ -112,12 +118,12 @@ class _EpochCache:
         """Count on where ``parent`` stands; returns ``self``.  One
         counter set and one lock serve a cache and all its heirs, so
         ``/stats`` and ``/metrics`` counters never step back at an epoch
-        swap; the entries ``parent`` keeps are out of the next epoch's
-        reach and count as evictions."""
+        swap; the entries ``parent`` keeps and ``self`` does not are out
+        of the next epoch's reach and count as evictions."""
         self._counts = counts = parent._counts
         self._lock = counts.lock
         with counts.lock:
-            counts.evictions += len(parent._entries)
+            counts.evictions += max(0, len(parent._entries) - len(self._entries))
         return self
 
     def clear(self) -> None:
@@ -354,19 +360,73 @@ class CandidateCache(_EpochCache):
     ``cache_size`` knob can switch the whole service to uncached mode.
 
     A cache instance is tied to one graph snapshot, its epoch's; a
-    changed graph starts from its :meth:`heir`.
+    graph changed by a known set of edges starts from its :meth:`derive`,
+    any other graph from its :meth:`heir`.
     """
 
     def __init__(self, max_size: int = DEFAULT_CACHE_SIZE) -> None:
-        super().__init__(max_size)  # canonical SPARQL -> vertex id tuple
+        # canonical SPARQL -> (constraint, its Candidates)
+        super().__init__(max_size)
         #: key -> (event, [value or None]) for computations in flight.
         self._pending: dict[str, tuple[threading.Event, list]] = {}
 
     def heir(self) -> "CandidateCache":
-        """An empty cache of this one's size for the next graph version,
-        counting on where this one stands.  In-flight computations stay
-        behind: they read the old graph."""
+        """An empty cache of this one's size for a graph about which
+        nothing is known, counting on where this one stands.  In-flight
+        computations stay behind: they read the old graph."""
         return CandidateCache(self.max_size)._inherit(self)
+
+    def derive(
+        self,
+        old: Any,
+        new: Any,
+        added: Iterable[EdgeIds],
+        removed: Iterable[EdgeIds],
+    ) -> tuple["CandidateCache", dict[str, int]]:
+        """The cache of ``new`` — ``old``, this cache's graph, after the
+        net change ``added`` / ``removed`` (id triples) — plus the
+        ``candidates_carried`` / ``scck_rechecks`` fields of an update
+        summary.  Every entry is carried by
+        :meth:`SubstructureConstraint.carried_vertices`, in LRU order,
+        and counts on where this cache stands; this cache is left as is.
+        In-flight computations stay behind, as with :meth:`heir`."""
+        added, removed = tuple(added), tuple(removed)
+        entries = self.entries()
+        derived = CandidateCache(self.max_size)
+        rechecks = 0
+        for constraint, candidates in entries:
+            vertices, checked = constraint.carried_vertices(
+                candidates, old, new, added, removed
+            )
+            if checked:
+                candidates = Candidates(vertices)
+            derived._entries[constraint.to_sparql()] = (constraint, candidates)
+            rechecks += checked
+        derived._inherit(self)
+        counts = self._counts
+        with counts.lock:
+            counts.carried += len(entries)
+            counts.rechecks += rechecks
+        return derived, {
+            "candidates_carried": len(entries),
+            "scck_rechecks": rechecks,
+        }
+
+    def entries(self) -> list[tuple[SubstructureConstraint, Candidates]]:
+        """``(constraint, V(S, G))`` pairs, least-recently-used first;
+        counters and recency are untouched."""
+        with self._lock:
+            return list(self._entries.values())
+
+    def carry_stats(self) -> dict[str, int]:
+        """Entries every :meth:`derive` so far carried and the ``SCck``
+        re-checks that took — service-lifetime, like the other counters."""
+        counts = self._counts
+        with self._lock:
+            return {
+                "candidates_carried": counts.carried,
+                "scck_rechecks": counts.rechecks,
+            }
 
     def get(self, constraint: SubstructureConstraint, graph: Any) -> Candidates:
         """The satisfying vertices of ``constraint`` on ``graph``.
@@ -394,7 +454,7 @@ class CandidateCache(_EpochCache):
             if cached is not None:
                 self._entries.move_to_end(key)
                 counts.hits += 1
-                return cached, True
+                return cached[1], True
             counts.misses += 1
             pending = self._pending.get(key)
             if pending is None:
@@ -418,7 +478,7 @@ class CandidateCache(_EpochCache):
             raise
         slot[0] = candidates
         with self._lock:
-            self._entries[key] = candidates
+            self._entries[key] = (constraint, candidates)
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_size:
                 self._entries.popitem(last=False)

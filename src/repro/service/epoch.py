@@ -21,18 +21,32 @@ assembled in two places only — :meth:`GraphEpoch.first` for epoch 0,
 whole-graph replacement, rebalance) — by one rule per structure, each
 seeing *(parent, change)*:
 
-==================  =====================  =============================
-structure           the parent's snapshot  any other graph
-==================  =====================  =============================
-index               shared                 ``LocalIndex.derive``
-bounds, planner     shared                 rebuilt
-``V(S, G)`` cache   shared                 ``heir()``: empty, same counters
-cached answers      shared                 ``heir()``: empty, same counters
-==================  =====================  =============================
+==================  ===========  ===============================  ===================
+structure           same         a change of known edges          any other graph
+                    snapshot     (``apply_updates``)              (``replace_graph``)
+==================  ===========  ===============================  ===================
+index               shared       deferred: ``LocalIndex.derive``  deferred: rebuilt
+                                 of the touched sources, run on   over the same
+                                 first use                        landmarks
+bounds, planner     shared       rebuilt                          rebuilt
+``V(S, G)`` cache   shared       ``derive()``: every entry        ``heir()``: empty,
+                                 carried by its exact delta       same counters
+cached answers      shared       ``heir()``: empty, same          ``heir()``: empty,
+                                 counters                         same counters
+==================  ===========  ===============================  ===================
 
-Same snapshot, same answers; a different graph inherits no entry.
-Incremental bounds, monotone cache carry-over and lazy index repair
-(ROADMAP item 3) are each a change to one row.
+Same snapshot, same answers.  A known change moves ``V(S, G)`` only at
+the vertices of matches that use a changed edge
+(:meth:`~repro.constraints.substructure.SubstructureConstraint.carried_vertices`),
+so the set is carried rather than re-evaluated; cached answers are not,
+since a batch that both adds and removes edges can flip any of them.
+The index is read by forced INS alone, so a swap stores the last
+repaired ancestor's index and the union of the source vertices touched
+since (vertex ids are stable along a chain of epochs), and the first
+reader — the ``ins`` session, :attr:`GraphEpoch.index` — repairs it
+once, under the session lock, by :meth:`LocalIndex.derive
+<repro.index.local_index.LocalIndex.derive>`'s own rebuild-fraction
+rule.
 
 ``epoch_id`` is a per-service monotonic integer starting at 0, surfaced
 in query metadata, ``/stats``, ``/healthz`` and the snapshot identity so
@@ -47,9 +61,11 @@ from threading import Lock
 from typing import TYPE_CHECKING
 
 from repro.approx.bounds import BoundsIndex, build_bounds
+from repro.constraints.substructure import EdgeIds
 from repro.exceptions import BadRequestError
 from repro.graph.csr import FrozenGraph, freeze_graph
 from repro.graph.labeled_graph import KnowledgeGraph
+from repro.index.landmarks import NO_REGION
 from repro.index.local_index import LocalIndex
 from repro.obs.trace import span
 from repro.service.cache import CandidateCache, ConstraintCache, ResultCache
@@ -60,7 +76,12 @@ from repro.session import LSCRSession
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.shard.partitioner import ShardTopology
 
-__all__ = ["GraphEpoch", "normalize_edge_updates", "validate_edge_updates"]
+__all__ = [
+    "GraphEpoch",
+    "net_change",
+    "normalize_edge_updates",
+    "validate_edge_updates",
+]
 
 #: An edge update as carried through the service: name-level triple plus
 #: the operation ("add" or "remove") to apply it with.
@@ -69,6 +90,14 @@ EdgeUpdate = tuple[str, str, str, str]
 #: Operations an update batch may carry per edge.
 EDGE_OPS = ("add", "remove")
 
+#: A batch's net effect as id triples: ``(added, removed)`` — present
+#: only after it, present only before it.
+EdgeChange = tuple[frozenset[EdgeIds], frozenset[EdgeIds]]
+
+#: A deferred index: the last repaired ancestor's index and the source
+#: vertices touched since (None: a change about which nothing is known).
+Deferred = tuple[LocalIndex, "frozenset[int] | None"]
+
 
 class GraphEpoch:
     """One immutable serving generation: a frozen graph, its id, and
@@ -76,14 +105,15 @@ class GraphEpoch:
     :meth:`derive` only.
 
     Nothing here is mutated after publication except the session pool,
-    which only *grows* (create-once under its own lock) and the caches,
-    which are memoisation of pure functions of the graph.
+    which only *grows* (create-once under its own lock), the caches,
+    which are memoisation of pure functions of the graph, and a deferred
+    index, repaired once on first use (:attr:`index`).
     """
 
     __slots__ = (
         "epoch_id",
         "graph",
-        "index",
+        "derivation",
         "repair",
         "bounds",
         "planner",
@@ -93,6 +123,8 @@ class GraphEpoch:
         "topology",
         "fingerprint",
         "created_at",
+        "_index",
+        "_deferred",
         "_sessions",
         "_session_lock",
     )
@@ -102,22 +134,32 @@ class GraphEpoch:
         epoch_id: int,
         graph: FrozenGraph,
         index: LocalIndex | None,
-        repair: dict | None,
+        deferred: Deferred | None,
         bounds: BoundsIndex | None,
         planner: QueryPlanner,
         candidates: CandidateCache,
         results: ResultCache,
         options: ServiceOptions,
+        carried: dict[str, int] | None = None,
     ) -> None:
         self.epoch_id = epoch_id
         self.graph = graph
-        self.index = index
-        #: How the index followed the parent epoch's — the ``index`` /
-        #: ``regions_refreshed`` fields of an update summary.
-        self.repair = repair or {
-            "index": "none" if index is None else "unchanged",
-            "regions_refreshed": 0,
+        #: ``graph``'s index (None: unindexed, or not repaired yet).
+        self._index = index
+        #: ``(ancestor's index, sources touched since)`` until the first
+        #: read of :attr:`index` repairs it; None sources: unknown change.
+        self._deferred = deferred
+        #: How this epoch followed its parent — the ``index`` /
+        #: ``regions_pending`` / ``candidates_carried`` / ``scck_rechecks``
+        #: fields of an update summary.
+        self.derivation = {
+            "index": _index_action(index, deferred),
+            "regions_pending": _regions_pending(deferred),
+            **(carried or {"candidates_carried": 0, "scck_rechecks": 0}),
         }
+        #: What the deferred repair did once run — ``LocalIndex.derive``'s
+        #: ``index`` / ``regions_refreshed`` — None until then.
+        self.repair: dict | None = None
         #: Label-blind reachability upper bound for *this* snapshot
         #: (``repro.approx``; None with the tier off), so the router's
         #: definite-No stays sound across updates and replay.
@@ -161,7 +203,7 @@ class GraphEpoch:
             index,
             None,
             _bounds(frozen, options),
-            _planner(frozen, index, constraints, options),
+            _planner(frozen, index is not None, constraints, options),
             CandidateCache(max_size=size),
             ResultCache(max_size=size, ttl_seconds=options.cache_ttl),
             options,
@@ -171,45 +213,107 @@ class GraphEpoch:
         self,
         graph: KnowledgeGraph,
         epoch_id: int,
-        touched: set[int] | None = None,
+        change: EdgeChange | None = None,
     ) -> "GraphEpoch":
         """Assemble — without storing — the epoch that serves ``graph``
         after this one, by the module docstring's rules.
 
         ``graph`` is this epoch's own snapshot (a renumbering, a new
-        shard topology) or any other graph: a patched copy whose edits
-        all start at the ``touched`` vertex ids, or — ``touched`` None —
-        a replacement about which nothing is known.
+        shard topology) or any other graph: a patched copy that differs
+        from this one by exactly the ``change`` — ``(added, removed)``
+        id triples, net of the batch — or, ``change`` None, a
+        replacement about which nothing is known.
         """
         frozen = _freeze(graph)
-        same = frozen is self.graph
         constraints, options = self.planner.constraints, self.options
-        index, repair = self.index, None
-        if index is not None and not same:
-            with span("index-repair") as repair_span:
-                index, repair = index.derive(frozen, touched)
-                repair_span.set(
-                    action=repair["index"], regions=repair["regions_refreshed"]
+        # _deferred before _index: a concurrent repair stores the index
+        # first, so either read gives a valid (index, pending) pair.
+        deferred, index = self._deferred, self._index
+        if frozen is self.graph:
+            return GraphEpoch(
+                epoch_id, frozen, index, deferred, self.bounds, self.planner,
+                self.candidates, self.results, options,
+            )
+        if deferred is None and index is not None:
+            deferred = (index, frozenset())
+        if deferred is not None:
+            ancestor, pending = deferred
+            touched = (
+                None if change is None else {s for s, _, _ in change[0] | change[1]}
+            )
+            # Re-pointed at this snapshot, so that no older one stays
+            # alive behind an index nobody has read.
+            deferred = (
+                ancestor.clone_for(frozen),
+                None if pending is None or touched is None else pending | touched,
+            )
+        if change is None:
+            candidates, carried = self.candidates.heir(), None
+        else:
+            with span("candidate-carry") as carry_span:
+                candidates, carried = self.candidates.derive(
+                    self.graph, frozen, *change
                 )
+                carry_span.set(**carried)
         return GraphEpoch(
             epoch_id,
             frozen,
-            index,
-            repair,
-            self.bounds if same else _bounds(frozen, options),
-            self.planner
-            if same
-            else _planner(frozen, index, constraints, options),
-            self.candidates if same else self.candidates.heir(),
-            self.results if same else self.results.heir(),
+            None,
+            deferred,
+            _bounds(frozen, options),
+            _planner(frozen, deferred is not None, constraints, options),
+            candidates,
+            self.results.heir(),
             options,
+            carried,
         )
+
+    @property
+    def index(self) -> LocalIndex | None:
+        """This snapshot's local index (None when serving index-free),
+        repaired from the deferred ancestor's on the first read — once,
+        under the session lock — by ``LocalIndex.derive``."""
+        if self._deferred is None:
+            return self._index
+        with self._session_lock:
+            deferred = self._deferred
+            if deferred is not None:
+                ancestor, pending = deferred
+                with span("index-repair") as repair_span:
+                    index, repair = ancestor.derive(
+                        self.graph, None if pending is None else set(pending)
+                    )
+                    repair_span.set(
+                        action=repair["index"],
+                        regions=repair["regions_refreshed"],
+                    )
+                self._index, self.repair = index, repair
+                self._deferred = None
+        return self._index
+
+    @property
+    def has_index(self) -> bool:
+        """Whether this epoch serves indexed — without repairing anything."""
+        return self._deferred is not None or self._index is not None
+
+    def describe_index(self) -> dict:
+        """The ``/stats`` ``index`` section, read without a repair: the
+        landmarks are the deferred ancestor's, which a repair keeps."""
+        deferred = self._deferred
+        index = deferred[0] if deferred is not None else self._index
+        if index is None:
+            return {"loaded": False}
+        return {
+            "loaded": True,
+            "landmarks": len(index.partition.landmarks),
+            "regions_pending": _regions_pending(deferred),
+        }
 
     def __repr__(self) -> str:
         return (
             f"GraphEpoch(id={self.epoch_id}, graph={self.graph.name!r}, "
             f"|V|={self.graph.num_vertices}, |E|={self.graph.num_edges}, "
-            f"index={'loaded' if self.index is not None else 'none'})"
+            f"index={'loaded' if self.has_index else 'none'})"
         )
 
     def session(self, algorithm: str) -> LSCRSession:
@@ -217,13 +321,15 @@ class GraphEpoch:
         session = self._sessions.get(algorithm)
         if session is not None:
             return session
+        # Read before the lock: a deferred index repairs under it.
+        index = self.index if algorithm == "ins" else None
         with self._session_lock:
             session = self._sessions.get(algorithm)
             if session is None:
                 session = LSCRSession(
                     self.graph,
                     algorithm=algorithm,
-                    index=self.index if algorithm == "ins" else None,
+                    index=index,
                     seed=self.options.seed,
                     constraint_cache=self.planner.constraints,
                     candidate_cache=self.candidates,
@@ -242,6 +348,25 @@ class GraphEpoch:
             "created_at": self.created_at,
             "age_seconds": time.time() - self.created_at,
         }
+
+
+def _index_action(index: LocalIndex | None, deferred: Deferred | None) -> str:
+    if deferred is not None:
+        return "deferred"
+    return "none" if index is None else "unchanged"
+
+
+def _regions_pending(deferred: Deferred | None) -> int:
+    """Regions a deferred repair will rebuild (all of them when the
+    change is unknown; the rebuild-fraction rule may still widen it)."""
+    if deferred is None:
+        return 0
+    ancestor, pending = deferred
+    landmarks = ancestor.partition.landmarks
+    if pending is None:
+        return len(landmarks)
+    region = ancestor.partition.region
+    return len({region[v] for v in pending if v < len(region)} - {NO_REGION})
 
 
 def _freeze(graph: KnowledgeGraph) -> FrozenGraph:
@@ -267,14 +392,14 @@ def _bounds(graph: FrozenGraph, options: ServiceOptions) -> BoundsIndex | None:
 
 def _planner(
     graph: FrozenGraph,
-    index: LocalIndex | None,
+    has_index: bool,
     constraints: ConstraintCache,
     options: ServiceOptions,
 ) -> QueryPlanner:
     return QueryPlanner(
         graph,
         constraints,
-        has_index=index is not None,
+        has_index=has_index,
         default_algorithm=options.algorithm or DEFAULT_ALGORITHM,
     )
 
@@ -362,3 +487,21 @@ def normalize_edge_updates(edges: object) -> list[EdgeUpdate]:
             )
         updates.append(parts)  # type: ignore[arg-type]
     return updates
+
+
+def net_change(
+    old: KnowledgeGraph, new: KnowledgeGraph, updates: list[EdgeUpdate]
+) -> EdgeChange:
+    """What ``updates`` really changed between ``old`` and ``new`` (the
+    copy they were applied to, sharing ``old``'s ids): the id triples of
+    the batch present only in ``new`` and those present only in ``old``.
+    Each triple is probed on both graphs, so an add and a remove of one
+    edge in one batch cancel out."""
+    added: set[EdgeIds] = set()
+    removed: set[EdgeIds] = set()
+    for source, label, target, _ in updates:
+        after = new.has_edge_named(source, label, target)
+        if after != old.has_edge_named(source, label, target):
+            edge = (new.vid(source), new.labels.id_of(label), new.vid(target))
+            (added if after else removed).add(edge)
+    return frozenset(added), frozenset(removed)

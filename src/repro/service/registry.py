@@ -113,7 +113,7 @@ class _TenantEntry:
             "vertices": service.graph.num_vertices,
             "edges": service.graph.num_edges,
             "labels": service.graph.num_labels,
-            "index_loaded": service.index is not None,
+            "index_loaded": service.epoch.has_index,
             "default_algorithm": service.default_algorithm,
             "epoch": service.epoch.epoch_id,
         }

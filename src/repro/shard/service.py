@@ -197,7 +197,7 @@ class ShardedQueryService(QueryService):
         return (
             f"ShardedQueryService({self.graph.name!r}, "
             f"shards={self.shard_plan.num_shards}, "
-            f"index={'loaded' if self.index is not None else 'none'})"
+            f"index={'loaded' if self._epoch.has_index else 'none'})"
         )
 
     @property

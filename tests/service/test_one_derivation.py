@@ -12,8 +12,9 @@ problem: it followed the content and took its counters along, so
 
 Now every structure of an epoch is derived from its parent's by
 ``GraphEpoch.derive``: the parent's own snapshot shares everything,
-cached answers included; any other graph inherits no entry, only the
-counters.  The first two tests fail on the commit before, on all three
+cached answers included; any other graph inherits no cached answer,
+only the counters, and ``V(S, G)`` only as its exact delta carries it.
+The first two tests fail on the commit before, on all three
 topologies.
 """
 
@@ -93,7 +94,7 @@ def test_renumbering_keeps_the_warmed_answers(topology):
 
 
 @topologies
-def test_an_update_inherits_the_counters_and_none_of_the_entries(topology):
+def test_an_update_inherits_the_counters_and_no_answer(topology):
     with serving(topology) as service:
         for target in ("c", "d", "d"):  # each cache misses, then hits
             service.query("a", target, ["go"], S)
@@ -101,16 +102,27 @@ def test_an_update_inherits_the_counters_and_none_of_the_entries(topology):
         assert before["result_cache", "hits"] >= 1
         assert before["candidate_cache", "hits"] >= 1
         held = len(old.results)
-        service.apply_updates([("d", "go", "a")])
+        summary = service.apply_updates([("d", "go", "a"), ("c", "mark", "c")])
         after, new = cache_counters(service), service.epoch
         assert new.results is not old.results and len(new.results) == 0
-        assert new.candidates is not old.candidates and len(new.candidates) == 0
+        # V(S, G) is carried by its delta, not dropped: c joins it.
+        assert new.candidates is not old.candidates
+        assert [
+            (constraint, set(candidates))
+            for constraint, candidates in new.candidates.entries()
+        ] == [(service.constraints.get(S), {new.graph.vid("b"), new.graph.vid("c")})]
+        assert (summary["candidates_carried"], summary["scck_rechecks"]) == (1, 1)
         # What the swap left behind counts as evicted, as the purge did.
         assert after["result_cache", "evictions"] == (
             before["result_cache", "evictions"] + held
         )
+        assert after["candidate_cache", "evictions"] == (
+            before["candidate_cache", "evictions"]
+        )
         assert all(after[key] >= before[key] for key in before), (before, after)
         assert after["result_cache", "hits"] == before["result_cache", "hits"]
+        carry = service.stats_snapshot()["candidate_cache"]
+        assert (carry["candidates_carried"], carry["scck_rechecks"]) == (1, 1)
 
 
 def test_an_in_flight_query_writes_to_the_epoch_it_read():

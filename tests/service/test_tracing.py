@@ -114,8 +114,11 @@ class TestUpdateTrace:
         trace = summary["trace"]
         assert trace["name"] == "updates"
         names = _names(trace)
-        for stage in ("copy", "apply", "freeze", "index-repair", "publish"):
+        for stage in ("copy", "apply", "freeze", "candidate-carry", "publish"):
             assert stage in names, stage
+        # The index is repaired by its first reader, not by the swap.
+        assert "index-repair" not in names
+        assert summary["index"] == "deferred"
         apply_span = _child(trace, "apply")
         assert apply_span["attrs"]["added"] == 1
         assert apply_span["attrs"]["vertices_added"] == 1

@@ -17,7 +17,11 @@ Covers the epoch-swap mechanics the randomized agreement suite
 
 from __future__ import annotations
 
+import gc
 import json
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -27,8 +31,9 @@ from repro.exceptions import (
     BadRequestError,
     ServiceConfigError,
 )
-from repro.graph import FrozenGraph
-from repro.index.local_index import build_local_index
+from repro.graph import FrozenGraph, KnowledgeGraph
+from repro.graph.csr import base_graph
+from repro.index.local_index import LocalIndex, build_local_index
 from repro.service.app import QueryService
 from repro.service.registry import TenantRegistry
 from repro.shard import ShardedQueryService
@@ -152,8 +157,12 @@ class TestApplyUpdates:
         service = make_service(indexed=True)
         try:
             summary = service.apply_updates([("s", "go", "s2")])
-            assert summary["index"] in ("refreshed", "unchanged")
+            # The swap defers the repair to the index's first reader.
+            assert summary["index"] == "deferred"
+            assert summary["regions_pending"] == 1
+            assert service.epoch.repair is None
             assert service.index is not None
+            assert service.epoch.repair["index"] in ("refreshed", "unchanged")
             # A batch whose sources span more than half of the regions —
             # here both of two — is past where per-region repair pays.
             index, graph = service.index, service.graph
@@ -162,9 +171,73 @@ class TestApplyUpdates:
             summary = service.apply_updates(
                 [("s", "go", "s3"), ("m", "go", "m3")]
             )
-            assert summary["index"] == "rebuilt"
-            assert summary["regions_refreshed"] == len(regions)
+            assert summary["index"] == "deferred"
+            assert summary["regions_pending"] == len(regions)
+            assert service.index is not None
+            assert service.epoch.repair == {
+                "index": "rebuilt",
+                "regions_refreshed": len(regions),
+            }
         finally:
+            service.close()
+
+    def test_racing_first_readers_repair_the_index_once(self, monkeypatch):
+        service = make_service(indexed=True)
+        repairs = []
+        derive = LocalIndex.derive
+
+        def counting(index, graph, touched=None):
+            repairs.append(touched)
+            time.sleep(0.02)  # let the other readers arrive mid-repair
+            return derive(index, graph, touched)
+
+        monkeypatch.setattr(LocalIndex, "derive", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            service.apply_updates([("s", "go", "s2")])
+            epoch = service.epoch
+            start = threading.Barrier(16)
+            seen = []
+
+            def read(algorithm):
+                start.wait(timeout=10)
+                seen.append(
+                    epoch.index
+                    if algorithm is None
+                    else epoch.session(algorithm).index
+                )
+
+            threads = [
+                threading.Thread(target=read, args=(("ins", None)[i % 2],))
+                for i in range(16)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(seen) == 16
+            assert len(repairs) == 1
+            assert all(index is seen[0] is epoch.index for index in seen)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+
+    def test_retired_snapshots_die_without_a_full_collection(self):
+        """Neither a retired builder nor the deferred index may keep an
+        old graph alive: with the cyclic collector off, a chain of
+        updates leaves only the current snapshot and its builder."""
+        service = make_service(indexed=True)
+        gc.collect()
+        gc.disable()
+        try:
+            for target in ("s2", "s3", "s4"):
+                service.apply_updates([("s", "go", target)])
+            alive = {id(o) for o in gc.get_objects() if isinstance(o, KnowledgeGraph)}
+            assert alive == {id(service.graph), id(base_graph(service.graph))}
+        finally:
+            gc.enable()
             service.close()
 
     def test_empty_batch_rejected(self):
@@ -287,12 +360,17 @@ class TestEdgeRetraction:
         service = make_service(indexed=True)
         try:
             service.apply_updates([("m", "go", "far")])
-            result, _ = service.query("s", "far", ["go"], CONSTRAINT)
+            result, _ = service.query(
+                "s", "far", ["go"], CONSTRAINT, algorithm="ins"
+            )
             assert result.answer is True
             summary = service.apply_updates([("m", "go", "far", "remove")])
-            assert summary["index"] in ("refreshed", "rebuilt")
-            result, _ = service.query("s", "far", ["go"], CONSTRAINT)
+            assert summary["index"] == "deferred"
+            result, _ = service.query(
+                "s", "far", ["go"], CONSTRAINT, algorithm="ins"
+            )
             assert result.answer is False
+            assert service.epoch.repair["index"] in ("refreshed", "rebuilt")
         finally:
             service.close()
 

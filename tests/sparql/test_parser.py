@@ -128,3 +128,28 @@ class TestAstRendering:
 
     def test_var_str(self):
         assert str(Var("x")) == "?x"
+
+
+#: Every SPARQL construct whose matches are not monotone in the edge set
+#: (or that is not a plain BGP at all), each in a constraint that would
+#: otherwise parse.
+NON_MONOTONE = {
+    "FILTER": "SELECT ?x WHERE { ?x <p> ?y . FILTER(?y != ?x) }",
+    "OPTIONAL": "SELECT ?x WHERE { ?x <p> ?y . OPTIONAL { ?y <q> ?z } }",
+    "MINUS": "SELECT ?x WHERE { ?x <p> ?y . MINUS { ?y <q> ?z } }",
+    "UNION": "SELECT ?x WHERE { { ?x <p> ?y } UNION { ?x <q> ?y } }",
+    "BIND": "SELECT ?x WHERE { ?x <p> ?y . BIND(?y AS ?z) }",
+    "VALUES": "SELECT ?x WHERE { ?x <p> ?y . VALUES ?y { a b } }",
+    "NOT EXISTS": "SELECT ?x WHERE { ?x <p> ?y . FILTER NOT EXISTS { ?y <q> ?z } }",
+}
+
+
+@pytest.mark.parametrize("construct", sorted(NON_MONOTONE))
+def test_non_monotone_constructs_are_rejected(construct):
+    """The constraint language is BGP-only, which is what makes
+    ``SubstructureConstraint.carried_vertices`` exact: a constraint's
+    matches only grow with added edges and shrink with removed ones."""
+    text = NON_MONOTONE[construct]
+    for spelling in (text, text.replace(construct, construct.lower())):
+        with pytest.raises(SparqlSyntaxError):
+            parse_select(spelling)

@@ -22,7 +22,15 @@ a plain :class:`KnowledgeGraph`:
   are ``service.epoch.topology``'s, a swap leaves exactly the workers
   whose publish it lost behind, ``audit_fingerprint()`` passes, and no
   counter of ``/stats`` ``result_cache`` / ``candidate_cache`` ever
-  steps back, whatever was swapped underneath it.
+  steps back, whatever was swapped underneath it;
+* after every update batch — every ``V(S, G)`` the new epoch's candidate
+  cache carried across the swap equals a from-scratch evaluation;
+* whenever a forced INS query materialises the index an update swap
+  deferred — after however many swaps no reader touched it — its tables
+  equal those of an eager ``LocalIndex.derive`` chain kept beside the
+  service, one link per swap (or, where the union of the swaps' sources
+  passed the rebuild fraction that no single swap did, a rebuild over
+  the same landmarks).
 
 Topologies: plain and in-process shards run in tier-1 on a fixed,
 derandomised budget; HTTP-attached workers over an in-thread server
@@ -52,8 +60,9 @@ from repro.core.algorithms import ALGORITHMS as REGISTERED
 from repro.core.naive import NaiveTwoProcedure
 from repro.core.query import LSCRQuery
 from repro.exceptions import ShardUnavailableError
+from repro.graph.csr import base_graph
 from repro.graph.labeled_graph import KnowledgeGraph
-from repro.index.local_index import build_local_index
+from repro.index.local_index import LocalIndex, build_local_index
 from repro.service.app import QueryService
 from tests.helpers import cache_counters, sharded_fleet
 
@@ -104,6 +113,10 @@ class LifecycleMachine(RuleBasedStateMachine):
             self.mirror.add_edge(*edge)
         graph = self.mirror.copy()
         index = build_local_index(graph, k=3, rng=0)
+        #: The index chain an eager repair at every swap would hold.
+        self.eager = index
+        #: Swaps since the service's index was last materialised.
+        self.unread_swaps = 0
         if self.sharded:
             self.service = self.stack.enter_context(
                 sharded_fleet(
@@ -143,7 +156,7 @@ class LifecycleMachine(RuleBasedStateMachine):
             assert not any(worker.lose_publishes for worker in workers)
         return outcome
 
-    def update(self, batch, applied: int):
+    def update(self, batch, edges_before, applied: int):
         if applied:
             self.epoch_id += 1
         before = self.service.epoch
@@ -153,8 +166,18 @@ class LifecycleMachine(RuleBasedStateMachine):
         assert summary["epoch"] == self.epoch_id
         if not applied:
             assert self.service.epoch is before
-        if self.sharded and applied:
+            return
+        if self.sharded:
             assert summary["slice_epoch"] == self.service.slice_epoch
+        epoch = self.service.epoch
+        for constraint, candidates in epoch.candidates.entries():
+            assert set(candidates) == set(
+                constraint.satisfying_vertices(epoch.graph)
+            ), (constraint.to_sparql(), batch)
+        changed = edges_before ^ set(self.mirror.edges_named())
+        touched = {epoch.graph.vid(source) for source, _, _ in changed}
+        self.eager = self.eager.derive(epoch.graph, touched)[0]
+        self.unread_swaps += 1
 
     def present(self, picks):
         edges = sorted(self.mirror.edges_named())
@@ -162,19 +185,25 @@ class LifecycleMachine(RuleBasedStateMachine):
 
     @rule(batch=st.lists(EDGES, min_size=1, max_size=4))
     def insert(self, batch):
-        self.update(batch, sum(self.mirror.add_edge(*edge) for edge in batch))
+        before = set(self.mirror.edges_named())
+        self.update(
+            batch, before, sum(self.mirror.add_edge(*edge) for edge in batch)
+        )
 
     @rule(picks=PICKS)
     def retract(self, picks):
         batch = [(*edge, "remove") for edge in self.present(picks)]
         batch.append(("v0", "likes", "never-added", "remove"))
-        self.update(batch, sum(self.mirror.remove_edge(*e[:3]) for e in batch))
+        before = set(self.mirror.edges_named())
+        self.update(
+            batch, before, sum(self.mirror.remove_edge(*e[:3]) for e in batch)
+        )
 
     @rule(picks=PICKS)
     def no_op(self, picks):
         batch = [(*edge, "add") for edge in self.present(picks)]
         batch.append(("q", "other", "never-added", "remove"))
-        self.update(batch, 0)
+        self.update(batch, set(self.mirror.edges_named()), 0)
 
     @rule(edits=st.lists(st.tuples(EDGES, st.booleans()), max_size=3),
           bump=st.integers(0, 3))
@@ -187,6 +216,8 @@ class LifecycleMachine(RuleBasedStateMachine):
         self.swap(
             lambda: self.service.replace_graph(self.mirror.copy(), self.epoch_id)
         )
+        self.eager = self.eager.derive(self.service.graph, None)[0]
+        self.unread_swaps += 1
 
     @rule(bump=st.integers(0, 3))
     def reset_epoch(self, bump):
@@ -238,6 +269,32 @@ class LifecycleMachine(RuleBasedStateMachine):
             for source in POOL:
                 for goal in POOL:
                     self.ask(source, goal, labels, constraint, algorithm, use_cache)
+        if algorithm == "ins":
+            self.index_matches_the_eager_chain()
+
+    @rule(
+        labels=st.sets(st.sampled_from(LABELS), min_size=1),
+        constraint=st.sampled_from(sorted(CONSTRAINTS)),
+    )
+    def ins_after_unread_swaps(self, labels, constraint):
+        """Forced INS, uncached, on whatever index repair the swaps
+        since the last read left pending."""
+        swaps = self.unread_swaps
+        for source in POOL:
+            for goal in POOL:
+                self.ask(source, goal, sorted(labels), constraint, "ins", False)
+        self.index_matches_the_eager_chain(swaps)
+
+    def index_matches_the_eager_chain(self, swaps=None):
+        index = self.service.index
+        eager = self.eager
+        if index.partition.region != eager.partition.region:
+            eager = build_local_index(
+                eager.graph, landmarks=list(eager.partition.landmarks)
+            )
+        assert base_graph(index.graph) is base_graph(self.service.graph)
+        assert tables(index) == tables(eager), swaps
+        self.eager, self.unread_swaps = eager, 0
 
     def ask(self, source, goal, labels, constraint, algorithm, use_cache):
         try:
@@ -281,6 +338,16 @@ class LifecycleMachine(RuleBasedStateMachine):
         for key, was in self.cache_counters.items():
             assert counters[key] >= was, (key, was, counters[key])
         self.cache_counters = counters
+
+
+def tables(index: LocalIndex):
+    """An index's region assignment and ``II / EIT / D`` tables."""
+    return (
+        index.partition.region,
+        {u: sorted(table.items()) for u, table in index.ii.items()},
+        index.eit,
+        index.d,
+    )
 
 
 @pytest.mark.parametrize("topology", ["plain", "in-process", "http"])

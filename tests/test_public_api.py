@@ -30,7 +30,13 @@ class TestPublicSurface:
         assert result.passed_vertices >= 1
 
     def test_all_algorithms_importable_from_root(self):
-        for cls in (repro.UIS, repro.UISStar, repro.INS, repro.NaiveTwoProcedure):
+        for cls in (
+            repro.UIS,
+            repro.UISStar,
+            repro.INS,
+            repro.NaiveTwoProcedure,
+            repro.MeetSearch,
+        ):
             assert issubclass(cls, repro.LSCRAlgorithm)
 
     def test_exception_hierarchy(self):

@@ -158,24 +158,13 @@ def report_server_delta(
     )
     routed = _metric_delta(delta, "repro_approx_routed_total")
     if routed:
-        # The approx tier's share of this run, not the server's lifetime.
+        # The router's share of this run, not the server's lifetime.
         no = _metric_delta(delta, "repro_approx_short_circuit_no_total")
         yes = _metric_delta(delta, "repro_approx_short_circuit_yes_total")
-        guessed = _metric_delta(delta, "repro_approx_answers_total")
-        rechecks = _metric_delta(delta, "repro_approx_rechecks_total")
-        mismatches = _metric_delta(
-            delta, "repro_approx_recheck_mismatches_total"
-        )
-        false_text = (
-            f"{mismatches / rechecks:.1%} of {rechecks:.0f} rechecks"
-            if rechecks else "n/a"
-        )
         print(
-            f"  approx tier: {routed:.0f} routed, "
+            f"  short-circuit router: {routed:.0f} routed, "
             f"short-circuit rate {(no + yes) / routed:.1%} "
-            f"(No={no:.0f}, Yes={yes:.0f}), "
-            f"{guessed:.0f} approximate answers, "
-            f"observed false rate {false_text}"
+            f"(No={no:.0f}, Yes={yes:.0f})"
         )
 
 
@@ -236,15 +225,9 @@ def client_loop(
     batch_size: int,
     offset: int,
     deadline_ms: float | None = None,
-    mode: str | None = None,
 ) -> None:
     position = offset  # stagger clients so they don't lockstep the cache
-    params = []
-    if deadline_ms:
-        params.append(f"deadline_ms={deadline_ms:g}")
-    if mode:
-        params.append(f"mode={mode}")
-    suffix = "?" + "&".join(params) if params else ""
+    suffix = f"?deadline_ms={deadline_ms:g}" if deadline_ms else ""
     while time.perf_counter() < stop_at:
         if batch_every and position % batch_every == 0:
             chunk = [
@@ -288,7 +271,6 @@ def run_load(
     batch_every: int,
     batch_size: int,
     deadline_ms: float | None = None,
-    mode: str | None = None,
 ) -> LoadStats:
     stats = LoadStats()
     stop_at = time.perf_counter() + duration
@@ -296,7 +278,7 @@ def run_load(
         threading.Thread(
             target=client_loop,
             args=(base, specs, stats, stop_at, batch_every, batch_size,
-                  position * 17, deadline_ms, mode),
+                  position * 17, deadline_ms),
             daemon=True,
         )
         for position in range(clients)
@@ -357,10 +339,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--deadline-ms", type=float, default=None,
                         help="send ?deadline_ms= with every request and "
                         "count structured 504/503/429 refusals separately")
-    parser.add_argument("--mode", choices=("exact", "approximate"),
-                        default=None,
-                        help="send ?mode= with every request (approximate "
-                        "drives the server's bounded-answer tier)")
     args = parser.parse_args(argv)
 
     if args.url is not None:
@@ -372,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         before = scrape_metrics(args.url)
         stats = run_load(args.url, specs, args.clients, args.duration,
                          args.batch_every, args.batch_size,
-                         deadline_ms=args.deadline_ms, mode=args.mode)
+                         deadline_ms=args.deadline_ms)
         report(stats, args.clients)
         report_server_delta(before, scrape_metrics(args.url))
         return 0
@@ -403,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         stats = run_load(base, default_specs(args.vertices, num_labels),
                          args.clients, args.duration,
                          args.batch_every, args.batch_size,
-                         deadline_ms=args.deadline_ms, mode=args.mode)
+                         deadline_ms=args.deadline_ms)
         report(stats, args.clients)
         # The server's own view of the same run, for cross-checking the
         # client-side numbers — scraped over /metrics like production

@@ -1,4 +1,4 @@
-"""`repro.approx` — bounded-answer tier with exact fallback.
+"""`repro.approx` — sound short-circuit routing with exact fallback.
 
 Sound short-circuit filters ahead of the two-phase LSCR evaluation,
 grounded in *Approximate Evaluation of Label-Constrained Reachability
@@ -12,15 +12,13 @@ Zhang/Bonifati/Özsu reachability-indexing survey:
 * :mod:`repro.approx.witness` — an epoch-surviving LRU of verified
   witness paths, the definite-Yes lower bound.
 * :mod:`repro.approx.router` — the `_execute`-seam router gluing both
-  into definite-No / definite-Yes / uncertain routing, plus the opt-in
-  ``mode=approximate`` with sampled-re-check false-rate accounting.
+  into definite-No / definite-Yes routing; the uncertain rest falls
+  through to the exact evaluators, so every answer is exact.
 """
 
 from repro.approx.bounds import BoundsIndex, build_bounds
 from repro.approx.router import (
-    APPROX_ALGORITHM,
     BOUNDS_ALGORITHM,
-    MODES,
     SHORT_CIRCUIT_ALGORITHMS,
     WITNESS_ALGORITHM,
     ApproxRouter,
@@ -29,9 +27,7 @@ from repro.approx.router import (
 from repro.approx.witness import WitnessCache
 
 __all__ = [
-    "APPROX_ALGORITHM",
     "BOUNDS_ALGORITHM",
-    "MODES",
     "SHORT_CIRCUIT_ALGORITHMS",
     "WITNESS_ALGORITHM",
     "ApproxRouter",

@@ -1,4 +1,4 @@
-"""Label-blind reachability upper bound for the approximate tier.
+"""Label-blind reachability upper bound for the short-circuit router.
 
 The bounds index answers one question — *could* there be any directed
 path from ``s`` to ``t``, ignoring labels and constraints entirely — and

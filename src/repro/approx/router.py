@@ -16,24 +16,19 @@ result cache — and tries to settle the query without an evaluator:
   query that still verifies against the *current* graph and constraint
   (:class:`~repro.approx.witness.WitnessCache`).
 * **uncertain** — everything else falls through to the exact
-  evaluators; in ``mode=approximate`` the router instead answers True
-  from the upper bound alone (one-sided error) and samples exact
-  re-checks at ``recheck_rate`` to account the observed false rate.
+  evaluators.
 
 The only query the No path refuses to touch is ``s == t``: label-blind
 self-reachability is trivially true, yet the LSCR answer hinges on a
 cycle through a satisfying vertex, so no sound No exists there (the
 planner makes the same call for its trivial cases).
 
-Everything here is exact bookkeeping around sound inferences — the
-*only* place an answer can differ from the exact service is the opt-in
-approximate mode, and that difference is measured, not guessed:
-``false_rate`` in :meth:`stats` is mismatches over sampled re-checks.
+Everything here is exact bookkeeping around sound inferences: a routed
+answer is always the answer the exact evaluators would give.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from dataclasses import dataclass
@@ -44,24 +39,17 @@ from repro.core.witness import WitnessPath, verify_witness
 from repro.approx.witness import WitnessCache
 
 __all__ = [
-    "APPROX_ALGORITHM",
     "BOUNDS_ALGORITHM",
-    "MODES",
     "SHORT_CIRCUIT_ALGORITHMS",
     "WITNESS_ALGORITHM",
     "ApproxRouter",
     "RouteDecision",
 ]
 
-#: Algorithm tags stamped on router-settled results.  ``bounds`` and
-#: ``witness`` answers are exact; ``approx`` answers are best-effort.
+#: Algorithm tags stamped on router-settled (exact) results.
 BOUNDS_ALGORITHM = "bounds"
 WITNESS_ALGORITHM = "witness"
-APPROX_ALGORITHM = "approx"
 SHORT_CIRCUIT_ALGORITHMS = (BOUNDS_ALGORITHM, WITNESS_ALGORITHM)
-
-#: Valid per-request answer modes.
-MODES = ("exact", "approximate")
 
 
 @dataclass(frozen=True)
@@ -73,53 +61,22 @@ class RouteDecision:
 
 
 class ApproxRouter:
-    """Per-service routing state: witness cache, mode default, accounting.
+    """Per-service routing state: witness cache and accounting.
 
     One router serves every epoch of its service — the bounds index
     rides the epoch (it describes one snapshot), while the witness
     cache and counters live here so they survive epoch swaps.
     """
 
-    def __init__(
-        self,
-        *,
-        approx_default: bool = False,
-        recheck_rate: float = 0.05,
-        witness_cache_size: int = 1024,
-        seed: int = 0,
-    ) -> None:
-        if not 0.0 <= recheck_rate <= 1.0:
-            raise ValueError(
-                f"recheck_rate must be within [0, 1], got {recheck_rate}"
-            )
-        self.default_mode = "approximate" if approx_default else "exact"
-        self.recheck_rate = recheck_rate
+    def __init__(self, *, witness_cache_size: int = 1024) -> None:
         self.witnesses = WitnessCache(max_size=witness_cache_size)
         self._lock = threading.Lock()
-        self._rng = random.Random(seed)
         self._routed = 0
         self._no_mask = 0
         self._no_bounds = 0
         self._yes_witness = 0
         self._fallthrough = 0
-        self._approximate_answers = 0
-        self._rechecks = 0
-        self._recheck_mismatches = 0
         self._stored = 0
-
-    # ------------------------------------------------------------------
-    # mode resolution
-    # ------------------------------------------------------------------
-
-    def resolve_mode(self, mode: str | None) -> str:
-        """The effective mode for one request (None -> service default)."""
-        if mode is None:
-            return self.default_mode
-        if mode not in MODES:
-            raise ValueError(
-                f"mode must be one of {MODES}, got {mode!r}"
-            )
-        return mode
 
     # ------------------------------------------------------------------
     # the routing decision
@@ -200,35 +157,6 @@ class ApproxRouter:
         with self._lock:
             self._fallthrough += 1
 
-    def approximate_result(self) -> QueryResult:
-        """The uncertain-band guess in ``mode=approximate``: True.
-
-        The upper bound already said a path may exist; answering True
-        makes the error one-sided (only false positives, when the label
-        or substructure constraint prunes every path).
-        """
-        with self._lock:
-            self._approximate_answers += 1
-        return QueryResult(
-            answer=True,
-            algorithm=APPROX_ALGORITHM,
-            seconds=0.0,
-            passed_vertices=0,
-        )
-
-    def should_recheck(self) -> bool:
-        """Sample one approximate answer for an exact re-check."""
-        if self.recheck_rate <= 0.0:
-            return False
-        with self._lock:
-            return self._rng.random() < self.recheck_rate
-
-    def record_recheck(self, mismatch: bool) -> None:
-        with self._lock:
-            self._rechecks += 1
-            if mismatch:
-                self._recheck_mismatches += 1
-
     # ------------------------------------------------------------------
     # witness population
     # ------------------------------------------------------------------
@@ -260,15 +188,10 @@ class ApproxRouter:
             no_bounds = self._no_bounds
             yes_witness = self._yes_witness
             fallthrough = self._fallthrough
-            approximate = self._approximate_answers
-            rechecks = self._rechecks
-            mismatches = self._recheck_mismatches
             stored = self._stored
         short_circuit = no_mask + no_bounds + yes_witness
         return {
             "enabled": True,
-            "default_mode": self.default_mode,
-            "recheck_rate": self.recheck_rate,
             "routed": routed,
             "short_circuit_no": no_mask + no_bounds,
             "short_circuit_no_mask": no_mask,
@@ -276,10 +199,6 @@ class ApproxRouter:
             "short_circuit_yes": yes_witness,
             "short_circuit_rate": short_circuit / routed if routed else 0.0,
             "exact_fallthrough": fallthrough,
-            "approximate_answers": approximate,
-            "rechecks": rechecks,
-            "recheck_mismatches": mismatches,
-            "false_rate": mismatches / rechecks if rechecks else 0.0,
             "witness_cache": {
                 **self.witnesses.stats(),
                 "stored_from_search": stored,

@@ -684,12 +684,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if bounds is not None
             else "bounds off"
         )
-        print(
-            f"approx tier: {bounds_note}; default mode "
-            f"{service.approx.default_mode}; "
-            f"recheck rate {options.approx_recheck:g} (?mode=approximate)",
-            flush=True,
-        )
+        print(f"short-circuit router: {bounds_note}", flush=True)
     # Machine-readable ready line: tooling (and the tests) parse the port
     # from it, which is how --port 0 ephemeral binding stays usable.
     print(f"listening on http://{host}:{port}", flush=True)

@@ -484,7 +484,7 @@ def render_service_metrics(
     approx = document.get("approx")
     if isinstance(approx, dict):
         families.add("repro_approx_routed_total", "counter",
-                     "Queries the approx-tier router inspected", labels,
+                     "Queries the short-circuit router inspected", labels,
                      approx.get("routed", 0))
         families.add("repro_approx_short_circuit_no_total", "counter",
                      "Definite-No answers from the label-blind bounds",
@@ -498,20 +498,6 @@ def render_service_metrics(
         families.add("repro_approx_short_circuit_rate", "gauge",
                      "Fraction of routed queries settled without an evaluator",
                      labels, approx.get("short_circuit_rate", 0.0))
-        families.add("repro_approx_answers_total", "counter",
-                     "Best-effort answers served in mode=approximate",
-                     labels, approx.get("approximate_answers", 0))
-        families.add("repro_approx_rechecks_total", "counter",
-                     "Approximate answers sampled for an exact re-check",
-                     labels, approx.get("rechecks", 0))
-        families.add("repro_approx_recheck_mismatches_total", "counter",
-                     "Sampled re-checks where the approximate answer was "
-                     "wrong", labels,
-                     approx.get("recheck_mismatches", 0))
-        families.add("repro_approx_false_rate", "gauge",
-                     "Observed approximate false rate "
-                     "(mismatches / re-checks); alert on drift", labels,
-                     approx.get("false_rate", 0.0))
         witness = approx.get("witness_cache")
         if isinstance(witness, dict):
             families.add("repro_approx_witness_entries", "gauge",

@@ -50,12 +50,7 @@ from time import perf_counter
 from typing import Any
 
 from repro._version import __version__
-from repro.approx import (
-    APPROX_ALGORITHM,
-    MODES,
-    SHORT_CIRCUIT_ALGORITHMS,
-    ApproxRouter,
-)
+from repro.approx import SHORT_CIRCUIT_ALGORITHMS, ApproxRouter
 from repro.constraints.label_constraint import LabelConstraint
 from repro.constraints.substructure import SubstructureConstraint
 from repro.context import RequestContext, activate, rearm
@@ -178,21 +173,16 @@ class QueryService:
         self.options = options = resolve_options(
             options, keywords, sharding=self.sharded
         )
-        #: The bounded-answer tier (``repro.approx``): sound
-        #: short-circuits ahead of the exact evaluators plus the opt-in
-        #: ``mode=approximate``.  None disables routing entirely and the
-        #: service behaves exactly as before the tier existed.
+        #: The short-circuit router (``repro.approx``): sound
+        #: definite-No / definite-Yes answers ahead of the exact
+        #: evaluators.  None disables routing entirely and every plan
+        #: goes straight to an evaluator.
         self.approx: ApproxRouter | None = None
         if options.approx:
-            self.approx = ApproxRouter(
-                approx_default=options.approx_default,
-                recheck_rate=options.approx_recheck,
-                # Follows the result cache's knob: cache_size=0 keeps
-                # the sound bounds but stores no witnesses, so the
-                # uncached service stays genuinely uncached.
-                witness_cache_size=options.cache_size,
-                seed=options.seed,
-            )
+            # Follows the result cache's knob: cache_size=0 keeps the
+            # sound bounds but stores no witnesses, so the uncached
+            # service stays genuinely uncached.
+            self.approx = ApproxRouter(witness_cache_size=options.cache_size)
         #: Admission control for the query endpoints (``--max-concurrent``
         #: / ``--max-queue``); None — the default — admits everything and
         #: costs nothing on the request path.
@@ -327,22 +317,6 @@ class QueryService:
         """The algorithm requests run on when they don't name one."""
         return self.options.algorithm or self.planner.default_algorithm
 
-    def _resolve_mode(self, mode: str | None) -> str:
-        """Validate a per-request answer mode against the tier config."""
-        if self.approx is not None:
-            try:
-                return self.approx.resolve_mode(mode)
-            except ValueError as error:
-                raise BadRequestError(str(error)) from error
-        if mode is None or mode == "exact":
-            return "exact"
-        if mode == "approximate":
-            raise BadRequestError(
-                "mode=approximate requires the approx tier "
-                "(the service was built with approx=False)"
-            )
-        raise BadRequestError(f"mode must be one of {MODES}, got {mode!r}")
-
     def close(self) -> None:
         """Release pooled resources (the persistent batch thread pool).
 
@@ -366,38 +340,31 @@ class QueryService:
         constraint: str | SubstructureConstraint,
         algorithm: str | None = None,
         use_cache: bool = True,
-        mode: str | None = None,
         _batch: bool = False,
     ) -> tuple[QueryResult, dict]:
         """Answer one query; returns ``(result, meta)``.
 
         ``meta`` reports how the answer was produced: ``cached``,
         ``trivial``, the planner's ``reason``, the ``epoch`` the answer
-        is valid for and — when the approx tier routed the query — the
+        is valid for and — when the router saw the query — the
         ``tier`` that settled it.  With ``use_cache`` off the result
-        cache is neither consulted nor populated.  ``mode`` is
-        ``"exact"`` or ``"approximate"`` (None follows the service
-        default, normally exact).
+        cache is neither consulted nor populated.
 
         The epoch is read exactly once: planning, cache lookup and
         execution all bind to it, so a concurrent :meth:`apply_updates`
         publishing a new epoch mid-call never mixes graph versions —
         this query simply completes on the epoch it started on.
         """
-        mode = self._resolve_mode(mode)
         if algorithm is None:
             algorithm = self.options.algorithm
         epoch = self._epoch
         plan = epoch.planner.plan(source, target, labels, constraint, algorithm)
-        return self._finish(
-            plan, epoch, use_cache=use_cache, batch=_batch, mode=mode
-        )
+        return self._finish(plan, epoch, use_cache=use_cache, batch=_batch)
 
     def query_batch(
         self,
         specs: Iterable[dict],
         use_cache: bool = True,
-        mode: str | None = None,
     ) -> list[tuple[QueryResult, dict]]:
         """Answer a homogeneous batch, preserving order.
 
@@ -417,7 +384,6 @@ class QueryService:
         that query only.
         """
         started = perf_counter()
-        mode = self._resolve_mode(mode)
         specs = list(specs)
         if len(specs) > self.options.max_batch:
             raise BadRequestError(
@@ -458,8 +424,7 @@ class QueryService:
             member = span("query", index=position)
             with member:
                 answered[position] = self._finish(
-                    plan, epoch, use_cache=item_cache, batch=True, mode=mode,
-                    half="settle",
+                    plan, epoch, use_cache=item_cache, batch=True, half="settle"
                 )
             if answered[position] is None:
                 waiting.append((position, member, plan, item_cache))
@@ -472,8 +437,7 @@ class QueryService:
             # takes the evaluation as a child and closes when it ends.
             with member:
                 return self._finish(
-                    plan, epoch, use_cache=item_cache, batch=True, mode=mode,
-                    half="evaluate",
+                    plan, epoch, use_cache=item_cache, batch=True, half="evaluate"
                 )
 
         if waiting:
@@ -485,7 +449,7 @@ class QueryService:
         for position, plan in repeats:
             with span("query", index=position):
                 answered[position] = self._finish(
-                    plan, epoch, use_cache=True, batch=True, mode=mode
+                    plan, epoch, use_cache=True, batch=True
                 )
         self.stats.record_latency("batch", perf_counter() - started)
         return answered
@@ -797,7 +761,6 @@ class QueryService:
         *,
         use_cache: bool,
         batch: bool,
-        mode: str = "exact",
         half: str | None = None,
     ) -> tuple[QueryResult, dict] | None:
         """Execute (or short-circuit) one plan and record telemetry.
@@ -826,7 +789,7 @@ class QueryService:
         if result is None:
             if half == "settle":
                 return None
-            result = self._resolve(plan, epoch, meta, use_cache, mode)
+            result = self._resolve(plan, epoch, meta, use_cache)
         annotate(source=meta["source"])
         self.stats.record_query(
             result, cached=meta["cached"], trivial=meta["trivial"], batch=batch
@@ -866,12 +829,11 @@ class QueryService:
         epoch: GraphEpoch,
         meta: dict,
         use_cache: bool,
-        mode: str,
     ) -> QueryResult:
         """Run one plan nothing could :meth:`_settle`, stamp ``meta``
         with how it went and store what may be stored."""
         with span("execute", algorithm=plan.algorithm) as execute_span:
-            result = self._execute(plan, epoch, mode)
+            result = self._execute(plan, epoch)
             execute_span.set(
                 answer=result.answer,
                 passed_vertices=result.passed_vertices,
@@ -882,14 +844,12 @@ class QueryService:
             )
         if self.approx is not None and not plan.forced:
             # The routing decision, stamped for clients and the flight
-            # recorder: short-circuit answers are exact (sound bounds),
-            # "approximate" marks the one case the answer is a guess.
-            if result.algorithm == APPROX_ALGORITHM:
-                meta["tier"] = "approximate"
-            elif result.algorithm in SHORT_CIRCUIT_ALGORITHMS:
-                meta["tier"] = "short-circuit"
-            else:
-                meta["tier"] = "exact"
+            # recorder; both tiers answer exactly.
+            meta["tier"] = (
+                "short-circuit"
+                if result.algorithm in SHORT_CIRCUIT_ALGORITHMS
+                else "exact"
+            )
         if result.degraded is not None:
             # A degraded answer reflects whichever shards happened to be
             # alive at execution time; caching it would keep serving the
@@ -897,9 +857,7 @@ class QueryService:
             meta["degraded"] = result.degraded
             annotate(degraded=True)
             self.stats.record_degraded()
-        elif use_cache and result.algorithm != APPROX_ALGORITHM:
-            # Approximate answers are best-effort guesses; caching one
-            # would let it leak into later exact-mode requests.
+        elif use_cache:
             epoch.results.put(plan.key, result)
         return result
 
@@ -928,10 +886,11 @@ class QueryService:
             },
             "algorithm": result.algorithm,
             "answer": result.answer,
-            # Which tier settled the answer — a bounds-index miss that
-            # fell through to an evaluator stall triages differently
-            # from a slow short-circuit.
-            "tier": meta.get("tier", "exact"),
+            # The tier the response carried (None when the router never
+            # saw the query: cache hits, trivial and forced plans) — a
+            # bounds-index miss that fell through to an evaluator stall
+            # triages differently from a slow short-circuit.
+            "tier": meta.get("tier"),
             "meta": dict(meta),
             "trace_id": trace.trace_id if trace is not None else None,
             "trace": None,
@@ -943,21 +902,17 @@ class QueryService:
             )
         self.flight.record(elapsed, entry)
 
-    def _execute(
-        self, plan: QueryPlan, epoch: GraphEpoch, mode: str = "exact"
-    ) -> QueryResult:
-        """Route one non-trivial plan: bounds tier first, then exact.
+    def _execute(self, plan: QueryPlan, epoch: GraphEpoch) -> QueryResult:
+        """Route one non-trivial plan: short-circuit first, then exact.
 
-        The approx tier tries to settle the query soundly before any
+        The router tries to settle the query soundly before any
         evaluator runs — definite-No from the label-blind upper bound,
         definite-Yes from a re-verified witness path — and everything
-        uncertain falls through to :meth:`_evaluate` (in
-        ``mode=approximate``, the uncertain band is instead answered
-        True from the bounds alone, with sampled exact re-checks
-        feeding the false-rate accounting).  Forced plans bypass routing
-        entirely — no short-circuit, no ``tier``, no witness stored:
-        naming an algorithm is a request to *run* it, and a service
-        configured with one (``serve --algorithm``) forces every plan.
+        uncertain falls through to :meth:`_evaluate`.  Forced plans
+        bypass routing entirely — no short-circuit, no ``tier``, no
+        witness stored: naming an algorithm is a request to *run* it,
+        and a service configured with one (``serve --algorithm``)
+        forces every plan.
 
         The ambient request deadline (if any) is checked once here —
         before the router or evaluator starts — so a budget that lapsed
@@ -970,24 +925,12 @@ class QueryService:
         router = self.approx
         if router is None or plan.forced:
             return self._evaluate(plan, epoch)
-        with span("route", mode=mode) as route_span:
+        with span("route") as route_span:
             decision = router.decide(plan, epoch)
             if decision is not None:
                 route_span.set(tier="short-circuit", verdict=decision.verdict)
                 return decision.result
-            route_span.set(verdict="uncertain")
-            if mode == "approximate":
-                route_span.set(tier="approximate")
-                result = router.approximate_result()
-                if router.should_recheck():
-                    exact = self._evaluate(plan, epoch)
-                    router.record_recheck(
-                        mismatch=exact.answer != result.answer
-                    )
-                    if exact.answer and exact.degraded is None:
-                        router.remember_witness(plan, exact)
-                return result
-            route_span.set(tier="exact")
+            route_span.set(tier="exact", verdict="uncertain")
         router.record_fallthrough()
         result = self._evaluate(plan, epoch)
         if result.answer and result.degraded is None:
@@ -1059,35 +1002,22 @@ class QueryService:
             self.stats.record_shed()
             raise
 
-    def handle_query(
-        self,
-        payload: object,
-        *,
-        trace: bool = False,
-        mode: str | None = None,
-    ) -> dict:
+    def handle_query(self, payload: object, *, trace: bool = False) -> dict:
         """``POST /query``: validate a JSON payload and answer it.
 
         With ``trace=True`` (the HTTP layer's ``?trace=1``) the response
         carries the request's full span tree under ``"trace"``.
-        ``mode`` (the ``?mode=`` query parameter) picks exact or
-        approximate answering; invalid values 400 via
-        :meth:`_resolve_mode`.
         """
         spec = validate_spec(payload, where="query")
         with self._admit():
             active = self._start_trace("query", trace)
-            result, meta = self._run_traced(
-                active, self._query_spec, spec, mode
-            )
+            result, meta = self._run_traced(active, self._query_spec, spec)
         response = self._result_payload(result, meta)
         if trace:
             response["trace"] = active.to_dict()
         return response
 
-    def _query_spec(
-        self, spec: dict, mode: str | None = None
-    ) -> tuple[QueryResult, dict]:
+    def _query_spec(self, spec: dict) -> tuple[QueryResult, dict]:
         try:
             return self.query(
                 spec["source"],
@@ -1096,18 +1026,11 @@ class QueryService:
                 spec["constraint"],
                 algorithm=spec.get("algorithm"),
                 use_cache=spec.get("use_cache", True),
-                mode=mode,
             )
         except (ConstraintError, SparqlError) as error:
             raise BadRequestError(f"invalid query: {error}") from error
 
-    def handle_batch(
-        self,
-        payload: object,
-        *,
-        trace: bool = False,
-        mode: str | None = None,
-    ) -> dict:
+    def handle_batch(self, payload: object, *, trace: bool = False) -> dict:
         """``POST /batch``: validate and answer a batch payload."""
         if not isinstance(payload, dict) or "queries" not in payload:
             raise BadRequestError(
@@ -1127,7 +1050,7 @@ class QueryService:
             active = self._start_trace("batch", trace)
             try:
                 answered = self._run_traced(
-                    active, self.query_batch, specs, use_cache, mode
+                    active, self.query_batch, specs, use_cache
                 )
             except (ConstraintError, SparqlError) as error:
                 raise BadRequestError(
@@ -1371,9 +1294,9 @@ class QueryService:
             "source": meta.get("source", "evaluated"),
         }
         if "tier" in meta:
-            # Which approx-tier path settled the answer: "short-circuit"
-            # (sound bounds/witness, exact), "exact" (fell through to
-            # the evaluators) or "approximate" (best-effort guess).
+            # Which router path settled the answer: "short-circuit"
+            # (sound bounds/witness) or "exact" (fell through to the
+            # evaluators); both answers are exact.
             payload["tier"] = meta["tier"]
         if "degraded" in meta:
             # Shards were missing: ``answer`` covers only the surviving

@@ -380,7 +380,7 @@ def _freeze(graph: KnowledgeGraph) -> FrozenGraph:
 
 
 def _bounds(graph: FrozenGraph, options: ServiceOptions) -> BoundsIndex | None:
-    """One snapshot's label-blind upper bound (None: approx tier off)."""
+    """One snapshot's label-blind upper bound (None: router off)."""
     with span("bounds") as bounds_span:
         bounds = build_bounds(graph, seed=options.seed) if options.approx else None
         bounds_span.set(

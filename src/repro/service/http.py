@@ -344,18 +344,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             else:
                 # Deadlines cover the answering endpoints only: update
                 # batches are admin operations that must run to the end.
-                # ``?mode=`` (exact | approximate) rides the same query
-                # string; the service validates it into a 400.
-                mode = query.get("mode")
                 with self._request_scope(query):
                     if endpoint == "query":
-                        response = service.handle_query(
-                            payload, trace=trace, mode=mode
-                        )
+                        response = service.handle_query(payload, trace=trace)
                     else:
-                        response = service.handle_batch(
-                            payload, trace=trace, mode=mode
-                        )
+                        response = service.handle_batch(payload, trace=trace)
                 self._send_json(200, response)
         except BadRequestError as error:
             kind = self._error_kind(error)

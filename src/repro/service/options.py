@@ -117,9 +117,8 @@ OPTIONS: tuple[Option, ...] = (
     Option("algorithm", str, choices=tuple(sorted(ALGORITHMS)), flag="--algorithm",
            help="run every request on one algorithm (default: meet, with or "
            "without an index; 'ins' needs --index and is also selectable per "
-           "request). Setting it forces every plan: no approx-tier "
-           "short-circuit, tier or stored witness, and no scatter with "
-           "--shards"),
+           "request). Setting it forces every plan: no short-circuit, tier "
+           "or stored witness, and no scatter with --shards"),
     Option("cache_size", int, DEFAULT_CACHE_SIZE, ge=0, flag="--cache-size",
            help="result-cache LRU size"),
     Option("cache_ttl", float, gt=0, flag="--cache-ttl",
@@ -148,19 +147,9 @@ OPTIONS: tuple[Option, ...] = (
            help="admission queue depth in front of --max-concurrent "
            "(default {default:g}: shed immediately when all slots are busy)"),
     Option("approx", bool, True, flag="--no-approx",
-           help="disable the bounded-answer tier (label-blind definite-No "
-           "bounds + witness-path definite-Yes short-circuits ahead of the "
-           "exact evaluators, and the ?mode=approximate endpoint mode)"),
-    Option("approx_default", bool, False, requires="approx",
-           flag="--approx-default",
-           help="answer requests that don't pass ?mode= in approximate mode "
-           "(uncertain-band queries answered from the bounds alone with "
-           "sampled exact re-checks; default: exact)"),
-    Option("approx_recheck", float, 0.05, ge=0, le=1, flag="--approx-recheck",
-           metavar="RATE",
-           help="fraction of mode=approximate answers re-checked against the "
-           "exact evaluators to account the observed false rate in /stats "
-           "and /metrics (0.0-1.0, default {default:g})"),
+           help="disable the short-circuit router (label-blind definite-No "
+           "bounds + witness-path definite-Yes answers ahead of the exact "
+           "evaluators); every query then runs an evaluator"),
     Option("shards", int, 0, ge=0, flag="--shards", metavar="N", sharding=True,
            help="serve --graph through a region-sharded scatter-gather "
            "coordinator with N in-process shard workers ({default:g} = "

@@ -1,15 +1,12 @@
-"""50-seed randomized properties of the approx tier.
+"""50-seed randomized properties of the short-circuit router.
 
-Three claims, each against an independent oracle:
+Two claims, each against an independent oracle:
 
-* **agreement** — an approx-enabled service in exact mode answers every
+* **agreement** — a service with the router on answers every
   query bit-identically to the naive oracle *and* to a twin service
   built with ``approx=False`` (short-circuits are sound, never lossy);
-* **witness validity** — every witness path the tier caches verifies
-  under :func:`repro.core.witness.verify_witness` on the current graph;
-* **honest accounting** — with ``recheck_rate=1.0`` the false-rate
-  counters in ``/stats`` equal an exact recount of how many approximate
-  answers disagreed with the oracle.
+* **witness validity** — every witness path the router caches verifies
+  under :func:`repro.core.witness.verify_witness` on the current graph.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import pytest
 
 from repro.constraints.label_constraint import LabelConstraint
 from repro.constraints.substructure import SubstructureConstraint
-from repro.core.naive import NaiveTwoProcedure
 from repro.core.query import LSCRQuery
 from repro.core.witness import verify_witness
 from repro.service.app import QueryService
@@ -102,50 +98,5 @@ class TestWitnessValidity:
                     f"seed={seed}: cached witness for {key} fails "
                     f"verification: {witness}"
                 )
-        finally:
-            service.close()
-
-
-class TestFalseRateAccounting:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_accounting_matches_exact_recount(self, seed):
-        graph = make_graph(seed)
-        service = QueryService(graph, seed=seed, approx_recheck=1.0)
-        naive = NaiveTwoProcedure(graph)
-        rng = random.Random(seed * 21911 + 3)
-        parsed = {}
-        approximate_answers = 0
-        recount_mismatches = 0
-        try:
-            for source, target, labels, text in random_specs(
-                rng, 3, 9, count=10
-            ):
-                expected = naive_answer(graph, source, target, labels,
-                                        text, parsed)
-                result, meta = service.query(
-                    source, target, labels, text,
-                    use_cache=False, mode="approximate",
-                )
-                if meta.get("tier") == "approximate":
-                    approximate_answers += 1
-                    if result.answer != expected:
-                        recount_mismatches += 1
-                else:
-                    # Short-circuit / trivial answers stay exact even
-                    # in approximate mode.
-                    assert result.answer == expected, (
-                        f"seed={seed}: non-approximate tier "
-                        f"{meta.get('tier')} answered "
-                        f"{result.answer} != oracle {expected}"
-                    )
-            stats = service.approx.stats()
-            assert stats["approximate_answers"] == approximate_answers
-            assert stats["rechecks"] == approximate_answers
-            assert stats["recheck_mismatches"] == recount_mismatches
-            if approximate_answers:
-                assert stats["false_rate"] == pytest.approx(
-                    recount_mismatches / approximate_answers
-                )
-            _ = naive  # oracle doubles as documentation of independence
         finally:
             service.close()

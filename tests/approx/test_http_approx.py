@@ -1,4 +1,5 @@
-"""HTTP surface of the approx tier: ?mode=, /stats, /metrics, /debug/slow."""
+"""HTTP surface of the short-circuit router: /query, /stats, /metrics,
+/debug/slow, /tenants."""
 
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ def make_service(**kwargs):
 
 @pytest.fixture()
 def base_url():
-    with running_server(make_service(approx_recheck=1.0)) as url:
+    with running_server(make_service()) as url:
         yield url
 
 
@@ -64,61 +65,54 @@ def get_text(url):
         return response.status, response.read().decode()
 
 
-class TestModeParam:
-    def test_exact_mode_is_default(self, base_url):
-        status, body = post(f"{base_url}/query", GUESS_SPEC)
-        assert status == 200
-        assert body["answer"] is False
-        assert body["tier"] == "exact"
+class TestExactOnly:
+    def test_mode_param_gets_the_exact_answer(self, base_url):
+        # (u, w) is label-blind reachable but constraint-false: a guess
+        # from the bounds would say True.  A ?mode= key is ignored like
+        # any other unconsumed one, and the answer is the exact one.
+        for path in ("/query", "/query?mode=approximate"):
+            status, body = post(
+                f"{base_url}{path}", {**GUESS_SPEC, "use_cache": False}
+            )
+            assert status == 200
+            assert body["answer"] is False
+            assert body["algorithm"] == "Meet"
+            assert body["tier"] == "exact"
 
-    def test_approximate_mode(self, base_url):
-        status, body = post(f"{base_url}/query?mode=approximate", GUESS_SPEC)
-        assert status == 200
-        assert body["answer"] is True
-        assert body["algorithm"] == "approx"
-        assert body["tier"] == "approximate"
-
-    def test_short_circuit_stays_exact_in_approximate_mode(self, base_url):
-        status, body = post(f"{base_url}/query?mode=approximate", NO_SPEC)
-        assert status == 200
-        assert body["answer"] is False
-        assert body["tier"] == "short-circuit"
-
-    def test_invalid_mode_400(self, base_url):
-        status, body = post(f"{base_url}/query?mode=turbo", TRUE_SPEC)
-        assert status == 400
-        assert "mode" in body["error"]["message"]
-
-    def test_batch_mode(self, base_url):
+    @pytest.mark.parametrize(
+        "option, value", [("approx_default", True), ("approx_recheck", 0.5)]
+    )
+    def test_removed_tenant_options_are_unknown(
+        self, base_url, tmp_path, option, value
+    ):
+        graph_file = tmp_path / "dyn.tsv"
+        graph_file.write_text("a\tgo\tb\n")
         status, body = post(
-            f"{base_url}/batch?mode=approximate",
-            {"queries": [GUESS_SPEC, NO_SPEC]},
+            f"{base_url}/tenants",
+            {"name": "dyn", "graph": str(graph_file), option: value},
         )
-        assert status == 200
-        tiers = [item["tier"] for item in body["results"]]
-        assert tiers == ["approximate", "short-circuit"]
+        assert status == 400
+        assert f"unknown option {option!r}" in body["error"]["message"]
 
 
 class TestStatsAndMetrics:
     def test_stats_approx_section(self, base_url):
         post(f"{base_url}/query", NO_SPEC)
-        post(f"{base_url}/query?mode=approximate", GUESS_SPEC)
+        post(f"{base_url}/query", GUESS_SPEC)
         status, document = get_json(f"{base_url}/stats")
         assert status == 200
         approx = document["approx"]
         assert approx["enabled"] is True
-        assert approx["short_circuit_no"] >= 1
-        assert approx["approximate_answers"] == 1
-        assert approx["rechecks"] == 1  # recheck_rate=1.0 in the fixture
-        assert approx["recheck_mismatches"] == 1
-        assert approx["false_rate"] == 1.0
+        assert approx["routed"] == 2
+        assert approx["short_circuit_no"] == 1
+        assert approx["exact_fallthrough"] == 1
         assert approx["bounds"]["mode"] == "closure"
         assert document["config"]["approx"] is True
 
     def test_metrics_families_strict_parse(self, base_url):
         post(f"{base_url}/query", NO_SPEC)
         post(f"{base_url}/query", TRUE_SPEC)
-        post(f"{base_url}/query?mode=approximate", GUESS_SPEC)
+        post(f"{base_url}/query", GUESS_SPEC)
         status, text = get_text(f"{base_url}/metrics")
         assert status == 200
         # Strict parse: any malformed line or TYPE header raises.
@@ -130,10 +124,6 @@ class TestStatsAndMetrics:
             "repro_approx_short_circuit_yes_total",
             "repro_approx_exact_fallthrough_total",
             "repro_approx_short_circuit_rate",
-            "repro_approx_answers_total",
-            "repro_approx_rechecks_total",
-            "repro_approx_recheck_mismatches_total",
-            "repro_approx_false_rate",
             "repro_approx_witness_entries",
             "repro_approx_bounds_components",
         ):
@@ -147,28 +137,41 @@ class TestStatsAndMetrics:
     def test_flight_recorder_records_tier(self, base_url):
         post(f"{base_url}/query", NO_SPEC)
         post(f"{base_url}/query", TRUE_SPEC)
-        post(f"{base_url}/query?mode=approximate", GUESS_SPEC)
+        post(f"{base_url}/query", GUESS_SPEC)
         status, document = get_json(f"{base_url}/debug/slow")
         assert status == 200
         entries = document["tenants"]["default"]["entries"]
         tiers = {entry["tier"] for entry in entries}
-        # slow_ms=0 records everything: all three tiers show up.
-        assert {"short-circuit", "exact", "approximate"} <= tiers
+        # slow_ms=0 records everything: both tiers show up.
+        assert tiers == {"short-circuit", "exact"}
+
+    def test_flight_recorder_tier_is_the_responses(self, base_url):
+        # Neither a forced plan nor a result-cache hit meets the router:
+        # the response carries no tier, and neither does its entry.
+        _, forced = post(f"{base_url}/query", {**TRUE_SPEC, "algorithm": "uis"})
+        post(f"{base_url}/query", NO_SPEC)
+        _, cached = post(f"{base_url}/query", NO_SPEC)
+        assert cached["cached"] is True
+        assert "tier" not in forced and "tier" not in cached
+        status, document = get_json(f"{base_url}/debug/slow")
+        assert status == 200
+        entries = document["tenants"]["default"]["entries"]
+        untiered = [
+            entry for entry in entries
+            if entry["algorithm"] == forced["algorithm"]
+            or entry["meta"]["cached"]
+        ]
+        assert len(untiered) == 2
+        assert all(entry["tier"] is None for entry in untiered)
 
 
 class TestTenantOptions:
-    def test_register_tenant_with_approx_options(self, base_url, tmp_path):
+    def test_register_tenant_with_approx_option(self, base_url, tmp_path):
         graph_file = tmp_path / "dyn.tsv"
         graph_file.write_text("a\tgo\tb\n")
         status, _ = post(
             f"{base_url}/tenants",
-            {
-                "name": "dyn",
-                "graph": str(graph_file),
-                "approx": True,
-                "approx_default": True,
-                "approx_recheck": 0.5,
-            },
+            {"name": "dyn", "graph": str(graph_file), "approx": True},
         )
         assert status == 201
         status, body = post(
@@ -177,18 +180,5 @@ class TestTenantOptions:
              "constraint": "SELECT ?x WHERE { ?x <go> ?y . }"},
         )
         assert status == 200
-        # approx_default=True: no ?mode= needed for the approximate tier.
-        assert body["tier"] in ("approximate", "short-circuit")
-
-    def test_invalid_recheck_option_rejected(self, base_url, tmp_path):
-        graph_file = tmp_path / "bad.tsv"
-        graph_file.write_text("a\tgo\tb\n")
-        status, _ = post(
-            f"{base_url}/tenants",
-            {
-                "name": "bad",
-                "graph": str(graph_file),
-                "approx_recheck": 2.0,
-            },
-        )
-        assert status == 400
+        assert body["answer"] is True
+        assert body["tier"] in ("exact", "short-circuit")

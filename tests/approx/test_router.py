@@ -1,10 +1,9 @@
-"""Router behavior at the execute seam: tiers, caching, epochs, modes."""
+"""Router behavior at the execute seam: tiers, caching, epochs."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import BadRequestError, ServiceConfigError
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.shard import ShardedQueryService
@@ -109,6 +108,16 @@ class TestShortCircuits:
         assert result.algorithm == "UIS*"
         assert "tier" not in meta
 
+    def test_router_off_answers_without_a_tier(self):
+        svc = QueryService(make_graph(), seed=0, approx=False)
+        try:
+            assert svc.approx is None
+            result, meta = svc.query("s", "t", ["go"], MARK)
+            assert result.answer is True
+            assert "tier" not in meta
+        finally:
+            svc.close()
+
     def test_sound_short_circuits_are_cached(self, service):
         service.query("t", "s", ["go"], MARK)
         _, meta = service.query("t", "s", ["go"], MARK)
@@ -155,15 +164,6 @@ class TestWitnessComesFromTheSearch:
         document = service.handle_query(SPEC, trace=True)
         assert document["algorithm"] == "witness" and document["epoch"] == 1
         assert _span(document["trace"], "route")["attrs"]["verdict"] == "yes-witness"
-
-    def test_approximate_recheck_stores_the_walked_path(self, no_second_search):
-        svc = QueryService(make_graph(), seed=0, approx_recheck=1.0)
-        try:
-            svc.query("s", "t", ["go"], MARK, mode="approximate")
-            cache = svc.approx.stats()["witness_cache"]
-            assert (cache["size"], cache["stored_from_search"]) == (1, 1)
-        finally:
-            svc.close()
 
     def test_witness_less_producer_stores_none(self, no_second_search):
         # INS answers without a path, and nothing searches for one.
@@ -240,81 +240,6 @@ class TestEpochs:
         # path re-verified against the updated graph and kept serving.
         assert hit.algorithm == "witness"
         assert meta["epoch"] == 1
-
-
-class TestModes:
-    def test_invalid_mode_is_bad_request(self, service):
-        with pytest.raises(BadRequestError):
-            service.query("s", "t", ["go"], MARK, mode="fast")
-
-    def test_approximate_requires_tier(self):
-        svc = QueryService(make_graph(), seed=0, approx=False)
-        try:
-            assert svc.approx is None
-            with pytest.raises(BadRequestError):
-                svc.query("s", "t", ["go"], MARK, mode="approximate")
-            # Exact mode still works without the tier.
-            result, meta = svc.query("s", "t", ["go"], MARK, mode="exact")
-            assert result.answer is True
-            assert "tier" not in meta
-        finally:
-            svc.close()
-
-    def test_approx_default_requires_approx(self):
-        with pytest.raises(ServiceConfigError):
-            QueryService(make_graph(), approx=False, approx_default=True)
-
-    def test_bad_recheck_rate_rejected(self):
-        with pytest.raises(ServiceConfigError):
-            QueryService(make_graph(), approx_recheck=1.5)
-
-    def test_approximate_uncertain_band_guesses_true(self):
-        svc = QueryService(make_graph(), seed=0, approx_recheck=0.0)
-        try:
-            # (u, w) is label-blind reachable but constraint-false: the
-            # uncertain band answers True in approximate mode...
-            result, meta = svc.query("u", "w", ["go"], MARK, mode="approximate")
-            assert result.answer is True
-            assert result.algorithm == "approx"
-            assert meta["tier"] == "approximate"
-            # ...and the guess must never be cached: exact mode next
-            # gets the true answer, freshly evaluated.
-            exact, exact_meta = svc.query("u", "w", ["go"], MARK)
-            assert exact.answer is False
-            assert exact_meta["cached"] is False
-        finally:
-            svc.close()
-
-    def test_approximate_mode_keeps_sound_short_circuits(self, service):
-        result, meta = service.query("t", "s", ["go"], MARK, mode="approximate")
-        # Definite-No is exact even in approximate mode.
-        assert result.answer is False
-        assert meta["tier"] == "short-circuit"
-
-    def test_approx_default_service(self):
-        svc = QueryService(make_graph(), seed=0, approx_default=True)
-        try:
-            result, meta = svc.query("u", "w", ["go"], MARK)
-            assert result.algorithm == "approx"
-            assert meta["tier"] == "approximate"
-            # Per-request override back to exact.
-            exact, _ = svc.query("u", "w", ["go"], MARK, mode="exact")
-            assert exact.answer is False
-        finally:
-            svc.close()
-
-    def test_recheck_accounting(self):
-        svc = QueryService(make_graph(), seed=0, approx_recheck=1.0)
-        try:
-            svc.query("u", "w", ["go"], MARK, mode="approximate")  # wrong
-            svc.query("s", "t", ["go"], MARK, mode="approximate")  # right
-            stats = svc.approx.stats()
-            assert stats["approximate_answers"] == 2
-            assert stats["rechecks"] == 2
-            assert stats["recheck_mismatches"] == 1
-            assert stats["false_rate"] == 0.5
-        finally:
-            svc.close()
 
 
 class TestSharded:

@@ -5,8 +5,9 @@ Boot a real server — a sharded default tenant plus an unsharded one
 that takes an update batch — drive every endpoint, then validate the
 scrape with the strict parser: Prometheus line format, monotone
 cumulative buckets, ``+Inf == _count``, no ``counter`` sample lower
-after the epoch swap than before it, and a well-formed ``/debug/slow``
-document.  Guards the surface against format drift that Prometheus
+after the epoch swap than before it, the short-circuit router's
+families, and a well-formed ``/debug/slow`` document whose every
+entry's tier is exact or absent.  Guards the surface against format drift that Prometheus
 itself would reject at scrape time.
 
 Run from anywhere: ``PYTHONPATH=src python tests/e2e/metrics_shape.py``.
@@ -31,9 +32,15 @@ FAMILIES = (
     "repro_cache_hits_total", "repro_epoch_id", "repro_slow_queries_kept",
     "repro_request_latency_seconds_bucket", "repro_shard_count",
     "repro_shard_coordinator_queries", "repro_shard_worker_vertices",
+    "repro_approx_routed_total", "repro_approx_short_circuit_no_total",
+    "repro_approx_exact_fallthrough_total", "repro_approx_witness_entries",
+    "repro_approx_bounds_components",
 )
 SLOW_ENTRY_KEYS = {"seconds", "recorded_at", "query", "algorithm", "answer",
                    "meta", "trace_id", "trace"}
+#: ``tier`` is None for answers the router never saw (cache hits,
+#: trivial and forced plans); every answer it did see is exact.
+SLOW_TIERS = {None, "exact", "short-circuit"}
 
 
 def main(scratch: Path) -> None:
@@ -89,6 +96,7 @@ def main(scratch: Path) -> None:
             assert document["summary"]["kept"] >= 1, tenant
             for entry in document["entries"]:
                 assert SLOW_ENTRY_KEYS <= set(entry)
+                assert entry["tier"] in SLOW_TIERS, (tenant, entry["tier"])
         print("metrics-shape OK:", len(samples), "samples")
     finally:
         server.terminate()

@@ -50,8 +50,6 @@ VALID = {
     "max_concurrent": (2, {}),
     "max_queue": (3, {"max_concurrent": 2}),
     "approx": (False, {}),
-    "approx_default": (True, {}),
-    "approx_recheck": (0.25, {}),
     "shards": (2, {}),
     "worker_urls": (FLEET, {"shards": 2}),
     "probe_interval": (0.5, {"shards": 2, "worker_urls": FLEET}),

@@ -79,6 +79,21 @@ class TestExactOnly:
             assert body["algorithm"] == "Meet"
             assert body["tier"] == "exact"
 
+    def test_any_mode_value_is_ignored(self, base_url):
+        status, body = post(f"{base_url}/query?mode=turbo", TRUE_SPEC)
+        assert status == 200
+        assert body["answer"] is True
+
+    def test_batch_answers_exactly(self, base_url):
+        status, body = post(
+            f"{base_url}/batch?mode=approximate",
+            {"queries": [GUESS_SPEC, NO_SPEC], "use_cache": False},
+        )
+        assert status == 200
+        results = body["results"]
+        assert [item["answer"] for item in results] == [False, False]
+        assert [item["tier"] for item in results] == ["exact", "short-circuit"]
+
     @pytest.mark.parametrize(
         "option, value", [("approx_default", True), ("approx_recheck", 0.5)]
     )

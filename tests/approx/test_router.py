@@ -124,6 +124,49 @@ class TestShortCircuits:
         assert meta["cached"] is True
 
 
+class TestExactOnly:
+    def test_uncertain_band_answers_exactly_and_is_cached(self, service):
+        # (u, w) is label-blind reachable but constraint-false: the
+        # bounds cannot settle it, so the exact evaluator does...
+        result, meta = service.query("u", "w", ["go"], MARK)
+        assert result.answer is False
+        assert result.algorithm == "Meet"
+        assert meta["tier"] == "exact"
+        # ...and its answer is stored like any other.
+        repeat, repeat_meta = service.query("u", "w", ["go"], MARK)
+        assert repeat.answer is False
+        assert repeat_meta["cached"] is True
+
+    def test_query_takes_no_mode(self, service):
+        with pytest.raises(TypeError):
+            service.query("u", "w", ["go"], MARK, mode="approximate")
+        with pytest.raises(TypeError):
+            service.query_batch(
+                [{"source": "u", "target": "w", "labels": ["go"],
+                  "constraint": MARK}],
+                mode="approximate",
+            )
+
+    def test_routed_is_the_sum_of_its_outcomes(self, service):
+        for source, target in (("t", "s"), ("s", "t"), ("s", "t"), ("u", "w")):
+            service.query(source, target, ["go"], MARK, use_cache=False)
+        service.query("s", "t", ["mark"], MARK, use_cache=False)
+        stats = service.approx.stats()
+        assert stats["short_circuit_no"] == 2
+        assert stats["short_circuit_yes"] == 1
+        assert stats["exact_fallthrough"] == 2
+        assert stats["routed"] == 5
+        assert stats["short_circuit_rate"] == pytest.approx(3 / 5)
+
+    def test_stats_carry_no_guess_accounting(self, service):
+        service.query("u", "w", ["go"], MARK)
+        assert set(service.approx.stats()) == {
+            "enabled", "routed", "short_circuit_no", "short_circuit_no_mask",
+            "short_circuit_no_bounds", "short_circuit_yes",
+            "short_circuit_rate", "exact_fallthrough", "witness_cache",
+        }
+
+
 def _span(node: dict, name: str) -> dict:
     """The first span called ``name`` in a trace tree (depth first)."""
     if node["name"] == name:

@@ -233,6 +233,24 @@ def test_stats_config_lists_every_row():
     assert all(config[row.name] == row.default for row in OPTIONS)
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [("approx_default", ["--approx-default"]),
+     ("approx_recheck", ["--approx-recheck", "0.5"])],
+)
+def test_a_deleted_row_is_an_unknown_option(name, argv, graph_path, capsys):
+    # The approximate-mode rows are gone from the table; ``POST
+    # /tenants`` refusing them is pinned in tests/approx/test_http_approx.py.
+    assert name not in ROWS
+    with pytest.raises(SystemExit) as refusal:
+        main(["serve", "--graph", graph_path, *argv])
+    assert refusal.value.code == 2
+    assert argv[0] in capsys.readouterr().err.splitlines()[-1]
+    for cls in (QueryService, ShardedQueryService):
+        with pytest.raises(ServiceConfigError, match=f"unknown option {name!r}"):
+            cls(figure3_graph(), **{name: 0.5})
+
+
 def test_an_unknown_option_is_refused_not_ignored(graph_path, base_url):
     with pytest.raises(ServiceConfigError, match="unknown option 'cache_sze'"):
         QueryService(figure3_graph(), cache_sze=5)

@@ -10,7 +10,7 @@ from repro.bench.experiments import (
     fig15_yago,
     table2_indexing,
 )
-from repro.bench.harness import EXPERIMENTS, render_results, run_all, run_experiment
+from repro.bench.harness import EXPERIMENTS, render_results, run_experiment
 from repro.bench.measure import MeasurementError, run_query_group
 from repro.bench.reporting import format_number, format_table, render_experiment
 
@@ -28,7 +28,6 @@ __all__ = [
     "format_table",
     "render_experiment",
     "render_results",
-    "run_all",
     "run_experiment",
     "run_query_group",
     "table2_indexing",

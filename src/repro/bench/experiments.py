@@ -14,16 +14,15 @@ resolved under-specifications*: down-scaling): all claims checked are
 
 from __future__ import annotations
 
-import random
 import tempfile
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.bench.measure import run_query_group
-from repro.core.ins import INS
+from repro.constraints.substructure import SubstructureConstraint
+from repro.core.algorithms import ALGORITHMS, make_algorithm
 from repro.core.result import ResultAggregate
-from repro.core.uis import UIS
-from repro.core.uis_star import UISStar
 from repro.datasets.lubm import constraint as lubm_constraint
 from repro.datasets.lubm import generate_dataset
 from repro.datasets.synthetic import random_labeled_graph
@@ -35,7 +34,7 @@ from repro.index.spanning_tree import build_sampling_tree_index
 from repro.index.storage import save_local_index
 from repro.index.traditional import build_traditional_index
 from repro.workloads.constraints import random_constraint_with_magnitude
-from repro.workloads.generator import Workload, generate_workload
+from repro.workloads.generator import generate_workload
 
 __all__ = [
     "BenchScale",
@@ -231,19 +230,86 @@ def fig5_tree_index(scale: BenchScale = BENCH, seed: int = 0) -> list[Experiment
 
 
 # ----------------------------------------------------------------------
-# Figures 10-14 — S1..S5 on D1..D5
+# Figures 10-15 — UIS, UIS* and INS, one row per (graph, constraint) cell
 # ----------------------------------------------------------------------
 
+#: The evaluators of Figs. 10–15 by registry name, each with the offset
+#: from the experiment seed of its ``V(S, G)`` shuffle (UIS has none).
+_FIGURE_ALGORITHMS: tuple[tuple[str, int], ...] = (("uis", 0), ("uis*", 3), ("ins", 4))
 
-@dataclass
-class _Cell:
-    """Measurements of one dataset row in a constraint figure."""
+#: Panel letter, subtitle, query group and the ResultAggregate mean it plots.
+_PANELS = (
+    ("a", "avg time (ms), true queries", "true", "mean_milliseconds"),
+    ("b", "avg time (ms), false queries", "false", "mean_milliseconds"),
+    ("c", "avg passed vertices, true queries", "true", "mean_passed_vertices"),
+    ("d", "avg passed vertices, false queries", "false", "mean_passed_vertices"),
+)
 
-    dataset: str
-    true_aggregates: dict[str, ResultAggregate] = field(default_factory=dict)
-    false_aggregates: dict[str, ResultAggregate] = field(default_factory=dict)
-    true_count: int = 0
-    false_count: int = 0
+#: One row of a query figure: its label, the graph and index searched,
+#: the constraint, and the seed its true/false workload is drawn from.
+_Cell = tuple[str, KnowledgeGraph, LocalIndex, SubstructureConstraint, int]
+
+
+def _query_figure(
+    figure: str,
+    cells: Iterable[_Cell],
+    scale: BenchScale,
+    seed: int,
+    notes: tuple[str, ...],
+) -> list[ExperimentResult]:
+    """Run UIS, UIS* and INS over every cell's workload; four panels.
+
+    Panels: (a) average time, true queries; (b) average time, false
+    queries; (c) average passed vertices, true; (d) same, false.  Each
+    row counts the queries actually generated (``#q``).
+    """
+    # (label, {group: (#q, {evaluator: aggregate})}) per cell.
+    measured: list[tuple[str, dict[str, tuple[int, dict]]]] = []
+    for label, graph, index, constraint, workload_seed in cells:
+        workload = generate_workload(
+            graph,
+            constraint,
+            num_true=scale.queries_per_group,
+            num_false=scale.queries_per_group,
+            rng=workload_seed,
+            max_attempts=3000,
+        )
+        algorithms = [
+            make_algorithm(name, graph, seed=seed + offset, index=index)
+            for name, offset in _FIGURE_ALGORITHMS
+        ]
+        groups = {"true": workload.true_queries, "false": workload.false_queries}
+        measured.append((label, {
+            group: (len(queries), run_query_group(algorithms, queries))
+            for group, queries in groups.items()
+        }))
+
+    names = tuple(ALGORITHMS[name].name for name, _ in _FIGURE_ALGORITHMS)
+    return [
+        ExperimentResult(
+            experiment_id=f"{figure}{panel}",
+            title=f"Figure {figure.removeprefix('fig')}({panel}): {subtitle}",
+            headers=("Dataset", "#q", *names),
+            rows=tuple(
+                _panel_row(label, *groups[group], names, mean)
+                for label, groups in measured
+            ),
+            notes=notes,
+        )
+        for panel, subtitle, group, mean in _PANELS
+    ]
+
+
+def _panel_row(
+    label: str,
+    count: int,
+    aggregates: dict[str, ResultAggregate],
+    names: tuple[str, ...],
+    mean: str,
+) -> tuple[object, ...]:
+    """``label``, ``#q``, then each evaluator's ``mean`` (None: no queries)."""
+    means = (getattr(aggregates[name], mean) if count else None for name in names)
+    return (label, count, *means)
 
 
 def constraint_figure(
@@ -251,138 +317,51 @@ def constraint_figure(
     scale: BenchScale = BENCH,
     seed: int = 0,
 ) -> list[ExperimentResult]:
-    """Reproduce one of Figures 10–14 (figure ∈ fig10..fig14).
-
-    Panels: (a) average time, true queries; (b) average time, false
-    queries; (c) average passed vertices, true; (d) same, false.
-    """
+    """Reproduce one of Figures 10–14 (figure ∈ fig10..fig14): one
+    Table 3 constraint over every LUBM-like dataset of ``scale``."""
     constraint_name = FIGURE_CONSTRAINTS[figure]
     constraint = lubm_constraint(constraint_name)
-    cells: list[_Cell] = []
-    for dataset_name in scale.datasets:
-        graph = generate_dataset(dataset_name, rng=seed)
-        index = build_local_index(
-            graph, k=bench_landmark_count(graph.num_vertices), rng=seed + 1
-        )
-        workload = generate_workload(
-            graph,
-            constraint,
-            num_true=scale.queries_per_group,
-            num_false=scale.queries_per_group,
-            rng=seed + 2,
-            max_attempts=3000,
-        )
-        algorithms = [
-            UIS(graph),
-            UISStar(graph, rng=random.Random(seed + 3)),
-            INS(graph, index, rng=random.Random(seed + 4)),
-        ]
-        cell = _Cell(dataset=dataset_name)
-        cell.true_count = len(workload.true_queries)
-        cell.false_count = len(workload.false_queries)
-        if workload.true_queries:
-            cell.true_aggregates = run_query_group(algorithms, workload.true_queries)
-        if workload.false_queries:
-            cell.false_aggregates = run_query_group(algorithms, workload.false_queries)
-        cells.append(cell)
+
+    def cells() -> Iterator[_Cell]:
+        for dataset_name in scale.datasets:
+            graph = generate_dataset(dataset_name, rng=seed)
+            index = build_local_index(
+                graph, k=bench_landmark_count(graph.num_vertices), rng=seed + 1
+            )
+            yield dataset_name, graph, index, constraint, seed + 2
 
     notes = (
         f"substructure constraint {constraint_name} (Table 3)",
         f"{scale.queries_per_group} queries requested per group "
         "(paper: 1000; cells report the count actually generated)",
     )
-    return [
-        _panel(figure, "a", "avg time (ms), true queries", cells, "true", "ms", notes),
-        _panel(figure, "b", "avg time (ms), false queries", cells, "false", "ms", notes),
-        _panel(figure, "c", "avg passed vertices, true queries", cells, "true", "passed", notes),
-        _panel(figure, "d", "avg passed vertices, false queries", cells, "false", "passed", notes),
-    ]
-
-
-def _panel(
-    figure: str,
-    panel: str,
-    subtitle: str,
-    cells: list[_Cell],
-    group: str,
-    metric: str,
-    notes: tuple[str, ...],
-) -> ExperimentResult:
-    rows: list[tuple[object, ...]] = []
-    for cell in cells:
-        aggregates = cell.true_aggregates if group == "true" else cell.false_aggregates
-        count = cell.true_count if group == "true" else cell.false_count
-        row: list[object] = [cell.dataset, count]
-        for name in ("UIS", "UIS*", "INS"):
-            aggregate = aggregates.get(name)
-            if aggregate is None or aggregate.count == 0:
-                row.append(None)
-            elif metric == "ms":
-                row.append(aggregate.mean_milliseconds)
-            else:
-                row.append(aggregate.mean_passed_vertices)
-        rows.append(tuple(row))
-    figure_number = figure.removeprefix("fig")
-    return ExperimentResult(
-        experiment_id=f"{figure}{panel}",
-        title=f"Figure {figure_number}({panel}): {subtitle}",
-        headers=("Dataset", "#q", "UIS", "UIS*", "INS"),
-        rows=tuple(rows),
-        notes=notes,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 15 — YAGO-like, random constraints by |V(S,G)| magnitude
-# ----------------------------------------------------------------------
+    return _query_figure(figure, cells(), scale, seed, notes)
 
 
 def fig15_yago(scale: BenchScale = BENCH, seed: int = 0) -> list[ExperimentResult]:
-    """Reproduce Figure 15: random constraints on the YAGO substitute."""
+    """Reproduce Figure 15: random constraints of growing ``|V(S, G)|``
+    magnitude on the YAGO substitute."""
     graph = generate_yago_like(
         YagoConfig(num_entities=scale.yago_entities), rng=seed, name="yago-like"
     )
     index = build_local_index(
         graph, k=bench_landmark_count(graph.num_vertices), rng=seed + 1
     )
-    cells: list[_Cell] = []
-    for magnitude in scale.yago_magnitudes:
-        generated = random_constraint_with_magnitude(
-            graph, magnitude, rng=seed + magnitude
-        )
-        workload = generate_workload(
-            graph,
-            generated.constraint,
-            num_true=scale.queries_per_group,
-            num_false=scale.queries_per_group,
-            rng=seed + 2 + magnitude,
-            max_attempts=3000,
-        )
-        algorithms = [
-            UIS(graph),
-            UISStar(graph, rng=random.Random(seed + 3)),
-            INS(graph, index, rng=random.Random(seed + 4)),
-        ]
-        cell = _Cell(dataset=f"m={magnitude} (|V(S,G)|={generated.cardinality})")
-        cell.true_count = len(workload.true_queries)
-        cell.false_count = len(workload.false_queries)
-        if workload.true_queries:
-            cell.true_aggregates = run_query_group(algorithms, workload.true_queries)
-        if workload.false_queries:
-            cell.false_aggregates = run_query_group(algorithms, workload.false_queries)
-        cells.append(cell)
+
+    def cells() -> Iterator[_Cell]:
+        for magnitude in scale.yago_magnitudes:
+            generated = random_constraint_with_magnitude(
+                graph, magnitude, rng=seed + magnitude
+            )
+            label = f"m={magnitude} (|V(S,G)|={generated.cardinality})"
+            yield label, graph, index, generated.constraint, seed + 2 + magnitude
 
     notes = (
         f"YAGO-like graph: {graph.num_vertices} vertices, {graph.num_edges} edges "
         "(substitute for the 4M-vertex YAGO; README.md, down-scaling)",
         "magnitudes scaled from the paper's 10^1..10^5",
     )
-    return [
-        _panel("fig15", "a", "avg time (ms), true queries", cells, "true", "ms", notes),
-        _panel("fig15", "b", "avg time (ms), false queries", cells, "false", "ms", notes),
-        _panel("fig15", "c", "avg passed vertices, true queries", cells, "true", "passed", notes),
-        _panel("fig15", "d", "avg passed vertices, false queries", cells, "false", "passed", notes),
-    ]
+    return _query_figure("fig15", cells(), scale, seed, notes)
 
 
 # ----------------------------------------------------------------------
@@ -413,16 +392,17 @@ def ablation_ins(scale: BenchScale = BENCH, seed: int = 0) -> list[ExperimentRes
         max_attempts=3000,
     )
     variants = [
-        INS(graph, index, rng=random.Random(seed + 3)),
-        INS(graph, index, rng=random.Random(seed + 3), use_index_pruning=False),
-        INS(graph, index, rng=random.Random(seed + 3), use_priorities=False),
-        INS(
+        make_algorithm(
+            "ins",
             graph,
-            index,
-            rng=random.Random(seed + 3),
-            use_index_pruning=False,
-            use_priorities=False,
-        ),
+            seed=seed + 3,
+            index=index,
+            use_index_pruning=pruning,
+            use_priorities=priorities,
+        )
+        for pruning, priorities in (
+            (True, True), (False, True), (True, False), (False, False)
+        )
     ]
     rows: list[tuple[object, ...]] = []
     for group_name, queries in (

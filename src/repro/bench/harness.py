@@ -1,17 +1,18 @@
-"""The experiment registry and top-level runner.
+"""The experiment registry and its runner.
 
-``python -m repro.bench`` runs every experiment at BENCH scale and
-prints the paper-shaped tables; ``run_experiment`` exposes single
-experiments to the pytest benchmarks and the test suite (at SMOKE
-scale).
+``python -m repro.bench`` runs the experiments at BENCH scale and
+prints the paper-shaped tables; ``run_experiment`` runs one of them for
+that entry point and for the test suite (at SMOKE scale).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 
 from repro.bench.experiments import (
     BENCH,
+    FIGURE_CONSTRAINTS,
     BenchScale,
     ExperimentResult,
     ablation_ins,
@@ -23,17 +24,13 @@ from repro.bench.experiments import (
 from repro.bench.reporting import render_experiment
 from repro.exceptions import BenchmarkError
 
-__all__ = ["EXPERIMENTS", "run_experiment", "run_all", "render_results"]
+__all__ = ["EXPERIMENTS", "run_experiment", "render_results"]
 
-#: Experiment id → runner. Each runner takes ``(scale, seed)``.
+#: Experiment id → runner, in paper order. Each runner takes ``(scale, seed)``.
 EXPERIMENTS: dict[str, Callable[[BenchScale, int], list[ExperimentResult]]] = {
     "table2": table2_indexing,
     "fig5": fig5_tree_index,
-    "fig10": lambda scale, seed: constraint_figure("fig10", scale, seed),
-    "fig11": lambda scale, seed: constraint_figure("fig11", scale, seed),
-    "fig12": lambda scale, seed: constraint_figure("fig12", scale, seed),
-    "fig13": lambda scale, seed: constraint_figure("fig13", scale, seed),
-    "fig14": lambda scale, seed: constraint_figure("fig14", scale, seed),
+    **{figure: partial(constraint_figure, figure) for figure in FIGURE_CONSTRAINTS},
     "fig15": fig15_yago,
     # Extension beyond the paper: INS mechanism ablation.
     "ablation": ablation_ins,
@@ -52,14 +49,6 @@ def run_experiment(
             f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}"
         )
     return runner(scale, seed)
-
-
-def run_all(scale: BenchScale = BENCH, seed: int = 0) -> list[ExperimentResult]:
-    """Run every experiment, in paper order."""
-    results: list[ExperimentResult] = []
-    for name in EXPERIMENTS:
-        results.extend(run_experiment(name, scale, seed))
-    return results
 
 
 def render_results(results: list[ExperimentResult]) -> str:

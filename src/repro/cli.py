@@ -596,11 +596,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 flush=True,
             )
     graph = service.graph
-    index_note = (
-        f"{len(service.index.partition.landmarks)} landmarks"
-        if service.index is not None
-        else "none"
-    )
+    # Read without a repair: the index a replayed log left deferred
+    # stays so until a query needs it (service.index would repair it).
+    index = service.epoch.describe_index()
+    index_note = f"{index['landmarks']} landmarks" if index["loaded"] else "none"
     print(
         f"loaded {graph.name}: |V|={graph.num_vertices} |E|={graph.num_edges} "
         f"|L|={graph.num_labels}; index: {index_note}; "

@@ -8,7 +8,6 @@ scale-free: a heavy-tailed degree distribution).
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -104,20 +103,3 @@ def _gini(values: list[int]) -> float:
     for rank, value in enumerate(ordered, start=1):
         cumulative += rank * value
     return (2.0 * cumulative) / (n * total) - (n + 1.0) / n
-
-
-def powerlaw_exponent_estimate(graph: KnowledgeGraph, minimum_degree: int = 2) -> float:
-    """Maximum-likelihood power-law exponent of the total-degree tail.
-
-    Clauset–Shalizi–Newman discrete estimator with fixed ``x_min``.
-    Used only to sanity-check the scale-free profile of the YAGO
-    substitute (values around 2–3 are typical of real KGs).
-    """
-    degrees = [graph.degree(v) for v in graph.vertices() if graph.degree(v) >= minimum_degree]
-    if len(degrees) < 2:
-        return float("nan")
-    x_min = float(minimum_degree)
-    log_sum = sum(math.log(d / (x_min - 0.5)) for d in degrees)
-    if log_sum <= 0:
-        return float("inf")
-    return 1.0 + len(degrees) / log_sum

@@ -113,10 +113,6 @@ class LocalIndex:
     # lookups used by INS
     # ------------------------------------------------------------------
 
-    def is_landmark(self, vertex_id: int) -> bool:
-        """``vertex_id ∈ I``."""
-        return vertex_id in self._landmark_set
-
     def region_of(self, vertex_id: int) -> int:
         """Owning landmark (``NO_REGION`` when unassigned) — ``v.AF``."""
         return self.partition.region[vertex_id]

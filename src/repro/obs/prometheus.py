@@ -177,7 +177,7 @@ _CACHE_SECTIONS = (
     ("candidate_cache", "candidate"),
 )
 
-_CACHE_COUNTERS = ("hits", "misses", "evictions", "expirations")
+_CACHE_COUNTERS = ("hits", "misses", "evictions")
 _CACHE_GAUGES = ("size", "max_size", "hit_rate")
 
 _COORDINATOR_COUNTERS = (

@@ -8,7 +8,7 @@ one direction:
 ========================  =============================================
 :mod:`~.planner`          canonical cache keys, trivial answers,
                           algorithm choice
-:mod:`~.cache`            LRU+TTL result cache, shared parse-once
+:mod:`~.cache`            LRU result cache, shared parse-once
                           constraint cache
 :mod:`~.executor`         order-preserving concurrent batch execution
 :mod:`~.stats`            thread-safe service telemetry

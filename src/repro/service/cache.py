@@ -3,9 +3,9 @@
 Three caches make repeated traffic cheap, mirroring the three costs a
 one-shot ``LSCRSession.ask`` pays on every call:
 
-* :class:`ResultCache` — an LRU cache with optional TTL over *answered*
-  queries, keyed on the planner's canonical query key, so the second
-  arrival of an equivalent query skips the search entirely;
+* :class:`ResultCache` — an LRU cache over *answered* queries, keyed
+  on the planner's canonical query key, so the second arrival of an
+  equivalent query skips the search entirely;
 * :class:`ConstraintCache` — parsed :class:`SubstructureConstraint`
   objects keyed on their SPARQL text, shared across every session and
   worker thread, so each distinct constraint is parsed exactly once per
@@ -33,9 +33,8 @@ except that ``V(S, G)`` after a known edge change is carried by
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -63,7 +62,6 @@ class CacheStats:
     hits: int
     misses: int
     evictions: int
-    expirations: int
     size: int
     max_size: int
 
@@ -79,7 +77,6 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "expirations": self.expirations,
             "size": self.size,
             "max_size": self.max_size,
             "hit_rate": self.hit_rate,
@@ -87,17 +84,15 @@ class CacheStats:
 
 
 class _Counters:
-    """Hit/miss/eviction/expiration counts plus the lock that guards
-    them (and the entries of every cache counting here); a candidate
-    cache also counts what its :meth:`~CandidateCache.derive` carried."""
+    """Hit/miss/eviction counts plus the lock that guards them (and the
+    entries of every cache counting here); a candidate cache also counts
+    what its :meth:`~CandidateCache.derive` carried."""
 
-    __slots__ = (
-        "lock", "hits", "misses", "evictions", "expirations", "carried", "rechecks"
-    )
+    __slots__ = ("lock", "hits", "misses", "evictions", "carried", "rechecks")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.hits = self.misses = self.evictions = self.expirations = 0
+        self.hits = self.misses = self.evictions = 0
         self.carried = self.rechecks = 0
 
 
@@ -105,7 +100,7 @@ class _EpochCache:
     """What the two per-epoch caches share: LRU entries bounded by
     ``max_size``, and counters that outlive them (:meth:`_inherit`)."""
 
-    def __init__(self, max_size: int) -> None:
+    def __init__(self, max_size: int = DEFAULT_CACHE_SIZE) -> None:
         if max_size < 0:
             raise ValueError(f"max_size must be >= 0, got {max_size}")
         self.max_size = max_size
@@ -144,50 +139,31 @@ class _EpochCache:
                 hits=counts.hits,
                 misses=counts.misses,
                 evictions=counts.evictions,
-                expirations=counts.expirations,
                 size=len(self._entries),
                 max_size=self.max_size,
             )
 
 
 class ResultCache(_EpochCache):
-    """Thread-safe LRU + TTL cache for answered queries.
+    """Thread-safe LRU cache for answered queries.
 
     ``max_size=0`` disables storage (every lookup misses), which lets
-    the service keep one code path for cached and uncached modes.
-    ``ttl_seconds=None`` disables expiry.  ``clock`` is injectable so
-    tests can step time deterministically; it must be monotonic.
+    the service keep one code path for cached and uncached modes.  An
+    entry never expires: it is an answer about its epoch's graph, and
+    dies with that epoch.
     """
 
-    def __init__(
-        self,
-        max_size: int = DEFAULT_CACHE_SIZE,
-        ttl_seconds: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        super().__init__(max_size)  # key -> (value, expiry deadline or None)
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError(f"ttl_seconds must be positive, got {ttl_seconds}")
-        self.ttl_seconds = ttl_seconds
-        self._clock = clock
-
     def heir(self) -> "ResultCache":
-        """An empty cache with this one's bounds and clock for the next
-        graph version, counting on where this one stands."""
-        return ResultCache(self.max_size, self.ttl_seconds, self._clock)._inherit(self)
+        """An empty cache of this one's size for the next graph version,
+        counting on where this one stands."""
+        return ResultCache(self.max_size)._inherit(self)
 
     def get(self, key: Hashable) -> Any | None:
-        """The cached value, or None on miss/expiry (counted)."""
+        """The cached value, or None on a miss (counted)."""
         counts = self._counts
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                counts.misses += 1
-                return None
-            value, deadline = entry
-            if deadline is not None and self._clock() >= deadline:
-                del self._entries[key]
-                counts.expirations += 1
+            value = self._entries.get(key)
+            if value is None:
                 counts.misses += 1
                 return None
             self._entries.move_to_end(key)
@@ -198,39 +174,29 @@ class ResultCache(_EpochCache):
         """Insert/refresh ``key``, evicting least-recently-used overflow."""
         if self.max_size == 0:
             return
-        deadline = (
-            self._clock() + self.ttl_seconds if self.ttl_seconds is not None else None
-        )
         with self._lock:
-            self._entries[key] = (value, deadline)
+            self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_size:
                 self._entries.popitem(last=False)
                 self._counts.evictions += 1
 
     def export_entries(self) -> list[tuple[Hashable, Any]]:
-        """Unexpired ``(key, value)`` pairs, least-recently-used first.
+        """``(key, value)`` pairs, least-recently-used first.
 
         The persistence half of cache warming
         (:meth:`~repro.service.app.QueryService.save_snapshot`): LRU
         order is preserved so re-importing through :meth:`import_entries`
         reconstructs the same eviction order.  Counters are untouched.
         """
-        now = self._clock()
         with self._lock:
-            return [
-                (key, value)
-                for key, (value, deadline) in self._entries.items()
-                if deadline is None or now < deadline
-            ]
+            return list(self._entries.items())
 
     def import_entries(self, entries: Iterable[tuple[Hashable, Any]]) -> int:
         """Insert ``(key, value)`` pairs via :meth:`put`; returns how many
         the cache actually grew by.
 
-        TTL deadlines restart from now — a warmed entry is as fresh as
-        one just computed, which is the behaviour a restart wants.  The
-        return value is the cache's size delta, not the input length: a
+        The return value is the cache's size delta, not the input length: a
         disabled (``max_size=0``) or too-small cache retains fewer than
         it was offered, and "warmed N results" reports must not lie.
         """
@@ -242,11 +208,7 @@ class ResultCache(_EpochCache):
     def __contains__(self, key: Hashable) -> bool:
         """Non-promoting, non-counting membership test (for tests/UIs)."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False
-            _, deadline = entry
-            return deadline is None or self._clock() < deadline
+            return key in self._entries
 
 
 class ConstraintCache:
@@ -314,13 +276,12 @@ class ConstraintCache:
             return len(self._entries)
 
     def stats(self) -> CacheStats:
-        """Snapshot of the counters (no TTL, so expirations is 0)."""
+        """Snapshot of the counters."""
         with self._lock:
             return CacheStats(
                 hits=self._hits,
                 misses=self._misses,
                 evictions=self._evictions,
-                expirations=0,
                 size=len(self._entries),
                 max_size=self.max_size,
             )

@@ -205,7 +205,7 @@ class GraphEpoch:
             _bounds(frozen, options),
             _planner(frozen, index is not None, constraints, options),
             CandidateCache(max_size=size),
-            ResultCache(max_size=size, ttl_seconds=options.cache_ttl),
+            ResultCache(max_size=size),
             options,
         )
 

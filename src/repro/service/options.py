@@ -121,8 +121,6 @@ OPTIONS: tuple[Option, ...] = (
            "or stored witness, and no scatter with --shards"),
     Option("cache_size", int, DEFAULT_CACHE_SIZE, ge=0, flag="--cache-size",
            help="result-cache LRU size"),
-    Option("cache_ttl", float, gt=0, flag="--cache-ttl",
-           help="result-cache TTL in seconds"),
     Option("max_workers", int, ge=1, flag="--workers", help="batch thread count"),
     # Refuse larger POST /batch and POST /edges bodies: a memory guard
     # an embedding application may move, not a tuning knob with a flag.

@@ -267,14 +267,6 @@ class ServiceStats:
                 histogram = self._latency[endpoint] = LatencyHistogram()
             histogram.record(seconds)
 
-    def merge_aggregate(self, aggregate: ResultAggregate) -> None:
-        """Fold an externally accumulated aggregate (e.g. a warm-up run)."""
-        with self._lock:
-            cell = self._by_algorithm.get(aggregate.algorithm)
-            if cell is None:
-                cell = self._by_algorithm[aggregate.algorithm] = ResultAggregate()
-            cell.merge(aggregate)
-
     # ------------------------------------------------------------------
 
     @property

@@ -130,7 +130,7 @@ def cache_counters(service) -> dict[tuple[str, str], int]:
     return {
         (cache, counter): document[cache][counter]
         for cache in ("result_cache", "candidate_cache")
-        for counter in ("hits", "misses", "evictions", "expirations")
+        for counter in ("hits", "misses", "evictions")
     }
 
 

@@ -66,8 +66,7 @@ class TestRenderMetrics:
         document = {
             "service": stats.snapshot(),
             "result_cache": {"hits": 5, "misses": 2, "evictions": 1,
-                             "expirations": 0, "size": 4, "max_size": 16,
-                             "hit_rate": 5 / 7},
+                             "size": 4, "max_size": 16, "hit_rate": 5 / 7},
             "graph": {"vertices": 10, "edges": 20, "labels": 3},
             "index": {"loaded": True, "landmarks": 4},
             "epoch": {"epoch_id": 7, "age_seconds": 1.5},

@@ -1,4 +1,4 @@
-"""Tests for the service caches (LRU/TTL result cache, constraint cache)."""
+"""Tests for the service caches (LRU result cache, constraint cache)."""
 
 import threading
 
@@ -9,19 +9,6 @@ from repro.service.cache import ConstraintCache, ResultCache
 
 S0 = "SELECT ?x WHERE { ?x <friendOf> v3 . v3 <likes> ?y . }"
 S0_REFORMATTED = "SELECT ?x WHERE {  ?x <friendOf> v3 .\n\tv3 <likes> ?y . }"
-
-
-class FakeClock:
-    """A manually stepped monotonic clock."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 class TestResultCacheLRU:
@@ -62,8 +49,6 @@ class TestResultCacheLRU:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="max_size"):
             ResultCache(max_size=-1)
-        with pytest.raises(ValueError, match="ttl_seconds"):
-            ResultCache(ttl_seconds=0)
 
     def test_clear_keeps_counters(self):
         cache = ResultCache(max_size=4)
@@ -72,27 +57,6 @@ class TestResultCacheLRU:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats().hits == 1
-
-
-class TestResultCacheTTL:
-    def test_expires_after_ttl(self):
-        clock = FakeClock()
-        cache = ResultCache(max_size=4, ttl_seconds=10, clock=clock)
-        cache.put("a", 1)
-        clock.advance(9.9)
-        assert cache.get("a") == 1
-        clock.advance(0.2)
-        assert cache.get("a") is None
-        stats = cache.stats()
-        assert stats.expirations == 1
-        assert stats.size == 0
-
-    def test_no_ttl_never_expires(self):
-        clock = FakeClock()
-        cache = ResultCache(max_size=4, clock=clock)
-        cache.put("a", 1)
-        clock.advance(1e9)
-        assert cache.get("a") == 1
 
     def test_hit_rate(self):
         cache = ResultCache(max_size=4)

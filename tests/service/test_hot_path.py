@@ -116,22 +116,6 @@ class TestAHitCostsALookup:
         assert counts["ResultCache.get"] == len(POOL)
         assert service.results.stats().misses == len(POOL)
 
-    def test_ttl_is_honoured_in_the_request_thread(self, counts):
-        service = QueryService(figure3_graph(), seed=0, cache_ttl=60.0)
-        try:
-            now = [0.0]
-            service.results._clock = lambda: now[0]
-            service.handle_batch({"queries": POOL})
-            now[0] = 61.0
-            replies = service.handle_batch({"queries": POOL})["results"]
-            assert not any(reply["cached"] for reply in replies)
-            assert service.results.stats().expirations == len(POOL)
-            now[0] = 62.0
-            replies = service.handle_batch({"queries": POOL})["results"]
-            assert all(reply["cached"] for reply in replies)
-        finally:
-            service.close()
-
 
 class TestMixedBatch:
     """Three hits, two misses, one planner answer, one ``use_cache:

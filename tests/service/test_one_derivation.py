@@ -146,14 +146,13 @@ class TestHeir:
     counters."""
 
     def test_result_cache(self):
-        now = [0.0]
-        parent = ResultCache(max_size=2, ttl_seconds=5.0, clock=lambda: now[0])
+        parent = ResultCache(max_size=2)
         parent.put("a", 1)
         parent.put("b", 2)
         parent.put("c", 3)  # evicts "a"
         assert parent.get("a") is None and parent.get("b") == 2
         heir = parent.heir()
-        assert (heir.max_size, heir.ttl_seconds) == (2, 5.0)
+        assert heir.max_size == 2
         assert len(heir) == 0 and heir.get("b") is None
         stats = heir.stats()
         # 1 LRU eviction + the 2 entries the parent keeps to itself.
@@ -161,10 +160,6 @@ class TestHeir:
         assert stats.size == 0 and parent.stats().size == 2
         # The parent still answers whoever holds it, on the same ledger…
         assert parent.get("c") == 3 and heir.stats().hits == 2
-        # …and the heir runs on the parent's clock.
-        heir.put("d", 4)
-        now[0] = 6.0
-        assert heir.get("d") is None and parent.stats().expirations == 1
 
     def test_candidate_cache_leaves_in_flight_computations_behind(self, g0, s0):
         parent = CandidateCache(max_size=4)

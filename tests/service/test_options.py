@@ -41,7 +41,6 @@ VALID = {
     "seed": (7, {}),
     "algorithm": ("uis", {}),
     "cache_size": (5, {}),
-    "cache_ttl": (2.5, {}),
     "max_workers": (2, {}),
     "max_batch": (9, {}),
     "trace_sample": (0.5, {}),
@@ -87,7 +86,6 @@ def invalid_cases():
                 value = ["http://127.0.0.1:9"]
             yield row.name, "requires", {row.name: value, **off}
     # The values PR 2's per-door parametrisation used to pin.
-    yield "cache_ttl", "range", {"cache_ttl": -5}
     yield "landmark_count", "range", {"landmark_count": -3}
     yield "max_batch", "type", {"max_batch": "lots"}
 
@@ -236,11 +234,14 @@ def test_stats_config_lists_every_row():
 @pytest.mark.parametrize(
     "name, argv",
     [("approx_default", ["--approx-default"]),
-     ("approx_recheck", ["--approx-recheck", "0.5"])],
+     ("approx_recheck", ["--approx-recheck", "0.5"]),
+     # A cached answer dies with its epoch and LRU bounds the memory, so
+     # an expiry could only ever drop a correct answer.
+     ("cache_ttl", ["--cache-ttl", "2.5"])],
 )
-def test_a_deleted_row_is_an_unknown_option(name, argv, graph_path, capsys):
-    # The approximate-mode rows are gone from the table; ``POST
-    # /tenants`` refusing them is pinned in tests/approx/test_http_approx.py.
+def test_a_deleted_row_is_an_unknown_option(
+    name, argv, graph_path, base_url, capsys
+):
     assert name not in ROWS
     with pytest.raises(SystemExit) as refusal:
         main(["serve", "--graph", graph_path, *argv])
@@ -249,6 +250,11 @@ def test_a_deleted_row_is_an_unknown_option(name, argv, graph_path, capsys):
     for cls in (QueryService, ShardedQueryService):
         with pytest.raises(ServiceConfigError, match=f"unknown option {name!r}"):
             cls(figure3_graph(), **{name: 0.5})
+    status, document = http_request(
+        f"{base_url}/tenants", {"name": "probe", "graph": graph_path, name: 0.5}
+    )
+    assert status == 400
+    assert f"unknown option {name!r}" in document["error"]["message"]
 
 
 def test_an_unknown_option_is_refused_not_ignored(graph_path, base_url):

@@ -40,15 +40,6 @@ class TestResultCacheExport:
         tiny = ResultCache(max_size=2)
         assert tiny.import_entries([("a", 1), ("b", 2), ("c", 3)]) == 2
 
-    def test_export_skips_expired_entries(self):
-        clock = [0.0]
-        cache = ResultCache(max_size=8, ttl_seconds=5.0, clock=lambda: clock[0])
-        cache.put("old", 1)
-        clock[0] = 3.0
-        cache.put("fresh", 2)
-        clock[0] = 6.0  # "old" expired, "fresh" still alive
-        assert [key for key, _ in cache.export_entries()] == ["fresh"]
-
 
 class TestServiceSnapshot:
     def test_roundtrip_warms_cache_and_stats(self, tmp_path):

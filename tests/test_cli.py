@@ -270,3 +270,42 @@ class TestServeWalFlags:
                      "--compact-every", "0"])
         assert code == 2
         assert "--compact-every" in capsys.readouterr().err
+
+    def test_ready_line_leaves_a_replayed_index_repair_deferred(
+        self, g0_path, tmp_path, monkeypatch, capsys
+    ):
+        # The ready line reports the landmarks without reading
+        # service.index, whose first read would run the repair at boot.
+        from repro.graph.io import load_tsv
+        from repro.index.landmarks import NO_REGION
+        from repro.index.storage import load_local_index
+        from repro.service.app import QueryService
+        from repro.service.http import ServiceHTTPServer
+        from repro.service.registry import DEFAULT_TENANT
+        from repro.wal import UpdateWal
+
+        index_path, wal_dir = str(tmp_path / "g0.json"), tmp_path / "wal"
+        assert main(["index", g0_path, "--output", index_path, "--k", "2"]) == 0
+        graph = load_tsv(g0_path)
+        index = load_local_index(index_path, graph)
+        member = next(
+            v for v, region in enumerate(index.partition.region) if region != NO_REGION
+        )
+        wal = UpdateWal(wal_dir)
+        leader = QueryService(graph, index)
+        leader.attach_wal(wal.tenant(DEFAULT_TENANT))
+        leader.apply_updates([(graph.name_of(member), "likes", "fresh")])
+        leader.close()
+        wal.close()
+
+        seen = []
+        monkeypatch.setattr(
+            ServiceHTTPServer,
+            "serve_forever",
+            lambda server: seen.append(server.registry.get().epoch.describe_index()),
+        )
+        assert main(["serve", "--graph", g0_path, "--index", index_path,
+                     "--wal", str(wal_dir), "--port", "0"]) == 0
+        (described,) = seen
+        assert described["regions_pending"] >= 1
+        assert f"index: {described['landmarks']} landmarks" in capsys.readouterr().out

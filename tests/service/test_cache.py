@@ -40,6 +40,16 @@ class TestResultCacheLRU:
         assert cache.get("a") == 10
         assert "b" not in cache
 
+    def test_membership_neither_counts_nor_promotes(self):
+        cache = ResultCache(max_size=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert "a" in cache and "zzz" not in cache
+        cache.put("c", 3)                   # "a" is still LRU: evicted
+        assert "a" not in cache
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.evictions) == (0, 0, 1)
+
     def test_size_zero_disables_storage(self):
         cache = ResultCache(max_size=0)
         cache.put("a", 1)

@@ -116,6 +116,17 @@ class TestAHitCostsALookup:
         assert counts["ResultCache.get"] == len(POOL)
         assert service.results.stats().misses == len(POOL)
 
+    def test_a_hit_lasts_until_the_epoch_changes(self, warm, counts):
+        # A cached answer belongs to its epoch: it keeps hitting however
+        # often it is asked, and an update batch drops it with the epoch.
+        for _ in range(3):
+            self.hit_everything(warm)
+        warm.apply_updates([("v0", "likes", "v9")])
+        replies = warm.handle_batch({"queries": POOL})["results"]
+        assert not any(reply["cached"] for reply in replies)
+        self.hit_everything(warm)
+        assert warm.results.stats().misses == 2 * len(POOL)
+
 
 class TestMixedBatch:
     """Three hits, two misses, one planner answer, one ``use_cache:

@@ -108,8 +108,7 @@ class ApproxRouter:
                 return RouteDecision(
                     self._settled(False, BOUNDS_ALGORITHM, started), "no-mask"
                 )
-            bounds = epoch.bounds
-            if bounds is not None and not bounds.maybe_reachable(s, t):
+            if not epoch.bounds.maybe_reachable(s, t):
                 with self._lock:
                     self._no_bounds += 1
                 self.witnesses.invalidate(plan.key)

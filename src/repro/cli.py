@@ -69,7 +69,12 @@ from repro.index.local_index import build_local_index
 from repro.index.storage import load_local_index, save_local_index
 from repro.service.app import QueryService
 from repro.service.http import create_server
-from repro.service.options import ServiceOptions, add_arguments, options_from_args
+from repro.service.options import (
+    OPTIONS,
+    ServiceOptions,
+    add_arguments,
+    options_from_args,
+)
 from repro.service.registry import DEFAULT_TENANT, TenantRegistry
 from repro.shard import ShardedQueryService, ShardWorker, cut_slices, derive_shard_plan
 from repro.shard.slicefile import SLICE_WIRE_VERSION, dump_slice, load_slice
@@ -444,11 +449,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "--graph": args.graph is not None,
             "--index": args.index is not None,
             "--tenant": bool(args.tenant),
-            "--shards": bool(options.shards),
             "--wal": args.wal is not None,
             "--follow": args.follow is not None,
             "--allow-updates": args.allow_updates,
             "--warm-cache": args.warm_cache is not None,
+            # A worker reads only the result-cache size of the table.
+            **{
+                row.flag: getattr(args, row.name) is not None
+                for row in OPTIONS
+                if row.flag is not None and row.name != "cache_size"
+            },
         }
         named = [flag for flag, given in conflicts.items() if given]
         if named:
@@ -491,6 +501,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.default_deadline_ms is not None and args.default_deadline_ms <= 0:
         raise ServiceConfigError(
             f"--default-deadline-ms must be > 0, got {args.default_deadline_ms}"
+        )
+    if args.follow_interval <= 0:
+        raise ServiceConfigError(
+            f"--follow-interval must be > 0, got {args.follow_interval}"
         )
     # The default tenant (the one the un-prefixed PR 1 routes alias to)
     # is --graph when given, else the first --tenant; it loads eagerly so
@@ -676,14 +690,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     if resilience_notes:
         print(f"fault tolerance: {'; '.join(resilience_notes)}", flush=True)
-    if service.approx is not None:
-        bounds = service.epoch.bounds
-        bounds_note = (
-            f"bounds {bounds.mode} ({bounds.component_count} components)"
-            if bounds is not None
-            else "bounds off"
-        )
-        print(f"short-circuit router: {bounds_note}", flush=True)
+    bounds = service.epoch.bounds
+    print(
+        f"short-circuit router: bounds {bounds.mode} "
+        f"({bounds.component_count} components)",
+        flush=True,
+    )
     # Machine-readable ready line: tooling (and the tests) parse the port
     # from it, which is how --port 0 ephemeral binding stays usable.
     print(f"listening on http://{host}:{port}", flush=True)

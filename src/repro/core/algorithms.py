@@ -1,9 +1,9 @@
 """The one name → evaluator registry.
 
 Every place that offers an algorithm by name — ``LSCRSession``, the
-service planner, ``python -m repro query|serve --algorithm`` and the
-serving options table — reads this mapping, so the set of names cannot
-drift between them.
+service planner (a request's ``"algorithm"``), ``python -m repro query
+--algorithm`` and the paper harness — reads this mapping, so the set of
+names cannot drift between them.
 """
 
 from __future__ import annotations

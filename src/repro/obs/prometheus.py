@@ -512,7 +512,7 @@ def render_service_metrics(
                          "re-verification", labels,
                          witness.get("invalidations", 0))
         bounds = approx.get("bounds")
-        if isinstance(bounds, dict) and bounds.get("mode") != "none":
+        if isinstance(bounds, dict):
             families.add("repro_approx_bounds_components", "gauge",
                          "Strongly connected components in the bounds "
                          "condensation", labels,

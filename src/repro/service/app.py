@@ -89,7 +89,7 @@ from repro.service.epoch import (
 )
 from repro.service.executor import BatchExecutor
 from repro.service.options import ServiceOptions, resolve_options
-from repro.service.planner import QueryPlan, QueryPlanner
+from repro.service.planner import DEFAULT_ALGORITHM, QueryPlan, QueryPlanner
 from repro.service.stats import ServiceStats
 from repro.utils.persist import atomic_write_json
 
@@ -175,14 +175,11 @@ class QueryService:
         )
         #: The short-circuit router (``repro.approx``): sound
         #: definite-No / definite-Yes answers ahead of the exact
-        #: evaluators.  None disables routing entirely and every plan
-        #: goes straight to an evaluator.
-        self.approx: ApproxRouter | None = None
-        if options.approx:
-            # Follows the result cache's knob: cache_size=0 keeps the
-            # sound bounds but stores no witnesses, so the uncached
-            # service stays genuinely uncached.
-            self.approx = ApproxRouter(witness_cache_size=options.cache_size)
+        #: evaluators for every plan that names no algorithm.  Its
+        #: witness cache follows the result cache's knob: cache_size=0
+        #: keeps the sound bounds but stores no witnesses, so the
+        #: uncached service stays genuinely uncached.
+        self.approx = ApproxRouter(witness_cache_size=options.cache_size)
         #: Admission control for the query endpoints (``--max-concurrent``
         #: / ``--max-queue``); None — the default — admits everything and
         #: costs nothing on the request path.
@@ -270,7 +267,7 @@ class QueryService:
     def __repr__(self) -> str:
         return (
             f"QueryService({self.graph.name!r}, "
-            f"default={self.planner.default_algorithm!r}, "
+            f"default={self.default_algorithm!r}, "
             f"index={'loaded' if self._epoch.has_index else 'none'}, "
             f"epoch={self._epoch.epoch_id})"
         )
@@ -315,7 +312,7 @@ class QueryService:
     @property
     def default_algorithm(self) -> str:
         """The algorithm requests run on when they don't name one."""
-        return self.options.algorithm or self.planner.default_algorithm
+        return DEFAULT_ALGORITHM
 
     def close(self) -> None:
         """Release pooled resources (the persistent batch thread pool).
@@ -355,8 +352,6 @@ class QueryService:
         publishing a new epoch mid-call never mixes graph versions —
         this query simply completes on the epoch it started on.
         """
-        if algorithm is None:
-            algorithm = self.options.algorithm
         epoch = self._epoch
         plan = epoch.planner.plan(source, target, labels, constraint, algorithm)
         return self._finish(plan, epoch, use_cache=use_cache, batch=_batch)
@@ -397,15 +392,12 @@ class QueryService:
         plans = []
         with span("plan-batch", queries=len(specs)):
             for spec in specs:
-                algorithm = spec.get("algorithm")
-                if algorithm is None:
-                    algorithm = self.options.algorithm
                 plan = epoch.planner.plan(
                     spec["source"],
                     spec["target"],
                     spec["labels"],
                     spec["constraint"],
-                    algorithm,
+                    spec.get("algorithm"),
                 )
                 plans.append((plan, use_cache and spec.get("use_cache", True)))
         self.stats.record_batch()
@@ -842,7 +834,7 @@ class QueryService:
                 lcs_calls=result.lcs_calls,
                 index_resolutions=result.index_resolutions,
             )
-        if self.approx is not None and not plan.forced:
+        if not plan.forced:
             # The routing decision, stamped for clients and the flight
             # recorder; both tiers answer exactly.
             meta["tier"] = (
@@ -910,9 +902,8 @@ class QueryService:
         definite-Yes from a re-verified witness path — and everything
         uncertain falls through to :meth:`_evaluate`.  Forced plans
         bypass routing entirely — no short-circuit, no ``tier``, no
-        witness stored: naming an algorithm is a request to *run* it,
-        and a service configured with one (``serve --algorithm``)
-        forces every plan.
+        witness stored: naming an algorithm in the request is a request
+        to *run* it.
 
         The ambient request deadline (if any) is checked once here —
         before the router or evaluator starts — so a budget that lapsed
@@ -922,9 +913,9 @@ class QueryService:
         """
         assert plan.query is not None
         check_deadline("execute")
-        router = self.approx
-        if router is None or plan.forced:
+        if plan.forced:
             return self._evaluate(plan, epoch)
+        router = self.approx
         with span("route") as route_span:
             decision = router.decide(plan, epoch)
             if decision is not None:
@@ -1136,14 +1127,10 @@ class QueryService:
                 **self.options.as_dict(),
             },
         }
-        if self.approx is not None:
-            approx_stats = self.approx.stats()
-            approx_stats["bounds"] = (
-                epoch.bounds.describe()
-                if epoch.bounds is not None
-                else {"mode": "none"}
-            )
-            document["approx"] = approx_stats
+        document["approx"] = {
+            **self.approx.stats(),
+            "bounds": epoch.bounds.describe(),
+        }
         if self.admission is not None:
             document["admission"] = self.admission.stats()
         if self._wal is not None:

@@ -70,7 +70,7 @@ from repro.index.local_index import LocalIndex
 from repro.obs.trace import span
 from repro.service.cache import CandidateCache, ConstraintCache, ResultCache
 from repro.service.options import ServiceOptions
-from repro.service.planner import DEFAULT_ALGORITHM, QueryPlanner
+from repro.service.planner import QueryPlanner
 from repro.session import LSCRSession
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -135,7 +135,7 @@ class GraphEpoch:
         graph: FrozenGraph,
         index: LocalIndex | None,
         deferred: Deferred | None,
-        bounds: BoundsIndex | None,
+        bounds: BoundsIndex,
         planner: QueryPlanner,
         candidates: CandidateCache,
         results: ResultCache,
@@ -161,8 +161,8 @@ class GraphEpoch:
         #: ``index`` / ``regions_refreshed`` — None until then.
         self.repair: dict | None = None
         #: Label-blind reachability upper bound for *this* snapshot
-        #: (``repro.approx``; None with the tier off), so the router's
-        #: definite-No stays sound across updates and replay.
+        #: (``repro.approx``), so the router's definite-No stays sound
+        #: across updates and replay.
         self.bounds = bounds
         self.planner = planner
         #: ``V(S, G)`` per canonical constraint, on this snapshot.
@@ -203,7 +203,7 @@ class GraphEpoch:
             index,
             None,
             _bounds(frozen, options),
-            _planner(frozen, index is not None, constraints, options),
+            QueryPlanner(frozen, constraints, has_index=index is not None),
             CandidateCache(max_size=size),
             ResultCache(max_size=size),
             options,
@@ -261,7 +261,7 @@ class GraphEpoch:
             None,
             deferred,
             _bounds(frozen, options),
-            _planner(frozen, deferred is not None, constraints, options),
+            QueryPlanner(frozen, constraints, has_index=deferred is not None),
             candidates,
             self.results.heir(),
             options,
@@ -379,29 +379,12 @@ def _freeze(graph: KnowledgeGraph) -> FrozenGraph:
     return frozen
 
 
-def _bounds(graph: FrozenGraph, options: ServiceOptions) -> BoundsIndex | None:
-    """One snapshot's label-blind upper bound (None: router off)."""
+def _bounds(graph: FrozenGraph, options: ServiceOptions) -> BoundsIndex:
+    """One snapshot's label-blind upper bound."""
     with span("bounds") as bounds_span:
-        bounds = build_bounds(graph, seed=options.seed) if options.approx else None
-        bounds_span.set(
-            enabled=bounds is not None,
-            components=bounds.component_count if bounds else 0,
-        )
+        bounds = build_bounds(graph, seed=options.seed)
+        bounds_span.set(components=bounds.component_count)
     return bounds
-
-
-def _planner(
-    graph: FrozenGraph,
-    has_index: bool,
-    constraints: ConstraintCache,
-    options: ServiceOptions,
-) -> QueryPlanner:
-    return QueryPlanner(
-        graph,
-        constraints,
-        has_index=has_index,
-        default_algorithm=options.algorithm or DEFAULT_ALGORITHM,
-    )
 
 
 def validate_edge_updates(payload: object, *, max_edges: int) -> list[EdgeUpdate]:

@@ -1,7 +1,7 @@
 """The serving options table: every per-service option, declared once.
 
-One row of :data:`OPTIONS` per option — name, type, default, range or
-choices, the option it ``requires``, CLI flag and help — and one
+One row of :data:`OPTIONS` per option — name, type, default, range,
+the option it ``requires``, CLI flag and help — and one
 validator, :func:`build_options`, that turns what a front door received
 into the frozen :class:`ServiceOptions` value the service, its shard
 workers and ``/stats`` carry from then on.  The doors *read* the table:
@@ -32,7 +32,6 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, make_dataclass, replace
 from typing import Any
 
-from repro.core.algorithms import ALGORITHMS
 from repro.exceptions import ReproError, ServiceConfigError
 from repro.obs.flight import DEFAULT_SLOW_LOG_SIZE, DEFAULT_SLOW_MS
 from repro.service.cache import DEFAULT_CACHE_SIZE
@@ -51,7 +50,6 @@ _KIND_NAMES = {
     bool: "a boolean",
     int: "an integer",
     float: "a number",
-    str: "a string",
     list: "a non-empty array of strings",
 }
 
@@ -61,7 +59,7 @@ class Option:
     """One row of the options table."""
 
     name: str
-    #: ``bool``, ``int``, ``float``, ``str`` or ``list`` (of strings).
+    #: ``bool``, ``int``, ``float`` or ``list`` (of strings).
     kind: type
     default: Any = None
     #: Inclusive lower, exclusive lower and inclusive upper bound (an
@@ -69,12 +67,11 @@ class Option:
     ge: float | None = None
     gt: float | None = None
     le: float | None = None
-    choices: tuple[str, ...] = ()
     #: Another row that must be switched on for a non-default value here
     #: to mean anything (``max_queue`` without ``max_concurrent``).
     requires: str | None = None
     #: CLI spelling; None keeps the option off the command line.  A bool
-    #: row defaulting to True gets a switch-off flag (``--no-approx``).
+    #: row defaults to False and its flag switches it on.
     flag: str | None = None
     metavar: str | None = None
     #: ``{default}`` expands to the row's default.
@@ -99,8 +96,6 @@ class Option:
             )
         if not typed:
             return f"must be {_KIND_NAMES[kind]}"
-        if self.choices and value not in self.choices:
-            return f"must be one of {self.choices}"
         if self.gt is not None and not value > self.gt:
             return f"must be > {self.gt:g}"
         if self.le is not None and not self.ge <= value <= self.le:
@@ -114,11 +109,6 @@ OPTIONS: tuple[Option, ...] = (
     Option("landmark_count", int, ge=1, flag="--k",
            help="landmark count when building"),
     Option("seed", int, 0, flag="--seed"),
-    Option("algorithm", str, choices=tuple(sorted(ALGORITHMS)), flag="--algorithm",
-           help="run every request on one algorithm (default: meet, with or "
-           "without an index; 'ins' needs --index and is also selectable per "
-           "request). Setting it forces every plan: no short-circuit, tier "
-           "or stored witness, and no scatter with --shards"),
     Option("cache_size", int, DEFAULT_CACHE_SIZE, ge=0, flag="--cache-size",
            help="result-cache LRU size"),
     Option("max_workers", int, ge=1, flag="--workers", help="batch thread count"),
@@ -144,10 +134,6 @@ OPTIONS: tuple[Option, ...] = (
            flag="--max-queue", metavar="N",
            help="admission queue depth in front of --max-concurrent "
            "(default {default:g}: shed immediately when all slots are busy)"),
-    Option("approx", bool, True, flag="--no-approx",
-           help="disable the short-circuit router (label-blind definite-No "
-           "bounds + witness-path definite-Yes answers ahead of the exact "
-           "evaluators); every query then runs an evaluator"),
     Option("shards", int, 0, ge=0, flag="--shards", metavar="N", sharding=True,
            help="serve --graph through a region-sharded scatter-gather "
            "coordinator with N in-process shard workers ({default:g} = "
@@ -240,9 +226,7 @@ def build_options(
             continue
         needed = rows[row.requires]
         if not chosen.get(needed.name, needed.default):
-            # A default-on row is spelled by the flag that switches it off.
-            verb = "cannot be combined with" if cli and needed.default else "requires"
-            raise error(f"{spelled(row)} {verb} {spelled(needed)}")
+            raise error(f"{spelled(row)} requires {spelled(needed)}")
     return ServiceOptions(**chosen)
 
 
@@ -275,14 +259,13 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
             "help": row.help.format(default=row.default),
         }
         if row.kind is bool:
-            settings["action"] = "store_false" if row.default else "store_true"
+            settings["action"] = "store_true"
         else:
             settings["action"] = "append" if row.kind is list else "store"
             settings["type"] = str if row.kind is list else row.kind
-            settings["choices"] = row.choices or None
             # The flag's own name, as argparse would derive it without dest=.
             settings["metavar"] = row.metavar or (
-                None if row.choices else row.flag.lstrip("-").replace("-", "_").upper()
+                row.flag.lstrip("-").replace("-", "_").upper()
             )
         parser.add_argument(row.flag, **settings)
 

@@ -19,14 +19,13 @@ before any algorithm runs.  Planning does three jobs:
   answers true — README.md, *Semantics and resolved
   under-specifications*).  Note ``s = t`` alone is *not* trivial — a
   cycle through a satisfying vertex may still exist;
-* **pick an algorithm** — the configured default, the bidirectional
-  ``meet`` kernel (:mod:`repro.core.meet`) unless ``serve --algorithm``
-  says otherwise; an explicit per-request override wins after
-  validation.  A loaded index does not change the default: ``meet``
-  measures cheaper than UIS*, and UIS* cheaper than INS, on every
-  workload the ladder runs (README, "Choosing an algorithm"), so the
-  paper's UIS, UIS* and INS run when a request or the operator asks for
-  them.  Which of its two plans ``meet`` runs depends on ``|V(S, G)|``
+* **pick an algorithm** — the bidirectional ``meet`` kernel
+  (:mod:`repro.core.meet`) unless the request names an evaluator, which
+  then runs after validation.  A loaded index does not change the
+  default: ``meet`` measures cheaper than UIS*, and UIS* cheaper than
+  INS, on every workload the ladder runs (README, "Choosing an
+  algorithm"), so the paper's UIS, UIS* and INS run when a request asks
+  for them.  Which of its two plans ``meet`` runs depends on ``|V(S, G)|``
   and is the evaluator's call, not made here: planning happens ahead of
   the result cache on every request and takes no ``V(S, G)`` lookup.
 
@@ -50,7 +49,7 @@ from repro.constraints.label_constraint import LabelConstraint
 from repro.constraints.substructure import SubstructureConstraint
 from repro.core.algorithms import ALGORITHMS
 from repro.core.query import LSCRQuery
-from repro.exceptions import BadRequestError, ServiceConfigError
+from repro.exceptions import BadRequestError
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.obs.trace import span
 from repro.service.cache import ConstraintCache
@@ -63,8 +62,8 @@ __all__ = [
     "TRIVIAL",
 ]
 
-#: What runs when neither the request nor ``serve --algorithm`` names an
-#: evaluator (a key of :data:`repro.core.algorithms.ALGORITHMS`).
+#: What runs when the request names no evaluator (a key of
+#: :data:`repro.core.algorithms.ALGORITHMS`).
 DEFAULT_ALGORITHM = "meet"
 
 #: ``(source, target, sorted labels, canonical constraint SPARQL)``.
@@ -109,26 +108,14 @@ class QueryPlanner:
         constraints: ConstraintCache | None = None,
         *,
         has_index: bool = False,
-        default_algorithm: str = DEFAULT_ALGORITHM,
     ) -> None:
-        if default_algorithm not in ALGORITHMS:
-            raise ServiceConfigError(
-                f"unknown default algorithm {default_algorithm!r}; "
-                f"choose from {tuple(ALGORITHMS)}"
-            )
-        if default_algorithm == "ins" and not has_index:
-            raise ServiceConfigError("default algorithm 'ins' requires a loaded index")
         self.graph = graph
         self.constraints = constraints if constraints is not None else ConstraintCache()
         self.has_index = has_index
-        #: What runs when the request does not name an algorithm.
-        self.default_algorithm = default_algorithm
-        #: ... and the ``reason`` such a plan carries.
+        #: The ``reason`` a plan carries when the request names no algorithm.
         self._default_reason = (
-            f"{default_algorithm} is the measured-cheapest evaluator; "
-            "request 'ins' to use the index"
-            if has_index and default_algorithm == DEFAULT_ALGORITHM
-            else f"configured default {default_algorithm!r}"
+            f"{DEFAULT_ALGORITHM} is the measured-cheapest evaluator"
+            + ("; request 'ins' to use the index" if has_index else "")
         )
 
     # ------------------------------------------------------------------
@@ -233,7 +220,7 @@ class QueryPlanner:
 
     def _choose_algorithm(self, requested: str | None) -> str:
         if requested is None:
-            return self.default_algorithm
+            return DEFAULT_ALGORITHM
         if requested not in ALGORITHMS:
             raise BadRequestError(
                 f"unknown algorithm {requested!r}; choose from {tuple(ALGORITHMS)}"

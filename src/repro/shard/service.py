@@ -202,8 +202,8 @@ class ShardedQueryService(QueryService):
 
     @property
     def default_algorithm(self) -> str:
-        """``"sharded"`` unless the whole service forces one algorithm."""
-        return self.options.algorithm or SHARDED_ALGORITHM
+        """``"sharded"``: a request that names no algorithm scatters."""
+        return SHARDED_ALGORITHM
 
     @property
     def shard_plan(self) -> ShardPlan:

@@ -2,9 +2,9 @@
 
 Four claims, each against an independent oracle:
 
-* **agreement** — a service with the router on answers every
-  query bit-identically to the naive oracle *and* to a twin service
-  built with ``approx=False`` (short-circuits are sound, never lossy);
+* **agreement** — the routed service answers every query
+  bit-identically to the naive oracle (short-circuits are sound, never
+  lossy);
 * **witness validity** — every witness path the router caches verifies
   under :func:`repro.core.witness.verify_witness` on the current graph;
 * **honest accounting** — the router's counters in ``/stats`` equal an
@@ -38,10 +38,9 @@ SEEDS = list(range(50))
 
 class TestExactModeAgreement:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_bit_identical_to_oracle_and_plain_service(self, seed):
+    def test_bit_identical_to_oracle(self, seed):
         graph = make_graph(seed)
         routed = QueryService(graph, seed=seed)
-        plain = QueryService(graph, seed=seed, approx=False)
         rng = random.Random(seed * 6151 + 11)
         parsed = {}
         try:
@@ -54,10 +53,7 @@ class TestExactModeAgreement:
                     mine, meta = routed.query(
                         source, target, labels, text, use_cache=False
                     )
-                    twin, _ = plain.query(
-                        source, target, labels, text, use_cache=False
-                    )
-                    assert mine.answer == expected == twin.answer, (
+                    assert mine.answer == expected, (
                         f"seed={seed} {source}->{target} L={labels} "
                         f"S={text!r}: routed={mine.answer} "
                         f"({mine.algorithm}) naive={expected} "
@@ -65,7 +61,6 @@ class TestExactModeAgreement:
                     )
         finally:
             routed.close()
-            plain.close()
 
 
 class TestWitnessValidity:

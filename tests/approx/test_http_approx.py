@@ -122,7 +122,6 @@ class TestStatsAndMetrics:
         assert approx["short_circuit_no"] == 1
         assert approx["exact_fallthrough"] == 1
         assert approx["bounds"]["mode"] == "closure"
-        assert document["config"]["approx"] is True
 
     def test_metrics_families_strict_parse(self, base_url):
         post(f"{base_url}/query", NO_SPEC)
@@ -181,12 +180,11 @@ class TestStatsAndMetrics:
 
 
 class TestTenantOptions:
-    def test_register_tenant_with_approx_option(self, base_url, tmp_path):
+    def test_a_registered_tenant_routes(self, base_url, tmp_path):
         graph_file = tmp_path / "dyn.tsv"
         graph_file.write_text("a\tgo\tb\n")
         status, _ = post(
-            f"{base_url}/tenants",
-            {"name": "dyn", "graph": str(graph_file), "approx": True},
+            f"{base_url}/tenants", {"name": "dyn", "graph": str(graph_file)}
         )
         assert status == 201
         status, body = post(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.approx import SHORT_CIRCUIT_ALGORITHMS
+from repro.core.algorithms import ALGORITHMS
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.shard import ShardedQueryService
@@ -107,16 +109,6 @@ class TestShortCircuits:
         assert result.answer is False
         assert result.algorithm == "UIS*"
         assert "tier" not in meta
-
-    def test_router_off_answers_without_a_tier(self):
-        svc = QueryService(make_graph(), seed=0, approx=False)
-        try:
-            assert svc.approx is None
-            result, meta = svc.query("s", "t", ["go"], MARK)
-            assert result.answer is True
-            assert "tier" not in meta
-        finally:
-            svc.close()
 
     def test_sound_short_circuits_are_cached(self, service):
         service.query("t", "s", ["go"], MARK)
@@ -223,15 +215,17 @@ class TestWitnessComesFromTheSearch:
             svc.close()
 
     @pytest.mark.parametrize("algorithm", ["uis", "naive", "meet"])
-    def test_configured_default_skips_the_router(self, algorithm, no_second_search):
-        # `serve --algorithm X` forces every plan, and a forced plan never
-        # meets the router: no tier, no short-circuit, no witness stored.
-        # (The default service routes the same two queries and settles
-        # the False by bounds — TestShortCircuits.)
-        svc = QueryService(make_graph(), seed=0, algorithm=algorithm)
+    def test_a_named_algorithm_skips_the_router(self, algorithm, no_second_search):
+        # A request that names an evaluator is a forced plan, and a forced
+        # plan never meets the router: no tier, no short-circuit, no
+        # witness stored.  (Unnamed, the same two queries are routed and
+        # the False is settled by bounds — TestShortCircuits.)
+        svc = QueryService(make_graph(), seed=0)
         try:
             for source, target, expected in (("s", "t", True), ("t", "s", False)):
-                result, meta = svc.query(source, target, ["go"], MARK)
+                result, meta = svc.query(
+                    source, target, ["go"], MARK, algorithm=algorithm
+                )
                 assert result.answer is expected
                 assert result.algorithm != "bounds"
                 assert "tier" not in meta
@@ -335,6 +329,62 @@ class TestSharded:
             document = svc.stats_snapshot()
             assert document["approx"]["enabled"] is True
             assert document["approx"]["bounds"]["mode"] == "closure"
-            assert document["config"]["approx"] is True
         finally:
             svc.close()
+
+
+class TestOneDefaultRoute:
+    """A request names its evaluator, or takes the one routed default."""
+
+    VERTICES = ("s", "m", "t", "u", "w")
+
+    @pytest.fixture(params=["plain", "sharded"])
+    def indexed(self, request):
+        """``(service, the exact tier's algorithm tag)``, with an index so
+        that every registered evaluator can be named."""
+        graph = make_graph()
+        index = build_local_index(graph, k=2, rng=0)
+        if request.param == "plain":
+            svc, exact = QueryService(graph, index, seed=0), "Meet"
+        else:
+            svc = ShardedQueryService(graph, index, seed=0, shards=2)
+            exact = "sharded"
+        yield svc, exact
+        svc.close()
+
+    def asked(self, svc, **named):
+        for source in self.VERTICES:
+            for target in self.VERTICES:
+                for labels in (["go"], ["go", "mark"]):
+                    yield svc.query(
+                        source, target, labels, MARK, use_cache=False, **named
+                    )
+
+    def test_an_unnamed_request_is_routed(self, indexed):
+        svc, exact = indexed
+        tiers = set()
+        for result, meta in self.asked(svc):
+            if meta["trivial"]:
+                continue
+            tiers.add(meta["tier"])
+            if meta["tier"] == "exact":
+                assert result.algorithm == exact
+            else:
+                assert meta["tier"] == "short-circuit"
+                assert result.algorithm in SHORT_CIRCUIT_ALGORITHMS
+        assert tiers == {"exact", "short-circuit"}
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_a_named_request_runs_that_evaluator(self, indexed, algorithm):
+        svc, _ = indexed
+        evaluated = 0
+        for result, meta in self.asked(svc, algorithm=algorithm):
+            assert "tier" not in meta
+            if not meta["trivial"]:
+                assert result.algorithm == ALGORITHMS[algorithm].name
+                evaluated += 1
+        assert evaluated > 0
+        stats = svc.approx.stats()
+        assert stats["routed"] == stats["witness_cache"]["stored_from_search"] == 0
+        if svc.sharded:
+            assert svc.coordinator.stats()["queries"] == 0

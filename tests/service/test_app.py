@@ -79,23 +79,6 @@ class TestQuery:
         assert result.algorithm == "UIS"
         assert "requested" in meta["reason"]
 
-    def test_forced_algorithm_config(self, graph):
-        forced = QueryService(graph, build_local_index(graph, k=2, rng=0),
-                              algorithm="uis", seed=0)
-        assert forced.default_algorithm == "uis"
-        result, _ = forced.query("v0", "v4", LABELS, S0)
-        assert result.algorithm == "UIS"
-
-    def test_forced_ins_config(self, graph):
-        # What `serve --algorithm ins` builds: INS for every request.
-        forced = QueryService(graph, build_local_index(graph, k=2, rng=0),
-                              algorithm="ins", seed=0)
-        assert forced.default_algorithm == "ins"
-        result, _ = forced.query("v0", "v4", LABELS, S0)
-        assert result.algorithm == "INS" and result.answer is True
-        with pytest.raises(ServiceConfigError, match="requires a loaded index"):
-            QueryService(graph, algorithm="ins", seed=0)
-
     def test_sessions_share_index_and_constraints(self, service):
         service.query("v0", "v4", LABELS, S0)
         session = service.epoch.session("ins")

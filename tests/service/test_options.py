@@ -39,7 +39,6 @@ FLEET = object()
 VALID = {
     "landmark_count": (2, {}),
     "seed": (7, {}),
-    "algorithm": ("uis", {}),
     "cache_size": (5, {}),
     "max_workers": (2, {}),
     "max_batch": (9, {}),
@@ -48,7 +47,6 @@ VALID = {
     "slow_log_size": (3, {}),
     "max_concurrent": (2, {}),
     "max_queue": (3, {"max_concurrent": 2}),
-    "approx": (False, {}),
     "shards": (2, {}),
     "worker_urls": (FLEET, {"shards": 2}),
     "probe_interval": (0.5, {"shards": 2, "worker_urls": FLEET}),
@@ -60,7 +58,6 @@ _WRONG_TYPES = {
     int: ["zero", True, 1.5],
     float: ["fast", True],
     bool: [1, "yes"],
-    str: [7, "dijkstra"],
     list: ["http://one", [], [""]],
 }
 
@@ -79,12 +76,10 @@ def invalid_cases():
             if bound is not None:
                 yield row.name, "range", {row.name: bound}
         if row.requires is not None:
-            needed = ROWS[row.requires]
-            off = {needed.name: False} if needed.default is True else {}
             value = VALID[row.name][0]
             if value is FLEET:  # refused before anything is dialled
                 value = ["http://127.0.0.1:9"]
-            yield row.name, "requires", {row.name: value, **off}
+            yield row.name, "requires", {row.name: value}
     # The values PR 2's per-door parametrisation used to pin.
     yield "landmark_count", "range", {"landmark_count": -3}
     yield "max_batch", "type", {"max_batch": "lots"}
@@ -237,7 +232,11 @@ def test_stats_config_lists_every_row():
      ("approx_recheck", ["--approx-recheck", "0.5"]),
      # A cached answer dies with its epoch and LRU bounds the memory, so
      # an expiry could only ever drop a correct answer.
-     ("cache_ttl", ["--cache-ttl", "2.5"])],
+     ("cache_ttl", ["--cache-ttl", "2.5"]),
+     # A request names its evaluator, and the router's sound No can
+     # change no answer: neither is a deployment-time fork.
+     ("algorithm", ["--algorithm", "uis"]),
+     ("approx", ["--no-approx"])],
 )
 def test_a_deleted_row_is_an_unknown_option(
     name, argv, graph_path, base_url, capsys

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datasets.toy import figure3_graph
-from repro.exceptions import BadRequestError, ConstraintError, ServiceConfigError
+from repro.exceptions import BadRequestError, ConstraintError
 from repro.service.cache import ConstraintCache
 from repro.service.planner import TRIVIAL, QueryPlanner
 
@@ -92,7 +92,7 @@ class TestAlgorithmChoice:
     def test_default_without_index(self, planner):
         plan = planner.plan("v0", "v4", LABELS, S0)
         assert plan.algorithm == "meet"
-        assert plan.reason == "configured default 'meet'"
+        assert plan.reason == "meet is the measured-cheapest evaluator"
         assert not plan.forced
 
     def test_ins_with_index(self, indexed_planner):
@@ -105,16 +105,6 @@ class TestAlgorithmChoice:
         plan = indexed_planner.plan("v0", "v4", LABELS, S0, algorithm="ins")
         assert plan.algorithm == "ins"
         assert plan.forced and "requested" in plan.reason
-
-    def test_configured_default_honoured(self):
-        # What `serve --algorithm ins` hands every epoch's planner.
-        planner = QueryPlanner(
-            figure3_graph(), ConstraintCache(), has_index=True, default_algorithm="ins"
-        )
-        assert planner.default_algorithm == "ins"
-        plan = planner.plan("v0", "v4", LABELS, S0)
-        assert plan.algorithm == "ins"
-        assert plan.reason == "configured default 'ins'"
 
     def test_explicit_override_wins(self, indexed_planner):
         plan = indexed_planner.plan("v0", "v4", LABELS, S0, algorithm="naive")
@@ -132,12 +122,6 @@ class TestAlgorithmChoice:
     def test_bad_request_raised_even_for_trivial_query(self, planner):
         with pytest.raises(BadRequestError):
             planner.plan("nope", "v4", LABELS, S0, algorithm="dijkstra")
-
-    def test_config_errors(self):
-        with pytest.raises(ServiceConfigError, match="unknown default"):
-            QueryPlanner(figure3_graph(), default_algorithm="bogus")
-        with pytest.raises(ServiceConfigError, match="requires a loaded index"):
-            QueryPlanner(figure3_graph(), default_algorithm="ins", has_index=False)
 
     def test_empty_labels_rejected(self, planner):
         with pytest.raises(ConstraintError):

@@ -188,15 +188,16 @@ class TestEarlyExits:
         graph = graph_from_edges(
             [("s", "go", "v"), ("v", "mark", "v"), ("x", "go", "t")]
         )
-        # approx=False: the bounds tier would answer this definite-No
-        # before the coordinator runs, and phase one is what's under
-        # test here.
         service = ShardedQueryService(graph, seed=0, shards=2,
-                                      local_fast_path=False, approx=False)
+                                      local_fast_path=False)
         try:
-            result, _ = service.query(
+            # Straight to the coordinator: the router's bounds would
+            # answer this definite-No before it runs, and phase one is
+            # what's under test here.
+            plan = service.planner.plan(
                 "s", "t", ["go"], "SELECT ?x WHERE { ?x <mark> ?y . }"
             )
+            result = service.coordinator.answer(plan.query, service.epoch)
             assert result.answer is False
             # passed_vertices counts phase one only: {s, v}.
             assert result.passed_vertices == 2

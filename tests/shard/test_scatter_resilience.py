@@ -33,11 +33,11 @@ QUERY = {
 def service():
     # scatter_timeout forces the bounded (pool) path even for one-shard
     # rounds, so the shutdown race below is actually exercised;
-    # approx=False keeps the witness tier from answering repeats before
+    # cache_size=0 stores no witness, so no repeat is answered before
     # the coordinator (which is the object under test).
     svc = ShardedQueryService(
         make_graph(), shards=3, local_fast_path=False, scatter_timeout=5.0,
-        approx=False,
+        cache_size=0,
     )
     yield svc
     svc.close()

@@ -163,7 +163,6 @@ class TestServe:
         assert args.command == "serve"
         assert args.port == 0
         assert args.index == "g.json"
-        assert args.algorithm is None
 
     def test_serve_requires_some_graph(self, capsys):
         # --graph is optional now (a --tenant list can stand alone), but
@@ -205,14 +204,19 @@ class TestServe:
         assert code == 2
         assert "NAME=GRAPH" in capsys.readouterr().err
 
-    def test_worker_refuses_index(self, capsys):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--index", "g.index.json"), ("--max-concurrent", "1"),
+         ("--trace-sample", "0.5"), ("--slow-ms", "1"), ("--seed", "3")],
+    )
+    def test_worker_refuses_index(self, flag, value, capsys):
         # A worker serves its slice and nothing else; an --index it
-        # would never read is refused, not silently dropped.
-        code = main(["serve", "--worker", "shard-0.slice.json",
-                     "--index", "g.index.json"])
+        # would never read — or a per-service option other than
+        # --cache-size — is refused, not silently dropped.
+        code = main(["serve", "--worker", "shard-0.slice.json", flag, value])
         assert code == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: ") and line.endswith("drop --index")
+        assert line.startswith("error: ") and line.endswith(f"drop {flag}")
 
 
 class TestServeWalFlags:
@@ -270,6 +274,15 @@ class TestServeWalFlags:
                      "--compact-every", "0"])
         assert code == 2
         assert "--compact-every" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interval", ["0", "-1"])
+    def test_follow_interval_must_be_positive(self, interval, capsys):
+        # A non-positive wait returns at once: the tailer would rescan
+        # the log directory in a hot loop.
+        code = main(["serve", "--graph", "g.tsv", "--follow-interval", interval])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: --follow-interval must be > 0, got {float(interval)}"
 
     def test_ready_line_leaves_a_replayed_index_repair_deferred(
         self, g0_path, tmp_path, monkeypatch, capsys

@@ -1,8 +1,8 @@
 """Docs are checked, not trusted: README's serving-options reference
 lists exactly the flags ``python -m repro serve`` parses, each row agrees
 with the options table on flag, key and default, every registered
-evaluator is named under *Choosing an algorithm* and offered by
-``--algorithm``, and no docstring or
+evaluator is named under *Choosing an algorithm*, offered by ``query
+--algorithm`` and selectable per request, and no docstring or
 comment under ``src/`` cites a Markdown file the checkout lacks, and
 ``setup.py`` — what README's ``pip install -e .`` runs — installs the
 ``repro`` package at the version it reports about itself."""
@@ -19,7 +19,9 @@ from pathlib import Path
 from repro._version import __version__
 from repro.cli import build_parser
 from repro.core.algorithms import ALGORITHMS
+from repro.datasets.toy import figure3_graph
 from repro.service.options import OPTIONS
+from repro.service.planner import QueryPlanner
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -67,12 +69,16 @@ def test_readme_rows_agree_with_the_options_table():
 def test_every_registered_algorithm_is_documented_and_selectable():
     text = README.read_text(encoding="utf-8")
     section = text.split("### Choosing an algorithm")[1].split("\n## ")[0]
-    for command in ("serve", "query"):
-        (option,) = [
-            action for action in subcommand_actions(command)
-            if "--algorithm" in action.option_strings
-        ]
-        assert set(option.choices) == set(ALGORITHMS)
+    (option,) = [
+        action for action in subcommand_actions("query")
+        if "--algorithm" in action.option_strings
+    ]
+    assert set(option.choices) == set(ALGORITHMS)
+    planner = QueryPlanner(figure3_graph(), has_index=True)
+    constraint = "SELECT ?x WHERE { ?x <likes> ?y . }"
+    for name in ALGORITHMS:
+        plan = planner.plan("v0", "v4", ["likes"], constraint, name)
+        assert (plan.algorithm, plan.forced) == (name, True)
     assert [name for name in ALGORITHMS if f"`{name}`" not in section] == []
 
 

@@ -2,8 +2,9 @@
 
 Generates two datasets — a LUBM-like graph and a small random graph —
 hosts both in one process behind a :class:`TenantRegistry` (the LUBM
-graph as the default tenant, warm-started from TSV + persisted index
-files; the random graph registered lazily by path), binds the stdlib
+graph as the default tenant, started from TSV with an index file that
+the first request naming ``ins`` would read; the random graph registered
+lazily by path), binds the stdlib
 HTTP server to an ephemeral port, and exercises every endpoint the way
 an external client would: ``GET /healthz`` and ``GET /tenants`` for the
 cross-tenant view, ``POST /query`` (twice, to show the result cache),
@@ -72,11 +73,12 @@ def main() -> None:
     dump_tsv(random_labeled_graph(60, 2.0, 4, rng=1, name="random"), random_path)
     dump_tsv(random_labeled_graph(40, 1.5, 3, rng=2, name="extra"), extra_path)
 
-    print(f"warm-starting default tenant from {graph_path.name} (+ index) ...")
+    print(f"starting default tenant from {graph_path.name} "
+          f"(index read by the first 'ins' request) ...")
     registry = TenantRegistry()
     registry.add("default", QueryService.from_files(graph_path, index_path, seed=0))
-    # The second tenant is registered by path only: the graph loads and
-    # its index builds lazily, on the first request that names it.
+    # The second tenant is registered by path only: its graph loads
+    # lazily, on the first request that names the tenant.
     registry.register_files("random", random_path, seed=0)
     server = create_server(registry, "127.0.0.1", 0)  # ephemeral port
     threading.Thread(target=server.serve_forever, daemon=True).start()

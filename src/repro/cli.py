@@ -177,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--index",
         default=None,
-        help="local index JSON for --graph (built and saved there if missing; "
-        "omit to serve index-free: every algorithm but 'ins')",
+        help="local index JSON for --graph, read by the first request naming "
+        "'ins' (built and saved there if missing); omit to serve "
+        "index-free: every algorithm but 'ins'",
     )
     serve.add_argument(
         "--tenant",
@@ -610,10 +611,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 flush=True,
             )
     graph = service.graph
-    # Read without a repair: the index a replayed log left deferred
-    # stays so until a query needs it (service.index would repair it).
+    # Described, not read: the first query naming ins reads the index
+    # (service.index would load, build or repair it here).
     index = service.epoch.describe_index()
-    index_note = f"{index['landmarks']} landmarks" if index["loaded"] else "none"
+    if index["loaded"]:
+        index_note = f"{index['landmarks']} landmarks"
+    else:
+        index_note = "configured, not read yet" if index["configured"] else "none"
     print(
         f"loaded {graph.name}: |V|={graph.num_vertices} |E|={graph.num_edges} "
         f"|L|={graph.num_labels}; index: {index_note}; "

@@ -9,8 +9,9 @@ load from untrusted sources.
 
 Masks are written as hex strings (arbitrary-width label universes);
 vertex ids as ints.  The graph itself is *not* stored — an index is only
-valid against the exact graph it was built from, so loading requires
-passing that graph and verifies basic shape (vertex count).
+valid against the exact graph it was built from, so the file records
+that graph's :meth:`~repro.graph.labeled_graph.KnowledgeGraph.content_fingerprint`
+and loading refuses any other graph, even one of the same size.
 """
 
 from __future__ import annotations
@@ -34,7 +35,12 @@ __all__ = [
     "index_file_size",
 ]
 
-_FORMAT_VERSION = 1
+#: 2 records the graph's content fingerprint; a version-1 file cannot
+#: say which graph it describes, so it is refused like a stale one.
+_FORMAT_VERSION = 2
+
+#: How a refused file is replaced.
+_REBUILD_HINT = "rebuild it with `python -m repro index`"
 
 
 def save_local_index(index: LocalIndex, path: str | Path) -> int:
@@ -43,6 +49,7 @@ def save_local_index(index: LocalIndex, path: str | Path) -> int:
         "format_version": _FORMAT_VERSION,
         "graph_name": index.graph.name,
         "num_vertices": index.graph.num_vertices,
+        "fingerprint": index.graph.content_fingerprint(),
         "landmarks": index.partition.landmarks,
         "region": index.partition.region,
         "ii": {
@@ -63,17 +70,27 @@ def save_local_index(index: LocalIndex, path: str | Path) -> int:
 
 
 def load_local_index(path: str | Path, graph: KnowledgeGraph) -> LocalIndex:
-    """Load an index written by :func:`save_local_index` for ``graph``."""
+    """Load an index written by :func:`save_local_index` for ``graph``.
+
+    Raises :class:`~repro.exceptions.IndexingError` when the file was
+    written by another format version or for a graph whose content
+    differs from ``graph``'s — an index of a stale graph answers INS
+    wrongly, however many vertices the two share.
+    """
     with open(path, "r", encoding="ascii") as handle:
         document = json.load(handle)
     if document.get("format_version") != _FORMAT_VERSION:
         raise IndexingError(
-            f"unsupported index format version {document.get('format_version')!r}"
+            f"unsupported index format version {document.get('format_version')!r} "
+            f"in {path} (expected {_FORMAT_VERSION}); {_REBUILD_HINT}"
         )
-    if document["num_vertices"] != graph.num_vertices:
+    if document["fingerprint"] != graph.content_fingerprint():
         raise IndexingError(
-            "index/graph mismatch: index was built for "
-            f"{document['num_vertices']} vertices, graph has {graph.num_vertices}"
+            f"index/graph mismatch: {path} was built for a graph of "
+            f"{document['num_vertices']} vertices with fingerprint "
+            f"{document['fingerprint']}, not for {graph.name!r} "
+            f"({graph.num_vertices} vertices, fingerprint "
+            f"{graph.content_fingerprint()}); {_REBUILD_HINT}"
         )
     landmarks = list(document["landmarks"])
     region = list(document["region"])
@@ -109,7 +126,8 @@ def load_or_build_index(
     rng: int | random.Random | None = 0,
     save_if_built: bool = True,
 ) -> LocalIndex:
-    """Warm-start helper for long-lived processes (the query service).
+    """Warm-start helper for long-lived processes (the query service's
+    first index read, :class:`~repro.service.epoch.IndexSource`).
 
     * ``path`` is ``None`` — build in memory, persist nothing;
     * ``path`` exists — load it (validated against ``graph``);
@@ -121,9 +139,9 @@ def load_or_build_index(
 
     Long-lived callers should pass the graph *already frozen*
     (:meth:`~repro.graph.labeled_graph.KnowledgeGraph.freeze`), the way
-    :meth:`~repro.service.app.QueryService.from_files` does: the index
-    build's BFS traversals then run on the CSR layout, and the loaded
-    index binds to the exact graph object the sessions will traverse.
+    the service does: the index build's BFS traversals then run on the
+    CSR layout, and the loaded index binds to the exact graph object the
+    sessions will traverse.
     """
     if path is None:
         return build_local_index(graph, k=k, rng=rng)

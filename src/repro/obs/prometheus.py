@@ -397,8 +397,11 @@ def render_service_metrics(
         families.add(f"repro_graph_{key}", "gauge",
                      "Served graph sizes", labels, graph.get(key, 0))
     index = document.get("index", {})
+    families.add("repro_index_configured", "gauge",
+                 "1 when the tenant serves indexed: a request may name ins",
+                 labels, 1 if index.get("configured") else 0)
     families.add("repro_index_loaded", "gauge",
-                 "1 when a local index is loaded", labels,
+                 "1 once the local index has been read", labels,
                  1 if index.get("loaded") else 0)
     if "landmarks" in index:
         families.add("repro_index_landmarks", "gauge",

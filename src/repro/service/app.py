@@ -68,7 +68,6 @@ from repro.graph.csr import base_graph, freeze_graph
 from repro.graph.io import load_tsv
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.index.local_index import LocalIndex
-from repro.index.storage import load_or_build_index
 from repro.obs.flight import FlightRecorder
 from repro.obs.trace import (
     Trace,
@@ -83,6 +82,7 @@ from repro.resilience.deadline import check_deadline, current_deadline
 from repro.service.cache import CandidateCache, ConstraintCache, ResultCache
 from repro.service.epoch import (
     GraphEpoch,
+    IndexSource,
     net_change,
     normalize_edge_updates,
     validate_edge_updates,
@@ -162,7 +162,7 @@ class QueryService:
     def __init__(
         self,
         graph: KnowledgeGraph,
-        index: LocalIndex | None = None,
+        index: LocalIndex | IndexSource | None = None,
         *,
         options: ServiceOptions | None = None,
         **keywords: Any,
@@ -236,33 +236,35 @@ class QueryService:
         options: ServiceOptions | None = None,
         **keywords: Any,
     ) -> "QueryService":
-        """Warm-start a service from a TSV graph and a persisted index.
+        """Start a service from a TSV graph and, optionally, an index file.
 
-        ``index_path=None`` serves index-free (no ``"algorithm": "ins"``).  A
-        given-but-missing ``index_path`` builds the index at startup
-        (``landmark_count`` landmarks, chosen by ``seed``) and persists
-        it there, so the *next* start is warm — the service counterpart
-        of ``python -m repro index``.
+        ``index_path=None`` serves index-free (no ``"algorithm": "ins"``).
+        A given ``index_path`` is not touched here: the first request
+        naming ``ins`` loads it, or — missing — builds the index
+        (``landmark_count`` landmarks, chosen by ``seed``) and saves it
+        there, so the *next* first read is warm — the service
+        counterpart of ``python -m repro index``
+        (:class:`~repro.service.epoch.IndexSource`).  A path that can
+        never hold the file is refused here, not on that request.
 
-        The graph is frozen *before* the index is touched, so a missing
-        index is built over the CSR snapshot (itself measurably faster)
-        and a loaded one binds to the graph the sessions will traverse.
+        The graph is frozen first, so a missing index is built over the
+        CSR snapshot (itself measurably faster) and a loaded one binds
+        to the graph the sessions will traverse.
         """
         options = resolve_options(options, keywords, sharding=cls.sharded)
         graph_path = Path(graph_path)
         if not graph_path.is_file():
             raise ServiceConfigError(f"graph file not found: {graph_path}")
-        graph = freeze_graph(load_tsv(graph_path, name=graph_path.stem))
-        index = None
+        source = None
         if index_path is not None:
-            index = load_or_build_index(
-                graph,
-                index_path,
-                k=options.landmark_count,
-                rng=options.seed,
-                save_if_built=True,
-            )
-        return cls(graph, index, options=options)
+            index_path = Path(index_path)
+            if index_path.is_dir() or not index_path.parent.is_dir():
+                raise ServiceConfigError(
+                    f"index path cannot hold a file: {index_path}"
+                )
+            source = IndexSource(index_path, options.landmark_count, options.seed)
+        graph = freeze_graph(load_tsv(graph_path, name=graph_path.stem))
+        return cls(graph, source, options=options)
 
     def __repr__(self) -> str:
         return (
@@ -290,7 +292,7 @@ class QueryService:
     @property
     def index(self) -> LocalIndex | None:
         """The current epoch's local index (None when serving index-free),
-        repaired on this first read after an update."""
+        loaded, built or repaired on the epoch's first read."""
         return self._epoch.index
 
     @property

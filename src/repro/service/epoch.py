@@ -27,7 +27,8 @@ structure           same         a change of known edges          any other grap
 ==================  ===========  ===============================  ===================
 index               shared       deferred: ``LocalIndex.derive``  deferred: rebuilt
                                  of the touched sources, run on   over the same
-                                 first use                        landmarks
+                                 first use; not read yet: built   landmarks; not read
+                                 in memory on first use           yet: built in memory
 bounds, planner     shared       rebuilt                          rebuilt
 ``V(S, G)`` cache   shared       ``derive()``: every entry        ``heir()``: empty,
                                  carried by its exact delta       same counters
@@ -40,13 +41,20 @@ the vertices of matches that use a changed edge
 (:meth:`~repro.constraints.substructure.SubstructureConstraint.carried_vertices`),
 so the set is carried rather than re-evaluated; cached answers are not,
 since a batch that both adds and removes edges can flip any of them.
-The index is read by forced INS alone, so a swap stores the last
-repaired ancestor's index and the union of the source vertices touched
-since (vertex ids are stable along a chain of epochs), and the first
-reader — the ``ins`` session, :attr:`GraphEpoch.index` — repairs it
-once, under the session lock, by :meth:`LocalIndex.derive
+The index is read by forced INS alone, so no epoch gets one before a
+request needs it.  Epoch 0 of an indexed service holds an
+:class:`IndexSource` — the index file, the landmark count, the seed —
+and the first reader (the ``ins`` session, :attr:`GraphEpoch.index`)
+loads the file, or builds the index and saves it there.  An epoch
+derived from one not read yet builds its own in memory on first read:
+the file describes the booted graph.  Once an index exists, a swap
+stores the last repaired ancestor's index and the union of the source
+vertices touched since (vertex ids are stable along a chain of epochs),
+and the first reader repairs it by :meth:`LocalIndex.derive
 <repro.index.local_index.LocalIndex.derive>`'s own rebuild-fraction
-rule.
+rule.  Either read runs once, under the epoch's index lock — never the
+session lock, so the default route never waits on an index read — and
+a read that fails leaves the slot as it was.
 
 ``epoch_id`` is a per-service monotonic integer starting at 0, surfaced
 in query metadata, ``/stats``, ``/healthz`` and the snapshot identity so
@@ -57,6 +65,8 @@ epoch and keys nothing.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, replace
+from pathlib import Path
 from threading import Lock
 from typing import TYPE_CHECKING
 
@@ -67,6 +77,7 @@ from repro.graph.csr import FrozenGraph, freeze_graph
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.index.landmarks import NO_REGION
 from repro.index.local_index import LocalIndex
+from repro.index.storage import load_or_build_index
 from repro.obs.trace import span
 from repro.service.cache import CandidateCache, ConstraintCache, ResultCache
 from repro.service.options import ServiceOptions
@@ -78,6 +89,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "GraphEpoch",
+    "IndexSource",
     "net_change",
     "normalize_edge_updates",
     "validate_edge_updates",
@@ -99,6 +111,24 @@ EdgeChange = tuple[frozenset[EdgeIds], frozenset[EdgeIds]]
 Deferred = tuple[LocalIndex, "frozenset[int] | None"]
 
 
+@dataclass(frozen=True)
+class IndexSource:
+    """Where an epoch gets the index it has not read yet: the file at
+    ``path`` — loaded when it exists, else built and saved there — or,
+    ``path`` None, a build in memory of ``landmark_count`` landmarks
+    chosen by ``seed``."""
+
+    path: Path | None
+    landmark_count: int | None
+    seed: int
+
+    def read(self, graph: FrozenGraph) -> LocalIndex:
+        """``graph``'s index, from this source."""
+        return load_or_build_index(
+            graph, self.path, k=self.landmark_count, rng=self.seed
+        )
+
+
 class GraphEpoch:
     """One immutable serving generation: a frozen graph, its id, and
     everything derived from that graph, built by :meth:`first` and
@@ -106,8 +136,9 @@ class GraphEpoch:
 
     Nothing here is mutated after publication except the session pool,
     which only *grows* (create-once under its own lock), the caches,
-    which are memoisation of pure functions of the graph, and a deferred
-    index, repaired once on first use (:attr:`index`).
+    which are memoisation of pure functions of the graph, and an index
+    not read yet or deferred, read or repaired once on first use
+    (:attr:`index`).
     """
 
     __slots__ = (
@@ -124,7 +155,9 @@ class GraphEpoch:
         "fingerprint",
         "created_at",
         "_index",
+        "_source",
         "_deferred",
+        "_index_lock",
         "_sessions",
         "_session_lock",
     )
@@ -133,7 +166,7 @@ class GraphEpoch:
         self,
         epoch_id: int,
         graph: FrozenGraph,
-        index: LocalIndex | None,
+        index: LocalIndex | IndexSource | None,
         deferred: Deferred | None,
         bounds: BoundsIndex,
         planner: QueryPlanner,
@@ -144,11 +177,19 @@ class GraphEpoch:
     ) -> None:
         self.epoch_id = epoch_id
         self.graph = graph
-        #: ``graph``'s index (None: unindexed, or not repaired yet).
-        self._index = index
+        #: ``graph``'s index (None: unindexed, not read or not repaired yet).
+        self._index: LocalIndex | None = None
+        #: Where the first read of :attr:`index` gets it, until then.
+        self._source: IndexSource | None = None
+        if isinstance(index, IndexSource):
+            self._source = index
+        else:
+            self._index = index
         #: ``(ancestor's index, sources touched since)`` until the first
         #: read of :attr:`index` repairs it; None sources: unknown change.
         self._deferred = deferred
+        #: Serialises the first read or the repair — never the sessions.
+        self._index_lock = Lock()
         #: How this epoch followed its parent — the ``index`` /
         #: ``regions_pending`` / ``candidates_carried`` / ``scck_rechecks``
         #: fields of an update summary.
@@ -188,13 +229,14 @@ class GraphEpoch:
     def first(
         cls,
         graph: KnowledgeGraph,
-        index: LocalIndex | None,
+        index: LocalIndex | IndexSource | None,
         constraints: ConstraintCache,
         options: ServiceOptions,
     ) -> "GraphEpoch":
-        """Epoch 0: ``graph`` frozen, ``index`` as given (ids are shared
-        between a graph and its snapshot, so an index built or loaded
-        against the source stays valid), everything else built new."""
+        """Epoch 0: ``graph`` frozen, ``index`` as given — an index (ids
+        are shared between a graph and its snapshot, so one built or
+        loaded against the source stays valid) or where the first read
+        gets it — everything else built new."""
         frozen = _freeze(graph)
         size = options.cache_size  # 0: V(S, G) is not memoised either
         return cls(
@@ -226,17 +268,22 @@ class GraphEpoch:
         """
         frozen = _freeze(graph)
         constraints, options = self.planner.constraints, self.options
-        # _deferred before _index: a concurrent repair stores the index
-        # first, so either read gives a valid (index, pending) pair.
-        deferred, index = self._deferred, self._index
+        # _source and _deferred before _index: a concurrent read or
+        # repair stores the index before clearing them, so these reads
+        # give a valid state.
+        source, deferred, index = self._source, self._deferred, self._index
         if frozen is self.graph:
             return GraphEpoch(
-                epoch_id, frozen, index, deferred, self.bounds, self.planner,
-                self.candidates, self.results, options,
+                epoch_id, frozen, source or index, deferred, self.bounds,
+                self.planner, self.candidates, self.results, options,
             )
-        if deferred is None and index is not None:
+        if source is not None:
+            # The file describes the booted graph, not this one.
+            index = replace(source, path=None)
+        elif deferred is None and index is not None:
             deferred = (index, frozenset())
         if deferred is not None:
+            index = None
             ancestor, pending = deferred
             touched = (
                 None if change is None else {s for s, _, _ in change[0] | change[1]}
@@ -258,10 +305,14 @@ class GraphEpoch:
         return GraphEpoch(
             epoch_id,
             frozen,
-            None,
+            index,
             deferred,
             _bounds(frozen, options),
-            QueryPlanner(frozen, constraints, has_index=deferred is not None),
+            QueryPlanner(
+                frozen,
+                constraints,
+                has_index=index is not None or deferred is not None,
+            ),
             candidates,
             self.results.heir(),
             options,
@@ -271,13 +322,19 @@ class GraphEpoch:
     @property
     def index(self) -> LocalIndex | None:
         """This snapshot's local index (None when serving index-free),
-        repaired from the deferred ancestor's on the first read — once,
-        under the session lock — by ``LocalIndex.derive``."""
-        if self._deferred is None:
+        read from its source or repaired from the deferred ancestor's
+        on the first read — once, under the index lock."""
+        if self._source is None and self._deferred is None:
             return self._index
-        with self._session_lock:
-            deferred = self._deferred
-            if deferred is not None:
+        with self._index_lock:
+            source, deferred = self._source, self._deferred
+            if source is not None:
+                with span("index-read") as read_span:
+                    index = source.read(self.graph)
+                    read_span.set(landmarks=len(index.partition.landmarks))
+                self._index = index
+                self._source = None
+            elif deferred is not None:
                 ancestor, pending = deferred
                 with span("index-repair") as repair_span:
                     index, repair = ancestor.derive(
@@ -293,18 +350,24 @@ class GraphEpoch:
 
     @property
     def has_index(self) -> bool:
-        """Whether this epoch serves indexed — without repairing anything."""
-        return self._deferred is not None or self._index is not None
+        """Whether this epoch serves indexed — without reading anything."""
+        return (
+            self._source is not None
+            or self._deferred is not None
+            or self._index is not None
+        )
 
     def describe_index(self) -> dict:
-        """The ``/stats`` ``index`` section, read without a repair: the
-        landmarks are the deferred ancestor's, which a repair keeps."""
-        deferred = self._deferred
+        """The ``/stats`` ``index`` section, read without a read or a
+        repair: the landmarks are the deferred ancestor's, which a
+        repair keeps; an index not read yet has none to show."""
+        source, deferred = self._source, self._deferred
         index = deferred[0] if deferred is not None else self._index
         if index is None:
-            return {"loaded": False}
+            return {"loaded": False, "configured": source is not None}
         return {
             "loaded": True,
+            "configured": True,
             "landmarks": len(index.partition.landmarks),
             "regions_pending": _regions_pending(deferred),
         }
@@ -321,7 +384,7 @@ class GraphEpoch:
         session = self._sessions.get(algorithm)
         if session is not None:
             return session
-        # Read before the lock: a deferred index repairs under it.
+        # Read before the lock, so no session waits on an index read.
         index = self.index if algorithm == "ins" else None
         with self._session_lock:
             session = self._sessions.get(algorithm)
@@ -350,8 +413,10 @@ class GraphEpoch:
         }
 
 
-def _index_action(index: LocalIndex | None, deferred: Deferred | None) -> str:
-    if deferred is not None:
+def _index_action(
+    index: LocalIndex | IndexSource | None, deferred: Deferred | None
+) -> str:
+    if deferred is not None or isinstance(index, IndexSource):
         return "deferred"
     return "none" if index is None else "unchanged"
 

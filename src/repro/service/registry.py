@@ -9,12 +9,12 @@ map:
 
 * **add / remove / lookup** are O(1) under one registry lock; lookups
   of a *lazy* tenant (registered by file paths) leave the registry lock
-  and take a per-tenant lock instead, so one slow
-  ``load_or_build_index`` warm start never blocks traffic to other
-  tenants, and concurrent first requests build the service exactly
-  once.  Warm start freezes each tenant's graph into its CSR snapshot
-  (:mod:`repro.graph.csr`) before any index work, so every tenant
-  serves from the read-optimized layout;
+  and take a per-tenant lock instead, so one slow graph load never
+  blocks traffic to other tenants, and concurrent first requests build
+  the service exactly once.  Warm start freezes each tenant's graph
+  into its CSR snapshot (:mod:`repro.graph.csr`) and does no index
+  work: a tenant's index file is read by its first request naming
+  ``ins`` (:class:`~repro.service.epoch.IndexSource`);
 * **the default tenant** backs the un-prefixed PR 1 routes
   (``POST /query`` etc.); ``/t/<tenant>/...`` routes name any other;
 * **aggregation** — :meth:`health` and :meth:`stats_snapshot` fold
@@ -170,8 +170,9 @@ class TenantRegistry:
         ``cache_size``, ... — keywords or one ``options=`` value, as for
         :meth:`QueryService.from_files`) are checked eagerly — a bad
         registration should fail the ``POST /tenants`` call, not every
-        later query — but the graph load and ``load_or_build_index`` run
-        on first lookup, off the registry lock.
+        later query — but the graph load runs on first lookup, off the
+        registry lock, and the index file is read by the tenant's first
+        request naming ``ins``.
         """
         graph_path = Path(graph_path)
         if not graph_path.is_file():

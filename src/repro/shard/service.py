@@ -70,7 +70,7 @@ from repro.exceptions import (
 )
 from repro.index.local_index import LocalIndex
 from repro.service.app import QueryService
-from repro.service.epoch import GraphEpoch
+from repro.service.epoch import GraphEpoch, IndexSource
 from repro.service.options import ServiceOptions, resolve_options
 from repro.service.planner import QueryPlan
 from repro.core.result import QueryResult
@@ -114,7 +114,7 @@ class ShardedQueryService(QueryService):
     def __init__(
         self,
         graph: KnowledgeGraph,
-        index: LocalIndex | None = None,
+        index: LocalIndex | IndexSource | None = None,
         *,
         local_fast_path: bool = True,
         retry_policy=None,

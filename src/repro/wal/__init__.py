@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import Any
 
 from repro.graph.csr import freeze_graph
-from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
+from repro.service.epoch import IndexSource
 from repro.service.options import ServiceOptions, resolve_options
 from repro.wal.follower import DEFAULT_POLL_INTERVAL, WalFollower
 from repro.wal.log import (
@@ -78,12 +78,14 @@ def recover_service(
     of every edge (:meth:`QueryService.audit_fingerprint`) before the
     service is handed back.
 
-    When serving indexed (``index_path`` given) *and* recovering from a
-    snapshot, the index is rebuilt in memory over the snapshot graph
-    rather than loaded from disk — the persisted index file describes
-    the base TSV, not the log's epoch-N graph, and is left untouched.
-    Without a snapshot the on-disk index is valid for the base TSV and
-    loads normally; replay's per-region repair then carries it forward.
+    Recovery does no index work: when serving indexed (``index_path``
+    given) the first request naming ``ins`` reads the index.  Recovered
+    from a snapshot, that read builds it in memory over the snapshot
+    graph — the persisted index file describes the base TSV, not the
+    log's epoch-N graph, and is left untouched.  Without a snapshot,
+    epoch 0 holds the base TSV's file, but an epoch replay derived
+    from it builds its own in memory all the same
+    (:class:`~repro.service.epoch.IndexSource`).
 
     ``attach=True`` (the default) attaches the log to the recovered
     service so subsequent updates append — a leader.  Followers recover
@@ -107,13 +109,10 @@ def recover_service(
         service = service_cls.from_files(graph_path, index_path, options=options)
     else:
         graph, epoch, fingerprint = loaded
-        frozen = freeze_graph(graph)
-        index = None
+        source = None
         if index_path is not None:
-            index = build_local_index(
-                frozen, k=options.landmark_count, rng=options.seed
-            )
-        service = service_cls(frozen, index, options=options)
+            source = IndexSource(None, options.landmark_count, options.seed)
+        service = service_cls(freeze_graph(graph), source, options=options)
         service.reset_epoch(epoch, expected_fingerprint=fingerprint)
     replay = wal.replay_into(service)
     service.audit_fingerprint()

@@ -128,6 +128,27 @@ class TestValidation:
         with pytest.raises(IndexingError, match="mismatch"):
             load_local_index(path, other)
 
+    def test_same_size_stale_graph_rejected(self, tmp_path, graph, index):
+        # One more edge, no new vertex: a vertex count cannot tell the
+        # two graphs apart, and INS would answer from the old one.
+        path = tmp_path / "idx.json"
+        save_local_index(index, path)
+        graph.add_edge("v4", "likes", "v0")
+        with pytest.raises(IndexingError, match="mismatch.*repro index"):
+            load_local_index(path, graph)
+
+    def test_version_1_file_rejected(self, tmp_path, graph, index):
+        import json
+
+        path = tmp_path / "idx.json"
+        save_local_index(index, path)
+        document = json.loads(path.read_text())
+        document["format_version"] = 1
+        del document["fingerprint"]
+        path.write_text(json.dumps(document))
+        with pytest.raises(IndexingError, match="version 1.*repro index"):
+            load_local_index(path, graph)
+
     def test_bad_version_rejected(self, tmp_path, graph, index):
         import json
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.datasets.toy import figure3_graph
 from repro.exceptions import BadRequestError, ServiceConfigError
-from repro.graph.io import dump_tsv
+from repro.graph.io import dump_tsv, load_tsv
 from repro.index.local_index import build_local_index
 from repro.index.storage import save_local_index
 from repro.service.app import QueryService
@@ -234,10 +234,13 @@ class TestFromFiles:
         dump_tsv(graph, graph_path)
 
         cold = QueryService.from_files(graph_path, index_path, seed=0)
+        assert not index_path.exists()              # nothing read at start
+        query = ("v0", "v4", LABELS, S0)
+        cold_result, _ = cold.query(*query, algorithm="ins")
         assert index_path.is_file()                 # built and persisted
         warm = QueryService.from_files(graph_path, index_path, seed=0)
-        query = ("v0", "v4", LABELS, S0)
-        assert cold.query(*query)[0].answer == warm.query(*query)[0].answer
+        warm_result, _ = warm.query(*query, algorithm="ins")
+        assert cold_result.answer == warm_result.answer
         assert (
             warm.index.partition.landmarks == cold.index.partition.landmarks
         )
@@ -246,7 +249,9 @@ class TestFromFiles:
         graph_path = tmp_path / "g0.tsv"
         index_path = tmp_path / "g0.index.json"
         dump_tsv(graph, graph_path)
-        save_local_index(build_local_index(graph, k=2, rng=0), index_path)
+        # Indexed as the file loads: the TSV numbers v2/v3 the other way.
+        served = load_tsv(graph_path)
+        save_local_index(build_local_index(served, k=2, rng=0), index_path)
         service = QueryService.from_files(graph_path, index_path, seed=0)
         assert service.index is not None
         assert service.default_algorithm == "meet"
@@ -260,6 +265,14 @@ class TestFromFiles:
         service = QueryService.from_files(graph_path, seed=0)
         assert service.index is None
         assert service.default_algorithm == "meet"
+
+    def test_index_path_that_cannot_hold_a_file_rejected(self, tmp_path, graph):
+        # Refused at start: no INS request would ever get an index there.
+        graph_path = tmp_path / "g0.tsv"
+        dump_tsv(graph, graph_path)
+        for index_path in (tmp_path, tmp_path / "missing" / "g0.index.json"):
+            with pytest.raises(ServiceConfigError, match="cannot hold"):
+                QueryService.from_files(graph_path, index_path)
 
     def test_missing_graph_rejected(self, tmp_path):
         with pytest.raises(ServiceConfigError, match="graph file not found"):

@@ -354,7 +354,7 @@ class TestCliServe:
             )
             assert status == 200
             assert document["answer"] is True
-            assert index_path.is_file()        # built and persisted at startup
+            assert not index_path.exists()     # a default query reads no index
         finally:
             process.terminate()
             process.wait(timeout=10)

@@ -7,8 +7,9 @@ Zhang/Bonifati/Özsu reachability-indexing survey:
 
 * :mod:`repro.approx.bounds` — a label-blind reachability upper bound
   (SCC condensation + exact bitset closure or GRAIL-style randomized
-  intervals) built at freeze time and bundled into every
-  :class:`~repro.service.epoch.GraphEpoch`.
+  intervals) bundled into every :class:`~repro.service.epoch.GraphEpoch`:
+  built for epoch 0 and a replaced graph, derived from the parent's
+  across an update.
 * :mod:`repro.approx.witness` — an epoch-surviving LRU of verified
   witness paths, the definite-Yes lower bound.
 * :mod:`repro.approx.router` — the `_execute`-seam router gluing both

@@ -26,17 +26,31 @@ size:
   definite-No while a pass merely means "maybe".
 
 Both modes are immutable after construction and safe to share across
-threads; the index is built at freeze time and rides the
-:class:`~repro.service.epoch.GraphEpoch`, so every published epoch
-(live updates, WAL replay, ``replace_graph``) carries bounds for
-exactly its own snapshot.
+threads; the index rides the :class:`~repro.service.epoch.GraphEpoch`,
+so every published epoch (live updates, WAL replay, ``replace_graph``)
+carries a sound bound for its own snapshot.
+
+An update epoch *derives* its bound from its parent's
+(:meth:`BoundsIndex.derive`) rather than re-running Tarjan.  In
+``closure`` mode a new vertex is a singleton component and an added
+edge ``(u, v)`` ORs ``v``'s closure into every component that reaches
+``u`` — the exact closure of parent + adds, with merged SCCs left as
+components that reach each other.  A removed edge only shrinks
+reachability, so the parent's closure stays a sound upper bound; it is
+kept, and the removals are counted until they pass
+:data:`REBUILD_REMOVED_FRACTION` of the edges.  Past that, in
+``interval`` mode (GRAIL labels cannot absorb an insert), or when the
+closure would outgrow ``closure_limit``, derive rebuilds from scratch.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Collection, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.constraints.substructure import EdgeIds
 
 __all__ = ["BoundsIndex", "build_bounds"]
 
@@ -47,6 +61,11 @@ DEFAULT_CLOSURE_LIMIT = 4096
 
 #: Independent randomized DFS traversals in ``interval`` mode.
 DEFAULT_INTERVAL_PASSES = 3
+
+#: A derived ``closure`` index keeps its parent's closure across edge
+#: removals (still sound, only looser) until the removals since the last
+#: build pass this fraction of the graph's edges; then it is rebuilt.
+REBUILD_REMOVED_FRACTION = 0.01
 
 
 def _label_blind_adjacency(graph: Any) -> list[Sequence[int]]:
@@ -139,6 +158,9 @@ class BoundsIndex:
         "vertex_count",
         "component_count",
         "build_seconds",
+        "removed_since_build",
+        "derived",
+        "_settings",
         "_component_of",
         "_closure",
         "_post",
@@ -156,6 +178,12 @@ class BoundsIndex:
         started = time.perf_counter()
         adjacency = _label_blind_adjacency(graph)
         component_of, condensed = _condense(adjacency)
+        #: Edge removals this bound has kept its closure across since the
+        #: last build (:meth:`derive`).
+        self.removed_since_build = 0
+        #: Whether this index came from :meth:`derive` rather than a build.
+        self.derived = False
+        self._settings = (closure_limit, interval_passes, seed)
         self.vertex_count = len(adjacency)
         self.component_count = len(condensed)
         self._component_of = component_of
@@ -241,6 +269,60 @@ class BoundsIndex:
             lows.append(low)
         return posts, lows
 
+    def derive(
+        self,
+        graph: Any,
+        added: Collection[EdgeIds],
+        removed: Collection[EdgeIds],
+    ) -> "BoundsIndex":
+        """The bound for ``graph``, which is this index's snapshot plus
+        the ``added`` and minus the ``removed`` ``(source, label,
+        target)`` id triples: derived from this one in ``closure`` mode,
+        else rebuilt (the module docstring's rules)."""
+        started = time.perf_counter()
+        closure_limit, interval_passes, seed = self._settings
+        removed_since_build = self.removed_since_build + len(removed)
+        first = self.component_count
+        grown = graph.num_vertices - self.vertex_count
+        if (
+            self._closure is None
+            or first + grown > closure_limit
+            or removed_since_build > REBUILD_REMOVED_FRACTION * graph.num_edges
+        ):
+            return build_bounds(
+                graph,
+                closure_limit=closure_limit,
+                interval_passes=interval_passes,
+                seed=seed,
+            )
+        component_of, closure = self._component_of, self._closure
+        if grown or added:
+            component_of = component_of + list(range(first, first + grown))
+            closure = closure + [1 << c for c in range(first, first + grown)]
+            for u, _label, v in added:
+                cu, cv = component_of[u], component_of[v]
+                if closure[cu] >> cv & 1:
+                    continue
+                # Everything that reaches u now reaches what v reaches —
+                # v's closure as it stands, since a path through the new
+                # edge back to v adds nothing to it.
+                reach, bit = closure[cv], 1 << cu
+                for c, bits in enumerate(closure):
+                    if bits & bit:
+                        closure[c] = bits | reach
+        derived = object.__new__(BoundsIndex)
+        derived.mode = "closure"
+        derived.vertex_count = graph.num_vertices
+        derived.component_count = first + grown
+        derived.removed_since_build = removed_since_build
+        derived.derived = True
+        derived._settings = self._settings
+        derived._component_of = component_of
+        derived._closure = closure
+        derived._post = derived._low = None
+        derived.build_seconds = time.perf_counter() - started
+        return derived
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -270,6 +352,8 @@ class BoundsIndex:
             "vertices": self.vertex_count,
             "components": self.component_count,
             "build_seconds": round(self.build_seconds, 6),
+            "removed_since_build": self.removed_since_build,
+            "derived": self.derived,
         }
 
     def __repr__(self) -> str:

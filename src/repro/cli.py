@@ -51,6 +51,7 @@ update epoch over the two-phase slice-swap wire.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -499,14 +500,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ServiceConfigError(
             f"--compact-every must be >= 1, got {args.compact_every}"
         )
-    if args.default_deadline_ms is not None and args.default_deadline_ms <= 0:
-        raise ServiceConfigError(
-            f"--default-deadline-ms must be > 0, got {args.default_deadline_ms}"
-        )
-    if args.follow_interval <= 0:
-        raise ServiceConfigError(
-            f"--follow-interval must be > 0, got {args.follow_interval}"
-        )
+    # A NaN passes a "<= 0" check: the tailer's wait(nan) returns at
+    # once, and a nan deadline never expires — refuse it, and infinity,
+    # as ?deadline_ms= is refused.
+    for flag, value in (
+        ("--default-deadline-ms", args.default_deadline_ms),
+        ("--follow-interval", args.follow_interval),
+    ):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ServiceConfigError(
+                f"{flag} must be a finite number > 0, got {value}"
+            )
     # The default tenant (the one the un-prefixed PR 1 routes alias to)
     # is --graph when given, else the first --tenant; it loads eagerly so
     # the ready line below reports real sizes, the rest warm-start lazily.

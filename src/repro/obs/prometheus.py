@@ -522,7 +522,7 @@ def render_service_metrics(
                          bounds.get("components", 0))
             families.add("repro_approx_bounds_build_seconds", "gauge",
                          "Time the current epoch's bounds index took to "
-                         "build", labels,
+                         "build or derive", labels,
                          bounds.get("build_seconds", 0.0))
     shards = document.get("shards")
     if isinstance(shards, dict):

@@ -29,7 +29,12 @@ index               shared       deferred: ``LocalIndex.derive``  deferred: rebu
                                  of the touched sources, run on   over the same
                                  first use; not read yet: built   landmarks; not read
                                  in memory on first use           yet: built in memory
-bounds, planner     shared       rebuilt                          rebuilt
+bounds              shared       ``BoundsIndex.derive``: adds     rebuilt
+                                 closed over exactly, removals
+                                 kept as a sound bound until 1 %
+                                 of the edges; interval mode:
+                                 rebuilt
+planner             shared       rebuilt                          rebuilt
 ``V(S, G)`` cache   shared       ``derive()``: every entry        ``heir()``: empty,
                                  carried by its exact delta       same counters
 cached answers      shared       ``heir()``: empty, same          ``heir()``: empty,
@@ -41,6 +46,9 @@ the vertices of matches that use a changed edge
 (:meth:`~repro.constraints.substructure.SubstructureConstraint.carried_vertices`),
 so the set is carried rather than re-evaluated; cached answers are not,
 since a batch that both adds and removes edges can flip any of them.
+The bounds are only an upper bound — their No must be definite, their
+maybe need not be — so a removal leaves the parent's closure standing
+and an add ORs one closure into the components that reach its source.
 The index is read by forced INS alone, so no epoch gets one before a
 request needs it.  Epoch 0 of an indexed service holds an
 :class:`IndexSource` — the index file, the landmark count, the seed —
@@ -201,9 +209,9 @@ class GraphEpoch:
         #: What the deferred repair did once run — ``LocalIndex.derive``'s
         #: ``index`` / ``regions_refreshed`` — None until then.
         self.repair: dict | None = None
-        #: Label-blind reachability upper bound for *this* snapshot
-        #: (``repro.approx``), so the router's definite-No stays sound
-        #: across updates and replay.
+        #: Label-blind reachability upper bound, sound for *this*
+        #: snapshot (``repro.approx``), so the router's definite-No stays
+        #: sound across updates and replay.
         self.bounds = bounds
         self.planner = planner
         #: ``V(S, G)`` per canonical constraint, on this snapshot.
@@ -307,7 +315,7 @@ class GraphEpoch:
             frozen,
             index,
             deferred,
-            _bounds(frozen, options),
+            _bounds(frozen, options, self.bounds, change),
             QueryPlanner(
                 frozen,
                 constraints,
@@ -444,11 +452,24 @@ def _freeze(graph: KnowledgeGraph) -> FrozenGraph:
     return frozen
 
 
-def _bounds(graph: FrozenGraph, options: ServiceOptions) -> BoundsIndex:
-    """One snapshot's label-blind upper bound."""
+def _bounds(
+    graph: FrozenGraph,
+    options: ServiceOptions,
+    parent: BoundsIndex | None = None,
+    change: EdgeChange | None = None,
+) -> BoundsIndex:
+    """One snapshot's label-blind upper bound: derived from the
+    ``parent``'s by the ``change`` that led here, else built."""
     with span("bounds") as bounds_span:
-        bounds = build_bounds(graph, seed=options.seed)
-        bounds_span.set(components=bounds.component_count)
+        if parent is None or change is None:
+            bounds = build_bounds(graph, seed=options.seed)
+        else:
+            bounds = parent.derive(graph, *change)
+        bounds_span.set(
+            components=bounds.component_count,
+            derived=bounds.derived,
+            removed_since_build=bounds.removed_since_build,
+        )
     return bounds
 
 

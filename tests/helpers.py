@@ -14,12 +14,15 @@ meaningful evidence:
 * :func:`sharded_fleet` builds a sharded service over either worker
   transport, and :class:`LossyWorker` loses a worker's next publish;
 * :func:`cache_counters` reads the counters of the two per-epoch caches
-  off ``/stats`` — the ones that must never step back.
+  off ``/stats`` — the ones that must never step back;
+* :func:`label_blind_reach` is the BFS oracle for the bounds index:
+  every vertex reachable from one, labels ignored.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, contextmanager
 
@@ -132,6 +135,20 @@ def cache_counters(service) -> dict[tuple[str, str], int]:
         for cache in ("result_cache", "candidate_cache")
         for counter in ("hits", "misses", "evictions")
     }
+
+
+def label_blind_reach(graph, source: int) -> set[int]:
+    """Every vertex reachable from ``source`` by a directed path of any
+    labels (``source`` included)."""
+    seen = {source}
+    queue = deque((source,))
+    while queue:
+        u = queue.popleft()
+        for _label, w in graph.out_edges(u):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
 
 
 def graph_from_edges(

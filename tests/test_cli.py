@@ -275,14 +275,29 @@ class TestServeWalFlags:
         assert code == 2
         assert "--compact-every" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("interval", ["0", "-1"])
+    @pytest.mark.parametrize("interval", ["0", "-1", "nan", "inf"])
     def test_follow_interval_must_be_positive(self, interval, capsys):
-        # A non-positive wait returns at once: the tailer would rescan
-        # the log directory in a hot loop.
+        # A non-positive or NaN wait returns at once: the tailer would
+        # rescan the log directory in a hot loop.
         code = main(["serve", "--graph", "g.tsv", "--follow-interval", interval])
         assert code == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line == f"error: --follow-interval must be > 0, got {float(interval)}"
+        assert line == (
+            f"error: --follow-interval must be a finite number > 0, "
+            f"got {float(interval)}"
+        )
+
+    @pytest.mark.parametrize("budget", ["0", "-5", "nan", "inf"])
+    def test_default_deadline_must_be_finite_and_positive(self, budget, capsys):
+        # A NaN deadline never expires and ships as {"deadline_ms": nan}
+        # to shard workers; ?deadline_ms=nan and inf are 400s already.
+        code = main(["serve", "--graph", "g.tsv", "--default-deadline-ms", budget])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            f"error: --default-deadline-ms must be a finite number > 0, "
+            f"got {float(budget)}"
+        )
 
     def test_ready_line_leaves_a_replayed_index_repair_deferred(
         self, g0_path, tmp_path, monkeypatch, capsys

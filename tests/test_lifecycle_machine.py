@@ -20,9 +20,11 @@ a plain :class:`KnowledgeGraph`:
   really is behind), ``meta["epoch"]`` is the epoch that was current,
   the service's graph is the mirror's, ``shard_plan`` / ``slice_epoch``
   are ``service.epoch.topology``'s, a swap leaves exactly the workers
-  whose publish it lost behind, ``audit_fingerprint()`` passes, and no
+  whose publish it lost behind, ``audit_fingerprint()`` passes, no
   counter of ``/stats`` ``result_cache`` / ``candidate_cache`` ever
-  steps back, whatever was swapped underneath it;
+  steps back, whatever was swapped underneath it, and the serving
+  epoch's bounds (built, derived from the parent's, or shared) say
+  maybe for every pair that label-blind BFS on its graph reaches;
 * after every update batch — every ``V(S, G)`` the new epoch's candidate
   cache carried across the swap equals a from-scratch evaluation;
 * whenever a forced INS query materialises the index an update swap
@@ -64,7 +66,7 @@ from repro.graph.csr import base_graph
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.index.local_index import LocalIndex, build_local_index
 from repro.service.app import QueryService
-from tests.helpers import cache_counters, sharded_fleet
+from tests.helpers import cache_counters, label_blind_reach, sharded_fleet
 
 SHARDS = 2
 CHAIN = [(f"v{i}", "next", f"v{i + 1}") for i in range(5)]
@@ -329,6 +331,15 @@ class LifecycleMachine(RuleBasedStateMachine):
             assert plan.num_vertices == epoch.graph.num_vertices
         else:
             assert epoch.topology is None
+
+    @invariant()
+    def bounds_are_sound(self):
+        if not hasattr(self, "service"):
+            return  # before boot
+        epoch = self.service.epoch
+        for s in epoch.graph.vertices():
+            for t in label_blind_reach(epoch.graph, s):
+                assert epoch.bounds.maybe_reachable(s, t), (s, t, epoch.bounds)
 
     @invariant()
     def cache_counters_only_count_up(self):

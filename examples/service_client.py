@@ -2,12 +2,14 @@
 
 Generates two datasets — a LUBM-like graph and a small random graph —
 hosts both in one process behind a :class:`TenantRegistry` (the LUBM
-graph as the default tenant, started from TSV with an index file that
-the first request naming ``ins`` would read; the random graph registered
+graph as the default tenant, started from TSV with an index path that
+the first request naming ``ins`` reads; the random graph registered
 lazily by path), binds the stdlib
 HTTP server to an ephemeral port, and exercises every endpoint the way
 an external client would: ``GET /healthz`` and ``GET /tenants`` for the
-cross-tenant view, ``POST /query`` (twice, to show the result cache),
+cross-tenant view, ``POST /query`` (twice, to show the result cache,
+then once more naming ``ins``, which builds the index, saves it to the
+index path and must agree with the default route),
 ``POST /t/<tenant>/query`` for the second tenant, a third tenant
 registered at runtime via ``POST /tenants``, ``POST /batch``, and
 ``GET /stats`` with its aggregated totals.
@@ -103,6 +105,13 @@ def main() -> None:
           f"cached={first['cached']} ({first['seconds'] * 1000:.2f} ms)")
     second = post(base, "/query", query)
     print(f"  repeated:  answer={second['answer']} cached={second['cached']}")
+    # Naming INS forces the indexed evaluator: this first read builds
+    # the index and saves it where the next boot will load it.
+    forced = post(base, "/query", {**query, "algorithm": "ins", "use_cache": False})
+    assert forced["answer"] == first["answer"], (forced, first)
+    assert index_path.is_file(), "the first INS read saves the index"
+    print(f"  algorithm=ins: answer={forced['answer']} "
+          f"({forced['seconds'] * 1000:.2f} ms, index saved to {index_path.name})")
 
     # The same process answers for a completely different graph, with a
     # different label alphabet, behind /t/random/ — first query triggers

@@ -616,7 +616,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
     graph = service.graph
     # Described, not read: the first query naming ins reads the index
-    # (service.index would load, build or repair it here).
+    # (service.index would load or build it here).
     index = service.epoch.describe_index()
     if index["loaded"]:
         index_note = f"{index['landmarks']} landmarks"

@@ -55,10 +55,6 @@ RHO_UNKNOWN = 2.0
 #: Cap on memoised (landmark, constraint-mask) Cut/Push results.
 _TARGET_MEMO_LIMIT = 4096
 
-#: Past this fraction of regions touched, per-region repair stops paying
-#: for itself and :meth:`LocalIndex.derive` rebuilds the whole index.
-_REBUILD_REGION_FRACTION = 0.5
-
 
 @dataclass(frozen=True)
 class LocalIndexStats:
@@ -200,7 +196,10 @@ class LocalIndex:
 
     # ------------------------------------------------------------------
     # incremental maintenance (extension — the paper treats the KG as
-    # static; real deployments append facts)
+    # static).  No serving path calls these: a swapped epoch builds its
+    # index on first read.  They stay for their tests and because the
+    # ladder benchmark's ``index.repair`` span is pinned to
+    # ``refresh_regions`` by name.
     # ------------------------------------------------------------------
 
     def sync_vertices(self) -> int:
@@ -274,64 +273,6 @@ class LocalIndex:
             self._cut_memo.clear()
             self._push_memo.clear()
         return refreshed
-
-    def derive(
-        self, graph: KnowledgeGraph, touched_sources: "set[int] | None" = None
-    ) -> "tuple[LocalIndex, dict]":
-        """The index of ``graph`` — a later version of the indexed graph
-        — plus the ``index`` / ``regions_refreshed`` fields of an update
-        summary saying how it was obtained.  This index is left as is.
-
-        The regions of ``touched_sources`` — the source vertex of every
-        edge added or removed in between; no other region is dirty, see
-        :meth:`refresh_after_edge` — are refreshed on a clone.  Past
-        :data:`_REBUILD_REGION_FRACTION` of the regions, or when nothing
-        is known of the change (None), the index is rebuilt over the
-        same landmarks, so the partition stays comparable.
-        """
-        landmarks = self.partition.landmarks
-        if touched_sources is not None:
-            derived = self.clone_for(graph)
-            # region_of would IndexError on a just-interned vertex id
-            # until the region list is extended to the new |V|.
-            derived.sync_vertices()
-            regions = {derived.region_of(v) for v in touched_sources} - {NO_REGION}
-            if len(regions) <= _REBUILD_REGION_FRACTION * len(landmarks):
-                refreshed = derived.refresh_regions(regions)
-                return derived, {
-                    "index": "refreshed" if refreshed else "unchanged",
-                    "regions_refreshed": refreshed,
-                }
-        return build_local_index(graph, landmarks=list(landmarks)), {
-            "index": "rebuilt",
-            "regions_refreshed": len(landmarks),
-        }
-
-    def clone_for(self, graph: KnowledgeGraph) -> "LocalIndex":
-        """An independent index over ``graph`` sharing unrefreshed tables.
-
-        The epoch-swap counterpart of :meth:`KnowledgeGraph.copy`:
-        ``graph`` must share this index's vertex/label interning (a copy
-        of the indexed graph, possibly already mutated).  Per-region
-        table *objects* are shared — both refresh paths replace a
-        region's entry wholesale, never mutate one in place — so cloning
-        is O(landmarks + |V|), and refreshing the clone leaves this
-        index, still serving the previous epoch, untouched.  Memos start
-        empty (they are serving-time caches, not index content).
-        """
-        partition = Partition(
-            landmarks=list(self.partition.landmarks),
-            region=list(self.partition.region),
-            members={u: list(vs) for u, vs in self.partition.members.items()},
-        )
-        clone = LocalIndex(graph, partition)
-        clone.ii = dict(self.ii)
-        clone.eit = dict(self.eit)
-        clone.d = dict(self.d)
-        if self.ei is not None:
-            clone.ei = dict(self.ei)
-        clone.build_seconds = self.build_seconds
-        return clone
 
     def stats(self) -> LocalIndexStats:
         """Entry counts and build time (Table 2 columns)."""

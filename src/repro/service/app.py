@@ -13,7 +13,7 @@ requests:
   publish a whole new epoch, while in-flight queries finish on the old
   one.  This module decides *when* an epoch is replaced and stores it
   (:meth:`QueryService._publish_epoch`); *how* the next one follows
-  from the serving one — what is shared, repaired, rebuilt or dropped —
+  from the serving one — what is shared, carried, rebuilt or dropped —
   is :meth:`GraphEpoch.derive <repro.service.epoch.GraphEpoch.derive>`'s
   alone, so serving only ever sees a **frozen** CSR snapshot
   (:class:`~repro.graph.csr.FrozenGraph`) and structures derived from
@@ -292,7 +292,7 @@ class QueryService:
     @property
     def index(self) -> LocalIndex | None:
         """The current epoch's local index (None when serving index-free),
-        loaded, built or repaired on the epoch's first read."""
+        loaded or built on the epoch's first read."""
         return self._epoch.index
 
     @property
@@ -499,7 +499,9 @@ class QueryService:
         vertex of every edge the batch really changed
         (:meth:`GraphEpoch.derive <repro.service.epoch.GraphEpoch.derive>`
         — ``rows_recut`` and ``index`` in the summary say what that
-        cost; cached entries stay behind with the old epoch).
+        cost: an indexed service's new epoch builds its index on its
+        first forced-INS read, ``"index": "deferred"``; cached entries
+        stay behind with the old epoch).
         :meth:`_prepare_epoch` lets a sharded topology stage the swap on
         its workers, and :meth:`_publish_epoch` replaces ``self._epoch``
         in one atomic store.  Readers never block: queries in flight
@@ -525,7 +527,7 @@ class QueryService:
         with self._update_lock:
             started = perf_counter()
             old = self._epoch
-            # No-op batches skip the copy/repair/publish entirely — and
+            # No-op batches skip the copy/derive/publish entirely — and
             # the epoch bump, which keeps "same epoch" equivalent to
             # "same content" for the snapshot identity.  A batch is a
             # no-op when every add is a duplicate and every remove a
@@ -614,7 +616,6 @@ class QueryService:
         vertices_added: int = 0,
         rows_recut: int = 0,
         index: str = "unchanged",
-        regions_pending: int = 0,
         candidates_carried: int = 0,
         scck_rechecks: int = 0,
         **fields: Any,
@@ -635,7 +636,6 @@ class QueryService:
             "epoch": epoch.epoch_id,
             **counts,
             "index": index,
-            "regions_pending": regions_pending,
             "candidates_carried": candidates_carried,
             "scck_rechecks": scck_rechecks,
             "seconds": elapsed,
@@ -696,10 +696,10 @@ class QueryService:
         compaction snapshot wholesale instead of replaying a gap it no
         longer can.  Nothing is known about how ``graph`` differs from
         the serving one, so nothing derived from that one is kept: the
-        index — when this service serves indexed — is rebuilt with the
-        *same landmarks* (snapshot graphs preserve vertex ids, so the
-        partition stays comparable) and both caches start empty,
-        whatever ``epoch_id`` is — the serving one included.  Published
+        index — when this service serves indexed — is built on the new
+        epoch's first forced-INS read, as after any swap, and both
+        caches start empty, whatever ``epoch_id`` is — the serving one
+        included.  Published
         exactly like an update swap; ``expected_fingerprint`` mismatches
         raise :class:`~repro.exceptions.WalReplayError` before that.
         """

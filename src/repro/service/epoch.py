@@ -25,10 +25,9 @@ seeing *(parent, change)*:
 structure           same         a change of known edges          any other graph
                     snapshot     (``apply_updates``)              (``replace_graph``)
 ==================  ===========  ===============================  ===================
-index               shared       deferred: ``LocalIndex.derive``  deferred: rebuilt
-                                 of the touched sources, run on   over the same
-                                 first use; not read yet: built   landmarks; not read
-                                 in memory on first use           yet: built in memory
+index               shared       deferred: built in memory on     deferred: built in
+                                 first read                       memory on first
+                                                                  read
 bounds              shared       ``BoundsIndex.derive``: adds     rebuilt
                                  closed over exactly, removals
                                  kept as a sound bound until 1 %
@@ -53,16 +52,13 @@ The index is read by forced INS alone, so no epoch gets one before a
 request needs it.  Epoch 0 of an indexed service holds an
 :class:`IndexSource` — the index file, the landmark count, the seed —
 and the first reader (the ``ins`` session, :attr:`GraphEpoch.index`)
-loads the file, or builds the index and saves it there.  An epoch
-derived from one not read yet builds its own in memory on first read:
-the file describes the booted graph.  Once an index exists, a swap
-stores the last repaired ancestor's index and the union of the source
-vertices touched since (vertex ids are stable along a chain of epochs),
-and the first reader repairs it by :meth:`LocalIndex.derive
-<repro.index.local_index.LocalIndex.derive>`'s own rebuild-fraction
-rule.  Either read runs once, under the epoch's index lock — never the
-session lock, so the default route never waits on an index read — and
-a read that fails leaves the slot as it was.
+loads the file, or builds the index and saves it there.  Every epoch
+over another graph holds a source without a file — the file describes
+the booted graph — whether or not an ancestor's index was ever read, so
+its first reader builds its index in memory with the service's landmark
+count and seed.  That read runs once, under the epoch's index lock —
+never the session lock, so the default route never waits on it — and a
+read that fails leaves the source in place.
 
 ``epoch_id`` is a per-service monotonic integer starting at 0, surfaced
 in query metadata, ``/stats``, ``/healthz`` and the snapshot identity so
@@ -73,7 +69,7 @@ epoch and keys nothing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from threading import Lock
 from typing import TYPE_CHECKING
@@ -83,7 +79,6 @@ from repro.constraints.substructure import EdgeIds
 from repro.exceptions import BadRequestError
 from repro.graph.csr import FrozenGraph, freeze_graph
 from repro.graph.labeled_graph import KnowledgeGraph
-from repro.index.landmarks import NO_REGION
 from repro.index.local_index import LocalIndex
 from repro.index.storage import load_or_build_index
 from repro.obs.trace import span
@@ -114,11 +109,6 @@ EDGE_OPS = ("add", "remove")
 #: only after it, present only before it.
 EdgeChange = tuple[frozenset[EdgeIds], frozenset[EdgeIds]]
 
-#: A deferred index: the last repaired ancestor's index and the source
-#: vertices touched since (None: a change about which nothing is known).
-Deferred = tuple[LocalIndex, "frozenset[int] | None"]
-
-
 @dataclass(frozen=True)
 class IndexSource:
     """Where an epoch gets the index it has not read yet: the file at
@@ -145,15 +135,13 @@ class GraphEpoch:
     Nothing here is mutated after publication except the session pool,
     which only *grows* (create-once under its own lock), the caches,
     which are memoisation of pure functions of the graph, and an index
-    not read yet or deferred, read or repaired once on first use
-    (:attr:`index`).
+    not read yet, read once on first use (:attr:`index`).
     """
 
     __slots__ = (
         "epoch_id",
         "graph",
         "derivation",
-        "repair",
         "bounds",
         "planner",
         "candidates",
@@ -164,7 +152,6 @@ class GraphEpoch:
         "created_at",
         "_index",
         "_source",
-        "_deferred",
         "_index_lock",
         "_sessions",
         "_session_lock",
@@ -175,7 +162,6 @@ class GraphEpoch:
         epoch_id: int,
         graph: FrozenGraph,
         index: LocalIndex | IndexSource | None,
-        deferred: Deferred | None,
         bounds: BoundsIndex,
         planner: QueryPlanner,
         candidates: CandidateCache,
@@ -185,7 +171,7 @@ class GraphEpoch:
     ) -> None:
         self.epoch_id = epoch_id
         self.graph = graph
-        #: ``graph``'s index (None: unindexed, not read or not repaired yet).
+        #: ``graph``'s index (None: unindexed or not read yet).
         self._index: LocalIndex | None = None
         #: Where the first read of :attr:`index` gets it, until then.
         self._source: IndexSource | None = None
@@ -193,22 +179,15 @@ class GraphEpoch:
             self._source = index
         else:
             self._index = index
-        #: ``(ancestor's index, sources touched since)`` until the first
-        #: read of :attr:`index` repairs it; None sources: unknown change.
-        self._deferred = deferred
-        #: Serialises the first read or the repair — never the sessions.
+        #: Serialises the first read — never the sessions.
         self._index_lock = Lock()
         #: How this epoch followed its parent — the ``index`` /
-        #: ``regions_pending`` / ``candidates_carried`` / ``scck_rechecks``
-        #: fields of an update summary.
+        #: ``candidates_carried`` / ``scck_rechecks`` fields of an update
+        #: summary.
         self.derivation = {
-            "index": _index_action(index, deferred),
-            "regions_pending": _regions_pending(deferred),
+            "index": _index_action(index),
             **(carried or {"candidates_carried": 0, "scck_rechecks": 0}),
         }
-        #: What the deferred repair did once run — ``LocalIndex.derive``'s
-        #: ``index`` / ``regions_refreshed`` — None until then.
-        self.repair: dict | None = None
         #: Label-blind reachability upper bound, sound for *this*
         #: snapshot (``repro.approx``), so the router's definite-No stays
         #: sound across updates and replay.
@@ -251,7 +230,6 @@ class GraphEpoch:
             0,
             frozen,
             index,
-            None,
             _bounds(frozen, options),
             QueryPlanner(frozen, constraints, has_index=index is not None),
             CandidateCache(max_size=size),
@@ -276,32 +254,19 @@ class GraphEpoch:
         """
         frozen = _freeze(graph)
         constraints, options = self.planner.constraints, self.options
-        # _source and _deferred before _index: a concurrent read or
-        # repair stores the index before clearing them, so these reads
-        # give a valid state.
-        source, deferred, index = self._source, self._deferred, self._index
         if frozen is self.graph:
+            # _source before _index: a concurrent first read stores the
+            # index before clearing the source, so these reads agree.
+            source, index = self._source, self._index
             return GraphEpoch(
-                epoch_id, frozen, source or index, deferred, self.bounds,
+                epoch_id, frozen, source or index, self.bounds,
                 self.planner, self.candidates, self.results, options,
             )
-        if source is not None:
-            # The file describes the booted graph, not this one.
-            index = replace(source, path=None)
-        elif deferred is None and index is not None:
-            deferred = (index, frozenset())
-        if deferred is not None:
-            index = None
-            ancestor, pending = deferred
-            touched = (
-                None if change is None else {s for s, _, _ in change[0] | change[1]}
-            )
-            # Re-pointed at this snapshot, so that no older one stays
-            # alive behind an index nobody has read.
-            deferred = (
-                ancestor.clone_for(frozen),
-                None if pending is None or touched is None else pending | touched,
-            )
+        index = (
+            IndexSource(None, options.landmark_count, options.seed)
+            if self.has_index
+            else None
+        )
         if change is None:
             candidates, carried = self.candidates.heir(), None
         else:
@@ -314,13 +279,8 @@ class GraphEpoch:
             epoch_id,
             frozen,
             index,
-            deferred,
             _bounds(frozen, options, self.bounds, change),
-            QueryPlanner(
-                frozen,
-                constraints,
-                has_index=index is not None or deferred is not None,
-            ),
+            QueryPlanner(frozen, constraints, has_index=index is not None),
             candidates,
             self.results.heir(),
             options,
@@ -330,54 +290,35 @@ class GraphEpoch:
     @property
     def index(self) -> LocalIndex | None:
         """This snapshot's local index (None when serving index-free),
-        read from its source or repaired from the deferred ancestor's
-        on the first read — once, under the index lock."""
-        if self._source is None and self._deferred is None:
+        read from its source on the first read — once, under the index
+        lock."""
+        if self._source is None:
             return self._index
         with self._index_lock:
-            source, deferred = self._source, self._deferred
+            source = self._source
             if source is not None:
                 with span("index-read") as read_span:
                     index = source.read(self.graph)
                     read_span.set(landmarks=len(index.partition.landmarks))
                 self._index = index
                 self._source = None
-            elif deferred is not None:
-                ancestor, pending = deferred
-                with span("index-repair") as repair_span:
-                    index, repair = ancestor.derive(
-                        self.graph, None if pending is None else set(pending)
-                    )
-                    repair_span.set(
-                        action=repair["index"],
-                        regions=repair["regions_refreshed"],
-                    )
-                self._index, self.repair = index, repair
-                self._deferred = None
         return self._index
 
     @property
     def has_index(self) -> bool:
         """Whether this epoch serves indexed — without reading anything."""
-        return (
-            self._source is not None
-            or self._deferred is not None
-            or self._index is not None
-        )
+        return self._source is not None or self._index is not None
 
     def describe_index(self) -> dict:
-        """The ``/stats`` ``index`` section, read without a read or a
-        repair: the landmarks are the deferred ancestor's, which a
-        repair keeps; an index not read yet has none to show."""
-        source, deferred = self._source, self._deferred
-        index = deferred[0] if deferred is not None else self._index
+        """The ``/stats`` ``index`` section, read without a read: an
+        index not read yet has no landmarks to show."""
+        source, index = self._source, self._index
         if index is None:
             return {"loaded": False, "configured": source is not None}
         return {
             "loaded": True,
             "configured": True,
             "landmarks": len(index.partition.landmarks),
-            "regions_pending": _regions_pending(deferred),
         }
 
     def __repr__(self) -> str:
@@ -421,25 +362,10 @@ class GraphEpoch:
         }
 
 
-def _index_action(
-    index: LocalIndex | IndexSource | None, deferred: Deferred | None
-) -> str:
-    if deferred is not None or isinstance(index, IndexSource):
+def _index_action(index: LocalIndex | IndexSource | None) -> str:
+    if isinstance(index, IndexSource):
         return "deferred"
     return "none" if index is None else "unchanged"
-
-
-def _regions_pending(deferred: Deferred | None) -> int:
-    """Regions a deferred repair will rebuild (all of them when the
-    change is unknown; the rebuild-fraction rule may still widen it)."""
-    if deferred is None:
-        return 0
-    ancestor, pending = deferred
-    landmarks = ancestor.partition.landmarks
-    if pending is None:
-        return len(landmarks)
-    region = ancestor.partition.region
-    return len({region[v] for v in pending if v < len(region)} - {NO_REGION})
 
 
 def _freeze(graph: KnowledgeGraph) -> FrozenGraph:

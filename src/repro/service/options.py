@@ -17,7 +17,8 @@ workers and ``/stats`` carry from then on.  The doors *read* the table:
   ``options=``.
 
 Whichever door it came through, an unknown key, a wrong type (a bool is
-never an int), an out-of-range value or a broken ``requires`` is one
+never an int), a number that is not finite, an out-of-range value or a
+broken ``requires`` is one
 structured error naming the option as the caller spelled it.
 
 Deployment settings (addresses, file paths, the update gate, the WAL)
@@ -28,6 +29,7 @@ are not per-service options and stay plain ``argparse`` in
 from __future__ import annotations
 
 import argparse
+import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, make_dataclass, replace
 from typing import Any
@@ -96,6 +98,10 @@ class Option:
             )
         if not typed:
             return f"must be {_KIND_NAMES[kind]}"
+        # A timeout or interval of inf overflows the thread waits that
+        # take it, and /stats would echo it as JSON's invalid Infinity.
+        if kind is float and not math.isfinite(value):
+            return "must be a finite number"
         if self.gt is not None and not value > self.gt:
             return f"must be > {self.gt:g}"
         if self.le is not None and not self.ge <= value <= self.le:

@@ -79,12 +79,11 @@ def recover_service(
     service is handed back.
 
     Recovery does no index work: when serving indexed (``index_path``
-    given) the first request naming ``ins`` reads the index.  Recovered
-    from a snapshot, that read builds it in memory over the snapshot
-    graph — the persisted index file describes the base TSV, not the
-    log's epoch-N graph, and is left untouched.  Without a snapshot,
-    epoch 0 holds the base TSV's file, but an epoch replay derived
-    from it builds its own in memory all the same
+    given) the first request naming ``ins`` reads the index.  Only an
+    epoch 0 over the base TSV reads the file at ``index_path``; every
+    other epoch — the snapshot's, and each one a replayed record
+    derives — builds its own in memory on that first read, since the
+    file describes the base TSV, not the log's epoch-N graph
     (:class:`~repro.service.epoch.IndexSource`).
 
     ``attach=True`` (the default) attaches the log to the recovered

@@ -270,99 +270,3 @@ class TestRemovalRepair:
         )
         assert INS(g, index).decide(query) == NaiveTwoProcedure(g).decide(query)
 
-
-class TestCloneFor:
-    def test_clone_refresh_leaves_original_untouched(self):
-        g = graph_from_edges([("L", "a", "p"), ("p", "a", "q")])
-        index = build_local_index(g, landmarks=[g.vid("L")])
-        a_mask = 1 << g.label_id("a")
-        original_cut = index.cut_targets(g.vid("L"), a_mask)
-
-        mutated = g.copy()
-        mutated.add_edge("L", "b", "q")  # new label, existing vertices
-        clone = index.clone_for(mutated)
-        assert clone.refresh_regions({clone.region_of(mutated.vid("L"))}) == 1
-
-        # The clone reflects the mutated graph: q is now reachable
-        # under {b} alone; the original index (and its memoised
-        # projections) still serve the old epoch.
-        b_mask = 1 << mutated.labels.id_of("b")
-        assert mutated.vid("q") in clone.cut_targets(mutated.vid("L"), b_mask)
-        assert index.cut_targets(g.vid("L"), a_mask) == original_cut
-        assert clone.ii is not index.ii
-
-    def test_clone_extends_region_for_new_vertices(self):
-        g = graph_from_edges([("L", "a", "p")])
-        index = build_local_index(g, landmarks=[g.vid("L")])
-        mutated = g.copy()
-        mutated.add_edge("p", "a", "brand_new")
-        clone = index.clone_for(mutated)
-        clone.sync_vertices()
-        assert clone.region_of(mutated.vid("brand_new")) == NO_REGION
-        # The original's region list did not grow.
-        assert len(index.partition.region) == g.num_vertices
-
-
-class TestDerive:
-    """``derive``: the one place that decides how an index follows a
-    changed graph — refresh what was touched, or rebuild."""
-
-    def two_regions(self):
-        g = graph_from_edges([("L1", "a", "p"), ("L2", "a", "x"), ("x", "a", "y")])
-        landmarks = [g.vid("L1"), g.vid("L2")]
-        return g, landmarks, build_local_index(g, landmarks=landmarks)
-
-    def test_one_touched_region_of_two_is_refreshed_on_a_clone(self):
-        g, landmarks, index = self.two_regions()
-        mutated = g.copy()
-        mutated.add_edge("p", "b", "x")
-        derived, how = index.derive(mutated, {mutated.vid("p")})
-        assert how == {"index": "refreshed", "regions_refreshed": 1}
-        assert tables_equal(derived, build_local_index(mutated, landmarks=landmarks))
-        assert derived.graph is mutated
-        # The parent still describes — and still serves — the old graph;
-        # the untouched region's tables are shared, not copied.
-        assert tables_equal(index, build_local_index(g, landmarks=landmarks))
-        assert len(index.partition.region) == g.num_vertices
-        assert derived.ii[landmarks[1]] is index.ii[landmarks[1]]
-
-    def test_a_vertex_interned_since_joins_no_region(self):
-        g, landmarks, index = self.two_regions()
-        mutated = g.copy()
-        mutated.add_edge("brand_new", "a", "p")
-        derived, how = index.derive(mutated, {mutated.vid("brand_new")})
-        assert how == {"index": "unchanged", "regions_refreshed": 0}
-        assert derived.region_of(mutated.vid("brand_new")) == NO_REGION
-
-    def test_sources_outside_every_region_leave_it_unchanged(self):
-        g = graph_from_edges([("L", "a", "p")], vertices=["island"])
-        index = build_local_index(g, landmarks=[g.vid("L")])
-        mutated = g.copy()
-        mutated.add_edge("island", "a", "p")
-        derived, how = index.derive(mutated, {mutated.vid("island")})
-        assert how == {"index": "unchanged", "regions_refreshed": 0}
-        assert derived is not index and derived.ii == index.ii
-
-    def test_past_half_of_the_regions_it_is_rebuilt_over_the_same_landmarks(self):
-        g, landmarks, index = self.two_regions()
-        mutated = g.copy()
-        mutated.add_edge("p", "b", "x")
-        mutated.remove_edge("x", "a", "y")
-        derived, how = index.derive(
-            mutated, {mutated.vid("p"), mutated.vid("x")}
-        )
-        assert how == {"index": "rebuilt", "regions_refreshed": 2}
-        assert list(derived.partition.landmarks) == landmarks
-        assert tables_equal(derived, build_local_index(mutated, landmarks=landmarks))
-        assert not set(map(id, derived.ii.values())) & set(map(id, index.ii.values()))
-
-    def test_an_unknown_change_is_a_rebuild(self):
-        g, landmarks, index = self.two_regions()
-        replacement = graph_from_edges(
-            [("L1", "a", "p"), ("L2", "b", "x")], vertices=g.vertex_names()
-        )
-        derived, how = index.derive(replacement)
-        assert how == {"index": "rebuilt", "regions_refreshed": 2}
-        assert tables_equal(
-            derived, build_local_index(replacement, landmarks=landmarks)
-        )

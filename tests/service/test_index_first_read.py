@@ -3,9 +3,9 @@
 ``serve --index P`` and :meth:`QueryService.from_files` hand epoch 0 an
 :class:`~repro.service.epoch.IndexSource` and do no index work: the
 first request naming ``ins`` loads ``P``, or builds the index and saves
-it there, once, under the epoch's own lock.  An epoch derived before
-that read builds its own index in memory and never touches ``P``, which
-describes the booted graph.  Every answer INS gives on the way must
+it there, once, under the epoch's own lock.  An epoch over another
+graph — derived before that read or after it — builds its own index in
+memory and never touches ``P``, which describes the booted graph.  Every answer INS gives on the way must
 equal the naive evaluator's.
 """
 
@@ -192,26 +192,29 @@ class TestFirstRead:
             )[0].answer
             assert results[position].answer == expected
 
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
     @pytest.mark.parametrize("saved", [False, True], ids=["absent", "present"])
     def test_first_read_after_an_update_builds_in_memory(
-        self, graph_path, index_path, saved, count_builds
+        self, graph_path, index_path, saved, read_first, count_builds
     ):
         if saved:
             save_local_index(
                 build_local_index(load_tsv(graph_path), rng=0), index_path
             )
-            before = index_path.read_bytes()
-            count_builds.clear()
         service = QueryService.from_files(graph_path, index_path, seed=0)
+        booted = service.index if read_first else None  # loads, or builds and saves
+        before = index_path.read_bytes() if index_path.exists() else None
+        count_builds.clear()
         summary = service.apply_updates(NEW_EDGES)
         assert summary["edges_added"] > 0 and summary["index"] == "deferred"
         agree_with_naive(service)
         assert len(count_builds) == 1               # over the new epoch's graph
         assert service.index.graph is service.graph
-        if saved:
-            assert index_path.read_bytes() == before
-        else:
+        assert service.index is not booted
+        if before is None:
             assert not index_path.exists()
+        else:
+            assert index_path.read_bytes() == before
 
     def test_a_stale_file_fails_the_ins_request_and_nothing_else(
         self, graph_path, index_path

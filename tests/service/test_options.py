@@ -12,6 +12,7 @@ good one arrives in ``/stats`` ``config``.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.datasets.toy import figure3_graph
 from repro.exceptions import ServiceConfigError
 from repro.graph.io import dump_tsv
 from repro.service.app import QueryService
+from repro.service.http import ServiceHTTPServer
 from repro.service.options import OPTIONS, options_from_args
 from repro.service.registry import TenantRegistry
 from repro.shard import ShardedQueryService
@@ -167,6 +169,44 @@ def test_every_door_refuses_a_bad_value(
     # A sharding row is an unknown key here whatever its value: this
     # door only builds plain tenants.
     expected = "unknown option" if row.sharding else repr(name)
+    assert expected in document["error"]["message"]
+    assert http_get(f"{base_url}/tenants")[1]["tenants"] == {}
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "name", sorted(row.name for row in OPTIONS if row.kind is float)
+)
+def test_every_door_refuses_a_number_that_is_not_finite(
+    name, value, graph_path, base_url, capsys, monkeypatch
+):
+    """``inf`` clears every lower bound: as a timeout it overflows the
+    thread waits, and ``/stats`` would echo it as JSON's ``Infinity``."""
+    row = ROWS[name]
+    values = {"shards": 2, name: value} if row.sharding else {name: value}
+
+    def served(server):
+        raise AssertionError(f"{row.flag} {value} was served")
+
+    monkeypatch.setattr(ServiceHTTPServer, "serve_forever", served)
+    code = main(["serve", "--graph", graph_path, *to_argv(values)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {row.flag} must be a finite number, got {value}"
+    )
+
+    with pytest.raises(
+        ServiceConfigError, match=f"^{name!r} must be a finite number"
+    ):
+        service_class(name)(figure3_graph(), **values)
+
+    status, document = http_request(
+        f"{base_url}/tenants", {"name": "probe", "graph": graph_path, **values}
+    )
+    assert status == 400
+    expected = (
+        "unknown option" if row.sharding else f"{name!r} must be a finite number"
+    )
     assert expected in document["error"]["message"]
     assert http_get(f"{base_url}/tenants")[1]["tenants"] == {}
 

@@ -116,8 +116,8 @@ class TestUpdateTrace:
         names = _names(trace)
         for stage in ("copy", "apply", "freeze", "candidate-carry", "publish"):
             assert stage in names, stage
-        # The index is repaired by its first reader, not by the swap.
-        assert "index-repair" not in names
+        # The index is built by its first reader, not by the swap.
+        assert "index-read" not in names
         assert summary["index"] == "deferred"
         apply_span = _child(trace, "apply")
         assert apply_span["attrs"]["added"] == 1

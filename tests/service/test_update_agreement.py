@@ -1,7 +1,7 @@
 """Randomized agreement for live updates: epoch swaps vs a naive oracle.
 
-The epoch-swap subsystem layers graph copying, per-region index repair,
-re-freezing, per-epoch caches and atomic publication on top of the
+The epoch-swap subsystem layers graph copying, index rebuilds on first
+read, re-freezing, per-epoch caches and atomic publication on top of the
 paper's algorithms — none of which may change a single Boolean answer.
 This suite interleaves random edge batches and query workloads on ~30
 seeded graphs: after every ``apply_updates`` the service's answers must
@@ -46,7 +46,8 @@ def make_graph(seed):
 
 
 def make_service(graph, seed):
-    """Alternate indexed (INS + per-region repair) and index-free services."""
+    """Alternate indexed (INS, its index built per epoch) and index-free
+    services."""
     index = build_local_index(graph, k=3, rng=seed) if seed % 2 == 0 else None
     return QueryService(graph, index, seed=seed)
 

@@ -4,7 +4,7 @@ Covers the epoch-swap mechanics the randomized agreement suite
 (``test_update_agreement.py``) then hammers statistically:
 
 * :meth:`QueryService.apply_updates` — epoch bump, duplicate counting,
-  vertex/label interning, index refresh vs full-rebuild fallback, the
+  vertex/label interning, the index deferred to its first read, the
   old epoch staying intact for in-flight readers;
 * per-epoch result caches — a pre-update cached answer must never be
   served for the post-update graph (the headline staleness bug);
@@ -19,21 +19,21 @@ from __future__ import annotations
 
 import gc
 import json
-import sys
-import threading
-import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.constraints.substructure import SubstructureConstraint
+from repro.core.naive import NaiveTwoProcedure
+from repro.core.query import LSCRQuery
 from repro.exceptions import (
     BadRequestError,
     ServiceConfigError,
 )
 from repro.graph import FrozenGraph, KnowledgeGraph
 from repro.graph.csr import base_graph
-from repro.index.local_index import LocalIndex, build_local_index
+from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.service.registry import TenantRegistry
 from repro.shard import ShardedQueryService
@@ -52,6 +52,24 @@ def make_service(indexed=False, **kwargs):
     graph = make_graph()
     index = build_local_index(graph, k=2, rng=0) if indexed else None
     return QueryService(graph, index, seed=0, **kwargs)
+
+
+def assert_ins_matches_the_oracle(service):
+    """Forced, uncached INS agrees with the naive procedure on the
+    serving graph for every ordered pair of its vertices."""
+    graph = service.graph
+    oracle = NaiveTwoProcedure(graph)
+    constraint = SubstructureConstraint.from_sparql(CONSTRAINT)
+    for source in graph.vertex_names():
+        for target in graph.vertex_names():
+            result, _ = service.query(
+                source, target, ["go"], CONSTRAINT,
+                algorithm="ins", use_cache=False,
+            )
+            expected = oracle.decide(
+                LSCRQuery.create(source, target, ["go"], constraint)
+            )
+            assert result.answer is expected, (source, target)
 
 
 class TestApplyUpdates:
@@ -153,80 +171,23 @@ class TestApplyUpdates:
         finally:
             service.close()
 
-    def test_index_refresh_and_rebuild_fallback(self):
+    def test_an_add_swap_defers_the_index_to_a_build_on_first_read(self):
         service = make_service(indexed=True)
         try:
-            summary = service.apply_updates([("s", "go", "s2")])
-            # The swap defers the repair to the index's first reader.
-            assert summary["index"] == "deferred"
-            assert summary["regions_pending"] == 1
-            assert service.epoch.repair is None
-            assert service.index is not None
-            assert service.epoch.repair["index"] in ("refreshed", "unchanged")
-            # A batch whose sources span more than half of the regions —
-            # here both of two — is past where per-region repair pays.
-            index, graph = service.index, service.graph
-            regions = {index.region_of(graph.vid(name)) for name in ("s", "m")}
-            assert regions == set(index.partition.landmarks)
+            assert service.index is not None  # epoch 0's index was read
             summary = service.apply_updates(
-                [("s", "go", "s3"), ("m", "go", "m3")]
+                [("s", "go", "s2"), ("m", "go", "m3")]
             )
             assert summary["index"] == "deferred"
-            assert summary["regions_pending"] == len(regions)
-            assert service.index is not None
-            assert service.epoch.repair == {
-                "index": "rebuilt",
-                "regions_refreshed": len(regions),
-            }
+            assert not service.epoch.describe_index()["loaded"]
+            assert_ins_matches_the_oracle(service)
+            assert service.epoch.describe_index()["loaded"]
         finally:
-            service.close()
-
-    def test_racing_first_readers_repair_the_index_once(self, monkeypatch):
-        service = make_service(indexed=True)
-        repairs = []
-        derive = LocalIndex.derive
-
-        def counting(index, graph, touched=None):
-            repairs.append(touched)
-            time.sleep(0.02)  # let the other readers arrive mid-repair
-            return derive(index, graph, touched)
-
-        monkeypatch.setattr(LocalIndex, "derive", counting)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            service.apply_updates([("s", "go", "s2")])
-            epoch = service.epoch
-            start = threading.Barrier(16)
-            seen = []
-
-            def read(algorithm):
-                start.wait(timeout=10)
-                seen.append(
-                    epoch.index
-                    if algorithm is None
-                    else epoch.session(algorithm).index
-                )
-
-            threads = [
-                threading.Thread(target=read, args=(("ins", None)[i % 2],))
-                for i in range(16)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-            assert not any(thread.is_alive() for thread in threads)
-            assert len(seen) == 16
-            assert len(repairs) == 1
-            assert all(index is seen[0] is epoch.index for index in seen)
-        finally:
-            sys.setswitchinterval(interval)
             service.close()
 
     def test_retired_snapshots_die_without_a_full_collection(self):
-        """Neither a retired builder nor the deferred index may keep an
-        old graph alive: with the cyclic collector off, a chain of
+        """Neither a retired builder nor an index read on an old epoch
+        may keep an old graph alive: with the cyclic collector off, a chain of
         updates leaves only the current snapshot and its builder."""
         service = make_service(indexed=True)
         gc.collect()
@@ -356,21 +317,18 @@ class TestEdgeRetraction:
         finally:
             service.close()
 
-    def test_removal_repairs_the_index(self):
+    def test_a_remove_swap_defers_the_index_to_a_build_on_first_read(self):
         service = make_service(indexed=True)
         try:
             service.apply_updates([("m", "go", "far")])
-            result, _ = service.query(
-                "s", "far", ["go"], CONSTRAINT, algorithm="ins"
-            )
-            assert result.answer is True
+            assert_ins_matches_the_oracle(service)
             summary = service.apply_updates([("m", "go", "far", "remove")])
             assert summary["index"] == "deferred"
+            assert_ins_matches_the_oracle(service)
             result, _ = service.query(
                 "s", "far", ["go"], CONSTRAINT, algorithm="ins"
             )
             assert result.answer is False
-            assert service.epoch.repair["index"] in ("refreshed", "rebuilt")
         finally:
             service.close()
 

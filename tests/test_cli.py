@@ -299,7 +299,7 @@ class TestServeWalFlags:
             f"got {float(budget)}"
         )
 
-    def test_ready_line_leaves_a_replayed_index_repair_deferred(
+    def test_ready_line_leaves_a_replayed_epochs_index_unread(
         self, g0_path, tmp_path, monkeypatch, capsys
     ):
         # The ready line describes the index without reading

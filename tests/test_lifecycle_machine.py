@@ -27,12 +27,11 @@ a plain :class:`KnowledgeGraph`:
   maybe for every pair that label-blind BFS on its graph reaches;
 * after every update batch — every ``V(S, G)`` the new epoch's candidate
   cache carried across the swap equals a from-scratch evaluation;
-* whenever a forced INS query materialises the index an update swap
-  deferred — after however many swaps no reader touched it — its tables
-  equal those of an eager ``LocalIndex.derive`` chain kept beside the
-  service, one link per swap (or, where the union of the swaps' sources
-  passed the rebuild fraction that no single swap did, a rebuild over
-  the same landmarks).
+* whenever forced INS reads an epoch's index — epoch 0's, given at
+  boot, or one a swap left to its first reader, whether or not an
+  ancestor's was read — it is bound to that epoch's graph and its tables
+  equal a fresh build over that graph from the service's landmark count
+  and seed (:class:`~repro.service.epoch.IndexSource`).
 
 Topologies: plain and in-process shards run in tier-1 on a fixed,
 derandomised budget; HTTP-attached workers over an in-thread server
@@ -66,9 +65,11 @@ from repro.graph.csr import base_graph
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.index.local_index import LocalIndex, build_local_index
 from repro.service.app import QueryService
+from repro.service.epoch import IndexSource
 from tests.helpers import cache_counters, label_blind_reach, sharded_fleet
 
 SHARDS = 2
+LANDMARKS = 3
 CHAIN = [(f"v{i}", "next", f"v{i + 1}") for i in range(5)]
 POOL = [f"v{i}" for i in range(6)] + ["p", "q"]
 NAMES = st.sampled_from(POOL)
@@ -114,19 +115,19 @@ class LifecycleMachine(RuleBasedStateMachine):
         for edge in CHAIN + extra:
             self.mirror.add_edge(*edge)
         graph = self.mirror.copy()
-        index = build_local_index(graph, k=3, rng=0)
-        #: The index chain an eager repair at every swap would hold.
-        self.eager = index
-        #: Swaps since the service's index was last materialised.
-        self.unread_swaps = 0
+        # What a first read would build from the service's options.
+        index = build_local_index(graph, k=LANDMARKS, rng=0)
         if self.sharded:
             self.service = self.stack.enter_context(
                 sharded_fleet(
-                    graph, self.topology, index=index, shards=SHARDS, seed=0
+                    graph, self.topology, index=index, shards=SHARDS,
+                    landmark_count=LANDMARKS, seed=0,
                 )
             )
         else:
-            self.service = QueryService(graph, index, seed=0)
+            self.service = QueryService(
+                graph, index, landmark_count=LANDMARKS, seed=0
+            )
             self.stack.callback(self.service.close)
         self.epoch_id = 0
         self.cache_counters = {}
@@ -158,7 +159,7 @@ class LifecycleMachine(RuleBasedStateMachine):
             assert not any(worker.lose_publishes for worker in workers)
         return outcome
 
-    def update(self, batch, edges_before, applied: int):
+    def update(self, batch, applied: int):
         if applied:
             self.epoch_id += 1
         before = self.service.epoch
@@ -176,10 +177,6 @@ class LifecycleMachine(RuleBasedStateMachine):
             assert set(candidates) == set(
                 constraint.satisfying_vertices(epoch.graph)
             ), (constraint.to_sparql(), batch)
-        changed = edges_before ^ set(self.mirror.edges_named())
-        touched = {epoch.graph.vid(source) for source, _, _ in changed}
-        self.eager = self.eager.derive(epoch.graph, touched)[0]
-        self.unread_swaps += 1
 
     def present(self, picks):
         edges = sorted(self.mirror.edges_named())
@@ -187,25 +184,19 @@ class LifecycleMachine(RuleBasedStateMachine):
 
     @rule(batch=st.lists(EDGES, min_size=1, max_size=4))
     def insert(self, batch):
-        before = set(self.mirror.edges_named())
-        self.update(
-            batch, before, sum(self.mirror.add_edge(*edge) for edge in batch)
-        )
+        self.update(batch, sum(self.mirror.add_edge(*edge) for edge in batch))
 
     @rule(picks=PICKS)
     def retract(self, picks):
         batch = [(*edge, "remove") for edge in self.present(picks)]
         batch.append(("v0", "likes", "never-added", "remove"))
-        before = set(self.mirror.edges_named())
-        self.update(
-            batch, before, sum(self.mirror.remove_edge(*e[:3]) for e in batch)
-        )
+        self.update(batch, sum(self.mirror.remove_edge(*e[:3]) for e in batch))
 
     @rule(picks=PICKS)
     def no_op(self, picks):
         batch = [(*edge, "add") for edge in self.present(picks)]
         batch.append(("q", "other", "never-added", "remove"))
-        self.update(batch, set(self.mirror.edges_named()), 0)
+        self.update(batch, 0)
 
     @rule(edits=st.lists(st.tuples(EDGES, st.booleans()), max_size=3),
           bump=st.integers(0, 3))
@@ -218,8 +209,6 @@ class LifecycleMachine(RuleBasedStateMachine):
         self.swap(
             lambda: self.service.replace_graph(self.mirror.copy(), self.epoch_id)
         )
-        self.eager = self.eager.derive(self.service.graph, None)[0]
-        self.unread_swaps += 1
 
     @rule(bump=st.integers(0, 3))
     def reset_epoch(self, bump):
@@ -272,31 +261,29 @@ class LifecycleMachine(RuleBasedStateMachine):
                 for goal in POOL:
                     self.ask(source, goal, labels, constraint, algorithm, use_cache)
         if algorithm == "ins":
-            self.index_matches_the_eager_chain()
+            self.index_is_a_fresh_build()
 
     @rule(
         labels=st.sets(st.sampled_from(LABELS), min_size=1),
         constraint=st.sampled_from(sorted(CONSTRAINTS)),
     )
-    def ins_after_unread_swaps(self, labels, constraint):
-        """Forced INS, uncached, on whatever index repair the swaps
-        since the last read left pending."""
-        swaps = self.unread_swaps
+    def uncached_ins(self, labels, constraint):
+        """Forced INS, uncached, on whatever index the serving epoch
+        reads — so a swap's first read follows it more often than the
+        sweep's draw of algorithm alone would make it."""
         for source in POOL:
             for goal in POOL:
                 self.ask(source, goal, sorted(labels), constraint, "ins", False)
-        self.index_matches_the_eager_chain(swaps)
+        self.index_is_a_fresh_build()
 
-    def index_matches_the_eager_chain(self, swaps=None):
-        index = self.service.index
-        eager = self.eager
-        if index.partition.region != eager.partition.region:
-            eager = build_local_index(
-                eager.graph, landmarks=list(eager.partition.landmarks)
-            )
-        assert base_graph(index.graph) is base_graph(self.service.graph)
-        assert tables(index) == tables(eager), swaps
-        self.eager, self.unread_swaps = eager, 0
+    def index_is_a_fresh_build(self):
+        epoch, options = self.service.epoch, self.service.options
+        index = epoch.index
+        fresh = IndexSource(None, options.landmark_count, options.seed).read(
+            epoch.graph
+        )
+        assert base_graph(index.graph) is base_graph(epoch.graph)
+        assert tables(index) == tables(fresh), epoch
 
     def ask(self, source, goal, labels, constraint, algorithm, use_cache):
         try:

@@ -11,7 +11,7 @@ from the base TSV plus the log.  The recovered service must
   fingerprint (continuity, proven per replayed record), and
 * answer every query identically to a :class:`NaiveTwoProcedure` oracle
   running on an independently mutated mirror graph — the oracle shares
-  no code with the WAL, the epoch machinery, or the index repair.
+  no code with the WAL, the epoch machinery, or the index.
 
 Fault injections ride the same machinery: a truncated final append
 (recover to tip-1, agree with *that* epoch's oracle) and a crash

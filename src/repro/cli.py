@@ -51,8 +51,11 @@ update epoch over the two-phase slice-swap wire.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.constraints.substructure import SubstructureConstraint
@@ -395,7 +398,9 @@ def _cmd_cut(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_worker(args: argparse.Namespace, options: ServiceOptions) -> int:
+def _serve_worker(
+    args: argparse.Namespace, options: ServiceOptions, booted: Callable[[], None]
+) -> int:
     """``serve --worker SLICE_FILE``: one shard worker process."""
     loaded = load_slice(args.worker)
     worker = ShardWorker(
@@ -420,6 +425,7 @@ def _serve_worker(args: argparse.Namespace, options: ServiceOptions) -> int:
         f"plan {loaded.plan_hash[:12]}..., wire v{SLICE_WIRE_VERSION})",
         flush=True,
     )
+    booted()
     print(f"listening on http://{host}:{port}", flush=True)
     try:
         server.serve_forever()
@@ -442,7 +448,38 @@ def _parse_tenant_spec(spec: str) -> tuple[str, str, str | None]:
     return name, graph_path, index_path or None
 
 
+@contextmanager
+def _collector_paused() -> Iterator[Callable[[], None]]:
+    """Keep the cyclic collector out of a boot; yield the call that ends it.
+
+    A boot allocates the whole graph, and every generation-2 pass over
+    it is wasted: nothing it builds is garbage yet.  The yielded call
+    freezes the boot heap — later passes skip it — and re-enables the
+    collector if it was on; leaving the block unfreezes and restores
+    the state found, so an in-process caller sees no change.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+
+    def booted() -> None:
+        gc.freeze()
+        if enabled:
+            gc.enable()
+
+    try:
+        yield booted
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
+    with _collector_paused() as booted:
+        return _serve(args, booted)
+
+
+def _serve(args: argparse.Namespace, booted: Callable[[], None]) -> int:
     # Every per-service flag, range- and cross-checked against the one
     # table; what follows only checks how the deployment fits together.
     options = options_from_args(args)
@@ -468,7 +505,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"--worker serves one slice and nothing else; drop "
                 f"{', '.join(named)}"
             )
-        return _serve_worker(args, options)
+        return _serve_worker(args, options, booted)
     tenants = [_parse_tenant_spec(spec) for spec in args.tenant]
     if args.graph is None and not tenants:
         raise ServiceConfigError(
@@ -704,6 +741,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"({bounds.component_count} components)",
         flush=True,
     )
+    booted()
     # Machine-readable ready line: tooling (and the tests) parse the port
     # from it, which is how --port 0 ephemeral binding stays usable.
     print(f"listening on http://{host}:{port}", flush=True)

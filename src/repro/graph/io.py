@@ -19,6 +19,7 @@ edges (as they do in the paper's Figure 2); :func:`load_tsv` rebuilds the
 from __future__ import annotations
 
 import io
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import TextIO
 
@@ -81,12 +82,20 @@ def loads_tsv(text: str, name: str = "kg", rebuild_schema: bool = True) -> Knowl
 
 
 def _read_tsv(handle: TextIO, name: str, rebuild_schema: bool) -> KnowledgeGraph:
-    graph = KnowledgeGraph(name=name)
-    schema = RDFSchema()
-    graph.schema = schema
+    return _build(_tsv_triples(handle), name, rebuild_schema)
+
+
+def _tsv_triples(handle: TextIO) -> Iterator[list[str]]:
+    r"""``[source, label, target]`` per edge line of ``handle``, streamed.
+
+    A line ends at ``\n`` with or without a ``\r`` before it, whatever
+    the source: a file opened in text mode translates ``\r\n``, but a
+    string or a caller's handle does not, and the ``\r`` must not end up
+    in a vertex name.
+    """
     for line_number, raw in enumerate(handle, start=1):
-        line = raw.rstrip("\n")
-        if not line or line.startswith("#"):
+        line = raw.rstrip("\r\n")
+        if not line or line[0] == "#":
             continue
         parts = line.split("\t")
         if len(parts) != 3:
@@ -94,14 +103,30 @@ def _read_tsv(handle: TextIO, name: str, rebuild_schema: bool) -> KnowledgeGraph
                 f"malformed TSV edge on line {line_number}: expected 3 "
                 f"tab-separated fields, got {len(parts)}"
             )
-        source, label, target = parts
-        graph.add_edge(source, label, target)
-        if rebuild_schema:
-            if label == RDF_TYPE:
-                schema.add_instance(source, target)
-            elif label == RDFS_SUBCLASS_OF:
-                schema.add_subclass(source, target)
-    return graph
+        yield parts
+
+
+def _build(
+    triples: Iterable[Sequence[str]], name: str, rebuild_schema: bool
+) -> KnowledgeGraph:
+    """The graph of ``triples`` — streamed, one pass — and its schema."""
+    schema = RDFSchema()
+    if rebuild_schema:
+        triples = _recording(schema, triples)
+    return KnowledgeGraph.from_triples(triples, name=name, schema=schema)
+
+
+def _recording(
+    schema: RDFSchema, triples: Iterable[Sequence[str]]
+) -> Iterator[Sequence[str]]:
+    """Pass ``triples`` through, recording their schema statements."""
+    for triple in triples:
+        label = triple[1]
+        if label == RDF_TYPE:
+            schema.add_instance(triple[0], triple[2])
+        elif label == RDFS_SUBCLASS_OF:
+            schema.add_subclass(triple[0], triple[2])
+        yield triple
 
 
 # ----------------------------------------------------------------------
@@ -138,22 +163,15 @@ def load_ntriples(
 
 
 def _read_ntriples(handle: TextIO, name: str, rebuild_schema: bool) -> KnowledgeGraph:
-    graph = KnowledgeGraph(name=name)
-    schema = RDFSchema()
-    graph.schema = schema
+    return _build(_ntriples(handle), name, rebuild_schema)
+
+
+def _ntriples(handle: TextIO) -> Iterator[tuple[str, str, str]]:
     for line_number, raw in enumerate(handle, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        triple = _parse_ntriple_line(line, line_number)
-        source, label, target = triple
-        graph.add_edge(source, label, target)
-        if rebuild_schema:
-            if label == RDF_TYPE:
-                schema.add_instance(source, target)
-            elif label == RDFS_SUBCLASS_OF:
-                schema.add_subclass(source, target)
-    return graph
+        yield _parse_ntriple_line(line, line_number)
 
 
 def _parse_ntriple_line(line: str, line_number: int) -> tuple[str, str, str]:

@@ -199,6 +199,75 @@ class KnowledgeGraph:
     # construction
     # ------------------------------------------------------------------
 
+    @classmethod
+    def from_triples(
+        cls,
+        triples: Iterable[tuple[Hashable, str, Hashable]],
+        name: str = "kg",
+        schema: object | None = None,
+    ) -> "KnowledgeGraph":
+        """A fresh graph holding ``(source, label, target)`` name triples.
+
+        Slot for slot the graph that :meth:`add_edge` over the same
+        triples in the same order builds — ids, row order, per-label
+        order, degrees, counts and :attr:`mutation_count` — in one loop
+        with the interning and bookkeeping inlined.  A fresh graph shares
+        no row and has no snapshot, so no write barrier is needed.
+        ``triples`` is consumed lazily: a loader can stream a file
+        through it without holding the lines.
+        """
+        graph = cls(name, schema)
+        vertex_ids = graph._vertex_ids
+        vertex_names = graph._vertex_names
+        out_rows, in_rows = graph._out, graph._in
+        out_degree, in_degree = graph._out_degree, graph._in_degree
+        edge_set = graph._edge_set
+        by_label = graph._by_label
+        intern_label = graph._labels.intern
+        # label name -> (id, its by_label list); a label is interned at
+        # its first triple, which is always an insertion, so by_label
+        # keys land in id order exactly as add_edge_ids puts them.
+        label_entries: dict[str, tuple[int, list[tuple[int, int]]]] = {}
+        for source, label, target in triples:
+            s = vertex_ids.get(source)
+            if s is None:
+                s = vertex_ids[source] = len(vertex_names)
+                vertex_names.append(source)
+                out_rows.append({})
+                in_rows.append({})
+                out_degree.append(0)
+                in_degree.append(0)
+            t = vertex_ids.get(target)
+            if t is None:
+                t = vertex_ids[target] = len(vertex_names)
+                vertex_names.append(target)
+                out_rows.append({})
+                in_rows.append({})
+                out_degree.append(0)
+                in_degree.append(0)
+            entry = label_entries.get(label)
+            if entry is None:
+                label_id = intern_label(label)
+                entry = label_entries[label] = (label_id, [])
+                by_label[label_id] = entry[1]
+            label_id, pairs = entry
+            # One hash of the edge tuple, not two: a duplicate leaves
+            # the set's size unchanged.
+            size = len(edge_set)
+            edge_set.add((s, label_id, t))
+            if len(edge_set) == size:
+                continue
+            out_rows[s].setdefault(label_id, []).append(t)
+            in_rows[t].setdefault(label_id, []).append(s)
+            out_degree[s] += 1
+            in_degree[t] += 1
+            pairs.append((s, t))
+        graph._label_edge_count = {
+            label_id: len(pairs) for label_id, pairs in by_label.items()
+        }
+        graph._mutations = len(vertex_names) + len(edge_set)
+        return graph
+
     def add_vertex(self, name: Hashable) -> int:
         """Intern ``name`` and return its vertex id (idempotent)."""
         existing = self._vertex_ids.get(name)

@@ -3,6 +3,8 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
 from repro.graph.io import (
@@ -13,6 +15,9 @@ from repro.graph.io import (
     load_tsv,
     loads_tsv,
 )
+from repro.graph.labeled_graph import KnowledgeGraph
+from repro.graph.rdf import RDF_TYPE, RDFS_SUBCLASS_OF
+from repro.graph.schema import RDFSchema
 from tests.helpers import graph_from_edges
 
 EDGES = [
@@ -60,6 +65,106 @@ class TestTsv:
     def test_malformed_line_raises(self):
         with pytest.raises(GraphError, match="line 1"):
             loads_tsv("only two\tfields\n")
+
+    def test_crlf_string_file_and_handle_load_equal_graphs(self, tmp_path):
+        # A file opened in text mode translates \r\n; a string or a
+        # caller's handle does not, and the \r must not reach a name.
+        text = "a\tx\tb\r\n# note\r\n\r\nb\tx\tc\r\nc\trdf:type\tC\r\n"
+        path = tmp_path / "crlf.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        loaded = [loads_tsv(text), load_tsv(path), load_tsv(io.StringIO(text))]
+        for graph in loaded:
+            assert list(graph.edges_named()) == [
+                ("a", "x", "b"), ("b", "x", "c"), ("c", "rdf:type", "C"),
+            ]
+            assert graph.schema.is_instance("c", "C")
+        first = _state(loaded[0])
+        assert all(_state(graph) == first for graph in loaded[1:])
+
+
+# ----------------------------------------------------------------------
+# The streaming loader against a graph built edge by edge
+# ----------------------------------------------------------------------
+
+_NAME_CHARS = st.characters(exclude_characters="\t\r\n")
+#: Small pools so names, labels and whole edges repeat; free text for the
+#: rest (a leading "#" would turn a line into a comment).
+NAMES = st.one_of(
+    st.sampled_from(["a", "b", "c", "Person", "Cat", "Animal"]),
+    st.text(_NAME_CHARS, min_size=1, max_size=4).filter(
+        lambda name: not name.startswith("#")
+    ),
+)
+LABELS = st.sampled_from(["knows", "likes", RDF_TYPE, RDFS_SUBCLASS_OF])
+EDGE_LINES = st.tuples(NAMES, LABELS, NAMES)
+OTHER_LINES = st.sampled_from(["", "#", "# a comment\twith a tab"])
+LINES = st.lists(st.one_of(EDGE_LINES, EDGE_LINES, OTHER_LINES), max_size=40)
+
+
+def _state(graph: KnowledgeGraph) -> dict:
+    """Every slot of ``graph``, with the label universe and the schema
+    unpacked into comparable values."""
+    state = {slot: getattr(graph, slot) for slot in KnowledgeGraph.__slots__}
+    labels = state.pop("_labels")
+    state["_labels"] = [(name, labels.id_of(name)) for name in labels.names()]
+    schema = state.pop("schema")
+    state["schema"] = {slot: getattr(schema, slot) for slot in RDFSchema.__slots__}
+    return state
+
+
+def _frozen_rows(graph: KnowledgeGraph) -> list:
+    frozen = graph.freeze()
+    return [
+        (direction.masks, direction.all_targets, direction.groups)
+        for direction in (frozen._csr_out, frozen._csr_in)
+    ]
+
+
+def _reference(lines: list) -> KnowledgeGraph:
+    """The graph :func:`loads_tsv` must build, one ``add_edge`` at a time."""
+    graph = KnowledgeGraph(schema=RDFSchema())
+    for line in lines:
+        if isinstance(line, tuple):
+            source, label, target = line
+            graph.add_edge(source, label, target)
+            if label == RDF_TYPE:
+                graph.schema.add_instance(source, target)
+            elif label == RDFS_SUBCLASS_OF:
+                graph.schema.add_subclass(source, target)
+    return graph
+
+
+def _text(lines: list, endings: list) -> str:
+    return "".join(
+        ("\t".join(line) if isinstance(line, tuple) else line) + ending
+        for line, ending in zip(lines, endings)
+    )
+
+
+class TestStreamingLoader:
+    @settings(deadline=None)
+    @given(lines=LINES, data=st.data())
+    def test_equals_the_edge_by_edge_graph(self, lines, data):
+        endings = data.draw(
+            st.lists(st.sampled_from(["\n", "\r\n"]),
+                     min_size=len(lines), max_size=len(lines))
+        )
+        loaded, expected = loads_tsv(_text(lines, endings)), _reference(lines)
+        assert _state(loaded) == _state(expected)
+        assert loaded.content_fingerprint() == expected.content_fingerprint()
+        assert _frozen_rows(loaded) == _frozen_rows(expected)
+
+    @settings(deadline=None)
+    @given(
+        lines=LINES,
+        bad=st.sampled_from(["one field", "two\tfields", "a\tb\tc\td"]),
+        data=st.data(),
+    )
+    def test_malformed_line_named_by_number(self, lines, bad, data):
+        position = data.draw(st.integers(0, len(lines)))
+        lines = [*lines[:position], bad, *lines[position:]]
+        with pytest.raises(GraphError, match=rf"on line {position + 1}:"):
+            loads_tsv(_text(lines, ["\n"] * len(lines)))
 
 
 class TestNTriples:

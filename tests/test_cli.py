@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import gc
+
 import pytest
 
 from repro.cli import main
@@ -217,6 +219,58 @@ class TestServe:
         assert code == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and line.endswith(f"drop {flag}")
+
+
+class TestServeCollector:
+    """``serve`` keeps the cyclic collector out of its boot, freezes the
+    boot heap before the ready line and hands the collector back as it
+    found it."""
+
+    @pytest.fixture()
+    def serving(self, monkeypatch):
+        from repro.service.http import ServiceHTTPServer
+
+        seen = []
+        monkeypatch.setattr(
+            ServiceHTTPServer,
+            "serve_forever",
+            lambda server: seen.append((gc.isenabled(), gc.get_freeze_count())),
+        )
+        yield seen
+        gc.unfreeze()
+        gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_serve_freezes_the_boot_heap(self, g0_path, serving, enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert main(["serve", "--graph", g0_path, "--port", "0"]) == 0
+        ((serving_enabled, frozen),) = serving
+        assert serving_enabled is enabled
+        assert frozen > 0
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == 0
+
+    def test_worker_freezes_the_boot_heap(self, g0_path, tmp_path, serving):
+        out = tmp_path / "slices"
+        assert main(["cut", g0_path, "--shards", "1", "--out", str(out)]) == 0
+        slice_path = str(out / "shard-0.slice.json")
+        assert main(["serve", "--worker", slice_path, "--port", "0"]) == 0
+        ((serving_enabled, frozen),) = serving
+        assert serving_enabled and frozen > 0
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve"], ["serve", "--graph", "missing.tsv"],
+         ["serve", "--worker", "shard-0.slice.json", "--seed", "3"]],
+    )
+    def test_refusal_restores_the_collector(self, argv, serving, enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert main(argv) == 2
+        assert serving == []
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == 0
 
 
 class TestServeWalFlags:

@@ -336,12 +336,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     # minor next to TSV parsing, and the search runs on the CSR layout.
     graph = load_tsv(args.graph).freeze()
     constraint = SubstructureConstraint.from_sparql(args.constraint)
-    query = LSCRQuery.create(
-        args.source,
-        args.target,
-        [label for label in args.labels.split(",") if label],
-        constraint,
-    )
+    query = LSCRQuery.create(args.source, args.target, args.labels, constraint)
     index = None
     if args.algorithm == "ins":
         index = (

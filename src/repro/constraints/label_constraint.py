@@ -2,7 +2,10 @@
 
 A label constraint is just a set of edge-label names; algorithms compile
 it to a bitmask against a graph's label universe once per query and then
-expand only edges whose label bit is set.
+expand only edges whose label bit is set.  Every door that takes ``L`` —
+the Python API, ``/query`` and ``/batch``, the CLI's ``--labels`` —
+reads a bare string the one way this class does: as comma-separated
+names.
 """
 
 from __future__ import annotations
@@ -23,11 +26,16 @@ class LabelConstraint:
     True
     >>> len(constraint)
     2
+    >>> LabelConstraint("friendOf,follows") == constraint
+    True
     """
 
     __slots__ = ("_labels",)
 
-    def __init__(self, labels: Iterable[str]) -> None:
+    def __init__(self, labels: Iterable[str] | str) -> None:
+        if isinstance(labels, str):
+            # Comma-separated names; empty pieces are skipped.
+            labels = [piece for piece in labels.split(",") if piece]
         self._labels = frozenset(labels)
         if not self._labels:
             raise ConstraintError("a label constraint must contain at least one label")

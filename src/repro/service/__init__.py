@@ -52,6 +52,7 @@ _EXPORTS = {
     "CanonicalKey": "repro.service.planner",
     "ConstraintCache": "repro.service.cache",
     "GraphEpoch": "repro.service.epoch",
+    "KeyedQuery": "repro.service.planner",
     "QueryPlan": "repro.service.planner",
     "QueryPlanner": "repro.service.planner",
     "QueryService": "repro.service.app",

@@ -89,7 +89,12 @@ from repro.service.epoch import (
 )
 from repro.service.executor import BatchExecutor
 from repro.service.options import ServiceOptions, resolve_options
-from repro.service.planner import DEFAULT_ALGORITHM, QueryPlan, QueryPlanner
+from repro.service.planner import (
+    DEFAULT_ALGORITHM,
+    KeyedQuery,
+    QueryPlan,
+    QueryPlanner,
+)
 from repro.service.stats import ServiceStats
 from repro.utils.persist import atomic_write_json
 
@@ -116,9 +121,7 @@ def validate_spec(payload: object, *, where: str) -> dict:
     if not isinstance(source, str) or not isinstance(target, str):
         raise BadRequestError(f"{where}: 'source' and 'target' must be strings")
     labels = payload["labels"]
-    if isinstance(labels, str):
-        labels = [piece for piece in labels.split(",") if piece]
-    if (
+    if not isinstance(labels, str) and (
         not isinstance(labels, list)
         or not labels
         or not all(isinstance(label, str) for label in labels)
@@ -146,6 +149,16 @@ def validate_spec(payload: object, *, where: str) -> dict:
         "algorithm": algorithm,
         "use_cache": use_cache,
     }
+
+
+def _reads_back(name: Hashable) -> bool:
+    """Whether a vertex name reads back from JSON as itself (a tuple
+    comes back a list, a NaN unequal to itself)."""
+    try:
+        back = json.loads(json.dumps(name))
+    except (TypeError, ValueError):
+        return False
+    return type(back) is type(name) and back == name
 
 
 class QueryService:
@@ -355,7 +368,9 @@ class QueryService:
         this query simply completes on the epoch it started on.
         """
         epoch = self._epoch
-        plan = epoch.planner.plan(source, target, labels, constraint, algorithm)
+        plan = self._plan(
+            epoch, source, target, labels, constraint, algorithm, use_cache
+        )
         return self._finish(plan, epoch, use_cache=use_cache, batch=_batch)
 
     def query_batch(
@@ -365,18 +380,19 @@ class QueryService:
     ) -> list[tuple[QueryResult, dict]]:
         """Answer a homogeneous batch, preserving order.
 
-        Planning runs serially first — that is where constraint parsing
-        happens, so each distinct text is parsed once.  Then every
-        member the planner or the result cache can answer is settled
-        right here, in the request thread: a lookup handed to the pool
-        costs a submit and two lock hand-offs to do one dict probe under
-        the same GIL.  Only the members left over — the ones that need
-        an evaluator — go to the :class:`BatchExecutor`, which is there
-        to overlap members that *wait* (scatter rounds, a ``V(S, G)``
-        leader), and their result-cache lookup is not repeated.  A
-        member that repeats one of those is looked up after the pool
-        has stored its answer, so a batch evaluates what it may cache
-        once.  A
+        Keying runs serially first — that is where constraint parsing
+        happens, so each distinct text is parsed once — and only a
+        member whose key the result cache does not hold is planned
+        (:meth:`_plan`).  Then every member the result cache or the
+        planner can answer is settled right here, in the request
+        thread: a lookup handed to the pool costs a submit and two lock
+        hand-offs to do one dict probe under the same GIL.  Only the
+        members left over — the ones that need an evaluator — go to the
+        :class:`BatchExecutor`, which is there to overlap members that
+        *wait* (scatter rounds, a ``V(S, G)`` leader), and their
+        result-cache lookup is not repeated.  A member that repeats one
+        of those is looked up after the pool has stored its answer, so a
+        batch evaluates what it may cache once.  A
         per-spec ``use_cache`` key overrides the batch-level flag for
         that query only.
         """
@@ -394,14 +410,17 @@ class QueryService:
         plans = []
         with span("plan-batch", queries=len(specs)):
             for spec in specs:
-                plan = epoch.planner.plan(
+                item_cache = use_cache and spec.get("use_cache", True)
+                plan = self._plan(
+                    epoch,
                     spec["source"],
                     spec["target"],
                     spec["labels"],
                     spec["constraint"],
                     spec.get("algorithm"),
+                    item_cache,
                 )
-                plans.append((plan, use_cache and spec.get("use_cache", True)))
+                plans.append((plan, item_cache))
         self.stats.record_batch()
         answered: list = [None] * len(plans)
         waiting = []
@@ -748,9 +767,46 @@ class QueryService:
 
     # ------------------------------------------------------------------
 
+    def _plan(
+        self,
+        epoch: GraphEpoch,
+        source: Hashable,
+        target: Hashable,
+        labels: Iterable[str] | str | LabelConstraint,
+        constraint: str | SubstructureConstraint,
+        algorithm: str | None,
+        use_cache: bool,
+    ) -> QueryPlan | KeyedQuery:
+        """One request's plan — or, when ``use_cache`` and ``epoch``'s
+        result cache holds its key, the :class:`KeyedQuery` alone.
+
+        Only a non-trivial plan's answer is ever stored, so a held key
+        needs none of the plan's graph probes.  The membership probe
+        neither counts nor promotes: :meth:`_settle` makes the one
+        counted lookup, hit or miss.  One ``plan`` span covers both
+        steps.
+        """
+        planner = epoch.planner
+        with span("plan") as handle:
+            keyed = planner.key(source, target, labels, constraint, algorithm)
+            if use_cache and keyed.key in epoch.results:
+                handle.set(
+                    algorithm=keyed.algorithm, reason=keyed.reason, trivial=False
+                )
+                return keyed
+            plan = planner.plan(
+                source, target, labels, constraint, algorithm, keyed=keyed
+            )
+            handle.set(
+                algorithm=plan.algorithm,
+                reason=plan.reason,
+                trivial=plan.is_trivial,
+            )
+            return plan
+
     def _finish(
         self,
-        plan: QueryPlan,
+        plan: QueryPlan | KeyedQuery,
         epoch: GraphEpoch,
         *,
         use_cache: bool,
@@ -759,9 +815,11 @@ class QueryService:
     ) -> tuple[QueryResult, dict] | None:
         """Execute (or short-circuit) one plan and record telemetry.
 
-        Cached answers are read from and written to ``epoch.results``,
-        the cache of the epoch the plan was made against — whichever
-        epoch is serving by the time this query completes.
+        ``plan`` is a :class:`KeyedQuery` when :meth:`_plan` found its
+        key in the result cache.  Cached answers are read from and
+        written to ``epoch.results``, the cache of the epoch the plan was
+        made against — whichever epoch is serving by the time this query
+        completes.
 
         ``half`` is how a batch splits one member between two threads.
         ``"settle"`` answers from the planner or the result cache only,
@@ -794,11 +852,15 @@ class QueryService:
         return result, meta
 
     def _settle(
-        self, plan: QueryPlan, epoch: GraphEpoch, meta: dict, use_cache: bool
+        self,
+        plan: QueryPlan | KeyedQuery,
+        epoch: GraphEpoch,
+        meta: dict,
+        use_cache: bool,
     ) -> QueryResult | None:
         """The answer the planner or the result cache already holds for
         one plan (stamping ``meta`` with which), else None."""
-        if plan.is_trivial:
+        if isinstance(plan, QueryPlan) and plan.is_trivial:
             meta["trivial"] = True
             meta["source"] = "planner"
             return QueryResult(
@@ -819,13 +881,18 @@ class QueryService:
 
     def _resolve(
         self,
-        plan: QueryPlan,
+        plan: QueryPlan | KeyedQuery,
         epoch: GraphEpoch,
         meta: dict,
         use_cache: bool,
     ) -> QueryResult:
         """Run one plan nothing could :meth:`_settle`, stamp ``meta``
         with how it went and store what may be stored."""
+        if isinstance(plan, KeyedQuery):
+            # Its entry was evicted between the probe and the lookup.
+            plan = epoch.planner.plan(
+                *plan.key[:2], plan.labels, plan.constraint, keyed=plan
+            )
         with span("execute", algorithm=plan.algorithm) as execute_span:
             result = self._execute(plan, epoch)
             execute_span.set(
@@ -856,7 +923,11 @@ class QueryService:
         return result
 
     def _record_slow(
-        self, plan: QueryPlan, meta: dict, result: QueryResult, elapsed: float
+        self,
+        plan: QueryPlan | KeyedQuery,
+        meta: dict,
+        result: QueryResult,
+        elapsed: float,
     ) -> None:
         """Offer one answered query to the slow-query flight recorder.
 
@@ -1150,8 +1221,10 @@ class QueryService:
 
         The snapshot carries every unexpired result-cache entry of the
         *current* epoch (the document-level identity pins them to one
-        graph version) plus the :meth:`ServiceStats.snapshot` document,
-        tagged with the graph's full identity: name, sizes, epoch id and
+        graph version) whose endpoint names JSON reads back as
+        themselves — an entry is loaded under the key it was saved
+        under, or not at all — plus the :meth:`ServiceStats.snapshot`
+        document, tagged with the graph's full identity: name, sizes, epoch id and
         content fingerprint, so :meth:`load_snapshot` can refuse a
         mismatched file even when every size coincides — and the
         fingerprint is audited against a rescan of the edges first
@@ -1173,6 +1246,7 @@ class QueryService:
             "results": [
                 {"key": key, "result": asdict(replace(result, witness=None))}
                 for key, result in epoch.results.export_entries()
+                if _reads_back(key[0]) and _reads_back(key[1])
             ],
             "stats": self.stats.snapshot(),
         }
@@ -1258,10 +1332,15 @@ class QueryService:
             self.stats.restore(document.get("stats", {}))
             return {"results": 0, "stale_results": stale}
         entries = []
+        has_vertex = epoch.graph.has_vertex
         for item in document.get("results", []):
             source, target, labels, constraint = item["key"]
-            key = (source, target, tuple(labels), constraint)
-            entries.append((key, QueryResult(**item["result"])))
+            # Only a search's answer is ever stored, and a search has
+            # both endpoints; any other entry would answer a query the
+            # planner decides (a file whose keys stringified names).
+            if has_vertex(source) and has_vertex(target):
+                key = (source, target, tuple(labels), constraint)
+                entries.append((key, QueryResult(**item["result"])))
         warmed = epoch.results.import_entries(entries)
         self.stats.restore(document.get("stats", {}))
         return {"results": warmed, "stale_results": 0}

@@ -16,13 +16,16 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.toy import figure3_graph
-from repro.exceptions import BadRequestError
+from repro.exceptions import BadRequestError, ConstraintError, SparqlError
 from repro.service.app import QueryService
 from repro.service.cache import ResultCache
 from repro.sparql.ast import SelectQuery
 from repro.sparql.evaluator import CompiledPattern
+from tests.helpers import graph_from_edges
 
 S0 = "SELECT ?x WHERE { ?x <friendOf> v3 . v3 <likes> ?y . }"
 S1 = "SELECT ?x WHERE { ?x <likes> ?y . }"
@@ -313,3 +316,154 @@ def test_eight_threads_planning_one_new_constraint(service):
     constraint = plans[0].query.constraint
     assert plans[0].key[3] == constraint.to_sparql()
     assert not constraint.empty_on(service.graph)
+
+
+# ---------------------------------------------------------------------------
+# hit/miss equivalence, as a property
+# ---------------------------------------------------------------------------
+
+#: Vertex names a drawn graph may hold: ``1`` and ``'1'`` are two vertices.
+NAMES = [1, 2, "1", "2", "a"]
+#: Names no drawn graph starts with (an update may add them).
+ABSENT = [3, "3"]
+#: One constraint per planner outcome: satisfiable, satisfiable through a
+#: constant, unsatisfiable by a missing constant or label, and the three
+#: 400s (mixed roles — decided after the endpoints — blank, unparsable).
+CONSTRAINTS = [
+    "SELECT ?x WHERE { ?x <p> ?y . }",
+    "SELECT ?x WHERE { ?y <q> ?x . }",
+    "SELECT ?x WHERE { ?x <p> a . }",
+    "SELECT ?x WHERE { ?x <p> nowhere . }",
+    "SELECT ?x WHERE { ?x <zz> ?y . }",
+    "SELECT ?x WHERE { ?x <p> ?y . ?a ?y ?b . }",
+    "   ",
+    "SELECT garbage ?!",
+]
+#: Label sets, in both forms; ``zz`` is in no drawn graph, ``[]`` and
+#: ``","`` are refused.
+LABEL_SETS = [["p"], ["q"], ["q", "p"], "p,q", ["zz"], "p,zz", [], ","]
+#: ``None`` twice so the default route is drawn most; ``ins`` has no
+#: index here and ``bogus`` no evaluator, both 400s.
+CHOICES = [None, None, "meet", "uis*", "naive", "ins", "bogus"]
+
+_names = st.sampled_from(NAMES)
+#: Weighted toward what a search answers, so that a key repeats often
+#: enough to hit: the rest are the planner's rules and the 400s.
+_entry = st.tuples(
+    st.sampled_from(NAMES * 3 + ABSENT),
+    st.sampled_from(NAMES * 3 + ABSENT),
+    st.sampled_from(LABEL_SETS[:4] * 3 + LABEL_SETS[4:]),
+    st.sampled_from(CONSTRAINTS[:2] * 4 + CONSTRAINTS[2:]),
+)
+#: ``(entry index, mirrored, algorithm, use_cache)``: entries repeat
+#: across requests with other algorithms and cache modes, and
+#: ``mirrored`` asks the same thing of the int/str twin endpoints.
+_request = st.tuples(
+    st.integers(0, 1), st.booleans(), st.sampled_from(CHOICES),
+    st.sampled_from([True, True, True, False]),
+)
+_op = st.one_of(
+    st.tuples(st.just("query"), _request),
+    st.tuples(
+        st.just("batch"),
+        st.tuples(st.lists(_request, min_size=1, max_size=3), st.integers(0, 2)),
+    ),
+    st.tuples(
+        st.just("update"),
+        st.tuples(
+            st.sampled_from(NAMES + ABSENT), st.sampled_from(["p", "q", "zz"]),
+            st.sampled_from(NAMES + ABSENT), st.sampled_from(["add", "remove"]),
+        ),
+    ),
+)
+
+
+def _mirror(name):
+    """``1`` ↔ ``'1'``; a name with no twin stays itself."""
+    if isinstance(name, int):
+        return str(name)
+    return int(name) if name.isdigit() else name
+
+
+def _outcome(call):
+    try:
+        return True, call()
+    except (BadRequestError, ConstraintError, SparqlError) as error:
+        return False, (type(error).__name__, str(error))
+
+
+@settings(deadline=None)
+@given(
+    edges=st.lists(
+        st.tuples(_names, st.sampled_from(["p", "q"]), _names),
+        min_size=3, max_size=10,
+    ),
+    entries=st.lists(_entry, min_size=2, max_size=2),
+    ops=st.lists(_op, min_size=4, max_size=24),
+)
+def test_a_hit_answers_what_a_miss_would(edges, entries, ops):
+    """Every answer, trivial flag, reason and 400 equals an uncached
+    twin's; ``cached`` is true exactly for a repeated non-trivial key of
+    the epoch; and every non-trivial cached-mode member is one counted
+    lookup, hit or miss."""
+    service = QueryService(graph_from_edges(edges), seed=0)
+    twin = QueryService(graph_from_edges(edges), seed=0, cache_size=0)
+    stored: set = set()
+    lookups = 0
+
+    def spec_of(request) -> dict:
+        index, mirrored, algorithm, use_cache = request
+        source, target, labels, constraint = entries[index]
+        if mirrored:
+            source, target = _mirror(source), _mirror(target)
+        return {"source": source, "target": target, "labels": labels,
+                "constraint": constraint, "algorithm": algorithm,
+                "use_cache": use_cache}
+
+    def key_of(spec: dict) -> tuple:
+        labels = spec["labels"]
+        names = labels.split(",") if isinstance(labels, str) else labels
+        return (spec["source"], spec["target"], frozenset(names), spec["constraint"])
+
+    try:
+        for kind, argument in ops:
+            if kind == "update":
+                epoch = service.epoch.epoch_id
+                service.apply_updates([argument])
+                twin.apply_updates([argument])
+                if service.epoch.epoch_id != epoch:
+                    stored.clear()
+                continue
+            if kind == "query":
+                specs = [spec_of(argument)]
+
+                def ask(on, specs=specs):
+                    return [on.query(**specs[0])]
+            else:
+                members, repeats = argument
+                specs = [spec_of(request) for request in members]
+                specs += specs[:repeats]
+
+                def ask(on, specs=specs):
+                    return on.query_batch(specs)
+
+            ok, got = _outcome(lambda: ask(service))
+            twin_ok, expected = _outcome(lambda: ask(twin))
+            assert ok == twin_ok
+            if not ok:
+                assert got == expected
+                continue
+            assert [(r.answer, m["trivial"], m["reason"]) for r, m in got] == [
+                (r.answer, m["trivial"], m["reason"]) for r, m in expected
+            ]
+            for spec, (_, meta) in zip(specs, got):
+                key = key_of(spec)
+                assert meta["cached"] == (spec["use_cache"] and key in stored)
+                if spec["use_cache"] and not meta["trivial"]:
+                    stored.add(key)
+                    lookups += 1
+            counts = service.results.stats()
+            assert counts.hits + counts.misses == lookups
+    finally:
+        service.close()
+        twin.close()

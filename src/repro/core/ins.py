@@ -38,7 +38,6 @@ from repro.core.base import LSCRAlgorithm, satisfying_vertices
 from repro.core.close import CloseMap, F, N, T
 from repro.core.query import LSCRQuery
 from repro.exceptions import IndexingError
-from repro.graph.csr import base_graph
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.index.local_index import LocalIndex, build_local_index
 from repro.resilience.deadline import current_deadline
@@ -124,7 +123,7 @@ class INS(LSCRAlgorithm):
         super().__init__(graph)
         if index is None:
             index = build_local_index(graph)
-        if base_graph(index.graph) is not base_graph(graph):
+        if not index.graph.shares_interning(graph):
             # A graph and its frozen CSR snapshots intern identically, so
             # an index built against either answers for both.
             raise IndexingError("the local index was built for a different graph")

@@ -49,7 +49,8 @@ class FrozenGraphError(GraphError):
     """A mutation was attempted on a frozen graph snapshot.
 
     :class:`~repro.graph.csr.FrozenGraph` objects are immutable CSR
-    snapshots; mutate the source graph and ``freeze()`` again.
+    snapshots; mutate a ``copy()`` and ``freeze()`` it, or ``derive()``
+    the next snapshot from an update batch.
     """
 
 

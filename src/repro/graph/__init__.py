@@ -1,7 +1,7 @@
 """Knowledge-graph substrate: labeled multigraph, labels, schema, IO."""
 
 from repro.graph.builder import GraphBuilder
-from repro.graph.csr import CsrDirection, FrozenGraph, base_graph, freeze_graph
+from repro.graph.csr import CsrDirection, FrozenGraph, freeze_graph
 from repro.graph.labeled_graph import Edge, KnowledgeGraph
 from repro.graph.labels import LabelUniverse, iter_mask_bits, mask_is_subset, popcount
 from repro.graph.rdf import (
@@ -32,7 +32,6 @@ __all__ = [
     "RDFS_DOMAIN",
     "RDFS_RANGE",
     "RDFS_SUBCLASS_OF",
-    "base_graph",
     "copy_graph",
     "freeze_graph",
     "degree_histogram",

@@ -22,40 +22,43 @@ read-optimized twin the query service traverses instead:
   vertices whose labels all fall *inside* it hand back their whole
   target tuple without allocating;
 * **shared interning** — vertex ids, label ids, names, the schema, the
-  edge set and the per-label edge lists are the *same objects* as the
-  source graph's, so a frozen graph is drop-in compatible with every id
-  computed before freezing (indexes, cached constraints, planner keys).
+  edge set and the per-label edge lists are taken over from the graph
+  that was frozen, not copied, so a frozen graph is drop-in compatible
+  with every id computed before freezing (indexes, cached constraints,
+  planner keys).
 
 ``FrozenGraph`` subclasses ``KnowledgeGraph``: read APIs not overridden
-here (degrees, id/name mapping, ``has_edge``, ``edges_with_label``, ...)
-run unchanged on the shared structures, while the mutation APIs raise
-:class:`~repro.exceptions.FrozenGraphError` — a snapshot answers for the
-graph as it was at :func:`freeze_graph` time.  The source graph must not
-be mutated while its snapshot serves (the service's existing
-immutability contract: the set-backed reads — ``has_edge``,
-``labels_between``, degrees, the fingerprint — are the source's own);
-re-freezing after mutations builds a fresh snapshot.
+here (degrees, id/name mapping, ``has_edge``, ``edges_with_label``, the
+fingerprint, ...) run unchanged on those structures, while the mutation
+APIs raise :class:`~repro.exceptions.FrozenGraphError`.  A snapshot
+holds no dict rows and no reference to the graph it was frozen from; it
+shares that graph's containers, so the graph must not be mutated while
+its snapshot serves (re-freezing after mutations cuts a fresh snapshot).
 
-**Patched snapshots.**  Rows are tuples and never written after they
-are cut, so a snapshot can be built *from* an older one: the three
-per-vertex lists are shallow-copied (C speed), rows the source wrote
-since are re-cut, appended vertices are cut, and every other row is the
-very same object in both snapshots.  That is what keeps an epoch swap
-proportional to its batch (:meth:`KnowledgeGraph.freeze
-<repro.graph.labeled_graph.KnowledgeGraph.freeze>` decides when a
-previous snapshot is usable and which rows are dirty); a from-scratch
-freeze is the same routine with every row dirty.
+**Derived snapshots.**  Rows are tuples and never written after they are
+cut, so an update batch makes the next snapshot *from* the serving one
+(:meth:`FrozenGraph.derive`): the top-level containers are copied, the
+batch is applied to them and to the rows it touches — thawed from the
+parent's — those rows and appended vertices are re-cut, and every other
+row is the very same object in both snapshots.  That keeps an epoch swap
+proportional to its batch in the rows, and no mutable graph is ever kept
+beside the served one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Hashable, Iterator
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 
 from repro.exceptions import FrozenGraphError
 from repro.graph.labeled_graph import Edge, KnowledgeGraph, Rows
 from repro.graph.labels import iter_mask_bits
+from repro.obs.trace import span
 
-__all__ = ["FrozenGraph", "CsrDirection", "freeze_graph", "base_graph"]
+__all__ = ["FrozenGraph", "CsrDirection", "freeze_graph"]
+
+#: A batch's net effect as id triples: ``(added, removed)`` — present
+#: only after it, present only before it.
+EdgeChange = tuple[frozenset[Edge], frozenset[Edge]]
 
 #: Shared empty sequence for mask-rejected expansions (no per-call allocation).
 _EMPTY: tuple[int, ...] = ()
@@ -82,12 +85,10 @@ class CsrDirection:
     should be built as a view per row, so that it inherits the sharing
     below.
 
-    ``CsrDirection(adjacency)`` cuts every row.  ``CsrDirection(
-    adjacency, base, dirty)`` starts from ``base``'s lists and re-cuts
-    only ``dirty`` and the vertices ``base`` does not have: all other
-    cells are shared with ``base`` — same objects, safe because neither
-    side can write them.  ``rows_recut`` / ``rows_shared`` say how the
-    rows of this direction came about.
+    ``CsrDirection(adjacency)`` cuts every row; :meth:`derive` re-cuts
+    only the rows a batch wrote and shares every other cell with its
+    parent — same objects, safe because neither side can write them.
+    ``rows_recut`` / ``rows_shared`` say how the rows came about.
     """
 
     __slots__ = (
@@ -97,37 +98,37 @@ class CsrDirection:
         "rows_recut",
     )
 
-    def __init__(
-        self,
-        adjacency: Rows,
-        base: "CsrDirection | None" = None,
-        dirty: Collection[int] = (),
-    ) -> None:
+    def __init__(self, adjacency: Rows) -> None:
         size = len(adjacency)
-        if base is None:
-            self.masks: list[int] = [0] * size
-            self.all_targets: list[tuple[int, ...]] = [_EMPTY] * size
-            self.groups: list[tuple[tuple[int, tuple[int, ...]], ...]] = (
-                [_EMPTY] * size
-            )
-            recut: Collection[int] = range(size)
-        else:
-            appended = range(len(base.masks), size)
-            self.masks = base.masks + [0] * len(appended)
-            self.all_targets = base.all_targets + [_EMPTY] * len(appended)
-            self.groups = base.groups + [_EMPTY] * len(appended)
-            recut = {*dirty, *appended}
-        self._cut_rows(adjacency, recut)
-        self.rows_recut = len(recut)
+        self.masks: list[int] = [0] * size
+        self.all_targets: list[tuple[int, ...]] = [_EMPTY] * size
+        self.groups: list[tuple[tuple[int, tuple[int, ...]], ...]] = [_EMPTY] * size
+        self._cut_rows(adjacency, range(size))
+        self.rows_recut = size
+
+    def derive(
+        self, edits: Mapping[int, dict[int, list[int]]], size: int
+    ) -> "CsrDirection":
+        """This direction grown to ``size`` rows, with ``edits`` — the
+        whole new row of every vertex a batch wrote — re-cut.  Appended
+        vertices the batch did not write get the empty row."""
+        child = CsrDirection.__new__(CsrDirection)
+        appended = size - len(self.masks)
+        child.masks = self.masks + [0] * appended
+        child.all_targets = self.all_targets + [_EMPTY] * appended
+        child.groups = self.groups + [_EMPTY] * appended
+        child._cut_rows(edits, edits)
+        child.rows_recut = len(edits.keys() | range(len(self.masks), size))
+        return child
 
     @property
     def rows_shared(self) -> int:
-        """Rows that are ``base``'s own objects (0 when cut from scratch)."""
+        """Rows that are the parent's own objects (0 when cut from scratch)."""
         return len(self.masks) - self.rows_recut
 
-    def _cut_rows(self, adjacency: Rows, rows: Collection[int]) -> None:
+    def _cut_rows(self, adjacency, rows: Iterable[int]) -> None:
         """Cut ``rows`` of ``adjacency`` into the three lists — the one
-        place a row is made, at boot (every row) and on a patch alike."""
+        place a row is made, at boot (every row) and on a derive alike."""
         masks, all_targets, groups = self.masks, self.all_targets, self.groups
         for vid in rows:
             per_vertex = adjacency[vid]
@@ -199,12 +200,34 @@ class CsrDirection:
         return cls(adjacency)
 
 
+class _ThawedRows(dict):
+    """The rows of one direction a derivation writes, keyed by vertex:
+    each is thawed into a mutable dict row from the parent's groups on
+    first touch (an appended vertex starts empty)."""
+
+    __slots__ = ("_groups",)
+
+    def __init__(self, parent: CsrDirection) -> None:
+        super().__init__()
+        self._groups = parent.groups
+
+    def __missing__(self, vid: int) -> dict[int, list[int]]:
+        groups = self._groups
+        row = self[vid] = (
+            {label_id: list(ids) for label_id, ids in groups[vid]}
+            if vid < len(groups)
+            else {}
+        )
+        return row
+
+
 class FrozenGraph(KnowledgeGraph):
     """Read-only CSR snapshot of a :class:`KnowledgeGraph`.
 
-    Construct via :meth:`KnowledgeGraph.freeze` / :func:`freeze_graph`.
-    Ids, names, labels and the schema are shared with ``source``, so any
-    id-keyed structure built against the source (a local index, cached
+    Construct via :meth:`KnowledgeGraph.freeze` / :func:`freeze_graph`,
+    or from another snapshot with :meth:`derive`.  Ids, names, labels
+    and the schema are those of the graph it was frozen from, so any
+    id-keyed structure built against that graph (a local index, cached
     candidate lists, planner keys) remains valid against the snapshot.
 
     >>> g = KnowledgeGraph()
@@ -214,45 +237,27 @@ class FrozenGraph(KnowledgeGraph):
     [1]
     """
 
-    __slots__ = ("source", "_csr_out", "_csr_in")
+    __slots__ = ("_csr_out", "_csr_in")
 
-    def __init__(
-        self,
-        source: KnowledgeGraph,
-        base: "FrozenGraph | None" = None,
-        dirty_out: Collection[int] = (),
-        dirty_in: Collection[int] = (),
-    ) -> None:
-        """Cut ``source``'s rows — all of them, or with ``base`` (an
-        earlier snapshot that differs from ``source`` in no row outside
-        ``dirty_out`` / ``dirty_in`` and the vertices appended since)
-        only those."""
-        if isinstance(source, FrozenGraph):
-            source = source.source
-        # Deliberately no super().__init__(): every base slot is bound to
-        # the *source's* structures so inherited read methods answer for
-        # the same graph, ids included.
-        self.source = source
-        self.name = source.name
-        self.schema = source.schema
-        self._labels = source._labels
-        self._vertex_ids = source._vertex_ids
-        self._vertex_names = source._vertex_names
-        self._out = source._out
-        self._in = source._in
-        self._out_degree = source._out_degree
-        self._in_degree = source._in_degree
-        self._edge_set = source._edge_set
-        self._by_label = source._by_label
-        self._label_edge_count = source._label_edge_count
-        self._frozen = None  # never consulted: freeze() returns self
-        self._mutations = source._mutations
-        if base is None:
-            self._csr_out = CsrDirection(source._out)
-            self._csr_in = CsrDirection(source._in)
-        else:
-            self._csr_out = CsrDirection(source._out, base._csr_out, dirty_out)
-            self._csr_in = CsrDirection(source._in, base._csr_in, dirty_in)
+    def __init__(self, graph: KnowledgeGraph) -> None:
+        """Cut every row of ``graph`` and take over its other containers."""
+        # Deliberately no super().__init__(): every base slot but the
+        # rows is bound to ``graph``'s structures, uncopied, so inherited
+        # read methods answer for the same graph, ids included.
+        self.name = graph.name
+        self.schema = graph.schema
+        self._labels = graph._labels
+        self._vertex_ids = graph._vertex_ids
+        self._vertex_names = graph._vertex_names
+        self._out_degree = graph._out_degree
+        self._in_degree = graph._in_degree
+        self._edge_set = graph._edge_set
+        self._by_label = graph._by_label
+        self._label_edge_count = graph._label_edge_count
+        self._mutations = graph._mutations
+        self._edge_acc = graph._edge_acc
+        self._csr_out = CsrDirection(graph._out)
+        self._csr_in = CsrDirection(graph._in)
 
     def __repr__(self) -> str:
         return (
@@ -261,55 +266,111 @@ class FrozenGraph(KnowledgeGraph):
         )
 
     # ------------------------------------------------------------------
+    # the next snapshot
+    # ------------------------------------------------------------------
+
+    def derive(
+        self, updates: Iterable[tuple[Hashable, str, Hashable, str]]
+    ) -> tuple["FrozenGraph", dict[str, int], EdgeChange]:
+        """The snapshot after ``updates``, this one left as it is.
+
+        Each update is ``(source, label, target, op)`` with ``op`` in
+        ``{"add", "remove"}``, applied in order: an add-then-remove of
+        one edge nets to absent.  An add interns unknown names and
+        labels; a remove of an unknown name or label, like one of an
+        absent edge, is a miss that interns nothing.  The top-level
+        containers are copied, the batch goes through the same edge
+        bookkeeping as :meth:`KnowledgeGraph.add_edge_ids` /
+        :meth:`~KnowledgeGraph.remove_edge_ids`, and only the rows it
+        wrote, plus appended vertices, are re-cut; every other row is
+        this snapshot's own object.
+
+        Returns the new snapshot, the batch's counts (``added``,
+        ``duplicates``, ``removed``, ``missing``, ``vertices_added``)
+        and its net change: the id triples present only after it and
+        those present only before it.
+        """
+        child = FrozenGraph.__new__(FrozenGraph)
+        with span("copy"):
+            self._copy_into(child)
+        out_rows, in_rows = _ThawedRows(self._csr_out), _ThawedRows(self._csr_in)
+        vertex_ids, labels = child._vertex_ids, child._labels
+        touched: set[Edge] = set()
+        counts = dict.fromkeys(("added", "duplicates", "removed", "missing"), 0)
+
+        def vertex(name: Hashable) -> int:
+            vid = vertex_ids.get(name)
+            return child._new_vertex(name) if vid is None else vid
+
+        updates = list(updates)
+        with span("apply", edges=len(updates)) as apply_span:
+            for source, label, target, op in updates:
+                if op == "add":
+                    edge = (vertex(source), labels.intern(label), vertex(target))
+                    done = child._link(out_rows, in_rows, *edge)
+                    counts["added" if done else "duplicates"] += 1
+                else:
+                    edge = child._edge_ids(source, label, target)
+                    done = edge is not None and child._unlink(out_rows, in_rows, *edge)
+                    counts["removed" if done else "missing"] += 1
+                if done:
+                    touched.add(edge)
+            counts["vertices_added"] = child.num_vertices - self.num_vertices
+            apply_span.set(**counts)
+        with span("freeze") as freeze_span:
+            size = child.num_vertices
+            child._csr_out = self._csr_out.derive(out_rows, size)
+            child._csr_in = self._csr_in.derive(in_rows, size)
+            freeze_span.set(rows_recut=child.rows_recut, rows_shared=child.rows_shared)
+        before, after = self._edge_set, child._edge_set
+        change = (
+            frozenset(e for e in touched if e in after and e not in before),
+            frozenset(e for e in touched if e in before and e not in after),
+        )
+        return child, counts, change
+
+    # ------------------------------------------------------------------
     # snapshots are immutable
     # ------------------------------------------------------------------
 
     def add_vertex(self, name: Hashable) -> int:
         raise FrozenGraphError(
             f"cannot add vertex {name!r}: this graph is a frozen snapshot; "
-            "mutate the source graph and freeze() again"
+            "mutate a copy() or derive() the next snapshot"
         )
 
     def add_edge(self, source: Hashable, label: str, target: Hashable) -> bool:
         raise FrozenGraphError(
             f"cannot add edge ({source!r}, {label!r}, {target!r}): this graph "
-            "is a frozen snapshot; mutate the source graph and freeze() again"
+            "is a frozen snapshot; mutate a copy() or derive() the next snapshot"
         )
 
     def add_edge_ids(self, s: int, label_id: int, t: int) -> bool:
         raise FrozenGraphError(
             f"cannot add edge ({s}, {label_id}, {t}): this graph is a frozen "
-            "snapshot; mutate the source graph and freeze() again"
+            "snapshot; mutate a copy() or derive() the next snapshot"
         )
 
     def remove_edge(self, source: Hashable, label: str, target: Hashable) -> bool:
         raise FrozenGraphError(
             f"cannot remove edge ({source!r}, {label!r}, {target!r}): this "
-            "graph is a frozen snapshot; mutate the source graph and "
-            "freeze() again"
+            "graph is a frozen snapshot; mutate a copy() or derive() the "
+            "next snapshot"
         )
 
     def remove_edge_ids(self, s: int, label_id: int, t: int) -> bool:
         raise FrozenGraphError(
             f"cannot remove edge ({s}, {label_id}, {t}): this graph is a "
-            "frozen snapshot; mutate the source graph and freeze() again"
+            "frozen snapshot; mutate a copy() or derive() the next snapshot"
         )
 
-    def copy(self, name: str | None = None) -> KnowledgeGraph:
-        """A mutable copy of the *source* graph (snapshots don't copy)."""
-        return self.source.copy(name=name)
+    def _row_items(self) -> tuple[Iterable, Iterable]:
+        """Rows as ``(label_id, ids)`` pairs, for :meth:`copy`."""
+        return self._csr_out.groups, self._csr_in.groups
 
     def freeze(self) -> "FrozenGraph":
         """A frozen graph is its own snapshot."""
         return self
-
-    def content_fingerprint(self) -> str:
-        """The source's digest (it keeps the running accumulator)."""
-        return self.source.content_fingerprint()
-
-    def scan_fingerprint(self) -> str:
-        """The source's digest, recomputed from its edges."""
-        return self.source.scan_fingerprint()
 
     @property
     def rows_recut(self) -> int:
@@ -318,7 +379,7 @@ class FrozenGraph(KnowledgeGraph):
 
     @property
     def rows_shared(self) -> int:
-        """Rows (out + in) that are the previous snapshot's own objects."""
+        """Rows (out + in) that are the parent snapshot's own objects."""
         return self._csr_out.rows_shared + self._csr_in.rows_shared
 
     # ------------------------------------------------------------------
@@ -412,12 +473,3 @@ class FrozenGraph(KnowledgeGraph):
 def freeze_graph(graph: KnowledgeGraph) -> FrozenGraph:
     """``graph.freeze()`` as a function (idempotent on snapshots)."""
     return graph.freeze()
-
-
-def base_graph(graph: KnowledgeGraph) -> KnowledgeGraph:
-    """The mutable source under ``graph`` (itself when not frozen).
-
-    Identity checks like "was this index built for this graph?" must
-    treat a graph and its snapshots as one graph.
-    """
-    return getattr(graph, "source", graph)

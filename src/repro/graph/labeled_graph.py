@@ -41,10 +41,6 @@ Rows = list[dict[int, list[int]]]
 
 _MASK64 = (1 << 64) - 1
 
-#: ``_frozen`` key of a snapshot taken over from the origin of a copy:
-#: no mutation count equals it, so it is patched from, never returned.
-_INHERITED = -1
-
 
 def _edge_accumulator(edges: Iterable[Edge]) -> int:
     """The content fingerprint's order-insensitive 64-bit sum over ``edges``.
@@ -67,20 +63,6 @@ def _edge_accumulator(edges: Iterable[Edge]) -> int:
         mixed = (mixed * 0xBF58476D1CE4E5B9) & _MASK64
         accumulator += mixed ^ mixed >> 27
     return accumulator & _MASK64
-
-
-def _writable_row(rows: Rows, owned: set[int] | None, v: int) -> dict[int, list[int]]:
-    """Row ``v`` of ``rows``, privatised first if it is still shared.
-
-    ``owned`` is None for a graph that never took part in a
-    :meth:`KnowledgeGraph.copy` (every row is its own); otherwise it
-    names the rows already privatised since the last copy.
-    """
-    if owned is None or v in owned:
-        return rows[v]
-    row = rows[v] = {label_id: list(ids) for label_id, ids in rows[v].items()}
-    owned.add(v)
-    return row
 
 
 class KnowledgeGraph:
@@ -114,10 +96,6 @@ class KnowledgeGraph:
         "_label_edge_count",
         "_frozen",
         "_mutations",
-        "_owned_out",
-        "_owned_in",
-        "_dirty_out",
-        "_dirty_in",
         "_edge_acc",
     )
 
@@ -136,25 +114,14 @@ class KnowledgeGraph:
         self._by_label: dict[int, list[tuple[int, int]]] = {}
         self._label_edge_count: dict[int, int] = {}
         #: Last CSR snapshot, keyed by the mutation count it was taken
-        #: at (:data:`_INHERITED` for the origin's snapshot a copy starts
-        #: from, which it may patch but never hand out).  Size tuples are
-        #: NOT a safe key: a removal followed by an insertion leaves
-        #: every size unchanged while the adjacency differs, and a stale
-        #: snapshot would silently answer for the old graph.
+        #: at.  Size tuples are NOT a safe key: a removal followed by an
+        #: insertion leaves every size unchanged while the adjacency
+        #: differs, and a stale snapshot would silently answer for the
+        #: old graph.
         self._frozen: tuple[int, "KnowledgeGraph"] | None = None
         #: Monotonic structural-mutation counter; bumped by every
         #: effective vertex intern, edge insertion and edge removal.
         self._mutations = 0
-        #: Rows privatised since the last :meth:`copy` on either side of
-        #: it; None while this graph shares no row with another.
-        self._owned_out: set[int] | None = None
-        self._owned_in: set[int] | None = None
-        #: Rows written since the ``_frozen`` snapshot was cut — what the
-        #: next :meth:`freeze` re-cuts; None exactly when ``_frozen`` is.
-        #: Not the same set as ``_owned_*``: a copy of a mutated,
-        #: unfrozen copy owns nothing yet inherits every dirty row.
-        self._dirty_out: set[int] | None = None
-        self._dirty_in: set[int] | None = None
         #: Running edge accumulator of :meth:`content_fingerprint`; None
         #: until the first call pays the full scan.
         self._edge_acc: int | None = None
@@ -211,10 +178,9 @@ class KnowledgeGraph:
         Slot for slot the graph that :meth:`add_edge` over the same
         triples in the same order builds — ids, row order, per-label
         order, degrees, counts and :attr:`mutation_count` — in one loop
-        with the interning and bookkeeping inlined.  A fresh graph shares
-        no row and has no snapshot, so no write barrier is needed.
-        ``triples`` is consumed lazily: a loader can stream a file
-        through it without holding the lines.
+        with the interning and bookkeeping inlined.  ``triples`` is
+        consumed lazily: a loader can stream a file through it without
+        holding the lines.
         """
         graph = cls(name, schema)
         vertex_ids = graph._vertex_ids
@@ -273,11 +239,15 @@ class KnowledgeGraph:
         existing = self._vertex_ids.get(name)
         if existing is not None:
             return existing
+        self._out.append({})
+        self._in.append({})
+        return self._new_vertex(name)
+
+    def _new_vertex(self, name: Hashable) -> int:
+        """Intern ``name``, known to be new, everywhere but in the rows."""
         vid = len(self._vertex_names)
         self._vertex_ids[name] = vid
         self._vertex_names.append(name)
-        self._out.append({})
-        self._in.append({})
         self._out_degree.append(0)
         self._in_degree.append(0)
         self._mutations += 1
@@ -292,13 +262,40 @@ class KnowledgeGraph:
 
     def add_edge_ids(self, s: int, label_id: int, t: int) -> bool:
         """Add an edge by pre-interned ids; returns False for duplicates."""
+        return self._link(self._out, self._in, s, label_id, t)
+
+    def remove_edge(self, source: Hashable, label: str, target: Hashable) -> bool:
+        """Remove edge ``(source, label, target)`` by *name*; False if absent.
+
+        Unknown vertex names or labels simply yield False — removal of a
+        fact that was never asserted is a no-op, mirroring how
+        :meth:`add_edge` treats duplicates.
+        """
+        edge = self._edge_ids(source, label, target)
+        return edge is not None and self.remove_edge_ids(*edge)
+
+    def remove_edge_ids(self, s: int, label_id: int, t: int) -> bool:
+        """Remove an edge by pre-interned ids; returns False when absent.
+
+        Vertices are never removed (ids must stay dense and stable for
+        every id-keyed structure built against the graph); only the edge
+        and its derived bookkeeping go.
+        """
+        return self._unlink(self._out, self._in, s, label_id, t)
+
+    # The one edge bookkeeping.  ``out_rows[s]`` / ``in_rows[t]`` are the
+    # dict rows to write: this graph's own, or the rows an update batch
+    # thaws from a snapshot (:meth:`repro.graph.csr.FrozenGraph.derive`);
+    # everything else — edge set, degrees, per-label lists and counts,
+    # the fingerprint accumulator, the mutation count — is ``self``'s.
+
+    def _link(self, out_rows, in_rows, s: int, label_id: int, t: int) -> bool:
         edge = (s, label_id, t)
         if edge in self._edge_set:
             return False
         self._edge_set.add(edge)
-        out_row, in_row = self._rows_to_write(s, t)
-        out_row.setdefault(label_id, []).append(t)
-        in_row.setdefault(label_id, []).append(s)
+        out_rows[s].setdefault(label_id, []).append(t)
+        in_rows[t].setdefault(label_id, []).append(s)
         self._out_degree[s] += 1
         self._in_degree[t] += 1
         self._by_label.setdefault(label_id, []).append((s, t))
@@ -308,48 +305,12 @@ class KnowledgeGraph:
         self._mutations += 1
         return True
 
-    def _rows_to_write(self, s: int, t: int) -> tuple[dict, dict]:
-        """``(_out[s], _in[t])`` made safe to write — the one write barrier.
-
-        Marks both rows dirty relative to the snapshot the next
-        :meth:`freeze` patches, and privatises each if it is still
-        shared with the other side of a :meth:`copy`.
-        """
-        if self._dirty_out is not None:
-            self._dirty_out.add(s)
-            self._dirty_in.add(t)
-        return (
-            _writable_row(self._out, self._owned_out, s),
-            _writable_row(self._in, self._owned_in, t),
-        )
-
-    def remove_edge(self, source: Hashable, label: str, target: Hashable) -> bool:
-        """Remove edge ``(source, label, target)`` by *name*; False if absent.
-
-        Unknown vertex names or labels simply yield False — removal of a
-        fact that was never asserted is a no-op, mirroring how
-        :meth:`add_edge` treats duplicates.
-        """
-        if label not in self._labels:
-            return False
-        s = self._vertex_ids.get(source)
-        t = self._vertex_ids.get(target)
-        if s is None or t is None:
-            return False
-        return self.remove_edge_ids(s, self._labels.id_of(label), t)
-
-    def remove_edge_ids(self, s: int, label_id: int, t: int) -> bool:
-        """Remove an edge by pre-interned ids; returns False when absent.
-
-        Vertices are never removed (ids must stay dense and stable for
-        every id-keyed structure built against the graph); only the edge
-        and its derived bookkeeping go.
-        """
+    def _unlink(self, out_rows, in_rows, s: int, label_id: int, t: int) -> bool:
         edge = (s, label_id, t)
         if edge not in self._edge_set:
             return False
         self._edge_set.discard(edge)
-        out_row, in_row = self._rows_to_write(s, t)
+        out_row, in_row = out_rows[s], in_rows[t]
         targets = out_row[label_id]
         targets.remove(t)
         if not targets:
@@ -373,6 +334,19 @@ class KnowledgeGraph:
             self._edge_acc = (self._edge_acc - _edge_accumulator((edge,))) & _MASK64
         self._mutations += 1
         return True
+
+    def _edge_ids(
+        self, source: Hashable, label: str, target: Hashable
+    ) -> Edge | None:
+        """The id triple of a name-level edge whose names and label are
+        all known, present or not; None otherwise."""
+        if label not in self._labels:
+            return None
+        s = self._vertex_ids.get(source)
+        t = self._vertex_ids.get(target)
+        if s is None or t is None:
+            return None
+        return (s, self._labels.id_of(label), t)
 
     # ------------------------------------------------------------------
     # id <-> name
@@ -537,13 +511,8 @@ class KnowledgeGraph:
 
     def has_edge_named(self, source: Hashable, label: str, target: Hashable) -> bool:
         """Edge membership by names; unknown names/labels simply yield False."""
-        if label not in self._labels:
-            return False
-        s = self._vertex_ids.get(source)
-        t = self._vertex_ids.get(target)
-        if s is None or t is None:
-            return False
-        return self.has_edge(s, self._labels.id_of(label), t)
+        edge = self._edge_ids(source, label, target)
+        return edge is not None and edge in self._edge_set
 
     def out_degree(self, vid: int) -> int:
         """Number of outgoing edges of ``vid``."""
@@ -605,38 +574,32 @@ class KnowledgeGraph:
         return self._mutations
 
     def copy(self, name: str | None = None) -> "KnowledgeGraph":
-        """An independent, mutable copy sharing ids — and rows — with this graph.
+        """An independent, mutable copy with the same vertex and label ids.
 
-        Vertex and label ids are preserved (the copy is built from the
-        same interning order), so indexes and cached id-keyed structures
-        built against this graph describe the copy too — until the copy
-        is mutated, which is the point: this is the copy-on-write step
-        of an epoch swap.  The schema object is shared (read-only by
-        convention).
-
-        Cost is a handful of C-speed shallow copies, not a walk of the
-        adjacency: the top-level lists, the edge set, the per-label edge
-        lists and the interning tables are real copies, but the
-        per-vertex ``_out[v]`` / ``_in[v]`` rows are *shared* with this
-        graph, and whichever side first writes a row privatises it
-        (:meth:`_rows_to_write`).  Neither side ever observes the
-        other's writes.  The copy also inherits what makes its first
-        :meth:`freeze` and :meth:`content_fingerprint` proportional to
-        what it changes: this graph's snapshot with the rows written
-        since it was cut, and the running edge accumulator.
+        The copy is built from the same interning order, so indexes and
+        cached id-keyed structures built against this graph describe the
+        copy too — until the copy is mutated.  The schema object is
+        shared (read-only by convention); everything else, rows
+        included, is copied, so neither graph ever observes the other's
+        writes.  The running fingerprint accumulator is handed on.
         """
         clone = KnowledgeGraph.__new__(KnowledgeGraph)
-        clone.name = self.name if name is None else name
+        self._copy_into(clone)
+        if name is not None:
+            clone.name = name
+        out_rows, in_rows = self._row_items()
+        clone._out = [{label: list(ids) for label, ids in row} for row in out_rows]
+        clone._in = [{label: list(ids) for label, ids in row} for row in in_rows]
+        clone._frozen = None
+        return clone
+
+    def _copy_into(self, clone: "KnowledgeGraph") -> None:
+        """Give ``clone`` copies of everything but the adjacency rows."""
+        clone.name = self.name
         clone.schema = self.schema
         clone._labels = self._labels.copy()
         clone._vertex_ids = dict(self._vertex_ids)
         clone._vertex_names = list(self._vertex_names)
-        clone._out = list(self._out)
-        clone._in = list(self._in)
-        # Every row now has two holders, so both sides start over with
-        # nothing privatised.
-        self._owned_out, self._owned_in = set(), set()
-        clone._owned_out, clone._owned_in = set(), set()
         clone._out_degree = list(self._out_degree)
         clone._in_degree = list(self._in_degree)
         clone._edge_set = set(self._edge_set)
@@ -644,18 +607,25 @@ class KnowledgeGraph:
             label_id: list(pairs) for label_id, pairs in self._by_label.items()
         }
         clone._label_edge_count = dict(self._label_edge_count)
-        if self._frozen is None:
-            clone._frozen = clone._dirty_out = clone._dirty_in = None
-        else:
-            # The dirty sets travel with the snapshot they are relative
-            # to: empty when this graph's snapshot is current, and this
-            # graph's own unfrozen writes when it is not.
-            clone._frozen = (_INHERITED, self._frozen[1])
-            clone._dirty_out = set(self._dirty_out)
-            clone._dirty_in = set(self._dirty_in)
         clone._mutations = self._mutations
         clone._edge_acc = self._edge_acc
-        return clone
+
+    def _row_items(self) -> tuple[Iterable, Iterable]:
+        """Both directions' rows as ``(label_id, ids)`` pair iterables."""
+        return (
+            (row.items() for row in self._out),
+            (row.items() for row in self._in),
+        )
+
+    def shares_interning(self, other: "KnowledgeGraph") -> bool:
+        """Whether ``other`` is this graph or a snapshot of it.
+
+        A graph and its :meth:`freeze` snapshots hold one interning
+        table, so an id-keyed structure built against either (a local
+        index) answers for both; a copy or an update's derived snapshot
+        holds its own.
+        """
+        return other._vertex_ids is self._vertex_ids
 
     def content_fingerprint(self) -> str:
         """A cheap, deterministic digest of the graph's exact content.
@@ -668,10 +638,12 @@ class KnowledgeGraph:
         same-size graphs collide only with ~2⁻⁶⁴ accidental hash
         probability, never systematically.
 
-        The first call scans every edge; from then on
-        :meth:`add_edge_ids` / :meth:`remove_edge_ids` keep the
-        accumulator (and :meth:`copy` hands it on), so each later call —
-        one per epoch swap — costs O(|L|) for the label names.
+        The first call scans every edge; from then on the edge
+        bookkeeping keeps the accumulator (:meth:`add_edge_ids` /
+        :meth:`remove_edge_ids`, and an update's
+        :meth:`~repro.graph.csr.FrozenGraph.derive`), and :meth:`copy`,
+        :meth:`freeze` and a derive hand it on, so each later call — one
+        per epoch swap — costs O(|L|) for the label names.
         :meth:`scan_fingerprint` is the from-scratch value the running
         one is audited against.
         """
@@ -705,42 +677,19 @@ class KnowledgeGraph:
     def freeze(self) -> "KnowledgeGraph":
         """A read-optimized CSR snapshot of this graph.
 
-        Returns a :class:`~repro.graph.csr.FrozenGraph` sharing this
-        graph's interning, schema and edge set (vertex and label ids are
-        identical).  The snapshot is cached: repeated calls return the
-        same object until the graph mutates (tracked by
-        :attr:`mutation_count`, so a removal+insertion that leaves every
-        size unchanged still re-freezes), after which a fresh snapshot
-        is built.
-
-        A fresh snapshot is cut from scratch only when there is nothing
-        to start from.  Otherwise it is *patched* from the previous one
-        — this graph's own, or the one its origin held at :meth:`copy`
-        time: rows not written since are the same tuple objects, and
-        only written rows and appended vertices are re-cut.  See
+        Returns a :class:`~repro.graph.csr.FrozenGraph` that takes over
+        this graph's interning, schema, edge set, degrees and per-label
+        lists without copying them (vertex and label ids are identical)
+        and cuts every row.  The snapshot keeps no reference to this
+        graph.  It is cached: repeated calls return the same object
+        until the graph mutates (tracked by :attr:`mutation_count`, so a
+        removal+insertion that leaves every size unchanged still
+        re-freezes), after which a fresh snapshot is cut.  See
         :mod:`repro.graph.csr` for layout and the immutability contract.
         """
         from repro.graph.csr import FrozenGraph  # deferred: csr imports us
 
         version = self._mutations
-        previous = self._frozen
-        if previous is None:
-            snapshot = FrozenGraph(self)
-        elif previous[0] == version:
-            return previous[1]
-        else:
-            snapshot = FrozenGraph(self, previous[1], self._dirty_out, self._dirty_in)
-        self._frozen = (version, snapshot)
-        self._dirty_out, self._dirty_in = set(), set()
-        return snapshot
-
-    def release_snapshot(self) -> None:
-        """Forget the cached snapshot: the next :meth:`freeze` (or a
-        copy's) cuts every row afresh.
-
-        A graph and its snapshot refer to each other, so a retired
-        builder that keeps its snapshot keeps both alive until a full
-        garbage collection; releasing it leaves the snapshot to
-        reference counting once its last reader is done.
-        """
-        self._frozen = self._dirty_out = self._dirty_in = None
+        if self._frozen is None or self._frozen[0] != version:
+            self._frozen = (version, FrozenGraph(self))
+        return self._frozen[1]

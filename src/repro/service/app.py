@@ -8,10 +8,11 @@ requests:
   of a frozen graph and everything derived from it, behind a single
   atomic reference.  The graph is *never mutated in place*, which is
   what makes lock-free concurrent answering sound; live updates
-  (:meth:`QueryService.apply_updates`, ``POST /edges``) instead copy
-  the graph (sharing every adjacency row the batch does not write) and
-  publish a whole new epoch, while in-flight queries finish on the old
-  one.  This module decides *when* an epoch is replaced and stores it
+  (:meth:`QueryService.apply_updates`, ``POST /edges``) instead derive
+  the next snapshot from the serving one (sharing every adjacency row
+  the batch does not write) and publish a whole new epoch, while
+  in-flight queries finish on the old one.  This module decides *when*
+  an epoch is replaced and stores it
   (:meth:`QueryService._publish_epoch`); *how* the next one follows
   from the serving one — what is shared, carried, rebuilt or dropped —
   is :meth:`GraphEpoch.derive <repro.service.epoch.GraphEpoch.derive>`'s
@@ -64,7 +65,7 @@ from repro.exceptions import (
     SparqlError,
     WalReplayError,
 )
-from repro.graph.csr import base_graph, freeze_graph
+from repro.graph.csr import freeze_graph
 from repro.graph.io import load_tsv
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.index.local_index import LocalIndex
@@ -83,7 +84,6 @@ from repro.service.cache import CandidateCache, ConstraintCache, ResultCache
 from repro.service.epoch import (
     GraphEpoch,
     IndexSource,
-    net_change,
     normalize_edge_updates,
     validate_edge_updates,
 )
@@ -506,21 +506,21 @@ class QueryService:
         "remove"}``.  Items apply *in order*, so an add-then-remove of
         the same edge nets to absent and the reverse to present.
 
-        Copy-on-write end to end, at the cost of the batch rather than
-        of the graph: the current epoch's base graph is copied with its
-        adjacency rows shared (:meth:`KnowledgeGraph.copy`), the batch
-        is applied to the copy, which privatises just the rows it
-        writes (new vertices and labels intern as needed for additions;
+        Copy-on-write end to end, at the cost of the batch in the rows:
+        the serving snapshot derives the next one
+        (:meth:`FrozenGraph.derive <repro.graph.csr.FrozenGraph.derive>`
+        — new vertices and labels intern as needed for additions;
         duplicate adds and missing removes are counted, not errors —
         removal of an unknown name never interns anything, so a miss
-        leaves the graph's content fingerprint untouched), and the next
-        epoch is derived from the serving one, the copy and the source
-        vertex of every edge the batch really changed
+        leaves the graph's content fingerprint untouched; only the rows
+        the batch wrote are re-cut), and the next epoch is derived from
+        the serving one, that snapshot and the batch's net change
         (:meth:`GraphEpoch.derive <repro.service.epoch.GraphEpoch.derive>`
         — ``rows_recut`` and ``index`` in the summary say what that
         cost: an indexed service's new epoch builds its index on its
         first forced-INS read, ``"index": "deferred"``; cached entries
-        stay behind with the old epoch).
+        stay behind with the old epoch).  No mutable graph is copied,
+        written or kept.
         :meth:`_prepare_epoch` lets a sharded topology stage the swap on
         its workers, and :meth:`_publish_epoch` replaces ``self._epoch``
         in one atomic store.  Readers never block: queries in flight
@@ -535,10 +535,10 @@ class QueryService:
 
         Returns a JSON-ready summary (new epoch id, add/duplicate/
         remove/missing counts, rows re-cut, index action).  The whole
-        batch is applied or — on a validation error raised before any
-        copying, or a prepare refused by the topology — none of it;
-        failures after copying cannot corrupt serving state because only
-        the copy was touched.
+        batch is applied or — on a validation error raised before the
+        derivation, or a prepare refused by the topology — none of it;
+        failures after it cannot corrupt serving state because the
+        serving snapshot is never written.
         """
         updates = normalize_edge_updates(edges)
         if not updates:
@@ -546,7 +546,7 @@ class QueryService:
         with self._update_lock:
             started = perf_counter()
             old = self._epoch
-            # No-op batches skip the copy/derive/publish entirely — and
+            # No-op batches skip the derive/publish entirely — and
             # the epoch bump, which keeps "same epoch" equivalent to
             # "same content" for the snapshot identity.  A batch is a
             # no-op when every add is a duplicate and every remove a
@@ -564,41 +564,10 @@ class QueryService:
                     edges_duplicate=duplicates,
                     edges_missing=len(updates) - duplicates,
                 )
-            with span("copy"):
-                base = base_graph(old.graph).copy()
-            vertices_before = base.num_vertices
-            added = removed = duplicates = missing = 0
-            with span("apply", edges=len(updates)) as apply_span:
-                for source, label, target, op in updates:
-                    if op == "add":
-                        s_id = base.add_vertex(source)
-                        t_id = base.add_vertex(target)
-                        label_id = base.labels.intern(label)
-                        if base.add_edge_ids(s_id, label_id, t_id):
-                            added += 1
-                        else:
-                            duplicates += 1
-                    elif base.remove_edge(source, label, target):
-                        removed += 1
-                    else:
-                        missing += 1
-                vertices_added = base.num_vertices - vertices_before
-                apply_span.set(
-                    added=added,
-                    duplicates=duplicates,
-                    removed=removed,
-                    missing=missing,
-                    vertices_added=vertices_added,
-                )
-            new_epoch = old.derive(
-                base, old.epoch_id + 1, net_change(old.graph, base, updates)
-            )
+            graph, counts, change = old.graph.derive(updates)
+            new_epoch = old.derive(graph, old.epoch_id + 1, change)
             staged = self._prepare_epoch(new_epoch, updates)
             fields = self._publish_epoch(new_epoch, staged)
-            # Updates copy the current builder only, so the retired one is
-            # never copied again: without its snapshot, the old pair dies
-            # with the last reader of the old epoch.
-            base_graph(old.graph).release_snapshot()
             if self._wal is not None:
                 # Append-after-publish: the record carries the epoch the
                 # batch *produced*, and fsyncs before the ack leaves.
@@ -613,12 +582,12 @@ class QueryService:
             return self._update_summary(
                 new_epoch,
                 started,
-                edges_added=added,
-                edges_duplicate=duplicates,
-                edges_removed=removed,
-                edges_missing=missing,
-                vertices_added=vertices_added,
-                rows_recut=new_epoch.graph.rows_recut,
+                edges_added=counts["added"],
+                edges_duplicate=counts["duplicates"],
+                edges_removed=counts["removed"],
+                edges_missing=counts["missing"],
+                vertices_added=counts["vertices_added"],
+                rows_recut=graph.rows_recut,
                 **new_epoch.derivation,
                 **fields,
             )
@@ -729,7 +698,7 @@ class QueryService:
                 graph.content_fingerprint(),
                 expected_fingerprint,
             )
-            new_epoch = self._epoch.derive(graph, epoch_id)
+            new_epoch = self._epoch.derive(freeze_graph(graph), epoch_id)
             self._publish_epoch(new_epoch, self._prepare_epoch(new_epoch, None))
 
     @staticmethod

@@ -40,6 +40,12 @@ cached answers      shared       ``heir()``: empty, same          ``heir()``: em
                                  counters                         same counters
 ==================  ===========  ===============================  ===================
 
+The graph itself is the one structure an epoch never derives: a batch
+hands it the next snapshot, already derived from the serving one
+(:meth:`FrozenGraph.derive <repro.graph.csr.FrozenGraph.derive>`), and
+no epoch holds a mutable graph beside it.  Only epoch 0 and a
+replacement freeze a graph.
+
 Same snapshot, same answers.  A known change moves ``V(S, G)`` only at
 the vertices of matches that use a changed edge
 (:meth:`~repro.constraints.substructure.SubstructureConstraint.carried_vertices`),
@@ -75,9 +81,8 @@ from threading import Lock
 from typing import TYPE_CHECKING
 
 from repro.approx.bounds import BoundsIndex, build_bounds
-from repro.constraints.substructure import EdgeIds
 from repro.exceptions import BadRequestError
-from repro.graph.csr import FrozenGraph, freeze_graph
+from repro.graph.csr import EdgeChange, FrozenGraph, freeze_graph
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.index.local_index import LocalIndex
 from repro.index.storage import load_or_build_index
@@ -93,7 +98,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "GraphEpoch",
     "IndexSource",
-    "net_change",
     "normalize_edge_updates",
     "validate_edge_updates",
 ]
@@ -104,10 +108,6 @@ EdgeUpdate = tuple[str, str, str, str]
 
 #: Operations an update batch may carry per edge.
 EDGE_OPS = ("add", "remove")
-
-#: A batch's net effect as id triples: ``(added, removed)`` — present
-#: only after it, present only before it.
-EdgeChange = tuple[frozenset[EdgeIds], frozenset[EdgeIds]]
 
 @dataclass(frozen=True)
 class IndexSource:
@@ -222,9 +222,10 @@ class GraphEpoch:
     ) -> "GraphEpoch":
         """Epoch 0: ``graph`` frozen, ``index`` as given — an index (ids
         are shared between a graph and its snapshot, so one built or
-        loaded against the source stays valid) or where the first read
+        loaded against the builder stays valid) or where the first read
         gets it — everything else built new."""
-        frozen = _freeze(graph)
+        with span("freeze"):
+            frozen = freeze_graph(graph)
         size = options.cache_size  # 0: V(S, G) is not memoised either
         return cls(
             0,
@@ -239,20 +240,20 @@ class GraphEpoch:
 
     def derive(
         self,
-        graph: KnowledgeGraph,
+        frozen: FrozenGraph,
         epoch_id: int,
         change: EdgeChange | None = None,
     ) -> "GraphEpoch":
-        """Assemble — without storing — the epoch that serves ``graph``
+        """Assemble — without storing — the epoch that serves ``frozen``
         after this one, by the module docstring's rules.
 
-        ``graph`` is this epoch's own snapshot (a renumbering, a new
-        shard topology) or any other graph: a patched copy that differs
-        from this one by exactly the ``change`` — ``(added, removed)``
-        id triples, net of the batch — or, ``change`` None, a
-        replacement about which nothing is known.
+        ``frozen`` is this epoch's own snapshot (a renumbering, a new
+        shard topology) or any other snapshot: one derived from this
+        epoch's by a batch whose net ``change`` — ``(added, removed)``
+        id triples — is given
+        (:meth:`FrozenGraph.derive <repro.graph.csr.FrozenGraph.derive>`),
+        or, ``change`` None, a replacement about which nothing is known.
         """
-        frozen = _freeze(graph)
         constraints, options = self.planner.constraints, self.options
         if frozen is self.graph:
             # _source before _index: a concurrent first read stores the
@@ -368,16 +369,6 @@ def _index_action(index: LocalIndex | IndexSource | None) -> str:
     return "none" if index is None else "unchanged"
 
 
-def _freeze(graph: KnowledgeGraph) -> FrozenGraph:
-    """``graph``'s snapshot: itself if frozen, else patched from its origin's."""
-    with span("freeze") as freeze_span:
-        frozen = freeze_graph(graph)
-        freeze_span.set(
-            rows_recut=frozen.rows_recut, rows_shared=frozen.rows_shared
-        )
-    return frozen
-
-
 def _bounds(
     graph: FrozenGraph,
     options: ServiceOptions,
@@ -482,21 +473,3 @@ def normalize_edge_updates(edges: object) -> list[EdgeUpdate]:
             )
         updates.append(parts)  # type: ignore[arg-type]
     return updates
-
-
-def net_change(
-    old: KnowledgeGraph, new: KnowledgeGraph, updates: list[EdgeUpdate]
-) -> EdgeChange:
-    """What ``updates`` really changed between ``old`` and ``new`` (the
-    copy they were applied to, sharing ``old``'s ids): the id triples of
-    the batch present only in ``new`` and those present only in ``old``.
-    Each triple is probed on both graphs, so an add and a remove of one
-    edge in one batch cancel out."""
-    added: set[EdgeIds] = set()
-    removed: set[EdgeIds] = set()
-    for source, label, target, _ in updates:
-        after = new.has_edge_named(source, label, target)
-        if after != old.has_edge_named(source, label, target):
-            edge = (new.vid(source), new.labels.id_of(label), new.vid(target))
-            (added if after else removed).add(edge)
-    return frozenset(added), frozenset(removed)

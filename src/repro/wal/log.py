@@ -59,7 +59,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.exceptions import WalCorruptionError, WalReplayError
-from repro.graph.csr import base_graph
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.utils.persist import atomic_write_json, fsync_directory
 
@@ -112,8 +111,7 @@ def snapshot_document(
     disagreement raises :class:`~repro.exceptions.WalReplayError`
     instead of producing a snapshot no replica could ever verify.
     """
-    base = base_graph(graph)
-    rescanned = base.scan_fingerprint()
+    rescanned = graph.scan_fingerprint()
     if rescanned != fingerprint:
         raise WalReplayError(
             f"refusing to snapshot epoch {epoch}: fingerprint {fingerprint} "
@@ -125,10 +123,10 @@ def snapshot_document(
         "epoch": epoch,
         "fingerprint": fingerprint,
         "graph": {
-            "name": base.name,
-            "vertices": list(base.vertex_names()),
-            "labels": list(base.labels.names()),
-            "edges": [list(edge) for edge in base.edges()],
+            "name": graph.name,
+            "vertices": list(graph.vertex_names()),
+            "labels": list(graph.labels.names()),
+            "edges": [list(edge) for edge in graph.edges()],
         },
     }
 

@@ -69,8 +69,8 @@ class TestFrozenAlgorithmAgreement:
             UIS(frozen),
             UISStar(frozen),
             UISStar(frozen, candidate_cache=CandidateCache()),
-            # The index was built on the dict graph; base_graph unwrapping
-            # must accept it against the snapshot.
+            # The index was built on the dict graph; the snapshot shares
+            # its interning, so INS must accept it.
             INS(frozen, index),
             INS(frozen, index, candidate_cache=CandidateCache()),
             MeetSearch(frozen),

@@ -17,7 +17,7 @@ import pytest
 
 from repro.datasets.synthetic import random_labeled_graph
 from repro.exceptions import FrozenGraphError
-from repro.graph import FrozenGraph, KnowledgeGraph, base_graph, freeze_graph
+from repro.graph import FrozenGraph, KnowledgeGraph, freeze_graph
 
 SEEDS = list(range(12))
 
@@ -129,9 +129,9 @@ class TestFreezeSemantics:
         graph, frozen = make_pair(0)
         assert isinstance(frozen, FrozenGraph)
         assert isinstance(frozen, KnowledgeGraph)
-        assert frozen.source is graph
-        assert base_graph(frozen) is graph
-        assert base_graph(graph) is graph
+        assert graph.shares_interning(frozen) and frozen.shares_interning(graph)
+        assert not graph.shares_interning(graph.copy())
+        assert not hasattr(frozen, "_out") and not hasattr(frozen, "_in")
         assert frozen.labels is graph.labels
         assert frozen.schema is graph.schema
         assert frozen.name == graph.name
@@ -203,11 +203,6 @@ class TestFreezeSemantics:
         assert sorted(clone.edges()) == sorted(graph.edges())
         clone.add_edge("only-in-clone", "l0", "n0")
         assert not graph.has_vertex("only-in-clone")
-
-    def test_freezing_a_frozen_source_unwraps(self):
-        graph, frozen = make_pair(4)
-        rewrapped = FrozenGraph(frozen)
-        assert rewrapped.source is graph
 
     def test_empty_graph_freezes(self):
         empty = KnowledgeGraph("empty")

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.approx import build_bounds
-from repro.graph.csr import FrozenGraph, base_graph
+from repro.graph.csr import FrozenGraph
 from repro.graph.io import dump_tsv
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
@@ -175,7 +175,7 @@ def test_every_route_publishes_the_same_epoch_shape(route, tmp_path):
         if epoch.index is not None:
             # A graph and its snapshot share ids and count as one graph
             # (the same identity INS checks its index against).
-            assert base_graph(epoch.index.graph) is base_graph(graph)
+            assert epoch.index.graph.shares_interning(graph)
         # Bounds describe this snapshot (reset_epoch carries the same
         # snapshot's bounds over, which is the same claim).
         fresh = build_bounds(graph, seed=0)

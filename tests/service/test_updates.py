@@ -32,7 +32,6 @@ from repro.exceptions import (
     ServiceConfigError,
 )
 from repro.graph import FrozenGraph, KnowledgeGraph
-from repro.graph.csr import base_graph
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.service.registry import TenantRegistry
@@ -186,9 +185,10 @@ class TestApplyUpdates:
             service.close()
 
     def test_retired_snapshots_die_without_a_full_collection(self):
-        """Neither a retired builder nor an index read on an old epoch
+        """Neither a retired snapshot nor an index read on an old epoch
         may keep an old graph alive: with the cyclic collector off, a chain of
-        updates leaves only the current snapshot and its builder."""
+        updates leaves only the current snapshot — no mutable graph
+        beside it."""
         service = make_service(indexed=True)
         gc.collect()
         gc.disable()
@@ -196,7 +196,7 @@ class TestApplyUpdates:
             for target in ("s2", "s3", "s4"):
                 service.apply_updates([("s", "go", target)])
             alive = {id(o) for o in gc.get_objects() if isinstance(o, KnowledgeGraph)}
-            assert alive == {id(service.graph), id(base_graph(service.graph))}
+            assert alive == {id(service.graph)}
         finally:
             gc.enable()
             service.close()

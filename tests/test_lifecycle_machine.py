@@ -61,7 +61,6 @@ from repro.core.algorithms import ALGORITHMS as REGISTERED
 from repro.core.naive import NaiveTwoProcedure
 from repro.core.query import LSCRQuery
 from repro.exceptions import ShardUnavailableError
-from repro.graph.csr import base_graph
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.index.local_index import LocalIndex, build_local_index
 from repro.service.app import QueryService
@@ -282,7 +281,7 @@ class LifecycleMachine(RuleBasedStateMachine):
         fresh = IndexSource(None, options.landmark_count, options.seed).read(
             epoch.graph
         )
-        assert base_graph(index.graph) is base_graph(epoch.graph)
+        assert index.graph.shares_interning(epoch.graph)
         assert tables(index) == tables(fresh), epoch
 
     def ask(self, source, goal, labels, constraint, algorithm, use_cache):

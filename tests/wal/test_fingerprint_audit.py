@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import WalReplayError
-from repro.graph.csr import base_graph
 from repro.graph.io import dump_tsv
 from repro.service.app import QueryService
 from repro.wal import TenantWal, WalFollower, recover_service
@@ -29,7 +28,7 @@ def drift(service: QueryService) -> None:
     """Corrupt the live graph's running accumulator; the content and
     the already stamped epoch are untouched, every later epoch inherits
     the error."""
-    graph = base_graph(service.epoch.graph)
+    graph = service.epoch.graph
     graph.content_fingerprint()  # make sure the running value exists
     graph._edge_acc += DRIFT
 

@@ -3,7 +3,9 @@
 Hammers an HTTP endpoint with ``--clients`` concurrent threads for
 ``--duration`` seconds, then prints per-endpoint throughput and
 client-side latency percentiles (p50/p90/p99) — the numbers that size a
-thread pool (``serve --workers``) or a shard count (``serve --shards``).
+shard count (``serve --shards``) and its batch member pool
+(``serve --shards N --workers W``; a plain server answers batch members
+in the request thread).
 Each client alternates ``POST /query`` and ``POST /batch`` requests
 (ratio set by ``--batch-every``), cycling a workload of specs with the
 result cache bypassed so every request does real work.

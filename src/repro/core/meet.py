@@ -21,7 +21,12 @@ already holds:
   out-edge (or a target without an in-edge) under ``L`` is this plan's
   empty-frontier case: the router's O(1) pre-tests answer it first, and
   agree.  Each vertex is marked at most once per side, which is Theorem
-  4.5's "passed at most twice" and its ``O(|V| + |E|)``.
+  4.5's "passed at most twice" and its ``O(|V| + |E|)``.  When ``s`` or
+  ``t`` is itself in ``V(S, G)`` every ``s ⇝ t`` path passes a
+  satisfying vertex, so the query is plain label-constrained
+  reachability: the sides meet at the first vertex both reach, whether
+  it satisfies or not, and the witness's satisfying vertex is that
+  endpoint (``s`` when both are).
 * **legs** — with a tiny ``V(S, G)`` the two searches above can only
   meet *at* those few vertices, which degenerates to growing both whole
   closures; there, for each candidate ``v``, two plain
@@ -239,10 +244,18 @@ class MeetSearch(LSCRAlgorithm):
         if len(candidates) > LEGS_MAX_CANDIDATES:
             if members is None:
                 members = frozenset(candidates)     # no cache: built for this call
-            meeting = search(source, target, members)
+            # An endpoint in V(S, G) lies on every s ⇝ t path, so the
+            # query is plain L-reachability: the sides may meet anywhere.
+            endpoint = next((v for v in (source, target) if v in members), None)
+            meeting = search(
+                source, target, members if endpoint is None else None
+            )
             if meeting is None:
                 return finish(None)
-            return finish(meeting[0], _hops(source, target, meeting))
+            return finish(
+                meeting[0] if endpoint is None else endpoint,
+                _hops(source, target, meeting),
+            )
         for v in candidates:
             legs += 1
             first = search(source, v, None)

@@ -28,8 +28,9 @@ requests:
   a forced ``uis*`` / ``ins`` session shares its shuffle rng, whose
   interleaving affects traversal-order telemetry, never answers);
 * a process-wide :class:`ConstraintCache` (parsing is graph-independent);
-* a :class:`BatchExecutor` for ``POST /batch`` fan-out and a
-  :class:`ServiceStats` ledger for ``GET /stats``.
+* a :class:`BatchExecutor` for the ``POST /batch`` members that need
+  an evaluator — serial in the request thread here, a member pool on a
+  sharded service — and a :class:`ServiceStats` ledger for ``GET /stats``.
 
 Two API levels are exposed.  :meth:`query` / :meth:`query_batch` take
 Python values and return ``(QueryResult, meta)`` pairs;
@@ -212,8 +213,15 @@ class QueryService:
             threshold_ms=options.slow_ms, max_entries=options.slow_log_size
         )
         self.constraints = ConstraintCache()
-        self.executor = BatchExecutor(
-            max_workers=options.max_workers, persistent=True
+        #: Runs the batch members that need an evaluator.  A plain
+        #: service's evaluators never wait (bar a ``V(S, G)`` leader,
+        #: and under the GIL another thread could not use that wait), so
+        #: they run in the request thread; a sharded service's members
+        #: wait on shard workers, so they share a pool.
+        self.executor = (
+            BatchExecutor(options.max_workers, persistent=True)
+            if self.sharded
+            else BatchExecutor(max_workers=1)
         )
         self.stats = ServiceStats()
         # Everything graph-bound lives in one GraphEpoch behind a single
@@ -330,7 +338,7 @@ class QueryService:
         return DEFAULT_ALGORITHM
 
     def close(self) -> None:
-        """Release pooled resources (the persistent batch thread pool).
+        """Release pooled resources (a sharded service's batch pool).
 
         Called when a tenant is removed from a
         :class:`~repro.service.registry.TenantRegistry`.  Idempotent,
@@ -385,14 +393,14 @@ class QueryService:
         member whose key the result cache does not hold is planned
         (:meth:`_plan`).  Then every member the result cache or the
         planner can answer is settled right here, in the request
-        thread: a lookup handed to the pool costs a submit and two lock
-        hand-offs to do one dict probe under the same GIL.  Only the
-        members left over — the ones that need an evaluator — go to the
-        :class:`BatchExecutor`, which is there to overlap members that
-        *wait* (scatter rounds, a ``V(S, G)`` leader), and their
-        result-cache lookup is not repeated.  A member that repeats one
-        of those is looked up after the pool has stored its answer, so a
-        batch evaluates what it may cache once.  A
+        thread.  The members left over — the ones that need an
+        evaluator — go to :attr:`executor`, and their result-cache
+        lookup is not repeated.  On a plain service that is the request
+        thread too: its evaluators do not wait, and under the GIL a pool
+        would only add hand-offs.  A sharded service's members wait on
+        scatter rounds, so there a pool overlaps them.  A member that
+        repeats one of those is looked up after the executor has stored
+        its answer, so a batch evaluates what it may cache once.  A
         per-spec ``use_cache`` key overrides the batch-level flag for
         that query only.
         """
@@ -424,10 +432,9 @@ class QueryService:
         self.stats.record_batch()
         answered: list = [None] * len(plans)
         waiting = []
-        #: Keys the pool is about to store an answer for, and the later
-        #: members of this batch that ask the same thing: their one
-        #: lookup waits until that answer is in, as it would have found
-        #: it when every member looked up on the pool.
+        #: Keys the executor is about to store an answer for, and the
+        #: later members of this batch that ask the same thing: their
+        #: one lookup waits until that answer is in.
         storing: set = set()
         repeats = []
         for position, (plan, item_cache) in enumerate(plans):

@@ -6,14 +6,17 @@ per-query state (``close`` maps, checkers, heaps) is created inside each
 members of a batch can run on a ``ThreadPoolExecutor`` with no locking
 at all.  What the pool buys is *overlap of waiting*, not parallel
 search: the evaluators are Python, and under the interpreter lock eight
-searches on eight threads take as long as eight in a row.  A member
-waits when its answer is produced elsewhere — a scatter round on shard
-workers, a ``V(S, G)`` another thread is already computing (the
-candidate cache's leader) — and while it waits another member runs.
-Work that never waits does not come here: the service settles members
-the planner or the result cache can answer in the request thread
-(:meth:`QueryService.query_batch`), because a lookup handed to the pool
-costs a submit and two lock hand-offs to perform one dict probe.
+searches on eight threads take as long as eight in a row — longer, in
+fact, by the hand-offs.  A member waits when its answer is produced
+elsewhere — a scatter round on shard workers — and while it waits
+another member runs.  So only a sharded service
+(:class:`~repro.shard.ShardedQueryService`) keeps a persistent pool for
+its batch members; a plain :class:`~repro.service.app.QueryService`
+holds a ``max_workers=1`` executor, which runs its members in the
+request thread (its evaluators wait only on a ``V(S, G)`` leader,
+which another thread could not use under the interpreter lock), and
+settles the members the planner or the result cache can answer there
+too (:meth:`QueryService.query_batch`).
 :class:`BatchExecutor` packages the pattern:
 
 * **order preservation** — results come back positionally aligned with
@@ -23,7 +26,8 @@ costs a submit and two lock hand-offs to perform one dict probe.
   session's shared constraint cache *before* handing them out, so each
   distinct constraint text in the batch is parsed exactly once;
 * **degenerate batches stay serial** — empty and single-element
-  batches, and ``max_workers=1``, skip thread-pool setup entirely, so
+  batches, and ``max_workers=1`` (a plain service's executor), skip
+  thread-pool setup entirely and trace as ``mode="serial"``, so
   :meth:`LSCRSession.answer_many` costs nothing extra for small inputs.
 
 Exceptions raised by any query propagate to the caller (the service

@@ -117,7 +117,6 @@ OPTIONS: tuple[Option, ...] = (
     Option("seed", int, 0, flag="--seed"),
     Option("cache_size", int, DEFAULT_CACHE_SIZE, ge=0, flag="--cache-size",
            help="result-cache LRU size"),
-    Option("max_workers", int, ge=1, flag="--workers", help="batch thread count"),
     # Refuse larger POST /batch and POST /edges bodies: a memory guard
     # an embedding application may move, not a tuning knob with a flag.
     Option("max_batch", int, 4096, ge=1),
@@ -145,6 +144,12 @@ OPTIONS: tuple[Option, ...] = (
            "coordinator with N in-process shard workers ({default:g} = "
            "unsharded); the workers are also exposed at /shard/<id>/... for "
            "remote coordinators"),
+    # A plain service answers a batch's members in the request thread;
+    # only a sharded one, whose members wait on shard workers, pools them.
+    Option("max_workers", int, ge=1, requires="shards", flag="--workers",
+           sharding=True,
+           help="threads answering a batch's members on a sharded service "
+           "(requires --shards)"),
     Option("worker_urls", list, requires="shards", flag="--worker-url",
            metavar="URL", sharding=True,
            help="attach a remote shard worker (a 'serve --worker' process) "

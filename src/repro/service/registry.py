@@ -199,8 +199,8 @@ class TenantRegistry:
         """Drop a tenant; in-flight requests holding its service finish.
 
         Raises :class:`UnknownTenantError` when absent.  The removed
-        service is :meth:`~QueryService.close`\\ d to release its batch
-        thread pool.
+        service is :meth:`~QueryService.close`\\ d to release a sharded
+        service's batch member pool.
         """
         with self._lock:
             entry = self._entries.pop(name, None)

@@ -32,6 +32,9 @@ from tests.helpers import graph_from_edges
 MARKED = SubstructureConstraint.from_sparql("SELECT ?x WHERE { ?x <mark> flag . }")
 VERTICES = [f"v{i}" for i in range(12)]
 LABELS = ["a", "b", "c"]
+#: Examples per property: tier-1's, or the ``differential`` profile's
+#: when that is larger (CI's seeded deeper run).
+EXAMPLES = max(150, settings.default.max_examples)
 PLANS = {
     "legs": st.integers(0, LEGS_MAX_CANDIDATES),
     "meet": st.integers(LEGS_MAX_CANDIDATES + 1, len(VERTICES)),
@@ -83,17 +86,21 @@ def cases(draw, plan):
     satisfying = draw(
         st.lists(st.sampled_from(VERTICES), min_size=size, max_size=size, unique=True)
     )
+    ends = [draw(st.sampled_from(VERTICES)), draw(st.sampled_from(VERTICES))]
+    if satisfying and draw(st.booleans()):
+        # An endpoint in V(S, G): the meet plan's plain-reachability case.
+        endpoint = draw(st.sampled_from(ends))
+        if endpoint not in satisfying:
+            satisfying[0] = endpoint
     for source, label, target in marked(*satisfying):
         graph.add_edge(source, label, target)
     labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, unique=True))
-    return graph, LSCRQuery.create(
-        draw(st.sampled_from(VERTICES)), draw(st.sampled_from(VERTICES)), labels, MARKED
-    )
+    return graph, LSCRQuery.create(*ends, labels, MARKED)
 
 
 class TestAgreesWithTheOracles:
     @pytest.mark.parametrize("plan", sorted(PLANS))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     @given(data=st.data())
     def test_verdict_and_witness_on_random_graphs(self, plan, data):
         graph, query = data.draw(cases(plan))
@@ -101,7 +108,7 @@ class TestAgreesWithTheOracles:
 
 
     @pytest.mark.parametrize("plan", sorted(PLANS))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=EXAMPLES * 2 // 5, deadline=None)
     @given(data=st.data())
     def test_router_pre_tests_are_the_empty_frontier_case(self, plan, data):
         """Where the router's O(1) tests say No — ``s`` has no out-edge
@@ -198,6 +205,34 @@ class TestShapes:
     def test_reached_candidate_that_cannot_reach_the_target(self, shape):
         edges = [("s", "go", "c"), ("s", "go", "a"), ("a", "go", "t")]
         assert ask(shape(edges, "c"), "s", "t").answer is False
+
+
+class TestEndpointInVSG:
+    """Meet plan, ``s`` or ``t`` in ``V(S, G)``: plain reachability, and
+    the witness's satisfying vertex is that endpoint.  ``TestShapes``
+    holds ``s``, ``t`` and ``s == t`` alone; these are the rest."""
+
+    EDGES = [("s", "go", "a"), ("a", "go", "t")]
+
+    def ask(self, edges, *satisfying):
+        graph = graph_from_edges([*edges, *marked(*satisfying, *BYSTANDERS)])
+        return checked(graph, LSCRQuery.create("s", "t", ["go"], MARKED), "meet")
+
+    def test_both_endpoints_satisfy_and_the_source_is_named(self):
+        witness = self.ask(self.EDGES, "s", "t").witness
+        assert witness.vertices() == ("s", "a", "t")
+        assert witness.satisfying_vertex == "s"
+
+    def test_the_sides_meet_outside_vsg(self):
+        # Both fans are big; the sides meet at `a`, which does not
+        # satisfy, before the backward side ever reaches `s`.
+        edges = [*self.EDGES, *(("s", "go", f"f{i}") for i in range(6))]
+        edges += [(f"d{i}", "go", "t") for i in range(6)]
+        result = self.ask(edges, "s")
+        assert result.witness.vertices() == ("s", "a", "t")
+        # s, its seven out-neighbours and t.  Meeting only at V(S, G)
+        # would walk every d_i too, before meeting at s: 15.
+        assert result.passed_vertices == 9
 
 
 class TestSingleCandidate:

@@ -42,7 +42,6 @@ VALID = {
     "landmark_count": (2, {}),
     "seed": (7, {}),
     "cache_size": (5, {}),
-    "max_workers": (2, {}),
     "max_batch": (9, {}),
     "trace_sample": (0.5, {}),
     "slow_ms": (10.0, {}),
@@ -50,6 +49,7 @@ VALID = {
     "max_concurrent": (2, {}),
     "max_queue": (3, {"max_concurrent": 2}),
     "shards": (2, {}),
+    "max_workers": (2, {"shards": 2}),
     "worker_urls": (FLEET, {"shards": 2}),
     "probe_interval": (0.5, {"shards": 2, "worker_urls": FLEET}),
     "scatter_timeout": (1.5, {"shards": 2}),

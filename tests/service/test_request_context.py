@@ -540,7 +540,7 @@ class TestProbeUnderDeadline:
 class TestBatchUnderContext:
     def test_members_hang_their_query_span_under_the_batch_root(self):
         graph = random_labeled_graph(16, 2.0, 3, rng=1, name="batch")
-        service = QueryService(graph, seed=1, max_workers=2)
+        service = QueryService(graph, seed=1)
         try:
             names = [graph.name_of(vid) for vid in range(4)]
             payload = {

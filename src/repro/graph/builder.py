@@ -1,6 +1,6 @@
 """Fluent construction of knowledge graphs with a synchronised schema.
 
-:class:`GraphBuilder` keeps the graph's edge set and the RDFS schema
+:class:`GraphBuilder` keeps the graph's edges and the RDFS schema
 consistent: typing a vertex adds both the ``rdf:type`` edge *and* the
 schema registration, which is what the paper's Figure 2 KG looks like
 (schema statements are ordinary labeled edges that also carry special

@@ -22,14 +22,14 @@ read-optimized twin the query service traverses instead:
   vertices whose labels all fall *inside* it hand back their whole
   target tuple without allocating;
 * **shared interning** — vertex ids, label ids, names, the schema, the
-  edge set and the per-label edge lists are taken over from the graph
+  degrees and the per-label edge counts are taken over from the graph
   that was frozen, not copied, so a frozen graph is drop-in compatible
   with every id computed before freezing (indexes, cached constraints,
-  planner keys).
+  planner keys).  The rows are the only store of an edge.
 
 ``FrozenGraph`` subclasses ``KnowledgeGraph``: read APIs not overridden
-here (degrees, id/name mapping, ``has_edge``, ``edges_with_label``, the
-fingerprint, ...) run unchanged on those structures, while the mutation
+here (degrees, ``has_edge``, ``labels_between``, the fingerprint, ...)
+read the rows through the accessors overridden here, while the mutation
 APIs raise :class:`~repro.exceptions.FrozenGraphError`.  A snapshot
 holds no dict rows and no reference to the graph it was frozen from; it
 shares that graph's containers, so the graph must not be mutated while
@@ -205,14 +205,22 @@ class _ThawedRows(dict):
     each is thawed into a mutable dict row from the parent's groups on
     first touch (an appended vertex starts empty)."""
 
-    __slots__ = ("_groups",)
+    __slots__ = ("_parent",)
 
     def __init__(self, parent: CsrDirection) -> None:
         super().__init__()
-        self._groups = parent.groups
+        self._parent = parent
+
+    def by_label(self, vid: int, label_id: int):
+        """The group as the batch has left it so far, thawing nothing."""
+        row = self.get(vid)
+        if row is not None:
+            return row.get(label_id, _EMPTY)
+        parent = self._parent
+        return parent.by_label(vid, label_id) if vid < len(parent.masks) else _EMPTY
 
     def __missing__(self, vid: int) -> dict[int, list[int]]:
-        groups = self._groups
+        groups = self._parent.groups
         row = self[vid] = (
             {label_id: list(ids) for label_id, ids in groups[vid]}
             if vid < len(groups)
@@ -251,8 +259,6 @@ class FrozenGraph(KnowledgeGraph):
         self._vertex_names = graph._vertex_names
         self._out_degree = graph._out_degree
         self._in_degree = graph._in_degree
-        self._edge_set = graph._edge_set
-        self._by_label = graph._by_label
         self._label_edge_count = graph._label_edge_count
         self._mutations = graph._mutations
         self._edge_acc = graph._edge_acc
@@ -294,8 +300,12 @@ class FrozenGraph(KnowledgeGraph):
         with span("copy"):
             self._copy_into(child)
         out_rows, in_rows = _ThawedRows(self._csr_out), _ThawedRows(self._csr_in)
+        # While the batch applies, the child reads its rows through the
+        # thawed ones: the duplicate test sees the batch and thaws nothing.
+        child._csr_out, child._csr_in = out_rows, in_rows
         vertex_ids, labels = child._vertex_ids, child._labels
-        touched: set[Edge] = set()
+        # edge -> present before the batch (its first effective op removed it)
+        touched: dict[Edge, bool] = {}
         counts = dict.fromkeys(("added", "duplicates", "removed", "missing"), 0)
 
         def vertex(name: Hashable) -> int:
@@ -314,7 +324,7 @@ class FrozenGraph(KnowledgeGraph):
                     done = edge is not None and child._unlink(out_rows, in_rows, *edge)
                     counts["removed" if done else "missing"] += 1
                 if done:
-                    touched.add(edge)
+                    touched.setdefault(edge, op != "add")
             counts["vertices_added"] = child.num_vertices - self.num_vertices
             apply_span.set(**counts)
         with span("freeze") as freeze_span:
@@ -322,10 +332,10 @@ class FrozenGraph(KnowledgeGraph):
             child._csr_out = self._csr_out.derive(out_rows, size)
             child._csr_in = self._csr_in.derive(in_rows, size)
             freeze_span.set(rows_recut=child.rows_recut, rows_shared=child.rows_shared)
-        before, after = self._edge_set, child._edge_set
+        after = child.has_edge
         change = (
-            frozenset(e for e in touched if e in after and e not in before),
-            frozenset(e for e in touched if e in before and e not in after),
+            frozenset(e for e, before in touched.items() if after(*e) and not before),
+            frozenset(e for e, before in touched.items() if before and not after(*e)),
         )
         return child, counts, change
 
@@ -459,15 +469,6 @@ class FrozenGraph(KnowledgeGraph):
     def out_labels(self, vid: int) -> Iterator[int]:
         """Distinct out-labels, ascending (decoded from the vertex mask)."""
         return iter_mask_bits(self._csr_out.masks[vid])
-
-    def labels_between(self, s: int, t: int) -> int:
-        """Mask of labels on direct ``s -> t`` edges via O(1) set probes."""
-        mask = 0
-        edge_set = self._edge_set
-        for label_id in iter_mask_bits(self._csr_out.masks[s]):
-            if (s, label_id, t) in edge_set:
-                mask |= 1 << label_id
-        return mask
 
 
 def freeze_graph(graph: KnowledgeGraph) -> FrozenGraph:

@@ -16,11 +16,11 @@ the SPARQL evaluator):
   directions, so label-constrained expansion (the single most executed
   operation in the paper's algorithms) never touches edges with labels
   outside the constraint mask;
-* ``E`` is a *set* (the paper's definition): duplicate ``(s, l, t)``
-  insertions are ignored, backed by an O(1) membership set that also
-  serves ``has_edge`` for the SPARQL evaluator;
-* per-label edge lists support the evaluator's selectivity ordering and
-  unbound-subject patterns.
+* the rows are the only store of an edge: ``E`` is a *set* (the paper's
+  definition), so a duplicate ``(s, l, t)`` insertion is ignored, and
+  that test, ``has_edge`` and the per-label scans all read the rows;
+  per-label edge *counts* feed the SPARQL evaluator's selectivity
+  ordering.
 """
 
 from __future__ import annotations
@@ -91,8 +91,6 @@ class KnowledgeGraph:
         "_in",
         "_out_degree",
         "_in_degree",
-        "_edge_set",
-        "_by_label",
         "_label_edge_count",
         "_frozen",
         "_mutations",
@@ -110,8 +108,6 @@ class KnowledgeGraph:
         self._in: Rows = []
         self._out_degree: list[int] = []
         self._in_degree: list[int] = []
-        self._edge_set: set[Edge] = set()
-        self._by_label: dict[int, list[tuple[int, int]]] = {}
         self._label_edge_count: dict[int, int] = {}
         #: Last CSR snapshot, keyed by the mutation count it was taken
         #: at.  Size tuples are NOT a safe key: a removal followed by an
@@ -138,7 +134,7 @@ class KnowledgeGraph:
     @property
     def num_edges(self) -> int:
         """``|E|``."""
-        return len(self._edge_set)
+        return sum(self._label_edge_count.values())
 
     @property
     def num_labels(self) -> int:
@@ -176,24 +172,23 @@ class KnowledgeGraph:
         """A fresh graph holding ``(source, label, target)`` name triples.
 
         Slot for slot the graph that :meth:`add_edge` over the same
-        triples in the same order builds — ids, row order, per-label
-        order, degrees, counts and :attr:`mutation_count` — in one loop
-        with the interning and bookkeeping inlined.  ``triples`` is
-        consumed lazily: a loader can stream a file through it without
-        holding the lines.
+        triples in the same order builds — ids, row order, degrees,
+        counts and :attr:`mutation_count` — in one loop with the
+        interning and bookkeeping inlined.  ``triples`` is consumed
+        lazily: a loader can stream a file through it without holding
+        the lines.
         """
         graph = cls(name, schema)
         vertex_ids = graph._vertex_ids
         vertex_names = graph._vertex_names
         out_rows, in_rows = graph._out, graph._in
         out_degree, in_degree = graph._out_degree, graph._in_degree
-        edge_set = graph._edge_set
-        by_label = graph._by_label
         intern_label = graph._labels.intern
-        # label name -> (id, its by_label list); a label is interned at
-        # its first triple, which is always an insertion, so by_label
-        # keys land in id order exactly as add_edge_ids puts them.
-        label_entries: dict[str, tuple[int, list[tuple[int, int]]]] = {}
+        counts = graph._label_edge_count
+        label_ids: dict[str, int] = {}
+        # The duplicate test: one hash per triple, and the set is
+        # dropped on return — the rows are the graph's only edge store.
+        seen: set[Edge] = set()
         for source, label, target in triples:
             s = vertex_ids.get(source)
             if s is None:
@@ -211,27 +206,22 @@ class KnowledgeGraph:
                 in_rows.append({})
                 out_degree.append(0)
                 in_degree.append(0)
-            entry = label_entries.get(label)
-            if entry is None:
-                label_id = intern_label(label)
-                entry = label_entries[label] = (label_id, [])
-                by_label[label_id] = entry[1]
-            label_id, pairs = entry
+            label_id = label_ids.get(label)
+            if label_id is None:
+                label_id = label_ids[label] = intern_label(label)
+                counts[label_id] = 0
             # One hash of the edge tuple, not two: a duplicate leaves
             # the set's size unchanged.
-            size = len(edge_set)
-            edge_set.add((s, label_id, t))
-            if len(edge_set) == size:
+            size = len(seen)
+            seen.add((s, label_id, t))
+            if len(seen) == size:
                 continue
             out_rows[s].setdefault(label_id, []).append(t)
             in_rows[t].setdefault(label_id, []).append(s)
             out_degree[s] += 1
             in_degree[t] += 1
-            pairs.append((s, t))
-        graph._label_edge_count = {
-            label_id: len(pairs) for label_id, pairs in by_label.items()
-        }
-        graph._mutations = len(vertex_names) + len(edge_set)
+            counts[label_id] += 1
+        graph._mutations = len(vertex_names) + len(seen)
         return graph
 
     def add_vertex(self, name: Hashable) -> int:
@@ -286,30 +276,27 @@ class KnowledgeGraph:
     # The one edge bookkeeping.  ``out_rows[s]`` / ``in_rows[t]`` are the
     # dict rows to write: this graph's own, or the rows an update batch
     # thaws from a snapshot (:meth:`repro.graph.csr.FrozenGraph.derive`);
-    # everything else — edge set, degrees, per-label lists and counts,
-    # the fingerprint accumulator, the mutation count — is ``self``'s.
+    # everything else — degrees, per-label counts, the fingerprint
+    # accumulator, the mutation count — is ``self``'s, and so is the
+    # duplicate test, :meth:`has_edge`, which never writes or thaws a row.
 
     def _link(self, out_rows, in_rows, s: int, label_id: int, t: int) -> bool:
-        edge = (s, label_id, t)
-        if edge in self._edge_set:
+        if self.has_edge(s, label_id, t):
             return False
-        self._edge_set.add(edge)
         out_rows[s].setdefault(label_id, []).append(t)
         in_rows[t].setdefault(label_id, []).append(s)
         self._out_degree[s] += 1
         self._in_degree[t] += 1
-        self._by_label.setdefault(label_id, []).append((s, t))
         self._label_edge_count[label_id] = self._label_edge_count.get(label_id, 0) + 1
         if self._edge_acc is not None:
+            edge = (s, label_id, t)
             self._edge_acc = (self._edge_acc + _edge_accumulator((edge,))) & _MASK64
         self._mutations += 1
         return True
 
     def _unlink(self, out_rows, in_rows, s: int, label_id: int, t: int) -> bool:
-        edge = (s, label_id, t)
-        if edge not in self._edge_set:
+        if not self.has_edge(s, label_id, t):
             return False
-        self._edge_set.discard(edge)
         out_row, in_row = out_rows[s], in_rows[t]
         targets = out_row[label_id]
         targets.remove(t)
@@ -321,16 +308,13 @@ class KnowledgeGraph:
             del in_row[label_id]
         self._out_degree[s] -= 1
         self._in_degree[t] -= 1
-        pairs = self._by_label[label_id]
-        pairs.remove((s, t))
-        if not pairs:
-            del self._by_label[label_id]
         remaining = self._label_edge_count[label_id] - 1
         if remaining:
             self._label_edge_count[label_id] = remaining
         else:
             del self._label_edge_count[label_id]
         if self._edge_acc is not None:
+            edge = (s, label_id, t)
             self._edge_acc = (self._edge_acc - _edge_accumulator((edge,))) & _MASK64
         self._mutations += 1
         return True
@@ -498,21 +482,30 @@ class KnowledgeGraph:
         return label_id in self._in[vid]
 
     def edges_with_label(self, label_id: int) -> list[tuple[int, int]]:
-        """All ``(source_id, target_id)`` pairs carrying ``label_id``."""
-        return self._by_label.get(label_id, [])
+        """All ``(source_id, target_id)`` pairs carrying ``label_id``, in
+        source order: one group probe per vertex, O(|V|) plus the pairs."""
+        out_by_label = self.out_by_label
+        return [(s, t) for s in self.vertices() for t in out_by_label(s, label_id)]
 
     # ------------------------------------------------------------------
     # membership / degrees / frequencies
     # ------------------------------------------------------------------
 
     def has_edge(self, s: int, label_id: int, t: int) -> bool:
-        """O(1) edge-set membership by ids."""
-        return (s, label_id, t) in self._edge_set
+        """Edge membership by ids, from the rows: a scan of ``s``'s
+        out-group, or of ``t``'s in-group when that is shorter than an
+        out-group of more than 8 targets (a hub's)."""
+        targets = self.out_by_label(s, label_id)
+        if len(targets) > 8:
+            sources = self.in_by_label(t, label_id)
+            if len(sources) < len(targets):
+                return s in sources
+        return t in targets
 
     def has_edge_named(self, source: Hashable, label: str, target: Hashable) -> bool:
         """Edge membership by names; unknown names/labels simply yield False."""
         edge = self._edge_ids(source, label, target)
-        return edge is not None and edge in self._edge_set
+        return edge is not None and self.has_edge(*edge)
 
     def out_degree(self, vid: int) -> int:
         """Number of outgoing edges of ``vid``."""
@@ -541,16 +534,13 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------
 
     def labels_between(self, s: int, t: int) -> int:
-        """Mask of labels on direct edges from ``s`` to ``t``.
-
-        Answered from ``_edge_set`` with one O(1) membership probe per
-        distinct label on ``s`` — the per-label ``t in targets`` list
-        scans this used to do were quadratic on high-degree vertices.
-        """
+        """Mask of labels on direct edges from ``s`` to ``t``: one
+        :meth:`has_edge` probe per label on both ``s``'s out-edges and
+        ``t``'s in-edges."""
         mask = 0
-        edge_set = self._edge_set
-        for label_id in self._out[s]:
-            if (s, label_id, t) in edge_set:
+        shared = self.out_label_mask(s) & self.in_label_mask(t)
+        for label_id in iter_mask_bits(shared):
+            if self.has_edge(s, label_id, t):
                 mask |= 1 << label_id
         return mask
 
@@ -602,10 +592,6 @@ class KnowledgeGraph:
         clone._vertex_names = list(self._vertex_names)
         clone._out_degree = list(self._out_degree)
         clone._in_degree = list(self._in_degree)
-        clone._edge_set = set(self._edge_set)
-        clone._by_label = {
-            label_id: list(pairs) for label_id, pairs in self._by_label.items()
-        }
         clone._label_edge_count = dict(self._label_edge_count)
         clone._mutations = self._mutations
         clone._edge_acc = self._edge_acc
@@ -648,7 +634,7 @@ class KnowledgeGraph:
         one is audited against.
         """
         if self._edge_acc is None:
-            self._edge_acc = _edge_accumulator(self._edge_set)
+            self._edge_acc = _edge_accumulator(self.edges())
         return self._digest(self._edge_acc)
 
     def scan_fingerprint(self) -> str:
@@ -659,7 +645,7 @@ class KnowledgeGraph:
         compare the two, so the fingerprint stays a check on the graph's
         content rather than on its own bookkeeping.
         """
-        return self._digest(_edge_accumulator(self._edge_set))
+        return self._digest(_edge_accumulator(self.edges()))
 
     def _digest(self, accumulator: int) -> str:
         digest = hashlib.sha256()
@@ -678,9 +664,9 @@ class KnowledgeGraph:
         """A read-optimized CSR snapshot of this graph.
 
         Returns a :class:`~repro.graph.csr.FrozenGraph` that takes over
-        this graph's interning, schema, edge set, degrees and per-label
-        lists without copying them (vertex and label ids are identical)
-        and cuts every row.  The snapshot keeps no reference to this
+        this graph's interning, schema, degrees and per-label counts
+        without copying them (vertex and label ids are identical) and
+        cuts every row.  The snapshot keeps no reference to this
         graph.  It is cached: repeated calls return the same object
         until the graph mutates (tracked by :attr:`mutation_count`, so a
         removal+insertion that leaves every size unchanged still

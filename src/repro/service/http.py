@@ -402,16 +402,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _drain_body(self) -> None:
         """Discard any request body so keep-alive connections stay in
-        sync — unread bytes would be parsed as the next request line."""
+        sync — unread bytes would be parsed as the next request line
+        (a body :meth:`_body_length` refuses closes the connection)."""
         try:
-            remaining = int(self.headers.get("Content-Length", 0))
-        except (TypeError, ValueError):
-            return
-        while remaining > 0:
-            chunk = self.rfile.read(min(remaining, 65536))
-            if not chunk:
-                return
-            remaining -= len(chunk)
+            self.rfile.read(self._body_length())
+        except BadRequestError:
+            pass
 
     def _route(self) -> tuple[str, dict[str, str]]:
         """Split ``self.path`` into (path, query) — query keeps the
@@ -532,19 +528,29 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         plain = error.kind == BadRequestError.kind
         return "not-found" if plain and error.status == 404 else error.kind
 
-    def _read_json_body(self) -> object:
+    def _body_length(self) -> int:
+        """The body's ``Content-Length``.  A body sent chunked, or of an
+        invalid or over-limit length, is refused unread, so the
+        connection closes: its bytes would be parsed as the next request."""
         try:
             length = int(self.headers.get("Content-Length", 0))
         except (TypeError, ValueError):
-            raise BadRequestError("missing or invalid Content-Length") from None
-        if length <= 0:
+            length = -1
+        if 0 <= length <= MAX_BODY_BYTES and not self.headers.get("Transfer-Encoding"):
+            return length
+        self.close_connection = True
+        if length <= MAX_BODY_BYTES:
+            raise BadRequestError("send a valid Content-Length, and no chunks")
+        raise BadRequestError(
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit",
+            status=413,
+        )
+
+    def _read_json_body(self) -> object:
+        length = self._body_length()
+        if length == 0:
             raise BadRequestError("request body is empty; send a JSON object")
-        if length > MAX_BODY_BYTES:
-            raise BadRequestError(
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit",
-                status=413,
-            )
         body = self.rfile.read(length)
         try:
             return json.loads(body)
@@ -588,6 +594,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            # A client that pools connections must not reuse this one.
+            self.send_header("Connection", "close")
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self._headers_buffer += (b"\r\n", body)

@@ -20,6 +20,9 @@ from repro.graph import FrozenGraph, KnowledgeGraph
 #: Names of both kinds a graph may hold.
 VERTICES = ["n0", "n1", "n2", 3, 4, 5]
 LABELS = ["a", "b", "c"]
+#: Every name a membership probe asks about, misses included.
+POOL_VERTICES = VERTICES + ["ghost"]
+POOL_LABELS = LABELS + ["zz"]
 
 OPS = (
     ["add"] * 4
@@ -49,7 +52,7 @@ def state(snapshot: FrozenGraph):
         [list(part) for part in rows(snapshot._csr_in)],
         list(snapshot.vertex_names()),
         list(snapshot.labels.names()),
-        set(snapshot._edge_set),
+        set(snapshot.edges()),
         [snapshot.out_degree(v) for v in snapshot.vertices()],
         [snapshot.in_degree(v) for v in snapshot.vertices()],
         [list(snapshot.edges_with_label(l)) for l in range(snapshot.num_labels)],
@@ -84,6 +87,13 @@ def assert_equals_replay(snapshot: FrozenGraph, twin: FrozenGraph):
             for t in twin.vertices():
                 edge = (s, label_id, t)
                 assert snapshot.has_edge(*edge) == twin.has_edge(*edge)
+        for t in twin.vertices():
+            assert snapshot.labels_between(s, t) == twin.labels_between(s, t)
+    for source in POOL_VERTICES:
+        for label in POOL_LABELS:
+            for target in POOL_VERTICES:
+                edge = (source, label, target)
+                assert snapshot.has_edge_named(*edge) == twin.has_edge_named(*edge)
     assert snapshot.content_fingerprint() == snapshot.scan_fingerprint()
     assert snapshot.content_fingerprint() == twin.content_fingerprint()
 

@@ -1,6 +1,8 @@
 """Tests for the core knowledge-graph structure."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import VertexNotFoundError
 from repro.graph.labeled_graph import KnowledgeGraph
@@ -190,9 +192,11 @@ class TestEdgeRemoval:
         assert small.has_vertex("c")
         assert small.label_frequency(small.label_id("z")) == 0
         # Removing a label's last edge drops its per-label bookkeeping
-        # entirely (no empty stubs left behind).
-        assert small.edges_with_label(small.label_id("z")) == []
-        assert small.label_id("z") not in small._by_label
+        # entirely (no empty stubs left behind in either row).
+        z = small.label_id("z")
+        assert small.edges_with_label(z) == []
+        assert not small.has_out_label(small.vid("c"), z)
+        assert not small.has_in_label(small.vid("a"), z)
 
 
 class TestMutationCount:
@@ -279,3 +283,123 @@ class TestContentFingerprint:
                      ("a", "x", "b")]:
             reordered.add_edge(*edge)
         assert reordered.content_fingerprint() == small.content_fingerprint()
+
+
+#: Vertex and label names the property adds edges between; 12 vertices,
+#: so a fan from one of them is a group of more than 8 targets.
+POOL = ["h", "k", "v0", "v1", "v2", "v3", "v4", "v5", "v6", "v7", 0, 1]
+POOL_LABELS = ["x", "y", "z"]
+#: Names that are never interned: every probe of them is a miss.
+GHOSTS = ["ghost", 2]
+GHOST_LABELS = ["zz"]
+#: Interns every pool name and label, in this order, through edges at a
+#: reserved vertex and label that no operation touches — so a fresh
+#: ``from_triples`` build of the model interns exactly as the graph does.
+SPINE = [("@", "@", v) for v in POOL] + [("@", label, "@") for label in POOL_LABELS]
+
+KINDS = ["add", "add_ids", "remove", "remove_ids", "remove_present",
+         "duplicate", "fan_out", "fan_in"]
+
+
+class TestEdgeBookkeepingAgainstASet:
+    """The mutable graph keeps each edge in its two rows only; every
+    membership, count, scan and fingerprint answer it gives must be the
+    one a plain Python set of its edges gives."""
+
+    @staticmethod
+    def step(graph, model, kind, a, b, c):
+        """Apply one drawn operation to the graph and the model; the
+        graph's return values must be the model's."""
+        vertices, labels = POOL + GHOSTS, POOL_LABELS + GHOST_LABELS
+        source, label, target = POOL[a % 12], POOL_LABELS[b % 3], POOL[c % 12]
+        if kind in ("remove_present", "duplicate") and not model - set(SPINE):
+            return
+        if kind == "add":
+            expected = (source, label, target) not in model
+            assert graph.add_edge(source, label, target) is expected
+            model.add((source, label, target))
+        elif kind == "add_ids":
+            expected = (source, label, target) not in model
+            ids = (graph.vid(source), graph.label_id(label), graph.vid(target))
+            assert graph.add_edge_ids(*ids) is expected
+            model.add((source, label, target))
+        elif kind == "remove":
+            # Misses on unknown names and labels included.
+            edge = (vertices[a % 14], labels[b % 4], vertices[c % 14])
+            assert graph.remove_edge(*edge) is (edge in model)
+            model.discard(edge)
+        elif kind == "remove_ids":
+            expected = (source, label, target) in model
+            ids = (graph.vid(source), graph.label_id(label), graph.vid(target))
+            assert graph.remove_edge_ids(*ids) is expected
+            model.discard((source, label, target))
+        elif kind in ("remove_present", "duplicate"):
+            present = sorted(model - set(SPINE), key=repr)
+            edge = present[a % len(present)]
+            if kind == "remove_present":
+                assert graph.remove_edge(*edge) is True
+                model.discard(edge)
+            else:
+                assert graph.add_edge(*edge) is False
+        elif kind == "fan_out":
+            for vertex in POOL:  # self-loop included
+                expected = (source, label, vertex) not in model
+                assert graph.add_edge(source, label, vertex) is expected
+                model.add((source, label, vertex))
+        else:  # fan_in
+            for vertex in POOL:
+                expected = (vertex, label, target) not in model
+                assert graph.add_edge(vertex, label, target) is expected
+                model.add((vertex, label, target))
+
+    @staticmethod
+    def check(graph, model):
+        assert graph.num_edges == len(model)
+        names, label_names = list(graph.vertex_names()), list(graph.labels.names())
+        assert names == ["@", *POOL]
+        assert label_names == ["@", *POOL_LABELS]
+        for label_id, label in enumerate(label_names):
+            pairs = {(graph.vid(s), graph.vid(t)) for s, l, t in model if l == label}
+            assert graph.label_frequency(label_id) == len(pairs)
+            found = graph.edges_with_label(label_id)
+            assert len(found) == len(pairs) and set(found) == pairs
+        for source in POOL + GHOSTS:
+            for label in POOL_LABELS + GHOST_LABELS:
+                for target in POOL + GHOSTS:
+                    edge = (source, label, target)
+                    assert graph.has_edge_named(*edge) is (edge in model)
+                    if source in graph and target in graph and label in graph.labels:
+                        s, t = graph.vid(source), graph.vid(target)
+                        label_id = graph.label_id(label)
+                        assert graph.has_edge(s, label_id, t) is (edge in model)
+        for s in graph.vertices():
+            for t in graph.vertices():
+                expected = 0
+                for label_id, label in enumerate(label_names):
+                    if (names[s], label, names[t]) in model:
+                        expected |= 1 << label_id
+                assert graph.labels_between(s, t) == expected
+        assert graph.content_fingerprint() == graph.scan_fingerprint()
+        added = sorted(model - set(SPINE), key=repr)
+        fresh = KnowledgeGraph.from_triples(SPINE + added)
+        assert graph.content_fingerprint() == fresh.content_fingerprint()
+
+    @settings(max_examples=max(100, settings().max_examples), deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(KINDS),
+                st.integers(0, 2**8),
+                st.integers(0, 2**8),
+                st.integers(0, 2**8),
+            ),
+            max_size=25,
+        )
+    )
+    def test_every_answer_is_the_set_models(self, operations):
+        graph = KnowledgeGraph.from_triples(SPINE, name="model")
+        model = set(SPINE)
+        self.check(graph, model)
+        for operation in operations:
+            self.step(graph, model, *operation)
+            self.check(graph, model)

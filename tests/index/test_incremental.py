@@ -256,7 +256,7 @@ class TestRemovalRepair:
         for _ in range(4):
             if not g.num_edges:
                 break
-            s, lid, t = rng.choice(sorted(g._edge_set))
+            s, lid, t = rng.choice(sorted(g.edges()))
             assert g.remove_edge_ids(s, lid, t)
             index.refresh_regions({index.region_of(s)})
         from repro.constraints.substructure import SubstructureConstraint

@@ -9,6 +9,8 @@ execution, and `python -m repro serve --port 0` starting from the CLI.
 
 import json
 import os
+import re
+import socket
 import subprocess
 import sys
 import threading
@@ -17,6 +19,7 @@ import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -287,6 +290,54 @@ class TestErrors:
         http_post(f"{base_url}/query", {"source": "v0"})
         _, stats = http_get(f"{base_url}/stats")
         assert stats["service"]["errors"].get("bad-request", 0) >= 1
+
+
+def replies_until_eof(base_url, head: bytes) -> list[tuple[int, bytes]]:
+    """Send a request head on a fresh connection and read until the
+    server closes it: every reply's ``(status, body)``.  A server that
+    keeps the connection open fails the read with a timeout."""
+    address = urlsplit(base_url)
+    data = b""
+    with socket.create_connection((address.hostname, address.port), timeout=5) as sock:
+        sock.sendall(head)
+        while chunk := sock.recv(65536):
+            data += chunk
+    replies = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        status = int(head.split(b" ", 2)[1])
+        length = int(re.search(rb"\r\nContent-Length: (\d+)", head)[1])
+        replies.append((status, rest[:length]))
+        data = rest[length:]
+    return replies
+
+
+class TestRefusedBodies:
+    """A body the server refuses stays unread, so exactly one reply
+    comes back and then the connection closes: left open, the body's
+    bytes would be parsed as the next request.  Only the head is sent —
+    closing over unread input would reset the socket, and the reset may
+    overtake the reply."""
+
+    @pytest.mark.parametrize(
+        "field, status, message",
+        [
+            (b"Content-Length: 16777217", 413, "exceeds the"),
+            (b"Content-Length: twelve", 400, "valid Content-Length"),
+            (b"Content-Length: -5", 400, "valid Content-Length"),
+            (b"Transfer-Encoding: chunked", 400, "no chunks"),
+        ],
+        ids=["over-limit", "invalid-length", "negative-length", "transfer-encoding"],
+    )
+    def test_one_reply_then_eof(self, base_url, field, status, message):
+        head = b"POST /query HTTP/1.1\r\nHost: test\r\n" + field + b"\r\n\r\n"
+        replies = replies_until_eof(base_url, head)
+        assert [code for code, _ in replies] == [status]
+        assert message in json.loads(replies[0][1])["error"]["message"]
+
+    def test_an_over_limit_put_is_not_read(self, base_url):
+        head = b"PUT /query HTTP/1.1\r\nHost: test\r\nContent-Length: 16777217\r\n\r\n"
+        assert [code for code, _ in replies_until_eof(base_url, head)] == [405]
 
 
 class TestConcurrency:

@@ -74,7 +74,7 @@ def random_batch(rng, round_number, oracle):
     for _ in range(rng.randint(2, 5)):
         roll = rng.random()
         if roll < 0.15 and oracle.num_edges:
-            edge = rng.choice(sorted(oracle._edge_set))
+            edge = rng.choice(sorted(oracle.edges()))
             batch.append(
                 (
                     oracle.name_of(edge[0]),
@@ -99,7 +99,7 @@ def random_mixed_batch(rng, round_number, oracle):
     for _ in range(rng.randint(2, 5)):
         roll = rng.random()
         if roll < 0.35 and oracle.num_edges:
-            edge = rng.choice(sorted(oracle._edge_set))
+            edge = rng.choice(sorted(oracle.edges()))
             batch.append(
                 (
                     oracle.name_of(edge[0]),

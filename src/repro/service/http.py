@@ -62,7 +62,9 @@ from __future__ import annotations
 import json
 import math
 import re
+import time
 from contextlib import nullcontext
+from email.utils import formatdate
 from http.client import HTTPException, LineTooLong, _read_headers
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
@@ -95,6 +97,21 @@ _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 #: One header line: a name of printable ASCII with no space or colon,
 #: the colon, the value with its leading blanks dropped.
 _FIELD = re.compile(r"([!-9;-~]*):[ \t]*(.*)", re.DOTALL)
+
+#: The ``Date`` header's value for one second of the clock, as a
+#: ``(second, text)`` pair: formatted at most once a second.  Two threads
+#: that both see it stale both write an equal pair.
+_date: tuple[int, str] = (0, "")
+
+
+def _http_date() -> str:
+    """Now, as the stdlib's ``date_time_string`` formats it."""
+    global _date
+    second = int(time.time())
+    stamp = _date
+    if stamp[0] != second:
+        stamp = _date = (second, formatdate(second, usegmt=True))
+    return stamp[1]
 
 
 class RequestHeaders:
@@ -159,6 +176,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     #: Quiet by default — a query service would log via real telemetry,
     #: and the test suite starts dozens of servers.
     verbose = False
+    #: The ``Server`` header of every reply (``version_string()``).
+    _server = (
+        f"{BaseHTTPRequestHandler.server_version} "
+        f"{BaseHTTPRequestHandler.sys_version}"
+    )
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         if self.verbose:
@@ -411,8 +433,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _route(self) -> tuple[str, dict[str, str]]:
         """Split ``self.path`` into (path, query) — query keeps the
-        first value per key (``?trace=1`` is the only consumer)."""
-        split = urlsplit(self.path)
+        first value per key (``?trace=1`` and ``?deadline_ms=`` are the
+        consumers).  A plain ``/...`` path with no ``?`` or ``#`` is
+        what ``urlsplit`` would give back, so it is not parsed."""
+        path = self.path
+        if path[:1] == "/" and "?" not in path and "#" not in path:
+            return path, {}
+        split = urlsplit(path)
         query = {
             key: values[0]
             for key, values in parse_qs(split.query).items()
@@ -554,7 +581,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         body = self.rfile.read(length)
         try:
             return json.loads(body)
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (ValueError, RecursionError) as error:
+            # ValueError: bad UTF-8, bad JSON, or an integer longer than
+            # the interpreter converts; RecursionError: nesting too deep.
             raise BadRequestError(f"request body is not valid JSON: {error}") from None
 
     def _send_json(
@@ -588,19 +617,36 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         Headers and body written separately leave as two TCP segments,
         and with Nagle on the second waits for the peer's delayed ACK of
         the first: ~40 ms per kept-alive request for every default
-        client and every coordinator→worker call.  So the body rides the
-        header buffer and :meth:`flush_headers` writes both at once.
+        client and every coordinator→worker call.  So the head is one
+        string, and head and body leave together.
+
+        The head is what ``send_response`` + ``send_header`` wrote —
+        status line, ``Server``, ``Date``, ``Content-Type``,
+        ``Content-Length``, ``Connection: close`` when closing, then
+        ``headers`` — without their per-line buffer and per-reply
+        ``email.utils.formatdate``: ``Server`` is fixed and ``Date``
+        changes once a second (:func:`_http_date`).  An HTTP/0.9
+        request gets the body alone, as the stdlib answers one.
         """
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        if self.verbose:
+            self.log_request(status)
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)
+            return
+        reason = self.responses[status][0] if status in self.responses else ""
+        head = (
+            f"{self.protocol_version} {status} {reason}\r\n"
+            f"Server: {self._server}\r\n"
+            f"Date: {_http_date()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
         if self.close_connection:
             # A client that pools connections must not reuse this one.
-            self.send_header("Connection", "close")
+            head += "Connection: close\r\n"
         for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self._headers_buffer += (b"\r\n", body)
-        self.flush_headers()
+            head += f"{name}: {value}\r\n"
+        self.wfile.write((head + "\r\n").encode("latin-1") + body)
 
     def _send_error(
         self,

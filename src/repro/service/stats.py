@@ -180,14 +180,19 @@ class ServiceStats:
         cached: bool = False,
         trivial: bool = False,
         batch: bool = False,
+        seconds: float | None = None,
     ) -> None:
         """Fold one answered query into the ledger.
 
         Cached and trivial answers count toward traffic totals but not
         the per-algorithm aggregates — those track *work performed*, so
         their means stay comparable with the paper's tables.
+        ``seconds``, the query's service latency, goes into the
+        ``query`` histogram under the same lock.
         """
         with self._lock:
+            if seconds is not None:
+                self._histogram("query").record(seconds)
             self._queries_total += 1
             if result.answer:
                 self._true_answers += 1
@@ -241,8 +246,8 @@ class ServiceStats:
         named an edge the graph doesn't have; ``rows_recut`` is how many
         adjacency rows the swap's snapshot cut anew instead of sharing
         with the previous epoch's.  Latency is recorded
-        separately via ``record_latency("updates", ...)`` like every
-        other endpoint.
+        separately via ``record_latency("updates", ...)``, as a batch's
+        is.
         """
         with self._lock:
             self._update_batches += 1
@@ -256,16 +261,21 @@ class ServiceStats:
     def record_latency(self, endpoint: str, seconds: float) -> None:
         """Fold one request latency into ``endpoint``'s histogram.
 
-        Endpoints in use: ``query`` (one query's end-to-end service
-        latency, whether answered singly or inside a batch) and
-        ``batch`` (one whole batch request).  New endpoint names create
-        their histogram on first use.
+        Endpoints in use: ``batch`` (one whole batch request) and
+        ``updates`` (one update batch); ``query`` (one query's service
+        latency, whether answered singly or inside a batch) arrives with
+        :meth:`record_query`.  New endpoint names create their histogram
+        on first use.
         """
         with self._lock:
-            histogram = self._latency.get(endpoint)
-            if histogram is None:
-                histogram = self._latency[endpoint] = LatencyHistogram()
-            histogram.record(seconds)
+            self._histogram(endpoint).record(seconds)
+
+    def _histogram(self, endpoint: str) -> LatencyHistogram:
+        """``endpoint``'s histogram, made on first use (lock held)."""
+        histogram = self._latency.get(endpoint)
+        if histogram is None:
+            histogram = self._latency[endpoint] = LatencyHistogram()
+        return histogram
 
     # ------------------------------------------------------------------
 
@@ -365,10 +375,7 @@ class ServiceStats:
                     cell.get("mean_passed_vertices", 0.0) * count
                 )
             for endpoint, histogram_doc in document.get("latency", {}).items():
-                histogram = self._latency.get(endpoint)
-                if histogram is None:
-                    histogram = self._latency[endpoint] = LatencyHistogram()
-                histogram.merge_snapshot(histogram_doc)
+                self._histogram(endpoint).merge_snapshot(histogram_doc)
 
 
 def merge_snapshots(snapshots: Iterable[dict]) -> dict:

@@ -6,7 +6,8 @@ that takes an update batch — drive every endpoint, then validate the
 scrape with the strict parser: Prometheus line format, monotone
 cumulative buckets, ``+Inf == _count``, no ``counter`` sample lower
 after the epoch swap than before it, the short-circuit router's
-families, and a well-formed ``/debug/slow`` document whose every
+families, a ``query`` latency histogram that counts every answered
+query, and a well-formed ``/debug/slow`` document whose every
 entry's tier is exact or absent.  Guards the surface against format drift that Prometheus
 itself would reject at scrape time.
 
@@ -85,6 +86,14 @@ def main(scratch: Path) -> None:
         assert samples[("repro_update_batches_total", dyn)] == 1
         assert samples[("repro_epoch_id", dyn)] == 1
         assert samples[("repro_shard_count", default)] == 2
+        for tenant in (default, dyn):
+            # Every answered query, single or batch member, folds its
+            # latency into the ``query`` histogram as it is counted.
+            answered = (("endpoint", "query"), *tenant)
+            assert (
+                samples[("repro_request_latency_seconds_count", answered)]
+                == samples[("repro_queries_total", tenant)]
+            ), tenant
 
         parse_prometheus_text(get(base, "/t/default/metrics"))
         parse_prometheus_text(get(base, "/t/dyn/metrics"))

@@ -23,6 +23,7 @@ from repro.datasets.toy import figure3_graph
 from repro.exceptions import BadRequestError, ConstraintError, SparqlError
 from repro.service.app import QueryService
 from repro.service.cache import ResultCache
+from repro.service.stats import ServiceStats
 from repro.sparql.ast import SelectQuery
 from repro.sparql.evaluator import CompiledPattern
 from tests.helpers import graph_from_edges
@@ -260,6 +261,44 @@ class TestMixedBatch:
         assert len(warm.results) == stored
         assert counts["ResultCache.get"] == 0
         assert "SELECT garbage ?!" not in warm.constraints
+
+
+class TestOneStatsLockPerQuery:
+    """A query's latency rides its ``record_query`` call, so answering
+    one takes the stats lock once; only a batch's own latency and an
+    update's are folded in apart."""
+
+    @pytest.fixture()
+    def latencies(self, monkeypatch) -> list[str]:
+        endpoints: list[str] = []
+        original = ServiceStats.record_latency
+
+        def counted(stats, endpoint, seconds):
+            endpoints.append(endpoint)
+            return original(stats, endpoint, seconds)
+
+        monkeypatch.setattr(ServiceStats, "record_latency", counted)
+        return endpoints
+
+    def test_record_latency_once_per_batch_and_never_per_query(self, service, latencies):
+        service.handle_query(POOL[0])
+        service.handle_query(POOL[0])
+        assert latencies == []
+        service.handle_batch({"queries": POOL})
+        service.handle_batch({"queries": POOL[:2]})
+        assert latencies == ["batch", "batch"]
+
+    def test_the_query_histogram_counts_every_answer(self, service):
+        service.handle_query(POOL[0])                       # miss
+        service.handle_query(POOL[0])                       # hit
+        service.handle_query(spec("v0", "ghost"))           # trivial
+        service.handle_query({**POOL[1], "use_cache": False})
+        service.handle_batch({"queries": TestMixedBatch.MIXED})
+        document = service.stats_snapshot()["service"]
+        answered = document["queries"]["total"]
+        assert answered == 4 + len(TestMixedBatch.MIXED)
+        assert document["latency"]["query"]["count"] == answered
+        assert document["latency"]["batch"]["count"] == 1
 
 
 class TestMixedRoleVariable:

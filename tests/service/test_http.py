@@ -340,6 +340,50 @@ class TestRefusedBodies:
         assert [code for code, _ in replies_until_eof(base_url, head)] == [405]
 
 
+class TestRequestTargets:
+    """Only a plain ``/...`` target skips URL parsing; every other form
+    is split as it always was."""
+
+    @pytest.mark.parametrize(
+        "target",
+        ["/query", "/query?trace=0", "/query#fragment", "http://test/query"],
+    )
+    def test_each_form_reaches_the_query_route(self, base_url, target):
+        body = json.dumps(spec("v0", "v4")).encode()
+        head = (
+            f"POST {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode()
+        [(status, reply)] = replies_until_eof(base_url, head + body)
+        assert status == 200 and json.loads(reply)["answer"] is True
+
+
+class TestBodiesJsonCannotHold:
+    """Bodies ``json.loads`` refuses with something other than a
+    ``JSONDecodeError`` — a plain ``ValueError`` for an integer past the
+    interpreter's digit limit, a ``RecursionError`` for nesting too deep
+    — are the same 400 as any other body that is not JSON, at every door
+    that reads one."""
+
+    BODIES = {
+        "long-integer": b"1" * 5000,
+        "deep-nesting": b"[" * 100_000,
+    }
+
+    @pytest.mark.parametrize("body", BODIES)
+    @pytest.mark.parametrize("door", ["/query", "/batch", "/edges", "/tenants"])
+    def test_a_400_not_a_500(self, base_url, door, body):
+        payload = self.BODIES[body]
+        head = (
+            f"POST {door} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+            f"Content-Length: {len(payload)}\r\n\r\n"
+        ).encode()
+        [(status, reply)] = replies_until_eof(base_url, head + payload)
+        error = json.loads(reply)["error"]
+        assert (status, error["type"]) == (400, "bad-request")
+        assert error["message"].startswith("request body is not valid JSON")
+
+
 class TestConcurrency:
     def test_threaded_stress_matches_serial(self, base_url, service):
         # >= 8 workers x >= 50 mixed queries (two constraints, varying

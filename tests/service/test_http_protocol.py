@@ -1,4 +1,5 @@
-"""The request-head reader against the interpreter's own.
+"""The request-head reader and the reply-head writer against the
+interpreter's own.
 
 ``ServiceRequestHandler.parse_request`` replaces the stdlib's (which
 parses the header block with ``email.feedparser``).  Every case below is
@@ -7,14 +8,22 @@ service: ours, and one whose handler differs only in running the stock
 ``BaseHTTPRequestHandler.parse_request`` of the running Python.  The two
 must answer with the same status codes and leave the connection in the
 same state — closed, or alive enough to answer one more request.
+
+``ServiceRequestHandler._send`` writes the reply head as one string.
+The last section answers the same requests with it and with a twin that
+writes the head through ``send_response`` / ``send_header`` /
+``flush_headers``, and compares the heads line by line.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import socket
 import threading
+from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
 from http.client import _MAXHEADERS, _MAXLINE
 from http.server import BaseHTTPRequestHandler
 
@@ -258,3 +267,123 @@ def test_header_names_are_case_insensitive():
     assert headers.get("CONTENT-LENGTH", 0) == "3"
     assert headers.get("Missing") is None
     assert headers.get("Missing", 0) == 0
+
+
+# ---------------------------------------------------------------------------
+# the reply head, against the stdlib's writer
+# ---------------------------------------------------------------------------
+
+
+class StockReplyHandler(ServiceRequestHandler):
+    """The service's handler, writing the reply head the stdlib's way."""
+
+    def _send(self, status, content_type, body, headers=None):
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self._headers_buffer += (b"\r\n", body)
+        self.flush_headers()
+
+
+class CountedWrites(io.BytesIO):
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = 0
+
+    def write(self, data) -> int:
+        self.writes += 1
+        return super().write(data)
+
+
+def answer(handler_class, server, request: bytes) -> tuple[bytes, int]:
+    """One request through ``handler_class`` over in-memory streams:
+    the bytes written back, and in how many writes."""
+    handler = handler_class.__new__(handler_class)
+    handler.server, handler.client_address = server, ("127.0.0.1", 0)
+    handler.rfile, handler.wfile = io.BytesIO(request), CountedWrites()
+    handler.close_connection = True
+    handler.handle_one_request()
+    return handler.wfile.getvalue(), handler.wfile.writes
+
+
+def head_and_body(reply: bytes) -> tuple[list[str], bytes]:
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head.decode("latin-1").split("\r\n"), body
+
+
+@pytest.fixture(scope="module")
+def servers():
+    """``(plain, full)``: a server over the Figure 3 service, and one
+    whose only admission slot is taken, so a query is shed with a 429
+    that carries ``Retry-After``."""
+    plain_service = QueryService(figure3_graph(), seed=0)
+    full_service = QueryService(figure3_graph(), seed=0, max_concurrent=1)
+    slot = full_service.admission.admit()
+    plain = create_server(plain_service, "127.0.0.1", 0)
+    full = create_server(full_service, "127.0.0.1", 0)
+    try:
+        yield plain, full
+    finally:
+        slot.__exit__(None, None, None)
+        for server in (plain, full):
+            server.server_close()
+        plain_service.close()
+        full_service.close()
+
+
+#: name -> (request, which server, expected status line, closes).
+REPLIES = {
+    "200 query": (post(LENGTH), 0, "HTTP/1.1 200 OK", False),
+    "200 metrics text": (b"GET /metrics HTTP/1.1\r\n\r\n", 0, "HTTP/1.1 200 OK", False),
+    "404": (b"GET /nope HTTP/1.1\r\n\r\n", 0, "HTTP/1.1 404 Not Found", False),
+    "400 bad JSON": (
+        b"POST /query HTTP/1.1\r\nContent-Length: 5\r\n\r\n{nope",
+        0, "HTTP/1.1 400 Bad Request", False,
+    ),
+    "413 closes": (
+        b"POST /query HTTP/1.1\r\nContent-Length: 16777217\r\n\r\n",
+        0, "HTTP/1.1 413 Request Entity Too Large", True,
+    ),
+    "429 with Retry-After": (post(LENGTH), 1, "HTTP/1.1 429 Too Many Requests", False),
+    # The status line names the handler's protocol, not the request's.
+    "HTTP/1.0 closes": (post(LENGTH, version=b"HTTP/1.0"), 0, "HTTP/1.1 200 OK", True),
+}
+
+
+@pytest.mark.parametrize("name", REPLIES)
+def test_the_same_head_as_the_stock_writer(servers, name):
+    request, which, status_line, closes = REPLIES[name]
+    server = servers[which]
+    reply, writes = answer(ServiceRequestHandler, server, request)
+    assert writes == 1
+    ours, our_body = head_and_body(reply)
+    stock, stock_body = head_and_body(answer(StockReplyHandler, server, request)[0])
+    assert ours[0] == stock[0] == status_line
+    names = [line.split(":", 1)[0] for line in ours[1:]]
+    assert names == [line.split(":", 1)[0] for line in stock[1:]]
+    expected = ["Server", "Date", "Content-Type", "Content-Length"]
+    expected += ["Connection"] * closes + ["Retry-After"] * (which == 1)
+    assert names == expected
+    for line, twin in zip(ours[1:], stock[1:]):
+        if line.startswith("Date:"):
+            sent = parsedate_to_datetime(line[len("Date: "):])
+            assert line.endswith(" GMT") and sent.tzinfo == timezone.utc
+            assert abs((datetime.now(timezone.utc) - sent).total_seconds()) <= 2
+        elif line.startswith("Content-Length:"):
+            # A body can carry timings, so each length is its own body's.
+            assert line == f"Content-Length: {len(our_body)}"
+            assert twin == f"Content-Length: {len(stock_body)}"
+        else:
+            assert line == twin
+
+
+def test_an_http_0_9_request_gets_the_body_alone(servers):
+    reply, writes = answer(ServiceRequestHandler, servers[0], b"GET /nope\r\n")
+    assert writes == 1
+    assert json.loads(reply) == {
+        "error": {"type": "not-found", "message": "no such endpoint: GET /nope"}
+    }

@@ -36,6 +36,7 @@ class LabelConstraint:
         if isinstance(labels, str):
             # Comma-separated names; empty pieces are skipped.
             labels = [piece for piece in labels.split(",") if piece]
+        # A frozenset is adopted as it is: ``frozenset(s) is s``.
         self._labels = frozenset(labels)
         if not self._labels:
             raise ConstraintError("a label constraint must contain at least one label")

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Hashable, Iterable
-from contextlib import nullcontext
 from dataclasses import asdict, replace
 from pathlib import Path
 from threading import Lock
@@ -111,28 +110,44 @@ _SNAPSHOT_VERSION = 2
 
 def validate_spec(payload: object, *, where: str) -> dict:
     """Shape-check one JSON query spec into :meth:`QueryService.query`
-    kwargs (every ``/query`` body, ``/batch`` member and shard probe)."""
+    kwargs (every ``/query`` body, ``/batch`` member and shard probe).
+
+    An array of labels is checked and canonicalised in one C-level walk:
+    it leaves here as the ``frozenset`` that
+    :class:`~repro.constraints.label_constraint.LabelConstraint` adopts
+    as it is, so the planner's key never walks the names again.  A
+    comma-separated string is left for ``LabelConstraint`` to split.
+    """
     if not isinstance(payload, dict):
         raise BadRequestError(f"{where}: expected a JSON object")
-    missing = [field for field in _SPEC_FIELDS if field not in payload]
-    if missing:
-        raise BadRequestError(f"{where}: missing field(s) {', '.join(missing)}")
-    source = payload["source"]
-    target = payload["target"]
+    try:
+        source = payload["source"]
+        target = payload["target"]
+        labels = payload["labels"]
+        constraint = payload["constraint"]
+    except KeyError:
+        missing = [field for field in _SPEC_FIELDS if field not in payload]
+        raise BadRequestError(
+            f"{where}: missing field(s) {', '.join(missing)}"
+        ) from None
     if not isinstance(source, str) or not isinstance(target, str):
         raise BadRequestError(f"{where}: 'source' and 'target' must be strings")
-    labels = payload["labels"]
-    if not isinstance(labels, str) and (
-        not isinstance(labels, list)
-        or not labels
-        or not all(isinstance(label, str) for label in labels)
-    ):
+    if isinstance(labels, list) and labels:
+        try:
+            # Raises TypeError unless every name is a str.
+            "".join(labels)
+        except TypeError:
+            labels = None
+        else:
+            labels = frozenset(labels)
+    elif not isinstance(labels, str):
+        labels = None
+    if labels is None:
         raise BadRequestError(
             f"{where}: 'labels' must be a non-empty array of strings "
             "(or a comma-separated string)"
         )
-    constraint = payload["constraint"]
-    if not isinstance(constraint, str) or not constraint.strip():
+    if not isinstance(constraint, str) or not constraint or constraint.isspace():
         raise BadRequestError(
             f"{where}: 'constraint' must be a non-empty SPARQL string"
         )
@@ -376,10 +391,11 @@ class QueryService:
         this query simply completes on the epoch it started on.
         """
         epoch = self._epoch
+        traced = current_trace() is not None
         plan = self._plan(
-            epoch, source, target, labels, constraint, algorithm, use_cache
+            epoch, traced, source, target, labels, constraint, algorithm, use_cache
         )
-        return self._finish(plan, epoch, use_cache=use_cache, batch=_batch)
+        return self._finish(plan, epoch, use_cache, _batch, None, traced)
 
     def query_batch(
         self,
@@ -406,21 +422,19 @@ class QueryService:
         """
         started = perf_counter()
         specs = list(specs)
-        if len(specs) > self.options.max_batch:
-            raise BadRequestError(
-                f"batch of {len(specs)} queries exceeds the limit of "
-                f"{self.options.max_batch}"
-            )
+        self._check_batch_size(len(specs))
         # One epoch for the whole batch: every member is answered
         # against the same graph version even if an update lands while
         # the batch is in flight.
         epoch = self._epoch
+        traced = current_trace() is not None
         plans = []
         with span("plan-batch", queries=len(specs)):
             for spec in specs:
                 item_cache = use_cache and spec.get("use_cache", True)
                 plan = self._plan(
                     epoch,
+                    traced,
                     spec["source"],
                     spec["target"],
                     spec["labels"],
@@ -441,12 +455,21 @@ class QueryService:
             if storing and item_cache and plan.key in storing:
                 repeats.append((position, plan))
                 continue
-            member = span("query", index=position)
-            with member:
+            member = None
+            if traced:
+                member = span("query", index=position)
+                with member:
+                    answered[position] = self._finish(
+                        plan, epoch, item_cache, True, "settle", True
+                    )
+            else:
                 answered[position] = self._finish(
-                    plan, epoch, use_cache=item_cache, batch=True, half="settle"
+                    plan, epoch, item_cache, True, "settle"
                 )
             if answered[position] is None:
+                if member is None:
+                    # Untraced: the no-op handle, for the runner's ``with``.
+                    member = span("query", index=position)
                 waiting.append((position, member, plan, item_cache))
                 if item_cache:
                     storing.add(plan.key)
@@ -457,7 +480,12 @@ class QueryService:
             # takes the evaluation as a child and closes when it ends.
             with member:
                 return self._finish(
-                    plan, epoch, use_cache=item_cache, batch=True, half="evaluate"
+                    plan,
+                    epoch,
+                    use_cache=item_cache,
+                    batch=True,
+                    half="evaluate",
+                    traced=traced,
                 )
 
         if waiting:
@@ -469,10 +497,17 @@ class QueryService:
         for position, plan in repeats:
             with span("query", index=position):
                 answered[position] = self._finish(
-                    plan, epoch, use_cache=True, batch=True
+                    plan, epoch, use_cache=True, batch=True, traced=traced
                 )
         self.stats.record_latency("batch", perf_counter() - started)
         return answered
+
+    def _check_batch_size(self, size: int) -> None:
+        if size > self.options.max_batch:
+            raise BadRequestError(
+                f"batch of {size} queries exceeds the limit of "
+                f"{self.options.max_batch}"
+            )
 
     # ------------------------------------------------------------------
     # epoch swaps: derive (GraphEpoch.derive) → prepare → publish
@@ -746,6 +781,7 @@ class QueryService:
     def _plan(
         self,
         epoch: GraphEpoch,
+        traced: bool,
         source: Hashable,
         target: Hashable,
         labels: Iterable[str] | str | LabelConstraint,
@@ -758,9 +794,12 @@ class QueryService:
 
         Only a non-trivial plan's answer is ever stored, so a held key
         needs none of the plan's graph probes.  The membership probe
-        neither counts nor promotes: :meth:`_settle` makes the one
-        counted lookup, hit or miss.  One ``plan`` span covers both
-        steps.
+        (:meth:`ResultCache.__contains__`) takes no lock, and neither
+        counts nor promotes: :meth:`_settle` makes the one counted,
+        promoting lookup, hit or miss — the one cache lock a hit takes,
+        since keying takes none either (a constraint-cache hit is
+        lock-free).  When the request is ``traced`` one ``plan`` span
+        covers both steps; untraced, no span is opened.
 
         The probe cannot become that counted lookup.  A trivial request
         counts no lookup, and it is known to be trivial only once it is
@@ -769,32 +808,33 @@ class QueryService:
         counters as they were.  The planner's rules alone, run ahead of
         a counted lookup instead, cost a hit two to four times the probe.
         """
-        planner = epoch.planner
-        with span("plan") as handle:
-            keyed = planner.key(source, target, labels, constraint, algorithm)
-            if use_cache and keyed.key in epoch.results:
-                handle.set(
-                    algorithm=keyed.algorithm, reason=keyed.reason, trivial=False
+        if traced:
+            with span("plan") as handle:
+                # The span is open: plan as an untraced request would.
+                plan = self._plan(
+                    epoch, False, source, target, labels, constraint, algorithm,
+                    use_cache,
                 )
-                return keyed
-            plan = planner.plan(
-                source, target, labels, constraint, algorithm, keyed=keyed
-            )
-            handle.set(
-                algorithm=plan.algorithm,
-                reason=plan.reason,
-                trivial=plan.is_trivial,
-            )
-            return plan
+                handle.set(
+                    algorithm=plan.algorithm,
+                    reason=plan.reason,
+                    trivial=isinstance(plan, QueryPlan) and plan.is_trivial,
+                )
+                return plan
+        planner = epoch.planner
+        keyed = planner.key(source, target, labels, constraint, algorithm)
+        if use_cache and keyed.key in epoch.results:
+            return keyed
+        return planner.plan(source, target, labels, constraint, algorithm, keyed=keyed)
 
     def _finish(
         self,
         plan: QueryPlan | KeyedQuery,
         epoch: GraphEpoch,
-        *,
         use_cache: bool,
         batch: bool,
         half: str | None = None,
+        traced: bool = False,
     ) -> tuple[QueryResult, dict] | None:
         """Execute (or short-circuit) one plan and record telemetry.
 
@@ -809,6 +849,9 @@ class QueryService:
         and returns None — nothing recorded but the counted cache miss —
         for a plan that needs an evaluator; ``"evaluate"`` is that
         plan's second call, and goes straight to the evaluator.
+        ``traced`` says whether the request runs under a trace
+        (:func:`~repro.obs.trace.current_trace`): an untraced hit opens
+        no span at all.
         """
         started = perf_counter()
         meta = {
@@ -820,12 +863,13 @@ class QueryService:
         }
         result = None
         if half != "evaluate":
-            result = self._settle(plan, epoch, meta, use_cache)
+            result = self._settle(plan, epoch, traced, meta, use_cache)
         if result is None:
             if half == "settle":
                 return None
             result = self._resolve(plan, epoch, meta, use_cache)
-        annotate(source=meta["source"])
+        if traced:
+            annotate(source=meta["source"])
         elapsed = perf_counter() - started
         self.stats.record_query(
             result,
@@ -834,13 +878,15 @@ class QueryService:
             batch=batch,
             seconds=elapsed,
         )
-        self._record_slow(plan, meta, result, elapsed)
+        if self.flight.interested(elapsed):
+            self._record_slow(plan, meta, result, elapsed)
         return result, meta
 
     def _settle(
         self,
         plan: QueryPlan | KeyedQuery,
         epoch: GraphEpoch,
+        traced: bool,
         meta: dict,
         use_cache: bool,
     ) -> QueryResult | None:
@@ -857,9 +903,12 @@ class QueryService:
             )
         if not use_cache:
             return None
-        with span("result-cache") as cache_span:
+        if traced:
+            with span("result-cache") as cache_span:
+                cached = epoch.results.get(plan.key)
+                cache_span.set(hit=cached is not None)
+        else:
             cached = epoch.results.get(plan.key)
-            cache_span.set(hit=cached is not None)
         if cached is not None:
             meta["cached"] = True
             meta["source"] = "result-cache"
@@ -915,24 +964,23 @@ class QueryService:
         result: QueryResult,
         elapsed: float,
     ) -> None:
-        """Offer one answered query to the slow-query flight recorder.
+        """Offer one answered query the flight recorder is
+        :meth:`~repro.obs.flight.FlightRecorder.interested` in.
 
-        ``interested`` is a lock-free float compare, so sub-threshold
-        traffic pays nothing beyond it.  When the request was traced the
-        entry captures the span tree as recorded *so far* — for a single
-        query that is the whole trace, for a batch member its own
-        ``query`` span — so ``/debug/slow`` shows where the time went,
-        not just that it went.
+        That check is a lock-free float compare, made by the caller, so
+        sub-threshold traffic pays nothing beyond it.  When the request
+        was traced the entry captures the span tree as recorded *so far*
+        — for a single query that is the whole trace, for a batch member
+        its own ``query`` span — so ``/debug/slow`` shows where the time
+        went, not just that it went.
         """
-        if not self.flight.interested(elapsed):
-            return
         source, target, labels, constraint = plan.key
         trace = current_trace()
         entry: dict[str, Any] = {
             "query": {
                 "source": source,
                 "target": target,
-                "labels": list(labels),
+                "labels": sorted(labels),
                 "constraint": constraint,
             },
             "algorithm": result.algorithm,
@@ -1023,34 +1071,46 @@ class QueryService:
         return None
 
     @staticmethod
-    def _run_traced(active: Trace | None, call: Callable, *args: Any) -> Any:
-        """``call(*args)`` under ``active`` (finished on the way out), or
+    def _run_traced(
+        active: Trace | None, call: Callable, *args: Any, **kwargs: Any
+    ) -> Any:
+        """``call(...)`` under ``active`` (finished on the way out), or
         bare when the request runs untraced."""
         if active is None:
-            return call(*args)
+            return call(*args, **kwargs)
         with activate(RequestContext(active, current_deadline())):
             try:
-                return call(*args)
+                return call(*args, **kwargs)
             finally:
                 active.finish()
 
-    def _admit(self):
-        """An admission slot for one request (no-op when unconfigured).
+    def _serve(
+        self, name: str, requested: bool, call: Callable, *args: Any, **kwargs: Any
+    ) -> tuple[Any, Trace | None]:
+        """``(call(...), trace)`` for one ``/query`` or ``/batch``
+        request, run in its admission slot and under its trace when it
+        has them; the trace is None when the request ran untraced.
 
-        Raises on the way in: a full queue or an expired wait surfaces
-        as a structured 429 (:class:`OverloadedError`, carrying
-        ``Retry-After``) — or a 504 when the request's own deadline
-        lapsed while queued — and is counted as shed before it
-        propagates.
+        Without admission control and without a trace — asked for or
+        sampled — the call runs bare: no context manager, no wrapper.
         """
         admission = self.admission
         if admission is None:
-            return nullcontext()
+            active = self._start_trace(name, requested)
+            if active is None:
+                return call(*args, **kwargs), None
+            return self._run_traced(active, call, *args, **kwargs), active
         try:
-            return admission.admit(current_deadline())
+            slot = admission.admit(current_deadline())
         except OverloadedError:
+            # A full queue or an expired wait: a structured 429 carrying
+            # ``Retry-After`` — or a 504 when the request's own deadline
+            # lapsed while queued — counted as shed.
             self.stats.record_shed()
             raise
+        with slot:
+            active = self._start_trace(name, requested)
+            return self._run_traced(active, call, *args, **kwargs), active
 
     def handle_query(self, payload: object, *, trace: bool = False) -> dict:
         """``POST /query``: validate a JSON payload and answer it.
@@ -1059,26 +1119,14 @@ class QueryService:
         carries the request's full span tree under ``"trace"``.
         """
         spec = validate_spec(payload, where="query")
-        with self._admit():
-            active = self._start_trace("query", trace)
-            result, meta = self._run_traced(active, self._query_spec, spec)
+        try:
+            (result, meta), active = self._serve("query", trace, self.query, **spec)
+        except (ConstraintError, SparqlError) as error:
+            raise BadRequestError(f"invalid query: {error}") from error
         response = self._result_payload(result, meta)
         if trace:
             response["trace"] = active.to_dict()
         return response
-
-    def _query_spec(self, spec: dict) -> tuple[QueryResult, dict]:
-        try:
-            return self.query(
-                spec["source"],
-                spec["target"],
-                spec["labels"],
-                spec["constraint"],
-                algorithm=spec.get("algorithm"),
-                use_cache=spec.get("use_cache", True),
-            )
-        except (ConstraintError, SparqlError) as error:
-            raise BadRequestError(f"invalid query: {error}") from error
 
     def handle_batch(self, payload: object, *, trace: bool = False) -> dict:
         """``POST /batch``: validate and answer a batch payload."""
@@ -1092,20 +1140,17 @@ class QueryService:
         use_cache = payload.get("use_cache", True)
         if not isinstance(use_cache, bool):
             raise BadRequestError("'use_cache' must be a boolean")
+        self._check_batch_size(len(raw))
         specs = [
             validate_spec(item, where=f"queries[{position}]")
             for position, item in enumerate(raw)
         ]
-        with self._admit():
-            active = self._start_trace("batch", trace)
-            try:
-                answered = self._run_traced(
-                    active, self.query_batch, specs, use_cache
-                )
-            except (ConstraintError, SparqlError) as error:
-                raise BadRequestError(
-                    f"invalid query in batch: {error}"
-                ) from error
+        try:
+            answered, active = self._serve(
+                "batch", trace, self.query_batch, specs, use_cache
+            )
+        except (ConstraintError, SparqlError) as error:
+            raise BadRequestError(f"invalid query in batch: {error}") from error
         response = {
             "count": len(answered),
             "results": [self._result_payload(r, m) for r, m in answered],
@@ -1230,9 +1275,14 @@ class QueryService:
                 "fingerprint": epoch.fingerprint,
             },
             "results": [
-                {"key": key, "result": asdict(replace(result, witness=None))}
-                for key, result in epoch.results.export_entries()
-                if _reads_back(key[0]) and _reads_back(key[1])
+                {
+                    "key": [source, target, sorted(labels), constraint],
+                    "result": asdict(replace(result, witness=None)),
+                }
+                for (source, target, labels, constraint), result in (
+                    epoch.results.export_entries()
+                )
+                if _reads_back(source) and _reads_back(target)
             ],
             "stats": self.stats.snapshot(),
         }
@@ -1325,7 +1375,7 @@ class QueryService:
             # both endpoints; any other entry would answer a query the
             # planner decides (a file whose keys stringified names).
             if has_vertex(source) and has_vertex(target):
-                key = (source, target, tuple(labels), constraint)
+                key = (source, target, frozenset(labels), constraint)
                 entries.append((key, QueryResult(**item["result"])))
         warmed = epoch.results.import_entries(entries)
         self.stats.restore(document.get("stats", {}))

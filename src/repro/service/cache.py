@@ -17,9 +17,17 @@ one-shot ``LSCRSession.ask`` pays on every call:
   for every query that reuses a constraint with different endpoints or
   labels — on workload-shaped traffic that is almost all of them.
 
-All are thread-safe (critical sections are O(1) dict/OrderedDict
-operations plus, for the constraint cache, the one-time parse) and
-expose hit/miss counters for ``GET /stats``.
+All are thread-safe and expose hit/miss counters for ``GET /stats``.
+What takes a lock is what writes: a store, an eviction, a counted and
+promoting :meth:`ResultCache.get` or :meth:`CandidateCache.get`, and
+the constraint cache's one-time parse — each an O(1) dict/OrderedDict
+critical section apart from that parse.  Two reads take none: a
+constraint-cache hit (one dict read plus a lock-free count, so it does
+not promote) and :meth:`ResultCache.__contains__`, the service's
+uncounted probe ahead of planning.  A single dict read is atomic under
+the GIL, so neither can see an entry half-stored.  A cached answer
+therefore takes one cache lock — its counted ``get`` — between the JSON
+door and its reply.
 
 The result and candidate caches hold answers about *one graph version*,
 so each :class:`~repro.service.epoch.GraphEpoch` owns its own: entries
@@ -32,6 +40,7 @@ except that ``V(S, G)`` after a known edge change is carried by
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict
 from collections.abc import Hashable, Iterable
@@ -206,9 +215,34 @@ class ResultCache(_EpochCache):
         return len(self) - before
 
     def __contains__(self, key: Hashable) -> bool:
-        """Non-promoting, non-counting membership test (for tests/UIs)."""
-        with self._lock:
-            return key in self._entries
+        """Non-promoting, non-counting, lock-free membership test.
+
+        The service's probe ahead of planning
+        (:meth:`~repro.service.app.QueryService._plan`): a held key needs
+        no plan, and the counted :meth:`get` that follows is the hit's
+        one lock.  One dict read, atomic under the GIL; an entry evicted
+        between the probe and :meth:`get` is a counted miss there.
+        """
+        return key in self._entries
+
+
+class _Tally:
+    """A count any thread may bump without a lock: :attr:`bump` is
+    ``next`` on an :func:`itertools.count`, one C call, atomic under the
+    GIL.  Reads consume a number too, so :meth:`value` subtracts the
+    reads before it; callers serialise their reads."""
+
+    __slots__ = ("bump", "_reads")
+
+    def __init__(self) -> None:
+        self.bump = itertools.count().__next__
+        self._reads = 0
+
+    def value(self) -> int:
+        """Bumps so far (call under the owner's lock)."""
+        value = self.bump() - self._reads
+        self._reads += 1
+        return value
 
 
 class ConstraintCache:
@@ -217,11 +251,17 @@ class ConstraintCache:
     Keys are the raw SPARQL texts *and* their canonical re-rendering
     (:meth:`SubstructureConstraint.to_sparql`), so differently formatted
     spellings of one constraint share a single parsed object after the
-    first encounter of each spelling.  Bounded LRU like the result
-    cache; parsing happens under the lock, which deliberately serialises
-    the first parse of a constraint arriving on many threads at once —
+    first encounter of each spelling.
+
+    A hit takes no lock: one dict read and a lock-free count.  So a hit
+    does not promote, and the bound evicts in insertion order — the
+    spellings parsed longest ago go first, however often they are read.
+    (A Table 3 workload holds a few texts, far under the bound.)  A miss
+    parses and stores under the lock, which deliberately serialises the
+    first parse of a constraint arriving on many threads at once —
     exactly the "parse once per batch" amortisation the batch executor
-    relies on.
+    relies on; a thread that waited there and finds the text parsed
+    counts a hit.  Every call counts exactly one hit or one miss.
     """
 
     def __init__(self, max_size: int = 4096) -> None:
@@ -229,8 +269,9 @@ class ConstraintCache:
             raise ValueError(f"max_size must be >= 1, got {max_size}")
         self.max_size = max_size
         self._lock = threading.Lock()
+        #: Insertion order is eviction order (a hit does not promote).
         self._entries: OrderedDict[str, SubstructureConstraint] = OrderedDict()
-        self._hits = 0
+        self._hits = _Tally()
         self._misses = 0
         self._evictions = 0
 
@@ -240,11 +281,14 @@ class ConstraintCache:
         Raises whatever :meth:`SubstructureConstraint.from_sparql`
         raises on invalid text (nothing is cached in that case).
         """
+        cached = self._entries.get(text)
+        if cached is not None:
+            self._hits.bump()
+            return cached
         with self._lock:
             cached = self._entries.get(text)
             if cached is not None:
-                self._entries.move_to_end(text)
-                self._hits += 1
+                self._hits.bump()
                 return cached
             self._misses += 1
             constraint = SubstructureConstraint.from_sparql(text)
@@ -254,9 +298,8 @@ class ConstraintCache:
             existing = self._entries.get(canonical)
             if existing is not None:
                 constraint = existing
-            self._entries[text] = constraint
             self._entries[canonical] = constraint
-            self._entries.move_to_end(text)
+            self._entries[text] = constraint
             while len(self._entries) > self.max_size:
                 self._entries.popitem(last=False)
                 self._evictions += 1
@@ -279,7 +322,7 @@ class ConstraintCache:
         """Snapshot of the counters."""
         with self._lock:
             return CacheStats(
-                hits=self._hits,
+                hits=self._hits.value(),
                 misses=self._misses,
                 evictions=self._evictions,
                 size=len(self._entries),

@@ -6,7 +6,7 @@ in two steps, split at the result cache:
 * :meth:`QueryPlanner.key` — **canonicalise and check** without reading
   the graph.  The request is reduced to its canonical cache key: the
   endpoint names as given (vertex ``1`` and vertex ``'1'`` are two
-  vertices, and two keys), the sorted label set, and the constraint's
+  vertices, and two keys), the label set, and the constraint's
   canonical SPARQL re-rendering, so formatting variants of one query
   share a single :class:`~repro.service.cache.ResultCache` entry.  The
   key deliberately excludes the algorithm: all four algorithms answer
@@ -80,9 +80,11 @@ __all__ = [
 #: :data:`repro.core.algorithms.ALGORITHMS`).
 DEFAULT_ALGORITHM = "meet"
 
-#: ``(source, target, sorted labels, canonical constraint SPARQL)``, the
-#: endpoints as the request named them.
-CanonicalKey = tuple[Hashable, Hashable, tuple[str, ...], str]
+#: ``(source, target, label set, canonical constraint SPARQL)``, the
+#: endpoints as the request named them and the labels as the frozenset
+#: the request's :class:`LabelConstraint` holds — order and repeats
+#: dropped without a sort.
+CanonicalKey = tuple[Hashable, Hashable, frozenset[str], str]
 
 #: Pseudo-algorithm name carried by plans the planner answered itself.
 TRIVIAL = "trivial"
@@ -167,20 +169,26 @@ class QueryPlanner:
         propagate — callers map all of these to 4xx responses.
         """
         if not isinstance(labels, LabelConstraint):
+            # Adopts the frozenset a decoded request carries
+            # (:func:`repro.service.app.validate_spec`).
             labels = LabelConstraint(labels)
         if not isinstance(constraint, SubstructureConstraint):
             # Catch the blank-text case before the SPARQL parser does:
             # clients get one stable message instead of a lexer error,
             # and nothing is cached for it.
-            if not constraint.strip():
+            if not constraint or constraint.isspace():
                 raise BadRequestError(
                     "'constraint' must be a non-empty SPARQL string"
                 )
             constraint = self.constraints.get(constraint)
-        key = (source, target, tuple(sorted(labels.labels)), constraint.to_sparql())
+        key = (source, target, labels.labels, constraint.to_sparql())
         if algorithm is None:
-            return KeyedQuery(
-                key, labels, constraint, DEFAULT_ALGORITHM, self._default_reason, False
+            # ``tuple.__new__`` skips the NamedTuple's Python-level
+            # ``__new__``: this line runs on every cached answer.
+            return tuple.__new__(
+                KeyedQuery,
+                (key, labels, constraint, DEFAULT_ALGORITHM, self._default_reason,
+                 False),
             )
         if algorithm not in ALGORITHMS:
             raise BadRequestError(

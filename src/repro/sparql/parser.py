@@ -23,7 +23,15 @@ from repro.graph.rdf import shorten
 from repro.sparql.ast import AskQuery, Query, SelectQuery, Term, TriplePattern, Var
 from repro.sparql.lexer import Token, tokenize
 
-__all__ = ["parse_query", "parse_select", "parse_patterns"]
+__all__ = ["MAX_TRIPLE_PATTERNS", "parse_query", "parse_select", "parse_patterns"]
+
+#: The most triple patterns one group may hold.  The evaluator's
+#: backtracking join (:mod:`repro.sparql.evaluator`) recurses once per
+#: pattern, so a group near Python's recursion limit (about 1000 frames)
+#: would fail mid-evaluation; a longer one is refused here, as a syntax
+#: error — a 400 naming the constraint at the service's doors.  The
+#: constraints of the paper's workloads hold a handful of patterns.
+MAX_TRIPLE_PATTERNS = 256
 
 
 def parse_query(text: str) -> Query:
@@ -149,6 +157,12 @@ class _Parser:
             predicate = self._parse_term()
             obj = self._parse_term()
             patterns.append(TriplePattern(subject, predicate, obj))
+            if len(patterns) > MAX_TRIPLE_PATTERNS:
+                raise SparqlSyntaxError(
+                    "too many triple patterns: a constraint may hold at most "
+                    f"{MAX_TRIPLE_PATTERNS}",
+                    self._peek().position,
+                )
             if self._accept("DOT") is None:
                 break  # final triple may omit the dot
         self._expect("RBRACE")

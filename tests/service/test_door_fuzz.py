@@ -1,0 +1,351 @@
+"""The ``/query`` and ``/batch`` doors under generated bodies, over HTTP.
+
+Whatever body a client sends, the reply is a 200 or a structured 4xx —
+never a 500 — and the keep-alive connection it came on answers the next
+request.  A 4xx names what was wrong: the field a one-field change broke
+(as ``queries[i]: ...`` inside a batch), or, for constraint or label
+text the readers refuse, ``invalid query`` with the reader's reason.  A
+body the door accepts answers exactly as :meth:`QueryService.query`
+does in process.
+
+Two kinds of input: any JSON value, and a valid body with one field
+changed — a wrong type, a missing key, empty or non-string labels, an
+integer too long for a machine word (or, at 5 000 digits, for the JSON
+reader), and constraints either side of
+:data:`~repro.sparql.parser.MAX_TRIPLE_PATTERNS`.  The limit itself is
+then pinned on all three doors that read a constraint, the shard
+worker's ``/shard/<id>/query`` included.
+"""
+
+from __future__ import annotations
+
+import http.client
+import json
+from contextlib import ExitStack
+from urllib.parse import urlsplit
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.datasets.toy import figure3_graph
+from repro.exceptions import BadRequestError, ConstraintError, SparqlError
+from repro.service.app import QueryService, validate_spec
+from repro.service.registry import TenantRegistry
+from repro.shard import ShardedQueryService
+from repro.sparql.parser import MAX_TRIPLE_PATTERNS
+from tests.helpers import running_server
+
+S0 = "SELECT ?x WHERE { ?x <friendOf> v3 . v3 <likes> ?y . }"
+LABELS = ["likes", "follows", "friendOf"]
+FIELDS = ("source", "target", "labels", "constraint", "algorithm", "use_cache")
+#: Bodies the doors accept, one per planner outcome: a search, a
+#: no-path search, a forced evaluator, an unknown vertex, uncached.
+VALID = [
+    {"source": "v0", "target": "v4", "labels": LABELS, "constraint": S0},
+    {"source": "v0", "target": "v3", "labels": ["likes", "follows"], "constraint": S0},
+    {"source": "v1", "target": "v4", "labels": "likes,follows", "constraint": S0,
+     "algorithm": "uis*"},
+    {"source": "v0", "target": "ghost", "labels": LABELS, "constraint": S0},
+    {"source": "v2", "target": "v4", "labels": LABELS, "constraint": S0,
+     "use_cache": False},
+]
+#: A 5 000-digit integer: more than the JSON reader converts, so the
+#: whole body is refused as JSON.
+HUGE = "9" * 5000
+#: How such a body's 400 starts (the reader's own reason follows).
+NOT_JSON = "request body is not valid JSON: "
+_HUGE_MARK = "\x00huge\x00"
+_DROP = object()
+
+
+def long_constraint(patterns: int) -> str:
+    body = " . ".join(f"?x <likes> ?y{i}" for i in range(patterns))
+    return f"SELECT ?x WHERE {{ {body} . }}"
+
+
+def encode(value) -> bytes:
+    """JSON text of ``value``; the marker string becomes :data:`HUGE`
+    (the encoder would refuse to write it)."""
+    return json.dumps(value).replace(json.dumps(_HUGE_MARK), HUGE).encode()
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+_long_ints = st.sampled_from([2**63, -(2**63) - 1, 2**64 + 1, 10**40, _HUGE_MARK])
+_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _long_ints
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+#: ``(field, new value)``: :data:`_DROP` removes the field.
+_change = st.one_of(
+    st.tuples(st.sampled_from(FIELDS), st.just(_DROP)),
+    st.tuples(st.sampled_from(FIELDS), _json),
+    st.tuples(st.sampled_from(FIELDS), _long_ints),
+    st.tuples(
+        st.just("labels"),
+        st.sampled_from([
+            [], [""], ["", "likes"], [1], ["likes", None], [True], ["likes", ["x"]],
+            [{"a": 1}], ",", "", ",,likes,", ["likes"] * 3,
+        ]),
+    ),
+    st.tuples(
+        st.just("constraint"),
+        st.sampled_from(["", "   ", "SELECT garbage ?!", "SELECT ?x WHERE { }"]),
+    ),
+    st.tuples(
+        st.just("constraint"),
+        st.one_of(
+            st.sampled_from(
+                [MAX_TRIPLE_PATTERNS - 1, MAX_TRIPLE_PATTERNS, MAX_TRIPLE_PATTERNS + 1]
+            ),
+            # Deeper than the evaluator's recursion could go.
+            st.just(1000),
+        ).map(long_constraint),
+    ),
+    st.tuples(st.just("algorithm"), st.sampled_from(["", "bogus", "ins", "naive"])),
+)
+
+
+def changed(base: dict, change: tuple) -> dict:
+    field, value = change
+    body = {key: item for key, item in base.items() if key != field}
+    if value is not _DROP:
+        body[field] = value
+    return body
+
+
+#: What a 4xx must say when ``field`` was the one changed.
+NAMES = {
+    "source": ("'source' and 'target'", "missing field(s) source"),
+    "target": ("'source' and 'target'", "missing field(s) target"),
+    "labels": ("'labels'", "missing field(s) labels", "invalid query: a label"),
+    "constraint": ("'constraint'", "missing field(s) constraint", "invalid query"),
+    "algorithm": ("'algorithm'", "unknown algorithm", "algorithm 'ins'"),
+    "use_cache": ("'use_cache'",),
+}
+
+
+# ---------------------------------------------------------------------------
+# the server, one keep-alive connection, an uncached in-process reference
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def door():
+    service = QueryService(figure3_graph(), seed=0)
+    reference = QueryService(figure3_graph(), seed=0, cache_size=0)
+    with ExitStack() as stack:
+        stack.callback(service.close)
+        stack.callback(reference.close)
+        base = stack.enter_context(running_server(service))
+        connection = http.client.HTTPConnection(urlsplit(base).netloc, timeout=30)
+        stack.callback(connection.close)
+        yield connection, reference
+
+
+def post(connection: http.client.HTTPConnection, path: str, body: bytes) -> tuple:
+    connection.request(
+        "POST", path, body=body, headers={"Content-Type": "application/json"}
+    )
+    response = connection.getresponse()
+    document = json.loads(response.read())
+    # The reply keeps the connection open, so the next request reuses it.
+    assert not response.will_close
+    return response.status, document
+
+
+def answered(result, meta) -> tuple:
+    return result.answer, meta["trivial"], meta["reason"]
+
+
+def reference_member(reference: QueryService, spec: dict) -> tuple:
+    result, meta = reference.query(**spec)
+    return answered(result, meta)
+
+
+def check_reply(status: int, document: dict, expected: tuple) -> None:
+    """The door answered what ``expected`` — ``(200, answers)`` or
+    ``(status, message)`` — says, as a 200 or a structured 4xx."""
+    assert status != 500, document
+    assert status == expected[0], document
+    if status == 200:
+        return
+    assert 400 <= status < 500, document
+    error = document["error"]
+    assert isinstance(error["type"], str)
+    if expected[1] is NOT_JSON:
+        assert error["message"].startswith(NOT_JSON)
+    else:
+        assert error["message"] == expected[1]
+
+
+def still_usable(connection) -> None:
+    status, document = post(connection, "/query", encode(VALID[0]))
+    assert status == 200 and document["answer"] is True
+
+
+def expect_query(reference: QueryService, body) -> tuple:
+    """``(200, answers)`` or ``(status, message)`` for one ``/query`` body."""
+    if HUGE in encode(body).decode():
+        return 400, NOT_JSON
+    try:
+        return 200, reference_member(reference, validate_spec(body, where="query"))
+    except BadRequestError as error:
+        return error.status, str(error)
+    except (ConstraintError, SparqlError) as error:
+        return 400, f"invalid query: {error}"
+
+
+def expect_batch(reference: QueryService, body) -> tuple:
+    """``(200, answers)`` or ``(status, message)`` for one ``/batch`` body."""
+    if HUGE in encode(body).decode():
+        return 400, NOT_JSON
+    try:
+        reference.handle_batch(body)
+    except BadRequestError as error:
+        return error.status, str(error)
+    return 200, [
+        reference_member(reference, validate_spec(member, where="member"))
+        for member in body["queries"]
+    ]
+
+
+_FUZZ = settings(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestQueryDoor:
+    @_FUZZ
+    @given(body=st.one_of(_json, st.tuples(st.sampled_from(VALID), _change)))
+    def test_every_body_gets_an_answer_or_a_structured_4xx(self, door, body):
+        connection, reference = door
+        change = None
+        if isinstance(body, tuple):
+            base, change = body
+            body = changed(base, change)
+        status, document = post(connection, "/query", encode(body))
+        expected = expect_query(reference, body)
+        check_reply(status, document, expected)
+        if status == 200:
+            reply = (document["answer"], document["trivial"], document["reason"])
+            assert reply == expected[1]
+        elif change is not None and expected[1] is not NOT_JSON:
+            message = document["error"]["message"]
+            assert any(name in message for name in NAMES[change[0]]), message
+        still_usable(connection)
+
+
+class TestBatchDoor:
+    @_FUZZ
+    @given(
+        body=st.one_of(
+            _json,
+            st.tuples(
+                st.lists(st.sampled_from(VALID), min_size=1, max_size=4),
+                st.integers(0, 3),
+                _change,
+                st.sampled_from([None, True, False]),
+            ),
+            st.fixed_dictionaries({"queries": _json}),
+        )
+    )
+    def test_every_body_gets_an_answer_or_a_structured_4xx(self, door, body):
+        connection, reference = door
+        field = position = None
+        if isinstance(body, tuple):
+            members, position, change, flag = body
+            position %= len(members)
+            members = list(members)
+            members[position] = changed(members[position], change)
+            field = change[0]
+            body = {"queries": members}
+            if flag is not None:
+                body["use_cache"] = flag
+        status, document = post(connection, "/batch", encode(body))
+        expected = expect_batch(reference, body)
+        check_reply(status, document, expected)
+        if status == 200:
+            replies = [
+                (reply["answer"], reply["trivial"], reply["reason"])
+                for reply in document["results"]
+            ]
+            assert replies == expected[1]
+        elif field is not None and expected[1] is not NOT_JSON and expected[1].startswith("queries["):
+            message = expected[1]
+            assert message.startswith(f"queries[{position}]: "), message
+            assert any(name in message for name in NAMES[field]), message
+        still_usable(connection)
+
+
+# ---------------------------------------------------------------------------
+# the pattern limit on every door that reads a constraint
+# ---------------------------------------------------------------------------
+
+
+def member(patterns: int) -> dict:
+    return {**VALID[0], "constraint": long_constraint(patterns)}
+
+
+class TestPatternLimit:
+    def test_query_and_batch_at_the_limit_and_one_past(self, door):
+        connection, _ = door
+        status, document = post(connection, "/query", encode(member(MAX_TRIPLE_PATTERNS)))
+        assert (status, document["answer"]) == (200, True)
+        status, document = post(
+            connection, "/batch", encode({"queries": [VALID[1], member(MAX_TRIPLE_PATTERNS)]})
+        )
+        assert status == 200
+        assert [reply["answer"] for reply in document["results"]] == [False, True]
+        past = member(MAX_TRIPLE_PATTERNS + 1)
+        for path, body, prefix in (
+            ("/query", past, "invalid query: "),
+            ("/batch", {"queries": [VALID[1], past]}, "invalid query in batch: "),
+        ):
+            status, document = post(connection, path, encode(body))
+            assert status == 400, document
+            message = document["error"]["message"]
+            assert message.startswith(prefix + "too many triple patterns")
+            assert "constraint" in message
+        still_usable(connection)
+
+    def test_a_thousand_patterns_is_a_400_not_a_recursion_error(self, door):
+        connection, _ = door
+        status, document = post(connection, "/query", encode(member(1000)))
+        assert status == 400 and "too many triple patterns" in document["error"]["message"]
+
+    def test_the_shard_worker_door(self):
+        sharded = ShardedQueryService(figure3_graph(), seed=0, shards=2)
+        with ExitStack() as stack:
+            stack.callback(sharded.close)
+            base = stack.enter_context(
+                running_server(
+                    TenantRegistry(),
+                    shard_workers={
+                        str(shard): worker for shard, worker in enumerate(sharded.workers)
+                    },
+                )
+            )
+            connection = http.client.HTTPConnection(urlsplit(base).netloc, timeout=30)
+            stack.callback(connection.close)
+            status, document = post(
+                connection, "/shard/0/query", encode(member(MAX_TRIPLE_PATTERNS))
+            )
+            assert status == 200 and isinstance(document["answer"], bool)
+            status, document = post(
+                connection, "/shard/0/query", encode(member(MAX_TRIPLE_PATTERNS + 1))
+            )
+            assert status == 400
+            assert document["error"]["message"].startswith(
+                "invalid query: too many triple patterns"
+            )

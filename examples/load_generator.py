@@ -13,17 +13,23 @@ result cache bypassed so every request does real work.
 Two ways to point it at a server:
 
 * **self-contained** (default) — generates a random graph, starts an
-  in-process server on an ephemeral port, drives it, and shuts it down;
-  add ``--shards N`` to size the sharded topology instead:
+  unsharded in-process server on an ephemeral port, drives it, and
+  shuts it down:
 
       python examples/load_generator.py --clients 8 --duration 5
-      python examples/load_generator.py --clients 8 --shards 4
 
 * **external** — drive an already-running server (the specs must match
   its graph; ``--spec-file`` takes a JSON array of query specs, e.g.
-  written by your own tooling):
+  written by your own tooling).  A sharded server is one of these: its
+  shards are ``serve --worker`` processes over the slices ``repro cut``
+  wrote, attached by ``--worker-url``:
 
-      python -m repro serve --graph g.tsv --port 8080 &
+      python -m repro cut g.tsv --shards 2 --out slices/
+      python -m repro serve --worker slices/shard-0.slice.json --port 9000 &
+      python -m repro serve --worker slices/shard-1.slice.json --port 9001 &
+      python -m repro serve --graph g.tsv --port 8080 --shards 2 \\
+          --worker-url http://127.0.0.1:9000 \\
+          --worker-url http://127.0.0.1:9001 &
       python examples/load_generator.py --url http://127.0.0.1:8080 \\
           --spec-file specs.json --clients 16 --duration 10
 """
@@ -333,8 +339,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--batch-every", type=int, default=4,
                         help="every Nth request is a batch (0 = never)")
     parser.add_argument("--batch-size", type=int, default=8)
-    parser.add_argument("--shards", type=int, default=0,
-                        help="self-contained mode: shard count (0 = unsharded)")
     parser.add_argument("--vertices", type=int, default=400,
                         help="self-contained mode: graph size")
     parser.add_argument("--seed", type=int, default=0)
@@ -361,18 +365,12 @@ def main(argv: list[str] | None = None) -> int:
     from repro.datasets.synthetic import random_labeled_graph
     from repro.service.app import QueryService
     from repro.service.http import create_server
-    from repro.shard import ShardedQueryService
 
     num_labels = 6
     print(f"generating random graph (|V|={args.vertices}, |L|={num_labels}) ...")
     graph = random_labeled_graph(args.vertices, 4.0, num_labels, rng=args.seed,
                                  name="loadgen")
-    if args.shards:
-        service = ShardedQueryService(graph, seed=args.seed, shards=args.shards)
-        print(f"serving sharded ({args.shards} in-process workers)")
-    else:
-        service = QueryService(graph, seed=args.seed)
-        print("serving unsharded")
+    service = QueryService(graph, seed=args.seed)
     server = create_server(service, "127.0.0.1", 0)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     base = f"http://127.0.0.1:{server.server_address[1]}"

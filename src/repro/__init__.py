@@ -15,8 +15,9 @@ YAGO-like dataset generators, the Section 6 workload generators, a
 benchmark harness regenerating every table and figure of the evaluation,
 a concurrent query service (:mod:`repro.service`) with planning,
 caching and batch execution over HTTP (``python -m repro serve``), and
-region-sharded scatter-gather serving over CSR slices
-(:mod:`repro.shard`, ``python -m repro serve --shards N``).
+region-sharded scatter-gather serving over CSR slices held by worker
+processes (:mod:`repro.shard`, ``python -m repro cut`` / ``serve
+--worker`` / ``serve --shards N --worker-url ...``).
 
 Quickstart::
 

@@ -24,28 +24,24 @@ Examples::
     python -m repro serve --graph d1.tsv --index d1.index.json --port 8080
     python -m repro serve --graph d1.tsv \
         --tenant yago=y.tsv:y.index.json --tenant toy=toy.tsv
-    python -m repro serve --graph d1.tsv --index d1.index.json \
-        --shards 4 --warm-cache d1.cache.json
     python -m repro cut d1.tsv --shards 2 --out slices/
     python -m repro serve --worker slices/shard-0.slice.json --port 9000
     python -m repro serve --worker slices/shard-1.slice.json --port 9001
     python -m repro serve --graph d1.tsv --shards 2 \
-        --worker-url http://127.0.0.1:9000 --worker-url http://127.0.0.1:9001
+        --worker-url http://127.0.0.1:9000 --worker-url http://127.0.0.1:9001 \
+        --warm-cache d1.cache.json
 
 The second ``serve`` form hosts three graphs in one process: ``d1`` as
 the default tenant behind the un-prefixed routes, the others behind
 ``/t/yago/...`` and ``/t/toy/...`` (lazy warm start on first query).
-The third serves ``d1`` through a region-sharded scatter-gather
-coordinator (four in-process shard workers, also reachable at
-``/shard/<id>/...`` for remote coordinators), warming the result cache
-from — and snapshotting it back to — ``d1.cache.json``.  The last
-block is the **cross-host** deployment: ``cut`` serializes the slices
-(of the one plan ``serve --shards`` derives for the same ``--seed`` and
-``--k``; an index never shapes it), each ``serve --worker`` process
-serves one of them, and the
-coordinator attaches them by URL — handshaking on plan hash and wire
-version at startup, probing health periodically, and propagating every
-update epoch over the two-phase slice-swap wire.
+The last block is the **sharded** deployment: ``cut`` serializes the
+slices (of the one plan ``serve --shards`` derives for the same
+``--seed`` and ``--k``; an index never shapes it), each ``serve
+--worker`` process serves one of them, and the coordinator attaches
+them by URL — handshaking on plan hash and wire version at startup,
+probing health periodically, and propagating every update epoch over
+the two-phase slice-swap wire — warming its result cache from, and
+snapshotting it back to, ``d1.cache.json``.
 """
 
 from __future__ import annotations
@@ -154,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     cut = commands.add_parser(
         "cut",
         help="cut a TSV graph into serialized shard slices for "
-        "cross-host workers (serve --worker): a fresh landmark partition "
+        "shard worker processes (serve --worker): a fresh landmark partition "
         "with structural correlations, the plan serve --shards derives "
         "for the same --seed and --k",
     )
@@ -548,7 +544,6 @@ def _serve(args: argparse.Namespace, booted: Callable[[], None]) -> int:
     # the ready line below reports real sizes, the rest warm-start lazily.
     default_name = DEFAULT_TENANT if args.graph is not None else tenants[0][0]
     registry = TenantRegistry(default_tenant=default_name)
-    shard_workers = None
     update_wal = None
     tenant_wal = None
     replay = None
@@ -579,11 +574,6 @@ def _serve(args: argparse.Namespace, booted: Callable[[], None]) -> int:
             default_service = service_cls.from_files(
                 args.graph, args.index, options=options
             )
-        if options.shards and options.worker_urls is None:
-            shard_workers = {
-                str(position): worker
-                for position, worker in enumerate(default_service.workers)
-            }
         registry.add(DEFAULT_TENANT, default_service)
     for name, graph_path, index_path in tenants:
         registry.register_files(
@@ -603,7 +593,7 @@ def _serve(args: argparse.Namespace, booted: Callable[[], None]) -> int:
         default_service.replication = follower
 
     server = create_server(
-        registry, args.host, args.port, shard_workers,
+        registry, args.host, args.port,
         allow_updates=args.allow_updates or follower is not None,
         default_deadline_ms=args.default_deadline_ms,
     )
@@ -663,20 +653,13 @@ def _serve(args: argparse.Namespace, booted: Callable[[], None]) -> int:
     if options.shards:
         shard_plan, slice_epoch = service.epoch.topology
         plan = shard_plan.describe()
-        if options.worker_urls is not None:
-            print(
-                f"shards: {options.shards} remote (vertices per shard: "
-                f"{plan['vertices_per_shard']}; workers: "
-                f"{', '.join(options.worker_urls)}; slice epoch "
-                f"{slice_epoch}, handshake ok)",
-                flush=True,
-            )
-        else:
-            print(
-                f"shards: {options.shards} (vertices per shard: "
-                f"{plan['vertices_per_shard']}; workers at /shard/<id>/expand)",
-                flush=True,
-            )
+        print(
+            f"shards: {options.shards} (vertices per shard: "
+            f"{plan['vertices_per_shard']}; workers: "
+            f"{', '.join(options.worker_urls)}; slice epoch "
+            f"{slice_epoch}, handshake ok)",
+            flush=True,
+        )
     if len(registry) > 1:
         print(
             f"tenants: {', '.join(registry.names())} "

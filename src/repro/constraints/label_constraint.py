@@ -5,7 +5,7 @@ it to a bitmask against a graph's label universe once per query and then
 expand only edges whose label bit is set.  Every door that takes ``L`` —
 the Python API, ``/query`` and ``/batch``, the CLI's ``--labels`` —
 reads a bare string the one way this class does: as comma-separated
-names.
+names.  An empty name is dropped from either form.
 """
 
 from __future__ import annotations
@@ -34,10 +34,12 @@ class LabelConstraint:
 
     def __init__(self, labels: Iterable[str] | str) -> None:
         if isinstance(labels, str):
-            # Comma-separated names; empty pieces are skipped.
-            labels = [piece for piece in labels.split(",") if piece]
+            labels = labels.split(",")
         # A frozenset is adopted as it is: ``frozenset(s) is s``.
-        self._labels = frozenset(labels)
+        labels = frozenset(labels)
+        # An empty name is no label, in either form: ``[""]`` and ``","``
+        # are both a constraint without labels.
+        self._labels = labels - {""} if "" in labels else labels
         if not self._labels:
             raise ConstraintError("a label constraint must contain at least one label")
 

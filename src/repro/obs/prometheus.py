@@ -17,7 +17,8 @@ version 0.0.4.  Everything the snapshot counts appears as a sample:
 * epoch identity and age, graph sizes, index state, slow-query
   flight-recorder counters;
 * shard plan/coordinator/worker counters when the tenant is sharded
-  (workers labelled ``shard="<id>"``);
+  (workers labelled ``shard="<id>"``; slice sizes and traffic as of the
+  coordinator's last handshake or probe of each);
 * write-ahead-log counters on a durable leader (``repro_wal_*``) and
   replication lag gauges on a follower (``repro_follower_lag_epochs`` /
   ``repro_follower_lag_seconds``);
@@ -349,9 +350,7 @@ def _shards_section(
         health = worker.get("health")
         if not isinstance(health, dict):
             health = {}
-        # In-process workers report their slice epoch directly; for
-        # remote stubs only the coordinator's health ledger knows it.
-        slice_epoch = worker.get("epoch", health.get("epoch"))
+        slice_epoch = health.get("epoch")
         if isinstance(slice_epoch, (int, float)):
             families.add("repro_shard_worker_slice_epoch", "gauge",
                          "Slice epoch the worker last reported",

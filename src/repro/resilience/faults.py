@@ -3,7 +3,7 @@
 A :class:`FaultRule` describes one misbehaviour — *hang*, *slow*,
 *drop*, *error*, or *flap* — matched against a per-target, per-operation
 call counter.  A :class:`FaultPlan` groups rules by target.
-:class:`FaultyWorker` wraps a shard worker (in-process or HTTP) and runs
+:class:`FaultyWorker` wraps a shard worker or its HTTP stub and runs
 the matching rules before delegating, so the coordinator under test sees
 real timeouts, real connection failures, and real slow responses without
 any cooperation from the worker.  :class:`FaultyWal` does the same for a

@@ -37,10 +37,10 @@ The server routes onto a :class:`~repro.service.registry.TenantRegistry`
 * ``DELETE /t/<tenant>`` — deregister a tenant;
 * ``POST /shard/<id>/expand``, ``POST /shard/<id>/query``,
   ``POST /shard/<id>/update``, ``GET /shard/<id>`` — present when shard
-  workers are attached (``serve --shards N`` or ``serve --worker
-  SLICE_FILE``): the scatter-gather and two-phase slice-swap wire a
-  remote :class:`~repro.shard.worker.HttpShardWorker` drives, so a
-  shard can live in another process behind this same front end;
+  workers are attached (``serve --worker SLICE_FILE``): the
+  scatter-gather and two-phase slice-swap wire a coordinator's
+  :class:`~repro.shard.worker.HttpShardWorker` drives, so each shard
+  lives in its own process behind this same front end;
 * ``POST /admin/rebalance``, ``POST /t/<tenant>/admin/rebalance`` —
   D-guided shard rebalancing from live border-crossing counters; only
   sharded tenants accept it (plain tenants answer a structured 501).

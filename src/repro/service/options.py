@@ -17,9 +17,9 @@ workers and ``/stats`` carry from then on.  The doors *read* the table:
   ``options=``.
 
 Whichever door it came through, an unknown key, a wrong type (a bool is
-never an int), a number that is not finite, an out-of-range value or a
-broken ``requires`` is one
-structured error naming the option as the caller spelled it.
+never an int), a number that is not finite, an out-of-range value, a
+broken ``requires`` or a shard count without one worker URL per shard
+is one structured error naming the option as the caller spelled it.
 
 Deployment settings (addresses, file paths, the update gate, the WAL)
 are not per-service options and stay plain ``argparse`` in
@@ -141,9 +141,8 @@ OPTIONS: tuple[Option, ...] = (
            "(default {default:g}: shed immediately when all slots are busy)"),
     Option("shards", int, 0, ge=0, flag="--shards", metavar="N", sharding=True,
            help="serve --graph through a region-sharded scatter-gather "
-           "coordinator with N in-process shard workers ({default:g} = "
-           "unsharded); the workers are also exposed at /shard/<id>/... for "
-           "remote coordinators"),
+           "coordinator over N shard workers, one --worker-url each "
+           "({default:g} = unsharded)"),
     # A plain service answers a batch's members in the request thread;
     # only a sharded one, whose members wait on shard workers, pools them.
     Option("max_workers", int, ge=1, requires="shards", flag="--workers",
@@ -152,9 +151,9 @@ OPTIONS: tuple[Option, ...] = (
            "(requires --shards)"),
     Option("worker_urls", list, requires="shards", flag="--worker-url",
            metavar="URL", sharding=True,
-           help="attach a remote shard worker (a 'serve --worker' process) "
-           "instead of an in-process one; repeat once per shard, in shard-id "
-           "order (requires --shards N with N matching the count given)"),
+           help="attach the shard worker (a 'serve --worker' process over a "
+           "slice file 'repro cut' wrote) at URL; repeat once per shard, in "
+           "shard-id order"),
     Option("probe_interval", float, 5.0, ge=0, requires="worker_urls",
            flag="--worker-probe-interval", metavar="SECS", sharding=True,
            help="seconds between coordinator health probes of --worker-url "
@@ -238,6 +237,16 @@ def build_options(
         needed = rows[row.requires]
         if not chosen.get(needed.name, needed.default):
             raise error(f"{spelled(row)} requires {spelled(needed)}")
+    # Every shard is a worker reached by URL: a sharded service holds no
+    # slice of its own.
+    shards, urls = chosen.get("shards", 0), chosen.get("worker_urls", ())
+    if shards and len(urls) != shards:
+        raise error(
+            f"{spelled(rows['shards'])} {shards} needs exactly {shards} "
+            f"{spelled(rows['worker_urls'])} values, got {len(urls)}: cut the "
+            f"slices with 'repro cut GRAPH --shards {shards} --out DIR' and "
+            f"start one 'serve --worker DIR/shard-<id>.slice.json' per slice"
+        )
     return ServiceOptions(**chosen)
 
 

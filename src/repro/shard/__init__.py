@@ -34,23 +34,22 @@ single-process one.  The pieces compose in one direction:
                           worker handshake/health and rebalancing
 ========================  =============================================
 
-Start one from the CLI with ``python -m repro serve --graph g.tsv
---shards 4`` or embed it::
+Deploy one in processes: ``python -m repro cut g.tsv --shards 2 --out
+slices/`` serializes the slices, each ``serve --worker
+slices/shard-<id>.slice.json`` process serves one, and ``serve --graph
+g.tsv --shards 2 --worker-url ...`` attaches them by URL; or embed the
+coordinator::
 
     from repro.shard import ShardedQueryService
 
-    service = ShardedQueryService.from_files("g.tsv", "g.index.json", shards=4)
+    service = ShardedQueryService.from_files(
+        "g.tsv", shards=2, worker_urls=["http://w0:9000", "http://w1:9000"]
+    )
     answer, meta = service.query("a", "b", ["l0"], "SELECT ?x WHERE { ... }")
 
-Cross-host, the same topology splits into processes: ``python -m repro
-cut g.tsv --shards 2 --out slices/`` serializes the slices, each
-``serve --worker slices/shard-<id>.slice.json`` process serves one,
-and ``serve --graph g.tsv --shards 2 --worker-url ...`` attaches them
-by URL.
-
 Sharded and unsharded services answer identically on every query — the
-randomized agreement suite (``tests/shard/``) holds them to that,
-in-process and across worker processes.
+randomized agreement suites (``tests/shard/``) hold them to that over
+worker servers in a thread and in separate processes.
 """
 
 from repro.shard.coordinator import ShardCoordinator

@@ -105,8 +105,8 @@ class ShardCoordinator:
 
     ``workers[i]`` must serve shard ``i`` of every epoch's plan and
     expose the :class:`~repro.shard.worker.ShardWorker` surface
-    (``expand``, ``local_query``) — in-process workers and
-    :class:`~repro.shard.worker.HttpShardWorker` stubs mix freely.
+    (``expand``, ``local_query``); a sharded service hands it
+    :class:`~repro.shard.worker.HttpShardWorker` stubs.
     Thread-safe: per-query state is local to each :meth:`answer` call,
     and everything graph-bound arrives with the epoch it is handed.
     """
@@ -455,10 +455,7 @@ class ShardCoordinator:
                 next_frontier: dict[int, list[int]] = {}
                 round_crossings = 0
                 for shard_id, result in results:
-                    if (
-                        result.epoch is not None
-                        and result.epoch != expected_epoch
-                    ):
+                    if result.epoch != expected_epoch:
                         raise _EpochSkew(shard_id, result.epoch, expected_epoch)
                     round_span.attach(result.span)
                     expanded_by_shard.setdefault(shard_id, set()).update(

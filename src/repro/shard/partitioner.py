@@ -280,10 +280,9 @@ class GraphSlice:
         """This slice as a standalone :class:`KnowledgeGraph`.
 
         Re-interned from names, so the result is self-contained — the
-        graph a shard worker's co-located probe searches, in-process or
-        in a worker process of its own.  Owned vertices are all present
-        (isolated ones included); external edge targets appear as plain
-        vertices.  Because its edge set is a subset of the source
+        graph a shard worker's co-located probe searches.  Owned
+        vertices are all present (isolated ones included); external
+        edge targets appear as plain vertices.  Because its edge set is a subset of the source
         graph's, any query answered *true* on a slice is true on the
         full graph (paths and substructure matches are preserved under
         edge-set inclusion).

@@ -16,20 +16,17 @@ Construction: the plan is :func:`~repro.shard.partitioner
 .derive_shard_plan`'s — a fresh landmark partition and its structural
 correlation table, as ``repro cut`` derives it; a loaded local index
 serves forced INS requests on the coordinator and never shapes the cut.
-Two worker topologies serve the slices:
-
-* **in-process** (default): slices are cut from the frozen CSR snapshot
-  and served by :class:`~repro.shard.worker.ShardWorker`\\ s in this
-  process — N threads;
-* **cross-host** (``worker_urls=[...]``, ``serve --worker-url``): each
-  shard is an :class:`~repro.shard.worker.HttpShardWorker` stub driving
-  a separate ``serve --worker SLICE_FILE`` process.  Attachment starts
-  with a **handshake** — the worker's ``GET /shard/<id>`` descriptor
-  must agree on wire version and plan hash (epoch/fingerprint drift is
-  healed by pushing the coordinator's current slice) — and continues
-  with **periodic health probes** that feed the per-worker circuit
-  breakers and re-push slices to workers that restarted from stale
-  files.
+Every shard is served by a ``serve --worker SLICE_FILE`` process (one
+slice ``repro cut`` wrote), which the coordinator reaches through an
+:class:`~repro.shard.worker.HttpShardWorker` stub attached by URL
+(``worker_urls=[...]``, ``serve --worker-url``).  Attachment starts
+with a **handshake** — the worker's ``GET /shard/<id>`` descriptor
+must agree on wire version and shard id (plan, epoch or fingerprint
+drift is healed by pushing the coordinator's current slice) — and,
+with ``probe_interval > 0``, continues with **periodic health probes**
+that feed the per-worker circuit breakers and re-push slices to
+workers that restarted from stale files.  The last descriptor each one
+returned is what ``/stats`` reports for that worker.
 
 **One serving reference.**  The shard plan and the slice epoch the
 fleet serves an epoch at ride the epoch itself
@@ -80,12 +77,11 @@ from repro.shard.partitioner import (
     GraphSlice,
     ShardPlan,
     ShardTopology,
-    cut_slices,
     derive_shard_plan,
 )
 from repro.shard.rebalance import propose_rebalance
 from repro.shard.slicefile import SLICE_WIRE_VERSION, plan_fingerprint
-from repro.shard.worker import HttpShardWorker, ShardWorker
+from repro.shard.worker import HttpShardWorker
 
 __all__ = ["ShardedQueryService"]
 
@@ -124,13 +120,6 @@ class ShardedQueryService(QueryService):
         options = resolve_options(options, keywords, sharding=True)
         if options.shards < 1:
             raise ServiceConfigError(f"shards must be >= 1, got {options.shards}")
-        if options.worker_urls is not None and (
-            len(options.worker_urls) != options.shards
-        ):
-            raise ServiceConfigError(
-                f"--shards {options.shards} needs exactly {options.shards} "
-                f"--worker-url values, got {len(options.worker_urls)}"
-            )
         super().__init__(graph, index, options=options)
         first = self._epoch
         #: Partition and correlations are retained for D-guided
@@ -152,24 +141,10 @@ class ShardedQueryService(QueryService):
         self._worker_health: dict[int, dict] = {}
         self._probe_stop = threading.Event()
         self._probe_thread: threading.Thread | None = None
-        plan_hash = plan_fingerprint(plan)
-        if options.worker_urls is not None:
-            self.workers: list = [
-                HttpShardWorker(url, shard_id)
-                for shard_id, url in enumerate(options.worker_urls)
-            ]
-        else:
-            self.workers = [
-                ShardWorker(
-                    graph_slice,
-                    options=options,
-                    epoch=first.epoch_id,
-                    fingerprint=first.fingerprint,
-                    plan_hash=plan_hash,
-                    plan=plan,
-                )
-                for graph_slice in cut_slices(first.graph, plan)
-            ]
+        self.workers: list = [
+            HttpShardWorker(url, shard_id)
+            for shard_id, url in enumerate(options.worker_urls)
+        ]
         self.coordinator = ShardCoordinator(
             self.workers,
             local_fast_path=local_fast_path,
@@ -177,21 +152,20 @@ class ShardedQueryService(QueryService):
             scatter_timeout=options.scatter_timeout,
             retry_policy=retry_policy,
         )
-        if options.worker_urls is not None:
-            try:
-                for shard_id, worker in enumerate(self.workers):
-                    self._handshake(shard_id, worker)
-            except Exception:
-                self.close()
-                raise
-            if options.probe_interval:
-                self._probe_thread = threading.Thread(
-                    target=self._probe_loop,
-                    args=(options.probe_interval,),
-                    name="repro-shard-probe",
-                    daemon=True,
-                )
-                self._probe_thread.start()
+        try:
+            for shard_id, worker in enumerate(self.workers):
+                self._handshake(shard_id, worker)
+        except Exception:
+            self.close()
+            raise
+        if options.probe_interval:
+            self._probe_thread = threading.Thread(
+                target=self._probe_loop,
+                args=(options.probe_interval,),
+                name="repro-shard-probe",
+                daemon=True,
+            )
+            self._probe_thread.start()
 
     def __repr__(self) -> str:
         return (
@@ -233,7 +207,7 @@ class ShardedQueryService(QueryService):
         return self.coordinator.answer(plan.query, epoch, lambda: self._epoch)
 
     # ------------------------------------------------------------------
-    # cross-host attachment: handshake + health probes + resync
+    # worker attachment: handshake + health probes + resync
     # ------------------------------------------------------------------
 
     def _handshake(self, shard_id: int, worker: HttpShardWorker) -> None:
@@ -279,6 +253,8 @@ class ShardedQueryService(QueryService):
         ):
             try:
                 self._resync_worker(shard_id, worker)
+                # The ledger keeps what the healed worker now serves.
+                descriptor = worker.probe()
             except Exception as error:
                 raise ShardHandshakeError(
                     f"worker {worker.base_url} disagrees on plan/epoch and "
@@ -296,7 +272,9 @@ class ShardedQueryService(QueryService):
                         },
                     },
                 ) from error
-        self._note_health(shard_id, epoch=slice_epoch, plan_hash=plan_hash)
+        self._note_health(
+            shard_id, epoch=slice_epoch, plan_hash=plan_hash, descriptor=descriptor
+        )
 
     def _resync_worker(self, shard_id: int, worker) -> None:
         """Push the current epoch's slice to one drifted worker.
@@ -349,7 +327,7 @@ class ShardedQueryService(QueryService):
                 pass
 
     def _probe_workers(self, timeout: float = 5.0) -> None:
-        """One health sweep: probe every remote worker, heal drift.
+        """One health sweep: probe every worker, heal drift.
 
         Probe outcomes feed the coordinator's per-worker circuit
         breakers — a responsive descriptor closes a half-open breaker
@@ -370,6 +348,7 @@ class ShardedQueryService(QueryService):
                 shard_id,
                 epoch=descriptor.get("epoch"),
                 plan_hash=descriptor.get("plan_hash"),
+                descriptor=descriptor,
             )
             plan, slice_epoch = self._epoch.topology
             if descriptor.get("epoch") != slice_epoch or descriptor.get(
@@ -620,10 +599,12 @@ class ShardedQueryService(QueryService):
     def stats_snapshot(self) -> dict:
         """The inherited document plus a ``shards`` section.
 
-        Each worker entry is its own descriptor (slice sizes, traffic
-        and update counters — plus connection reuse for remote stubs)
-        merged with the coordinator-side health ledger (``last_seen``
-        age, consecutive probe failures, last observed epoch/plan).
+        Each worker entry is the descriptor the worker returned at its
+        last handshake or probe (slice sizes, traffic and update
+        counters, slice epoch) merged with its stub's connection-pool
+        counters, plus the coordinator-side health ledger (``last_seen``
+        age, consecutive probe failures, last slice epoch it reported or
+        was published).
         """
         document = super().stats_snapshot()
         plan, slice_epoch = self._epoch.topology
@@ -635,13 +616,12 @@ class ShardedQueryService(QueryService):
             }
         workers = []
         for shard_id, worker in enumerate(self.workers):
-            entry = worker.describe()
-            ledger = health.get(shard_id)
-            if ledger is not None:
-                last_seen = ledger.pop("last_seen", None)
-                if last_seen is not None:
-                    ledger["last_seen_age_seconds"] = max(0.0, now - last_seen)
-                entry["health"] = ledger
+            ledger = health.get(shard_id, {})
+            entry = {**ledger.pop("descriptor", {}), **worker.describe()}
+            last_seen = ledger.pop("last_seen", None)
+            if last_seen is not None:
+                ledger["last_seen_age_seconds"] = max(0.0, now - last_seen)
+            entry["health"] = ledger
             workers.append(entry)
         document["shards"] = {
             "plan": plan.describe(),

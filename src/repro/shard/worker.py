@@ -40,8 +40,8 @@ plus the ``GET /shard/<id>`` descriptor); :class:`HttpShardWorker` is
 the matching client stub with the same Python interface (``expand``,
 ``local_query``, ``prepare``, ``publish_update``, ``abort_update``,
 ``crossings_by_peer``, ``describe``, ``close``) — over pooled
-keep-alive connections — so the coordinator cannot tell local from
-remote.  Neither ``expand`` nor ``local_query`` takes the request's
+keep-alive connections — which is how a sharded service reaches every
+worker.  Neither ``expand`` nor ``local_query`` takes the request's
 trace or deadline as a parameter: both run under the ambient request
 context (:mod:`repro.context`), which the stub adds to each body and
 :meth:`handle_expand` / :meth:`handle_query` arm from it.
@@ -102,17 +102,16 @@ class ExpandResult:
     crossings: dict[int, tuple[int, ...]]
     #: Vertices whose adjacency was scanned (telemetry).
     expanded: int
+    #: The slice epoch this expand answered for.  The coordinator
+    #: compares it against its expected epoch: a mismatch means the
+    #: round straddled a slice swap and must be retried.
+    epoch: int = field(compare=False)
     #: When the request is traced: this expand as a serialised span
     #: dict, ready for the coordinator to stitch into the request's
     #: trace (None when the call was untraced).  Workers build the dict
     #: themselves — in another process there is no span tree to hang it
     #: on, so the span travels back by value over the wire.
     span: dict | None = field(default=None, compare=False)
-    #: The slice epoch this expand answered for (None from worker
-    #: stand-ins that predate slice-epoch propagation).  The coordinator
-    #: compares it against its expected epoch: a mismatch means the
-    #: round straddled a slice swap and must be retried.
-    epoch: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ class _SliceState:
 
 
 class ShardWorker:
-    """In-process worker serving one :class:`GraphSlice`.
+    """The worker serving one :class:`GraphSlice` (``serve --worker``).
 
     Thread-safe: :meth:`expand` touches only per-call state plus the
     slice's read-only CSR, counters mutate under one lock, and slice
@@ -186,31 +185,6 @@ class ShardWorker:
             algorithm=DEFAULT_ALGORITHM,
             candidate_cache=CandidateCache(max_size=self._cache_size),
         )
-
-    # ------------------------------------------------------------------
-    # current-state views (one atomic reference behind them all)
-    # ------------------------------------------------------------------
-
-    @property
-    def slice(self) -> GraphSlice:
-        return self._state.slice
-
-    @property
-    def epoch(self) -> int:
-        """The slice epoch this worker currently serves."""
-        return self._state.epoch
-
-    @property
-    def fingerprint(self) -> str:
-        return self._state.fingerprint
-
-    @property
-    def plan_hash(self) -> str:
-        return self._state.plan_hash
-
-    @property
-    def plan(self) -> ShardPlan | None:
-        return self._state.plan
 
     def __repr__(self) -> str:
         state = self._state
@@ -333,8 +307,8 @@ class ShardWorker:
             reached=tuple(reached),
             crossings=crossings_out,
             expanded=expanded,
-            span=span_doc,
             epoch=state.epoch,
+            span=span_doc,
         )
         with self._lock:
             self._expand_calls += 1
@@ -722,12 +696,11 @@ class HttpShardWorker:
     Implements the same ``expand`` / ``local_query`` / ``prepare`` /
     ``publish_update`` / ``abort_update`` / ``crossings_by_peer``
     surface as :class:`ShardWorker` (plus ``probe``, the handshake and
-    health-sweep descriptor fetch only a remote worker needs), so a
-    :class:`~repro.shard.coordinator.ShardCoordinator` can mix local and
-    remote shards freely.  The remote end is any
-    :class:`~repro.service.http.ServiceHTTPServer` with shard workers
-    attached (``python -m repro serve --worker SLICE_FILE``, or a
-    co-hosted ``serve --shards N``).
+    health-sweep descriptor fetch), and is the one way a
+    :class:`~repro.shard.service.ShardedQueryService` reaches a shard.
+    The remote end is any :class:`~repro.service.http.ServiceHTTPServer`
+    with shard workers attached (``python -m repro serve --worker
+    SLICE_FILE``).
 
     Calls ride a per-worker pool of keep-alive connections instead of a
     fresh TCP handshake per expand (a measurable share of the remote
@@ -896,6 +869,13 @@ class HttpShardWorker:
             # dict is the remote worker's own account of itself.
             span_doc.setdefault("attrs", {})["remote"] = self.base_url
         epoch = document.get("epoch")
+        # A reply that does not say which slice it searched cannot be
+        # checked for skew, so it is no answer: a worker failure, which
+        # the coordinator's retry policy and breaker count.
+        if not isinstance(epoch, int) or isinstance(epoch, bool):
+            raise RemoteShardError(
+                self.shard_id, 200, f"expand reply carries no slice epoch: {epoch!r}"
+            )
         return ExpandResult(
             reached=tuple(document["reached"]),
             crossings={
@@ -903,8 +883,8 @@ class HttpShardWorker:
                 for owner, targets in document["crossings"].items()
             },
             expanded=int(document["expanded"]),
+            epoch=epoch,
             span=span_doc,
-            epoch=int(epoch) if epoch is not None else None,
         )
 
     def local_query(self, query: LSCRQuery) -> tuple[bool, int | None]:

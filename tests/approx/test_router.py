@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+
 import pytest
 
 from repro.approx import SHORT_CIRCUIT_ALGORITHMS
 from repro.core.algorithms import ALGORITHMS
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
-from repro.shard import ShardedQueryService
 from tests.helpers import graph_from_edges, sharded_fleet
 
 MARK = "SELECT ?x WHERE { ?x <mark> ?y . }"
@@ -282,8 +283,7 @@ class TestEpochs:
 class TestSharded:
     def test_short_circuit_before_scatter(self):
         graph = make_graph()
-        svc = ShardedQueryService(graph, seed=0, shards=2)
-        try:
+        with sharded_fleet(graph, seed=0, shards=2) as svc:
             result, meta = svc.query("t", "s", ["go"], MARK)
             assert result.answer is False
             assert result.algorithm == "bounds"
@@ -296,15 +296,12 @@ class TestSharded:
             assert exact.algorithm == "sharded"
             assert exact_meta["tier"] == "exact"
             assert svc.coordinator.stats()["queries"] == 1
-        finally:
-            svc.close()
 
-    @pytest.mark.parametrize("transport", ["in-process", "http"])
-    def test_witness_provenance(self, transport, no_second_search):
+    def test_witness_provenance(self, no_second_search):
         # The coordinator proves reachability across slices and walks no
         # single path: its True answers store no witness and pay no
         # second search; a repeat in the epoch is a result-cache hit.
-        with sharded_fleet(make_graph(), transport, seed=0, shards=2) as svc:
+        with sharded_fleet(make_graph(), seed=0, shards=2) as svc:
             for _ in range(2):
                 first, meta = svc.query("s", "t", ["go"], MARK, use_cache=False)
                 assert first.answer is True and first.algorithm == "sharded"
@@ -324,13 +321,10 @@ class TestSharded:
             plain.close()
 
     def test_stats_section_present(self):
-        svc = ShardedQueryService(make_graph(), seed=0, shards=2)
-        try:
+        with sharded_fleet(make_graph(), seed=0, shards=2) as svc:
             document = svc.stats_snapshot()
             assert document["approx"]["enabled"] is True
             assert document["approx"]["bounds"]["mode"] == "closure"
-        finally:
-            svc.close()
 
 
 class TestOneDefaultRoute:
@@ -344,13 +338,16 @@ class TestOneDefaultRoute:
         that every registered evaluator can be named."""
         graph = make_graph()
         index = build_local_index(graph, k=2, rng=0)
-        if request.param == "plain":
-            svc, exact = QueryService(graph, index, seed=0), "Meet"
-        else:
-            svc = ShardedQueryService(graph, index, seed=0, shards=2)
-            exact = "sharded"
-        yield svc, exact
-        svc.close()
+        with ExitStack() as stack:
+            if request.param == "plain":
+                svc, exact = QueryService(graph, index, seed=0), "Meet"
+                stack.callback(svc.close)
+            else:
+                svc = stack.enter_context(
+                    sharded_fleet(graph, index, seed=0, shards=2)
+                )
+                exact = "sharded"
+            yield svc, exact
 
     def asked(self, svc, **named):
         for source in self.VERTICES:

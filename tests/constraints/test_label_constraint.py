@@ -21,6 +21,12 @@ class TestConstruction:
         with pytest.raises(ConstraintError):
             LabelConstraint([])
 
+    @pytest.mark.parametrize("labels", [[""], ["", ""], frozenset({""}), "", ","])
+    def test_empty_names_are_dropped_in_either_form(self, labels):
+        with pytest.raises(ConstraintError):
+            LabelConstraint(labels)
+        assert LabelConstraint(["a", ""]) == LabelConstraint("a,,") == LabelConstraint("a")
+
     def test_iteration_sorted(self):
         assert list(LabelConstraint(["c", "a", "b"])) == ["a", "b", "c"]
 

@@ -1,7 +1,9 @@
 """Chaos under real concurrent HTTP load (the CI ``chaos`` job's scenario).
 
-Boot a sharded server whose workers misbehave on schedule (one hangs,
-one flaps), hammer it with the load generator sending ``?deadline_ms=``
+Cut a graph into three slices (``repro cut``), serve each from a
+``serve --worker`` process, and boot a sharded server attached to them
+whose worker stubs misbehave on schedule (one hangs, one flaps), hammer
+it with the load generator sending ``?deadline_ms=``
 on every request, and verify (a) the generator saw only clean answers
 and structured refusals, (b) replaying every spec against an unsharded
 oracle finds zero wrong answers, and (c) the breaker/degradation series
@@ -20,9 +22,10 @@ import tempfile
 import threading
 from pathlib import Path
 
-from contract import get, replay_against_oracle
+from contract import ROOT, boot_workers, get, replay_against_oracle, stop
 
 from repro.datasets.synthetic import random_labeled_graph
+from repro.graph.io import dump_tsv, load_tsv
 from repro.obs.prometheus import parse_prometheus_text
 from repro.resilience.faults import FaultRule, FaultyWorker
 from repro.resilience.retry import RetryPolicy
@@ -30,14 +33,23 @@ from repro.service.app import QueryService
 from repro.service.http import create_server
 from repro.shard import ShardedQueryService
 
-ROOT = Path(__file__).resolve().parents[2]
 
-
-def main() -> None:
+def main(scratch: Path) -> None:
     graph = random_labeled_graph(120, 4.0, 3, rng=0, name="chaos")
+    graph_file = str(scratch / "chaos.tsv")
+    dump_tsv(graph, graph_file)
     oracle = QueryService(graph, seed=0)
+    workers, urls = boot_workers(graph_file, scratch / "slices", 3)
+    try:
+        run(graph_file, urls, oracle, scratch)
+    finally:
+        oracle.close()
+        stop(workers)
+
+
+def run(graph_file: str, urls: list[str], oracle, scratch: Path) -> None:
     service = ShardedQueryService(
-        graph, seed=0, shards=3, local_fast_path=False,
+        load_tsv(graph_file), seed=0, shards=3, worker_urls=urls, local_fast_path=False,
         degraded_answers=True, scatter_timeout=0.25,
         retry_policy=RetryPolicy(max_attempts=2, base_delay=0.01, seed=0))
     plans = {0: [FaultRule("hang", every=7, duration=0.4)],
@@ -64,15 +76,14 @@ def main() -> None:
         })
 
     try:
-        with tempfile.TemporaryDirectory() as scratch:
-            spec_file = Path(scratch) / "chaos-specs.json"
-            spec_file.write_text(json.dumps(specs))
-            generator = subprocess.run(
-                [sys.executable, str(ROOT / "examples" / "load_generator.py"),
-                 "--url", base, "--spec-file", str(spec_file),
-                 "--clients", "4", "--duration", "8",
-                 "--batch-every", "0", "--deadline-ms", "1000"],
-                capture_output=True, text=True, timeout=300)
+        spec_file = scratch / "chaos-specs.json"
+        spec_file.write_text(json.dumps(specs))
+        generator = subprocess.run(
+            [sys.executable, str(ROOT / "examples" / "load_generator.py"),
+             "--url", base, "--spec-file", str(spec_file),
+             "--clients", "4", "--duration", "8",
+             "--batch-every", "0", "--deadline-ms", "1000"],
+            capture_output=True, text=True, timeout=300)
         print(generator.stdout)
         print(generator.stderr, file=sys.stderr)
         assert generator.returncode == 0, "load generator failed"
@@ -98,8 +109,8 @@ def main() -> None:
         server.shutdown()
         server.server_close()
         service.close()
-        oracle.close()
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory() as scratch_dir:
+        main(Path(scratch_dir))

@@ -42,6 +42,29 @@ def boot(*argv: str, port: int = 0) -> tuple[subprocess.Popen, str]:
     raise AssertionError("server never printed its ready line")
 
 
+def boot_workers(
+    graph: str, slices: Path, shards: int
+) -> tuple[list[subprocess.Popen], list[str]]:
+    """Cut ``graph`` into ``shards`` slice files (``repro cut``, the plan
+    ``serve --shards`` derives at the default ``--seed`` and ``--k``) and
+    start one ``serve --worker`` process per slice; (processes, urls)."""
+    subprocess.run(
+        repro_cli("cut", graph, "--shards", str(shards), "--out", str(slices)),
+        check=True, env=ENV)
+    booted = [
+        boot("--worker", str(slices / f"shard-{shard}.slice.json"))
+        for shard in range(shards)
+    ]
+    return [proc for proc, _ in booted], [url for _, url in booted]
+
+
+def stop(processes: list[subprocess.Popen]) -> None:
+    for proc in processes:
+        proc.terminate()
+    for proc in processes:
+        proc.wait(timeout=10)
+
+
 def post(base: str, path: str, payload: object) -> dict:
     request = urllib.request.Request(
         f"{base}{path}", data=json.dumps(payload).encode(),

@@ -1,8 +1,10 @@
 """The observability surface as a black box (the CI ``metrics-shape``
 job's scenario).
 
-Boot a real server — a sharded default tenant plus an unsharded one
-that takes an update batch — drive every endpoint, then validate the
+Boot a real server — a sharded default tenant, whose two slices
+``repro cut`` wrote and two ``serve --worker`` processes serve, plus an
+unsharded one that takes an update batch — drive every endpoint, then
+validate the
 scrape with the strict parser: Prometheus line format, monotone
 cumulative buckets, ``+Inf == _count``, no ``counter`` sample lower
 after the epoch swap than before it, the short-circuit router's
@@ -22,7 +24,16 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-from contract import ENV, boot, decreased_counters, get, post, repro_cli
+from contract import (
+    ENV,
+    boot,
+    boot_workers,
+    decreased_counters,
+    get,
+    post,
+    repro_cli,
+    stop,
+)
 
 from repro.obs.prometheus import parse_prometheus_text
 
@@ -52,8 +63,11 @@ def main(scratch: Path) -> None:
             repro_cli("generate", "--random", vertices, "3", labels,
                       "--seed", seed, "--output", path),
             check=True, env=ENV)
+    workers, urls = boot_workers(main_graph, scratch / "slices", 2)
     server, base = boot(
-        "--graph", main_graph, "--shards", "2", "--tenant", f"dyn={dyn_graph}",
+        "--graph", main_graph, "--shards", "2",
+        *[flag for url in urls for flag in ("--worker-url", url)],
+        "--tenant", f"dyn={dyn_graph}",
         "--allow-updates", "--slow-ms", "0", "--trace-sample", "1")
     try:
         spec = {"source": "n0", "target": "n30", "labels": ["l0", "l1", "l2"],
@@ -108,8 +122,7 @@ def main(scratch: Path) -> None:
                 assert entry["tier"] in SLOW_TIERS, (tenant, entry["tier"])
         print("metrics-shape OK:", len(samples), "samples")
     finally:
-        server.terminate()
-        server.wait(timeout=10)
+        stop([server, *workers])
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ meaningful evidence:
 * :func:`graph_from_edges` builds graphs from edge triples concisely;
 * :func:`running_server` serves a service or registry over loopback
   HTTP for the duration of a ``with`` block;
-* :func:`sharded_fleet` builds a sharded service over either worker
-  transport, and :class:`LossyWorker` loses a worker's next publish;
+* :func:`sharded_fleet` builds a sharded service over worker servers
+  in a thread, and :class:`LossyWorker` loses a worker's next publish;
 * :func:`cache_counters` reads the counters of the two per-epoch caches
   off ``/stats`` — the ones that must never step back;
 * :func:`label_blind_reach` is the BFS oracle for the bounds index:
@@ -26,10 +26,19 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, contextmanager
 
+from repro.graph.csr import freeze_graph
 from repro.graph.labeled_graph import KnowledgeGraph
+from repro.service.cache import DEFAULT_CACHE_SIZE
 from repro.service.http import create_server
+from repro.service.options import ServiceOptions
 from repro.service.registry import TenantRegistry
-from repro.shard import ShardedQueryService
+from repro.shard import (
+    ShardedQueryService,
+    ShardWorker,
+    cut_slices,
+    derive_shard_plan,
+    plan_fingerprint,
+)
 
 __all__ = [
     "LossyWorker",
@@ -67,17 +76,19 @@ def running_server(service_or_registry, **create_server_kwargs) -> Iterator[str]
 
 
 class LossyWorker:
-    """A shard worker whose next ``lose_publishes`` publishes are lost.
+    """A worker stub whose next ``lose_publishes`` publishes are lost.
 
-    The call fails before it leaves (``ConnectionError``), so the
-    wrapped worker — in-process or an HTTP stub — keeps serving its
+    The call fails before it leaves (``ConnectionError``), so
+    :attr:`served`, the worker behind the stub, keeps serving its
     previous slice at its previous slice epoch: the tolerated straggler
     state an update reports under ``shards_unpublished``.  Everything
-    else delegates.
+    else delegates to the stub.
     """
 
-    def __init__(self, worker) -> None:
+    def __init__(self, worker, served) -> None:
         self._worker = worker
+        #: The :class:`ShardWorker` the stub reaches over the wire.
+        self.served = served
         self.lose_publishes = 0
 
     def __getattr__(self, name: str):
@@ -91,38 +102,51 @@ class LossyWorker:
 
 
 @contextmanager
-def sharded_fleet(graph: KnowledgeGraph, transport: str, **options) -> Iterator:
-    """A :class:`ShardedQueryService` over ``graph`` whose workers are
-    wrapped in :class:`LossyWorker`; closed on exit.
+def sharded_fleet(graph: KnowledgeGraph, index=None, **options) -> Iterator:
+    """A :class:`ShardedQueryService` over ``graph``, closed on exit.
 
-    ``transport`` is ``"in-process"`` or ``"http"`` — the latter hosts
-    the slices in an in-thread server (cut by a throwaway twin service,
-    so the handshake finds the plan it expects) and attaches them by
-    URL with the health sweep off, so nothing heals behind a test's
-    back.
+    Its slices are cut the way ``repro cut`` cuts them — the plan the
+    service derives from the same ``landmark_count`` and ``seed`` — and
+    served by :class:`ShardWorker`\\ s on one in-thread server, which
+    the service attaches by URL through the handshake with the health
+    sweep off, so nothing heals behind a test's back.  Its stubs are
+    wrapped in :class:`LossyWorker`, which also names the worker each
+    one reaches.
     """
+    frozen = freeze_graph(graph)
+    *_, plan = derive_shard_plan(
+        frozen,
+        options["shards"],
+        landmark_count=options.get("landmark_count"),
+        seed=options.get("seed", 0),
+    )
+    stamp = {
+        "options": ServiceOptions(
+            cache_size=options.get("cache_size", DEFAULT_CACHE_SIZE)
+        ),
+        "fingerprint": frozen.content_fingerprint(),
+        "plan_hash": plan_fingerprint(plan),
+        "plan": plan,
+    }
+    hosted = {
+        str(part.shard_id): ShardWorker(part, **stamp)
+        for part in cut_slices(frozen, plan)
+    }
     with ExitStack() as stack:
-        if transport == "http":
-            host = ShardedQueryService(graph.copy(), **options)
-            stack.callback(host.close)
-            base = stack.enter_context(
-                running_server(
-                    TenantRegistry(),
-                    shard_workers={
-                        str(shard): worker
-                        for shard, worker in enumerate(host.workers)
-                    },
-                )
-            )
-            options = {
-                **options,
-                "worker_urls": [base] * len(host.workers),
-                "probe_interval": 0,
-            }
-        service = ShardedQueryService(graph, **options)
+        base = stack.enter_context(
+            running_server(TenantRegistry(), shard_workers=hosted)
+        )
+        service = ShardedQueryService(
+            graph,
+            index,
+            **{"worker_urls": [base] * len(hosted), "probe_interval": 0, **options},
+        )
         stack.callback(service.close)
         # One list backs both ``service.workers`` and the coordinator's.
-        service.workers[:] = [LossyWorker(worker) for worker in service.workers]
+        service.workers[:] = [
+            LossyWorker(stub, hosted[str(shard)])
+            for shard, stub in enumerate(service.workers)
+        ]
         yield service
 
 

@@ -10,6 +10,7 @@ deterministically.  Hang durations are kept short (0.3s) because
 from __future__ import annotations
 
 import random
+from contextlib import ExitStack
 from time import perf_counter
 
 from repro.context import RequestContext, activate
@@ -22,8 +23,7 @@ from repro.resilience.deadline import Deadline
 from repro.resilience.faults import FaultRule, FaultyWorker
 from repro.resilience.retry import RetryPolicy
 from repro.service.app import QueryService
-from repro.shard import ShardedQueryService
-from tests.helpers import graph_from_edges
+from tests.helpers import graph_from_edges, sharded_fleet
 
 SEEDS = range(30)
 VERTICES = 20
@@ -82,18 +82,19 @@ def run_seed(seed: int) -> dict:
     rng = random.Random(1000 + seed)
     graph, names = build_graph(rng, seed)
     oracle = QueryService(graph)
-    service = ShardedQueryService(
-        graph,
-        shards=3,
-        local_fast_path=bool(seed % 3),
-        degraded_answers=bool(seed % 2),
-        scatter_timeout=0.15,
-        retry_policy=RetryPolicy(
-            max_attempts=2, base_delay=0.01, seed=seed, sleep=lambda _d: None
-        ),
-    )
     outcomes = {"exact": 0, "degraded": 0, "refused": 0}
-    try:
+    with ExitStack() as stack:
+        stack.callback(oracle.close)
+        service = stack.enter_context(sharded_fleet(
+            graph,
+            shards=3,
+            local_fast_path=bool(seed % 3),
+            degraded_answers=bool(seed % 2),
+            scatter_timeout=0.15,
+            retry_policy=RetryPolicy(
+                max_attempts=2, base_delay=0.01, seed=seed, sleep=lambda _d: None
+            ),
+        ))
         for index in rng.sample(range(len(service.workers)),
                                 rng.randint(1, 2)):
             wrapper = FaultyWorker(
@@ -128,9 +129,6 @@ def run_seed(seed: int) -> dict:
                 key = "exact" if result.degraded is None else "degraded"
                 outcomes[key] += 1
             assert perf_counter() - started < MAX_QUERY_SECONDS
-    finally:
-        service.close()
-        oracle.close()
     return outcomes
 
 

@@ -12,8 +12,7 @@ import pytest
 from repro.exceptions import ShardUnavailableError
 from repro.resilience.faults import FaultRule, FaultyWorker
 from repro.resilience.retry import RetryPolicy
-from repro.shard import ShardedQueryService
-from tests.helpers import graph_from_edges, running_server
+from tests.helpers import graph_from_edges, running_server, sharded_fleet
 
 
 def make_graph():
@@ -45,7 +44,7 @@ def make_service(**kwargs):
     kwargs.setdefault("shards", 3)
     kwargs.setdefault("local_fast_path", False)
     kwargs.setdefault("retry_policy", fast_retry())
-    return ShardedQueryService(make_graph(), **kwargs)
+    return sharded_fleet(make_graph(), **kwargs)
 
 
 def break_workers(service, rules_factory):
@@ -63,23 +62,19 @@ def break_workers(service, rules_factory):
 
 class TestFailFast:
     def test_downed_shard_raises_structured_503(self):
-        service = make_service(degraded_answers=False)
-        break_workers(service, lambda i: [FaultRule("error")])
-        try:
+        with make_service(degraded_answers=False) as service:
+            break_workers(service, lambda i: [FaultRule("error")])
             with pytest.raises(ShardUnavailableError) as excinfo:
                 service.query(**QUERY)
             error = excinfo.value
             assert error.status == 503
             assert isinstance(error.shard, int)
             assert "shard" in error.detail
-        finally:
-            service.close()
 
     def test_http_503_names_the_shard(self):
-        service = make_service(degraded_answers=False)
-        break_workers(service, lambda i: [FaultRule("error")])
         with ExitStack() as stack:
-            stack.callback(service.close)
+            service = stack.enter_context(make_service(degraded_answers=False))
+            break_workers(service, lambda i: [FaultRule("error")])
             base = stack.enter_context(running_server(service))
             request = urllib.request.Request(
                 f"{base}/query",
@@ -97,9 +92,8 @@ class TestFailFast:
 
 class TestDegradedAnswers:
     def test_total_outage_degrades_to_unknown(self):
-        service = make_service(degraded_answers=True)
-        break_workers(service, lambda i: [FaultRule("error")])
-        try:
+        with make_service(degraded_answers=True) as service:
+            break_workers(service, lambda i: [FaultRule("error")])
             result, meta = service.query(**QUERY)
             assert result.degraded is not None
             assert result.degraded["missing_shards"]
@@ -110,18 +104,15 @@ class TestDegradedAnswers:
                 assert result.degraded["verdict"] == "reachable"
                 assert result.answer is True
             assert meta["degraded"] == result.degraded
-        finally:
-            service.close()
 
     def test_degraded_reachable_claims_are_sound(self):
         # The full graph answers True for QUERY; any degraded "reachable"
         # verdict must therefore agree (edge-subset monotonicity), and a
         # degraded run can never invent a True the oracle lacks.
-        service = make_service(degraded_answers=True)
-        break_workers(
-            service, lambda i: [FaultRule("error", count=1)] if i == 0 else []
-        )
-        try:
+        with make_service(degraded_answers=True) as service:
+            break_workers(
+                service, lambda i: [FaultRule("error", count=1)] if i == 0 else []
+            )
             result, _ = service.query(**QUERY)
             if result.degraded is None:
                 assert result.answer is True
@@ -129,15 +120,12 @@ class TestDegradedAnswers:
                 assert result.answer is True
             else:
                 assert result.answer is False
-        finally:
-            service.close()
 
     def test_degraded_answers_are_not_cached(self):
-        service = make_service(degraded_answers=True)
-        faulty = break_workers(
-            service, lambda i: [FaultRule("error", count=2)]
-        )
-        try:
+        with make_service(degraded_answers=True) as service:
+            faulty = break_workers(
+                service, lambda i: [FaultRule("error", count=2)]
+            )
             first, _ = service.query(**QUERY)
             assert first.degraded is not None
             # Heal the fleet: clear every remaining fault rule.
@@ -151,13 +139,10 @@ class TestDegradedAnswers:
             third, meta = service.query(**QUERY)
             assert meta["source"] == "result-cache"
             assert third.answer is True
-        finally:
-            service.close()
 
     def test_degradation_is_observable_in_stats(self):
-        service = make_service(degraded_answers=True)
-        break_workers(service, lambda i: [FaultRule("error")])
-        try:
+        with make_service(degraded_answers=True) as service:
+            break_workers(service, lambda i: [FaultRule("error")])
             result, _ = service.query(**QUERY)
             assert result.degraded is not None
             stats = service.coordinator.stats()
@@ -171,14 +156,9 @@ class TestDegradedAnswers:
             assert (
                 service_doc["service"]["resilience"]["degraded_answers"] >= 1
             )
-        finally:
-            service.close()
 
     def test_healthy_fleet_is_never_degraded(self):
-        service = make_service(degraded_answers=True)
-        try:
+        with make_service(degraded_answers=True) as service:
             result, _ = service.query(**QUERY)
             assert result.degraded is None
             assert result.answer is True
-        finally:
-            service.close()

@@ -6,8 +6,7 @@ from repro.obs.prometheus import parse_prometheus_text, render_metrics
 from repro.resilience.faults import FaultRule, FaultyWorker
 from repro.resilience.retry import RetryPolicy
 from repro.service.app import QueryService
-from repro.shard import ShardedQueryService
-from tests.helpers import graph_from_edges
+from tests.helpers import graph_from_edges, sharded_fleet
 
 
 def make_graph():
@@ -40,20 +39,19 @@ def render_names(service):
 
 class TestResilienceSeries:
     def test_faulted_sharded_service_renders_breaker_series(self):
-        service = ShardedQueryService(
+        with sharded_fleet(
             make_graph(),
             shards=3,
             local_fast_path=False,
             degraded_answers=True,
             retry_policy=RetryPolicy(max_attempts=2, base_delay=0.001, seed=1),
-        )
-        for index, worker in enumerate(list(service.workers)):
-            wrapper = FaultyWorker(
-                worker, [FaultRule("error")], name=f"shard{index}"
-            )
-            service.workers[index] = wrapper
-            service.coordinator.workers[index] = wrapper
-        try:
+        ) as service:
+            for index, worker in enumerate(list(service.workers)):
+                wrapper = FaultyWorker(
+                    worker, [FaultRule("error")], name=f"shard{index}"
+                )
+                service.workers[index] = wrapper
+                service.coordinator.workers[index] = wrapper
             result, _ = service.query(**QUERY)
             assert result.degraded is not None
             samples, names = render_names(service)
@@ -77,8 +75,6 @@ class TestResilienceSeries:
                 if name == "repro_resilience_worker_failures_total"
             )
             assert failures >= 1
-        finally:
-            service.close()
 
     def test_admission_series_render(self):
         service = QueryService(make_graph(), max_concurrent=2, max_queue=1)

@@ -1,6 +1,7 @@
 """Tests for QueryService (dict-level API, caching, batching, warm start)."""
 
 import threading
+from contextlib import ExitStack
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.index.local_index import build_local_index
 from repro.index.storage import save_local_index
 from repro.service.app import QueryService
 from repro.session import LSCRSession
-from repro.shard import ShardedQueryService
+from tests.helpers import sharded_fleet
 
 S0 = "SELECT ?x WHERE { ?x <friendOf> v3 . v3 <likes> ?y . }"
 S0_REFORMATTED = "SELECT ?x WHERE {   ?x <friendOf> v3 . v3 <likes> ?y .   }"
@@ -128,11 +129,15 @@ class TestBatch:
         """A plain service's evaluators never wait, so the members that
         need one run in the request thread; a sharded service's wait on
         shard workers, so a pool overlaps them."""
+        stack = ExitStack()
         service = (
-            ShardedQueryService(graph, seed=0, shards=2, max_workers=2)
+            stack.enter_context(
+                sharded_fleet(graph, seed=0, shards=2, max_workers=2)
+            )
             if sharded
             else QueryService(graph, seed=0)
         )
+        stack.callback(service.close)
         threads = []
         evaluate = service._evaluate
 
@@ -147,11 +152,9 @@ class TestBatch:
             for s, t in [("v0", "v4"), ("v0", "v3"), ("v3", "v4"), ("v4", "v0")]
         ]
         before = set(threading.enumerate())
-        try:
+        with stack:
             service.query_batch(specs, use_cache=False)
             started = set(threading.enumerate()) - before
-        finally:
-            service.close()
         assert len(threads) == len(specs)
         pooled = {t.name for t in started if t.name.startswith("repro-batch")}
         if sharded:

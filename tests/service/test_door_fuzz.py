@@ -31,10 +31,8 @@ from hypothesis import strategies as st
 from repro.datasets.toy import figure3_graph
 from repro.exceptions import BadRequestError, ConstraintError, SparqlError
 from repro.service.app import QueryService, validate_spec
-from repro.service.registry import TenantRegistry
-from repro.shard import ShardedQueryService
 from repro.sparql.parser import MAX_TRIPLE_PATTERNS
-from tests.helpers import running_server
+from tests.helpers import running_server, sharded_fleet
 
 S0 = "SELECT ?x WHERE { ?x <friendOf> v3 . v3 <likes> ?y . }"
 LABELS = ["likes", "follows", "friendOf"]
@@ -325,17 +323,9 @@ class TestPatternLimit:
         assert status == 400 and "too many triple patterns" in document["error"]["message"]
 
     def test_the_shard_worker_door(self):
-        sharded = ShardedQueryService(figure3_graph(), seed=0, shards=2)
         with ExitStack() as stack:
-            stack.callback(sharded.close)
-            base = stack.enter_context(
-                running_server(
-                    TenantRegistry(),
-                    shard_workers={
-                        str(shard): worker for shard, worker in enumerate(sharded.workers)
-                    },
-                )
-            )
+            sharded = stack.enter_context(sharded_fleet(figure3_graph(), seed=0, shards=2))
+            base = sharded.workers[0].base_url
             connection = http.client.HTTPConnection(urlsplit(base).netloc, timeout=30)
             stack.callback(connection.close)
             status, document = post(

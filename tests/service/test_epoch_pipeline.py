@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import ExitStack
 
 import pytest
 
@@ -21,9 +22,8 @@ from repro.graph.csr import FrozenGraph
 from repro.graph.io import dump_tsv
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
-from repro.shard import ShardedQueryService
 from repro.wal import TenantWal, graph_from_snapshot, recover_service, snapshot_document
-from tests.helpers import graph_from_edges
+from tests.helpers import graph_from_edges, sharded_fleet
 from tests.service import test_update_agreement as agreement
 
 EDGES = [
@@ -50,47 +50,47 @@ def indexed(graph):
     return build_local_index(graph, k=2, rng=0)
 
 
-def warm_start(tmp_path):
+def warm_start(tmp_path, stack):
     graph = make_graph()
     return QueryService(graph, indexed(graph), seed=0)
 
 
-def from_files(tmp_path):
+def from_files(tmp_path, stack):
     path = tmp_path / "pipeline.tsv"
     dump_tsv(make_graph(), path)
     return QueryService.from_files(path, tmp_path / "pipeline.index.json", seed=0)
 
 
-def update_add(tmp_path):
-    service = warm_start(tmp_path)
+def update_add(tmp_path, stack):
+    service = warm_start(tmp_path, stack)
     service.query(**QUERY)  # an old-epoch cached answer that must stay behind
     assert service.apply_updates([("v", "go", "w")])["epoch"] == 1
     return service
 
 
-def update_remove(tmp_path):
-    service = warm_start(tmp_path)
+def update_remove(tmp_path, stack):
+    service = warm_start(tmp_path, stack)
     service.query(**QUERY)
     assert service.apply_updates([("u", "go", "v", "remove")])["epoch"] == 1
     return service
 
 
-def update_noop(tmp_path):
-    service = warm_start(tmp_path)
+def update_noop(tmp_path, stack):
+    service = warm_start(tmp_path, stack)
     service.query(**QUERY)
     assert service.apply_updates([("s", "go", "m")])["epoch"] == 0
     return service
 
 
-def reset_epoch(tmp_path):
-    service = warm_start(tmp_path)
+def reset_epoch(tmp_path, stack):
+    service = warm_start(tmp_path, stack)
     service.query(**QUERY)
     service.reset_epoch(7, expected_fingerprint=service.epoch.fingerprint)
     return service
 
 
-def replace_graph(tmp_path):
-    service = warm_start(tmp_path)
+def replace_graph(tmp_path, stack):
+    service = warm_start(tmp_path, stack)
     service.query(**QUERY)
     replacement = graph_from_edges(EDGES + [("v", "go", "w")], name="pipeline")
     service.replace_graph(replacement, 5)
@@ -110,7 +110,7 @@ def _logged_leader(tmp_path, compact_every):
     return path, TenantWal(tmp_path / "wal", "default", compact_every=compact_every)
 
 
-def recover_from_snapshot(tmp_path):
+def recover_from_snapshot(tmp_path, stack):
     path, wal = _logged_leader(tmp_path, compact_every=2)
     assert wal.snapshot_epoch == 2
     service, replay = recover_service(
@@ -120,7 +120,7 @@ def recover_from_snapshot(tmp_path):
     return service
 
 
-def recover_from_base_tsv(tmp_path):
+def recover_from_base_tsv(tmp_path, stack):
     path, wal = _logged_leader(tmp_path, compact_every=100)
     assert wal.snapshot_epoch is None
     service, replay = recover_service(wal, graph_path=path, seed=0)
@@ -128,20 +128,20 @@ def recover_from_base_tsv(tmp_path):
     return service
 
 
-def sharded_update(tmp_path):
-    service = ShardedQueryService(make_graph(), seed=0, shards=2)
+def sharded_update(tmp_path, stack):
+    service = stack.enter_context(sharded_fleet(make_graph(), seed=0, shards=2))
     service.query(**QUERY)
     summary = service.apply_updates([("v", "go", "w")])
     assert summary["slice_epoch"] == service.slice_epoch == 1
     return service
 
 
-def sharded_reset(tmp_path):
-    service = ShardedQueryService(make_graph(), seed=0, shards=2)
+def sharded_reset(tmp_path, stack):
+    service = stack.enter_context(sharded_fleet(make_graph(), seed=0, shards=2))
     service.query(**QUERY)
     service.reset_epoch(4)
     assert service.slice_epoch == 4
-    assert [worker.epoch for worker in service.workers] == [4, 4]
+    assert [worker.probe()["epoch"] for worker in service.workers] == [4, 4]
     return service
 
 
@@ -162,8 +162,9 @@ ROUTES = [
 
 @pytest.mark.parametrize("route", ROUTES, ids=lambda route: route.__name__)
 def test_every_route_publishes_the_same_epoch_shape(route, tmp_path):
-    service = route(tmp_path)
-    try:
+    with ExitStack() as stack:
+        service = route(tmp_path, stack)
+        stack.callback(service.close)
         epoch = service.epoch
         graph = epoch.graph
         assert isinstance(graph, FrozenGraph)
@@ -200,8 +201,6 @@ def test_every_route_publishes_the_same_epoch_shape(route, tmp_path):
         service.query(**QUERY)
         keys = [key for key, _ in epoch.results.export_entries()]
         assert keys == [epoch.planner.plan(**QUERY).key]
-    finally:
-        service.close()
 
 
 def test_fifty_chained_swaps_keep_content_identity_and_answers():

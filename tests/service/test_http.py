@@ -30,7 +30,7 @@ from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.service.http import ServiceRequestHandler
 from repro.session import LSCRSession
-from tests.helpers import running_server
+from tests.helpers import running_server, sharded_fleet
 
 S0 = "SELECT ?x WHERE { ?x <friendOf> v3 . v3 <likes> ?y . }"
 S1 = "SELECT ?x WHERE { ?x <likes> ?y . }"
@@ -285,6 +285,28 @@ class TestErrors:
         assert document["error"]["type"] == "not-found"
         status, document = http_post(f"{base_url}/nope", {})
         assert status == 404
+
+    @pytest.mark.parametrize("labels", [[""], ["", ""], "", ","])
+    def test_empty_label_names_are_no_labels_at_every_door(self, base_url, labels):
+        # An empty name is dropped in the array form as in the comma
+        # form, so each of these is a constraint without labels.
+        message = "a label constraint must contain at least one label"
+        status, document = http_post(f"{base_url}/query", spec("v0", "v4", labels))
+        assert status == 400
+        assert document["error"]["message"] == f"invalid query: {message}"
+        status, document = http_post(
+            f"{base_url}/batch",
+            {"queries": [spec("v0", "v4"), spec("v0", "v4", labels)]},
+        )
+        assert status == 400
+        assert document["error"]["message"] == f"invalid query in batch: {message}"
+        with sharded_fleet(figure3_graph(), shards=2) as sharded:
+            status, document = http_post(
+                f"{sharded.workers[0].base_url}/shard/0/query",
+                spec("v0", "v4", labels),
+            )
+        assert status == 400
+        assert document["error"]["message"] == f"invalid query: {message}"
 
     def test_errors_counted_in_stats(self, base_url):
         http_post(f"{base_url}/query", {"source": "v0"})

@@ -36,7 +36,7 @@ PATH = [("a", "go", "b"), ("b", "mark", "b"), ("b", "go", "c"), ("c", "go", "d")
 S = "SELECT ?x WHERE { ?x <mark> ?y . }"
 QUERY = ("a", "c", ["go"], S)
 
-topologies = pytest.mark.parametrize("topology", ["plain", "in-process", "http"])
+topologies = pytest.mark.parametrize("topology", ["plain", "sharded"])
 
 
 def graph(edges=PATH):
@@ -55,9 +55,7 @@ def serving(topology, **options):
         finally:
             service.close()
     else:
-        with sharded_fleet(
-            source, topology, index=index, shards=2, seed=0, **options
-        ) as service:
+        with sharded_fleet(source, index, shards=2, seed=0, **options) as service:
             yield service
 
 

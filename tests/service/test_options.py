@@ -25,7 +25,7 @@ from repro.service.http import ServiceHTTPServer
 from repro.service.options import OPTIONS, options_from_args
 from repro.service.registry import TenantRegistry
 from repro.shard import ShardedQueryService
-from tests.helpers import running_server
+from tests.helpers import running_server, sharded_fleet
 from tests.service.test_http_tenants import http_get, http_request
 
 ROWS = {row.name: row for row in OPTIONS}
@@ -48,12 +48,12 @@ VALID = {
     "slow_log_size": (3, {}),
     "max_concurrent": (2, {}),
     "max_queue": (3, {"max_concurrent": 2}),
-    "shards": (2, {}),
-    "max_workers": (2, {"shards": 2}),
+    "shards": (2, {"worker_urls": FLEET}),
+    "max_workers": (2, {"shards": 2, "worker_urls": FLEET}),
     "worker_urls": (FLEET, {"shards": 2}),
     "probe_interval": (0.5, {"shards": 2, "worker_urls": FLEET}),
-    "scatter_timeout": (1.5, {"shards": 2}),
-    "degraded_answers": (True, {"shards": 2}),
+    "scatter_timeout": (1.5, {"shards": 2, "worker_urls": FLEET}),
+    "degraded_answers": (True, {"shards": 2, "worker_urls": FLEET}),
 }
 
 _WRONG_TYPES = {
@@ -126,11 +126,8 @@ def base_url():
 @pytest.fixture(scope="module")
 def fleet():
     """URLs of two live shard workers cut the way ``seed=0`` cuts."""
-    host = ShardedQueryService(figure3_graph(), shards=2)
-    workers = {str(i): worker for i, worker in enumerate(host.workers)}
-    with running_server(TenantRegistry(), shard_workers=workers) as base:
-        yield [base, base]
-    host.close()
+    with sharded_fleet(figure3_graph(), shards=2) as host:
+        yield [worker.base_url for worker in host.workers]
 
 
 def service_class(name):
@@ -249,6 +246,22 @@ def test_a_good_value_round_trips_into_stats_config(
         assert stats["config"][name] == value
     finally:
         http_request(f"{base_url}/t/probe", None, method="DELETE")
+
+
+@pytest.mark.parametrize("urls", [[], ["http://127.0.0.1:9"]], ids=["none", "one"])
+def test_a_shard_count_needs_one_worker_url_per_shard(urls, graph_path, capsys):
+    """A sharded service holds no slice of its own: each shard is a
+    ``serve --worker`` process, and the refusal says how to start one."""
+    argv = [item for url in urls for item in ("--worker-url", url)]
+    assert main(["serve", "--graph", graph_path, "--shards", "2", *argv]) == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error.startswith(
+        f"error: --shards 2 needs exactly 2 --worker-url values, got {len(urls)}"
+    )
+    assert "'repro cut " in error and "'serve --worker " in error
+    keywords = {"worker_urls": urls} if urls else {}
+    with pytest.raises(ServiceConfigError, match="'shards' 2 needs exactly 2"):
+        ShardedQueryService(figure3_graph(), shards=2, **keywords)
 
 
 def test_the_cases_cover_every_row_of_the_table():

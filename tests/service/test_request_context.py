@@ -1,7 +1,7 @@
 """The request context: what the far side of every hop observes.
 
-One matrix — hops {batch pool member, in-process scatter expand,
-co-located probe, HTTP worker ``expand``, HTTP worker ``query``} ×
+One matrix — hops {batch pool member, scatter expand, co-located probe,
+HTTP worker ``expand``, HTTP worker ``query``} ×
 armings {neither, trace only, deadline only, both} — asserts the far
 side sees exactly what the near side armed.  Around it: the activation
 primitive's own contract (arm, restore, mask, cursor reset, threads),
@@ -32,9 +32,8 @@ from repro.obs.trace import (
 from repro.resilience.deadline import Deadline, check_deadline, current_deadline
 from repro.service.app import QueryService
 from repro.session import LSCRSession
-from repro.shard import ShardedQueryService
 from repro.shard.worker import HttpShardWorker
-from tests.helpers import running_server
+from tests.helpers import sharded_fleet
 
 LABELS = ["l0", "l1", "l2"]
 CONSTRAINT = "SELECT ?x WHERE { ?x <l0> ?y . }"
@@ -77,20 +76,14 @@ def spy(monkeypatch, owner, name: str, seen: list) -> None:
 @pytest.fixture(scope="module")
 def sharded():
     graph = random_labeled_graph(24, 2.0, 4, rng=3, name="context")
-    service = ShardedQueryService(graph, seed=3, shards=2, max_workers=2)
-    yield service
-    service.close()
+    with sharded_fleet(graph, seed=3, shards=2, max_workers=2) as service:
+        yield service
 
 
 @pytest.fixture(scope="module")
 def remote(sharded):
-    """Base URL of a server hosting ``sharded``'s workers."""
-    workers = {
-        str(position): worker
-        for position, worker in enumerate(sharded.workers)
-    }
-    with running_server(sharded, shard_workers=workers) as base:
-        yield base
+    """Base URL of the server hosting ``sharded``'s workers."""
+    return sharded.workers[0].base_url
 
 
 def owned_by(sharded, shard: int) -> list[int]:
@@ -151,7 +144,7 @@ def hop_co_located_probe(sharded, remote, monkeypatch) -> list:
 
 def hop_http_expand(sharded, remote, monkeypatch) -> list:
     seen: list = []
-    spy(monkeypatch, sharded.workers[0], "expand", seen)
+    spy(monkeypatch, sharded.workers[0].served, "expand", seen)
     stub = HttpShardWorker(remote, 0)
     try:
         mask = (1 << sharded.graph.num_labels) - 1
@@ -163,7 +156,7 @@ def hop_http_expand(sharded, remote, monkeypatch) -> list:
 
 def hop_http_query(sharded, remote, monkeypatch) -> list:
     seen: list = []
-    spy(monkeypatch, sharded.workers[0], "local_query", seen)
+    spy(monkeypatch, sharded.workers[0].served, "local_query", seen)
     stub = HttpShardWorker(remote, 0)
     try:
         stub.local_query(co_located_query(sharded))
@@ -363,7 +356,7 @@ class TestWireCodec:
     def test_worker_endpoints_validate_before_any_work(
         self, endpoint, sharded, monkeypatch
     ):
-        worker = sharded.workers[0]
+        worker = sharded.workers[0].served
         seen: list = []
         spy(monkeypatch, worker, "expand", seen)
         spy(monkeypatch, worker, "local_query", seen)
@@ -397,7 +390,7 @@ class TestWireCodec:
     def test_worker_query_body_is_checked_like_a_query_body(
         self, change, message, sharded, monkeypatch
     ):
-        worker = sharded.workers[0]
+        worker = sharded.workers[0].served
         seen: list = []
         spy(monkeypatch, worker, "local_query", seen)
         query = co_located_query(sharded)
@@ -463,7 +456,8 @@ class TestProbeUnderDeadline:
         with activate(RequestContext(deadline=Deadline.after_ms(150))):
             with pytest.raises(DeadlineExceededError) as excinfo:
                 coordinator.answer(co_located_query(sharded), sharded.epoch)
-        assert excinfo.value.detail["where"] == "slice-search"
+        # The worker's own 504, decoded as one.
+        assert excinfo.value.detail["where"] == "shard-query-remote"
         assert finished.wait(timeout=1.0)
         after = coordinator.stats()["resilience"]
         assert after["deadline_exceeded"] == before["deadline_exceeded"] + 1
@@ -485,14 +479,15 @@ class TestProbeUnderDeadline:
             timed = sharded.handle_query(dict(body), trace=True)["trace"]
         (probe,) = _spans(bare, "co-located")
         (timed_probe,) = _spans(timed, "co-located")
-        assert probe["children"], "the probe's search left no spans"
-        assert _shape(timed_probe) == _shape(probe)
+        # The slice search runs behind the wire and ships no spans back,
+        # so the probe is a leaf with or without a deadline.
+        assert _shape(timed_probe) == _shape(probe) == ["co-located", []]
 
     def test_remote_probe_ships_budget_and_trace_id(
         self, sharded, remote, monkeypatch
     ):
         bodies: list = []
-        worker = sharded.workers[0]
+        worker = sharded.workers[0].served
         original = worker.handle_query
 
         def recording(payload):

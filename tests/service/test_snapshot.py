@@ -210,6 +210,7 @@ class TestServeWarmCacheFlag:
     def test_shards_without_graph_rejected(self, capsys):
         from repro.cli import main
 
-        code = main(["serve", "--tenant", "t=g.tsv", "--shards", "2"])
+        code = main(["serve", "--tenant", "t=g.tsv", "--shards", "2",
+                     "--worker-url", "http://w0", "--worker-url", "http://w1"])
         assert code == 2
         assert "--shards requires --graph" in capsys.readouterr().err

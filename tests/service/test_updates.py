@@ -35,8 +35,7 @@ from repro.graph import FrozenGraph, KnowledgeGraph
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.service.registry import TenantRegistry
-from repro.shard import ShardedQueryService
-from tests.helpers import graph_from_edges, running_server
+from tests.helpers import graph_from_edges, running_server, sharded_fleet
 
 CONSTRAINT = "SELECT ?x WHERE { ?x <mark> ?y . }"
 
@@ -396,8 +395,7 @@ class TestShardedUpdates:
         graph = graph_from_edges(
             [(f"n{i}", "l", f"n{i + 1}") for i in range(12)], name="sharded"
         )
-        service = ShardedQueryService(graph, seed=0, shards=2)
-        try:
+        with sharded_fleet(graph, seed=0, shards=2) as service:
             assert service.slice_epoch == 0
             summary = service.apply_updates([("n0", "l", "n7")])
             assert summary["epoch"] == 1
@@ -406,29 +404,24 @@ class TestShardedUpdates:
                 service.shard_plan.shard_of[service.graph.vid("n0")]
             ]
             assert service.slice_epoch == 1
-            # Every in-process worker now serves the new slice epoch.
+            # Every worker now serves the new slice epoch.
             for worker in service.workers:
-                assert worker.describe()["epoch"] == 1
+                assert worker.probe()["epoch"] == 1
             result, meta = service.query(
                 "n0", "n7", ["l"], "SELECT ?x WHERE { ?x <l> ?y . }"
             )
             assert result.answer is True
             assert meta["epoch"] == 1
-        finally:
-            service.close()
 
     def test_no_op_batch_does_not_bump_slice_epoch(self):
         graph = graph_from_edges(
             [(f"n{i}", "l", f"n{i + 1}") for i in range(12)], name="sharded"
         )
-        service = ShardedQueryService(graph, seed=0, shards=2)
-        try:
+        with sharded_fleet(graph, seed=0, shards=2) as service:
             summary = service.apply_updates([("n0", "l", "n1")])  # duplicate
             assert summary["epoch"] == 0
             assert "slice_epoch" not in summary
             assert service.slice_epoch == 0
-        finally:
-            service.close()
 
 
 def http_post(url, payload):
@@ -508,8 +501,7 @@ class TestHttpEdges:
         graph = graph_from_edges(
             [(f"n{i}", "l", f"n{i + 1}") for i in range(12)], name="sharded"
         )
-        service = ShardedQueryService(graph, seed=0, shards=2)
-        try:
+        with sharded_fleet(graph, seed=0, shards=2) as service:
             with running_server(service, allow_updates=True) as base_url:
                 status, summary = http_post(
                     f"{base_url}/edges", {"edges": [["n0", "l", "n7"]]}
@@ -521,24 +513,19 @@ class TestHttpEdges:
                          "constraint": "SELECT ?x WHERE { ?x <l> ?y . }"}
                 status, body = http_post(f"{base_url}/query", query)
                 assert status == 200 and body["answer"] is True
-        finally:
-            service.close()
 
     def test_admin_rebalance_routes(self):
         graph = graph_from_edges(
             [(f"n{i}", "l", f"n{(i * 5 + 1) % 40}") for i in range(40)],
             name="sharded",
         )
-        service = ShardedQueryService(graph, seed=0, shards=2)
-        try:
+        with sharded_fleet(graph, seed=0, shards=2) as service:
             with running_server(service, allow_updates=True) as base_url:
                 status, body = http_post(f"{base_url}/admin/rebalance", {})
                 assert status == 200
                 assert "rebalanced" in body
                 if body["rebalanced"]:
                     assert body["slice_epoch"] == service.slice_epoch
-        finally:
-            service.close()
 
     def test_admin_rebalance_on_plain_tenant_is_501(self):
         service = make_service()

@@ -8,16 +8,15 @@ Boolean answer as (a) the naive two-procedure oracle (correctness) and
 Shard counts rotate 1–4 per seed, index-backed and index-free services
 alternate (mirroring ``tests/service/test_agreement_service.py``), the
 second pass of every query must come off the result cache, and the
-batch path is held to the same standard.  A final group runs the
-scatter-gather over *remote* workers — a second coordinator driving the
-in-process workers through real HTTP — to pin the wire protocol to the
-in-process semantics.
+batch path is held to the same standard.  Every sharded service reaches
+its workers over HTTP (an in-thread server hosts them); a final group
+drives the same workers from a second, serial coordinator.
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 
 import pytest
 
@@ -28,8 +27,8 @@ from repro.core.query import LSCRQuery
 from repro.datasets.synthetic import random_labeled_graph
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
-from repro.shard import HttpShardWorker, ShardCoordinator, ShardedQueryService
-from tests.helpers import running_server
+from repro.shard import ShardCoordinator
+from tests.helpers import graph_from_edges, sharded_fleet
 
 #: ≥ 50 generated graphs, every seed fixed for reproducibility.
 SEEDS = list(range(50))
@@ -58,7 +57,7 @@ def make_sharded(graph, seed):
     stay under agreement test.
     """
     index = build_local_index(graph, k=3, rng=seed) if seed % 2 == 0 else None
-    return ShardedQueryService(graph, index, seed=seed, shards=shard_count(seed))
+    return sharded_fleet(graph, index, seed=seed, shards=shard_count(seed))
 
 
 def constraint_pool(rng):
@@ -103,11 +102,10 @@ class TestShardedAgreement:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sharded_agrees_with_naive_and_unsharded(self, seed):
         graph = make_graph(seed)
-        sharded = make_sharded(graph, seed)
         plain = QueryService(graph, seed=seed)
         rng = random.Random(seed * 7919 + 1)
         parsed = {}
-        try:
+        with make_sharded(graph, seed) as sharded, closing(plain):
             for source, target, labels, text in random_specs(rng):
                 expected = naive_answer(graph, source, target, labels, text, parsed)
                 single, _ = plain.query(source, target, labels, text)
@@ -131,14 +129,10 @@ class TestShardedAgreement:
                     assert meta2["trivial"]
                 else:
                     assert meta2["cached"]
-        finally:
-            sharded.close()
-            plain.close()
 
     @pytest.mark.parametrize("seed", SEEDS[::5])
     def test_batch_path_agrees(self, seed):
         graph = make_graph(seed)
-        sharded = make_sharded(graph, seed)
         rng = random.Random(seed * 104729 + 3)
         parsed = {}
         raw = random_specs(rng, count=12)
@@ -150,23 +144,20 @@ class TestShardedAgreement:
             {"source": s, "target": t, "labels": labels, "constraint": text}
             for s, t, labels, text in raw
         ]
-        try:
+        with make_sharded(graph, seed) as sharded:
             answered = sharded.query_batch(specs)
             assert [result.answer for result, _ in answered] == expected
             again = sharded.query_batch(specs)
             assert [result.answer for result, _ in again] == expected
             assert all(meta["cached"] or meta["trivial"] for _, meta in again)
-        finally:
-            sharded.close()
 
     @pytest.mark.parametrize("seed", SEEDS[::10])
     def test_forced_algorithm_bypasses_sharding_and_agrees(self, seed):
         # plan.forced routes around the coordinator; answers still match.
         graph = make_graph(seed)
-        sharded = make_sharded(graph, seed)
         rng = random.Random(seed * 13 + 5)
         parsed = {}
-        try:
+        with make_sharded(graph, seed) as sharded:
             for source, target, labels, text in random_specs(rng, count=4):
                 expected = naive_answer(graph, source, target, labels, text, parsed)
                 result, meta = sharded.query(
@@ -175,22 +166,18 @@ class TestShardedAgreement:
                 assert result.answer == expected
                 if not meta["trivial"]:
                     assert result.algorithm == "UIS"
-        finally:
-            sharded.close()
 
 
 class TestEarlyExits:
     def test_unreachable_target_skips_phase_two(self):
         # s reaches a satisfying vertex but never the target: the
         # answer is decided after phase one (no second closure).
-        from tests.helpers import graph_from_edges
-
         graph = graph_from_edges(
             [("s", "go", "v"), ("v", "mark", "v"), ("x", "go", "t")]
         )
-        service = ShardedQueryService(graph, seed=0, shards=2,
-                                      local_fast_path=False)
-        try:
+        with sharded_fleet(
+            graph, seed=0, shards=2, local_fast_path=False
+        ) as service:
             # Straight to the coordinator: the router's bounds would
             # answer this definite-No before it runs, and phase one is
             # what's under test here.
@@ -201,53 +188,38 @@ class TestEarlyExits:
             assert result.answer is False
             # passed_vertices counts phase one only: {s, v}.
             assert result.passed_vertices == 2
-        finally:
-            service.close()
 
     def test_empty_candidate_set_skips_both_phases(self):
-        from tests.helpers import graph_from_edges
-
         # 'mark' label exists (so the planner doesn't trivialise the
         # constraint structurally) but nothing satisfies the anchored
         # pattern below: V(S, G) is empty at evaluation time.
         graph = graph_from_edges(
             [("s", "go", "t"), ("a", "mark", "b")]
         )
-        service = ShardedQueryService(graph, seed=0, shards=2,
-                                      local_fast_path=False)
-        try:
+        with sharded_fleet(
+            graph, seed=0, shards=2, local_fast_path=False
+        ) as service:
             result, meta = service.query(
                 "s", "t", ["go"], "SELECT ?x WHERE { ?x <mark> s . }"
             )
             assert result.answer is False
             if not meta["trivial"]:
                 assert result.passed_vertices == 0  # no closure ran
-        finally:
-            service.close()
 
 
 class TestRemoteWorkerAgreement:
-    """The HTTP wire protocol answers exactly like in-process workers."""
+    """A serial coordinator over the same worker stubs answers exactly."""
 
     @pytest.mark.parametrize("seed", [0, 7, 21])
     def test_remote_coordinator_agrees_with_oracle(self, seed):
         graph = random_labeled_graph(
             24, 2.0, 4, rng=seed, name=f"remote-{seed}"
         )
-        sharded = ShardedQueryService(graph, seed=seed, shards=3)
-        workers = {
-            str(position): worker
-            for position, worker in enumerate(sharded.workers)
-        }
         with ExitStack() as stack:
-            stack.callback(sharded.close)
-            base = stack.enter_context(
-                running_server(sharded, shard_workers=workers)
+            sharded = stack.enter_context(
+                sharded_fleet(graph, seed=seed, shards=3)
             )
-            remote = ShardCoordinator(
-                [HttpShardWorker(base, position) for position in range(3)],
-                parallel=False,
-            )
+            remote = ShardCoordinator(sharded.workers, parallel=False)
             stack.callback(remote.close)
             oracle = NaiveTwoProcedure(sharded.graph)
             rng = random.Random(seed * 37 + 11)

@@ -17,10 +17,10 @@ from repro.core.query import LSCRQuery
 from repro.datasets.synthetic import random_labeled_graph
 from repro.exceptions import ShardUnavailableError
 from repro.index.landmarks import bfs_traverse, select_landmarks
-from repro.shard import ShardedQueryService
 from repro.shard.coordinator import ShardCoordinator
 from repro.shard.partitioner import ShardTopology, build_shard_plan, cut_slices
 from repro.shard.worker import ShardWorker
+from tests.helpers import sharded_fleet
 
 SEEDS = list(range(12))
 
@@ -131,20 +131,18 @@ class TestClosure:
         # Unreachable through ShardedQueryService; a direct caller gets
         # a structured 503, not an AttributeError — for a missing
         # topology and for a plan the fleet is the wrong size for.
-        service = ShardedQueryService(
-            random_labeled_graph(20, 2.0, 4, rng=0, name="refused"), shards=2
-        )
-        short = ShardCoordinator(service.workers[:1])
-        try:
-            query = LSCRQuery.create(
-                "n0", "n1", ["l0"], "SELECT ?x WHERE { ?x <l0> ?y . }"
-            )
-            with pytest.raises(ShardUnavailableError) as refusal:
-                short.answer(query, service.epoch)
-            assert refusal.value.status == 503
-            service.epoch.topology = None
-            with pytest.raises(ShardUnavailableError):
-                service.coordinator.answer(query, service.epoch)
-        finally:
-            short.close()
-            service.close()
+        graph = random_labeled_graph(20, 2.0, 4, rng=0, name="refused")
+        with sharded_fleet(graph, shards=2) as service:
+            short = ShardCoordinator(service.workers[:1])
+            try:
+                query = LSCRQuery.create(
+                    "n0", "n1", ["l0"], "SELECT ?x WHERE { ?x <l0> ?y . }"
+                )
+                with pytest.raises(ShardUnavailableError) as refusal:
+                    short.answer(query, service.epoch)
+                assert refusal.value.status == 503
+                service.epoch.topology = None
+                with pytest.raises(ShardUnavailableError):
+                    service.coordinator.answer(query, service.epoch)
+            finally:
+                short.close()

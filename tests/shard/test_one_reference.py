@@ -13,7 +13,7 @@ query, so nothing repeats a constraint across a batch that changes its
 The rule the assertions encode is the service's contract: the sharded
 answer equals the exact single-process one (a forced ``uis*`` on the
 same service), or the query is refused with a structured 503 — never
-wrong.  Both worker transports run every case.
+wrong.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ from repro.core.naive import NaiveTwoProcedure
 from repro.core.query import LSCRQuery
 from repro.exceptions import ShardUnavailableError
 from repro.graph.labeled_graph import KnowledgeGraph
+from repro.resilience.retry import RetryPolicy
 from tests.helpers import sharded_fleet
 
 S = "SELECT ?x WHERE { ?x <likes> p . }"
 LENGTH = 12
-
-pytestmark = pytest.mark.parametrize("transport", ["in-process", "http"])
-
 
 def chain(likes, *, parallel=False) -> KnowledgeGraph:
     """``v0 -next-> … -> v11`` (plus a parallel ``other`` chain), with
@@ -48,10 +46,8 @@ def chain(likes, *, parallel=False) -> KnowledgeGraph:
     return graph
 
 
-def fleet(graph, transport, **options):
-    return sharded_fleet(
-        graph, transport, shards=2, landmark_count=3, **options
-    )
+def fleet(graph, **options):
+    return sharded_fleet(graph, shards=2, landmark_count=3, **options)
 
 
 def ask(service, source, target, **keywords):
@@ -100,17 +96,55 @@ def elsewhere(service, shard):
 class TestCandidatesFollowTheEpoch:
     """(A) ``V(S, G)`` is the answering epoch's, not epoch 0's."""
 
-    def test_retracting_the_only_candidate(self, transport):
-        with fleet(chain([3]), transport) as service:
+    def test_retracting_the_only_candidate(self):
+        with fleet(chain([3])) as service:
             assert assert_exact(service, "v0", "v9", epoch=0) is True
             service.apply_updates([("v3", "likes", "p", "remove")])
             assert assert_exact(service, "v0", "v9", epoch=1) is False
 
-    def test_inserting_a_candidate(self, transport):
-        with fleet(chain([3]), transport, local_fast_path=False) as service:
+    def test_inserting_a_candidate(self):
+        with fleet(chain([3]), local_fast_path=False) as service:
             assert assert_exact(service, "v4", "v9", epoch=0) is False
             service.apply_updates([("v5", "likes", "p")])
             assert assert_exact(service, "v4", "v9", epoch=1) is True
+
+
+class TestEveryExpandNamesItsSliceEpoch:
+    """A reply that does not say which slice it searched cannot be
+    checked for skew: it is a shard failure, never part of an answer."""
+
+    @pytest.mark.parametrize("degraded", [False, True])
+    @pytest.mark.parametrize("epoch", ["missing", None, "1"])
+    def test_a_reply_without_an_integer_epoch_is_a_failure(
+        self, epoch, degraded, monkeypatch
+    ):
+        with fleet(
+            chain([3]),
+            local_fast_path=False,
+            degraded_answers=degraded,
+            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.001, seed=1),
+        ) as service:
+            for stub in service.workers:
+                handle = stub.served.handle_expand
+
+                def unnamed(payload, handle=handle):
+                    document = handle(payload)
+                    if epoch == "missing":
+                        del document["epoch"]
+                    else:
+                        document["epoch"] = epoch
+                    return document
+
+                monkeypatch.setattr(stub.served, "handle_expand", unnamed)
+            if degraded:
+                result, meta = ask(service, "v0", "v9")
+                assert result.degraded is not None and meta["degraded"]
+            else:
+                with pytest.raises(ShardUnavailableError) as refusal:
+                    ask(service, "v0", "v9")
+                assert refusal.value.status == 503
+            resilience = service.coordinator.stats()["resilience"]
+            assert resilience["worker_failures"] >= 1
 
 
 class TestSliceEpochNamesContent:
@@ -127,12 +161,12 @@ class TestSliceEpochNamesContent:
         ]
         return source, target, shard
 
-    def test_stale_fast_path_is_a_miss(self, transport):
+    def test_stale_fast_path_is_a_miss(self):
         # (B): the probe echoes its slice epoch like expand does, so the
         # stale slice's True is not believed; the scatter that follows
         # meets the skew rule and refuses.
         graph = chain(range(LENGTH), parallel=True)
-        with fleet(graph, transport) as service:
+        with fleet(graph) as service:
             source, target, _shard = self.straggle(service)
             hits = service.coordinator.stats()["fast_path_hits"]
             with pytest.raises(ShardUnavailableError) as refusal:
@@ -143,12 +177,12 @@ class TestSliceEpochNamesContent:
             service.apply_updates([("v0", "likes", "q")])
             assert assert_exact(service, source, target, epoch=2) is False
 
-    def test_bare_bump_does_not_launder_a_stale_slice(self, transport):
+    def test_bare_bump_does_not_launder_a_stale_slice(self):
         # (C): a batch on the *other* shard sends the straggler a
         # slice-less prepare; it is not serving the epoch that bump
         # extends, refuses, and is shipped its slice in the same swap.
         graph = chain(range(LENGTH), parallel=True)
-        with fleet(graph, transport, local_fast_path=False) as service:
+        with fleet(graph, local_fast_path=False) as service:
             source, target, shard = self.straggle(service)
             summary = service.apply_updates(
                 [(elsewhere(service, shard), "likes", "q")]
@@ -161,11 +195,11 @@ class TestSliceEpochNamesContent:
 class TestReplaceGraphReachesTheFleet:
     """(D) a replaced graph is served by slices of *that* graph."""
 
-    def test_replacement_is_pushed_like_any_epoch(self, transport):
+    def test_replacement_is_pushed_like_any_epoch(self):
         graph = chain(range(LENGTH), parallel=True)
         replacement = graph.copy()
         replacement.remove_edge("v6", "next", "v7")
-        with fleet(graph, transport, local_fast_path=False) as service:
+        with fleet(graph, local_fast_path=False) as service:
             source, target, _shard = span_through(service, 6, 7)
             assert assert_exact(service, source, target, epoch=0) is True
             service.replace_graph(replacement, 5)
@@ -184,7 +218,7 @@ class TestReadersDuringSwaps:
     READERS = 6
     SWAPS = 24
 
-    def test_every_answer_is_exact_for_an_epoch_it_overlapped(self, transport):
+    def test_every_answer_is_exact_for_an_epoch_it_overlapped(self):
         graph = chain(range(LENGTH), parallel=True)
         mirror = graph.copy()
         #: epoch id -> the exact answer of each query at that epoch;
@@ -216,7 +250,7 @@ class TestReadersDuringSwaps:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with fleet(graph, transport) as service:
+            with fleet(graph) as service:
                 threads = [
                     threading.Thread(
                         target=reader, args=(service, bool(i % 2)), daemon=True

@@ -8,19 +8,20 @@ ledger and the WAL — exactly where it was, answer a structured 503, and
 let a retry of the same batch succeed as epoch N+1.
 
 The refusal is injected through :class:`FaultyWorker`, so the same test
-proves a wrapped in-process worker speaks the one ``prepare`` protocol;
+proves a wrapped worker stub speaks the one ``prepare`` protocol;
 ``rebalance()`` over wrapped workers proves ``crossings_by_peer`` too.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from repro.exceptions import ShardUnavailableError
 from repro.resilience.faults import FaultRule, FaultyWorker
-from repro.shard import ShardedQueryService
 from repro.wal import TenantWal
-from tests.helpers import graph_from_edges
+from tests.helpers import graph_from_edges, sharded_fleet
 
 SHARDS = 3
 QUERY = dict(
@@ -36,7 +37,7 @@ def make_service():
     graph = graph_from_edges(
         [(f"n{i}", "l", f"n{i + 1}") for i in range(12)], name="refusal"
     )
-    return ShardedQueryService(graph, seed=0, shards=SHARDS)
+    return sharded_fleet(graph, seed=0, shards=SHARDS)
 
 
 def wrap_workers(service, rules_for):
@@ -61,8 +62,8 @@ def observable_state(service, wal):
         "topology_epoch": service.epoch.topology.slice_epoch,
         "plan": service.shard_plan,
         "workers": [
-            (worker.epoch, worker.fingerprint, worker.plan_hash)
-            for worker in service.workers
+            (served["epoch"], served["fingerprint"], served["plan_hash"])
+            for served in (worker.probe() for worker in service.workers)
         ],
         "cache_keys": sorted(key for key, _ in service.results.export_entries()),
         "updates": stats["service"]["updates"],
@@ -73,9 +74,7 @@ def observable_state(service, wal):
 
 
 def test_refused_prepare_publishes_nothing_and_a_retry_succeeds(tmp_path):
-    service = make_service()
-    wal = TenantWal(tmp_path, "default")
-    try:
+    with make_service() as service, closing(TenantWal(tmp_path, "default")) as wal:
         service.attach_wal(wal)
         service.apply_updates([("n1", "l", "n9")])  # a real epoch 1 to stay at
         result, meta = service.query(**QUERY)
@@ -99,7 +98,7 @@ def test_refused_prepare_publishes_nothing_and_a_retry_succeeds(tmp_path):
         assert excinfo.value.detail["epoch"] == 1
         assert observable_state(service, wal) == before
         # Nothing is left staged on the worker that did prepare.
-        assert service.workers[0].describe()["updates_aborted"] == 1
+        assert service.workers[0].probe()["updates_aborted"] == 1
         _, meta = service.query(**QUERY)
         assert meta["cached"] is True and meta["epoch"] == 1
 
@@ -107,19 +106,15 @@ def test_refused_prepare_publishes_nothing_and_a_retry_succeeds(tmp_path):
         assert summary["epoch"] == summary["slice_epoch"] == 2
         assert summary["edges_added"] == 2
         assert "shards_unpublished" not in summary
-        assert [worker.epoch for worker in service.workers] == [2] * SHARDS
+        assert [worker.probe()["epoch"] for worker in service.workers] == [2] * SHARDS
         assert [record.epoch for record in wal.read_records()] == [1, 2]
         assert service.stats_snapshot()["service"]["updates"]["batches"] == 2
         result, meta = service.query("n0", "fresh", ["l"], QUERY["constraint"])
         assert result.answer is True and meta["epoch"] == 2
-    finally:
-        service.close()
-        wal.close()
 
 
 def test_rebalance_reads_crossings_through_wrapped_workers():
-    service = make_service()
-    try:
+    with make_service() as service:
         wrap_workers(service, lambda shard_id: [])
         service.query(**QUERY, use_cache=False)
         document = service.rebalance()
@@ -131,5 +126,3 @@ def test_rebalance_reads_crossings_through_wrapped_workers():
             }
         result, _ = service.query(**QUERY, use_cache=False)
         assert result.answer is True
-    finally:
-        service.close()

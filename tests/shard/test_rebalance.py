@@ -10,6 +10,7 @@ so workers echo the logged epoch.
 from __future__ import annotations
 
 import random
+from contextlib import ExitStack
 
 from repro.datasets.synthetic import random_labeled_graph
 from repro.index.landmarks import (
@@ -18,12 +19,13 @@ from repro.index.landmarks import (
     structural_correlations,
 )
 from repro.service.app import QueryService
-from repro.shard import ShardedQueryService, build_shard_plan
+from repro.shard import build_shard_plan
 from repro.shard.rebalance import (
     fold_crossings,
     plan_for_assignment,
     propose_rebalance,
 )
+from tests.helpers import sharded_fleet
 
 
 def make_deployment(seed=5, shards=3, vertices=60):
@@ -109,7 +111,8 @@ class TestProposeRebalance:
 class TestServiceRebalance:
     def test_rebalance_is_idempotent_and_answers_survive(self):
         graph = random_labeled_graph(60, 2.5, 4, rng=5, name="rebalance-svc")
-        sharded = ShardedQueryService(graph, seed=5, shards=3)
+        stack = ExitStack()
+        sharded = stack.enter_context(sharded_fleet(graph, seed=5, shards=3))
         oracle = QueryService(graph.copy(), seed=5)
         rng = random.Random(99)
         specs = [
@@ -136,7 +139,7 @@ class TestServiceRebalance:
                 assert outcome["regions_moved"] > 0
                 assert sharded.slice_epoch == epoch_before + 1
                 for worker in sharded.workers:
-                    assert worker.describe()["epoch"] == sharded.slice_epoch
+                    assert worker.probe()["epoch"] == sharded.slice_epoch
             else:
                 assert outcome["slice_epoch"] == epoch_before
                 assert "crossings" in outcome
@@ -161,15 +164,14 @@ class TestServiceRebalance:
             ]
             assert final == expected
         finally:
-            sharded.close()
+            stack.close()
             oracle.close()
 
 
 class TestResetEpochRepush:
     def test_reset_epoch_repushes_every_slice(self):
         graph = random_labeled_graph(30, 2.0, 3, rng=2, name="reset")
-        sharded = ShardedQueryService(graph, seed=2, shards=2)
-        try:
+        with sharded_fleet(graph, seed=2, shards=2) as sharded:
             assert sharded.slice_epoch == 0
             sharded.reset_epoch(
                 7, expected_fingerprint=sharded.epoch.fingerprint
@@ -177,11 +179,9 @@ class TestResetEpochRepush:
             assert sharded.epoch.epoch_id == 7
             assert sharded.slice_epoch == 7
             for worker in sharded.workers:
-                assert worker.describe()["epoch"] == 7
+                assert worker.probe()["epoch"] == 7
             # Same id again: no push, no bump.
             sharded.reset_epoch(
                 7, expected_fingerprint=sharded.epoch.fingerprint
             )
             assert sharded.slice_epoch == 7
-        finally:
-            sharded.close()

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.shard import ShardedQueryService
-from tests.helpers import graph_from_edges
+from tests.helpers import graph_from_edges, sharded_fleet
 
 
 def make_graph():
@@ -35,12 +34,11 @@ def service():
     # rounds, so the shutdown race below is actually exercised;
     # cache_size=0 stores no witness, so no repeat is answered before
     # the coordinator (which is the object under test).
-    svc = ShardedQueryService(
+    with sharded_fleet(
         make_graph(), shards=3, local_fast_path=False, scatter_timeout=5.0,
         cache_size=0,
-    )
-    yield svc
-    svc.close()
+    ) as svc:
+        yield svc
 
 
 class TestPoolShutdownRaces:

@@ -10,9 +10,10 @@ import pytest
 
 from repro.constraints.substructure import SubstructureConstraint
 from repro.exceptions import ServiceConfigError
+from repro.obs.prometheus import parse_prometheus_text
 from repro.service.registry import TenantRegistry
 from repro.shard import ShardedQueryService
-from tests.helpers import graph_from_edges, running_server
+from tests.helpers import graph_from_edges, running_server, sharded_fleet
 
 
 def make_graph():
@@ -57,32 +58,34 @@ class TestConstruction:
         with pytest.raises(ServiceConfigError):
             ShardedQueryService(make_graph(), shards=0)
 
+    def test_shards_without_worker_urls_rejected(self):
+        # A sharded service holds no slice of its own: every shard is a
+        # worker process attached by URL.
+        with pytest.raises(ServiceConfigError) as refusal:
+            ShardedQueryService(make_graph(), shards=2)
+        message = str(refusal.value)
+        assert "'repro cut" in message and "'serve --worker" in message
+
     def test_default_algorithm_reports_sharded(self):
-        service = ShardedQueryService(make_graph(), shards=2)
-        try:
+        with sharded_fleet(make_graph(), shards=2) as service:
             assert service.default_algorithm == "sharded"
             assert service.health()["shards"] == 2
-        finally:
-            service.close()
 
     def test_more_shards_than_vertices_still_answers(self):
-        service = ShardedQueryService(make_graph(), shards=9)
-        try:
+        with sharded_fleet(make_graph(), shards=9) as service:
             result, _ = service.query(**{k: QUERY[k] for k in
                                          ("source", "target", "labels", "constraint")})
             assert result.answer is True
-        finally:
-            service.close()
 
 
 class TestTenantIntegration:
     def test_registers_and_serves_like_any_tenant(self):
         registry = TenantRegistry(default_tenant="flat")
-        registry.add("flat", ShardedQueryService(make_graph(), shards=1))
-        registry.add("wide", ShardedQueryService(make_graph(), shards=3))
         with ExitStack() as stack:
-            stack.callback(registry.remove, "wide")
-            stack.callback(registry.remove, "flat")
+            registry.add("flat", stack.enter_context(
+                sharded_fleet(make_graph(), shards=1)))
+            registry.add("wide", stack.enter_context(
+                sharded_fleet(make_graph(), shards=3)))
             base = stack.enter_context(running_server(registry))
             for tenant in ("flat", "wide"):
                 document = post(base, f"/t/{tenant}/query", QUERY)
@@ -96,9 +99,10 @@ class TestTenantIntegration:
             assert health["tenants_loaded"] == 2
 
     def test_stats_snapshot_has_shard_section(self):
-        service = ShardedQueryService(make_graph(), shards=2)
-        try:
+        with sharded_fleet(make_graph(), shards=2) as service:
             service.query(**QUERY)
+            # A worker entry reports the descriptor of the last probe.
+            service._probe_workers()
             document = service.stats_snapshot()
             shards = document["shards"]
             assert shards["plan"]["num_shards"] == 2
@@ -121,29 +125,67 @@ class TestTenantIntegration:
             assert document["config"]["shards"] == 2
             # Latency histograms surfaced alongside (satellite check).
             assert document["service"]["latency"]["query"]["count"] >= 1
-        finally:
-            service.close()
+
+    def test_worker_entries_have_one_shape(self):
+        # Every worker is reached over the wire, and its entry is the
+        # descriptor it returned at the handshake (slice sizes, traffic
+        # counters, slice epoch) plus the stub's pool counters and the
+        # coordinator's ledger — enough for every worker family.
+        with sharded_fleet(make_graph(), shards=2) as service:
+            with running_server(service) as base:
+                workers = get(base, "/stats")["shards"]["workers"]
+                with urllib.request.urlopen(f"{base}/metrics", timeout=10) as reply:
+                    scrape = parse_prometheus_text(reply.read().decode("utf-8"))
+        assert sorted(entry["shard"] for entry in workers) == [0, 1]
+        for entry in workers:
+            assert {"vertices", "edges", "regions", "border_vertices"} <= set(entry)
+            assert {"expand_calls", "local_queries", "updates_published"} <= set(entry)
+            assert {"remote", "connections_opened", "connection_reuses"} <= set(entry)
+            assert entry["epoch"] == 0 and entry["health"]["epoch"] == 0
+            assert entry["health"]["consecutive_failures"] == 0
+        by_family: dict[str, dict[str, float]] = {}
+        for (name, labels), value in scrape.items():
+            by_family.setdefault(name, {})[dict(labels).get("shard")] = value
+        assert by_family["repro_shard_worker_vertices"] == {
+            str(entry["shard"]): entry["vertices"] for entry in workers
+        }
+        assert by_family["repro_shard_worker_slice_epoch"] == {"0": 0, "1": 0}
+        assert set(by_family["repro_shard_worker_expand_calls_total"]) == {"0", "1"}
+
+    def test_a_resynced_worker_reports_what_it_now_serves(self):
+        # A second coordinator over another graph finds every worker
+        # drifted, pushes its own slices, and reports the healed workers.
+        changed = make_graph()
+        changed.add_edge("s", "go", "u")
+        with sharded_fleet(make_graph(), shards=2) as first:
+            urls = [worker.base_url for worker in first.workers]
+            second = ShardedQueryService(
+                changed, shards=2, worker_urls=urls, probe_interval=0
+            )
+            try:
+                for entry in second.stats_snapshot()["shards"]["workers"]:
+                    assert entry["health"]["resyncs"] == 1
+                    assert entry["fingerprint"] == second.epoch.fingerprint
+            finally:
+                second.close()
 
     def test_close_is_idempotent(self):
-        service = ShardedQueryService(make_graph(), shards=2)
-        service.close()
-        service.close()
+        with sharded_fleet(make_graph(), shards=2) as service:
+            service.close()
+            service.close()
 
     def test_use_cache_false_never_served_from_worker_caches(self):
         # The co-located fast path must not answer an uncached request
         # from a worker-level answer cache (regression: workers used to
         # cache local_query answers regardless of the request's flag):
         # every uncached request runs the slice search again.
-        service = ShardedQueryService(make_graph(), shards=1)
-        try:
+        with sharded_fleet(make_graph(), shards=1) as service:
             for _ in range(3):
                 result, meta = service.query(**QUERY, use_cache=False)
                 assert result.answer is True and not meta["cached"]
             (worker,) = service.workers
-            counters = worker.describe()
+            counters = worker.probe()
             assert (counters["local_queries"], counters["local_hits"]) == (3, 3)
-        finally:
-            service.close()
 
     @pytest.mark.parametrize("cache_size, evaluations", [(0, 3), (8, 1)])
     def test_cache_size_reaches_the_worker_vsg_cache(
@@ -159,31 +201,24 @@ class TestTenantIntegration:
             return original(constraint, graph)
 
         monkeypatch.setattr(SubstructureConstraint, "satisfying_vertices", counted)
-        service = ShardedQueryService(
+        with sharded_fleet(
             make_graph(), shards=1, cache_size=cache_size
-        )
-        try:
+        ) as service:
             for _ in range(3):
                 result, _ = service.query(**QUERY, use_cache=False)
                 assert result.answer is True
             assert service.coordinator.stats()["fast_path_hits"] == 3
             assert len(calls) == evaluations
-        finally:
-            service.close()
 
 
 class TestSnapshotPersistence:
     def test_sharded_service_snapshot_roundtrip(self, tmp_path):
         path = tmp_path / "warm.json"
-        first = ShardedQueryService(make_graph(), shards=2)
-        try:
+        with sharded_fleet(make_graph(), shards=2) as first:
             result, meta = first.query(**QUERY)
             assert result.answer is True and not meta["cached"]
             first.save_snapshot(path)
-        finally:
-            first.close()
-        second = ShardedQueryService(make_graph(), shards=2)
-        try:
+        with sharded_fleet(make_graph(), shards=2) as second:
             warmed = second.load_snapshot(path)
             assert warmed["results"] >= 1
             result, meta = second.query(**QUERY)
@@ -191,5 +226,3 @@ class TestSnapshotPersistence:
             assert meta["cached"]  # served from the warmed cache
             # Restored traffic counters carried over.
             assert second.stats.snapshot()["queries"]["total"] >= 2
-        finally:
-            second.close()

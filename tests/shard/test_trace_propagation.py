@@ -9,18 +9,11 @@ the span counts agree with the coordinator's own telemetry.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
-
-import pytest
-
 from repro.context import RequestContext, activate
 from repro.core.query import LSCRQuery
 from repro.datasets.synthetic import random_labeled_graph
 from repro.obs.trace import Trace
-from repro.shard import ShardedQueryService
-from repro.shard.coordinator import ShardCoordinator
-from repro.shard.worker import HttpShardWorker
-from tests.helpers import running_server
+from tests.helpers import sharded_fleet
 
 CONSTRAINT = "SELECT ?x WHERE { ?x <l0> ?y . }"
 
@@ -54,24 +47,11 @@ def _queries(graph):
 class TestRemoteTracePropagation:
     def test_two_shard_remote_query_yields_one_stitched_tree(self):
         graph = random_labeled_graph(24, 2.0, 4, rng=3, name="trace-remote")
-        sharded = ShardedQueryService(
+        with sharded_fleet(
             graph, seed=3, shards=2, local_fast_path=False
-        )
-        workers = {
-            str(position): worker
-            for position, worker in enumerate(sharded.workers)
-        }
-        with ExitStack() as stack:
-            stack.callback(sharded.close)
-            base = stack.enter_context(
-                running_server(sharded, shard_workers=workers)
-            )
-            remote = ShardCoordinator(
-                [HttpShardWorker(base, position) for position in range(2)],
-                local_fast_path=False,
-                parallel=False,
-            )
-            stack.callback(remote.close)
+        ) as sharded:
+            remote = sharded.coordinator
+            base = sharded.workers[0].base_url
             scattered = None
             for query in _queries(graph):
                 document = _traced_answer(remote, query, sharded.epoch)
@@ -108,20 +88,10 @@ class TestRemoteTracePropagation:
 
     def test_untraced_remote_query_ships_no_span(self):
         graph = random_labeled_graph(16, 2.0, 3, rng=1, name="untraced")
-        sharded = ShardedQueryService(
+        with sharded_fleet(
             graph, seed=1, shards=2, local_fast_path=False
-        )
-        workers = {
-            str(position): worker
-            for position, worker in enumerate(sharded.workers)
-        }
-        with ExitStack() as stack:
-            stack.callback(sharded.close)
-            base = stack.enter_context(
-                running_server(sharded, shard_workers=workers)
-            )
-            worker = HttpShardWorker(base, 0)
-            stack.callback(worker.close)
+        ) as sharded:
+            worker = sharded.workers[0]
             seeds = [
                 vid for vid in range(sharded.graph.num_vertices)
                 if sharded.shard_plan.shard_of[vid] == 0
@@ -136,13 +106,12 @@ class TestRemoteTracePropagation:
             assert traced.reached == result.reached
 
 
-class TestInProcessServiceTrace:
+class TestServiceTrace:
     def test_sharded_handle_query_returns_stitched_trace(self):
         graph = random_labeled_graph(24, 2.0, 4, rng=3, name="trace-local")
-        service = ShardedQueryService(
+        with sharded_fleet(
             graph, seed=3, shards=2, local_fast_path=False, slow_ms=0.0
-        )
-        try:
+        ) as service:
             names = [f"n{i}" for i in range(graph.num_vertices)]
             document = None
             for source in names[:4]:
@@ -169,6 +138,4 @@ class TestInProcessServiceTrace:
             assert coordinator["attrs"]["expand_calls"] == len(expands)
             for expand in expands:
                 assert expand["attrs"]["trace_id"] == trace["trace_id"]
-                assert "remote" not in expand["attrs"]   # in-process worker
-        finally:
-            service.close()
+                assert expand["attrs"]["remote"] == service.workers[0].base_url

@@ -313,9 +313,10 @@ class TestServeWalFlags:
         # --wal --shards compose (the log carries slice epochs); a
         # follower republishes read-only and cannot drive a fleet.
         code = main(["serve", "--graph", "g.tsv", "--shards", "2",
+                     "--worker-url", "http://w0", "--worker-url", "http://w1",
                      "--follow", "d"])
         assert code == 2
-        assert "--shards" in capsys.readouterr().err
+        assert "--follow does not support --shards" in capsys.readouterr().err
 
     def test_follow_refuses_allow_updates(self, capsys):
         code = main(["serve", "--graph", "g.tsv", "--follow", "d",

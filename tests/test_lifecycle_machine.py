@@ -33,11 +33,11 @@ a plain :class:`KnowledgeGraph`:
   equal a fresh build over that graph from the service's landmark count
   and seed (:class:`~repro.service.epoch.IndexSource`).
 
-Topologies: plain and in-process shards run in tier-1 on a fixed,
-derandomised budget; HTTP-attached workers over an in-thread server
-join under the deeper ``differential`` profile (``tests/conftest.py``;
-CI's ``differential`` job), which also multiplies the examples and
-draws them from the seed given on the command line.
+Topologies: plain, and sharded over workers an in-thread server hosts
+and the service attaches by URL.  Both run in tier-1 on a fixed,
+derandomised budget; the deeper ``differential`` profile
+(``tests/conftest.py``; CI's ``differential`` job) multiplies the
+examples and draws them from the seed given on the command line.
 """
 
 from __future__ import annotations
@@ -119,8 +119,7 @@ class LifecycleMachine(RuleBasedStateMachine):
         if self.sharded:
             self.service = self.stack.enter_context(
                 sharded_fleet(
-                    graph, self.topology, index=index, shards=SHARDS,
-                    landmark_count=LANDMARKS, seed=0,
+                    graph, index, shards=SHARDS, landmark_count=LANDMARKS, seed=0
                 )
             )
         else:
@@ -140,8 +139,7 @@ class LifecycleMachine(RuleBasedStateMachine):
         return {
             shard
             for shard, worker in enumerate(self.service.workers)
-            if (worker.probe()["epoch"] if hasattr(worker, "probe") else worker.epoch)
-            != self.service.slice_epoch
+            if worker.probe()["epoch"] != self.service.slice_epoch
         }
 
     def swap(self, operation, published=lambda outcome: True):
@@ -347,11 +345,9 @@ def tables(index: LocalIndex):
     )
 
 
-@pytest.mark.parametrize("topology", ["plain", "in-process", "http"])
+@pytest.mark.parametrize("topology", ["plain", "sharded"])
 def test_lifecycle(topology, request):
     deep = request.config.getoption("hypothesis_profile") == "differential"
-    if topology == "http" and not deep:
-        pytest.skip("HTTP-attached workers run under the differential profile")
     run_state_machine_as_test(
         lambda: LifecycleMachine(topology),
         settings=settings() if deep else TIER1,

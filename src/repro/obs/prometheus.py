@@ -18,7 +18,7 @@ version 0.0.4.  Everything the snapshot counts appears as a sample:
   flight-recorder counters;
 * shard plan/coordinator/worker counters when the tenant is sharded
   (workers labelled ``shard="<id>"``; slice sizes and traffic as of the
-  coordinator's last handshake or probe of each);
+  coordinator's last handshake, probe or slice publish to each);
 * write-ahead-log counters on a durable leader (``repro_wal_*``) and
   replication lag gauges on a follower (``repro_follower_lag_epochs`` /
   ``repro_follower_lag_seconds``);

@@ -41,6 +41,7 @@ __all__ = [
     "Trace",
     "TraceSampler",
     "annotate",
+    "attach",
     "current_span",
     "current_trace",
     "new_trace_id",
@@ -259,13 +260,17 @@ def span(name: str, **attrs: Any) -> SpanHandle | _NoopHandle:
 
 def annotate(**attrs: Any) -> None:
     """Set attributes on the current span, if any (no-op when off)."""
-    current = _CURRENT_SPAN.get()
-    if current is None:
-        trace = current_trace()
-        if trace is None:
-            return
-        current = trace.root
-    current.attrs.update(attrs)
+    trace = current_trace()
+    if trace is not None:
+        (_CURRENT_SPAN.get() or trace.root).attrs.update(attrs)
+
+
+def attach(child: dict) -> None:
+    """Stitch a serialised subtree (a remote worker's span) under the
+    current span (no-op when off)."""
+    trace = current_trace()
+    if trace is not None:
+        (_CURRENT_SPAN.get() or trace.root).children.append(child)
 
 
 class TraceSampler:

@@ -44,6 +44,7 @@ __all__ = [
     "ServiceOptions",
     "add_arguments",
     "build_options",
+    "fleet_problem",
     "options_from_args",
     "resolve_options",
 ]
@@ -237,17 +238,32 @@ def build_options(
         needed = rows[row.requires]
         if not chosen.get(needed.name, needed.default):
             raise error(f"{spelled(row)} requires {spelled(needed)}")
-    # Every shard is a worker reached by URL: a sharded service holds no
-    # slice of its own.
-    shards, urls = chosen.get("shards", 0), chosen.get("worker_urls", ())
-    if shards and len(urls) != shards:
-        raise error(
-            f"{spelled(rows['shards'])} {shards} needs exactly {shards} "
-            f"{spelled(rows['worker_urls'])} values, got {len(urls)}: cut the "
-            f"slices with 'repro cut GRAPH --shards {shards} --out DIR' and "
-            f"start one 'serve --worker DIR/shard-<id>.slice.json' per slice"
-        )
+    problem = sharding and fleet_problem(
+        chosen.get("shards", 0),
+        chosen.get("worker_urls"),
+        (spelled(rows["shards"]), spelled(rows["worker_urls"])),
+    )
+    if problem:
+        raise error(problem)
     return ServiceOptions(**chosen)
+
+
+def fleet_problem(
+    shards: int,
+    urls: tuple[str, ...] | None,
+    names: tuple[str, str] = ("'shards'", "'worker_urls'"),
+) -> str | None:
+    """Why ``shards`` workers at ``urls`` make no fleet (None when they do):
+    a sharded service holds no slice of its own, so it needs one worker
+    URL per shard."""
+    count = len(urls or ())
+    if not shards or count == shards:
+        return None
+    return (
+        f"{names[0]} {shards} needs exactly {shards} {names[1]} values, got "
+        f"{count}: cut the slices with 'repro cut GRAPH --shards {shards} --out "
+        f"DIR' and start one 'serve --worker DIR/shard-<id>.slice.json' per slice"
+    )
 
 
 def resolve_options(

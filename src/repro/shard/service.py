@@ -68,7 +68,7 @@ from repro.exceptions import (
 from repro.index.local_index import LocalIndex
 from repro.service.app import QueryService
 from repro.service.epoch import GraphEpoch, IndexSource
-from repro.service.options import ServiceOptions, resolve_options
+from repro.service.options import ServiceOptions, fleet_problem, resolve_options
 from repro.service.planner import QueryPlan
 from repro.core.result import QueryResult
 from repro.graph.labeled_graph import KnowledgeGraph
@@ -120,6 +120,9 @@ class ShardedQueryService(QueryService):
         options = resolve_options(options, keywords, sharding=True)
         if options.shards < 1:
             raise ServiceConfigError(f"shards must be >= 1, got {options.shards}")
+        problem = fleet_problem(options.shards, options.worker_urls)
+        if problem:  # a hand-built options= value skipped build_options
+            raise ServiceConfigError(problem)
         super().__init__(graph, index, options=options)
         first = self._epoch
         #: Partition and correlations are retained for D-guided
@@ -252,9 +255,8 @@ class ShardedQueryService(QueryService):
             or descriptor.get("fingerprint") != epoch.fingerprint
         ):
             try:
+                # The ledger then holds what the healed worker serves.
                 self._resync_worker(shard_id, worker)
-                # The ledger keeps what the healed worker now serves.
-                descriptor = worker.probe()
             except Exception as error:
                 raise ShardHandshakeError(
                     f"worker {worker.base_url} disagrees on plan/epoch and "
@@ -272,12 +274,14 @@ class ShardedQueryService(QueryService):
                         },
                     },
                 ) from error
-        self._note_health(
-            shard_id, epoch=slice_epoch, plan_hash=plan_hash, descriptor=descriptor
-        )
+        else:
+            self._note_health(
+                shard_id, epoch=slice_epoch, plan_hash=plan_hash, descriptor=descriptor
+            )
 
-    def _resync_worker(self, shard_id: int, worker) -> None:
-        """Push the current epoch's slice to one drifted worker.
+    def _resync_worker(self, shard_id: int, worker) -> dict:
+        """Push the current epoch's slice to one drifted worker; returns
+        the descriptor its publish replied with.
 
         Under the writer lock, like every slice push: a resync must not
         interleave with a half-published swap.
@@ -286,18 +290,23 @@ class ShardedQueryService(QueryService):
             epoch = self._epoch
             plan, slice_epoch = epoch.topology
             txn = f"resync-{slice_epoch}-{shard_id}"
+            plan_hash = plan_fingerprint(plan)
             worker.prepare(
                 txn,
                 epoch=slice_epoch,
                 fingerprint=epoch.fingerprint,
-                plan_hash=plan_fingerprint(plan),
+                plan_hash=plan_hash,
                 plan=plan,
                 graph_slice=GraphSlice(epoch.graph, plan, shard_id),
             )
-            worker.publish_update(txn)
+            descriptor = worker.publish_update(txn)
+            self._note_health(
+                shard_id, epoch=slice_epoch, plan_hash=plan_hash, descriptor=descriptor
+            )
             with self._health_lock:
-                entry = self._worker_health.setdefault(shard_id, {})
+                entry = self._worker_health[shard_id]
                 entry["resyncs"] = entry.get("resyncs", 0) + 1
+        return descriptor
 
     def _note_health(self, shard_id: int, **fields: Any) -> None:
         with self._health_lock:
@@ -506,7 +515,7 @@ class ShardedQueryService(QueryService):
         failures = []
         for shard_id, worker in enumerate(self.workers):
             try:
-                worker.publish_update(staged.txn)
+                descriptor = worker.publish_update(staged.txn)
             except Exception as error:
                 self._note_unhealthy(shard_id, error)
                 failures.append(
@@ -514,7 +523,10 @@ class ShardedQueryService(QueryService):
                 )
             else:
                 self._note_health(
-                    shard_id, epoch=staged.slice_epoch, plan_hash=staged.plan_hash
+                    shard_id,
+                    epoch=staged.slice_epoch,
+                    plan_hash=staged.plan_hash,
+                    descriptor=descriptor,
                 )
         fields: dict = {
             "slice_epoch": staged.slice_epoch,
@@ -600,11 +612,11 @@ class ShardedQueryService(QueryService):
         """The inherited document plus a ``shards`` section.
 
         Each worker entry is the descriptor the worker returned at its
-        last handshake or probe (slice sizes, traffic and update
-        counters, slice epoch) merged with its stub's connection-pool
-        counters, plus the coordinator-side health ledger (``last_seen``
-        age, consecutive probe failures, last slice epoch it reported or
-        was published).
+        last handshake, probe or slice publish (slice sizes, traffic and
+        update counters, slice epoch) merged with its stub's
+        connection-pool counters, plus the coordinator-side health
+        ledger (``last_seen`` age, consecutive probe failures, last slice
+        epoch it reported or was published).
         """
         document = super().stats_snapshot()
         plan, slice_epoch = self._epoch.topology

@@ -58,6 +58,7 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 from repro.context import RequestContext, activate, current_context
+from repro.obs.trace import attach
 from repro.core.query import LSCRQuery
 from repro.exceptions import (
     BadRequestError,
@@ -418,7 +419,8 @@ class ShardWorker:
         }
 
     def publish_update(self, txn: str) -> dict:
-        """Swap a staged state in (one atomic reference store)."""
+        """Swap a staged state in (one atomic reference store); the reply
+        is the worker's descriptor as of the swap."""
         with self._update_lock:
             staged = self._staged.pop(txn, None)
             if staged is None:
@@ -429,7 +431,7 @@ class ShardWorker:
             self._state = staged
         with self._lock:
             self._updates_published += 1
-        return {"shard": self.shard_id, "txn": txn, "epoch": staged.epoch}
+        return self.describe()
 
     def abort_update(self, txn: str) -> dict:
         """Drop a staged state (idempotent — unknown txns are no-ops)."""
@@ -492,7 +494,13 @@ class ShardWorker:
                 answer, epoch = self.local_query(query)
         except (ConstraintError, SparqlError) as error:
             raise BadRequestError(f"invalid query: {error}") from error
-        return {"answer": answer, "slice_epoch": epoch}
+        document = {"answer": answer, "slice_epoch": epoch}
+        trace = context.trace
+        if trace is not None:
+            # The search's spans travel back by value, as an expand's do.
+            trace.root.attrs.update(trace_id=trace.trace_id, shard=self.shard_id)
+            document["trace"] = trace.finish().root.to_dict()
+        return document
 
     def handle_update(self, payload: object) -> dict:
         """``POST /shard/<id>/update``: the two-phase slice-swap wire.
@@ -796,22 +804,24 @@ class HttpShardWorker:
                 raise RemoteShardError(
                     self.shard_id, status, f"unparseable response body: {error}"
                 ) from None
-        kind = None
+        kind = where = None
         message = data.decode("utf-8", "replace")[:200]
         try:
             error_doc = json.loads(data)["error"]
             kind = error_doc.get("type")
             message = error_doc.get("message", message)
+            where = error_doc["detail"]["where"]
         except Exception:
             pass
         if kind == DeadlineExceededError.kind:
             # Surface the remote worker's structured 504 as the same
             # exception a local worker raises, so the coordinator treats
             # "remote stopped early on our deadline" as deadline expiry,
-            # not as a worker failure that trips the breaker.
+            # not as a worker failure that trips the breaker.  It keeps
+            # the step the worker stopped in; ``partial`` says where.
             budget = budget_ms or 0.0
             raise DeadlineExceededError(
-                f"shard-{endpoint}-remote",
+                where if isinstance(where, str) else f"shard-{endpoint}-remote",
                 elapsed_ms=budget,
                 budget_ms=budget,
                 partial={"shard": self.shard_id, "remote": self.base_url},
@@ -897,6 +907,10 @@ class HttpShardWorker:
                 "constraint": query.constraint.to_sparql(),
             },
         )
+        span_doc = document.get("trace")
+        if span_doc is not None:  # under the coordinator's co-located span
+            span_doc.setdefault("attrs", {})["remote"] = self.base_url
+            attach(span_doc)
         return bool(document["answer"]), document.get("slice_epoch")
 
     def probe(self, timeout: float | None = None) -> dict:

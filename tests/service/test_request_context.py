@@ -456,8 +456,7 @@ class TestProbeUnderDeadline:
         with activate(RequestContext(deadline=Deadline.after_ms(150))):
             with pytest.raises(DeadlineExceededError) as excinfo:
                 coordinator.answer(co_located_query(sharded), sharded.epoch)
-        # The worker's own 504, decoded as one.
-        assert excinfo.value.detail["where"] == "shard-query-remote"
+        assert excinfo.value.detail["where"] == "slice-search"
         assert finished.wait(timeout=1.0)
         after = coordinator.stats()["resilience"]
         assert after["deadline_exceeded"] == before["deadline_exceeded"] + 1
@@ -479,9 +478,8 @@ class TestProbeUnderDeadline:
             timed = sharded.handle_query(dict(body), trace=True)["trace"]
         (probe,) = _spans(bare, "co-located")
         (timed_probe,) = _spans(timed, "co-located")
-        # The slice search runs behind the wire and ships no spans back,
-        # so the probe is a leaf with or without a deadline.
-        assert _shape(timed_probe) == _shape(probe) == ["co-located", []]
+        assert probe["children"], "the probe's search left no spans"
+        assert _shape(timed_probe) == _shape(probe)
 
     def test_remote_probe_ships_budget_and_trace_id(
         self, sharded, remote, monkeypatch
@@ -518,8 +516,10 @@ class TestProbeUnderDeadline:
                 with pytest.raises(DeadlineExceededError) as excinfo:
                     stub.local_query(co_located_query(sharded))
             # The worker's own 504, not the 30 s socket timeout and not
-            # a RemoteShardError the breaker would count as a failure.
-            assert excinfo.value.detail["where"] == "shard-query-remote"
+            # a RemoteShardError the breaker would count as a failure:
+            # it names the step the worker stopped in, and the worker.
+            assert excinfo.value.detail["where"] == "slice-search"
+            assert excinfo.value.detail["partial"] == {"shard": 0, "remote": remote}
             assert perf_counter() - started < 1.5
             assert finished.is_set()
             # A budget already spent is refused before any search.

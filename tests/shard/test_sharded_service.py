@@ -11,6 +11,7 @@ import pytest
 from repro.constraints.substructure import SubstructureConstraint
 from repro.exceptions import ServiceConfigError
 from repro.obs.prometheus import parse_prometheus_text
+from repro.service.options import ServiceOptions
 from repro.service.registry import TenantRegistry
 from repro.shard import ShardedQueryService
 from tests.helpers import graph_from_edges, running_server, sharded_fleet
@@ -65,6 +66,15 @@ class TestConstruction:
             ShardedQueryService(make_graph(), shards=2)
         message = str(refusal.value)
         assert "'repro cut" in message and "'serve --worker" in message
+
+    @pytest.mark.parametrize("urls", [None, ("http://a", "http://b")])
+    def test_hand_built_options_need_one_worker_url_per_shard(self, urls):
+        # The options= path skips the keyword validation; the count
+        # check still refuses before any worker is contacted.
+        options = ServiceOptions(shards=3, worker_urls=urls)
+        with pytest.raises(ServiceConfigError) as refusal:
+            ShardedQueryService(make_graph(), options=options)
+        assert "'shards' 3 needs exactly 3 'worker_urls' values" in str(refusal.value)
 
     def test_default_algorithm_reports_sharded(self):
         with sharded_fleet(make_graph(), shards=2) as service:
@@ -151,6 +161,18 @@ class TestTenantIntegration:
         }
         assert by_family["repro_shard_worker_slice_epoch"] == {"0": 0, "1": 0}
         assert set(by_family["repro_shard_worker_expand_calls_total"]) == {"0", "1"}
+
+    def test_worker_entries_follow_a_published_update(self):
+        # The publish reply is the worker's descriptor, so an entry
+        # moves with the swap, with no health sweep to refresh it.
+        with sharded_fleet(make_graph(), shards=2) as service:
+            service.apply_updates([("u", "go", "w")])
+            workers = service.stats_snapshot()["shards"]["workers"]
+            served = sum(worker.served.describe()["vertices"] for worker in service.workers)
+        for entry in workers:
+            assert entry["epoch"] == entry["health"]["epoch"] == 1
+            assert entry["updates_published"] == 1
+        assert sum(entry["vertices"] for entry in workers) == served
 
     def test_a_resynced_worker_reports_what_it_now_serves(self):
         # A second coordinator over another graph finds every worker

@@ -9,10 +9,13 @@ the span counts agree with the coordinator's own telemetry.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+
 from repro.context import RequestContext, activate
 from repro.core.query import LSCRQuery
 from repro.datasets.synthetic import random_labeled_graph
 from repro.obs.trace import Trace
+from repro.shard.coordinator import ShardCoordinator
 from tests.helpers import sharded_fleet
 
 CONSTRAINT = "SELECT ?x WHERE { ?x <l0> ?y . }"
@@ -47,10 +50,16 @@ def _queries(graph):
 class TestRemoteTracePropagation:
     def test_two_shard_remote_query_yields_one_stitched_tree(self):
         graph = random_labeled_graph(24, 2.0, 4, rng=3, name="trace-remote")
-        with sharded_fleet(
-            graph, seed=3, shards=2, local_fast_path=False
-        ) as sharded:
-            remote = sharded.coordinator
+        with ExitStack() as stack:
+            sharded = stack.enter_context(
+                sharded_fleet(graph, seed=3, shards=2, local_fast_path=False)
+            )
+            # A serial coordinator of its own: the scatter order, and so
+            # the span tree, is deterministic.
+            remote = ShardCoordinator(
+                sharded.workers, local_fast_path=False, parallel=False
+            )
+            stack.callback(remote.close)
             base = sharded.workers[0].base_url
             scattered = None
             for query in _queries(graph):

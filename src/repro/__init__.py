@@ -9,7 +9,7 @@ A complete, pure-Python reproduction of
 The package ships the paper's primary contribution — the UIS, UIS* and
 INS query algorithms and the local index — together with every substrate
 they depend on: an edge-labeled knowledge-graph store with an RDFS
-schema, an exact SPARQL basic-graph-pattern engine, comparator indexes
+schema, an exact SPARQL basic-graph-pattern evaluator, comparator indexes
 ([19]-style traditional landmarks, [6]-style tree index), LUBM-like and
 YAGO-like dataset generators, the Section 6 workload generators, a
 benchmark harness regenerating every table and figure of the evaluation,
@@ -60,7 +60,6 @@ from repro.service.planner import QueryPlan, QueryPlanner
 from repro.service.registry import TenantRegistry
 from repro.service.stats import ServiceStats
 from repro.shard import ShardedQueryService
-from repro.sparql import SparqlEngine
 
 from repro._version import __version__
 
@@ -86,7 +85,6 @@ __all__ = [
     "ResultCache",
     "ServiceStats",
     "ShardedQueryService",
-    "SparqlEngine",
     "SubstructureChecker",
     "SubstructureConstraint",
     "TenantRegistry",

@@ -28,7 +28,7 @@ BGP with ``?x := u`` has a solution.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable
+from collections.abc import Iterable
 
 from repro.exceptions import ConstraintError, SparqlEvaluationError
 from repro.graph.labeled_graph import KnowledgeGraph
@@ -129,22 +129,6 @@ class SubstructureConstraint:
                 )
             variable = projection[0].name
         return cls(query.patterns, variable)
-
-    @classmethod
-    def from_parts(
-        cls,
-        concrete_edges: Iterable[tuple[Hashable, str, Hashable]],
-        variable_edges: Iterable[TriplePattern],
-        variable: str = "x",
-    ) -> "SubstructureConstraint":
-        """Build from Definition 2.2's parts.
-
-        ``concrete_edges`` is ``E_S`` (plain triples over ``V_S``);
-        ``variable_edges`` is ``E_?`` (patterns with variable endpoints).
-        """
-        patterns = [TriplePattern(str(s), label, str(t)) for s, label, t in concrete_edges]
-        patterns.extend(variable_edges)
-        return cls(patterns, variable)
 
     # ------------------------------------------------------------------
     # views

@@ -5,7 +5,7 @@ kernel the service runs by default (ours), and shared plumbing."""
 from repro.core.base import LSCRAlgorithm
 from repro.core.close import CloseMap, F, N, T
 from repro.core.ins import INS
-from repro.core.lcr import bfs_distance_ring, lcr_closure, lcr_closure_limited, lcr_reachable
+from repro.core.lcr import bfs_distance_ring, lcr_closure, lcr_reachable
 from repro.core.meet import MeetSearch
 from repro.core.naive import NaiveTwoProcedure
 from repro.core.query import LSCRQuery
@@ -32,7 +32,6 @@ __all__ = [
     "bfs_distance_ring",
     "find_witness",
     "lcr_closure",
-    "lcr_closure_limited",
     "lcr_reachable",
     "verify_witness",
 ]

@@ -16,7 +16,6 @@ from repro.graph.labeled_graph import KnowledgeGraph
 __all__ = [
     "lcr_reachable",
     "lcr_closure",
-    "lcr_closure_limited",
     "bfs_distance_ring",
 ]
 
@@ -55,33 +54,6 @@ def lcr_closure(graph: KnowledgeGraph, source: int, mask: int) -> set[int]:
                 visited.add(w)
                 queue.append(w)
     return visited
-
-
-def lcr_closure_limited(
-    graph: KnowledgeGraph,
-    source: int,
-    mask: int,
-    max_vertices: int,
-) -> tuple[set[int], bool]:
-    """Closure truncated after ``max_vertices`` discoveries.
-
-    Returns ``(visited, truncated)``.  Used by query generation to bail
-    out of hub explosions early.
-    """
-    out_targets = graph.out_targets_masked
-    visited: set[int] = {source}
-    queue = deque((source,))
-    truncated = False
-    while queue:
-        u = queue.popleft()
-        for w in out_targets(u, mask):
-            if w not in visited:
-                if len(visited) >= max_vertices:
-                    truncated = True
-                    return visited, truncated
-                visited.add(w)
-                queue.append(w)
-    return visited, truncated
 
 
 def bfs_distance_ring(

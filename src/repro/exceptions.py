@@ -41,10 +41,6 @@ class LabelNotFoundError(GraphError, KeyError):
         self.label = label
 
 
-class SchemaError(GraphError):
-    """An RDFS schema operation failed (unknown class, bad triple, ...)."""
-
-
 class FrozenGraphError(GraphError):
     """A mutation was attempted on a frozen graph snapshot.
 

@@ -1,12 +1,12 @@
-"""RDF/RDFS vocabulary constants and naming helpers.
+"""RDF/RDFS vocabulary constants and IRI shortening.
 
 The paper (Section 2) models knowledge graphs as RDF graphs structured by
 RDFS: class vertices, ``rdf:type`` edges from instances to classes,
 ``rdfs:subClassOf`` edges between classes, and ``rdfs:domain`` /
 ``rdfs:range`` statements tying edge labels to classes (Figure 2).  The
 reproduction keeps the familiar prefixed-name spelling (``rdf:type``)
-rather than full IRIs; :func:`expand` / :func:`shorten` convert between
-the two for interoperability with N-Triples files.
+rather than full IRIs; :func:`shorten` maps a full IRI written in a
+constraint's SPARQL text back to that spelling.
 """
 
 from __future__ import annotations
@@ -17,11 +17,8 @@ __all__ = [
     "RDFS_DOMAIN",
     "RDFS_RANGE",
     "RDFS_CLASS",
-    "RDF_VOCABULARY",
     "PREFIXES",
-    "expand",
     "shorten",
-    "is_rdf_vocabulary",
 ]
 
 RDF_TYPE = "rdf:type"
@@ -30,14 +27,7 @@ RDFS_DOMAIN = "rdfs:domain"
 RDFS_RANGE = "rdfs:range"
 RDFS_CLASS = "rdfs:Class"
 
-#: Edge labels carrying schema (rather than instance) information.  The
-#: landmark selection of Algorithm 3 deliberately avoids landmarks whose
-#: incident edges are dominated by these labels (Section 5.1.2).
-RDF_VOCABULARY: frozenset[str] = frozenset(
-    {RDF_TYPE, RDFS_SUBCLASS_OF, RDFS_DOMAIN, RDFS_RANGE, RDFS_CLASS}
-)
-
-#: Prefix table used when expanding prefixed names to IRIs.
+#: Prefix table used when shortening full IRIs to prefixed names.
 PREFIXES: dict[str, str] = {
     "rdf": "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
     "rdfs": "http://www.w3.org/2000/01/rdf-schema#",
@@ -45,24 +35,6 @@ PREFIXES: dict[str, str] = {
     "eg": "http://example.org/",
     "yago": "http://yago-knowledge.org/resource/",
 }
-
-
-def is_rdf_vocabulary(label: str) -> bool:
-    """True if ``label`` is one of the special RDF/RDFS vocabulary terms."""
-    return label in RDF_VOCABULARY
-
-
-def expand(name: str, prefixes: dict[str, str] | None = None) -> str:
-    """Expand a prefixed name (``ub:Course``) to a full IRI.
-
-    Names without a known prefix are returned unchanged, so the function
-    is safe to apply to plain identifiers.
-    """
-    table = PREFIXES if prefixes is None else prefixes
-    prefix, sep, local = name.partition(":")
-    if sep and prefix in table:
-        return table[prefix] + local
-    return name
 
 
 def shorten(iri: str, prefixes: dict[str, str] | None = None) -> str:

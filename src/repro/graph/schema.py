@@ -19,9 +19,7 @@ populated before or after the graph and serialised independently.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator
-
-from repro.exceptions import SchemaError
+from collections.abc import Hashable, Iterator
 
 __all__ = ["RDFSchema"]
 
@@ -172,46 +170,6 @@ class RDFSchema:
     def properties(self) -> tuple[str, ...]:
         """Properties with a declared domain or range, sorted."""
         return tuple(sorted(set(self._domains) | set(self._ranges)))
-
-    # ------------------------------------------------------------------
-    # bulk helpers
-    # ------------------------------------------------------------------
-
-    def sample_classes(
-        self,
-        rng,
-        count: int,
-        with_instances_only: bool = True,
-    ) -> list[str]:
-        """Randomly select ``count`` distinct classes (Algorithm 3, line 1).
-
-        With ``with_instances_only`` (the useful setting for landmark
-        selection) only classes having at least one instance are eligible.
-        Raises :class:`SchemaError` when no class is eligible.
-        """
-        if with_instances_only:
-            eligible = sorted(c for c in self._classes if self._instances_by_class.get(c))
-        else:
-            eligible = sorted(self._classes)
-        if not eligible:
-            raise SchemaError("schema has no eligible classes to sample from")
-        count = min(count, len(eligible))
-        return rng.sample(eligible, count)
-
-    def merge(self, other: "RDFSchema") -> None:
-        """Union ``other`` into this schema (used by graph unions in tests)."""
-        for cls in other._classes:
-            self.add_class(cls)
-        for sub, supers in other._superclasses.items():
-            for sup in supers:
-                self.add_subclass(sub, sup)
-        for cls, instances in other._instances_by_class.items():
-            for instance in instances:
-                self.add_instance(instance, cls)
-        for prop, cls in other._domains.items():
-            self.set_domain(prop, cls)
-        for prop, cls in other._ranges.items():
-            self.set_range(prop, cls)
 
     def triples(self) -> Iterator[tuple[Hashable, str, Hashable]]:
         """Yield the schema as RDF triples (the literal ``LS`` set)."""

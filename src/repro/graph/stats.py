@@ -8,12 +8,11 @@ scale-free: a heavy-tailed degree distribution).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.graph.labeled_graph import KnowledgeGraph
 
-__all__ = ["GraphStats", "graph_stats", "degree_histogram", "label_histogram"]
+__all__ = ["GraphStats", "graph_stats", "label_histogram"]
 
 
 @dataclass(frozen=True)
@@ -63,22 +62,6 @@ def graph_stats(graph: KnowledgeGraph) -> GraphStats:
         degree_gini=_gini(totals),
         label_counts=label_counts,
     )
-
-
-def degree_histogram(graph: KnowledgeGraph, direction: str = "total") -> dict[int, int]:
-    """Histogram ``degree -> vertex count``.
-
-    ``direction`` is one of ``"out"``, ``"in"``, ``"total"``.
-    """
-    if direction == "out":
-        degrees = (graph.out_degree(v) for v in graph.vertices())
-    elif direction == "in":
-        degrees = (graph.in_degree(v) for v in graph.vertices())
-    elif direction == "total":
-        degrees = (graph.degree(v) for v in graph.vertices())
-    else:
-        raise ValueError(f"unknown direction {direction!r}; use out/in/total")
-    return dict(Counter(degrees))
 
 
 def label_histogram(graph: KnowledgeGraph) -> dict[str, int]:

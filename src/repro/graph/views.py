@@ -1,21 +1,14 @@
-"""Derived graph views: reversal and induced subgraphs.
+"""Derived graph views: reversal.
 
-The local index of Algorithm 3 works with landmark *regions* — subgraphs
-``F(u)`` induced by the region assignment of ``BFSTraverse``.  Tests and
-the ground-truth CMS computation need those regions as first-class
-graphs; :func:`induced_subgraph` materialises them.  :func:`reverse`
-supports backward searches (used by workload generation to pick targets
-that can actually be reached).
+:func:`reverse` supports backward searches (used by workload generation
+to pick targets that can actually be reached).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable
-
 from repro.graph.labeled_graph import KnowledgeGraph
-from repro.graph.schema import RDFSchema
 
-__all__ = ["reverse", "induced_subgraph", "copy_graph"]
+__all__ = ["reverse"]
 
 
 def reverse(graph: KnowledgeGraph, name: str | None = None) -> KnowledgeGraph:
@@ -34,53 +27,4 @@ def reverse(graph: KnowledgeGraph, name: str | None = None) -> KnowledgeGraph:
         result.labels.intern(label)
     for s, label_id, t in graph.edges():
         result.add_edge_ids(t, label_id, s)
-    return result
-
-
-def induced_subgraph(
-    graph: KnowledgeGraph,
-    vertex_ids: Iterable[int],
-    name: str | None = None,
-    edge_filter: Callable[[int, int, int], bool] | None = None,
-) -> KnowledgeGraph:
-    """Subgraph induced by ``vertex_ids`` (edges with both ends inside).
-
-    ``edge_filter(s, label_id, t)`` — ids in the *parent* graph — can
-    drop further edges.  Vertex names are preserved, so label/vertex ids
-    in the result are freshly interned and generally differ from the
-    parent's; use names to correlate.
-    """
-    keep = set(vertex_ids)
-    result = KnowledgeGraph(name=name or f"{graph.name}~induced")
-    result.schema = graph.schema
-    for vid in sorted(keep):
-        result.add_vertex(graph.name_of(vid))
-    for s in sorted(keep):
-        source_name = graph.name_of(s)
-        for label_id, t in graph.out_edges(s):
-            if t not in keep:
-                continue
-            if edge_filter is not None and not edge_filter(s, label_id, t):
-                continue
-            result.add_edge(source_name, graph.label_name(label_id), graph.name_of(t))
-    return result
-
-
-def copy_graph(graph: KnowledgeGraph, name: str | None = None) -> KnowledgeGraph:
-    """Deep copy of the graph structure (schema copied too).
-
-    Vertex and label ids are preserved because insertion order is
-    replayed exactly.
-    """
-    result = KnowledgeGraph(name=name or graph.name)
-    schema = RDFSchema()
-    if isinstance(graph.schema, RDFSchema):
-        schema.merge(graph.schema)
-    result.schema = schema
-    for vertex_name in graph.vertex_names():
-        result.add_vertex(vertex_name)
-    for label in graph.labels:
-        result.labels.intern(label)
-    for s, label_id, t in graph.edges():
-        result.add_edge_ids(s, label_id, t)
     return result

@@ -1,7 +1,8 @@
-"""Index structures: the local index (Alg. 3) and the two comparators."""
+"""Index structures: the local index (Alg. 3), its persistence, and the
+two comparators — [19]-style landmarks (Table 2) and the [6]-style tree
+index (Figure 5)."""
 
-from repro.index.cms import CmsTable, any_subset_of, insert_minimal, minimal_antichain
-from repro.index.full_tc import FullTransitiveClosure, build_full_tc
+from repro.index.cms import CmsTable, any_subset_of, insert_minimal
 from repro.index.landmarks import (
     NO_REGION,
     Partition,
@@ -12,7 +13,6 @@ from repro.index.landmarks import (
 from repro.index.local_index import LocalIndex, LocalIndexStats, build_local_index
 from repro.index.spanning_tree import SamplingTreeIndex, build_sampling_tree_index
 from repro.index.storage import (
-    index_file_size,
     load_local_index,
     load_or_build_index,
     save_local_index,
@@ -25,9 +25,7 @@ from repro.index.traditional import (
 
 __all__ = [
     "CmsTable",
-    "FullTransitiveClosure",
     "LocalIndex",
-    "build_full_tc",
     "LocalIndexStats",
     "NO_REGION",
     "Partition",
@@ -39,11 +37,9 @@ __all__ = [
     "build_sampling_tree_index",
     "build_traditional_index",
     "default_landmark_count",
-    "index_file_size",
     "insert_minimal",
     "load_local_index",
     "load_or_build_index",
-    "minimal_antichain",
     "paper_landmark_count",
     "save_local_index",
     "select_landmarks",

@@ -22,7 +22,7 @@ from collections.abc import Iterator
 
 from repro.graph.labels import mask_is_subset
 
-__all__ = ["insert_minimal", "any_subset_of", "CmsTable", "minimal_antichain"]
+__all__ = ["insert_minimal", "any_subset_of", "CmsTable"]
 
 
 def insert_minimal(collection: list[int], mask: int) -> bool:
@@ -51,14 +51,6 @@ def any_subset_of(collection: list[int], constraint_mask: int) -> bool:
         if member & ~constraint_mask == 0:
             return True
     return False
-
-
-def minimal_antichain(masks: Iterator[int] | list[int]) -> list[int]:
-    """Reduce an arbitrary collection of masks to its minimal antichain."""
-    result: list[int] = []
-    for mask in masks:
-        insert_minimal(result, mask)
-    return sorted(result)
 
 
 class CmsTable:

@@ -32,7 +32,6 @@ __all__ = [
     "save_local_index",
     "load_local_index",
     "load_or_build_index",
-    "index_file_size",
 ]
 
 #: 2 records the graph's content fingerprint; a version-1 file cannot
@@ -152,8 +151,3 @@ def load_or_build_index(
     if save_if_built:
         save_local_index(index, path)
     return index
-
-
-def index_file_size(path: str | Path) -> int:
-    """Size of a saved index in bytes."""
-    return Path(path).stat().st_size

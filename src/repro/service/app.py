@@ -182,7 +182,7 @@ class QueryService:
 
     Configured by the rows of :data:`repro.service.options.OPTIONS`,
     given as keywords (``QueryService(graph, index, seed=3,
-    cache_size=0)``) or as one already-validated ``options=`` value.
+    cache_size=0)``) or as one ``options=`` value, validated the same way.
     """
 
     #: Whether the options table's sharding rows apply to this topology.
@@ -233,11 +233,7 @@ class QueryService:
         #: and under the GIL another thread could not use that wait), so
         #: they run in the request thread; a sharded service's members
         #: wait on shard workers, so they share a pool.
-        self.executor = (
-            BatchExecutor(options.max_workers, persistent=True)
-            if self.sharded
-            else BatchExecutor(max_workers=1)
-        )
+        self.executor = BatchExecutor(options.max_workers if self.sharded else 1)
         self.stats = ServiceStats()
         # Everything graph-bound lives in one GraphEpoch behind a single
         # atomic attribute reference — readers dereference it once per

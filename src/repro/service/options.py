@@ -13,8 +13,8 @@ workers and ``/stats`` carry from then on.  The doors *read* the table:
   a bad one by its key and answering 400;
 * ``QueryService(graph, index, **keywords)`` — and ``from_files``,
   ``TenantRegistry.register_files``, ``recover_service`` — validate
-  their keywords with the same call, or take an already-built value as
-  ``options=``.
+  their keywords, or the rows of an already-built ``options=`` value,
+  with the same call (:func:`resolve_options`).
 
 Whichever door it came through, an unknown key, a wrong type (a bool is
 never an int), a number that is not finite, an out-of-range value, a
@@ -44,7 +44,6 @@ __all__ = [
     "ServiceOptions",
     "add_arguments",
     "build_options",
-    "fleet_problem",
     "options_from_args",
     "resolve_options",
 ]
@@ -238,7 +237,7 @@ def build_options(
         needed = rows[row.requires]
         if not chosen.get(needed.name, needed.default):
             raise error(f"{spelled(row)} requires {spelled(needed)}")
-    problem = sharding and fleet_problem(
+    problem = sharding and _fleet_problem(
         chosen.get("shards", 0),
         chosen.get("worker_urls"),
         (spelled(rows["shards"]), spelled(rows["worker_urls"])),
@@ -248,7 +247,7 @@ def build_options(
     return ServiceOptions(**chosen)
 
 
-def fleet_problem(
+def _fleet_problem(
     shards: int,
     urls: tuple[str, ...] | None,
     names: tuple[str, str] = ("'shards'", "'worker_urls'"),
@@ -269,15 +268,28 @@ def fleet_problem(
 def resolve_options(
     options: ServiceOptions | None, keywords: Mapping[str, Any], *, sharding: bool
 ) -> ServiceOptions:
-    """The value behind a constructor's ``options=`` / ``**keywords`` pair:
-    the already-built one, else the keywords validated into one."""
+    """The value behind a constructor's ``options=`` / ``**keywords`` pair,
+    validated by the one :func:`build_options` call either way.
+
+    A given value is checked as the keywords of its rows would be, so a
+    hand-built ``ServiceOptions(cache_size=-5)`` gets the keyword path's
+    error.  Without ``sharding`` its sharding rows must hold their
+    defaults, or they are the unknown options they would be as keywords.
+    """
     if options is None:
         return build_options(keywords, sharding=sharding)
     if keywords:
         raise TypeError(
             f"pass options= or option keywords, not both (got {', '.join(keywords)})"
         )
-    return options
+    values = {
+        name: value
+        for name, value in options.as_dict().items()
+        if sharding
+        or not _ROWS[name].sharding
+        or (type(value), value) != (type(_ROWS[name].default), _ROWS[name].default)
+    }
+    return build_options(values, sharding=sharding)
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:

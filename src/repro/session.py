@@ -27,7 +27,6 @@ from repro.exceptions import ReproError
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.index.local_index import LocalIndex, build_local_index
 from repro.service.cache import CandidateCache, ConstraintCache
-from repro.service.executor import BatchExecutor
 
 __all__ = ["LSCRSession"]
 
@@ -59,11 +58,12 @@ class LSCRSession:
         # with equal arguments therefore build identical indexes and
         # return identical Boolean answers.  A shuffle rng is shared
         # across queries, so the traversal-order telemetry of UIS*/INS
-        # (passed_vertices and friends) is reproducible only for serial
-        # execution: under answer_many's concurrency, thread scheduling
-        # decides which query consumes which rng draws.  An evaluator
-        # that declares no ``rng`` (UIS, naive, the serving default
-        # "meet") gets none and shares nothing mutable between queries.
+        # (passed_vertices and friends) is reproducible only while the
+        # session answers one query at a time: when threads share it,
+        # their scheduling decides which query consumes which rng draws.
+        # An evaluator that declares no ``rng`` (UIS, naive, the serving
+        # default "meet") gets none and shares nothing mutable between
+        # queries.
         self.seed: int = 0 if seed is None else seed
         self._constraint_cache = (
             constraint_cache if constraint_cache is not None else ConstraintCache()
@@ -127,26 +127,17 @@ class LSCRSession:
         """One-shot Boolean answer."""
         return self.answer(self.make_query(source, target, labels, constraint)).answer
 
-    def answer_many(
-        self,
-        queries: Iterable[LSCRQuery],
-        max_workers: int | None = None,
-    ) -> list[QueryResult]:
-        """Answer a batch of prepared queries, results in input order.
+    def answer_many(self, queries: Iterable[LSCRQuery]) -> list[QueryResult]:
+        """Answer a batch of prepared queries, one after another, results
+        in input order: ``[self.answer(query) for query in queries]``.
 
-        Delegates to :class:`~repro.service.executor.BatchExecutor`,
-        which runs the batch on a thread pool (pass ``max_workers=1``
-        for a plain loop).  Boolean answers are independent of execution
-        order — per-query state is created inside each ``answer`` call
-        and the graph and index are read-only — so it is a drop-in
-        replacement for the loop, not a speedup of it: the evaluators
-        are Python, and under the interpreter lock the searches take
-        turns.  Threads pay when members *wait* (one ``V(S, G)`` being
-        computed while the others queue behind it); only the
-        shuffle-order telemetry of UIS*/INS can vary run to run (see the
-        seed rule in :meth:`__init__`).
+        The evaluators are Python, so under the interpreter lock a
+        thread pool would only make the searches take turns; pooling
+        pays only when members *wait*, which is why a sharded service's
+        batch path (:class:`~repro.service.executor.BatchExecutor`) has
+        one and a session does not.
         """
-        return BatchExecutor(max_workers=max_workers).run(self, queries)
+        return [self.answer(query) for query in queries]
 
     def explain(self, query: LSCRQuery) -> WitnessPath | None:
         """A witness path for a true query (None when false)."""

@@ -68,7 +68,7 @@ from repro.exceptions import (
 from repro.index.local_index import LocalIndex
 from repro.service.app import QueryService
 from repro.service.epoch import GraphEpoch, IndexSource
-from repro.service.options import ServiceOptions, fleet_problem, resolve_options
+from repro.service.options import ServiceOptions, resolve_options
 from repro.service.planner import QueryPlan
 from repro.core.result import QueryResult
 from repro.graph.labeled_graph import KnowledgeGraph
@@ -120,9 +120,6 @@ class ShardedQueryService(QueryService):
         options = resolve_options(options, keywords, sharding=True)
         if options.shards < 1:
             raise ServiceConfigError(f"shards must be >= 1, got {options.shards}")
-        problem = fleet_problem(options.shards, options.worker_urls)
-        if problem:  # a hand-built options= value skipped build_options
-            raise ServiceConfigError(problem)
         super().__init__(graph, index, options=options)
         first = self._epoch
         #: Partition and correlations are retained for D-guided

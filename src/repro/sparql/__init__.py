@@ -1,21 +1,18 @@
 """Embedded SPARQL engine: SELECT/ASK over basic graph patterns."""
 
 from repro.sparql.ast import AskQuery, Query, SelectQuery, Term, TriplePattern, Var
-from repro.sparql.engine import SparqlEngine
 from repro.sparql.evaluator import bgp_is_satisfiable, evaluate_bgp
-from repro.sparql.parser import parse_patterns, parse_query, parse_select
+from repro.sparql.parser import parse_query, parse_select
 
 __all__ = [
     "AskQuery",
     "Query",
     "SelectQuery",
-    "SparqlEngine",
     "Term",
     "TriplePattern",
     "Var",
     "bgp_is_satisfiable",
     "evaluate_bgp",
-    "parse_patterns",
     "parse_query",
     "parse_select",
 ]

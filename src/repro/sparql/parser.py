@@ -23,7 +23,7 @@ from repro.graph.rdf import shorten
 from repro.sparql.ast import AskQuery, Query, SelectQuery, Term, TriplePattern, Var
 from repro.sparql.lexer import Token, tokenize
 
-__all__ = ["MAX_TRIPLE_PATTERNS", "parse_query", "parse_select", "parse_patterns"]
+__all__ = ["MAX_TRIPLE_PATTERNS", "parse_query", "parse_select"]
 
 #: The most triple patterns one group may hold.  The evaluator's
 #: backtracking join (:mod:`repro.sparql.evaluator`) recurses once per
@@ -45,17 +45,6 @@ def parse_select(text: str) -> SelectQuery:
     if not isinstance(query, SelectQuery):
         raise SparqlSyntaxError("expected a SELECT query")
     return query
-
-
-def parse_patterns(text: str) -> tuple[TriplePattern, ...]:
-    """Parse a bare ``{ ... }`` group or pattern list (testing helper)."""
-    stripped = text.strip()
-    if not stripped.startswith("{"):
-        stripped = "{" + stripped + "}"
-    parser = _Parser(stripped)
-    patterns = parser._parse_group()
-    parser._expect("EOF")
-    return patterns
 
 
 class _Parser:

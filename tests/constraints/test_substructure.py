@@ -8,7 +8,7 @@ from repro.constraints.substructure import SubstructureChecker, SubstructureCons
 from repro.datasets.toy import figure3_constraint, figure3_graph
 from repro.exceptions import ConstraintError, SparqlEvaluationError
 from repro.sparql.ast import TriplePattern, Var
-from repro.sparql.evaluator import compile_patterns
+from repro.sparql.evaluator import compile_patterns, evaluate_bgp
 from tests.helpers import graph_from_edges
 
 
@@ -36,13 +36,6 @@ class TestConstruction:
     def test_empty_patterns_rejected(self):
         with pytest.raises(ConstraintError, match="at least one"):
             SubstructureConstraint([])
-
-    def test_from_parts(self):
-        constraint = SubstructureConstraint.from_parts(
-            concrete_edges=[("v3", "likes", "v4")],
-            variable_edges=[TriplePattern(Var("x"), "friendOf", "v3")],
-        )
-        assert constraint.size == 2
 
     def test_equality_and_hash(self):
         a = figure3_constraint()
@@ -87,6 +80,30 @@ class TestEvaluation:
     def test_constraint_on_unrelated_graph_is_empty(self):
         g = graph_from_edges([("a", "other", "b")])
         assert figure3_constraint().satisfying_vertices(g) == []
+
+    @pytest.mark.parametrize(
+        "sparql, names",
+        [
+            # v3's two likes-edges are two solutions for one vertex.
+            ("SELECT ?x WHERE { ?x <likes> ?y . }", ["v3"]),
+            ("SELECT ?x WHERE { ?x <friendOf> ?y . }", ["v0", "v1", "v2"]),
+        ],
+    )
+    def test_distinct_ids_in_first_seen_order(self, sparql, names):
+        g = graph_from_edges(
+            [
+                ("v0", "friendOf", "v1"),
+                ("v1", "friendOf", "v3"),
+                ("v2", "friendOf", "v3"),
+                ("v3", "likes", "v4"),
+                ("v3", "likes", "v5"),
+            ]
+        )
+        constraint = SubstructureConstraint.from_sparql(sparql)
+        found = constraint.satisfying_vertices(g)
+        solutions = evaluate_bgp(g, constraint.patterns)
+        assert found == list(dict.fromkeys(s["x"] for s in solutions))
+        assert sorted(g.name_of(v) for v in found) == names
 
 
 class TestEmptyOn:

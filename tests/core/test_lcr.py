@@ -3,7 +3,6 @@
 from repro.core.lcr import (
     bfs_distance_ring,
     lcr_closure,
-    lcr_closure_limited,
     lcr_reachable,
 )
 from repro.datasets.synthetic import cycle_graph, line_graph
@@ -55,20 +54,6 @@ class TestClosure:
         g = cycle_graph(4)
         closure = lcr_closure(g, 0, g.labels.full_mask())
         assert len(closure) == 4
-
-    def test_limited_closure_truncates(self):
-        g = line_graph(10)
-        mask = g.label_mask(["next"])
-        visited, truncated = lcr_closure_limited(g, g.vid("n0"), mask, 3)
-        assert truncated
-        assert len(visited) == 3
-
-    def test_limited_closure_completes_when_small(self):
-        g = line_graph(2)
-        mask = g.label_mask(["next"])
-        visited, truncated = lcr_closure_limited(g, g.vid("n0"), mask, 100)
-        assert not truncated
-        assert len(visited) == 3
 
 
 class TestDistanceRing:

@@ -1,4 +1,4 @@
-"""Tests for graph serialisation (TSV and N-Triples)."""
+"""Tests for graph serialisation (TSV)."""
 
 import io
 
@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
 from repro.graph.io import (
-    dump_ntriples,
     dump_tsv,
     dumps_tsv,
-    load_ntriples,
     load_tsv,
     loads_tsv,
 )
@@ -165,42 +163,3 @@ class TestStreamingLoader:
         lines = [*lines[:position], bad, *lines[position:]]
         with pytest.raises(GraphError, match=rf"on line {position + 1}:"):
             loads_tsv(_text(lines, ["\n"] * len(lines)))
-
-
-class TestNTriples:
-    def test_roundtrip(self, tmp_path):
-        g = graph_from_edges(EDGES)
-        path = tmp_path / "g.nt"
-        dump_ntriples(g, path)
-        back = load_ntriples(path)
-        assert set(back.edges_named()) == set(g.edges_named())
-
-    def test_iris_expanded_on_disk(self, tmp_path):
-        g = graph_from_edges([("a", "rdf:type", "b")])
-        path = tmp_path / "g.nt"
-        dump_ntriples(g, path)
-        content = path.read_text()
-        assert "22-rdf-syntax-ns#type" in content
-
-    def test_schema_rebuilt(self, tmp_path):
-        g = graph_from_edges(EDGES)
-        path = tmp_path / "g.nt"
-        dump_ntriples(g, path)
-        back = load_ntriples(path)
-        assert back.schema.is_instance("alice", "Person")
-
-    def test_literal_terms_parsed(self):
-        back = load_ntriples(io.StringIO('<a> <p> "some literal" .\n'))
-        assert back.has_edge_named("a", "p", "some literal")
-
-    def test_missing_dot_raises(self):
-        with pytest.raises(GraphError, match="does not end"):
-            load_ntriples(io.StringIO("<a> <p> <b>\n"))
-
-    def test_unterminated_iri_raises(self):
-        with pytest.raises(GraphError, match="unterminated IRI"):
-            load_ntriples(io.StringIO("<a> <p <b .\n"))
-
-    def test_wrong_term_count_raises(self):
-        with pytest.raises(GraphError, match="expected 3 terms"):
-            load_ntriples(io.StringIO("<a> <b> .\n"))

@@ -1,43 +1,13 @@
 """Tests for RDF vocabulary helpers."""
 
-from repro.graph.rdf import (
-    PREFIXES,
-    RDF_TYPE,
-    RDF_VOCABULARY,
-    expand,
-    is_rdf_vocabulary,
-    shorten,
-)
+from repro.graph.rdf import PREFIXES, shorten
 
 
-class TestVocabulary:
-    def test_core_terms_are_vocabulary(self):
-        assert is_rdf_vocabulary(RDF_TYPE)
-        assert is_rdf_vocabulary("rdfs:subClassOf")
-
-    def test_domain_labels_are_not_vocabulary(self):
-        assert not is_rdf_vocabulary("ub:takesCourse")
-        assert not is_rdf_vocabulary("likes")
-
-    def test_vocabulary_is_consistent(self):
-        for term in RDF_VOCABULARY:
-            assert is_rdf_vocabulary(term)
-
-
-class TestExpandShorten:
-    def test_expand_known_prefix(self):
-        assert expand("rdf:type") == PREFIXES["rdf"] + "type"
-        assert expand("ub:Course") == PREFIXES["ub"] + "Course"
-
-    def test_expand_unknown_prefix_unchanged(self):
-        assert expand("foo:bar") == "foo:bar"
-
-    def test_expand_plain_name_unchanged(self):
-        assert expand("Research12") == "Research12"
-
-    def test_shorten_inverts_expand(self):
+class TestShorten:
+    def test_known_namespaces_shortened(self):
         for name in ("rdf:type", "rdfs:range", "ub:advisor", "eg:Person"):
-            assert shorten(expand(name)) == name
+            prefix, _, local = name.partition(":")
+            assert shorten(PREFIXES[prefix] + local) == name
 
     def test_shorten_unknown_iri_unchanged(self):
         assert shorten("http://unknown.org/x") == "http://unknown.org/x"
@@ -48,5 +18,4 @@ class TestExpandShorten:
 
     def test_custom_prefix_table(self):
         table = {"z": "http://z.example/"}
-        assert expand("z:item", table) == "http://z.example/item"
         assert shorten("http://z.example/item", table) == "z:item"

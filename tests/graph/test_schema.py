@@ -1,10 +1,7 @@
 """Tests for the RDFS schema registry."""
 
-import random
-
 import pytest
 
-from repro.exceptions import SchemaError
 from repro.graph.rdf import RDF_TYPE, RDFS_CLASS, RDFS_SUBCLASS_OF
 from repro.graph.schema import RDFSchema
 
@@ -94,32 +91,7 @@ class TestDomainsRanges:
         assert s.range_of("x") is None
 
 
-class TestSampling:
-    def test_sample_classes_with_instances_only(self, schema):
-        rng = random.Random(0)
-        sampled = schema.sample_classes(rng, 2)
-        for cls in sampled:
-            assert schema.instances_of(cls, transitive=False)
-
-    def test_sample_classes_empty_schema_raises(self):
-        with pytest.raises(SchemaError):
-            RDFSchema().sample_classes(random.Random(0), 1)
-
-    def test_sample_count_clamped(self, schema):
-        rng = random.Random(0)
-        assert len(schema.sample_classes(rng, 100)) == 3  # only 3 have instances
-
-
-class TestMergeAndTriples:
-    def test_merge_unions_everything(self, schema):
-        other = RDFSchema()
-        other.add_instance("dave", "Student")
-        other.add_subclass("Student", "Person")
-        other.set_domain("takes", "Student")
-        schema.merge(other)
-        assert schema.is_instance("dave", "Person")
-        assert schema.domain_of("takes") == "Student"
-
+class TestTriples:
     def test_triples_contains_all_statement_kinds(self, schema):
         schema_with_props = schema
         schema_with_props.set_domain("teaches", "Faculty")

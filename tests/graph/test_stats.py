@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datasets.synthetic import star_graph
-from repro.graph.stats import degree_histogram, graph_stats, label_histogram
+from repro.graph.stats import graph_stats, label_histogram
 from tests.helpers import graph_from_edges
 
 
@@ -47,18 +47,6 @@ class TestGraphStats:
 
 
 class TestHistograms:
-    def test_degree_histogram_total(self, triangle):
-        assert degree_histogram(triangle) == {2: 3}
-
-    def test_degree_histogram_directions(self):
-        g = star_graph(3)
-        assert degree_histogram(g, "out") == {3: 1, 0: 3}
-        assert degree_histogram(g, "in") == {0: 1, 1: 3}
-
-    def test_degree_histogram_bad_direction(self, triangle):
-        with pytest.raises(ValueError):
-            degree_histogram(triangle, "sideways")
-
     def test_label_histogram_sorted_by_count(self, triangle):
         histogram = label_histogram(triangle)
         assert list(histogram.items()) == [("x", 2), ("y", 1)]

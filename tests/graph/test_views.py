@@ -1,7 +1,6 @@
-"""Tests for graph views (reverse, induced subgraph, copy)."""
+"""Tests for graph views (reverse)."""
 
-from repro.graph.builder import GraphBuilder
-from repro.graph.views import copy_graph, induced_subgraph, reverse
+from repro.graph.views import reverse
 from tests.helpers import graph_from_edges
 
 
@@ -33,48 +32,3 @@ class TestReverse:
         rr = reverse(reverse(g))
         assert set(rr.edges_named()) == set(g.edges_named())
 
-
-class TestInducedSubgraph:
-    def test_keeps_internal_edges_only(self):
-        g = graph_from_edges([("a", "x", "b"), ("b", "x", "c"), ("c", "x", "a")])
-        sub = induced_subgraph(g, [g.vid("a"), g.vid("b")])
-        assert sub.has_edge_named("a", "x", "b")
-        assert sub.num_edges == 1
-        assert sub.num_vertices == 2
-
-    def test_edge_filter(self):
-        g = graph_from_edges([("a", "x", "b"), ("a", "y", "b")])
-        y = g.label_id("y")
-        sub = induced_subgraph(
-            g, g.vertices(), edge_filter=lambda s, l, t: l != y
-        )
-        assert sub.has_edge_named("a", "x", "b")
-        assert not sub.has_edge_named("a", "y", "b")
-
-    def test_empty_selection(self):
-        g = graph_from_edges([("a", "x", "b")])
-        sub = induced_subgraph(g, [])
-        assert sub.num_vertices == 0
-        assert sub.num_edges == 0
-
-
-class TestCopy:
-    def test_structure_copied(self):
-        g = graph_from_edges([("a", "x", "b"), ("b", "y", "c")])
-        c = copy_graph(g)
-        assert set(c.edges_named()) == set(g.edges_named())
-        assert c.vid("b") == g.vid("b")
-        assert c.label_id("y") == g.label_id("y")
-
-    def test_copy_is_independent(self):
-        g = graph_from_edges([("a", "x", "b")])
-        c = copy_graph(g)
-        c.add_edge("a", "x", "zz")
-        assert not g.has_vertex("zz")
-
-    def test_schema_deep_copied(self):
-        g = GraphBuilder().typed("alice", "Person").build()
-        c = copy_graph(g)
-        c.schema.add_instance("bob", "Person")
-        assert not g.schema.is_instance("bob", "Person")
-        assert c.schema.is_instance("alice", "Person")

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.labels import mask_is_subset
-from repro.index.cms import CmsTable, any_subset_of, insert_minimal, minimal_antichain
+from repro.index.cms import CmsTable, any_subset_of, insert_minimal
 
 masks = st.integers(min_value=0, max_value=0b11111)
 
@@ -70,14 +70,6 @@ class TestInsertMinimal:
             insert_minimal(collection, mask)
         raw_answer = any(mask_is_subset(m, probe) for m in sequence)
         assert any_subset_of(collection, probe) == raw_answer
-
-
-class TestMinimalAntichain:
-    def test_reduces_and_sorts(self):
-        assert minimal_antichain([0b11, 0b01, 0b10, 0b11]) == [0b01, 0b10]
-
-    def test_empty(self):
-        assert minimal_antichain([]) == []
 
 
 class TestCmsTable:

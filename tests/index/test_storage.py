@@ -8,7 +8,6 @@ from repro.datasets.toy import figure3_constraint, figure3_graph
 from repro.exceptions import IndexingError
 from repro.index.local_index import build_local_index
 from repro.index.storage import (
-    index_file_size,
     load_local_index,
     load_or_build_index,
     save_local_index,
@@ -30,7 +29,7 @@ class TestRoundtrip:
     def test_save_returns_size(self, tmp_path, index):
         size = save_local_index(index, tmp_path / "idx.json")
         assert size > 0
-        assert index_file_size(tmp_path / "idx.json") == size
+        assert (tmp_path / "idx.json").stat().st_size == size
 
     def test_roundtrip_preserves_tables(self, tmp_path, graph, index):
         path = tmp_path / "idx.json"

@@ -1,69 +1,66 @@
-"""Tests for the concurrent batch executor."""
+"""Tests for the order-preserving batch executor."""
 
 import threading
 
 import pytest
 
-from repro.datasets.toy import figure3_graph
 from repro.service.executor import BatchExecutor
-from repro.session import LSCRSession
-
-S0 = "SELECT ?x WHERE { ?x <friendOf> v3 . v3 <likes> ?y . }"
 
 
 @pytest.fixture()
-def session():
-    return LSCRSession(figure3_graph(), algorithm="uis")
+def pooled():
+    """A pool-mode executor factory whose pools are released afterwards."""
+    made = []
 
+    def make(max_workers):
+        made.append(BatchExecutor(max_workers))
+        return made[-1]
 
-def mixed_queries(session, repeats=8):
-    pairs = [("v0", "v4"), ("v0", "v3"), ("v3", "v4"), ("v1", "v4"), ("v0", "v0")]
-    return [
-        session.make_query(s, t, ["likes", "follows", "friendOf"], S0)
-        for _ in range(repeats)
-        for s, t in pairs
-    ]
+    yield make
+    for executor in made:
+        executor.shutdown()
 
 
 class TestMap:
-    def test_order_preserved(self):
+    def test_order_preserved(self, pooled):
         items = list(range(100))
-        results = BatchExecutor(max_workers=8).map(lambda x: x * x, items)
+        results = pooled(8).map(lambda x: x * x, items)
         assert results == [x * x for x in items]
 
-    def test_empty_and_single(self):
-        executor = BatchExecutor(max_workers=4)
+    def test_empty_and_single(self, pooled):
+        executor = pooled(4)
         assert executor.map(lambda x: x, []) == []
         assert executor.map(lambda x: x + 1, [41]) == [42]
+        assert executor._pool is None                # both ran serially
 
-    def test_actually_concurrent(self):
+    def test_actually_concurrent(self, pooled):
         # Two tasks that each block until the other has started can only
         # finish if they run on distinct threads.
         barrier = threading.Barrier(2, timeout=5)
-        results = BatchExecutor(max_workers=2).map(
-            lambda _: barrier.wait() is not None, [0, 1]
-        )
+        results = pooled(2).map(lambda _: barrier.wait() is not None, [0, 1])
         assert results == [True, True]
 
     def test_serial_with_one_worker(self):
-        thread_names = BatchExecutor(max_workers=1).map(
+        executor = BatchExecutor(max_workers=1)
+        thread_names = executor.map(
             lambda _: threading.current_thread().name, range(8)
         )
-        assert len(set(thread_names)) == 1
+        assert thread_names == [threading.current_thread().name] * 8
+        assert executor._pool is None
 
-    def test_exception_propagates(self):
+    def test_exception_propagates(self, pooled):
         def boom(x):
             raise RuntimeError(f"boom {x}")
 
         with pytest.raises(RuntimeError, match="boom"):
-            BatchExecutor(max_workers=4).map(boom, range(8))
+            pooled(4).map(boom, range(8))
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError, match="max_workers"):
             BatchExecutor(max_workers=0)
 
-    def test_persistent_pool_reused_across_calls(self):
-        executor = BatchExecutor(max_workers=2, persistent=True)
+    def test_pool_reused_across_calls(self):
+        executor = BatchExecutor(max_workers=2)
         try:
             assert executor.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
             pool = executor._pool
@@ -74,26 +71,3 @@ class TestMap:
             executor.shutdown()
         assert executor._pool is None
         executor.shutdown()                          # idempotent
-
-
-class TestRun:
-    def test_matches_serial_execution(self, session):
-        queries = mixed_queries(session)
-        serial = [session.answer(query).answer for query in queries]
-        concurrent = BatchExecutor(max_workers=8).run(session, queries)
-        assert [result.answer for result in concurrent] == serial
-
-    def test_accepts_raw_specs(self, session):
-        specs = [
-            ("v0", "v4", ["likes", "follows"], S0),
-            ("v0", "v3", ["likes", "follows"], S0),
-        ]
-        results = BatchExecutor(max_workers=2).run(session, specs)
-        assert [result.answer for result in results] == [True, False]
-
-    def test_specs_amortise_constraint_parsing(self, session):
-        specs = [("v0", "v4", ["likes", "follows"], S0)] * 16
-        BatchExecutor(max_workers=4).run(session, specs)
-        stats = session._constraint_cache.stats()
-        assert stats.misses == 1          # parsed exactly once
-        assert stats.hits == 15

@@ -22,9 +22,10 @@ from repro.exceptions import ServiceConfigError
 from repro.graph.io import dump_tsv
 from repro.service.app import QueryService
 from repro.service.http import ServiceHTTPServer
-from repro.service.options import OPTIONS, options_from_args
+from repro.service.options import OPTIONS, ServiceOptions, options_from_args
 from repro.service.registry import TenantRegistry
 from repro.shard import ShardedQueryService
+from repro.shard.worker import HttpShardWorker
 from tests.helpers import running_server, sharded_fleet
 from tests.service.test_http_tenants import http_get, http_request
 
@@ -262,6 +263,49 @@ def test_a_shard_count_needs_one_worker_url_per_shard(urls, graph_path, capsys):
     keywords = {"worker_urls": urls} if urls else {}
     with pytest.raises(ServiceConfigError, match="'shards' 2 needs exactly 2"):
         ShardedQueryService(figure3_graph(), shards=2, **keywords)
+
+
+def _refusal(build) -> str:
+    with pytest.raises(ServiceConfigError) as refusal:
+        build()
+    return str(refusal.value)
+
+
+@pytest.mark.parametrize(
+    "door", ["QueryService", "ShardedQueryService", "register_files"]
+)
+@pytest.mark.parametrize(
+    "name, value",
+    [("cache_size", -5), ("trace_sample", 2.0), ("max_queue", 3), ("seed", True)],
+)
+def test_a_hand_built_value_gets_the_keyword_refusal(
+    door, name, value, graph_path, monkeypatch
+):
+    """``options=`` is checked against the table as keywords are: no bare
+    ``ValueError`` from a sub-object, no bad value taken silently, and a
+    sharded service refuses before it dials a worker."""
+
+    def dialled(*args, **kwargs):
+        raise AssertionError("a shard worker was contacted")
+
+    monkeypatch.setattr(HttpShardWorker, "__init__", dialled)
+    fleet = (
+        {"shards": 2, "worker_urls": ("http://127.0.0.1:9",) * 2}
+        if door == "ShardedQueryService"
+        else {}
+    )
+    build = {
+        "QueryService": lambda **kw: QueryService(figure3_graph(), **kw),
+        "ShardedQueryService": lambda **kw: ShardedQueryService(figure3_graph(), **kw),
+        "register_files": lambda **kw: TenantRegistry().register_files(
+            "probe", graph_path, **kw
+        ),
+    }[door]
+    values = {**fleet, name: value}
+    keyword = _refusal(lambda: build(**values))
+    hand_built = _refusal(lambda: build(options=ServiceOptions(**values)))
+    assert hand_built == keyword
+    assert keyword.startswith(repr(name))
 
 
 def test_the_cases_cover_every_row_of_the_table():

@@ -69,8 +69,8 @@ class TestConstruction:
 
     @pytest.mark.parametrize("urls", [None, ("http://a", "http://b")])
     def test_hand_built_options_need_one_worker_url_per_shard(self, urls):
-        # The options= path skips the keyword validation; the count
-        # check still refuses before any worker is contacted.
+        # The options= path is validated as the keywords are: the count
+        # check refuses before any worker is contacted.
         options = ServiceOptions(shards=3, worker_urls=urls)
         with pytest.raises(ServiceConfigError) as refusal:
             ShardedQueryService(make_graph(), options=options)

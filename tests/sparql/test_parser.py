@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import SparqlSyntaxError
 from repro.sparql.ast import AskQuery, SelectQuery, TriplePattern, Var
-from repro.sparql.parser import parse_patterns, parse_query, parse_select
+from repro.sparql.parser import parse_query, parse_select
 
 
 class TestSelect:
@@ -70,16 +70,6 @@ class TestAsk:
     def test_ask_without_where(self):
         query = parse_query("ASK { ?x <p> ?y }")
         assert isinstance(query, AskQuery)
-
-
-class TestParsePatterns:
-    def test_bare_patterns(self):
-        patterns = parse_patterns("?x <p> ?y . ?y <q> v3")
-        assert len(patterns) == 2
-
-    def test_braced_patterns(self):
-        patterns = parse_patterns("{ ?x <p> ?y }")
-        assert len(patterns) == 1
 
 
 class TestErrors:

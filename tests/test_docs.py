@@ -2,8 +2,9 @@
 lists exactly the flags ``python -m repro serve`` parses, each row agrees
 with the options table on flag, key and default, every registered
 evaluator is named under *Choosing an algorithm*, offered by ``query
---algorithm`` and selectable per request, and no docstring or
-comment under ``src/`` cites a Markdown file the checkout lacks, and
+--algorithm`` and selectable per request, every path the *Repo map*
+names exists, no docstring or comment under ``src/`` cites a Markdown
+file the checkout lacks, and
 ``setup.py`` — what README's ``pip install -e .`` runs — installs the
 ``repro`` package at the version it reports about itself."""
 
@@ -80,6 +81,20 @@ def test_every_registered_algorithm_is_documented_and_selectable():
         plan = planner.plan("v0", "v4", ["likes"], constraint, name)
         assert (plan.algorithm, plan.forced) == (name, True)
     assert [name for name in ALGORITHMS if f"`{name}`" not in section] == []
+
+
+def test_repo_map_names_only_paths_that_exist():
+    section = README.read_text(encoding="utf-8").split("## Repo map")[1]
+    table = section.split("\n## ")[0]
+    paths = [
+        token
+        for line in table.splitlines()
+        if line.startswith("| `")
+        for token in re.findall(r"`([\w./-]+)`", line)
+        if "/" in token
+    ]
+    assert paths
+    assert [path for path in paths if not (ROOT / path).exists()] == []
 
 
 def test_src_cites_only_markdown_files_that_exist():

@@ -1,15 +1,31 @@
 """The README quickstart and public-API surface, pinned."""
 
+import importlib
+import pkgutil
+
+import pytest
+
 import repro
+
+#: Every package and module under ``repro`` that declares ``__all__``
+#: (``__main__`` modules run when imported, so they are left out).
+MODULES = sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if not info.name.endswith(".__main__")
+    and hasattr(importlib.import_module(info.name), "__all__")
+)
 
 
 class TestPublicSurface:
     def test_version(self):
         assert repro.__version__
 
-    def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None
+    @pytest.mark.parametrize("module", ["repro", *MODULES])
+    def test_all_exports_resolve(self, module):
+        namespace = importlib.import_module(module)
+        for name in namespace.__all__:
+            assert getattr(namespace, name) is not None, name
 
     def test_readme_quickstart(self):
         g = (

@@ -3,7 +3,7 @@
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import CsrDirection, FrozenGraph, freeze_graph
 from repro.graph.labeled_graph import Edge, KnowledgeGraph
-from repro.graph.labels import LabelUniverse, iter_mask_bits, mask_is_subset, popcount
+from repro.graph.labels import LabelUniverse, iter_mask_bits, mask_is_subset
 from repro.graph.rdf import (
     RDF_TYPE,
     RDFS_CLASS,
@@ -34,6 +34,5 @@ __all__ = [
     "iter_mask_bits",
     "label_histogram",
     "mask_is_subset",
-    "popcount",
     "reverse",
 ]

@@ -20,17 +20,12 @@ from collections.abc import Iterable, Iterator
 
 from repro.exceptions import LabelNotFoundError
 
-__all__ = ["LabelUniverse", "mask_is_subset", "iter_mask_bits", "popcount"]
+__all__ = ["LabelUniverse", "mask_is_subset", "iter_mask_bits"]
 
 
 def mask_is_subset(a: int, b: int) -> bool:
     """True iff label set ``a`` is a subset of label set ``b``."""
     return a & ~b == 0
-
-
-def popcount(mask: int) -> int:
-    """Number of labels in the set ``mask``."""
-    return mask.bit_count()
 
 
 def iter_mask_bits(mask: int) -> Iterator[int]:

@@ -183,7 +183,7 @@ _CACHE_GAUGES = ("size", "max_size", "hit_rate")
 
 _COORDINATOR_COUNTERS = (
     "queries", "fast_path_hits", "rounds_total", "expand_calls_total",
-    "crossings_total", "scatter_serial_fallbacks", "epoch_skew_retries",
+    "crossings_total", "epoch_skew_retries",
 )
 
 #: ``coordinator.resilience`` counter keys → metric suffix (all under

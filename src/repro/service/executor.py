@@ -30,6 +30,9 @@ fan-out as an ``executor`` span whose ``mode`` is ``serial`` or
 ``pool``.  Exceptions raised by any member propagate to the caller (the
 service layer validates requests up front, so a worker exception is a
 bug, not traffic).
+
+The shard coordinator starts its worker calls one at a time on the same
+kind of pool (:meth:`BatchExecutor.submit`), at any ``max_workers``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TypeVar
 
 from repro.obs.trace import span
@@ -85,6 +88,19 @@ class BatchExecutor:
                 return [fn(item) for item in work]
         with span("executor", items=len(work), mode="pool"):
             return list(self._shared_pool().map(fn, work))
+
+    def submit(self, fn: Callable[[], _ResultT]) -> Future:
+        """Start ``fn()`` on the shared pool; a pool shut down under the
+        call (``shutdown`` racing a straggler) is replaced by a fresh one.
+        """
+        pool = self._shared_pool()
+        try:
+            return pool.submit(fn)
+        except RuntimeError:
+            with self._pool_lock:
+                if self._pool is pool:
+                    self._pool = None
+            return self._shared_pool().submit(fn)
 
     def _shared_pool(self) -> ThreadPoolExecutor:
         pool = self._pool

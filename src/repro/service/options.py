@@ -162,10 +162,11 @@ OPTIONS: tuple[Option, ...] = (
            "0 = never)"),
     Option("scatter_timeout", float, gt=0, requires="shards",
            flag="--shard-timeout", metavar="SECS", sharding=True,
-           help="upper bound on each scatter round's wait for a shard worker "
-           "even when the request has no deadline; a worker past it counts "
-           "as failed (retried, then breaker-tripped) instead of hanging the "
-           "round (requires --shards)"),
+           help="upper bound on every wait for a shard worker — each expand "
+           "and the co-located probe, at any fleet size — even when the "
+           "request has no deadline; a call past it is abandoned and counts "
+           "as a breaker failure (a failed shard for an expand, a miss for "
+           "the probe) instead of hanging the query (requires --shards)"),
     Option("degraded_answers", bool, False, requires="shards",
            flag="--degraded-answers", sharding=True,
            help="when a shard stays down past its retry budget, answer over "

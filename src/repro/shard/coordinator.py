@@ -41,16 +41,19 @@ so an echo that differs from the expected one is either a miss (probe)
 or a skew that re-runs the query once on the service's current epoch
 (expand), never a silently mixed answer.
 
-Rounds scatter to workers concurrently on a small pool when more than
-one shard holds frontier vertices.
+Every worker call — each expand of a round and the co-located probe —
+follows one rule (:meth:`ShardCoordinator._dispatch`): the round's only
+call runs inline when nothing bounds it; every other call runs on a
+small pool and is waited for at most ``scatter_timeout`` or the
+request's remaining budget.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from collections.abc import Callable
+from concurrent.futures import wait as futures_wait
+from functools import partial
 from time import perf_counter
 
 from repro.context import rearm
@@ -66,6 +69,7 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import check_deadline, current_deadline
 from repro.resilience.retry import RetryPolicy
 from repro.service.epoch import GraphEpoch
+from repro.service.executor import BatchExecutor
 from repro.shard.partitioner import ShardTopology
 
 __all__ = ["ShardCoordinator"]
@@ -116,7 +120,6 @@ class ShardCoordinator:
         workers: list,
         *,
         local_fast_path: bool = True,
-        parallel: bool = True,
         retry_policy: RetryPolicy | None = None,
         breakers: list[CircuitBreaker] | None = None,
         degraded_answers: bool = False,
@@ -140,18 +143,13 @@ class ShardCoordinator:
         #: Degrade (answer over surviving shards, verdict "unknown" when
         #: False) instead of failing fast with a structured 503.
         self.degraded_answers = degraded_answers
-        #: Per-call wall-clock bound on worker expands even without a
-        #: request deadline (``serve --shard-timeout``).
+        #: Per-call wall-clock bound on every worker call, the probe
+        #: included, even without a request deadline
+        #: (``serve --shard-timeout``).
         self.scatter_timeout = scatter_timeout
-        self._parallel = bool(parallel and len(workers) > 1)
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=min(len(workers), 8),
-                thread_name_prefix="repro-shard",
-            )
-            if self._parallel
-            else None
-        )
+        #: The pool behind :meth:`_dispatch`: one thread per worker, at
+        #: most 8, built on first use.
+        self._executor = BatchExecutor(max_workers=min(len(workers), 8))
         self._lock = threading.Lock()
         self._queries = 0
         self._rounds = 0
@@ -160,7 +158,6 @@ class ShardCoordinator:
         self._fast_path_hits = 0
         # Resilience counters (all monotone, surfaced in /stats and
         # /metrics as repro_resilience_* series).
-        self._scatter_serial_fallbacks = 0
         self._retries = 0
         self._worker_failures = 0
         self._breaker_rejections = 0
@@ -481,75 +478,32 @@ class ShardCoordinator:
         mask: int,
         expanded_by_shard: dict[int, set[int]],
     ):
-        """One round's expand calls, concurrent when shards allow.
+        """One round's expand calls, started by :meth:`_dispatch`.
 
-        Returns ``(results, failures)``: per-shard
-        :class:`~repro.shard.worker.ExpandResult` objects, plus the
-        shards whose call failed past the retry budget (exhausted
-        retries, breaker-open rejection, or a hang abandoned at the
-        deadline/``scatter_timeout``) with a human-readable reason.
-        Deadline expiry is *not* a shard failure — it raises
-        :class:`~repro.exceptions.DeadlineExceededError` directly.
-
-        Pooled calls are submitted re-armed (:func:`repro.context.rearm`),
-        so each worker finds the request's trace id and deadline where
-        an inline call would, and its span comes back as
-        :attr:`~repro.shard.worker.ExpandResult.span`.
-
-        Single-shard rounds also go through the pool whenever a wait
-        bound exists: a hung call cannot be interrupted in-process, so
-        bounding it means waiting on a future and abandoning the thread
-        (the breaker keeps abandoned threads from piling up).
+        Returns ``(results, failures)`` in shard order: per-shard
+        :class:`~repro.shard.worker.ExpandResult` objects (each carrying
+        its worker's span), plus the shards whose call failed past the
+        retry budget (exhausted retries, breaker-open rejection, or a
+        hang abandoned at the deadline/``scatter_timeout``) with a
+        human-readable reason.  Deadline expiry is *not* a shard failure
+        — it raises :class:`~repro.exceptions.DeadlineExceededError`
+        directly.
         """
-        # Snapshot the pool once: close() may null it under a straggler
-        # query, and the registry contract says in-flight requests
-        # holding a removed service still finish.
-        pool = self._pool
-        deadline = current_deadline()
-        bounded = deadline is not None or self.scatter_timeout is not None
-        pooled = pool is not None and (len(frontier) > 1 or bounded)
-        serial_fallback = pool is None and self._parallel
-        guarded = rearm(self._guarded_expand)
-        calls: list = []
+        calls = []
         for shard_id, seeds in sorted(frontier.items()):
             exclude = tuple(expanded_by_shard.get(shard_id, ()))
-            args = (shard_id, seeds, mask, exclude, {"abandoned": False})
-            future = None
-            if pooled:
-                try:
-                    future = pool.submit(guarded, *args)
-                except RuntimeError:
-                    pooled, serial_fallback = False, True
-            calls.append((args, future))
-        if serial_fallback:
-            # Configured parallel but the pool is gone (close() raced a
-            # straggler query): the round, or the rest of it, runs
-            # serially — after the calls already submitted are gathered.
-            with self._lock:
-                self._scatter_serial_fallbacks += 1
-
+            flag = {"abandoned": False}
+            calls.append((
+                shard_id,
+                partial(self._guarded_expand, shard_id, seeds, mask, exclude, flag),
+                flag,
+            ))
         results: list[tuple[int, object]] = []
         failures: list[tuple[int, str]] = []
-        for args, future in calls:
-            shard_id, *_, flag = args
+        gathers = self._dispatch(calls, "scatter-wait")
+        for (shard_id, _call, _flag), gather in zip(calls, gathers):
             try:
-                if future is None:
-                    result = self._guarded_expand(*args)
-                else:
-                    wait = self._scatter_wait(deadline)
-                    try:
-                        result = future.result(timeout=wait)
-                    except FuturesTimeout:
-                        # The call is still running and cannot be
-                        # interrupted; abandon it (the flag stops its
-                        # late breaker updates).
-                        flag["abandoned"] = True
-                        self.breakers[shard_id].record_failure()
-                        if deadline is not None:
-                            deadline.check("scatter-wait", shard=shard_id)
-                        raise TimeoutError(
-                            f"no response within {wait:.3f}s"
-                        ) from None
+                result = gather()
             except CircuitOpenError as error:
                 failures.append((shard_id, str(error)))
             except DeadlineExceededError:
@@ -563,6 +517,43 @@ class ShardCoordinator:
             else:
                 results.append((shard_id, result))
         return results, failures
+
+    def _dispatch(
+        self, calls: list[tuple[int, Callable[[], object], dict]], where: str
+    ) -> list[Callable[[], object]]:
+        """Start worker calls ``(shard, fn, flag)``; one gather per call.
+
+        The one rule for calling a worker, an expand or the probe alike:
+        a call runs inline — its gather *is* the call — only when it is
+        the round's only call and nothing bounds it (no request deadline
+        and no ``scatter_timeout``).  Every other call is submitted
+        re-armed (:func:`repro.context.rearm`) to the pool, so the
+        worker finds the request's trace id and deadline where an inline
+        call would, and its gather waits :meth:`_scatter_wait` for it.
+        A hung call cannot be interrupted in-process, so at that bound
+        the gather abandons it — ``flag["abandoned"]`` mutes its late
+        breaker updates — and records one breaker failure (the breaker
+        keeps abandoned threads from piling up); a spent deadline is
+        then a 504 at ``where``, anything else a :class:`TimeoutError`.
+        """
+        deadline = current_deadline()
+        if len(calls) == 1 and deadline is None and self.scatter_timeout is None:
+            return [fn for _shard, fn, _flag in calls]
+
+        def gather(shard: int, future, flag: dict):
+            wait = self._scatter_wait(deadline)
+            if not futures_wait((future,), timeout=wait).done:
+                flag["abandoned"] = True
+                self.breakers[shard].record_failure()
+                if deadline is not None:
+                    deadline.check(where, shard=shard)
+                raise TimeoutError(f"no response within {wait:.3f}s")
+            return future.result()
+
+        return [
+            partial(gather, shard, self._executor.submit(rearm(fn)), flag)
+            for shard, fn, flag in calls
+        ]
 
     # ------------------------------------------------------------------
     # guarded worker calls (retry + breaker + deadline)
@@ -582,9 +573,9 @@ class ShardCoordinator:
     def _guarded_expand(self, shard_id, seeds, mask, exclude, flag):
         """One shard call behind its breaker and the retry policy.
 
-        Runs on a scatter-pool thread (re-armed) or inline on the serial
-        path; either way the request context is the ambient one.
-        ``flag["abandoned"]`` is set by the gather loop when it stops
+        Runs on a pool thread (re-armed) or inline, as :meth:`_dispatch`
+        decides; either way the request context is the ambient one.
+        ``flag["abandoned"]`` is set by the gather when it stops
         waiting, muting this call's late breaker updates.
         """
         breaker = self.breakers[shard_id]
@@ -632,52 +623,39 @@ class ShardCoordinator:
         different echo is a miss, and the scatter that follows meets the
         ordinary skew rule.
 
-        Under a deadline the call runs re-armed on the scatter pool, so
-        the worker's own search sees the budget and stops itself — and a
-        hang is abandoned at expiry with a structured 504 (the thread
-        cannot be interrupted).  Without a deadline (or a pool) it runs
-        inline, unbounded.  Any other failure is just a miss:
-        scatter-gather, with its own retry/breaker guards, decides.
+        An open breaker skips the probe, and a probe is never retried.
+        It is called under :meth:`_dispatch`'s rule, so a hang is
+        abandoned at ``scatter_timeout`` or the deadline like an
+        expand's.  A spent deadline is a structured 504 — the worker's
+        own, when its search stopped itself on the budget it was sent;
+        any other failure is just a miss: scatter-gather, with its own
+        retry/breaker guards, decides.
         """
         breaker = self.breakers[shard]
         if not breaker.allow():
             return False
-
-        def call() -> bool:
-            hit, echoed = self.workers[shard].local_query(query)
-            return hit and echoed == expected_epoch
-
         with span("co-located", shard=shard) as probe:
-            deadline = current_deadline()
-            pool = self._pool
-            future = None
-            if deadline is not None and pool is not None:
-                try:
-                    future = pool.submit(rearm(call))
-                except RuntimeError:
-                    pass  # pool shut down mid-query: run inline
+            flag = {"abandoned": False}  # set by an abandoning gather
+            call = partial(self.workers[shard].local_query, query)
+            (gather,) = self._dispatch([(shard, call, flag)], "co-located-probe")
             try:
-                if future is None:
-                    hit = call()
-                else:
-                    hit = future.result(
-                        timeout=max(0.0, deadline.remaining_seconds())
-                        + ROUND_GRACE_SECONDS
-                    )
+                hit, echoed = gather()
             except DeadlineExceededError:
                 # The worker stopped itself on the request's budget: it
                 # is responsive, as for expand.
-                breaker.record_success()
+                if not flag["abandoned"]:
+                    breaker.record_success()
                 raise
             except Exception:
-                breaker.record_failure()
-                if deadline is not None:
-                    deadline.check("co-located-probe", shard=shard)
+                if not flag["abandoned"]:
+                    breaker.record_failure()
+                check_deadline("co-located-probe", shard=shard)
                 with self._lock:
                     self._fast_path_errors += 1
                 hit = False
             else:
                 breaker.record_success()
+                hit = hit and echoed == expected_epoch
             probe.set(hit=hit)
         return hit
 
@@ -694,7 +672,6 @@ class ShardCoordinator:
                 "expand_calls_total": self._expand_calls,
                 "crossings_total": self._crossings,
                 "mean_rounds": self._rounds / queries if queries else 0.0,
-                "scatter_serial_fallbacks": self._scatter_serial_fallbacks,
                 "epoch_skew_retries": self._epoch_skew_retries,
             }
             resilience = {
@@ -715,8 +692,6 @@ class ShardCoordinator:
         return document
 
     def close(self) -> None:
-        """Shut the scatter pool down (idempotent)."""
-        pool = self._pool
-        if pool is not None:
-            pool.shutdown(wait=True)
-            self._pool = None
+        """Shut the call pool down (idempotent); a straggler query
+        still finishes, on a fresh pool."""
+        self._executor.shutdown()

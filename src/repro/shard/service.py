@@ -86,6 +86,23 @@ from repro.shard.worker import HttpShardWorker
 __all__ = ["ShardedQueryService"]
 
 
+def _slice_identity(epoch: GraphEpoch) -> dict:
+    """What a worker serving ``epoch``'s slice echoes in its descriptor."""
+    plan, slice_epoch = epoch.topology
+    return {
+        "epoch": slice_epoch,
+        "fingerprint": epoch.fingerprint,
+        "plan_hash": plan_fingerprint(plan),
+    }
+
+
+def _drifted(descriptor: dict, identity: dict) -> bool:
+    """The one drift rule, for the handshake and the health sweep alike:
+    a worker whose descriptor differs from ``identity`` in any field
+    serves another slice and gets the current one re-pushed."""
+    return any(descriptor.get(key) != value for key, value in identity.items())
+
+
 class _StagedSwap(NamedTuple):
     """What every worker holds staged between prepare and publish."""
 
@@ -243,14 +260,8 @@ class ShardedQueryService(QueryService):
                     "coordinator_wire_version": SLICE_WIRE_VERSION,
                 },
             )
-        epoch = self._epoch
-        plan, slice_epoch = epoch.topology
-        plan_hash = plan_fingerprint(plan)
-        if (
-            descriptor.get("plan_hash") != plan_hash
-            or descriptor.get("epoch") != slice_epoch
-            or descriptor.get("fingerprint") != epoch.fingerprint
-        ):
+        expected = _slice_identity(self._epoch)
+        if _drifted(descriptor, expected):
             try:
                 # The ledger then holds what the healed worker serves.
                 self._resync_worker(shard_id, worker)
@@ -261,19 +272,17 @@ class ShardedQueryService(QueryService):
                     detail={
                         "shard": shard_id,
                         "descriptor": {
-                            key: descriptor.get(key)
-                            for key in ("epoch", "fingerprint", "plan_hash")
+                            key: descriptor.get(key) for key in expected
                         },
-                        "expected": {
-                            "epoch": slice_epoch,
-                            "fingerprint": epoch.fingerprint,
-                            "plan_hash": plan_hash,
-                        },
+                        "expected": expected,
                     },
                 ) from error
         else:
             self._note_health(
-                shard_id, epoch=slice_epoch, plan_hash=plan_hash, descriptor=descriptor
+                shard_id,
+                epoch=expected["epoch"],
+                plan_hash=expected["plan_hash"],
+                descriptor=descriptor,
             )
 
     def _resync_worker(self, shard_id: int, worker) -> dict:
@@ -338,9 +347,9 @@ class ShardedQueryService(QueryService):
         Probe outcomes feed the coordinator's per-worker circuit
         breakers — a responsive descriptor closes a half-open breaker
         without waiting for query traffic, and a dead worker keeps its
-        breaker open between queries.  A worker answering with a stale
-        epoch or plan hash (it restarted from an old slice file) gets
-        the current slice re-pushed.
+        breaker open between queries.  A drifted worker — a stale slice
+        epoch, plan hash or content fingerprint (it restarted from an old
+        slice file) — gets the current slice re-pushed.
         """
         for shard_id, worker in enumerate(self.workers):
             try:
@@ -356,10 +365,7 @@ class ShardedQueryService(QueryService):
                 plan_hash=descriptor.get("plan_hash"),
                 descriptor=descriptor,
             )
-            plan, slice_epoch = self._epoch.topology
-            if descriptor.get("epoch") != slice_epoch or descriptor.get(
-                "plan_hash"
-            ) != plan_fingerprint(plan):
+            if _drifted(descriptor, _slice_identity(self._epoch)):
                 try:
                     self._resync_worker(shard_id, worker)
                 except Exception as error:

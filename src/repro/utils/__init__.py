@@ -1,7 +1,7 @@
 """Small shared utilities: RNG plumbing, timers, validation, persistence."""
 
 from repro.utils.persist import atomic_write_json
-from repro.utils.rng import derive_rng, make_rng
+from repro.utils.rng import make_rng
 from repro.utils.timing import Stopwatch, Timer
 from repro.utils.validation import require
 
@@ -9,7 +9,6 @@ __all__ = [
     "Stopwatch",
     "Timer",
     "atomic_write_json",
-    "derive_rng",
     "make_rng",
     "require",
 ]

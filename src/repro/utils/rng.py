@@ -2,22 +2,15 @@
 
 Everything in this library that makes random choices (dataset generators,
 landmark selection, workload generation) accepts either a seed or a
-:class:`random.Random` and must be reproducible run-to-run.  These helpers
-centralise the two conversions:
-
-* :func:`make_rng` — normalise ``None | int | Random`` into a ``Random``;
-* :func:`derive_rng` — split a parent generator into an independent child
-  stream identified by a string salt, so that e.g. "landmark selection"
-  and "query generation" never consume from the same stream (adding a
-  query would otherwise silently change the landmarks).
+:class:`random.Random` and must be reproducible run-to-run;
+:func:`make_rng` normalises ``None | int | Random`` into a ``Random``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 
-__all__ = ["make_rng", "derive_rng"]
+__all__ = ["make_rng"]
 
 
 def make_rng(seed: int | random.Random | None) -> random.Random:
@@ -31,20 +24,3 @@ def make_rng(seed: int | random.Random | None) -> random.Random:
         return seed
     return random.Random(seed)
 
-
-def derive_rng(seed: int | random.Random | None, *salt: object) -> random.Random:
-    """Derive an independent child generator from ``seed`` and ``salt``.
-
-    The child stream is a pure function of the parent's next draw and the
-    salt values, so distinct salts give decorrelated, reproducible
-    streams.  The parent advances by exactly one draw regardless of how
-    much the child is used.
-    """
-    parent = make_rng(seed)
-    digest = hashlib.sha256()
-    digest.update(str(parent.getrandbits(64)).encode("ascii"))
-    for item in salt:
-        digest.update(b"\x00")
-        digest.update(repr(item).encode("utf-8", "backslashreplace"))
-    child_seed = int.from_bytes(digest.digest()[:8], "big")
-    return random.Random(child_seed)

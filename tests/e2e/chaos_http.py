@@ -2,7 +2,8 @@
 
 Cut a graph into three slices (``repro cut``), serve each from a
 ``serve --worker`` process, and boot a sharded server attached to them
-whose worker stubs misbehave on schedule (one hangs, one flaps), hammer
+whose worker stubs misbehave on schedule (one hangs, one flaps, on the
+co-located probe as on every expand), hammer
 it with the load generator sending ``?deadline_ms=``
 on every request, and verify (a) the generator saw only clean answers
 and structured refusals, (b) replaying every spec against an unsharded
@@ -49,11 +50,12 @@ def main(scratch: Path) -> None:
 
 def run(graph_file: str, urls: list[str], oracle, scratch: Path) -> None:
     service = ShardedQueryService(
-        load_tsv(graph_file), seed=0, shards=3, worker_urls=urls, local_fast_path=False,
+        load_tsv(graph_file), seed=0, shards=3, worker_urls=urls,
         degraded_answers=True, scatter_timeout=0.25,
         retry_policy=RetryPolicy(max_attempts=2, base_delay=0.01, seed=0))
-    plans = {0: [FaultRule("hang", every=7, duration=0.4)],
-             1: [FaultRule("flap", every=2)]}
+    # "*": the co-located probe meets the faults too, not only expand.
+    plans = {0: [FaultRule("hang", operation="*", every=7, duration=0.4)],
+             1: [FaultRule("flap", operation="*", every=2)]}
     for index, rules in plans.items():
         wrapper = FaultyWorker(service.workers[index], rules,
                                name=f"shard{index}")
@@ -104,6 +106,11 @@ def run(graph_file: str, urls: list[str], oracle, scratch: Path) -> None:
         breaker_gauges = [key for key in samples
                           if key[0] == "repro_resilience_breaker_state"]
         assert len(breaker_gauges) == 3, breaker_gauges
+        probe_errors = sum(
+            value for (name, _labels), value in samples.items()
+            if name == "repro_resilience_fast_path_errors_total")
+        assert probe_errors > 0, "no co-located probe met a fault"
+        print(f"{probe_errors:g} co-located probes failed into the scatter")
         print("chaos OK:", len(samples), "samples strict-parsed")
     finally:
         server.shutdown()

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import LabelNotFoundError
-from repro.graph.labels import LabelUniverse, iter_mask_bits, mask_is_subset, popcount
+from repro.graph.labels import LabelUniverse, iter_mask_bits, mask_is_subset
 
 
 class TestLabelUniverse:
@@ -92,10 +92,6 @@ class TestMaskHelpers:
         assert not mask_is_subset(0b100, 0b011)
         assert mask_is_subset(0, 0)
 
-    def test_popcount(self):
-        assert popcount(0) == 0
-        assert popcount(0b1011) == 3
-
     def test_iter_mask_bits(self):
         assert list(iter_mask_bits(0)) == []
         assert list(iter_mask_bits(0b10110)) == [1, 2, 4]
@@ -104,10 +100,6 @@ class TestMaskHelpers:
     def test_subset_matches_set_semantics(self, a, b):
         expected = set(iter_mask_bits(a)) <= set(iter_mask_bits(b))
         assert mask_is_subset(a, b) == expected
-
-    @given(st.integers(min_value=0, max_value=2**70))
-    def test_popcount_matches_bits(self, mask):
-        assert popcount(mask) == len(list(iter_mask_bits(mask)))
 
     @given(st.sets(st.integers(min_value=0, max_value=80)))
     def test_iter_mask_roundtrip(self, bits):

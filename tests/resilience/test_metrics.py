@@ -62,7 +62,6 @@ class TestResilienceSeries:
                 "repro_resilience_degraded_mode",
                 "repro_resilience_breaker_state",
                 "repro_degraded_answers_total",
-                "repro_shard_coordinator_scatter_serial_fallbacks",
             } <= names
             breaker_states = {
                 labels: value

@@ -10,7 +10,7 @@ alternate (mirroring ``tests/service/test_agreement_service.py``), the
 second pass of every query must come off the result cache, and the
 batch path is held to the same standard.  Every sharded service reaches
 its workers over HTTP (an in-thread server hosts them); a final group
-drives the same workers from a second, serial coordinator.
+drives the same workers from a second coordinator.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ class TestEarlyExits:
 
 
 class TestRemoteWorkerAgreement:
-    """A serial coordinator over the same worker stubs answers exactly."""
+    """A second coordinator over the same worker stubs answers exactly."""
 
     @pytest.mark.parametrize("seed", [0, 7, 21])
     def test_remote_coordinator_agrees_with_oracle(self, seed):
@@ -219,7 +219,7 @@ class TestRemoteWorkerAgreement:
             sharded = stack.enter_context(
                 sharded_fleet(graph, seed=seed, shards=3)
             )
-            remote = ShardCoordinator(sharded.workers, parallel=False)
+            remote = ShardCoordinator(sharded.workers)
             stack.callback(remote.close)
             oracle = NaiveTwoProcedure(sharded.graph)
             rng = random.Random(seed * 37 + 11)

@@ -25,7 +25,7 @@ from tests.helpers import sharded_fleet
 SEEDS = list(range(12))
 
 
-def make_coordinator(seed, shards, *, parallel=False, num_vertices=20):
+def make_coordinator(seed, shards, *, num_vertices=20, **options):
     graph = random_labeled_graph(
         num_vertices, 2.0, 4, rng=seed, name=f"coord-{seed}"
     ).freeze()
@@ -37,7 +37,7 @@ def make_coordinator(seed, shards, *, parallel=False, num_vertices=20):
     # topology they run under.
     return (
         graph,
-        ShardCoordinator(workers, parallel=parallel),
+        ShardCoordinator(workers, **options),
         ShardTopology(plan, 0),
     )
 
@@ -104,23 +104,25 @@ class TestClosure:
             coordinator.close()
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
-    def test_parallel_scatter_agrees_with_serial(self, seed):
-        graph, serial, topology = make_coordinator(seed, 4, parallel=False)
-        _graph, parallel, _topology = make_coordinator(seed, 4, parallel=True)
+    def test_pooled_scatter_agrees_with_inline(self, seed):
+        # A bound sends every call to the pool; without one, a round's
+        # only call runs inline.
+        graph, inline, topology = make_coordinator(seed, 4)
+        _graph, pooled, _topology = make_coordinator(seed, 4, scatter_timeout=30.0)
         mask = (1 << graph.num_labels) - 1
         try:
             for source in range(0, graph.num_vertices, 3):
-                left, _ = serial.closure({source}, mask, topology)
-                right, _ = parallel.closure({source}, mask, topology)
+                left, _ = inline.closure({source}, mask, topology)
+                right, _ = pooled.closure({source}, mask, topology)
                 assert left == right
         finally:
-            serial.close()
-            parallel.close()
+            inline.close()
+            pooled.close()
 
-    def test_scatter_falls_back_to_serial_after_close(self):
+    def test_scatter_after_close_gets_a_fresh_pool(self):
         # The registry contract: a straggler query on a removed service
         # still finishes — closing the pool mid-flight must not crash.
-        graph, coordinator, topology = make_coordinator(0, 4, parallel=True)
+        graph, coordinator, topology = make_coordinator(0, 4, scatter_timeout=30.0)
         mask = (1 << graph.num_labels) - 1
         expected, _ = coordinator.closure({0}, mask, topology)
         coordinator.close()

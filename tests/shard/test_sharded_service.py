@@ -191,6 +191,21 @@ class TestTenantIntegration:
             finally:
                 second.close()
 
+    def test_the_health_sweep_heals_a_stale_fingerprint(self):
+        # Same slice epoch and plan, other content: the handshake's
+        # drift rule, so the sweep re-pushes the slice.
+        with sharded_fleet(make_graph(), shards=2) as service:
+            served = service.workers[0].served
+            served.prepare(
+                "drift", epoch=service.slice_epoch, fingerprint="other",
+                plan_hash=None, plan=None, extends=service.slice_epoch,
+            )
+            served.publish_update("drift")
+            service._probe_workers()
+            assert served.describe()["fingerprint"] == service.epoch.fingerprint
+            entries = service.stats_snapshot()["shards"]["workers"]
+            assert [entry["health"].get("resyncs", 0) for entry in entries] == [1, 0]
+
     def test_close_is_idempotent(self):
         with sharded_fleet(make_graph(), shards=2) as service:
             service.close()

@@ -54,11 +54,9 @@ class TestRemoteTracePropagation:
             sharded = stack.enter_context(
                 sharded_fleet(graph, seed=3, shards=2, local_fast_path=False)
             )
-            # A serial coordinator of its own: the scatter order, and so
-            # the span tree, is deterministic.
-            remote = ShardCoordinator(
-                sharded.workers, local_fast_path=False, parallel=False
-            )
+            # A coordinator of its own over the fleet's stubs; rounds
+            # gather in shard order, so the span tree is deterministic.
+            remote = ShardCoordinator(sharded.workers, local_fast_path=False)
             stack.callback(remote.close)
             base = sharded.workers[0].base_url
             scattered = None

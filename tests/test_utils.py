@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.exceptions import ReproError
-from repro.utils.rng import derive_rng, make_rng
+from repro.utils.rng import make_rng
 from repro.utils.timing import Stopwatch, Timer
 from repro.utils.validation import require
 
@@ -23,23 +23,6 @@ class TestRng:
 
     def test_make_rng_none_works(self):
         assert 0.0 <= make_rng(None).random() < 1.0
-
-    def test_derive_rng_deterministic(self):
-        a = derive_rng(7, "landmarks").random()
-        b = derive_rng(7, "landmarks").random()
-        assert a == b
-
-    def test_derive_rng_salts_decorrelate(self):
-        a = derive_rng(7, "landmarks").random()
-        b = derive_rng(7, "queries").random()
-        assert a != b
-
-    def test_derive_advances_parent_once(self):
-        parent = random.Random(3)
-        derive_rng(parent, "x")
-        after_one = random.Random(3)
-        after_one.getrandbits(64)
-        assert parent.random() == after_one.random()
 
 
 class TestTiming:

@@ -9,14 +9,18 @@ shard counts, plus the early-stop contract and round telemetry.
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
+
+from repro.context import RequestContext, activate
 
 from repro.core.lcr import lcr_closure
 from repro.core.query import LSCRQuery
 from repro.datasets.synthetic import random_labeled_graph
 from repro.exceptions import ShardUnavailableError
 from repro.index.landmarks import bfs_traverse, select_landmarks
+from repro.resilience.deadline import Deadline
 from repro.shard.coordinator import ShardCoordinator
 from repro.shard.partitioner import ShardTopology, build_shard_plan, cut_slices
 from repro.shard.worker import ShardWorker
@@ -148,3 +152,63 @@ class TestClosure:
                     service.coordinator.answer(query, service.epoch)
             finally:
                 short.close()
+
+
+class TestDispatchRule:
+    """One rule decides where every worker call runs (``_dispatch``)."""
+
+    @pytest.mark.parametrize(
+        ("calls", "scatter_timeout", "deadline_ms", "inline"),
+        [
+            (1, None, None, True),
+            (1, 30.0, None, False),
+            (1, None, 60_000, False),
+            (3, None, None, False),
+        ],
+        ids=["only-unbounded", "only-timeout", "only-deadline", "round-of-three"],
+    )
+    def test_inline_only_for_a_lone_unbounded_call(
+        self, calls, scatter_timeout, deadline_ms, inline
+    ):
+        coordinator = ShardCoordinator(
+            [object()] * 3, scatter_timeout=scatter_timeout
+        )
+        deadline = Deadline(deadline_ms) if deadline_ms is not None else None
+        try:
+            with activate(RequestContext(deadline=deadline)):
+                gathers = coordinator._dispatch(
+                    [
+                        (shard, threading.current_thread, {"abandoned": False})
+                        for shard in range(calls)
+                    ],
+                    "test",
+                )
+                ran_on = [gather() for gather in gathers]
+            caller = threading.current_thread()
+            assert [thread is caller for thread in ran_on] == [inline] * calls
+        finally:
+            coordinator.close()
+
+    @pytest.mark.parametrize(("workers", "threads"), [(1, 1), (3, 3), (12, 8)])
+    def test_one_pool_thread_per_worker_at_most_eight(self, workers, threads):
+        coordinator = ShardCoordinator([object()] * workers)
+        try:
+            assert coordinator._executor.max_workers == threads
+        finally:
+            coordinator.close()
+
+    def test_a_hung_call_is_abandoned_with_one_breaker_failure(self):
+        coordinator = ShardCoordinator([object()], scatter_timeout=0.05)
+        release = threading.Event()
+        flag = {"abandoned": False}
+        try:
+            (gather,) = coordinator._dispatch(
+                [(0, lambda: release.wait(5.0), flag)], "test"
+            )
+            with pytest.raises(TimeoutError):
+                gather()
+            assert flag["abandoned"] is True
+            assert coordinator.breakers[0].stats()["failures"] == 1
+        finally:
+            release.set()
+            coordinator.close()

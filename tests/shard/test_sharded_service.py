@@ -14,6 +14,7 @@ from repro.obs.prometheus import parse_prometheus_text
 from repro.service.options import ServiceOptions
 from repro.service.registry import TenantRegistry
 from repro.shard import ShardedQueryService
+from repro.shard.service import _drifted, _slice_identity
 from tests.helpers import graph_from_edges, running_server, sharded_fleet
 
 
@@ -190,6 +191,16 @@ class TestTenantIntegration:
                     assert entry["fingerprint"] == second.epoch.fingerprint
             finally:
                 second.close()
+
+    @pytest.mark.parametrize("field", ["epoch", "fingerprint", "plan_hash"])
+    def test_one_drift_rule_names_every_slice_field(self, field):
+        with sharded_fleet(make_graph(), shards=2) as service:
+            identity = _slice_identity(service.epoch)
+            descriptor = service.workers[0].probe()
+            assert not _drifted(descriptor, identity)
+            assert _drifted({**descriptor, field: "stale"}, identity)
+            del descriptor[field]
+            assert _drifted(descriptor, identity)
 
     def test_the_health_sweep_heals_a_stale_fingerprint(self):
         # Same slice epoch and plan, other content: the handshake's

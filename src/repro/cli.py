@@ -76,8 +76,14 @@ from repro.service.options import (
     options_from_args,
 )
 from repro.service.registry import DEFAULT_TENANT, TenantRegistry
-from repro.shard import ShardedQueryService, ShardWorker, cut_slices, derive_shard_plan
-from repro.shard.slicefile import SLICE_WIRE_VERSION, dump_slice, load_slice
+from repro.shard import ShardedQueryService, ShardWorker, derive_shard_plan
+from repro.shard.slicefile import (
+    SLICE_WIRE_VERSION,
+    dump_slice,
+    load_slice,
+    plan_fingerprint,
+    slice_document,
+)
 from repro.wal import (
     DEFAULT_COMPACT_EVERY,
     DEFAULT_POLL_INTERVAL,
@@ -371,20 +377,22 @@ def _cmd_cut(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     total = 0
-    for graph_slice in cut_slices(graph, plan):
-        path = out / f"shard-{graph_slice.shard_id}.slice.json"
-        size = dump_slice(graph_slice, plan, path, epoch=0, fingerprint=fingerprint)
+    for shard_id in range(plan.num_shards):
+        path = out / f"shard-{shard_id}.slice.json"
+        document = slice_document(
+            graph, plan, shard_id, epoch=0, fingerprint=fingerprint
+        )
+        size = dump_slice(document, path)
         total += size
         print(
-            f"shard {graph_slice.shard_id}: |V|={graph_slice.num_vertices} "
-            f"|E|={graph_slice.num_edges} "
-            f"borders={len(graph_slice.border_vertices)} "
+            f"shard {shard_id}: |V|={len(document['adjacency'])} "
+            f"|E|={document['num_edges']} "
+            f"borders={len(document['border_targets'])} "
             f"-> {path} ({size} bytes)"
         )
-    loaded = load_slice(out / "shard-0.slice.json")
     print(
         f"cut {plan.num_shards} slices ({total} bytes); "
-        f"plan {loaded.plan_hash} at epoch 0, wire v{SLICE_WIRE_VERSION}"
+        f"plan {plan_fingerprint(plan)} at epoch 0, wire v{SLICE_WIRE_VERSION}"
     )
     return 0
 
@@ -394,23 +402,16 @@ def _serve_worker(
 ) -> int:
     """``serve --worker SLICE_FILE``: one shard worker process."""
     loaded = load_slice(args.worker)
-    worker = ShardWorker(
-        loaded.slice,
-        options=options,
-        epoch=loaded.epoch,
-        fingerprint=loaded.fingerprint,
-        plan_hash=loaded.plan_hash,
-        plan=loaded.plan,
-    )
+    worker = ShardWorker(loaded, options=options)
     # No tenants: the registry only backs the admin routes; queries go
     # through the coordinator that attaches this worker by URL.
     registry = TenantRegistry()
     server = create_server(
-        registry, args.host, args.port, {str(loaded.slice.shard_id): worker}
+        registry, args.host, args.port, {str(loaded.shard_id): worker}
     )
     host, port = server.server_address[:2]
     print(
-        f"worker: shard {loaded.slice.shard_id} of {loaded.plan.num_shards} "
+        f"worker: shard {loaded.shard_id} of {loaded.plan.num_shards} "
         f"from {args.worker} (|V|={loaded.slice.num_vertices} "
         f"|E|={loaded.slice.num_edges}; epoch {loaded.epoch}, "
         f"plan {loaded.plan_hash[:12]}..., wire v{SLICE_WIRE_VERSION})",

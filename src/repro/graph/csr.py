@@ -89,6 +89,10 @@ class CsrDirection:
     only the rows a batch wrote and shares every other cell with its
     parent — same objects, safe because neither side can write them.
     ``rows_recut`` / ``rows_shared`` say how the rows came about.
+
+    A shard's slice (:mod:`repro.shard`) is no other layout: it is one
+    :class:`FrozenGraph` whose rows are empty outside the owned
+    vertices, indexed by the deployment's global ids like any graph.
     """
 
     __slots__ = (
@@ -178,26 +182,6 @@ class CsrDirection:
             if mask >> label_id & 1:
                 result.extend(group_targets)
         return tuple(result)
-
-    @classmethod
-    def restricted(
-        cls, graph: KnowledgeGraph, vertices: "list[int] | tuple[int, ...]"
-    ) -> "CsrDirection":
-        """CSR over a vertex subset — the slice seam for :mod:`repro.shard`.
-
-        Row ``i`` holds ``vertices[i]``'s *out*-adjacency; targets keep
-        their **global** vertex ids (a slice's edges may point at
-        vertices owned elsewhere).  Every label-mask fast path of
-        :meth:`targets_masked` then works unchanged on the slice,
-        indexed by local position.
-        """
-        adjacency: Rows = []
-        for vid in vertices:
-            per_vertex: dict[int, list[int]] = {}
-            for label_id, target in graph.out_edges(vid):
-                per_vertex.setdefault(label_id, []).append(target)
-            adjacency.append(per_vertex)
-        return cls(adjacency)
 
 
 class _ThawedRows(dict):

@@ -41,6 +41,7 @@ import os
 import threading
 from collections.abc import Callable, Iterable
 from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
 from typing import TypeVar
 
 from repro.obs.trace import span
@@ -87,7 +88,12 @@ class BatchExecutor:
             with span("executor", items=len(work), mode="serial"):
                 return [fn(item) for item in work]
         with span("executor", items=len(work), mode="pool"):
-            return list(self._shared_pool().map(fn, work))
+            futures = [self.submit(partial(fn, item)) for item in work]
+            try:
+                return [future.result() for future in futures]
+            finally:
+                for future in futures:  # members not started when one raised
+                    future.cancel()
 
     def submit(self, fn: Callable[[], _ResultT]) -> Future:
         """Start ``fn()`` on the shared pool; a pool shut down under the
@@ -115,8 +121,13 @@ class BatchExecutor:
         return pool
 
     def shutdown(self) -> None:
-        """Release the pool, if one was built (idempotent)."""
+        """Release the pool, if one was built (idempotent).
+
+        Does not wait: a call still running — a worker call the
+        coordinator abandoned at its bound, say — finishes on its own
+        thread, and members already queued still run.
+        """
         with self._pool_lock:
             if self._pool is not None:
-                self._pool.shutdown(wait=True)
+                self._pool.shutdown(wait=False)
                 self._pool = None

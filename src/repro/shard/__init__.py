@@ -1,23 +1,27 @@
 """repro.shard — region-sharded scatter-gather query serving.
 
 Horizontal partitioning for the query service: the landmark regions the
-paper's local index already computes become the unit of placement, the
-PR 3 frozen-CSR layout becomes the wire format of a shard, and the
-serving stack gains a second execution topology next to the
-single-process one.  The pieces compose in one direction:
+paper's local index already computes become the unit of placement, a
+shard's slice is one frozen graph (every vertex, only the owned
+vertices' edges) plus its border table, and the serving stack gains a
+second execution topology next to the single-process one.  The pieces
+compose in one direction:
 
 ========================  =============================================
 :mod:`~.partitioner`      ``D``-guided region → shard placement,
                           :class:`ShardPlan` vertex ownership,
-                          :class:`GraphSlice` region-restricted CSR
-                          slices with border tables
+                          :class:`GraphSlice` — one slice graph plus
+                          its border table
 :mod:`~.slicefile`        deterministic slice serialization — the file
                           a worker process boots from, stamped with
                           slice epoch, content fingerprint and plan
-                          hash (:func:`dump_slice` / :func:`load_slice`)
+                          hash (:func:`slice_document` written from any
+                          graph holding the owned rows,
+                          :func:`dump_slice` / :func:`load_slice`)
 :mod:`~.worker`           :class:`ShardWorker` — slice-local closure
-                          expansion, the co-located fast path (the
-                          serving kernel over the slice), and the
+                          expansion and the co-located fast path (the
+                          serving kernel), both over the one slice
+                          graph, and the
                           two-phase prepare/publish slice swap;
                           :class:`HttpShardWorker` drives a remote one
                           over pooled keep-alive connections
@@ -58,7 +62,6 @@ from repro.shard.partitioner import (
     ShardPlan,
     assign_regions,
     build_shard_plan,
-    cut_slices,
     derive_shard_plan,
 )
 from repro.shard.rebalance import propose_rebalance
@@ -84,7 +87,6 @@ __all__ = [
     "SliceFile",
     "assign_regions",
     "build_shard_plan",
-    "cut_slices",
     "derive_shard_plan",
     "dump_slice",
     "load_slice",

@@ -1,4 +1,4 @@
-"""Cutting a graph into region-restricted CSR slices.
+"""Cutting a graph into per-shard slices.
 
 The paper's local index already partitions the graph into landmark
 regions (:func:`~repro.index.landmarks.bfs_traverse`); sharding groups
@@ -15,14 +15,16 @@ those regions into ``N`` shards and cuts the
 * :class:`ShardPlan` — the resulting vertex → shard ownership map.
   Every vertex is owned by exactly one shard: region members follow
   their region, vertices no landmark reached are dealt round-robin;
-* :class:`GraphSlice` — one shard's slice of the graph: the
-  label-grouped adjacency rows (:meth:`CsrDirection.restricted
-  <repro.graph.csr.CsrDirection.restricted>`) of the shard's owned
-  vertices with per-vertex label masks, plus the **border table**
-  (owned vertex → its out-neighbours owned elsewhere): the worker's
-  expand loop probes it once per vertex to skip per-edge ownership
-  checks on non-border vertices, and ``/stats`` reports border sizes
-  and peer shards per slice.
+* :class:`GraphSlice` — one shard's slice, as a worker holds it: one
+  frozen graph with every vertex and label under the deployment's ids
+  but only the owned vertices' out-edges, plus the **border table**
+  (:func:`border_table`: owned vertex → its out-neighbours owned
+  elsewhere).  The worker's expand loop probes the table once per
+  vertex to skip per-edge ownership checks on non-border vertices, and
+  ``/stats`` reports border sizes and peer shards per slice.  A slice
+  is only ever built by loading its document
+  (:func:`~repro.shard.slicefile.slice_from_document`); the writer
+  reads the owned rows straight from the graph it is given.
 
 The partition invariant the tests enforce: every edge of the source
 graph lands in **exactly one** slice — the slice of the shard owning
@@ -33,11 +35,10 @@ closure and scatter-gather search is exact, not approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterator
 from typing import NamedTuple
 
-from repro.graph.csr import CsrDirection
-from repro.graph.labeled_graph import Edge, KnowledgeGraph
+from repro.graph.csr import FrozenGraph
+from repro.graph.labeled_graph import KnowledgeGraph
 from repro.index.landmarks import (
     NO_REGION,
     Partition,
@@ -51,8 +52,8 @@ __all__ = [
     "ShardTopology",
     "GraphSlice",
     "assign_regions",
+    "border_table",
     "build_shard_plan",
-    "cut_slices",
     "derive_shard_plan",
 ]
 
@@ -207,15 +208,40 @@ def derive_shard_plan(
     return partition, correlations, plan
 
 
-class GraphSlice:
-    """One shard's region-restricted CSR slice of a graph.
+def border_table(
+    graph: KnowledgeGraph, shard_of: tuple[int, ...], shard_id: int, owned: list[int]
+) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...]]:
+    """The border table of ``shard_id``'s slice and its peer shards.
 
-    Holds every edge whose *source* vertex the shard owns, in the same
-    label-grouped row layout (local row index, global target ids) plus
-    per-vertex label masks the frozen graph serves from, and
-    the border table: for each owned vertex, its out-neighbours owned by
-    other shards.  Vertices with no border entry can never leak a
-    frontier, so the worker's expand loop checks the table once per
+    For each owned vertex (ascending, as ``owned`` lists them) with an
+    out-neighbour owned elsewhere, those neighbours, ascending; then
+    every shard such a neighbour lands in.  Read from whichever graph
+    holds the owned rows — the epoch's graph when a slice is written,
+    the slice graph when it is loaded — so both sides agree by
+    construction.
+    """
+    border: dict[int, tuple[int, ...]] = {}
+    peers: set[int] = set()
+    for vid in owned:
+        external = sorted(
+            {t for _label, t in graph.out_edges(vid) if shard_of[t] != shard_id}
+        )
+        if external:
+            border[vid] = tuple(external)
+            peers.update(shard_of[t] for t in external)
+    return border, tuple(sorted(peers))
+
+
+class GraphSlice:
+    """One shard's slice: one frozen graph plus its border table.
+
+    :attr:`graph` interns every vertex and label of the deployment under
+    the deployment's ids but holds only the owned vertices' out-edges
+    (and, as in-rows, their reverse), so the worker's expand walks its
+    out-rows by global id and the co-located probe searches the very
+    same object.  The border table names, for each owned vertex, its
+    out-neighbours owned by other shards: vertices with no entry can
+    never leak a frontier, so the expand loop checks the table once per
     vertex and walks non-border adjacency without per-edge ownership
     tests.
     """
@@ -225,78 +251,30 @@ class GraphSlice:
         "shard_id",
         "shard_of",
         "regions",
-        "vertex_ids",
-        "local_of",
-        "csr",
-        "border_targets",
-        "border_vertices",
-        "peer_shards",
+        "num_vertices",
         "num_edges",
+        "border_targets",
+        "peer_shards",
     )
 
-    def __init__(self, graph: KnowledgeGraph, plan: ShardPlan, shard_id: int) -> None:
+    def __init__(self, graph: FrozenGraph, plan: ShardPlan, shard_id: int) -> None:
         owned = plan.owned_by(shard_id)
         self.graph = graph
         self.shard_id = shard_id
         self.shard_of = plan.shard_of
         self.regions = plan.regions_by_shard[shard_id]
-        self.vertex_ids = tuple(owned)
-        self.local_of = {vid: position for position, vid in enumerate(owned)}
-        self.csr = CsrDirection.restricted(graph, owned)
-        self.num_edges = sum(map(len, self.csr.all_targets))
-        border: dict[int, tuple[int, ...]] = {}
-        peers: set[int] = set()
-        shard_of = plan.shard_of
-        for position, vid in enumerate(owned):
-            external = sorted(
-                {t for t in self.csr.all_targets[position] if shard_of[t] != shard_id}
-            )
-            if external:
-                border[vid] = tuple(external)
-                peers.update(shard_of[t] for t in external)
-        self.border_targets = border
-        self.border_vertices = tuple(sorted(border))
-        self.peer_shards = tuple(sorted(peers))
-
-    @property
-    def num_vertices(self) -> int:
-        """Owned vertex count."""
-        return len(self.vertex_ids)
+        #: Owned vertex count.
+        self.num_vertices = len(owned)
+        self.num_edges = graph.num_edges
+        self.border_targets, self.peer_shards = border_table(
+            graph, plan.shard_of, shard_id, owned
+        )
 
     def __repr__(self) -> str:
         return (
             f"GraphSlice(shard={self.shard_id}, |V|={self.num_vertices}, "
-            f"|E|={self.num_edges}, borders={len(self.border_vertices)})"
+            f"|E|={self.num_edges}, borders={len(self.border_targets)})"
         )
-
-    def edges(self) -> Iterator[Edge]:
-        """This slice's edges as global ``(source, label, target)`` ids."""
-        for position, vid in enumerate(self.vertex_ids):
-            for label_id, group_targets in self.csr.groups[position]:
-                for target in group_targets:
-                    yield (vid, label_id, target)
-
-    def to_graph(self, name: str | None = None) -> KnowledgeGraph:
-        """This slice as a standalone :class:`KnowledgeGraph`.
-
-        Re-interned from names, so the result is self-contained — the
-        graph a shard worker's co-located probe searches.  Owned
-        vertices are all present (isolated ones included); external
-        edge targets appear as plain vertices.  Because its edge set is a subset of the source
-        graph's, any query answered *true* on a slice is true on the
-        full graph (paths and substructure matches are preserved under
-        edge-set inclusion).
-        """
-        slice_graph = KnowledgeGraph(
-            name or f"{self.graph.name}/shard{self.shard_id}"
-        )
-        name_of = self.graph.name_of
-        label_name = self.graph.label_name
-        for vid in self.vertex_ids:
-            slice_graph.add_vertex(name_of(vid))
-        for source, label_id, target in self.edges():
-            slice_graph.add_edge(name_of(source), label_name(label_id), name_of(target))
-        return slice_graph
 
     def describe(self) -> dict:
         """JSON-ready sizes for shard-level ``/stats``."""
@@ -305,11 +283,6 @@ class GraphSlice:
             "regions": len(self.regions),
             "vertices": self.num_vertices,
             "edges": self.num_edges,
-            "border_vertices": len(self.border_vertices),
+            "border_vertices": len(self.border_targets),
             "peer_shards": list(self.peer_shards),
         }
-
-
-def cut_slices(graph: KnowledgeGraph, plan: ShardPlan) -> list[GraphSlice]:
-    """Cut one :class:`GraphSlice` per shard of ``plan``."""
-    return [GraphSlice(graph, plan, shard_id) for shard_id in range(plan.num_shards)]

@@ -73,14 +73,13 @@ from repro.service.planner import QueryPlan
 from repro.core.result import QueryResult
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.shard.coordinator import SHARDED_ALGORITHM, ShardCoordinator
-from repro.shard.partitioner import (
-    GraphSlice,
-    ShardPlan,
-    ShardTopology,
-    derive_shard_plan,
-)
+from repro.shard.partitioner import ShardPlan, ShardTopology, derive_shard_plan
 from repro.shard.rebalance import propose_rebalance
-from repro.shard.slicefile import SLICE_WIRE_VERSION, plan_fingerprint
+from repro.shard.slicefile import (
+    SLICE_WIRE_VERSION,
+    plan_fingerprint,
+    slice_document,
+)
 from repro.shard.worker import HttpShardWorker
 
 __all__ = ["ShardedQueryService"]
@@ -94,6 +93,15 @@ def _slice_identity(epoch: GraphEpoch) -> dict:
         "fingerprint": epoch.fingerprint,
         "plan_hash": plan_fingerprint(plan),
     }
+
+
+def _slice_document(epoch: GraphEpoch, shard_id: int) -> dict:
+    """Shard ``shard_id``'s slice of ``epoch``, as the document a worker
+    loads: written straight from the epoch's graph."""
+    plan, slice_epoch = epoch.topology
+    return slice_document(
+        epoch.graph, plan, shard_id, epoch=slice_epoch, fingerprint=epoch.fingerprint
+    )
 
 
 def _drifted(descriptor: dict, identity: dict) -> bool:
@@ -302,8 +310,7 @@ class ShardedQueryService(QueryService):
                 epoch=slice_epoch,
                 fingerprint=epoch.fingerprint,
                 plan_hash=plan_hash,
-                plan=plan,
-                graph_slice=GraphSlice(epoch.graph, plan, shard_id),
+                document=_slice_document(epoch, shard_id),
             )
             descriptor = worker.publish_update(txn)
             self._note_health(
@@ -418,7 +425,6 @@ class ShardedQueryService(QueryService):
             "epoch": slice_epoch,
             "fingerprint": epoch.fingerprint,
             "plan_hash": plan_hash,
-            "plan": plan,
         }
         prepared: list = []
         try:
@@ -432,9 +438,7 @@ class ShardedQueryService(QueryService):
                         touched.add(shard_id)
                 if shard_id in touched:
                     worker.prepare(
-                        txn,
-                        **stamp,
-                        graph_slice=GraphSlice(epoch.graph, plan, shard_id),
+                        txn, **stamp, document=_slice_document(epoch, shard_id)
                     )
                 prepared.append(worker)
         except Exception:

@@ -1,9 +1,9 @@
 """Serialized graph slices: the on-disk (and on-wire) form of a shard.
 
-A :class:`~repro.shard.partitioner.GraphSlice` is already flat — the
-region-restricted CSR arrays, the border table, the peer set — so one
-versioned JSON document captures everything a worker process needs to
-host the slice *without* the full graph:
+A slice is one frozen graph plus its border table
+(:class:`~repro.shard.partitioner.GraphSlice`), so one versioned JSON
+document captures everything a worker process needs to host the slice
+*without* the full graph:
 
 * the **plan metadata** (``shard_of`` ownership, regions per shard) and
   its canonical hash (:func:`plan_fingerprint`), so a coordinator and a
@@ -12,9 +12,8 @@ host the slice *without* the full graph:
 * the **interning tables** (every vertex name in id order, every label
   name in id order) — slice targets and the ownership array speak
   global ids, and the co-located fast path answers by name;
-* the slice's **adjacency** in deterministic (local row, ascending
-  label) order — the exact ``CsrDirection.groups`` layout, from which
-  the whole-row target tuples and per-vertex label masks rebuild
+* the owned vertices' **adjacency** in deterministic (owned vertex,
+  ascending label) order — from which the slice graph rebuilds
   identically — plus the border table and peer shards for
   cross-checking;
 * the **epoch id and content fingerprint** of the graph the slice was
@@ -31,9 +30,10 @@ border-table mismatch) raises
 boot on garbage.
 
 The same document, minus the file, is the payload of the versioned
-``POST /shard/<id>/update`` wire: the coordinator re-cuts a slice after
-an update batch and ships it with :func:`slice_document`; the worker
-rebuilds it with :func:`slice_from_document`.
+``POST /shard/<id>/update`` wire: the coordinator writes a shard's
+document straight from the epoch's graph with :func:`slice_document`
+after an update batch; the worker rebuilds the slice with
+:func:`slice_from_document`.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from pathlib import Path
 from repro._version import __version__
 from repro.exceptions import SliceFileError
 from repro.graph.labeled_graph import KnowledgeGraph
-from repro.shard.partitioner import GraphSlice, ShardPlan
+from repro.shard.partitioner import GraphSlice, ShardPlan, border_table
 from repro.utils.persist import atomic_write_json
 
 __all__ = [
@@ -116,43 +116,51 @@ def _plan_from_document(document: dict) -> ShardPlan:
 
 
 def slice_document(
-    graph_slice: GraphSlice,
+    graph: KnowledgeGraph,
     plan: ShardPlan,
+    shard_id: int,
     *,
     epoch: int,
     fingerprint: str,
 ) -> dict:
-    """The canonical JSON document for one slice at one epoch.
+    """The canonical JSON document for shard ``shard_id`` at one epoch.
 
-    Field order and every inner ordering are fixed — names and labels
-    ascending by id, adjacency rows in owned-vertex order with
-    label-ascending groups straight from the slice's CSR — which is
-    what makes the dump→load→dump roundtrip byte-identical.
+    Reads the owned vertices' out-rows from ``graph``, whichever graph
+    holds them: the epoch's whole graph when a coordinator or ``repro
+    cut`` writes a slice, the slice graph itself when a worker
+    re-serializes one.  Field order and every inner ordering are fixed
+    — names and labels ascending by id, adjacency rows in owned-vertex
+    order with label-ascending groups — which is what makes the
+    dump→load→dump roundtrip byte-identical.
     """
-    graph = graph_slice.graph
     names: list[str] = []
     for position, name in enumerate(graph.vertex_names()):
         if not isinstance(name, str):
             raise SliceFileError(
-                f"cannot serialize slice {graph_slice.shard_id}: vertex id "
+                f"cannot serialize slice {shard_id}: vertex id "
                 f"{position} has a non-string name {name!r}"
             )
         names.append(name)
     if len(names) != plan.num_vertices:
         raise SliceFileError(
-            f"cannot serialize slice {graph_slice.shard_id}: plan covers "
+            f"cannot serialize slice {shard_id}: plan covers "
             f"{plan.num_vertices} vertices but the graph has {len(names)}"
         )
+    owned = plan.owned_by(shard_id)
     adjacency = [
-        [[label_id, list(group_targets)] for label_id, group_targets in row]
-        for row in graph_slice.csr.groups
+        [
+            [label_id, list(graph.out_by_label(vid, label_id))]
+            for label_id in sorted(graph.out_labels(vid))
+        ]
+        for vid in owned
     ]
+    border, peers = border_table(graph, plan.shard_of, shard_id, owned)
     return {
         "format_version": SLICE_FORMAT_VERSION,
         "kind": _KIND,
         "build": {"version": __version__, "wire_version": SLICE_WIRE_VERSION},
         "graph_name": str(graph.name),
-        "shard_id": graph_slice.shard_id,
+        "shard_id": shard_id,
         "epoch": int(epoch),
         "fingerprint": fingerprint,
         "plan_hash": plan_fingerprint(plan),
@@ -160,12 +168,9 @@ def slice_document(
         "labels": list(graph.labels.names()),
         "vertex_names": names,
         "adjacency": adjacency,
-        "num_edges": graph_slice.num_edges,
-        "border_targets": [
-            [vid, list(graph_slice.border_targets[vid])]
-            for vid in graph_slice.border_vertices
-        ],
-        "peer_shards": list(graph_slice.peer_shards),
+        "num_edges": sum(len(targets) for row in adjacency for _, targets in row),
+        "border_targets": [[vid, list(targets)] for vid, targets in border.items()],
+        "peer_shards": list(peers),
     }
 
 
@@ -185,7 +190,11 @@ class SliceFile:
     def document(self) -> dict:
         """Re-serialize (canonically; byte-identical to the source)."""
         return slice_document(
-            self.slice, self.plan, epoch=self.epoch, fingerprint=self.fingerprint
+            self.slice.graph,
+            self.plan,
+            self.shard_id,
+            epoch=self.epoch,
+            fingerprint=self.fingerprint,
         )
 
     def describe(self) -> dict:
@@ -203,10 +212,10 @@ def slice_from_document(document: dict, *, source: str = "document") -> SliceFil
     """Rebuild a :class:`GraphSlice` from its canonical document.
 
     Reconstructs the interning tables (all global vertex names in id
-    order, all labels in id order), replays the slice's adjacency, and
-    re-cuts the slice from the rebuilt graph — ``CsrDirection``'s
-    deterministic construction guarantees the result re-serializes to
-    the same bytes.  Any structural problem (version skew, plan-hash
+    order, all labels in id order), replays the slice's adjacency into
+    them and freezes the result: that one graph is the slice, and its
+    deterministic row layout guarantees it re-serializes to the same
+    bytes.  Any structural problem (version skew, plan-hash
     disagreement, edge-count or border-table mismatch, malformed JSON
     shapes) raises :class:`SliceFileError`.
     """
@@ -332,18 +341,9 @@ def slice_from_document(document: dict, *, source: str = "document") -> SliceFil
     )
 
 
-def dump_slice(
-    graph_slice: GraphSlice,
-    plan: ShardPlan,
-    path: str | Path,
-    *,
-    epoch: int,
-    fingerprint: str,
-) -> int:
-    """Write one slice file atomically + durably; returns its byte size."""
-    document = slice_document(
-        graph_slice, plan, epoch=epoch, fingerprint=fingerprint
-    )
+def dump_slice(document: dict, path: str | Path) -> int:
+    """Write one :func:`slice_document` atomically + durably; returns
+    the file's byte size."""
     return atomic_write_json(document, Path(path))
 
 

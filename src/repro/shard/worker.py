@@ -1,11 +1,13 @@
 """Shard workers: the expand/answer half of scatter-gather serving.
 
-A worker owns one :class:`~repro.shard.partitioner.GraphSlice` and
-exposes the operations the coordinator needs:
+A worker owns one :class:`~repro.shard.partitioner.GraphSlice` — one
+frozen graph holding the owned vertices' edges under the deployment's
+ids, plus its border table — and exposes the operations the
+coordinator needs:
 
 * :meth:`ShardWorker.expand` — the scatter-gather primitive: given
   frontier seeds the shard owns and a label mask, compute the *local*
-  closure through the slice's CSR arrays and report (a) every owned
+  closure over the slice graph's out-rows and report (a) every owned
   vertex reached and (b) every border crossing, grouped by the shard
   owning the crossed-to vertex.  Stateless across queries — the
   coordinator ships the shard's previously expanded set back as
@@ -15,7 +17,7 @@ exposes the operations the coordinator needs:
   detects that a scatter round straddled a slice swap;
 * :meth:`ShardWorker.local_query` — the co-located fast path: the
   serving kernel (:data:`~repro.service.planner.DEFAULT_ALGORITHM`) run
-  by one :class:`~repro.session.LSCRSession` over the slice graph, and
+  by one :class:`~repro.session.LSCRSession` over the same slice graph, and
   because a slice's edges are a subset of the graph's, a *true* answer
   from the slice is a true answer globally (false means "unknown", and
   the coordinator falls back to scatter-gather).  The reply echoes the
@@ -23,8 +25,8 @@ exposes the operations the coordinator needs:
   a hit only at the epoch it expects;
 * :meth:`ShardWorker.prepare` / :meth:`publish_update` /
   :meth:`abort_update` — the worker half of slice-epoch propagation:
-  a coordinator pushing an update stages the re-cut slice (all the
-  expensive rebuild work happens here, off the serving path), then
+  a coordinator pushing an update stages the slice its document
+  rebuilds (all the expensive work happens here, off the serving path), then
   publishes it as one atomic reference swap.  Workers untouched by a
   batch stage an epoch bump without a slice, so the whole fleet moves
   epochs in lockstep — but only *from the slice epoch the bump names*:
@@ -74,12 +76,8 @@ from repro.service.cache import CandidateCache
 from repro.service.options import ServiceOptions
 from repro.service.planner import DEFAULT_ALGORITHM
 from repro.session import LSCRSession
-from repro.shard.partitioner import GraphSlice, ShardPlan
-from repro.shard.slicefile import (
-    SLICE_WIRE_VERSION,
-    slice_document,
-    slice_from_document,
-)
+from repro.shard.partitioner import GraphSlice
+from repro.shard.slicefile import SLICE_WIRE_VERSION, SliceFile, slice_from_document
 
 __all__ = [
     "DEFAULT_HTTP_TIMEOUT",
@@ -131,40 +129,30 @@ class _SliceState:
     epoch: int
     fingerprint: str
     plan_hash: str
-    plan: ShardPlan | None
 
 
 class ShardWorker:
-    """The worker serving one :class:`GraphSlice` (``serve --worker``).
+    """The worker serving one loaded slice (``serve --worker``).
+
+    Takes the :class:`~repro.shard.slicefile.SliceFile` a document load
+    returns (:func:`~repro.shard.slicefile.load_slice` /
+    :func:`~repro.shard.slicefile.slice_from_document`): the slice and
+    the epoch, fingerprint and plan hash it was cut at.
 
     Thread-safe: :meth:`expand` touches only per-call state plus the
-    slice's read-only CSR, counters mutate under one lock, and slice
+    read-only slice graph, counters mutate under one lock, and slice
     swaps replace one immutable :class:`_SliceState` reference.
     """
 
     def __init__(
-        self,
-        graph_slice: GraphSlice,
-        *,
-        options: ServiceOptions | None = None,
-        epoch: int = 0,
-        fingerprint: str = "",
-        plan_hash: str = "",
-        plan: ShardPlan | None = None,
+        self, loaded: SliceFile, *, options: ServiceOptions | None = None
     ) -> None:
-        self.shard_id = graph_slice.shard_id
+        self.shard_id = loaded.shard_id
         #: The one knob the slice kernel takes from the owning service
         #: (or the ``serve --worker`` command line): ``cache_size=0``
         #: disables its ``V(S, G)`` cache like every other cache.
         self._cache_size = (options or ServiceOptions()).cache_size
-        self._state = _SliceState(
-            slice=graph_slice,
-            session=self._session(graph_slice),
-            epoch=epoch,
-            fingerprint=fingerprint,
-            plan_hash=plan_hash,
-            plan=plan,
-        )
+        self._state = self._serving(loaded)
         self._lock = threading.Lock()
         self._update_lock = threading.Lock()
         self._staged: dict[str, _SliceState] = {}
@@ -179,12 +167,18 @@ class ShardWorker:
         self._updates_published = 0
         self._updates_aborted = 0
 
-    def _session(self, graph_slice: GraphSlice) -> LSCRSession:
-        """The serving kernel over ``graph_slice``'s frozen graph."""
-        return LSCRSession(
-            graph_slice.to_graph().freeze(),
-            algorithm=DEFAULT_ALGORITHM,
-            candidate_cache=CandidateCache(max_size=self._cache_size),
+    def _serving(self, loaded: SliceFile) -> _SliceState:
+        """The state serving ``loaded``: its probe searches the slice graph."""
+        return _SliceState(
+            slice=loaded.slice,
+            session=LSCRSession(
+                loaded.slice.graph,
+                algorithm=DEFAULT_ALGORITHM,
+                candidate_cache=CandidateCache(max_size=self._cache_size),
+            ),
+            epoch=loaded.epoch,
+            fingerprint=loaded.fingerprint,
+            plan_hash=loaded.plan_hash,
         )
 
     def __repr__(self) -> str:
@@ -209,7 +203,8 @@ class ShardWorker:
         ``exclude`` names owned vertices already expanded for this query
         in earlier rounds (their adjacency was fully scanned then, so
         re-walking them could only rediscover known vertices).  Seeds
-        not owned by this shard are ignored defensively.  Crossings may
+        this shard does not own — vertices the slice does not know
+        included — are ignored defensively.  Crossings may
         include vertices the coordinator has already seen — deduplication
         against the *global* visited set is the coordinator's job, since
         only it has that set.
@@ -229,59 +224,54 @@ class ShardWorker:
         started = perf_counter() if trace is not None else 0.0
         state = self._state
         graph_slice = state.slice
-        local_of = graph_slice.local_of
         shard_of = graph_slice.shard_of
         border = graph_slice.border_targets
-        vertex_ids = graph_slice.vertex_ids
         my_shard = graph_slice.shard_id
-        visited = bytearray(len(vertex_ids))
+        size = len(shard_of)
+        # Marked by global id, over every vertex, as every core kernel does.
+        visited = bytearray(size)
         for vid in exclude:
-            position = local_of.get(vid)
-            if position is not None:
-                visited[position] = 1
+            if 0 <= vid < size:
+                visited[vid] = 1
         stack: list[int] = []
         reached: list[int] = []
         seed_count = 0
         for vid in seeds:
             seed_count += 1
-            position = local_of.get(vid)
-            if position is None or visited[position]:
+            if not 0 <= vid < size or shard_of[vid] != my_shard or visited[vid]:
                 continue
-            visited[position] = 1
-            stack.append(position)
+            visited[vid] = 1
+            stack.append(vid)
             reached.append(vid)
         crossings: dict[int, set[int]] = {}
         expanded = 0
-        targets_masked = graph_slice.csr.targets_masked
+        out_targets = graph_slice.graph.out_targets_masked
         while stack:
             if deadline is not None:
                 deadline.check(
                     "shard-expand", shard=my_shard, expanded=expanded
                 )
-            position = stack.pop()
+            vid = stack.pop()
             expanded += 1
             # The border table's runtime job: one dict probe per vertex
             # decides whether any edge here can cross a shard boundary.
             # Non-border vertices (the bulk, under correlation-guided
             # placement) expand without per-edge ownership checks.
-            if vertex_ids[position] not in border:
-                for target in targets_masked(position, mask):
-                    target_position = local_of[target]
-                    if not visited[target_position]:
-                        visited[target_position] = 1
-                        stack.append(target_position)
+            if vid not in border:
+                for target in out_targets(vid, mask):
+                    if not visited[target]:
+                        visited[target] = 1
+                        stack.append(target)
                         reached.append(target)
                 continue
-            for target in targets_masked(position, mask):
+            for target in out_targets(vid, mask):
                 owner = shard_of[target]
-                if owner == my_shard:
-                    target_position = local_of[target]
-                    if not visited[target_position]:
-                        visited[target_position] = 1
-                        stack.append(target_position)
-                        reached.append(target)
-                else:
+                if owner != my_shard:
                     crossings.setdefault(owner, set()).add(target)
+                elif not visited[target]:
+                    visited[target] = 1
+                    stack.append(target)
+                    reached.append(target)
         crossings_out = {
             owner: tuple(sorted(targets))
             for owner, targets in crossings.items()
@@ -360,25 +350,25 @@ class ShardWorker:
         epoch: int,
         fingerprint: str,
         plan_hash: str | None,
-        plan: ShardPlan | None,
-        graph_slice: GraphSlice | None = None,
+        loaded: SliceFile | None = None,
         extends: int | None = None,
     ) -> dict:
         """Stage the next slice state without serving it.
 
-        With ``graph_slice`` the re-cut slice's kernel is constructed
-        *here* — all the expensive work of a swap, off the serving
-        path.  Without it this is a pure epoch bump over the
-        current slice and plan: the batch touched no edge this shard
-        owns, but the fleet's epochs must still advance together or the
-        coordinator's skew check would flag healthy workers forever.
+        With ``loaded`` — the slice a shipped document rebuilt, which
+        must have been cut at ``epoch`` and ``fingerprint`` — the staged
+        state serves it, probe kernel included.  Without it this is a
+        pure epoch bump over the current slice: the batch touched no
+        edge this shard owns, but the fleet's epochs must still advance
+        together or the coordinator's skew check would flag healthy
+        workers forever.
         A bump is only sound over the content it was decided for, so it
         names the slice epoch it ``extends`` and a worker serving any
         other refuses (409) — stamping a stale slice with the fleet's
         epoch would make it pass every skew check from then on.
         """
         current = self._state
-        if graph_slice is None:
+        if loaded is None:
             if current.epoch != extends:
                 raise BadRequestError(
                     f"update {txn} extends slice epoch {extends}, shard "
@@ -393,19 +383,17 @@ class ShardWorker:
                 plan_hash=current.plan_hash if plan_hash is None else plan_hash,
             )
         else:
-            if graph_slice.shard_id != self.shard_id:
+            if loaded.shard_id != self.shard_id:
                 raise BadRequestError(
                     f"update {txn} stages slice for shard "
-                    f"{graph_slice.shard_id} on shard {self.shard_id}"
+                    f"{loaded.shard_id} on shard {self.shard_id}"
                 )
-            staged = _SliceState(
-                slice=graph_slice,
-                session=self._session(graph_slice),
-                epoch=int(epoch),
-                fingerprint=fingerprint,
-                plan_hash=plan_hash,
-                plan=plan,
-            )
+            if loaded.epoch != epoch or loaded.fingerprint != fingerprint:
+                raise BadRequestError(
+                    f"update {txn} epoch/fingerprint disagree with its "
+                    f"slice document (epoch {epoch} vs {loaded.epoch})"
+                )
+            staged = self._serving(loaded)
         with self._update_lock:
             self._staged[txn] = staged
         with self._lock:
@@ -415,7 +403,7 @@ class ShardWorker:
             "txn": txn,
             "epoch": staged.epoch,
             "plan_hash": staged.plan_hash,
-            "staged_slice": graph_slice is not None,
+            "staged_slice": loaded is not None,
         }
 
     def publish_update(self, txn: str) -> dict:
@@ -507,7 +495,7 @@ class ShardWorker:
 
         ``{"phase": "prepare"|"publish"|"abort", "txn": ..., ...}``.
         Prepare additionally carries the coordinated ``epoch`` and
-        ``fingerprint`` plus either the re-cut slice as its canonical
+        ``fingerprint`` plus either the shard's slice as its canonical
         document (touched shards) or ``extends``, the slice epoch a bare
         bump is sound over.  A ``wire_version`` other than this build's
         is refused before anything is staged.
@@ -550,7 +538,7 @@ class ShardWorker:
             not isinstance(extends, int) or isinstance(extends, bool)
         ):
             raise BadRequestError("'extends' must be an integer")
-        graph_slice = plan = None
+        loaded = None
         if slice_doc is not None:
             try:
                 loaded = slice_from_document(
@@ -561,21 +549,12 @@ class ShardWorker:
                     f"slice document rejected: {error}",
                     detail={"phase": "prepare", "txn": txn},
                 ) from None
-            if loaded.epoch != epoch or loaded.fingerprint != fingerprint:
-                raise BadRequestError(
-                    f"update {txn} epoch/fingerprint disagree with its "
-                    f"slice document (epoch {epoch} vs {loaded.epoch})"
-                )
-            graph_slice, plan, plan_hash = (
-                loaded.slice, loaded.plan, loaded.plan_hash
-            )
         return self.prepare(
             txn,
             epoch=epoch,
             fingerprint=fingerprint,
             plan_hash=plan_hash,
-            plan=plan,
-            graph_slice=graph_slice,
+            loaded=loaded,
             extends=extends,
         )
 
@@ -931,10 +910,12 @@ class HttpShardWorker:
         epoch: int,
         fingerprint: str,
         plan_hash: str | None,
-        plan: ShardPlan | None,
-        graph_slice: GraphSlice | None = None,
+        document: dict | None = None,
         extends: int | None = None,
     ) -> dict:
+        """Stage a slice update: ``document`` — the shard's
+        :func:`~repro.shard.slicefile.slice_document` at ``epoch`` — or,
+        without one, a bare bump from slice epoch ``extends``."""
         payload: dict = {
             "phase": "prepare",
             "txn": txn,
@@ -944,10 +925,8 @@ class HttpShardWorker:
         }
         if plan_hash is not None:
             payload["plan_hash"] = plan_hash
-        if graph_slice is not None:
-            payload["slice"] = slice_document(
-                graph_slice, plan, epoch=epoch, fingerprint=fingerprint
-            )
+        if document is not None:
+            payload["slice"] = document
         else:
             payload["extends"] = extends
         return self._post("update", payload)

@@ -35,9 +35,9 @@ from repro.service.registry import TenantRegistry
 from repro.shard import (
     ShardedQueryService,
     ShardWorker,
-    cut_slices,
     derive_shard_plan,
-    plan_fingerprint,
+    slice_document,
+    slice_from_document,
 )
 
 __all__ = [
@@ -107,7 +107,8 @@ def sharded_fleet(graph: KnowledgeGraph, index=None, **options) -> Iterator:
 
     Its slices are cut the way ``repro cut`` cuts them — the plan the
     service derives from the same ``landmark_count`` and ``seed`` — and
-    served by :class:`ShardWorker`\\ s on one in-thread server, which
+    loaded from their documents the way ``serve --worker`` loads a
+    file, by :class:`ShardWorker`\\ s on one in-thread server, which
     the service attaches by URL through the handshake with the health
     sweep off, so nothing heals behind a test's back.  Its stubs are
     wrapped in :class:`LossyWorker`, which also names the worker each
@@ -120,17 +121,20 @@ def sharded_fleet(graph: KnowledgeGraph, index=None, **options) -> Iterator:
         landmark_count=options.get("landmark_count"),
         seed=options.get("seed", 0),
     )
-    stamp = {
-        "options": ServiceOptions(
-            cache_size=options.get("cache_size", DEFAULT_CACHE_SIZE)
-        ),
-        "fingerprint": frozen.content_fingerprint(),
-        "plan_hash": plan_fingerprint(plan),
-        "plan": plan,
-    }
+    fingerprint = frozen.content_fingerprint()
+    worker_options = ServiceOptions(
+        cache_size=options.get("cache_size", DEFAULT_CACHE_SIZE)
+    )
     hosted = {
-        str(part.shard_id): ShardWorker(part, **stamp)
-        for part in cut_slices(frozen, plan)
+        str(shard_id): ShardWorker(
+            slice_from_document(
+                slice_document(
+                    frozen, plan, shard_id, epoch=0, fingerprint=fingerprint
+                )
+            ),
+            options=worker_options,
+        )
+        for shard_id in range(plan.num_shards)
     }
     with ExitStack() as stack:
         base = stack.enter_context(

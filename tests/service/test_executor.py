@@ -55,6 +55,14 @@ class TestMap:
         with pytest.raises(RuntimeError, match="boom"):
             pooled(4).map(boom, range(8))
 
+    def test_a_pool_shut_down_under_it_is_replaced(self, pooled):
+        # shutdown() racing a straggler batch: the pool the executor
+        # still holds rejects new work, and map takes a fresh one.
+        executor = pooled(2)
+        assert executor.map(lambda x: x + 1, [1, 2]) == [2, 3]
+        executor._pool.shutdown()
+        assert executor.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
+
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError, match="max_workers"):
             BatchExecutor(max_workers=0)

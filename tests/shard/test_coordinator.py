@@ -22,7 +22,8 @@ from repro.exceptions import ShardUnavailableError
 from repro.index.landmarks import bfs_traverse, select_landmarks
 from repro.resilience.deadline import Deadline
 from repro.shard.coordinator import ShardCoordinator
-from repro.shard.partitioner import ShardTopology, build_shard_plan, cut_slices
+from repro.shard.partitioner import ShardTopology, build_shard_plan
+from repro.shard.slicefile import slice_document, slice_from_document
 from repro.shard.worker import ShardWorker
 from tests.helpers import sharded_fleet
 
@@ -36,7 +37,14 @@ def make_coordinator(seed, shards, *, num_vertices=20, **options):
     landmarks = select_landmarks(graph, k=4, rng=seed)
     partition = bfs_traverse(graph, landmarks)
     plan = build_shard_plan(graph, partition, shards)
-    workers = [ShardWorker(s) for s in cut_slices(graph, plan)]
+    workers = [
+        ShardWorker(
+            slice_from_document(
+                slice_document(graph, plan, shard_id, epoch=0, fingerprint="")
+            )
+        )
+        for shard_id in range(shards)
+    ]
     # The coordinator keeps nothing graph-bound: closures take the
     # topology they run under.
     return (

@@ -31,8 +31,8 @@ from repro.index.landmarks import (
 )
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
-from repro.shard import ShardedQueryService, build_shard_plan, cut_slices
-from repro.shard.slicefile import dump_slice
+from repro.shard import ShardedQueryService, build_shard_plan
+from repro.shard.slicefile import dump_slice, slice_document
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 SEEDS = [0, 1, 2, 3, 4]
@@ -150,10 +150,10 @@ class TestCrossProcessAgreement:
         procs, urls = [], []
         sharded = oracle = None
         try:
-            for graph_slice in cut_slices(frozen, plan):
-                path = tmp_path / f"shard-{graph_slice.shard_id}.slice.json"
-                dump_slice(graph_slice, plan, path, epoch=0,
-                           fingerprint=fingerprint)
+            for shard_id in range(plan.num_shards):
+                path = tmp_path / f"shard-{shard_id}.slice.json"
+                dump_slice(slice_document(frozen, plan, shard_id, epoch=0,
+                                          fingerprint=fingerprint), path)
                 proc, url = boot_worker(path)
                 procs.append(proc)
                 urls.append(url)

@@ -27,11 +27,8 @@ from repro.index.landmarks import (
     select_landmarks,
     structural_correlations,
 )
-from repro.shard.partitioner import (
-    assign_regions,
-    build_shard_plan,
-    cut_slices,
-)
+from repro.shard.partitioner import assign_regions, build_shard_plan
+from repro.shard.slicefile import slice_document, slice_from_document
 
 SEEDS = list(range(10))
 
@@ -44,7 +41,13 @@ def make_parts(seed, num_vertices=24, density=2.2, num_labels=4, shards=3):
     partition = bfs_traverse(graph, landmarks)
     correlations = structural_correlations(graph, partition)
     plan = build_shard_plan(graph, partition, shards, correlations)
-    return graph, partition, plan, cut_slices(graph, plan)
+    slices = [
+        slice_from_document(
+            slice_document(graph, plan, shard_id, epoch=0, fingerprint="")
+        ).slice
+        for shard_id in range(shards)
+    ]
+    return graph, partition, plan, slices
 
 
 class TestEdgePartition:
@@ -53,7 +56,7 @@ class TestEdgePartition:
         graph, _partition, _plan, slices = make_parts(seed)
         collected: list[tuple[int, int, int]] = []
         for graph_slice in slices:
-            collected.extend(graph_slice.edges())
+            collected.extend(graph_slice.graph.edges())
         assert len(collected) == graph.num_edges  # no duplicates across slices
         assert set(collected) == set(graph.edges())
         assert sum(s.num_edges for s in slices) == graph.num_edges
@@ -64,8 +67,9 @@ class TestEdgePartition:
         assert len(plan.shard_of) == graph.num_vertices
         assert all(0 <= owner < plan.num_shards for owner in plan.shard_of)
         # Slices partition the vertex set.
-        owned = [vid for s in slices for vid in s.vertex_ids]
+        owned = [vid for s in slices for vid in plan.owned_by(s.shard_id)]
         assert sorted(owned) == list(range(graph.num_vertices))
+        assert sum(s.num_vertices for s in slices) == graph.num_vertices
         # Region members stay together on their region's shard.
         for vid in range(graph.num_vertices):
             region = partition.region[vid]
@@ -86,7 +90,7 @@ class TestBorderTables:
         graph, _partition, plan, slices = make_parts(seed)
         for graph_slice in slices:
             sid = graph_slice.shard_id
-            for vid in graph_slice.vertex_ids:
+            for vid in plan.owned_by(sid):
                 external = sorted(
                     {
                         target
@@ -96,8 +100,8 @@ class TestBorderTables:
                 )
                 recorded = list(graph_slice.border_targets.get(vid, ()))
                 assert recorded == external, (seed, sid, vid)
-            # border_vertices is exactly the set of keys, sorted.
-            assert list(graph_slice.border_vertices) == sorted(
+            # Keys ascend: the slice document lists them in this order.
+            assert list(graph_slice.border_targets) == sorted(
                 graph_slice.border_targets
             )
             # peer_shards covers every shard any border target lands in.
@@ -110,19 +114,21 @@ class TestBorderTables:
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_slice_graph_roundtrip(self, seed):
-        graph, _partition, _plan, slices = make_parts(seed)
+        graph, _partition, plan, slices = make_parts(seed)
         for graph_slice in slices:
-            standalone = graph_slice.to_graph()
-            assert standalone.num_edges == graph_slice.num_edges
-            # Every owned vertex is present by name, isolated ones included.
-            for vid in graph_slice.vertex_ids:
-                assert standalone.has_vertex(graph.name_of(vid))
-            # Named edges agree with the slice's global-id edges.
+            sliced = graph_slice.graph
+            assert sliced.num_edges == graph_slice.num_edges
+            # Every vertex and label keeps the deployment's id and name,
+            # isolated and unowned vertices included.
+            assert list(sliced.vertex_names()) == list(graph.vertex_names())
+            assert list(sliced.labels.names()) == list(graph.labels.names())
+            # Its edges are exactly the owned vertices' out-edges.
             expected = {
                 (graph.name_of(s), graph.label_name(l), graph.name_of(t))
-                for s, l, t in graph_slice.edges()
+                for s in plan.owned_by(graph_slice.shard_id)
+                for l, t in graph.out_edges(s)
             }
-            assert set(standalone.edges_named()) == expected
+            assert set(sliced.edges_named()) == expected
 
 
 class TestRegionAssignment:

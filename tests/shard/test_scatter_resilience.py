@@ -106,6 +106,18 @@ class TestEveryCallIsBounded:
                 assert refused.value.shard == 0
             assert time.monotonic() - started < 1.0
 
+    def test_close_does_not_wait_for_an_abandoned_call(self):
+        with sharded_fleet(
+            make_graph(), shards=1, local_fast_path=False, cache_size=0,
+            scatter_timeout=0.3,
+        ) as service:
+            hang(service, 0, "expand")
+            started = time.monotonic()
+            with pytest.raises(ShardUnavailableError):
+                service.query(**QUERY, use_cache=False)
+            service.close()
+            assert time.monotonic() - started < 1.0
+
     def test_a_hung_probe_is_a_miss_the_scatter_answers(self):
         # s and m share shard 0 of the two-shard plan: the probe goes
         # there first, hangs, and is abandoned at the bound.

@@ -209,7 +209,7 @@ class TestTenantIntegration:
             served = service.workers[0].served
             served.prepare(
                 "drift", epoch=service.slice_epoch, fingerprint="other",
-                plan_hash=None, plan=None, extends=service.slice_epoch,
+                plan_hash=None, extends=service.slice_epoch,
             )
             served.publish_update("drift")
             service._probe_workers()

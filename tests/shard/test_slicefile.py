@@ -28,8 +28,8 @@ from repro.shard import (
     ShardedQueryService,
     ShardWorker,
     build_shard_plan,
-    cut_slices,
 )
+from repro.shard.partitioner import border_table
 from repro.shard.slicefile import (
     SLICE_FORMAT_VERSION,
     dump_slice,
@@ -51,29 +51,28 @@ def deployment():
     partition = bfs_traverse(frozen, landmarks)
     correlations = structural_correlations(frozen, partition)
     plan = build_shard_plan(frozen, partition, SHARDS, correlations)
-    slices = cut_slices(frozen, plan)
-    return frozen, plan, slices
+    return frozen, plan
 
 
 class TestRoundtrip:
     def test_dump_load_dump_is_byte_identical(self, deployment, tmp_path):
-        frozen, plan, slices = deployment
+        frozen, plan = deployment
         fingerprint = frozen.content_fingerprint()
-        for graph_slice in slices:
-            first = tmp_path / f"first-{graph_slice.shard_id}.json"
-            second = tmp_path / f"second-{graph_slice.shard_id}.json"
-            dump_slice(graph_slice, plan, first, epoch=7,
-                       fingerprint=fingerprint)
+        for shard_id in range(SHARDS):
+            first = tmp_path / f"first-{shard_id}.json"
+            second = tmp_path / f"second-{shard_id}.json"
+            dump_slice(slice_document(frozen, plan, shard_id, epoch=7,
+                                      fingerprint=fingerprint), first)
             loaded = load_slice(first)
-            dump_slice(loaded.slice, loaded.plan, second, epoch=loaded.epoch,
-                       fingerprint=loaded.fingerprint)
+            dump_slice(loaded.document(), second)
             assert first.read_bytes() == second.read_bytes()
 
     def test_metadata_survives(self, deployment, tmp_path):
-        frozen, plan, slices = deployment
+        frozen, plan = deployment
         fingerprint = frozen.content_fingerprint()
         path = tmp_path / "slice.json"
-        dump_slice(slices[1], plan, path, epoch=42, fingerprint=fingerprint)
+        dump_slice(slice_document(frozen, plan, 1, epoch=42,
+                                  fingerprint=fingerprint), path)
         loaded = load_slice(path)
         assert loaded.shard_id == 1
         assert loaded.epoch == 42
@@ -83,31 +82,60 @@ class TestRoundtrip:
         assert loaded.path == path
 
     def test_rebuilt_slice_matches_the_original(self, deployment, tmp_path):
-        frozen, plan, slices = deployment
+        frozen, plan = deployment
         fingerprint = frozen.content_fingerprint()
-        original = slices[0]
+        owned = plan.owned_by(0)
         path = tmp_path / "slice.json"
-        dump_slice(original, plan, path, epoch=0, fingerprint=fingerprint)
+        dump_slice(slice_document(frozen, plan, 0, epoch=0,
+                                  fingerprint=fingerprint), path)
         rebuilt = load_slice(path).slice
-        assert rebuilt.num_edges == original.num_edges
-        assert rebuilt.border_targets == original.border_targets
-        assert rebuilt.peer_shards == original.peer_shards
-        assert sorted(rebuilt.edges()) == sorted(original.edges())
+        original = [
+            (vid, label, target)
+            for vid in owned
+            for label, target in frozen.out_edges(vid)
+        ]
+        assert rebuilt.num_edges == len(original)
+        assert (rebuilt.border_targets, rebuilt.peer_shards) == border_table(
+            frozen, plan.shard_of, 0, owned
+        )
+        assert sorted(rebuilt.graph.edges()) == sorted(original)
 
     def test_document_roundtrip_without_a_file(self, deployment):
-        frozen, plan, slices = deployment
+        frozen, plan = deployment
         fingerprint = frozen.content_fingerprint()
-        document = slice_document(slices[2], plan, epoch=3,
+        document = slice_document(frozen, plan, 2, epoch=3,
                                   fingerprint=fingerprint)
         loaded = slice_from_document(json.loads(json.dumps(document)))
         assert loaded.document() == document
 
 
+class TestOneGraphPerSlice:
+    def test_a_loaded_worker_holds_one_graph(self, deployment):
+        # Expand and the co-located probe search the graph the document
+        # load built, at boot and after a pushed slice alike.
+        frozen, plan = deployment
+        loaded = slice_from_document(
+            slice_document(frozen, plan, 1, epoch=0, fingerprint="f0")
+        )
+        worker = ShardWorker(loaded)
+        state = worker._state
+        assert state.slice is loaded.slice
+        assert state.session.graph is state.slice.graph
+        worker.handle_update({
+            "phase": "prepare", "txn": "t1", "epoch": 1, "fingerprint": "f1",
+            "slice": slice_document(frozen, plan, 1, epoch=1, fingerprint="f1"),
+        })
+        worker.publish_update("t1")
+        state = worker._state
+        assert (state.epoch, state.fingerprint) == (1, "f1")
+        assert state.session.graph is state.slice.graph
+
+
 class TestDefensiveLoading:
     def _document(self, deployment):
-        frozen, plan, slices = deployment
+        frozen, plan = deployment
         return slice_document(
-            slices[0], plan, epoch=0,
+            frozen, plan, 0, epoch=0,
             fingerprint=frozen.content_fingerprint(),
         )
 
@@ -216,16 +244,7 @@ class TestCutMatchesCoordinator:
              "--seed", "11", *cut_args]
         ) == 0
         files = [load_slice(out / f"shard-{i}.slice.json") for i in range(SHARDS)]
-        workers = {
-            str(loaded.slice.shard_id): ShardWorker(
-                loaded.slice,
-                epoch=loaded.epoch,
-                fingerprint=loaded.fingerprint,
-                plan_hash=loaded.plan_hash,
-                plan=loaded.plan,
-            )
-            for loaded in files
-        }
+        workers = {str(loaded.shard_id): ShardWorker(loaded) for loaded in files}
         with running_server(TenantRegistry(), shard_workers=workers) as base:
             coordinator = ShardedQueryService.from_files(
                 graph_path, index_path, seed=11, shards=SHARDS,

@@ -84,19 +84,28 @@ def _tsv_triples(handle: TextIO) -> Iterator[list[str]]:
     A line ends at ``\n`` with or without a ``\r`` before it, whatever
     the source: a file opened in text mode translates ``\r\n``, but a
     string or a caller's handle does not, and the ``\r`` must not end up
-    in a vertex name.
+    in a vertex name.  Bytes that are not UTF-8 raise
+    :class:`~repro.exceptions.GraphError` naming their line: the failed
+    chunk starts on the line after the last one read.
     """
-    for line_number, raw in enumerate(handle, start=1):
-        line = raw.rstrip("\r\n")
-        if not line or line[0] == "#":
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise GraphError(
-                f"malformed TSV edge on line {line_number}: expected 3 "
-                f"tab-separated fields, got {len(parts)}"
-            )
-        yield parts
+    line_number = 0
+    try:
+        for line_number, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\r\n")
+            if not line or line[0] == "#":
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise GraphError(
+                    f"malformed TSV edge on line {line_number}: expected 3 "
+                    f"tab-separated fields, got {len(parts)}"
+                )
+            yield parts
+    except UnicodeDecodeError as error:
+        line_number += 1 + error.object.count(b"\n", 0, error.start)
+        raise GraphError(
+            f"TSV line {line_number} is not UTF-8: {error.reason}"
+        ) from error
 
 
 def _recording(

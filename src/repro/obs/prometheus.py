@@ -5,24 +5,8 @@ formatter from the JSON documents the service already produces
 (:meth:`~repro.service.app.QueryService.stats_snapshot`) into the
 `Prometheus text format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_,
-version 0.0.4.  Everything the snapshot counts appears as a sample:
-
-* request/traffic counters (``repro_queries_total`` and friends),
-  per-kind error counters, per-algorithm work aggregates;
-* every :class:`~repro.service.stats.LatencyHistogram` as a native
-  Prometheus histogram — cumulative ``_bucket`` series ending in the
-  mandatory ``le="+Inf"`` bucket, plus ``_sum`` and ``_count``;
-* cache hit/miss/eviction/size gauges for the result, constraint and
-  candidate caches;
-* epoch identity and age, graph sizes, index state, slow-query
-  flight-recorder counters;
-* shard plan/coordinator/worker counters when the tenant is sharded
-  (workers labelled ``shard="<id>"``; slice sizes and traffic as of the
-  coordinator's last handshake, probe or slice publish to each);
-* write-ahead-log counters on a durable leader (``repro_wal_*``) and
-  replication lag gauges on a follower (``repro_follower_lag_epochs`` /
-  ``repro_follower_lag_seconds``);
-* one ``repro_build_info`` gauge carrying the package version.
+version 0.0.4.  Each per-tenant family is a row of :data:`_ROWS`: a
+path into the tenant's document, walked by one function.
 
 Multi-tenant servers label every per-tenant sample ``tenant="<name>"``,
 so one scrape covers the whole process and PromQL can aggregate or
@@ -39,7 +23,6 @@ from typing import Any
 
 __all__ = [
     "render_metrics",
-    "render_service_metrics",
     "parse_prometheus_text",
     "format_value",
 ]
@@ -148,384 +131,250 @@ def _histogram(
     families.add(f"{name}_count", "histogram", help_text, labels, total)
 
 
-#: ``service.queries`` snapshot keys → (metric suffix, help).
-_QUERY_COUNTERS = {
-    "total": ("queries_total", "Queries answered (any path)"),
-    "executed": ("queries_executed_total", "Queries that ran a search"),
-    "cached": ("queries_cached_total", "Queries answered from the result cache"),
-    "trivial": ("queries_trivial_total", "Queries the planner decided"),
-    "true_answers": ("queries_true_answers_total", "Queries answered true"),
-}
+_CACHES = ("result", "constraint", "candidate")
 
-_UPDATE_COUNTERS = {
-    "batches": ("update_batches_total", "Applied update batches (epoch swaps)"),
-    "edges_added": ("update_edges_added_total", "Edges added by updates"),
-    "edges_duplicate": ("update_edges_duplicate_total",
-                        "Duplicate edges in update batches"),
-    "edges_removed": ("update_edges_removed_total",
-                      "Edges removed by updates"),
-    "edges_missing": ("update_edges_missing_total",
-                      "Removals that named an absent edge"),
-    "vertices_added": ("update_vertices_added_total",
-                       "Vertices interned by updates"),
-    "rows_recut": ("update_rows_recut_total",
-                   "Adjacency rows re-cut (not shared) by update swaps"),
-}
-
-_CACHE_SECTIONS = (
-    ("result_cache", "result"),
-    ("constraint_cache", "constraint"),
-    ("candidate_cache", "candidate"),
+#: Every per-tenant family: ``(name, kind, path, help)``.  ``path`` is
+#: dotted keys into one tenant's ``stats_snapshot`` document; a missing
+#: value renders 0, unless the path ends ``?`` (then no sample when it is
+#: absent or None).  A last step ``a|b`` makes one family per key, named
+#: by putting the key for ``{}``.  Three steps add a label: ``<label>``
+#: walks a dict's sorted keys, ``[shard]`` the worker list (by each
+#: entry's ``shard``), ``@cache`` the :data:`_CACHES` sections.
+_ROWS = (
+    ("repro_uptime_seconds", "gauge", "service.uptime_seconds",
+     "Seconds since the service started"),
+    ("repro_started_at_seconds", "gauge", "service.started_at?",
+     "Unix time the service started"),
+    ("repro_queries_total", "counter", "service.queries.total",
+     "Queries answered (any path)"),
+    ("repro_queries_executed_total", "counter", "service.queries.executed",
+     "Queries that ran a search"),
+    ("repro_queries_cached_total", "counter", "service.queries.cached",
+     "Queries answered from the result cache"),
+    ("repro_queries_trivial_total", "counter", "service.queries.trivial",
+     "Queries the planner decided"),
+    ("repro_queries_true_answers_total", "counter", "service.queries.true_answers",
+     "Queries answered true"),
+    ("repro_batches_total", "counter", "service.batches.requests", "Batch requests"),
+    ("repro_batch_queries_total", "counter", "service.batches.queries",
+     "Queries answered inside batches"),
+    ("repro_update_batches_total", "counter", "service.updates.batches",
+     "Applied update batches (epoch swaps)"),
+    ("repro_update_edges_added_total", "counter", "service.updates.edges_added",
+     "Edges added by updates"),
+    ("repro_update_edges_duplicate_total", "counter", "service.updates.edges_duplicate",
+     "Duplicate edges in update batches"),
+    ("repro_update_edges_removed_total", "counter", "service.updates.edges_removed",
+     "Edges removed by updates"),
+    ("repro_update_edges_missing_total", "counter", "service.updates.edges_missing",
+     "Removals that named an absent edge"),
+    ("repro_update_vertices_added_total", "counter", "service.updates.vertices_added",
+     "Vertices interned by updates"),
+    ("repro_update_rows_recut_total", "counter", "service.updates.rows_recut",
+     "Adjacency rows re-cut (not shared) by update swaps"),
+    ("repro_errors_total", "counter", "service.errors.<kind>",
+     "Failed requests by error kind"),
+    ("repro_requests_shed_total", "counter", "service.resilience.requests_shed",
+     "Requests rejected by admission control"),
+    ("repro_degraded_answers_total", "counter", "service.resilience.degraded_answers",
+     "Answers served over surviving shards only"),
+    ("repro_algorithm_queries_total", "counter", "service.algorithms.<algorithm>.count",
+     "Executed queries per algorithm"),
+    ("repro_algorithm_true_answers_total", "counter",
+     "service.algorithms.<algorithm>.true_answers",
+     "True answers per algorithm"),
+    ("repro_algorithm_seconds_total", "counter",
+     "service.algorithms.<algorithm>.total_seconds",
+     "Search seconds per algorithm"),
+    ("repro_algorithm_mean_passed_vertices", "gauge",
+     "service.algorithms.<algorithm>.mean_passed_vertices",
+     "Mean passed vertices per algorithm"),
+    ("repro_request_latency_seconds", "histogram", "service.latency.<endpoint>",
+     "Request latency by endpoint"),
+    ("repro_request_latency_max_seconds", "gauge",
+     "service.latency.<endpoint>.max_seconds",
+     "Worst observed latency by endpoint"),
+    ("repro_cache_{}_total", "counter", "@cache.hits|misses|evictions",
+     "Cache traffic by cache"),
+    ("repro_cache_{}", "gauge", "@cache.size|max_size|hit_rate",
+     "Cache occupancy by cache"),
+    ("repro_graph_{}", "gauge", "graph.vertices|edges|labels", "Served graph sizes"),
+    ("repro_index_configured", "gauge", "index.configured",
+     "1 when the tenant serves indexed: a request may name ins"),
+    ("repro_index_loaded", "gauge", "index.loaded",
+     "1 once the local index has been read"),
+    ("repro_index_landmarks", "gauge", "index.landmarks?",
+     "Landmarks in the loaded index"),
+    ("repro_epoch_id", "gauge", "epoch.epoch_id", "Current serving epoch id"),
+    ("repro_epoch_age_seconds", "gauge", "epoch.age_seconds?",
+     "Seconds since the current epoch was published"),
+    ("repro_slow_queries_seen_total", "counter", "slow_queries.seen",
+     "Requests offered to the flight recorder"),
+    ("repro_slow_queries_kept", "gauge", "slow_queries.kept",
+     "Entries currently in the flight recorder"),
+    ("repro_slow_query_threshold_ms", "gauge", "slow_queries.threshold_ms",
+     "Flight-recorder slow threshold"),
+    ("repro_slow_query_worst_ms", "gauge", "slow_queries.worst_ms",
+     "Slowest recorded entry"),
+    ("repro_wal_records_total", "counter", "wal.records",
+     "Records appended to the write-ahead log"),
+    ("repro_wal_segments", "gauge", "wal.segments", "Live WAL segment files"),
+    ("repro_wal_epoch", "gauge", "wal.epoch",
+     "Last epoch recorded in the write-ahead log"),
+    ("repro_wal_snapshot_epoch", "gauge", "wal.snapshot_epoch?",
+     "Epoch of the newest compaction snapshot"),
+    ("repro_follower_lag_epochs", "gauge", "replication.lag_epochs",
+     "Epochs the follower trails the log tip by"),
+    ("repro_follower_lag_seconds", "gauge", "replication.lag_seconds",
+     "Seconds the oldest unapplied record has waited"),
+    ("repro_follower_wal_epoch", "gauge", "replication.wal_epoch",
+     "Log-tip epoch as of the follower's last poll"),
+    ("repro_follower_records_applied_total", "counter", "replication.records_applied",
+     "WAL records the follower has republished"),
+    ("repro_follower_stuck", "gauge", "replication.stuck",
+     "1 when the follower thread failed to stop and was abandoned"),
+    ("repro_admission_active", "gauge", "admission.active",
+     "Requests currently admitted"),
+    ("repro_admission_queued", "gauge", "admission.queued",
+     "Requests waiting for an admission slot"),
+    ("repro_admission_max_concurrent", "gauge", "admission.max_concurrent",
+     "Concurrent-request cap"),
+    ("repro_admission_admitted_total", "counter", "admission.admitted",
+     "Requests admitted"),
+    ("repro_admission_shed_total", "counter", "admission.shed",
+     "Requests shed (queue full or wait exhausted)"),
+    ("repro_admission_queue_timeouts_total", "counter", "admission.queue_timeouts",
+     "Queued requests that timed out waiting"),
+    ("repro_approx_routed_total", "counter", "approx.routed",
+     "Queries the short-circuit router inspected"),
+    ("repro_approx_short_circuit_no_total", "counter", "approx.short_circuit_no",
+     "Definite-No answers from the label-blind bounds"),
+    ("repro_approx_short_circuit_yes_total", "counter", "approx.short_circuit_yes",
+     "Definite-Yes answers from re-verified witness paths"),
+    ("repro_approx_exact_fallthrough_total", "counter", "approx.exact_fallthrough",
+     "Uncertain-band queries that ran the exact evaluators"),
+    ("repro_approx_short_circuit_rate", "gauge", "approx.short_circuit_rate",
+     "Fraction of routed queries settled without an evaluator"),
+    ("repro_approx_witness_entries", "gauge", "approx.witness_cache.size",
+     "Witness paths currently cached"),
+    ("repro_approx_witness_hits_total", "counter", "approx.witness_cache.hits",
+     "Witness-cache lookups that found a path"),
+    ("repro_approx_witness_invalidations_total", "counter",
+     "approx.witness_cache.invalidations",
+     "Cached witnesses dropped after failing re-verification"),
+    ("repro_approx_bounds_components", "gauge", "approx.bounds.components",
+     "Strongly connected components in the bounds condensation"),
+    ("repro_approx_bounds_build_seconds", "gauge", "approx.bounds.build_seconds",
+     "Time the current epoch's bounds index took to build or derive"),
+    ("repro_shard_count", "gauge", "shards.plan.num_shards", "Shards in the plan"),
+    ("repro_shard_slice_epoch", "gauge", "shards.slice_epoch?",
+     "Coordinated slice epoch the fleet serves"),
+    ("repro_shard_coordinator_{}", "counter",
+     "shards.coordinator.queries|fast_path_hits|rounds_total|expand_calls_total"
+     "|crossings_total|epoch_skew_retries",
+     "Scatter-gather coordinator counters"),
+    ("repro_shard_coordinator_mean_rounds", "gauge", "shards.coordinator.mean_rounds",
+     "Mean frontier-exchange rounds per query"),
+    ("repro_resilience_retries_total", "counter",
+     "shards.coordinator.resilience.retries",
+     "Shard expand calls retried"),
+    ("repro_resilience_worker_failures_total", "counter",
+     "shards.coordinator.resilience.worker_failures",
+     "Shard expand failures (after retries)"),
+    ("repro_resilience_breaker_rejections_total", "counter",
+     "shards.coordinator.resilience.breaker_rejections",
+     "Expand calls rejected by an open breaker"),
+    ("repro_resilience_degraded_answers_total", "counter",
+     "shards.coordinator.resilience.degraded_answers",
+     "Answers computed over surviving shards only"),
+    ("repro_resilience_deadline_exceeded_total", "counter",
+     "shards.coordinator.resilience.deadline_exceeded",
+     "Queries that ran out of budget in the coordinator"),
+    ("repro_resilience_fast_path_errors_total", "counter",
+     "shards.coordinator.resilience.fast_path_errors",
+     "Co-located fast-path probe failures"),
+    ("repro_resilience_degraded_mode", "gauge",
+     "shards.coordinator.resilience.degraded_mode",
+     "1 when --degraded-answers is on"),
+    ("repro_resilience_breaker_state", "gauge",
+     "shards.coordinator.resilience.breakers.<shard>.state_code",
+     "Breaker state (0 closed, 1 half-open, 2 open)"),
+    ("repro_resilience_breaker_opens_total", "counter",
+     "shards.coordinator.resilience.breakers.<shard>.opens",
+     "Times a shard breaker tripped open"),
+    ("repro_resilience_breaker_rejected_total", "counter",
+     "shards.coordinator.resilience.breakers.<shard>.rejected",
+     "Calls rejected while a shard breaker was open"),
+    ("repro_resilience_breaker_failures_total", "counter",
+     "shards.coordinator.resilience.breakers.<shard>.failures",
+     "Failures seen by a shard breaker"),
+    ("repro_resilience_breaker_successes_total", "counter",
+     "shards.coordinator.resilience.breakers.<shard>.successes",
+     "Successes seen by a shard breaker"),
+    ("repro_shard_worker_{}_total", "counter",
+     "shards.workers.[shard].expand_calls|seeds_in|reached_out|crossings_out"
+     "|local_queries|local_hits|updates_prepared|updates_published|updates_aborted?",
+     "Shard worker traffic counters"),
+    ("repro_shard_worker_{}", "gauge",
+     "shards.workers.[shard].regions|vertices|edges|border_vertices?",
+     "Shard worker slice sizes"),
+    ("repro_shard_worker_slice_epoch", "gauge", "shards.workers.[shard].health.epoch?",
+     "Slice epoch the worker last reported"),
+    ("repro_shard_worker_{}_total", "counter",
+     "shards.workers.[shard].connections_opened|connection_reuses|reconnects?",
+     "Remote worker connection-pool counters"),
+    ("repro_shard_worker_idle_connections", "gauge",
+     "shards.workers.[shard].idle_connections?",
+     "Pooled idle keep-alive connections to the worker"),
+    ("repro_shard_worker_consecutive_failures", "gauge",
+     "shards.workers.[shard].health.consecutive_failures?",
+     "Consecutive failed health probes for the worker"),
+    ("repro_shard_worker_last_seen_age_seconds", "gauge",
+     "shards.workers.[shard].health.last_seen_age_seconds?",
+     "Seconds since the worker last answered a probe or handshake"),
+    ("repro_shard_worker_resyncs_total", "counter",
+     "shards.workers.[shard].health.resyncs?",
+     "Times the coordinator re-pushed a slice to heal worker drift"),
 )
 
-_CACHE_COUNTERS = ("hits", "misses", "evictions")
-_CACHE_GAUGES = ("size", "max_size", "hit_rate")
 
-_COORDINATOR_COUNTERS = (
-    "queries", "fast_path_hits", "rounds_total", "expand_calls_total",
-    "crossings_total", "epoch_skew_retries",
-)
-
-#: ``coordinator.resilience`` counter keys → metric suffix (all under
-#: ``repro_resilience_*``, the fault-tolerance surface).
-_RESILIENCE_COUNTERS = {
-    "retries": ("retries_total", "Shard expand calls retried"),
-    "worker_failures": ("worker_failures_total",
-                        "Shard expand failures (after retries)"),
-    "breaker_rejections": ("breaker_rejections_total",
-                           "Expand calls rejected by an open breaker"),
-    "degraded_answers": ("degraded_answers_total",
-                         "Answers computed over surviving shards only"),
-    "deadline_exceeded": ("deadline_exceeded_total",
-                          "Queries that ran out of budget in the coordinator"),
-    "fast_path_errors": ("fast_path_errors_total",
-                         "Co-located fast-path probe failures"),
-}
-
-#: Per-shard breaker stats keys rendered as labelled series.
-_BREAKER_COUNTERS = {
-    "opens": ("breaker_opens_total", "Times a shard breaker tripped open"),
-    "rejected": ("breaker_rejected_total",
-                 "Calls rejected while a shard breaker was open"),
-    "failures": ("breaker_failures_total", "Failures seen by a shard breaker"),
-    "successes": ("breaker_successes_total",
-                  "Successes seen by a shard breaker"),
-}
-
-_WORKER_COUNTERS = (
-    "expand_calls", "seeds_in", "reached_out", "crossings_out",
-    "local_queries", "local_hits",
-    "updates_prepared", "updates_published", "updates_aborted",
-)
-
-_WORKER_GAUGES = ("regions", "vertices", "edges", "border_vertices")
-
-#: Remote-stub connection-pool stats (``HttpShardWorker.describe()``).
-_WORKER_POOL_COUNTERS = (
-    "connections_opened", "connection_reuses", "reconnects",
-)
-
-#: Coordinator-side health-ledger fields merged into each worker entry.
-_WORKER_HEALTH_GAUGES = {
-    "consecutive_failures": (
-        "consecutive_failures",
-        "Consecutive failed health probes for the worker",
-    ),
-    "last_seen_age_seconds": (
-        "last_seen_age_seconds",
-        "Seconds since the worker last answered a probe or handshake",
-    ),
-    "resyncs": (
-        "resyncs_total",
-        "Times the coordinator re-pushed a slice to heal worker drift",
-    ),
-}
+def _walk(node: Any, steps: list[str], labels: dict[str, Any]):
+    """``(labels, value)`` for each value ``steps`` reach from ``node``
+    (None where the last key is missing); a section that is not a dict
+    (a list, for ``[label]``) yields nothing."""
+    if not steps:
+        yield labels, node
+        return
+    step, rest = steps[0], steps[1:]
+    if step[0] == "[":
+        label = step[1:-1]
+        for item in node if isinstance(node, list) else ():
+            yield from _walk(item, rest, {**labels, label: item.get(label, "")})
+    elif not isinstance(node, dict):
+        return
+    elif step == "@cache":
+        for cache in _CACHES:
+            yield from _walk(
+                node.get(f"{cache}_cache"), rest, {**labels, "cache": cache}
+            )
+    elif step[0] == "<":
+        for key in sorted(node):
+            yield from _walk(node[key], rest, {**labels, step[1:-1]: key})
+    else:
+        yield from _walk(node.get(step), rest, labels)
 
 
-def _service_section(
-    families: _Families, labels: dict[str, Any], service: dict
-) -> None:
-    """The ``service`` (ServiceStats) snapshot section."""
-    families.add("repro_uptime_seconds", "gauge",
-                 "Seconds since the service started", labels,
-                 service.get("uptime_seconds", 0.0))
-    if "started_at" in service:
-        families.add("repro_started_at_seconds", "gauge",
-                     "Unix time the service started", labels,
-                     service["started_at"])
-    queries = service.get("queries", {})
-    for key, (suffix, help_text) in _QUERY_COUNTERS.items():
-        families.add(f"repro_{suffix}", "counter", help_text, labels,
-                     queries.get(key, 0))
-    batches = service.get("batches", {})
-    families.add("repro_batches_total", "counter", "Batch requests",
-                 labels, batches.get("requests", 0))
-    families.add("repro_batch_queries_total", "counter",
-                 "Queries answered inside batches", labels,
-                 batches.get("queries", 0))
-    updates = service.get("updates", {})
-    for key, (suffix, help_text) in _UPDATE_COUNTERS.items():
-        families.add(f"repro_{suffix}", "counter", help_text, labels,
-                     updates.get(key, 0))
-    for kind, count in sorted(service.get("errors", {}).items()):
-        families.add("repro_errors_total", "counter",
-                     "Failed requests by error kind",
-                     {**labels, "kind": kind}, count)
-    resilience = service.get("resilience", {})
-    families.add("repro_requests_shed_total", "counter",
-                 "Requests rejected by admission control", labels,
-                 resilience.get("requests_shed", 0))
-    families.add("repro_degraded_answers_total", "counter",
-                 "Answers served over surviving shards only", labels,
-                 resilience.get("degraded_answers", 0))
-    for algorithm, cell in sorted(service.get("algorithms", {}).items()):
-        cell_labels = {**labels, "algorithm": algorithm}
-        families.add("repro_algorithm_queries_total", "counter",
-                     "Executed queries per algorithm", cell_labels,
-                     cell.get("count", 0))
-        families.add("repro_algorithm_true_answers_total", "counter",
-                     "True answers per algorithm", cell_labels,
-                     cell.get("true_answers", 0))
-        families.add("repro_algorithm_seconds_total", "counter",
-                     "Search seconds per algorithm", cell_labels,
-                     cell.get("total_seconds", 0.0))
-        families.add("repro_algorithm_mean_passed_vertices", "gauge",
-                     "Mean passed vertices per algorithm", cell_labels,
-                     cell.get("mean_passed_vertices", 0.0))
-    for endpoint, histogram in sorted(service.get("latency", {}).items()):
-        endpoint_labels = {**labels, "endpoint": endpoint}
-        _histogram(families, "repro_request_latency_seconds",
-                   "Request latency by endpoint", endpoint_labels, histogram)
-        families.add("repro_request_latency_max_seconds", "gauge",
-                     "Worst observed latency by endpoint", endpoint_labels,
-                     histogram.get("max_seconds", 0.0))
-
-
-def _shards_section(
-    families: _Families, labels: dict[str, Any], shards: dict
-) -> None:
-    plan = shards.get("plan", {})
-    families.add("repro_shard_count", "gauge", "Shards in the plan",
-                 labels, plan.get("num_shards", 0))
-    if "slice_epoch" in shards:
-        families.add("repro_shard_slice_epoch", "gauge",
-                     "Coordinated slice epoch the fleet serves", labels,
-                     shards["slice_epoch"])
-    coordinator = shards.get("coordinator", {})
-    for key in _COORDINATOR_COUNTERS:
-        families.add(f"repro_shard_coordinator_{key}", "counter",
-                     "Scatter-gather coordinator counters", labels,
-                     coordinator.get(key, 0))
-    families.add("repro_shard_coordinator_mean_rounds", "gauge",
-                 "Mean frontier-exchange rounds per query", labels,
-                 coordinator.get("mean_rounds", 0.0))
-    resilience = coordinator.get("resilience")
-    if isinstance(resilience, dict):
-        for key, (suffix, help_text) in _RESILIENCE_COUNTERS.items():
-            families.add(f"repro_resilience_{suffix}", "counter", help_text,
-                         labels, resilience.get(key, 0))
-        families.add("repro_resilience_degraded_mode", "gauge",
-                     "1 when --degraded-answers is on", labels,
-                     1 if resilience.get("degraded_mode") else 0)
-        for shard, breaker in sorted(resilience.get("breakers", {}).items()):
-            shard_labels = {**labels, "shard": shard}
-            families.add("repro_resilience_breaker_state", "gauge",
-                         "Breaker state (0 closed, 1 half-open, 2 open)",
-                         shard_labels, breaker.get("state_code", 0))
-            for key, (suffix, help_text) in _BREAKER_COUNTERS.items():
-                families.add(f"repro_resilience_{suffix}", "counter",
-                             help_text, shard_labels, breaker.get(key, 0))
-    for worker in shards.get("workers", []):
-        worker_labels = {**labels, "shard": worker.get("shard", "")}
-        for key in _WORKER_COUNTERS:
-            if key in worker:
-                families.add(f"repro_shard_worker_{key}_total", "counter",
-                             "Shard worker traffic counters", worker_labels,
-                             worker[key])
-        for key in _WORKER_GAUGES:
-            if key in worker:
-                families.add(f"repro_shard_worker_{key}", "gauge",
-                             "Shard worker slice sizes", worker_labels,
-                             worker[key])
-        health = worker.get("health")
-        if not isinstance(health, dict):
-            health = {}
-        slice_epoch = health.get("epoch")
-        if isinstance(slice_epoch, (int, float)):
-            families.add("repro_shard_worker_slice_epoch", "gauge",
-                         "Slice epoch the worker last reported",
-                         worker_labels, slice_epoch)
-        for key in _WORKER_POOL_COUNTERS:
-            if key in worker:
-                families.add(f"repro_shard_worker_{key}_total", "counter",
-                             "Remote worker connection-pool counters",
-                             worker_labels, worker[key])
-        if "idle_connections" in worker:
-            families.add("repro_shard_worker_idle_connections", "gauge",
-                         "Pooled idle keep-alive connections to the worker",
-                         worker_labels, worker["idle_connections"])
-        for key, (suffix, help_text) in _WORKER_HEALTH_GAUGES.items():
-            value = health.get(key)
-            if isinstance(value, (int, float)):
-                kind = "counter" if suffix.endswith("_total") else "gauge"
-                families.add(f"repro_shard_worker_{suffix}", kind,
-                             help_text, worker_labels, value)
-
-
-def render_service_metrics(
-    families: _Families, tenant: str, document: dict
-) -> None:
+def render_service_metrics(families: _Families, tenant: str, document: dict) -> None:
     """Fold one tenant's ``stats_snapshot`` document into ``families``."""
-    labels = {"tenant": tenant}
-    _service_section(families, labels, document.get("service", {}))
-    for section, cache in _CACHE_SECTIONS:
-        stats = document.get(section)
-        if not isinstance(stats, dict):
-            continue
-        cache_labels = {**labels, "cache": cache}
-        for key in _CACHE_COUNTERS:
-            families.add(f"repro_cache_{key}_total", "counter",
-                         "Cache traffic by cache", cache_labels,
-                         stats.get(key, 0))
-        for key in _CACHE_GAUGES:
-            families.add(f"repro_cache_{key}", "gauge",
-                         "Cache occupancy by cache", cache_labels,
-                         stats.get(key, 0))
-    graph = document.get("graph", {})
-    for key in ("vertices", "edges", "labels"):
-        families.add(f"repro_graph_{key}", "gauge",
-                     "Served graph sizes", labels, graph.get(key, 0))
-    index = document.get("index", {})
-    families.add("repro_index_configured", "gauge",
-                 "1 when the tenant serves indexed: a request may name ins",
-                 labels, 1 if index.get("configured") else 0)
-    families.add("repro_index_loaded", "gauge",
-                 "1 once the local index has been read", labels,
-                 1 if index.get("loaded") else 0)
-    if "landmarks" in index:
-        families.add("repro_index_landmarks", "gauge",
-                     "Landmarks in the loaded index", labels,
-                     index["landmarks"])
-    epoch = document.get("epoch", {})
-    if epoch:
-        families.add("repro_epoch_id", "gauge",
-                     "Current serving epoch id", labels,
-                     epoch.get("epoch_id", 0))
-        if "age_seconds" in epoch:
-            families.add("repro_epoch_age_seconds", "gauge",
-                         "Seconds since the current epoch was published",
-                         labels, epoch["age_seconds"])
-    slow = document.get("slow_queries")
-    if isinstance(slow, dict):
-        families.add("repro_slow_queries_seen_total", "counter",
-                     "Requests offered to the flight recorder", labels,
-                     slow.get("seen", 0))
-        families.add("repro_slow_queries_kept", "gauge",
-                     "Entries currently in the flight recorder", labels,
-                     slow.get("kept", 0))
-        families.add("repro_slow_query_threshold_ms", "gauge",
-                     "Flight-recorder slow threshold", labels,
-                     slow.get("threshold_ms", 0.0))
-        families.add("repro_slow_query_worst_ms", "gauge",
-                     "Slowest recorded entry", labels,
-                     slow.get("worst_ms", 0.0))
-    wal = document.get("wal")
-    if isinstance(wal, dict):
-        families.add("repro_wal_records_total", "counter",
-                     "Records appended to the write-ahead log", labels,
-                     wal.get("records", 0))
-        families.add("repro_wal_segments", "gauge",
-                     "Live WAL segment files", labels,
-                     wal.get("segments", 0))
-        families.add("repro_wal_epoch", "gauge",
-                     "Last epoch recorded in the write-ahead log", labels,
-                     wal.get("epoch", 0))
-        snapshot_epoch = wal.get("snapshot_epoch")
-        if snapshot_epoch is not None:
-            families.add("repro_wal_snapshot_epoch", "gauge",
-                         "Epoch of the newest compaction snapshot", labels,
-                         snapshot_epoch)
-    replication = document.get("replication")
-    if isinstance(replication, dict):
-        families.add("repro_follower_lag_epochs", "gauge",
-                     "Epochs the follower trails the log tip by", labels,
-                     replication.get("lag_epochs", 0))
-        families.add("repro_follower_lag_seconds", "gauge",
-                     "Seconds the oldest unapplied record has waited", labels,
-                     replication.get("lag_seconds", 0.0))
-        families.add("repro_follower_wal_epoch", "gauge",
-                     "Log-tip epoch as of the follower's last poll", labels,
-                     replication.get("wal_epoch", 0))
-        families.add("repro_follower_records_applied_total", "counter",
-                     "WAL records the follower has republished", labels,
-                     replication.get("records_applied", 0))
-        families.add("repro_follower_stuck", "gauge",
-                     "1 when the follower thread failed to stop and was "
-                     "abandoned", labels,
-                     1 if replication.get("stuck") else 0)
-    admission = document.get("admission")
-    if isinstance(admission, dict):
-        families.add("repro_admission_active", "gauge",
-                     "Requests currently admitted", labels,
-                     admission.get("active", 0))
-        families.add("repro_admission_queued", "gauge",
-                     "Requests waiting for an admission slot", labels,
-                     admission.get("queued", 0))
-        families.add("repro_admission_max_concurrent", "gauge",
-                     "Concurrent-request cap", labels,
-                     admission.get("max_concurrent", 0))
-        families.add("repro_admission_admitted_total", "counter",
-                     "Requests admitted", labels,
-                     admission.get("admitted", 0))
-        families.add("repro_admission_shed_total", "counter",
-                     "Requests shed (queue full or wait exhausted)", labels,
-                     admission.get("shed", 0))
-        families.add("repro_admission_queue_timeouts_total", "counter",
-                     "Queued requests that timed out waiting", labels,
-                     admission.get("queue_timeouts", 0))
-    approx = document.get("approx")
-    if isinstance(approx, dict):
-        families.add("repro_approx_routed_total", "counter",
-                     "Queries the short-circuit router inspected", labels,
-                     approx.get("routed", 0))
-        families.add("repro_approx_short_circuit_no_total", "counter",
-                     "Definite-No answers from the label-blind bounds",
-                     labels, approx.get("short_circuit_no", 0))
-        families.add("repro_approx_short_circuit_yes_total", "counter",
-                     "Definite-Yes answers from re-verified witness paths",
-                     labels, approx.get("short_circuit_yes", 0))
-        families.add("repro_approx_exact_fallthrough_total", "counter",
-                     "Uncertain-band queries that ran the exact evaluators",
-                     labels, approx.get("exact_fallthrough", 0))
-        families.add("repro_approx_short_circuit_rate", "gauge",
-                     "Fraction of routed queries settled without an evaluator",
-                     labels, approx.get("short_circuit_rate", 0.0))
-        witness = approx.get("witness_cache")
-        if isinstance(witness, dict):
-            families.add("repro_approx_witness_entries", "gauge",
-                         "Witness paths currently cached", labels,
-                         witness.get("size", 0))
-            families.add("repro_approx_witness_hits_total", "counter",
-                         "Witness-cache lookups that found a path", labels,
-                         witness.get("hits", 0))
-            families.add("repro_approx_witness_invalidations_total",
-                         "counter",
-                         "Cached witnesses dropped after failing "
-                         "re-verification", labels,
-                         witness.get("invalidations", 0))
-        bounds = approx.get("bounds")
-        if isinstance(bounds, dict):
-            families.add("repro_approx_bounds_components", "gauge",
-                         "Strongly connected components in the bounds "
-                         "condensation", labels,
-                         bounds.get("components", 0))
-            families.add("repro_approx_bounds_build_seconds", "gauge",
-                         "Time the current epoch's bounds index took to "
-                         "build or derive", labels,
-                         bounds.get("build_seconds", 0.0))
-    shards = document.get("shards")
-    if isinstance(shards, dict):
-        _shards_section(families, labels, shards)
+    for name, kind, path, help_text in _ROWS:
+        *steps, keys = path.rstrip("?").split(".")
+        for key in keys.split("|"):
+            family = name.format(key)
+            for labels, value in _walk(document, [*steps, key], {"tenant": tenant}):
+                if kind == "histogram":
+                    _histogram(families, family, help_text, labels, value)
+                elif value is not None or not path.endswith("?"):
+                    families.add(family, kind, help_text, labels, value or 0)
 
 
 def render_metrics(

@@ -64,6 +64,16 @@ class TestTsv:
         with pytest.raises(GraphError, match="line 1"):
             loads_tsv("only two\tfields\n")
 
+    @pytest.mark.parametrize("bad_line", [1, 2, 3000])
+    def test_non_utf8_line_named_by_number(self, tmp_path, bad_line):
+        # Line 3000 lies past the first chunk the text reader decodes.
+        lines = [f"v{i}\tp\tv{i + 1}\n".encode() for i in range(4000)]
+        lines[bad_line - 1] = b"x\xff\xfey\tp\tq\n"
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(GraphError, match=rf"^TSV line {bad_line} is not UTF-8"):
+            load_tsv(path)
+
     def test_crlf_string_file_and_handle_load_equal_graphs(self, tmp_path):
         # A file opened in text mode translates \r\n; a string or a
         # caller's handle does not, and the \r must not reach a name.

@@ -121,27 +121,6 @@ class TestRenderMetrics:
         assert _sample(samples, "repro_errors_total", tenant="default",
                        kind='weird"kind\\with\nnewline') == 1.0
 
-    def test_every_stats_counter_is_exposed(self):
-        # The acceptance bar: each /stats service counter has a sample.
-        stats = ServiceStats()
-        snapshot = stats.snapshot()
-        samples = parse_prometheus_text(
-            render_metrics({"default": {"service": snapshot}}, version="1.0")
-        )
-        names = {name for name, _ in samples}
-        for expected in (
-            "repro_uptime_seconds", "repro_started_at_seconds",
-            "repro_queries_total", "repro_queries_executed_total",
-            "repro_queries_cached_total", "repro_queries_trivial_total",
-            "repro_queries_true_answers_total", "repro_batches_total",
-            "repro_batch_queries_total", "repro_update_batches_total",
-            "repro_update_edges_added_total",
-            "repro_update_edges_duplicate_total",
-            "repro_update_vertices_added_total",
-            "repro_update_rows_recut_total",
-        ):
-            assert expected in names, expected
-
 
 class TestParserStrictness:
     def test_rejects_bad_sample_line(self):

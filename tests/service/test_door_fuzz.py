@@ -1,4 +1,5 @@
-"""The ``/query`` and ``/batch`` doors under generated bodies, over HTTP.
+"""The ``/query``, ``/batch`` and ``/edges`` doors under generated
+bodies, over HTTP.
 
 Whatever body a client sends, the reply is a 200 or a structured 4xx —
 never a 500 — and the keep-alive connection it came on answers the next
@@ -15,13 +16,21 @@ reader), and constraints either side of
 :data:`~repro.sparql.parser.MAX_TRIPLE_PATTERNS`.  The limit itself is
 then pinned on all three doors that read a constraint, the shard
 worker's ``/shard/<id>/query`` included.
+
+``POST /edges`` gets any JSON value, batches over ``max_batch``, and
+valid batches (object and array items) with one field of one item
+changed — dropped, a bad ``op``, an empty or non-string name, any JSON.
+A 200 carries the summary an in-process twin's ``handle_updates``
+returns for the same body (the twin applies every batch the door
+applies, so both graphs move together); a 4xx names the ``edges[i]``
+the change broke.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from urllib.parse import urlsplit
 
 import pytest
@@ -31,6 +40,7 @@ from hypothesis import strategies as st
 from repro.datasets.toy import figure3_graph
 from repro.exceptions import BadRequestError, ConstraintError, SparqlError
 from repro.service.app import QueryService, validate_spec
+from repro.service.epoch import EDGE_OPS
 from repro.sparql.parser import MAX_TRIPLE_PATTERNS
 from tests.helpers import running_server, sharded_fleet
 
@@ -138,17 +148,26 @@ NAMES = {
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def door():
-    service = QueryService(figure3_graph(), seed=0)
-    reference = QueryService(figure3_graph(), seed=0, cache_size=0)
+@contextmanager
+def loopback(service: QueryService, reference: QueryService, **server_options):
+    """A keep-alive connection to ``service`` served over loopback, and
+    ``reference`` to check its replies against; all closed on exit."""
     with ExitStack() as stack:
         stack.callback(service.close)
         stack.callback(reference.close)
-        base = stack.enter_context(running_server(service))
+        base = stack.enter_context(running_server(service, **server_options))
         connection = http.client.HTTPConnection(urlsplit(base).netloc, timeout=30)
         stack.callback(connection.close)
         yield connection, reference
+
+
+@pytest.fixture(scope="module")
+def door():
+    with loopback(
+        QueryService(figure3_graph(), seed=0),
+        QueryService(figure3_graph(), seed=0, cache_size=0),
+    ) as pair:
+        yield pair
 
 
 def post(connection: http.client.HTTPConnection, path: str, body: bytes) -> tuple:
@@ -284,6 +303,119 @@ class TestBatchDoor:
             assert message.startswith(f"queries[{position}]: "), message
             assert any(name in message for name in NAMES[field]), message
         still_usable(connection)
+
+
+# ---------------------------------------------------------------------------
+# the /edges door
+# ---------------------------------------------------------------------------
+
+MAX_BATCH = 4
+EDGE_FIELDS = ("source", "label", "target", "op")
+_names = st.sampled_from(["v0", "v1", "v4", "n1", "n2"])
+_labels = st.sampled_from(["likes", "follows", "new"])
+_ops = st.sampled_from(EDGE_OPS)
+_edge = st.one_of(
+    st.fixed_dictionaries(
+        {"source": _names, "label": _labels, "target": _names}, optional={"op": _ops}
+    ),
+    st.tuples(_names, _labels, _names).map(list),
+    st.tuples(_names, _labels, _names, _ops).map(list),
+)
+#: ``(field, new value)`` for one item; field None replaces the whole
+#: item, and :data:`_DROP` removes the field (or the item).
+_edge_change = st.tuples(
+    st.sampled_from((*EDGE_FIELDS, None)),
+    st.one_of(
+        st.just(_DROP),
+        _json,
+        _long_ints,
+        st.sampled_from(["", "ADD", "delete", None, 1, ["add"], {"op": "add"}]),
+    ),
+)
+
+
+def changed_edge(item, field: str, value):
+    if isinstance(item, dict):
+        item = {key: part for key, part in item.items() if key != field}
+        if value is not _DROP:
+            item[field] = value
+        return item
+    position = EDGE_FIELDS.index(field)
+    item = list(item)
+    if value is _DROP:
+        del item[position:position + 1]
+    elif position < len(item):
+        item[position] = value
+    else:
+        item.append(value)
+    return item
+
+
+def expect_edges(twin: QueryService, body) -> tuple:
+    """``(200, summary)`` or ``(status, message)`` for one ``/edges`` body."""
+    if HUGE in encode(body).decode():
+        return 400, NOT_JSON
+    try:
+        return 200, timeless(twin.handle_updates(body))
+    except BadRequestError as error:
+        return error.status, str(error)
+
+
+def timeless(summary: dict) -> dict:
+    return {key: value for key, value in summary.items() if key != "seconds"}
+
+
+@pytest.fixture(scope="module")
+def edges_door():
+    with loopback(
+        QueryService(figure3_graph(), seed=0, max_batch=MAX_BATCH),
+        QueryService(figure3_graph(), seed=0, max_batch=MAX_BATCH),
+        allow_updates=True,
+    ) as pair:
+        yield pair
+
+
+class TestEdgesDoor:
+    @_FUZZ
+    @given(
+        body=st.one_of(
+            _json,
+            st.fixed_dictionaries({"edges": _json}),
+            st.lists(_edge, min_size=MAX_BATCH + 1, max_size=MAX_BATCH + 3).map(
+                lambda edges: {"edges": edges}
+            ),
+            st.tuples(
+                st.lists(_edge, min_size=1, max_size=MAX_BATCH),
+                st.integers(0, MAX_BATCH - 1),
+                _edge_change,
+            ),
+        )
+    )
+    def test_every_body_gets_a_summary_or_a_structured_4xx(self, edges_door, body):
+        connection, twin = edges_door
+        position = None
+        if isinstance(body, tuple):
+            edges, position, (field, value) = body
+            position %= len(edges)
+            if field is not None:
+                edges[position] = changed_edge(edges[position], field, value)
+            elif value is not _DROP:
+                edges[position] = value
+            else:
+                del edges[position]
+                position = None
+            body = {"edges": edges}
+        status, document = post(connection, "/edges", encode(body))
+        expected = expect_edges(twin, body)
+        check_reply(status, document, expected)
+        if status == 200:
+            assert timeless(document) == expected[1]
+        elif position is not None and expected[1] is not NOT_JSON:
+            assert document["error"]["message"].startswith(f"edges[{position}]: ")
+        # The graph moves under the door, so the answer may too; the
+        # twin asks as well, so both carry the same cached candidates.
+        status, document = post(connection, "/query", encode(VALID[0]))
+        assert (status, document["answer"]) == (200, twin.handle_query(VALID[0])["answer"])
 
 
 # ---------------------------------------------------------------------------

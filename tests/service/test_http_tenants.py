@@ -256,6 +256,22 @@ class TestTenantAdmin:
         assert status == 400
         assert "not found" in document["error"]["message"]
 
+    def test_non_utf8_graph_file_is_a_structured_400(self, base_url, tmp_path):
+        # Registration does not read the file; each query's warm start
+        # does, and answers what is wrong with it.
+        graph_path = tmp_path / "bad.tsv"
+        graph_path.write_bytes(b"v0\tlikes\tv4\n\xff\xfe\tlikes\tv1\n")
+        status, _ = http_request(
+            f"{base_url}/tenants", {"name": "bad", "graph": str(graph_path)}
+        )
+        assert status == 201
+        for _ in range(2):
+            status, document = http_request(f"{base_url}/t/bad/query", spec("v0", "v4"))
+            assert (status, document["error"]) == (400, {
+                "type": "GraphError",
+                "message": "TSV line 2 is not UTF-8: invalid start byte",
+            })
+
     def test_delete_tenant(self, base_url):
         status, document = http_request(
             f"{base_url}/t/beta", None, method="DELETE"

@@ -48,6 +48,14 @@ class TestStats:
         assert main(["stats", g0_path, "--labels"]) == 0
         assert "friendOf" in capsys.readouterr().out
 
+    def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"a\tp\tb\n\xff\xfe\tp\tc\n")
+        assert main(["stats", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: TSV line 2 is not UTF-8: invalid start byte\n"
+        )
+
 
 class TestIndex:
     def test_build_and_save(self, g0_path, tmp_path, capsys):

@@ -10,8 +10,8 @@ Zhang/Bonifati/Özsu reachability-indexing survey:
   intervals) bundled into every :class:`~repro.service.epoch.GraphEpoch`:
   built for epoch 0 and a replaced graph, derived from the parent's
   across an update.
-* :mod:`repro.approx.witness` — an epoch-surviving LRU of verified
-  witness paths, the definite-Yes lower bound.
+* :mod:`repro.approx.witness` — an epoch-surviving bounded cache of
+  verified witness paths, the definite-Yes lower bound.
 * :mod:`repro.approx.router` — the `_execute`-seam router gluing both
   into definite-No / definite-Yes routing; the uncertain rest falls
   through to the exact evaluators, so every answer is exact.

@@ -8,8 +8,8 @@ one direction:
 ========================  =============================================
 :mod:`~.planner`          canonical cache keys, trivial answers,
                           algorithm choice
-:mod:`~.cache`            LRU result cache, shared parse-once
-                          constraint cache
+:mod:`~.cache`            one bounded store: result, parse-once
+                          constraint and ``V(S, G)`` caches
 :mod:`~.executor`         order-preserving concurrent batch execution
 :mod:`~.stats`            thread-safe service telemetry
 :mod:`~.app`              :class:`QueryService` — planner + caches +

@@ -790,12 +790,12 @@ class QueryService:
 
         Only a non-trivial plan's answer is ever stored, so a held key
         needs none of the plan's graph probes.  The membership probe
-        (:meth:`ResultCache.__contains__`) takes no lock, and neither
-        counts nor promotes: :meth:`_settle` makes the one counted,
-        promoting lookup, hit or miss — the one cache lock a hit takes,
-        since keying takes none either (a constraint-cache hit is
-        lock-free).  When the request is ``traced`` one ``plan`` span
-        covers both steps; untraced, no span is opened.
+        (:meth:`ResultCache.__contains__`) does not count:
+        :meth:`_settle` makes the one counted lookup, hit or miss.  No
+        cache promotes on a hit, and neither step, nor keying (a
+        constraint-cache hit), takes a cache lock.  When the request is
+        ``traced`` one ``plan`` span covers both steps; untraced, no span
+        is opened.
 
         The probe cannot become that counted lookup.  A trivial request
         counts no lookup, and it is known to be trivial only once it is

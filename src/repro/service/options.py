@@ -116,7 +116,8 @@ OPTIONS: tuple[Option, ...] = (
            help="landmark count when building"),
     Option("seed", int, 0, flag="--seed"),
     Option("cache_size", int, DEFAULT_CACHE_SIZE, ge=0, flag="--cache-size",
-           help="result-cache LRU size"),
+           help="entries each result, V(S, G) and witness cache keeps; "
+                "the oldest insertion is evicted first"),
     # Refuse larger POST /batch and POST /edges bodies: a memory guard
     # an embedding application may move, not a tuning knob with a flag.
     Option("max_batch", int, 4096, ge=1),

@@ -29,6 +29,7 @@ Tenant ids are URL path segments, so they are restricted to
 
 from __future__ import annotations
 
+import os
 import re
 import threading
 from pathlib import Path
@@ -37,6 +38,7 @@ from typing import Any
 from repro._version import __version__
 from repro.exceptions import (
     BadRequestError,
+    ReproError,
     ServiceConfigError,
     TenantExistsError,
     UnknownTenantError,
@@ -59,14 +61,31 @@ def valid_tenant_name(name: object) -> bool:
     return isinstance(name, str) and _NAME_PATTERN.match(name) is not None
 
 
+def _file_stamp(*paths: Path | None) -> tuple:
+    """The ``os.stat`` size and ``mtime_ns`` of each path (None for no
+    path or a missing file): what a failed load is remembered against."""
+    stamp = []
+    for path in paths:
+        try:
+            status = os.stat(path)
+        except (OSError, TypeError):  # a missing file, or no path
+            stamp.append(None)
+        else:
+            stamp.append((status.st_size, status.st_mtime_ns))
+    return tuple(stamp)
+
+
 class _TenantEntry:
     """One tenant: a live service, or file paths to build it from.
 
     ``lock`` serialises the lazy build only; once ``service`` is set it
-    is never cleared, so the fast path is a single attribute read.
+    is never cleared, so the fast path is a single attribute read.  A
+    build that failed is remembered as ``failure`` — the error beside the
+    :func:`_file_stamp` of the files it read — and re-raised, no file
+    opened, until one of those files changes.
     """
 
-    __slots__ = ("name", "service", "spec", "lock")
+    __slots__ = ("name", "service", "spec", "lock", "failure")
 
     def __init__(
         self,
@@ -78,6 +97,7 @@ class _TenantEntry:
         self.service = service
         self.spec = spec
         self.lock = threading.Lock()
+        self.failure: tuple[tuple, ReproError] | None = None
 
     @property
     def loaded(self) -> bool:
@@ -90,7 +110,15 @@ class _TenantEntry:
         with self.lock:
             if self.service is None:
                 assert self.spec is not None
-                self.service = QueryService.from_files(**self.spec)
+                stamp = _file_stamp(self.spec["graph_path"], self.spec["index_path"])
+                if self.failure is not None and self.failure[0] == stamp:
+                    raise self.failure[1].with_traceback(None)
+                try:
+                    self.service = QueryService.from_files(**self.spec)
+                except ReproError as error:
+                    self.failure = (stamp, error)
+                    raise
+                self.failure = None
             return self.service
 
     def describe(self) -> dict[str, Any]:

@@ -110,7 +110,7 @@ class TestCandidateCache:
         assert first == tuple(constraint.satisfying_vertices(graph))
         stats = cache.stats()
         assert stats.hits == 1 and stats.misses == 1
-        assert constraint in cache
+        assert constraint.to_sparql() in cache
 
     def test_an_entry_carries_its_membership_view(self):
         graph, queries = make_workload(3)

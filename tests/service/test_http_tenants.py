@@ -26,6 +26,7 @@ import repro
 from repro.datasets.toy import figure3_graph
 from repro.graph.io import dump_tsv
 from repro.index.local_index import build_local_index
+from repro.service import app as app_module
 from repro.service.app import QueryService
 from repro.service.registry import TenantRegistry
 from tests.helpers import graph_from_edges, running_server
@@ -271,6 +272,39 @@ class TestTenantAdmin:
                 "type": "GraphError",
                 "message": "TSV line 2 is not UTF-8: invalid start byte",
             })
+
+    def test_a_failed_load_is_remembered_until_the_file_changes(
+        self, base_url, tmp_path, monkeypatch
+    ):
+        loads: list = []
+        load_tsv = app_module.load_tsv
+
+        def counted(*args, **kwargs):
+            loads.append(args[0])
+            return load_tsv(*args, **kwargs)
+
+        monkeypatch.setattr(app_module, "load_tsv", counted)
+        graph_path = tmp_path / "bad.tsv"
+        graph_path.write_bytes(b"v0\tlikes\tv4\n\xff\xfe\tlikes\tv1\n")
+        status, _ = http_request(
+            f"{base_url}/tenants", {"name": "bad", "graph": str(graph_path)}
+        )
+        assert status == 201
+        for _ in range(3):
+            status, document = http_request(f"{base_url}/t/bad/query", spec("v0", "v4"))
+            assert (status, document["error"]) == (400, {
+                "type": "GraphError",
+                "message": "TSV line 2 is not UTF-8: invalid start byte",
+            })
+        assert len(loads) == 1
+        # A rewritten file is read again, once.
+        graph_path.write_bytes(b"v0\tlikes\tv4\n")
+        likes = "SELECT ?x WHERE { ?x <likes> ?y . }"
+        status, document = http_request(
+            f"{base_url}/t/bad/query", spec("v0", "v4", constraint=likes)
+        )
+        assert status == 200 and document["answer"] is True
+        assert len(loads) == 2
 
     def test_delete_tenant(self, base_url):
         status, document = http_request(

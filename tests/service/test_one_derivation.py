@@ -164,7 +164,8 @@ class TestHeir:
         expected = parent.get(s0, g0)
         parent._pending["held"] = (threading.Event(), [None])
         heir = parent.heir()
-        assert heir._pending == {} and s0 not in heir and s0 in parent
+        key = s0.to_sparql()
+        assert heir._pending == {} and key not in heir and key in parent
         assert heir.get(s0, g0) == expected
         stats = heir.stats()
         assert (stats.hits, stats.misses, stats.evictions) == (0, 2, 1)

@@ -1,12 +1,14 @@
-"""A cached answer takes one result-cache lock and one stats lock.
+"""A cached answer takes no cache lock and one stats lock.
 
 Counted, not timed: every lock the hit path could take is swapped for a
 proxy that counts its acquisitions.  A warmed hit — a ``/query`` body or
-a ``/batch`` member — takes exactly one result-cache lock (its counted,
-promoting :meth:`ResultCache.get`) and one stats lock (``record_query``);
-its constraint-cache hit takes none.  Under eight threads the
-constraint cache's lock-free counts still add up to one per call.  And
-``/batch`` refuses an over-long batch before it reads any member.
+a ``/batch`` member — takes one stats lock (``record_query``) and no
+cache lock: its constraint-cache hit, its result-cache probe and its
+counted :meth:`ResultCache.get` are each a dict read and a lock-free
+count, and so is a warm ``V(S, G)`` lookup.  Under eight threads the
+lock-free counts of the constraint, result and candidate caches still
+add up to one per call.  And ``/batch`` refuses an over-long batch
+before it reads any member.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.datasets.toy import figure3_graph
 from repro.exceptions import BadRequestError
 from repro.service import app as app_module
 from repro.service.app import QueryService
-from repro.service.cache import ConstraintCache
+from repro.service.cache import CandidateCache, ConstraintCache, ResultCache
 
 S0 = "SELECT ?x WHERE { ?x <friendOf> v3 . v3 <likes> ?y . }"
 S1 = "SELECT ?x WHERE { ?x <likes> ?y . }"
@@ -86,21 +88,28 @@ def taken(locks: dict[str, CountingLock]) -> dict[str, int]:
     return {name: lock.taken for name, lock in locks.items() if lock.taken}
 
 
-class TestAHitTakesOneCacheLock:
+class TestAHitTakesNoCacheLock:
     def test_a_single_query(self, service, locks):
         for body in POOL:
             assert service.handle_query(body)["cached"]
-        assert taken(locks) == {"result cache": len(POOL), "stats": len(POOL)}
+        assert taken(locks) == {"stats": len(POOL)}
 
     def test_a_batch_member(self, service, locks):
         replies = service.handle_batch({"queries": POOL + POOL})["results"]
         assert all(reply["cached"] for reply in replies)
-        # One of each per member; the batch itself adds two stats
-        # locks: its count and its own latency.
-        assert taken(locks) == {
-            "result cache": 2 * len(POOL),
-            "stats": 2 * len(POOL) + 2,
-        }
+        # One per member; the batch itself adds two stats locks: its
+        # count and its own latency.
+        assert taken(locks) == {"stats": 2 * len(POOL) + 2}
+
+    def test_a_warm_candidate_lookup(self, service, locks):
+        body = {**POOL[0], "algorithm": "uis*", "use_cache": False}
+        service.handle_query(body)  # V(S, G) of S0 is held from here on
+        before = service.epoch.candidates.stats()
+        held = locks["candidate cache"].taken
+        assert service.handle_query(body)["answer"] is True
+        assert locks["candidate cache"].taken == held
+        after = service.epoch.candidates.stats()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
     def test_the_constraint_cache_still_counts_its_hits(self, service, locks):
         before = service.constraints.stats()
@@ -112,10 +121,28 @@ class TestAHitTakesOneCacheLock:
         )
 
 
-def test_eight_threads_count_every_constraint_lookup(service):
-    """Hits are counted without the lock: each call still counts one
-    hit or one miss, however the threads interleave — new texts
-    included, whose parse a second thread may wait for."""
+def calls_of_get(monkeypatch, cls) -> list:
+    """One entry per call of ``cls.get`` from here on."""
+    calls: list = []
+    get = cls.get
+
+    def counted(cache, *args):
+        calls.append(None)
+        return get(cache, *args)
+
+    monkeypatch.setattr(cls, "get", counted)
+    return calls
+
+
+def test_eight_threads_count_every_constraint_lookup(service, monkeypatch):
+    """Hits are counted without the lock: each call of the constraint,
+    result or candidate cache still counts one hit or one miss, however
+    the threads interleave — new texts included, whose parse or
+    ``V(S, G)`` a second thread may wait for."""
+    lookups = {
+        "result_cache": calls_of_get(monkeypatch, ResultCache),
+        "candidate_cache": calls_of_get(monkeypatch, CandidateCache),
+    }
     threads_count, rounds = 8, 40
     texts = [S0, S1] + [
         f"SELECT ?x WHERE {{ ?x <likes> ?y{n} . }}" for n in range(6)
@@ -151,7 +178,12 @@ def test_eight_threads_count_every_constraint_lookup(service):
     document = service.stats_snapshot()["constraint_cache"]
     assert document["hits"] + document["misses"] == calls
     assert document["misses"] == len(texts)
-    assert service.stats_snapshot()["service"]["queries"]["total"] == calls
+    snapshot = service.stats_snapshot()
+    assert snapshot["service"]["queries"]["total"] == calls
+    for name, calls_made in lookups.items():
+        assert calls_made, name
+        counted = snapshot[name]["hits"] + snapshot[name]["misses"]
+        assert counted == len(calls_made), name
 
 
 class TestTheBatchLimitComesFirst:

@@ -160,7 +160,7 @@ def test_an_entry_evicted_after_the_probe_is_looked_up_once(monkeypatch):
 
         def probe_then_evict(cache, key):
             found = held(cache, key)
-            cache.clear()
+            cache.invalidate(key)
             return found
 
         monkeypatch.setattr(ResultCache, "__contains__", probe_then_evict)

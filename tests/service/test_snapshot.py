@@ -23,13 +23,13 @@ CONSTRAINT = "SELECT ?x WHERE { ?x <m> ?y . }"
 
 
 class TestResultCacheExport:
-    def test_export_import_preserves_values_and_lru_order(self):
+    def test_export_import_preserves_values_and_eviction_order(self):
         cache = ResultCache(max_size=8)
         for position in range(3):
             cache.put(("k", position), position * 10)
-        cache.get(("k", 0))  # refresh: 0 becomes most recent
+        cache.get(("k", 0))  # a hit does not promote: 0 stays oldest
         exported = cache.export_entries()
-        assert [key for key, _ in exported] == [("k", 1), ("k", 2), ("k", 0)]
+        assert [key for key, _ in exported] == [("k", 0), ("k", 1), ("k", 2)]
         warmed = ResultCache(max_size=8)
         assert warmed.import_entries(exported) == 3
         assert warmed.export_entries() == exported

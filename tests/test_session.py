@@ -103,9 +103,9 @@ class TestQuerying:
 
     def test_constraint_text_cached(self, session):
         session.ask("v0", "v4", ["likes", "follows"], S0)
-        cached = session._constraint_cache[S0]
+        cached = session._constraint_cache.get(S0)
         session.ask("v0", "v3", ["likes", "follows"], S0)
-        assert session._constraint_cache[S0] is cached
+        assert session._constraint_cache.get(S0) is cached
 
     def test_constraint_object_accepted(self, session):
         assert session.ask(

@@ -34,10 +34,12 @@ requests:
 
 Two API levels are exposed.  :meth:`query` / :meth:`query_batch` take
 Python values and return ``(QueryResult, meta)`` pairs;
-:meth:`handle_query` / :meth:`handle_batch` / :meth:`health` /
-:meth:`stats_snapshot` speak JSON-ready dicts and raise
-:class:`~repro.exceptions.BadRequestError` for anything a client got
-wrong, which the HTTP layer maps to structured 4xx responses.
+:meth:`handle_query` / :meth:`handle_batch` return the reply body
+(UTF-8 JSON bytes, assembled by :func:`query_body` / :func:`batch_body`
+from each result's members, encoded once per result object);
+:meth:`health` / :meth:`stats_snapshot` speak JSON-ready dicts.  All of
+them raise :class:`~repro.exceptions.BadRequestError` for anything a
+client got wrong, which the HTTP layer maps to structured 4xx responses.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Hashable, Iterable
 from dataclasses import asdict, replace
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 from threading import Lock
 from time import perf_counter
@@ -98,7 +102,7 @@ from repro.service.planner import (
 from repro.service.stats import ServiceStats
 from repro.utils.persist import atomic_write_json
 
-__all__ = ["QueryService", "validate_spec"]
+__all__ = ["QueryService", "batch_body", "query_body", "validate_spec"]
 
 _SPEC_FIELDS = ("source", "target", "labels", "constraint")
 
@@ -175,6 +179,101 @@ def _reads_back(name: Hashable) -> bool:
     except (TypeError, ValueError):
         return False
     return type(back) is type(name) and back == name
+
+
+def _float(value: float) -> str:
+    """A float as ``json.dumps`` writes it: its ``repr``, or ``NaN`` /
+    ``Infinity`` / ``-Infinity`` from the encoder."""
+    return float.__repr__(value) if isfinite(value) else json.dumps(value)
+
+
+#: How ``json.dumps`` writes each scalar type a reply member holds —
+#: a ``str`` through the encoder's own ``encode_basestring_ascii``.
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    bool: lambda value: "true" if value else "false",
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float,
+}
+
+
+def _json(value: Any) -> str:
+    """``json.dumps(value)``, byte for byte; a scalar of exactly one of
+    the :data:`_SCALARS` types takes no encoder call."""
+    encode = _SCALARS.get(type(value))
+    return json.dumps(value) if encode is None else encode(value)
+
+
+def _result_members(result: QueryResult) -> str:
+    """The reply members that come from ``result`` — ``answer``,
+    ``algorithm``, ``seconds``, ``passed_vertices`` — as JSON text,
+    encoded once per result object.
+
+    The text is kept in the frozen result's instance dict, outside its
+    dataclass fields, so equality, ``asdict`` and the snapshot file
+    never see it.  A result-cache hit returns the stored object, so its
+    reply re-encodes none of these.
+    """
+    members = result.__dict__.get("_reply_members")
+    if members is None:
+        members = result.__dict__["_reply_members"] = (
+            f'"answer": {_json(result.answer)}, '
+            f'"algorithm": {_json(result.algorithm)}, '
+            f'"seconds": {_json(result.seconds)}, '
+            f'"passed_vertices": {_json(result.passed_vertices)}'
+        )
+    return members
+
+
+def _answer_members(result: QueryResult, meta: dict) -> str:
+    """One answer's reply members as JSON text: the result's stored
+    ones, then this reply's own ``meta``."""
+    members = (
+        f'{_result_members(result)}, '
+        f'"cached": {_json(meta["cached"])}, '
+        f'"trivial": {_json(meta["trivial"])}, '
+        f'"reason": {_json(meta["reason"])}, '
+        f'"epoch": {_json(meta["epoch"])}, '
+        f'"source": {_json(meta.get("source", "evaluated"))}'
+    )
+    if "tier" in meta:
+        # Which router path settled the answer: "short-circuit"
+        # (sound bounds/witness) or "exact" (fell through to the
+        # evaluators); both answers are exact.
+        members += f', "tier": {_json(meta["tier"])}'
+    if "degraded" in meta:
+        # Shards were missing: ``answer`` covers only the surviving
+        # slices, and ``degraded["verdict"]`` says how to read it —
+        # "reachable" is still proven, "unknown" is not a "no".
+        members += f', "degraded": {_json(meta["degraded"])}'
+    return members
+
+
+def _reply_body(members: str, trace: Trace | None) -> bytes:
+    """A reply object from its members, a requested ``trace`` last."""
+    if trace is not None:
+        members += f', "trace": {json.dumps(trace.to_dict())}'
+    return f"{{{members}}}".encode()
+
+
+def query_body(
+    result: QueryResult, meta: dict, trace: Trace | None = None
+) -> bytes:
+    """The ``/query`` reply body for one answer: what ``json.dumps``
+    writes for its payload object, assembled from stored pieces."""
+    return _reply_body(_answer_members(result, meta), trace)
+
+
+def batch_body(
+    answered: list[tuple[QueryResult, dict]], trace: Trace | None = None
+) -> bytes:
+    """The ``/batch`` reply body for its answers, in order."""
+    results = ", ".join(
+        f"{{{_answer_members(result, meta)}}}" for result, meta in answered
+    )
+    return _reply_body(
+        f'"count": {len(answered)}, "results": [{results}]', trace
+    )
 
 
 class QueryService:
@@ -349,15 +448,21 @@ class QueryService:
         return DEFAULT_ALGORITHM
 
     def close(self) -> None:
-        """Release pooled resources (a sharded service's batch pool).
+        """Release pooled resources (a sharded service's batch pool) and
+        the attached write-ahead log's open segment.
 
         Called when a tenant is removed from a
         :class:`~repro.service.registry.TenantRegistry`.  Idempotent,
         and safe with stragglers: a request still holding this service
         keeps answering — a fresh pool is created on demand if one more
-        batch arrives.
+        batch arrives, and one more update batch reopens the segment.
+        The log is closed under the update lock every append holds, so
+        no append is cut in half.
         """
         self.executor.shutdown()
+        if self._wal is not None:
+            with self._update_lock:
+                self._wal.close()
 
     # ------------------------------------------------------------------
     # Python-level API
@@ -1108,10 +1213,11 @@ class QueryService:
             active = self._start_trace(name, requested)
             return self._run_traced(active, call, *args, **kwargs), active
 
-    def handle_query(self, payload: object, *, trace: bool = False) -> dict:
-        """``POST /query``: validate a JSON payload and answer it.
+    def handle_query(self, payload: object, *, trace: bool = False) -> bytes:
+        """``POST /query``: validate a JSON payload, answer it and return
+        the reply body (UTF-8 JSON, :func:`query_body`).
 
-        With ``trace=True`` (the HTTP layer's ``?trace=1``) the response
+        With ``trace=True`` (the HTTP layer's ``?trace=1``) the reply
         carries the request's full span tree under ``"trace"``.
         """
         spec = validate_spec(payload, where="query")
@@ -1119,13 +1225,11 @@ class QueryService:
             (result, meta), active = self._serve("query", trace, self.query, **spec)
         except (ConstraintError, SparqlError) as error:
             raise BadRequestError(f"invalid query: {error}") from error
-        response = self._result_payload(result, meta)
-        if trace:
-            response["trace"] = active.to_dict()
-        return response
+        return query_body(result, meta, active if trace else None)
 
-    def handle_batch(self, payload: object, *, trace: bool = False) -> dict:
-        """``POST /batch``: validate and answer a batch payload."""
+    def handle_batch(self, payload: object, *, trace: bool = False) -> bytes:
+        """``POST /batch``: validate and answer a batch payload, and
+        return the reply body (UTF-8 JSON, :func:`batch_body`)."""
         if not isinstance(payload, dict) or "queries" not in payload:
             raise BadRequestError(
                 "batch body must be a JSON object with a 'queries' array"
@@ -1147,13 +1251,7 @@ class QueryService:
             )
         except (ConstraintError, SparqlError) as error:
             raise BadRequestError(f"invalid query in batch: {error}") from error
-        response = {
-            "count": len(answered),
-            "results": [self._result_payload(r, m) for r, m in answered],
-        }
-        if trace:
-            response["trace"] = active.to_dict()
-        return response
+        return batch_body(answered, active if trace else None)
 
     def handle_updates(self, payload: object, *, trace: bool = False) -> dict:
         """``POST /edges``: validate a JSON update batch and apply it.
@@ -1376,31 +1474,3 @@ class QueryService:
         warmed = epoch.results.import_entries(entries)
         self.stats.restore(document.get("stats", {}))
         return {"results": warmed, "stale_results": 0}
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _result_payload(result: QueryResult, meta: dict) -> dict:
-        """One query's JSON response body."""
-        payload = {
-            "answer": result.answer,
-            "algorithm": result.algorithm,
-            "seconds": result.seconds,
-            "passed_vertices": result.passed_vertices,
-            "cached": meta["cached"],
-            "trivial": meta["trivial"],
-            "reason": meta["reason"],
-            "epoch": meta["epoch"],
-            "source": meta.get("source", "evaluated"),
-        }
-        if "tier" in meta:
-            # Which router path settled the answer: "short-circuit"
-            # (sound bounds/witness) or "exact" (fell through to the
-            # evaluators); both answers are exact.
-            payload["tier"] = meta["tier"]
-        if "degraded" in meta:
-            # Shards were missing: ``answer`` covers only the surviving
-            # slices, and ``degraded["verdict"]`` says how to read it —
-            # "reachable" is still proven, "unknown" is not a "no".
-            payload["degraded"] = meta["degraded"]
-        return payload

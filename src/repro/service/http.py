@@ -8,7 +8,9 @@ The server routes onto a :class:`~repro.service.registry.TenantRegistry`
   (``{"source", "target", "labels", "constraint", "algorithm"?,
   "use_cache"?}``);
 * ``POST /t/<tenant>/batch``  — answer a batch (``{"queries":
-  [spec, ...], "use_cache"?}``), order-preserving and concurrent;
+  [spec, ...], "use_cache"?}``), order-preserving; a plain tenant
+  answers the members in the request thread, a sharded one overlaps
+  the members that wait on scatter rounds;
 * ``POST /t/<tenant>/edges``  — apply a live edge update batch
   (``{"edges": [{"source", "label", "target", "op"?}, ...]}``) and
   publish a new serving epoch; gated behind ``serve --allow-updates``
@@ -50,7 +52,11 @@ Errors are structured: every failure body is
 status — unknown tenant ids give 404, duplicate registrations 409.
 ``ThreadingHTTPServer`` gives one thread per connection; the registry
 and each :class:`~repro.service.app.QueryService` are safe for that by
-construction (immutable graphs/indexes, locked caches and counters).
+construction (immutable graphs/indexes; caches whose hit is one
+unlocked dict read and whose writes take a lock; locked counters).
+A ``/query`` or ``/batch`` reply body comes from the service as bytes,
+assembled from each result's JSON members encoded once per result
+object; every other reply is ``json.dumps`` of a dict.
 
 Binding ``port=0`` asks the OS for an ephemeral port — the bound
 address is on ``server.server_address`` — which is how the integration
@@ -91,6 +97,9 @@ __all__ = [
 
 #: Refuse request bodies larger than this many bytes (memory guard).
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: ``Content-Type`` of every JSON reply.
+_JSON = "application/json; charset=utf-8"
 
 #: ``HTTP/<major>.<minor>``, each number at most ten digits.
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
@@ -368,10 +377,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 # batches are admin operations that must run to the end.
                 with self._request_scope(query):
                     if endpoint == "query":
-                        response = service.handle_query(payload, trace=trace)
+                        body = service.handle_query(payload, trace=trace)
                     else:
-                        response = service.handle_batch(payload, trace=trace)
-                self._send_json(200, response)
+                        body = service.handle_batch(payload, trace=trace)
+                self._send(200, _JSON, body)
         except BadRequestError as error:
             kind = self._error_kind(error)
             if service is not None:
@@ -592,12 +601,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         payload: dict,
         headers: dict[str, str] | None = None,
     ) -> None:
-        self._send(
-            status,
-            "application/json; charset=utf-8",
-            json.dumps(payload).encode("utf-8"),
-            headers,
-        )
+        self._send(status, _JSON, json.dumps(payload).encode("utf-8"), headers)
 
     def _send_text(self, status: int, text: str) -> None:
         """Prometheus exposition body (text format 0.0.4)."""

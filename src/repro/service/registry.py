@@ -228,7 +228,7 @@ class TenantRegistry:
 
         Raises :class:`UnknownTenantError` when absent.  The removed
         service is :meth:`~QueryService.close`\\ d to release a sharded
-        service's batch member pool.
+        service's batch member pool and its write-ahead log's segment.
         """
         with self._lock:
             entry = self._entries.pop(name, None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from contextlib import ExitStack
 
 import pytest
@@ -187,7 +188,7 @@ SPEC = {"source": "s", "target": "t", "labels": ["go"], "constraint": MARK}
 
 class TestWitnessComesFromTheSearch:
     def test_exact_fallthrough_stores_the_walked_path(self, service, no_second_search):
-        document = service.handle_query(SPEC, trace=True)
+        document = json.loads(service.handle_query(SPEC, trace=True))
         assert document["answer"] is True and document["algorithm"] == "Meet"
         store = _span(document["trace"], "witness-store")
         assert store["attrs"] == {"stored": True}
@@ -197,7 +198,7 @@ class TestWitnessComesFromTheSearch:
         # The stored path outlives the epoch: after a swap the repeat is
         # a definite-Yes that never reaches an evaluator.
         service.apply_updates([("u", "go", "s")])
-        document = service.handle_query(SPEC, trace=True)
+        document = json.loads(service.handle_query(SPEC, trace=True))
         assert document["algorithm"] == "witness" and document["epoch"] == 1
         assert _span(document["trace"], "route")["attrs"]["verdict"] == "yes-witness"
 

@@ -158,7 +158,7 @@ class TestServiceIntegration:
     def test_admitted_requests_answer_normally(self):
         service = QueryService(make_graph(), max_concurrent=4)
         try:
-            document = service.handle_query(dict(QUERY))
+            document = json.loads(service.handle_query(dict(QUERY)))
             assert document["answer"] is True
             assert service.admission.stats()["admitted"] == 1
             assert service.admission.stats()["active"] == 0

@@ -21,6 +21,7 @@ caches, stats and session pools don't bleed into each other.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -173,12 +174,12 @@ class TestTwoTenantAgreement:
                 ("b", {"source": sb, "target": tb, "labels": lb, "constraint": cb},
                  expected_b),
             ):
-                document = registry.get(tenant).handle_query(spec)
+                document = json.loads(registry.get(tenant).handle_query(spec))
                 assert document["answer"] == expected, (
                     f"seed={seed} tenant={tenant} {spec}: "
                     f"service={document['answer']} naive={expected}"
                 )
-                repeat = registry.get(tenant).handle_query(spec)
+                repeat = json.loads(registry.get(tenant).handle_query(spec))
                 assert repeat["answer"] == expected
                 assert repeat["cached"] or repeat["trivial"]
 
@@ -210,8 +211,8 @@ class TestTwoTenantAgreement:
             "source": "s", "target": "t", "labels": ["go"],
             "constraint": "SELECT ?x WHERE { ?x <mark> ?y . }",
         }
-        assert registry.get("yes").handle_query(spec)["answer"] is True
-        assert registry.get("no").handle_query(spec)["answer"] is False
+        assert json.loads(registry.get("yes").handle_query(spec))["answer"] is True
+        assert json.loads(registry.get("no").handle_query(spec))["answer"] is False
         # Repeat in the opposite order, now against warm caches.
-        assert registry.get("no").handle_query(spec)["answer"] is False
-        assert registry.get("yes").handle_query(spec)["answer"] is True
+        assert json.loads(registry.get("no").handle_query(spec))["answer"] is False
+        assert json.loads(registry.get("yes").handle_query(spec))["answer"] is True

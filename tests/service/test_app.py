@@ -1,5 +1,6 @@
 """Tests for QueryService (dict-level API, caching, batching, warm start)."""
 
+import json
 import threading
 from contextlib import ExitStack
 
@@ -175,7 +176,7 @@ class TestBatch:
 class TestJsonApi:
     def test_handle_query_round_trip(self, service):
         payload = {"source": "v0", "target": "v4", "labels": LABELS, "constraint": S0}
-        document = service.handle_query(payload)
+        document = json.loads(service.handle_query(payload))
         assert document["answer"] is True
         assert document["algorithm"] == "Meet"
         assert document["cached"] is False
@@ -185,7 +186,7 @@ class TestJsonApi:
             "source": "v0", "target": "v4",
             "labels": "likes,follows", "constraint": S0,
         }
-        assert service.handle_query(payload)["answer"] is True
+        assert json.loads(service.handle_query(payload))["answer"] is True
 
     @pytest.mark.parametrize(
         "payload, match",
@@ -236,7 +237,7 @@ class TestJsonApi:
                 {"source": "v0", "target": "v3", "labels": LABELS, "constraint": S0},
             ]
         }
-        document = service.handle_batch(payload)
+        document = json.loads(service.handle_batch(payload))
         assert document["count"] == 2
         assert [entry["answer"] for entry in document["results"]] == [True, False]
 

@@ -415,7 +415,8 @@ class TestEdgesDoor:
         # The graph moves under the door, so the answer may too; the
         # twin asks as well, so both carry the same cached candidates.
         status, document = post(connection, "/query", encode(VALID[0]))
-        assert (status, document["answer"]) == (200, twin.handle_query(VALID[0])["answer"])
+        twin_reply = json.loads(twin.handle_query(VALID[0]))
+        assert (status, document["answer"]) == (200, twin_reply["answer"])
 
 
 # ---------------------------------------------------------------------------

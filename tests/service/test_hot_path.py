@@ -10,6 +10,7 @@ fields, the span tree, and every 400.
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 from collections import Counter
@@ -72,6 +73,7 @@ def counts(monkeypatch) -> Counter:
     count(SelectQuery, "__str__")
     count(ThreadPoolExecutor, "submit")
     count(ResultCache, "get")
+    count(json.JSONEncoder, "encode")
     return tally
 
 
@@ -90,20 +92,25 @@ def section(service: QueryService) -> dict:
 class TestAHitCostsALookup:
     @pytest.fixture()
     def warm(self, service, counts):
-        replies = service.handle_batch({"queries": POOL})["results"]
+        replies = json.loads(service.handle_batch({"queries": POOL}))["results"]
         assert not any(reply["cached"] or reply["trivial"] for reply in replies)
         counts.clear()
         return service
 
     def hit_everything(self, service) -> list[dict]:
-        replies = [service.handle_query(POOL[0])]
-        replies += service.handle_batch({"queries": POOL})["results"]
+        replies = [json.loads(service.handle_query(POOL[0]))]
+        replies += json.loads(service.handle_batch({"queries": POOL}))["results"]
         assert all(reply["cached"] for reply in replies)
         return replies
 
     @pytest.mark.parametrize(
         "step",
-        ["CompiledPattern.__init__", "SelectQuery.__str__", "ThreadPoolExecutor.submit"],
+        [
+            "CompiledPattern.__init__",
+            "SelectQuery.__str__",
+            "ThreadPoolExecutor.submit",
+            "JSONEncoder.encode",
+        ],
     )
     def test_a_hit_does_none_of_the_slow_steps(self, warm, counts, step):
         self.hit_everything(warm)
@@ -126,7 +133,7 @@ class TestAHitCostsALookup:
         for _ in range(3):
             self.hit_everything(warm)
         warm.apply_updates([("v0", "likes", "v9")])
-        replies = warm.handle_batch({"queries": POOL})["results"]
+        replies = json.loads(warm.handle_batch({"queries": POOL}))["results"]
         assert not any(reply["cached"] for reply in replies)
         self.hit_everything(warm)
         assert warm.results.stats().misses == 2 * len(POOL)
@@ -158,12 +165,13 @@ class TestMixedBatch:
         reference = QueryService(figure3_graph(), seed=0, cache_size=0)
         try:
             expected = [
-                reference.handle_query(member)["answer"] for member in self.MIXED
+                json.loads(reference.handle_query(member))["answer"]
+                for member in self.MIXED
             ]
         finally:
             reference.close()
         assert expected == [True, True, False, True, True, False, False]
-        replies = warm.handle_batch({"queries": self.MIXED})["results"]
+        replies = json.loads(warm.handle_batch({"queries": self.MIXED}))["results"]
         assert [reply["answer"] for reply in replies] == expected
         assert [reply["cached"] for reply in replies] == [
             kind == "hit" for kind in self.KINDS
@@ -195,7 +203,8 @@ class TestMixedBatch:
         assert len(warm.results) == stored + 2
 
     def test_one_query_span_per_member(self, warm):
-        trace = warm.handle_batch({"queries": self.MIXED}, trace=True)["trace"]
+        body = warm.handle_batch({"queries": self.MIXED}, trace=True)
+        trace = json.loads(body)["trace"]
         assert trace["name"] == "batch"
         names = [child["name"] for child in trace["children"]]
         assert names[0] == "plan-batch"
@@ -232,9 +241,9 @@ class TestMixedBatch:
         # Member 2 asks what member 0 asks and nothing is cached yet: it
         # is looked up once member 0's answer is in — one evaluation, one
         # lookup each, and the reply a client always got for the repeat.
-        replies = service.handle_batch(
+        replies = json.loads(service.handle_batch(
             {"queries": [POOL[0], POOL[1], POOL[0], {**POOL[0], "use_cache": False}]}
-        )["results"]
+        ))["results"]
         assert [reply["cached"] for reply in replies] == [False, False, True, False]
         assert [reply["source"] for reply in replies] == [
             "evaluated", "evaluated", "result-cache", "evaluated",
@@ -246,7 +255,8 @@ class TestMixedBatch:
         assert service.stats.snapshot()["queries"]["executed"] == 3
 
     def test_an_all_hit_batch_never_reaches_the_executor(self, warm):
-        trace = warm.handle_batch({"queries": self.HITS}, trace=True)["trace"]
+        body = warm.handle_batch({"queries": self.HITS}, trace=True)
+        trace = json.loads(body)["trace"]
         assert [child["name"] for child in trace["children"]] == [
             "plan-batch", "query", "query", "query",
         ]
@@ -314,7 +324,7 @@ class TestMixedRoleVariable:
 
     def test_rule_order_is_unchanged(self, service):
         # An endpoint the graph does not have is decided first, as ever.
-        reply = service.handle_query(spec("v0", "ghost", MIXED_ROLES))
+        reply = json.loads(service.handle_query(spec("v0", "ghost", MIXED_ROLES)))
         assert reply["trivial"] and reply["answer"] is False
 
 

@@ -475,6 +475,7 @@ class TestCliServe:
         finally:
             process.terminate()
             process.wait(timeout=10)
+            process.stdout.close()
 
     @staticmethod
     def _await_ready_line(process, timeout=30.0):

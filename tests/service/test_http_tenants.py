@@ -385,6 +385,7 @@ class TestCliServeTenants:
         finally:
             process.terminate()
             process.wait(timeout=10)
+            process.stdout.close()
 
 
 def _await_ready_line(process, timeout=30.0):

@@ -121,6 +121,7 @@ class TestServe:
         finally:
             process.terminate()
             process.wait(timeout=10)
+            process.stdout.close()
 
 
 class TestFirstRead:

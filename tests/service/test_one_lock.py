@@ -13,6 +13,7 @@ before it reads any member.
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 
@@ -91,11 +92,11 @@ def taken(locks: dict[str, CountingLock]) -> dict[str, int]:
 class TestAHitTakesNoCacheLock:
     def test_a_single_query(self, service, locks):
         for body in POOL:
-            assert service.handle_query(body)["cached"]
+            assert json.loads(service.handle_query(body))["cached"]
         assert taken(locks) == {"stats": len(POOL)}
 
     def test_a_batch_member(self, service, locks):
-        replies = service.handle_batch({"queries": POOL + POOL})["results"]
+        replies = json.loads(service.handle_batch({"queries": POOL + POOL}))["results"]
         assert all(reply["cached"] for reply in replies)
         # One per member; the batch itself adds two stats locks: its
         # count and its own latency.
@@ -106,7 +107,7 @@ class TestAHitTakesNoCacheLock:
         service.handle_query(body)  # V(S, G) of S0 is held from here on
         before = service.epoch.candidates.stats()
         held = locks["candidate cache"].taken
-        assert service.handle_query(body)["answer"] is True
+        assert json.loads(service.handle_query(body))["answer"] is True
         assert locks["candidate cache"].taken == held
         after = service.epoch.candidates.stats()
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)

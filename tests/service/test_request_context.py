@@ -472,10 +472,10 @@ class TestProbeUnderDeadline:
             "source": str(query.source), "target": str(query.target),
             "labels": LABELS, "constraint": CONSTRAINT, "use_cache": False,
         }
-        bare = sharded.handle_query(dict(body), trace=True)["trace"]
+        bare = json.loads(sharded.handle_query(dict(body), trace=True))["trace"]
         bounded = Deadline.after_ms(60_000)
         with activate(RequestContext(deadline=bounded)):
-            timed = sharded.handle_query(dict(body), trace=True)["trace"]
+            timed = json.loads(sharded.handle_query(dict(body), trace=True))["trace"]
         (probe,) = _spans(bare, "co-located")
         (timed_probe,) = _spans(timed, "co-located")
         assert probe["children"], "the probe's search left no spans"
@@ -546,7 +546,7 @@ class TestBatchUnderContext:
                 ]
             }
             with activate(RequestContext(deadline=Deadline.after_ms(60_000))):
-                tree = service.handle_batch(payload, trace=True)["trace"]
+                tree = json.loads(service.handle_batch(payload, trace=True))["trace"]
         finally:
             service.close()
         assert tree["name"] == "batch"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.datasets.toy import figure3_graph
@@ -39,7 +41,7 @@ def _child(node: dict, name: str) -> dict:
 
 class TestQueryTrace:
     def test_trace_echoed_when_requested(self, service):
-        document = service.handle_query(SPEC, trace=True)
+        document = json.loads(service.handle_query(SPEC, trace=True))
         trace = document["trace"]
         assert trace["name"] == "query"
         assert trace["sampled"] is False
@@ -58,19 +60,19 @@ class TestQueryTrace:
         assert cache["attrs"]["candidates"] >= 1
 
     def test_no_trace_key_by_default(self, service):
-        assert "trace" not in service.handle_query(SPEC)
+        assert "trace" not in json.loads(service.handle_query(SPEC))
 
     def test_source_field(self, service):
-        first = service.handle_query(SPEC)
+        first = json.loads(service.handle_query(SPEC))
         assert first["source"] == "evaluated"
-        second = service.handle_query(SPEC)
+        second = json.loads(service.handle_query(SPEC))
         assert second["source"] == "result-cache"
-        trivial = service.handle_query({**SPEC, "target": "missing"})
+        trivial = json.loads(service.handle_query({**SPEC, "target": "missing"}))
         assert trivial["source"] == "planner"
 
     def test_cache_hit_trace_has_no_execute_span(self, service):
         service.handle_query(SPEC)
-        document = service.handle_query(SPEC, trace=True)
+        document = json.loads(service.handle_query(SPEC, trace=True))
         trace = document["trace"]
         assert _names(trace) == ["plan", "result-cache"]
         assert _child(trace, "result-cache")["attrs"] == {"hit": True}
@@ -84,7 +86,7 @@ class TestQueryTrace:
 class TestBatchTrace:
     def test_batch_trace_has_per_query_spans(self, service):
         payload = {"queries": [SPEC, {**SPEC, "target": "v3"}]}
-        document = service.handle_batch(payload, trace=True)
+        document = json.loads(service.handle_batch(payload, trace=True))
         trace = document["trace"]
         assert trace["name"] == "batch"
         assert "plan-batch" in _names(trace)
@@ -97,7 +99,7 @@ class TestBatchTrace:
         assert executor["attrs"]["items"] == 2
 
     def test_untraced_batch_unchanged(self, service):
-        document = service.handle_batch({"queries": [SPEC]})
+        document = json.loads(service.handle_batch({"queries": [SPEC]}))
         assert "trace" not in document
         assert document["results"][0]["source"] == "evaluated"
 
@@ -139,7 +141,7 @@ class TestSampling:
         service = QueryService(
             graph, seed=0, trace_sample=1.0, slow_ms=0.0
         )
-        document = service.handle_query(SPEC)
+        document = json.loads(service.handle_query(SPEC))
         assert "trace" not in document          # sampled, never echoed
         entries = service.flight.snapshot()
         assert len(entries) == 1

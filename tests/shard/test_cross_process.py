@@ -96,6 +96,7 @@ def stop_workers(procs):
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
 
 
 def random_specs(rng, count=QUERIES_PER_PHASE, extra_vertices=()):

@@ -9,6 +9,7 @@ the span counts agree with the coordinator's own telemetry.
 
 from __future__ import annotations
 
+import json
 from contextlib import ExitStack
 
 from repro.context import RequestContext, activate
@@ -123,7 +124,7 @@ class TestServiceTrace:
             document = None
             for source in names[:4]:
                 for target in names[-4:]:
-                    candidate = service.handle_query(
+                    candidate = json.loads(service.handle_query(
                         {
                             "source": source,
                             "target": target,
@@ -131,7 +132,7 @@ class TestServiceTrace:
                             "constraint": CONSTRAINT,
                         },
                         trace=True,
-                    )
+                    ))
                     if _spans(candidate["trace"], "expand"):
                         document = candidate
                         break

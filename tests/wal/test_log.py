@@ -350,6 +350,35 @@ class TestRecoverService:
             leader.close()
             root.close()
 
+    def test_removing_a_tenant_closes_its_segment(self, tmp_path):
+        # DELETE /t/<name> on a ``serve --wal`` server: the removed
+        # service lets go of its open segment, and the tenant registered
+        # in its place appends on to the same log.
+        from repro.graph.io import dump_tsv
+        from repro.service.registry import TenantRegistry
+
+        graph = make_graph()
+        tsv = tmp_path / "base.tsv"
+        dump_tsv(graph, tsv)
+        root = UpdateWal(tmp_path / "wal")
+        wal = root.tenant("default")
+        registry = TenantRegistry()
+        registry.add("default", make_leader(wal, graph.copy()))
+        registry.get().apply_updates([("a", "go", "b")])
+        segment = wal._handle
+        assert segment is not None and not segment.closed
+        registry.remove("default")
+        assert segment.closed and wal._handle is None
+
+        successor, replay = recover_service(root.tenant("default"), graph_path=tsv)
+        registry.add("default", successor)
+        assert replay["applied"] == 1
+        successor.apply_updates([("b", "go", "c")])
+        assert [r.epoch for r in wal.read_records()] == [1, 2]
+        assert [r.seq for r in wal.read_records()] == [1, 2]
+        registry.remove("default")
+        assert wal._handle is None
+
     def test_compact_every_must_be_positive(self, tmp_path):
         with pytest.raises(WalCorruptionError):
             TenantWal(tmp_path, "default", compact_every=0)

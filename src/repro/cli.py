@@ -62,7 +62,6 @@ from repro.datasets.lubm import SCALED_DATASETS, generate_dataset
 from repro.datasets.synthetic import random_labeled_graph
 from repro.datasets.yago import YagoConfig, generate_yago_like
 from repro.exceptions import ReproError, ServiceConfigError
-from repro.graph.csr import freeze_graph
 from repro.graph.io import dump_tsv, load_tsv
 from repro.graph.stats import graph_stats, label_histogram
 from repro.index.local_index import build_local_index
@@ -334,9 +333,9 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    # One-shot queries still freeze: the O(|V| + |E|) snapshot build is
-    # minor next to TSV parsing, and the search runs on the CSR layout.
-    graph = load_tsv(args.graph).freeze()
+    # One-shot queries boot like the server: the search runs on the CSR
+    # layout, and no dict graph is built only to be frozen.
+    graph = load_tsv(args.graph, frozen=True)
     constraint = SubstructureConstraint.from_sparql(args.constraint)
     query = LSCRQuery.create(args.source, args.target, args.labels, constraint)
     index = None
@@ -369,7 +368,7 @@ def _cmd_cut(args: argparse.Namespace) -> int:
     ``serve --graph G --shards N --seed S`` derives too)."""
     if args.shards < 1:
         raise ServiceConfigError(f"--shards must be >= 1, got {args.shards}")
-    graph = freeze_graph(load_tsv(args.graph, name=Path(args.graph).stem))
+    graph = load_tsv(args.graph, name=Path(args.graph).stem, frozen=True)
     *_, plan = derive_shard_plan(
         graph, args.shards, landmark_count=args.k, seed=args.seed
     )

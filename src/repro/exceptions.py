@@ -150,6 +150,28 @@ class TenantExistsError(BadRequestError):
         self.tenant = tenant
 
 
+class TenantLoggedError(BadRequestError):
+    """A file registration reused the id of a removed tenant that had a
+    write-ahead log attached (HTTP 409).
+
+    Its base graph alone would serve epoch 0 without the logged updates,
+    and with no log attached: only recovery (``serve --wal``) brings the
+    tenant back whole.
+    """
+
+    kind = "tenant-logged"
+
+    def __init__(self, tenant: object):
+        super().__init__(
+            f"tenant {tenant!r} was removed with a write-ahead log attached; "
+            "its base graph alone would lose the logged updates — restart "
+            "serve --wal to bring it back with its log",
+            status=409,
+            detail={"tenant": tenant},
+        )
+        self.tenant = tenant
+
+
 class UpdatesDisabledError(BadRequestError):
     """Live updates were not enabled for this server (HTTP 403).
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 
 from repro.exceptions import FrozenGraphError
-from repro.graph.labeled_graph import Edge, KnowledgeGraph, Rows
+from repro.graph.labeled_graph import Edge, KnowledgeGraph, Row
 from repro.graph.labels import iter_mask_bits
 from repro.obs.trace import span
 
@@ -74,7 +74,8 @@ class CsrDirection:
     * ``all_targets[v]`` — every neighbour as one tuple (label-major,
       ascending), returned allocation-free when the query mask covers
       every label on ``v`` (the overwhelmingly common case for
-      2-4-label constraints);
+      2-4-label constraints); a row of one label group (a third of the
+      LUBM graph's rows) shares that group's tuple here, not a copy;
     * ``groups[v]`` — ``(label_id, targets_tuple)`` pairs in ascending
       label order, iterated (one step per *distinct label*, never per
       edge) when the mask hits only part of the row, and by the edge
@@ -85,7 +86,7 @@ class CsrDirection:
     should be built as a view per row, so that it inherits the sharing
     below.
 
-    ``CsrDirection(adjacency)`` cuts every row; :meth:`derive` re-cuts
+    ``CsrDirection(rows, size)`` cuts every row; :meth:`derive` re-cuts
     only the rows a batch wrote and shares every other cell with its
     parent — same objects, safe because neither side can write them.
     ``rows_recut`` / ``rows_shared`` say how the rows came about.
@@ -102,12 +103,11 @@ class CsrDirection:
         "rows_recut",
     )
 
-    def __init__(self, adjacency: Rows) -> None:
-        size = len(adjacency)
+    def __init__(self, rows: Iterable[tuple[int, Row]], size: int) -> None:
         self.masks: list[int] = [0] * size
         self.all_targets: list[tuple[int, ...]] = [_EMPTY] * size
         self.groups: list[tuple[tuple[int, tuple[int, ...]], ...]] = [_EMPTY] * size
-        self._cut_rows(adjacency, range(size))
+        self._cut_rows(rows)
         self.rows_recut = size
 
     def derive(
@@ -121,7 +121,7 @@ class CsrDirection:
         child.masks = self.masks + [0] * appended
         child.all_targets = self.all_targets + [_EMPTY] * appended
         child.groups = self.groups + [_EMPTY] * appended
-        child._cut_rows(edits, edits)
+        child._cut_rows(edits.items())
         child.rows_recut = len(edits.keys() | range(len(self.masks), size))
         return child
 
@@ -130,12 +130,14 @@ class CsrDirection:
         """Rows that are the parent's own objects (0 when cut from scratch)."""
         return len(self.masks) - self.rows_recut
 
-    def _cut_rows(self, adjacency, rows: Iterable[int]) -> None:
-        """Cut ``rows`` of ``adjacency`` into the three lists — the one
-        place a row is made, at boot (every row) and on a derive alike."""
+    def _cut_rows(self, rows: Iterable[tuple[int, Row]]) -> None:
+        """Cut each ``(vertex_id, dict_row)`` of ``rows`` into the three
+        lists — the one place a row is made, at boot (every row, each
+        dropped by its producer once cut) and on a derive alike.  A row
+        of one label group shares that group's tuple as its
+        ``all_targets``."""
         masks, all_targets, groups = self.masks, self.all_targets, self.groups
-        for vid in rows:
-            per_vertex = adjacency[vid]
+        for vid, per_vertex in rows:
             vertex_mask = 0
             vertex_groups: list[tuple[int, tuple[int, ...]]] = []
             flat: list[int] = []
@@ -145,8 +147,10 @@ class CsrDirection:
                 vertex_groups.append((label_id, tuple(vertex_targets)))
                 flat.extend(vertex_targets)
             masks[vid] = vertex_mask
-            all_targets[vid] = tuple(flat)
             groups[vid] = tuple(vertex_groups)
+            all_targets[vid] = (
+                vertex_groups[0][1] if len(vertex_groups) == 1 else tuple(flat)
+            )
 
     def by_label(self, vid: int, label_id: int) -> tuple[int, ...]:
         """The ``(vid, label_id)`` target group (cached tuple; maybe empty)."""
@@ -217,10 +221,15 @@ class FrozenGraph(KnowledgeGraph):
     """Read-only CSR snapshot of a :class:`KnowledgeGraph`.
 
     Construct via :meth:`KnowledgeGraph.freeze` / :func:`freeze_graph`,
-    or from another snapshot with :meth:`derive`.  Ids, names, labels
-    and the schema are those of the graph it was frozen from, so any
-    id-keyed structure built against that graph (a local index, cached
-    candidate lists, planner keys) remains valid against the snapshot.
+    which leave the graph they freeze intact; at boot, straight from the
+    triples with ``KnowledgeGraph.from_triples(..., frozen=True)`` (or
+    ``load_tsv(..., frozen=True)``), which cuts each row as it is
+    finished and drops its dict form, so no mutable graph ever exists
+    beside the snapshot; or from another snapshot with :meth:`derive`.
+    Ids, names, labels and the schema are those of the graph it was
+    frozen from, so any id-keyed structure built against that graph (a
+    local index, cached candidate lists, planner keys) remains valid
+    against the snapshot.
 
     >>> g = KnowledgeGraph()
     >>> _ = g.add_edge("a", "l", "b")
@@ -231,8 +240,18 @@ class FrozenGraph(KnowledgeGraph):
 
     __slots__ = ("_csr_out", "_csr_in")
 
-    def __init__(self, graph: KnowledgeGraph) -> None:
-        """Cut every row of ``graph`` and take over its other containers."""
+    def __init__(
+        self,
+        graph: KnowledgeGraph,
+        rows: tuple[Iterable[tuple[int, Row]], Iterable[tuple[int, Row]]] | None = None,
+    ) -> None:
+        """Cut every row of ``graph`` and take over its other containers.
+
+        ``rows`` are the out- and in-rows to cut, as ``(vertex_id, row)``
+        pairs; by default ``graph``'s own, which are left intact.  The
+        serving boot (:meth:`KnowledgeGraph.from_triples` with
+        ``frozen=True``) hands in rows that are dropped as they are cut.
+        """
         # Deliberately no super().__init__(): every base slot but the
         # rows is bound to ``graph``'s structures, uncopied, so inherited
         # read methods answer for the same graph, ids included.
@@ -246,8 +265,9 @@ class FrozenGraph(KnowledgeGraph):
         self._label_edge_count = graph._label_edge_count
         self._mutations = graph._mutations
         self._edge_acc = graph._edge_acc
-        self._csr_out = CsrDirection(graph._out)
-        self._csr_in = CsrDirection(graph._in)
+        out_rows, in_rows = rows or (enumerate(graph._out), enumerate(graph._in))
+        self._csr_out = CsrDirection(out_rows, graph.num_vertices)
+        self._csr_in = CsrDirection(in_rows, graph.num_vertices)
 
     def __repr__(self) -> str:
         return (

@@ -55,12 +55,20 @@ def load_tsv(
     source: str | Path | TextIO,
     name: str = "kg",
     rebuild_schema: bool = True,
+    *,
+    frozen: bool = False,
 ) -> KnowledgeGraph:
-    """Read a TSV edge list back into a graph (schema rebuilt by default)."""
+    """Read a TSV edge list back into a graph (schema rebuilt by default).
+
+    ``frozen=True`` is the serving boot: the result is the graph's CSR
+    snapshot, each row cut and its dict form dropped as the file is
+    finished, never the mutable graph and its snapshot side by side
+    (:meth:`KnowledgeGraph.from_triples`).
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
-            return _read_tsv(handle, name, rebuild_schema)
-    return _read_tsv(source, name, rebuild_schema)
+            return _read_tsv(handle, name, rebuild_schema, frozen)
+    return _read_tsv(source, name, rebuild_schema, frozen)
 
 
 def loads_tsv(text: str, name: str = "kg", rebuild_schema: bool = True) -> KnowledgeGraph:
@@ -68,14 +76,18 @@ def loads_tsv(text: str, name: str = "kg", rebuild_schema: bool = True) -> Knowl
     return _read_tsv(io.StringIO(text), name, rebuild_schema)
 
 
-def _read_tsv(handle: TextIO, name: str, rebuild_schema: bool) -> KnowledgeGraph:
+def _read_tsv(
+    handle: TextIO, name: str, rebuild_schema: bool, frozen: bool = False
+) -> KnowledgeGraph:
     """The graph of ``handle``'s edge lines — streamed, one pass — and
     its schema."""
     triples: Iterable[Sequence[str]] = _tsv_triples(handle)
     schema = RDFSchema()
     if rebuild_schema:
         triples = _recording(schema, triples)
-    return KnowledgeGraph.from_triples(triples, name=name, schema=schema)
+    return KnowledgeGraph.from_triples(
+        triples, name=name, schema=schema, frozen=frozen
+    )
 
 
 def _tsv_triples(handle: TextIO) -> Iterator[list[str]]:

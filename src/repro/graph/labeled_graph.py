@@ -26,6 +26,7 @@ the SPARQL evaluator):
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from collections.abc import Hashable, Iterable, Iterator
 
 from repro.exceptions import VertexNotFoundError
@@ -36,8 +37,11 @@ __all__ = ["KnowledgeGraph", "Edge"]
 #: An edge as exposed by iteration APIs: ``(source_id, label_id, target_id)``.
 Edge = tuple[int, int, int]
 
-#: One direction's adjacency rows: ``rows[v][label_id]`` lists neighbours.
-Rows = list[dict[int, list[int]]]
+#: One vertex's row in one direction: ``row[label_id]`` lists neighbours.
+Row = dict[int, list[int]]
+
+#: One direction's adjacency rows, indexed by vertex id.
+Rows = list[Row]
 
 _MASK64 = (1 << 64) - 1
 
@@ -63,6 +67,34 @@ def _edge_accumulator(edges: Iterable[Edge]) -> int:
         mixed = (mixed * 0xBF58476D1CE4E5B9) & _MASK64
         accumulator += mixed ^ mixed >> 27
     return accumulator & _MASK64
+
+
+def _finished_rows(
+    rows: Rows, degrees: list[int], counts: dict[int, int] | None, *, release: bool
+) -> Iterator[tuple[int, Row]]:
+    """Each of ``rows`` finished, as ``(vertex_id, row)``: a duplicate id
+    in a label group is dropped (``dict.fromkeys`` keeps first-seen
+    order), the row's size is written to ``degrees`` and — given
+    ``counts``, for one direction only — added to its labels' counts.
+
+    ``release`` takes each row out of ``rows`` as it is handed on, so a
+    consumer that cuts it (the serving boot) holds it only until it
+    moves to the next one.
+    """
+    for vid, row in enumerate(rows):
+        if release:
+            rows[vid] = None  # type: ignore[call-overload]
+        degree = 0
+        for label_id, ids in row.items():
+            if len(ids) > 1:
+                distinct = dict.fromkeys(ids)
+                if len(distinct) < len(ids):
+                    ids = row[label_id] = list(distinct)
+            degree += len(ids)
+            if counts is not None:
+                counts[label_id] += len(ids)
+        degrees[vid] = degree
+        yield vid, row
 
 
 class KnowledgeGraph:
@@ -168,27 +200,34 @@ class KnowledgeGraph:
         triples: Iterable[tuple[Hashable, str, Hashable]],
         name: str = "kg",
         schema: object | None = None,
+        *,
+        frozen: bool = False,
     ) -> "KnowledgeGraph":
         """A fresh graph holding ``(source, label, target)`` name triples.
 
         Slot for slot the graph that :meth:`add_edge` over the same
         triples in the same order builds — ids, row order, degrees,
         counts and :attr:`mutation_count` — in one loop with the
-        interning and bookkeeping inlined.  ``triples`` is consumed
-        lazily: a loader can stream a file through it without holding
-        the lines.
+        interning inlined.  ``triples`` is consumed lazily: a loader can
+        stream a file through it without holding the lines.
+
+        The loop only interns names and appends to the per-vertex rows;
+        no edge set is kept beside them.  A duplicate triple is dropped
+        when its row is finished (:func:`_finished_rows`), and the
+        degrees, per-label counts and mutation count are read off the
+        finished rows.  The end is the caller's choice: the graph keeps
+        its dict rows, or — ``frozen=True``, the serving boot — each
+        row is cut into its CSR snapshot as it is finished and dropped
+        right away, so boot never holds the graph in both forms, and
+        the :class:`~repro.graph.csr.FrozenGraph` is returned.
         """
         graph = cls(name, schema)
         vertex_ids = graph._vertex_ids
         vertex_names = graph._vertex_names
         out_rows, in_rows = graph._out, graph._in
-        out_degree, in_degree = graph._out_degree, graph._in_degree
         intern_label = graph._labels.intern
         counts = graph._label_edge_count
         label_ids: dict[str, int] = {}
-        # The duplicate test: one hash per triple, and the set is
-        # dropped on return — the rows are the graph's only edge store.
-        seen: set[Edge] = set()
         for source, label, target in triples:
             s = vertex_ids.get(source)
             if s is None:
@@ -196,32 +235,33 @@ class KnowledgeGraph:
                 vertex_names.append(source)
                 out_rows.append({})
                 in_rows.append({})
-                out_degree.append(0)
-                in_degree.append(0)
             t = vertex_ids.get(target)
             if t is None:
                 t = vertex_ids[target] = len(vertex_names)
                 vertex_names.append(target)
                 out_rows.append({})
                 in_rows.append({})
-                out_degree.append(0)
-                in_degree.append(0)
             label_id = label_ids.get(label)
             if label_id is None:
                 label_id = label_ids[label] = intern_label(label)
                 counts[label_id] = 0
-            # One hash of the edge tuple, not two: a duplicate leaves
-            # the set's size unchanged.
-            size = len(seen)
-            seen.add((s, label_id, t))
-            if len(seen) == size:
-                continue
             out_rows[s].setdefault(label_id, []).append(t)
             in_rows[t].setdefault(label_id, []).append(s)
-            out_degree[s] += 1
-            in_degree[t] += 1
-            counts[label_id] += 1
-        graph._mutations = len(vertex_names) + len(seen)
+        size = len(vertex_names)
+        graph._out_degree = [0] * size
+        graph._in_degree = [0] * size
+        finished = (
+            _finished_rows(out_rows, graph._out_degree, counts, release=frozen),
+            _finished_rows(in_rows, graph._in_degree, None, release=frozen),
+        )
+        if frozen:
+            from repro.graph.csr import FrozenGraph  # deferred: csr imports us
+
+            graph = FrozenGraph(graph, finished)
+        else:
+            for rows in finished:
+                deque(rows, maxlen=0)
+        graph._mutations = size + graph.num_edges
         return graph
 
     def add_vertex(self, name: Hashable) -> int:
@@ -666,8 +706,8 @@ class KnowledgeGraph:
         Returns a :class:`~repro.graph.csr.FrozenGraph` that takes over
         this graph's interning, schema, degrees and per-label counts
         without copying them (vertex and label ids are identical) and
-        cuts every row.  The snapshot keeps no reference to this
-        graph.  It is cached: repeated calls return the same object
+        cuts every row, leaving this graph's rows as they are.  The
+        snapshot keeps no reference to this graph.  It is cached: repeated calls return the same object
         until the graph mutates (tracked by :attr:`mutation_count`, so a
         removal+insertion that leaves every size unchanged still
         re-freezes), after which a fresh snapshot is cut.  See

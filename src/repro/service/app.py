@@ -378,9 +378,13 @@ class QueryService:
         (:class:`~repro.service.epoch.IndexSource`).  A path that can
         never hold the file is refused here, not on that request.
 
-        The graph is frozen first, so a missing index is built over the
-        CSR snapshot (itself measurably faster) and a loaded one binds
-        to the graph the sessions will traverse.
+        The graph is booted straight into its CSR snapshot
+        (``load_tsv(..., frozen=True)``): each row is cut and its dict
+        form dropped as the file is finished, so the process never holds
+        the graph twice, and its resident size — which never falls below
+        the boot peak — stays near the served graph's.  A missing index
+        is then built over the snapshot (itself measurably faster) and a
+        loaded one binds to the graph the sessions will traverse.
         """
         options = resolve_options(options, keywords, sharding=cls.sharded)
         graph_path = Path(graph_path)
@@ -394,7 +398,7 @@ class QueryService:
                     f"index path cannot hold a file: {index_path}"
                 )
             source = IndexSource(index_path, options.landmark_count, options.seed)
-        graph = freeze_graph(load_tsv(graph_path, name=graph_path.stem))
+        graph = load_tsv(graph_path, name=graph_path.stem, frozen=True)
         return cls(graph, source, options=options)
 
     def __repr__(self) -> str:
@@ -776,6 +780,11 @@ class QueryService:
     # ------------------------------------------------------------------
     # durability + replication hooks (repro.wal)
     # ------------------------------------------------------------------
+
+    @property
+    def wal(self) -> Any:
+        """The attached write-ahead log (:meth:`attach_wal`), or None."""
+        return self._wal
 
     def attach_wal(self, wal: Any) -> None:
         """Attach a per-tenant write-ahead log to this service.

@@ -41,6 +41,7 @@ from repro.exceptions import (
     ReproError,
     ServiceConfigError,
     TenantExistsError,
+    TenantLoggedError,
     UnknownTenantError,
 )
 from repro.obs.prometheus import render_metrics
@@ -159,6 +160,9 @@ class TenantRegistry:
         self._lock = threading.Lock()
         self._entries: dict[str, _TenantEntry] = {}
         self._errors: dict[str, int] = {}
+        #: Removed tenants that had a write-ahead log attached: their
+        #: names are refused to :meth:`register_files`.
+        self._logged: set[str] = set()
 
     @classmethod
     def for_service(
@@ -201,7 +205,14 @@ class TenantRegistry:
         later query — but the graph load runs on first lookup, off the
         registry lock, and the index file is read by the tenant's first
         request naming ``ins``.
+
+        The name of a removed tenant that had a write-ahead log attached
+        is refused (:class:`TenantLoggedError`): loaded from its base
+        graph it would serve epoch 0 without the logged updates or the
+        log.  Recovery (``serve --wal``) brings such a tenant back.
         """
+        if name in self._logged:
+            raise TenantLoggedError(name)
         graph_path = Path(graph_path)
         if not graph_path.is_file():
             raise ServiceConfigError(f"graph file not found: {graph_path}")
@@ -228,13 +239,17 @@ class TenantRegistry:
 
         Raises :class:`UnknownTenantError` when absent.  The removed
         service is :meth:`~QueryService.close`\\ d to release a sharded
-        service's batch member pool and its write-ahead log's segment.
+        service's batch member pool and its write-ahead log's segment;
+        the name of a tenant with a log is then refused to
+        :meth:`register_files`.
         """
         with self._lock:
             entry = self._entries.pop(name, None)
+            service = entry.service if entry is not None else None
+            if service is not None and service.wal is not None:
+                self._logged.add(name)
         if entry is None:
             raise UnknownTenantError(name)
-        service = entry.service
         if service is not None:
             service.close()
 

@@ -115,6 +115,15 @@ def assert_shares_untouched_rows(child, parent, touched_out, touched_in):
     assert child.rows_recut == child._csr_out.rows_recut + child._csr_in.rows_recut
 
 
+def assert_one_group_rows_share(snapshot: FrozenGraph):
+    """A row of one label group holds that group's tuple as its
+    ``all_targets``, not a copy."""
+    for direction in (snapshot._csr_out, snapshot._csr_in):
+        for targets, groups in zip(direction.all_targets, direction.groups):
+            if len(groups) == 1:
+                assert targets is groups[0][1]
+
+
 class Chain:
     """A chain of derived snapshots, its operation log and its replay."""
 
@@ -216,6 +225,14 @@ class TestDerivedChains:
         assert_equals_replay(chain.snapshot, replay(chain.log).freeze())
         for batch_script in script:
             chain.derive(chain.batch(batch_script))
+
+    @settings(deadline=None)
+    @given(seed_edges, scripts)
+    def test_a_one_group_row_shares_its_group_down_the_chain(self, edges, script):
+        chain = Chain(edges)
+        assert_one_group_rows_share(chain.snapshot)
+        for batch_script in script:
+            assert_one_group_rows_share(chain.derive(chain.batch(batch_script)))
 
 
 class TestNamedCases:

@@ -1,5 +1,6 @@
 """Tests for graph serialisation (TSV)."""
 
+import copy
 import io
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
+from repro.graph.csr import FrozenGraph
 from repro.graph.io import (
     dump_tsv,
     dumps_tsv,
@@ -109,10 +111,14 @@ OTHER_LINES = st.sampled_from(["", "#", "# a comment\twith a tab"])
 LINES = st.lists(st.one_of(EDGE_LINES, EDGE_LINES, OTHER_LINES), max_size=40)
 
 
-def _state(graph: KnowledgeGraph) -> dict:
-    """Every slot of ``graph``, with the label universe and the schema
-    unpacked into comparable values."""
-    state = {slot: getattr(graph, slot) for slot in KnowledgeGraph.__slots__}
+def _state(graph: KnowledgeGraph, skip: tuple[str, ...] = ()) -> dict:
+    """Every slot of ``graph`` but ``skip``, with the label universe and
+    the schema unpacked into comparable values."""
+    state = {
+        slot: getattr(graph, slot)
+        for slot in KnowledgeGraph.__slots__
+        if slot not in skip
+    }
     labels = state.pop("_labels")
     state["_labels"] = [(name, labels.id_of(name)) for name in labels.names()]
     schema = state.pop("schema")
@@ -161,6 +167,33 @@ class TestStreamingLoader:
         assert _state(loaded) == _state(expected)
         assert loaded.content_fingerprint() == expected.content_fingerprint()
         assert _frozen_rows(loaded) == _frozen_rows(expected)
+
+    @settings(deadline=None)
+    @given(lines=LINES, data=st.data())
+    def test_the_boot_equals_the_frozen_library_graph(self, lines, data):
+        # The serving boot cuts each row and drops its dict form as the
+        # text is finished; it must cut the snapshot the library's
+        # graph freezes to, and that freeze must leave the graph whole.
+        endings = data.draw(
+            st.lists(st.sampled_from(["\n", "\r\n"]),
+                     min_size=len(lines), max_size=len(lines))
+        )
+        booted = load_tsv(io.StringIO(_text(lines, endings)), frozen=True)
+        reference = _reference(lines)
+        rows_before = copy.deepcopy((reference._out, reference._in))
+        expected = reference.freeze()
+        assert (reference._out, reference._in) == rows_before
+        assert isinstance(booted, FrozenGraph)
+        assert _frozen_rows(booted) == _frozen_rows(expected)
+        for direction in (booted._csr_out, booted._csr_in):
+            for targets, groups in zip(direction.all_targets, direction.groups):
+                if len(groups) == 1:
+                    assert targets is groups[0][1]
+        # A snapshot holds no dict rows, and caches no snapshot.
+        rows = ("_out", "_in", "_frozen")
+        assert _state(booted, skip=rows) == _state(expected, skip=rows)
+        assert booted.content_fingerprint() == expected.content_fingerprint()
+        assert booted.content_fingerprint() == reference.scan_fingerprint()
 
     @settings(deadline=None)
     @given(

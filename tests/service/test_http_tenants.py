@@ -317,6 +317,31 @@ class TestTenantAdmin:
         _, listing = http_get(f"{base_url}/tenants")
         assert listing["count"] == 1
 
+    def test_a_deleted_logged_tenant_is_not_registered_from_files(
+        self, registry, tmp_path
+    ):
+        from repro.wal import UpdateWal, recover_service
+
+        graph_path = tmp_path / "g.tsv"
+        dump_tsv(graph_from_edges(BETA_EDGES, name="g"), graph_path)
+        root = UpdateWal(tmp_path / "wal")
+        service, _ = recover_service(root.tenant("logged"), graph_path=graph_path)
+        service.apply_updates([("t", "hop", "u")])
+        registry.add("logged", service)
+        with running_server(registry) as url:
+            status, _ = http_request(f"{url}/t/logged", None, method="DELETE")
+            assert status == 200
+            status, document = http_request(
+                f"{url}/tenants", {"name": "logged", "graph": str(graph_path)}
+            )
+            assert status == 409
+            assert document["error"]["type"] == "tenant-logged"
+            assert document["error"]["detail"] == {"tenant": "logged"}
+            assert "serve --wal" in document["error"]["message"]
+            status, _ = http_request(f"{url}/t/logged/query", BETA_SPEC)
+            assert status == 404
+        root.close()
+
     def test_put_still_405(self, base_url):
         status, document = http_request(
             f"{base_url}/t/alpha/query", spec("v0", "v4"), method="PUT"

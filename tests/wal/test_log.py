@@ -379,6 +379,37 @@ class TestRecoverService:
         registry.remove("default")
         assert wal._handle is None
 
+    def test_a_logged_tenant_cannot_come_back_from_its_base_graph(self, tmp_path):
+        # Registered from the TSV alone, the tenant would serve epoch 0
+        # without the logged edge, and with no log attached.
+        from repro.exceptions import TenantLoggedError
+        from repro.graph.io import dump_tsv
+        from repro.service.registry import TenantRegistry
+
+        tsv = tmp_path / "base.tsv"
+        dump_tsv(make_graph(), tsv)
+        root = UpdateWal(tmp_path / "wal")
+        service, _ = recover_service(root.tenant("default"), graph_path=tsv)
+        registry = TenantRegistry()
+        registry.add("default", service)
+        registry.get().apply_updates([("a", "go", "b")])
+        registry.remove("default")
+        with pytest.raises(TenantLoggedError) as info:
+            registry.register_files("default", tsv)
+        assert info.value.status == 409 and "serve --wal" in str(info.value)
+        assert "default" not in registry
+        # A tenant without a log is free to come back from files.
+        registry.add("plain", QueryService(make_graph(), seed=0))
+        registry.remove("plain")
+        registry.register_files("plain", tsv)
+        assert registry.get("plain").epoch.epoch_id == 0
+        # Recovery is the way back, with the logged edge.
+        successor, replay = recover_service(root.tenant("default"), graph_path=tsv)
+        registry.add("default", successor)
+        assert replay["applied"] == 1 and successor.graph.has_edge_named("a", "go", "b")
+        registry.remove("default")
+        root.close()
+
     def test_compact_every_must_be_positive(self, tmp_path):
         with pytest.raises(WalCorruptionError):
             TenantWal(tmp_path, "default", compact_every=0)

@@ -14,6 +14,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.exceptions import ConstraintError
 from repro.graph.labeled_graph import KnowledgeGraph
+from repro.graph.labels import LabelUniverse
 
 __all__ = ["LabelConstraint"]
 
@@ -30,7 +31,7 @@ class LabelConstraint:
     True
     """
 
-    __slots__ = ("_labels",)
+    __slots__ = ("_labels", "_mask")
 
     def __init__(self, labels: Iterable[str] | str) -> None:
         if isinstance(labels, str):
@@ -42,6 +43,8 @@ class LabelConstraint:
         self._labels = labels - {""} if "" in labels else labels
         if not self._labels:
             raise ConstraintError("a label constraint must contain at least one label")
+        #: ``(universe, its size, mask)`` of the last :meth:`mask_for`.
+        self._mask: tuple[LabelUniverse, int, int] | None = None
 
     @property
     def labels(self) -> frozenset[str]:
@@ -75,15 +78,38 @@ class LabelConstraint:
         default they are silently dropped (a query mentioning them is
         simply harder to satisfy).  With ``strict`` they raise
         :class:`ConstraintError` instead.
+
+        The mask is remembered for the universe it was computed in and
+        that universe's size, so the planner, the approximate router
+        and the evaluator of one query compute it once.  A universe
+        only grows — a label is never taken out or renumbered — so the
+        same universe at the same size gives the same mask, and an
+        update that interns a label, or a derived snapshot's copied
+        universe, computes it afresh.
         """
+        universe = graph.labels
+        remembered = self._mask
+        if (
+            remembered is not None
+            and remembered[0] is universe
+            and remembered[1] == len(universe)
+        ):
+            mask = remembered[2]
+        else:
+            mask = self._mask_in(universe)
+            self._mask = (universe, len(universe), mask)
+        if strict and mask.bit_count() < len(self._labels):
+            missing = sorted(label for label in self._labels if label not in universe)
+            raise ConstraintError(f"label {missing[0]!r} does not occur in the graph")
+        return mask
+
+    def _mask_in(self, universe: LabelUniverse) -> int:
         mask = 0
-        find = graph.labels.get
+        find = universe.get
         for label in self._labels:
             label_id = find(label)
             if label_id is not None:
                 mask |= 1 << label_id
-            elif strict:
-                raise ConstraintError(f"label {label!r} does not occur in the graph")
         return mask
 
     def union(self, other: "LabelConstraint") -> "LabelConstraint":

@@ -7,11 +7,13 @@ insertion) and the wrong *query-time* one: every expansion step walks a
 and a tuple allocation per yielded edge.  :class:`FrozenGraph` is the
 read-optimized twin the query service traverses instead:
 
-* **per-direction rows** — one immutable row per vertex, cut at freeze
-  time: the vertex's neighbours grouped by label id, ascending (stable,
-  so per-label target order matches the dict graph exactly), as
-  ``(label_id, targets_tuple)`` pairs, plus all of them concatenated as
-  one tuple.  The rows *are* the layout — there are no flat
+* **a row is two tuples** — per direction and vertex, cut once: every
+  neighbour grouped by label id, ascending (stable, so per-label target
+  order matches the dict graph exactly), as one ``all_targets`` tuple,
+  and the group ends beside it as one flat ``bounds`` tuple
+  ``(label_0, end_0, label_1, end_1, ...)``.  There is no object per
+  label group: a group is a slice of ``all_targets``, taken only when
+  asked for.  The rows *are* the layout — there are no flat
   offset/label/target arrays beside them: no hot path read those, and
   rebuilding them made every freeze cost O(|E|);
 * **per-vertex label-presence bitmasks** — ``out_label_mask(v)`` is the
@@ -28,29 +30,35 @@ read-optimized twin the query service traverses instead:
   planner keys).  The rows are the only store of an edge.
 
 ``FrozenGraph`` subclasses ``KnowledgeGraph``: read APIs not overridden
-here (degrees, ``has_edge``, ``labels_between``, the fingerprint, ...)
-read the rows through the accessors overridden here, while the mutation
-APIs raise :class:`~repro.exceptions.FrozenGraphError`.  A snapshot
-holds no dict rows and no reference to the graph it was frozen from; it
-shares that graph's containers, so the graph must not be mutated while
-its snapshot serves (re-freezing after mutations cuts a fresh snapshot).
+here (degrees, ``labels_between``, the fingerprint, ...) read the rows
+through the accessors overridden here, while the mutation APIs raise
+:class:`~repro.exceptions.FrozenGraphError`.  A snapshot holds no dict
+rows and no reference to the graph it was frozen from; it shares that
+graph's containers, so the graph must not be mutated while its snapshot
+serves (re-freezing after mutations cuts a fresh snapshot).
 
 **Derived snapshots.**  Rows are tuples and never written after they are
 cut, so an update batch makes the next snapshot *from* the serving one
 (:meth:`FrozenGraph.derive`): the top-level containers are copied, the
 batch is applied to them and to the rows it touches — thawed from the
 parent's — those rows and appended vertices are re-cut, and every other
-row is the very same object in both snapshots.  That keeps an epoch swap
-proportional to its batch in the rows, and no mutable graph is ever kept
-beside the served one.
+row is the very same pair of objects in both snapshots.  That keeps an
+epoch swap proportional to its batch in the rows, and no mutable graph
+is ever kept beside the served one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import FrozenGraphError
-from repro.graph.labeled_graph import Edge, KnowledgeGraph, Row
+from repro.graph.labeled_graph import (
+    Edge,
+    KnowledgeGraph,
+    ShapedRow,
+    _groups,
+    _shaped,
+)
 from repro.graph.labels import iter_mask_bits
 from repro.obs.trace import span
 
@@ -60,7 +68,8 @@ __all__ = ["FrozenGraph", "CsrDirection", "freeze_graph"]
 #: only after it, present only before it.
 EdgeChange = tuple[frozenset[Edge], frozenset[Edge]]
 
-#: Shared empty sequence for mask-rejected expansions (no per-call allocation).
+#: Shared empty sequence for mask-rejected expansions (no per-call
+#: allocation), and the targets and bounds of every empty row.
 _EMPTY: tuple[int, ...] = ()
 
 
@@ -74,17 +83,18 @@ class CsrDirection:
     * ``all_targets[v]`` — every neighbour as one tuple (label-major,
       ascending), returned allocation-free when the query mask covers
       every label on ``v`` (the overwhelmingly common case for
-      2-4-label constraints); a row of one label group (a third of the
-      LUBM graph's rows) shares that group's tuple here, not a copy;
-    * ``groups[v]`` — ``(label_id, targets_tuple)`` pairs in ascending
-      label order, iterated (one step per *distinct label*, never per
-      edge) when the mask hits only part of the row, and by the edge
-      iterators.
+      2-4-label constraints);
+    * ``bounds[v]`` — where each label group of ``all_targets[v]``
+      ends, flat: ``(label_0, end_0, label_1, end_1, ...)`` in ascending
+      label order; a one-group row's is ``(label, len)``.  Walked (one
+      step per *distinct label*, never per edge) when the mask hits only
+      part of the row, by the group probes and by the edge iterators.
 
-    In pure Python iterating a cached tuple is ~3x faster than walking
-    the source dicts.  There is no flat array form: a native kernel
-    should be built as a view per row, so that it inherits the sharing
-    below.
+    So a row is two tuples and nothing else; an empty row shares
+    ``_EMPTY`` in both lists.  In pure Python iterating a cached tuple
+    is ~3x faster than walking the source dicts.  There is no flat
+    array form: a native kernel should be built as a view per row, so
+    that it inherits the sharing below.
 
     ``CsrDirection(rows, size)`` cuts every row; :meth:`derive` re-cuts
     only the rows a batch wrote and shares every other cell with its
@@ -99,14 +109,14 @@ class CsrDirection:
     __slots__ = (
         "masks",
         "all_targets",
-        "groups",
+        "bounds",
         "rows_recut",
     )
 
-    def __init__(self, rows: Iterable[tuple[int, Row]], size: int) -> None:
+    def __init__(self, rows: Iterable[ShapedRow], size: int) -> None:
         self.masks: list[int] = [0] * size
         self.all_targets: list[tuple[int, ...]] = [_EMPTY] * size
-        self.groups: list[tuple[tuple[int, tuple[int, ...]], ...]] = [_EMPTY] * size
+        self.bounds: list[tuple[int, ...]] = [_EMPTY] * size
         self._cut_rows(rows)
         self.rows_recut = size
 
@@ -120,8 +130,8 @@ class CsrDirection:
         appended = size - len(self.masks)
         child.masks = self.masks + [0] * appended
         child.all_targets = self.all_targets + [_EMPTY] * appended
-        child.groups = self.groups + [_EMPTY] * appended
-        child._cut_rows(edits.items())
+        child.bounds = self.bounds + [_EMPTY] * appended
+        child._cut_rows(_shaped(vid, row) for vid, row in edits.items())
         child.rows_recut = len(edits.keys() | range(len(self.masks), size))
         return child
 
@@ -130,48 +140,62 @@ class CsrDirection:
         """Rows that are the parent's own objects (0 when cut from scratch)."""
         return len(self.masks) - self.rows_recut
 
-    def _cut_rows(self, rows: Iterable[tuple[int, Row]]) -> None:
-        """Cut each ``(vertex_id, dict_row)`` of ``rows`` into the three
-        lists — the one place a row is made, at boot (every row, each
-        dropped by its producer once cut) and on a derive alike.  A row
-        of one label group shares that group's tuple as its
-        ``all_targets``."""
-        masks, all_targets, groups = self.masks, self.all_targets, self.groups
-        for vid, per_vertex in rows:
-            vertex_mask = 0
-            vertex_groups: list[tuple[int, tuple[int, ...]]] = []
-            flat: list[int] = []
-            for label_id in sorted(per_vertex):
-                vertex_mask |= 1 << label_id
-                vertex_targets = per_vertex[label_id]
-                vertex_groups.append((label_id, tuple(vertex_targets)))
-                flat.extend(vertex_targets)
-            masks[vid] = vertex_mask
-            groups[vid] = tuple(vertex_groups)
-            all_targets[vid] = (
-                vertex_groups[0][1] if len(vertex_groups) == 1 else tuple(flat)
-            )
+    def _cut_rows(self, rows: Iterable[ShapedRow]) -> None:
+        """Cut each ``(vertex_id, mask, targets, bounds)`` of ``rows``
+        into the three lists — the one place a row is made, at boot
+        (every row, each dropped by its producer once cut) and on a
+        derive alike."""
+        masks, all_targets, all_bounds = self.masks, self.all_targets, self.bounds
+        for vid, mask, targets, bounds in rows:
+            masks[vid] = mask
+            all_targets[vid] = tuple(targets)
+            all_bounds[vid] = tuple(bounds)
+
+    def span(self, vid: int, label_id: int) -> tuple[Sequence[int], int, int]:
+        """``(row, start, end)`` with the ``(vid, label_id)`` group at
+        ``row[start:end]`` — ``start == end`` when ``vid`` has no such
+        edge — so a caller can probe the group without slicing it."""
+        targets = self.all_targets[vid]
+        if not self.masks[vid] >> label_id & 1:
+            return targets, 0, 0
+        bounds = self.bounds[vid]
+        if len(bounds) == 2:
+            return targets, 0, bounds[1]
+        at = bounds.index(label_id)
+        while at & 1:  # an end that equals the label id, not the label
+            at = bounds.index(label_id, at + 1)
+        return targets, bounds[at - 1] if at else 0, bounds[at + 1]
 
     def by_label(self, vid: int, label_id: int) -> tuple[int, ...]:
-        """The ``(vid, label_id)`` target group (cached tuple; maybe empty)."""
-        if not self.masks[vid] >> label_id & 1:
-            return _EMPTY
-        for group_label, group_targets in self.groups[vid]:
-            if group_label == label_id:
-                return group_targets
-        return _EMPTY  # pragma: no cover - mask and groups always agree
+        """The ``(vid, label_id)`` target group, a slice of the row
+        (the row itself for a one-group row; maybe empty)."""
+        targets, start, end = self.span(vid, label_id)
+        return targets[start:end]
+
+    def pairs(self, vid: int, mask: int) -> Iterator[tuple[int, int]]:
+        """``(label_id, neighbour)`` of ``vid``'s edges whose label is
+        inside ``mask`` (``-1``: every edge), in row order."""
+        if not self.masks[vid] & mask:
+            return
+        groups = _groups(self.all_targets[vid], self.bounds[vid])
+        for label_id, group_targets in groups:
+            if mask >> label_id & 1:
+                for target in group_targets:
+                    yield (label_id, target)
 
     def targets_masked(self, vid: int, mask: int) -> tuple[int, ...]:
-        """Neighbor ids of ``vid`` whose edge label is inside ``mask``.
+        """Neighbor ids of ``vid``'s edges whose label is inside ``mask``.
 
         The step of every search hot loop, in three arms:
 
         * no vertex label in ``mask`` — the shared empty tuple after a
           single ``vertex_mask & query_mask`` AND;
-        * every vertex label in ``mask`` — the cached full slice;
-        * otherwise — one cached group per allowed label, concatenated
-          per call — not memoised per mask: measured, every query
-          carries its own mask, so such a memo never hits.
+        * every vertex label in ``mask`` — the cached full row;
+        * otherwise — the row sliced along its bounds: adjacent allowed
+          groups are one slice, a single allowed run is returned as
+          that slice, and runs apart are concatenated per call — not
+          memoised per mask: measured, every query carries its own
+          mask, so such a memo never hits.
         """
         vertex_mask = self.masks[vid]
         if not vertex_mask & mask:
@@ -181,16 +205,35 @@ class CsrDirection:
         return self._build_masked(vid, mask)
 
     def _build_masked(self, vid: int, mask: int) -> tuple[int, ...]:
-        result: list[int] = []
-        for label_id, group_targets in self.groups[vid]:
+        targets = self.all_targets[vid]
+        bounds = self.bounds[vid]
+        if len(bounds) == 4:
+            # Two groups, one allowed (the arms above took the rest):
+            # the most common partial row, answered by one slice.
+            first_end = bounds[1]
+            return targets[:first_end] if mask >> bounds[0] & 1 else targets[first_end:]
+        result: tuple[int, ...] = _EMPTY
+        run_start = -1
+        start = 0
+        ends = iter(bounds)
+        for label_id, end in zip(ends, ends):
             if mask >> label_id & 1:
-                result.extend(group_targets)
-        return tuple(result)
+                if run_start < 0:
+                    run_start = start
+            elif run_start >= 0:
+                run = targets[run_start:start]
+                result = result + run if result else run
+                run_start = -1
+            start = end
+        if run_start >= 0:
+            run = targets[run_start:]
+            result = result + run if result else run
+        return result
 
 
 class _ThawedRows(dict):
     """The rows of one direction a derivation writes, keyed by vertex:
-    each is thawed into a mutable dict row from the parent's groups on
+    each is thawed into a mutable dict row from the parent's cut row on
     first touch (an appended vertex starts empty)."""
 
     __slots__ = ("_parent",)
@@ -199,19 +242,26 @@ class _ThawedRows(dict):
         super().__init__()
         self._parent = parent
 
-    def by_label(self, vid: int, label_id: int):
-        """The group as the batch has left it so far, thawing nothing."""
+    def span(self, vid: int, label_id: int) -> tuple[Sequence[int], int, int]:
+        """:meth:`CsrDirection.span` of the row as the batch has left it
+        so far, thawing nothing."""
         row = self.get(vid)
         if row is not None:
-            return row.get(label_id, _EMPTY)
+            group = row.get(label_id, _EMPTY)
+            return group, 0, len(group)
         parent = self._parent
-        return parent.by_label(vid, label_id) if vid < len(parent.masks) else _EMPTY
+        return parent.span(vid, label_id) if vid < len(parent.masks) else (_EMPTY, 0, 0)
 
     def __missing__(self, vid: int) -> dict[int, list[int]]:
-        groups = self._parent.groups
+        parent = self._parent
         row = self[vid] = (
-            {label_id: list(ids) for label_id, ids in groups[vid]}
-            if vid < len(groups)
+            {
+                label_id: list(ids)
+                for label_id, ids in _groups(
+                    parent.all_targets[vid], parent.bounds[vid]
+                )
+            }
+            if vid < len(parent.masks)
             else {}
         )
         return row
@@ -224,8 +274,9 @@ class FrozenGraph(KnowledgeGraph):
     which leave the graph they freeze intact; at boot, straight from the
     triples with ``KnowledgeGraph.from_triples(..., frozen=True)`` (or
     ``load_tsv(..., frozen=True)``), which cuts each row as it is
-    finished and drops its dict form, so no mutable graph ever exists
-    beside the snapshot; or from another snapshot with :meth:`derive`.
+    finished and drops its flat pair list, so no mutable graph ever
+    exists beside the snapshot; or from another snapshot with
+    :meth:`derive`.
     Ids, names, labels and the schema are those of the graph it was
     frozen from, so any id-keyed structure built against that graph (a
     local index, cached candidate lists, planner keys) remains valid
@@ -243,14 +294,15 @@ class FrozenGraph(KnowledgeGraph):
     def __init__(
         self,
         graph: KnowledgeGraph,
-        rows: tuple[Iterable[tuple[int, Row]], Iterable[tuple[int, Row]]] | None = None,
+        rows: tuple[Iterable[ShapedRow], Iterable[ShapedRow]] | None = None,
     ) -> None:
         """Cut every row of ``graph`` and take over its other containers.
 
-        ``rows`` are the out- and in-rows to cut, as ``(vertex_id, row)``
-        pairs; by default ``graph``'s own, which are left intact.  The
-        serving boot (:meth:`KnowledgeGraph.from_triples` with
-        ``frozen=True``) hands in rows that are dropped as they are cut.
+        ``rows`` are the out- and in-rows to cut
+        (:data:`~repro.graph.labeled_graph.ShapedRow`); by default
+        ``graph``'s own dict rows, which are left intact.  The serving
+        boot (:meth:`KnowledgeGraph.from_triples` with ``frozen=True``)
+        hands in rows that are dropped as they are cut.
         """
         # Deliberately no super().__init__(): every base slot but the
         # rows is bound to ``graph``'s structures, uncopied, so inherited
@@ -265,7 +317,10 @@ class FrozenGraph(KnowledgeGraph):
         self._label_edge_count = graph._label_edge_count
         self._mutations = graph._mutations
         self._edge_acc = graph._edge_acc
-        out_rows, in_rows = rows or (enumerate(graph._out), enumerate(graph._in))
+        out_rows, in_rows = rows or (
+            (_shaped(vid, row) for vid, row in enumerate(dict_rows))
+            for dict_rows in (graph._out, graph._in)
+        )
         self._csr_out = CsrDirection(out_rows, graph.num_vertices)
         self._csr_in = CsrDirection(in_rows, graph.num_vertices)
 
@@ -380,7 +435,10 @@ class FrozenGraph(KnowledgeGraph):
 
     def _row_items(self) -> tuple[Iterable, Iterable]:
         """Rows as ``(label_id, ids)`` pairs, for :meth:`copy`."""
-        return self._csr_out.groups, self._csr_in.groups
+        return tuple(
+            map(_groups, csr.all_targets, csr.bounds)
+            for csr in (self._csr_out, self._csr_in)
+        )
 
     def freeze(self) -> "FrozenGraph":
         """A frozen graph is its own snapshot."""
@@ -421,46 +479,64 @@ class FrozenGraph(KnowledgeGraph):
     # ------------------------------------------------------------------
 
     def edges(self) -> Iterator[Edge]:
-        for s, vertex_groups in enumerate(self._csr_out.groups):
-            for label_id, group_targets in vertex_groups:
-                for target in group_targets:
+        # Every boot's fingerprint scan walks this: an empty or one-group
+        # row is read without walking its bounds.
+        all_targets = self._csr_out.all_targets
+        for s, bounds in enumerate(self._csr_out.bounds):
+            if not bounds:
+                continue
+            targets = all_targets[s]
+            if len(bounds) == 2:
+                label_id = bounds[0]
+                for target in targets:
                     yield (s, label_id, target)
+                continue
+            start = 0
+            ends = iter(bounds)
+            for label_id, end in zip(ends, ends):
+                for target in targets[start:end]:
+                    yield (s, label_id, target)
+                start = end
 
     def out_edges(self, vid: int) -> Iterator[tuple[int, int]]:
-        for label_id, group_targets in self._csr_out.groups[vid]:
-            for target in group_targets:
-                yield (label_id, target)
+        return self._csr_out.pairs(vid, -1)
 
     def in_edges(self, vid: int) -> Iterator[tuple[int, int]]:
-        for label_id, group_targets in self._csr_in.groups[vid]:
-            for source in group_targets:
-                yield (label_id, source)
+        return self._csr_in.pairs(vid, -1)
 
     def out_by_label(self, vid: int, label_id: int):
-        """The cached ``(vid, label_id)`` target group; ``()`` on O(1) miss."""
+        """The ``(vid, label_id)`` target group; ``()`` on O(1) miss."""
         return self._csr_out.by_label(vid, label_id)
 
     def in_by_label(self, vid: int, label_id: int):
-        """The cached ``(vid, label_id)`` source group; ``()`` on O(1) miss."""
+        """The ``(vid, label_id)`` source group; ``()`` on O(1) miss."""
         return self._csr_in.by_label(vid, label_id)
 
+    def has_edge(self, s: int, label_id: int, t: int) -> bool:
+        """Edge membership, read in ``s``'s out-group, or in ``t``'s
+        in-group when that is shorter than an out-group of more than 8
+        targets (a hub's).  A group of more than 8 is probed in place
+        (``tuple.index`` between its bounds, no copy of a hub's group);
+        a smaller one is sliced, which costs less than the
+        ``ValueError`` a miss raises."""
+        row, start, end = self._csr_out.span(s, label_id)
+        if end - start > 8:
+            in_row, in_start, in_end = self._csr_in.span(t, label_id)
+            if in_end - in_start < end - start:
+                row, start, end, t = in_row, in_start, in_end, s
+            if end - start > 8:
+                try:
+                    row.index(t, start, end)
+                except ValueError:
+                    return False
+                return True
+        return t in row[start:end]
+
     def out_masked(self, vid: int, mask: int) -> Iterator[tuple[int, int]]:
-        csr = self._csr_out
-        if not csr.masks[vid] & mask:
-            return
-        for label_id, group_targets in csr.groups[vid]:
-            if mask >> label_id & 1:
-                for target in group_targets:
-                    yield (label_id, target)
+        return self._csr_out.pairs(vid, mask)
 
     def in_masked(self, vid: int, mask: int) -> Iterator[tuple[int, int]]:
-        csr = self._csr_in
-        if not csr.masks[vid] & mask:
-            return
-        for label_id, group_targets in csr.groups[vid]:
-            if mask >> label_id & 1:
-                for target in group_targets:
-                    yield (label_id, target)
+        return self._csr_in.pairs(vid, mask)
 
     def out_targets_masked(self, vid: int, mask: int):
         """Targets of ``vid``'s out-edges with labels inside ``mask``."""

@@ -13,7 +13,7 @@ edges (as they do in the paper's Figure 2); :func:`load_tsv` rebuilds the
 from __future__ import annotations
 
 import io
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator
 from pathlib import Path
 from typing import TextIO
 
@@ -61,7 +61,7 @@ def load_tsv(
     """Read a TSV edge list back into a graph (schema rebuilt by default).
 
     ``frozen=True`` is the serving boot: the result is the graph's CSR
-    snapshot, each row cut and its dict form dropped as the file is
+    snapshot, each row cut and its flat pair list dropped as the file is
     finished, never the mutable graph and its snapshot side by side
     (:meth:`KnowledgeGraph.from_triples`).
     """
@@ -81,17 +81,19 @@ def _read_tsv(
 ) -> KnowledgeGraph:
     """The graph of ``handle``'s edge lines — streamed, one pass — and
     its schema."""
-    triples: Iterable[Sequence[str]] = _tsv_triples(handle)
     schema = RDFSchema()
-    if rebuild_schema:
-        triples = _recording(schema, triples)
     return KnowledgeGraph.from_triples(
-        triples, name=name, schema=schema, frozen=frozen
+        _tsv_triples(handle, schema if rebuild_schema else None),
+        name=name,
+        schema=schema,
+        frozen=frozen,
     )
 
 
-def _tsv_triples(handle: TextIO) -> Iterator[list[str]]:
-    r"""``[source, label, target]`` per edge line of ``handle``, streamed.
+def _tsv_triples(handle: TextIO, schema: RDFSchema | None) -> Iterator[list[str]]:
+    r"""``[source, label, target]`` per edge line of ``handle``, streamed;
+    given ``schema``, its ``rdf:type`` and ``rdfs:subClassOf`` lines are
+    recorded there on the way.
 
     A line ends at ``\n`` with or without a ``\r`` before it, whatever
     the source: a file opened in text mode translates ``\r\n``, but a
@@ -112,22 +114,15 @@ def _tsv_triples(handle: TextIO) -> Iterator[list[str]]:
                     f"malformed TSV edge on line {line_number}: expected 3 "
                     f"tab-separated fields, got {len(parts)}"
                 )
+            if schema is not None:
+                label = parts[1]
+                if label == RDF_TYPE:
+                    schema.add_instance(parts[0], parts[2])
+                elif label == RDFS_SUBCLASS_OF:
+                    schema.add_subclass(parts[0], parts[2])
             yield parts
     except UnicodeDecodeError as error:
         line_number += 1 + error.object.count(b"\n", 0, error.start)
         raise GraphError(
             f"TSV line {line_number} is not UTF-8: {error.reason}"
         ) from error
-
-
-def _recording(
-    schema: RDFSchema, triples: Iterable[Sequence[str]]
-) -> Iterator[Sequence[str]]:
-    """Pass ``triples`` through, recording their schema statements."""
-    for triple in triples:
-        label = triple[1]
-        if label == RDF_TYPE:
-            schema.add_instance(triple[0], triple[2])
-        elif label == RDFS_SUBCLASS_OF:
-            schema.add_subclass(triple[0], triple[2])
-        yield triple

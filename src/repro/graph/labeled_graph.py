@@ -26,8 +26,8 @@ the SPARQL evaluator):
 from __future__ import annotations
 
 import hashlib
-from collections import deque
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterable, Iterator, Sequence
+from operator import itemgetter
 
 from repro.exceptions import VertexNotFoundError
 from repro.graph.labels import LabelUniverse, iter_mask_bits
@@ -42,6 +42,16 @@ Row = dict[int, list[int]]
 
 #: One direction's adjacency rows, indexed by vertex id.
 Rows = list[Row]
+
+#: One vertex's row in one direction in its served shape, before it is
+#: cut (:class:`~repro.graph.csr.CsrDirection`): ``(vertex_id, mask,
+#: targets, bounds)`` — the bitmask of its labels, every distinct
+#: neighbour, label-major by ascending label, and where each label's
+#: group ends, flat: ``(label_0, end_0, label_1, end_1, ...)``.
+ShapedRow = tuple[int, int, Sequence[int], Sequence[int]]
+
+_LABEL = itemgetter(0)
+_NEIGHBOUR = itemgetter(1)
 
 _MASK64 = (1 << 64) - 1
 
@@ -69,32 +79,83 @@ def _edge_accumulator(edges: Iterable[Edge]) -> int:
     return accumulator & _MASK64
 
 
-def _finished_rows(
-    rows: Rows, degrees: list[int], counts: dict[int, int] | None, *, release: bool
-) -> Iterator[tuple[int, Row]]:
-    """Each of ``rows`` finished, as ``(vertex_id, row)``: a duplicate id
-    in a label group is dropped (``dict.fromkeys`` keeps first-seen
-    order), the row's size is written to ``degrees`` and — given
-    ``counts``, for one direction only — added to its labels' counts.
+def _groups(
+    targets: Sequence[int], bounds: Sequence[int]
+) -> Iterator[tuple[int, Sequence[int]]]:
+    """A shaped row's ``(label_id, ids)`` groups in ascending label
+    order, each a slice of ``targets`` taken as it is reached."""
+    start = 0
+    ends = iter(bounds)
+    for label_id, end in zip(ends, ends):
+        yield label_id, targets[start:end]
+        start = end
 
-    ``release`` takes each row out of ``rows`` as it is handed on, so a
+
+def _shaped(vid: int, row: Row) -> ShapedRow:
+    """A dict row in its :data:`ShapedRow` form."""
+    mask = 0
+    targets: list[int] = []
+    bounds: list[int] = []
+    for label_id in sorted(row):
+        mask |= 1 << label_id
+        targets += row[label_id]
+        bounds += (label_id, len(targets))
+    return vid, mask, targets, bounds
+
+
+def _finished_rows(
+    rows: list[list[int]], degrees: list[int], counts: dict[int, int] | None
+) -> Iterator[ShapedRow]:
+    """Each of ``rows`` — streamed as flat ``label_id, neighbour, ...``
+    pairs — finished into its :data:`ShapedRow`: grouped by ascending
+    label, each group in first-seen order with its duplicates dropped
+    (``dict.fromkeys``).  The row's size is written to ``degrees`` and —
+    given ``counts``, for one direction only — added to its labels'
+    counts.  Each row is taken out of ``rows`` as it is handed on, so a
     consumer that cuts it (the serving boot) holds it only until it
-    moves to the next one.
-    """
-    for vid, row in enumerate(rows):
-        if release:
-            rows[vid] = None  # type: ignore[call-overload]
-        degree = 0
-        for label_id, ids in row.items():
-            if len(ids) > 1:
-                distinct = dict.fromkeys(ids)
-                if len(distinct) < len(ids):
-                    ids = row[label_id] = list(distinct)
-            degree += len(ids)
+    moves to the next one."""
+    for vid, pairs in enumerate(rows):
+        rows[vid] = None  # type: ignore[call-overload]
+        if not pairs:
+            yield vid, 0, (), ()
+            continue
+        labels = pairs[::2]
+        first = labels[0]
+        if labels.count(first) == len(labels):
+            targets = pairs[1::2]
+            if len(targets) > 1:
+                distinct = dict.fromkeys(targets)
+                if len(distinct) < len(targets):
+                    targets = list(distinct)
+            mask = 1 << first
+            bounds: Sequence[int] = (first, len(targets))
             if counts is not None:
-                counts[label_id] += len(ids)
-        degrees[vid] = degree
-        yield vid, row
+                counts[first] += len(targets)
+        else:
+            ends = iter(pairs)
+            ordered = sorted(dict.fromkeys(zip(ends, ends)), key=_LABEL)
+            targets = list(map(_NEIGHBOUR, ordered))
+            # Each group's start and label, then shifted one place:
+            # [0, l0, s1, l1, ...] less its head, plus the row's end,
+            # is (l0, end0, l1, end1, ...).
+            mask = 0
+            bounds = []
+            previous = -1
+            for position, label_id in enumerate(map(_LABEL, ordered)):
+                if label_id != previous:
+                    mask |= 1 << label_id
+                    bounds += (position, label_id)
+                    previous = label_id
+            del bounds[0]
+            bounds.append(len(targets))
+            if counts is not None:
+                start = 0
+                ends = iter(bounds)
+                for label_id, end in zip(ends, ends):
+                    counts[label_id] += end - start
+                    start = end
+        degrees[vid] = len(targets)
+        yield vid, mask, targets, bounds
 
 
 class KnowledgeGraph:
@@ -201,31 +262,45 @@ class KnowledgeGraph:
         name: str = "kg",
         schema: object | None = None,
         *,
+        vertices: Iterable[Hashable] = (),
+        labels: Iterable[str] = (),
         frozen: bool = False,
     ) -> "KnowledgeGraph":
         """A fresh graph holding ``(source, label, target)`` name triples.
 
         Slot for slot the graph that :meth:`add_edge` over the same
-        triples in the same order builds — ids, row order, degrees,
-        counts and :attr:`mutation_count` — in one loop with the
-        interning inlined.  ``triples`` is consumed lazily: a loader can
-        stream a file through it without holding the lines.
+        triples in the same order builds — ids, rows, degrees, counts
+        and :attr:`mutation_count` — in one loop with the interning
+        inlined.  ``triples`` is consumed lazily: a loader can stream a
+        file through it without holding the lines.  ``vertices`` and
+        ``labels`` (distinct names) are interned first, in order, so a
+        graph written out in id order comes back with the same ids,
+        edgeless vertices included.
 
-        The loop only interns names and appends to the per-vertex rows;
-        no edge set is kept beside them.  A duplicate triple is dropped
-        when its row is finished (:func:`_finished_rows`), and the
-        degrees, per-label counts and mutation count are read off the
-        finished rows.  The end is the caller's choice: the graph keeps
-        its dict rows, or — ``frozen=True``, the serving boot — each
-        row is cut into its CSR snapshot as it is finished and dropped
-        right away, so boot never holds the graph in both forms, and
-        the :class:`~repro.graph.csr.FrozenGraph` is returned.
+        The loop only interns names and appends each edge as a
+        ``label_id, neighbour`` pair to one flat list per vertex per
+        direction: no dict per row, no list per label group, and no edge
+        set beside them.  Each row is then finished in turn
+        (:func:`_finished_rows`): grouped by ascending label with its
+        duplicate triples dropped, and the degrees, per-label counts and
+        mutation count are read off the finished rows.  The end is the
+        caller's choice: the graph keeps a dict row per vertex, or —
+        ``frozen=True``, the serving boot — each finished row is cut
+        into its CSR snapshot and its flat list dropped right away, so
+        boot never holds the graph in two forms, and the
+        :class:`~repro.graph.csr.FrozenGraph` is returned.
         """
         graph = cls(name, schema)
         vertex_ids = graph._vertex_ids
         vertex_names = graph._vertex_names
-        out_rows, in_rows = graph._out, graph._in
         intern_label = graph._labels.intern
+        for vertex in vertices:
+            vertex_ids[vertex] = len(vertex_names)
+            vertex_names.append(vertex)
+        for label in labels:
+            intern_label(label)
+        out_rows: list[list[int]] = [[] for _ in vertex_names]
+        in_rows: list[list[int]] = [[] for _ in vertex_names]
         counts = graph._label_edge_count
         label_ids: dict[str, int] = {}
         for source, label, target in triples:
@@ -233,34 +308,34 @@ class KnowledgeGraph:
             if s is None:
                 s = vertex_ids[source] = len(vertex_names)
                 vertex_names.append(source)
-                out_rows.append({})
-                in_rows.append({})
+                out_rows.append([])
+                in_rows.append([])
             t = vertex_ids.get(target)
             if t is None:
                 t = vertex_ids[target] = len(vertex_names)
                 vertex_names.append(target)
-                out_rows.append({})
-                in_rows.append({})
+                out_rows.append([])
+                in_rows.append([])
             label_id = label_ids.get(label)
             if label_id is None:
                 label_id = label_ids[label] = intern_label(label)
                 counts[label_id] = 0
-            out_rows[s].setdefault(label_id, []).append(t)
-            in_rows[t].setdefault(label_id, []).append(s)
+            out_rows[s].extend((label_id, t))
+            in_rows[t].extend((label_id, s))
         size = len(vertex_names)
         graph._out_degree = [0] * size
         graph._in_degree = [0] * size
         finished = (
-            _finished_rows(out_rows, graph._out_degree, counts, release=frozen),
-            _finished_rows(in_rows, graph._in_degree, None, release=frozen),
+            _finished_rows(out_rows, graph._out_degree, counts),
+            _finished_rows(in_rows, graph._in_degree, None),
         )
         if frozen:
             from repro.graph.csr import FrozenGraph  # deferred: csr imports us
 
             graph = FrozenGraph(graph, finished)
         else:
-            for rows in finished:
-                deque(rows, maxlen=0)
+            for rows, direction in zip((graph._out, graph._in), finished):
+                rows.extend(dict(_groups(row[2], row[3])) for row in direction)
         graph._mutations = size + graph.num_edges
         return graph
 

@@ -20,19 +20,28 @@ populated before or after the graph and serialised independently.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterator
+from itertools import chain
 
 __all__ = ["RDFSchema"]
 
 
 class RDFSchema:
-    """Registry of classes, subclass edges, instances, domains and ranges."""
+    """Registry of classes, subclass edges, instances, domains and ranges.
+
+    ``rdf:type`` assertions are kept one way only: a list of instances
+    per class, appended to as they arrive — no set per instance, so a
+    typed vertex costs the schema one list slot.  A repeated assertion
+    is appended again and dropped when the list is read (first-seen
+    order kept, as a graph row drops a duplicate edge); the per-instance
+    questions (:meth:`classes_of`, :meth:`is_instance`,
+    :meth:`typed_instances`) scan those lists.
+    """
 
     __slots__ = (
         "_classes",
         "_superclasses",
         "_subclasses",
         "_instances_by_class",
-        "_classes_by_instance",
         "_domains",
         "_ranges",
     )
@@ -42,15 +51,12 @@ class RDFSchema:
         self._superclasses: dict[str, set[str]] = {}
         self._subclasses: dict[str, set[str]] = {}
         self._instances_by_class: dict[str, list[Hashable]] = {}
-        self._classes_by_instance: dict[Hashable, set[str]] = {}
         self._domains: dict[str, str] = {}
         self._ranges: dict[str, str] = {}
 
     def __repr__(self) -> str:
-        return (
-            f"RDFSchema({len(self._classes)} classes, "
-            f"{sum(len(v) for v in self._instances_by_class.values())} typed instances)"
-        )
+        typed = sum(len(self._instances(cls)) for cls in self._instances_by_class)
+        return f"RDFSchema({len(self._classes)} classes, {typed} typed instances)"
 
     # ------------------------------------------------------------------
     # classes
@@ -104,12 +110,17 @@ class RDFSchema:
 
     def add_instance(self, instance: Hashable, class_name: str) -> None:
         """Record ``instance rdf:type class_name`` (declares the class)."""
-        self.add_class(class_name)
-        known = self._classes_by_instance.setdefault(instance, set())
-        if class_name in known:
-            return
-        known.add(class_name)
-        self._instances_by_class.setdefault(class_name, []).append(instance)
+        self._classes.add(class_name)
+        members = self._instances_by_class.get(class_name)
+        if members is None:
+            self._instances_by_class[class_name] = [instance]
+        else:
+            members.append(instance)
+
+    def _instances(self, class_name: str) -> list[Hashable]:
+        """The distinct direct instances of ``class_name``, first-seen order."""
+        members = self._instances_by_class.get(class_name, ())
+        return list(dict.fromkeys(members)) if len(members) > 1 else list(members)
 
     def instances_of(self, class_name: str, transitive: bool = True) -> list[Hashable]:
         """Instances of ``class_name`` (including subclasses by default).
@@ -118,32 +129,37 @@ class RDFSchema:
         with ``transitive`` the subclass extensions are appended in sorted
         subclass order, deduplicated.
         """
-        result = list(self._instances_by_class.get(class_name, ()))
-        if transitive:
-            seen = set(result)
-            for sub in sorted(self.subclasses(class_name)):
-                for instance in self._instances_by_class.get(sub, ()):
-                    if instance not in seen:
-                        seen.add(instance)
-                        result.append(instance)
-        return result
+        if not transitive:
+            return self._instances(class_name)
+        extension = [class_name, *sorted(self.subclasses(class_name))]
+        return list(
+            dict.fromkeys(
+                chain.from_iterable(
+                    self._instances_by_class.get(cls, ()) for cls in extension
+                )
+            )
+        )
 
     def classes_of(self, instance: Hashable) -> set[str]:
         """Directly asserted classes of ``instance`` (no closure)."""
-        return set(self._classes_by_instance.get(instance, ()))
+        return {
+            cls
+            for cls, members in self._instances_by_class.items()
+            if instance in members
+        }
 
     def is_instance(self, instance: Hashable, class_name: str) -> bool:
         """True if ``instance`` is typed by ``class_name`` or a subclass."""
-        direct = self._classes_by_instance.get(instance)
-        if not direct:
-            return False
-        if class_name in direct:
-            return True
-        return any(class_name in self.superclasses(c) for c in direct)
+        return any(
+            instance in self._instances_by_class.get(cls, ())
+            for cls in (class_name, *self.subclasses(class_name))
+        )
 
     def typed_instances(self) -> Iterator[Hashable]:
-        """Every instance with at least one ``rdf:type`` assertion."""
-        return iter(self._classes_by_instance)
+        """Every instance with at least one ``rdf:type`` assertion, once,
+        class by class in the order each class was first asserted."""
+        members = self._instances_by_class.values()
+        return iter(dict.fromkeys(chain.from_iterable(members)))
 
     # ------------------------------------------------------------------
     # property domains / ranges
@@ -181,7 +197,7 @@ class RDFSchema:
             for sup in sorted(self._superclasses[sub]):
                 yield (sub, RDFS_SUBCLASS_OF, sup)
         for cls in sorted(self._instances_by_class):
-            for instance in self._instances_by_class[cls]:
+            for instance in self._instances(cls):
                 yield (instance, RDF_TYPE, cls)
         for prop in sorted(self._domains):
             yield (prop, RDFS_DOMAIN, self._domains[prop])

@@ -27,7 +27,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from repro.graph.csr import freeze_graph
 from repro.service.app import QueryService
 from repro.service.epoch import IndexSource
 from repro.service.options import ServiceOptions, resolve_options
@@ -111,7 +110,7 @@ def recover_service(
         source = None
         if index_path is not None:
             source = IndexSource(None, options.landmark_count, options.seed)
-        service = service_cls(freeze_graph(graph), source, options=options)
+        service = service_cls(graph, source, options=options)
         service.reset_epoch(epoch, expected_fingerprint=fingerprint)
     replay = wal.replay_into(service)
     service.audit_fingerprint()

@@ -59,6 +59,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.exceptions import WalCorruptionError, WalReplayError
+from repro.graph.csr import FrozenGraph
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.utils.persist import atomic_write_json, fsync_directory
 
@@ -131,22 +132,32 @@ def snapshot_document(
     }
 
 
-def graph_from_snapshot(document: dict) -> KnowledgeGraph:
-    """Rebuild the snapshot's graph with identical vertex/label ids."""
+def graph_from_snapshot(document: dict) -> FrozenGraph:
+    """Boot the snapshot's graph with identical vertex/label ids.
+
+    The vertex and label lists are interned in id order first, then the
+    id triples stream through the one loader
+    (:meth:`KnowledgeGraph.from_triples`, ``frozen=True``): each row is
+    cut and dropped as it is finished, so recovery never holds a dict
+    graph beside the snapshot it serves.
+    """
     try:
         info = document["graph"]
-        graph = KnowledgeGraph(name=info["name"])
-        for name in info["vertices"]:
-            graph.add_vertex(name)
-        for label in info["labels"]:
-            graph.labels.intern(label)
-        for s_id, label_id, t_id in info["edges"]:
-            graph.add_edge_ids(s_id, label_id, t_id)
+        vertices, labels = info["vertices"], info["labels"]
+        return KnowledgeGraph.from_triples(
+            (
+                (vertices[s_id], labels[label_id], vertices[t_id])
+                for s_id, label_id, t_id in info["edges"]
+            ),
+            name=info["name"],
+            vertices=vertices,
+            labels=labels,
+            frozen=True,
+        )
     except (KeyError, TypeError, ValueError, IndexError) as error:
         raise WalCorruptionError(
             f"malformed WAL snapshot document: {error}"
         ) from error
-    return graph
 
 
 class TenantWal:
@@ -267,7 +278,7 @@ class TenantWal:
             ) from error
         return document
 
-    def load_snapshot(self) -> tuple[KnowledgeGraph, int, str] | None:
+    def load_snapshot(self) -> tuple[FrozenGraph, int, str] | None:
         """The newest compaction snapshot as ``(graph, epoch, fingerprint)``.
 
         ``None`` when the log has never compacted (replay then starts

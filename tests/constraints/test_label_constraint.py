@@ -60,6 +60,23 @@ class TestMask:
         g = graph_from_edges([("u", "a", "v")])
         assert LabelConstraint(["zz"]).mask_for(g) == 0
 
+    def test_a_remembered_mask_follows_its_universe(self):
+        # One constraint asked about several graphs and a growing one:
+        # each answer is the mask a fresh constraint computes there.
+        g = graph_from_edges([("u", "a", "v")])
+        other = graph_from_edges([("u", "zz", "v"), ("u", "a", "v")])
+        constraint = LabelConstraint(["a", "zz"])
+        assert constraint.mask_for(g) == g.label_mask(["a"])
+        assert constraint.mask_for(other) == other.label_mask(["a", "zz"]) == 0b11
+        snapshot = g.freeze()
+        derived, _, _ = snapshot.derive([("u", "b", "v", "add"), ("u", "zz", "u", "add")])
+        assert constraint.mask_for(derived) == derived.label_mask(["a", "zz"]) == 0b101
+        assert constraint.mask_for(snapshot) == snapshot.label_mask(["a"]) == 0b1
+        with pytest.raises(ConstraintError, match="'zz'"):
+            constraint.mask_for(snapshot, strict=True)
+        g.add_edge("v", "zz", "u")  # interns a label in the same universe
+        assert constraint.mask_for(g) == g.label_mask(["a", "zz"]) == 0b11
+
 
 class TestSetOperations:
     def test_union(self):

@@ -42,7 +42,7 @@ def replay(log) -> KnowledgeGraph:
 
 
 def rows(direction):
-    return direction.masks, direction.all_targets, direction.groups
+    return direction.masks, direction.all_targets, direction.bounds
 
 
 def state(snapshot: FrozenGraph):
@@ -69,8 +69,8 @@ def assert_equals_replay(snapshot: FrozenGraph, twin: FrozenGraph):
     for direction in (snapshot._csr_out, snapshot._csr_in):
         assert all(type(row) is tuple for row in direction.all_targets)
         assert all(
-            type(row) is tuple and all(type(group[1]) is tuple for group in row)
-            for row in direction.groups
+            type(row) is tuple and all(type(cell) is int for cell in row)
+            for row in direction.bounds
         )
     assert list(snapshot.vertex_names()) == list(twin.vertex_names())
     assert list(snapshot.labels.names()) == list(twin.labels.names())
@@ -108,20 +108,24 @@ def assert_shares_untouched_rows(child, parent, touched_out, touched_in):
         inherited, size = len(base.masks), len(direction.masks)
         recut = touched | set(range(inherited, size))
         for v in set(range(size)) - recut:
-            assert direction.groups[v] is base.groups[v]
+            assert direction.bounds[v] is base.bounds[v]
             assert direction.all_targets[v] is base.all_targets[v]
         assert direction.rows_recut == len(recut)
         assert direction.rows_shared == size - len(recut)
     assert child.rows_recut == child._csr_out.rows_recut + child._csr_in.rows_recut
 
 
-def assert_one_group_rows_share(snapshot: FrozenGraph):
-    """A row of one label group holds that group's tuple as its
-    ``all_targets``, not a copy."""
+def assert_rows_are_two_tuples(snapshot: FrozenGraph):
+    """A row is its targets and its group ends and nothing else: a
+    one-group row's bounds is ``(label, len)``, and an empty row is
+    empty in both lists."""
     for direction in (snapshot._csr_out, snapshot._csr_in):
-        for targets, groups in zip(direction.all_targets, direction.groups):
-            if len(groups) == 1:
-                assert targets is groups[0][1]
+        for mask, targets, bounds in zip(*rows(direction)):
+            if not targets:
+                assert targets == bounds == ()
+                assert mask == 0
+            elif bin(mask).count("1") == 1:
+                assert bounds == (mask.bit_length() - 1, len(targets))
 
 
 class Chain:
@@ -228,11 +232,11 @@ class TestDerivedChains:
 
     @settings(deadline=None)
     @given(seed_edges, scripts)
-    def test_a_one_group_row_shares_its_group_down_the_chain(self, edges, script):
+    def test_every_row_is_two_tuples_down_the_chain(self, edges, script):
         chain = Chain(edges)
-        assert_one_group_rows_share(chain.snapshot)
+        assert_rows_are_two_tuples(chain.snapshot)
         for batch_script in script:
-            assert_one_group_rows_share(chain.derive(chain.batch(batch_script)))
+            assert_rows_are_two_tuples(chain.derive(chain.batch(batch_script)))
 
 
 class TestNamedCases:
@@ -243,12 +247,13 @@ class TestNamedCases:
         root = chain.snapshot
         first = chain.derive([("n0", "a", "n1", "remove")])
         second = chain.derive([("n2", "c", "n0", "add")])
-        assert root._csr_out.groups[0] == ((0, (1,)),)
-        assert first._csr_out.groups[0] == second._csr_out.groups[0] == ()
+        assert root._csr_out.bounds[0] == (0, 1)
+        assert first._csr_out.bounds[0] == second._csr_out.bounds[0] == ()
+        assert first._csr_out.all_targets[0] == second._csr_out.all_targets[0] == ()
         assert (
-            second._csr_in.groups[3]
-            is first._csr_in.groups[3]
-            is root._csr_in.groups[3]
+            second._csr_in.bounds[3]
+            is first._csr_in.bounds[3]
+            is root._csr_in.bounds[3]
         )
 
     def test_siblings_never_see_each_others_writes(self):

@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.synthetic import random_labeled_graph
 from repro.exceptions import FrozenGraphError
@@ -122,6 +124,57 @@ class TestAdjacencyAgreement:
         for label_id in range(graph.num_labels):
             assert frozen.label_frequency(label_id) == graph.label_frequency(label_id)
             assert frozen.edges_with_label(label_id) == graph.edges_with_label(label_id)
+
+
+#: Enough names that one (vertex, label) group can outgrow 8 targets —
+#: the size past which ``has_edge`` probes the other direction's group.
+ROW_EDGES = st.lists(
+    st.tuples(st.integers(0, 13), st.sampled_from("abcd"), st.integers(0, 13)),
+    max_size=90,
+)
+
+
+class TestRowsAgainstTheDictGraph:
+    """A row is two tuples; every question a search asks of it is
+    answered as the dict graph it was frozen from answers it."""
+
+    @settings(deadline=None)
+    @given(
+        edges=ROW_EDGES,
+        masks=st.lists(st.integers(0, 15), min_size=1, max_size=6),
+    )
+    def test_masked_targets_groups_probes_and_labels_between(self, edges, masks):
+        graph = KnowledgeGraph()
+        for s, label, t in edges:
+            graph.add_edge(s, label, t)
+        frozen = graph.freeze()
+        vertices, labels = graph.vertices(), range(graph.num_labels)
+        for mask in masks:
+            for v in vertices:
+                for targets, by_label in (
+                    (frozen.out_targets_masked, graph.out_by_label),
+                    (frozen.in_targets_masked, graph.in_by_label),
+                ):
+                    # Label-major by ascending label, each group in the
+                    # dict graph's order.
+                    expected = [
+                        w for label_id in labels if mask >> label_id & 1
+                        for w in by_label(v, label_id)
+                    ]
+                    assert type(targets(v, mask)) is tuple
+                    assert list(targets(v, mask)) == expected
+        for v in vertices:
+            for label_id in labels:
+                out_group = graph.out_by_label(v, label_id)
+                in_group = graph.in_by_label(v, label_id)
+                assert list(frozen.out_by_label(v, label_id)) == out_group
+                assert list(frozen.in_by_label(v, label_id)) == in_group
+        for s in vertices:
+            for t in vertices:
+                for label_id in labels:
+                    edge = (s, label_id, t)
+                    assert frozen.has_edge(*edge) == graph.has_edge(*edge)
+                assert frozen.labels_between(s, t) == graph.labels_between(s, t)
 
 
 class TestFreezeSemantics:

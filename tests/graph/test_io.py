@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
-from repro.graph.csr import FrozenGraph
+from repro.graph.csr import CsrDirection, FrozenGraph
 from repro.graph.io import (
     dump_tsv,
     dumps_tsv,
@@ -129,7 +129,7 @@ def _state(graph: KnowledgeGraph, skip: tuple[str, ...] = ()) -> dict:
 def _frozen_rows(graph: KnowledgeGraph) -> list:
     frozen = graph.freeze()
     return [
-        (direction.masks, direction.all_targets, direction.groups)
+        (direction.masks, direction.all_targets, direction.bounds)
         for direction in (frozen._csr_out, frozen._csr_in)
     ]
 
@@ -153,6 +153,19 @@ def _text(lines: list, endings: list) -> str:
         ("\t".join(line) if isinstance(line, tuple) else line) + ending
         for line, ending in zip(lines, endings)
     )
+
+
+def assert_rows_are_two_tuples(graph: FrozenGraph) -> None:
+    """A cut row holds no object but its two tuples of ints: no tuple
+    per label group, no list, nothing beside the three lists."""
+    assert CsrDirection.__slots__ == ("masks", "all_targets", "bounds", "rows_recut")
+    for direction in (graph._csr_out, graph._csr_in):
+        assert len(direction.masks) == len(direction.all_targets) == len(direction.bounds)
+        for targets, bounds in zip(direction.all_targets, direction.bounds):
+            assert type(targets) is tuple and type(bounds) is tuple
+            assert all(type(cell) is int for cell in targets + bounds)
+            assert len(bounds) % 2 == 0
+            assert (bounds[-1] if bounds else 0) == len(targets)
 
 
 class TestStreamingLoader:
@@ -185,10 +198,7 @@ class TestStreamingLoader:
         assert (reference._out, reference._in) == rows_before
         assert isinstance(booted, FrozenGraph)
         assert _frozen_rows(booted) == _frozen_rows(expected)
-        for direction in (booted._csr_out, booted._csr_in):
-            for targets, groups in zip(direction.all_targets, direction.groups):
-                if len(groups) == 1:
-                    assert targets is groups[0][1]
+        assert_rows_are_two_tuples(booted)
         # A snapshot holds no dict rows, and caches no snapshot.
         rows = ("_out", "_in", "_frozen")
         assert _state(booted, skip=rows) == _state(expected, skip=rows)

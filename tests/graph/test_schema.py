@@ -1,6 +1,8 @@
 """Tests for the RDFS schema registry."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.rdf import RDF_TYPE, RDFS_CLASS, RDFS_SUBCLASS_OF
 from repro.graph.schema import RDFSchema
@@ -100,3 +102,97 @@ class TestTriples:
         assert ("FullProfessor", RDFS_SUBCLASS_OF, "Professor") in triples
         assert ("alice", RDF_TYPE, "FullProfessor") in triples
         assert ("teaches", "rdfs:domain", "Faculty") in triples
+
+
+class ReferenceSchema(RDFSchema):
+    """The instance registry as it was kept with a set of classes per
+    instance beside each class's list, a repeat refused on the way in:
+    the reference the one-list registry must answer as."""
+
+    __slots__ = ("_classes_by_instance",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._classes_by_instance: dict = {}
+
+    def add_instance(self, instance, class_name):
+        self.add_class(class_name)
+        known = self._classes_by_instance.setdefault(instance, set())
+        if class_name in known:
+            return
+        known.add(class_name)
+        self._instances_by_class.setdefault(class_name, []).append(instance)
+
+    def instances_of(self, class_name, transitive=True):
+        result = list(self._instances_by_class.get(class_name, ()))
+        if transitive:
+            seen = set(result)
+            for sub in sorted(self.subclasses(class_name)):
+                for instance in self._instances_by_class.get(sub, ()):
+                    if instance not in seen:
+                        seen.add(instance)
+                        result.append(instance)
+        return result
+
+    def classes_of(self, instance):
+        return set(self._classes_by_instance.get(instance, ()))
+
+    def is_instance(self, instance, class_name):
+        direct = self._classes_by_instance.get(instance)
+        if not direct:
+            return False
+        if class_name in direct:
+            return True
+        return any(class_name in self.superclasses(c) for c in direct)
+
+    def typed_instances(self):
+        return iter(self._classes_by_instance)
+
+
+CLASSES = ["A", "B", "C", "D"]
+#: ``rdf:type`` and ``rdfs:subClassOf`` statements; small pools, so
+#: repeated ``rdf:type`` lines and subclass cycles are common.
+STATEMENTS = st.lists(
+    st.one_of(
+        st.tuples(st.just(RDF_TYPE), st.sampled_from(["x", "y", "z", 1]),
+                  st.sampled_from(CLASSES)),
+        st.tuples(st.just(RDFS_SUBCLASS_OF), st.sampled_from(CLASSES),
+                  st.sampled_from(CLASSES)),
+    ),
+    max_size=30,
+)
+
+
+class TestOneListPerClass:
+    @settings(deadline=None)
+    @given(statements=STATEMENTS)
+    def test_answers_as_the_per_instance_registry(self, statements):
+        schema, reference = RDFSchema(), ReferenceSchema()
+        for built in (schema, reference):
+            for kind, subject, obj in statements:
+                if kind == RDF_TYPE:
+                    built.add_instance(subject, obj)
+                else:
+                    built.add_subclass(subject, obj)
+        assert schema.classes() == reference.classes()
+        assert list(schema.triples()) == list(reference.triples())
+        assert set(schema.typed_instances()) == set(reference.typed_instances())
+        assert len(list(schema.typed_instances())) == len(set(schema.typed_instances()))
+        for cls in [*CLASSES, "Unknown"]:
+            for transitive in (True, False):
+                assert schema.instances_of(cls, transitive) == reference.instances_of(
+                    cls, transitive
+                )
+                assert schema.superclasses(cls, transitive) == reference.superclasses(
+                    cls, transitive
+                )
+                assert schema.subclasses(cls, transitive) == reference.subclasses(
+                    cls, transitive
+                )
+            for instance in ["x", "y", "z", 1, "nobody"]:
+                assert schema.is_instance(instance, cls) == reference.is_instance(
+                    instance, cls
+                )
+        for instance in ["x", "y", "z", 1, "nobody"]:
+            assert schema.classes_of(instance) == reference.classes_of(instance)
+        assert repr(schema) == repr(reference)

@@ -20,6 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constraints.label_constraint import LabelConstraint
+from repro.core.base import LSCRAlgorithm
 from repro.datasets.toy import figure3_graph
 from repro.exceptions import BadRequestError, ConstraintError, SparqlError
 from repro.service.app import QueryService
@@ -74,6 +76,8 @@ def counts(monkeypatch) -> Counter:
     count(ThreadPoolExecutor, "submit")
     count(ResultCache, "get")
     count(json.JSONEncoder, "encode")
+    count(LabelConstraint, "_mask_in")
+    count(LSCRAlgorithm, "answer")
     return tally
 
 
@@ -137,6 +141,22 @@ class TestAHitCostsALookup:
         assert not any(reply["cached"] for reply in replies)
         self.hit_everything(warm)
         assert warm.results.stats().misses == 2 * len(POOL)
+
+
+class TestTheLabelMaskIsComputedOnce:
+    def test_one_mask_per_evaluated_query(self, service, counts):
+        # The planner's trivial test, the approximate router and the
+        # evaluator all read the mask; the first computes it.
+        service.handle_batch({"queries": POOL})
+        assert section(service)["queries"]["executed"] == len(POOL)
+        assert 0 < counts["LSCRAlgorithm.answer"] <= len(POOL)
+        assert counts["LabelConstraint._mask_in"] == len(POOL)
+
+    def test_a_label_interned_by_an_update_is_in_the_next_mask(self, service):
+        member = spec("v0", "v9", S1, labels=["likes", "brandNew"])
+        assert json.loads(service.handle_query(member))["answer"] is False
+        service.apply_updates([("v0", "brandNew", "v9")])
+        assert json.loads(service.handle_query(member))["answer"] is True
 
 
 class TestMixedBatch:

@@ -4,8 +4,9 @@ An update batch derives the next snapshot from the serving one
 (``FrozenGraph.derive``), so while ``apply_updates`` runs nothing may
 copy a ``KnowledgeGraph`` or write one edge by edge — whether the batch
 comes from a caller, from WAL replay at recovery or from a follower
-catching up.  Boot and compaction-snapshot loads build a
-``KnowledgeGraph`` and freeze it once; they run outside the watched
+catching up.  Boot and compaction-snapshot loads stream their triples
+through ``KnowledgeGraph.from_triples``, which cuts each row as it is
+finished and writes none edge by edge; they run outside the watched
 span, and the watch must see them there (else it watches nothing).
 """
 
@@ -55,6 +56,10 @@ def watch(monkeypatch):
         monkeypatch.setattr(
             KnowledgeGraph, name, counted(name, getattr(KnowledgeGraph, name))
         )
+    from_triples = KnowledgeGraph.__dict__["from_triples"].__func__
+    monkeypatch.setattr(
+        KnowledgeGraph, "from_triples", classmethod(counted("from_triples", from_triples))
+    )
     return calls
 
 
@@ -103,8 +108,9 @@ def test_recovery_and_follower_catch_up_touch_no_mutable_graph(watch, tmp_path):
             seed=0,
         )
         assert replay["applied"] == 1
-        # The snapshot loads ran, edge by edge, outside apply_updates.
-        assert "add_edge_ids" in watch["outside"]
+        # The snapshot loads ran outside apply_updates, through the
+        # one streaming loader: the follower's resync and the recovery.
+        assert watch["outside"] == ["from_triples", "from_triples"]
         assert watch["inside"] == []
         expected = oracle_fingerprint(BATCHES)
         assert leader.epoch.fingerprint == expected

@@ -144,12 +144,18 @@ class CsrDirection:
         """Cut each ``(vertex_id, mask, targets, bounds)`` of ``rows``
         into the three lists — the one place a row is made, at boot
         (every row, each dropped by its producer once cut) and on a
-        derive alike."""
+        derive alike.  Rows of one call share their shapes: equal
+        ``bounds`` tuples and equal masks are one object (a one-group
+        row's ``(label, len)`` recurs across most of a graph), through a
+        table that lives as long as the call.  Targets are not shared:
+        nearly every row's are its own."""
         masks, all_targets, all_bounds = self.masks, self.all_targets, self.bounds
+        shared = {}.setdefault
         for vid, mask, targets, bounds in rows:
-            masks[vid] = mask
+            masks[vid] = shared(mask, mask)
             all_targets[vid] = tuple(targets)
-            all_bounds[vid] = tuple(bounds)
+            bounds = tuple(bounds)
+            all_bounds[vid] = shared(bounds, bounds)
 
     def span(self, vid: int, label_id: int) -> tuple[Sequence[int], int, int]:
         """``(row, start, end)`` with the ``(vid, label_id)`` group at
@@ -302,7 +308,9 @@ class FrozenGraph(KnowledgeGraph):
         (:data:`~repro.graph.labeled_graph.ShapedRow`); by default
         ``graph``'s own dict rows, which are left intact.  The serving
         boot (:meth:`KnowledgeGraph.from_triples` with ``frozen=True``)
-        hands in rows that are dropped as they are cut.
+        hands in rows that are dropped as they are cut, and whose
+        finisher sets ``graph``'s fingerprint accumulator only once the
+        last out-row is cut, so it is taken over after the cut.
         """
         # Deliberately no super().__init__(): every base slot but the
         # rows is bound to ``graph``'s structures, uncopied, so inherited
@@ -316,13 +324,14 @@ class FrozenGraph(KnowledgeGraph):
         self._in_degree = graph._in_degree
         self._label_edge_count = graph._label_edge_count
         self._mutations = graph._mutations
-        self._edge_acc = graph._edge_acc
         out_rows, in_rows = rows or (
             (_shaped(vid, row) for vid, row in enumerate(dict_rows))
             for dict_rows in (graph._out, graph._in)
         )
         self._csr_out = CsrDirection(out_rows, graph.num_vertices)
         self._csr_in = CsrDirection(in_rows, graph.num_vertices)
+        # Read after the cut: the boot's rows fold it as they are cut.
+        self._edge_acc = graph._edge_acc
 
     def __repr__(self) -> str:
         return (
@@ -479,8 +488,7 @@ class FrozenGraph(KnowledgeGraph):
     # ------------------------------------------------------------------
 
     def edges(self) -> Iterator[Edge]:
-        # Every boot's fingerprint scan walks this: an empty or one-group
-        # row is read without walking its bounds.
+        # An empty or one-group row is read without walking its bounds.
         all_targets = self._csr_out.all_targets
         for s, bounds in enumerate(self._csr_out.bounds):
             if not bounds:
@@ -511,6 +519,18 @@ class FrozenGraph(KnowledgeGraph):
     def in_by_label(self, vid: int, label_id: int):
         """The ``(vid, label_id)`` source group; ``()`` on O(1) miss."""
         return self._csr_in.by_label(vid, label_id)
+
+    def out_label_count(self, vid: int, label_id: int) -> int:
+        """Size of the ``(vid, label_id)`` target group, read off its
+        bounds without slicing it."""
+        _, start, end = self._csr_out.span(vid, label_id)
+        return end - start
+
+    def in_label_count(self, vid: int, label_id: int) -> int:
+        """Size of the ``(vid, label_id)`` source group, read off its
+        bounds without slicing it."""
+        _, start, end = self._csr_in.span(vid, label_id)
+        return end - start
 
     def has_edge(self, s: int, label_id: int, t: int) -> bool:
         """Edge membership, read in ``s``'s out-group, or in ``t``'s

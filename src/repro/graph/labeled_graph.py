@@ -26,7 +26,10 @@ the SPARQL evaluator):
 from __future__ import annotations
 
 import hashlib
+import sys
+from array import array
 from collections.abc import Hashable, Iterable, Iterator, Sequence
+from itertools import islice, repeat
 from operator import itemgetter
 
 from repro.exceptions import VertexNotFoundError
@@ -55,27 +58,67 @@ _NEIGHBOUR = itemgetter(1)
 
 _MASK64 = (1 << 64) - 1
 
+#: Edges mixed per pass of :func:`_edge_accumulator`, one 128-bit lane
+#: each, and the low 64 bits of every lane of a full pass.
+_CHUNK = 4096
+_LANES = int.from_bytes((b"\xff" * 8 + bytes(8)) * _CHUNK, "little")
 
-def _edge_accumulator(edges: Iterable[Edge]) -> int:
-    """The content fingerprint's order-insensitive 64-bit sum over ``edges``.
+
+def _lanes(ids: Sequence[int]) -> int:
+    """``ids`` as one int, each id in the low 64 bits of its own
+    128-bit lane (the first id in the lowest)."""
+    words = array("Q", bytes(len(ids) << 4))
+    words[::2] = array("Q", ids)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+def _edge_accumulator(
+    sources: Sequence[int], labels: Sequence[int], targets: Sequence[int]
+) -> int:
+    """The content fingerprint's order-insensitive 64-bit sum over the
+    edges ``zip(sources, labels, targets)``.
 
     Each triple goes through a splitmix64-style finalizer — cheap, and
     stable across processes (no built-in ``hash()``) — and the terms are
     summed mod 2⁶⁴, so an edge is taken back out by subtracting its
-    term.  One routine for the full scan and for a single edge, so the
-    running value and the from-scratch one cannot drift apart in the
-    arithmetic.
+    term.  The arithmetic runs on up to :data:`_CHUNK` edges at once, in
+    C: each column is laid out in 128-bit lanes of one int, where an id
+    times a 64-bit constant cannot carry into the next lane; every
+    shifted term is masked back to its lane's low 64 bits, and the
+    lanes are summed by halving the int into itself.  One routine for
+    the boot's fold, the full scan and a single edge, so the running
+    value and the from-scratch one cannot drift apart in the arithmetic.
     """
     accumulator = 0
-    for s, label_id, t in edges:
+    for start in range(0, len(sources), _CHUNK):
+        stop = start + _CHUNK
+        lanes = min(_CHUNK, len(sources) - start)
+        mask = _LANES >> ((_CHUNK - lanes) << 7)
         mixed = (
-            s * 0x9E3779B97F4A7C15
-            ^ label_id * 0xBF58476D1CE4E5B9
-            ^ t * 0x94D049BB133111EB
-        ) & _MASK64
-        mixed ^= mixed >> 30
-        mixed = (mixed * 0xBF58476D1CE4E5B9) & _MASK64
-        accumulator += mixed ^ mixed >> 27
+            _lanes(sources[start:stop]) * 0x9E3779B97F4A7C15
+            ^ _lanes(labels[start:stop]) * 0xBF58476D1CE4E5B9
+            ^ _lanes(targets[start:stop]) * 0x94D049BB133111EB
+        ) & mask
+        mixed ^= (mixed >> 30) & mask
+        mixed = mixed * 0xBF58476D1CE4E5B9 & mask
+        mixed ^= (mixed >> 27) & mask
+        while lanes > 1:
+            half = (lanes + 1) >> 1
+            bits = half << 7
+            mixed = (mixed & ((1 << bits) - 1)) + (mixed >> bits)
+            lanes = half
+        accumulator += mixed
+    return accumulator & _MASK64
+
+
+def _scanned_accumulator(edges: Iterable[Edge]) -> int:
+    """:func:`_edge_accumulator` over ``edges``, taken a chunk at a time."""
+    edges = iter(edges)
+    accumulator = 0
+    while chunk := list(islice(edges, _CHUNK)):
+        accumulator += _edge_accumulator(*zip(*chunk))
     return accumulator & _MASK64
 
 
@@ -104,16 +147,24 @@ def _shaped(vid: int, row: Row) -> ShapedRow:
 
 
 def _finished_rows(
-    rows: list[list[int]], degrees: list[int], counts: dict[int, int] | None
+    rows: list[list[int]], degrees: list[int], graph: "KnowledgeGraph | None"
 ) -> Iterator[ShapedRow]:
     """Each of ``rows`` — streamed as flat ``label_id, neighbour, ...``
     pairs — finished into its :data:`ShapedRow`: grouped by ascending
     label, each group in first-seen order with its duplicates dropped
-    (``dict.fromkeys``).  The row's size is written to ``degrees`` and —
-    given ``counts``, for one direction only — added to its labels'
-    counts.  Each row is taken out of ``rows`` as it is handed on, so a
-    consumer that cuts it (the serving boot) holds it only until it
-    moves to the next one."""
+    (``dict.fromkeys``).  The row's size is written to ``degrees``.
+    Given ``graph`` — for the out direction only, so each edge is seen
+    once — the row's edges are added to its per-label counts and staged
+    as three id columns, folded into the fingerprint accumulator every
+    :data:`_CHUNK` edges; the sum is ``graph``'s ``_edge_acc`` once the
+    last row is handed on.  Each row is taken out of ``rows`` as it is
+    handed on, so a consumer that cuts it (the serving boot) holds it
+    only until it moves to the next one."""
+    counts = graph._label_edge_count if graph is not None else None
+    accumulator = 0
+    edge_sources: list[int] = []
+    edge_labels: list[int] = []
+    edge_targets: list[int] = []
     for vid, pairs in enumerate(rows):
         rows[vid] = None  # type: ignore[call-overload]
         if not pairs:
@@ -131,6 +182,7 @@ def _finished_rows(
             bounds: Sequence[int] = (first, len(targets))
             if counts is not None:
                 counts[first] += len(targets)
+                edge_labels += repeat(first, len(targets))
         else:
             ends = iter(pairs)
             ordered = sorted(dict.fromkeys(zip(ends, ends)), key=_LABEL)
@@ -154,8 +206,20 @@ def _finished_rows(
                 for label_id, end in zip(ends, ends):
                     counts[label_id] += end - start
                     start = end
+                edge_labels += map(_LABEL, ordered)
         degrees[vid] = len(targets)
+        if counts is not None:
+            edge_sources += repeat(vid, len(targets))
+            edge_targets += targets
+            if len(edge_sources) >= _CHUNK:
+                accumulator += _edge_accumulator(edge_sources, edge_labels, edge_targets)
+                edge_sources.clear()
+                edge_labels.clear()
+                edge_targets.clear()
         yield vid, mask, targets, bounds
+    if graph is not None:
+        accumulator += _edge_accumulator(edge_sources, edge_labels, edge_targets)
+        graph._edge_acc = accumulator & _MASK64
 
 
 class KnowledgeGraph:
@@ -212,7 +276,8 @@ class KnowledgeGraph:
         #: effective vertex intern, edge insertion and edge removal.
         self._mutations = 0
         #: Running edge accumulator of :meth:`content_fingerprint`; None
-        #: until the first call pays the full scan.
+        #: until the first call pays the full scan (a graph built by
+        #: :meth:`from_triples` holds it from the start).
         self._edge_acc: int | None = None
 
     # ------------------------------------------------------------------
@@ -282,8 +347,10 @@ class KnowledgeGraph:
         direction: no dict per row, no list per label group, and no edge
         set beside them.  Each row is then finished in turn
         (:func:`_finished_rows`): grouped by ascending label with its
-        duplicate triples dropped, and the degrees, per-label counts and
-        mutation count are read off the finished rows.  The end is the
+        duplicate triples dropped, and the degrees, per-label counts,
+        mutation count and the fingerprint's edge accumulator are read
+        off the finished rows, so the graph's first
+        :meth:`content_fingerprint` scans no edge.  The end is the
         caller's choice: the graph keeps a dict row per vertex, or —
         ``frozen=True``, the serving boot — each finished row is cut
         into its CSR snapshot and its flat list dropped right away, so
@@ -326,7 +393,7 @@ class KnowledgeGraph:
         graph._out_degree = [0] * size
         graph._in_degree = [0] * size
         finished = (
-            _finished_rows(out_rows, graph._out_degree, counts),
+            _finished_rows(out_rows, graph._out_degree, graph),
             _finished_rows(in_rows, graph._in_degree, None),
         )
         if frozen:
@@ -404,8 +471,8 @@ class KnowledgeGraph:
         self._in_degree[t] += 1
         self._label_edge_count[label_id] = self._label_edge_count.get(label_id, 0) + 1
         if self._edge_acc is not None:
-            edge = (s, label_id, t)
-            self._edge_acc = (self._edge_acc + _edge_accumulator((edge,))) & _MASK64
+            term = _edge_accumulator((s,), (label_id,), (t,))
+            self._edge_acc = (self._edge_acc + term) & _MASK64
         self._mutations += 1
         return True
 
@@ -429,8 +496,8 @@ class KnowledgeGraph:
         else:
             del self._label_edge_count[label_id]
         if self._edge_acc is not None:
-            edge = (s, label_id, t)
-            self._edge_acc = (self._edge_acc - _edge_accumulator((edge,))) & _MASK64
+            term = _edge_accumulator((s,), (label_id,), (t,))
+            self._edge_acc = (self._edge_acc - term) & _MASK64
         self._mutations += 1
         return True
 
@@ -525,6 +592,14 @@ class KnowledgeGraph:
     def in_by_label(self, vid: int, label_id: int) -> list[int]:
         """Sources of ``vid``'s in-edges labeled ``label_id`` (maybe empty)."""
         return self._in[vid].get(label_id, [])
+
+    def out_label_count(self, vid: int, label_id: int) -> int:
+        """Number of ``vid``'s out-edges labeled ``label_id``."""
+        return len(self._out[vid].get(label_id, ()))
+
+    def in_label_count(self, vid: int, label_id: int) -> int:
+        """Number of ``vid``'s in-edges labeled ``label_id``."""
+        return len(self._in[vid].get(label_id, ()))
 
     def out_masked(self, vid: int, mask: int) -> Iterator[tuple[int, int]]:
         """Outgoing ``(label_id, target_id)`` with the label inside ``mask``.
@@ -739,17 +814,19 @@ class KnowledgeGraph:
         same-size graphs collide only with ~2⁻⁶⁴ accidental hash
         probability, never systematically.
 
-        The first call scans every edge; from then on the edge
-        bookkeeping keeps the accumulator (:meth:`add_edge_ids` /
+        A graph built by :meth:`from_triples` (every load and boot) has
+        the accumulator from the pass that finished its rows; on any
+        other graph the first call scans every edge.  From then on the
+        edge bookkeeping keeps it (:meth:`add_edge_ids` /
         :meth:`remove_edge_ids`, and an update's
         :meth:`~repro.graph.csr.FrozenGraph.derive`), and :meth:`copy`,
-        :meth:`freeze` and a derive hand it on, so each later call — one
-        per epoch swap — costs O(|L|) for the label names.
+        :meth:`freeze` and a derive hand it on, so every call that finds
+        it — one per epoch swap — costs O(|L|) for the label names.
         :meth:`scan_fingerprint` is the from-scratch value the running
         one is audited against.
         """
         if self._edge_acc is None:
-            self._edge_acc = _edge_accumulator(self.edges())
+            self._edge_acc = _scanned_accumulator(self.edges())
         return self._digest(self._edge_acc)
 
     def scan_fingerprint(self) -> str:
@@ -760,7 +837,7 @@ class KnowledgeGraph:
         compare the two, so the fingerprint stays a check on the graph's
         content rather than on its own bookkeeping.
         """
-        return self._digest(_edge_accumulator(self.edges()))
+        return self._digest(_scanned_accumulator(self.edges()))
 
     def _digest(self, accumulator: int) -> str:
         digest = hashlib.sha256()

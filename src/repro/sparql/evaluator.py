@@ -179,16 +179,13 @@ def _estimate_cost(
     if s is not None and p is not None and o is not None:
         return 0  # existence check
     if s is not None and p is not None:
-        # Label-presence pre-test: on a frozen graph this is one bitmask
-        # AND, so provably-empty patterns cost 0 and are picked first —
-        # the join backtracks immediately instead of expanding siblings.
-        if not graph.has_out_label(s, p):
-            return 0
-        return len(graph.out_by_label(s, p))
+        # One count, no copy of the group: on a frozen graph a miss is
+        # one bitmask AND, so provably-empty patterns cost 0 and are
+        # picked first — the join backtracks immediately instead of
+        # expanding siblings.
+        return graph.out_label_count(s, p)
     if o is not None and p is not None:
-        if not graph.has_in_label(o, p):
-            return 0
-        return len(graph.in_by_label(o, p))
+        return graph.in_label_count(o, p)
     if s is not None and o is not None:
         return graph.out_degree(s)  # enumerate labels between two vertices
     if s is not None:

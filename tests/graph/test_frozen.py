@@ -117,6 +117,19 @@ class TestAdjacencyAgreement:
                 assert frozen.labels_between(s, t) == graph.labels_between(s, t)
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
+    def test_group_counts_agree(self, seed):
+        # A count is read off the bounds; it must be the group's length,
+        # for labels absent from the universe too.
+        graph, frozen = make_pair(seed)
+        for v in graph.vertices():
+            for label_id in range(graph.num_labels + 1):
+                expected_out = len(graph.out_by_label(v, label_id))
+                expected_in = len(graph.in_by_label(v, label_id))
+                for form in (graph, frozen):
+                    assert form.out_label_count(v, label_id) == expected_out
+                    assert form.in_label_count(v, label_id) == expected_in
+
+    @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_membership_and_label_frequencies_agree(self, seed):
         graph, frozen = make_pair(seed)
         for s, label_id, t in graph.edges():
@@ -175,6 +188,40 @@ class TestRowsAgainstTheDictGraph:
                     edge = (s, label_id, t)
                     assert frozen.has_edge(*edge) == graph.has_edge(*edge)
                 assert frozen.labels_between(s, t) == graph.labels_between(s, t)
+
+
+class TestRowShapesAreShared:
+    def test_equal_wide_masks_and_bounds_are_one_object(self):
+        # Labels 0..11: a row over labels 9 and 10 has a mask above 256.
+        labels = [f"l{i}" for i in range(12)]
+        triples = [(f"s{i}", labels[9], f"t{i}") for i in range(4)]
+        triples += [(f"s{i}", labels[10], f"t{i + 1}") for i in range(4)]
+        triples += [("s0", labels[0], "t9")]
+        graph = KnowledgeGraph.from_triples(triples, labels=labels, frozen=True)
+        out = graph._csr_out
+        s = [graph.vid(f"s{i}") for i in range(4)]
+        assert out.masks[s[1]] == (1 << 9 | 1 << 10) > 256
+        assert all(out.masks[v] is out.masks[s[1]] for v in s[1:])
+        assert all(out.bounds[v] is out.bounds[s[1]] for v in s[1:])
+        assert out.bounds[s[0]] != out.bounds[s[1]]
+        inward = graph._csr_in
+        t = [graph.vid(f"t{i}") for i in (1, 2, 3)]
+        assert all(inward.bounds[v] is inward.bounds[t[0]] for v in t)
+
+    def test_a_derive_shares_within_the_rows_it_recuts(self):
+        labels = [f"l{i}" for i in range(12)]
+        graph = KnowledgeGraph.from_triples(
+            [("a", labels[9], "b")], labels=labels, frozen=True
+        )
+        child, _, _ = graph.derive(
+            [(f"n{i}", labels[9], f"m{i}", "add") for i in range(3)]
+            + [(f"n{i}", labels[11], f"m{i}", "add") for i in range(3)]
+        )
+        out = child._csr_out
+        rows = [child.vid(f"n{i}") for i in range(3)]
+        assert out.masks[rows[0]] > 256
+        assert all(out.masks[v] is out.masks[rows[0]] for v in rows)
+        assert all(out.bounds[v] is out.bounds[rows[0]] for v in rows)
 
 
 class TestFreezeSemantics:

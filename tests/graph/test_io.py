@@ -168,6 +168,16 @@ def assert_rows_are_two_tuples(graph: FrozenGraph) -> None:
             assert (bounds[-1] if bounds else 0) == len(targets)
 
 
+def assert_equal_shapes_are_one_object(graph: FrozenGraph) -> None:
+    """Within one direction, equal ``bounds`` tuples are one object, and
+    so are equal masks above 256 (CPython caches the ints below)."""
+    for direction in (graph._csr_out, graph._csr_in):
+        first: dict = {}
+        wide = [mask for mask in direction.masks if mask > 256]
+        for cell in [*direction.bounds, *wide]:
+            assert first.setdefault(cell, cell) is cell
+
+
 class TestStreamingLoader:
     @settings(deadline=None)
     @given(lines=LINES, data=st.data())
@@ -177,6 +187,9 @@ class TestStreamingLoader:
                      min_size=len(lines), max_size=len(lines))
         )
         loaded, expected = loads_tsv(_text(lines, endings)), _reference(lines)
+        # The loader folds the accumulator as it finishes the rows; the
+        # reference's first call scans its edges.
+        expected.content_fingerprint()
         assert _state(loaded) == _state(expected)
         assert loaded.content_fingerprint() == expected.content_fingerprint()
         assert _frozen_rows(loaded) == _frozen_rows(expected)
@@ -199,8 +212,10 @@ class TestStreamingLoader:
         assert isinstance(booted, FrozenGraph)
         assert _frozen_rows(booted) == _frozen_rows(expected)
         assert_rows_are_two_tuples(booted)
+        assert_equal_shapes_are_one_object(booted)
         # A snapshot holds no dict rows, and caches no snapshot.
         rows = ("_out", "_in", "_frozen")
+        expected.content_fingerprint()
         assert _state(booted, skip=rows) == _state(expected, skip=rows)
         assert booted.content_fingerprint() == expected.content_fingerprint()
         assert booted.content_fingerprint() == reference.scan_fingerprint()

@@ -152,6 +152,12 @@ class TestTheLabelMaskIsComputedOnce:
         assert 0 < counts["LSCRAlgorithm.answer"] <= len(POOL)
         assert counts["LabelConstraint._mask_in"] == len(POOL)
 
+    def test_a_label_interned_by_an_update_is_in_the_next_mask(self, service):
+        member = spec("v0", "v9", S1, labels=["likes", "brandNew"])
+        assert json.loads(service.handle_query(member))["answer"] is False
+        service.apply_updates([("v0", "brandNew", "v9")])
+        assert json.loads(service.handle_query(member))["answer"] is True
+
 
 class TestMixedBatch:
     """Three hits, two misses, one planner answer, one ``use_cache:

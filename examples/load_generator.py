@@ -2,34 +2,26 @@
 
 Hammers an HTTP endpoint with ``--clients`` concurrent threads for
 ``--duration`` seconds, then prints per-endpoint throughput and
-client-side latency percentiles (p50/p90/p99) — the numbers that size a
-shard count (``serve --shards``) and its batch member pool
-(``serve --shards N --workers W``; a plain server answers batch members
-in the request thread).
-Each client alternates ``POST /query`` and ``POST /batch`` requests
-(ratio set by ``--batch-every``), cycling a workload of specs with the
-result cache bypassed so every request does real work.
+client-side latency percentiles (p50/p90/p99) — the numbers that size
+a deployment's admission window (``serve --max-concurrent N
+--max-queue Q``).  Each client alternates ``POST /query`` and
+``POST /batch`` requests (ratio set by ``--batch-every``), cycling a
+workload of specs with the result cache bypassed so every request does
+real work.
 
 Two ways to point it at a server:
 
 * **self-contained** (default) — generates a random graph, starts an
-  unsharded in-process server on an ephemeral port, drives it, and
-  shuts it down:
+  in-process server on an ephemeral port, drives it, and shuts it
+  down:
 
       python examples/load_generator.py --clients 8 --duration 5
 
 * **external** — drive an already-running server (the specs must match
   its graph; ``--spec-file`` takes a JSON array of query specs, e.g.
-  written by your own tooling).  A sharded server is one of these: its
-  shards are ``serve --worker`` processes over the slices ``repro cut``
-  wrote, attached by ``--worker-url``:
+  written by your own tooling):
 
-      python -m repro cut g.tsv --shards 2 --out slices/
-      python -m repro serve --worker slices/shard-0.slice.json --port 9000 &
-      python -m repro serve --worker slices/shard-1.slice.json --port 9001 &
-      python -m repro serve --graph g.tsv --port 8080 --shards 2 \\
-          --worker-url http://127.0.0.1:9000 \\
-          --worker-url http://127.0.0.1:9001 &
+      python -m repro serve --graph g.tsv --port 8080 --max-concurrent 8 &
       python examples/load_generator.py --url http://127.0.0.1:8080 \\
           --spec-file specs.json --clients 16 --duration 10
 """
@@ -215,7 +207,7 @@ class LoadStats:
             self.queries[endpoint] += queries
 
     def record_rejected(self, kind: str) -> None:
-        """A structured refusal (504/503/429) — expected under faults."""
+        """A structured refusal (504/429) — expected under overload."""
         with self._lock:
             self.rejected[kind] += 1
 
@@ -250,11 +242,11 @@ def client_loop(
         try:
             post(base, path + suffix, payload)
         except urllib.error.HTTPError as error:
-            # Structured refusals — deadline-exceeded, shard-unavailable,
-            # overloaded — are the server degrading as designed; count
+            # Structured refusals — deadline-exceeded, overloaded — are
+            # the server shedding load as designed; count
             # them by kind instead of lumping them with real failures.
             kind = None
-            if error.code in (429, 503, 504):
+            if error.code in (429, 504):
                 try:
                     body = json.loads(error.read())
                     kind = body["error"]["type"]
@@ -344,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--deadline-ms", type=float, default=None,
                         help="send ?deadline_ms= with every request and "
-                        "count structured 504/503/429 refusals separately")
+                        "count structured 504/429 refusals separately")
     args = parser.parse_args(argv)
 
     if args.url is not None:

@@ -14,10 +14,7 @@ schema, an exact SPARQL basic-graph-pattern evaluator, comparator indexes
 YAGO-like dataset generators, the Section 6 workload generators, a
 benchmark harness regenerating every table and figure of the evaluation,
 a concurrent query service (:mod:`repro.service`) with planning,
-caching and batch execution over HTTP (``python -m repro serve``), and
-region-sharded scatter-gather serving over CSR slices held by worker
-processes (:mod:`repro.shard`, ``python -m repro cut`` / ``serve
---worker`` / ``serve --shards N --worker-url ...``).
+caching and batch execution over HTTP (``python -m repro serve``).
 
 Quickstart::
 
@@ -59,7 +56,6 @@ from repro.service.http import create_server
 from repro.service.planner import QueryPlan, QueryPlanner
 from repro.service.registry import TenantRegistry
 from repro.service.stats import ServiceStats
-from repro.shard import ShardedQueryService
 
 from repro._version import __version__
 
@@ -84,7 +80,6 @@ __all__ = [
     "ResultAggregate",
     "ResultCache",
     "ServiceStats",
-    "ShardedQueryService",
     "SubstructureChecker",
     "SubstructureConstraint",
     "TenantRegistry",

@@ -163,9 +163,8 @@ class ApproxRouter:
     def remember_witness(self, plan: Any, result: QueryResult) -> bool:
         """After an exact True answer, cache the path its search walked.
 
-        ``result.witness`` is stored as is; a producer that returned
-        none (the scatter-gather coordinator) stores nothing — there is
-        no second search to fill the gap.  Returns whether a witness
+        ``result.witness`` is stored as is; an evaluator that returned
+        none stores nothing — there is no second search to fill the gap.  Returns whether a witness
         was stored.
         """
         if result.witness is None or self.witnesses.max_size == 0:

@@ -1,13 +1,12 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Six subcommands cover the end-to-end workflow on TSV-serialised graphs
+Five subcommands cover the end-to-end workflow on TSV-serialised graphs
 (see :mod:`repro.graph.io` for the format):
 
 * ``generate`` — produce a LUBM-like / YAGO-like / random dataset;
 * ``stats``    — describe a graph (sizes, degrees, label histogram);
 * ``index``    — build and persist a local index (Algorithm 3);
 * ``query``    — answer one LSCR query, optionally with a witness path;
-* ``cut``      — cut a graph into serialized shard slices for workers;
 * ``serve``    — serve LSCR queries over HTTP (:mod:`repro.service`).
 
 Examples::
@@ -24,24 +23,13 @@ Examples::
     python -m repro serve --graph d1.tsv --index d1.index.json --port 8080
     python -m repro serve --graph d1.tsv \
         --tenant yago=y.tsv:y.index.json --tenant toy=toy.tsv
-    python -m repro cut d1.tsv --shards 2 --out slices/
-    python -m repro serve --worker slices/shard-0.slice.json --port 9000
-    python -m repro serve --worker slices/shard-1.slice.json --port 9001
-    python -m repro serve --graph d1.tsv --shards 2 \
-        --worker-url http://127.0.0.1:9000 --worker-url http://127.0.0.1:9001 \
-        --warm-cache d1.cache.json
+    python -m repro serve --graph d1.tsv --warm-cache d1.cache.json
 
 The second ``serve`` form hosts three graphs in one process: ``d1`` as
 the default tenant behind the un-prefixed routes, the others behind
 ``/t/yago/...`` and ``/t/toy/...`` (lazy warm start on first query).
-The last block is the **sharded** deployment: ``cut`` serializes the
-slices (of the one plan ``serve --shards`` derives for the same
-``--seed`` and ``--k``; an index never shapes it), each ``serve
---worker`` process serves one of them, and the coordinator attaches
-them by URL — handshaking on plan hash and wire version at startup,
-probing health periodically, and propagating every update epoch over
-the two-phase slice-swap wire — warming its result cache from, and
-snapshotting it back to, ``d1.cache.json``.
+The last one warms the result cache from, and snapshots it back to,
+``d1.cache.json``.  One process serves each graph whole.
 """
 
 from __future__ import annotations
@@ -68,21 +56,8 @@ from repro.index.local_index import build_local_index
 from repro.index.storage import load_local_index, save_local_index
 from repro.service.app import QueryService
 from repro.service.http import create_server
-from repro.service.options import (
-    OPTIONS,
-    ServiceOptions,
-    add_arguments,
-    options_from_args,
-)
+from repro.service.options import add_arguments, options_from_args
 from repro.service.registry import DEFAULT_TENANT, TenantRegistry
-from repro.shard import ShardedQueryService, ShardWorker, derive_shard_plan
-from repro.shard.slicefile import (
-    SLICE_WIRE_VERSION,
-    dump_slice,
-    load_slice,
-    plan_fingerprint,
-    slice_document,
-)
 from repro.wal import (
     DEFAULT_COMPACT_EVERY,
     DEFAULT_POLL_INTERVAL,
@@ -152,24 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--witness", action="store_true", help="also print a witness path"
     )
 
-    cut = commands.add_parser(
-        "cut",
-        help="cut a TSV graph into serialized shard slices for "
-        "shard worker processes (serve --worker): a fresh landmark partition "
-        "with structural correlations, the plan serve --shards derives "
-        "for the same --seed and --k",
-    )
-    cut.add_argument("graph", help="TSV graph file")
-    cut.add_argument(
-        "--shards", type=int, required=True, metavar="N", help="shard count"
-    )
-    cut.add_argument(
-        "--out", required=True, metavar="DIR",
-        help="directory for the shard-<id>.slice.json files (created)",
-    )
-    cut.add_argument("--k", type=int, default=None, help="landmark count")
-    cut.add_argument("--seed", type=int, default=0)
-
     serve = commands.add_parser(
         "serve", help="serve LSCR queries over HTTP (POST /query, /batch)"
     )
@@ -200,15 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080, help="0 binds an ephemeral port"
     )
     serve.add_argument(
-        "--worker",
-        default=None,
-        metavar="SLICE_FILE",
-        help="serve as a standalone shard worker process from a slice file "
-        "written by 'cut': exposes /shard/<id>/{expand,query,update} and "
-        "the GET /shard/<id> descriptor for a coordinator's handshake "
-        "(mutually exclusive with --graph/--index/--tenant/--shards)",
-    )
-    serve.add_argument(
         "--default-deadline-ms",
         type=float,
         default=None,
@@ -230,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="accept POST /edges live edge update batches — additions and "
         "{\"op\": \"remove\"} retractions (copy-on-write epoch swap; refused "
-        "with 403 when off; a sharded default tenant pushes each batch to "
-        "its worker slices before acknowledging it)",
+        "with 403 when off)",
     )
     serve.add_argument(
         "--wal",
@@ -240,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="durable updates: replay the write-ahead log under DIR at "
         "startup (recovering the pre-crash epoch), then append every "
         "applied POST /edges batch there before acknowledging (requires "
-        "--graph; composes with --shards — replay re-cuts and re-pushes "
-        "worker slices to the logged epoch; incompatible with --follow)",
+        "--graph; incompatible with --follow)",
     )
     serve.add_argument(
         "--compact-every",
@@ -285,8 +231,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_index(args)
         if args.command == "query":
             return _cmd_query(args)
-        if args.command == "cut":
-            return _cmd_cut(args)
         if args.command == "serve":
             return _cmd_serve(args)
     except ReproError as error:
@@ -362,72 +306,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0 if result.answer else 1
 
 
-def _cmd_cut(args: argparse.Namespace) -> int:
-    """Serialize one slice file per shard, coordinator-compatible
-    (:func:`~repro.shard.partitioner.derive_shard_plan` is the plan
-    ``serve --graph G --shards N --seed S`` derives too)."""
-    if args.shards < 1:
-        raise ServiceConfigError(f"--shards must be >= 1, got {args.shards}")
-    graph = load_tsv(args.graph, name=Path(args.graph).stem, frozen=True)
-    *_, plan = derive_shard_plan(
-        graph, args.shards, landmark_count=args.k, seed=args.seed
-    )
-    fingerprint = graph.content_fingerprint()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    total = 0
-    for shard_id in range(plan.num_shards):
-        path = out / f"shard-{shard_id}.slice.json"
-        document = slice_document(
-            graph, plan, shard_id, epoch=0, fingerprint=fingerprint
-        )
-        size = dump_slice(document, path)
-        total += size
-        print(
-            f"shard {shard_id}: |V|={len(document['adjacency'])} "
-            f"|E|={document['num_edges']} "
-            f"borders={len(document['border_targets'])} "
-            f"-> {path} ({size} bytes)"
-        )
-    print(
-        f"cut {plan.num_shards} slices ({total} bytes); "
-        f"plan {plan_fingerprint(plan)} at epoch 0, wire v{SLICE_WIRE_VERSION}"
-    )
-    return 0
-
-
-def _serve_worker(
-    args: argparse.Namespace, options: ServiceOptions, booted: Callable[[], None]
-) -> int:
-    """``serve --worker SLICE_FILE``: one shard worker process."""
-    loaded = load_slice(args.worker)
-    worker = ShardWorker(loaded, options=options)
-    # No tenants: the registry only backs the admin routes; queries go
-    # through the coordinator that attaches this worker by URL.
-    registry = TenantRegistry()
-    server = create_server(
-        registry, args.host, args.port, {str(loaded.shard_id): worker}
-    )
-    host, port = server.server_address[:2]
-    print(
-        f"worker: shard {loaded.shard_id} of {loaded.plan.num_shards} "
-        f"from {args.worker} (|V|={loaded.slice.num_vertices} "
-        f"|E|={loaded.slice.num_edges}; epoch {loaded.epoch}, "
-        f"plan {loaded.plan_hash[:12]}..., wire v{SLICE_WIRE_VERSION})",
-        flush=True,
-    )
-    booted()
-    print(f"listening on http://{host}:{port}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        worker.close()
-    return 0
-
-
 def _parse_tenant_spec(spec: str) -> tuple[str, str, str | None]:
     """``NAME=GRAPH[:INDEX]`` → (name, graph path, index path or None)."""
     name, separator, paths = spec.partition("=")
@@ -474,36 +352,11 @@ def _serve(args: argparse.Namespace, booted: Callable[[], None]) -> int:
     # Every per-service flag, range- and cross-checked against the one
     # table; what follows only checks how the deployment fits together.
     options = options_from_args(args)
-    if args.worker is not None:
-        conflicts = {
-            "--graph": args.graph is not None,
-            "--index": args.index is not None,
-            "--tenant": bool(args.tenant),
-            "--wal": args.wal is not None,
-            "--follow": args.follow is not None,
-            "--allow-updates": args.allow_updates,
-            "--warm-cache": args.warm_cache is not None,
-            # A worker reads only the result-cache size of the table.
-            **{
-                row.flag: getattr(args, row.name) is not None
-                for row in OPTIONS
-                if row.flag is not None and row.name != "cache_size"
-            },
-        }
-        named = [flag for flag, given in conflicts.items() if given]
-        if named:
-            raise ServiceConfigError(
-                f"--worker serves one slice and nothing else; drop "
-                f"{', '.join(named)}"
-            )
-        return _serve_worker(args, options, booted)
     tenants = [_parse_tenant_spec(spec) for spec in args.tenant]
     if args.graph is None and not tenants:
         raise ServiceConfigError(
             "serve needs at least one graph: pass --graph and/or --tenant"
         )
-    if options.shards and args.graph is None:
-        raise ServiceConfigError("--shards requires --graph (the default tenant)")
     if args.wal is not None and args.follow is not None:
         raise ServiceConfigError(
             "--wal and --follow are mutually exclusive: a process either "
@@ -513,11 +366,6 @@ def _serve(args: argparse.Namespace, booted: Callable[[], None]) -> int:
         raise ServiceConfigError(
             "--wal/--follow require --graph (the base TSV the log's first "
             "record was written against)"
-        )
-    if args.follow is not None and options.shards:
-        raise ServiceConfigError(
-            "--follow does not support --shards: a follower republishes "
-            "the leader's epochs read-only, it does not drive a fleet"
         )
     if args.follow is not None and args.allow_updates:
         raise ServiceConfigError(
@@ -548,15 +396,11 @@ def _serve(args: argparse.Namespace, booted: Callable[[], None]) -> int:
     tenant_wal = None
     replay = None
     if args.graph is not None:
-        service_cls = ShardedQueryService if options.shards else QueryService
         if args.wal is not None or args.follow is not None:
             # Leader and follower recover identically — snapshot (if
             # any) + record replay, fingerprint-verified — and differ
             # only in what happens next: the leader attaches the log so
-            # new batches append, the follower tails it read-only.  A
-            # sharded leader recovers through ShardedQueryService, so
-            # the snapshot adoption and every replayed batch re-cut and
-            # re-push worker slices to the logged epoch.
+            # new batches append, the follower tails it read-only.
             update_wal = UpdateWal(
                 args.wal if args.wal is not None else args.follow,
                 compact_every=args.compact_every,
@@ -567,17 +411,16 @@ def _serve(args: argparse.Namespace, booted: Callable[[], None]) -> int:
                 graph_path=args.graph,
                 index_path=args.index,
                 attach=args.wal is not None,
-                service_cls=service_cls,
                 options=options,
             )
         else:
-            default_service = service_cls.from_files(
+            default_service = QueryService.from_files(
                 args.graph, args.index, options=options
             )
         registry.add(DEFAULT_TENANT, default_service)
     for name, graph_path, index_path in tenants:
         registry.register_files(
-            name, graph_path, index_path, options=options.unsharded()
+            name, graph_path, index_path, options=options
         )
 
     follower = None
@@ -650,16 +493,6 @@ def _serve(args: argparse.Namespace, booted: Callable[[], None]) -> int:
         f"default algorithm: {service.default_algorithm}",
         flush=True,
     )
-    if options.shards:
-        shard_plan, slice_epoch = service.epoch.topology
-        plan = shard_plan.describe()
-        print(
-            f"shards: {options.shards} (vertices per shard: "
-            f"{plan['vertices_per_shard']}; workers: "
-            f"{', '.join(options.worker_urls)}; slice epoch "
-            f"{slice_epoch}, handshake ok)",
-            flush=True,
-        )
     if len(registry) > 1:
         print(
             f"tenants: {', '.join(registry.names())} "
@@ -702,10 +535,6 @@ def _serve(args: argparse.Namespace, booted: Callable[[], None]) -> int:
         resilience_notes.append(
             f"default deadline {args.default_deadline_ms:g}ms"
         )
-    if options.scatter_timeout is not None:
-        resilience_notes.append(f"shard timeout {options.scatter_timeout:g}s")
-    if options.degraded_answers:
-        resilience_notes.append("degraded answers on shard loss")
     if options.max_concurrent is not None:
         resilience_notes.append(
             f"max {options.max_concurrent} concurrent "

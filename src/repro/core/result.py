@@ -40,12 +40,6 @@ class QueryResult:
     #: Vertices resolved from the local index instead of traversal (INS:
     #: sum of ``Cut`` marks, ``Push`` enqueues and ``Check`` hits).
     index_resolutions: int = 0
-    #: Degradation marker set by the sharded coordinator when shards were
-    #: unavailable: ``{"missing_shards": [...], "verdict": "reachable" |
-    #: "unknown"}``.  ``None`` for exact answers.  Sound by edge-subset
-    #: monotonicity: a closure over surviving slices can prove reachable
-    #: but never unreachable, so ``answer=False`` degrades to "unknown".
-    degraded: dict | None = None
     #: The path a True answer was proved by, when the evaluator walked
     #: one (UIS*, Meet); None otherwise.  Evidence, not part of the answer:
     #: excluded from equality and never serialised by the service.
@@ -97,9 +91,8 @@ class ResultAggregate:
     def merge(self, other: "ResultAggregate") -> None:
         """Fold another aggregate in.
 
-        Used to combine aggregates accumulated independently — per
-        worker thread in the service, per shard in the bench harness —
-        into one cell without replaying individual results.
+        Used to combine aggregates accumulated independently into one
+        cell without replaying individual results.
         """
         if not self.algorithm:
             self.algorithm = other.algorithm

@@ -213,11 +213,9 @@ class ReadOnlyServiceError(BadRequestError):
 class DeadlineExceededError(BadRequestError):
     """A request ran past its end-to-end deadline (HTTP 504).
 
-    Raised wherever the budget is checked — the service execute seam,
-    the evaluator outer loops, the batch executor, each scatter-gather
-    round, and shard workers (the remaining budget rides the
-    ``/shard/<id>/expand`` and ``/shard/<id>/query`` wire).  ``detail``
-    carries partial accounting: where the budget ran out, the elapsed
+    Raised wherever the budget is checked — the service execute seam
+    and the evaluator outer loops.  ``detail`` carries partial
+    accounting: where the budget ran out, the elapsed
     vs. allotted milliseconds, and whatever progress telemetry the
     raising layer had (rounds completed, vertices passed), so a
     timed-out client still learns what its budget bought.
@@ -251,29 +249,6 @@ class DeadlineExceededError(BadRequestError):
         self.budget_ms = budget_ms
 
 
-class ShardUnavailableError(BadRequestError):
-    """A shard worker stayed down past the retry budget (HTTP 503).
-
-    The fail-fast half of graceful degradation: without
-    ``--degraded-answers`` the coordinator refuses to answer from a
-    partial fleet — a sound-but-\"unknown\" answer must be opted into —
-    and names the shard so operators know *which* worker to look at.
-    """
-
-    kind = "shard-unavailable"
-
-    def __init__(self, shard: int, reason: str, detail: dict | None = None):
-        merged = {"shard": shard, "reason": reason}
-        if detail:
-            merged.update(detail)
-        super().__init__(
-            f"shard {shard} is unavailable: {reason}",
-            status=503,
-            detail=merged,
-        )
-        self.shard = shard
-
-
 class OverloadedError(BadRequestError):
     """Admission control shed this request (HTTP 429 + ``Retry-After``).
 
@@ -296,79 +271,6 @@ class OverloadedError(BadRequestError):
         self.retry_after = retry_after
         #: Extra response headers the HTTP layer sends with the error.
         self.headers = {"Retry-After": str(max(1, round(retry_after)))}
-
-
-class CircuitOpenError(ServiceError):
-    """A circuit breaker rejected a call without attempting it.
-
-    Internal to the resilience layer: the coordinator converts it into a
-    degraded answer or a :class:`ShardUnavailableError`, so it never
-    crosses the HTTP boundary itself.
-    """
-
-    def __init__(self, shard: int, state: str):
-        super().__init__(
-            f"circuit breaker for shard {shard} is {state}; call rejected"
-        )
-        self.shard = shard
-        self.state = state
-
-
-class UpdatesUnsupportedError(BadRequestError):
-    """The service topology cannot apply live updates (HTTP 501).
-
-    Historical note: sharded services answered ``POST /edges`` with this
-    until slice-epoch propagation landed; today the only raiser left is
-    third-party topologies that opt out explicitly.  Kept because the
-    HTTP error table maps it to a structured 501.
-    """
-
-    kind = "updates-unsupported"
-
-    def __init__(self, message: str, detail: dict | None = None):
-        super().__init__(message, status=501, detail=detail)
-
-
-class SliceFileError(ServiceConfigError):
-    """A serialized graph slice could not be read or validated.
-
-    Raised by :mod:`repro.shard.slicefile` on truncated files, version
-    mismatches, checksum/plan-hash disagreements and structurally
-    malformed documents — a worker must refuse to boot (or to stage an
-    update) rather than serve garbage answers from a half-read slice.
-    """
-
-
-class ShardHandshakeError(ServiceConfigError):
-    """A remote shard worker refused (or failed) the startup handshake.
-
-    The coordinator attaches ``--worker-url`` workers only after each
-    one's ``GET /shard/<id>`` descriptor agrees on the plan hash and
-    protocol version; a disagreement means the worker is serving a slice
-    cut from a different plan and composing with it would be silently
-    wrong.  ``detail`` carries both sides' view.
-    """
-
-    def __init__(self, message: str, detail: dict | None = None):
-        super().__init__(message)
-        self.detail = detail
-
-
-class RemoteShardError(ServiceError):
-    """A remote shard worker answered the wire with an HTTP error.
-
-    Raised by :class:`~repro.shard.worker.HttpShardWorker` for non-2xx
-    responses that are not structured 504s (those surface as
-    :class:`DeadlineExceededError`).  Carries the status and the remote
-    error body so the coordinator's failure accounting names the cause.
-    """
-
-    def __init__(self, shard: int, status: int, message: str):
-        super().__init__(
-            f"shard {shard} remote call failed with HTTP {status}: {message}"
-        )
-        self.shard = shard
-        self.status = status
 
 
 class WalError(ServiceError):

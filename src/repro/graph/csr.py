@@ -100,10 +100,6 @@ class CsrDirection:
     only the rows a batch wrote and shares every other cell with its
     parent — same objects, safe because neither side can write them.
     ``rows_recut`` / ``rows_shared`` say how the rows came about.
-
-    A shard's slice (:mod:`repro.shard`) is no other layout: it is one
-    :class:`FrozenGraph` whose rows are empty outside the owned
-    vertices, indexed by the deployment's global ids like any graph.
     """
 
     __slots__ = (
@@ -474,14 +470,6 @@ class FrozenGraph(KnowledgeGraph):
     def in_label_mask(self, vid: int) -> int:
         """Bitmask of distinct labels on ``vid``'s in-edges (O(1))."""
         return self._csr_in.masks[vid]
-
-    def has_out_label(self, vid: int, label_id: int) -> bool:
-        """True iff ``vid`` has an out-edge labeled ``label_id`` (O(1))."""
-        return bool(self._csr_out.masks[vid] >> label_id & 1)
-
-    def has_in_label(self, vid: int, label_id: int) -> bool:
-        """True iff ``vid`` has an in-edge labeled ``label_id`` (O(1))."""
-        return bool(self._csr_in.masks[vid] >> label_id & 1)
 
     # ------------------------------------------------------------------
     # CSR-backed iteration (overrides of the dict-walking base methods)

@@ -663,14 +663,6 @@ class KnowledgeGraph:
             mask |= 1 << label_id
         return mask
 
-    def has_out_label(self, vid: int, label_id: int) -> bool:
-        """True iff ``vid`` has at least one out-edge labeled ``label_id``."""
-        return label_id in self._out[vid]
-
-    def has_in_label(self, vid: int, label_id: int) -> bool:
-        """True iff ``vid`` has at least one in-edge labeled ``label_id``."""
-        return label_id in self._in[vid]
-
     def edges_with_label(self, label_id: int) -> list[tuple[int, int]]:
         """All ``(source_id, target_id)`` pairs carrying ``label_id``, in
         source order: one group probe per vertex, O(|V|) plus the pairs."""

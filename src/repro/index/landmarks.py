@@ -40,7 +40,6 @@ __all__ = [
     "default_landmark_count",
     "select_landmarks",
     "bfs_traverse",
-    "structural_correlations",
 ]
 
 #: Region value of vertices not reached by any landmark.
@@ -188,33 +187,3 @@ def bfs_traverse(graph: KnowledgeGraph, landmarks: list[int]) -> Partition:
 
     return Partition(landmarks=list(dict.fromkeys(landmarks)), region=region, members=members)
 
-
-def structural_correlations(
-    graph: KnowledgeGraph, partition: Partition
-) -> dict[int, dict[int, int]]:
-    """An edge-cut stand-in for the local index's ``D`` table.
-
-    ``D[u][v]`` in the index counts distinct ``EI[u]`` border targets
-    landing in ``F(v)`` — which needs the full per-landmark indexing
-    pass.  Shard placement never builds or reads the index: this O(|E|)
-    scan supplies the same shape from raw cross-region edges — the
-    number of distinct border-edge targets of ``F(u)`` that lie in
-    ``F(v)``, same orientation, same "higher means more correlated"
-    reading.
-    """
-    region = partition.region
-    border_targets: dict[int, set[int]] = {}
-    for source, _label, target in graph.edges():
-        ru = region[source]
-        rv = region[target]
-        if ru == NO_REGION or rv == NO_REGION or ru == rv:
-            continue
-        border_targets.setdefault(ru, set()).add(target)
-    correlations: dict[int, dict[int, int]] = {}
-    for ru, targets in border_targets.items():
-        row: dict[int, int] = {}
-        for target in targets:
-            rv = region[target]
-            row[rv] = row.get(rv, 0) + 1
-        correlations[ru] = row
-    return correlations

@@ -137,9 +137,8 @@ _CACHES = ("result", "constraint", "candidate")
 #: dotted keys into one tenant's ``stats_snapshot`` document; a missing
 #: value renders 0, unless the path ends ``?`` (then no sample when it is
 #: absent or None).  A last step ``a|b`` makes one family per key, named
-#: by putting the key for ``{}``.  Three steps add a label: ``<label>``
-#: walks a dict's sorted keys, ``[shard]`` the worker list (by each
-#: entry's ``shard``), ``@cache`` the :data:`_CACHES` sections.
+#: by putting the key for ``{}``.  Two steps add a label: ``<label>``
+#: walks a dict's sorted keys, ``@cache`` the :data:`_CACHES` sections.
 _ROWS = (
     ("repro_uptime_seconds", "gauge", "service.uptime_seconds",
      "Seconds since the service started"),
@@ -176,8 +175,6 @@ _ROWS = (
      "Failed requests by error kind"),
     ("repro_requests_shed_total", "counter", "service.resilience.requests_shed",
      "Requests rejected by admission control"),
-    ("repro_degraded_answers_total", "counter", "service.resilience.degraded_answers",
-     "Answers served over surviving shards only"),
     ("repro_algorithm_queries_total", "counter", "service.algorithms.<algorithm>.count",
      "Executed queries per algorithm"),
     ("repro_algorithm_true_answers_total", "counter",
@@ -266,91 +263,18 @@ _ROWS = (
      "Strongly connected components in the bounds condensation"),
     ("repro_approx_bounds_build_seconds", "gauge", "approx.bounds.build_seconds",
      "Time the current epoch's bounds index took to build or derive"),
-    ("repro_shard_count", "gauge", "shards.plan.num_shards", "Shards in the plan"),
-    ("repro_shard_slice_epoch", "gauge", "shards.slice_epoch?",
-     "Coordinated slice epoch the fleet serves"),
-    ("repro_shard_coordinator_{}", "counter",
-     "shards.coordinator.queries|fast_path_hits|rounds_total|expand_calls_total"
-     "|crossings_total|epoch_skew_retries",
-     "Scatter-gather coordinator counters"),
-    ("repro_shard_coordinator_mean_rounds", "gauge", "shards.coordinator.mean_rounds",
-     "Mean frontier-exchange rounds per query"),
-    ("repro_resilience_retries_total", "counter",
-     "shards.coordinator.resilience.retries",
-     "Shard expand calls retried"),
-    ("repro_resilience_worker_failures_total", "counter",
-     "shards.coordinator.resilience.worker_failures",
-     "Shard expand failures (after retries)"),
-    ("repro_resilience_breaker_rejections_total", "counter",
-     "shards.coordinator.resilience.breaker_rejections",
-     "Expand calls rejected by an open breaker"),
-    ("repro_resilience_degraded_answers_total", "counter",
-     "shards.coordinator.resilience.degraded_answers",
-     "Answers computed over surviving shards only"),
-    ("repro_resilience_deadline_exceeded_total", "counter",
-     "shards.coordinator.resilience.deadline_exceeded",
-     "Queries that ran out of budget in the coordinator"),
-    ("repro_resilience_fast_path_errors_total", "counter",
-     "shards.coordinator.resilience.fast_path_errors",
-     "Co-located fast-path probe failures"),
-    ("repro_resilience_degraded_mode", "gauge",
-     "shards.coordinator.resilience.degraded_mode",
-     "1 when --degraded-answers is on"),
-    ("repro_resilience_breaker_state", "gauge",
-     "shards.coordinator.resilience.breakers.<shard>.state_code",
-     "Breaker state (0 closed, 1 half-open, 2 open)"),
-    ("repro_resilience_breaker_opens_total", "counter",
-     "shards.coordinator.resilience.breakers.<shard>.opens",
-     "Times a shard breaker tripped open"),
-    ("repro_resilience_breaker_rejected_total", "counter",
-     "shards.coordinator.resilience.breakers.<shard>.rejected",
-     "Calls rejected while a shard breaker was open"),
-    ("repro_resilience_breaker_failures_total", "counter",
-     "shards.coordinator.resilience.breakers.<shard>.failures",
-     "Failures seen by a shard breaker"),
-    ("repro_resilience_breaker_successes_total", "counter",
-     "shards.coordinator.resilience.breakers.<shard>.successes",
-     "Successes seen by a shard breaker"),
-    ("repro_shard_worker_{}_total", "counter",
-     "shards.workers.[shard].expand_calls|seeds_in|reached_out|crossings_out"
-     "|local_queries|local_hits|updates_prepared|updates_published|updates_aborted?",
-     "Shard worker traffic counters"),
-    ("repro_shard_worker_{}", "gauge",
-     "shards.workers.[shard].regions|vertices|edges|border_vertices?",
-     "Shard worker slice sizes"),
-    ("repro_shard_worker_slice_epoch", "gauge", "shards.workers.[shard].health.epoch?",
-     "Slice epoch the worker last reported"),
-    ("repro_shard_worker_{}_total", "counter",
-     "shards.workers.[shard].connections_opened|connection_reuses|reconnects?",
-     "Remote worker connection-pool counters"),
-    ("repro_shard_worker_idle_connections", "gauge",
-     "shards.workers.[shard].idle_connections?",
-     "Pooled idle keep-alive connections to the worker"),
-    ("repro_shard_worker_consecutive_failures", "gauge",
-     "shards.workers.[shard].health.consecutive_failures?",
-     "Consecutive failed health probes for the worker"),
-    ("repro_shard_worker_last_seen_age_seconds", "gauge",
-     "shards.workers.[shard].health.last_seen_age_seconds?",
-     "Seconds since the worker last answered a probe or handshake"),
-    ("repro_shard_worker_resyncs_total", "counter",
-     "shards.workers.[shard].health.resyncs?",
-     "Times the coordinator re-pushed a slice to heal worker drift"),
 )
 
 
 def _walk(node: Any, steps: list[str], labels: dict[str, Any]):
     """``(labels, value)`` for each value ``steps`` reach from ``node``
     (None where the last key is missing); a section that is not a dict
-    (a list, for ``[label]``) yields nothing."""
+    yields nothing."""
     if not steps:
         yield labels, node
         return
     step, rest = steps[0], steps[1:]
-    if step[0] == "[":
-        label = step[1:-1]
-        for item in node if isinstance(node, list) else ():
-            yield from _walk(item, rest, {**labels, label: item.get(label, "")})
-    elif not isinstance(node, dict):
+    if not isinstance(node, dict):
         return
     elif step == "@cache":
         for cache in _CACHES:

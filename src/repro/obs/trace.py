@@ -11,8 +11,8 @@ asked for a trace (``?trace=1``), or were sampled server-side
 (:class:`TraceSampler`), pay for real span objects.
 
 The trace rides the request context (:mod:`repro.context` — how it is
-armed, re-armed across thread hops and shipped to shard workers is
-written down there, once, for the trace and the deadline together).
+armed is written down there, once, for the trace and the deadline
+together).
 Here: :func:`span` opens a child of the *current* span (the trace root
 when none is open) and makes it current for the ``with`` body, so
 nesting falls out of lexical structure.  Child-list appends are plain
@@ -20,10 +20,7 @@ nesting falls out of lexical structure.  Child-list appends are plain
 a fan-out are safe without a lock.
 
 Spans serialise to JSON-ready dicts (``to_dict``): name, start offset
-relative to the trace start, duration, attributes, children.  Remote
-subtrees received over the wire are attached as dicts unchanged, which
-is how one sharded query yields a single stitched tree spanning
-processes.
+relative to the trace start, duration, attributes, children.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ __all__ = [
     "Trace",
     "TraceSampler",
     "annotate",
-    "attach",
     "current_span",
     "current_trace",
     "new_trace_id",
@@ -72,8 +68,7 @@ class Span:
     ``started`` is the offset in seconds from the owning trace's start
     (so a serialised tree is self-contained); ``seconds`` is the
     duration, set when the span closes (-1.0 while open).  ``children``
-    holds nested :class:`Span` objects and raw dicts (remote subtrees
-    stitched in by :meth:`SpanHandle.attach`), interleaved.
+    holds the nested :class:`Span` objects.
     """
 
     __slots__ = ("name", "started", "seconds", "attrs", "children")
@@ -83,7 +78,7 @@ class Span:
         self.started = started
         self.seconds = -1.0
         self.attrs: dict[str, Any] = {}
-        self.children: list[Span | dict] = []
+        self.children: list[Span] = []
 
     def __repr__(self) -> str:
         return (
@@ -98,10 +93,7 @@ class Span:
             "started": self.started,
             "seconds": self.seconds,
             "attrs": dict(self.attrs),
-            "children": [
-                child.to_dict() if isinstance(child, Span) else child
-                for child in self.children
-            ],
+            "children": [child.to_dict() for child in self.children],
         }
 
 
@@ -124,14 +116,8 @@ class Trace:
         "_started_perf",
     )
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        trace_id: str | None = None,
-        sampled: bool = False,
-    ) -> None:
-        self.trace_id = trace_id if trace_id is not None else new_trace_id()
+    def __init__(self, name: str, *, sampled: bool = False) -> None:
+        self.trace_id = new_trace_id()
         self.sampled = sampled
         self.started_at = time.time()
         self._started_perf = time.perf_counter()
@@ -181,9 +167,6 @@ class _NoopHandle:
     def set(self, **attrs: Any) -> "_NoopHandle":
         return self
 
-    def attach(self, child: dict | None) -> "_NoopHandle":
-        return self
-
 
 _NOOP = _NoopHandle()
 
@@ -191,9 +174,7 @@ _NOOP = _NoopHandle()
 class SpanHandle:
     """A live span opened by :func:`span` — the ``with`` target.
 
-    ``set(**attrs)`` records attributes; ``attach(dict)`` stitches a
-    pre-serialised subtree (a remote worker's span) under this span.
-    """
+    ``set(**attrs)`` records attributes."""
 
     __slots__ = ("_span", "_trace", "_token")
 
@@ -215,11 +196,6 @@ class SpanHandle:
 
     def set(self, **attrs: Any) -> "SpanHandle":
         self._span.attrs.update(attrs)
-        return self
-
-    def attach(self, child: dict | None) -> "SpanHandle":
-        if child is not None:
-            self._span.children.append(child)
         return self
 
 
@@ -263,14 +239,6 @@ def annotate(**attrs: Any) -> None:
     trace = current_trace()
     if trace is not None:
         (_CURRENT_SPAN.get() or trace.root).attrs.update(attrs)
-
-
-def attach(child: dict) -> None:
-    """Stitch a serialised subtree (a remote worker's span) under the
-    current span (no-op when off)."""
-    trace = current_trace()
-    if trace is not None:
-        (_CURRENT_SPAN.get() or trace.root).children.append(child)
 
 
 class TraceSampler:

@@ -29,8 +29,8 @@ requests:
   interleaving affects traversal-order telemetry, never answers);
 * a process-wide :class:`ConstraintCache` (parsing is graph-independent);
 * a :class:`BatchExecutor` for the ``POST /batch`` members that need
-  an evaluator — serial in the request thread here, a member pool on a
-  sharded service — and a :class:`ServiceStats` ledger for ``GET /stats``.
+  an evaluator — run in the request thread — and a :class:`ServiceStats`
+  ledger for ``GET /stats``.
 
 Two API levels are exposed.  :meth:`query` / :meth:`query_batch` take
 Python values and return ``(QueryResult, meta)`` pairs;
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Hashable, Iterable
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
@@ -58,7 +58,7 @@ from repro._version import __version__
 from repro.approx import SHORT_CIRCUIT_ALGORITHMS, ApproxRouter
 from repro.constraints.label_constraint import LabelConstraint
 from repro.constraints.substructure import SubstructureConstraint
-from repro.context import RequestContext, activate, rearm
+from repro.context import RequestContext, activate
 from repro.core.result import QueryResult
 from repro.exceptions import (
     BadRequestError,
@@ -111,10 +111,14 @@ _SPEC_FIELDS = ("source", "target", "labels", "constraint")
 #: version-1 files carry neither and are refused rather than trusted.
 _SNAPSHOT_VERSION = 2
 
+#: The :class:`QueryResult` fields a snapshot entry is read back into; a
+#: member an older writer kept (``degraded``, always null) is dropped.
+_RESULT_FIELDS = frozenset(field.name for field in fields(QueryResult))
+
 
 def validate_spec(payload: object, *, where: str) -> dict:
     """Shape-check one JSON query spec into :meth:`QueryService.query`
-    kwargs (every ``/query`` body, ``/batch`` member and shard probe).
+    kwargs (every ``/query`` body and ``/batch`` member).
 
     An array of labels is checked and canonicalised in one C-level walk:
     it leaves here as the ``frozenset`` that
@@ -241,11 +245,6 @@ def _answer_members(result: QueryResult, meta: dict) -> str:
         # (sound bounds/witness) or "exact" (fell through to the
         # evaluators); both answers are exact.
         members += f', "tier": {_json(meta["tier"])}'
-    if "degraded" in meta:
-        # Shards were missing: ``answer`` covers only the surviving
-        # slices, and ``degraded["verdict"]`` says how to read it —
-        # "reachable" is still proven, "unknown" is not a "no".
-        members += f', "degraded": {_json(meta["degraded"])}'
     return members
 
 
@@ -284,9 +283,6 @@ class QueryService:
     cache_size=0)``) or as one ``options=`` value, validated the same way.
     """
 
-    #: Whether the options table's sharding rows apply to this topology.
-    sharded = False
-
     def __init__(
         self,
         graph: KnowledgeGraph,
@@ -298,9 +294,7 @@ class QueryService:
         #: Every serving option, validated once
         #: (:mod:`repro.service.options`); the sub-objects below receive
         #: already-valid values.
-        self.options = options = resolve_options(
-            options, keywords, sharding=self.sharded
-        )
+        self.options = options = resolve_options(options, keywords)
         #: The short-circuit router (``repro.approx``): sound
         #: definite-No / definite-Yes answers ahead of the exact
         #: evaluators for every plan that names no algorithm.  Its
@@ -327,12 +321,10 @@ class QueryService:
             threshold_ms=options.slow_ms, max_entries=options.slow_log_size
         )
         self.constraints = ConstraintCache()
-        #: Runs the batch members that need an evaluator.  A plain
-        #: service's evaluators never wait (bar a ``V(S, G)`` leader,
-        #: and under the GIL another thread could not use that wait), so
-        #: they run in the request thread; a sharded service's members
-        #: wait on shard workers, so they share a pool.
-        self.executor = BatchExecutor(options.max_workers if self.sharded else 1)
+        #: Runs the batch members that need an evaluator, in the request
+        #: thread: the evaluators never wait (bar a ``V(S, G)`` leader,
+        #: and under the GIL another thread could not use that wait).
+        self.executor = BatchExecutor()
         self.stats = ServiceStats()
         # Everything graph-bound lives in one GraphEpoch behind a single
         # atomic attribute reference — readers dereference it once per
@@ -386,7 +378,7 @@ class QueryService:
         is then built over the snapshot (itself measurably faster) and a
         loaded one binds to the graph the sessions will traverse.
         """
-        options = resolve_options(options, keywords, sharding=cls.sharded)
+        options = resolve_options(options, keywords)
         graph_path = Path(graph_path)
         if not graph_path.is_file():
             raise ServiceConfigError(f"graph file not found: {graph_path}")
@@ -452,18 +444,15 @@ class QueryService:
         return DEFAULT_ALGORITHM
 
     def close(self) -> None:
-        """Release pooled resources (a sharded service's batch pool) and
-        the attached write-ahead log's open segment.
+        """Release the attached write-ahead log's open segment.
 
         Called when a tenant is removed from a
         :class:`~repro.service.registry.TenantRegistry`.  Idempotent,
         and safe with stragglers: a request still holding this service
-        keeps answering — a fresh pool is created on demand if one more
-        batch arrives, and one more update batch reopens the segment.
+        keeps answering, and one more update batch reopens the segment.
         The log is closed under the update lock every append holds, so
         no append is cut in half.
         """
-        self.executor.shutdown()
         if self._wal is not None:
             with self._update_lock:
                 self._wal.close()
@@ -516,12 +505,11 @@ class QueryService:
         planner can answer is settled right here, in the request
         thread.  The members left over — the ones that need an
         evaluator — go to :attr:`executor`, and their result-cache
-        lookup is not repeated.  On a plain service that is the request
-        thread too: its evaluators do not wait, and under the GIL a pool
-        would only add hand-offs.  A sharded service's members wait on
-        scatter rounds, so there a pool overlaps them.  A member that
-        repeats one of those is looked up after the executor has stored
-        its answer, so a batch evaluates what it may cache once.  A
+        lookup is not repeated.  That is the request thread too: the
+        evaluators do not wait, and under the GIL a pool would only add
+        hand-offs.  A member that repeats one of those is looked up
+        after the executor has stored its answer, so a batch evaluates
+        what it may cache once.  A
         per-spec ``use_cache`` key overrides the batch-level flag for
         that query only.
         """
@@ -594,9 +582,7 @@ class QueryService:
                 )
 
         if waiting:
-            # Re-armed per member: every one stops at the request's
-            # budget and keeps its span under the batch root.
-            evaluated = self.executor.map(rearm(runner), waiting)
+            evaluated = self.executor.map(runner, waiting)
             for (position, *_), pair in zip(waiting, evaluated):
                 answered[position] = pair
         for position, plan in repeats:
@@ -615,35 +601,16 @@ class QueryService:
             )
 
     # ------------------------------------------------------------------
-    # epoch swaps: derive (GraphEpoch.derive) → prepare → publish
+    # epoch swaps: derive (GraphEpoch.derive) → publish
     # ------------------------------------------------------------------
 
-    def _prepare_epoch(self, epoch: GraphEpoch, updates: list | None) -> Any:
-        """Seam between derive and publish; a no-op on a plain service.
-
-        Called by :meth:`apply_updates` (with the batch) and by
-        :meth:`reset_epoch` / :meth:`replace_graph` (``updates=None``)
-        once ``epoch`` is derived and before anything changed, under the
-        writer lock.  A sharded topology attaches ``epoch.topology`` and
-        stages the swap on its workers here, returning a token for
-        :meth:`_publish_prepared`; raising means nothing was published,
-        counted or logged.
-        """
-        return None
-
-    def _publish_prepared(self, staged: Any) -> dict:
-        """Seam right after the epoch store, for what :meth:`_prepare_epoch`
-        staged; returns extra fields for the update summary."""
-        return {}
-
-    def _publish_epoch(self, epoch: GraphEpoch, staged: Any = None) -> dict:
+    def _publish_epoch(self, epoch: GraphEpoch) -> None:
         """Store ``epoch`` as the serving epoch; what the old one does not
         share with it — cached answers included — goes when it does."""
         with span("publish", epoch=epoch.epoch_id):
             # The publish: a single attribute store is atomic under the
             # GIL — this is the only line readers ever observe changing.
             self._epoch = epoch
-            return {} if staged is None else self._publish_prepared(staged)
 
     def apply_updates(self, edges: Iterable[tuple[Hashable, ...]]) -> dict:
         """Apply an edge update batch and publish a new serving epoch.
@@ -667,9 +634,7 @@ class QueryService:
         cost: an indexed service's new epoch builds its index on its
         first forced-INS read, ``"index": "deferred"``; cached entries
         stay behind with the old epoch).  No mutable graph is copied,
-        written or kept.
-        :meth:`_prepare_epoch` lets a sharded topology stage the swap on
-        its workers, and :meth:`_publish_epoch` replaces ``self._epoch``
+        written or kept.  :meth:`_publish_epoch` replaces ``self._epoch``
         in one atomic store.  Readers never block: queries in flight
         finish on the old epoch, later ones see the new one.  Writers
         serialise on one update lock.
@@ -683,7 +648,7 @@ class QueryService:
         Returns a JSON-ready summary (new epoch id, add/duplicate/
         remove/missing counts, rows re-cut, index action).  The whole
         batch is applied or — on a validation error raised before the
-        derivation, or a prepare refused by the topology — none of it;
+        derivation — none of it;
         failures after it cannot corrupt serving state because the
         serving snapshot is never written.
         """
@@ -713,8 +678,7 @@ class QueryService:
                 )
             graph, counts, change = old.graph.derive(updates)
             new_epoch = old.derive(graph, old.epoch_id + 1, change)
-            staged = self._prepare_epoch(new_epoch, updates)
-            fields = self._publish_epoch(new_epoch, staged)
+            self._publish_epoch(new_epoch)
             if self._wal is not None:
                 # Append-after-publish: the record carries the epoch the
                 # batch *produced*, and fsyncs before the ack leaves.
@@ -736,7 +700,6 @@ class QueryService:
                 vertices_added=counts["vertices_added"],
                 rows_recut=graph.rows_recut,
                 **new_epoch.derivation,
-                **fields,
             )
 
     def _update_summary(
@@ -753,7 +716,6 @@ class QueryService:
         index: str = "unchanged",
         candidates_carried: int = 0,
         scck_rechecks: int = 0,
-        **fields: Any,
     ) -> dict:
         """Count one acknowledged batch and build its JSON summary."""
         counts = {
@@ -774,7 +736,6 @@ class QueryService:
             "candidates_carried": candidates_carried,
             "scck_rechecks": scck_rechecks,
             "seconds": elapsed,
-            **fields,
         }
 
     # ------------------------------------------------------------------
@@ -806,7 +767,7 @@ class QueryService:
         at epoch 0 even though its graph is the log's epoch-N state.
         Same snapshot, same answers: everything derived from the graph,
         warmed caches included, is shared with the old epoch; only the
-        id changes — on a sharded service, on every worker too.
+        id changes.
         With ``expected_fingerprint`` the current graph's content digest
         must match, or :class:`~repro.exceptions.WalReplayError` is
         raised — catching a base graph that is not the one the log was
@@ -819,8 +780,7 @@ class QueryService:
             )
             if epoch_id == old.epoch_id:
                 return
-            new_epoch = old.derive(old.graph, epoch_id)
-            self._publish_epoch(new_epoch, self._prepare_epoch(new_epoch, None))
+            self._publish_epoch(old.derive(old.graph, epoch_id))
 
     def replace_graph(
         self,
@@ -850,8 +810,7 @@ class QueryService:
                 graph.content_fingerprint(),
                 expected_fingerprint,
             )
-            new_epoch = self._epoch.derive(freeze_graph(graph), epoch_id)
-            self._publish_epoch(new_epoch, self._prepare_epoch(new_epoch, None))
+            self._publish_epoch(self._epoch.derive(freeze_graph(graph), epoch_id))
 
     @staticmethod
     def _check_fingerprint(
@@ -1056,14 +1015,7 @@ class QueryService:
                 if result.algorithm in SHORT_CIRCUIT_ALGORITHMS
                 else "exact"
             )
-        if result.degraded is not None:
-            # A degraded answer reflects whichever shards happened to be
-            # alive at execution time; caching it would keep serving the
-            # outage after the shards recover.
-            meta["degraded"] = result.degraded
-            annotate(degraded=True)
-            self.stats.record_degraded()
-        elif use_cache:
+        if use_cache:
             epoch.results.put(plan.key, result)
         return result
 
@@ -1117,8 +1069,8 @@ class QueryService:
         The router tries to settle the query soundly before any
         evaluator runs — definite-No from the label-blind upper bound,
         definite-Yes from a re-verified witness path — and everything
-        uncertain falls through to :meth:`_evaluate`.  Forced plans
-        bypass routing entirely — no short-circuit, no ``tier``, no
+        uncertain falls through to the session the plan names.  Forced
+        plans bypass routing entirely — no short-circuit, no ``tier``, no
         witness stored: naming an algorithm in the request is a request
         to *run* it.
 
@@ -1131,7 +1083,7 @@ class QueryService:
         assert plan.query is not None
         check_deadline("execute")
         if plan.forced:
-            return self._evaluate(plan, epoch)
+            return epoch.session(plan.algorithm).answer(plan.query)
         router = self.approx
         with span("route") as route_span:
             decision = router.decide(plan, epoch)
@@ -1140,28 +1092,14 @@ class QueryService:
                 return decision.result
             route_span.set(tier="exact", verdict="uncertain")
         router.record_fallthrough()
-        result = self._evaluate(plan, epoch)
-        if result.answer and result.degraded is None:
+        result = epoch.session(plan.algorithm).answer(plan.query)
+        if result.answer:
             # The default kernel hands over the path its True answer
             # walked; keeping it makes the next repeat a definite-Yes
-            # without an evaluator.  The scatter-gather coordinator walks
-            # no single path and stores none — its repeats within the
-            # epoch are result-cache hits.
+            # without an evaluator.
             with span("witness-store") as witness_span:
                 witness_span.set(stored=router.remember_witness(plan, result))
         return result
-
-    def _evaluate(self, plan: QueryPlan, epoch: GraphEpoch) -> QueryResult:
-        """Run one plan on the session it names — the exact path.
-
-        The execution seam subclasses reroute: the sharded service
-        (:class:`repro.shard.ShardedQueryService`) sends non-forced
-        plans to its scatter-gather coordinator instead — which is why
-        the router above lives in :meth:`_execute`, not here: the
-        coordinator-local bounds answer before anything scatters.
-        """
-        assert plan.query is not None
-        return epoch.session(plan.algorithm).answer(plan.query)
 
     # ------------------------------------------------------------------
     # JSON-level API (used by the HTTP front end)
@@ -1479,7 +1417,12 @@ class QueryService:
             # planner decides (a file whose keys stringified names).
             if has_vertex(source) and has_vertex(target):
                 key = (source, target, frozenset(labels), constraint)
-                entries.append((key, QueryResult(**item["result"])))
+                result = {
+                    name: value
+                    for name, value in item["result"].items()
+                    if name in _RESULT_FIELDS
+                }
+                entries.append((key, QueryResult(**result)))
         warmed = epoch.results.import_entries(entries)
         self.stats.restore(document.get("stats", {}))
         return {"results": warmed, "stale_results": 0}

@@ -7,18 +7,16 @@ cached answers, session pool) into a single immutable-once-published
 unit, and every change publishes a *new* epoch by replacing one
 attribute reference.  A request reads ``service._epoch`` exactly once
 and runs plan → cache → session against that object — **an answer is
-computed from one epoch**, sharded or not — so a swap mid-query is
-invisible, and an old-epoch query completing after a swap can only
-populate the old epoch's caches.  A sharded service's epoch also carries
-its :attr:`~GraphEpoch.topology` (shard plan and slice epoch), so there
-is no second "current version" to drift from it.
+computed from one epoch** — so a swap mid-query is invisible, and an
+old-epoch query completing after a swap can only populate the old
+epoch's caches.
 
 **One derivation.**  The paper builds its index once over a static KG
 and takes ``V(S, G)`` from a SPARQL engine; what keeps those structures
 valid across live updates is ours, and it is all here.  An epoch is
 assembled in two places only — :meth:`GraphEpoch.first` for epoch 0,
 :meth:`GraphEpoch.derive` for every later one (update, renumbering,
-whole-graph replacement, rebalance) — by one rule per structure, each
+whole-graph replacement) — by one rule per structure, each
 seeing *(parent, change)*:
 
 ==================  ===========  ===============================  ===================
@@ -78,7 +76,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from threading import Lock
-from typing import TYPE_CHECKING
 
 from repro.approx.bounds import BoundsIndex, build_bounds
 from repro.exceptions import BadRequestError
@@ -91,9 +88,6 @@ from repro.service.cache import CandidateCache, ConstraintCache, ResultCache
 from repro.service.options import ServiceOptions
 from repro.service.planner import QueryPlanner
 from repro.session import LSCRSession
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.shard.partitioner import ShardTopology
 
 __all__ = [
     "GraphEpoch",
@@ -147,7 +141,6 @@ class GraphEpoch:
         "candidates",
         "results",
         "options",
-        "topology",
         "fingerprint",
         "created_at",
         "_index",
@@ -198,11 +191,6 @@ class GraphEpoch:
         #: Answers computed on this snapshot, keyed by ``plan.key``.
         self.results = results
         self.options = options
-        #: How a sharded service's fleet serves this snapshot — ``(plan,
-        #: slice_epoch)``; None on an unsharded one.  Attached by the
-        #: sharded prepare seam before the epoch is stored (requests
-        #: never see it change), never written after.
-        self.topology: "ShardTopology | None" = None
         #: Content digest of the graph this epoch serves; part of the
         #: save/load snapshot identity.
         self.fingerprint = graph.content_fingerprint()
@@ -247,8 +235,8 @@ class GraphEpoch:
         """Assemble — without storing — the epoch that serves ``frozen``
         after this one, by the module docstring's rules.
 
-        ``frozen`` is this epoch's own snapshot (a renumbering, a new
-        shard topology) or any other snapshot: one derived from this
+        ``frozen`` is this epoch's own snapshot (a renumbering) or any
+        other snapshot: one derived from this
         epoch's by a batch whose net ``change`` — ``(added, removed)``
         id triples — is given
         (:meth:`FrozenGraph.derive <repro.graph.csr.FrozenGraph.derive>`),

@@ -8,13 +8,12 @@ The server routes onto a :class:`~repro.service.registry.TenantRegistry`
   (``{"source", "target", "labels", "constraint", "algorithm"?,
   "use_cache"?}``);
 * ``POST /t/<tenant>/batch``  — answer a batch (``{"queries":
-  [spec, ...], "use_cache"?}``), order-preserving; a plain tenant
-  answers the members in the request thread, a sharded one overlaps
-  the members that wait on scatter rounds;
+  [spec, ...], "use_cache"?}``), order-preserving, its members answered
+  in the request thread;
 * ``POST /t/<tenant>/edges``  — apply a live edge update batch
   (``{"edges": [{"source", "label", "target", "op"?}, ...]}``) and
   publish a new serving epoch; gated behind ``serve --allow-updates``
-  (403 when off; a sharded tenant re-cuts and pushes its slices);
+  (403 when off);
 * ``GET /t/<tenant>/stats``   — that tenant's telemetry;
 * ``GET /t/<tenant>/healthz`` — that tenant's liveness and load state;
 * ``GET /metrics``, ``GET /t/<tenant>/metrics`` — the same telemetry
@@ -33,19 +32,10 @@ The server routes onto a :class:`~repro.service.registry.TenantRegistry`
   merged counters);
 * ``GET /tenants``    — list every tenant and its load state;
 * ``POST /tenants``   — register a tenant at runtime from file paths
-  (``{"name", "graph", "index"?, "seed"?, "algorithm"?, ...}`` — any
-  non-sharding row of :data:`repro.service.options.OPTIONS`; an unknown
-  key or a bad value is a 400), warm started lazily on its first query;
-* ``DELETE /t/<tenant>`` — deregister a tenant;
-* ``POST /shard/<id>/expand``, ``POST /shard/<id>/query``,
-  ``POST /shard/<id>/update``, ``GET /shard/<id>`` — present when shard
-  workers are attached (``serve --worker SLICE_FILE``): the
-  scatter-gather and two-phase slice-swap wire a coordinator's
-  :class:`~repro.shard.worker.HttpShardWorker` drives, so each shard
-  lives in its own process behind this same front end;
-* ``POST /admin/rebalance``, ``POST /t/<tenant>/admin/rebalance`` —
-  D-guided shard rebalancing from live border-crossing counters; only
-  sharded tenants accept it (plain tenants answer a structured 501).
+  (``{"name", "graph", "index"?, "seed"?, ...}`` — any row of
+  :data:`repro.service.options.OPTIONS`; an unknown key or a bad value
+  is a 400), warm started lazily on its first query;
+* ``DELETE /t/<tenant>`` — deregister a tenant.
 
 Errors are structured: every failure body is
 ``{"error": {"type": ..., "message": ...}}`` with a matching 4xx/5xx
@@ -77,12 +67,7 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.context import RequestContext, activate
-from repro.exceptions import (
-    BadRequestError,
-    ReproError,
-    UpdatesDisabledError,
-    UpdatesUnsupportedError,
-)
+from repro.exceptions import BadRequestError, ReproError, UpdatesDisabledError
 from repro.resilience.deadline import Deadline
 from repro.service.app import QueryService
 from repro.service.options import build_options
@@ -150,7 +135,6 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         self,
         address: tuple[str, int],
         service: QueryService | TenantRegistry,
-        shard_workers: dict[str, Any] | None = None,
         allow_updates: bool = False,
         default_deadline_ms: float | None = None,
     ) -> None:
@@ -159,9 +143,6 @@ class ServiceHTTPServer(ThreadingHTTPServer):
             self.registry = service
         else:
             self.registry = TenantRegistry.for_service(service)
-        #: Shard id (as URL segment) → worker for the ``/shard/<id>/...``
-        #: routes; empty when this server hosts no shard workers.
-        self.shard_workers: dict[str, Any] = shard_workers or {}
         #: Gate for ``POST /edges`` (live graph updates): an admin
         #: operation the operator must opt into (``serve
         #: --allow-updates``); off, the routes answer a structured 403.
@@ -307,9 +288,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 self._send_json(200, registry.slow_queries())
             elif path == "/tenants":
                 self._send_json(200, registry.describe())
-            elif path.startswith("/shard/"):
-                worker = self._shard_worker(path, expected_parts=2)
-                self._send_json(200, worker.describe())
             else:
                 tenant, endpoint = self._split_tenant_path(path)
                 if endpoint == "stats":
@@ -341,36 +319,20 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             if path == "/tenants":
                 self._send_json(201, self._register_tenant(payload))
                 return
-            if path.startswith("/shard/"):
-                self._handle_shard_post(path, payload)
-                return
-            if path in ("/query", "/batch", "/edges", "/admin/rebalance"):
+            if path in ("/query", "/batch", "/edges"):
                 tenant, endpoint = None, path[1:]
             else:
                 tenant, endpoint = self._split_tenant_path(path)
-                if endpoint not in ("query", "batch", "edges", "admin/rebalance"):
+                if endpoint not in ("query", "batch", "edges"):
                     raise BadRequestError(
                         f"no such endpoint: POST {self.path}", status=404
                     )
-            if endpoint == "admin/rebalance" and not self.server.allow_updates:
-                # Rebalancing rewrites every worker's slice — the same
-                # trust level as a live update batch, behind the same gate.
-                raise UpdatesDisabledError()
             if endpoint == "edges" and not self.server.allow_updates:
                 # Checked before the tenant lookup: the gate is a server
                 # policy, not a per-tenant property.
                 raise UpdatesDisabledError()
             service = registry.get(tenant)
-            if endpoint == "admin/rebalance":
-                rebalance = getattr(service, "rebalance", None)
-                if rebalance is None:
-                    raise UpdatesUnsupportedError(
-                        "this tenant is not sharded; only sharded tenants "
-                        "can rebalance slices",
-                        detail={"tenant": tenant or "default"},
-                    )
-                self._send_json(200, rebalance())
-            elif endpoint == "edges":
+            if endpoint == "edges":
                 self._send_json(200, service.handle_updates(payload, trace=trace))
             else:
                 # Deadlines cover the answering endpoints only: update
@@ -455,42 +417,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             if values
         }
         return split.path, query
-
-    def _shard_worker(self, path: str, *, expected_parts: int) -> Any:
-        """Resolve ``/shard/<id>[/<endpoint>]`` to an attached worker."""
-        parts = path.strip("/").split("/")
-        if len(parts) != expected_parts or parts[0] != "shard":
-            raise BadRequestError(
-                f"no such endpoint: {self.command} {self.path}", status=404
-            )
-        worker = self.server.shard_workers.get(parts[1])
-        if worker is None:
-            raise BadRequestError(
-                f"no shard worker {parts[1]!r} attached to this server",
-                status=404,
-            )
-        return worker
-
-    def _handle_shard_post(self, path: str, payload: object) -> None:
-        """``POST /shard/<id>/{expand,query,update}`` → the worker.
-
-        ``update`` (the two-phase slice swap) is deliberately *not*
-        behind ``allow_updates``: a worker process trusts the
-        coordinator that attached it — the gate governs a tenant's
-        public write surface, not the fleet-internal wire.
-        """
-        worker = self._shard_worker(path, expected_parts=3)
-        endpoint = path.strip("/").split("/")[2]
-        if endpoint == "expand":
-            self._send_json(200, worker.handle_expand(payload))
-        elif endpoint == "query":
-            self._send_json(200, worker.handle_query(payload))
-        elif endpoint == "update":
-            self._send_json(200, worker.handle_update(payload))
-        else:
-            raise BadRequestError(
-                f"no such endpoint: POST {self.path}", status=404
-            )
 
     def _split_tenant_path(self, path: str) -> tuple[str, str]:
         """``/t/<tenant>/<endpoint>`` → (tenant, endpoint), or 404.
@@ -621,7 +547,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         Headers and body written separately leave as two TCP segments,
         and with Nagle on the second waits for the peer's delayed ACK of
         the first: ~40 ms per kept-alive request for every default
-        client and every coordinator→worker call.  So the head is one
+        client.  So the head is one
         string, and head and body leave together.
 
         The head is what ``send_response`` + ``send_header`` wrote —
@@ -670,14 +596,11 @@ def create_server(
     service: QueryService | TenantRegistry,
     host: str = "127.0.0.1",
     port: int = 8080,
-    shard_workers: dict[str, Any] | None = None,
     allow_updates: bool = False,
     default_deadline_ms: float | None = None,
 ) -> ServiceHTTPServer:
     """Bind (but do not start) a server for a service or registry.
 
-    ``shard_workers`` attaches :class:`~repro.shard.worker.ShardWorker`\\ s
-    behind the ``/shard/<id>/...`` routes (keys are the URL segments).
     ``allow_updates`` opens the ``POST /edges`` live-update routes
     (otherwise they answer a structured 403).  ``default_deadline_ms``
     bounds every query/batch request that doesn't pass its own
@@ -688,7 +611,6 @@ def create_server(
     return ServiceHTTPServer(
         (host, port),
         service,
-        shard_workers,
         allow_updates,
         default_deadline_ms=default_deadline_ms,
     )

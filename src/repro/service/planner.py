@@ -120,9 +120,8 @@ class QueryPlan:
     reason: str
     query: LSCRQuery | None = None
     trivial_answer: bool | None = None
-    #: True when the request *explicitly* named the algorithm.  Execution
-    #: layers that normally route elsewhere (the sharded coordinator)
-    #: honour forced plans by running the named session directly.
+    #: True when the request *explicitly* named the algorithm: the
+    #: service runs the named session directly, past the router.
     forced: bool = False
 
     @property

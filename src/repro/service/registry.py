@@ -219,7 +219,7 @@ class TenantRegistry:
         spec: dict[str, Any] = {
             "graph_path": graph_path,
             "index_path": Path(index_path) if index_path is not None else None,
-            "options": resolve_options(options, keywords, sharding=False),
+            "options": resolve_options(options, keywords),
         }
         self._insert(_TenantEntry(name, spec=spec))
 
@@ -238,8 +238,8 @@ class TenantRegistry:
         """Drop a tenant; in-flight requests holding its service finish.
 
         Raises :class:`UnknownTenantError` when absent.  The removed
-        service is :meth:`~QueryService.close`\\ d to release a sharded
-        service's batch member pool and its write-ahead log's segment;
+        service is :meth:`~QueryService.close`\\ d to release its
+        write-ahead log's segment;
         the name of a tenant with a log is then refused to
         :meth:`register_files`.
         """

@@ -167,7 +167,6 @@ class ServiceStats:
         self._update_rows_recut = 0
         self._errors: dict[str, int] = {}
         self._requests_shed = 0
-        self._degraded_answers = 0
         self._by_algorithm: dict[str, ResultAggregate] = {}
         self._latency: dict[str, LatencyHistogram] = {}
 
@@ -223,11 +222,6 @@ class ServiceStats:
         """Count one request rejected by admission control (429)."""
         with self._lock:
             self._requests_shed += 1
-
-    def record_degraded(self) -> None:
-        """Count one answer served over surviving shards only."""
-        with self._lock:
-            self._degraded_answers += 1
 
     def record_update(
         self,
@@ -313,7 +307,6 @@ class ServiceStats:
                 "errors": dict(self._errors),
                 "resilience": {
                     "requests_shed": self._requests_shed,
-                    "degraded_answers": self._degraded_answers,
                 },
                 "algorithms": {
                     name: aggregate.as_dict()
@@ -358,7 +351,6 @@ class ServiceStats:
             # .get: snapshots predating fault tolerance carry no section.
             resilience = document.get("resilience", {})
             self._requests_shed += resilience.get("requests_shed", 0)
-            self._degraded_answers += resilience.get("degraded_answers", 0)
             for name, cell in document.get("algorithms", {}).items():
                 aggregate = self._by_algorithm.get(name)
                 if aggregate is None:

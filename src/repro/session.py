@@ -132,10 +132,9 @@ class LSCRSession:
         in input order: ``[self.answer(query) for query in queries]``.
 
         The evaluators are Python, so under the interpreter lock a
-        thread pool would only make the searches take turns; pooling
-        pays only when members *wait*, which is why a sharded service's
-        batch path (:class:`~repro.service.executor.BatchExecutor`) has
-        one and a session does not.
+        thread pool would only make the searches take turns; the
+        service's batch path
+        (:class:`~repro.service.executor.BatchExecutor`) has none either.
         """
         return [self.answer(query) for query in queries]
 

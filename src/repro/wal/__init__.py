@@ -93,15 +93,12 @@ def recover_service(
     the final ``epoch`` and whether a ``truncated_tail`` (torn final
     append) was tolerated.
 
-    ``service_cls`` chooses the topology the log replays into —
-    :class:`~repro.shard.service.ShardedQueryService` makes recovery
-    *sharded*: the snapshot adoption (:meth:`~QueryService.reset_epoch`)
-    and every replayed batch re-cut and re-push worker slices, so the
-    fleet converges to the logged epoch right along with the
-    coordinator.  The serving options (``seed=...``, ``shards=...``) are
-    keywords or one ``options=`` value, as for the constructor.
+    ``service_cls`` is the class the log replays into (a
+    :class:`~repro.service.app.QueryService` unless a caller substitutes
+    its own).  The serving options (``seed=...``, ``cache_size=...``)
+    are keywords or one ``options=`` value, as for the constructor.
     """
-    options = resolve_options(options, keywords, sharding=service_cls.sharded)
+    options = resolve_options(options, keywords)
     loaded = wal.load_snapshot()
     if loaded is None:
         service = service_cls.from_files(graph_path, index_path, options=options)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from contextlib import ExitStack
 
 import pytest
 
@@ -11,7 +10,7 @@ from repro.approx import SHORT_CIRCUIT_ALGORITHMS
 from repro.core.algorithms import ALGORITHMS
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
-from tests.helpers import graph_from_edges, sharded_fleet
+from tests.helpers import graph_from_edges
 
 MARK = "SELECT ?x WHERE { ?x <mark> ?y . }"
 
@@ -281,74 +280,19 @@ class TestEpochs:
         assert meta["epoch"] == 1
 
 
-class TestSharded:
-    def test_short_circuit_before_scatter(self):
-        graph = make_graph()
-        with sharded_fleet(graph, seed=0, shards=2) as svc:
-            result, meta = svc.query("t", "s", ["go"], MARK)
-            assert result.answer is False
-            assert result.algorithm == "bounds"
-            assert meta["tier"] == "short-circuit"
-            # The coordinator never saw the query: no scatter happened.
-            assert svc.coordinator.stats()["queries"] == 0
-            # Uncertain-band queries still scatter.
-            exact, exact_meta = svc.query("s", "t", ["go"], MARK)
-            assert exact.answer is True
-            assert exact.algorithm == "sharded"
-            assert exact_meta["tier"] == "exact"
-            assert svc.coordinator.stats()["queries"] == 1
-
-    def test_witness_provenance(self, no_second_search):
-        # The coordinator proves reachability across slices and walks no
-        # single path: its True answers store no witness and pay no
-        # second search; a repeat in the epoch is a result-cache hit.
-        with sharded_fleet(make_graph(), seed=0, shards=2) as svc:
-            for _ in range(2):
-                first, meta = svc.query("s", "t", ["go"], MARK, use_cache=False)
-                assert first.answer is True and first.algorithm == "sharded"
-                assert meta["tier"] == "exact"
-            svc.query("s", "t", ["go"], MARK)
-            repeat, meta = svc.query("s", "t", ["go"], MARK)
-            assert repeat.answer is True and meta["source"] == "result-cache"
-            cache = svc.approx.stats()["witness_cache"]
-            assert (cache["size"], cache["stored_from_search"]) == (0, 0)
-        # Unsharded, the default kernel's True stores the path it walked.
-        plain = QueryService(make_graph(), seed=0)
-        try:
-            plain.query("s", "t", ["go"], MARK)
-            cache = plain.approx.stats()["witness_cache"]
-            assert (cache["size"], cache["stored_from_search"]) == (1, 1)
-        finally:
-            plain.close()
-
-    def test_stats_section_present(self):
-        with sharded_fleet(make_graph(), seed=0, shards=2) as svc:
-            document = svc.stats_snapshot()
-            assert document["approx"]["enabled"] is True
-            assert document["approx"]["bounds"]["mode"] == "closure"
-
-
 class TestOneDefaultRoute:
     """A request names its evaluator, or takes the one routed default."""
 
     VERTICES = ("s", "m", "t", "u", "w")
 
-    @pytest.fixture(params=["plain", "sharded"])
-    def indexed(self, request):
+    @pytest.fixture()
+    def indexed(self):
         """``(service, the exact tier's algorithm tag)``, with an index so
         that every registered evaluator can be named."""
         graph = make_graph()
-        index = build_local_index(graph, k=2, rng=0)
-        with ExitStack() as stack:
-            if request.param == "plain":
-                svc, exact = QueryService(graph, index, seed=0), "Meet"
-                stack.callback(svc.close)
-            else:
-                svc = stack.enter_context(
-                    sharded_fleet(graph, index, seed=0, shards=2)
-                )
-                exact = "sharded"
-            yield svc, exact
+        svc = QueryService(graph, build_local_index(graph, k=2, rng=0), seed=0)
+        yield svc, "Meet"
+        svc.close()
 
     def asked(self, svc, **named):
         for source in self.VERTICES:
@@ -384,5 +328,3 @@ class TestOneDefaultRoute:
         assert evaluated > 0
         stats = svc.approx.stats()
         assert stats["routed"] == stats["witness_cache"]["stored_from_search"] == 0
-        if svc.sharded:
-            assert svc.coordinator.stats()["queries"] == 0

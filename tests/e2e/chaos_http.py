@@ -1,14 +1,13 @@
-"""Chaos under real concurrent HTTP load (the CI ``chaos`` job's scenario).
+"""Overload under real concurrent HTTP load (the CI ``chaos`` job's scenario).
 
-Cut a graph into three slices (``repro cut``), serve each from a
-``serve --worker`` process, and boot a sharded server attached to them
-whose worker stubs misbehave on schedule (one hangs, one flaps, on the
-co-located probe as on every expand), hammer
-it with the load generator sending ``?deadline_ms=``
-on every request, and verify (a) the generator saw only clean answers
-and structured refusals, (b) replaying every spec against an unsharded
-oracle finds zero wrong answers, and (c) the breaker/degradation series
-strict-parse off ``/metrics``.
+Boot a plain ``serve`` process with a small admission window
+(``--max-concurrent 1 --max-queue 2``), hammer it with the load
+generator sending ``?deadline_ms=`` on every request — single queries
+and batches, so requests queue behind each other and some budgets lapse
+in the queue — and verify (a) the generator saw only clean answers and
+structured refusals (429 shed, 504 deadline exceeded), (b) replaying
+every spec against an in-process oracle finds zero wrong answers, and
+(c) the shed and deadline series strict-parse off ``/metrics``.
 
 Run from anywhere: ``PYTHONPATH=src python tests/e2e/chaos_http.py``.
 The exit code is the verdict.
@@ -17,105 +16,91 @@ The exit code is the verdict.
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
-from contract import ROOT, boot_workers, get, replay_against_oracle, stop
+from contract import ROOT, boot, get, replay_against_oracle, stop
 
 from repro.datasets.synthetic import random_labeled_graph
-from repro.graph.io import dump_tsv, load_tsv
+from repro.graph.io import dump_tsv
 from repro.obs.prometheus import parse_prometheus_text
-from repro.resilience.faults import FaultRule, FaultyWorker
-from repro.resilience.retry import RetryPolicy
 from repro.service.app import QueryService
-from repro.service.http import create_server
-from repro.shard import ShardedQueryService
+
+VERTICES = 400
 
 
 def main(scratch: Path) -> None:
-    graph = random_labeled_graph(120, 4.0, 3, rng=0, name="chaos")
+    graph = random_labeled_graph(VERTICES, 4.0, 3, rng=0, name="chaos")
     graph_file = str(scratch / "chaos.tsv")
     dump_tsv(graph, graph_file)
     oracle = QueryService(graph, seed=0)
-    workers, urls = boot_workers(graph_file, scratch / "slices", 3)
+    server, base = boot(
+        "--graph", graph_file, "--max-concurrent", "1", "--max-queue", "2"
+    )
     try:
-        run(graph_file, urls, oracle, scratch)
+        run(base, oracle, scratch)
     finally:
         oracle.close()
-        stop(workers)
+        stop([server])
 
 
-def run(graph_file: str, urls: list[str], oracle, scratch: Path) -> None:
-    service = ShardedQueryService(
-        load_tsv(graph_file), seed=0, shards=3, worker_urls=urls,
-        degraded_answers=True, scatter_timeout=0.25,
-        retry_policy=RetryPolicy(max_attempts=2, base_delay=0.01, seed=0))
-    # "*": the co-located probe meets the faults too, not only expand.
-    plans = {0: [FaultRule("hang", operation="*", every=7, duration=0.4)],
-             1: [FaultRule("flap", operation="*", every=2)]}
-    for index, rules in plans.items():
-        wrapper = FaultyWorker(service.workers[index], rules,
-                               name=f"shard{index}")
-        service.workers[index] = wrapper
-        service.coordinator.workers[index] = wrapper
-
-    server = create_server(service, "127.0.0.1", 0, default_deadline_ms=2000)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-
-    specs = []
-    for position in range(32):
-        specs.append({
-            "source": f"n{(position * 7) % 120}",
-            "target": f"n{(position * 13 + 5) % 120}",
+def run(base: str, oracle, scratch: Path) -> None:
+    # Named evaluator, no result cache: every member runs a search, so a
+    # batch holds the one slot long enough for the queue behind it to
+    # fill and for queued budgets to lapse.
+    specs = [
+        {
+            "source": f"n{(position * 7) % VERTICES}",
+            "target": f"n{(position * 13 + 5) % VERTICES}",
             "labels": ["l0", "l1"],
             "constraint": "SELECT ?x WHERE { ?x <l0> ?y . }",
+            "algorithm": "naive",
             "use_cache": False,
-        })
+        }
+        for position in range(32)
+    ]
+    spec_file = scratch / "chaos-specs.json"
+    spec_file.write_text(json.dumps(specs))
+    generator = subprocess.run(
+        [sys.executable, str(ROOT / "examples" / "load_generator.py"),
+         "--url", base, "--spec-file", str(spec_file),
+         "--clients", "8", "--duration", "6",
+         "--batch-every", "2", "--batch-size", "16", "--deadline-ms", "20"],
+        capture_output=True, text=True, timeout=300)
+    print(generator.stdout)
+    print(generator.stderr, file=sys.stderr)
+    assert generator.returncode == 0, "load generator failed"
+    # (a) every request was answered or refused with a structure.
+    assert re.search(r" 0 error\(s\)", generator.stdout), "unstructured failures"
+    refusals = re.search(r"structured refusals: (.*)", generator.stdout)
+    assert refusals, "nothing was ever refused: the window never filled"
+    print(f"refused under load: {refusals.group(1)}")
 
-    try:
-        spec_file = scratch / "chaos-specs.json"
-        spec_file.write_text(json.dumps(specs))
-        generator = subprocess.run(
-            [sys.executable, str(ROOT / "examples" / "load_generator.py"),
-             "--url", base, "--spec-file", str(spec_file),
-             "--clients", "4", "--duration", "8",
-             "--batch-every", "0", "--deadline-ms", "1000"],
-            capture_output=True, text=True, timeout=300)
-        print(generator.stdout)
-        print(generator.stderr, file=sys.stderr)
-        assert generator.returncode == 0, "load generator failed"
+    # (b) zero wrong answers, replayed one request at a time.
+    exact, refused = replay_against_oracle(
+        base, "/query?deadline_ms=1000", specs, oracle)
+    print(f"verification: {exact} exact, {refused} refused — zero wrong answers")
+    assert exact > 0, "no query ever came back exact"
 
-        exact, degraded, refused = replay_against_oracle(
-            base, "/query?deadline_ms=1000", specs, oracle)
-        print(f"verification: {exact} exact, {degraded} degraded, "
-              f"{refused} refused — zero wrong answers")
-        assert exact > 0, "no query ever came back exact"
+    # (c) the shed and deadline series strict-parse and counted the load.
+    samples = parse_prometheus_text(get(base, "/metrics"))
 
-        samples = parse_prometheus_text(get(base, "/metrics"))
-        names = {name for name, _ in samples}
-        for family in ("repro_resilience_breaker_state",
-                       "repro_resilience_retries_total",
-                       "repro_resilience_worker_failures_total",
-                       "repro_resilience_degraded_mode"):
-            assert family in names, f"missing family {family}"
-        breaker_gauges = [key for key in samples
-                          if key[0] == "repro_resilience_breaker_state"]
-        assert len(breaker_gauges) == 3, breaker_gauges
-        probe_errors = sum(
-            value for (name, _labels), value in samples.items()
-            if name == "repro_resilience_fast_path_errors_total")
-        assert probe_errors > 0, "no co-located probe met a fault"
-        print(f"{probe_errors:g} co-located probes failed into the scatter")
-        print("chaos OK:", len(samples), "samples strict-parsed")
-    finally:
-        server.shutdown()
-        server.server_close()
-        service.close()
+    def total(name: str, **labels: str) -> float:
+        return sum(
+            value for (family, pairs), value in samples.items()
+            if family == name and set(labels.items()) <= set(pairs)
+        )
+
+    shed = total("repro_requests_shed_total")
+    lapsed = total("repro_errors_total", kind="deadline-exceeded")
+    assert shed > 0, "repro_requests_shed_total never counted a 429"
+    assert lapsed > 0, "repro_errors_total never counted a 504"
+    assert ("repro_admission_max_concurrent", (("tenant", "default"),)) in samples
+    print(f"shed {shed:g}, deadline exceeded {lapsed:g}")
+    print("chaos OK:", len(samples), "samples strict-parsed")
 
 
 if __name__ == "__main__":

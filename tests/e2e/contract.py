@@ -1,6 +1,5 @@
 """What the e2e scenarios share: booting the real CLI, JSON over HTTP,
-and the PR 8 contract — every response is exact, soundly degraded, or a
-structured refusal."""
+and the contract — every response is exact or a structured refusal."""
 
 from __future__ import annotations
 
@@ -42,22 +41,6 @@ def boot(*argv: str, port: int = 0) -> tuple[subprocess.Popen, str]:
     raise AssertionError("server never printed its ready line")
 
 
-def boot_workers(
-    graph: str, slices: Path, shards: int
-) -> tuple[list[subprocess.Popen], list[str]]:
-    """Cut ``graph`` into ``shards`` slice files (``repro cut``, the plan
-    ``serve --shards`` derives at the default ``--seed`` and ``--k``) and
-    start one ``serve --worker`` process per slice; (processes, urls)."""
-    subprocess.run(
-        repro_cli("cut", graph, "--shards", str(shards), "--out", str(slices)),
-        check=True, env=ENV)
-    booted = [
-        boot("--worker", str(slices / f"shard-{shard}.slice.json"))
-        for shard in range(shards)
-    ]
-    return [proc for proc, _ in booted], [url for _, url in booted]
-
-
 def stop(processes: list[subprocess.Popen]) -> None:
     for proc in processes:
         proc.terminate()
@@ -79,15 +62,14 @@ def get(base: str, path: str) -> str:
         return response.read().decode()
 
 
-def replay_against_oracle(base, path, specs, oracle) -> tuple[int, int, int]:
-    """POST every spec to ``path``; returns (exact, degraded, refused).
+def replay_against_oracle(base, path, specs, oracle) -> tuple[int, int]:
+    """POST every spec to ``path``; returns (exact, refused).
 
-    Asserts the contract on the way: a refusal is a structured
-    429/503/504, a degraded answer is ``reachable`` only where the
-    oracle agrees (else ``unknown`` and False), anything else is the
-    oracle's answer.
+    Asserts the contract on the way: a refusal is a structured 429
+    (shed) or 504 (deadline exceeded), anything else is the oracle's
+    answer.
     """
-    exact = degraded = refused = 0
+    exact = refused = 0
     for spec in specs:
         expected, _ = oracle.query(
             spec["source"], spec["target"], spec["labels"],
@@ -96,24 +78,13 @@ def replay_against_oracle(base, path, specs, oracle) -> tuple[int, int, int]:
             document = post(base, path, spec)
         except urllib.error.HTTPError as error:
             kind = json.loads(error.read())["error"]["type"]
-            assert error.code in (429, 503, 504), kind
-            assert kind in ("overloaded", "shard-unavailable",
-                            "deadline-exceeded"), kind
+            assert (error.code, kind) in (
+                (429, "overloaded"), (504, "deadline-exceeded")), kind
             refused += 1
             continue
-        if "degraded" in document:
-            verdict = document["degraded"]["verdict"]
-            if verdict == "reachable":
-                assert document["answer"] is True
-                assert expected.answer is True, spec
-            else:
-                assert verdict == "unknown"
-                assert document["answer"] is False
-            degraded += 1
-        else:
-            assert document["answer"] == expected.answer, spec
-            exact += 1
-    return exact, degraded, refused
+        assert document["answer"] == expected.answer, spec
+        exact += 1
+    return exact, refused
 
 
 def decreased_counters(before: str, after: str) -> list[tuple]:

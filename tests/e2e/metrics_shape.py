@@ -1,17 +1,15 @@
 """The observability surface as a black box (the CI ``metrics-shape``
 job's scenario).
 
-Boot a real server — a sharded default tenant, whose two slices
-``repro cut`` wrote and two ``serve --worker`` processes serve, plus an
-unsharded one that takes an update batch — drive every endpoint, then
-validate the
-scrape with the strict parser: Prometheus line format, monotone
-cumulative buckets, ``+Inf == _count``, no ``counter`` sample lower
-after the epoch swap than before it, the short-circuit router's
-families, a ``query`` latency histogram that counts every answered
-query, and a well-formed ``/debug/slow`` document whose every
-entry's tier is exact or absent.  Guards the surface against format drift that Prometheus
-itself would reject at scrape time.
+Boot a real server — a default tenant plus a second one that takes an
+update batch — drive every endpoint, then validate the scrape with the
+strict parser: Prometheus line format, monotone cumulative buckets,
+``+Inf == _count``, no ``counter`` sample lower after the epoch swap
+than before it, the short-circuit router's families, a ``query``
+latency histogram that counts every answered query, and a well-formed
+``/debug/slow`` document whose every entry's tier is exact or absent.
+Guards the surface against format drift that Prometheus itself would
+reject at scrape time.
 
 Run from anywhere: ``PYTHONPATH=src python tests/e2e/metrics_shape.py``.
 The exit code is the verdict.
@@ -27,7 +25,6 @@ from pathlib import Path
 from contract import (
     ENV,
     boot,
-    boot_workers,
     decreased_counters,
     get,
     post,
@@ -42,9 +39,7 @@ FAMILIES = (
     "repro_queries_total", "repro_queries_cached_total",
     "repro_batches_total", "repro_update_batches_total",
     "repro_cache_hits_total", "repro_epoch_id", "repro_slow_queries_kept",
-    "repro_request_latency_seconds_bucket", "repro_shard_count",
-    "repro_shard_coordinator_queries", "repro_shard_worker_vertices",
-    "repro_approx_routed_total", "repro_approx_short_circuit_no_total",
+    "repro_request_latency_seconds_bucket", "repro_approx_routed_total", "repro_approx_short_circuit_no_total",
     "repro_approx_exact_fallthrough_total", "repro_approx_witness_entries",
     "repro_approx_bounds_components",
 )
@@ -63,11 +58,8 @@ def main(scratch: Path) -> None:
             repro_cli("generate", "--random", vertices, "3", labels,
                       "--seed", seed, "--output", path),
             check=True, env=ENV)
-    workers, urls = boot_workers(main_graph, scratch / "slices", 2)
     server, base = boot(
-        "--graph", main_graph, "--shards", "2",
-        *[flag for url in urls for flag in ("--worker-url", url)],
-        "--tenant", f"dyn={dyn_graph}",
+        "--graph", main_graph, "--tenant", f"dyn={dyn_graph}",
         "--allow-updates", "--slow-ms", "0", "--trace-sample", "1")
     try:
         spec = {"source": "n0", "target": "n30", "labels": ["l0", "l1", "l2"],
@@ -99,7 +91,6 @@ def main(scratch: Path) -> None:
         assert samples[("repro_queries_total", dyn)] >= 3
         assert samples[("repro_update_batches_total", dyn)] == 1
         assert samples[("repro_epoch_id", dyn)] == 1
-        assert samples[("repro_shard_count", default)] == 2
         for tenant in (default, dyn):
             # Every answered query, single or batch member, folds its
             # latency into the ``query`` histogram as it is counted.
@@ -122,7 +113,7 @@ def main(scratch: Path) -> None:
                 assert entry["tier"] in SLOW_TIERS, (tenant, entry["tier"])
         print("metrics-shape OK:", len(samples), "samples")
     finally:
-        stop([server, *workers])
+        stop([server])
 
 
 if __name__ == "__main__":

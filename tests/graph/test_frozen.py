@@ -106,10 +106,10 @@ class TestAdjacencyAgreement:
             assert frozen.in_label_mask(v) == graph.in_label_mask(v)
             assert sorted(frozen.out_labels(v)) == sorted(graph.out_labels(v))
             for label_id in range(graph.num_labels):
-                assert frozen.has_out_label(v, label_id) == graph.has_out_label(
+                assert frozen.out_label_count(v, label_id) == graph.out_label_count(
                     v, label_id
                 )
-                assert frozen.has_in_label(v, label_id) == graph.has_in_label(
+                assert frozen.in_label_count(v, label_id) == graph.in_label_count(
                     v, label_id
                 )
         for s in graph.vertices():

@@ -195,8 +195,10 @@ class TestEdgeRemoval:
         # entirely (no empty stubs left behind in either row).
         z = small.label_id("z")
         assert small.edges_with_label(z) == []
-        assert not small.has_out_label(small.vid("c"), z)
-        assert not small.has_in_label(small.vid("a"), z)
+        assert small.out_label_count(small.vid("c"), z) == 0
+        assert small.in_label_count(small.vid("a"), z) == 0
+        assert not small.out_label_mask(small.vid("c")) >> z & 1
+        assert not small.in_label_mask(small.vid("a")) >> z & 1
 
 
 class TestMutationCount:

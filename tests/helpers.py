@@ -11,8 +11,6 @@ meaningful evidence:
 * :func:`graph_from_edges` builds graphs from edge triples concisely;
 * :func:`running_server` serves a service or registry over loopback
   HTTP for the duration of a ``with`` block;
-* :func:`sharded_fleet` builds a sharded service over worker servers
-  in a thread, and :class:`LossyWorker` loses a worker's next publish;
 * :func:`cache_counters` reads the counters of the two per-epoch caches
   off ``/stats`` — the ones that must never step back;
 * :func:`label_blind_reach` is the BFS oracle for the bounds index:
@@ -24,30 +22,17 @@ from __future__ import annotations
 import threading
 from collections import deque
 from collections.abc import Iterable, Iterator
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 
-from repro.graph.csr import freeze_graph
 from repro.graph.labeled_graph import KnowledgeGraph
-from repro.service.cache import DEFAULT_CACHE_SIZE
 from repro.service.http import create_server
-from repro.service.options import ServiceOptions
-from repro.service.registry import TenantRegistry
-from repro.shard import (
-    ShardedQueryService,
-    ShardWorker,
-    derive_shard_plan,
-    slice_document,
-    slice_from_document,
-)
 
 __all__ = [
-    "LossyWorker",
     "cache_counters",
     "graph_from_edges",
     "ground_truth_cms",
     "minimal_masks",
     "running_server",
-    "sharded_fleet",
 ]
 
 
@@ -73,85 +58,6 @@ def running_server(service_or_registry, **create_server_kwargs) -> Iterator[str]
         server.server_close()
         thread.join(timeout=5)
         assert not thread.is_alive()
-
-
-class LossyWorker:
-    """A worker stub whose next ``lose_publishes`` publishes are lost.
-
-    The call fails before it leaves (``ConnectionError``), so
-    :attr:`served`, the worker behind the stub, keeps serving its
-    previous slice at its previous slice epoch: the tolerated straggler
-    state an update reports under ``shards_unpublished``.  Everything
-    else delegates to the stub.
-    """
-
-    def __init__(self, worker, served) -> None:
-        self._worker = worker
-        #: The :class:`ShardWorker` the stub reaches over the wire.
-        self.served = served
-        self.lose_publishes = 0
-
-    def __getattr__(self, name: str):
-        return getattr(self._worker, name)
-
-    def publish_update(self, txn: str) -> dict:
-        if self.lose_publishes:
-            self.lose_publishes -= 1
-            raise ConnectionError(f"injected: publish of {txn} lost")
-        return self._worker.publish_update(txn)
-
-
-@contextmanager
-def sharded_fleet(graph: KnowledgeGraph, index=None, **options) -> Iterator:
-    """A :class:`ShardedQueryService` over ``graph``, closed on exit.
-
-    Its slices are cut the way ``repro cut`` cuts them — the plan the
-    service derives from the same ``landmark_count`` and ``seed`` — and
-    loaded from their documents the way ``serve --worker`` loads a
-    file, by :class:`ShardWorker`\\ s on one in-thread server, which
-    the service attaches by URL through the handshake with the health
-    sweep off, so nothing heals behind a test's back.  Its stubs are
-    wrapped in :class:`LossyWorker`, which also names the worker each
-    one reaches.
-    """
-    frozen = freeze_graph(graph)
-    *_, plan = derive_shard_plan(
-        frozen,
-        options["shards"],
-        landmark_count=options.get("landmark_count"),
-        seed=options.get("seed", 0),
-    )
-    fingerprint = frozen.content_fingerprint()
-    worker_options = ServiceOptions(
-        cache_size=options.get("cache_size", DEFAULT_CACHE_SIZE)
-    )
-    hosted = {
-        str(shard_id): ShardWorker(
-            slice_from_document(
-                slice_document(
-                    frozen, plan, shard_id, epoch=0, fingerprint=fingerprint
-                )
-            ),
-            options=worker_options,
-        )
-        for shard_id in range(plan.num_shards)
-    }
-    with ExitStack() as stack:
-        base = stack.enter_context(
-            running_server(TenantRegistry(), shard_workers=hosted)
-        )
-        service = ShardedQueryService(
-            graph,
-            index,
-            **{"worker_urls": [base] * len(hosted), "probe_interval": 0, **options},
-        )
-        stack.callback(service.close)
-        # One list backs both ``service.workers`` and the coordinator's.
-        service.workers[:] = [
-            LossyWorker(stub, hosted[str(shard)])
-            for shard, stub in enumerate(service.workers)
-        ]
-        yield service
 
 
 def cache_counters(service) -> dict[tuple[str, str], int]:

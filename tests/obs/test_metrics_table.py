@@ -3,13 +3,12 @@
 Two guards over the renderer's table of families
 (:data:`repro.obs.prometheus._ROWS`):
 
-* golden — ``stats_snapshot()`` documents of four service shapes (a
+* golden — ``stats_snapshot()`` documents of three service shapes (a
   plain service with admission control and a sampled slow entry, a WAL
-  leader, its follower and a two-shard fleet), captured once with their
-  volatile values pinned and committed under ``tests/obs/golden/``,
-  render byte for byte as the committed scrapes: two tenants per scrape,
-  registry block included;
-* drift — every numeric leaf of live documents from the same four shapes
+  leader and its follower), captured once with their volatile values
+  pinned and committed under ``tests/obs/golden/``, render byte for
+  byte as the committed scrapes, registry block included;
+* drift — every numeric leaf of live documents from the same three shapes
   is read by a table row or named in :data:`NOT_EXPORTED`, and every row
   renders a sample from one of them.
 
@@ -36,7 +35,7 @@ from repro.obs import prometheus
 from repro.obs.prometheus import parse_prometheus_text, render_metrics
 from repro.service.app import QueryService
 from repro.wal import TenantWal, WalFollower
-from tests.helpers import running_server, sharded_fleet
+from tests.helpers import running_server
 
 GOLDEN = Path(__file__).parent / "golden"
 QUERY = {
@@ -45,9 +44,9 @@ QUERY = {
     "labels": ["likes", "follows", "friendOf"],
     "constraint": "SELECT ?x WHERE { ?x <friendOf> v3 . v3 <likes> ?y . }",
 }
-#: One scrape per file: two tenants each, named after their shapes.
+#: One scrape per file, named after the shapes of its tenants.
 SCRAPES = {
-    "plain_sharded.prom": ("plain", "sharded"),
+    "plain.prom": ("plain",),
     "leader_follower.prom": ("leader", "follower"),
 }
 REGISTRY = {"tenant_count": 5, "tenants_loaded": 4, "errors": {"not-found": 2}}
@@ -88,20 +87,11 @@ NOT_EXPORTED = {
     "replication.interval_seconds",
     "replication.epoch",
     "replication.last_poll_at",
-    # Shard detail: per-shard plan lists and per-worker descriptors.
-    "shards.plan.*_per_shard.*",
-    "shards.coordinator.slice_epoch",
-    "shards.coordinator.resilience.breakers.*.consecutive_failures",
-    "shards.coordinator.resilience.breakers.*.window_*",
-    "shards.workers.*.epoch",
-    "shards.workers.*.wire_version",
-    "shards.workers.*.peer_shards.*",
-    "shards.workers.*.crossings_by_peer.*",
 }
 
 
 # ---------------------------------------------------------------------------
-# the four service shapes
+# the three service shapes
 # ---------------------------------------------------------------------------
 
 
@@ -114,7 +104,7 @@ def _post(connection: http.client.HTTPConnection, path: str, body) -> int:
 
 @contextmanager
 def service_shapes(directory: Path):
-    """``{shape: service}`` for the four shapes, each having served a
+    """``{shape: service}`` for the three shapes, each having served a
     little traffic of every kind it counts; closed on exit."""
     with ExitStack() as stack:
         plain = QueryService(
@@ -148,19 +138,7 @@ def service_shapes(directory: Path):
         leader.query(**QUERY, algorithm="ins")
         replica.replication.poll_once()
         replica.query(**QUERY)
-
-        sharded = stack.enter_context(sharded_fleet(figure3_graph(), seed=0, shards=2))
-        sharded.query(**QUERY)
-        sharded.apply_updates([("v4", "likes", "v9")])
-        # Drift on shard 0, healed by the health sweep: a resync.
-        served = sharded.workers[0].served
-        served.prepare(
-            "drift", epoch=sharded.slice_epoch, fingerprint="other",
-            plan_hash=None, extends=sharded.slice_epoch,
-        )
-        served.publish_update("drift")
-        sharded._probe_workers()
-        yield {"plain": plain, "leader": leader, "follower": replica, "sharded": sharded}
+        yield {"plain": plain, "leader": leader, "follower": replica}
 
 
 def live_documents() -> dict[str, dict]:
@@ -180,12 +158,8 @@ def documents() -> dict[str, dict]:
 
 #: Leaf names whose values differ run to run (timings, clocks, ages).
 _VOLATILE_SUFFIXES = ("_seconds", "_ms", "_milliseconds", "_at")
-#: Strings that name a port or a temporary directory.
-_VOLATILE_STRINGS = {
-    "remote": "http://127.0.0.1:0",
-    "worker_urls": "http://127.0.0.1:0",
-    "directory": "wal",
-}
+#: Strings that name a temporary directory.
+_VOLATILE_STRINGS = {"directory": "wal"}
 
 
 def pinned(node, key: str = ""):
@@ -193,8 +167,7 @@ def pinned(node, key: str = ""):
     if isinstance(node, dict):
         return {name: pinned(value, name) for name, value in node.items()}
     if key in _VOLATILE_STRINGS:
-        value = _VOLATILE_STRINGS[key]
-        return [value] * len(node) if isinstance(node, list) else value
+        return _VOLATILE_STRINGS[key]
     if key == "bucket_counts":
         return [sum(node)] + [0] * (len(node) - 1)
     if isinstance(node, list):

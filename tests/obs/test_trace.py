@@ -28,7 +28,6 @@ class TestDisabledPath:
     def test_noop_handle_is_inert(self):
         with span("outer") as handle:
             handle.set(a=1).set(b=2)
-            handle.attach({"name": "remote"})
             with span("inner"):
                 annotate(ignored=True)
         assert current_trace() is None
@@ -67,18 +66,6 @@ class TestTraceTree:
                 annotate(child_attr=2)
         assert trace.root.attrs == {"root_attr": 1}
         assert trace.root.children[0].attrs == {"child_attr": 2}
-
-    def test_attach_stitches_remote_subtree(self):
-        trace = Trace("request")
-        remote = {"name": "expand", "seconds": 0.01, "attrs": {"shard": 1},
-                  "children": []}
-        with activate(RequestContext(trace)):
-            with span("round") as handle:
-                handle.attach(remote)
-                handle.attach(None)             # a missing subtree is fine
-        document = trace.finish().to_dict()
-        round_doc = document["children"][0]
-        assert round_doc["children"] == [remote]
 
     def test_to_dict_before_finish_reports_elapsed(self):
         trace = Trace("request")

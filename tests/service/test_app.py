@@ -2,7 +2,6 @@
 
 import json
 import threading
-from contextlib import ExitStack
 
 import pytest
 
@@ -13,7 +12,6 @@ from repro.index.local_index import build_local_index
 from repro.index.storage import save_local_index
 from repro.service.app import QueryService
 from repro.session import LSCRSession
-from tests.helpers import sharded_fleet
 
 S0 = "SELECT ?x WHERE { ?x <friendOf> v3 . v3 <likes> ?y . }"
 S0_REFORMATTED = "SELECT ?x WHERE {   ?x <friendOf> v3 . v3 <likes> ?y .   }"
@@ -123,46 +121,32 @@ class TestBatch:
         assert metas[0]["cached"] is True
         assert metas[1]["cached"] is False
 
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_only_a_sharded_service_pools_its_members(
-        self, graph, monkeypatch, sharded
-    ):
-        """A plain service's evaluators never wait, so the members that
-        need one run in the request thread; a sharded service's wait on
-        shard workers, so a pool overlaps them."""
-        stack = ExitStack()
-        service = (
-            stack.enter_context(
-                sharded_fleet(graph, seed=0, shards=2, max_workers=2)
-            )
-            if sharded
-            else QueryService(graph, seed=0)
-        )
-        stack.callback(service.close)
+    def test_members_run_in_the_request_thread(self, graph, monkeypatch):
+        """The evaluators never wait, so the members that need one run
+        in the request thread: no pool, no thread is started."""
+        service = QueryService(graph, seed=0)
         threads = []
-        evaluate = service._evaluate
+        answer = LSCRSession.answer
 
-        def observed(plan, epoch):
+        def observed(session, query):
             threads.append(threading.current_thread().name)
-            return evaluate(plan, epoch)
+            return answer(session, query)
 
-        monkeypatch.setattr(service, "_evaluate", observed)
+        monkeypatch.setattr(LSCRSession, "answer", observed)
         specs = [
             {"source": s, "target": t, "labels": LABELS, "constraint": S0,
              "algorithm": "naive"}
             for s, t in [("v0", "v4"), ("v0", "v3"), ("v3", "v4"), ("v4", "v0")]
         ]
         before = set(threading.enumerate())
-        with stack:
+        try:
             service.query_batch(specs, use_cache=False)
             started = set(threading.enumerate()) - before
+        finally:
+            service.close()
         assert len(threads) == len(specs)
-        pooled = {t.name for t in started if t.name.startswith("repro-batch")}
-        if sharded:
-            assert pooled and set(threads) <= pooled
-        else:
-            assert not pooled
-            assert set(threads) == {threading.current_thread().name}
+        assert not started
+        assert set(threads) == {threading.current_thread().name}
 
     def test_oversized_batch_rejected(self, graph):
         small = QueryService(graph, max_batch=2, seed=0)

@@ -14,8 +14,7 @@ changed — a wrong type, a missing key, empty or non-string labels, an
 integer too long for a machine word (or, at 5 000 digits, for the JSON
 reader), and constraints either side of
 :data:`~repro.sparql.parser.MAX_TRIPLE_PATTERNS`.  The limit itself is
-then pinned on all three doors that read a constraint, the shard
-worker's ``/shard/<id>/query`` included.
+then pinned on both doors that read a constraint.
 
 ``POST /edges`` gets any JSON value, batches over ``max_batch``, and
 valid batches (object and array items) with one field of one item
@@ -42,7 +41,7 @@ from repro.exceptions import BadRequestError, ConstraintError, SparqlError
 from repro.service.app import QueryService, validate_spec
 from repro.service.epoch import EDGE_OPS
 from repro.sparql.parser import MAX_TRIPLE_PATTERNS
-from tests.helpers import running_server, sharded_fleet
+from tests.helpers import running_server
 
 S0 = "SELECT ?x WHERE { ?x <friendOf> v3 . v3 <likes> ?y . }"
 LABELS = ["likes", "follows", "friendOf"]
@@ -454,21 +453,3 @@ class TestPatternLimit:
         connection, _ = door
         status, document = post(connection, "/query", encode(member(1000)))
         assert status == 400 and "too many triple patterns" in document["error"]["message"]
-
-    def test_the_shard_worker_door(self):
-        with ExitStack() as stack:
-            sharded = stack.enter_context(sharded_fleet(figure3_graph(), seed=0, shards=2))
-            base = sharded.workers[0].base_url
-            connection = http.client.HTTPConnection(urlsplit(base).netloc, timeout=30)
-            stack.callback(connection.close)
-            status, document = post(
-                connection, "/shard/0/query", encode(member(MAX_TRIPLE_PATTERNS))
-            )
-            assert status == 200 and isinstance(document["answer"], bool)
-            status, document = post(
-                connection, "/shard/0/query", encode(member(MAX_TRIPLE_PATTERNS + 1))
-            )
-            assert status == 400
-            assert document["error"]["message"].startswith(
-                "invalid query: too many triple patterns"
-            )

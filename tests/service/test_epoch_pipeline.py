@@ -4,9 +4,8 @@
 serving epoch is assembled, ``QueryService._publish_epoch`` the only one
 it is stored.  Whatever route produced the current epoch — warm start,
 ``from_files``, an update (add, remove, no-op), ``reset_epoch``,
-``replace_graph``, WAL recovery from a snapshot or from the base TSV, or
-the sharded counterparts — the invariants below must hold, because the
-derivation owns them.
+``replace_graph``, WAL recovery from a snapshot or from the base TSV —
+the invariants below must hold, because the derivation owns them.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from repro.graph.io import dump_tsv
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.wal import TenantWal, graph_from_snapshot, recover_service, snapshot_document
-from tests.helpers import graph_from_edges, sharded_fleet
+from tests.helpers import graph_from_edges
 from tests.service import test_update_agreement as agreement
 
 EDGES = [
@@ -128,23 +127,6 @@ def recover_from_base_tsv(tmp_path, stack):
     return service
 
 
-def sharded_update(tmp_path, stack):
-    service = stack.enter_context(sharded_fleet(make_graph(), seed=0, shards=2))
-    service.query(**QUERY)
-    summary = service.apply_updates([("v", "go", "w")])
-    assert summary["slice_epoch"] == service.slice_epoch == 1
-    return service
-
-
-def sharded_reset(tmp_path, stack):
-    service = stack.enter_context(sharded_fleet(make_graph(), seed=0, shards=2))
-    service.query(**QUERY)
-    service.reset_epoch(4)
-    assert service.slice_epoch == 4
-    assert [worker.probe()["epoch"] for worker in service.workers] == [4, 4]
-    return service
-
-
 ROUTES = [
     warm_start,
     from_files,
@@ -155,8 +137,6 @@ ROUTES = [
     replace_graph,
     recover_from_snapshot,
     recover_from_base_tsv,
-    sharded_update,
-    sharded_reset,
 ]
 
 
@@ -196,7 +176,7 @@ def test_every_route_publishes_the_same_epoch_shape(route, tmp_path):
         # the plan's own key; another graph's epoch starts without them
         # (every route warmed QUERY before its swap, if it had one).
         assert service.results is epoch.results
-        same_snapshot = route in (update_noop, reset_epoch, sharded_reset)
+        same_snapshot = route in (update_noop, reset_epoch)
         assert len(epoch.results) == (1 if same_snapshot else 0)
         service.query(**QUERY)
         keys = [key for key, _ in epoch.results.export_entries()]

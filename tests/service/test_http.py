@@ -7,6 +7,7 @@ to serial execution, a threaded stress run identical to serial
 execution, and `python -m repro serve --port 0` starting from the CLI.
 """
 
+import http.client
 import json
 import os
 import re
@@ -30,7 +31,7 @@ from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.service.http import ServiceRequestHandler
 from repro.session import LSCRSession
-from tests.helpers import running_server, sharded_fleet
+from tests.helpers import running_server
 
 S0 = "SELECT ?x WHERE { ?x <friendOf> v3 . v3 <likes> ?y . }"
 S1 = "SELECT ?x WHERE { ?x <likes> ?y . }"
@@ -285,6 +286,29 @@ class TestErrors:
         assert document["error"]["type"] == "not-found"
         status, document = http_post(f"{base_url}/nope", {})
         assert status == 404
+        # One process serves: the shard worker wire and the rebalance
+        # door are unknown paths like any other, and the keep-alive
+        # connection a refusal came on still answers.
+        connection = http.client.HTTPConnection(urlsplit(base_url).netloc, timeout=10)
+        try:
+            for method, path in (
+                ("POST", "/shard/0/expand"),
+                ("GET", "/shard/0"),
+                ("POST", "/admin/rebalance"),
+                ("POST", "/t/default/admin/rebalance"),
+            ):
+                body = b"{}" if method == "POST" else None
+                connection.request(method, path, body=body)
+                response = connection.getresponse()
+                document = json.loads(response.read())
+                assert response.status == 404, (method, path)
+                assert document["error"]["type"] == "not-found", (method, path)
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+        finally:
+            connection.close()
 
     @pytest.mark.parametrize("labels", [[""], ["", ""], "", ","])
     def test_empty_label_names_are_no_labels_at_every_door(self, base_url, labels):
@@ -300,13 +324,6 @@ class TestErrors:
         )
         assert status == 400
         assert document["error"]["message"] == f"invalid query in batch: {message}"
-        with sharded_fleet(figure3_graph(), shards=2) as sharded:
-            status, document = http_post(
-                f"{sharded.workers[0].base_url}/shard/0/query",
-                spec("v0", "v4", labels),
-            )
-        assert status == 400
-        assert document["error"]["message"] == f"invalid query: {message}"
 
     def test_errors_counted_in_stats(self, base_url):
         http_post(f"{base_url}/query", {"source": "v0"})

@@ -14,8 +14,7 @@ Now every structure of an epoch is derived from its parent's by
 ``GraphEpoch.derive``: the parent's own snapshot shares everything,
 cached answers included; any other graph inherits no cached answer,
 only the counters, and ``V(S, G)`` only as its exact delta carries it.
-The first two tests fail on the commit before, on all three
-topologies.
+The first two tests fail on the commit before.
 """
 
 from __future__ import annotations
@@ -24,19 +23,16 @@ import sys
 import threading
 from contextlib import contextmanager
 
-import pytest
 
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.service.cache import CandidateCache, ResultCache
-from tests.helpers import cache_counters, graph_from_edges, sharded_fleet
+from tests.helpers import cache_counters, graph_from_edges
 
 NAMES = ["a", "b", "c", "d"]
 PATH = [("a", "go", "b"), ("b", "mark", "b"), ("b", "go", "c"), ("c", "go", "d")]
 S = "SELECT ?x WHERE { ?x <mark> ?y . }"
 QUERY = ("a", "c", ["go"], S)
-
-topologies = pytest.mark.parametrize("topology", ["plain", "sharded"])
 
 
 def graph(edges=PATH):
@@ -45,23 +41,18 @@ def graph(edges=PATH):
 
 
 @contextmanager
-def serving(topology, **options):
+def serving(**options):
     source = graph()
     index = build_local_index(source, k=2, rng=0)
-    if topology == "plain":
-        service = QueryService(source, index, seed=0, **options)
-        try:
-            yield service
-        finally:
-            service.close()
-    else:
-        with sharded_fleet(source, index, shards=2, seed=0, **options) as service:
-            yield service
+    service = QueryService(source, index, seed=0, **options)
+    try:
+        yield service
+    finally:
+        service.close()
 
 
-@topologies
-def test_replacing_the_graph_under_the_serving_id_drops_its_answers(topology):
-    with serving(topology) as service:
+def test_replacing_the_graph_under_the_serving_id_drops_its_answers():
+    with serving() as service:
         result, _ = service.query(*QUERY)
         assert result.answer is True
         _, meta = service.query(*QUERY)
@@ -74,9 +65,8 @@ def test_replacing_the_graph_under_the_serving_id_drops_its_answers(topology):
         assert meta["source"] != "result-cache" and meta["epoch"] == 0
 
 
-@topologies
-def test_renumbering_keeps_the_warmed_answers(topology):
-    with serving(topology) as service:
+def test_renumbering_keeps_the_warmed_answers():
+    with serving() as service:
         warmed, _ = service.query(*QUERY)
         before = service.epoch
         service.reset_epoch(5)
@@ -91,9 +81,8 @@ def test_renumbering_keeps_the_warmed_answers(topology):
             assert getattr(after, structure) is getattr(before, structure)
 
 
-@topologies
-def test_an_update_inherits_the_counters_and_no_answer(topology):
-    with serving(topology) as service:
+def test_an_update_inherits_the_counters_and_no_answer():
+    with serving() as service:
         for target in ("c", "d", "d"):  # each cache misses, then hits
             service.query("a", target, ["go"], S)
         before, old = cache_counters(service), service.epoch
@@ -127,7 +116,7 @@ def test_an_in_flight_query_writes_to_the_epoch_it_read():
     """A request that read epoch N at entry and finishes after N+1 was
     published stores its answer in N's cache — where no new request
     looks — and never in N+1's."""
-    with serving("plain") as service:
+    with serving() as service:
         old = service.epoch
         plan = old.planner.plan(*QUERY)
         service.apply_updates([("b", "go", "c", "remove")])

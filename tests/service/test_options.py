@@ -24,9 +24,7 @@ from repro.service.app import QueryService
 from repro.service.http import ServiceHTTPServer
 from repro.service.options import OPTIONS, ServiceOptions, options_from_args
 from repro.service.registry import TenantRegistry
-from repro.shard import ShardedQueryService
-from repro.shard.worker import HttpShardWorker
-from tests.helpers import running_server, sharded_fleet
+from tests.helpers import running_server
 from tests.service.test_http_tenants import http_get, http_request
 
 ROWS = {row.name: row for row in OPTIONS}
@@ -34,9 +32,6 @@ SPEC = {
     "source": "v0", "target": "v4", "labels": ["likes", "follows"],
     "constraint": "SELECT ?x WHERE { ?x <friendOf> v3 . v3 <likes> ?y . }",
 }
-
-#: Stands for the URLs of the ``fleet`` fixture's live shard workers.
-FLEET = object()
 
 #: option → (a valid non-default value, the options it needs switched on).
 VALID = {
@@ -49,19 +44,11 @@ VALID = {
     "slow_log_size": (3, {}),
     "max_concurrent": (2, {}),
     "max_queue": (3, {"max_concurrent": 2}),
-    "shards": (2, {"worker_urls": FLEET}),
-    "max_workers": (2, {"shards": 2, "worker_urls": FLEET}),
-    "worker_urls": (FLEET, {"shards": 2}),
-    "probe_interval": (0.5, {"shards": 2, "worker_urls": FLEET}),
-    "scatter_timeout": (1.5, {"shards": 2, "worker_urls": FLEET}),
-    "degraded_answers": (True, {"shards": 2, "worker_urls": FLEET}),
 }
 
 _WRONG_TYPES = {
     int: ["zero", True, 1.5],
     float: ["fast", True],
-    bool: [1, "yes"],
-    list: ["http://one", [], [""]],
 }
 
 
@@ -73,16 +60,12 @@ def invalid_cases():
             yield row.name, "type", {row.name: value}
         for bound in (
             None if row.ge is None else row.ge - 1,
-            row.gt,
             None if row.le is None else row.le + 0.5,
         ):
             if bound is not None:
                 yield row.name, "range", {row.name: bound}
         if row.requires is not None:
-            value = VALID[row.name][0]
-            if value is FLEET:  # refused before anything is dialled
-                value = ["http://127.0.0.1:9"]
-            yield row.name, "requires", {row.name: value}
+            yield row.name, "requires", {row.name: VALID[row.name][0]}
     # The values PR 2's per-door parametrisation used to pin.
     yield "landmark_count", "range", {"landmark_count": -3}
     yield "max_batch", "type", {"max_batch": "lots"}
@@ -90,23 +73,13 @@ def invalid_cases():
 
 def to_argv(values):
     """``values`` as ``serve`` flags; None when the command line cannot
-    say it (a flagless row, a mistyped switch or repeatable flag)."""
+    say it (a flagless row)."""
     argv = []
     for name, value in values.items():
         row = ROWS[name]
         if row.flag is None:
             return None
-        if row.kind is bool:
-            if not isinstance(value, bool):
-                return None
-            argv += [row.flag] * (value != row.default)
-        elif row.kind is list:
-            if not isinstance(value, list) or not value:
-                return None
-            for item in value:
-                argv += [row.flag, item]
-        else:
-            argv += [row.flag, str(value)]
+        argv += [row.flag, str(value)]
     return argv
 
 
@@ -124,17 +97,6 @@ def base_url():
         yield base
 
 
-@pytest.fixture(scope="module")
-def fleet():
-    """URLs of two live shard workers cut the way ``seed=0`` cuts."""
-    with sharded_fleet(figure3_graph(), shards=2) as host:
-        yield [worker.base_url for worker in host.workers]
-
-
-def service_class(name):
-    return ShardedQueryService if ROWS[name].sharding else QueryService
-
-
 @pytest.mark.parametrize(
     "name, badness, values",
     [pytest.param(*case, id=f"{case[0]}-{case[1]}-{i}")
@@ -144,9 +106,6 @@ def test_every_door_refuses_a_bad_value(
     name, badness, values, graph_path, base_url, capsys
 ):
     row = ROWS[name]
-    if row.sharding and badness != "requires":
-        values = {"shards": 2, **values}
-
     argv = to_argv(values)
     if argv is not None:
         try:
@@ -158,16 +117,13 @@ def test_every_door_refuses_a_bad_value(
         assert "error:" in stderr and row.flag in stderr.splitlines()[-1]
 
     with pytest.raises(ServiceConfigError, match=repr(name)):
-        service_class(name)(figure3_graph(), **values)
+        QueryService(figure3_graph(), **values)
 
     status, document = http_request(
         f"{base_url}/tenants", {"name": "probe", "graph": graph_path, **values}
     )
     assert status == 400
-    # A sharding row is an unknown key here whatever its value: this
-    # door only builds plain tenants.
-    expected = "unknown option" if row.sharding else repr(name)
-    assert expected in document["error"]["message"]
+    assert repr(name) in document["error"]["message"]
     assert http_get(f"{base_url}/tenants")[1]["tenants"] == {}
 
 
@@ -178,10 +134,10 @@ def test_every_door_refuses_a_bad_value(
 def test_every_door_refuses_a_number_that_is_not_finite(
     name, value, graph_path, base_url, capsys, monkeypatch
 ):
-    """``inf`` clears every lower bound: as a timeout it overflows the
-    thread waits, and ``/stats`` would echo it as JSON's ``Infinity``."""
+    """``inf`` clears every lower bound, and ``/stats`` would echo it as
+    JSON's ``Infinity``."""
     row = ROWS[name]
-    values = {"shards": 2, name: value} if row.sharding else {name: value}
+    values = {name: value}
 
     def served(server):
         raise AssertionError(f"{row.flag} {value} was served")
@@ -196,29 +152,20 @@ def test_every_door_refuses_a_number_that_is_not_finite(
     with pytest.raises(
         ServiceConfigError, match=f"^{name!r} must be a finite number"
     ):
-        service_class(name)(figure3_graph(), **values)
+        QueryService(figure3_graph(), **values)
 
     status, document = http_request(
         f"{base_url}/tenants", {"name": "probe", "graph": graph_path, **values}
     )
     assert status == 400
-    expected = (
-        "unknown option" if row.sharding else f"{name!r} must be a finite number"
-    )
-    assert expected in document["error"]["message"]
+    assert f"{name!r} must be a finite number" in document["error"]["message"]
     assert http_get(f"{base_url}/tenants")[1]["tenants"] == {}
 
 
 @pytest.mark.parametrize("name", sorted(VALID))
-def test_a_good_value_round_trips_into_stats_config(
-    name, graph_path, base_url, fleet
-):
+def test_a_good_value_round_trips_into_stats_config(name, graph_path, base_url):
     value, needs = VALID[name]
-    values = {
-        key: fleet if item is FLEET else item
-        for key, item in {**needs, name: value}.items()
-    }
-    value = values[name]
+    values = {**needs, name: value}
 
     argv = to_argv(values)
     if argv is not None:
@@ -227,7 +174,7 @@ def test_a_good_value_round_trips_into_stats_config(
         )
         assert json.loads(json.dumps(options.as_dict()))[name] == value
 
-    service = service_class(name)(figure3_graph(), **values)
+    service = QueryService(figure3_graph(), **values)
     try:
         config = json.loads(json.dumps(service.stats_snapshot()["config"]))
         assert config[name] == value
@@ -237,9 +184,6 @@ def test_a_good_value_round_trips_into_stats_config(
     status, document = http_request(
         f"{base_url}/tenants", {"name": "probe", "graph": graph_path, **values}
     )
-    if ROWS[name].sharding:
-        assert status == 400 and "unknown option" in document["error"]["message"]
-        return
     try:
         assert status == 201
         assert http_request(f"{base_url}/t/probe/query", SPEC)[0] == 200
@@ -249,59 +193,27 @@ def test_a_good_value_round_trips_into_stats_config(
         http_request(f"{base_url}/t/probe", None, method="DELETE")
 
 
-@pytest.mark.parametrize("urls", [[], ["http://127.0.0.1:9"]], ids=["none", "one"])
-def test_a_shard_count_needs_one_worker_url_per_shard(urls, graph_path, capsys):
-    """A sharded service holds no slice of its own: each shard is a
-    ``serve --worker`` process, and the refusal says how to start one."""
-    argv = [item for url in urls for item in ("--worker-url", url)]
-    assert main(["serve", "--graph", graph_path, "--shards", "2", *argv]) == 2
-    error = capsys.readouterr().err.splitlines()[-1]
-    assert error.startswith(
-        f"error: --shards 2 needs exactly 2 --worker-url values, got {len(urls)}"
-    )
-    assert "'repro cut " in error and "'serve --worker " in error
-    keywords = {"worker_urls": urls} if urls else {}
-    with pytest.raises(ServiceConfigError, match="'shards' 2 needs exactly 2"):
-        ShardedQueryService(figure3_graph(), shards=2, **keywords)
-
-
 def _refusal(build) -> str:
     with pytest.raises(ServiceConfigError) as refusal:
         build()
     return str(refusal.value)
 
 
-@pytest.mark.parametrize(
-    "door", ["QueryService", "ShardedQueryService", "register_files"]
-)
+@pytest.mark.parametrize("door", ["QueryService", "register_files"])
 @pytest.mark.parametrize(
     "name, value",
     [("cache_size", -5), ("trace_sample", 2.0), ("max_queue", 3), ("seed", True)],
 )
-def test_a_hand_built_value_gets_the_keyword_refusal(
-    door, name, value, graph_path, monkeypatch
-):
+def test_a_hand_built_value_gets_the_keyword_refusal(door, name, value, graph_path):
     """``options=`` is checked against the table as keywords are: no bare
-    ``ValueError`` from a sub-object, no bad value taken silently, and a
-    sharded service refuses before it dials a worker."""
-
-    def dialled(*args, **kwargs):
-        raise AssertionError("a shard worker was contacted")
-
-    monkeypatch.setattr(HttpShardWorker, "__init__", dialled)
-    fleet = (
-        {"shards": 2, "worker_urls": ("http://127.0.0.1:9",) * 2}
-        if door == "ShardedQueryService"
-        else {}
-    )
+    ``ValueError`` from a sub-object, no bad value taken silently."""
     build = {
         "QueryService": lambda **kw: QueryService(figure3_graph(), **kw),
-        "ShardedQueryService": lambda **kw: ShardedQueryService(figure3_graph(), **kw),
         "register_files": lambda **kw: TenantRegistry().register_files(
             "probe", graph_path, **kw
         ),
     }[door]
-    values = {**fleet, name: value}
+    values = {name: value}
     keyword = _refusal(lambda: build(**values))
     hand_built = _refusal(lambda: build(options=ServiceOptions(**values)))
     assert hand_built == keyword
@@ -333,7 +245,15 @@ def test_stats_config_lists_every_row():
      # A request names its evaluator, and the router's sound No can
      # change no answer: neither is a deployment-time fork.
      ("algorithm", ["--algorithm", "uis"]),
-     ("approx", ["--no-approx"])],
+     ("approx", ["--no-approx"]),
+     # One process serves each graph whole: no shard fleet to size,
+     # attach, probe, bound or degrade.
+     ("shards", ["--shards", "2"]),
+     ("max_workers", ["--workers", "2"]),
+     ("worker_urls", ["--worker-url", "http://127.0.0.1:9"]),
+     ("probe_interval", ["--worker-probe-interval", "1"]),
+     ("scatter_timeout", ["--shard-timeout", "1"]),
+     ("degraded_answers", ["--degraded-answers"])],
 )
 def test_a_deleted_row_is_an_unknown_option(
     name, argv, graph_path, base_url, capsys
@@ -343,9 +263,8 @@ def test_a_deleted_row_is_an_unknown_option(
         main(["serve", "--graph", graph_path, *argv])
     assert refusal.value.code == 2
     assert argv[0] in capsys.readouterr().err.splitlines()[-1]
-    for cls in (QueryService, ShardedQueryService):
-        with pytest.raises(ServiceConfigError, match=f"unknown option {name!r}"):
-            cls(figure3_graph(), **{name: 0.5})
+    with pytest.raises(ServiceConfigError, match=f"unknown option {name!r}"):
+        QueryService(figure3_graph(), **{name: 0.5})
     status, document = http_request(
         f"{base_url}/tenants", {"name": "probe", "graph": graph_path, name: 0.5}
     )

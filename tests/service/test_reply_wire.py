@@ -34,8 +34,6 @@ def payload(result: QueryResult, meta: dict) -> dict:
     }
     if "tier" in meta:
         document["tier"] = meta["tier"]
-    if "degraded" in meta:
-        document["degraded"] = meta["degraded"]
     return document
 
 
@@ -87,12 +85,6 @@ def metas(draw) -> dict:
         meta["source"] = draw(texts)
     if draw(st.booleans()):
         meta["tier"] = draw(texts)
-    if draw(st.booleans()):
-        meta["degraded"] = {
-            "missing_shards": draw(st.lists(ints, max_size=3)),
-            "verdict": draw(texts),
-            "extra": draw(documents),
-        }
     return meta
 
 

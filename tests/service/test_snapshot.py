@@ -68,6 +68,28 @@ class TestServiceSnapshot:
         finally:
             second.close()
 
+    def test_a_file_whose_results_carry_degraded_still_warms(self, tmp_path):
+        # Written before answers lost their "degraded" member: every
+        # stored entry held it as null.
+        path = tmp_path / "older.json"
+        first = QueryService(make_graph(), seed=0)
+        try:
+            first.query("a", "c", ["l"], CONSTRAINT)
+            first.save_snapshot(path)
+        finally:
+            first.close()
+        document = json.loads(path.read_text())
+        for item in document["results"]:
+            item["result"]["degraded"] = None
+        path.write_text(json.dumps(document))
+        second = QueryService(make_graph(), seed=0)
+        try:
+            assert second.load_snapshot(path)["results"] == 1
+            _, meta = second.query("a", "c", ["l"], CONSTRAINT)
+            assert meta["cached"]
+        finally:
+            second.close()
+
     def test_snapshot_file_is_valid_json_with_graph_identity(self, tmp_path):
         path = tmp_path / "snap.json"
         service = QueryService(make_graph(), seed=0)
@@ -201,16 +223,6 @@ class TestServeWarmCacheFlag:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["serve", "--graph", "g.tsv", "--shards", "2",
-             "--warm-cache", "warm.json"]
+            ["serve", "--graph", "g.tsv", "--warm-cache", "warm.json"]
         )
-        assert args.shards == 2
         assert args.warm_cache == "warm.json"
-
-    def test_shards_without_graph_rejected(self, capsys):
-        from repro.cli import main
-
-        code = main(["serve", "--tenant", "t=g.tsv", "--shards", "2",
-                     "--worker-url", "http://w0", "--worker-url", "http://w1"])
-        assert code == 2
-        assert "--shards requires --graph" in capsys.readouterr().err

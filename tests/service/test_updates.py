@@ -9,10 +9,8 @@ Covers the epoch-swap mechanics the randomized agreement suite
 * per-epoch result caches — a pre-update cached answer must never be
   served for the post-update graph (the headline staleness bug);
 * ``POST /edges`` over real HTTP — default tenant and ``/t/<tenant>``
-  routes, structured validation errors, the ``--allow-updates`` gate
-  (403 when off) and the sharded path: a sharded tenant now re-cuts and
-  pushes worker slices per batch, so ``POST /edges`` succeeds end to
-  end and the summary carries the bumped slice epoch.
+  routes, structured validation errors and the ``--allow-updates`` gate
+  (403 when off).
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from repro.graph import FrozenGraph, KnowledgeGraph
 from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.service.registry import TenantRegistry
-from tests.helpers import graph_from_edges, running_server, sharded_fleet
+from tests.helpers import graph_from_edges, running_server
 
 CONSTRAINT = "SELECT ?x WHERE { ?x <mark> ?y . }"
 
@@ -390,40 +388,6 @@ class TestReadOnlyFollowerGate:
             service.close()
 
 
-class TestShardedUpdates:
-    def test_apply_updates_recuts_slices_and_bumps_slice_epoch(self):
-        graph = graph_from_edges(
-            [(f"n{i}", "l", f"n{i + 1}") for i in range(12)], name="sharded"
-        )
-        with sharded_fleet(graph, seed=0, shards=2) as service:
-            assert service.slice_epoch == 0
-            summary = service.apply_updates([("n0", "l", "n7")])
-            assert summary["epoch"] == 1
-            assert summary["slice_epoch"] == 1
-            assert summary["shards_updated"] == [
-                service.shard_plan.shard_of[service.graph.vid("n0")]
-            ]
-            assert service.slice_epoch == 1
-            # Every worker now serves the new slice epoch.
-            for worker in service.workers:
-                assert worker.probe()["epoch"] == 1
-            result, meta = service.query(
-                "n0", "n7", ["l"], "SELECT ?x WHERE { ?x <l> ?y . }"
-            )
-            assert result.answer is True
-            assert meta["epoch"] == 1
-
-    def test_no_op_batch_does_not_bump_slice_epoch(self):
-        graph = graph_from_edges(
-            [(f"n{i}", "l", f"n{i + 1}") for i in range(12)], name="sharded"
-        )
-        with sharded_fleet(graph, seed=0, shards=2) as service:
-            summary = service.apply_updates([("n0", "l", "n1")])  # duplicate
-            assert summary["epoch"] == 0
-            assert "slice_epoch" not in summary
-            assert service.slice_epoch == 0
-
-
 def http_post(url, payload):
     request = urllib.request.Request(
         url,
@@ -496,57 +460,6 @@ class TestHttpEdges:
             assert status == 403
             assert body["error"]["type"] == "updates-disabled"
             assert "--allow-updates" in body["error"]["message"]
-
-    def test_sharded_tenant_accepts_post_edges(self):
-        graph = graph_from_edges(
-            [(f"n{i}", "l", f"n{i + 1}") for i in range(12)], name="sharded"
-        )
-        with sharded_fleet(graph, seed=0, shards=2) as service:
-            with running_server(service, allow_updates=True) as base_url:
-                status, summary = http_post(
-                    f"{base_url}/edges", {"edges": [["n0", "l", "n7"]]}
-                )
-                assert status == 200
-                assert summary["epoch"] == 1
-                assert summary["slice_epoch"] == 1
-                query = {"source": "n0", "target": "n7", "labels": ["l"],
-                         "constraint": "SELECT ?x WHERE { ?x <l> ?y . }"}
-                status, body = http_post(f"{base_url}/query", query)
-                assert status == 200 and body["answer"] is True
-
-    def test_admin_rebalance_routes(self):
-        graph = graph_from_edges(
-            [(f"n{i}", "l", f"n{(i * 5 + 1) % 40}") for i in range(40)],
-            name="sharded",
-        )
-        with sharded_fleet(graph, seed=0, shards=2) as service:
-            with running_server(service, allow_updates=True) as base_url:
-                status, body = http_post(f"{base_url}/admin/rebalance", {})
-                assert status == 200
-                assert "rebalanced" in body
-                if body["rebalanced"]:
-                    assert body["slice_epoch"] == service.slice_epoch
-
-    def test_admin_rebalance_on_plain_tenant_is_501(self):
-        service = make_service()
-        try:
-            with running_server(service, allow_updates=True) as base_url:
-                status, body = http_post(f"{base_url}/admin/rebalance", {})
-                assert status == 501
-                assert body["error"]["type"] == "updates-unsupported"
-        finally:
-            service.close()
-
-    def test_admin_rebalance_gated_by_allow_updates(self):
-        service = make_service()
-        try:
-            with running_server(service) as base_url:
-                status, body = http_post(f"{base_url}/admin/rebalance", {})
-                assert status == 403
-                assert body["error"]["type"] == "updates-disabled"
-        finally:
-            service.close()
-
 
 class TestSnapshotEpochIdentity:
     def test_post_update_snapshot_refused_by_fresh_service(self, tmp_path):

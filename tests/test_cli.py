@@ -215,18 +215,18 @@ class TestServe:
         assert "NAME=GRAPH" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, value",
-        [("--index", "g.index.json"), ("--max-concurrent", "1"),
-         ("--trace-sample", "0.5"), ("--slow-ms", "1"), ("--seed", "3")],
+        "argv",
+        [["cut", "g.tsv", "--shards", "2", "--out", "slices"],
+         ["serve", "--worker", "shard-0.slice.json"]],
+        ids=["cut", "worker"],
     )
-    def test_worker_refuses_index(self, flag, value, capsys):
-        # A worker serves its slice and nothing else; an --index it
-        # would never read — or a per-service option other than
-        # --cache-size — is refused, not silently dropped.
-        code = main(["serve", "--worker", "shard-0.slice.json", flag, value])
-        assert code == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: ") and line.endswith(f"drop {flag}")
+    def test_no_shard_fleet_commands(self, argv, capsys):
+        # One process serves each graph whole: there is no slice to cut
+        # and no shard worker to start.
+        with pytest.raises(SystemExit) as refusal:
+            main(argv)
+        assert refusal.value.code == 2
+        assert argv[0 if argv[0] == "cut" else 1] in capsys.readouterr().err
 
 
 class TestServeCollector:
@@ -258,20 +258,10 @@ class TestServeCollector:
         assert gc.isenabled() is enabled
         assert gc.get_freeze_count() == 0
 
-    def test_worker_freezes_the_boot_heap(self, g0_path, tmp_path, serving):
-        out = tmp_path / "slices"
-        assert main(["cut", g0_path, "--shards", "1", "--out", str(out)]) == 0
-        slice_path = str(out / "shard-0.slice.json")
-        assert main(["serve", "--worker", slice_path, "--port", "0"]) == 0
-        ((serving_enabled, frozen),) = serving
-        assert serving_enabled and frozen > 0
-        assert gc.isenabled() and gc.get_freeze_count() == 0
-
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize(
         "argv",
-        [["serve"], ["serve", "--graph", "missing.tsv"],
-         ["serve", "--worker", "shard-0.slice.json", "--seed", "3"]],
+        [["serve"], ["serve", "--graph", "missing.tsv"]],
     )
     def test_refusal_restores_the_collector(self, argv, serving, enabled):
         (gc.enable if enabled else gc.disable)()
@@ -317,15 +307,6 @@ class TestServeWalFlags:
         assert code == 2
         assert "require --graph" in capsys.readouterr().err
 
-    def test_follow_incompatible_with_shards(self, capsys):
-        # --wal --shards compose (the log carries slice epochs); a
-        # follower republishes read-only and cannot drive a fleet.
-        code = main(["serve", "--graph", "g.tsv", "--shards", "2",
-                     "--worker-url", "http://w0", "--worker-url", "http://w1",
-                     "--follow", "d"])
-        assert code == 2
-        assert "--follow does not support --shards" in capsys.readouterr().err
-
     def test_follow_refuses_allow_updates(self, capsys):
         code = main(["serve", "--graph", "g.tsv", "--follow", "d",
                      "--allow-updates"])
@@ -352,8 +333,8 @@ class TestServeWalFlags:
 
     @pytest.mark.parametrize("budget", ["0", "-5", "nan", "inf"])
     def test_default_deadline_must_be_finite_and_positive(self, budget, capsys):
-        # A NaN deadline never expires and ships as {"deadline_ms": nan}
-        # to shard workers; ?deadline_ms=nan and inf are 400s already.
+        # A NaN deadline never expires; ?deadline_ms=nan and inf are
+        # 400s already.
         code = main(["serve", "--graph", "g.tsv", "--default-deadline-ms", budget])
         assert code == 2
         (line,) = capsys.readouterr().err.splitlines()

@@ -48,8 +48,20 @@ CALLERS = {
 }
 
 
+#: Pins of the shard fleet, whose package was deleted: one process serves
+#: each graph.  The ladder keeps them until its own next change, and a
+#: traced run lists them as missing; their metrics read 0 on every
+#: registered workload.
+RETIRED_PACKAGE = "repro.shard"
+RETIRED = frozenset(
+    {"shard.answer", "shard.expand", "shard.worker_expand", "shard.worker_query"}
+)
+
+
 @pytest.mark.parametrize("name", sorted(SPANS._METHODS))
 def test_method_is_defined_on_the_class_the_ladder_names(name):
+    if name in RETIRED:
+        pytest.skip(f"{name}: {RETIRED_PACKAGE} was deleted")
     module_name, class_name, method = SPANS._METHODS[name]
     owner = getattr(importlib.import_module(module_name), class_name)
     assert method in owner.__dict__, (
@@ -70,6 +82,17 @@ def test_function_is_bound_at_module_level_where_it_is_called(name):
             f"span {name!r}: {caller} no longer binds {function} at module "
             "level, so its calls dodge the ladder's wrapper"
         )
+
+
+def test_each_retired_pin_names_a_deleted_module():
+    """A retired pin's whole package is gone: none of them is a live
+    entry point that was only renamed or moved."""
+    assert RETIRED <= set(SPANS._METHODS)
+    for name in sorted(RETIRED):
+        module_name = SPANS._METHODS[name][0]
+        assert module_name.startswith(f"{RETIRED_PACKAGE}."), name
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module_name)
 
 
 def test_every_wrapped_function_has_its_callers_listed():

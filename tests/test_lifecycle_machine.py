@@ -3,24 +3,20 @@
 The first rung of ROADMAP item 1.  The per-feature agreement suites each
 draw a fresh constraint per query and never compose events, so a value
 that outlives the graph version it was derived from — a ``V(S, G)``
-cache, a worker's slice, a plan — is invisible to them.  Here one
+cache, an index, a bounds table — is invisible to them.  Here one
 ``hypothesis`` :class:`RuleBasedStateMachine` drives the public
 operations of a service over a graph of at most 16 vertices mirrored in
 a plain :class:`KnowledgeGraph`:
 
 * rules — insert batch, retract batch, no-op batch, ``replace_graph``,
-  ``reset_epoch``, ``rebalance``, "the next publish to worker *i* is
-  lost", and query: a sweep of every ordered pair of names under each
+  ``reset_epoch``, and query: a sweep of every ordered pair of names under each
   text of a **fixed pool of three constraints** (so every swap is
   followed by repeats of a constraint whose ``V(S, G)`` it may have
   moved), with and without the result cache, on the default route and
   on each forced algorithm;
 * invariants after every step — the answer equals ``core/naive.py`` on
-  the mirror or is a structured refusal (503, and only while some worker
-  really is behind), ``meta["epoch"]`` is the epoch that was current,
-  the service's graph is the mirror's, ``shard_plan`` / ``slice_epoch``
-  are ``service.epoch.topology``'s, a swap leaves exactly the workers
-  whose publish it lost behind, ``audit_fingerprint()`` passes, no
+  the mirror, ``meta["epoch"]`` is the epoch that was current, the
+  service's graph is the mirror's, ``audit_fingerprint()`` passes, no
   counter of ``/stats`` ``result_cache`` / ``candidate_cache`` ever
   steps back, whatever was swapped underneath it, and the serving
   epoch's bounds (built, derived from the parent's, or shared) say
@@ -33,25 +29,20 @@ a plain :class:`KnowledgeGraph`:
   equal a fresh build over that graph from the service's landmark count
   and seed (:class:`~repro.service.epoch.IndexSource`).
 
-Topologies: plain, and sharded over workers an in-thread server hosts
-and the service attaches by URL.  Both run in tier-1 on a fixed,
-derandomised budget; the deeper ``differential`` profile
+Tier-1 runs it on a fixed, derandomised budget; the deeper
+``differential`` profile
 (``tests/conftest.py``; CI's ``differential`` job) multiplies the
 examples and draws them from the seed given on the command line.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
-
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
-    precondition,
     rule,
     run_state_machine_as_test,
 )
@@ -60,14 +51,12 @@ from repro.constraints.substructure import SubstructureConstraint
 from repro.core.algorithms import ALGORITHMS as REGISTERED
 from repro.core.naive import NaiveTwoProcedure
 from repro.core.query import LSCRQuery
-from repro.exceptions import ShardUnavailableError
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.index.local_index import LocalIndex, build_local_index
 from repro.service.app import QueryService
 from repro.service.epoch import IndexSource
-from tests.helpers import cache_counters, label_blind_reach, sharded_fleet
+from tests.helpers import cache_counters, label_blind_reach
 
-SHARDS = 2
 LANDMARKS = 3
 CHAIN = [(f"v{i}", "next", f"v{i + 1}") for i in range(5)]
 POOL = [f"v{i}" for i in range(6)] + ["p", "q"]
@@ -99,14 +88,9 @@ TIER1 = settings(
 
 
 class LifecycleMachine(RuleBasedStateMachine):
-    def __init__(self, topology: str) -> None:
-        super().__init__()
-        self.topology = topology
-        self.sharded = topology != "plain"
-        self.stack = ExitStack()
-
     def teardown(self) -> None:
-        self.stack.close()
+        if hasattr(self, "service"):
+            self.service.close()
 
     @initialize(extra=st.lists(EDGES, max_size=8))
     def boot(self, extra):
@@ -116,17 +100,7 @@ class LifecycleMachine(RuleBasedStateMachine):
         graph = self.mirror.copy()
         # What a first read would build from the service's options.
         index = build_local_index(graph, k=LANDMARKS, rng=0)
-        if self.sharded:
-            self.service = self.stack.enter_context(
-                sharded_fleet(
-                    graph, index, shards=SHARDS, landmark_count=LANDMARKS, seed=0
-                )
-            )
-        else:
-            self.service = QueryService(
-                graph, index, landmark_count=LANDMARKS, seed=0
-            )
-            self.stack.callback(self.service.close)
+        self.service = QueryService(graph, index, landmark_count=LANDMARKS, seed=0)
         self.epoch_id = 0
         self.cache_counters = {}
 
@@ -134,41 +108,15 @@ class LifecycleMachine(RuleBasedStateMachine):
     # swaps
     # ------------------------------------------------------------------
 
-    def behind(self) -> set[int]:
-        """Shards whose worker is not at the fleet's slice epoch."""
-        return {
-            shard
-            for shard, worker in enumerate(self.service.workers)
-            if worker.probe()["epoch"] != self.service.slice_epoch
-        }
-
-    def swap(self, operation, published=lambda outcome: True):
-        """Run ``operation``; if it ``published`` an epoch to the fleet,
-        require that it left behind exactly the workers whose publish it
-        lost — whoever was behind before is whole again."""
-        workers = self.service.workers if self.sharded else []
-        armed = {
-            shard for shard, worker in enumerate(workers) if worker.lose_publishes
-        }
-        outcome = operation()
-        if self.sharded and published(outcome):
-            assert self.behind() == armed
-            assert not any(worker.lose_publishes for worker in workers)
-        return outcome
-
     def update(self, batch, applied: int):
         if applied:
             self.epoch_id += 1
         before = self.service.epoch
-        summary = self.swap(
-            lambda: self.service.apply_updates(batch), lambda _: bool(applied)
-        )
+        summary = self.service.apply_updates(batch)
         assert summary["epoch"] == self.epoch_id
         if not applied:
             assert self.service.epoch is before
             return
-        if self.sharded:
-            assert summary["slice_epoch"] == self.service.slice_epoch
         epoch = self.service.epoch
         for constraint, candidates in epoch.candidates.entries():
             assert set(candidates) == set(
@@ -203,31 +151,12 @@ class LifecycleMachine(RuleBasedStateMachine):
         for edge, add in edits:
             (self.mirror.add_edge if add else self.mirror.remove_edge)(*edge)
         self.epoch_id += bump
-        self.swap(
-            lambda: self.service.replace_graph(self.mirror.copy(), self.epoch_id)
-        )
+        self.service.replace_graph(self.mirror.copy(), self.epoch_id)
 
     @rule(bump=st.integers(0, 3))
     def reset_epoch(self, bump):
         self.epoch_id += bump
-        self.swap(
-            lambda: self.service.reset_epoch(self.epoch_id), lambda _: bool(bump)
-        )
-
-    @precondition(lambda self: self.sharded)
-    @rule()
-    def rebalance(self):
-        before = self.service.slice_epoch
-        document = self.swap(
-            self.service.rebalance, lambda document: document["rebalanced"]
-        )
-        assert document["slice_epoch"] == self.service.slice_epoch
-        assert (document["slice_epoch"] > before) == document["rebalanced"]
-
-    @precondition(lambda self: self.sharded)
-    @rule(shard=st.integers(0, SHARDS - 1))
-    def lose_next_publish(self, shard):
-        self.service.workers[shard].lose_publishes = 1
+        self.service.reset_epoch(self.epoch_id)
 
     # ------------------------------------------------------------------
     # queries
@@ -283,15 +212,10 @@ class LifecycleMachine(RuleBasedStateMachine):
         assert tables(index) == tables(fresh), epoch
 
     def ask(self, source, goal, labels, constraint, algorithm, use_cache):
-        try:
-            result, meta = self.service.query(
-                source, goal, labels, constraint,
-                algorithm=algorithm, use_cache=use_cache,
-            )
-        except ShardUnavailableError as refusal:
-            assert refusal.status == 503
-            assert self.behind(), "refused with the whole fleet in step"
-            return
+        result, meta = self.service.query(
+            source, goal, labels, constraint,
+            algorithm=algorithm, use_cache=use_cache,
+        )
         expected = self.oracle(source, goal, labels, constraint)
         assert result.answer is expected, (source, goal, constraint, result, meta)
         assert meta["epoch"] == self.epoch_id
@@ -308,13 +232,6 @@ class LifecycleMachine(RuleBasedStateMachine):
             self.mirror.edges_named()
         )
         assert self.service.audit_fingerprint() == epoch.fingerprint
-        if self.sharded:
-            plan, slice_epoch = epoch.topology
-            assert self.service.shard_plan is plan
-            assert self.service.slice_epoch == slice_epoch >= epoch.epoch_id
-            assert plan.num_vertices == epoch.graph.num_vertices
-        else:
-            assert epoch.topology is None
 
     @invariant()
     def bounds_are_sound(self):
@@ -345,10 +262,8 @@ def tables(index: LocalIndex):
     )
 
 
-@pytest.mark.parametrize("topology", ["plain", "sharded"])
-def test_lifecycle(topology, request):
+def test_lifecycle(request):
     deep = request.config.getoption("hypothesis_profile") == "differential"
     run_state_machine_as_test(
-        lambda: LifecycleMachine(topology),
-        settings=settings() if deep else TIER1,
+        LifecycleMachine, settings=settings() if deep else TIER1
     )

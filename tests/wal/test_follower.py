@@ -241,7 +241,7 @@ class TestPollingThread:
 
 class TestStuckShutdown:
     def test_wedged_poll_is_abandoned_loudly(self, tmp_path):
-        from repro.resilience.faults import FaultRule, FaultyWal
+        from tests.faults import FaultRule, FaultyWal
 
         leader, replica, follower = make_pair(tmp_path)
         leader.apply_updates([("a1", "go", "a2")])

@@ -160,11 +160,9 @@ def report_server_delta(
     if routed:
         # The router's share of this run, not the server's lifetime.
         no = _metric_delta(delta, "repro_approx_short_circuit_no_total")
-        yes = _metric_delta(delta, "repro_approx_short_circuit_yes_total")
         print(
             f"  short-circuit router: {routed:.0f} routed, "
-            f"short-circuit rate {(no + yes) / routed:.1%} "
-            f"(No={no:.0f}, Yes={yes:.0f})"
+            f"short-circuit rate {no / routed:.1%} (No={no:.0f})"
         )
 
 

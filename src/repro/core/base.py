@@ -69,7 +69,6 @@ class LSCRAlgorithm(ABC):
             vsg_seconds=float(telemetry.get("vsg_seconds", 0.0)),
             lcs_calls=int(telemetry.get("lcs_calls", 0)),
             index_resolutions=int(telemetry.get("index_resolutions", 0)),
-            witness=telemetry.get("witness"),
         )
 
     def decide(self, query: LSCRQuery) -> bool:
@@ -88,5 +87,5 @@ class LSCRAlgorithm(ABC):
 
         Telemetry keys (all optional): ``passed_vertices``,
         ``scck_calls``, ``vsg_size``, ``vsg_seconds``, ``lcs_calls``,
-        ``index_resolutions``, ``witness``.
+        ``index_resolutions``.
         """

@@ -25,8 +25,7 @@ already holds:
   ``t`` is itself in ``V(S, G)`` every ``s ⇝ t`` path passes a
   satisfying vertex, so the query is plain label-constrained
   reachability: the sides meet at the first vertex both reach, whether
-  it satisfies or not, and the witness's satisfying vertex is that
-  endpoint (``s`` when both are).
+  it satisfies or not.
 * **legs** — with a tiny ``V(S, G)`` the two searches above can only
   meet *at* those few vertices, which degenerates to growing both whole
   closures; there, for each candidate ``v``, two plain
@@ -36,10 +35,6 @@ already holds:
   per candidate, hence tiny sets only (:data:`LEGS_MAX_CANDIDATES`;
   README, *Choosing an algorithm*, has the measurement).
 
-Every mark records the vertex it was reached from, one parent map per
-direction, so a True verdict carries the path it walked as
-``QueryResult.witness`` (``s →F v``, ``v →B t``; legs: the four
-half-paths joined) and no second search is needed to explain it.
 Telemetry: ``passed_vertices`` counts the vertices marked by either side
 (summed over legs), ``lcs_calls`` the legs run — 0 on the meet plan.
 """
@@ -51,9 +46,7 @@ from collections.abc import Callable, Set
 
 from repro.core.base import LSCRAlgorithm, satisfying_vertices
 from repro.core.query import LSCRQuery
-from repro.core.witness import WitnessPath
 from repro.graph.labeled_graph import KnowledgeGraph
-from repro.graph.labels import iter_mask_bits
 from repro.resilience.deadline import Deadline, current_deadline
 
 __all__ = ["LEGS_MAX_CANDIDATES", "MeetSearch"]
@@ -67,9 +60,6 @@ LEGS_MAX_CANDIDATES = 4
 #: Mark bits of one search: reached from its start, reaches its end.
 _FORWARD, _BACKWARD, _BOTH = 1, 2, 3
 
-#: ``(meeting vertex, forward parents, backward parents)`` of one search.
-_Meeting = tuple[int, dict[int, int], dict[int, int]]
-
 
 def _bidirectional(
     graph: KnowledgeGraph,
@@ -80,10 +70,10 @@ def _bidirectional(
     states: bytearray,
     deadline: Deadline | None,
     progress: Callable[[], dict],
-) -> _Meeting | None:
+) -> bool:
     """Grow ``F(start)`` and ``B(end)`` under ``mask`` in the zeroed
     ``states`` until a vertex of ``accept`` (None: any vertex) carries
-    both marks; None when there is none.
+    both marks; whether there is one.
 
     ``start == end`` meets at once only where that vertex is acceptable;
     otherwise both marks on it stand and the search looks for a cycle
@@ -92,47 +82,37 @@ def _bidirectional(
     """
     states[start] |= _FORWARD
     states[end] |= _BACKWARD
-    forward_parent: dict[int, int] = {}
-    backward_parent: dict[int, int] = {}
     if start == end and (accept is None or start in accept):
-        return start, forward_parent, backward_parent
+        return True
     forward, backward = [start], [end]
+    # The vertices each side has marked, its root first.
+    reached = ([start], [end])
     sides = (
-        (_FORWARD, forward, forward_parent, graph.out_targets_masked),
-        (_BACKWARD, backward, backward_parent, graph.in_targets_masked),
+        (_FORWARD, forward, reached[0], graph.out_targets_masked),
+        (_BACKWARD, backward, reached[1], graph.in_targets_masked),
     )
-    marked = [1, 1]
     while forward and backward:
         if deadline is not None and deadline.expired():
             deadline.check("meet", **progress())
-        side = marked[0] > marked[1]
-        bit, frontier, parent, expand = sides[side]
+        # The side that has marked fewer vertices expands next.
+        bit, frontier, marked, expand = sides[len(reached[0]) > len(reached[1])]
         u = frontier.pop()
-        before = len(frontier)
         for w in expand(u, mask):
             state = states[w]
             if not state & bit:
                 states[w] = state | bit
-                parent[w] = u
+                marked.append(w)
                 frontier.append(w)
                 if state and (accept is None or w in accept):
-                    return w, forward_parent, backward_parent
-        marked[side] += len(frontier) - before
+                    return True
     # One closure is complete (the forward one if `forward` is empty).
     # A plain leg ends here: that closure does not hold the other end.
     # So does a search whose complete closure holds nothing acceptable.
-    finished_root, finished_parent = (
-        (end, backward_parent) if forward else (start, forward_parent)
-    )
-    if (
-        accept is None
-        or finished_root not in accept
-        and accept.isdisjoint(finished_parent)
-    ):
-        return None
+    if accept is None or accept.isdisjoint(reached[bool(forward)]):
+        return False
     # A witness lies inside the complete closure: the other side goes on
     # through the vertices it marked and no others.
-    bit, frontier, parent, expand = sides[not forward]
+    bit, frontier, _, expand = sides[not forward]
     other = _BOTH - bit
     while frontier:
         if deadline is not None and deadline.expired():
@@ -143,27 +123,10 @@ def _bidirectional(
         for w in expand(u, mask):
             if states[w] == other:
                 states[w] = _BOTH
-                parent[w] = u
                 frontier.append(w)
                 if w in accept:
-                    return w, forward_parent, backward_parent
-    return None
-
-
-def _hops(start: int, end: int, meeting: _Meeting) -> list[tuple[int, int]]:
-    """The walked path ``start →F v →B end`` as vertex-id pairs."""
-    v, forward_parent, backward_parent = meeting
-    hops: list[tuple[int, int]] = []
-    at = v
-    while at != start:
-        hops.append((forward_parent[at], at))
-        at = forward_parent[at]
-    hops.reverse()
-    at = v
-    while at != end:
-        hops.append((at, backward_parent[at]))
-        at = backward_parent[at]
-    return hops
+                    return True
+    return False
 
 
 class MeetSearch(LSCRAlgorithm):
@@ -210,61 +173,35 @@ class MeetSearch(LSCRAlgorithm):
                 "lcs_calls": legs,
             }
 
-        def search(
-            start: int, end: int, accept: Set[int] | None
-        ) -> _Meeting | None:
+        def search(start: int, end: int, accept: Set[int] | None) -> bool:
             nonlocal states, passed
             states = bytearray(size)
-            meeting = _bidirectional(
+            met = _bidirectional(
                 graph, mask, start, end, accept, states, deadline, progress
             )
             passed += size - states.count(0)
-            return meeting
+            return met
 
-        def finish(
-            v: int | None, hops: list[tuple[int, int]] = ()
-        ) -> tuple[bool, dict[str, float]]:
-            """Close the run; ``v`` is the satisfying vertex a True
-            answer went through (None for False) on the path ``hops``."""
-            telemetry: dict = {
+        def finish(answer: bool) -> tuple[bool, dict[str, float]]:
+            return answer, {
                 "vsg_size": len(candidates),
                 "vsg_seconds": vsg_seconds,
                 "passed_vertices": passed,
                 "lcs_calls": legs,
             }
-            if v is not None:
-                name_of = graph.name_of
-                edges = []
-                for a, b in hops:
-                    label = next(iter_mask_bits(graph.labels_between(a, b) & mask))
-                    edges.append((name_of(a), graph.label_name(label), name_of(b)))
-                telemetry["witness"] = WitnessPath(tuple(edges), name_of(v))
-            return v is not None, telemetry
 
         if len(candidates) > LEGS_MAX_CANDIDATES:
             if members is None:
                 members = frozenset(candidates)     # no cache: built for this call
             # An endpoint in V(S, G) lies on every s ⇝ t path, so the
             # query is plain L-reachability: the sides may meet anywhere.
-            endpoint = next((v for v in (source, target) if v in members), None)
-            meeting = search(
-                source, target, members if endpoint is None else None
-            )
-            if meeting is None:
-                return finish(None)
-            return finish(
-                meeting[0] if endpoint is None else endpoint,
-                _hops(source, target, meeting),
-            )
+            plain = source in members or target in members
+            return finish(search(source, target, None if plain else members))
         for v in candidates:
             legs += 1
-            first = search(source, v, None)
-            if first is None:
+            if not search(source, v, None):
                 continue
             legs += 1
-            second = search(v, target, None)
-            if second is not None:
-                return finish(
-                    v, _hops(source, v, first) + _hops(v, target, second)
-                )
-        return finish(None)
+            if search(v, target, None):
+                return finish(True)
+        return finish(False)

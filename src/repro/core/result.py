@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.witness import WitnessPath
-
 __all__ = ["QueryResult", "ResultAggregate"]
 
 
@@ -40,10 +38,6 @@ class QueryResult:
     #: Vertices resolved from the local index instead of traversal (INS:
     #: sum of ``Cut`` marks, ``Push`` enqueues and ``Check`` hits).
     index_resolutions: int = 0
-    #: The path a True answer was proved by, when the evaluator walked
-    #: one (UIS*, Meet); None otherwise.  Evidence, not part of the answer:
-    #: excluded from equality and never serialised by the service.
-    witness: WitnessPath | None = field(default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.answer

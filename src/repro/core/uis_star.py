@@ -19,10 +19,6 @@ per state and passed at most twice:
   lazily: rebuilding the stack after every failed leg would cost
   ``O(|V(S,G)| · |stack|)`` and break the bound).
 
-Each mark records the vertex it was reached from, so a True verdict
-carries the path it actually walked (``s →F v →T t``) as
-``QueryResult.witness`` — no second search is needed to explain it.
-
 The paper's Section 6 observation that UIS* often *loses* to UIS comes
 from the arbitrary order of ``V(S, G)`` ("the order of processing the
 elements in V(S,G) dominates the efficiency", Theorem 4.1): a bad first
@@ -39,9 +35,7 @@ import time
 from repro.core.base import LSCRAlgorithm, satisfying_vertices
 from repro.core.close import F, N, T
 from repro.core.query import LSCRQuery
-from repro.core.witness import WitnessPath
 from repro.graph.labeled_graph import KnowledgeGraph
-from repro.graph.labels import iter_mask_bits
 from repro.resilience.deadline import current_deadline
 
 __all__ = ["UISStar"]
@@ -97,10 +91,6 @@ class UISStar(LSCRAlgorithm):
         deadline = current_deadline()
         stack: list[int] = [source]                       # line 1
         states[source] = F                                # line 2
-        # One parent per first F mark and one per T mark: the search
-        # trees a True verdict reads its witness path back from (an
-        # entry means something only where `states` says it was set).
-        parents = {mode: [0] * graph.num_vertices for mode in (F, T)}
         passed = 1
         lcs_calls = 0
 
@@ -109,33 +99,17 @@ class UISStar(LSCRAlgorithm):
             "vsg_seconds": vsg_seconds,
         }
 
-        def finish(v: int | None) -> tuple[bool, dict[str, float]]:
-            """Close the run; ``v`` is the satisfying vertex a True
-            answer went through (None for False), and the witness is
-            the walked path ``s →F v →T t`` read off the parent maps."""
+        def finish(answer: bool) -> tuple[bool, dict[str, float]]:
             telemetry["passed_vertices"] = passed
             telemetry["lcs_calls"] = lcs_calls
-            if v is not None:
-                hops: list[tuple[int, int]] = []
-                for mode, end, root in ((T, target, v), (F, v, source)):
-                    while end != root:
-                        before = parents[mode][end]
-                        hops.append((before, end))
-                        end = before
-                name_of = graph.name_of
-                edges = []
-                for a, b in reversed(hops):
-                    label = next(iter_mask_bits(graph.labels_between(a, b) & mask))
-                    edges.append((name_of(a), graph.label_name(label), name_of(b)))
-                telemetry["witness"] = WitnessPath(tuple(edges), name_of(v))
-            return v is not None, telemetry
+            return answer, telemetry
 
         # Trivial path <s>: s == t and s satisfies S (README.md, "the
         # trivial path s = t").
         if source == target and source in (
             candidates if members is None else members
         ):
-            return finish(source)
+            return finish(True)
 
         def lcs(s_star: int, t_star: int, mode: int) -> bool:     # lines 14-24
             """``LCS(s*, t*, L, B)`` — shared-state reachability leg.
@@ -159,7 +133,6 @@ class UISStar(LSCRAlgorithm):
                     return True
                 states[s_star] = T                  # was F: s ⇝_L s* is proved
                 frontier = [s_star]                                # line 16
-            parent = parents[mode]
             while frontier:                                        # line 17
                 if deadline is not None:
                     deadline.check(
@@ -178,7 +151,6 @@ class UISStar(LSCRAlgorithm):
                     if state_w < mode:                             # line 20
                         frontier.append(w)
                         states[w] = mode                           # line 21
-                        parent[w] = u
                         if state_w == N:
                             passed += 1
                         if w == t_star:                            # lines 22-23
@@ -193,9 +165,9 @@ class UISStar(LSCRAlgorithm):
                 # Line 5's `v = s` arm is unreachable: close[s] = F since
                 # line 2, so only `v = t` can occur here.
                 if v == target:
-                    return finish(v if lcs(source, target, F) else None)  # line 6
+                    return finish(lcs(source, target, F))          # line 6
                 if lcs(source, v, F) and lcs(v, target, T):        # lines 7-8
-                    return finish(v)                               # line 9
+                    return finish(True)                            # line 9
             elif state_v == F and lcs(v, target, T):               # lines 10-11
-                return finish(v)                                   # line 12
-        return finish(None)                                        # line 13
+                return finish(True)                                # line 12
+        return finish(False)                                       # line 13

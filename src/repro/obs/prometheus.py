@@ -246,19 +246,10 @@ _ROWS = (
      "Queries the short-circuit router inspected"),
     ("repro_approx_short_circuit_no_total", "counter", "approx.short_circuit_no",
      "Definite-No answers from the label-blind bounds"),
-    ("repro_approx_short_circuit_yes_total", "counter", "approx.short_circuit_yes",
-     "Definite-Yes answers from re-verified witness paths"),
     ("repro_approx_exact_fallthrough_total", "counter", "approx.exact_fallthrough",
      "Uncertain-band queries that ran the exact evaluators"),
     ("repro_approx_short_circuit_rate", "gauge", "approx.short_circuit_rate",
      "Fraction of routed queries settled without an evaluator"),
-    ("repro_approx_witness_entries", "gauge", "approx.witness_cache.size",
-     "Witness paths currently cached"),
-    ("repro_approx_witness_hits_total", "counter", "approx.witness_cache.hits",
-     "Witness-cache lookups that found a path"),
-    ("repro_approx_witness_invalidations_total", "counter",
-     "approx.witness_cache.invalidations",
-     "Cached witnesses dropped after failing re-verification"),
     ("repro_approx_bounds_components", "gauge", "approx.bounds.components",
      "Strongly connected components in the bounds condensation"),
     ("repro_approx_bounds_build_seconds", "gauge", "approx.bounds.build_seconds",

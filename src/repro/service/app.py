@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Hashable, Iterable
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
@@ -55,7 +55,7 @@ from time import perf_counter
 from typing import Any
 
 from repro._version import __version__
-from repro.approx import SHORT_CIRCUIT_ALGORITHMS, ApproxRouter
+from repro.approx import BOUNDS_ALGORITHM, ApproxRouter
 from repro.constraints.label_constraint import LabelConstraint
 from repro.constraints.substructure import SubstructureConstraint
 from repro.context import RequestContext, activate
@@ -242,8 +242,8 @@ def _answer_members(result: QueryResult, meta: dict) -> str:
     )
     if "tier" in meta:
         # Which router path settled the answer: "short-circuit"
-        # (sound bounds/witness) or "exact" (fell through to the
-        # evaluators); both answers are exact.
+        # (sound bounds) or "exact" (fell through to the evaluators);
+        # both answers are exact.
         members += f', "tier": {_json(meta["tier"])}'
     return members
 
@@ -295,13 +295,10 @@ class QueryService:
         #: (:mod:`repro.service.options`); the sub-objects below receive
         #: already-valid values.
         self.options = options = resolve_options(options, keywords)
-        #: The short-circuit router (``repro.approx``): sound
-        #: definite-No / definite-Yes answers ahead of the exact
-        #: evaluators for every plan that names no algorithm.  Its
-        #: witness cache follows the result cache's knob: cache_size=0
-        #: keeps the sound bounds but stores no witnesses, so the
-        #: uncached service stays genuinely uncached.
-        self.approx = ApproxRouter(witness_cache_size=options.cache_size)
+        #: The short-circuit router (``repro.approx``): sound definite-No
+        #: answers ahead of the exact evaluators for every plan that
+        #: names no algorithm.
+        self.approx = ApproxRouter()
         #: Admission control for the query endpoints (``--max-concurrent``
         #: / ``--max-queue``); None — the default — admits everything and
         #: costs nothing on the request path.
@@ -1012,7 +1009,7 @@ class QueryService:
             # recorder; both tiers answer exactly.
             meta["tier"] = (
                 "short-circuit"
-                if result.algorithm in SHORT_CIRCUIT_ALGORITHMS
+                if result.algorithm == BOUNDS_ALGORITHM
                 else "exact"
             )
         if use_cache:
@@ -1067,12 +1064,11 @@ class QueryService:
         """Route one non-trivial plan: short-circuit first, then exact.
 
         The router tries to settle the query soundly before any
-        evaluator runs — definite-No from the label-blind upper bound,
-        definite-Yes from a re-verified witness path — and everything
-        uncertain falls through to the session the plan names.  Forced
-        plans bypass routing entirely — no short-circuit, no ``tier``, no
-        witness stored: naming an algorithm in the request is a request
-        to *run* it.
+        evaluator runs — definite-No from the label-blind upper bound —
+        and everything uncertain falls through to the session the plan
+        names.  Forced plans bypass routing entirely — no short-circuit,
+        no ``tier``: naming an algorithm in the request is a request to
+        *run* it.
 
         The ambient request deadline (if any) is checked once here —
         before the router or evaluator starts — so a budget that lapsed
@@ -1092,14 +1088,7 @@ class QueryService:
                 return decision.result
             route_span.set(tier="exact", verdict="uncertain")
         router.record_fallthrough()
-        result = epoch.session(plan.algorithm).answer(plan.query)
-        if result.answer:
-            # The default kernel hands over the path its True answer
-            # walked; keeping it makes the next repeat a definite-Yes
-            # without an evaluator.
-            with span("witness-store") as witness_span:
-                witness_span.set(stored=router.remember_witness(plan, result))
-        return result
+        return epoch.session(plan.algorithm).answer(plan.query)
 
     # ------------------------------------------------------------------
     # JSON-level API (used by the HTTP front end)
@@ -1318,7 +1307,7 @@ class QueryService:
             "results": [
                 {
                     "key": [source, target, sorted(labels), constraint],
-                    "result": asdict(replace(result, witness=None)),
+                    "result": asdict(result),
                 }
                 for (source, target, labels, constraint), result in (
                     epoch.results.export_entries()

@@ -17,17 +17,16 @@ one-shot ``LSCRSession.ask`` pays on every call:
   for every query that reuses a constraint with different endpoints or
   labels — on workload-shaped traffic that is almost all of them.
 
-The approximate tier's :class:`~repro.approx.witness.WitnessCache` is
-the fourth.  All four are one :class:`BoundedStore`, with one rule:
+All three are one :class:`BoundedStore`, with one rule:
 
 * the bound evicts the oldest *insertion* first — a hit does not
   promote, and re-storing a held key keeps its place;
 * a hit is one unlocked dict read plus a lock-free count
   (``next`` on an :func:`itertools.count`), as is a miss of a store
   that computes nothing;
-* the lock is taken by what writes — a store, an eviction, an
-  invalidation, the constraint cache's one-time parse, the candidate
-  cache's leader/follower miss — and by the counter reads of
+* the lock is taken by what writes — a store, an eviction, the
+  constraint cache's one-time parse, the candidate cache's
+  leader/follower miss — and by the counter reads of
   :meth:`~BoundedStore.stats`.
 
 A single dict read is atomic under the GIL, so a reader never sees an
@@ -188,14 +187,6 @@ class BoundedStore:
         while len(entries) > self.max_size:
             entries.popitem(last=False)
             self._tallies["evictions"].bump()
-
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop ``key``; returns whether it was held.  An absent key
-        takes no lock."""
-        if key not in self._entries:
-            return False
-        with self._lock:
-            return self._entries.pop(key, None) is not None
 
     def export_entries(self) -> list[tuple[Hashable, Any]]:
         """``(key, value)`` pairs, oldest insertion — the next to be

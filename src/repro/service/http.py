@@ -58,6 +58,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import socket
 import time
 from contextlib import nullcontext
 from email.utils import formatdate
@@ -130,6 +131,9 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    #: The kernel's listen backlog cap, not ``socketserver``'s 5: a
+    #: burst of connects beyond 5 otherwise waits for a SYN retry.
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(
         self,

@@ -94,7 +94,7 @@ OPTIONS: tuple[Option, ...] = (
            help="landmark count when building"),
     Option("seed", int, 0, flag="--seed"),
     Option("cache_size", int, DEFAULT_CACHE_SIZE, ge=0, flag="--cache-size",
-           help="entries each result, V(S, G) and witness cache keeps; "
+           help="entries each result and V(S, G) cache keeps; "
                 "the oldest insertion is evicted first"),
     # Refuse larger POST /batch and POST /edges bodies: a memory guard
     # an embedding application may move, not a tuning knob with a flag.

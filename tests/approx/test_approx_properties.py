@@ -1,12 +1,10 @@
 """50-seed randomized properties of the short-circuit router.
 
-Four claims, each against an independent oracle:
+Three claims, each against an independent oracle:
 
 * **agreement** — the routed service answers every query
   bit-identically to the naive oracle (short-circuits are sound, never
   lossy);
-* **witness validity** — every witness path the router caches verifies
-  under :func:`repro.core.witness.verify_witness` on the current graph;
 * **honest accounting** — the router's counters in ``/stats`` equal an
   exact recount of the tiers the responses carried;
 * **every evaluated answer is cacheable** — a repeat is a result-cache
@@ -20,11 +18,7 @@ from collections import Counter
 
 import pytest
 
-from repro.approx.router import BOUNDS_ALGORITHM, WITNESS_ALGORITHM
-from repro.constraints.label_constraint import LabelConstraint
-from repro.constraints.substructure import SubstructureConstraint
-from repro.core.query import LSCRQuery
-from repro.core.witness import verify_witness
+from repro.approx.router import BOUNDS_ALGORITHM
 from repro.service.app import QueryService
 
 from tests.service.test_agreement_service import (
@@ -44,8 +38,8 @@ class TestExactModeAgreement:
         rng = random.Random(seed * 6151 + 11)
         parsed = {}
         try:
-            # use_cache=False so repeats exercise the witness tier, not
-            # the result cache — every answer is the router's own.
+            # use_cache=False so repeats bypass the result cache — every
+            # answer is the router's own.
             for source, target, labels, text in random_specs(rng, 3, 9):
                 expected = naive_answer(graph, source, target, labels,
                                         text, parsed)
@@ -63,46 +57,6 @@ class TestExactModeAgreement:
             routed.close()
 
 
-class TestWitnessValidity:
-    @pytest.mark.parametrize("seed", SEEDS[::2])
-    def test_every_cached_witness_verifies(self, seed):
-        graph = make_graph(seed)
-        service = QueryService(graph, seed=seed)
-        rng = random.Random(seed * 13007 + 5)
-        try:
-            evaluated_true = 0
-            for source, target, labels, text in random_specs(
-                rng, 3, 9, count=12
-            ):
-                result, meta = service.query(
-                    source, target, labels, text, use_cache=False
-                )
-                # Trivial answers (and short-circuits) never reach the
-                # witness extractor; only evaluated True answers do.
-                if (result.answer and not meta["trivial"]
-                        and meta.get("tier") == "exact"):
-                    evaluated_true += 1
-            cache = service.approx.witnesses
-            assert len(cache) > 0 or evaluated_true == 0, (
-                f"seed={seed}: no witness cached despite "
-                f"{evaluated_true} evaluated true answers"
-            )
-            for key, witness in list(cache._entries.items()):
-                source, target, labels, text = key
-                query = LSCRQuery(
-                    source=source,
-                    target=target,
-                    labels=LabelConstraint(list(labels)),
-                    constraint=SubstructureConstraint.from_sparql(text),
-                )
-                assert verify_witness(service.graph, query, witness), (
-                    f"seed={seed}: cached witness for {key} fails "
-                    f"verification: {witness}"
-                )
-        finally:
-            service.close()
-
-
 class TestRouterAccounting:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_counters_match_a_recount_of_the_tiers(self, seed):
@@ -117,8 +71,8 @@ class TestRouterAccounting:
             ):
                 expected = naive_answer(graph, source, target, labels,
                                         text, parsed)
-                # The repeat meets the witness cache, not the result
-                # cache: every non-trivial answer is the router's own.
+                # The repeat bypasses the result cache: every non-trivial
+                # answer is the router's own.
                 for _ in range(2):
                     result, meta = service.query(
                         source, target, labels, text, use_cache=False
@@ -136,10 +90,8 @@ class TestRouterAccounting:
                         assert meta["tier"] == "exact"
                         recount["exact"] += 1
             stats = service.approx.stats()
-            assert set(recount) <= {BOUNDS_ALGORITHM, WITNESS_ALGORITHM,
-                                    "exact"}
+            assert set(recount) <= {BOUNDS_ALGORITHM, "exact"}
             assert stats["short_circuit_no"] == recount[BOUNDS_ALGORITHM]
-            assert stats["short_circuit_yes"] == recount[WITNESS_ALGORITHM]
             assert stats["exact_fallthrough"] == recount["exact"]
             assert stats["routed"] == sum(recount.values())
         finally:

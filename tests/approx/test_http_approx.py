@@ -135,10 +135,8 @@ class TestStatsAndMetrics:
         for name in (
             "repro_approx_routed_total",
             "repro_approx_short_circuit_no_total",
-            "repro_approx_short_circuit_yes_total",
             "repro_approx_exact_fallthrough_total",
             "repro_approx_short_circuit_rate",
-            "repro_approx_witness_entries",
             "repro_approx_bounds_components",
         ):
             assert name in names, f"missing family {name}"

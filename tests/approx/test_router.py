@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.approx import SHORT_CIRCUIT_ALGORITHMS
@@ -74,16 +72,6 @@ class TestShortCircuits:
                     settled += 1
         assert settled >= service.approx.stats()["short_circuit_no_mask"] > 0
 
-    def test_witness_answers_repeat_true_queries(self, service):
-        first, _ = service.query("s", "t", ["go"], MARK, use_cache=False)
-        assert first.answer is True
-        assert first.algorithm == "Meet"
-        second, meta = service.query("s", "t", ["go"], MARK, use_cache=False)
-        assert second.answer is True
-        assert second.algorithm == "witness"
-        assert meta["tier"] == "short-circuit"
-        assert service.approx.stats()["short_circuit_yes"] == 1
-
     def test_self_loop_query_never_short_circuits_no(self, service):
         # reach(s, s) is trivially true label-blind, but the LSCR
         # answer needs a cycle through a satisfying vertex — there is
@@ -91,19 +79,6 @@ class TestShortCircuits:
         result, meta = service.query("s", "s", ["go"], MARK)
         assert result.answer is False
         assert result.algorithm != "bounds"
-
-    def test_cycle_self_query_witness(self):
-        graph = graph_from_edges(
-            [("a", "go", "b"), ("b", "go", "a"), ("b", "mark", "b")]
-        )
-        svc = QueryService(graph, seed=0)
-        try:
-            first, _ = svc.query("a", "a", ["go"], MARK, use_cache=False)
-            assert first.answer is True
-            second, _ = svc.query("a", "a", ["go"], MARK, use_cache=False)
-            assert second.algorithm == "witness"
-        finally:
-            svc.close()
 
     def test_forced_algorithm_bypasses_router(self, service):
         result, meta = service.query("t", "s", ["go"], MARK, algorithm="uis*")
@@ -146,81 +121,25 @@ class TestExactOnly:
         service.query("s", "t", ["mark"], MARK, use_cache=False)
         stats = service.approx.stats()
         assert stats["short_circuit_no"] == 2
-        assert stats["short_circuit_yes"] == 1
-        assert stats["exact_fallthrough"] == 2
+        assert stats["exact_fallthrough"] == 3
         assert stats["routed"] == 5
-        assert stats["short_circuit_rate"] == pytest.approx(3 / 5)
+        assert stats["short_circuit_rate"] == pytest.approx(2 / 5)
 
     def test_stats_carry_no_guess_accounting(self, service):
         service.query("u", "w", ["go"], MARK)
         assert set(service.approx.stats()) == {
             "enabled", "routed", "short_circuit_no", "short_circuit_no_mask",
-            "short_circuit_no_bounds", "short_circuit_yes",
-            "short_circuit_rate", "exact_fallthrough", "witness_cache",
+            "short_circuit_no_bounds", "short_circuit_rate", "exact_fallthrough",
         }
 
 
-def _span(node: dict, name: str) -> dict:
-    """The first span called ``name`` in a trace tree (depth first)."""
-    if node["name"] == name:
-        return node
-    for child in node["children"]:
-        try:
-            return _span(child, name)
-        except LookupError:
-            pass
-    raise LookupError(name)
-
-
-@pytest.fixture()
-def no_second_search(monkeypatch):
-    """Make the witness-extraction search an error."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("find_witness ran: a second search for one answer")
-
-    monkeypatch.setattr("repro.core.witness.find_witness", refuse)
-
-
-SPEC = {"source": "s", "target": "t", "labels": ["go"], "constraint": MARK}
-
-
-class TestWitnessComesFromTheSearch:
-    def test_exact_fallthrough_stores_the_walked_path(self, service, no_second_search):
-        document = json.loads(service.handle_query(SPEC, trace=True))
-        assert document["answer"] is True and document["algorithm"] == "Meet"
-        store = _span(document["trace"], "witness-store")
-        assert store["attrs"] == {"stored": True}
-        cache = service.approx.stats()["witness_cache"]
-        assert (cache["size"], cache["stored_from_search"]) == (1, 1)
-        assert "stored_by_extraction" not in cache
-        # The stored path outlives the epoch: after a swap the repeat is
-        # a definite-Yes that never reaches an evaluator.
-        service.apply_updates([("u", "go", "s")])
-        document = json.loads(service.handle_query(SPEC, trace=True))
-        assert document["algorithm"] == "witness" and document["epoch"] == 1
-        assert _span(document["trace"], "route")["attrs"]["verdict"] == "yes-witness"
-
-    def test_witness_less_producer_stores_none(self, no_second_search):
-        # INS answers without a path, and nothing searches for one.
-        graph = make_graph()
-        svc = QueryService(graph, build_local_index(graph, k=2, rng=0), seed=0)
-        try:
-            plan = svc.planner.plan("s", "t", ["go"], MARK)
-            result = svc.epoch.session("ins").answer(plan.query)
-            assert result.answer is True and result.witness is None
-            assert svc.approx.remember_witness(plan, result) is False
-            cache = svc.approx.stats()["witness_cache"]
-            assert (cache["size"], cache["stored_from_search"]) == (0, 0)
-        finally:
-            svc.close()
-
+class TestNamedAlgorithms:
     @pytest.mark.parametrize("algorithm", ["uis", "naive", "meet"])
-    def test_a_named_algorithm_skips_the_router(self, algorithm, no_second_search):
+    def test_a_named_algorithm_skips_the_router(self, algorithm):
         # A request that names an evaluator is a forced plan, and a forced
-        # plan never meets the router: no tier, no short-circuit, no
-        # witness stored.  (Unnamed, the same two queries are routed and
-        # the False is settled by bounds — TestShortCircuits.)
+        # plan never meets the router: no tier, no short-circuit.
+        # (Unnamed, the same two queries are routed and the False is
+        # settled by bounds — TestShortCircuits.)
         svc = QueryService(make_graph(), seed=0)
         try:
             for source, target, expected in (("s", "t", True), ("t", "s", False)):
@@ -234,18 +153,6 @@ class TestWitnessComesFromTheSearch:
         finally:
             svc.close()
         assert stats["routed"] == 0
-        cache = stats["witness_cache"]
-        assert (cache["size"], cache["stored_from_search"]) == (0, 0)
-
-    def test_uncached_service_stores_nothing(self, no_second_search):
-        svc = QueryService(make_graph(), seed=0, cache_size=0)
-        try:
-            first, _ = svc.query("s", "t", ["go"], MARK)
-            second, _ = svc.query("s", "t", ["go"], MARK)
-            assert first.algorithm == second.algorithm == "Meet"
-            assert svc.approx.stats()["witness_cache"]["stored_from_search"] == 0
-        finally:
-            svc.close()
 
 
 class TestEpochs:
@@ -261,23 +168,35 @@ class TestEpochs:
         assert after.answer is True
         assert meta["epoch"] == 1
 
-    def test_witness_invalidated_by_edge_removal(self, service):
-        service.query("s", "t", ["go"], MARK, use_cache=False)
-        hit, _ = service.query("s", "t", ["go"], MARK, use_cache=False)
-        assert hit.algorithm == "witness"
-        service.apply_updates([("s", "go", "m", "remove")])
-        after, _ = service.query("s", "t", ["go"], MARK, use_cache=False)
+    @pytest.mark.parametrize("cache_size", [1024, 0], ids=["cached", "uncached"])
+    def test_a_repeated_true_turns_false_after_edge_removal(self, cache_size):
+        svc = QueryService(make_graph(), seed=0, cache_size=cache_size)
+        try:
+            for _ in range(2):
+                before, meta = svc.query("s", "t", ["go"], MARK)
+                assert before.answer is True and meta["epoch"] == 0
+            svc.apply_updates([("s", "go", "m", "remove")])
+            after, meta = svc.query("s", "t", ["go"], MARK)
+        finally:
+            svc.close()
         assert after.answer is False
-        assert service.approx.witnesses.stats()["invalidations"] == 1
+        assert meta["epoch"] == 1 and meta["cached"] is False
 
-    def test_witness_survives_unrelated_update(self, service):
-        service.query("s", "t", ["go"], MARK, use_cache=False)
-        service.apply_updates([("u", "go", "s")])
-        hit, meta = service.query("s", "t", ["go"], MARK, use_cache=False)
-        # New epoch (its result cache starts empty), same witness: the
-        # path re-verified against the updated graph and kept serving.
-        assert hit.algorithm == "witness"
-        assert meta["epoch"] == 1
+    @pytest.mark.parametrize("cache_size", [1024, 0], ids=["cached", "uncached"])
+    def test_a_repeated_true_survives_an_unrelated_update(self, cache_size):
+        svc = QueryService(make_graph(), seed=0, cache_size=cache_size)
+        try:
+            for _ in range(2):
+                before, _ = svc.query("s", "t", ["go"], MARK)
+                assert before.answer is True
+            svc.apply_updates([("u", "go", "s")])
+            after, meta = svc.query("s", "t", ["go"], MARK)
+        finally:
+            svc.close()
+        # New epoch (its result cache starts empty): the exact tier
+        # answers again on the updated graph.
+        assert after.answer is True and after.algorithm == "Meet"
+        assert meta["epoch"] == 1 and meta["tier"] == "exact"
 
 
 class TestOneDefaultRoute:
@@ -326,5 +245,4 @@ class TestOneDefaultRoute:
                 assert result.algorithm == ALGORITHMS[algorithm].name
                 evaluated += 1
         assert evaluated > 0
-        stats = svc.approx.stats()
-        assert stats["routed"] == stats["witness_cache"]["stored_from_search"] == 0
+        assert svc.approx.stats()["routed"] == 0

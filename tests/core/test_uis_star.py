@@ -2,7 +2,10 @@
 
 import random
 
+import pytest
+
 from repro.constraints.substructure import SubstructureConstraint
+from repro.core.naive import NaiveTwoProcedure
 from repro.core.query import LSCRQuery
 from repro.core.uis_star import UISStar
 from repro.datasets.synthetic import cycle_graph, line_graph
@@ -120,3 +123,71 @@ class TestLcsBehaviour:
         result2 = UISStar(g2).answer(query2)
         assert result2.answer is False
         assert result2.passed_vertices == 9  # the whole line, island excluded
+
+
+MARKED = anchor("mark", "flag")
+#: Enough shuffles to see every order of up to three candidates.
+ORDERS = range(12)
+
+
+def marked(*vertices):
+    return [(v, "mark", "flag") for v in vertices]
+
+
+def checked(graph, query, rng=None) -> bool:
+    """Answer on the dict graph and its CSR snapshot against the naive
+    oracle; the shared verdict."""
+    expected = NaiveTwoProcedure(graph).decide(query)
+    for form in (graph, graph.freeze()):
+        assert UISStar(form, rng=rng).answer(query).answer is expected
+    return expected
+
+
+class TestVerdicts:
+    def test_trivial_path(self):
+        graph = graph_from_edges([("s", "go", "a"), *marked("s")])
+        assert checked(graph, LSCRQuery.create("s", "s", ["go"], MARKED))
+
+    def test_cycle_back_to_a_source_that_does_not_satisfy(self):
+        graph = graph_from_edges([("s", "go", "c"), ("c", "go", "s"), *marked("c")])
+        assert checked(graph, LSCRQuery.create("s", "s", ["go"], MARKED))
+
+    @pytest.mark.parametrize("satisfying", ["s", "t"])
+    def test_an_endpoint_is_the_satisfying_vertex(self, satisfying):
+        graph = graph_from_edges([("s", "go", "a"), ("a", "go", "t"), *marked(satisfying)])
+        assert checked(graph, LSCRQuery.create("s", "t", ["go"], MARKED))
+
+    def test_only_edges_inside_l_connect(self):
+        # s -> t carries two labels; only "go" is inside L.
+        graph = graph_from_edges([("s", "avoid", "t"), ("s", "go", "t"), *marked("t")])
+        assert checked(graph, LSCRQuery.create("s", "t", ["go"], MARKED))
+        assert not checked(graph, LSCRQuery.create("s", "t", ["mark"], MARKED))
+
+    @pytest.mark.parametrize("seed", ORDERS)
+    def test_true_only_after_failed_t_legs(self, seed):
+        # In the order c1, c2, c3: both c1 and c2 are F once the first
+        # F leg expands s (so c2 starts its T leg already F), c1's T leg
+        # fails and upgrades x — an entry still on the F stack — and
+        # only c3, found by a later F leg that pops x first, reaches t.
+        # The shuffles cover the other orders.
+        graph = graph_from_edges(
+            [
+                ("s", "go", "c1"), ("s", "go", "a"), ("s", "go", "x"), ("s", "go", "c2"),
+                ("c1", "go", "x"), ("x", "go", "y"), ("c2", "go", "y"),
+                ("a", "go", "c3"), ("c3", "go", "t"),
+                *marked("c1", "c2", "c3"),
+            ]
+        )
+        query = LSCRQuery.create("s", "t", ["go"], MARKED)
+        assert checked(graph, query, random.Random(seed))
+
+    @pytest.mark.parametrize("seed", ORDERS)
+    def test_false_when_every_leg_fails(self, seed):
+        graph = graph_from_edges(
+            [
+                ("s", "go", "c1"), ("s", "go", "c2"), ("c1", "go", "c2"),
+                ("other", "go", "t"), *marked("c1", "c2"),
+            ]
+        )
+        query = LSCRQuery.create("s", "t", ["go"], MARKED)
+        assert not checked(graph, query, random.Random(seed))

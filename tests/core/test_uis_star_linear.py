@@ -38,7 +38,7 @@ def search_seconds(graph, query) -> float:
         started = time.perf_counter()
         result = UISStar(graph).answer(query)
         best = min(best, time.perf_counter() - started - result.vsg_seconds)
-        assert result.answer is False and result.witness is None
+        assert result.answer is False
         assert result.vsg_size == graph.num_vertices - 5
         # n candidates, pit, s — every reachable vertex passed once.
         assert result.passed_vertices == result.vsg_size + 2

@@ -40,8 +40,7 @@ FAMILIES = (
     "repro_batches_total", "repro_update_batches_total",
     "repro_cache_hits_total", "repro_epoch_id", "repro_slow_queries_kept",
     "repro_request_latency_seconds_bucket", "repro_approx_routed_total", "repro_approx_short_circuit_no_total",
-    "repro_approx_exact_fallthrough_total", "repro_approx_witness_entries",
-    "repro_approx_bounds_components",
+    "repro_approx_exact_fallthrough_total", "repro_approx_bounds_components",
 )
 SLOW_ENTRY_KEYS = {"seconds", "recorded_at", "query", "algorithm", "answer",
                    "meta", "trace_id", "trace"}

@@ -59,16 +59,12 @@ NOT_EXPORTED = {
     "admission.max_queue",
     "slow_queries.max_entries",
     "approx.enabled",
-    "approx.witness_cache.max_size",
     # Counters and flags with no family yet.
     "candidate_cache.candidates_carried",
     "candidate_cache.scck_rechecks",
     "slow_queries.dropped",
     "approx.short_circuit_no_mask",
     "approx.short_circuit_no_bounds",
-    "approx.witness_cache.misses",
-    "approx.witness_cache.evictions",
-    "approx.witness_cache.stored_from_search",
     "approx.bounds.removed_since_build",
     "approx.bounds.derived",
     # Copies of exported numbers, or numbers derived from them.

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.approx.witness import WitnessCache
 from repro.constraints.substructure import SubstructureConstraint
 from repro.exceptions import SparqlSyntaxError
 from repro.service.cache import (
@@ -135,7 +134,7 @@ class TestConstraintCache:
 
 
 # ----------------------------------------------------------------------
-# The four caches against one model
+# The three caches against one model
 # ----------------------------------------------------------------------
 
 #: Canonical spellings (``to_sparql`` returns them as they are), so each
@@ -172,9 +171,6 @@ class Model:
             del self.entries[next(iter(self.entries))]
             self.evictions += 1
 
-    def invalidate(self, key) -> None:
-        self.entries.pop(key, None)
-
     def heir(self) -> None:
         self.evictions += len(self.entries)
         self.entries = {}
@@ -202,10 +198,6 @@ class Answers:
 
     def view(self, value):
         return value
-
-
-class Witnesses(Answers):
-    make = WitnessCache
 
 
 class Constraints(Answers):
@@ -267,7 +259,7 @@ def _counts(cache) -> dict:
 
 _steps = st.lists(
     st.tuples(
-        st.sampled_from(["get", "get", "put", "put", "invalidate", "heir"]),
+        st.sampled_from(["get", "get", "put", "put", "heir"]),
         st.integers(0, len(TEXTS) - 1),
         st.integers(0, 3),
     ),
@@ -276,14 +268,14 @@ _steps = st.lists(
 
 
 @pytest.mark.parametrize(
-    "kind", [Answers, Witnesses, Constraints, CandidateSets],
-    ids=["result", "witness", "constraint", "candidate"],
+    "kind", [Answers, Constraints, CandidateSets],
+    ids=["result", "constraint", "candidate"],
 )
 @given(max_size=st.sampled_from([0, 1, 2, 5]), steps=_steps)
 def test_every_cache_is_a_dict_bounded_by_insertion_order(kind, max_size, steps):
     """Entries, their order, ``size`` and the hit / miss / eviction
     counts equal the model's after every step — whichever cache, so all
-    four evict the oldest insertion and none promotes on a hit."""
+    three evict the oldest insertion and none promotes on a hit."""
     kind = kind(graph_from_edges(EDGES))
     cache, model = kind.make(max_size), Model(max_size)
     for op, n, token in steps:
@@ -293,9 +285,6 @@ def test_every_cache_is_a_dict_bounded_by_insertion_order(kind, max_size, steps)
             assert kind.get(cache, n) == expected
         elif op == "put":
             model.put(key, kind.put(cache, n, token))
-        elif op == "invalidate":
-            model.invalidate(key)
-            cache.invalidate(key)
         else:
             model.heir()
             cache = cache.heir()

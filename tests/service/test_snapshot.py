@@ -68,9 +68,12 @@ class TestServiceSnapshot:
         finally:
             second.close()
 
-    def test_a_file_whose_results_carry_degraded_still_warms(self, tmp_path):
-        # Written before answers lost their "degraded" member: every
-        # stored entry held it as null.
+    @pytest.mark.parametrize("member", ["degraded", "witness"])
+    def test_a_file_whose_results_carry_a_retired_member_still_warms(
+        self, tmp_path, member
+    ):
+        # Written before answers lost their "degraded" or "witness"
+        # member: every stored entry held it as null.
         path = tmp_path / "older.json"
         first = QueryService(make_graph(), seed=0)
         try:
@@ -80,7 +83,7 @@ class TestServiceSnapshot:
             first.close()
         document = json.loads(path.read_text())
         for item in document["results"]:
-            item["result"]["degraded"] = None
+            item["result"][member] = None
         path.write_text(json.dumps(document))
         second = QueryService(make_graph(), seed=0)
         try:

@@ -2,14 +2,14 @@
 
 Generates two datasets — a LUBM-like graph and a small random graph —
 hosts both in one process behind a :class:`TenantRegistry` (the LUBM
-graph as the default tenant, started from TSV with an index path that
-the first request naming ``ins`` reads; the random graph registered
-lazily by path), binds the stdlib
+graph as the default tenant, started from TSV; the random graph
+registered lazily by path), binds the stdlib
 HTTP server to an ephemeral port, and exercises every endpoint the way
 an external client would: ``GET /healthz`` and ``GET /tenants`` for the
 cross-tenant view, ``POST /query`` (twice, to show the result cache,
-then once more naming ``ins``, which builds the index, saves it to the
-index path and must agree with the default route),
+then once more naming ``ins``, which the service refuses with a
+structured 400 — it serves index-free — so INS answers the same query
+in process, on its own local index, and must agree),
 ``POST /t/<tenant>/query`` for the second tenant, a third tenant
 registered at runtime via ``POST /tenants``, ``POST /batch``, and
 ``GET /stats`` with its aggregated totals.
@@ -23,6 +23,7 @@ import json
 import math
 import tempfile
 import threading
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from repro.graph.io import dump_tsv
 from repro.service.app import QueryService
 from repro.service.http import create_server
 from repro.service.registry import TenantRegistry
+from repro.session import LSCRSession
 
 PROFESSOR = "Department0.University0/FullProfessor0"
 UNIVERSITY = "University0"
@@ -66,7 +68,6 @@ def post(base: str, path: str, payload: dict) -> dict:
 def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro-service-"))
     graph_path = workdir / "d0.tsv"
-    index_path = workdir / "d0.index.json"
     random_path = workdir / "random.tsv"
     extra_path = workdir / "extra.tsv"
 
@@ -75,10 +76,9 @@ def main() -> None:
     dump_tsv(random_labeled_graph(60, 2.0, 4, rng=1, name="random"), random_path)
     dump_tsv(random_labeled_graph(40, 1.5, 3, rng=2, name="extra"), extra_path)
 
-    print(f"starting default tenant from {graph_path.name} "
-          f"(index read by the first 'ins' request) ...")
+    print(f"starting default tenant from {graph_path.name} ...")
     registry = TenantRegistry()
-    registry.add("default", QueryService.from_files(graph_path, index_path, seed=0))
+    registry.add("default", QueryService.from_files(graph_path, seed=0))
     # The second tenant is registered by path only: its graph loads
     # lazily, on the first request that names the tenant.
     registry.register_files("random", random_path, seed=0)
@@ -105,13 +105,21 @@ def main() -> None:
           f"cached={first['cached']} ({first['seconds'] * 1000:.2f} ms)")
     second = post(base, "/query", query)
     print(f"  repeated:  answer={second['answer']} cached={second['cached']}")
-    # Naming INS forces the indexed evaluator: this first read builds
-    # the index and saves it where the next boot will load it.
-    forced = post(base, "/query", {**query, "algorithm": "ins", "use_cache": False})
-    assert forced["answer"] == first["answer"], (forced, first)
-    assert index_path.is_file(), "the first INS read saves the index"
-    print(f"  algorithm=ins: answer={forced['answer']} "
-          f"({forced['seconds'] * 1000:.2f} ms, index saved to {index_path.name})")
+    # The service serves index-free: naming INS is a structured 400 that
+    # points to `repro query`, and INS answers in process instead.
+    try:
+        post(base, "/query", {**query, "algorithm": "ins"})
+    except urllib.error.HTTPError as refusal:
+        with refusal:
+            error = json.loads(refusal.read())["error"]
+        assert refusal.code == 400 and "repro query" in error["message"], error
+        print(f"  algorithm=ins: {refusal.code} {error['message']}")
+    else:
+        raise AssertionError("the service answered a request naming ins")
+    session = LSCRSession(registry.get().graph, algorithm="ins", seed=0)
+    answer = session.ask(PROFESSOR, UNIVERSITY, LABELS, HEAD_OF)
+    assert answer == first["answer"], (answer, first)
+    print(f"  INS in process, on its own local index: answer={answer}")
 
     # The same process answers for a completely different graph, with a
     # different label alphabet, behind /t/random/ — first query triggers

@@ -20,16 +20,17 @@ Examples::
         --labels ub:worksFor,ub:subOrganizationOf \
         --constraint "SELECT ?x WHERE { ?x <ub:headOf> ?y . }" \
         --algorithm ins --index d1.index.json --witness
-    python -m repro serve --graph d1.tsv --index d1.index.json --port 8080
+    python -m repro serve --graph d1.tsv --port 8080
     python -m repro serve --graph d1.tsv \
-        --tenant yago=y.tsv:y.index.json --tenant toy=toy.tsv
+        --tenant yago=y.tsv --tenant toy=toy.tsv
     python -m repro serve --graph d1.tsv --warm-cache d1.cache.json
 
 The second ``serve`` form hosts three graphs in one process: ``d1`` as
 the default tenant behind the un-prefixed routes, the others behind
 ``/t/yago/...`` and ``/t/toy/...`` (lazy warm start on first query).
 The last one warms the result cache from, and snapshots it back to,
-``d1.cache.json``.  One process serves each graph whole.
+``d1.cache.json``.  One process serves each graph whole, index-free:
+INS runs in ``query --algorithm ins``, which loads or builds its index.
 """
 
 from __future__ import annotations
@@ -121,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", choices=sorted(ALGORITHMS), default="uis"
     )
     query.add_argument(
-        "--index", default=None, help="local index JSON (ins only; built if absent)"
+        "--index",
+        default=None,
+        help="local index JSON (ins only; built and saved there if absent)",
     )
     query.add_argument(
         "--witness", action="store_true", help="also print a witness path"
@@ -136,18 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="TSV graph file served as the default tenant "
         "(un-prefixed /query routes)",
     )
-    serve.add_argument(
-        "--index",
-        default=None,
-        help="local index JSON for --graph, read by the first request naming "
-        "'ins' (built and saved there if missing); omit to serve "
-        "index-free: every algorithm but 'ins'",
-    )
+    # Parsed and ignored: the service serves index-free, and the frozen
+    # ladder benchmark (benchmarks/ladder/procs.py) still passes it.
+    serve.add_argument("--index", default=None, help=argparse.SUPPRESS)
     serve.add_argument(
         "--tenant",
         action="append",
         default=[],
-        metavar="NAME=GRAPH[:INDEX]",
+        metavar="NAME=GRAPH",
         help="host an extra graph under /t/NAME/... (repeatable; warm-started "
         "lazily on its first query; without --graph the first --tenant also "
         "backs the un-prefixed routes)",
@@ -284,11 +283,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
     query = LSCRQuery.create(args.source, args.target, args.labels, constraint)
     index = None
     if args.algorithm == "ins":
-        index = (
-            load_local_index(args.index, graph)
-            if args.index
-            else build_local_index(graph)
-        )
+        if args.index and Path(args.index).is_file():
+            index = load_local_index(args.index, graph)
+        else:
+            index = build_local_index(graph)
+            if args.index:
+                save_local_index(index, args.index)
     result = make_algorithm(args.algorithm, graph, index=index).answer(query)
     print(
         f"{result.algorithm}: answer={result.answer} "
@@ -306,15 +306,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0 if result.answer else 1
 
 
-def _parse_tenant_spec(spec: str) -> tuple[str, str, str | None]:
-    """``NAME=GRAPH[:INDEX]`` → (name, graph path, index path or None)."""
-    name, separator, paths = spec.partition("=")
-    if not separator or not name or not paths:
-        raise ServiceConfigError(
-            f"invalid --tenant {spec!r}: expected NAME=GRAPH[:INDEX]"
-        )
-    graph_path, _, index_path = paths.partition(":")
-    return name, graph_path, index_path or None
+def _parse_tenant_spec(spec: str) -> tuple[str, str]:
+    """``NAME=GRAPH`` → (name, graph path); the path may hold ``:``."""
+    name, separator, graph_path = spec.partition("=")
+    if not separator or not name or not graph_path:
+        raise ServiceConfigError(f"invalid --tenant {spec!r}: expected NAME=GRAPH")
+    return name, graph_path
 
 
 @contextmanager
@@ -352,6 +349,11 @@ def _serve(args: argparse.Namespace, booted: Callable[[], None]) -> int:
     # Every per-service flag, range- and cross-checked against the one
     # table; what follows only checks how the deployment fits together.
     options = options_from_args(args)
+    if args.index is not None:
+        print(
+            f"ignoring --index {args.index}: the service serves index-free",
+            flush=True,
+        )
     tenants = [_parse_tenant_spec(spec) for spec in args.tenant]
     if args.graph is None and not tenants:
         raise ServiceConfigError(
@@ -409,19 +411,14 @@ def _serve(args: argparse.Namespace, booted: Callable[[], None]) -> int:
             default_service, replay = recover_service(
                 tenant_wal,
                 graph_path=args.graph,
-                index_path=args.index,
                 attach=args.wal is not None,
                 options=options,
             )
         else:
-            default_service = QueryService.from_files(
-                args.graph, args.index, options=options
-            )
+            default_service = QueryService.from_files(args.graph, options=options)
         registry.add(DEFAULT_TENANT, default_service)
-    for name, graph_path, index_path in tenants:
-        registry.register_files(
-            name, graph_path, index_path, options=options
-        )
+    for name, graph_path in tenants:
+        registry.register_files(name, graph_path, options=options)
 
     follower = None
     if args.follow is not None:
@@ -480,17 +477,9 @@ def _serve(args: argparse.Namespace, booted: Callable[[], None]) -> int:
                 flush=True,
             )
     graph = service.graph
-    # Described, not read: the first query naming ins reads the index
-    # (service.index would load or build it here).
-    index = service.epoch.describe_index()
-    if index["loaded"]:
-        index_note = f"{index['landmarks']} landmarks"
-    else:
-        index_note = "configured, not read yet" if index["configured"] else "none"
     print(
         f"loaded {graph.name}: |V|={graph.num_vertices} |E|={graph.num_edges} "
-        f"|L|={graph.num_labels}; index: {index_note}; "
-        f"default algorithm: {service.default_algorithm}",
+        f"|L|={graph.num_labels}; default algorithm: {service.default_algorithm}",
         flush=True,
     )
     if len(registry) > 1:

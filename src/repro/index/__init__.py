@@ -12,11 +12,7 @@ from repro.index.landmarks import (
 )
 from repro.index.local_index import LocalIndex, LocalIndexStats, build_local_index
 from repro.index.spanning_tree import SamplingTreeIndex, build_sampling_tree_index
-from repro.index.storage import (
-    load_local_index,
-    load_or_build_index,
-    save_local_index,
-)
+from repro.index.storage import load_local_index, save_local_index
 from repro.index.traditional import (
     TraditionalLandmarkIndex,
     build_traditional_index,
@@ -39,7 +35,6 @@ __all__ = [
     "default_landmark_count",
     "insert_minimal",
     "load_local_index",
-    "load_or_build_index",
     "paper_landmark_count",
     "save_local_index",
     "select_landmarks",

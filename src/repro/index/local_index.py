@@ -194,86 +194,6 @@ class LocalIndex:
             self._push_memo[key] = result
         return result
 
-    # ------------------------------------------------------------------
-    # incremental maintenance (extension — the paper treats the KG as
-    # static).  No serving path calls these: a swapped epoch builds its
-    # index on first read.  They stay for their tests and because the
-    # ladder benchmark's ``index.repair`` span is pinned to
-    # ``refresh_regions`` by name.
-    # ------------------------------------------------------------------
-
-    def sync_vertices(self) -> int:
-        """Extend the region assignment to vertices added after build.
-
-        New vertices join no region (``NO_REGION``): the partition is a
-        snapshot, and an unassigned vertex is always handled by plain
-        traversal, so correctness is unaffected.  Returns how many
-        vertices were newly registered.
-        """
-        region = self.partition.region
-        added = self.graph.num_vertices - len(region)
-        for _ in range(added):
-            region.append(NO_REGION)
-        return max(0, added)
-
-    def refresh_after_edge(self, source: int, label_id: int, target: int) -> bool:
-        """Repair the index after one edge mutation at ``(source,
-        label_id, target)`` — an insertion *or* a removal — has been
-        applied to the graph.
-
-        Only the region owning ``source`` can be affected: ``II[u]``
-        covers paths inside ``F(u)`` and ``EI[u]`` covers edges leaving
-        it, and both kinds of derivation start from edges whose source
-        lies in ``F(u)`` — so a removed edge's now-stale entries live in
-        exactly the region an inserted edge's missing entries would.
-        That one landmark entry is rebuilt from scratch against the
-        *current* graph (regions are small by design, so this is cheap),
-        which makes the repair direction-agnostic: whatever the mutation
-        was, the rebuilt tables describe the graph as it now is.
-        Returns True when a rebuild happened; False means the edge
-        starts outside every region and the index was already correct.
-        """
-        self.sync_vertices()
-        region = self.partition.region[source]
-        if region == NO_REGION:
-            return False
-        return self.refresh_regions((region,)) == 1
-
-    def refresh_regions(self, regions: "set[int] | tuple[int, ...]") -> int:
-        """Rebuild the ``II/EIT/D`` entries of the named regions.
-
-        The batch form of :meth:`refresh_after_edge`: an update batch
-        touching many edges in one region repairs that region *once*,
-        not once per edge.  Each entry is rebuilt from scratch against
-        the current graph, so insertions and removals repair
-        identically — callers pass the regions of every mutated edge's
-        *source*, whichever way it mutated.  Unknown region ids and
-        :data:`NO_REGION` are ignored.  Returns how many regions were
-        rebuilt.
-
-        Any rebuild also drops the serving-time Cut/Push memos — they
-        cache projections of the tables being replaced, and a stale memo
-        would keep answering for the pre-update region.
-        """
-        self.sync_vertices()
-        refreshed = 0
-        for region in set(regions):
-            if region == NO_REGION or region not in self._landmark_set:
-                continue
-            ii, ei = _local_full_index(
-                self.graph, self.partition.region, region, None
-            )
-            self.ii[region] = ii
-            if self.ei is not None:
-                self.ei[region] = ei
-            self.eit[region] = _transpose_ei(ei)
-            self.d[region] = _d_row(self.partition.region, ei)
-            refreshed += 1
-        if refreshed:
-            self._cut_memo.clear()
-            self._push_memo.clear()
-        return refreshed
-
     def stats(self) -> LocalIndexStats:
         """Entry counts and build time (Table 2 columns)."""
         ii_entries = sum(table.entry_count() for table in self.ii.values())

@@ -19,20 +19,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import random
-
 from repro.exceptions import IndexingError
 from repro.graph.labeled_graph import KnowledgeGraph
 from repro.index.cms import CmsTable
 from repro.index.landmarks import Partition
-from repro.index.local_index import LocalIndex, build_local_index
+from repro.index.local_index import LocalIndex
 from repro.utils.persist import atomic_write_json
 
-__all__ = [
-    "save_local_index",
-    "load_local_index",
-    "load_or_build_index",
-]
+__all__ = ["save_local_index", "load_local_index"]
 
 #: 2 records the graph's content fingerprint; a version-1 file cannot
 #: say which graph it describes, so it is refused like a stale one.
@@ -114,40 +108,4 @@ def load_local_index(path: str | Path, graph: KnowledgeGraph) -> LocalIndex:
     for u_text, row in document["d"].items():
         index.d[int(u_text)] = {int(v_text): count for v_text, count in row.items()}
     index.build_seconds = float(document.get("build_seconds", 0.0))
-    return index
-
-
-def load_or_build_index(
-    graph: KnowledgeGraph,
-    path: str | Path | None = None,
-    *,
-    k: int | None = None,
-    rng: int | random.Random | None = 0,
-    save_if_built: bool = True,
-) -> LocalIndex:
-    """Warm-start helper for long-lived processes (the query service's
-    first index read, :class:`~repro.service.epoch.IndexSource`).
-
-    * ``path`` is ``None`` — build in memory, persist nothing;
-    * ``path`` exists — load it (validated against ``graph``);
-    * ``path`` is missing — build, and persist there when
-      ``save_if_built`` so the *next* start is warm.
-
-    With a fixed ``rng`` seed the built and reloaded indexes answer
-    identically, so callers never need to care which branch ran.
-
-    Long-lived callers should pass the graph *already frozen*
-    (:meth:`~repro.graph.labeled_graph.KnowledgeGraph.freeze`), the way
-    the service does: the index build's BFS traversals then run on the
-    CSR layout, and the loaded index binds to the exact graph object the
-    sessions will traverse.
-    """
-    if path is None:
-        return build_local_index(graph, k=k, rng=rng)
-    path = Path(path)
-    if path.is_file():
-        return load_local_index(path, graph)
-    index = build_local_index(graph, k=k, rng=rng)
-    if save_if_built:
-        save_local_index(index, path)
     return index

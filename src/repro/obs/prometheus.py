@@ -196,12 +196,6 @@ _ROWS = (
     ("repro_cache_{}", "gauge", "@cache.size|max_size|hit_rate",
      "Cache occupancy by cache"),
     ("repro_graph_{}", "gauge", "graph.vertices|edges|labels", "Served graph sizes"),
-    ("repro_index_configured", "gauge", "index.configured",
-     "1 when the tenant serves indexed: a request may name ins"),
-    ("repro_index_loaded", "gauge", "index.loaded",
-     "1 once the local index has been read"),
-    ("repro_index_landmarks", "gauge", "index.landmarks?",
-     "Landmarks in the loaded index"),
     ("repro_epoch_id", "gauge", "epoch.epoch_id", "Current serving epoch id"),
     ("repro_epoch_age_seconds", "gauge", "epoch.age_seconds?",
      "Seconds since the current epoch was published"),

@@ -1,8 +1,10 @@
 """repro.service — a concurrent LSCR query service.
 
 The serving layer the one-shot APIs (``LSCRSession.ask``,
-``python -m repro query``) lack: load a graph and its local index once,
-then answer sustained traffic from many threads.  The pieces compose in
+``python -m repro query``) lack: load a graph once, then answer
+sustained traffic from many threads.  It serves index-free: every
+evaluator but INS may be named per request, and INS runs in
+``python -m repro query --algorithm ins``.  The pieces compose in
 one direction:
 
 ========================  =============================================
@@ -15,7 +17,7 @@ one direction:
 :mod:`~.app`              :class:`QueryService` — planner + caches +
                           session pool + executor + stats
 :mod:`~.registry`         :class:`TenantRegistry` — many tenants
-                          (graph+index pairs), lazy warm start,
+                          (one graph each), lazy warm start,
                           cross-tenant aggregation
 :mod:`~.http`             stdlib JSON endpoints (``POST /query``,
                           ``POST /batch``, ``GET /stats``,
@@ -23,14 +25,13 @@ one direction:
                           ``GET|POST /tenants``)
 ========================  =============================================
 
-Start one from the CLI with ``python -m repro serve --graph g.tsv
---index g.index.json`` (add ``--tenant name=g2.tsv:g2.index.json`` for
-more graphs) or embed it::
+Start one from the CLI with ``python -m repro serve --graph g.tsv``
+(add ``--tenant name=g2.tsv`` for more graphs) or embed it::
 
     from repro.service import QueryService, TenantRegistry, create_server
 
     registry = TenantRegistry()
-    registry.add("default", QueryService.from_files("g.tsv", "g.index.json"))
+    registry.add("default", QueryService.from_files("g.tsv"))
     registry.register_files("yago", "yago.tsv")    # lazy warm start
     server = create_server(registry, port=0)       # ephemeral port
     server.serve_forever()

@@ -25,7 +25,7 @@ requests:
   :class:`LSCRSession`\\ s (per-query search state lives inside each
   ``answer`` call, so one session per algorithm serves every thread.
   The default ``meet`` session shares nothing mutable between queries;
-  a forced ``uis*`` / ``ins`` session shares its shuffle rng, whose
+  a forced ``uis*`` session shares its shuffle rng, whose
   interleaving affects traversal-order telemetry, never answers);
 * a process-wide :class:`ConstraintCache` (parsing is graph-independent);
 * a :class:`BatchExecutor` for the ``POST /batch`` members that need
@@ -72,7 +72,6 @@ from repro.exceptions import (
 from repro.graph.csr import freeze_graph
 from repro.graph.io import load_tsv
 from repro.graph.labeled_graph import KnowledgeGraph
-from repro.index.local_index import LocalIndex
 from repro.obs.flight import FlightRecorder
 from repro.obs.trace import (
     Trace,
@@ -87,7 +86,6 @@ from repro.resilience.deadline import check_deadline, current_deadline
 from repro.service.cache import CandidateCache, ConstraintCache, ResultCache
 from repro.service.epoch import (
     GraphEpoch,
-    IndexSource,
     normalize_edge_updates,
     validate_edge_updates,
 )
@@ -279,14 +277,18 @@ class QueryService:
     """A shared, thread-safe LSCR answering engine for one graph.
 
     Configured by the rows of :data:`repro.service.options.OPTIONS`,
-    given as keywords (``QueryService(graph, index, seed=3,
-    cache_size=0)``) or as one ``options=`` value, validated the same way.
+    given as keywords (``QueryService(graph, seed=3, cache_size=0)``)
+    or as one ``options=`` value, validated the same way.  The service
+    serves index-free: no request runs INS.
     """
 
     def __init__(
         self,
         graph: KnowledgeGraph,
-        index: LocalIndex | IndexSource | None = None,
+        # Accepted and ignored: the frozen ladder benchmark's fixture
+        # (benchmarks/ladder/test_ladder.py) still passes a local index
+        # as the second positional argument.
+        _index: object = None,
         *,
         options: ServiceOptions | None = None,
         **keywords: Any,
@@ -327,7 +329,7 @@ class QueryService:
         # atomic attribute reference — readers dereference it once per
         # request and never lock.
         self._publish_epoch(
-            GraphEpoch.first(graph, index, self.constraints, options)
+            GraphEpoch.first(graph, self.constraints, options)
         )
         #: Serialises writers only (apply_updates); readers never take it.
         self._update_lock = Lock()
@@ -351,50 +353,29 @@ class QueryService:
     def from_files(
         cls,
         graph_path: str | Path,
-        index_path: str | Path | None = None,
         *,
         options: ServiceOptions | None = None,
         **keywords: Any,
     ) -> "QueryService":
-        """Start a service from a TSV graph and, optionally, an index file.
-
-        ``index_path=None`` serves index-free (no ``"algorithm": "ins"``).
-        A given ``index_path`` is not touched here: the first request
-        naming ``ins`` loads it, or — missing — builds the index
-        (``landmark_count`` landmarks, chosen by ``seed``) and saves it
-        there, so the *next* first read is warm — the service
-        counterpart of ``python -m repro index``
-        (:class:`~repro.service.epoch.IndexSource`).  A path that can
-        never hold the file is refused here, not on that request.
+        """Start a service from a TSV graph.
 
         The graph is booted straight into its CSR snapshot
         (``load_tsv(..., frozen=True)``): each row is cut and its dict
         form dropped as the file is finished, so the process never holds
         the graph twice, and its resident size — which never falls below
-        the boot peak — stays near the served graph's.  A missing index
-        is then built over the snapshot (itself measurably faster) and a
-        loaded one binds to the graph the sessions will traverse.
+        the boot peak — stays near the served graph's.
         """
         options = resolve_options(options, keywords)
         graph_path = Path(graph_path)
         if not graph_path.is_file():
             raise ServiceConfigError(f"graph file not found: {graph_path}")
-        source = None
-        if index_path is not None:
-            index_path = Path(index_path)
-            if index_path.is_dir() or not index_path.parent.is_dir():
-                raise ServiceConfigError(
-                    f"index path cannot hold a file: {index_path}"
-                )
-            source = IndexSource(index_path, options.landmark_count, options.seed)
         graph = load_tsv(graph_path, name=graph_path.stem, frozen=True)
-        return cls(graph, source, options=options)
+        return cls(graph, options=options)
 
     def __repr__(self) -> str:
         return (
             f"QueryService({self.graph.name!r}, "
             f"default={self.default_algorithm!r}, "
-            f"index={'loaded' if self._epoch.has_index else 'none'}, "
             f"epoch={self._epoch.epoch_id})"
         )
 
@@ -412,12 +393,6 @@ class QueryService:
     def graph(self) -> KnowledgeGraph:
         """The current epoch's (frozen) graph."""
         return self._epoch.graph
-
-    @property
-    def index(self) -> LocalIndex | None:
-        """The current epoch's local index (None when serving index-free),
-        loaded or built on the epoch's first read."""
-        return self._epoch.index
 
     @property
     def planner(self) -> QueryPlanner:
@@ -627,11 +602,9 @@ class QueryService:
         the batch wrote are re-cut), and the next epoch is derived from
         the serving one, that snapshot and the batch's net change
         (:meth:`GraphEpoch.derive <repro.service.epoch.GraphEpoch.derive>`
-        — ``rows_recut`` and ``index`` in the summary say what that
-        cost: an indexed service's new epoch builds its index on its
-        first forced-INS read, ``"index": "deferred"``; cached entries
-        stay behind with the old epoch).  No mutable graph is copied,
-        written or kept.  :meth:`_publish_epoch` replaces ``self._epoch``
+        — ``rows_recut`` and ``candidates_carried`` in the summary say
+        what that cost; cached entries stay behind with the old epoch).
+        No mutable graph is copied, written or kept.  :meth:`_publish_epoch` replaces ``self._epoch``
         in one atomic store.  Readers never block: queries in flight
         finish on the old epoch, later ones see the new one.  Writers
         serialise on one update lock.
@@ -643,8 +616,8 @@ class QueryService:
         and append can only lose a batch whose ack the client never saw.
 
         Returns a JSON-ready summary (new epoch id, add/duplicate/
-        remove/missing counts, rows re-cut, index action).  The whole
-        batch is applied or — on a validation error raised before the
+        remove/missing counts, rows re-cut, candidates carried).  The
+        whole batch is applied or — on a validation error raised before the
         derivation — none of it;
         failures after it cannot corrupt serving state because the
         serving snapshot is never written.
@@ -710,7 +683,6 @@ class QueryService:
         edges_missing: int = 0,
         vertices_added: int = 0,
         rows_recut: int = 0,
-        index: str = "unchanged",
         candidates_carried: int = 0,
         scck_rechecks: int = 0,
     ) -> dict:
@@ -729,7 +701,6 @@ class QueryService:
         return {
             "epoch": epoch.epoch_id,
             **counts,
-            "index": index,
             "candidates_carried": candidates_carried,
             "scck_rechecks": scck_rechecks,
             "seconds": elapsed,
@@ -792,13 +763,11 @@ class QueryService:
         records a lagging replica still needed, the replica reloads the
         compaction snapshot wholesale instead of replaying a gap it no
         longer can.  Nothing is known about how ``graph`` differs from
-        the serving one, so nothing derived from that one is kept: the
-        index — when this service serves indexed — is built on the new
-        epoch's first forced-INS read, as after any swap, and both
+        the serving one, so nothing derived from that one is kept: both
         caches start empty, whatever ``epoch_id`` is — the serving one
-        included.  Published
-        exactly like an update swap; ``expected_fingerprint`` mismatches
-        raise :class:`~repro.exceptions.WalReplayError` before that.
+        included.  Published exactly like an update swap;
+        ``expected_fingerprint`` mismatches raise
+        :class:`~repro.exceptions.WalReplayError` before that.
         """
         with self._update_lock:
             self._check_fingerprint(
@@ -1002,7 +971,6 @@ class QueryService:
                 scck_calls=result.scck_calls,
                 vsg_size=result.vsg_size,
                 lcs_calls=result.lcs_calls,
-                index_resolutions=result.index_resolutions,
             )
         if not plan.forced:
             # The routing decision, stamped for clients and the flight
@@ -1222,7 +1190,6 @@ class QueryService:
             "vertices": epoch.graph.num_vertices,
             "edges": epoch.graph.num_edges,
             "labels": epoch.graph.num_labels,
-            "index_loaded": epoch.has_index,
             "default_algorithm": self.default_algorithm,
             "epoch": epoch.epoch_id,
             "fingerprint": epoch.fingerprint,
@@ -1253,7 +1220,6 @@ class QueryService:
                 "edges": epoch.graph.num_edges,
                 "labels": epoch.graph.num_labels,
             },
-            "index": epoch.describe_index(),
             "epoch": epoch.describe(),
             "slow_queries": self.flight.summary(),
             "config": {

@@ -2,7 +2,7 @@
 
 Lock-free concurrent answering is sound because nothing a query reads is
 ever mutated.  :class:`GraphEpoch` bundles one frozen graph and every
-object derived from it (index, bounds, planner, ``V(S, G)`` cache,
+object derived from it (bounds, planner, ``V(S, G)`` cache,
 cached answers, session pool) into a single immutable-once-published
 unit, and every change publishes a *new* epoch by replacing one
 attribute reference.  A request reads ``service._epoch`` exactly once
@@ -11,9 +11,9 @@ computed from one epoch** — so a swap mid-query is invisible, and an
 old-epoch query completing after a swap can only populate the old
 epoch's caches.
 
-**One derivation.**  The paper builds its index once over a static KG
-and takes ``V(S, G)`` from a SPARQL engine; what keeps those structures
-valid across live updates is ours, and it is all here.  An epoch is
+**One derivation.**  The paper takes ``V(S, G)`` from a SPARQL engine
+over a static KG; what keeps the derived structures valid across live
+updates is ours, and it is all here.  An epoch is
 assembled in two places only — :meth:`GraphEpoch.first` for epoch 0,
 :meth:`GraphEpoch.derive` for every later one (update, renumbering,
 whole-graph replacement) — by one rule per structure, each
@@ -23,9 +23,6 @@ seeing *(parent, change)*:
 structure           same         a change of known edges          any other graph
                     snapshot     (``apply_updates``)              (``replace_graph``)
 ==================  ===========  ===============================  ===================
-index               shared       deferred: built in memory on     deferred: built in
-                                 first read                       memory on first
-                                                                  read
 bounds              shared       ``BoundsIndex.derive``: adds     rebuilt
                                  closed over exactly, removals
                                  kept as a sound bound until 1 %
@@ -52,17 +49,8 @@ since a batch that both adds and removes edges can flip any of them.
 The bounds are only an upper bound — their No must be definite, their
 maybe need not be — so a removal leaves the parent's closure standing
 and an add ORs one closure into the components that reach its source.
-The index is read by forced INS alone, so no epoch gets one before a
-request needs it.  Epoch 0 of an indexed service holds an
-:class:`IndexSource` — the index file, the landmark count, the seed —
-and the first reader (the ``ins`` session, :attr:`GraphEpoch.index`)
-loads the file, or builds the index and saves it there.  Every epoch
-over another graph holds a source without a file — the file describes
-the booted graph — whether or not an ancestor's index was ever read, so
-its first reader builds its index in memory with the service's landmark
-count and seed.  That read runs once, under the epoch's index lock —
-never the session lock, so the default route never waits on it — and a
-read that fails leaves the source in place.
+No epoch holds a local index: the service serves index-free, and INS
+runs in ``repro query --algorithm ins`` and :mod:`repro.bench`.
 
 ``epoch_id`` is a per-service monotonic integer starting at 0, surfaced
 in query metadata, ``/stats``, ``/healthz`` and the snapshot identity so
@@ -73,16 +61,12 @@ epoch and keys nothing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from pathlib import Path
 from threading import Lock
 
 from repro.approx.bounds import BoundsIndex, build_bounds
 from repro.exceptions import BadRequestError
 from repro.graph.csr import EdgeChange, FrozenGraph, freeze_graph
 from repro.graph.labeled_graph import KnowledgeGraph
-from repro.index.local_index import LocalIndex
-from repro.index.storage import load_or_build_index
 from repro.obs.trace import span
 from repro.service.cache import CandidateCache, ConstraintCache, ResultCache
 from repro.service.options import ServiceOptions
@@ -91,7 +75,6 @@ from repro.session import LSCRSession
 
 __all__ = [
     "GraphEpoch",
-    "IndexSource",
     "normalize_edge_updates",
     "validate_edge_updates",
 ]
@@ -103,24 +86,6 @@ EdgeUpdate = tuple[str, str, str, str]
 #: Operations an update batch may carry per edge.
 EDGE_OPS = ("add", "remove")
 
-@dataclass(frozen=True)
-class IndexSource:
-    """Where an epoch gets the index it has not read yet: the file at
-    ``path`` — loaded when it exists, else built and saved there — or,
-    ``path`` None, a build in memory of ``landmark_count`` landmarks
-    chosen by ``seed``."""
-
-    path: Path | None
-    landmark_count: int | None
-    seed: int
-
-    def read(self, graph: FrozenGraph) -> LocalIndex:
-        """``graph``'s index, from this source."""
-        return load_or_build_index(
-            graph, self.path, k=self.landmark_count, rng=self.seed
-        )
-
-
 class GraphEpoch:
     """One immutable serving generation: a frozen graph, its id, and
     everything derived from that graph, built by :meth:`first` and
@@ -128,8 +93,7 @@ class GraphEpoch:
 
     Nothing here is mutated after publication except the session pool,
     which only *grows* (create-once under its own lock), the caches,
-    which are memoisation of pure functions of the graph, and an index
-    not read yet, read once on first use (:attr:`index`).
+    which are memoisation of pure functions of the graph.
     """
 
     __slots__ = (
@@ -143,9 +107,6 @@ class GraphEpoch:
         "options",
         "fingerprint",
         "created_at",
-        "_index",
-        "_source",
-        "_index_lock",
         "_sessions",
         "_session_lock",
     )
@@ -154,7 +115,6 @@ class GraphEpoch:
         self,
         epoch_id: int,
         graph: FrozenGraph,
-        index: LocalIndex | IndexSource | None,
         bounds: BoundsIndex,
         planner: QueryPlanner,
         candidates: CandidateCache,
@@ -164,23 +124,9 @@ class GraphEpoch:
     ) -> None:
         self.epoch_id = epoch_id
         self.graph = graph
-        #: ``graph``'s index (None: unindexed or not read yet).
-        self._index: LocalIndex | None = None
-        #: Where the first read of :attr:`index` gets it, until then.
-        self._source: IndexSource | None = None
-        if isinstance(index, IndexSource):
-            self._source = index
-        else:
-            self._index = index
-        #: Serialises the first read — never the sessions.
-        self._index_lock = Lock()
-        #: How this epoch followed its parent — the ``index`` /
-        #: ``candidates_carried`` / ``scck_rechecks`` fields of an update
-        #: summary.
-        self.derivation = {
-            "index": _index_action(index),
-            **(carried or {"candidates_carried": 0, "scck_rechecks": 0}),
-        }
+        #: How this epoch followed its parent — the ``candidates_carried``
+        #: / ``scck_rechecks`` fields of an update summary.
+        self.derivation = carried or {"candidates_carried": 0, "scck_rechecks": 0}
         #: Label-blind reachability upper bound, sound for *this*
         #: snapshot (``repro.approx``), so the router's definite-No stays
         #: sound across updates and replay.
@@ -204,23 +150,18 @@ class GraphEpoch:
     def first(
         cls,
         graph: KnowledgeGraph,
-        index: LocalIndex | IndexSource | None,
         constraints: ConstraintCache,
         options: ServiceOptions,
     ) -> "GraphEpoch":
-        """Epoch 0: ``graph`` frozen, ``index`` as given — an index (ids
-        are shared between a graph and its snapshot, so one built or
-        loaded against the builder stays valid) or where the first read
-        gets it — everything else built new."""
+        """Epoch 0: ``graph`` frozen, everything else built new."""
         with span("freeze"):
             frozen = freeze_graph(graph)
         size = options.cache_size  # 0: V(S, G) is not memoised either
         return cls(
             0,
             frozen,
-            index,
             _bounds(frozen, options),
-            QueryPlanner(frozen, constraints, has_index=index is not None),
+            QueryPlanner(frozen, constraints),
             CandidateCache(max_size=size),
             ResultCache(max_size=size),
             options,
@@ -244,18 +185,10 @@ class GraphEpoch:
         """
         constraints, options = self.planner.constraints, self.options
         if frozen is self.graph:
-            # _source before _index: a concurrent first read stores the
-            # index before clearing the source, so these reads agree.
-            source, index = self._source, self._index
             return GraphEpoch(
-                epoch_id, frozen, source or index, self.bounds,
+                epoch_id, frozen, self.bounds,
                 self.planner, self.candidates, self.results, options,
             )
-        index = (
-            IndexSource(None, options.landmark_count, options.seed)
-            if self.has_index
-            else None
-        )
         if change is None:
             candidates, carried = self.candidates.heir(), None
         else:
@@ -267,54 +200,18 @@ class GraphEpoch:
         return GraphEpoch(
             epoch_id,
             frozen,
-            index,
             _bounds(frozen, options, self.bounds, change),
-            QueryPlanner(frozen, constraints, has_index=index is not None),
+            QueryPlanner(frozen, constraints),
             candidates,
             self.results.heir(),
             options,
             carried,
         )
 
-    @property
-    def index(self) -> LocalIndex | None:
-        """This snapshot's local index (None when serving index-free),
-        read from its source on the first read — once, under the index
-        lock."""
-        if self._source is None:
-            return self._index
-        with self._index_lock:
-            source = self._source
-            if source is not None:
-                with span("index-read") as read_span:
-                    index = source.read(self.graph)
-                    read_span.set(landmarks=len(index.partition.landmarks))
-                self._index = index
-                self._source = None
-        return self._index
-
-    @property
-    def has_index(self) -> bool:
-        """Whether this epoch serves indexed — without reading anything."""
-        return self._source is not None or self._index is not None
-
-    def describe_index(self) -> dict:
-        """The ``/stats`` ``index`` section, read without a read: an
-        index not read yet has no landmarks to show."""
-        source, index = self._source, self._index
-        if index is None:
-            return {"loaded": False, "configured": source is not None}
-        return {
-            "loaded": True,
-            "configured": True,
-            "landmarks": len(index.partition.landmarks),
-        }
-
     def __repr__(self) -> str:
         return (
             f"GraphEpoch(id={self.epoch_id}, graph={self.graph.name!r}, "
-            f"|V|={self.graph.num_vertices}, |E|={self.graph.num_edges}, "
-            f"index={'loaded' if self.has_index else 'none'})"
+            f"|V|={self.graph.num_vertices}, |E|={self.graph.num_edges})"
         )
 
     def session(self, algorithm: str) -> LSCRSession:
@@ -322,15 +219,12 @@ class GraphEpoch:
         session = self._sessions.get(algorithm)
         if session is not None:
             return session
-        # Read before the lock, so no session waits on an index read.
-        index = self.index if algorithm == "ins" else None
         with self._session_lock:
             session = self._sessions.get(algorithm)
             if session is None:
                 session = LSCRSession(
                     self.graph,
                     algorithm=algorithm,
-                    index=index,
                     seed=self.options.seed,
                     constraint_cache=self.planner.constraints,
                     candidate_cache=self.candidates,
@@ -349,12 +243,6 @@ class GraphEpoch:
             "created_at": self.created_at,
             "age_seconds": time.time() - self.created_at,
         }
-
-
-def _index_action(index: LocalIndex | IndexSource | None) -> str:
-    if isinstance(index, IndexSource):
-        return "deferred"
-    return "none" if index is None else "unchanged"
 
 
 def _bounds(

@@ -1,8 +1,8 @@
 """Order-preserving batch execution in the request thread.
 
-The paper's algorithms are pure functions of (graph, index, query):
-per-query state (``close`` maps, checkers, heaps) is created inside each
-``answer`` call and the graph/index are immutable after load.  The
+The served evaluators are pure functions of (graph, query): per-query
+state (``close`` maps, checkers, heaps) is created inside each
+``answer`` call and the graph is immutable after load.  The
 evaluators are Python, and under the interpreter lock eight searches on
 eight threads take as long as eight in a row — longer, by the
 hand-offs — and a member waits only on a ``V(S, G)`` leader, which

@@ -1,7 +1,7 @@
 """Stdlib HTTP front end: JSON endpoints over ``ThreadingHTTPServer``.
 
 The server routes onto a :class:`~repro.service.registry.TenantRegistry`
-— one process hosting any number of (graph, index) pairs.  Endpoints
+— one process hosting any number of graphs.  Endpoints
 (all JSON, UTF-8):
 
 * ``POST /t/<tenant>/query``  — answer one LSCR query on a tenant
@@ -32,7 +32,7 @@ The server routes onto a :class:`~repro.service.registry.TenantRegistry`
   merged counters);
 * ``GET /tenants``    — list every tenant and its load state;
 * ``POST /tenants``   — register a tenant at runtime from file paths
-  (``{"name", "graph", "index"?, "seed"?, ...}`` — any row of
+  (``{"name", "graph", "seed"?, ...}`` — any row of
   :data:`repro.service.options.OPTIONS`; an unknown key or a bad value
   is a 400), warm started lazily on its first query;
 * ``DELETE /t/<tenant>`` — deregister a tenant.
@@ -42,7 +42,7 @@ Errors are structured: every failure body is
 status — unknown tenant ids give 404, duplicate registrations 409.
 ``ThreadingHTTPServer`` gives one thread per connection; the registry
 and each :class:`~repro.service.app.QueryService` are safe for that by
-construction (immutable graphs/indexes; caches whose hit is one
+construction (immutable graphs; caches whose hit is one
 unlocked dict read and whose writes take a lock; locked counters).
 A ``/query`` or ``/batch`` reply body comes from the service as bytes,
 assembled from each result's JSON members encoded once per result
@@ -448,9 +448,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         graph = payload.get("graph")
         if not isinstance(graph, str) or not graph:
             raise BadRequestError("'graph' must be a TSV file path")
-        index = payload.get("index")
-        if index is not None and not isinstance(index, str):
-            raise BadRequestError("'index' must be a file path string")
         # Every other key is a serving option: validated here, so a bad
         # registration fails the POST with a 400, not every later query
         # once the lazy warm start trips over it.
@@ -458,11 +455,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             {
                 key: value
                 for key, value in payload.items()
-                if key not in ("name", "graph", "index")
+                if key not in ("name", "graph")
             },
             error=BadRequestError,
         )
-        self.server.registry.register_files(name, graph, index, options=options)
+        self.server.registry.register_files(name, graph, options=options)
         return {"registered": name, "loaded": False}
 
     def _request_scope(self, query: dict[str, str]) -> activate | nullcontext:

@@ -11,7 +11,7 @@ into the frozen :class:`ServiceOptions` value the service and
   (:func:`options_from_args`), naming a bad one by its flag;
 * ``POST /tenants`` validates the JSON body with the same call, naming
   a bad one by its key and answering 400;
-* ``QueryService(graph, index, **keywords)`` — and ``from_files``,
+* ``QueryService(graph, **keywords)`` — and ``from_files``,
   ``TenantRegistry.register_files``, ``recover_service`` — validate
   their keywords, or the rows of an already-built ``options=`` value,
   with the same call (:func:`resolve_options`).
@@ -90,8 +90,6 @@ class Option:
 
 
 OPTIONS: tuple[Option, ...] = (
-    Option("landmark_count", int, ge=1, flag="--k",
-           help="landmark count when building"),
     Option("seed", int, 0, flag="--seed"),
     Option("cache_size", int, DEFAULT_CACHE_SIZE, ge=0, flag="--cache-size",
            help="entries each result and V(S, G) cache keeps; "

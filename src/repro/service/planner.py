@@ -13,7 +13,7 @@ in two steps, split at the result cache:
   the same Boolean question (Definition 2.4), so an answer computed by
   one is valid for all.  Every check that needs no graph runs here too —
   an empty label set, a blank or unparsable constraint, an unknown
-  algorithm or ``ins`` without an index — so each of these 400s is
+  algorithm or ``ins``, which is not served — so each of these 400s is
   raised before the cache is consulted, on a repeat exactly as on a
   first arrival.  (A variable used as both vertex and label is refused
   by the plan, after the endpoint rule; no such key is ever stored.)
@@ -33,11 +33,13 @@ in two steps, split at the result cache:
     trivial one and the hit needs none of these graph probes;
   * **pick an algorithm** — the bidirectional ``meet`` kernel
     (:mod:`repro.core.meet`) unless the request names an evaluator,
-    which then runs after validation.  A loaded index does not change
-    the default: ``meet`` measures cheaper than UIS*, and UIS* cheaper
-    than INS, on every workload the ladder runs (README, "Choosing an
-    algorithm"), so the paper's UIS, UIS* and INS run when a request
-    asks for them.  Which of its two plans ``meet`` runs depends on
+    which then runs after validation.  ``meet`` measures cheaper than
+    UIS*, and UIS* cheaper than INS, on every workload the ladder runs
+    (README, "Choosing an algorithm"), so the paper's UIS and UIS* run
+    when a request asks for them.  INS is not served
+    (:data:`SERVED_ALGORITHMS`): its local index lost to UIS* at every
+    size measured, and it runs in ``repro query --algorithm ins`` and
+    :mod:`repro.bench`.  Which of its two plans ``meet`` runs depends on
     ``|V(S, G)|`` and is the evaluator's call, not made here: a plan
     takes no ``V(S, G)`` lookup.
 
@@ -73,12 +75,17 @@ __all__ = [
     "KeyedQuery",
     "QueryPlan",
     "QueryPlanner",
+    "SERVED_ALGORITHMS",
     "TRIVIAL",
 ]
 
 #: What runs when the request names no evaluator (a key of
 #: :data:`repro.core.algorithms.ALGORITHMS`).
 DEFAULT_ALGORITHM = "meet"
+
+#: The evaluators a request may name: every registered one but INS,
+#: whose local index the service does not build.
+SERVED_ALGORITHMS = tuple(name for name in ALGORITHMS if name != "ins")
 
 #: ``(source, target, label set, canonical constraint SPARQL)``, the
 #: endpoints as the request named them and the labels as the frozenset
@@ -88,6 +95,9 @@ CanonicalKey = tuple[Hashable, Hashable, frozenset[str], str]
 
 #: Pseudo-algorithm name carried by plans the planner answered itself.
 TRIVIAL = "trivial"
+
+#: The ``reason`` a plan carries when the request names no algorithm.
+_DEFAULT_REASON = f"{DEFAULT_ALGORITHM} is the measured-cheapest evaluator"
 
 
 class KeyedQuery(NamedTuple):
@@ -137,17 +147,9 @@ class QueryPlanner:
         self,
         graph: KnowledgeGraph,
         constraints: ConstraintCache | None = None,
-        *,
-        has_index: bool = False,
     ) -> None:
         self.graph = graph
         self.constraints = constraints if constraints is not None else ConstraintCache()
-        self.has_index = has_index
-        #: The ``reason`` a plan carries when the request names no algorithm.
-        self._default_reason = (
-            f"{DEFAULT_ALGORITHM} is the measured-cheapest evaluator"
-            + ("; request 'ins' to use the index" if has_index else "")
-        )
 
     # ------------------------------------------------------------------
 
@@ -167,6 +169,18 @@ class QueryPlanner:
         label parsing errors (``ConstraintError``, ``SparqlError``)
         propagate — callers map all of these to 4xx responses.
         """
+        if algorithm is not None:
+            # Before the constraint is parsed: a refused name leaves no
+            # trace in any cache.
+            if algorithm == "ins":
+                raise BadRequestError(
+                    "algorithm 'ins' is not served; run it with "
+                    "`repro query --algorithm ins` or drop the override"
+                )
+            if algorithm not in SERVED_ALGORITHMS:
+                raise BadRequestError(
+                    f"unknown algorithm {algorithm!r}; choose from {SERVED_ALGORITHMS}"
+                )
         if not isinstance(labels, LabelConstraint):
             # Adopts the frozenset a decoded request carries
             # (:func:`repro.service.app.validate_spec`).
@@ -186,17 +200,7 @@ class QueryPlanner:
             # ``__new__``: this line runs on every cached answer.
             return tuple.__new__(
                 KeyedQuery,
-                (key, labels, constraint, DEFAULT_ALGORITHM, self._default_reason,
-                 False),
-            )
-        if algorithm not in ALGORITHMS:
-            raise BadRequestError(
-                f"unknown algorithm {algorithm!r}; choose from {tuple(ALGORITHMS)}"
-            )
-        if algorithm == "ins" and not self.has_index:
-            raise BadRequestError(
-                "algorithm 'ins' requires a loaded index; "
-                "start the service with an index or drop the override"
+                (key, labels, constraint, DEFAULT_ALGORITHM, _DEFAULT_REASON, False),
             )
         reason = f"requested algorithm {algorithm!r}"
         return KeyedQuery(key, labels, constraint, algorithm, reason, True)

@@ -1,20 +1,17 @@
-"""Multi-graph tenancy: many (graph, index) pairs in one process.
+"""Multi-graph tenancy: many graphs in one process.
 
 The paper's setting is one knowledge graph per deployment; a production
 service hosts many.  :class:`TenantRegistry` promotes
 :class:`~repro.service.app.QueryService` — already the natural
-per-tenant unit (its own graph, index, caches, stats and session
-pool) — to a first-class tenant behind a thread-safe name → service
-map:
+per-tenant unit (its own graph, caches, stats and session pool) — to
+a first-class tenant behind a thread-safe name → service map:
 
 * **add / remove / lookup** are O(1) under one registry lock; lookups
   of a *lazy* tenant (registered by file paths) leave the registry lock
   and take a per-tenant lock instead, so one slow graph load never
   blocks traffic to other tenants, and concurrent first requests build
   the service exactly once.  Warm start freezes each tenant's graph
-  into its CSR snapshot (:mod:`repro.graph.csr`) and does no index
-  work: a tenant's index file is read by its first request naming
-  ``ins`` (:class:`~repro.service.epoch.IndexSource`);
+  into its CSR snapshot (:mod:`repro.graph.csr`);
 * **the default tenant** backs the un-prefixed PR 1 routes
   (``POST /query`` etc.); ``/t/<tenant>/...`` routes name any other;
 * **aggregation** — :meth:`health` and :meth:`stats_snapshot` fold
@@ -62,18 +59,14 @@ def valid_tenant_name(name: object) -> bool:
     return isinstance(name, str) and _NAME_PATTERN.match(name) is not None
 
 
-def _file_stamp(*paths: Path | None) -> tuple:
-    """The ``os.stat`` size and ``mtime_ns`` of each path (None for no
-    path or a missing file): what a failed load is remembered against."""
-    stamp = []
-    for path in paths:
-        try:
-            status = os.stat(path)
-        except (OSError, TypeError):  # a missing file, or no path
-            stamp.append(None)
-        else:
-            stamp.append((status.st_size, status.st_mtime_ns))
-    return tuple(stamp)
+def _file_stamp(path: Path) -> tuple[int, int] | None:
+    """The ``os.stat`` size and ``mtime_ns`` of ``path`` (None for a
+    missing file): what a failed load is remembered against."""
+    try:
+        status = os.stat(path)
+    except OSError:
+        return None
+    return status.st_size, status.st_mtime_ns
 
 
 class _TenantEntry:
@@ -82,8 +75,8 @@ class _TenantEntry:
     ``lock`` serialises the lazy build only; once ``service`` is set it
     is never cleared, so the fast path is a single attribute read.  A
     build that failed is remembered as ``failure`` — the error beside the
-    :func:`_file_stamp` of the files it read — and re-raised, no file
-    opened, until one of those files changes.
+    :func:`_file_stamp` of the graph file it read — and re-raised, no
+    file opened, until that file changes.
     """
 
     __slots__ = ("name", "service", "spec", "lock", "failure")
@@ -98,7 +91,7 @@ class _TenantEntry:
         self.service = service
         self.spec = spec
         self.lock = threading.Lock()
-        self.failure: tuple[tuple, ReproError] | None = None
+        self.failure: tuple[tuple[int, int] | None, ReproError] | None = None
 
     @property
     def loaded(self) -> bool:
@@ -111,7 +104,7 @@ class _TenantEntry:
         with self.lock:
             if self.service is None:
                 assert self.spec is not None
-                stamp = _file_stamp(self.spec["graph_path"], self.spec["index_path"])
+                stamp = _file_stamp(self.spec["graph_path"])
                 if self.failure is not None and self.failure[0] == stamp:
                     raise self.failure[1].with_traceback(None)
                 try:
@@ -130,11 +123,6 @@ class _TenantEntry:
             return {
                 "loaded": False,
                 "graph_path": str(self.spec["graph_path"]),
-                "index_path": (
-                    str(self.spec["index_path"])
-                    if self.spec.get("index_path") is not None
-                    else None
-                ),
             }
         return {
             "loaded": True,
@@ -142,7 +130,6 @@ class _TenantEntry:
             "vertices": service.graph.num_vertices,
             "edges": service.graph.num_edges,
             "labels": service.graph.num_labels,
-            "index_loaded": service.epoch.has_index,
             "default_algorithm": service.default_algorithm,
             "epoch": service.epoch.epoch_id,
         }
@@ -191,7 +178,6 @@ class TenantRegistry:
         self,
         name: str,
         graph_path: str | Path,
-        index_path: str | Path | None = None,
         *,
         options: ServiceOptions | None = None,
         **keywords: Any,
@@ -203,8 +189,7 @@ class TenantRegistry:
         :meth:`QueryService.from_files`) are checked eagerly — a bad
         registration should fail the ``POST /tenants`` call, not every
         later query — but the graph load runs on first lookup, off the
-        registry lock, and the index file is read by the tenant's first
-        request naming ``ins``.
+        registry lock.
 
         The name of a removed tenant that had a write-ahead log attached
         is refused (:class:`TenantLoggedError`): loaded from its base
@@ -218,7 +203,6 @@ class TenantRegistry:
             raise ServiceConfigError(f"graph file not found: {graph_path}")
         spec: dict[str, Any] = {
             "graph_path": graph_path,
-            "index_path": Path(index_path) if index_path is not None else None,
             "options": resolve_options(options, keywords),
         }
         self._insert(_TenantEntry(name, spec=spec))

@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.service.app import QueryService
-from repro.service.epoch import IndexSource
 from repro.service.options import ServiceOptions, resolve_options
 from repro.wal.follower import DEFAULT_POLL_INTERVAL, WalFollower
 from repro.wal.log import (
@@ -57,7 +56,6 @@ def recover_service(
     wal: TenantWal,
     *,
     graph_path: str | Path,
-    index_path: str | Path | None = None,
     attach: bool = True,
     service_cls: type[QueryService] = QueryService,
     options: ServiceOptions | None = None,
@@ -77,14 +75,6 @@ def recover_service(
     of every edge (:meth:`QueryService.audit_fingerprint`) before the
     service is handed back.
 
-    Recovery does no index work: when serving indexed (``index_path``
-    given) the first request naming ``ins`` reads the index.  Only an
-    epoch 0 over the base TSV reads the file at ``index_path``; every
-    other epoch — the snapshot's, and each one a replayed record
-    derives — builds its own in memory on that first read, since the
-    file describes the base TSV, not the log's epoch-N graph
-    (:class:`~repro.service.epoch.IndexSource`).
-
     ``attach=True`` (the default) attaches the log to the recovered
     service so subsequent updates append — a leader.  Followers recover
     with ``attach=False`` and tail instead.
@@ -101,13 +91,10 @@ def recover_service(
     options = resolve_options(options, keywords)
     loaded = wal.load_snapshot()
     if loaded is None:
-        service = service_cls.from_files(graph_path, index_path, options=options)
+        service = service_cls.from_files(graph_path, options=options)
     else:
         graph, epoch, fingerprint = loaded
-        source = None
-        if index_path is not None:
-            source = IndexSource(None, options.landmark_count, options.seed)
-        service = service_cls(graph, source, options=options)
+        service = service_cls(graph, options=options)
         service.reset_epoch(epoch, expected_fingerprint=fingerprint)
     replay = wal.replay_into(service)
     service.audit_fingerprint()

@@ -6,8 +6,8 @@ import pytest
 
 from repro.approx import SHORT_CIRCUIT_ALGORITHMS
 from repro.core.algorithms import ALGORITHMS
-from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
+from repro.service.planner import SERVED_ALGORITHMS
 from tests.helpers import graph_from_edges
 
 MARK = "SELECT ?x WHERE { ?x <mark> ?y . }"
@@ -205,11 +205,9 @@ class TestOneDefaultRoute:
     VERTICES = ("s", "m", "t", "u", "w")
 
     @pytest.fixture()
-    def indexed(self):
-        """``(service, the exact tier's algorithm tag)``, with an index so
-        that every registered evaluator can be named."""
-        graph = make_graph()
-        svc = QueryService(graph, build_local_index(graph, k=2, rng=0), seed=0)
+    def served(self):
+        """``(service, the exact tier's algorithm tag)``."""
+        svc = QueryService(make_graph(), seed=0)
         yield svc, "Meet"
         svc.close()
 
@@ -221,8 +219,8 @@ class TestOneDefaultRoute:
                         source, target, labels, MARK, use_cache=False, **named
                     )
 
-    def test_an_unnamed_request_is_routed(self, indexed):
-        svc, exact = indexed
+    def test_an_unnamed_request_is_routed(self, served):
+        svc, exact = served
         tiers = set()
         for result, meta in self.asked(svc):
             if meta["trivial"]:
@@ -235,9 +233,9 @@ class TestOneDefaultRoute:
                 assert result.algorithm in SHORT_CIRCUIT_ALGORITHMS
         assert tiers == {"exact", "short-circuit"}
 
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_a_named_request_runs_that_evaluator(self, indexed, algorithm):
-        svc, _ = indexed
+    @pytest.mark.parametrize("algorithm", sorted(SERVED_ALGORITHMS))
+    def test_a_named_request_runs_that_evaluator(self, served, algorithm):
+        svc, _ = served
         evaluated = 0
         for result, meta in self.asked(svc, algorithm=algorithm):
             assert "tier" not in meta

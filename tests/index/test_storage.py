@@ -7,11 +7,7 @@ from repro.core.query import LSCRQuery
 from repro.datasets.toy import figure3_constraint, figure3_graph
 from repro.exceptions import IndexingError
 from repro.index.local_index import build_local_index
-from repro.index.storage import (
-    load_local_index,
-    load_or_build_index,
-    save_local_index,
-)
+from repro.index.storage import load_local_index, save_local_index
 from tests.helpers import graph_from_edges
 
 
@@ -84,39 +80,6 @@ class TestWarmStart:
         save_local_index(fresh, path)
         loaded = load_local_index(path, graph)
         assert self._answers(graph, loaded) == self._answers(graph, fresh)
-
-    def test_load_or_build_without_path_builds(self, graph):
-        index = load_or_build_index(graph, None, k=2, rng=0)
-        assert index.partition.landmarks == build_local_index(
-            graph, k=2, rng=0
-        ).partition.landmarks
-
-    def test_load_or_build_builds_and_persists_when_missing(self, tmp_path, graph):
-        path = tmp_path / "warm.json"
-        built = load_or_build_index(graph, path, k=2, rng=0)
-        assert path.is_file()
-        loaded = load_or_build_index(graph, path, k=2, rng=0)
-        assert loaded.partition.landmarks == built.partition.landmarks
-        assert self._answers(graph, loaded) == self._answers(graph, built)
-
-    def test_load_or_build_save_if_built_false(self, tmp_path, graph):
-        path = tmp_path / "warm.json"
-        load_or_build_index(graph, path, k=2, rng=0, save_if_built=False)
-        assert not path.exists()
-
-    def test_load_or_build_same_seed_is_deterministic(self, tmp_path, graph):
-        cold = load_or_build_index(graph, tmp_path / "a.json", k=2, rng=7)
-        warm = load_or_build_index(graph, tmp_path / "a.json", k=2, rng=7)
-        assert warm.partition.landmarks == cold.partition.landmarks
-        assert warm.eit == cold.eit
-        assert warm.d == cold.d
-
-    def test_load_or_build_validates_graph(self, tmp_path, index):
-        path = tmp_path / "warm.json"
-        save_local_index(index, path)
-        other = graph_from_edges([("a", "p", "b")])
-        with pytest.raises(IndexingError, match="mismatch"):
-            load_or_build_index(other, path)
 
 
 class TestValidation:

@@ -30,7 +30,6 @@ from urllib.parse import urlsplit
 import pytest
 
 from repro.datasets.toy import figure3_graph
-from repro.index.local_index import build_local_index
 from repro.obs import prometheus
 from repro.obs.prometheus import parse_prometheus_text, render_metrics
 from repro.service.app import QueryService
@@ -119,8 +118,7 @@ def service_shapes(directory: Path):
         ):
             assert _post(connection, path, body) == status
 
-        graph = figure3_graph()
-        leader = QueryService(graph, build_local_index(graph, k=2, rng=0), seed=0)
+        leader = QueryService(figure3_graph(), seed=0)
         stack.callback(leader.close)
         leader.attach_wal(TenantWal(directory, "default", compact_every=2))
         replica = QueryService(figure3_graph(), seed=0)
@@ -131,7 +129,7 @@ def service_shapes(directory: Path):
         )
         for target in ("v8", "v9", "v10"):
             leader.apply_updates([("v4", "likes", target)])
-        leader.query(**QUERY, algorithm="ins")
+        leader.query(**QUERY, algorithm="uis*")
         replica.replication.poll_once()
         replica.query(**QUERY)
         yield {"plain": plain, "leader": leader, "follower": replica}

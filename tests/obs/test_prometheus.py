@@ -68,7 +68,6 @@ class TestRenderMetrics:
             "result_cache": {"hits": 5, "misses": 2, "evictions": 1,
                              "size": 4, "max_size": 16, "hit_rate": 5 / 7},
             "graph": {"vertices": 10, "edges": 20, "labels": 3},
-            "index": {"loaded": True, "landmarks": 4},
             "epoch": {"epoch_id": 7, "age_seconds": 1.5},
             "slow_queries": {"threshold_ms": 250.0, "max_entries": 16,
                              "kept": 1, "seen": 9, "dropped": 8,
@@ -84,7 +83,6 @@ class TestRenderMetrics:
                        cache="result", **tenant) == 5.0
         assert _sample(samples, "repro_epoch_id", **tenant) == 7.0
         assert _sample(samples, "repro_slow_queries_kept", **tenant) == 1.0
-        assert _sample(samples, "repro_index_landmarks", **tenant) == 4.0
         # The histogram: +Inf bucket equals _count equals 2 observations.
         assert _sample(samples, "repro_request_latency_seconds_count",
                        endpoint="query", **tenant) == 2.0

@@ -32,7 +32,6 @@ from repro.core.naive import NaiveTwoProcedure
 from repro.core.query import LSCRQuery
 from repro.datasets.synthetic import random_labeled_graph
 from repro.graph import FrozenGraph
-from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.service.registry import TenantRegistry
 
@@ -48,14 +47,7 @@ def make_graph(seed, num_labels=3, num_vertices=9, density=1.8):
 
 
 def make_service(graph, seed):
-    """Alternate indexed (INS) and index-free (UIS*) services by seed.
-
-    The index is deliberately built on the *dict-backed* graph while the
-    service freezes at construction, so every agreement run also covers
-    the frozen-CSR serving path against an index bound to the source.
-    """
-    index = build_local_index(graph, k=3, rng=seed) if seed % 2 == 0 else None
-    service = QueryService(graph, index, seed=seed)
+    service = QueryService(graph, seed=seed)
     assert isinstance(service.graph, FrozenGraph)  # the suite runs frozen
     return service
 

@@ -7,9 +7,7 @@ import pytest
 
 from repro.datasets.toy import figure3_graph
 from repro.exceptions import BadRequestError, ServiceConfigError
-from repro.graph.io import dump_tsv, load_tsv
-from repro.index.local_index import build_local_index
-from repro.index.storage import save_local_index
+from repro.graph.io import dump_tsv
 from repro.service.app import QueryService
 from repro.session import LSCRSession
 
@@ -25,11 +23,6 @@ def graph():
 
 @pytest.fixture()
 def service(graph):
-    return QueryService(graph, build_local_index(graph, k=2, rng=0), seed=0)
-
-
-@pytest.fixture()
-def plain_service(graph):
     return QueryService(graph, seed=0)
 
 
@@ -37,12 +30,11 @@ class TestQuery:
     def test_basic_true_false(self, service):
         result, meta = service.query("v0", "v4", LABELS, S0)
         assert result.answer is True
-        assert result.algorithm == "Meet"      # a loaded index does not change the default
+        assert result.algorithm == "Meet"
         assert meta == {
             "cached": False,
             "trivial": False,
-            "reason": "meet is the measured-cheapest evaluator; "
-                      "request 'ins' to use the index",
+            "reason": "meet is the measured-cheapest evaluator",
             "epoch": 0,
             "source": "evaluated",
             "tier": "exact",
@@ -73,19 +65,14 @@ class TestQuery:
         assert meta["trivial"]
         assert len(service.results) == 0
 
-    def test_fallback_without_index(self, plain_service):
-        result, _ = plain_service.query("v0", "v4", LABELS, S0)
-        assert result.algorithm == "Meet"
-
     def test_algorithm_override(self, service):
         result, meta = service.query("v0", "v4", LABELS, S0, algorithm="uis")
         assert result.algorithm == "UIS"
         assert "requested" in meta["reason"]
 
-    def test_sessions_share_index_and_constraints(self, service):
+    def test_sessions_share_constraints(self, service):
         service.query("v0", "v4", LABELS, S0)
-        session = service.epoch.session("ins")
-        assert session.index is service.index
+        session = service.epoch.session("uis*")
         assert session._constraint_cache is service.constraints
 
 
@@ -96,7 +83,7 @@ class TestBatch:
             {"source": s, "target": t, "labels": LABELS, "constraint": S0}
             for s, t in pairs
         ]
-        session = LSCRSession(service.graph, algorithm="ins", index=service.index, seed=0)
+        session = LSCRSession(service.graph, algorithm="ins", seed=0)
         serial = [
             session.answer(session.make_query(s, t, LABELS, S0)).answer
             for s, t in pairs
@@ -244,7 +231,7 @@ class TestJsonApi:
         document = service.health()
         assert document["status"] == "ok"
         assert document["vertices"] == 5
-        assert document["index_loaded"] is True
+        assert "index_loaded" not in document
 
     def test_stats_snapshot_shape(self, service):
         service.query("v0", "v4", LABELS, S0)
@@ -253,56 +240,18 @@ class TestJsonApi:
         assert document["service"]["queries"]["total"] == 2
         assert document["result_cache"]["hits"] == 1
         assert document["constraint_cache"]["misses"] == 1
-        assert document["index"]["loaded"] is True
+        assert "index" not in document
         assert document["config"]["default_algorithm"] == "meet"
 
 
 class TestFromFiles:
-    def test_warm_start_builds_then_loads(self, tmp_path, graph):
-        graph_path = tmp_path / "g0.tsv"
-        index_path = tmp_path / "g0.index.json"
-        dump_tsv(graph, graph_path)
-
-        cold = QueryService.from_files(graph_path, index_path, seed=0)
-        assert not index_path.exists()              # nothing read at start
-        query = ("v0", "v4", LABELS, S0)
-        cold_result, _ = cold.query(*query, algorithm="ins")
-        assert index_path.is_file()                 # built and persisted
-        warm = QueryService.from_files(graph_path, index_path, seed=0)
-        warm_result, _ = warm.query(*query, algorithm="ins")
-        assert cold_result.answer == warm_result.answer
-        assert (
-            warm.index.partition.landmarks == cold.index.partition.landmarks
-        )
-
-    def test_prebuilt_index_loaded(self, tmp_path, graph):
-        graph_path = tmp_path / "g0.tsv"
-        index_path = tmp_path / "g0.index.json"
-        dump_tsv(graph, graph_path)
-        # Indexed as the file loads: the TSV numbers v2/v3 the other way.
-        served = load_tsv(graph_path)
-        save_local_index(build_local_index(served, k=2, rng=0), index_path)
-        service = QueryService.from_files(graph_path, index_path, seed=0)
-        assert service.index is not None
-        assert service.default_algorithm == "meet"
-        # ... and the loaded index is what a per-request 'ins' runs on.
-        result, _ = service.query("v0", "v4", LABELS, S0, algorithm="ins")
-        assert result.algorithm == "INS" and result.answer is True
-
-    def test_no_index_path_serves_index_free(self, tmp_path, graph):
+    def test_serves_index_free(self, tmp_path, graph):
         graph_path = tmp_path / "g0.tsv"
         dump_tsv(graph, graph_path)
         service = QueryService.from_files(graph_path, seed=0)
-        assert service.index is None
         assert service.default_algorithm == "meet"
-
-    def test_index_path_that_cannot_hold_a_file_rejected(self, tmp_path, graph):
-        # Refused at start: no INS request would ever get an index there.
-        graph_path = tmp_path / "g0.tsv"
-        dump_tsv(graph, graph_path)
-        for index_path in (tmp_path, tmp_path / "missing" / "g0.index.json"):
-            with pytest.raises(ServiceConfigError, match="cannot hold"):
-                QueryService.from_files(graph_path, index_path)
+        with pytest.raises(BadRequestError, match="repro query --algorithm ins"):
+            service.query("v0", "v4", LABELS, S0, algorithm="ins")
 
     def test_missing_graph_rejected(self, tmp_path):
         with pytest.raises(ServiceConfigError, match="graph file not found"):

@@ -1,5 +1,5 @@
-"""The ``/query``, ``/batch`` and ``/edges`` doors under generated
-bodies, over HTTP.
+"""The ``/query``, ``/batch``, ``/edges`` and ``/tenants`` doors under
+generated bodies, over HTTP.
 
 Whatever body a client sends, the reply is a 200 or a structured 4xx —
 never a 500 — and the keep-alive connection it came on answers the next
@@ -23,12 +23,19 @@ A 200 carries the summary an in-process twin's ``handle_updates``
 returns for the same body (the twin applies every batch the door
 applies, so both graphs move together); a 4xx names the ``edges[i]``
 the change broke.
+
+``POST /tenants`` gets any JSON value, and a valid registration — a
+name, a graph file and serving options — with one field changed or an
+unknown key added.  A 201 registers a lazy tenant, which is deleted
+again; a 4xx names the field (``'index'`` is an unknown option: the
+service serves index-free).
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import itertools
 from contextlib import ExitStack, contextmanager
 from urllib.parse import urlsplit
 
@@ -38,8 +45,10 @@ from hypothesis import strategies as st
 
 from repro.datasets.toy import figure3_graph
 from repro.exceptions import BadRequestError, ConstraintError, SparqlError
+from repro.graph.io import dump_tsv
 from repro.service.app import QueryService, validate_spec
 from repro.service.epoch import EDGE_OPS
+from repro.service.registry import TenantRegistry
 from repro.sparql.parser import MAX_TRIPLE_PATTERNS
 from tests.helpers import running_server
 
@@ -148,12 +157,15 @@ NAMES = {
 
 
 @contextmanager
-def loopback(service: QueryService, reference: QueryService, **server_options):
-    """A keep-alive connection to ``service`` served over loopback, and
-    ``reference`` to check its replies against; all closed on exit."""
+def loopback(service, reference: QueryService | None, **server_options):
+    """A keep-alive connection to ``service`` (or a registry) served over
+    loopback, and ``reference`` to check its replies against; all closed
+    on exit."""
     with ExitStack() as stack:
-        stack.callback(service.close)
-        stack.callback(reference.close)
+        if isinstance(service, QueryService):
+            stack.callback(service.close)
+        if reference is not None:
+            stack.callback(reference.close)
         base = stack.enter_context(running_server(service, **server_options))
         connection = http.client.HTTPConnection(urlsplit(base).netloc, timeout=30)
         stack.callback(connection.close)
@@ -176,6 +188,15 @@ def post(connection: http.client.HTTPConnection, path: str, body: bytes) -> tupl
     response = connection.getresponse()
     document = json.loads(response.read())
     # The reply keeps the connection open, so the next request reuses it.
+    assert not response.will_close
+    return response.status, document
+
+
+def request(connection: http.client.HTTPConnection, method: str, path: str) -> tuple:
+    """A body-less request on the kept-alive connection."""
+    connection.request(method, path)
+    response = connection.getresponse()
+    document = json.loads(response.read())
     assert not response.will_close
     return response.status, document
 
@@ -453,3 +474,81 @@ class TestPatternLimit:
         connection, _ = door
         status, document = post(connection, "/query", encode(member(1000)))
         assert status == 400 and "too many triple patterns" in document["error"]["message"]
+
+
+# ---------------------------------------------------------------------------
+# the /tenants door
+# ---------------------------------------------------------------------------
+
+#: Option keys a registration carries beside ``name`` and ``graph``.
+TENANT_OPTIONS = {"seed": 3, "cache_size": 16, "trace_sample": 0.5,
+                  "max_concurrent": 2, "max_queue": 1}
+TENANT_FIELDS = ("name", "graph", *TENANT_OPTIONS)
+#: ``(field, new value)``: :data:`_DROP` removes the field; ``index`` and
+#: ``bogus`` are keys no registration knows.
+_tenant_change = st.tuples(
+    st.sampled_from((*TENANT_FIELDS, "index", "bogus")),
+    st.one_of(
+        st.just(_DROP),
+        _json,
+        _long_ints,
+        st.sampled_from(["", ".hidden", "a/b", "ok-name", -1, 0, 1.5, "g.json"]),
+    ),
+)
+
+
+def tenant_names(field: str) -> tuple[str, ...]:
+    """What a 4xx must say when ``field`` was the one changed."""
+    if field == "graph":
+        return ("'graph'", "graph file not found")
+    return (f"'{field}'",)
+
+
+@pytest.fixture(scope="module")
+def tenants_door(tmp_path_factory):
+    graph_path = tmp_path_factory.mktemp("tenants") / "g.tsv"
+    dump_tsv(figure3_graph(), graph_path)
+    registry = TenantRegistry.for_service(QueryService(figure3_graph(), seed=0))
+    with loopback(registry, None) as (connection, _):
+        yield connection, str(graph_path)
+    registry.get().close()
+
+
+_registrations = itertools.count()
+
+
+class TestTenantsDoor:
+    @_FUZZ
+    @given(body=st.one_of(_json, _tenant_change))
+    def test_every_body_registers_or_gets_a_structured_4xx(self, tenants_door, body):
+        connection, graph_path = tenants_door
+        field = None
+        if isinstance(body, tuple):
+            field = body[0]
+            base = {"name": f"fuzz{next(_registrations)}", "graph": graph_path,
+                    **TENANT_OPTIONS}
+            body = changed(base, body)
+        status, document = post(connection, "/tenants", encode(body))
+        assert status != 500, document
+        if status == 201:
+            assert document == {"registered": body["name"], "loaded": False}
+            status, _ = request(connection, "DELETE", f"/t/{body['name']}")
+            assert status == 200
+        else:
+            assert 400 <= status < 500, document
+            assert isinstance(document["error"]["type"], str)
+            message = document["error"]["message"]
+            # A changed field that left the body valid would have got a 201.
+            if field is not None and not message.startswith(NOT_JSON):
+                assert any(name in message for name in tenant_names(field)), message
+        still_usable(connection)
+
+    def test_an_index_is_an_unknown_option(self, tenants_door):
+        connection, graph_path = tenants_door
+        body = {"name": "indexed", "graph": graph_path, "index": "g.json"}
+        status, document = post(connection, "/tenants", encode(body))
+        assert status == 400
+        assert document["error"]["message"].startswith("unknown option 'index'")
+        status, document = request(connection, "GET", "/tenants")
+        assert "indexed" not in document["tenants"]
+

@@ -19,7 +19,6 @@ import pytest
 from repro.approx import build_bounds
 from repro.graph.csr import FrozenGraph
 from repro.graph.io import dump_tsv
-from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.wal import TenantWal, graph_from_snapshot, recover_service, snapshot_document
 from tests.helpers import graph_from_edges
@@ -45,19 +44,14 @@ def make_graph():
     return graph_from_edges(EDGES, name="pipeline")
 
 
-def indexed(graph):
-    return build_local_index(graph, k=2, rng=0)
-
-
 def warm_start(tmp_path, stack):
-    graph = make_graph()
-    return QueryService(graph, indexed(graph), seed=0)
+    return QueryService(make_graph(), seed=0)
 
 
 def from_files(tmp_path, stack):
     path = tmp_path / "pipeline.tsv"
     dump_tsv(make_graph(), path)
-    return QueryService.from_files(path, tmp_path / "pipeline.index.json", seed=0)
+    return QueryService.from_files(path, seed=0)
 
 
 def update_add(tmp_path, stack):
@@ -112,9 +106,7 @@ def _logged_leader(tmp_path, compact_every):
 def recover_from_snapshot(tmp_path, stack):
     path, wal = _logged_leader(tmp_path, compact_every=2)
     assert wal.snapshot_epoch == 2
-    service, replay = recover_service(
-        wal, graph_path=path, index_path=tmp_path / "i.json", seed=0
-    )
+    service, replay = recover_service(wal, graph_path=path, seed=0)
     assert replay["epoch"] == 2
     return service
 
@@ -152,11 +144,6 @@ def test_every_route_publishes_the_same_epoch_shape(route, tmp_path):
         assert epoch.planner.graph is graph
         assert service.planner is epoch.planner
         assert service.candidates is epoch.candidates
-        assert epoch.planner.has_index == (epoch.index is not None)
-        if epoch.index is not None:
-            # A graph and its snapshot share ids and count as one graph
-            # (the same identity INS checks its index against).
-            assert epoch.index.graph.shares_interning(graph)
         # Bounds describe this snapshot (reset_epoch carries the same
         # snapshot's bounds over, which is the same claim).
         fresh = build_bounds(graph, seed=0)
@@ -194,7 +181,7 @@ def test_fifty_chained_swaps_keep_content_identity_and_answers():
     seed = 11
     graph = agreement.make_graph(seed)
     mirror = graph_from_edges(graph.edges_named(), vertices=graph.vertex_names())
-    service = QueryService(graph, build_local_index(graph, k=3, rng=seed), seed=seed)
+    service = QueryService(graph, seed=seed)
     rng = random.Random(seed)
     parsed: dict = {}
     rows_recut = 0

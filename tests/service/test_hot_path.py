@@ -411,8 +411,8 @@ CONSTRAINTS = [
 #: Label sets, in both forms; ``zz`` is in no drawn graph, ``[]`` and
 #: ``","`` are refused.
 LABEL_SETS = [["p"], ["q"], ["q", "p"], "p,q", ["zz"], "p,zz", [], ","]
-#: ``None`` twice so the default route is drawn most; ``ins`` has no
-#: index here and ``bogus`` no evaluator, both 400s.
+#: ``None`` twice so the default route is drawn most; ``ins`` is not
+#: served and ``bogus`` no evaluator, both 400s.
 CHOICES = [None, None, "meet", "uis*", "naive", "ins", "bogus"]
 
 _names = st.sampled_from(NAMES)

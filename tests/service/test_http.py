@@ -27,7 +27,6 @@ import pytest
 import repro
 from repro.datasets.toy import figure3_graph
 from repro.graph.io import dump_tsv
-from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.service.http import ServiceRequestHandler
 from repro.session import LSCRSession
@@ -40,8 +39,7 @@ LABELS = ["likes", "follows"]
 
 @pytest.fixture()
 def service():
-    graph = figure3_graph()
-    return QueryService(graph, build_local_index(graph, k=2, rng=0), seed=0)
+    return QueryService(figure3_graph(), seed=0)
 
 
 @pytest.fixture()
@@ -80,7 +78,7 @@ class TestEndpoints:
         status, document = http_get(f"{base_url}/healthz")
         assert status == 200
         assert document["status"] == "ok"
-        assert document["index_loaded"] is True
+        assert "index_loaded" not in document
 
     def test_query_true_and_false(self, base_url):
         status, document = http_post(f"{base_url}/query", spec("v0", "v4"))
@@ -116,7 +114,7 @@ class TestEndpoints:
         status, document = http_post(f"{base_url}/batch", payload)
         assert status == 200
         assert document["count"] == 64
-        session = LSCRSession(service.graph, "ins", index=service.index, seed=0)
+        session = LSCRSession(service.graph, "ins", seed=0)
         expected = [
             session.answer(session.make_query(s, t, LABELS, S0)).answer
             for s, t in pairs
@@ -127,7 +125,8 @@ class TestEndpoints:
         status, stats = http_get(f"{base_url}/stats")
         assert status == 200
         assert {"service", "result_cache", "constraint_cache", "graph",
-                "index", "config"} <= set(stats)
+                "config"} <= set(stats)
+        assert "index" not in stats
         assert stats["service"]["uptime_seconds"] >= 0
 
 
@@ -141,17 +140,14 @@ def all_keys(document) -> set[str]:
 
 
 class TestDefaultRoute:
-    """The meet kernel is the default with or without an index; the
-    paper's evaluators run when a request names them."""
+    """The meet kernel is the default; the paper's UIS and UIS* run when a
+    request names them, and INS is refused."""
 
     QUERY_KEYS = {"answer", "algorithm", "seconds", "passed_vertices", "cached",
                   "trivial", "reason", "epoch", "source", "tier"}
 
     def test_bodies_keep_their_shape_and_carry_no_witness(self):
-        graph = figure3_graph()
-        service = QueryService(
-            graph, build_local_index(graph, k=2, rng=0), seed=0, slow_ms=0
-        )
+        service = QueryService(figure3_graph(), seed=0, slow_ms=0)
         with running_server(service) as base_url:
             _, query = http_post(f"{base_url}/query", spec("v0", "v4"))
             _, batch = http_post(
@@ -173,15 +169,7 @@ class TestDefaultRoute:
         assert "satisfying_vertex" not in all_keys(stats)
         assert health["default_algorithm"] == "meet"
         assert stats["config"]["default_algorithm"] == "meet"
-        assert stats["index"]["loaded"] is True        # still built and served
-
-    def test_ins_runs_when_the_request_names_it(self, base_url):
-        status, document = http_post(
-            f"{base_url}/query", spec("v0", "v4", algorithm="ins")
-        )
-        assert status == 200
-        assert document["answer"] is True and document["algorithm"] == "INS"
-        assert "requested" in document["reason"]
+        assert "index" not in stats and "index_loaded" not in health
 
     def test_uis_star_still_runs_when_the_request_names_it(self, base_url):
         for path, body in (
@@ -193,13 +181,15 @@ class TestDefaultRoute:
             reply = document["results"][0] if path == "/batch" else document
             assert reply["answer"] is True and reply["algorithm"] == "UIS*"
 
-    def test_ins_without_an_index_is_still_a_400(self):
-        with running_server(QueryService(figure3_graph(), seed=0)) as base_url:
-            status, document = http_post(
-                f"{base_url}/query", spec("v0", "v4", algorithm="ins")
-            )
-        assert status == 400
-        assert "requires a loaded index" in document["error"]["message"]
+    def test_ins_is_a_400_pointing_to_repro_query(self, base_url):
+        for path, body in (
+            ("/query", spec("v0", "v4", algorithm="ins")),
+            ("/batch", {"queries": [spec("v0", "v4", algorithm="ins")]}),
+        ):
+            status, document = http_post(f"{base_url}{path}", body)
+            assert status == 400
+            assert document["error"]["type"] == "bad-request"
+            assert "`repro query --algorithm ins`" in document["error"]["message"]
 
 
 class TestOneSegmentReplies:
@@ -430,7 +420,7 @@ class TestConcurrency:
             constraint = (S0, S1)[i % 2]
             cases.append((source, target, list(labels), constraint))
 
-        session = LSCRSession(service.graph, "ins", index=service.index, seed=0)
+        session = LSCRSession(service.graph, "ins", seed=0)
         expected = [
             session.answer(session.make_query(s, t, labels, c)).answer
             for s, t, labels, c in cases
@@ -465,7 +455,7 @@ class TestCliServe:
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
              "--graph", str(graph_path), "--index", str(index_path),
-             "--port", "0", "--k", "2"],
+             "--port", "0"],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             env=env,
@@ -481,7 +471,7 @@ class TestCliServe:
             )
             assert status == 200
             assert document["answer"] is True
-            assert not index_path.exists()     # a default query reads no index
+            assert not index_path.exists()     # --index is parsed and ignored
         finally:
             process.terminate()
             process.wait(timeout=10)

@@ -10,7 +10,6 @@ import pytest
 
 from repro._version import __version__
 from repro.datasets.toy import figure3_graph
-from repro.index.local_index import build_local_index
 from repro.obs.prometheus import parse_prometheus_text
 from repro.service.app import QueryService
 from repro.service.registry import TenantRegistry
@@ -24,10 +23,7 @@ SPEC = {"source": "v0", "target": "v4", "labels": LABELS, "constraint": S0}
 
 @pytest.fixture()
 def service():
-    graph = figure3_graph()
-    return QueryService(
-        graph, build_local_index(graph, k=2, rng=0), seed=0, slow_ms=0.0
-    )
+    return QueryService(figure3_graph(), seed=0, slow_ms=0.0)
 
 
 @pytest.fixture()
@@ -87,7 +83,7 @@ class TestMetricsRoute:
             "repro_batch_queries_total", "repro_update_batches_total",
             "repro_uptime_seconds", "repro_started_at_seconds",
             "repro_cache_hits_total", "repro_cache_size",
-            "repro_graph_vertices", "repro_index_loaded",
+            "repro_graph_vertices",
             "repro_epoch_id", "repro_epoch_age_seconds",
             "repro_slow_queries_seen_total", "repro_slow_queries_kept",
             "repro_request_latency_seconds_bucket",

@@ -25,7 +25,6 @@ import pytest
 import repro
 from repro.datasets.toy import figure3_graph
 from repro.graph.io import dump_tsv
-from repro.index.local_index import build_local_index
 from repro.service import app as app_module
 from repro.service.app import QueryService
 from repro.service.registry import TenantRegistry
@@ -75,11 +74,8 @@ def spec(source, target, labels=LABELS, constraint=S0, **extra):
 
 @pytest.fixture()
 def registry():
-    alpha = figure3_graph()
     registry = TenantRegistry(default_tenant="alpha")
-    registry.add(
-        "alpha", QueryService(alpha, build_local_index(alpha, k=2, rng=0), seed=0)
-    )
+    registry.add("alpha", QueryService(figure3_graph(), seed=0))
     registry.add(
         "beta", QueryService(graph_from_edges(BETA_EDGES, name="beta"), seed=0)
     )
@@ -181,7 +177,7 @@ class TestAggregateEndpoints:
         assert document["totals"]["vertices"] == 8
         # Default-tenant (alpha) keys are still at top level for PR 1
         # monitoring.
-        assert document["index_loaded"] is True
+        assert document["graph"] == "G0"
 
     def test_stats_aggregates_across_tenants(self, base_url):
         http_request(f"{base_url}/t/alpha/query", spec("v0", "v4"))

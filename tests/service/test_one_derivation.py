@@ -23,8 +23,6 @@ import sys
 import threading
 from contextlib import contextmanager
 
-
-from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.service.cache import CandidateCache, ResultCache
 from tests.helpers import cache_counters, graph_from_edges
@@ -42,9 +40,7 @@ def graph(edges=PATH):
 
 @contextmanager
 def serving(**options):
-    source = graph()
-    index = build_local_index(source, k=2, rng=0)
-    service = QueryService(source, index, seed=0, **options)
+    service = QueryService(graph(), seed=0, **options)
     try:
         yield service
     finally:
@@ -76,8 +72,7 @@ def test_renumbering_keeps_the_warmed_answers():
         assert meta["source"] == "result-cache" and meta["epoch"] == 5
         assert result is warmed
         # Same snapshot, same everything derived from it.
-        for structure in ("graph", "index", "bounds", "planner", "candidates",
-                          "results"):
+        for structure in ("graph", "bounds", "planner", "candidates", "results"):
             assert getattr(after, structure) is getattr(before, structure)
 
 

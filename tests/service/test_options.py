@@ -35,7 +35,6 @@ SPEC = {
 
 #: option → (a valid non-default value, the options it needs switched on).
 VALID = {
-    "landmark_count": (2, {}),
     "seed": (7, {}),
     "cache_size": (5, {}),
     "max_batch": (9, {}),
@@ -67,7 +66,6 @@ def invalid_cases():
         if row.requires is not None:
             yield row.name, "requires", {row.name: VALID[row.name][0]}
     # The values PR 2's per-door parametrisation used to pin.
-    yield "landmark_count", "range", {"landmark_count": -3}
     yield "max_batch", "type", {"max_batch": "lots"}
 
 

@@ -14,12 +14,7 @@ LABELS = ["likes", "follows"]
 
 @pytest.fixture()
 def planner():
-    return QueryPlanner(figure3_graph(), ConstraintCache(), has_index=False)
-
-
-@pytest.fixture()
-def indexed_planner():
-    return QueryPlanner(figure3_graph(), ConstraintCache(), has_index=True)
+    return QueryPlanner(figure3_graph(), ConstraintCache())
 
 
 class TestCanonicalisation:
@@ -89,25 +84,14 @@ class TestTrivialAnswers:
 
 
 class TestAlgorithmChoice:
-    def test_default_without_index(self, planner):
+    def test_default(self, planner):
         plan = planner.plan("v0", "v4", LABELS, S0)
         assert plan.algorithm == "meet"
         assert plan.reason == "meet is the measured-cheapest evaluator"
         assert not plan.forced
 
-    def test_ins_with_index(self, indexed_planner):
-        # A loaded index no longer changes the default route ...
-        plan = indexed_planner.plan("v0", "v4", LABELS, S0)
-        assert plan.algorithm == "meet"
-        assert "measured-cheapest" in plan.reason and "'ins'" in plan.reason
-        assert not plan.forced
-        # ... it is what makes a per-request 'ins' runnable.
-        plan = indexed_planner.plan("v0", "v4", LABELS, S0, algorithm="ins")
-        assert plan.algorithm == "ins"
-        assert plan.forced and "requested" in plan.reason
-
-    def test_explicit_override_wins(self, indexed_planner):
-        plan = indexed_planner.plan("v0", "v4", LABELS, S0, algorithm="naive")
+    def test_explicit_override_wins(self, planner):
+        plan = planner.plan("v0", "v4", LABELS, S0, algorithm="naive")
         assert plan.algorithm == "naive"
         assert "requested" in plan.reason
 
@@ -115,9 +99,12 @@ class TestAlgorithmChoice:
         with pytest.raises(BadRequestError, match="unknown algorithm"):
             planner.plan("v0", "v4", LABELS, S0, algorithm="dijkstra")
 
-    def test_ins_without_index_rejected(self, planner):
-        with pytest.raises(BadRequestError, match="requires a loaded index"):
+    def test_ins_rejected_before_the_constraint_is_parsed(self):
+        constraints = ConstraintCache()
+        planner = QueryPlanner(figure3_graph(), constraints)
+        with pytest.raises(BadRequestError, match="repro query --algorithm ins"):
             planner.plan("v0", "v4", LABELS, S0, algorithm="ins")
+        assert len(constraints) == 0
 
     def test_bad_request_raised_even_for_trivial_query(self, planner):
         with pytest.raises(BadRequestError):

@@ -15,7 +15,6 @@ import pytest
 
 from repro.datasets.toy import figure3_graph
 from repro.exceptions import BadRequestError, SparqlError
-from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.service.planner import TRIVIAL, QueryPlanner
 
@@ -30,7 +29,7 @@ def graph():
 
 @pytest.fixture()
 def service(graph):
-    return QueryService(graph, build_local_index(graph, k=2, rng=0), seed=0)
+    return QueryService(graph, seed=0)
 
 
 @pytest.fixture()
@@ -141,10 +140,13 @@ class TestErrorPathsLeaveNoTrace:
         assert len(service.results) == 0
         assert service.stats.snapshot()["queries"]["total"] == 0
 
-    def test_ins_without_index_rejected(self, graph):
-        bare = QueryService(graph, seed=0)
-        with pytest.raises(BadRequestError, match="requires a loaded index"):
-            bare.query("v0", "v4", LABELS, S0, algorithm="ins")
+    def test_ins_rejected_uncached(self, service):
+        # The service serves index-free; INS runs in ``repro query``.
+        with pytest.raises(BadRequestError, match="repro query --algorithm ins"):
+            service.query("v0", "v4", LABELS, S0, algorithm="ins")
+        assert len(service.results) == 0
+        assert len(service.constraints) == 0
+        assert service.stats.snapshot()["queries"]["total"] == 0
 
     def test_batch_error_poisons_nothing(self, service):
         specs = [

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.datasets.toy import figure3_graph
-from repro.index.local_index import build_local_index
 from repro.obs.trace import current_trace
 from repro.service.app import QueryService
 
@@ -23,9 +22,7 @@ def graph():
 
 @pytest.fixture()
 def service(graph):
-    return QueryService(
-        graph, build_local_index(graph, k=2, rng=0), seed=0, slow_ms=0.0
-    )
+    return QueryService(graph, seed=0, slow_ms=0.0)
 
 
 def _names(node: dict) -> list[str]:
@@ -106,9 +103,7 @@ class TestBatchTrace:
 
 class TestUpdateTrace:
     def test_update_trace_stages(self, graph):
-        service = QueryService(
-            graph, build_local_index(graph, k=2, rng=0), seed=0
-        )
+        service = QueryService(graph, seed=0)
         payload = {"edges": [
             {"source": "v0", "label": "likes", "target": "new-vertex"},
         ]}
@@ -118,9 +113,7 @@ class TestUpdateTrace:
         names = _names(trace)
         for stage in ("copy", "apply", "freeze", "candidate-carry", "publish"):
             assert stage in names, stage
-        # The index is built by its first reader, not by the swap.
-        assert "index-read" not in names
-        assert summary["index"] == "deferred"
+        assert "index" not in summary
         apply_span = _child(trace, "apply")
         assert apply_span["attrs"]["added"] == 1
         assert apply_span["attrs"]["vertices_added"] == 1

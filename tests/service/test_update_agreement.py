@@ -1,7 +1,7 @@
 """Randomized agreement for live updates: epoch swaps vs a naive oracle.
 
-The epoch-swap subsystem layers graph copying, index rebuilds on first
-read, re-freezing, per-epoch caches and atomic publication on top of the
+The epoch-swap subsystem layers graph copying, re-freezing,
+per-epoch caches and atomic publication on top of the
 paper's algorithms — none of which may change a single Boolean answer.
 This suite interleaves random edge batches and query workloads on ~30
 seeded graphs: after every ``apply_updates`` the service's answers must
@@ -28,7 +28,6 @@ from repro.constraints.substructure import SubstructureConstraint
 from repro.core.naive import NaiveTwoProcedure
 from repro.core.query import LSCRQuery
 from repro.datasets.synthetic import random_labeled_graph
-from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from tests.helpers import graph_from_edges
 
@@ -46,10 +45,7 @@ def make_graph(seed):
 
 
 def make_service(graph, seed):
-    """Alternate indexed (INS, its index built per epoch) and index-free
-    services."""
-    index = build_local_index(graph, k=3, rng=seed) if seed % 2 == 0 else None
-    return QueryService(graph, index, seed=seed)
+    return QueryService(graph, seed=seed)
 
 
 def constraint_pool(rng):
@@ -238,8 +234,7 @@ class TestMixedUpdateAgreement:
 
     The regression this guards: ``op: "remove"`` batches used to
     validate and then silently vanish — ``apply_updates`` only routed
-    additions, so acknowledged retractions never left the graph and the
-    index was never repaired for them.
+    additions, so acknowledged retractions never left the graph.
     """
 
     @pytest.mark.parametrize("seed", SEEDS)

@@ -4,8 +4,8 @@ Covers the epoch-swap mechanics the randomized agreement suite
 (``test_update_agreement.py``) then hammers statistically:
 
 * :meth:`QueryService.apply_updates` — epoch bump, duplicate counting,
-  vertex/label interning, the index deferred to its first read, the
-  old epoch staying intact for in-flight readers;
+  vertex/label interning, the old epoch staying intact for in-flight
+  readers;
 * per-epoch result caches — a pre-update cached answer must never be
   served for the post-update graph (the headline staleness bug);
 * ``POST /edges`` over real HTTP — default tenant and ``/t/<tenant>``
@@ -22,15 +22,11 @@ import urllib.request
 
 import pytest
 
-from repro.constraints.substructure import SubstructureConstraint
-from repro.core.naive import NaiveTwoProcedure
-from repro.core.query import LSCRQuery
 from repro.exceptions import (
     BadRequestError,
     ServiceConfigError,
 )
 from repro.graph import FrozenGraph, KnowledgeGraph
-from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.service.registry import TenantRegistry
 from tests.helpers import graph_from_edges, running_server
@@ -44,34 +40,13 @@ def make_graph(name="live"):
     )
 
 
-def make_service(indexed=False, **kwargs):
-    graph = make_graph()
-    index = build_local_index(graph, k=2, rng=0) if indexed else None
-    return QueryService(graph, index, seed=0, **kwargs)
-
-
-def assert_ins_matches_the_oracle(service):
-    """Forced, uncached INS agrees with the naive procedure on the
-    serving graph for every ordered pair of its vertices."""
-    graph = service.graph
-    oracle = NaiveTwoProcedure(graph)
-    constraint = SubstructureConstraint.from_sparql(CONSTRAINT)
-    for source in graph.vertex_names():
-        for target in graph.vertex_names():
-            result, _ = service.query(
-                source, target, ["go"], CONSTRAINT,
-                algorithm="ins", use_cache=False,
-            )
-            expected = oracle.decide(
-                LSCRQuery.create(source, target, ["go"], constraint)
-            )
-            assert result.answer is expected, (source, target)
+def make_service(**kwargs):
+    return QueryService(make_graph(), seed=0, **kwargs)
 
 
 class TestApplyUpdates:
-    @pytest.mark.parametrize("indexed", [False, True])
-    def test_new_edge_flips_the_answer(self, indexed):
-        service = make_service(indexed)
+    def test_new_edge_flips_the_answer(self):
+        service = make_service()
         try:
             result, meta = service.query("s", "t2", ["go"], CONSTRAINT)
             assert meta["epoch"] == 0
@@ -167,26 +142,11 @@ class TestApplyUpdates:
         finally:
             service.close()
 
-    def test_an_add_swap_defers_the_index_to_a_build_on_first_read(self):
-        service = make_service(indexed=True)
-        try:
-            assert service.index is not None  # epoch 0's index was read
-            summary = service.apply_updates(
-                [("s", "go", "s2"), ("m", "go", "m3")]
-            )
-            assert summary["index"] == "deferred"
-            assert not service.epoch.describe_index()["loaded"]
-            assert_ins_matches_the_oracle(service)
-            assert service.epoch.describe_index()["loaded"]
-        finally:
-            service.close()
-
     def test_retired_snapshots_die_without_a_full_collection(self):
-        """Neither a retired snapshot nor an index read on an old epoch
-        may keep an old graph alive: with the cyclic collector off, a chain of
-        updates leaves only the current snapshot — no mutable graph
-        beside it."""
-        service = make_service(indexed=True)
+        """No retired snapshot may keep an old graph alive: with the
+        cyclic collector off, a chain of updates leaves only the current
+        snapshot — no mutable graph beside it."""
+        service = make_service()
         gc.collect()
         gc.disable()
         try:
@@ -251,9 +211,8 @@ class TestEdgeRetraction:
     """``op: "remove"`` end to end — the bug was a silently dropped op:
     removals validated fine and then never reached the graph."""
 
-    @pytest.mark.parametrize("indexed", [False, True])
-    def test_removal_flips_the_answer_back(self, indexed):
-        service = make_service(indexed)
+    def test_removal_flips_the_answer_back(self):
+        service = make_service()
         try:
             result, _ = service.query("s", "m", ["go"], CONSTRAINT)
             assert result.answer is True
@@ -311,21 +270,6 @@ class TestEdgeRetraction:
             assert summary["edges_added"] == 1
             assert summary["edges_removed"] == 1
             assert not service.graph.has_edge_named("p", "go", "q")
-        finally:
-            service.close()
-
-    def test_a_remove_swap_defers_the_index_to_a_build_on_first_read(self):
-        service = make_service(indexed=True)
-        try:
-            service.apply_updates([("m", "go", "far")])
-            assert_ins_matches_the_oracle(service)
-            summary = service.apply_updates([("m", "go", "far", "remove")])
-            assert summary["index"] == "deferred"
-            assert_ins_matches_the_oracle(service)
-            result, _ = service.query(
-                "s", "far", ["go"], CONSTRAINT, algorithm="ins"
-            )
-            assert result.answer is False
         finally:
             service.close()
 

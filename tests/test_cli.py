@@ -146,6 +146,61 @@ class TestQuery:
         )
         assert code == 0
 
+    def ins_query(self, g0_path, index_path):
+        return main(
+            [
+                "query", g0_path,
+                "--source", "v0", "--target", "v4",
+                "--labels", "likes,follows",
+                "--constraint", self.CONSTRAINT,
+                "--algorithm", "ins", "--index", str(index_path),
+            ]
+        )
+
+    def test_ins_builds_and_saves_a_missing_index_then_loads_it(
+        self, g0_path, tmp_path, monkeypatch
+    ):
+        index_path = tmp_path / "built.json"
+        assert self.ins_query(g0_path, index_path) == 0
+        saved = index_path.read_bytes()
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the saved index was not loaded")
+
+        monkeypatch.setattr("repro.cli.build_local_index", no_build)
+        assert self.ins_query(g0_path, index_path) == 0
+        assert index_path.read_bytes() == saved
+
+    def test_ins_without_an_index_builds_in_memory_and_saves_nothing(
+        self, g0_path, monkeypatch, capsys
+    ):
+        def no_save(*args, **kwargs):
+            raise AssertionError("an index was saved without --index")
+
+        monkeypatch.setattr("repro.cli.save_local_index", no_save)
+        argv = [
+            "query", g0_path,
+            "--source", "v0", "--target", "v4",
+            "--labels", "likes,follows",
+            "--constraint", self.CONSTRAINT,
+        ]
+        assert main([*argv, "--algorithm", "uis*"]) == 0
+        expected = capsys.readouterr().out.split()[1]
+        assert main([*argv, "--algorithm", "ins"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("INS: ")
+        assert out.split()[1] == expected
+
+    def test_ins_refuses_an_index_saved_for_another_graph(
+        self, g0_path, tmp_path, capsys
+    ):
+        other = tmp_path / "other.tsv"
+        other.write_text("a\tlikes\tb\n", encoding="utf-8")
+        index_path = tmp_path / "other.json"
+        assert main(["index", str(other), "--output", str(index_path)]) == 0
+        assert self.ins_query(g0_path, index_path) == 2
+        assert "index/graph mismatch" in capsys.readouterr().err
+
     def test_bad_vertex_reports_error(self, g0_path, capsys):
         code = main(
             [
@@ -198,8 +253,9 @@ class TestServe:
     def test_tenant_spec_parsing(self):
         from repro.cli import _parse_tenant_spec
 
-        assert _parse_tenant_spec("a=g.tsv") == ("a", "g.tsv", None)
-        assert _parse_tenant_spec("a=g.tsv:i.json") == ("a", "g.tsv", "i.json")
+        assert _parse_tenant_spec("a=g.tsv") == ("a", "g.tsv")
+        # Everything after the '=' is the path, ':' included.
+        assert _parse_tenant_spec("a=/data/a:b.tsv") == ("a", "/data/a:b.tsv")
 
     @pytest.mark.parametrize("spec", ["noequals", "=g.tsv", "name="])
     def test_tenant_spec_rejected(self, spec):
@@ -227,6 +283,44 @@ class TestServe:
             main(argv)
         assert refusal.value.code == 2
         assert argv[0 if argv[0] == "cut" else 1] in capsys.readouterr().err
+
+
+class TestServeInProcess:
+    """``serve`` booted in process up to ``serve_forever``."""
+
+    @pytest.fixture()
+    def served(self, monkeypatch):
+        from repro.service.http import ServiceHTTPServer
+
+        registries = []
+        monkeypatch.setattr(
+            ServiceHTTPServer,
+            "serve_forever",
+            lambda server: registries.append(server.registry),
+        )
+        return registries
+
+    def test_a_tenant_graph_path_may_hold_a_colon(
+        self, tmp_path, served, capsys
+    ):
+        path = tmp_path / "a:b.tsv"
+        dump_tsv(figure3_graph(), path)
+        assert main(["serve", "--tenant", f"t={path}", "--port", "0"]) == 0
+        (registry,) = served
+        assert registry.names() == ["t"]
+        assert registry.get("t").graph.num_vertices == 5
+        assert "loaded a:b: |V|=5" in capsys.readouterr().out
+
+    def test_index_is_ignored_with_one_line(self, g0_path, tmp_path, served, capsys):
+        index_path = tmp_path / "g0.json"
+        assert main(["serve", "--graph", g0_path, "--index", str(index_path),
+                     "--port", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            f"ignoring --index {index_path}: the service serves index-free"
+        )
+        assert not any("index" in line for line in lines[1:])
+        assert not index_path.exists()
 
 
 class TestServeCollector:
@@ -342,44 +436,3 @@ class TestServeWalFlags:
             f"error: --default-deadline-ms must be a finite number > 0, "
             f"got {float(budget)}"
         )
-
-    def test_ready_line_leaves_a_replayed_epochs_index_unread(
-        self, g0_path, tmp_path, monkeypatch, capsys
-    ):
-        # The ready line describes the index without reading
-        # service.index, whose first read would build it at boot: the
-        # epoch replay derived builds its own, since the file describes
-        # the base TSV.
-        from repro.graph.io import load_tsv
-        from repro.index.landmarks import NO_REGION
-        from repro.index.storage import load_local_index
-        from repro.service.app import QueryService
-        from repro.service.http import ServiceHTTPServer
-        from repro.service.registry import DEFAULT_TENANT
-        from repro.wal import UpdateWal
-
-        index_path, wal_dir = str(tmp_path / "g0.json"), tmp_path / "wal"
-        assert main(["index", g0_path, "--output", index_path, "--k", "2"]) == 0
-        graph = load_tsv(g0_path)
-        index = load_local_index(index_path, graph)
-        member = next(
-            v for v, region in enumerate(index.partition.region) if region != NO_REGION
-        )
-        wal = UpdateWal(wal_dir)
-        leader = QueryService(graph, index)
-        leader.attach_wal(wal.tenant(DEFAULT_TENANT))
-        leader.apply_updates([(graph.name_of(member), "likes", "fresh")])
-        leader.close()
-        wal.close()
-
-        seen = []
-        monkeypatch.setattr(
-            ServiceHTTPServer,
-            "serve_forever",
-            lambda server: seen.append(server.registry.get().epoch.describe_index()),
-        )
-        assert main(["serve", "--graph", g0_path, "--index", index_path,
-                     "--wal", str(wal_dir), "--port", "0"]) == 0
-        (described,) = seen
-        assert described == {"loaded": False, "configured": True}
-        assert "index: configured, not read yet" in capsys.readouterr().out

@@ -1,8 +1,9 @@
 """Docs are checked, not trusted: README's serving-options reference
 lists exactly the flags ``python -m repro serve`` parses, each row agrees
 with the options table on flag, key and default, every registered
-evaluator is named under *Choosing an algorithm*, offered by ``query
---algorithm`` and selectable per request, every path the *Repo map*
+evaluator is named under *Choosing an algorithm* and offered by ``query
+--algorithm``, every one but INS is selectable per request and INS is
+refused, every path the *Repo map*
 names exists, no docstring or comment under ``src/`` cites a Markdown
 file the checkout lacks, and
 ``setup.py`` — what README's ``pip install -e .`` runs — installs the
@@ -17,12 +18,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro._version import __version__
 from repro.cli import build_parser
 from repro.core.algorithms import ALGORITHMS
 from repro.datasets.toy import figure3_graph
+from repro.exceptions import BadRequestError
 from repro.service.options import OPTIONS
-from repro.service.planner import QueryPlanner
+from repro.service.planner import SERVED_ALGORITHMS, QueryPlanner
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -75,11 +79,14 @@ def test_every_registered_algorithm_is_documented_and_selectable():
         if "--algorithm" in action.option_strings
     ]
     assert set(option.choices) == set(ALGORITHMS)
-    planner = QueryPlanner(figure3_graph(), has_index=True)
+    planner = QueryPlanner(figure3_graph())
     constraint = "SELECT ?x WHERE { ?x <likes> ?y . }"
-    for name in ALGORITHMS:
+    assert set(SERVED_ALGORITHMS) == set(ALGORITHMS) - {"ins"}
+    for name in SERVED_ALGORITHMS:
         plan = planner.plan("v0", "v4", ["likes"], constraint, name)
         assert (plan.algorithm, plan.forced) == (name, True)
+    with pytest.raises(BadRequestError, match="repro query --algorithm ins"):
+        planner.plan("v0", "v4", ["likes"], constraint, "ins")
     assert [name for name in ALGORITHMS if f"`{name}`" not in section] == []
 
 

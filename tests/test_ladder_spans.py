@@ -42,21 +42,22 @@ SPANS = load_spans()
 CALLERS = {
     "graph.load": ["repro.service.app"],
     "graph.freeze": ["repro.service.app", "repro.service.epoch"],
-    "index.build": ["repro.index.local_index", "repro.index.storage"],
+    "index.build": ["repro.index.local_index"],
     "approx.bounds_build": ["repro.service.epoch"],
     "core.find_witness": ["repro.session"],
 }
 
 
 #: Pins whose code was deleted: the four of the shard fleet (one process
-#: serves each graph) and the witness tier's store (the router keeps only
-#: its sound No).  The ladder keeps them until its own next change, and a
-#: traced run lists them as missing; their metrics read 0 on every
-#: registered workload.
+#: serves each graph), the witness tier's store (the router keeps only
+#: its sound No) and the index repair (the service serves index-free).
+#: The ladder keeps them until its own next change, and a traced run
+#: lists them as missing; their metrics read 0 on every registered
+#: workload.
 RETIRED = frozenset(
     {
         "shard.answer", "shard.expand", "shard.worker_expand",
-        "shard.worker_query", "approx.remember_witness",
+        "shard.worker_query", "approx.remember_witness", "index.repair",
     }
 )
 

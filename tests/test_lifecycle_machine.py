@@ -3,7 +3,7 @@
 The first rung of ROADMAP item 1.  The per-feature agreement suites each
 draw a fresh constraint per query and never compose events, so a value
 that outlives the graph version it was derived from — a ``V(S, G)``
-cache, an index, a bounds table — is invisible to them.  Here one
+cache, a bounds table — is invisible to them.  Here one
 ``hypothesis`` :class:`RuleBasedStateMachine` drives the public
 operations of a service over a graph of at most 16 vertices mirrored in
 a plain :class:`KnowledgeGraph`:
@@ -13,7 +13,7 @@ a plain :class:`KnowledgeGraph`:
   text of a **fixed pool of three constraints** (so every swap is
   followed by repeats of a constraint whose ``V(S, G)`` it may have
   moved), with and without the result cache, on the default route and
-  on each forced algorithm;
+  on each served algorithm; and a request naming ``ins``;
 * invariants after every step — the answer equals ``core/naive.py`` on
   the mirror, ``meta["epoch"]`` is the epoch that was current, the
   service's graph is the mirror's, ``audit_fingerprint()`` passes, no
@@ -23,11 +23,9 @@ a plain :class:`KnowledgeGraph`:
   maybe for every pair that label-blind BFS on its graph reaches;
 * after every update batch — every ``V(S, G)`` the new epoch's candidate
   cache carried across the swap equals a from-scratch evaluation;
-* whenever forced INS reads an epoch's index — epoch 0's, given at
-  boot, or one a swap left to its first reader, whether or not an
-  ancestor's was read — it is bound to that epoch's graph and its tables
-  equal a fresh build over that graph from the service's landmark count
-  and seed (:class:`~repro.service.epoch.IndexSource`).
+* on every epoch a request naming ``ins``, alone or in a batch, is the
+  planner's 400 pointing to ``repro query`` — the service serves
+  index-free — and moves no ``/stats`` counter.
 
 Tier-1 runs it on a fixed, derandomised budget; the deeper
 ``differential`` profile
@@ -37,6 +35,7 @@ examples and draws them from the seed given on the command line.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -48,16 +47,14 @@ from hypothesis.stateful import (
 )
 
 from repro.constraints.substructure import SubstructureConstraint
-from repro.core.algorithms import ALGORITHMS as REGISTERED
 from repro.core.naive import NaiveTwoProcedure
 from repro.core.query import LSCRQuery
+from repro.exceptions import BadRequestError
 from repro.graph.labeled_graph import KnowledgeGraph
-from repro.index.local_index import LocalIndex, build_local_index
 from repro.service.app import QueryService
-from repro.service.epoch import IndexSource
+from repro.service.planner import SERVED_ALGORITHMS
 from tests.helpers import cache_counters, label_blind_reach
 
-LANDMARKS = 3
 CHAIN = [(f"v{i}", "next", f"v{i + 1}") for i in range(5)]
 POOL = [f"v{i}" for i in range(6)] + ["p", "q"]
 NAMES = st.sampled_from(POOL)
@@ -78,8 +75,8 @@ CONSTRAINTS = {
     )
 }
 #: The default route or, as often, one of the forced algorithms — every
-#: registered evaluator, so none can be skipped by this machine.
-ALGORITHMS = st.one_of(st.none(), st.sampled_from(sorted(REGISTERED)))
+#: served evaluator, so none can be skipped by this machine.
+ALGORITHMS = st.one_of(st.none(), st.sampled_from(sorted(SERVED_ALGORITHMS)))
 
 #: Tier-1's budget; the ``differential`` profile runs >= 10x the examples.
 TIER1 = settings(
@@ -97,10 +94,7 @@ class LifecycleMachine(RuleBasedStateMachine):
         self.mirror = KnowledgeGraph("lifecycle")
         for edge in CHAIN + extra:
             self.mirror.add_edge(*edge)
-        graph = self.mirror.copy()
-        # What a first read would build from the service's options.
-        index = build_local_index(graph, k=LANDMARKS, rng=0)
-        self.service = QueryService(graph, index, landmark_count=LANDMARKS, seed=0)
+        self.service = QueryService(self.mirror.copy(), seed=0)
         self.epoch_id = 0
         self.cache_counters = {}
 
@@ -186,30 +180,27 @@ class LifecycleMachine(RuleBasedStateMachine):
             for source in POOL:
                 for goal in POOL:
                     self.ask(source, goal, labels, constraint, algorithm, use_cache)
-        if algorithm == "ins":
-            self.index_is_a_fresh_build()
 
     @rule(
+        source=NAMES,
+        goal=NAMES,
         labels=st.sets(st.sampled_from(LABELS), min_size=1),
         constraint=st.sampled_from(sorted(CONSTRAINTS)),
+        use_cache=st.booleans(),
     )
-    def uncached_ins(self, labels, constraint):
-        """Forced INS, uncached, on whatever index the serving epoch
-        reads — so a swap's first read follows it more often than the
-        sweep's draw of algorithm alone would make it."""
-        for source in POOL:
-            for goal in POOL:
-                self.ask(source, goal, sorted(labels), constraint, "ins", False)
-        self.index_is_a_fresh_build()
-
-    def index_is_a_fresh_build(self):
-        epoch, options = self.service.epoch, self.service.options
-        index = epoch.index
-        fresh = IndexSource(None, options.landmark_count, options.seed).read(
-            epoch.graph
-        )
-        assert index.graph.shares_interning(epoch.graph)
-        assert tables(index) == tables(fresh), epoch
+    def ins_is_refused(self, source, goal, labels, constraint, use_cache):
+        """INS is not served on any epoch: a request naming it is refused
+        by the planner before any cache or counter sees it."""
+        before = counters(self.service)
+        spec = {"source": source, "target": goal, "labels": sorted(labels),
+                "constraint": constraint, "algorithm": "ins"}
+        with pytest.raises(BadRequestError, match="repro query --algorithm ins"):
+            self.service.query(**spec, use_cache=use_cache)
+        with pytest.raises(BadRequestError, match="repro query --algorithm ins"):
+            self.service.query_batch(
+                [spec, {**spec, "algorithm": None}], use_cache=use_cache
+            )
+        assert counters(self.service) == before
 
     def ask(self, source, goal, labels, constraint, algorithm, use_cache):
         result, meta = self.service.query(
@@ -252,14 +243,20 @@ class LifecycleMachine(RuleBasedStateMachine):
         self.cache_counters = counters
 
 
-def tables(index: LocalIndex):
-    """An index's region assignment and ``II / EIT / D`` tables."""
-    return (
-        index.partition.region,
-        {u: sorted(table.items()) for u, table in index.ii.items()},
-        index.eit,
-        index.d,
-    )
+def counters(service: QueryService) -> dict:
+    """Every integer leaf of ``/stats``, by path: the counters (the
+    clock readings are floats)."""
+    leaves = {}
+
+    def walk(document, path):
+        if isinstance(document, dict):
+            for key, value in document.items():
+                walk(value, (*path, key))
+        elif isinstance(document, int) and not isinstance(document, bool):
+            leaves[path] = document
+
+    walk(service.stats_snapshot(), ())
+    return leaves
 
 
 def test_lifecycle(request):

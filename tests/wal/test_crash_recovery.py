@@ -11,7 +11,7 @@ from the base TSV plus the log.  The recovered service must
   fingerprint (continuity, proven per replayed record), and
 * answer every query identically to a :class:`NaiveTwoProcedure` oracle
   running on an independently mutated mirror graph — the oracle shares
-  no code with the WAL, the epoch machinery, or the index.
+  no code with the WAL or the epoch machinery.
 
 Fault injections ride the same machinery: a truncated final append
 (recover to tip-1, agree with *that* epoch's oracle) and a crash
@@ -31,7 +31,6 @@ from repro.core.naive import NaiveTwoProcedure
 from repro.core.query import LSCRQuery
 from repro.datasets.synthetic import random_labeled_graph
 from repro.graph.io import dump_tsv, load_tsv
-from repro.index.local_index import build_local_index
 from repro.service.app import QueryService
 from repro.wal import TenantWal, recover_service
 
@@ -59,10 +58,8 @@ def write_base_tsv(seed, tmp_path):
 
 
 def make_leader(tsv, wal, seed):
-    """Alternate indexed and index-free leaders, WAL attached."""
-    graph = load_tsv(tsv, name=tsv.stem)
-    index = build_local_index(graph, k=3, rng=seed) if seed % 2 == 0 else None
-    service = QueryService(graph, index, seed=seed)
+    """A leader with the WAL attached."""
+    service = QueryService(load_tsv(tsv, name=tsv.stem), seed=seed)
     service.attach_wal(wal)
     return service
 

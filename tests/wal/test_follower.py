@@ -18,7 +18,6 @@ import urllib.request
 import pytest
 
 from repro.exceptions import ReadOnlyServiceError
-from repro.index.local_index import build_local_index
 from repro.obs.prometheus import parse_prometheus_text, render_metrics
 from repro.service.app import QueryService
 from repro.wal import TenantWal, WalFollower
@@ -33,16 +32,12 @@ def make_graph(name="repl"):
     )
 
 
-def make_pair(tmp_path, *, compact_every=100, indexed=False):
+def make_pair(tmp_path, *, compact_every=100):
     """A leader (WAL attached) and a follower tailing the same directory."""
     wal = TenantWal(tmp_path, "default", compact_every=compact_every)
-    graph = make_graph()
-    index = build_local_index(graph, k=2, rng=0) if indexed else None
-    leader = QueryService(graph, index, seed=0)
+    leader = QueryService(make_graph(), seed=0)
     leader.attach_wal(wal)
-    replica_graph = make_graph()
-    replica_index = build_local_index(replica_graph, k=2, rng=0) if indexed else None
-    replica = QueryService(replica_graph, replica_index, seed=0)
+    replica = QueryService(make_graph(), seed=0)
     replica.read_only = True
     follower = WalFollower(
         replica, TenantWal(tmp_path, "default", compact_every=compact_every)
@@ -52,9 +47,8 @@ def make_pair(tmp_path, *, compact_every=100, indexed=False):
 
 
 class TestPollOnce:
-    @pytest.mark.parametrize("indexed", [False, True])
-    def test_follower_republishes_the_leaders_epochs(self, tmp_path, indexed):
-        leader, replica, follower = make_pair(tmp_path, indexed=indexed)
+    def test_follower_republishes_the_leaders_epochs(self, tmp_path):
+        leader, replica, follower = make_pair(tmp_path)
         try:
             leader.apply_updates([("m", "go", "t2")])
             leader.apply_updates(
